@@ -1,0 +1,25 @@
+//! Captures the compiler and flags this binary was built with, for the
+//! provenance stamp of `results.json`.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    // cargo joins the flags with the 0x1f unit separator
+    let flags = std::env::var("CARGO_ENCODED_RUSTFLAGS")
+        .unwrap_or_default()
+        .replace('\x1f', " ");
+    println!("cargo:rustc-env=BENCH_RUSTC_VERSION={version}");
+    println!("cargo:rustc-env=BENCH_RUSTFLAGS={flags}");
+    println!(
+        "cargo:rustc-env=BENCH_PROFILE={}",
+        std::env::var("PROFILE").unwrap_or_default()
+    );
+    println!("cargo:rerun-if-changed=build.rs");
+}
