@@ -5,8 +5,8 @@
 //! 1. A **source lint engine** ([`analyze_tree`] / [`analyze_source`]):
 //!    a dependency-free Rust [`lexer`] feeding a small set of [`rules`]
 //!    tuned to this codebase's invariants — panic-free library crates,
-//!    no accidental float equality, unit-suffix discipline, a deprecation
-//!    budget, and doc coverage of the public core/gpusim surface.
+//!    no accidental float equality, unit-suffix discipline, and doc
+//!    coverage of the public core/gpusim surface.
 //!    Per-line opt-outs use `// sc-analyze: allow(<rule>, …)` comments,
 //!    which silence the named rules on that line and the next.
 //!

@@ -56,9 +56,6 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
             allow_files: PRECISION_ALLOWLIST,
         }),
         Box::new(UnitDiscipline),
-        Box::new(DeprecationBudget {
-            allow_files: DEPRECATION_ALLOWLIST,
-        }),
         Box::new(PubDoc),
     ]
 }
@@ -69,17 +66,6 @@ pub const FLOAT_EQ_ALLOWLIST: &[&str] = &[
     "tests/determinism.rs",
     "crates/core/src/batch.rs",
     "crates/core/tests/",
-];
-
-/// Files permitted to reference the deprecated compat surface: the
-/// facade that re-exports it, the module that defines it, and the API
-/// surface test that pins it.
-pub const DEPRECATION_ALLOWLIST: &[&str] = &[
-    "src/lib.rs",
-    "crates/core/src/lib.rs",
-    "crates/core/src/schedule.rs",
-    "crates/feti/src/compat.rs",
-    "tests/api_surface.rs",
 ];
 
 /// True for paths that are library (non-test, non-bench, non-shim)
@@ -398,74 +384,6 @@ impl Rule for UnitDiscipline {
 }
 
 // ---------------------------------------------------------------------------
-// deprecation-budget
-// ---------------------------------------------------------------------------
-
-/// References to the deprecated compat surface — `#[allow(deprecated)]`
-/// and `#[expect(deprecated)]` attributes — are budgeted to an explicit
-/// allowlist so the legacy API cannot quietly re-spread. (Supersedes the
-/// ad-hoc scan the `ci` bin used to carry inline.)
-pub struct DeprecationBudget {
-    /// Exact paths or `/`-terminated directory prefixes permitted to
-    /// reference deprecated items.
-    pub allow_files: &'static [&'static str],
-}
-
-impl Rule for DeprecationBudget {
-    fn name(&self) -> &'static str {
-        "deprecation-budget"
-    }
-
-    fn applies(&self, rel: &str) -> bool {
-        !allowlisted(rel, self.allow_files) && !rel.starts_with("crates/shims/")
-    }
-
-    fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-        for (si, &ti) in file.sig.iter().enumerate() {
-            let t = &file.tokens[ti];
-            if t.kind != TokKind::Ident || (t.text != "allow" && t.text != "expect") {
-                continue;
-            }
-            if !file
-                .sig_tok(si + 1)
-                .is_some_and(|n| n.kind == TokKind::Punct && n.text == "(")
-            {
-                continue;
-            }
-            // scan the parenthesized list for a bare `deprecated` ident
-            let mut depth = 0i64;
-            for &tj_i in file.sig.iter().skip(si + 1) {
-                let tj = &file.tokens[tj_i];
-                if tj.kind == TokKind::Punct {
-                    match tj.text.as_str() {
-                        "(" => depth += 1,
-                        ")" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                } else if tj.kind == TokKind::Ident && tj.text == "deprecated" {
-                    out.push(Diagnostic {
-                        file: file.rel.clone(),
-                        line: t.line,
-                        rule: self.name().into(),
-                        message: format!(
-                            "`{}(deprecated)` outside the compat allowlist; migrate to the \
-                             session API instead of widening the budget",
-                            t.text
-                        ),
-                    });
-                    break;
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // pub-doc
 // ---------------------------------------------------------------------------
 
@@ -673,16 +591,6 @@ mod tests {
         assert!(run("src/lib.rs", mul)
             .iter()
             .all(|d| d.rule != "unit-discipline"));
-    }
-
-    #[test]
-    fn deprecation_budget_respects_allowlist() {
-        let src = "#[allow(deprecated)]\nfn f() {}\n";
-        assert_eq!(run("crates/order/src/graph.rs", src).len(), 1);
-        assert!(run("crates/feti/src/compat.rs", src).is_empty());
-        assert!(run("src/lib.rs", src).is_empty());
-        let unrelated = "#[allow(dead_code)]\nfn f() {}\n";
-        assert!(run("crates/order/src/graph.rs", unrelated).is_empty());
     }
 
     #[test]

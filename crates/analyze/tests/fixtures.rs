@@ -57,21 +57,6 @@ fn unit_discipline_fixture_fires_at_seeded_lines() {
 }
 
 #[test]
-fn deprecation_fixture_fires_at_seeded_line() {
-    let got = findings("deprecation.rs", "crates/order/src/fixture.rs");
-    assert_eq!(
-        got,
-        vec![(3, "deprecation-budget".to_string())],
-        "deprecation-budget findings mismatch"
-    );
-    // the same file inside the allowlist is clean of deprecation findings
-    // (pub-doc now applies to sc_feti, so filter to the rule under test)
-    assert!(findings("deprecation.rs", "crates/feti/src/compat.rs")
-        .iter()
-        .all(|(_, r)| r != "deprecation-budget"));
-}
-
-#[test]
 fn pub_doc_fixture_fires_at_seeded_lines() {
     let got = findings("pub_doc.rs", "crates/core/src/fixture.rs");
     let doc_lines: Vec<u32> = got

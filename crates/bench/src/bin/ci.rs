@@ -16,8 +16,10 @@
 //!
 //! The `analyze` stage runs the `sc_analyze` lint engine over the tree
 //! (panic-surface, float-eq, precision-discipline, unit-discipline,
-//! deprecation-budget, pub-doc — the old inline deprecation scan is
-//! subsumed by the `deprecation-budget` rule). The `trace-audit` stage
+//! pub-doc). The `benchmark` stage runs the tests of the stand-alone
+//! `benchmark/` package against the workspace's current library API, so a
+//! removal that breaks the performance instrument fails here rather than
+//! at its next run. The `trace-audit` stage
 //! replays the bench workloads and statically checks the recorded kernel
 //! traces for memory and ordering hazards; `--only <bin>` narrows it to
 //! one workload, matching the perf-gate matrix legs.
@@ -62,6 +64,7 @@ const STAGES: &[&str] = &[
     "doctest",
     "doc",
     "examples",
+    "benchmark",
     "perf-gate",
     "trace-audit",
 ];
@@ -222,6 +225,18 @@ fn main() {
                 cargo(&["run", "--release", "--example", ex]),
             );
         }
+    }
+    if run("benchmark") {
+        step(
+            "benchmark",
+            cargo(&[
+                "test",
+                "--release",
+                "--offline",
+                "--manifest-path",
+                "benchmark/Cargo.toml",
+            ]),
+        );
     }
     if run("perf-gate") {
         let bins: Vec<&str> = match &args.only {

@@ -3,40 +3,35 @@
 //! The paper's production setting (like its CUDA predecessor, arXiv:2502.08382)
 //! assembles the dense local dual operators `F̃ᵢ` of **hundreds of subdomains
 //! per cluster**, one OpenMP thread per subdomain. This module is that loop:
-//! [`assemble_sc_batch`] fans the per-subdomain [`assemble_sc`](crate::assemble_sc) pipelines out
-//! over rayon, sharing one [`BlockCutsCache`] so that equal-shape subdomains
-//! (the overwhelmingly common case on regular decompositions) resolve their
-//! [`BlockParam`](crate::tune::BlockParam) partitions exactly once, and
-//! recording per-subdomain timings for load-balance diagnostics.
+//! the drivers fan the per-subdomain [`assemble_sc`](crate::assemble_sc)
+//! pipelines out over rayon, sharing one [`BlockCutsCache`] so that
+//! equal-shape subdomains (the overwhelmingly common case on regular
+//! decompositions) resolve their [`BlockParam`](crate::tune::BlockParam)
+//! partitions exactly once, and recording per-subdomain timings for
+//! load-balance diagnostics.
 //!
 //! The public entry point is
 //! [`AssemblySession::assemble`](crate::session::AssemblySession::assemble), which
 //! dispatches on a [`Backend`](crate::Backend) value (CPU / one GPU /
-//! device pool / hybrid). The free functions still exported here —
-//! [`assemble_sc_batch`], [`assemble_sc_batch_gpu`],
-//! [`assemble_sc_batch_scheduled`], [`assemble_sc_batch_cluster`] — are
-//! thin `#[deprecated]` wrappers kept for one release so downstream code
-//! migrates with a warning instead of a break; their `_map` twins are gone
-//! (lazy per-task factor derivation now goes through
-//! [`LazyBatch`](crate::source::LazyBatch)).
+//! device pool / hybrid / multi-node) onto the crate-private drivers here.
+//! Every driver takes any [`BatchSource`] (lazy per-task factor derivation
+//! goes through [`LazyBatch`](crate::source::LazyBatch)) and fills the one
+//! [`AssemblyReport`] schema directly.
 //!
 //! Execution targets:
 //!
 //! - **CPU** — one rayon task per subdomain;
-//! - **GPU, round-robin** — the paper's 16-stream submission loop (one host
-//!   worker per stream, in index order; reachable only through the
-//!   deprecated [`assemble_sc_batch_gpu`] — [`Target::Gpu`](crate::session::Target::Gpu)
-//!   schedules instead);
-//! - **GPU, scheduled** — the **memory-aware, cost-model-driven scheduler**
-//!   of [`crate::schedule`] (paper §4.4): LPT ordering onto the
-//!   least-loaded stream, admission against the device's temporary arena
-//!   ("wait"), optional host-readiness overlap ("mix"), and a deterministic
-//!   record-then-replay execution so the simulated timeline is reproducible
-//!   run to run;
+//! - **GPU** — the **memory-aware, cost-model-driven scheduler** of
+//!   [`crate::schedule`] (paper §4.4): LPT ordering onto the least-loaded
+//!   stream ([`StreamPolicy::RoundRobin`] keeps the paper's blind 16-stream
+//!   index-order submission as the comparison baseline), admission against
+//!   the device's temporary arena ("wait"), optional host-readiness overlap
+//!   ("mix"), and a deterministic record-then-replay execution so the
+//!   simulated timeline is reproducible run to run;
 //! - **cluster** — a two-level plan sharding the batch across a device
 //!   pool, each device replaying its share through the scheduled machinery;
-//! - **hybrid spill** — the cluster plan with
-//!   [`plan_cluster_spill_by`](crate::schedule::plan_cluster_spill_by):
+//! - **hybrid spill** — the cluster plan tolerating
+//!   [`TopoPlan::spilled`](crate::schedule::TopoPlan::spilled) entries:
 //!   subdomains that fit no device arena keep their host-computed `F̃ᵢ`
 //!   instead of erroring.
 //!
@@ -50,17 +45,21 @@
 //! [`SubdomainTiming::seconds`] is **backend time**: simulated device
 //! seconds on the GPU drivers (the subdomain's span on its stream), host
 //! wall seconds on the CPU driver. [`SubdomainTiming::host_seconds`] is
-//! always host wall time, so [`BatchReport::speedup`] compares commensurable
-//! clocks; the GPU makespan lives in [`BatchReport::device_seconds`].
+//! always host wall time, so [`AssemblyReport::speedup`] compares
+//! commensurable clocks; the GPU makespan lives in
+//! [`AssemblyReport::makespan`].
 
 use crate::assemble::{assemble_sc_with_cache, ScConfig};
-use crate::exec::{Exec, GpuExec, RecordingExec};
-use crate::schedule::{self, ArenaSim, ScheduleOptions, ScheduledSpan, StreamPolicy};
+use crate::exec::{CpuExec, RecordingExec};
+use crate::schedule::{
+    self, plan_topology_by, ArenaSim, ScheduleOptions, ScheduledSpan, StreamPolicy, Topology,
+};
+use crate::session::{AssemblyReport, DeviceReport};
 use crate::source::BatchSource;
 use crate::tune::BlockCutsCache;
 use rayon::prelude::*;
-use sc_dense::{Mat, MatOf, Scalar};
-use sc_gpu::{Device, DevicePool, GpuKernels, SimSpan, Trace, TraceEvent};
+use sc_dense::{MatOf, Scalar};
+use sc_gpu::{Device, DevicePool, SimSpan, Trace, TraceEvent};
 use sc_sparse::CscOf;
 use std::time::Instant;
 
@@ -92,7 +91,7 @@ pub struct SubdomainTiming {
     /// host wall time on the CPU driver.
     pub seconds: f64,
     /// Host wall seconds spent in this subdomain's task (always a host
-    /// clock — compare with [`BatchReport::total_seconds`], never with
+    /// clock — compare with [`AssemblyReport::total_seconds`], never with
     /// simulated time).
     pub host_seconds: f64,
     /// Stream the subdomain ran on (`None` on the CPU driver).
@@ -100,257 +99,74 @@ pub struct SubdomainTiming {
     /// Simulated execution span on that stream (`None` on the CPU driver).
     pub span: Option<SimSpan>,
     /// Pool device the subdomain ran on (`None` on the CPU driver; `Some(0)`
-    /// on the single-device GPU drivers).
+    /// on the single-device GPU driver).
     pub device: Option<usize>,
     /// Cluster node the subdomain ran on (`None` on every single-node
     /// driver; `Some` only under the multi-node backend).
     pub node: Option<usize>,
 }
 
-/// Aggregate diagnostics of one batched assembly.
-#[derive(Clone, Debug, Default)]
-pub struct BatchReport {
-    /// Per-subdomain timings, in batch order.
-    pub timings: Vec<SubdomainTiming>,
-    /// Host wall time of the whole batch (not the sum of per-subdomain times
-    /// — the ratio of the two is the achieved parallel speedup).
-    pub total_seconds: f64,
-    /// Simulated device makespan of the batch (`device.synchronize()` delta
-    /// across the call); 0 on the CPU driver.
-    pub device_seconds: f64,
-    /// Executed schedule (one entry per subdomain, in execution order) on
-    /// the scheduled GPU driver; empty otherwise.
-    pub schedule: Vec<ScheduledSpan>,
-    /// Peak simultaneous temporary-arena reservation of the executed
-    /// schedule, bytes (0 when not scheduled).
-    pub temp_high_water: usize,
-    /// Block-cut resolutions served from the shared cache.
-    pub cache_hits: usize,
-    /// Block-cut resolutions computed fresh.
-    pub cache_misses: usize,
-    /// Hazard-audit trace of the executed schedule (alloc/free events and
-    /// per-kernel stream/span/slot accesses — see [`sc_gpu::trace`]); `None`
-    /// on drivers without a recorded replay. Slot ids are replay-local
-    /// subdomain positions. Validate with `sc_analyze::trace::validate`.
-    pub trace: Option<Trace>,
-}
-
-impl BatchReport {
-    /// Sum of per-subdomain **host** task times (the sequential-equivalent
-    /// host cost).
-    pub fn cpu_seconds(&self) -> f64 {
-        self.timings.iter().map(|t| t.host_seconds).sum()
-    }
-
-    /// Sum of per-subdomain backend times (simulated device seconds on the
-    /// GPU drivers).
-    pub fn backend_seconds(&self) -> f64 {
-        self.timings.iter().map(|t| t.seconds).sum()
-    }
-
-    /// Achieved host-side parallel speedup `cpu_seconds / total_seconds`
-    /// (≥ 1 when the batch parallelizes, ~1 on a single worker). Both
-    /// quantities are host wall clocks — simulated device time never enters
-    /// this ratio.
-    pub fn speedup(&self) -> f64 {
-        if self.total_seconds > 0.0 {
-            self.cpu_seconds() / self.total_seconds
-        } else {
-            1.0
-        }
-    }
-}
-
-/// Result of a batched assembly: one dense `F̃ᵢ` per input subdomain (batch
-/// order preserved) plus timing/cache diagnostics, in working precision `S`.
-pub struct BatchResultOf<S: Scalar = f64> {
-    /// Assembled local dual operators, indexed like the input batch.
-    pub f: Vec<MatOf<S>>,
-    /// Timing and cache diagnostics.
-    pub report: BatchReport,
-}
-
-/// `f64` batch result (the historical type).
-pub type BatchResult = BatchResultOf<f64>;
-
-/// Assemble every subdomain's `F̃ᵢ` in parallel on the CPU.
-///
-/// One rayon task per subdomain — the paper's one-thread-per-subdomain
-/// cluster loop — all sharing a single [`BlockCutsCache`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use AssemblySession::new(Backend::cpu(), cfg).assemble(items)"
-)]
-pub fn assemble_sc_batch(items: &[BatchItem<'_>], cfg: &ScConfig) -> BatchResult {
-    batch_cpu(items, cfg)
-}
-
-/// CPU batch driver over any [`BatchSource`].
+/// CPU batch driver over any [`BatchSource`]: one rayon task per subdomain
+/// — the paper's one-thread-per-subdomain cluster loop — all sharing a
+/// single [`BlockCutsCache`].
 pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
     src: Src,
     cfg: &ScConfig,
-) -> BatchResultOf<S> {
-    run_batch(src.len(), |i, cache| {
-        let l = src.factor(i);
-        let bt = src.gluing(i);
-        let mut exec = crate::exec::CpuExec;
-        let f = assemble_sc_with_cache(&mut exec, &l, bt, cfg, Some(cache));
-        (f, l.ncols(), bt.ncols())
-    })
-}
-
-/// Assemble every subdomain's `F̃ᵢ` on the simulated GPU with **round-robin**
-/// stream assignment: one host worker per stream (the paper's 16-stream
-/// submission loop), stream `s` processing subdomains `s, s + n_streams, …`
-/// in order. Each subdomain's factor + gluing upload (H2D) is charged to its
-/// stream before the assembly kernels, so the simulated timeline includes
-/// transfer cost. Call `device.synchronize()` afterwards for the simulated
-/// device time, or read [`BatchReport::device_seconds`].
-///
-/// The unified surface ([`Target::Gpu`](crate::session::Target::Gpu)) always
-/// schedules; this live round-robin loop survives only behind this wrapper
-/// as the pre-scheduler comparison baseline.
-#[deprecated(
-    since = "0.2.0",
-    note = "use AssemblySession::new(Backend::gpu(device), cfg).assemble(items) \
-            (with StreamPolicy::RoundRobin for the blind-assignment baseline)"
-)]
-pub fn assemble_sc_batch_gpu(
-    items: &[BatchItem<'_>],
-    cfg: &ScConfig,
-    device: &std::sync::Arc<Device>,
-) -> BatchResult {
-    batch_gpu_rr(items, cfg, device)
-}
-
-/// Live round-robin GPU driver over any [`BatchSource`]: subdomains are
-/// round-robined over the device's streams (one host worker per stream,
-/// in-order within a stream), and the sequential `explicit_gpu` transfer
-/// pattern is reproduced per subdomain (H2D factor + gluing upload before
-/// the kernels, placeholder D2H sync after — the result stays resident on
-/// the device).
-pub(crate) fn batch_gpu_rr<S: Scalar, Src: BatchSource<S>>(
-    src: Src,
-    cfg: &ScConfig,
-    device: &std::sync::Arc<Device>,
-) -> BatchResultOf<S> {
-    if src.is_empty() {
-        return empty_batch_result();
-    }
-    assert!(
-        device.n_streams() > 0,
-        "cannot run a GPU batch of {} subdomains on a device with 0 streams",
-        src.len()
-    );
-    let n_streams = device.n_streams();
+) -> (Vec<MatOf<S>>, AssemblyReport) {
     let cache = BlockCutsCache::new();
     let t0 = Instant::now();
-    let sync0 = device.synchronize();
-    // one worker per stream, so per-subdomain spans on a stream never
-    // interleave (their sum is bounded by the stream's clock)
-    let per_stream: Vec<Vec<(MatOf<S>, SubdomainTiming)>> = (0..n_streams)
+    let assembled: Vec<(MatOf<S>, SubdomainTiming)> = (0..src.len())
         .into_par_iter()
-        .map(|s| {
-            let mut out = Vec::new();
-            let mut i = s;
-            while i < src.len() {
-                let t_host = Instant::now();
-                let l = src.factor(i);
-                let bt = src.gluing(i);
-                let kernels = GpuKernels::new(device.stream(s));
-                kernels.upload_csc(&l);
-                kernels.upload_csc(bt);
-                let mut exec = GpuExec::new(&kernels);
-                let f = assemble_sc_with_cache(&mut exec, &l, bt, cfg, Some(&cache));
-                kernels.download_bytes(0); // result stays on device; placeholder sync
-                let span = kernels
-                    .captured_span()
-                    .expect("GPU batch task submits at least the uploads");
-                out.push((
-                    f,
-                    SubdomainTiming {
-                        index: i,
-                        n_dofs: l.ncols(),
-                        n_lambda: bt.ncols(),
-                        seconds: span.duration(),
-                        host_seconds: t_host.elapsed().as_secs_f64(),
-                        stream: Some(s),
-                        span: Some(span),
-                        device: Some(0),
-                        node: None,
-                    },
-                ));
-                i += n_streams;
-            }
-            out
+        .map(|i| {
+            let t = Instant::now();
+            let l = src.factor(i);
+            let bt = src.gluing(i);
+            let f = assemble_sc_with_cache(&mut CpuExec, &l, bt, cfg, Some(&cache));
+            let host_seconds = t.elapsed().as_secs_f64();
+            let timing = SubdomainTiming {
+                index: i,
+                n_dofs: l.ncols(),
+                n_lambda: bt.ncols(),
+                seconds: host_seconds,
+                host_seconds,
+                stream: None,
+                span: None,
+                device: None,
+                node: None,
+            };
+            (f, timing)
         })
         .collect();
-    let device_seconds = device.synchronize() - sync0;
     let total_seconds = t0.elapsed().as_secs_f64();
-
-    // stitch the per-stream outputs back into batch order
-    let count = src.len();
-    let mut slots: Vec<Option<(MatOf<S>, SubdomainTiming)>> = (0..count).map(|_| None).collect();
-    for chunk in per_stream {
-        for entry in chunk {
-            let idx = entry.1.index;
-            slots[idx] = Some(entry);
-        }
-    }
-    let mut f = Vec::with_capacity(count);
-    let mut timings = Vec::with_capacity(count);
-    for slot in slots {
-        let (mat, timing) = slot.expect("every subdomain assembled exactly once");
-        f.push(mat);
-        timings.push(timing);
-    }
-    BatchResultOf {
-        f,
-        report: BatchReport {
-            timings,
-            total_seconds,
-            device_seconds,
-            schedule: Vec::new(),
-            temp_high_water: 0,
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            trace: None,
-        },
-    }
+    let (f, subdomains) = assembled.into_iter().unzip();
+    let report = AssemblyReport {
+        subdomains,
+        total_seconds,
+        cache_hits: cache.hits(),
+        cache_misses: cache.misses(),
+        ..Default::default()
+    };
+    (f, report)
 }
 
-/// Assemble a batch on the simulated GPU through the §4.4 scheduler
-/// ([`crate::schedule`]): per-subdomain costs are estimated from the stepped
-/// pattern, subdomains are ordered longest-first onto the least-loaded
-/// stream (or round-robin, per [`ScheduleOptions::policy`]), and each
-/// subdomain is admitted against the device's temporary-arena capacity
-/// before its kernels replay onto its stream.
+/// §4.4 scheduled GPU driver over any [`BatchSource`]: per-subdomain costs
+/// are estimated from the stepped pattern, subdomains are ordered
+/// longest-first onto the least-loaded stream (or round-robin, per
+/// [`ScheduleOptions::policy`]), and each subdomain is admitted against the
+/// device's temporary-arena capacity before its kernels replay onto its
+/// stream.
 ///
 /// Execution is **record-then-replay**: numerics run host-parallel through
 /// [`RecordingExec`] (bitwise identical to the CPU path), then the recorded
 /// kernel sequences replay serially into the device timeline in
 /// deterministic stream-clock order — the simulated timeline is reproducible
 /// run to run, unlike live multi-threaded submission.
-#[deprecated(
-    since = "0.2.0",
-    note = "use AssemblySession::new(Backend::gpu_with(device, schedule), cfg).assemble(items)"
-)]
-pub fn assemble_sc_batch_scheduled(
-    items: &[BatchItem<'_>],
-    cfg: &ScConfig,
-    device: &std::sync::Arc<Device>,
-    opts: &ScheduleOptions,
-) -> BatchResult {
-    batch_scheduled(items, cfg, device, opts)
-}
-
-/// §4.4 scheduled GPU driver over any [`BatchSource`].
 pub(crate) fn batch_scheduled<S: Scalar, Src: BatchSource<S>>(
     src: Src,
     cfg: &ScConfig,
     device: &std::sync::Arc<Device>,
     opts: &ScheduleOptions,
-) -> BatchResultOf<S> {
+) -> (Vec<MatOf<S>>, AssemblyReport) {
     if let Some(ready) = opts.ready_at.as_ref() {
         assert_eq!(
             ready.len(),
@@ -362,7 +178,8 @@ pub(crate) fn batch_scheduled<S: Scalar, Src: BatchSource<S>>(
         );
     }
     if src.is_empty() {
-        return empty_batch_result();
+        // empty batches never touch the device timeline
+        return (Vec::new(), AssemblyReport::default());
     }
     assert!(
         device.n_streams() > 0,
@@ -371,50 +188,42 @@ pub(crate) fn batch_scheduled<S: Scalar, Src: BatchSource<S>>(
     );
     let cache = BlockCutsCache::new();
     let t0 = Instant::now();
-    let sync0 = device.synchronize();
     let spec = device.spec().clone();
 
     // phase 1: host-parallel compute + cost recording
     let recorded = record_scheduled_batch(&src, cfg, &spec, &cache);
 
-    // phase 2: plan + deterministic replay onto the device
-    let refs: Vec<&Recorded<S>> = recorded.iter().collect();
-    let estimates = refine_estimates(&refs, &spec);
-    let plan = schedule::plan_streams_impl(&estimates, device.n_streams(), opts.policy);
-    let outcome = replay_recorded(device, &refs, &estimates, &plan, opts.ready_at.as_deref());
-    let device_seconds = device.synchronize() - sync0;
-
-    // assemble the report in batch order
-    let mut f = Vec::with_capacity(src.len());
-    let mut timings = Vec::with_capacity(src.len());
-    for (i, r) in recorded.into_iter().enumerate() {
-        let (stream, span) = outcome.spans[i].expect("every subdomain was replayed");
-        f.push(r.f);
-        timings.push(SubdomainTiming {
-            index: i,
-            n_dofs: r.estimate.n_dofs,
-            n_lambda: r.estimate.n_lambda,
-            seconds: span.duration(),
-            host_seconds: r.host_seconds,
-            stream: Some(stream),
-            span: Some(span),
-            device: Some(0),
-            node: None,
-        });
-    }
-    BatchResultOf {
-        f,
-        report: BatchReport {
-            timings,
-            total_seconds: t0.elapsed().as_secs_f64(),
-            device_seconds,
-            schedule: outcome.executed,
-            temp_high_water: outcome.temp_high_water,
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            trace: Some(outcome.trace),
+    // phase 2: plan + deterministic replay onto the device, the ordering
+    // key refined with the recorded kernel sequence priced by the device's
+    // own duration model: at small sizes per-launch overhead dominates raw
+    // FLOPs, and the recorder has the exact launch count in hand before
+    // anything replays
+    let idx: Vec<usize> = (0..recorded.len()).collect();
+    let (dev_report, subdomains) = replay_share(
+        device,
+        0,
+        &idx,
+        &recorded,
+        |g| {
+            recorded[g]
+                .costs
+                .iter()
+                .map(|c| spec.kernel_seconds(c))
+                .sum()
         },
-    }
+        opts.policy,
+        opts.ready_at.as_deref(),
+    );
+    let report = AssemblyReport {
+        subdomains,
+        makespan: dev_report.makespan,
+        devices: vec![dev_report],
+        total_seconds: t0.elapsed().as_secs_f64(),
+        cache_hits: cache.hits(),
+        cache_misses: cache.misses(),
+        ..Default::default()
+    };
+    (recorded.into_iter().map(|r| r.f).collect(), report)
 }
 
 /// One subdomain's record-phase output: the host-computed `F̃ᵢ` (bitwise
@@ -463,25 +272,89 @@ fn record_scheduled_batch<S: Scalar, Src: BatchSource<S>>(
         .collect()
 }
 
-/// Refine the analytic ordering key with the recorded kernel sequence
-/// priced by the device's own duration model: at small sizes per-launch
-/// overhead dominates raw FLOPs, and the recorder has the exact launch
-/// count in hand before anything replays. Estimate indices are renumbered
-/// to the slice position (local order).
-fn refine_estimates<S: Scalar>(
-    recorded: &[&Recorded<S>],
-    spec: &sc_gpu::DeviceSpec,
-) -> Vec<schedule::CostEstimate> {
-    recorded
+/// Phase 2 of the scheduled/cluster drivers, for one device: plan the share
+/// `idx` (batch indices into `recorded`) onto `dev`'s streams with the
+/// single-device LPT stream scheduler — `seconds_of(g)` is subdomain `g`'s
+/// recorded kernel sequence priced under *this device's* duration model —
+/// and replay it with arena admission. `ready_at` is indexed like the
+/// batch. Returns the device's report section (subdomain indices in batch
+/// order space, streams device-local) and the share's timings in `idx`
+/// order, stamped with pool device `d`.
+fn replay_share<S: Scalar>(
+    dev: &std::sync::Arc<Device>,
+    d: usize,
+    idx: &[usize],
+    recorded: &[Recorded<S>],
+    seconds_of: impl Fn(usize) -> f64,
+    policy: StreamPolicy,
+    ready_at: Option<&[f64]>,
+) -> (DeviceReport, Vec<SubdomainTiming>) {
+    let sync0 = dev.synchronize();
+    let busy0 = dev.busy_seconds();
+    let refs: Vec<&Recorded<S>> = idx.iter().map(|&g| &recorded[g]).collect();
+    // estimate indices are renumbered to the share-local position: plan
+    // assignments, `estimates` and `ready_local` all live in local order
+    let estimates: Vec<schedule::CostEstimate> = idx
         .iter()
         .enumerate()
-        .map(|(local, r)| {
-            let mut est = r.estimate.clone();
-            est.index = local;
-            est.seconds = r.costs.iter().map(|c| spec.kernel_seconds(c)).sum();
-            est
+        .map(|(local, &g)| {
+            let mut e = recorded[g].estimate.clone();
+            e.index = local;
+            e.seconds = seconds_of(g);
+            e
         })
-        .collect()
+        .collect();
+    let plan = plan_topology_by(
+        &estimates,
+        &Topology::streams(dev.n_streams(), policy),
+        |c, _| c.seconds,
+    )
+    .expect("stream-level planning has no failure mode");
+    let ready_local: Option<Vec<f64>> = ready_at.map(|r| idx.iter().map(|&g| r[g]).collect());
+    let outcome = replay_recorded(
+        dev,
+        &refs,
+        &estimates,
+        &plan.per_child,
+        ready_local.as_deref(),
+    );
+    let makespan = dev.synchronize() - sync0;
+
+    let timings = idx
+        .iter()
+        .enumerate()
+        .map(|(local, &g)| {
+            let (stream, span) = outcome.spans[local].expect("every subdomain was replayed");
+            SubdomainTiming {
+                index: g,
+                n_dofs: recorded[g].estimate.n_dofs,
+                n_lambda: recorded[g].estimate.n_lambda,
+                seconds: span.duration(),
+                host_seconds: recorded[g].host_seconds,
+                stream: Some(stream),
+                span: Some(span),
+                device: Some(d),
+                node: None,
+            }
+        })
+        .collect();
+    // executed schedule, indices remapped back to batch order
+    let mut schedule_log = outcome.executed;
+    for e in &mut schedule_log {
+        e.index = idx[e.index];
+    }
+    let busy = dev.busy_seconds() - busy0;
+    let cap = makespan * dev.n_streams().max(1) as f64; // sc-analyze: allow(precision-discipline)
+    let report = DeviceReport {
+        device: d,
+        subdomains: schedule_log.iter().map(|e| e.index).collect(),
+        schedule: schedule_log,
+        makespan,
+        utilization: if cap > 0.0 { busy / cap } else { 0.0 },
+        temp_high_water: outcome.temp_high_water,
+        trace: Some(outcome.trace),
+    };
+    (report, timings)
 }
 
 /// Outcome of one device's replay: the executed schedule and per-subdomain
@@ -494,11 +367,11 @@ struct ReplayOutcome {
     trace: Trace,
 }
 
-/// Phase 2 of the scheduled/cluster drivers: replay the recorded kernel
-/// sequences onto `device` under `plan`, admitting each subdomain against
-/// the device's temporary arena ("wait") and applying per-subdomain host
-/// readiness ("mix"). All indices (plan assignments, `estimates`,
-/// `ready_at`) are local to the `recorded` slice.
+/// Replay the recorded kernel sequences onto `device` under the per-stream
+/// submission queues `assignments`, admitting each subdomain against the
+/// device's temporary arena ("wait") and applying per-subdomain host
+/// readiness ("mix"). All indices (`assignments`, `estimates`, `ready_at`)
+/// are local to the `recorded` slice.
 ///
 /// The replay merges the per-stream queues **kernel by kernel** in
 /// stream-clock order: submitting a whole subdomain at once would hand the
@@ -516,10 +389,10 @@ fn replay_recorded<S: Scalar>(
     device: &std::sync::Arc<Device>,
     recorded: &[&Recorded<S>],
     estimates: &[schedule::CostEstimate],
-    plan: &schedule::StreamPlan,
+    assignments: &[Vec<usize>],
     ready_at: Option<&[f64]>,
 ) -> ReplayOutcome {
-    let n_streams = plan.assignments.len();
+    let n_streams = assignments.len();
     let mut arena = ArenaSim::new(device.temp_pool().capacity());
     let mut executed: Vec<ScheduledSpan> = Vec::with_capacity(recorded.len());
     let mut spans: Vec<Option<(usize, SimSpan)>> = vec![None; recorded.len()];
@@ -542,7 +415,7 @@ fn replay_recorded<S: Scalar>(
         // candidates in clock order (ties by id): streams with a kernel in
         // flight, or with a queued subdomain to admit
         let mut order: Vec<usize> = (0..n_streams)
-            .filter(|&s| current[s].is_some() || next[s] < plan.assignments[s].len())
+            .filter(|&s| current[s].is_some() || next[s] < assignments[s].len())
             .collect();
         if order.is_empty() {
             break;
@@ -608,7 +481,7 @@ fn replay_recorded<S: Scalar>(
                 acted = true;
                 break;
             }
-            let i = plan.assignments[s][next[s]];
+            let i = assignments[s][next[s]];
             // "mix": the subdomain's host preparation finished at ready_at[i]
             if let Some(ready) = ready_at {
                 device.advance_stream(s, ready[i]);
@@ -703,145 +576,39 @@ impl ClusterOptions {
     }
 }
 
-/// Roll-up diagnostics of one cluster-sharded batched assembly.
-#[derive(Clone, Debug, Default)]
-pub struct ClusterReport {
-    /// Per-device [`BatchReport`]s; subdomain indices inside (timings and
-    /// schedule entries) are remapped to **batch order**, streams stay
-    /// device-local.
-    pub per_device: Vec<BatchReport>,
-    /// Subdomain indices assigned to each device, in execution order.
-    pub partition: Vec<Vec<usize>>,
-    /// Device of each subdomain, in batch order.
-    pub device_of: Vec<usize>,
-    /// Cluster makespan: the largest per-device simulated makespan (devices
-    /// run concurrently, so the slowest device bounds the node).
-    pub makespan: f64,
-    /// Per-device utilization: busy kernel-seconds over `makespan ×
-    /// n_streams` of that device (0 for idle devices).
-    pub utilization: Vec<f64>,
-    /// Host wall time of the whole cluster assembly.
-    pub total_seconds: f64,
-}
-
-impl ClusterReport {
-    /// Number of devices in the pool the batch ran on.
-    pub fn n_devices(&self) -> usize {
-        self.per_device.len()
-    }
-
-    /// Largest per-device temporary-arena high water, bytes.
-    pub fn temp_high_water(&self) -> usize {
-        self.per_device
-            .iter()
-            .map(|r| r.temp_high_water)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Flatten into a single [`BatchReport`]: timings in batch order,
-    /// `device_seconds` = cluster makespan, schedules concatenated in device
-    /// order (stream ids stay device-local — pair them with
-    /// [`ClusterReport::device_of`]), cache counters summed.
-    pub fn combined(&self) -> BatchReport {
-        let mut timings: Vec<SubdomainTiming> = self
-            .per_device
-            .iter()
-            .flat_map(|r| r.timings.iter().copied())
-            .collect();
-        timings.sort_by_key(|t| t.index);
-        let schedule: Vec<ScheduledSpan> = self
-            .per_device
-            .iter()
-            .flat_map(|r| r.schedule.iter().copied())
-            .collect();
-        BatchReport {
-            timings,
-            total_seconds: self.total_seconds,
-            device_seconds: self.makespan,
-            schedule,
-            temp_high_water: self.temp_high_water(),
-            cache_hits: self.per_device.iter().map(|r| r.cache_hits).sum(),
-            cache_misses: self.per_device.iter().map(|r| r.cache_misses).sum(),
-            // traces are per-device (slot ids and streams are device-local)
-            // and do not merge; read them off `per_device` instead
-            trace: None,
-        }
-    }
-}
-
-/// Result of a cluster-sharded batched assembly: one dense `F̃ᵢ` per input
-/// subdomain (batch order preserved) plus the cluster roll-up.
-pub struct ClusterResult {
-    /// Assembled local dual operators, indexed like the input batch.
-    pub f: Vec<Mat>,
-    /// Per-device and roll-up diagnostics.
-    pub report: ClusterReport,
-}
-
-/// Assemble a batch across a **pool of devices** (the paper's 8-GPU node):
-/// subdomains are **recorded once** (host-parallel numerics + kernel-cost
-/// sequences, shared block-cut cache), then a two-level plan partitions
-/// them across devices — cost-aware LPT under each device's own spec, with
-/// per-device arena-capacity admissibility
-/// ([`crate::schedule::plan_cluster`]) — and each device replays its share
-/// through the single-device §4.4 machinery of
-/// [`assemble_sc_batch_scheduled`]: LPT stream assignment (estimates
-/// refined under that device's duration model), arena admission,
-/// kernel-granular deterministic replay. Numerics stay bitwise identical to
-/// the sequential CPU path; the partition only moves work between
-/// independent simulated timelines.
+/// Two-level cluster driver over any [`BatchSource`] — the paper's 8-GPU
+/// node: subdomains are **recorded once** (host-parallel numerics +
+/// kernel-cost sequences, shared block-cut cache), then a two-level plan
+/// partitions them across devices — cost-aware LPT under each device's own
+/// spec, with per-device arena-capacity admissibility
+/// ([`plan_topology_by`] over the pool's single-node [`Topology`]) — and
+/// each device replays its share through the single-device §4.4 machinery
+/// of [`batch_scheduled`]: LPT stream assignment (estimates refined under
+/// that device's duration model), arena admission, kernel-granular
+/// deterministic replay. Numerics stay bitwise identical to the sequential
+/// CPU path; the partition only moves work between independent simulated
+/// timelines.
+///
+/// With `allow_spill = true` (the spill channel of
+/// [`Target::Hybrid`](crate::session::Target::Hybrid)) a subdomain that
+/// fits no device arena keeps its host-computed `F̃ᵢ` — the record phase
+/// computes every subdomain's numerics host-side anyway — and is reported
+/// as a host timing (`stream`, `span` and `device` all `None`) in no
+/// device's share.
 ///
 /// # Panics
 ///
-/// When the pool is empty or a subdomain's temporaries exceed every
+/// When the batch is non-empty and the pool holds no usable device, or —
+/// with `allow_spill = false` — a subdomain's temporaries exceed every
 /// device's arena (see
 /// [`ClusterPlanError`](crate::schedule::ClusterPlanError)).
-#[deprecated(
-    since = "0.2.0",
-    note = "use AssemblySession::new(Backend::cluster_with(pool, opts), cfg).assemble(items)"
-)]
-pub fn assemble_sc_batch_cluster(
-    items: &[BatchItem<'_>],
-    cfg: &ScConfig,
-    pool: &DevicePool,
-    opts: &ClusterOptions,
-) -> ClusterResult {
-    let out = batch_cluster_impl(items, cfg, pool, opts, false);
-    ClusterResult {
-        f: out.f,
-        report: out.report,
-    }
-}
-
-/// Outcome of the internal cluster driver, including the spill channel used
-/// by [`Target::Hybrid`](crate::session::Target::Hybrid): subdomains that fit no
-/// device arena keep their host-computed `F̃ᵢ` (the record phase computes
-/// every subdomain's numerics host-side anyway) and are reported separately.
-pub(crate) struct ClusterSpillOutcome<S: Scalar = f64> {
-    /// Assembled local dual operators, batch order — **including** spilled
-    /// subdomains (theirs come from the host record phase).
-    pub f: Vec<MatOf<S>>,
-    /// Per-device roll-up; spilled subdomains appear in no device report and
-    /// hold `usize::MAX` in `device_of`.
-    pub report: ClusterReport,
-    /// Batch indices that fit no device arena, ascending.
-    pub spilled: Vec<usize>,
-    /// Host timings of the spilled subdomains, in spill order.
-    pub spill_timings: Vec<SubdomainTiming>,
-}
-
-/// Two-level cluster driver over any [`BatchSource`]. With
-/// `allow_spill = false` an over-arena subdomain panics with the
-/// descriptive [`ClusterPlanError`](crate::schedule::ClusterPlanError);
-/// with `allow_spill = true` it falls back to its host-computed `F̃ᵢ`.
 pub(crate) fn batch_cluster_impl<S: Scalar, Src: BatchSource<S>>(
     src: Src,
     cfg: &ScConfig,
     pool: &DevicePool,
     opts: &ClusterOptions,
     allow_spill: bool,
-) -> ClusterSpillOutcome<S> {
+) -> (Vec<MatOf<S>>, AssemblyReport) {
     if let Some(ready) = opts.ready_at.as_ref() {
         assert_eq!(
             ready.len(),
@@ -854,19 +621,18 @@ pub(crate) fn batch_cluster_impl<S: Scalar, Src: BatchSource<S>>(
     }
     let t0 = Instant::now();
     if src.is_empty() {
-        return ClusterSpillOutcome {
-            f: Vec::new(),
-            report: ClusterReport {
-                per_device: vec![BatchReport::default(); pool.n_devices()],
-                partition: vec![Vec::new(); pool.n_devices()],
-                device_of: Vec::new(),
-                makespan: 0.0,
-                utilization: vec![0.0; pool.n_devices()],
-                total_seconds: t0.elapsed().as_secs_f64(),
-            },
-            spilled: Vec::new(),
-            spill_timings: Vec::new(),
+        // idle pool devices keep an (empty) report section
+        let report = AssemblyReport {
+            devices: (0..pool.n_devices())
+                .map(|device| DeviceReport {
+                    device,
+                    ..Default::default()
+                })
+                .collect(),
+            total_seconds: t0.elapsed().as_secs_f64(),
+            ..Default::default()
         };
+        return (Vec::new(), report);
     }
 
     assert!(
@@ -901,97 +667,46 @@ pub(crate) fn batch_cluster_impl<S: Scalar, Src: BatchSource<S>>(
                 .collect()
         })
         .collect();
-    let (cplan, spilled) =
-        schedule::cluster_spill_by_impl(&costs, &slots, |c, d| kernel_seconds[c.index][d])
-            // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
-            .unwrap_or_else(|e| panic!("cluster partition failed: {e}"));
-    if !allow_spill && !spilled.is_empty() {
+    let topo = Topology::of_pool(pool, opts.policy);
+    let plan = plan_topology_by(&costs, &topo, |c, path| kernel_seconds[c.index][path[0]])
+        // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
+        .unwrap_or_else(|e| panic!("cluster partition failed: {e}"));
+    if !allow_spill && !plan.spilled.is_empty() {
         // documented batch-API contract: spill without opt-in aborts. sc-analyze: allow(panic-surface)
         panic!(
             "cluster partition failed: {}",
             schedule::ClusterPlanError::Spilled {
-                spilled,
+                spilled: plan.spilled,
                 max_arena: schedule::max_usable_arena(&slots),
             }
         );
     }
 
-    // level 2: each device plans its share with the single-device LPT
-    // stream scheduler (estimates refined under *its own* duration model)
-    // and replays it with arena admission, device-by-device for a
-    // deterministic simulated timeline
-    let mut per_device = Vec::with_capacity(pool.n_devices());
-    let mut utilization = Vec::with_capacity(pool.n_devices());
-    let mut makespan = 0.0f64;
+    // level 2: each device plans and replays its share, device-by-device
+    // for a deterministic simulated timeline; the local estimates reuse the
+    // kernel-cost pricing already computed for the partition — same
+    // duration model, priced once
+    let mut report = AssemblyReport::default();
     for (d, dev) in pool.devices().iter().enumerate() {
-        let idx = &cplan.per_device[d];
-        let sync0 = dev.synchronize();
-        let busy0 = dev.busy_seconds();
-        let refs: Vec<&Recorded<S>> = idx.iter().map(|&g| &recorded[g]).collect();
-        // local estimates reuse the kernel-cost pricing already computed
-        // for the partition — same duration model, priced once
-        let estimates: Vec<schedule::CostEstimate> = idx
-            .iter()
-            .enumerate()
-            .map(|(local, &g)| {
-                let mut e = recorded[g].estimate.clone();
-                e.index = local;
-                e.seconds = kernel_seconds[g][d];
-                e
-            })
-            .collect();
-        let plan = schedule::plan_streams_impl(&estimates, dev.n_streams(), opts.policy);
-        let ready_local: Option<Vec<f64>> = opts
-            .ready_at
-            .as_ref()
-            .map(|r| idx.iter().map(|&g| r[g]).collect());
-        let mut outcome = replay_recorded(dev, &refs, &estimates, &plan, ready_local.as_deref());
-        let device_seconds = dev.synchronize() - sync0;
-
-        // per-device report, indices remapped back to batch order
-        let mut timings = Vec::with_capacity(idx.len());
-        for (local, &g) in idx.iter().enumerate() {
-            let (stream, span) = outcome.spans[local].expect("every subdomain was replayed");
-            timings.push(SubdomainTiming {
-                index: g,
-                n_dofs: recorded[g].estimate.n_dofs,
-                n_lambda: recorded[g].estimate.n_lambda,
-                seconds: span.duration(),
-                host_seconds: recorded[g].host_seconds,
-                stream: Some(stream),
-                span: Some(span),
-                device: Some(d),
-                node: None,
-            });
-        }
-        let mut schedule_log = std::mem::take(&mut outcome.executed);
-        for e in &mut schedule_log {
-            e.index = idx[e.index];
-        }
-        makespan = makespan.max(device_seconds);
-        let busy = dev.busy_seconds() - busy0;
-        let cap = device_seconds * dev.n_streams().max(1) as f64; // sc-analyze: allow(precision-discipline)
-        utilization.push(if cap > 0.0 { busy / cap } else { 0.0 });
-        per_device.push(BatchReport {
-            timings,
-            total_seconds: 0.0, // stamped with the cluster wall time below
-            device_seconds,
-            schedule: schedule_log,
-            temp_high_water: outcome.temp_high_water,
-            // the block-cut cache is shared across the whole cluster; its
-            // totals live on the first device's report so that summing
-            // per-device counters (ClusterReport::combined) stays correct
-            cache_hits: if d == 0 { cache.hits() } else { 0 },
-            cache_misses: if d == 0 { cache.misses() } else { 0 },
-            trace: Some(outcome.trace),
-        });
+        let (dev_report, timings) = replay_share(
+            dev,
+            d,
+            &plan.per_child[d],
+            &recorded,
+            |g| kernel_seconds[g][d],
+            opts.policy,
+            opts.ready_at.as_deref(),
+        );
+        report.makespan = report.makespan.max(dev_report.makespan);
+        report.devices.push(dev_report);
+        report.subdomains.extend(timings);
     }
 
     // spilled subdomains keep their host-computed numerics; report them as
     // host timings (no stream, no device)
-    let spill_timings: Vec<SubdomainTiming> = spilled
-        .iter()
-        .map(|&g| SubdomainTiming {
+    report
+        .subdomains
+        .extend(plan.spilled.iter().map(|&g| SubdomainTiming {
             index: g,
             n_dofs: recorded[g].estimate.n_dofs,
             n_lambda: recorded[g].estimate.n_lambda,
@@ -1001,109 +716,12 @@ pub(crate) fn batch_cluster_impl<S: Scalar, Src: BatchSource<S>>(
             span: None,
             device: None,
             node: None,
-        })
-        .collect();
-    let f: Vec<MatOf<S>> = recorded.into_iter().map(|r| r.f).collect();
-    let total_seconds = t0.elapsed().as_secs_f64();
-    for rep in &mut per_device {
-        rep.total_seconds = total_seconds;
-    }
-    ClusterSpillOutcome {
-        f,
-        report: ClusterReport {
-            per_device,
-            partition: cplan.per_device,
-            device_of: cplan.device_of,
-            makespan,
-            utilization,
-            total_seconds,
-        },
-        spilled,
-        spill_timings,
-    }
-}
-
-/// An all-zero [`BatchResult`] for empty batches (no device interaction).
-fn empty_batch_result<S: Scalar>() -> BatchResultOf<S> {
-    BatchResultOf {
-        f: Vec::new(),
-        report: BatchReport::default(),
-    }
-}
-
-/// Generic batched assembly over any [`Exec`] backend: `make_exec(i)` builds
-/// the backend for subdomain `i` (e.g. binding it to a GPU stream).
-#[deprecated(
-    since = "0.2.0",
-    note = "use AssemblySession with a Backend value; custom Exec fan-outs \
-            can call assemble_sc_with_cache directly"
-)]
-pub fn assemble_sc_batch_with<E, F>(
-    items: &[BatchItem<'_>],
-    cfg: &ScConfig,
-    make_exec: F,
-) -> BatchResult
-where
-    E: Exec<f64>,
-    F: Fn(usize) -> E + Sync + Send,
-{
-    run_batch(items.len(), |i, cache| {
-        let item = &items[i];
-        let mut exec = make_exec(i);
-        let f = assemble_sc_with_cache(&mut exec, item.l, item.bt, cfg, Some(cache));
-        (f, item.l.ncols(), item.bt.ncols())
-    })
-}
-
-/// Shared fan-out/timing/report skeleton of the CPU batch drivers: `run(i,
-/// cache)` assembles subdomain `i` and returns `(F̃ᵢ, n_dofs, n_lambda)`.
-fn run_batch<S: Scalar, R>(count: usize, run: R) -> BatchResultOf<S>
-where
-    R: Fn(usize, &BlockCutsCache) -> (MatOf<S>, usize, usize) + Sync + Send,
-{
-    let cache = BlockCutsCache::new();
-    let t0 = Instant::now();
-    let assembled: Vec<(MatOf<S>, SubdomainTiming)> = (0..count)
-        .into_par_iter()
-        .map(|i| {
-            let t = Instant::now();
-            let (f, n_dofs, n_lambda) = run(i, &cache);
-            let host_seconds = t.elapsed().as_secs_f64();
-            let timing = SubdomainTiming {
-                index: i,
-                n_dofs,
-                n_lambda,
-                seconds: host_seconds,
-                host_seconds,
-                stream: None,
-                span: None,
-                device: None,
-                node: None,
-            };
-            (f, timing)
-        })
-        .collect();
-    let total_seconds = t0.elapsed().as_secs_f64();
-
-    let mut f = Vec::with_capacity(assembled.len());
-    let mut timings = Vec::with_capacity(assembled.len());
-    for (mat, timing) in assembled {
-        f.push(mat);
-        timings.push(timing);
-    }
-    BatchResultOf {
-        f,
-        report: BatchReport {
-            timings,
-            total_seconds,
-            device_seconds: 0.0,
-            schedule: Vec::new(),
-            temp_high_water: 0,
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            trace: None,
-        },
-    }
+        }));
+    report.subdomains.sort_by_key(|t| t.index);
+    report.cache_hits = cache.hits();
+    report.cache_misses = cache.misses();
+    report.total_seconds = t0.elapsed().as_secs_f64();
+    (recorded.into_iter().map(|r| r.f).collect(), report)
 }
 
 #[cfg(test)]
@@ -1164,6 +782,12 @@ mod tests {
             .collect()
     }
 
+    /// The blind stream-assignment baseline: subdomain `i` on stream
+    /// `i mod n_streams`, in index order.
+    fn round_robin() -> ScheduleOptions {
+        ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin)
+    }
+
     /// A size-skewed cluster: subdomain grid sizes cycling through `sizes`.
     fn skewed_cluster(nsub: usize, sizes: &[usize], m: usize) -> Vec<(Csc, Csc)> {
         (0..nsub)
@@ -1184,12 +808,12 @@ mod tests {
             ScConfig::original(FactorStorage::Sparse),
             ScConfig::Auto,
         ] {
-            let batch = batch_cpu(items.as_slice(), &cfg);
-            assert_eq!(batch.f.len(), items.len());
+            let (f, _) = batch_cpu(items.as_slice(), &cfg);
+            assert_eq!(f.len(), items.len());
             for (i, (l, bt)) in data.iter().enumerate() {
                 let seq = assemble_sc(&mut CpuExec, l, bt, &cfg);
                 assert_eq!(
-                    batch.f[i], seq,
+                    f[i], seq,
                     "batched F̃ must equal sequential F̃ bitwise (subdomain {i})"
                 );
             }
@@ -1201,8 +825,7 @@ mod tests {
         let data = factorized(&cluster(8, 6, 10));
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(false, false);
-        let batch = batch_cpu(items.as_slice(), &cfg);
-        let r = &batch.report;
+        let (_, r) = batch_cpu(items.as_slice(), &cfg);
         // Equal-size subdomains: after the first resolution per (param, n)
         // the rest must hit. With 8 subdomains there are far more lookups
         // than distinct keys.
@@ -1212,12 +835,13 @@ mod tests {
             r.cache_hits,
             r.cache_misses
         );
-        assert_eq!(r.timings.len(), 8);
-        assert!(r.timings.iter().all(|t| t.seconds >= 0.0));
-        assert!(r.timings.iter().all(|t| t.host_seconds >= 0.0));
+        assert_eq!(r.subdomains.len(), 8);
+        assert!(r.subdomains.iter().all(|t| t.seconds >= 0.0));
+        assert!(r.subdomains.iter().all(|t| t.host_seconds >= 0.0));
         assert!(r.total_seconds > 0.0);
         assert!(r.cpu_seconds() > 0.0);
-        assert_eq!(r.device_seconds, 0.0, "CPU batch has no device makespan");
+        assert_eq!(r.makespan, 0.0, "CPU batch has no device makespan");
+        assert!(r.devices.is_empty(), "CPU batch touches no device");
     }
 
     #[test]
@@ -1225,14 +849,18 @@ mod tests {
         let data = factorized(&cluster(8, 6, 10));
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
-        let cpu = batch_cpu(items.as_slice(), &cfg);
+        let (cpu, _) = batch_cpu(items.as_slice(), &cfg);
         let dev = Device::new(DeviceSpec::a100(), 4);
-        let gpu = batch_gpu_rr(items.as_slice(), &cfg, &dev);
+        let (gpu, report) = batch_scheduled(items.as_slice(), &cfg, &dev, &round_robin());
         for i in 0..items.len() {
-            assert_eq!(cpu.f[i], gpu.f[i], "backend mismatch at subdomain {i}");
+            assert_eq!(cpu[i], gpu[i], "backend mismatch at subdomain {i}");
         }
         assert!(dev.synchronize() > 0.0, "device timeline must advance");
-        assert!(gpu.report.device_seconds > 0.0);
+        assert!(report.makespan > 0.0);
+        // round-robin: subdomain i runs on stream i mod n_streams
+        for t in &report.subdomains {
+            assert_eq!(t.stream, Some(t.index % dev.n_streams()));
+        }
     }
 
     #[test]
@@ -1244,15 +872,15 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
         let dev = Device::new(DeviceSpec::a100(), 3);
-        let gpu = batch_gpu_rr(items.as_slice(), &cfg, &dev);
+        let (_, report) = batch_scheduled(items.as_slice(), &cfg, &dev, &round_robin());
         let sync = dev.synchronize();
-        let sum: f64 = gpu.report.timings.iter().map(|t| t.seconds).sum();
+        let sum: f64 = report.subdomains.iter().map(|t| t.seconds).sum();
         assert!(
             sum <= sync * dev.n_streams() as f64 + 1e-12,
             "Σ simulated subdomain seconds {sum} must be ≤ sync {sync} × {} streams",
             dev.n_streams()
         );
-        for t in &gpu.report.timings {
+        for t in &report.subdomains {
             let span = t.span.expect("GPU timings carry spans");
             assert!((span.duration() - t.seconds).abs() < 1e-15);
             assert!(t.stream.is_some());
@@ -1261,9 +889,8 @@ mod tests {
         }
         // spans within one stream must not overlap
         for s in 0..dev.n_streams() {
-            let mut spans: Vec<SimSpan> = gpu
-                .report
-                .timings
+            let mut spans: Vec<SimSpan> = report
+                .subdomains
                 .iter()
                 .filter(|t| t.stream == Some(s))
                 .map(|t| t.span.unwrap())
@@ -1284,23 +911,24 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         for cfg in [ScConfig::optimized(true, false), ScConfig::Auto] {
             let dev = Device::new(DeviceSpec::a100(), 4);
-            let a = batch_scheduled(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
+            let (f, a) = batch_scheduled(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
             for (i, (l, bt)) in data.iter().enumerate() {
                 // sequential host reference; RecordingExec resolves Auto with
                 // the same GPU-platform flag the scheduled driver uses while
                 // computing on the CPU kernels
                 let seq = assemble_sc(&mut RecordingExec::new(), l, bt, &cfg);
-                assert_eq!(a.f[i], seq, "scheduled F̃ must be bitwise sequential ({i})");
+                assert_eq!(f[i], seq, "scheduled F̃ must be bitwise sequential ({i})");
                 if matches!(cfg, ScConfig::Fixed(_)) {
                     let cpu = assemble_sc(&mut CpuExec, l, bt, &cfg);
-                    assert_eq!(a.f[i], cpu, "fixed configs match the CPU backend bitwise");
+                    assert_eq!(f[i], cpu, "fixed configs match the CPU backend bitwise");
                 }
             }
             // reproducible simulated timeline on a fresh device
             let dev2 = Device::new(DeviceSpec::a100(), 4);
-            let b = batch_scheduled(items.as_slice(), &cfg, &dev2, &ScheduleOptions::default());
+            let (_, b) =
+                batch_scheduled(items.as_slice(), &cfg, &dev2, &ScheduleOptions::default());
             assert_eq!(dev.synchronize(), dev2.synchronize());
-            for (x, y) in a.report.schedule.iter().zip(&b.report.schedule) {
+            for (x, y) in a.devices[0].schedule.iter().zip(&b.devices[0].schedule) {
                 assert_eq!(x.index, y.index);
                 assert_eq!(x.stream, y.stream);
                 assert_eq!(x.span, y.span);
@@ -1318,14 +946,10 @@ mod tests {
         let cfg = ScConfig::optimized(true, false);
 
         let dev_rr = Device::new(DeviceSpec::a100(), 4);
-        let rr = batch_scheduled(
-            items.as_slice(),
-            &cfg,
-            &dev_rr,
-            &ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin),
-        );
+        let (rr, _) = batch_scheduled(items.as_slice(), &cfg, &dev_rr, &round_robin());
         let dev_s = Device::new(DeviceSpec::a100(), 4);
-        let sched = batch_scheduled(items.as_slice(), &cfg, &dev_s, &ScheduleOptions::default());
+        let (sched, _) =
+            batch_scheduled(items.as_slice(), &cfg, &dev_s, &ScheduleOptions::default());
         assert!(
             dev_s.synchronize() < dev_rr.synchronize(),
             "LPT schedule {} must beat round-robin {}",
@@ -1333,7 +957,7 @@ mod tests {
             dev_rr.synchronize()
         );
         for i in 0..items.len() {
-            assert_eq!(rr.f[i], sched.f[i], "policy must not change numerics");
+            assert_eq!(rr[i], sched[i], "policy must not change numerics");
         }
     }
 
@@ -1349,21 +973,22 @@ mod tests {
         };
         let dev = Device::new(spec, 4);
         let capacity = dev.temp_pool().capacity();
-        let res = batch_scheduled(
+        let (_, report) = batch_scheduled(
             items.as_slice(),
             &ScConfig::optimized(true, false),
             &dev,
             &ScheduleOptions::default(),
         );
-        assert!(res.report.temp_high_water <= capacity);
-        assert!(res.report.temp_high_water > 0);
-        assert_eq!(res.report.schedule.len(), items.len());
+        let res = &report.devices[0];
+        assert!(res.temp_high_water <= capacity);
+        assert!(res.temp_high_water > 0);
+        assert_eq!(res.schedule.len(), items.len());
         // at least one stream must have stalled for the arena: its subdomain
         // was admitted strictly after the stream's previous work ended (no
         // ready_at is set, so nothing else can delay admission)
         let mut prev_end = vec![0.0f64; dev.n_streams()];
         let mut waited = false;
-        for e in &res.report.schedule {
+        for e in &res.schedule {
             if e.admitted_at > prev_end[e.stream] + 1e-15 {
                 waited = true;
             }
@@ -1373,14 +998,14 @@ mod tests {
 
         // control: with the full A100 arena the same batch never stalls
         let dev_big = Device::new(DeviceSpec::a100(), 4);
-        let res_big = batch_scheduled(
+        let (_, res_big) = batch_scheduled(
             items.as_slice(),
             &ScConfig::optimized(true, false),
             &dev_big,
             &ScheduleOptions::default(),
         );
         let mut prev_end = vec![0.0f64; dev_big.n_streams()];
-        for e in &res_big.report.schedule {
+        for e in &res_big.devices[0].schedule {
             assert!(
                 e.admitted_at <= prev_end[e.stream] + 1e-15,
                 "unconstrained arena must admit without stalls (subdomain {})",
@@ -1396,7 +1021,7 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let dev = Device::new(DeviceSpec::a100(), 2);
         let ready = vec![0.5, 0.25, 0.0, 1.0];
-        let res = batch_scheduled(
+        let (_, res) = batch_scheduled(
             items.as_slice(),
             &ScConfig::optimized(true, false),
             &dev,
@@ -1404,7 +1029,7 @@ mod tests {
                 .with_policy(StreamPolicy::LptLeastLoaded)
                 .with_ready_at(ready.clone()),
         );
-        for e in &res.report.schedule {
+        for e in &res.devices[0].schedule {
             assert!(
                 e.span.start >= ready[e.index] - 1e-15,
                 "subdomain {} started at {} before its host readiness {}",
@@ -1418,40 +1043,40 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let empty: &[BatchItem] = &[];
-        let batch = batch_cpu(empty, &ScConfig::optimized(false, false));
-        assert!(batch.f.is_empty());
-        assert_eq!(batch.report.cache_hits + batch.report.cache_misses, 0);
+        let (f, report) = batch_cpu(empty, &ScConfig::optimized(false, false));
+        assert!(f.is_empty());
+        assert_eq!(report.cache_hits + report.cache_misses, 0);
         let dev = Device::new(DeviceSpec::a100(), 2);
-        let gpu = batch_gpu_rr(empty, &ScConfig::optimized(true, false), &dev);
-        assert!(gpu.f.is_empty());
-        let sched = batch_scheduled(empty, &ScConfig::Auto, &dev, &ScheduleOptions::default());
-        assert!(sched.f.is_empty());
-        assert!(sched.report.schedule.is_empty());
+        for opts in [ScheduleOptions::default(), round_robin()] {
+            let (f, report) = batch_scheduled(empty, &ScConfig::Auto, &dev, &opts);
+            assert!(f.is_empty());
+            assert!(report.devices.is_empty());
+        }
         // empty batches never touch the device timeline
         assert_eq!(dev.synchronize(), 0.0);
         assert_eq!(dev.launches(), 0);
         // cluster driver: clean empty report, even on an empty pool
         let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
-        let cl = batch_cluster_impl(
+        let (f, cl) = batch_cluster_impl(
             empty,
             &ScConfig::Auto,
             &pool,
             &ClusterOptions::default(),
             false,
         );
-        assert!(cl.f.is_empty());
-        assert_eq!(cl.report.n_devices(), 2);
-        assert_eq!(cl.report.makespan, 0.0);
-        assert!(cl.report.device_of.is_empty());
+        assert!(f.is_empty());
+        assert_eq!(cl.devices.len(), 2);
+        assert_eq!(cl.makespan, 0.0);
+        assert!(cl.subdomains.is_empty());
         let none = DevicePool::from_devices(Vec::new());
-        let cl = batch_cluster_impl(
+        let (f, cl) = batch_cluster_impl(
             empty,
             &ScConfig::Auto,
             &none,
             &ClusterOptions::default(),
             false,
         );
-        assert!(cl.f.is_empty() && cl.report.per_device.is_empty());
+        assert!(f.is_empty() && cl.devices.is_empty());
     }
 
     #[test]
@@ -1459,25 +1084,14 @@ mod tests {
         let data = factorized(&cluster(2, 5, 6));
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
-        // empty batches are fine even on a 0-stream device
         let empty: &[BatchItem] = &[];
-        let dev0 = Device::new(DeviceSpec::a100(), 0);
-        assert!(batch_gpu_rr(empty, &cfg, &dev0).f.is_empty());
-        assert!(
-            batch_scheduled(empty, &cfg, &dev0, &ScheduleOptions::default())
-                .f
-                .is_empty()
-        );
-        // non-empty batches fail with a descriptive message, not an index panic
-        for run in [true, false] {
-            let items = items.clone();
+        for opts in [ScheduleOptions::default(), round_robin()] {
+            // empty batches are fine even on a 0-stream device
             let dev = Device::new(DeviceSpec::a100(), 0);
+            assert!(batch_scheduled(empty, &cfg, &dev, &opts).0.is_empty());
+            // non-empty batches fail with a descriptive message, not an index panic
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if run {
-                    batch_gpu_rr(items.as_slice(), &cfg, &dev);
-                } else {
-                    batch_scheduled(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
-                }
+                batch_scheduled(items.as_slice(), &cfg, &dev, &opts);
             }))
             .unwrap_err();
             let msg = err
@@ -1494,7 +1108,7 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         for cfg in [ScConfig::optimized(true, false), ScConfig::Auto] {
             let pool = DevicePool::uniform(DeviceSpec::a100(), 3, 2);
-            let res = batch_cluster_impl(
+            let (f, report) = batch_cluster_impl(
                 items.as_slice(),
                 &cfg,
                 &pool,
@@ -1503,39 +1117,39 @@ mod tests {
             );
             for (i, (l, bt)) in data.iter().enumerate() {
                 let seq = assemble_sc(&mut RecordingExec::new(), l, bt, &cfg);
-                assert_eq!(res.f[i], seq, "cluster F̃ must be bitwise sequential ({i})");
+                assert_eq!(f[i], seq, "cluster F̃ must be bitwise sequential ({i})");
                 if matches!(cfg, ScConfig::Fixed(_)) {
                     let cpu = assemble_sc(&mut CpuExec, l, bt, &cfg);
-                    assert_eq!(res.f[i], cpu, "fixed configs match the CPU backend bitwise");
+                    assert_eq!(f[i], cpu, "fixed configs match the CPU backend bitwise");
                 }
             }
             // partition integrity
-            let mut seen: Vec<usize> = res.report.partition.concat();
+            let mut seen: Vec<usize> = report
+                .devices
+                .iter()
+                .flat_map(|d| d.subdomains.iter().copied())
+                .collect();
             seen.sort_unstable();
             assert_eq!(seen, (0..items.len()).collect::<Vec<_>>());
-            assert_eq!(res.report.device_of.len(), items.len());
-            for (i, &d) in res.report.device_of.iter().enumerate() {
-                assert!(res.report.partition[d].contains(&i));
+            assert_eq!(report.subdomains.len(), items.len());
+            for (i, t) in report.subdomains.iter().enumerate() {
+                assert_eq!(t.index, i, "timings must be in batch order");
+                let d = t.device.expect("nothing spills on the A100 pool");
+                assert!(report.devices[d].subdomains.contains(&i));
             }
             // roll-up consistency
             assert_eq!(
-                res.report.makespan,
-                res.report
-                    .per_device
+                report.makespan,
+                report
+                    .devices
                     .iter()
-                    .map(|r| r.device_seconds)
+                    .map(|d| d.makespan)
                     .fold(0.0, f64::max)
             );
-            let combined = res.report.combined();
-            assert_eq!(combined.timings.len(), items.len());
-            for (i, t) in combined.timings.iter().enumerate() {
-                assert_eq!(t.index, i, "combined timings must be in batch order");
-            }
-            assert!(res
-                .report
-                .utilization
+            assert!(report
+                .devices
                 .iter()
-                .all(|&u| (0.0..=1.0).contains(&u)));
+                .all(|d| (0.0..=1.0).contains(&d.utilization)));
         }
     }
 
@@ -1545,7 +1159,7 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
         let one = DevicePool::uniform(DeviceSpec::a100(), 1, 4);
-        let r1 = batch_cluster_impl(
+        let (f1, r1) = batch_cluster_impl(
             items.as_slice(),
             &cfg,
             &one,
@@ -1553,7 +1167,7 @@ mod tests {
             false,
         );
         let four = DevicePool::uniform(DeviceSpec::a100(), 4, 4);
-        let r4 = batch_cluster_impl(
+        let (f4, r4) = batch_cluster_impl(
             items.as_slice(),
             &cfg,
             &four,
@@ -1561,18 +1175,18 @@ mod tests {
             false,
         );
         assert!(
-            r4.report.makespan < r1.report.makespan,
+            r4.makespan < r1.makespan,
             "4 devices ({}) must beat 1 device ({})",
-            r4.report.makespan,
-            r1.report.makespan
+            r4.makespan,
+            r1.makespan
         );
         // the single-device cluster path is exactly the scheduled driver
         let dev = Device::new(DeviceSpec::a100(), 4);
-        let sched = batch_scheduled(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
-        assert_eq!(r1.report.makespan, sched.report.device_seconds);
+        let (f, sched) = batch_scheduled(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
+        assert_eq!(r1.makespan, sched.makespan);
         for i in 0..items.len() {
-            assert_eq!(r1.f[i], sched.f[i]);
-            assert_eq!(r1.f[i], r4.f[i], "device count must not change numerics");
+            assert_eq!(f1[i], f[i]);
+            assert_eq!(f1[i], f4[i], "device count must not change numerics");
         }
     }
 
@@ -1600,7 +1214,7 @@ mod tests {
             oversized > 0,
             "workload must contain tiny-card-oversized subdomains"
         );
-        let res = batch_cluster_impl(
+        let (f, report) = batch_cluster_impl(
             items.as_slice(),
             &cfg,
             &pool,
@@ -1612,15 +1226,16 @@ mod tests {
             let est = crate::schedule::estimate_cost(&spec, it.l, it.bt, &params, i);
             if est.temp_bytes > tiny_arena {
                 assert_eq!(
-                    res.report.device_of[i], 0,
+                    report.device_of(i),
+                    Some(0),
                     "oversized subdomain {i} must run on the big card"
                 );
             }
             let seq = assemble_sc(&mut CpuExec, it.l, it.bt, &cfg);
-            assert_eq!(res.f[i], seq, "heterogeneous F̃ deviates at {i}");
+            assert_eq!(f[i], seq, "heterogeneous F̃ deviates at {i}");
         }
         // per-device arenas were never oversubscribed
-        for (d, rep) in res.report.per_device.iter().enumerate() {
+        for (d, rep) in report.devices.iter().enumerate() {
             assert!(rep.temp_high_water <= pool.device(d).temp_pool().capacity());
         }
     }
@@ -1631,7 +1246,7 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
         let ready: Vec<f64> = (0..items.len()).map(|i| 0.25 * i as f64).collect();
-        let res = batch_cluster_impl(
+        let (_, report) = batch_cluster_impl(
             items.as_slice(),
             &ScConfig::optimized(true, false),
             &pool,
@@ -1640,7 +1255,7 @@ mod tests {
                 .with_ready_at(ready.clone()),
             false,
         );
-        for rep in &res.report.per_device {
+        for rep in &report.devices {
             for e in &rep.schedule {
                 assert!(
                     e.span.start >= ready[e.index] - 1e-15,
@@ -1665,7 +1280,7 @@ mod tests {
             Device::new(DeviceSpec::a100(), 0),
             Device::new(DeviceSpec::a100(), 4),
         ]);
-        let res = batch_cluster_impl(
+        let (f, report) = batch_cluster_impl(
             items.as_slice(),
             &cfg,
             &pool,
@@ -1673,14 +1288,14 @@ mod tests {
             false,
         );
         assert!(
-            res.report.partition[0].is_empty(),
+            report.devices[0].subdomains.is_empty(),
             "dead card must stay idle"
         );
-        assert_eq!(res.report.partition[1].len(), items.len());
+        assert_eq!(report.devices[1].subdomains.len(), items.len());
         assert_eq!(pool.device(0).synchronize(), 0.0);
         for (i, (l, bt)) in data.iter().enumerate() {
             let seq = assemble_sc(&mut CpuExec, l, bt, &cfg);
-            assert_eq!(res.f[i], seq, "subdomain {i} deviates");
+            assert_eq!(f[i], seq, "subdomain {i} deviates");
         }
     }
 
@@ -1735,17 +1350,18 @@ mod tests {
             ScConfig::original(FactorStorage::Dense),
             ScConfig::Auto,
         ] {
-            let batch = batch_cpu(items.as_slice(), &cfg);
-            assert_eq!(batch.f[0].nrows(), 0);
-            assert_eq!(batch.f[0].ncols(), 0);
-            assert_eq!(batch.f[1].nrows(), 1);
-            assert!(batch.f[1][(0, 0)] > 0.0, "1×1 F̃ must be positive");
+            let (cpu, _) = batch_cpu(items.as_slice(), &cfg);
+            assert_eq!(cpu[0].nrows(), 0);
+            assert_eq!(cpu[0].ncols(), 0);
+            assert_eq!(cpu[1].nrows(), 1);
+            assert!(cpu[1][(0, 0)] > 0.0, "1×1 F̃ must be positive");
             let dev = Device::new(DeviceSpec::a100(), 2);
-            let gpu = batch_gpu_rr(items.as_slice(), &cfg, &dev);
-            let sched = batch_scheduled(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
+            let (rr, _) = batch_scheduled(items.as_slice(), &cfg, &dev, &round_robin());
+            let (sched, _) =
+                batch_scheduled(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
             for i in 0..items.len() {
-                assert_eq!(batch.f[i], gpu.f[i], "gpu mismatch at {i}");
-                assert_eq!(batch.f[i], sched.f[i], "scheduled mismatch at {i}");
+                assert_eq!(cpu[i], rr[i], "round-robin mismatch at {i}");
+                assert_eq!(cpu[i], sched[i], "scheduled mismatch at {i}");
             }
         }
     }

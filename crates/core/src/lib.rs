@@ -34,31 +34,15 @@ pub mod tune;
 pub use assemble::{
     assemble_sc, assemble_sc_reference, assemble_sc_with_cache, ScConfig, ScParams,
 };
-pub use batch::{
-    BatchItem, BatchItemOf, BatchReport, BatchResult, BatchResultOf, ClusterOptions, ClusterReport,
-    ClusterResult, SubdomainTiming,
-};
-// Deprecated free-function drivers, re-exported for one release so old call
-// sites migrate with a warning instead of a break. New code goes through
-// `AssemblySession::assemble`.
-#[allow(deprecated)]
-pub use batch::{
-    assemble_sc_batch, assemble_sc_batch_cluster, assemble_sc_batch_gpu,
-    assemble_sc_batch_scheduled, assemble_sc_batch_with,
-};
+pub use batch::{BatchItem, BatchItemOf, ClusterOptions, SubdomainTiming};
 pub use calibrate::MicrokernelRates;
 pub use exec::{CpuExec, Exec, GpuExec, RecordingExec};
 pub use schedule::{
     estimate_apply, estimate_apply_of, estimate_cost, estimate_cost_of, plan_hybrid, plan_topology,
-    plan_topology_by, ApplyEstimate, ArenaSim, ClusterPlan, ClusterPlanError, CostEstimate,
-    DeviceSlot, Formulation, HybridChoice, HybridForce, HybridPlan, HybridPlanOptions,
-    ScheduleOptions, ScheduledSpan, StreamPlan, StreamPolicy, TopoPlan, Topology,
+    plan_topology_by, ApplyEstimate, ArenaSim, ClusterPlanError, CostEstimate, DeviceSlot,
+    Formulation, HybridChoice, HybridForce, HybridPlan, HybridPlanOptions, ScheduleOptions,
+    ScheduledSpan, StreamPolicy, TopoPlan, Topology,
 };
-// Deprecated two-level planner family, re-exported for one release so old
-// call sites migrate with a warning instead of a break. New code plans over
-// a `Topology` with `plan_topology`.
-#[allow(deprecated)]
-pub use schedule::{plan, plan_cluster, plan_cluster_spill};
 pub use session::{
     AssemblyReport, AssemblyResult, AssemblySession, Backend, DeviceReport, HybridSummary,
     NodeReport, Precision, StreamLane, Target,

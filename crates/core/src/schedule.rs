@@ -5,14 +5,15 @@
 //! submitting subdomains over 16 CUDA streams under a fixed temporary-arena
 //! budget; its CUDA predecessor (arXiv:2502.08382) shows that *stream
 //! scheduling and memory admission*, not kernel speed alone, decide
-//! throughput at that scale. This module is the planner behind
-//! [`assemble_sc_batch_scheduled`](crate::batch::assemble_sc_batch_scheduled):
+//! throughput at that scale. This module is the planner behind the
+//! scheduled GPU and cluster drivers of [`crate::batch`]:
 //!
 //! 1. [`estimate_cost`] prices each subdomain from its stepped pattern —
 //!    TRSM and SYRK FLOPs below the column pivots, H2D transfer bytes, and
 //!    the peak temporary footprint (`Y` plus densified factor blocks);
-//! 2. [`plan`] orders submission **longest-processing-time-first** and
-//!    assigns each subdomain to the **least-loaded stream**
+//! 2. [`plan_topology`] over a [`Topology::streams`] leaf orders submission
+//!    **longest-processing-time-first** and assigns each subdomain to the
+//!    **least-loaded stream**
 //!    ([`StreamPolicy::LptLeastLoaded`]; [`StreamPolicy::RoundRobin`] keeps
 //!    the naive index-order assignment as the comparison baseline);
 //! 3. [`ArenaSim`] admits each subdomain against the device's
@@ -273,44 +274,6 @@ impl ApplyEstimate {
     }
 }
 
-/// Per-stream submission queues produced by [`plan`].
-#[derive(Clone, Debug)]
-pub struct StreamPlan {
-    /// `assignments[s]` lists the subdomain indices stream `s` will process,
-    /// in submission order.
-    pub assignments: Vec<Vec<usize>>,
-    /// Estimated total load per stream (seconds), for diagnostics.
-    pub est_load: Vec<f64>,
-}
-
-/// Assign subdomains to `n_streams` streams under the given policy.
-///
-/// An empty batch yields an empty plan for any stream count (including 0);
-/// planning a non-empty batch onto 0 streams is a configuration error and
-/// panics with a descriptive message instead of silently rounding up.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `plan_topology` with a `Topology::streams` leaf — this \
-            wrapper survives only for source compatibility"
-)]
-pub fn plan(costs: &[CostEstimate], n_streams: usize, policy: StreamPolicy) -> StreamPlan {
-    plan_streams_impl(costs, n_streams, policy)
-}
-
-/// Non-deprecated stream-level engine entry shared by [`plan`] and the
-/// batch drivers (which must not call through a deprecated name).
-pub(crate) fn plan_streams_impl(
-    costs: &[CostEstimate],
-    n_streams: usize,
-    policy: StreamPolicy,
-) -> StreamPlan {
-    plan_topology_by(costs, &Topology::streams(n_streams, policy), |c, _| {
-        c.seconds
-    })
-    .expect("stream-level planning has no failure mode")
-    .into_stream_plan()
-}
-
 /// Planner-facing description of one device of a pool: its capability spec,
 /// its temporary-arena capacity, and its stream count.
 #[derive(Clone, Debug)]
@@ -352,20 +315,6 @@ impl DeviceSlot {
     }
 }
 
-/// Device-level partition of a batch produced by [`plan_cluster`].
-#[derive(Clone, Debug)]
-pub struct ClusterPlan {
-    /// `per_device[d]` lists the subdomain indices
-    /// ([`CostEstimate::index`]) assigned to device `d`.
-    pub per_device: Vec<Vec<usize>>,
-    /// Estimated total load per device in that device's own seconds.
-    pub est_load: Vec<f64>,
-    /// Device of each entry of the input cost slice, in slice order (batch
-    /// order when the costs were priced in batch order). Entries spilled by
-    /// [`plan_cluster_spill_by`] hold `usize::MAX`.
-    pub device_of: Vec<usize>,
-}
-
 /// Why a batch could not be partitioned across a device pool.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClusterPlanError {
@@ -377,8 +326,10 @@ pub enum ClusterPlanError {
     /// anywhere in this pool. Unlike a hard placement failure this is
     /// **recoverable**: the payload names every offending subdomain, so a
     /// caller with a fallback formulation (the hybrid operator's implicit
-    /// path) can reroute them and re-plan the remainder — that is exactly
-    /// what [`plan_cluster_spill`] automates.
+    /// path) can reroute them and re-plan the remainder — [`plan_topology`]
+    /// itself reports the same set in [`TopoPlan::spilled`] instead of
+    /// failing, and `Backend::hybrid` / `FormulationChoice::Auto` automate
+    /// the reroute.
     Spilled {
         /// Batch indices of every subdomain that fits no device arena,
         /// ascending.
@@ -400,8 +351,8 @@ impl std::fmt::Display for ClusterPlanError {
                 f,
                 "{} subdomain(s) {spilled:?} need more temporaries than the \
                  largest device arena in the pool ({max_arena} B); recoverable: \
-                 reroute them to the implicit formulation (plan_cluster_spill \
-                 / DualMode::Hybrid) or re-plan without them",
+                 reroute them to the host (Backend::hybrid) or the implicit \
+                 formulation (FormulationChoice::Auto), or re-plan without them",
                 spilled.len()
             ),
         }
@@ -410,72 +361,9 @@ impl std::fmt::Display for ClusterPlanError {
 
 impl std::error::Error for ClusterPlanError {}
 
-/// Partition a batch across the devices of a pool: **cost-aware LPT with
-/// per-device arena admissibility**. Subdomains are taken longest-first
-/// (priced under each device's own spec, so a slow card sees bigger numbers)
-/// and each goes to the admissible device whose estimated completion time —
-/// accumulated load over its stream count — stays lowest. A subdomain whose
-/// temporaries exceed a device's arena capacity is never placed there;
-/// when only the big card fits it, it falls back to the big card regardless
-/// of load. The per-device queues are then scheduled independently by
-/// [`plan`] + arena admission inside the batch driver.
-///
-/// Pricing is the analytic [`CostEstimate::seconds_on`]; when the exact
-/// per-device kernel durations are already known (recorded kernel
-/// sequences), use [`plan_cluster_by`] — peak-FLOP pricing ignores launch
-/// overhead and overloads fast cards on launch-bound batches.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `plan_topology` over a single-node `Topology` — this \
-            wrapper survives only for source compatibility"
-)]
-pub fn plan_cluster(
-    costs: &[CostEstimate],
-    devices: &[DeviceSlot],
-) -> Result<ClusterPlan, ClusterPlanError> {
-    cluster_by_impl(costs, devices, |c, d| c.seconds_on(&devices[d].spec))
-}
-
-/// [`plan_cluster`] with caller-supplied pricing: `seconds_of(cost, d)`
-/// returns the subdomain's single-stream seconds on device `d`. The batch
-/// drivers pass the recorded kernel sequences priced by each device's own
-/// duration model ([`DeviceSpec::kernel_seconds`]), which accounts for
-/// launch overhead and the occupancy ramp that the analytic estimate
-/// ignores.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `plan_topology_by` over a single-node `Topology` — this \
-            wrapper survives only for source compatibility"
-)]
-pub fn plan_cluster_by(
-    costs: &[CostEstimate],
-    devices: &[DeviceSlot],
-    seconds_of: impl Fn(&CostEstimate, usize) -> f64,
-) -> Result<ClusterPlan, ClusterPlanError> {
-    cluster_by_impl(costs, devices, seconds_of)
-}
-
-/// Non-deprecated strict (non-spill) cluster engine entry shared by the
-/// deprecated wrappers and the batch drivers.
-pub(crate) fn cluster_by_impl(
-    costs: &[CostEstimate],
-    devices: &[DeviceSlot],
-    seconds_of: impl Fn(&CostEstimate, usize) -> f64,
-) -> Result<ClusterPlan, ClusterPlanError> {
-    let (plan, spilled) = cluster_spill_by_impl(costs, devices, seconds_of)?;
-    if spilled.is_empty() {
-        Ok(plan)
-    } else {
-        Err(ClusterPlanError::Spilled {
-            spilled,
-            max_arena: max_usable_arena(devices),
-        })
-    }
-}
-
 /// Largest arena capacity among stream-capable devices (0 when none) —
-/// the payload of [`ClusterPlanError::Spilled`], shared with the batch
-/// driver's strict (non-spill) failure path.
+/// the payload of [`ClusterPlanError::Spilled`] on the batch driver's strict
+/// (non-spill) failure path.
 pub(crate) fn max_usable_arena(devices: &[DeviceSlot]) -> usize {
     devices
         .iter()
@@ -485,83 +373,23 @@ pub(crate) fn max_usable_arena(devices: &[DeviceSlot]) -> usize {
         .unwrap_or(0)
 }
 
-/// [`plan_cluster_spill_by`] with the analytic [`CostEstimate::seconds_on`]
-/// pricing.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `plan_topology` over a single-node `Topology` (spills are \
-            reported in `TopoPlan::spilled`) — this wrapper survives only \
-            for source compatibility"
-)]
-pub fn plan_cluster_spill(
-    costs: &[CostEstimate],
-    devices: &[DeviceSlot],
-) -> Result<(ClusterPlan, Vec<usize>), ClusterPlanError> {
-    cluster_spill_by_impl(costs, devices, |c, d| c.seconds_on(&devices[d].spec))
-}
-
-/// Spill-tolerant cluster partition: like [`plan_cluster_by`], but a
-/// subdomain whose temporaries fit no stream-capable device arena is
-/// **spilled** — returned in the second tuple element (batch order) instead
-/// of failing the whole plan. Spilled entries keep `device_of == usize::MAX`
-/// and appear in no per-device queue; the caller reroutes them (the hybrid
-/// operator applies them implicitly). [`ClusterPlanError::NoDevices`] is
-/// still an error: with no usable device *nothing* can be planned, spilling
-/// everything would just disguise a configuration error.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `plan_topology_by` over a single-node `Topology` (spills \
-            are reported in `TopoPlan::spilled`) — this wrapper survives \
-            only for source compatibility"
-)]
-pub fn plan_cluster_spill_by(
-    costs: &[CostEstimate],
-    devices: &[DeviceSlot],
-    seconds_of: impl Fn(&CostEstimate, usize) -> f64,
-) -> Result<(ClusterPlan, Vec<usize>), ClusterPlanError> {
-    cluster_spill_by_impl(costs, devices, seconds_of)
-}
-
-/// Non-deprecated spill-tolerant cluster engine entry shared by the
-/// deprecated wrappers and the batch drivers: builds the single-node
-/// [`Topology`] (one [`Topology::Device`] leaf per slot, no link) and runs
-/// the hierarchical planner, which reproduces the historical two-level
-/// semantics bitwise.
-pub(crate) fn cluster_spill_by_impl(
-    costs: &[CostEstimate],
-    devices: &[DeviceSlot],
-    seconds_of: impl Fn(&CostEstimate, usize) -> f64,
-) -> Result<(ClusterPlan, Vec<usize>), ClusterPlanError> {
-    let topo = Topology::node(
-        devices
-            .iter()
-            .map(|d| Topology::device(d.clone()))
-            .collect(),
-        None,
-    );
-    let plan = plan_topology_by(costs, &topo, |c, path| seconds_of(c, path[0]))?;
-    let spilled = plan.spilled.clone();
-    Ok((plan.into_cluster_plan(), spilled))
-}
-
-/// One vertex of a placement hierarchy: the recursive generalization of the
-/// historical two planning levels (devices of a pool, streams of a device)
-/// to an arbitrary node → device → stream tree.
+/// One vertex of a placement hierarchy: the two planning levels of a device
+/// pool (devices of a pool, streams of a device) generalized recursively to
+/// an arbitrary node → device → stream tree.
 ///
-/// - [`Topology::Streams`] is a leaf of homogeneous lanes — the historical
-///   [`plan`] level;
+/// - [`Topology::Streams`] is a leaf of homogeneous lanes — the stream
+///   level of one device;
 /// - [`Topology::Device`] is one device of a pool (its [`DeviceSlot`] spec,
-///   arena, and stream count) — the historical `plan_cluster*` level, which
-///   plans its streams as a nested [`Topology::Streams`];
+///   arena, and stream count), which plans its streams as a nested
+///   [`Topology::Streams`];
 /// - [`Topology::Node`] groups children behind an optional
-///   [`Interconnect`]: a single-node device pool when the link is `None`
-///   (historical semantics bitwise), a cluster node when pricing
-///   placements behind the link's latency/bandwidth model
-///   ([`CostEstimate::exchange_bytes`] crosses it).
+///   [`Interconnect`]: a single-node device pool when the link is `None`,
+///   a cluster node when pricing placements behind the link's
+///   latency/bandwidth model ([`CostEstimate::exchange_bytes`] crosses it).
 #[derive(Clone, Debug)]
 pub enum Topology {
-    /// A leaf of `n` identical lanes planned under `policy` (the historical
-    /// stream level).
+    /// A leaf of `n` identical lanes planned under `policy` (the stream
+    /// level).
     Streams {
         /// Number of lanes (streams).
         n: usize,
@@ -613,8 +441,7 @@ impl Topology {
     }
 
     /// The single-node topology of a [`DevicePool`](sc_gpu::DevicePool):
-    /// one [`Topology::Device`] child per device, no link — the shape the
-    /// historical `plan_cluster*` family planned.
+    /// one [`Topology::Device`] child per device, no link.
     pub fn of_pool(pool: &sc_gpu::DevicePool, policy: StreamPolicy) -> Self {
         Topology::node(
             pool.devices()
@@ -645,8 +472,8 @@ impl Topology {
     }
 
     /// Parallel capacity below this vertex: total stream count (the load
-    /// normalizer of the selection key — the historical
-    /// `est_load / n_streams` completion-time estimate).
+    /// normalizer of the selection key — the `est_load / n_streams`
+    /// completion-time estimate).
     pub fn weight(&self) -> f64 {
         match self {
             Topology::Streams { n, .. } => *n as f64, // sc-analyze: allow(precision-discipline)
@@ -659,8 +486,8 @@ impl Topology {
         }
     }
 
-    /// Whether anything can execute below this vertex (the historical
-    /// [`DeviceSlot::is_usable`] lifted over the tree).
+    /// Whether anything can execute below this vertex
+    /// ([`DeviceSlot::is_usable`] lifted over the tree).
     pub fn is_usable(&self) -> bool {
         match self {
             Topology::Streams { n, .. } => *n > 0,
@@ -670,8 +497,8 @@ impl Topology {
     }
 
     /// Whether a subdomain whose peak temporaries are `temp_bytes` may be
-    /// placed somewhere below this vertex (the historical
-    /// [`DeviceSlot::admits`] lifted over the tree).
+    /// placed somewhere below this vertex ([`DeviceSlot::admits`] lifted
+    /// over the tree).
     pub fn admits(&self, temp_bytes: usize) -> bool {
         match self {
             Topology::Streams { n, .. } => *n > 0,
@@ -698,9 +525,7 @@ impl Topology {
 }
 
 /// Hierarchical placement produced by [`plan_topology`]: one level of
-/// child queues plus the recursively planned children. Collapse a
-/// single-level plan back to the historical shapes with
-/// [`TopoPlan::into_stream_plan`] / [`TopoPlan::into_cluster_plan`].
+/// child queues plus the recursively planned children.
 #[derive(Clone, Debug)]
 pub struct TopoPlan {
     /// `per_child[d]` lists the subdomain indices ([`CostEstimate::index`])
@@ -721,24 +546,6 @@ pub struct TopoPlan {
 }
 
 impl TopoPlan {
-    /// Collapse a lane-leaf plan into the historical [`StreamPlan`].
-    pub fn into_stream_plan(self) -> StreamPlan {
-        StreamPlan {
-            assignments: self.per_child,
-            est_load: self.est_load,
-        }
-    }
-
-    /// Collapse a one-node plan into the historical [`ClusterPlan`]
-    /// (dropping the nested per-device stream plans and the spill list).
-    pub fn into_cluster_plan(self) -> ClusterPlan {
-        ClusterPlan {
-            per_device: self.per_child,
-            est_load: self.est_load,
-            device_of: self.child_of,
-        }
-    }
-
     /// Largest estimated completion time across children (each child's
     /// accumulated load over its parallel width) — the planner's makespan
     /// prediction at this level.
@@ -766,12 +573,16 @@ pub fn plan_topology(
 }
 
 /// Plan a batch over a [`Topology`] with caller-supplied pricing — **the**
-/// planner behind every historical entry point. `seconds_of(cost, path)`
-/// returns the subdomain's single-stream seconds at the vertex reached by
-/// the child-index `path` from the root (e.g. `[d]` is device `d` of a
-/// single-node pool — the historical `seconds_of(cost, d)`).
+/// planner behind every batch driver. `seconds_of(cost, path)` returns the
+/// subdomain's single-stream seconds at the vertex reached by the
+/// child-index `path` from the root (e.g. `[d]` is device `d` of a
+/// single-node pool). The batch drivers pass the recorded kernel sequences
+/// priced by each device's own duration model
+/// ([`DeviceSpec::kernel_seconds`]), which accounts for launch overhead and
+/// the occupancy ramp that the analytic estimate ignores — peak-FLOP
+/// pricing overloads fast cards on launch-bound batches.
 ///
-/// Each level reproduces the historical semantics exactly:
+/// The two kinds of level:
 ///
 /// - a [`Topology::Node`] partitions longest-first under the worst-case
 ///   child (ties by index), placing each subdomain on the admissible child
@@ -783,8 +594,10 @@ pub fn plan_topology(
 ///   cheapest admissible placement inside — communication is a first-class
 ///   cost, not an afterthought;
 /// - a [`Topology::Streams`] leaf (and the lane level of every
-///   [`Topology::Device`]) assigns under [`StreamPolicy`] with the
-///   historical comparators, panicking on `0` lanes with a non-empty batch.
+///   [`Topology::Device`]) assigns under [`StreamPolicy`]; an empty batch
+///   yields an empty plan for any lane count (including 0), while planning
+///   a non-empty batch onto `0` lanes is a configuration error and panics
+///   with a descriptive message instead of silently rounding up.
 pub fn plan_topology_by(
     costs: &[CostEstimate],
     topo: &Topology,
@@ -811,8 +624,8 @@ fn plan_vertex(
     }
 }
 
-/// Lane-level planning: the historical [`plan`] loops verbatim, with the
-/// ordering key supplied by `seconds_of` at the current vertex.
+/// Lane-level planning, with the ordering key supplied by `seconds_of` at
+/// the current vertex.
 fn plan_lanes(
     costs: &[CostEstimate],
     n_lanes: usize,
@@ -879,9 +692,12 @@ fn plan_lanes(
     }
 }
 
-/// Group-level planning: the historical [`plan_cluster_spill_by`] loops
-/// verbatim over arbitrary child vertices, followed by recursion into each
-/// child with its assigned subset.
+/// Group-level planning: **cost-aware LPT with per-child arena
+/// admissibility** over arbitrary child vertices — a subdomain whose
+/// temporaries exceed a child's arena is never placed there (when only the
+/// big card fits it, it falls back to the big card regardless of load; when
+/// nothing fits it, it spills) — followed by recursion into each child with
+/// its assigned subset.
 fn plan_group(
     costs: &[CostEstimate],
     children: &[Topology],
@@ -1503,8 +1319,6 @@ impl ArenaSim {
 
 #[cfg(test)]
 mod tests {
-    // the historical planner entry points stay under test until removal
-    #![allow(deprecated)]
     use super::*;
     use crate::assemble::ScConfig;
     use sc_sparse::Coo;
@@ -1620,9 +1434,9 @@ mod tests {
                 c
             })
             .collect();
-        let rr = plan(&costs, 2, StreamPolicy::RoundRobin);
-        let lpt = plan(&costs, 2, StreamPolicy::LptLeastLoaded);
-        let makespan = |p: &StreamPlan| p.est_load.iter().copied().fold(0.0f64, f64::max);
+        let rr = plan_streams(&costs, 2, StreamPolicy::RoundRobin);
+        let lpt = plan_streams(&costs, 2, StreamPolicy::LptLeastLoaded);
+        let makespan = |p: &TopoPlan| p.est_load.iter().copied().fold(0.0f64, f64::max);
         assert!(
             makespan(&lpt) < makespan(&rr),
             "LPT {:?} must beat round-robin {:?}",
@@ -1630,18 +1444,24 @@ mod tests {
             rr.est_load
         );
         // every subdomain appears exactly once
-        let mut seen: Vec<usize> = lpt.assignments.concat();
+        let mut seen: Vec<usize> = lpt.per_child.concat();
         seen.sort_unstable();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
     }
 
+    /// Plan onto the `n` streams of one device (a bare lane leaf).
+    fn plan_streams(costs: &[CostEstimate], n: usize, policy: StreamPolicy) -> TopoPlan {
+        plan_topology(costs, &Topology::streams(n, policy))
+            .expect("stream-level planning has no failure mode")
+    }
+
     #[test]
     fn plan_handles_degenerate_shapes() {
-        let p = plan(&[], 4, StreamPolicy::LptLeastLoaded);
-        assert!(p.assignments.iter().all(|a| a.is_empty()));
+        let p = plan_streams(&[], 4, StreamPolicy::LptLeastLoaded);
+        assert_eq!(p.per_child, vec![Vec::<usize>::new(); 4]);
         let one = vec![est(10, &[2])];
-        let p = plan(&one, 1, StreamPolicy::RoundRobin);
-        assert_eq!(p.assignments, vec![vec![0]]);
+        let p = plan_streams(&one, 1, StreamPolicy::RoundRobin);
+        assert_eq!(p.per_child, vec![vec![0]]);
     }
 
     fn slot(spec: DeviceSpec, arena: usize, n_streams: usize) -> DeviceSlot {
@@ -1652,13 +1472,19 @@ mod tests {
         }
     }
 
+    /// The single-node topology of a device pool described by `devs`.
+    fn node_of(devs: &[DeviceSlot]) -> Topology {
+        Topology::node(devs.iter().cloned().map(Topology::device).collect(), None)
+    }
+
     #[test]
     fn plan_rejects_zero_streams_for_nonempty_batches_only() {
-        let empty = plan(&[], 0, StreamPolicy::LptLeastLoaded);
-        assert!(empty.assignments.is_empty());
+        let empty = plan_streams(&[], 0, StreamPolicy::LptLeastLoaded);
+        assert!(empty.per_child.is_empty());
         assert!(empty.est_load.is_empty());
         let one = vec![est(10, &[2])];
-        let err = std::panic::catch_unwind(|| plan(&one, 0, StreamPolicy::RoundRobin)).unwrap_err();
+        let err = std::panic::catch_unwind(|| plan_streams(&one, 0, StreamPolicy::RoundRobin))
+            .unwrap_err();
         let msg = err
             .downcast_ref::<String>()
             .cloned()
@@ -1682,15 +1508,16 @@ mod tests {
             slot(DeviceSpec::a100(), usize::MAX, 2),
             slot(DeviceSpec::a100(), usize::MAX, 2),
         ];
-        let p = plan_cluster(&costs, &devs).unwrap();
+        let p = plan_topology(&costs, &node_of(&devs)).unwrap();
+        assert!(p.spilled.is_empty());
         // every subdomain placed exactly once
-        let mut seen: Vec<usize> = p.per_device.concat();
+        let mut seen: Vec<usize> = p.per_child.concat();
         seen.sort_unstable();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
-        assert_eq!(p.device_of.len(), 8);
+        assert_eq!(p.child_of.len(), 8);
         // LPT must split the 4 heavy items evenly
         let heavy_per_dev: Vec<usize> = p
-            .per_device
+            .per_child
             .iter()
             .map(|idx| idx.iter().filter(|&&i| i.is_multiple_of(2)).count())
             .collect();
@@ -1719,9 +1546,9 @@ mod tests {
             slot(DeviceSpec::tiny_test_device(), 2 << 20, 2), // big arena, slow
             slot(DeviceSpec::a100(), 16 << 10, 2),            // small arena, fast
         ];
-        let p = plan_cluster(&[big, small_a, small_b], &devs).unwrap();
-        assert_eq!(p.device_of[0], 0, "oversized subdomain must use device 0");
-        assert!(p.per_device[0].contains(&0));
+        let p = plan_topology(&[big, small_a, small_b], &node_of(&devs)).unwrap();
+        assert_eq!(p.child_of[0], 0, "oversized subdomain must use device 0");
+        assert!(p.per_child[0].contains(&0));
     }
 
     #[test]
@@ -1741,12 +1568,12 @@ mod tests {
             slot(DeviceSpec::h100(), usize::MAX, 2),
             slot(DeviceSpec::tiny_test_device(), usize::MAX, 2),
         ];
-        let p = plan_cluster(&costs, &devs).unwrap();
+        let p = plan_topology(&costs, &node_of(&devs)).unwrap();
         // the H100 is ~3000x faster than the tiny card: everything goes there
         assert!(
-            p.per_device[0].len() > p.per_device[1].len(),
+            p.per_child[0].len() > p.per_child[1].len(),
             "fast device must absorb most of the equal-cost work: {:?}",
-            p.per_device
+            p.per_child
         );
     }
 
@@ -1765,14 +1592,14 @@ mod tests {
             slot(DeviceSpec::a100(), usize::MAX, 0),
             slot(DeviceSpec::a100(), usize::MAX, 2),
         ];
-        let p = plan_cluster(&costs, &devs).unwrap();
-        assert!(p.per_device[0].is_empty(), "0-stream device must stay idle");
-        assert_eq!(p.per_device[1].len(), 4);
-        assert!(p.device_of.iter().all(|&d| d == 1));
+        let p = plan_topology(&costs, &node_of(&devs)).unwrap();
+        assert!(p.per_child[0].is_empty(), "0-stream device must stay idle");
+        assert_eq!(p.per_child[1].len(), 4);
+        assert!(p.child_of.iter().all(|&d| d == 1));
         // a pool of only 0-stream devices cannot run anything
         let dead = vec![slot(DeviceSpec::a100(), usize::MAX, 0)];
         assert_eq!(
-            plan_cluster(&costs, &dead).unwrap_err(),
+            plan_topology(&costs, &node_of(&dead)).unwrap_err(),
             ClusterPlanError::NoDevices
         );
     }
@@ -1781,27 +1608,34 @@ mod tests {
     fn cluster_plan_errors_are_descriptive() {
         let one = vec![est(10, &[2])];
         assert_eq!(
-            plan_cluster(&one, &[]).unwrap_err(),
+            plan_topology(&one, &node_of(&[])).unwrap_err(),
             ClusterPlanError::NoDevices
         );
-        let empty = plan_cluster(&[], &[]).unwrap();
-        assert!(empty.per_device.is_empty());
-        assert!(empty.device_of.is_empty());
+        let empty = plan_topology(&[], &node_of(&[])).unwrap();
+        assert!(empty.per_child.is_empty());
+        assert!(empty.child_of.is_empty());
 
+        // the strict (non-spill) failure the batch drivers raise from a
+        // plan's spill list
         let mut huge = est(10, &[2]);
         huge.temp_bytes = 1 << 30;
-        let err = plan_cluster(&[huge], &[slot(DeviceSpec::a100(), 1 << 20, 2)]).unwrap_err();
-        match &err {
-            ClusterPlanError::Spilled { spilled, max_arena } => {
-                assert_eq!(spilled, &vec![0]);
-                assert_eq!(*max_arena, 1 << 20);
-            }
-            other => panic!("wrong error: {other}"),
-        }
-        assert!(err.to_string().contains("largest device arena"));
-        assert!(
-            err.to_string().contains("recoverable"),
-            "the Spilled error must advertise the fallback: {err}"
+        let devs = [
+            slot(DeviceSpec::a100(), 1 << 20, 2),
+            slot(DeviceSpec::a100(), 1 << 22, 0), // drained: its arena does not count
+        ];
+        let plan = plan_topology(&[huge], &node_of(&devs)).unwrap();
+        assert_eq!(plan.spilled, vec![0]);
+        let err = ClusterPlanError::Spilled {
+            spilled: plan.spilled,
+            max_arena: max_usable_arena(&devs),
+        };
+        assert_eq!(
+            err.to_string(),
+            "1 subdomain(s) [0] need more temporaries than the largest device \
+             arena in the pool (1048576 B); recoverable: reroute them to the \
+             host (Backend::hybrid) or the implicit formulation \
+             (FormulationChoice::Auto), or re-plan without them",
+            "the Spilled error must name the surviving fallbacks"
         );
     }
 
@@ -1818,25 +1652,12 @@ mod tests {
         let mut b = a.clone();
         b.index = 2;
         let devs = vec![slot(DeviceSpec::a100(), 1 << 20, 2)];
-        let (plan, spilled) = plan_cluster_spill(&[a, big, b], &devs).unwrap();
-        assert_eq!(spilled, vec![1]);
-        assert_eq!(plan.device_of[1], usize::MAX, "spilled entry unplaced");
-        let mut placed: Vec<usize> = plan.per_device.concat();
+        let plan = plan_topology(&[a, big, b], &node_of(&devs)).unwrap();
+        assert_eq!(plan.spilled, vec![1]);
+        assert_eq!(plan.child_of[1], usize::MAX, "spilled entry unplaced");
+        let mut placed: Vec<usize> = plan.per_child.concat();
         placed.sort_unstable();
         assert_eq!(placed, vec![0, 2]);
-        // the strict planner surfaces the same condition as an error
-        assert!(matches!(
-            plan_cluster(
-                &[est(10, &[2]), {
-                    let mut h = est(10, &[2]);
-                    h.index = 1;
-                    h.temp_bytes = 1 << 30;
-                    h
-                }],
-                &devs
-            ),
-            Err(ClusterPlanError::Spilled { .. })
-        ));
     }
 
     fn apply_est(n: usize, pivots: &[usize]) -> ApplyEstimate {
@@ -2094,46 +1915,67 @@ mod tests {
     }
 
     #[test]
-    fn stream_leaf_plan_is_bitwise_the_deprecated_plan() {
-        for policy in [StreamPolicy::LptLeastLoaded, StreamPolicy::RoundRobin] {
-            let costs = skewed_costs(9);
-            let legacy = plan(&costs, 3, policy);
-            let topo = Topology::streams(3, policy);
-            let hier = plan_topology(&costs, &topo).unwrap();
-            assert!(hier.spilled.is_empty());
-            assert!(hier.children.is_empty(), "a lane leaf has no sub-plans");
-            let hier = hier.into_stream_plan();
-            assert_eq!(hier.assignments, legacy.assignments);
-            // bitwise: same placement in the same order sums identically
-            assert_eq!(hier.est_load, legacy.est_load);
+    fn stream_leaf_plan_pins_lpt_and_round_robin_placement() {
+        // 9 subdomains, 8 s at even indices and 1 s at odd ones, 3 lanes
+        let costs = skewed_costs(9);
+        // LPT: the five 8 s items go longest-first (ties by index) onto the
+        // least-loaded lane (ties by lane), then the 1 s items fill lane 2
+        let lpt = plan_streams(&costs, 3, StreamPolicy::LptLeastLoaded);
+        assert_eq!(
+            lpt.per_child,
+            vec![vec![0, 6], vec![2, 8], vec![4, 1, 3, 5, 7]]
+        );
+        assert_eq!(lpt.est_load, vec![16.0, 16.0, 12.0]);
+        assert_eq!(lpt.child_of, vec![0, 2, 1, 2, 2, 2, 0, 2, 1]);
+        // round-robin: subdomain k on lane k mod 3, in index order
+        let rr = plan_streams(&costs, 3, StreamPolicy::RoundRobin);
+        assert_eq!(
+            rr.per_child,
+            vec![vec![0, 3, 6], vec![1, 4, 7], vec![2, 5, 8]]
+        );
+        assert_eq!(rr.est_load, vec![17.0, 10.0, 17.0]);
+        assert_eq!(rr.child_of, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
+        for plan in [&lpt, &rr] {
+            assert!(plan.spilled.is_empty());
+            assert!(plan.children.is_empty(), "a lane leaf has no sub-plans");
         }
     }
 
     #[test]
-    fn flat_node_plan_is_bitwise_the_deprecated_cluster_planner() {
+    fn flat_node_plan_pins_the_two_level_partition() {
+        // 10 subdomains (8 s even / 1 s odd) over three devices of 2, 4 and
+        // 1 streams that run them at 1x, 0.5x and 4x the nominal seconds
         let costs = skewed_costs(10);
         let devs = vec![
             slot(DeviceSpec::a100(), usize::MAX, 2),
             slot(DeviceSpec::h100(), usize::MAX, 4),
             slot(DeviceSpec::tiny_test_device(), usize::MAX, 1),
         ];
-        let legacy = plan_cluster(&costs, &devs).unwrap();
-        let topo = Topology::node(devs.iter().cloned().map(Topology::device).collect(), None);
-        let hier = plan_topology(&costs, &topo).unwrap();
-        assert!(hier.spilled.is_empty());
-        assert_eq!(hier.children.len(), 3, "one sub-plan per device");
-        for (d, child) in hier.children.iter().enumerate() {
+        let slowdown = [1.0, 0.5, 4.0];
+        let plan = plan_topology_by(&costs, &node_of(&devs), |c, path| {
+            c.seconds * slowdown[path[0]]
+        })
+        .unwrap();
+        // longest-first under the worst-case device (ties by index), each
+        // onto the device with the lowest (load + cost) / n_streams (ties
+        // by device): subdomains 6 and 9 land on device 0 through exact
+        // ties with device 1, subdomain 1 is the only one the slow card wins
+        assert_eq!(
+            plan.per_child,
+            vec![vec![6, 9], vec![0, 2, 4, 8, 3, 5, 7], vec![1]]
+        );
+        assert_eq!(plan.est_load, vec![9.0, 17.5, 4.0]);
+        assert_eq!(plan.child_of, vec![1, 2, 1, 1, 1, 1, 0, 1, 1, 0]);
+        assert!(plan.spilled.is_empty());
+        assert_eq!(plan.children.len(), 3, "one sub-plan per device");
+        for (d, child) in plan.children.iter().enumerate() {
             // the nested stream plan covers exactly the device's share
             let mut below: Vec<usize> = child.per_child.concat();
             below.sort_unstable();
-            let mut share = hier.per_child[d].clone();
+            let mut share = plan.per_child[d].clone();
             share.sort_unstable();
             assert_eq!(below, share);
         }
-        let hier = hier.into_cluster_plan();
-        assert_eq!(hier.per_device, legacy.per_device);
-        assert_eq!(hier.est_load, legacy.est_load);
-        assert_eq!(hier.device_of, legacy.device_of);
     }
 
     #[test]

@@ -47,8 +47,7 @@
 
 use crate::assemble::ScConfig;
 use crate::batch::{
-    batch_cluster_impl, batch_cpu, batch_scheduled, BatchReport, ClusterOptions, ClusterReport,
-    SubdomainTiming,
+    batch_cluster_impl, batch_cpu, batch_scheduled, ClusterOptions, SubdomainTiming,
 };
 use crate::schedule::{
     estimate_cost_of, plan_topology, ClusterPlanError, CostEstimate, Formulation, HybridPlan,
@@ -428,36 +427,21 @@ fn dispatch<S: Scalar, Src: BatchSource<S>>(
 ) -> (Vec<MatOf<S>>, AssemblyReport) {
     match target {
         Target::Cpu { threads } => {
-            let res = if *threads > 0 {
+            if *threads > 0 {
                 rayon::with_max_threads(*threads, || batch_cpu(src, cfg))
             } else {
                 batch_cpu(src, cfg)
-            };
-            (res.f, AssemblyReport::from_batch(res.report, None))
+            }
         }
-        Target::Gpu { device, schedule } => {
-            let busy0 = device.busy_seconds();
-            let res = batch_scheduled(src, cfg, device, schedule);
-            let busy = device.busy_seconds() - busy0;
-            let cap = res.report.device_seconds * device.n_streams().max(1) as f64; // sc-analyze: allow(precision-discipline)
-            let utilization = if cap > 0.0 { busy / cap } else { 0.0 };
-            (
-                res.f,
-                AssemblyReport::from_batch(res.report, Some(utilization)),
-            )
-        }
-        Target::Cluster { pool, opts } => {
-            let out = batch_cluster_impl(src, cfg, pool, opts, false);
-            (out.f, AssemblyReport::from_cluster(&out.report))
-        }
+        Target::Gpu { device, schedule } => batch_scheduled(src, cfg, device, schedule),
+        Target::Cluster { pool, opts } => batch_cluster_impl(src, cfg, pool, opts, false),
         Target::Hybrid { pool, opts } => {
             let usable = pool.devices().iter().any(|d| d.n_streams() > 0);
             if !usable {
                 // nothing can run on the pool: everything fails over to
                 // the host, and the report says so
                 let n = src.len();
-                let res = batch_cpu(src, cfg);
-                let mut report = AssemblyReport::from_batch(res.report, None);
+                let (f, mut report) = batch_cpu(src, cfg);
                 report.hybrid = Some(HybridSummary {
                     plan: None,
                     formulation: vec![Formulation::ExplicitCpu; n],
@@ -468,29 +452,29 @@ fn dispatch<S: Scalar, Src: BatchSource<S>>(
                     arena_high_water: 0,
                     precision: Precision::F64,
                 });
-                return (res.f, report);
+                return (f, report);
             }
-            let out = batch_cluster_impl(src, cfg, pool, opts, true);
-            let mut report = AssemblyReport::from_cluster(&out.report);
-            // merge the host fail-over share into the roll-up
-            report.subdomains.extend(out.spill_timings.iter().copied());
-            report.subdomains.sort_by_key(|t| t.index);
-            let realized_cpu: f64 = out.spill_timings.iter().map(|t| t.host_seconds).sum();
-            let mut formulation = vec![Formulation::ExplicitGpu; out.f.len()];
-            for &g in &out.spilled {
+            let (f, mut report) = batch_cluster_impl(src, cfg, pool, opts, true);
+            // the host fail-over share: timings the driver placed on no
+            // device
+            let host_share = || report.subdomains.iter().filter(|t| t.device.is_none());
+            let spilled: Vec<usize> = host_share().map(|t| t.index).collect();
+            let realized_cpu: f64 = host_share().map(|t| t.host_seconds).sum();
+            let mut formulation = vec![Formulation::ExplicitGpu; f.len()];
+            for &g in &spilled {
                 formulation[g] = Formulation::ExplicitCpu;
             }
             report.hybrid = Some(HybridSummary {
                 plan: None,
                 formulation,
-                spilled: out.spilled,
+                spilled,
                 predicted_assembly_seconds: 0.0,
                 realized_gpu_seconds: report.makespan,
                 realized_cpu_seconds: realized_cpu,
                 arena_high_water: report.temp_high_water(),
                 precision: Precision::F64,
             });
-            (out.f, report)
+            (f, report)
         }
         Target::MultiNode { pool, opts } => batch_multi_node(src, cfg, pool, opts),
     }
@@ -594,11 +578,10 @@ fn batch_multi_node<S: Scalar, Src: BatchSource<S>>(
         if let Some(r) = opts.ready_at.as_ref() {
             sub_opts = sub_opts.with_ready_at(idx.iter().map(|&g| r[g]).collect());
         }
-        let out = batch_cluster_impl(&sub, cfg, &node.pool, &sub_opts, false);
-        for (local_f, &g) in out.f.into_iter().zip(idx.iter()) {
+        let (node_f, mut nrep) = batch_cluster_impl(&sub, cfg, &node.pool, &sub_opts, false);
+        for (local_f, &g) in node_f.into_iter().zip(idx.iter()) {
             f_slots[g] = Some(local_f);
         }
-        let mut nrep = AssemblyReport::from_cluster(&out.report);
         nrep.remap_indices(idx);
 
         // the node's boundary bytes leave over its link once, after its
@@ -829,148 +812,6 @@ impl AssemblyReport {
         self.subdomains.get(i).and_then(|t| t.device)
     }
 
-    /// Build from a single-target [`BatchReport`]; `utilization` is
-    /// `Some` when the run used a device (which becomes device 0).
-    pub fn from_batch(rep: BatchReport, utilization: Option<f64>) -> Self {
-        let devices = match utilization {
-            Some(utilization) if rep.timings.iter().any(|t| t.stream.is_some()) => {
-                vec![DeviceReport {
-                    device: 0,
-                    subdomains: if rep.schedule.is_empty() {
-                        rep.timings.iter().map(|t| t.index).collect()
-                    } else {
-                        rep.schedule.iter().map(|e| e.index).collect()
-                    },
-                    schedule: rep.schedule.clone(),
-                    makespan: rep.device_seconds,
-                    utilization,
-                    temp_high_water: rep.temp_high_water,
-                    trace: rep.trace.clone(),
-                }]
-            }
-            _ => Vec::new(),
-        };
-        AssemblyReport {
-            subdomains: rep.timings,
-            devices,
-            nodes: Vec::new(),
-            hybrid: None,
-            total_seconds: rep.total_seconds,
-            makespan: rep.device_seconds,
-            cache_hits: rep.cache_hits,
-            cache_misses: rep.cache_misses,
-            precision: Precision::F64,
-        }
-    }
-
-    /// Build from a cluster roll-up (subdomain indices already batch-global).
-    pub fn from_cluster(rep: &ClusterReport) -> Self {
-        let devices: Vec<DeviceReport> = rep
-            .per_device
-            .iter()
-            .enumerate()
-            .map(|(d, r)| DeviceReport {
-                device: d,
-                subdomains: rep.partition[d].clone(),
-                schedule: r.schedule.clone(),
-                makespan: r.device_seconds,
-                utilization: rep.utilization[d],
-                temp_high_water: r.temp_high_water,
-                trace: r.trace.clone(),
-            })
-            .collect();
-        let mut subdomains: Vec<SubdomainTiming> = rep
-            .per_device
-            .iter()
-            .flat_map(|r| r.timings.iter().copied())
-            .collect();
-        subdomains.sort_by_key(|t| t.index);
-        AssemblyReport {
-            subdomains,
-            devices,
-            nodes: Vec::new(),
-            hybrid: None,
-            total_seconds: rep.total_seconds,
-            makespan: rep.makespan,
-            cache_hits: rep.per_device.iter().map(|r| r.cache_hits).sum(),
-            cache_misses: rep.per_device.iter().map(|r| r.cache_misses).sum(),
-            precision: Precision::F64,
-        }
-    }
-
-    /// Flatten into the legacy single-target [`BatchReport`] shape
-    /// (schedules concatenated in device order — stream ids stay
-    /// device-local).
-    pub fn to_batch_report(&self) -> BatchReport {
-        BatchReport {
-            timings: self.subdomains.clone(),
-            total_seconds: self.total_seconds,
-            device_seconds: self.makespan,
-            schedule: self
-                .devices
-                .iter()
-                .flat_map(|d| d.schedule.iter().copied())
-                .collect(),
-            temp_high_water: self.temp_high_water(),
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            trace: match self.devices.as_slice() {
-                // device-local slot ids and streams do not merge across
-                // devices; the flat shape keeps a trace only when it is
-                // unambiguous
-                [d] => d.trace.clone(),
-                _ => None,
-            },
-        }
-    }
-
-    /// Reconstruct the legacy per-device [`ClusterReport`] (`None` when the
-    /// run touched no device). Subdomains outside every device share (host
-    /// fail-overs) hold `usize::MAX` in `device_of`, like the hybrid mode
-    /// always reported.
-    pub fn to_cluster_report(&self) -> Option<ClusterReport> {
-        if self.devices.is_empty() {
-            return None;
-        }
-        let max_index = self.subdomains.iter().map(|t| t.index).max().unwrap_or(0);
-        let mut device_of = vec![usize::MAX; self.subdomains.len().max(max_index + 1)];
-        for t in &self.subdomains {
-            if let Some(d) = t.device {
-                device_of[t.index] = d;
-            }
-        }
-        let per_device: Vec<BatchReport> = self
-            .devices
-            .iter()
-            .map(|d| BatchReport {
-                timings: self
-                    .subdomains
-                    .iter()
-                    .filter(|t| t.device == Some(d.device))
-                    .copied()
-                    .collect(),
-                total_seconds: self.total_seconds,
-                device_seconds: d.makespan,
-                schedule: d.schedule.clone(),
-                temp_high_water: d.temp_high_water,
-                // the block-cut cache is shared across the whole run; its
-                // totals live on the first device's report so that summing
-                // per-device counters stays correct (legacy convention)
-                cache_hits: if d.device == 0 { self.cache_hits } else { 0 },
-                cache_misses: if d.device == 0 { self.cache_misses } else { 0 },
-                trace: d.trace.clone(),
-            })
-            .collect();
-        Some(ClusterReport {
-            partition: self.devices.iter().map(|d| d.subdomains.clone()).collect(),
-            utilization: self.devices.iter().map(|d| d.utilization).collect(),
-            makespan: self.devices.iter().map(|d| d.makespan).fold(0.0, f64::max),
-            per_device,
-            device_of,
-            total_seconds: self.total_seconds,
-        })
-    }
-
     /// Remap every subdomain index through `map` (share-local → global) and
     /// re-sort the timing list; used when a share of a bigger problem was
     /// assembled separately — **before** any hybrid section is attached.
@@ -1192,28 +1033,6 @@ mod tests {
         );
         for i in 0..items.len() {
             assert_eq!(cpu.f[i], hy0.f[i]);
-        }
-    }
-
-    #[test]
-    fn legacy_report_round_trips() {
-        let data = workload(6, 6, 8);
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
-        let cfg = ScConfig::optimized(true, false);
-        let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
-        let res = AssemblySession::new(Backend::cluster(pool), cfg).assemble(&items);
-        let batch = res.report.to_batch_report();
-        assert_eq!(batch.timings.len(), items.len());
-        assert_eq!(batch.device_seconds, res.report.makespan);
-        assert_eq!(batch.schedule.len(), items.len());
-        let cluster = res.report.to_cluster_report().expect("devices present");
-        assert_eq!(cluster.n_devices(), 2);
-        assert_eq!(cluster.makespan, res.report.makespan);
-        let mut placed: Vec<usize> = cluster.partition.concat();
-        placed.sort_unstable();
-        assert_eq!(placed, (0..items.len()).collect::<Vec<_>>());
-        for (i, &d) in cluster.device_of.iter().enumerate() {
-            assert!(cluster.partition[d].contains(&i));
         }
     }
 }

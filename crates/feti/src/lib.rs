@@ -12,7 +12,6 @@
 //! pipelines and per-iteration apply costs instrumented for the benches.
 
 pub mod approaches;
-pub mod compat;
 pub mod dualop;
 pub mod pcpg;
 pub mod refine;
@@ -32,6 +31,5 @@ pub use pcpg::{
 pub use refine::{DemotedFactors, RefinementStats};
 pub use regularize::regularize_fixing_node;
 pub use solver::{
-    DualMode, FetiOptions, FetiSolution, FetiSolver, FetiSolverBuilder, FormulationChoice,
-    HybridOptions, HybridReport, Preconditioner,
+    FetiOptions, FetiSolution, FetiSolver, FetiSolverBuilder, FormulationChoice, Preconditioner,
 };

@@ -1,29 +1,25 @@
-//! API-surface snapshot of the unified `Backend` + `AssemblySession` +
-//! `FetiSolverBuilder` redesign:
+//! API-surface snapshot of the `Backend` + `AssemblySession` +
+//! `FetiSolverBuilder` surface:
 //!
-//! 1. **compile-time** — every `schur_dd::prelude` re-export exists and the
-//!    deprecated free-function shims keep their exact signatures (the
-//!    function-pointer bindings below fail to compile on any drift);
-//! 2. **runtime** — the deprecated shims (`assemble_sc_batch*`, `DualMode`
-//!    construction, `FetiSolver::solve_with`) produce **bitwise identical**
-//!    `F̃` / operator applications to the new `AssemblySession` /
-//!    `FetiSolverBuilder` paths, proptested over mixed workloads.
-//!
-//! Together with `crates/feti/src/compat.rs`, this file is the only place
-//! allowed to `allow(deprecated)` (enforced by the CI deprecation-budget
-//! check).
-#![allow(deprecated)]
+//! 1. **compile-time** — every `schur_dd::prelude` re-export exists (the
+//!    bindings below fail to compile on any drift);
+//! 2. **runtime** — every backend assembles `F̃` **bitwise identical** to
+//!    the sequential `assemble_sc` CPU reference and replays a reproducible
+//!    simulated timeline, proptested over mixed workloads; solvers built
+//!    on every explicit backend apply the CPU-assembled operator bitwise,
+//!    and the solver's report roll-ups are consistent with their per-device
+//!    sections.
 
 use proptest::prelude::*;
 use schur_dd::prelude::*;
 use schur_dd::sc_sparse::Coo;
 use std::sync::Arc;
 
-/// The prelude's new-surface items, referenced so a dropped re-export is a
-/// compile error; the deprecated shims are pinned by exact signature.
+/// The prelude's items, referenced so a dropped re-export is a compile
+/// error.
 #[test]
 fn prelude_surface_is_complete() {
-    // new unified surface — type positions
+    // assembly surface — type positions
     fn _session_types(
         _: &AssemblySession,
         _: &AssemblyResult,
@@ -34,6 +30,7 @@ fn prelude_surface_is_complete() {
         _: &HybridSummary,
     ) {
     }
+    fn _report_rows(_: &SubdomainTiming, _: &NodeReport, _: &ScheduledSpan) {}
     fn _solver_types(_: &FetiSolverBuilder, _: &FormulationChoice, _: &dyn BatchSource) {}
     // IntoBatchSource + LazyBatch usable through the prelude
     fn _generic<S: IntoBatchSource>(_: S) {}
@@ -44,16 +41,6 @@ fn prelude_surface_is_complete() {
             |(_, bt)| bt,
         )
     }
-    // deprecated shims keep their signatures for one release
-    let _: fn(&[BatchItem<'_>], &ScConfig) -> BatchResult = assemble_sc_batch;
-    let _: fn(&[BatchItem<'_>], &ScConfig, &Arc<Device>) -> BatchResult = assemble_sc_batch_gpu;
-    let _: fn(&[BatchItem<'_>], &ScConfig, &Arc<Device>, &ScheduleOptions) -> BatchResult =
-        assemble_sc_batch_scheduled;
-    let _: fn(&[BatchItem<'_>], &ScConfig, &DevicePool, &ClusterOptions) -> ClusterResult =
-        assemble_sc_batch_cluster;
-    // legacy report types still reachable (they back the deprecated
-    // accessors and live nested inside AssemblyReport conversions)
-    fn _legacy(_: &BatchReport, _: &ClusterReport, _: &SubdomainTiming, _: &HybridReport) {}
     // options structs carry the unified with_* builder surface
     let _ = ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin);
     let _ = ClusterOptions::default().with_ready_at(Vec::new());
@@ -67,9 +54,6 @@ fn prelude_surface_is_complete() {
         .with_preconditioner(sc_feti_preconditioner())
         .with_tol(1e-8)
         .with_max_iter(10);
-    let _ = HybridOptions::default()
-        .with_plan(HybridPlanOptions::default())
-        .with_cluster(ClusterOptions::default());
     let _ = [
         Backend::cpu(),
         Backend::cpu_with_threads(2),
@@ -143,14 +127,62 @@ fn mixed_workload() -> impl Strategy<Value = Vec<(Csc, Csc)>> {
     })
 }
 
+/// Assemble `items` on every backend over fresh devices, checking each
+/// `F̃ᵢ` against `reference`; returns the devices' final simulated clocks
+/// and the reported makespans.
+fn assemble_on_every_backend(
+    items: &[BatchItem<'_>],
+    cfg: ScConfig,
+    reference: &[Mat],
+    n_streams: usize,
+    n_devices: usize,
+) -> Result<Vec<f64>, TestCaseError> {
+    let dev = Device::new(DeviceSpec::a100(), n_streams);
+    let dev_rr = Device::new(DeviceSpec::a100(), n_streams);
+    let pool = DevicePool::uniform(DeviceSpec::a100(), n_devices, n_streams);
+    let pool_hy = DevicePool::uniform(DeviceSpec::a100(), n_devices, n_streams);
+    let backends = [
+        ("cpu", Backend::cpu()),
+        ("gpu", Backend::gpu(Arc::clone(&dev))),
+        (
+            "gpu round-robin",
+            Backend::gpu_with(
+                Arc::clone(&dev_rr),
+                ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin),
+            ),
+        ),
+        ("cluster", Backend::cluster(Arc::clone(&pool))),
+        ("hybrid", Backend::hybrid(Arc::clone(&pool_hy))),
+    ];
+    let mut clocks = Vec::new();
+    for (name, backend) in backends {
+        let res = AssemblySession::new(backend, cfg).assemble(items);
+        prop_assert_eq!(res.f.len(), reference.len());
+        for (i, want) in reference.iter().enumerate() {
+            prop_assert_eq!(&res.f[i], want, "{} deviates at {}", name, i);
+        }
+        clocks.push(res.report.makespan);
+    }
+    clocks.extend([
+        dev.synchronize(),
+        dev_rr.synchronize(),
+        pool.synchronize_all(),
+        pool_hy.synchronize_all(),
+    ]);
+    Ok(clocks)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Every deprecated free-function driver produces bitwise-identical F̃
-    /// to the AssemblySession path on the corresponding Backend, over mixed
-    /// workloads and both fixed and auto configurations.
+    /// Every backend produces bitwise-identical F̃ to sequential
+    /// `assemble_sc` on the CPU, over mixed workloads and both fixed and
+    /// auto configurations (the workload's subdomains stay below the size
+    /// where `ScConfig::Auto` starts choosing by platform), and two fresh
+    /// sets of devices with identical options replay the same simulated
+    /// timeline.
     #[test]
-    fn deprecated_shims_are_bitwise_the_session_paths(
+    fn every_backend_is_bitwise_the_sequential_reference(
         data in mixed_workload(),
         auto_cfg in prop::bool::ANY,
         n_streams in 1usize..4,
@@ -159,137 +191,64 @@ proptest! {
         let items: Vec<BatchItem<'_>> =
             data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = if auto_cfg { ScConfig::Auto } else { ScConfig::optimized(true, false) };
-
-        // CPU
-        let old = assemble_sc_batch(&items, &cfg);
-        let new = AssemblySession::new(Backend::cpu(), cfg).assemble(&items);
-        for i in 0..items.len() {
-            prop_assert_eq!(&old.f[i], &new.f[i], "cpu shim deviates at {}", i);
-        }
-
-        // GPU: live round-robin shim vs the scheduled session (any policy)
-        let dev_old = Device::new(DeviceSpec::a100(), n_streams);
-        let old = assemble_sc_batch_gpu(&items, &cfg, &dev_old);
-        let dev_new = Device::new(DeviceSpec::a100(), n_streams);
-        let gpu = AssemblySession::new(Backend::gpu(dev_new), cfg).assemble(&items);
-        for i in 0..items.len() {
-            prop_assert_eq!(&old.f[i], &gpu.f[i], "gpu shim deviates at {}", i);
-        }
-
-        // scheduled shim vs the Gpu backend with identical options
-        let opts = ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin);
-        let dev_old = Device::new(DeviceSpec::a100(), n_streams);
-        let old = assemble_sc_batch_scheduled(&items, &cfg, &dev_old, &opts);
-        let dev_new = Device::new(DeviceSpec::a100(), n_streams);
-        let new = AssemblySession::new(
-            Backend::gpu_with(std::sync::Arc::clone(&dev_new), opts),
-            cfg,
-        )
-        .assemble(&items);
-        prop_assert_eq!(dev_old.synchronize(), dev_new.synchronize(),
-            "shim and session must replay the same simulated timeline");
-        for i in 0..items.len() {
-            prop_assert_eq!(&old.f[i], &new.f[i], "scheduled shim deviates at {}", i);
-        }
-
-        // cluster shim vs the Cluster backend
-        let pool_old = DevicePool::uniform(DeviceSpec::a100(), n_devices, n_streams);
-        let old = assemble_sc_batch_cluster(&items, &cfg, &pool_old, &ClusterOptions::default());
-        let pool_new = DevicePool::uniform(DeviceSpec::a100(), n_devices, n_streams);
-        let new = AssemblySession::new(Backend::cluster(pool_new), cfg).assemble(&items);
-        prop_assert_eq!(old.report.makespan, new.report.makespan);
-        for i in 0..items.len() {
-            prop_assert_eq!(&old.f[i], &new.f[i], "cluster shim deviates at {}", i);
-        }
+        let reference: Vec<Mat> = data
+            .iter()
+            .map(|(l, bt)| assemble_sc(&mut CpuExec, l, bt, &cfg))
+            .collect();
+        let first = assemble_on_every_backend(&items, cfg, &reference, n_streams, n_devices)?;
+        let again = assemble_on_every_backend(&items, cfg, &reference, n_streams, n_devices)?;
+        prop_assert_eq!(first, again,
+            "fresh devices with identical options must replay the same simulated timeline");
     }
 }
 
-/// Deprecated `DualMode` construction still compiles (with a warning) and
-/// the resulting solver applies the dual operator bitwise like the
-/// builder-built one; `solve_with` matches `solve()` bitwise.
+/// Every explicit backend, bound through the builder, applies the dual
+/// operator bitwise like the CPU-assembled one (operators land on the
+/// device and stream their schedule used) and solves the problem.
 #[test]
-fn dual_mode_shims_are_bitwise_the_builder_paths() {
+fn explicit_backends_apply_the_cpu_operator_bitwise() {
     let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
-    let dev = Device::new(DeviceSpec::a100(), 2);
-    let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
     let cfg = ScConfig::optimized(true, false);
     let lam: Vec<f64> = (0..p.n_lambda).map(|i| (i as f64 * 0.29).sin()).collect();
-
-    let cases: Vec<(DualMode, Backend, FormulationChoice)> = vec![
-        (
-            DualMode::Implicit,
-            Backend::cpu(),
-            FormulationChoice::Implicit,
-        ),
-        (
-            DualMode::ExplicitCpu(cfg),
-            Backend::cpu(),
-            FormulationChoice::Explicit,
-        ),
-        (
-            DualMode::ExplicitGpu(cfg, Arc::clone(&dev)),
-            Backend::gpu(Device::new(DeviceSpec::a100(), 2)),
-            FormulationChoice::Explicit,
-        ),
-        (
-            DualMode::ExplicitGpuScheduled(cfg, Arc::clone(&dev), ScheduleOptions::default()),
-            Backend::gpu(Device::new(DeviceSpec::a100(), 2)),
-            FormulationChoice::Explicit,
-        ),
-        (
-            DualMode::ExplicitGpuCluster {
-                cfg,
-                pool: Arc::clone(&pool),
-                opts: ClusterOptions::default(),
-            },
-            Backend::cluster(DevicePool::uniform(DeviceSpec::a100(), 2, 2)),
-            FormulationChoice::Explicit,
-        ),
-        (
-            DualMode::Hybrid {
-                cfg,
-                pool: Arc::clone(&pool),
-                opts: HybridOptions::default(),
-            },
-            Backend::cluster(DevicePool::uniform(DeviceSpec::a100(), 2, 2)),
-            FormulationChoice::Auto(HybridPlanOptions::default()),
-        ),
-    ];
-    for (k, (dual, backend, formulation)) in cases.into_iter().enumerate() {
-        let opts = FetiOptions {
-            dual,
-            ..Default::default()
-        };
-        let legacy = FetiSolver::new(&p, &opts);
-        let modern = FetiSolverBuilder::new()
+    let explicit = |backend: Backend| {
+        FetiSolverBuilder::new()
             .backend(backend)
-            .formulation(formulation)
+            .formulation(FormulationChoice::Explicit)
             .assembly(cfg)
-            .build(&p);
+            .build(&p)
+    };
+    let cpu = explicit(Backend::cpu());
+    let want = cpu.apply_f(&lam);
+    let u_cpu = p.gather_global(&cpu.solve().u_locals);
+    let pool = || DevicePool::uniform(DeviceSpec::a100(), 2, 2);
+    for (name, backend) in [
+        ("gpu", Backend::gpu(Device::new(DeviceSpec::a100(), 2))),
+        (
+            "gpu round-robin",
+            Backend::gpu_with(
+                Device::new(DeviceSpec::a100(), 2),
+                ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin),
+            ),
+        ),
+        ("cluster", Backend::cluster(pool())),
+        ("hybrid", Backend::hybrid(pool())),
+    ] {
+        let solver = explicit(backend);
+        assert_eq!(solver.apply_f(&lam), want, "{name}: apply deviates");
+        let sol = solver.solve();
+        assert!(sol.stats.converged, "{name}: {:?}", sol.stats);
         assert_eq!(
-            legacy.apply_f(&lam),
-            modern.apply_f(&lam),
-            "case {k}: legacy DualMode apply deviates from the builder path"
-        );
-        // solve_with (deprecated) == solve() bitwise on the same handle
-        let a = legacy.solve_with(&opts);
-        let b = legacy.solve();
-        assert_eq!(a.lambda, b.lambda, "case {k}: solve_with deviates");
-        assert_eq!(a.u_locals, b.u_locals, "case {k}");
-        // and both entry points solve the problem
-        assert!(b.stats.converged, "case {k}: {:?}", b.stats);
-        let c = modern.solve();
-        assert_eq!(
-            p.gather_global(&b.u_locals),
-            p.gather_global(&c.u_locals),
-            "case {k}: legacy and modern solutions deviate"
+            p.gather_global(&sol.u_locals),
+            u_cpu,
+            "{name}: solution deviates"
         );
     }
 }
 
-/// The deprecated report accessors stay consistent with the unified report.
+/// The solver's report roll-ups stay consistent with its per-subdomain and
+/// per-device sections.
 #[test]
-fn legacy_report_accessors_match_the_unified_report() {
+fn solver_report_roll_ups_match_their_sections() {
     let p = HeatProblem::build_3d(2, (2, 2, 1), Gluing::Redundant);
     let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
     let solver = FetiSolverBuilder::new()
@@ -297,11 +256,16 @@ fn legacy_report_accessors_match_the_unified_report() {
         .formulation(FormulationChoice::Explicit)
         .assembly(ScConfig::optimized(true, true))
         .build(&p);
-    let unified = solver.report().expect("explicit mode reports");
-    let batch = solver.assembly_report().expect("legacy accessor populated");
-    assert_eq!(batch.timings.len(), unified.subdomains.len());
-    assert_eq!(batch.device_seconds, unified.makespan);
-    let cluster = solver.cluster_report().expect("legacy cluster populated");
-    assert_eq!(cluster.n_devices(), unified.devices.len());
-    assert_eq!(cluster.makespan, unified.makespan);
+    let report = solver.report().expect("explicit mode reports");
+    assert_eq!(report.subdomains.len(), p.subdomains.len());
+    assert_eq!(report.devices.len(), 2);
+    assert!(report.makespan > 0.0);
+    assert_eq!(
+        report.makespan,
+        report
+            .devices
+            .iter()
+            .map(|d| d.makespan)
+            .fold(0.0, f64::max)
+    );
 }
