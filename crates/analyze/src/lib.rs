@@ -17,9 +17,9 @@
 //!    oversubscription.
 //!
 //! The `sc_analyze` binary runs the lint engine over the repository tree
-//! and exits non-zero on any diagnostic; the `trace_audit` bench binary
-//! runs the sanitizer over the recorded schedules of the benchmark
-//! workloads.
+//! and exits non-zero on any diagnostic; the workspace's
+//! `tests/trace_audit.rs` runs the sanitizer over the recorded schedules of
+//! eight real workloads.
 
 pub mod lexer;
 pub mod rules;

@@ -75,9 +75,10 @@ pub fn write_csv(name: &str, headers: &[String], rows: &[Vec<String>]) -> std::i
     Ok(())
 }
 
-/// Format seconds as milliseconds with 3 significant decimals.
+/// Format seconds as milliseconds with four decimals (the figures' time
+/// cells).
 pub fn ms(seconds: f64) -> String {
-    format!("{:.3}", seconds * 1e3)
+    format!("{:.4}", seconds * 1e3)
 }
 
 #[cfg(test)]

@@ -110,14 +110,6 @@ pub fn time_syrk_gpu(inputs: &KernelInputs, variant: SyrkVariant, device: &Arc<D
     device.synchronize()
 }
 
-/// Measure a full SC assembly on the CPU.
-pub fn time_assembly_cpu(w: &KernelWorkload, cfg: &ScConfig, reps: usize) -> f64 {
-    time_min(reps, || {
-        let f = assemble_sc(&mut CpuExec, &w.l, &w.bt_perm, cfg);
-        std::hint::black_box(&f);
-    })
-}
-
 /// Measure a full SC assembly on the simulated GPU, including the H2D factor
 /// upload (the "GPU section" of the paper's Figure 8 `sep` configuration).
 pub fn time_assembly_gpu(w: &KernelWorkload, cfg: &ScConfig, device: &Arc<Device>) -> f64 {

@@ -1,68 +1,13 @@
 //! Workload generation: the heat-transfer subdomain ladders of the paper's
 //! §4 and single-subdomain kernel-bench extractions.
 
+use sc_core::ScConfig;
 use sc_factor::{Engine, SparseCholesky};
 use sc_fem::{Gluing, HeatProblem};
+use sc_gpu::{DevicePool, DeviceSpec};
 use sc_order::Ordering;
 use sc_sparse::Csc;
-
-/// Command-line knobs shared by all experiment drivers.
-#[derive(Clone, Debug)]
-pub struct BenchArgs {
-    /// Largest subdomain size (dofs) for CPU-executed series.
-    pub max_dofs_cpu: usize,
-    /// Largest subdomain size (dofs) for simulated-GPU series (cost-only
-    /// sweeps tolerate bigger sizes).
-    pub max_dofs_gpu: usize,
-    /// Repetitions per measured point.
-    pub reps: usize,
-    /// Where to write the machine-readable bench record (`--json <path>`);
-    /// `None` skips the JSON emission.
-    pub json: Option<std::path::PathBuf>,
-}
-
-impl BenchArgs {
-    /// Parse from `std::env::args`: `--full`, `--max-dofs N`, `--reps N`,
-    /// `--json PATH`.
-    pub fn parse() -> Self {
-        let mut args = BenchArgs {
-            max_dofs_cpu: 3_000,
-            max_dofs_gpu: 10_000,
-            reps: 1,
-            json: None,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--full" => {
-                    args.max_dofs_cpu = 10_000;
-                    args.max_dofs_gpu = 36_000;
-                }
-                "--max-dofs" => {
-                    let v: usize = it
-                        .next()
-                        .expect("--max-dofs needs a value")
-                        .parse()
-                        .expect("--max-dofs value");
-                    args.max_dofs_cpu = v;
-                    args.max_dofs_gpu = v;
-                }
-                "--reps" => {
-                    args.reps = it
-                        .next()
-                        .expect("--reps needs a value")
-                        .parse()
-                        .expect("--reps value");
-                }
-                "--json" => {
-                    args.json = Some(it.next().expect("--json needs a path").into());
-                }
-                other => eprintln!("ignoring unknown argument {other}"),
-            }
-        }
-        args
-    }
-}
+use std::sync::Arc;
 
 /// 2D ladder: cells-per-subdomain values whose dof counts `(c+1)²` roughly
 /// double, capped at `max_dofs`.
@@ -98,8 +43,6 @@ pub fn ladder_3d(max_dofs: usize) -> Vec<usize> {
 pub struct KernelWorkload {
     /// Factor of the regularized subdomain matrix.
     pub l: Csc,
-    /// Elimination tree of the factor.
-    pub parent: Vec<usize>,
     /// `B̃ᵀ` with rows in factor space.
     pub bt_perm: Csc,
     /// Subdomain dof count.
@@ -132,7 +75,6 @@ impl KernelWorkload {
             .expect("kernel workload factorization");
         let bt_perm = sd.bt.permute_rows(chol.perm());
         KernelWorkload {
-            parent: chol.symbolic().parent.clone(),
             l: chol.factor_csc(),
             n: sd.n_dofs(),
             m: sd.n_lambda(),
@@ -227,7 +169,7 @@ impl BatchWorkload {
     /// cost spread is wide (≈ 15× between the 289-dof and 100-dof
     /// subdomains) but no single subdomain dominates the batch, so a
     /// well-partitioned 4-device pool can approach 4× the single-device
-    /// throughput — the acceptance workload of the `cluster` bin.
+    /// throughput — the acceptance workload of `tests/cluster.rs`.
     pub fn build_cluster32() -> Self {
         let w = Self::build_skewed(2, &[16, 12, 14, 10, 15, 11, 13, 9]);
         debug_assert_eq!(w.n_subdomains(), 32);
@@ -248,6 +190,43 @@ impl BatchWorkload {
         let w = Self::build_skewed(2, &[103, 51, 51, 51]);
         debug_assert_eq!(w.n_subdomains(), 16);
         w
+    }
+
+    /// The arena-constrained pool the mixed-fit experiments run on: two
+    /// simulated A100s with four streams each, whose temporary arena (half
+    /// of device memory) sits midway between the batch's temporary-footprint
+    /// quartiles under `cfg` — so the top quarter of the batch cannot be
+    /// admitted explicitly. Returns the pool and the arena capacity in
+    /// bytes.
+    pub fn mixed_fit_pool(&self, cfg: &ScConfig) -> (Arc<DevicePool>, usize) {
+        let ref_spec = DeviceSpec::a100();
+        let mut temps: Vec<usize> = self
+            .factors
+            .iter()
+            .enumerate()
+            .map(|(i, (l, bt))| {
+                let params = cfg.resolve(true, l, bt);
+                sc_core::estimate_cost(&ref_spec, l, bt, &params, i).temp_bytes
+            })
+            .collect();
+        temps.sort_unstable();
+        let q = temps.len() - temps.len() / 4; // first index of the top quarter
+        let arena = (temps[q - 1] + temps[q]) / 2;
+        assert!(
+            temps[q - 1] < arena && arena < temps[q],
+            "the batch must straddle the arena: {temps:?}"
+        );
+        let spec = DeviceSpec {
+            memory_bytes: 2 * arena,
+            ..ref_spec
+        };
+        let pool = DevicePool::uniform(spec, 2, 4);
+        assert_eq!(
+            pool.max_arena_capacity(),
+            arena,
+            "pool arena sizing must match the planner's spill threshold"
+        );
+        (pool, arena)
     }
 
     /// Ratio of the largest to the smallest subdomain dof count.

@@ -875,7 +875,7 @@ pub struct HybridPlanOptions {
     /// Expected PCPG iteration count: how many times each subdomain's
     /// operator will be applied. `0.0` makes assembly pure overhead
     /// (collapses to all-implicit); `f64::INFINITY` makes apply cost the
-    /// only criterion (collapses to all-explicit).
+    /// only consideration (collapses to all-explicit).
     pub iters: f64,
     /// Spec pricing host-side work (explicit-CPU assembly/apply, implicit
     /// applies). Defaults to [`DeviceSpec::host`].

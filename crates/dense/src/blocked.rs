@@ -287,8 +287,8 @@ fn store_tile<S: Scalar>(
 ///
 /// Same contract as [`crate::gemm()`] (which routes here above
 /// [`GEMM_BLOCK_MIN_VOLUME`]); callers can invoke it directly to force the
-/// blocked path, e.g. for the perf-gate comparison in the `kernels` bench
-/// bin. `beta == 0` overwrites `C` outright, so NaN/inf in uninitialized
+/// blocked path, e.g. to pin it against `gemm_scalar` below the routing
+/// threshold. `beta == 0` overwrites `C` outright, so NaN/inf in uninitialized
 /// output storage never survives.
 pub fn gemm_blocked<S: Scalar>(
     alpha: S,

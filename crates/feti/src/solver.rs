@@ -168,14 +168,6 @@ impl OpSlot {
     }
 }
 
-/// The resolved execution plan of one solver build: assembly configuration,
-/// execution target, formulation. Built by [`FetiSolverBuilder`].
-pub(crate) struct ExecPlan {
-    pub(crate) cfg: ScConfig,
-    pub(crate) backend: Backend,
-    pub(crate) formulation: FormulationChoice,
-}
-
 /// Composable construction of a preprocessed [`FetiSolver`]:
 /// [`FetiOptions`] are taken **exactly once**, the execution target is a
 /// [`Backend`] value, and the formulation a [`FormulationChoice`].
@@ -268,18 +260,161 @@ impl FetiSolverBuilder {
         self
     }
 
-    /// Run preprocessing and return the reusable solver handle.
+    /// Run the initialization + preprocessing stages (paper §2.2) and return
+    /// the reusable solver handle. Options are captured here, once —
+    /// [`FetiSolver::solve`] takes no arguments.
     pub fn build<'p>(self, problem: &'p HeatProblem) -> FetiSolver<'p> {
-        let mut backend = self.backend.unwrap_or_else(Backend::cpu);
-        if let Some(p) = self.precision {
+        let FetiSolverBuilder {
+            opts,
+            cfg,
+            backend,
+            formulation,
+            precision,
+            factors: prepared,
+        } = self;
+        let mut backend = backend.unwrap_or_else(Backend::cpu);
+        if let Some(p) = precision {
             backend.precision = p;
         }
-        let plan = ExecPlan {
-            cfg: self.cfg,
-            backend,
-            formulation: self.formulation,
+        let precision = backend.precision;
+        // per-subdomain factorizations in parallel (the paper's loop over the
+        // cluster's subdomains, one thread per subdomain) — unless a
+        // session cache already holds the bundle for this exact problem
+        let factors: Arc<Vec<SubdomainFactors>> = prepared.unwrap_or_else(|| {
+            Arc::new(
+                problem
+                    .subdomains
+                    .par_iter()
+                    .map(|sd| SubdomainFactors::build(sd, opts.engine, opts.ordering))
+                    .collect(),
+            )
+        });
+        assert_eq!(
+            factors.len(),
+            problem.subdomains.len(),
+            "prepared factor bundle must cover every subdomain of the problem"
+        );
+
+        // dual operators: the explicit formulations pre-assemble the dense
+        // F̃ᵢ through one AssemblySession on the builder's backend; the
+        // implicit formulation reuses `factors` directly at application time
+        let mut report: Option<AssemblyReport> = None;
+        let explicit_ops: Option<Vec<OpSlot>> = match &formulation {
+            FormulationChoice::Implicit => None,
+            FormulationChoice::Explicit => {
+                let session = AssemblySession::new(backend.clone(), cfg);
+                let res = session.assemble(LazyBatch::new(
+                    &factors,
+                    // each task extracts its own factor copy, so peak memory
+                    // is one factor per worker, not one per subdomain
+                    |_, f: &SubdomainFactors| Cow::Owned(f.chol.factor_csc()),
+                    |f| &f.bt_perm,
+                ));
+                let ops = bind_ops(res.f, &res.report, &backend);
+                report = Some(res.report);
+                Some(ops)
+            }
+            FormulationChoice::Auto(plan_opts) => {
+                let (ops, unified) = assemble_auto(&factors, &cfg, &backend, plan_opts);
+                report = Some(unified);
+                Some(ops)
+            }
         };
-        FetiSolver::build_with_plan_prepared(problem, self.opts, plan, self.factors)
+
+        // kernel numbering and G = B R (kernel = constant vector: G entries
+        // are just the B̃ signs, since each B̃ᵀ column has a single ±1)
+        let mut kernel_col = vec![None; problem.subdomains.len()];
+        let mut n_kernels = 0;
+        for (i, sd) in problem.subdomains.iter().enumerate() {
+            if sd.kernel.is_some() {
+                kernel_col[i] = Some(n_kernels);
+                n_kernels += 1;
+            }
+        }
+        let mut g_coo = Coo::new(problem.n_lambda, n_kernels.max(1));
+        for (i, sd) in problem.subdomains.iter().enumerate() {
+            let Some(_kc) = kernel_col[i] else { continue };
+            let ker = sd.kernel.as_ref().expect("kernel column implies kernel");
+            // G[:, kc] = B_i r_i
+            let mut gr = vec![0.0; sd.n_lambda()];
+            sd.bt.spmv_t(1.0, ker, 0.0, &mut gr);
+            for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
+                // sc-analyze: allow(float-eq)
+                if gr[ll] != 0.0 {
+                    g_coo.push(
+                        gl,
+                        kernel_col[i].expect("kernel column assigned for every singular subdomain"),
+                        gr[ll],
+                    );
+                }
+            }
+        }
+        let g = g_coo.to_csc();
+
+        // coarse factor (GᵀG); for zero kernels keep a 1x1 identity
+        let gtg = if n_kernels == 0 {
+            Mat::identity(1)
+        } else {
+            let gd = g.to_dense();
+            let mut gtg = Mat::zeros(n_kernels, n_kernels);
+            sc_dense::syrk_t(1.0, gd.as_ref(), 0.0, gtg.as_mut());
+            gtg.symmetrize_from_lower();
+            let mut l = gtg;
+            sc_dense::cholesky_in_place(l.as_mut())
+                .expect("GᵀG must be SPD (decomposition has a fixed subdomain)");
+            l
+        };
+
+        // demote the operators once for the mixed-precision inner solves:
+        // explicit slots reuse the (f32-assembled, exactly promoted) dense
+        // F̃ᵢ, everything else demotes its factor bundle
+        let f32_ops: Option<Vec<F32Op>> = precision.is_f32().then(|| {
+            (0..factors.len())
+                .into_par_iter()
+                .map(|i| {
+                    let explicit = explicit_ops.as_ref().and_then(|ops| match &ops[i] {
+                        OpSlot::Own(op) => op.explicit_matrix(),
+                        OpSlot::SharedImplicit { .. } => None,
+                    });
+                    match explicit {
+                        Some(f) => F32Op::Explicit(f.cast::<f32>()),
+                        None => F32Op::implicit(&factors[i]),
+                    }
+                })
+                .collect()
+        });
+
+        // the multi-node backend overlaps PCPG boundary exchanges with the
+        // local applies; every other target leaves the solve untouched
+        let exchange_sim = match &backend.target {
+            Target::MultiNode { pool, .. } if pool.n_nodes() > 1 => report
+                .as_ref()
+                .filter(|rep| !rep.nodes.is_empty())
+                .map(|rep| ExchangeSim::build(pool, rep, problem)),
+            _ => None,
+        };
+
+        let mut solver = FetiSolver {
+            problem,
+            opts,
+            factors,
+            explicit_ops,
+            precision,
+            f32_ops,
+            g,
+            gtg,
+            kernel_col,
+            d: Vec::new(),
+            e: Vec::new(),
+            report,
+            exchange_sim,
+        };
+        // dual + coarse right-hand sides of the problem's own loads (any
+        // other loads go through solve_rhs, which recomputes both)
+        let (d, e) = solver.rhs_setup(None);
+        solver.d = d;
+        solver.e = e;
+        solver
     }
 }
 
@@ -409,155 +544,6 @@ pub struct FetiSolver<'p> {
 }
 
 impl<'p> FetiSolver<'p> {
-    /// Run the initialization + preprocessing stages (paper §2.2). Options
-    /// are captured here, once — [`FetiSolver::solve`] takes no arguments.
-    pub(crate) fn build_with_plan_prepared(
-        problem: &'p HeatProblem,
-        opts: FetiOptions,
-        plan: ExecPlan,
-        prepared: Option<Arc<Vec<SubdomainFactors>>>,
-    ) -> Self {
-        let precision = plan.backend.precision;
-        // per-subdomain factorizations in parallel (the paper's loop over the
-        // cluster's subdomains, one thread per subdomain) — unless a
-        // session cache already holds the bundle for this exact problem
-        let factors: Arc<Vec<SubdomainFactors>> = prepared.unwrap_or_else(|| {
-            Arc::new(
-                problem
-                    .subdomains
-                    .par_iter()
-                    .map(|sd| SubdomainFactors::build(sd, opts.engine, opts.ordering))
-                    .collect(),
-            )
-        });
-        assert_eq!(
-            factors.len(),
-            problem.subdomains.len(),
-            "prepared factor bundle must cover every subdomain of the problem"
-        );
-
-        // dual operators: the explicit formulations pre-assemble the dense
-        // F̃ᵢ through one AssemblySession on the plan's backend; the
-        // implicit formulation reuses `factors` directly at application time
-        let mut report: Option<AssemblyReport> = None;
-        let explicit_ops: Option<Vec<OpSlot>> = match &plan.formulation {
-            FormulationChoice::Implicit => None,
-            FormulationChoice::Explicit => {
-                let session = AssemblySession::new(plan.backend.clone(), plan.cfg);
-                let res = session.assemble(LazyBatch::new(
-                    &factors,
-                    // each task extracts its own factor copy, so peak memory
-                    // is one factor per worker, not one per subdomain
-                    |_, f: &SubdomainFactors| Cow::Owned(f.chol.factor_csc()),
-                    |f| &f.bt_perm,
-                ));
-                let ops = bind_ops(res.f, &res.report, &plan.backend);
-                report = Some(res.report);
-                Some(ops)
-            }
-            FormulationChoice::Auto(plan_opts) => {
-                let (ops, unified) = assemble_auto(&factors, &plan.cfg, &plan.backend, plan_opts);
-                report = Some(unified);
-                Some(ops)
-            }
-        };
-
-        // kernel numbering and G = B R (kernel = constant vector: G entries
-        // are just the B̃ signs, since each B̃ᵀ column has a single ±1)
-        let mut kernel_col = vec![None; problem.subdomains.len()];
-        let mut n_kernels = 0;
-        for (i, sd) in problem.subdomains.iter().enumerate() {
-            if sd.kernel.is_some() {
-                kernel_col[i] = Some(n_kernels);
-                n_kernels += 1;
-            }
-        }
-        let mut g_coo = Coo::new(problem.n_lambda, n_kernels.max(1));
-        for (i, sd) in problem.subdomains.iter().enumerate() {
-            let Some(_kc) = kernel_col[i] else { continue };
-            let ker = sd.kernel.as_ref().expect("kernel column implies kernel");
-            // G[:, kc] = B_i r_i
-            let mut gr = vec![0.0; sd.n_lambda()];
-            sd.bt.spmv_t(1.0, ker, 0.0, &mut gr);
-            for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
-                // sc-analyze: allow(float-eq)
-                if gr[ll] != 0.0 {
-                    g_coo.push(
-                        gl,
-                        kernel_col[i].expect("kernel column assigned for every singular subdomain"),
-                        gr[ll],
-                    );
-                }
-            }
-        }
-        let g = g_coo.to_csc();
-
-        // coarse factor (GᵀG); for zero kernels keep a 1x1 identity
-        let gtg = if n_kernels == 0 {
-            Mat::identity(1)
-        } else {
-            let gd = g.to_dense();
-            let mut gtg = Mat::zeros(n_kernels, n_kernels);
-            sc_dense::syrk_t(1.0, gd.as_ref(), 0.0, gtg.as_mut());
-            gtg.symmetrize_from_lower();
-            let mut l = gtg;
-            sc_dense::cholesky_in_place(l.as_mut())
-                .expect("GᵀG must be SPD (decomposition has a fixed subdomain)");
-            l
-        };
-
-        // demote the operators once for the mixed-precision inner solves:
-        // explicit slots reuse the (f32-assembled, exactly promoted) dense
-        // F̃ᵢ, everything else demotes its factor bundle
-        let f32_ops: Option<Vec<F32Op>> = precision.is_f32().then(|| {
-            (0..factors.len())
-                .into_par_iter()
-                .map(|i| {
-                    let explicit = explicit_ops.as_ref().and_then(|ops| match &ops[i] {
-                        OpSlot::Own(op) => op.explicit_matrix(),
-                        OpSlot::SharedImplicit { .. } => None,
-                    });
-                    match explicit {
-                        Some(f) => F32Op::Explicit(f.cast::<f32>()),
-                        None => F32Op::implicit(&factors[i]),
-                    }
-                })
-                .collect()
-        });
-
-        // the multi-node backend overlaps PCPG boundary exchanges with the
-        // local applies; every other target leaves the solve untouched
-        let exchange_sim = match &plan.backend.target {
-            Target::MultiNode { pool, .. } if pool.n_nodes() > 1 => report
-                .as_ref()
-                .filter(|rep| !rep.nodes.is_empty())
-                .map(|rep| ExchangeSim::build(pool, rep, problem)),
-            _ => None,
-        };
-
-        let mut solver = FetiSolver {
-            problem,
-            opts,
-            factors,
-            explicit_ops,
-            precision,
-            f32_ops,
-            g,
-            gtg,
-            kernel_col,
-            d: Vec::new(),
-            e: Vec::new(),
-            report,
-            exchange_sim,
-        };
-        // dual + coarse right-hand sides of the problem's own loads (any
-        // other loads go through solve_rhs, which recomputes both)
-        let (d, e) = solver.rhs_setup(None);
-        solver.d = d;
-        solver.e = e;
-        solver
-    }
-
     /// The unified preprocessing report: per-subdomain timings, per-device
     /// execution timelines, and (for the auto formulation) the hybrid
     /// decisions — one schema for every backend. `None` when the dual

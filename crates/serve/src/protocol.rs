@@ -3,10 +3,7 @@
 //! single-line writer.
 //!
 //! One request per line, one (or more, for `run`) response lines back. The
-//! writer follows the `sc_bench::json` style — compact, deterministic field
-//! order — but is independent of it: the serve crate sits *below* the bench
-//! crate (the `serve` perf-gate bin lives in `sc_bench`), so depending on it
-//! would be circular.
+//! writer is compact with a deterministic field order.
 //!
 //! Strictness is the point: the parser rejects trailing garbage, duplicate
 //! keys, unknown fields, lone surrogates and over-deep nesting with a

@@ -6,8 +6,8 @@
 //! *cross-session*: connections come and go (sequentially), the service
 //! state persists. The in-process [`ServeHandle`] drives the same
 //! `Service` without any I/O, which is how the bitwise cache-correctness
-//! tests and the bench perf gate observe real solutions instead of parsing
-//! their own protocol output.
+//! tests and the benchmark observe real solutions instead of parsing their
+//! own protocol output.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};

@@ -1,6 +1,6 @@
 //! Cache-correctness pins for the cross-session prepared-state cache.
 //!
-//! Two contracts:
+//! Three contracts:
 //!
 //! 1. **Warm ≡ cold, bitwise** — a solve served from a cached prepared
 //!    bundle returns exactly the λ and per-subdomain u a cold run
@@ -12,9 +12,16 @@
 //!    bitwise-reference answer (an evicted entry costs re-preparation,
 //!    never correctness), and in-flight jobs survive eviction of their
 //!    own entry mid-queue.
+//! 3. **A resubmitted workload runs entirely from cache, and fairly** —
+//!    the 4-tenant mixed workload, drained cold then resubmitted, hits on
+//!    every warm job; cut short by a device-second budget, the warm drain
+//!    splits device-seconds across equal-weight tenants within 1.5×.
 
 use proptest::prelude::*;
-use sc_serve::{JobOutcome, ServeHandle, ServeOptions};
+use sc_serve::{
+    encode_request, BackendTag, GluingTag, JobKind, JobOutcome, JobRequest, MeshSpec, PrecisionTag,
+    Request, ServeHandle, ServeOptions, TenantStats,
+};
 
 fn submit(
     dim: usize,
@@ -162,6 +169,155 @@ fn queued_job_survives_eviction_of_its_entry_between_submit_and_run() {
     let b = tight.take_outcome("t", "b").expect("b ran");
     assert!(b.iterations.expect("b solved") > 0);
     assert_bitwise(&a1, &a2, "same spec across eviction");
+}
+
+/// One tenant of the mixed workload: a uniform job spec, repeated.
+struct TenantLoad {
+    name: &'static str,
+    kind: JobKind,
+    dim: u8,
+    cells: usize,
+    subs: (usize, usize, usize),
+    jobs: usize,
+}
+
+/// The 4-tenant mix — small-2D-heavy, coarse-3D, assembly-only, mid-size
+/// 2D: four distinct content keys, four distinct job granularities, equal
+/// scheduler weights.
+const TENANTS: &[TenantLoad] = &[
+    TenantLoad {
+        name: "alpha",
+        kind: JobKind::Solve,
+        dim: 2,
+        cells: 8,
+        subs: (2, 2, 1),
+        jobs: 24,
+    },
+    TenantLoad {
+        name: "bravo",
+        kind: JobKind::Solve,
+        dim: 3,
+        cells: 6,
+        subs: (2, 2, 2),
+        jobs: 10,
+    },
+    TenantLoad {
+        name: "charlie",
+        kind: JobKind::Assemble,
+        dim: 2,
+        cells: 16,
+        subs: (2, 2, 1),
+        jobs: 24,
+    },
+    TenantLoad {
+        name: "delta",
+        kind: JobKind::Solve,
+        dim: 2,
+        cells: 12,
+        subs: (3, 3, 1),
+        jobs: 10,
+    },
+];
+
+/// Submit one phase's full mixed workload through the wire protocol,
+/// asserting every job is admitted.
+fn submit_mix(svc: &mut ServeHandle, phase: &str) {
+    for t in TENANTS {
+        for i in 0..t.jobs {
+            let line = encode_request(&Request::Submit(JobRequest {
+                kind: t.kind,
+                tenant: t.name.to_string(),
+                job: format!("{phase}-{i}"),
+                spec: MeshSpec {
+                    dim: t.dim,
+                    cells: t.cells,
+                    subs: t.subs,
+                    gluing: GluingTag::Redundant,
+                },
+                precision: PrecisionTag::F64,
+                backend: BackendTag::Cluster,
+                scale: 1.0,
+                weight: None, // equal weights: the fairness bound's precondition
+                timeout_s: None,
+            }));
+            let reply = svc.request(&line);
+            assert!(
+                reply[0].contains("\"event\":\"accepted\""),
+                "submission must be admitted: {}",
+                reply[0]
+            );
+        }
+    }
+}
+
+/// Per-tenant roll-up snapshot, in `TENANTS` order.
+fn snapshot(svc: &ServeHandle) -> Vec<TenantStats> {
+    let stats = svc.tenant_stats();
+    TENANTS
+        .iter()
+        .map(|t| {
+            let (_, s) = stats
+                .iter()
+                .find(|(name, _)| name == t.name)
+                .expect("every tenant has run jobs");
+            s.clone()
+        })
+        .collect()
+}
+
+#[test]
+fn resubmitted_mix_runs_from_cache_and_shares_a_contended_drain_fairly() {
+    let run = |svc: &mut ServeHandle, budget_s: Option<f64>| {
+        svc.request(&encode_request(&Request::Run { budget_s }));
+    };
+    let n_jobs: usize = TENANTS.iter().map(|t| t.jobs).sum();
+    let mut svc = ServeHandle::new(ServeOptions::default());
+
+    // cold drain: empty cache, no budget
+    submit_mix(&mut svc, "cold");
+    run(&mut svc, None);
+    let cold = snapshot(&svc);
+    let cold_cache = svc.cache_stats();
+    assert_eq!(
+        cold.iter().map(|t| t.jobs_done).sum::<usize>(),
+        n_jobs,
+        "cold phase must drain the whole workload"
+    );
+
+    // warm, contended: half the cold drain's device-seconds, low enough that
+    // every tenant is still backlogged at the cutoff — the shares measure
+    // the scheduler, not queue exhaustion
+    let budget = 0.5 * cold.iter().map(|t| t.device_s).sum::<f64>();
+    submit_mix(&mut svc, "warm");
+    run(&mut svc, Some(budget));
+    let shares: Vec<f64> = snapshot(&svc)
+        .iter()
+        .zip(&cold)
+        .map(|(now, before)| now.device_s - before.device_s)
+        .collect();
+    let share_max = shares.iter().copied().fold(f64::MIN, f64::max);
+    let share_min = shares.iter().copied().fold(f64::MAX, f64::min);
+    assert!(
+        share_max <= 1.5 * share_min,
+        "contended per-tenant device-seconds {shares:?} spread beyond 1.5x at equal weights"
+    );
+
+    // drain the warm remainder
+    run(&mut svc, None);
+    assert_eq!(
+        snapshot(&svc).iter().map(|t| t.jobs_done).sum::<usize>(),
+        2 * n_jobs,
+        "warm phase must drain the whole workload"
+    );
+    let warm_cache = svc.cache_stats();
+    assert_eq!(
+        (
+            warm_cache.hits - cold_cache.hits,
+            warm_cache.misses - cold_cache.misses
+        ),
+        (n_jobs, 0),
+        "the warm phase must run entirely from cache (hits, misses)"
+    );
 }
 
 proptest! {

@@ -20,8 +20,8 @@
 //! | [`sc_feti`]   | Total-FETI solver (PCPG, dual operator strategies) |
 //! | [`sc_serve`]  | persistent multi-tenant solver service (JSON-lines intake, cross-session caching, fair scheduling) |
 //!
-//! `sc_bench` (not re-exported) holds the experiment drivers that regenerate
-//! the paper's tables and figures. The repository's `ARCHITECTURE.md` maps
+//! `sc_bench` (not re-exported) holds the `paper` bin, whose sweeps
+//! regenerate the paper's tables and figures. The repository's `ARCHITECTURE.md` maps
 //! the data flow between these crates, the planner's topology hierarchy,
 //! and the record-then-replay execution model.
 //!

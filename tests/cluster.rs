@@ -67,6 +67,42 @@ fn tight_spec() -> DeviceSpec {
     }
 }
 
+/// The acceptance workload of the cluster planner: the skewed 32-subdomain
+/// batch on pools of 1, 2 and 4 A100s (4 streams each) plus a heterogeneous
+/// A100+H100 pool. Four devices must cut the simulated makespan at least
+/// 2.5× against one, and sharding may not change a bit of any `F̃ᵢ`.
+#[test]
+fn four_devices_beat_one_by_2_5x_on_the_cluster32_workload() {
+    let w = sc_bench::BatchWorkload::build_cluster32();
+    let items = w.items();
+    let cfg = ScConfig::optimized(true, false);
+    let [one, two, four, mixed] = [
+        DevicePool::uniform(DeviceSpec::a100(), 1, 4),
+        DevicePool::uniform(DeviceSpec::a100(), 2, 4),
+        DevicePool::uniform(DeviceSpec::a100(), 4, 4),
+        DevicePool::heterogeneous(&[DeviceSpec::a100(), DeviceSpec::h100()], 4),
+    ]
+    .map(|pool| AssemblySession::new(Backend::cluster(pool), cfg).assemble(&items));
+
+    let speedup = one.report.makespan / four.report.makespan;
+    assert!(
+        speedup >= 2.5,
+        "4-device cluster speedup {speedup:.2}x is below the 2.5x gate"
+    );
+    for (name, sharded) in [
+        ("2x A100", &two),
+        ("4x A100", &four),
+        ("A100 + H100", &mixed),
+    ] {
+        for i in 0..items.len() {
+            assert_eq!(
+                one.f[i], sharded.f[i],
+                "sharding over {name} changed numerics at subdomain {i}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

@@ -296,6 +296,168 @@ fn hybrid_solver_end_to_end_invariants() {
     }
 }
 
+/// The mixed-fit batch (twelve medium subdomains, four large ones whose
+/// temporaries exceed the arena) is expensive to factorize; the two planner
+/// verdicts below share one copy.
+fn mixed_fit() -> &'static sc_bench::BatchWorkload {
+    static W: std::sync::OnceLock<sc_bench::BatchWorkload> = std::sync::OnceLock::new();
+    W.get_or_init(sc_bench::BatchWorkload::build_mixed_fit)
+}
+
+/// Price every mixed-fit subdomain at element width `S` under the
+/// reference A100 spec: the §4.4 assembly estimate and the per-application
+/// estimate the hybrid planner consumes.
+fn mixed_fit_estimates<S: sc_dense::Scalar>(
+    cfg: &ScConfig,
+) -> (Vec<CostEstimate>, Vec<ApplyEstimate>) {
+    use schur_dd::sc_core::{estimate_apply_of, estimate_cost_of};
+    mixed_fit()
+        .factors
+        .iter()
+        .enumerate()
+        .map(|(i, (l, bt))| {
+            let params = cfg.resolve(true, l, bt);
+            let (l, bt) = (l.cast::<S>(), bt.cast::<S>());
+            (
+                estimate_cost_of::<S>(&DeviceSpec::a100(), &l, &bt, &params, i),
+                estimate_apply_of::<S>(&l, &bt, i),
+            )
+        })
+        .unzip()
+}
+
+/// Expected PCPG iterations the mixed-fit verdicts plan for.
+const MIXED_FIT_ITERS: f64 = 40.0;
+
+/// Plan the mixed-fit batch at [`MIXED_FIT_ITERS`] from the given
+/// per-subdomain estimates, on the arena-constrained pool's device slots.
+fn plan_mixed_fit(
+    costs: &[CostEstimate],
+    applies: &[ApplyEstimate],
+    pool: &DevicePool,
+    force: HybridForce,
+) -> HybridPlan {
+    let slots: Vec<DeviceSlot> = pool.devices().iter().map(|d| DeviceSlot::of(d)).collect();
+    plan_hybrid(
+        costs,
+        applies,
+        &slots,
+        &HybridPlanOptions::default()
+            .with_iters(MIXED_FIT_ITERS)
+            .with_force(force),
+    )
+}
+
+/// The acceptance workload of the hybrid planner: at the same expected
+/// iteration count, the per-subdomain decision must beat — by ≥ 1.3× in
+/// predicted simulated cost-to-solution (Σ assembly + iters × apply) — both
+/// the forced-explicit collapse, whose over-arena quarter must fail over to
+/// explicit-CPU assembly, and the all-implicit one. The explicit-GPU share
+/// is then really assembled through the cluster backend: bitwise the
+/// sequential CPU reference, arena never oversubscribed.
+#[test]
+fn auto_beats_all_explicit_and_all_implicit_by_1_3x_on_the_mixed_fit_workload() {
+    let w = mixed_fit();
+    let items = w.items();
+    let cfg = ScConfig::optimized(true, false);
+    let (pool, arena) = w.mixed_fit_pool(&cfg);
+    let (costs, applies) = mixed_fit_estimates::<f64>(&cfg);
+    let auto = plan_mixed_fit(&costs, &applies, &pool, HybridForce::Auto);
+    let all_expl = plan_mixed_fit(&costs, &applies, &pool, HybridForce::AllExplicit);
+    let all_impl = plan_mixed_fit(&costs, &applies, &pool, HybridForce::AllImplicit);
+
+    assert_eq!(
+        all_expl.spilled.len(),
+        items.len() / 4,
+        "exactly the top quarter must spill, got {:?}",
+        all_expl.spilled
+    );
+    let h = auto.cost_at(MIXED_FIT_ITERS);
+    let e = all_expl.cost_at(MIXED_FIT_ITERS);
+    let i = all_impl.cost_at(MIXED_FIT_ITERS);
+    assert!(
+        e / h >= 1.3 && i / h >= 1.3,
+        "hybrid cost {h:.6}s must beat all-explicit {e:.6}s and all-implicit {i:.6}s \
+         by >= 1.3x (got {:.2}x / {:.2}x)",
+        e / h,
+        i / h
+    );
+
+    let gpu_idx = auto.indices_of(Formulation::ExplicitGpu);
+    assert!(
+        !gpu_idx.is_empty(),
+        "the medium class must stay on the pool"
+    );
+    let share: Vec<BatchItem<'_>> = gpu_idx.iter().map(|&g| items[g]).collect();
+    let res = AssemblySession::new(Backend::cluster(pool), cfg).assemble(&share);
+    for (local, &g) in gpu_idx.iter().enumerate() {
+        let reference = assemble_sc(&mut CpuExec, items[g].l, items[g].bt, &cfg);
+        assert_eq!(
+            res.f[local], reference,
+            "hybrid GPU share diverged from the CPU reference at subdomain {g}"
+        );
+    }
+    assert!(
+        res.report.temp_high_water() <= arena,
+        "arena oversubscribed: {} B of {arena} B",
+        res.report.temp_high_water()
+    );
+}
+
+/// What the `f32` working precision buys on the mixed-fit workload, on the
+/// two axes of the paper's memory argument. **Arena footprint:** the batch
+/// assembled on one scheduled A100 with an ample arena (so the high water
+/// is the concurrent temporary footprint, not admission gating) must peak
+/// at ≤ 0.55× the `f64` high water — the ideal is 0.5, element payloads
+/// halve while index arrays do not. **Planner admissions:** priced at
+/// `f32` width, the forced-explicit plan must admit strictly more
+/// subdomains than the `f64` pricing at the same arena capacity.
+#[test]
+fn f32_halves_the_arena_and_admits_more_explicit_subdomains_on_the_mixed_fit_workload() {
+    let w = mixed_fit();
+    let items = w.items();
+    let cfg = ScConfig::optimized(true, false);
+
+    let high_water = |precision: Precision| {
+        let device = Device::new(DeviceSpec::a100(), 4);
+        let report = AssemblySession::new(
+            Backend::gpu_with(device, ScheduleOptions::default()).precision(precision),
+            cfg,
+        )
+        .assemble(&items)
+        .report;
+        assert_eq!(report.precision.is_f32(), precision.is_f32());
+        report.temp_high_water()
+    };
+    let hw64 = high_water(Precision::F64);
+    let hw32 = high_water(Precision::f32_refined());
+    assert!(hw64 > 0, "scheduled assembly must record temp high water");
+    let ratio = hw32 as f64 / hw64 as f64;
+    assert!(
+        ratio <= 0.55,
+        "f32 arena high water {hw32} B is {ratio:.3}x the f64 {hw64} B (gate <= 0.55)"
+    );
+
+    let (pool, arena) = w.mixed_fit_pool(&cfg);
+    // AllExplicit isolates pure admissibility: admitted = not spilled
+    let admitted = |(costs, applies): (Vec<CostEstimate>, Vec<ApplyEstimate>)| {
+        let plan = plan_mixed_fit(&costs, &applies, &pool, HybridForce::AllExplicit);
+        items.len() - plan.spilled.len()
+    };
+    let admitted64 = admitted(mixed_fit_estimates::<f64>(&cfg));
+    let admitted32 = admitted(mixed_fit_estimates::<f32>(&cfg));
+    assert_eq!(
+        admitted64,
+        items.len() - items.len() / 4,
+        "the f64 pricing must spill exactly the top quarter"
+    );
+    assert!(
+        admitted32 > admitted64,
+        "f32 pricing must admit strictly more explicit subdomains than f64 at arena \
+         {arena} B (f64 {admitted64}, f32 {admitted32})"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

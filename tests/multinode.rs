@@ -67,6 +67,49 @@ fn tight_spec() -> DeviceSpec {
     }
 }
 
+/// Weak scaling of the multi-node backend: a fixed 16-subdomain batch per
+/// node, replicated onto 1, 2 and 4 single-A100 nodes (4 streams) behind an
+/// InfiniBand-class interconnect. Per-node work is constant, so the ideal
+/// makespan is flat; the hierarchical partitioner plus the priced lambda
+/// exchange must keep `makespan(1 node) / makespan(4 nodes)` at 0.8 or
+/// better, with every replica bitwise the CPU reference assembly.
+#[test]
+fn four_nodes_keep_80_percent_weak_scaling_efficiency() {
+    let base = sc_bench::BatchWorkload::build_skewed(2, &[14, 10, 12, 8]);
+    let base_items = base.items();
+    assert_eq!(base_items.len(), 16);
+    let cfg = ScConfig::optimized(true, false);
+    // the replicas alias the same factors, so one replica's worth of
+    // reference assemblies covers every cluster size
+    let cpu = AssemblySession::new(Backend::cpu(), cfg).assemble(&base_items);
+
+    let makespans = [1usize, 2, 4].map(|n_nodes| {
+        let items: Vec<_> = (0..n_nodes).flat_map(|_| base_items.clone()).collect();
+        let pool = NodePool::uniform(
+            DeviceSpec::a100(),
+            n_nodes,
+            1,
+            4,
+            Interconnect::infiniband(),
+        );
+        let res = AssemblySession::new(Backend::multi_node(pool), cfg).assemble(&items);
+        for i in 0..items.len() {
+            assert_eq!(
+                res.f[i],
+                cpu.f[i % base_items.len()],
+                "multi-node sharding changed numerics at subdomain {i} ({n_nodes} nodes)"
+            );
+        }
+        res.report.makespan
+    });
+    let efficiency = makespans[0] / makespans[2];
+    assert!(
+        efficiency >= 0.8,
+        "4-node weak-scaling efficiency {efficiency:.2} is below the 0.8 gate \
+         (makespans {makespans:?})"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

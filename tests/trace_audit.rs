@@ -1,114 +1,175 @@
 //! End-to-end trace-audit coverage on *real* recorded schedules: every
-//! bench workload's replay trace must validate hazard-free, and the
-//! sanitizer must catch each of the injected hazard classes when a real
-//! trace is mutated (drop a free, reorder an alloc after first use,
-//! overlap two spans on one stream, oversubscribe the arena).
+//! workload's replay trace must validate hazard-free, and the sanitizer
+//! must catch each of the injected hazard classes when a real trace is
+//! mutated (drop a free, reorder an alloc after first use, overlap two
+//! spans on one stream, oversubscribe the arena).
 
 use proptest::prelude::*;
 use sc_analyze::trace::{validate, TraceViolation};
 use sc_bench::BatchWorkload;
-use sc_core::{AssemblySession, Backend, ScConfig, ScheduleOptions};
-use sc_gpu::{Device, DevicePool, DeviceSpec, Trace, TraceEvent};
+use sc_core::{AssemblyReport, AssemblySession, Backend, Precision, ScConfig, ScheduleOptions};
+use sc_gpu::{Device, DevicePool, DeviceSpec, Interconnect, NodePool, Trace, TraceEvent};
 use std::sync::OnceLock;
 
-/// Assemble a workload on one scheduled device and return its trace.
-fn gpu_trace(w: &BatchWorkload) -> Trace {
-    let device = Device::new(DeviceSpec::a100(), 4);
-    let report = AssemblySession::new(
-        Backend::gpu_with(device, ScheduleOptions::default()),
-        ScConfig::optimized(true, false),
+fn cfg() -> ScConfig {
+    ScConfig::optimized(true, false)
+}
+
+/// Assemble a workload on one scheduled A100 with `n_streams` streams.
+fn scheduled(w: &BatchWorkload, n_streams: usize, precision: Precision) -> AssemblyReport {
+    let device = Device::new(DeviceSpec::a100(), n_streams);
+    AssemblySession::new(
+        Backend::gpu_with(device, ScheduleOptions::default()).precision(precision),
+        cfg(),
     )
     .assemble(w.items())
-    .report;
-    report.devices[0]
-        .trace
-        .clone()
-        .expect("the scheduled driver records a trace per device")
+    .report
 }
 
-/// The schedule bin's skewed batch — the cheapest workload with real
-/// stream contention — recorded once and shared by the mutation tests.
+/// The mixed-fit batch is the expensive one to factorize; the two audits
+/// that replay it share one copy.
+fn mixed_fit() -> &'static BatchWorkload {
+    static W: OnceLock<BatchWorkload> = OnceLock::new();
+    W.get_or_init(BatchWorkload::build_mixed_fit)
+}
+
+/// The full 3D decomposition on one scheduled device.
+fn headline() -> AssemblyReport {
+    scheduled(&BatchWorkload::build(3, 4), 4, Precision::F64)
+}
+
+/// The skewed batch under the LPT stream scheduler — the cheapest workload
+/// with real stream contention.
+fn schedule() -> AssemblyReport {
+    scheduled(
+        &BatchWorkload::build_skewed(2, &[12, 4, 6, 3]),
+        4,
+        Precision::F64,
+    )
+}
+
+/// The 32-subdomain shard across a 4-device pool.
+fn cluster() -> AssemblyReport {
+    let pool = DevicePool::uniform(DeviceSpec::a100(), 4, 4);
+    AssemblySession::new(Backend::cluster(pool), cfg())
+        .assemble(BatchWorkload::build_cluster32().items())
+        .report
+}
+
+/// The mixed-fit batch on its arena-constrained pool, with host fail-over
+/// for the over-arena quarter.
+fn hybrid() -> AssemblyReport {
+    let (pool, _arena) = mixed_fit().mixed_fit_pool(&cfg());
+    AssemblySession::new(Backend::hybrid(pool), cfg())
+        .assemble(mixed_fit().items())
+        .report
+}
+
+/// The mixed-fit batch replayed at the f32 working precision, so the
+/// audited trace carries 4-byte element payloads (arena accounting, slot
+/// lifetimes and ordering edges must stay hazard-free at the halved widths
+/// too).
+fn precision() -> AssemblyReport {
+    scheduled(mixed_fit(), 4, Precision::f32_refined())
+}
+
+/// The replicated weak-scaling batch sharded across a 4-node cluster: the
+/// traces carry inter-node exchange events on top of the kernels (the
+/// sanitizer's exchange-overlap class).
+fn multinode() -> AssemblyReport {
+    let w = BatchWorkload::build_skewed(2, &[14, 10, 12, 8]);
+    let base = w.items();
+    let items: Vec<_> = (0..4).flat_map(|_| base.clone()).collect();
+    let pool = NodePool::uniform(DeviceSpec::a100(), 4, 1, 4, Interconnect::infiniband());
+    AssemblySession::new(Backend::multi_node(pool), cfg())
+        .assemble(&items)
+        .report
+}
+
+/// The full 3D decomposition again, on two streams: a narrower device
+/// interleaves the same kernel sequence differently.
+fn kernels() -> AssemblyReport {
+    scheduled(&BatchWorkload::build(3, 4), 2, Precision::F64)
+}
+
+/// One warm cluster job exactly as the multi-tenant service dispatches it:
+/// prepared bundle built by `sc_serve::prepare` (the cross-session cache's
+/// cold path), Arc-shared factors into the solver build, explicit assembly
+/// on the shared pool.
+fn serve() -> AssemblyReport {
+    let opts = sc_feti::FetiOptions::default();
+    let spec = sc_serve::MeshSpec {
+        dim: 3,
+        cells: 6,
+        subs: (2, 2, 2),
+        gluing: sc_serve::GluingTag::Redundant,
+    };
+    let prep = sc_serve::prepare(&spec, &opts);
+    let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
+    let solver = sc_feti::FetiSolverBuilder::new()
+        .options(opts)
+        .backend(Backend::cluster(pool))
+        .formulation(sc_feti::FormulationChoice::Explicit)
+        .assembly(ScConfig::Auto)
+        .factors(std::sync::Arc::clone(&prep.factors))
+        .build(&prep.problem);
+    solver
+        .report()
+        .cloned()
+        .expect("an explicit cluster build records an assembly report")
+}
+
+type Replay = fn() -> AssemblyReport;
+
+/// Every audited workload: name, devices it runs on, and how to replay it.
+const WORKLOADS: &[(&str, usize, Replay)] = &[
+    ("headline", 1, headline),
+    ("schedule", 1, schedule),
+    ("cluster", 4, cluster),
+    ("hybrid", 2, hybrid),
+    ("precision", 1, precision),
+    ("multinode", 4, multinode),
+    ("kernels", 1, kernels),
+    ("serve", 2, serve),
+];
+
+/// The schedule workload's trace, recorded once and shared by the mutation
+/// tests.
 fn schedule_trace() -> &'static Trace {
     static TRACE: OnceLock<Trace> = OnceLock::new();
-    TRACE.get_or_init(|| gpu_trace(&BatchWorkload::build_skewed(2, &[12, 4, 6, 3])))
-}
-
-#[test]
-fn headline_and_schedule_traces_validate_clean() {
-    let headline = gpu_trace(&BatchWorkload::build(3, 4));
-    assert!(headline.n_kernels() > 0, "headline trace is empty");
-    let v = validate(&headline);
-    assert!(v.is_empty(), "headline workload trace flagged: {v:?}");
-
-    let v = validate(schedule_trace());
-    assert!(v.is_empty(), "schedule workload trace flagged: {v:?}");
-}
-
-#[test]
-fn cluster_traces_validate_clean_on_every_device() {
-    let w = BatchWorkload::build_cluster32();
-    let pool = DevicePool::uniform(DeviceSpec::a100(), 4, 4);
-    let report = AssemblySession::new(Backend::cluster(pool), ScConfig::optimized(true, false))
-        .assemble(w.items())
-        .report;
-    let mut audited = 0usize;
-    for d in &report.devices {
-        let trace = d
+    TRACE.get_or_init(|| {
+        schedule().devices[0]
             .trace
-            .as_ref()
-            .expect("cluster replay records a trace per device");
-        let v = validate(trace);
-        assert!(
-            v.is_empty(),
-            "cluster device {} trace flagged: {v:?}",
-            d.device
-        );
-        audited += 1;
-    }
-    assert_eq!(audited, 4, "one audited trace per pool device");
+            .clone()
+            .expect("the scheduled driver records a trace per device")
+    })
 }
 
 #[test]
-fn hybrid_traces_validate_clean_under_arena_pressure() {
-    // arena sized between the footprint quartiles, exactly like the
-    // hybrid bin: the top quarter of the batch spills to the host path
-    let cfg = ScConfig::optimized(true, false);
-    let w = BatchWorkload::build_mixed_fit();
-    let items = w.items();
-    let mut temps: Vec<usize> = items
-        .iter()
-        .enumerate()
-        .map(|(i, it)| {
-            let params = cfg.resolve(true, it.l, it.bt);
-            sc_core::estimate_cost(&DeviceSpec::a100(), it.l, it.bt, &params, i).temp_bytes
-        })
-        .collect();
-    temps.sort_unstable();
-    let q = temps.len() - temps.len() / 4;
-    let arena = (temps[q - 1] + temps[q]) / 2;
-    let spec = DeviceSpec {
-        memory_bytes: 2 * arena,
-        ..DeviceSpec::a100()
-    };
-    let pool = DevicePool::uniform(spec, 2, 4);
-    let report = AssemblySession::new(Backend::hybrid(pool), cfg)
-        .assemble(&items)
-        .report;
-    let mut audited = 0usize;
-    for d in &report.devices {
-        let trace = d
-            .trace
-            .as_ref()
-            .expect("hybrid replay records a trace per device");
-        let v = validate(trace);
-        assert!(
-            v.is_empty(),
-            "hybrid device {} trace flagged: {v:?}",
-            d.device
+fn every_workload_trace_validates_clean_on_every_device() {
+    for (name, n_devices, replay) in WORKLOADS {
+        let report = replay();
+        assert_eq!(
+            report.devices.len(),
+            *n_devices,
+            "{name}: one audited trace per device"
         );
-        audited += 1;
+        let mut n_kernels = 0;
+        for d in &report.devices {
+            let trace = d
+                .trace
+                .as_ref()
+                .unwrap_or_else(|| panic!("{name}: device {} recorded no trace", d.device));
+            let v = validate(trace);
+            assert!(
+                v.is_empty(),
+                "{name} device {} trace flagged: {v:?}",
+                d.device
+            );
+            n_kernels += trace.n_kernels();
+        }
+        assert!(n_kernels > 0, "{name}: every trace is empty");
     }
-    assert_eq!(audited, 2, "one audited trace per pool device");
 }
 
 /// Slot ids that both allocate and free in the trace (mutation targets).
