@@ -28,7 +28,6 @@ const STAGES: &[&str] = &[
     "analyze",
     "build",
     "test",
-    "doctest",
     "doc",
     "examples",
     "benchmark",
@@ -157,9 +156,6 @@ fn main() {
     }
     if run("test") {
         step("test", cargo(&["test", "-q", "--workspace"]));
-    }
-    if run("doctest") {
-        step("doctest", cargo(&["test", "-q", "--workspace", "--doc"]));
     }
     if run("doc") {
         let mut doc = cargo(&["doc", "--workspace", "--no-deps"]);

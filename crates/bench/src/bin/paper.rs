@@ -153,7 +153,6 @@ fn table1(args: &BenchArgs, device: &Arc<Device>) {
     let label = |p: BlockParam| match p {
         BlockParam::Size(s) => format!("S {s}"),
         BlockParam::Count(c) => format!("C {c}"),
-        BlockParam::Balanced(c) => format!("B {c}"),
     };
 
     let mut table = Table::new(

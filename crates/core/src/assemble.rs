@@ -375,35 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_splitting_matches_reference() {
-        // the paper's footnote-3 non-uniform (equal-FLOP) partitioning must
-        // be numerically identical to the uniform variants
-        for count in [1usize, 3, 7] {
-            let cfg = ScConfig::Fixed(ScParams {
-                trsm: TrsmVariant::FactorSplit {
-                    block: BlockParam::Balanced(count),
-                    prune: true,
-                },
-                syrk: SyrkVariant::InputSplit(BlockParam::Balanced(count)),
-                factor_storage: FactorStorage::Dense,
-                stepped_permutation: true,
-            });
-            let (f, fref) = assemble_with(&cfg, 7, 13);
-            let d = sc_dense::max_abs_diff(f.as_ref(), fref.as_ref());
-            assert!(d < 1e-9, "balanced count {count}: {d}");
-        }
-        // column-dimension balanced splits (RHS / output splitting)
-        let cfg = ScConfig::Fixed(ScParams {
-            trsm: TrsmVariant::RhsSplit(BlockParam::Balanced(4)),
-            syrk: SyrkVariant::OutputSplit(BlockParam::Balanced(3)),
-            factor_storage: FactorStorage::Sparse,
-            stepped_permutation: true,
-        });
-        let (f, fref) = assemble_with(&cfg, 6, 11);
-        assert!(sc_dense::max_abs_diff(f.as_ref(), fref.as_ref()) < 1e-9);
-    }
-
-    #[test]
     fn gpu_backend_matches_cpu_and_advances_timeline() {
         let k = spd_matrix(7);
         let bt = gluing(k.ncols(), 15);

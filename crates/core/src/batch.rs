@@ -12,25 +12,34 @@
 //!
 //! The public entry point is
 //! [`AssemblySession::assemble`](crate::session::AssemblySession::assemble), which
-//! dispatches on a [`Backend`](crate::Backend) value (CPU / one GPU /
-//! device pool / hybrid / multi-node) onto the crate-private drivers here.
-//! Every driver takes any [`BatchSource`] (lazy per-task factor derivation
-//! goes through [`LazyBatch`](crate::source::LazyBatch)) and fills the one
-//! [`AssemblyReport`] schema directly.
+//! dispatches on a [`Backend`](crate::Backend) value onto the two
+//! crate-private drivers here. Both take any [`BatchSource`] (lazy per-task
+//! factor derivation goes through [`LazyBatch`](crate::source::LazyBatch))
+//! and fill the one [`AssemblyReport`] schema directly.
 //!
 //! Execution targets:
 //!
-//! - **CPU** — one rayon task per subdomain;
-//! - **GPU** — the **memory-aware, cost-model-driven scheduler** of
-//!   [`crate::schedule`] (paper §4.4): LPT ordering onto the least-loaded
-//!   stream ([`StreamPolicy::RoundRobin`] keeps the paper's blind 16-stream
-//!   index-order submission as the comparison baseline), admission against
-//!   the device's temporary arena ("wait"), optional host-readiness overlap
-//!   ("mix"), and a deterministic record-then-replay execution so the
-//!   simulated timeline is reproducible run to run;
-//! - **cluster** — a two-level plan sharding the batch across a device
-//!   pool, each device replaying its share through the scheduled machinery;
-//! - **hybrid spill** — the cluster plan tolerating
+//! - **CPU** (`batch_cpu`) — one rayon task per subdomain;
+//! - **every device target** (`batch_devices`) — one GPU, a device pool
+//!   and a multi-node cluster are the same walk over a
+//!   [`Topology`] tree (node → device → stream) that differs only in its
+//!   data. **Record once**: numerics run host-parallel through
+//!   [`RecordingExec`] (bitwise the CPU path) and every subdomain's kernel
+//!   sequence is kept. **Plan once**: [`plan_topology_by`] places the whole
+//!   batch over the whole tree — cost-aware LPT across nodes and devices
+//!   with per-device arena admissibility, then the paper-§4.4 stream
+//!   assignment per device (LPT onto the least-loaded stream;
+//!   [`StreamPolicy::RoundRobin`](crate::schedule::StreamPolicy::RoundRobin)
+//!   keeps the paper's blind 16-stream index-order submission as the
+//!   comparison baseline) — with one pricing closure at every level: the
+//!   recorded kernel sequence under the leaf device's own
+//!   [`DeviceSpec::kernel_seconds`](sc_gpu::DeviceSpec::kernel_seconds).
+//!   **Replay**: each device leaf executes exactly the lane assignment the
+//!   plan holds, kernel by kernel in stream-clock order, admitting every
+//!   subdomain against the device's temporary arena ("wait") and honouring
+//!   host readiness ("mix") — a deterministic simulated timeline,
+//!   reproducible run to run;
+//! - **hybrid spill** — the same walk tolerating
 //!   [`TopoPlan::spilled`](crate::schedule::TopoPlan::spilled) entries:
 //!   subdomains that fit no device arena keep their host-computed `F̃ᵢ`
 //!   instead of erroring.
@@ -38,29 +47,31 @@
 //! Results are **identical** to running [`assemble_sc`](crate::assemble_sc) per subdomain
 //! sequentially: every subdomain's pipeline is independent and the cache only
 //! memoizes block boundaries, not numerics (dedicated tests assert bitwise
-//! equality for every driver).
+//! equality for every target).
 //!
 //! ## Clocks
 //!
 //! [`SubdomainTiming::seconds`] is **backend time**: simulated device
-//! seconds on the GPU drivers (the subdomain's span on its stream), host
+//! seconds on the device targets (the subdomain's span on its stream), host
 //! wall seconds on the CPU driver. [`SubdomainTiming::host_seconds`] is
 //! always host wall time, so [`AssemblyReport::speedup`] compares
-//! commensurable clocks; the GPU makespan lives in
+//! commensurable clocks; the device makespan lives in
 //! [`AssemblyReport::makespan`].
 
 use crate::assemble::{assemble_sc_with_cache, ScConfig};
 use crate::exec::{CpuExec, RecordingExec};
 use crate::schedule::{
-    self, plan_topology_by, ArenaSim, ScheduleOptions, ScheduledSpan, StreamPolicy, Topology,
+    self, plan_topology_by, ArenaSim, ClusterPlanError, CostEstimate, DeviceSlot, ScheduleOptions,
+    ScheduledSpan, TopoPlan, Topology,
 };
-use crate::session::{AssemblyReport, DeviceReport};
+use crate::session::{AssemblyReport, DeviceReport, NodeReport};
 use crate::source::BatchSource;
 use crate::tune::BlockCutsCache;
 use rayon::prelude::*;
 use sc_dense::{MatOf, Scalar};
-use sc_gpu::{Device, DevicePool, SimSpan, Trace, TraceEvent};
+use sc_gpu::{Device, DeviceSpec, Interconnect, SimSpan, Trace, TraceEvent};
 use sc_sparse::CscOf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-subdomain input to the batched assembler: the subdomain's Cholesky
@@ -87,23 +98,41 @@ pub struct SubdomainTiming {
     /// Local multiplier count (order of `F̃ᵢ`).
     pub n_lambda: usize,
     /// Backend seconds of this subdomain's assembly: **simulated device
-    /// time** (span end − span start on its stream) on the GPU drivers,
+    /// time** (span end − span start on its stream) on the device targets,
     /// host wall time on the CPU driver.
     pub seconds: f64,
     /// Host wall seconds spent in this subdomain's task (always a host
     /// clock — compare with [`AssemblyReport::total_seconds`], never with
     /// simulated time).
     pub host_seconds: f64,
-    /// Stream the subdomain ran on (`None` on the CPU driver).
+    /// Stream the subdomain ran on (`None` on the host).
     pub stream: Option<usize>,
-    /// Simulated execution span on that stream (`None` on the CPU driver).
+    /// Simulated execution span on that stream (`None` on the host).
     pub span: Option<SimSpan>,
-    /// Pool device the subdomain ran on (`None` on the CPU driver; `Some(0)`
-    /// on the single-device GPU driver).
+    /// Device the subdomain ran on, in [`AssemblyReport::devices`]
+    /// numbering (`None` on the host; `Some(0)` on the single-GPU target).
     pub device: Option<usize>,
-    /// Cluster node the subdomain ran on (`None` on every single-node
-    /// driver; `Some` only under the multi-node backend).
+    /// Cluster node the subdomain ran on (`Some` only under the multi-node
+    /// backend).
     pub node: Option<usize>,
+}
+
+impl SubdomainTiming {
+    /// A host-side timing (CPU driver, hybrid spills): backend time is host
+    /// wall time and no stream, device or node is involved.
+    fn on_host(index: usize, n_dofs: usize, n_lambda: usize, host_seconds: f64) -> Self {
+        SubdomainTiming {
+            index,
+            n_dofs,
+            n_lambda,
+            seconds: host_seconds,
+            host_seconds,
+            stream: None,
+            span: None,
+            device: None,
+            node: None,
+        }
+    }
 }
 
 /// CPU batch driver over any [`BatchSource`]: one rayon task per subdomain
@@ -122,18 +151,8 @@ pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
             let l = src.factor(i);
             let bt = src.gluing(i);
             let f = assemble_sc_with_cache(&mut CpuExec, &l, bt, cfg, Some(&cache));
-            let host_seconds = t.elapsed().as_secs_f64();
-            let timing = SubdomainTiming {
-                index: i,
-                n_dofs: l.ncols(),
-                n_lambda: bt.ncols(),
-                seconds: host_seconds,
-                host_seconds,
-                stream: None,
-                span: None,
-                device: None,
-                node: None,
-            };
+            let timing =
+                SubdomainTiming::on_host(i, l.ncols(), bt.ncols(), t.elapsed().as_secs_f64());
             (f, timing)
         })
         .collect();
@@ -149,23 +168,52 @@ pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
     (f, report)
 }
 
-/// §4.4 scheduled GPU driver over any [`BatchSource`]: per-subdomain costs
-/// are estimated from the stepped pattern, subdomains are ordered
-/// longest-first onto the least-loaded stream (or round-robin, per
-/// [`ScheduleOptions::policy`]), and each subdomain is admitted against the
-/// device's temporary-arena capacity before its kernels replay onto its
-/// stream.
+/// One group of devices, in [`AssemblyReport::devices`] order, behind an
+/// optional interconnect: a cluster node under the multi-node target (its
+/// link prices the node's boundary exchange), the whole pool — or the one
+/// GPU — otherwise.
+pub(crate) type DeviceGroup<'a> = (&'a [Arc<Device>], Option<Interconnect>);
+
+/// **The** device driver: record every subdomain once, plan the whole
+/// batch once over `topo`, replay each device leaf from the lane assignment
+/// the plan holds. `topo` is the target's [`Topology`] and `groups` its
+/// devices in the same depth-first order — one link-less group below a
+/// two-level tree (one GPU, a device pool), one group per cluster node
+/// below a three-level one.
 ///
-/// Execution is **record-then-replay**: numerics run host-parallel through
-/// [`RecordingExec`] (bitwise identical to the CPU path), then the recorded
-/// kernel sequences replay serially into the device timeline in
-/// deterministic stream-clock order — the simulated timeline is reproducible
-/// run to run, unlike live multi-threaded submission.
-pub(crate) fn batch_scheduled<S: Scalar, Src: BatchSource<S>>(
+/// The pricing closure is the same at every placement level: the recorded
+/// kernel sequence under the leaf device's own duration model — launch
+/// overhead and occupancy included, so launch-bound batches do not overload
+/// the card (or the node) with the biggest peak-FLOP number.
+///
+/// With `allow_spill = true` (the spill channel of
+/// [`Target::Hybrid`](crate::session::Target::Hybrid)) a subdomain that
+/// fits no device arena keeps its host-computed `F̃ᵢ` — the record phase
+/// computes every subdomain's numerics host-side anyway — and is reported
+/// as a host timing (`stream`, `span` and `device` all `None`) in no
+/// device's share.
+///
+/// Under the multi-node target each node's boundary traffic is charged as
+/// **one aggregated exchange** on its timeline after its replay (the
+/// assembly-phase lambda/gluing rows leave the node once), recorded as a
+/// [`TraceEvent::Exchange`] on the node's first device; a single-node
+/// cluster exchanges nothing and reproduces the pool target's timings
+/// exactly.
+///
+/// # Panics
+///
+/// When `opts.ready_at` does not carry one entry per batch item; when the
+/// batch is non-empty and `topo` holds no usable device
+/// ([`ClusterPlanError::NoDevices`]); or — with `allow_spill = false` —
+/// when a subdomain's temporaries exceed every device's arena
+/// ([`ClusterPlanError::Spilled`]).
+pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
     src: Src,
     cfg: &ScConfig,
-    device: &std::sync::Arc<Device>,
+    topo: &Topology,
+    groups: &[DeviceGroup<'_>],
     opts: &ScheduleOptions,
+    allow_spill: bool,
 ) -> (Vec<MatOf<S>>, AssemblyReport) {
     if let Some(ready) = opts.ready_at.as_ref() {
         assert_eq!(
@@ -177,76 +225,176 @@ pub(crate) fn batch_scheduled<S: Scalar, Src: BatchSource<S>>(
             src.len()
         );
     }
-    if src.is_empty() {
-        // empty batches never touch the device timeline
-        return (Vec::new(), AssemblyReport::default());
-    }
-    assert!(
-        device.n_streams() > 0,
-        "cannot schedule a batch of {} subdomains onto a device with 0 streams",
-        src.len()
-    );
-    let cache = BlockCutsCache::new();
     let t0 = Instant::now();
-    let spec = device.spec().clone();
+    let slots: Vec<DeviceSlot> = groups
+        .iter()
+        .flat_map(|(devs, _)| devs.iter().map(|d| DeviceSlot::of(d)))
+        .collect();
 
-    // phase 1: host-parallel compute + cost recording
-    let recorded = record_scheduled_batch(&src, cfg, &spec, &cache);
+    // record: every subdomain **once** — the numerics, kernel sequences and
+    // arena footprints feed every planning level and the replay, so a lazy
+    // source's factor derivation runs once per subdomain
+    let cache = BlockCutsCache::new();
+    let ref_spec = slots
+        .first()
+        .map_or_else(DeviceSpec::host, |s| s.spec.clone());
+    let (recorded, costs) = record_batch(&src, cfg, &ref_spec, &cache);
 
-    // phase 2: plan + deterministic replay onto the device, the ordering
-    // key refined with the recorded kernel sequence priced by the device's
-    // own duration model: at small sizes per-launch overhead dominates raw
-    // FLOPs, and the recorder has the exact launch count in hand before
-    // anything replays
-    let idx: Vec<usize> = (0..recorded.len()).collect();
-    let (dev_report, subdomains) = replay_share(
-        device,
-        0,
-        &idx,
-        &recorded,
-        |g| {
-            recorded[g]
-                .costs
+    // plan: the whole tree in one call. A device vertex sits at `[d]` below
+    // a two-level root and at `[node, d]` below a three-level one
+    let kernel_seconds: Vec<Vec<f64>> = recorded
+        .iter()
+        .map(|r| {
+            slots
                 .iter()
-                .map(|c| spec.kernel_seconds(c))
-                .sum()
-        },
-        opts.policy,
-        opts.ready_at.as_deref(),
-    );
-    let report = AssemblyReport {
-        subdomains,
-        makespan: dev_report.makespan,
-        devices: vec![dev_report],
-        total_seconds: t0.elapsed().as_secs_f64(),
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-        ..Default::default()
+                .map(|s| r.costs.iter().map(|c| s.spec.kernel_seconds(c)).sum())
+                .collect()
+        })
+        .collect();
+    let mut first_of = Vec::with_capacity(groups.len());
+    let mut n_devices = 0;
+    for (devs, _) in groups {
+        first_of.push(n_devices);
+        n_devices += devs.len();
+    }
+    let plan = plan_topology_by(&costs, topo, |c, path| match *path {
+        [d] => kernel_seconds[c.index][d],
+        [n, d] => kernel_seconds[c.index][first_of[n] + d],
+        _ => unreachable!("device vertices sit one or two levels below the root"),
+    })
+    // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
+    .unwrap_or_else(|e| panic!("device placement failed: {e}"));
+    if !allow_spill && !plan.spilled.is_empty() {
+        // documented batch-API contract: spill without opt-in aborts. sc-analyze: allow(panic-surface)
+        panic!(
+            "device placement failed: {}",
+            ClusterPlanError::Spilled {
+                spilled: plan.spilled,
+                max_arena: schedule::max_usable_arena(&slots),
+            }
+        );
+    }
+
+    // replay: walk the plan group by group, device by device, for a
+    // deterministic simulated timeline
+    let clustered = groups.iter().any(|(_, link)| link.is_some());
+    let group_plans: Vec<&TopoPlan> = if clustered {
+        plan.children.iter().collect()
+    } else {
+        vec![&plan]
     };
+    let mut report = AssemblyReport::default();
+    for (n, (&(devs, link), gplan)) in groups.iter().zip(group_plans).enumerate() {
+        let first = report.devices.len();
+        let mut replay_makespan = 0.0f64;
+        for (dev, lanes) in devs.iter().zip(&gplan.children) {
+            let d = report.devices.len();
+            let dev_report = replay_device(
+                dev,
+                d,
+                &lanes.per_child,
+                &recorded,
+                &costs,
+                opts.ready_at.as_deref(),
+            );
+            report
+                .subdomains
+                .extend(dev_report.schedule.iter().map(|e| SubdomainTiming {
+                    index: e.index,
+                    n_dofs: costs[e.index].n_dofs,
+                    n_lambda: costs[e.index].n_lambda,
+                    seconds: e.span.duration(),
+                    host_seconds: recorded[e.index].host_seconds,
+                    stream: Some(e.stream),
+                    span: Some(e.span),
+                    device: Some(d),
+                    node: clustered.then_some(n),
+                }));
+            replay_makespan = replay_makespan.max(dev_report.makespan);
+            report.devices.push(dev_report);
+        }
+        let Some(link) = link else {
+            report.makespan = report.makespan.max(replay_makespan);
+            continue;
+        };
+        // the node's boundary bytes leave over its link once, after its
+        // replay: one aggregated exchange, overlapping nothing it feeds
+        let subdomains = plan.per_child[n].clone();
+        let exchange_bytes: f64 = if groups.len() > 1 {
+            subdomains.iter().map(|&g| costs[g].exchange_bytes).sum()
+        } else {
+            0.0
+        };
+        let exchange_seconds = if exchange_bytes > 0.0 {
+            link.seconds(exchange_bytes)
+        } else {
+            0.0
+        };
+        if exchange_seconds > 0.0 {
+            if let Some(trace) = report.devices[first].trace.as_mut() {
+                let at = devs.iter().map(|d| d.synchronize()).fold(0.0, f64::max);
+                trace.events.push(TraceEvent::Exchange {
+                    label: "lambda-exchange",
+                    peer: (n + 1) % groups.len(),
+                    bytes: exchange_bytes as usize, // sc-analyze: allow(precision-discipline)
+                    span: SimSpan {
+                        start: at,
+                        end: at + exchange_seconds,
+                    },
+                    writes: Vec::new(),
+                });
+            }
+        }
+        let makespan = replay_makespan + exchange_seconds;
+        report.makespan = report.makespan.max(makespan);
+        report.nodes.push(NodeReport {
+            node: n,
+            devices: (first..report.devices.len()).collect(),
+            subdomains,
+            makespan,
+            exchange_bytes,
+            exchange_seconds,
+        });
+    }
+
+    // spilled subdomains keep their host-computed numerics; report them as
+    // host timings (no stream, no device)
+    report.subdomains.extend(plan.spilled.iter().map(|&g| {
+        SubdomainTiming::on_host(
+            g,
+            costs[g].n_dofs,
+            costs[g].n_lambda,
+            recorded[g].host_seconds,
+        )
+    }));
+    report.subdomains.sort_by_key(|t| t.index);
+    report.cache_hits = cache.hits();
+    report.cache_misses = cache.misses();
+    report.total_seconds = t0.elapsed().as_secs_f64();
     (recorded.into_iter().map(|r| r.f).collect(), report)
 }
 
 /// One subdomain's record-phase output: the host-computed `F̃ᵢ` (bitwise
 /// identical to the CPU path), the kernel-cost sequence to replay (with the
-/// per-kernel arena-slot accesses for the hazard-audit trace), the analytic
-/// cost estimate, and the host task time.
+/// per-kernel arena-slot accesses for the hazard-audit trace), and the host
+/// task time.
 struct Recorded<S: Scalar = f64> {
     f: MatOf<S>,
     costs: Vec<sc_gpu::KernelCost>,
     accesses: Vec<sc_gpu::SlotAccess>,
-    estimate: schedule::CostEstimate,
     host_seconds: f64,
 }
 
-/// Phase 1 of the scheduled/cluster drivers: host-parallel numerics through
-/// [`RecordingExec`], plus per-subdomain analytic cost estimates under
-/// `spec` (a reference spec — planners re-price per device as needed).
-fn record_scheduled_batch<S: Scalar, Src: BatchSource<S>>(
+/// The record phase: host-parallel numerics through [`RecordingExec`], plus
+/// per-subdomain analytic cost estimates under `spec` — the planner's
+/// arena footprints and exchange bytes; its seconds come from the recorded
+/// kernels instead.
+fn record_batch<S: Scalar, Src: BatchSource<S>>(
     src: &Src,
     cfg: &ScConfig,
-    spec: &sc_gpu::DeviceSpec,
+    spec: &DeviceSpec,
     cache: &BlockCutsCache,
-) -> Vec<Recorded<S>> {
+) -> (Vec<Recorded<S>>, Vec<CostEstimate>) {
     (0..src.len())
         .into_par_iter()
         .map(|i| {
@@ -261,117 +409,25 @@ fn record_scheduled_batch<S: Scalar, Src: BatchSource<S>>(
             let f = assemble_sc_with_cache(&mut rec, &l, bt, cfg, Some(cache));
             rec.record_download_bytes(0); // result stays on device
             let (costs, accesses) = rec.into_recording();
-            Recorded {
+            let recorded = Recorded {
                 f,
                 costs,
                 accesses,
-                estimate,
                 host_seconds: t_host.elapsed().as_secs_f64(),
-            }
+            };
+            (recorded, estimate)
         })
-        .collect()
+        .collect::<Vec<_>>()
+        .into_iter()
+        .unzip()
 }
 
-/// Phase 2 of the scheduled/cluster drivers, for one device: plan the share
-/// `idx` (batch indices into `recorded`) onto `dev`'s streams with the
-/// single-device LPT stream scheduler — `seconds_of(g)` is subdomain `g`'s
-/// recorded kernel sequence priced under *this device's* duration model —
-/// and replay it with arena admission. `ready_at` is indexed like the
-/// batch. Returns the device's report section (subdomain indices in batch
-/// order space, streams device-local) and the share's timings in `idx`
-/// order, stamped with pool device `d`.
-fn replay_share<S: Scalar>(
-    dev: &std::sync::Arc<Device>,
-    d: usize,
-    idx: &[usize],
-    recorded: &[Recorded<S>],
-    seconds_of: impl Fn(usize) -> f64,
-    policy: StreamPolicy,
-    ready_at: Option<&[f64]>,
-) -> (DeviceReport, Vec<SubdomainTiming>) {
-    let sync0 = dev.synchronize();
-    let busy0 = dev.busy_seconds();
-    let refs: Vec<&Recorded<S>> = idx.iter().map(|&g| &recorded[g]).collect();
-    // estimate indices are renumbered to the share-local position: plan
-    // assignments, `estimates` and `ready_local` all live in local order
-    let estimates: Vec<schedule::CostEstimate> = idx
-        .iter()
-        .enumerate()
-        .map(|(local, &g)| {
-            let mut e = recorded[g].estimate.clone();
-            e.index = local;
-            e.seconds = seconds_of(g);
-            e
-        })
-        .collect();
-    let plan = plan_topology_by(
-        &estimates,
-        &Topology::streams(dev.n_streams(), policy),
-        |c, _| c.seconds,
-    )
-    .expect("stream-level planning has no failure mode");
-    let ready_local: Option<Vec<f64>> = ready_at.map(|r| idx.iter().map(|&g| r[g]).collect());
-    let outcome = replay_recorded(
-        dev,
-        &refs,
-        &estimates,
-        &plan.per_child,
-        ready_local.as_deref(),
-    );
-    let makespan = dev.synchronize() - sync0;
-
-    let timings = idx
-        .iter()
-        .enumerate()
-        .map(|(local, &g)| {
-            let (stream, span) = outcome.spans[local].expect("every subdomain was replayed");
-            SubdomainTiming {
-                index: g,
-                n_dofs: recorded[g].estimate.n_dofs,
-                n_lambda: recorded[g].estimate.n_lambda,
-                seconds: span.duration(),
-                host_seconds: recorded[g].host_seconds,
-                stream: Some(stream),
-                span: Some(span),
-                device: Some(d),
-                node: None,
-            }
-        })
-        .collect();
-    // executed schedule, indices remapped back to batch order
-    let mut schedule_log = outcome.executed;
-    for e in &mut schedule_log {
-        e.index = idx[e.index];
-    }
-    let busy = dev.busy_seconds() - busy0;
-    let cap = makespan * dev.n_streams().max(1) as f64; // sc-analyze: allow(precision-discipline)
-    let report = DeviceReport {
-        device: d,
-        subdomains: schedule_log.iter().map(|e| e.index).collect(),
-        schedule: schedule_log,
-        makespan,
-        utilization: if cap > 0.0 { busy / cap } else { 0.0 },
-        temp_high_water: outcome.temp_high_water,
-        trace: Some(outcome.trace),
-    };
-    (report, timings)
-}
-
-/// Outcome of one device's replay: the executed schedule and per-subdomain
-/// spans (both in the **local** index space of the replayed slice), the
-/// arena high water, and the hazard-audit trace of the replay.
-struct ReplayOutcome {
-    executed: Vec<ScheduledSpan>,
-    spans: Vec<Option<(usize, SimSpan)>>,
-    temp_high_water: usize,
-    trace: Trace,
-}
-
-/// Replay the recorded kernel sequences onto `device` under the per-stream
-/// submission queues `assignments`, admitting each subdomain against the
-/// device's temporary arena ("wait") and applying per-subdomain host
-/// readiness ("mix"). All indices (`assignments`, `estimates`, `ready_at`)
-/// are local to the `recorded` slice.
+/// The replay phase, for one device: execute the per-stream submission
+/// queues `lanes` (the device's leaf of the plan; batch indices into
+/// `recorded`/`costs`/`ready_at`) onto `dev`, admitting each subdomain
+/// against the device's temporary arena ("wait") and applying
+/// per-subdomain host readiness ("mix"). Returns the device's report
+/// section, numbered `d`.
 ///
 /// The replay merges the per-stream queues **kernel by kernel** in
 /// stream-clock order: submitting a whole subdomain at once would hand the
@@ -385,22 +441,29 @@ struct ReplayOutcome {
 /// device's own span log over the replay window as an independent witness
 /// of per-stream serialization. The span log is captured non-destructively:
 /// an outer `enable_span_log` caller still drains the full log afterwards.
-fn replay_recorded<S: Scalar>(
-    device: &std::sync::Arc<Device>,
-    recorded: &[&Recorded<S>],
-    estimates: &[schedule::CostEstimate],
-    assignments: &[Vec<usize>],
+fn replay_device<S: Scalar>(
+    device: &Arc<Device>,
+    d: usize,
+    lanes: &[Vec<usize>],
+    recorded: &[Recorded<S>],
+    costs: &[CostEstimate],
     ready_at: Option<&[f64]>,
-) -> ReplayOutcome {
-    let n_streams = assignments.len();
+) -> DeviceReport {
+    let sync0 = device.synchronize();
+    let busy0 = device.busy_seconds();
+    let n_streams = lanes.len();
     let mut arena = ArenaSim::new(device.temp_pool().capacity());
-    let mut executed: Vec<ScheduledSpan> = Vec::with_capacity(recorded.len());
-    let mut spans: Vec<Option<(usize, SimSpan)>> = vec![None; recorded.len()];
+    let mut executed: Vec<ScheduledSpan> = Vec::with_capacity(lanes.iter().map(Vec::len).sum());
     let outer_span_log = device.span_log_enabled();
     device.enable_span_log();
     let span_log_mark = device.span_log_len();
-    let mut events: Vec<TraceEvent> =
-        Vec::with_capacity(recorded.iter().map(|r| r.costs.len() + 2).sum());
+    let mut events: Vec<TraceEvent> = Vec::with_capacity(
+        lanes
+            .iter()
+            .flatten()
+            .map(|&i| recorded[i].costs.len() + 2)
+            .sum(),
+    );
     struct InFlight {
         index: usize,
         kpos: usize,
@@ -415,7 +478,7 @@ fn replay_recorded<S: Scalar>(
         // candidates in clock order (ties by id): streams with a kernel in
         // flight, or with a queued subdomain to admit
         let mut order: Vec<usize> = (0..n_streams)
-            .filter(|&s| current[s].is_some() || next[s] < assignments[s].len())
+            .filter(|&s| current[s].is_some() || next[s] < lanes[s].len())
             .collect();
         if order.is_empty() {
             break;
@@ -476,12 +539,11 @@ fn replay_recorded<S: Scalar>(
                         span,
                         temp_bytes: fl.bytes,
                     });
-                    spans[fl.index] = Some((s, span));
                 }
                 acted = true;
                 break;
             }
-            let i = assignments[s][next[s]];
+            let i = lanes[s][next[s]];
             // "mix": the subdomain's host preparation finished at ready_at[i]
             if let Some(ready) = ready_at {
                 device.advance_stream(s, ready[i]);
@@ -489,7 +551,7 @@ fn replay_recorded<S: Scalar>(
             // "wait": stall the stream until the arena can hold the
             // temporaries; blocked by an in-flight holder → let another
             // stream replay first
-            let bytes = estimates[i].temp_bytes;
+            let bytes = costs[i].temp_bytes;
             let Some(admitted_at) = arena.try_admit(bytes, device.stream_time(s)) else {
                 continue;
             };
@@ -522,11 +584,17 @@ fn replay_recorded<S: Scalar>(
     if !outer_span_log {
         device.disable_span_log();
     }
-    ReplayOutcome {
-        executed,
-        spans,
+    let makespan = device.synchronize() - sync0;
+    let busy = device.busy_seconds() - busy0;
+    let cap = makespan * n_streams.max(1) as f64; // sc-analyze: allow(precision-discipline)
+    DeviceReport {
+        device: d,
+        subdomains: executed.iter().map(|e| e.index).collect(),
+        schedule: executed,
+        makespan,
+        utilization: if cap > 0.0 { busy / cap } else { 0.0 },
         temp_high_water: arena.high_water(),
-        trace: Trace {
+        trace: Some(Trace {
             arena_capacity: device.temp_pool().capacity(),
             // the oversubscription audit compares arena reservations sized
             // with the replay's working precision (satellite of the mixed-
@@ -536,192 +604,8 @@ fn replay_recorded<S: Scalar>(
             concurrency: device.spec().concurrency,
             events,
             span_log,
-        },
+        }),
     }
-}
-
-/// Options of the cluster (multi-device) batch driver — the `opts` payload
-/// of [`Target::Cluster`](crate::session::Target::Cluster) and
-/// [`Target::Hybrid`](crate::session::Target::Hybrid).
-///
-/// Construct with [`Default`] and the `with_*` setters (the struct is
-/// `#[non_exhaustive]`, so it may grow fields without breaking callers):
-///
-/// ```
-/// use sc_core::{ClusterOptions, StreamPolicy};
-/// let opts = ClusterOptions::default().with_policy(StreamPolicy::LptLeastLoaded);
-/// assert!(opts.ready_at.is_none());
-/// ```
-#[derive(Clone, Debug, Default)]
-#[non_exhaustive]
-pub struct ClusterOptions {
-    /// Per-device stream-assignment policy (the second planning level).
-    pub policy: StreamPolicy,
-    /// Per-subdomain host-readiness times, indexed like the input batch
-    /// (the "mix" configuration; sliced per device by the partition).
-    pub ready_at: Option<Vec<f64>>,
-}
-
-impl ClusterOptions {
-    /// Set the per-device stream-assignment policy.
-    pub fn with_policy(mut self, policy: StreamPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Set per-subdomain host-readiness times (the "mix" configuration).
-    pub fn with_ready_at(mut self, ready_at: Vec<f64>) -> Self {
-        self.ready_at = Some(ready_at);
-        self
-    }
-}
-
-/// Two-level cluster driver over any [`BatchSource`] — the paper's 8-GPU
-/// node: subdomains are **recorded once** (host-parallel numerics +
-/// kernel-cost sequences, shared block-cut cache), then a two-level plan
-/// partitions them across devices — cost-aware LPT under each device's own
-/// spec, with per-device arena-capacity admissibility
-/// ([`plan_topology_by`] over the pool's single-node [`Topology`]) — and
-/// each device replays its share through the single-device §4.4 machinery
-/// of [`batch_scheduled`]: LPT stream assignment (estimates refined under
-/// that device's duration model), arena admission, kernel-granular
-/// deterministic replay. Numerics stay bitwise identical to the sequential
-/// CPU path; the partition only moves work between independent simulated
-/// timelines.
-///
-/// With `allow_spill = true` (the spill channel of
-/// [`Target::Hybrid`](crate::session::Target::Hybrid)) a subdomain that
-/// fits no device arena keeps its host-computed `F̃ᵢ` — the record phase
-/// computes every subdomain's numerics host-side anyway — and is reported
-/// as a host timing (`stream`, `span` and `device` all `None`) in no
-/// device's share.
-///
-/// # Panics
-///
-/// When the batch is non-empty and the pool holds no usable device, or —
-/// with `allow_spill = false` — a subdomain's temporaries exceed every
-/// device's arena (see
-/// [`ClusterPlanError`](crate::schedule::ClusterPlanError)).
-pub(crate) fn batch_cluster_impl<S: Scalar, Src: BatchSource<S>>(
-    src: Src,
-    cfg: &ScConfig,
-    pool: &DevicePool,
-    opts: &ClusterOptions,
-    allow_spill: bool,
-) -> (Vec<MatOf<S>>, AssemblyReport) {
-    if let Some(ready) = opts.ready_at.as_ref() {
-        assert_eq!(
-            ready.len(),
-            src.len(),
-            "ClusterOptions::ready_at must carry one readiness time per \
-             batch item ({} given, {} items)",
-            ready.len(),
-            src.len()
-        );
-    }
-    let t0 = Instant::now();
-    if src.is_empty() {
-        // idle pool devices keep an (empty) report section
-        let report = AssemblyReport {
-            devices: (0..pool.n_devices())
-                .map(|device| DeviceReport {
-                    device,
-                    ..Default::default()
-                })
-                .collect(),
-            total_seconds: t0.elapsed().as_secs_f64(),
-            ..Default::default()
-        };
-        return (Vec::new(), report);
-    }
-
-    assert!(
-        !pool.is_empty(),
-        "cluster partition failed: {}",
-        schedule::ClusterPlanError::NoDevices
-    );
-
-    // phase 1: record every subdomain **once** — the numerics, kernel
-    // sequences, and cost estimates feed both planning levels, so a lazy
-    // source's factor derivation runs once per subdomain
-    let cache = BlockCutsCache::new();
-    let ref_spec = pool.device(0).spec().clone();
-    let recorded = record_scheduled_batch(&src, cfg, &ref_spec, &cache);
-
-    // level 1: partition across devices, pricing each subdomain's recorded
-    // kernel sequence under every device's own duration model — launch
-    // overhead and occupancy included, so launch-bound batches do not
-    // overload the card with the biggest peak-FLOP number
-    let slots: Vec<schedule::DeviceSlot> = pool
-        .devices()
-        .iter()
-        .map(|d| schedule::DeviceSlot::of(d))
-        .collect();
-    let costs: Vec<schedule::CostEstimate> = recorded.iter().map(|r| r.estimate.clone()).collect();
-    let kernel_seconds: Vec<Vec<f64>> = recorded
-        .iter()
-        .map(|r| {
-            slots
-                .iter()
-                .map(|s| r.costs.iter().map(|c| s.spec.kernel_seconds(c)).sum())
-                .collect()
-        })
-        .collect();
-    let topo = Topology::of_pool(pool, opts.policy);
-    let plan = plan_topology_by(&costs, &topo, |c, path| kernel_seconds[c.index][path[0]])
-        // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
-        .unwrap_or_else(|e| panic!("cluster partition failed: {e}"));
-    if !allow_spill && !plan.spilled.is_empty() {
-        // documented batch-API contract: spill without opt-in aborts. sc-analyze: allow(panic-surface)
-        panic!(
-            "cluster partition failed: {}",
-            schedule::ClusterPlanError::Spilled {
-                spilled: plan.spilled,
-                max_arena: schedule::max_usable_arena(&slots),
-            }
-        );
-    }
-
-    // level 2: each device plans and replays its share, device-by-device
-    // for a deterministic simulated timeline; the local estimates reuse the
-    // kernel-cost pricing already computed for the partition — same
-    // duration model, priced once
-    let mut report = AssemblyReport::default();
-    for (d, dev) in pool.devices().iter().enumerate() {
-        let (dev_report, timings) = replay_share(
-            dev,
-            d,
-            &plan.per_child[d],
-            &recorded,
-            |g| kernel_seconds[g][d],
-            opts.policy,
-            opts.ready_at.as_deref(),
-        );
-        report.makespan = report.makespan.max(dev_report.makespan);
-        report.devices.push(dev_report);
-        report.subdomains.extend(timings);
-    }
-
-    // spilled subdomains keep their host-computed numerics; report them as
-    // host timings (no stream, no device)
-    report
-        .subdomains
-        .extend(plan.spilled.iter().map(|&g| SubdomainTiming {
-            index: g,
-            n_dofs: recorded[g].estimate.n_dofs,
-            n_lambda: recorded[g].estimate.n_lambda,
-            seconds: recorded[g].host_seconds,
-            host_seconds: recorded[g].host_seconds,
-            stream: None,
-            span: None,
-            device: None,
-            node: None,
-        }));
-    report.subdomains.sort_by_key(|t| t.index);
-    report.cache_hits = cache.hits();
-    report.cache_misses = cache.misses();
-    report.total_seconds = t0.elapsed().as_secs_f64();
-    (recorded.into_iter().map(|r| r.f).collect(), report)
 }
 
 #[cfg(test)]
@@ -730,9 +614,10 @@ mod tests {
     use crate::assemble::assemble_sc;
     use crate::exec::CpuExec;
     use crate::schedule::StreamPolicy;
+    use crate::session::Target;
     use crate::trsm::FactorStorage;
     use sc_factor::{CholOptions, SparseCholesky};
-    use sc_gpu::DeviceSpec;
+    use sc_gpu::{DevicePool, DeviceSpec};
     use sc_sparse::{Coo, Csc};
 
     /// A small family of SPD matrices + gluing blocks mimicking a cluster of
@@ -780,6 +665,44 @@ mod tests {
                 (chol.factor_csc(), bt.permute_rows(chol.perm()))
             })
             .collect()
+    }
+
+    /// The one driver over a target's device tree, spills not tolerated.
+    fn on_target(
+        target: &Target,
+        items: &[BatchItem<'_>],
+        cfg: &ScConfig,
+    ) -> (Vec<sc_dense::Mat>, AssemblyReport) {
+        let (topo, groups, opts) = target.device_tree().expect("a device target");
+        batch_devices(items, cfg, &topo, &groups, opts, false)
+    }
+
+    /// … on one GPU (the one-node, one-device tree).
+    fn on_gpu(
+        items: &[BatchItem<'_>],
+        cfg: &ScConfig,
+        dev: &Arc<Device>,
+        opts: &ScheduleOptions,
+    ) -> (Vec<sc_dense::Mat>, AssemblyReport) {
+        let target = Target::Gpu {
+            device: Arc::clone(dev),
+            schedule: opts.clone(),
+        };
+        on_target(&target, items, cfg)
+    }
+
+    /// … on a device pool.
+    fn on_pool(
+        items: &[BatchItem<'_>],
+        cfg: &ScConfig,
+        pool: &Arc<DevicePool>,
+        opts: &ScheduleOptions,
+    ) -> (Vec<sc_dense::Mat>, AssemblyReport) {
+        let target = Target::Cluster {
+            pool: Arc::clone(pool),
+            opts: opts.clone(),
+        };
+        on_target(&target, items, cfg)
     }
 
     /// The blind stream-assignment baseline: subdomain `i` on stream
@@ -851,7 +774,7 @@ mod tests {
         let cfg = ScConfig::optimized(true, false);
         let (cpu, _) = batch_cpu(items.as_slice(), &cfg);
         let dev = Device::new(DeviceSpec::a100(), 4);
-        let (gpu, report) = batch_scheduled(items.as_slice(), &cfg, &dev, &round_robin());
+        let (gpu, report) = on_gpu(items.as_slice(), &cfg, &dev, &round_robin());
         for i in 0..items.len() {
             assert_eq!(cpu[i], gpu[i], "backend mismatch at subdomain {i}");
         }
@@ -872,7 +795,7 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
         let dev = Device::new(DeviceSpec::a100(), 3);
-        let (_, report) = batch_scheduled(items.as_slice(), &cfg, &dev, &round_robin());
+        let (_, report) = on_gpu(items.as_slice(), &cfg, &dev, &round_robin());
         let sync = dev.synchronize();
         let sum: f64 = report.subdomains.iter().map(|t| t.seconds).sum();
         assert!(
@@ -911,7 +834,7 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         for cfg in [ScConfig::optimized(true, false), ScConfig::Auto] {
             let dev = Device::new(DeviceSpec::a100(), 4);
-            let (f, a) = batch_scheduled(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
+            let (f, a) = on_gpu(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
             for (i, (l, bt)) in data.iter().enumerate() {
                 // sequential host reference; RecordingExec resolves Auto with
                 // the same GPU-platform flag the scheduled driver uses while
@@ -925,8 +848,7 @@ mod tests {
             }
             // reproducible simulated timeline on a fresh device
             let dev2 = Device::new(DeviceSpec::a100(), 4);
-            let (_, b) =
-                batch_scheduled(items.as_slice(), &cfg, &dev2, &ScheduleOptions::default());
+            let (_, b) = on_gpu(items.as_slice(), &cfg, &dev2, &ScheduleOptions::default());
             assert_eq!(dev.synchronize(), dev2.synchronize());
             for (x, y) in a.devices[0].schedule.iter().zip(&b.devices[0].schedule) {
                 assert_eq!(x.index, y.index);
@@ -946,10 +868,9 @@ mod tests {
         let cfg = ScConfig::optimized(true, false);
 
         let dev_rr = Device::new(DeviceSpec::a100(), 4);
-        let (rr, _) = batch_scheduled(items.as_slice(), &cfg, &dev_rr, &round_robin());
+        let (rr, _) = on_gpu(items.as_slice(), &cfg, &dev_rr, &round_robin());
         let dev_s = Device::new(DeviceSpec::a100(), 4);
-        let (sched, _) =
-            batch_scheduled(items.as_slice(), &cfg, &dev_s, &ScheduleOptions::default());
+        let (sched, _) = on_gpu(items.as_slice(), &cfg, &dev_s, &ScheduleOptions::default());
         assert!(
             dev_s.synchronize() < dev_rr.synchronize(),
             "LPT schedule {} must beat round-robin {}",
@@ -973,7 +894,7 @@ mod tests {
         };
         let dev = Device::new(spec, 4);
         let capacity = dev.temp_pool().capacity();
-        let (_, report) = batch_scheduled(
+        let (_, report) = on_gpu(
             items.as_slice(),
             &ScConfig::optimized(true, false),
             &dev,
@@ -998,7 +919,7 @@ mod tests {
 
         // control: with the full A100 arena the same batch never stalls
         let dev_big = Device::new(DeviceSpec::a100(), 4);
-        let (_, res_big) = batch_scheduled(
+        let (_, res_big) = on_gpu(
             items.as_slice(),
             &ScConfig::optimized(true, false),
             &dev_big,
@@ -1021,7 +942,7 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let dev = Device::new(DeviceSpec::a100(), 2);
         let ready = vec![0.5, 0.25, 0.0, 1.0];
-        let (_, res) = batch_scheduled(
+        let (_, res) = on_gpu(
             items.as_slice(),
             &ScConfig::optimized(true, false),
             &dev,
@@ -1046,37 +967,35 @@ mod tests {
         let (f, report) = batch_cpu(empty, &ScConfig::optimized(false, false));
         assert!(f.is_empty());
         assert_eq!(report.cache_hits + report.cache_misses, 0);
+        // every device target keeps one idle section per device
         let dev = Device::new(DeviceSpec::a100(), 2);
         for opts in [ScheduleOptions::default(), round_robin()] {
-            let (f, report) = batch_scheduled(empty, &ScConfig::Auto, &dev, &opts);
+            let (f, report) = on_gpu(empty, &ScConfig::Auto, &dev, &opts);
             assert!(f.is_empty());
-            assert!(report.devices.is_empty());
+            assert_eq!(report.devices.len(), 1);
+            assert!(report.devices[0].subdomains.is_empty());
         }
         // empty batches never touch the device timeline
         assert_eq!(dev.synchronize(), 0.0);
         assert_eq!(dev.launches(), 0);
-        // cluster driver: clean empty report, even on an empty pool
         let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
-        let (f, cl) = batch_cluster_impl(
-            empty,
-            &ScConfig::Auto,
-            &pool,
-            &ClusterOptions::default(),
-            false,
-        );
+        let (f, cl) = on_pool(empty, &ScConfig::Auto, &pool, &ScheduleOptions::default());
         assert!(f.is_empty());
         assert_eq!(cl.devices.len(), 2);
         assert_eq!(cl.makespan, 0.0);
         assert!(cl.subdomains.is_empty());
+        // clean empty report even on an empty pool
         let none = DevicePool::from_devices(Vec::new());
-        let (f, cl) = batch_cluster_impl(
-            empty,
-            &ScConfig::Auto,
-            &none,
-            &ClusterOptions::default(),
-            false,
-        );
+        let (f, cl) = on_pool(empty, &ScConfig::Auto, &none, &ScheduleOptions::default());
         assert!(f.is_empty() && cl.devices.is_empty());
+    }
+
+    /// Message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+        err.downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap_or(&"").to_string())
     }
 
     #[test]
@@ -1088,17 +1007,16 @@ mod tests {
         for opts in [ScheduleOptions::default(), round_robin()] {
             // empty batches are fine even on a 0-stream device
             let dev = Device::new(DeviceSpec::a100(), 0);
-            assert!(batch_scheduled(empty, &cfg, &dev, &opts).0.is_empty());
-            // non-empty batches fail with a descriptive message, not an index panic
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                batch_scheduled(items.as_slice(), &cfg, &dev, &opts);
-            }))
-            .unwrap_err();
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap_or(&"").to_string());
-            assert!(msg.contains("0 streams"), "unexpected panic: {msg}");
+            assert!(on_gpu(empty, &cfg, &dev, &opts).0.is_empty());
+            // non-empty batches fail with the planner's typed error, not an
+            // index panic
+            let msg = panic_message(|| {
+                on_gpu(items.as_slice(), &cfg, &dev, &opts);
+            });
+            assert_eq!(
+                msg,
+                format!("device placement failed: {}", ClusterPlanError::NoDevices)
+            );
         }
     }
 
@@ -1108,13 +1026,7 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         for cfg in [ScConfig::optimized(true, false), ScConfig::Auto] {
             let pool = DevicePool::uniform(DeviceSpec::a100(), 3, 2);
-            let (f, report) = batch_cluster_impl(
-                items.as_slice(),
-                &cfg,
-                &pool,
-                &ClusterOptions::default(),
-                false,
-            );
+            let (f, report) = on_pool(items.as_slice(), &cfg, &pool, &ScheduleOptions::default());
             for (i, (l, bt)) in data.iter().enumerate() {
                 let seq = assemble_sc(&mut RecordingExec::new(), l, bt, &cfg);
                 assert_eq!(f[i], seq, "cluster F̃ must be bitwise sequential ({i})");
@@ -1159,21 +1071,9 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
         let one = DevicePool::uniform(DeviceSpec::a100(), 1, 4);
-        let (f1, r1) = batch_cluster_impl(
-            items.as_slice(),
-            &cfg,
-            &one,
-            &ClusterOptions::default(),
-            false,
-        );
+        let (f1, r1) = on_pool(items.as_slice(), &cfg, &one, &ScheduleOptions::default());
         let four = DevicePool::uniform(DeviceSpec::a100(), 4, 4);
-        let (f4, r4) = batch_cluster_impl(
-            items.as_slice(),
-            &cfg,
-            &four,
-            &ClusterOptions::default(),
-            false,
-        );
+        let (f4, r4) = on_pool(items.as_slice(), &cfg, &four, &ScheduleOptions::default());
         assert!(
             r4.makespan < r1.makespan,
             "4 devices ({}) must beat 1 device ({})",
@@ -1182,7 +1082,7 @@ mod tests {
         );
         // the single-device cluster path is exactly the scheduled driver
         let dev = Device::new(DeviceSpec::a100(), 4);
-        let (f, sched) = batch_scheduled(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
+        let (f, sched) = on_gpu(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
         assert_eq!(r1.makespan, sched.makespan);
         for i in 0..items.len() {
             assert_eq!(f1[i], f[i]);
@@ -1214,13 +1114,7 @@ mod tests {
             oversized > 0,
             "workload must contain tiny-card-oversized subdomains"
         );
-        let (f, report) = batch_cluster_impl(
-            items.as_slice(),
-            &cfg,
-            &pool,
-            &ClusterOptions::default(),
-            false,
-        );
+        let (f, report) = on_pool(items.as_slice(), &cfg, &pool, &ScheduleOptions::default());
         for (i, it) in items.iter().enumerate() {
             let params = cfg.resolve(true, it.l, it.bt);
             let est = crate::schedule::estimate_cost(&spec, it.l, it.bt, &params, i);
@@ -1246,14 +1140,13 @@ mod tests {
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
         let ready: Vec<f64> = (0..items.len()).map(|i| 0.25 * i as f64).collect();
-        let (_, report) = batch_cluster_impl(
+        let (_, report) = on_pool(
             items.as_slice(),
             &ScConfig::optimized(true, false),
             &pool,
-            &ClusterOptions::default()
+            &ScheduleOptions::default()
                 .with_policy(StreamPolicy::LptLeastLoaded)
                 .with_ready_at(ready.clone()),
-            false,
         );
         for rep in &report.devices {
             for e in &rep.schedule {
@@ -1280,13 +1173,7 @@ mod tests {
             Device::new(DeviceSpec::a100(), 0),
             Device::new(DeviceSpec::a100(), 4),
         ]);
-        let (f, report) = batch_cluster_impl(
-            items.as_slice(),
-            &cfg,
-            &pool,
-            &ClusterOptions::default(),
-            false,
-        );
+        let (f, report) = on_pool(items.as_slice(), &cfg, &pool, &ScheduleOptions::default());
         assert!(
             report.devices[0].subdomains.is_empty(),
             "dead card must stay idle"
@@ -1300,30 +1187,29 @@ mod tests {
     }
 
     #[test]
-    fn cluster_panics_when_a_subdomain_fits_nowhere() {
+    fn a_subdomain_that_fits_nowhere_panics_with_the_spill_list() {
         // 8 n m = 8 · 1024 · 80 = 640 KiB of temporaries > the tiny card's
-        // 512 KiB arena, on every device of the pool
+        // 512 KiB arena, on every device of the pool — and on a single GPU
         let data = factorized(&cluster(1, 32, 80));
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
+        let cfg = ScConfig::optimized(true, false);
         let pool = DevicePool::uniform(DeviceSpec::tiny_test_device(), 2, 2);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = batch_cluster_impl(
-                items.as_slice(),
-                &ScConfig::optimized(true, false),
-                &pool,
-                &ClusterOptions::default(),
-                false,
-            );
-        }))
-        .unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap_or(&"").to_string());
-        assert!(
-            msg.contains("cluster partition failed"),
-            "unexpected panic: {msg}"
+        let want = format!(
+            "device placement failed: {}",
+            ClusterPlanError::Spilled {
+                spilled: vec![0],
+                max_arena: pool.device(0).arena_capacity(),
+            }
         );
+        let opts = ScheduleOptions::default();
+        let on_the_pool = panic_message(|| {
+            on_pool(items.as_slice(), &cfg, &pool, &opts);
+        });
+        assert_eq!(on_the_pool, want);
+        let on_one_gpu = panic_message(|| {
+            on_gpu(items.as_slice(), &cfg, pool.device(0), &opts);
+        });
+        assert_eq!(on_one_gpu, want);
     }
 
     #[test]
@@ -1356,9 +1242,8 @@ mod tests {
             assert_eq!(cpu[1].nrows(), 1);
             assert!(cpu[1][(0, 0)] > 0.0, "1×1 F̃ must be positive");
             let dev = Device::new(DeviceSpec::a100(), 2);
-            let (rr, _) = batch_scheduled(items.as_slice(), &cfg, &dev, &round_robin());
-            let (sched, _) =
-                batch_scheduled(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
+            let (rr, _) = on_gpu(items.as_slice(), &cfg, &dev, &round_robin());
+            let (sched, _) = on_gpu(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
             for i in 0..items.len() {
                 assert_eq!(cpu[i], rr[i], "round-robin mismatch at {i}");
                 assert_eq!(cpu[i], sched[i], "scheduled mismatch at {i}");

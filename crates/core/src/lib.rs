@@ -20,7 +20,6 @@
 
 pub mod assemble;
 pub mod batch;
-pub mod calibrate;
 pub mod exec;
 pub mod schedule;
 pub mod session;
@@ -34,8 +33,7 @@ pub mod tune;
 pub use assemble::{
     assemble_sc, assemble_sc_reference, assemble_sc_with_cache, ScConfig, ScParams,
 };
-pub use batch::{BatchItem, BatchItemOf, ClusterOptions, SubdomainTiming};
-pub use calibrate::MicrokernelRates;
+pub use batch::{BatchItem, BatchItemOf, SubdomainTiming};
 pub use exec::{CpuExec, Exec, GpuExec, RecordingExec};
 pub use schedule::{
     estimate_apply, estimate_apply_of, estimate_cost, estimate_cost_of, plan_hybrid, plan_topology,
@@ -52,6 +50,4 @@ pub use source::{BatchSource, IntoBatchSource, LazyBatch};
 pub use stepped::{SteppedRhs, SteppedRhsOf};
 pub use syrk::{run_syrk as run_syrk_variant, run_syrk_with_cache, SyrkVariant};
 pub use trsm::{run_trsm as run_trsm_variant, run_trsm_with_cache, FactorStorage, TrsmVariant};
-pub use tune::{
-    resolve_block, resolve_block_cuts, resolve_block_cuts_cols, BlockCutsCache, BlockParam,
-};
+pub use tune::{resolve_block, BlockCutsCache, BlockParam};

@@ -5,8 +5,8 @@
 //! submitting subdomains over 16 CUDA streams under a fixed temporary-arena
 //! budget; its CUDA predecessor (arXiv:2502.08382) shows that *stream
 //! scheduling and memory admission*, not kernel speed alone, decide
-//! throughput at that scale. This module is the planner behind the
-//! scheduled GPU and cluster drivers of [`crate::batch`]:
+//! throughput at that scale. This module is the planner behind the device
+//! driver of [`crate::batch`]:
 //!
 //! 1. [`estimate_cost`] prices each subdomain from its stepped pattern —
 //!    TRSM and SYRK FLOPs below the column pivots, H2D transfer bytes, and
@@ -46,8 +46,8 @@ pub enum StreamPolicy {
     LptLeastLoaded,
 }
 
-/// Options of the scheduled (single-device) batch driver — the `schedule`
-/// payload of [`Target::Gpu`](crate::Target::Gpu).
+/// Options of the device batch driver — the payload of every device
+/// variant of [`Target`](crate::Target).
 ///
 /// Construct with [`Default`] and the `with_*` setters (the struct is
 /// `#[non_exhaustive]`, so it may grow fields without breaking callers):
@@ -62,9 +62,10 @@ pub enum StreamPolicy {
 #[derive(Clone, Debug, Default)]
 #[non_exhaustive]
 pub struct ScheduleOptions {
-    /// Stream-assignment policy.
+    /// Stream-assignment policy (of every device's lane level).
     pub policy: StreamPolicy,
-    /// Per-subdomain host-readiness times in simulated seconds (the paper's
+    /// Per-subdomain host-readiness times in simulated seconds, indexed
+    /// like the input batch wherever a subdomain is placed (the paper's
     /// "mix" configuration: subdomain `i`'s factorization finishes on the
     /// host at `ready_at[i]`, so its kernels cannot start earlier — applied
     /// via `Device::advance_stream`). `None` means everything is ready at
@@ -573,10 +574,11 @@ pub fn plan_topology(
 }
 
 /// Plan a batch over a [`Topology`] with caller-supplied pricing — **the**
-/// planner behind every batch driver. `seconds_of(cost, path)` returns the
+/// planner behind the device batch driver, which calls it once per batch
+/// and replays the returned tree. `seconds_of(cost, path)` returns the
 /// subdomain's single-stream seconds at the vertex reached by the
 /// child-index `path` from the root (e.g. `[d]` is device `d` of a
-/// single-node pool). The batch drivers pass the recorded kernel sequences
+/// single-node pool). The driver passes the recorded kernel sequences
 /// priced by each device's own duration model
 /// ([`DeviceSpec::kernel_seconds`]), which accounts for launch overhead and
 /// the occupancy ramp that the analytic estimate ignores — peak-FLOP
@@ -592,7 +594,8 @@ pub fn plan_topology(
 ///   [`ClusterPlanError::NoDevices`]. Placement into a child behind an
 ///   [`Interconnect`] prices `link.seconds(exchange_bytes)` **plus** the
 ///   cheapest admissible placement inside — communication is a first-class
-///   cost, not an afterthought;
+///   cost, not an afterthought. Each child then plans its share, handed
+///   down in batch order, the same way ([`TopoPlan::children`]);
 /// - a [`Topology::Streams`] leaf (and the lane level of every
 ///   [`Topology::Device`]) assigns under [`StreamPolicy`]; an empty batch
 ///   yields an empty plan for any lane count (including 0), while planning
@@ -753,7 +756,6 @@ fn plan_group(
 
     let weight: Vec<f64> = children.iter().map(|c| c.weight()).collect();
     let mut per_child = vec![Vec::new(); children.len()];
-    let mut per_child_pos: Vec<Vec<usize>> = vec![Vec::new(); children.len()];
     let mut est_load = vec![0.0f64; children.len()];
     let mut child_of = vec![usize::MAX; costs.len()];
     let mut spilled = Vec::new();
@@ -772,18 +774,22 @@ fn plan_group(
             continue;
         };
         per_child[d].push(costs[k].index);
-        per_child_pos[d].push(k);
         est_load[d] += seconds[k][d];
         child_of[k] = d;
     }
     spilled.sort_unstable();
-    // recurse: plan each child's subset one level down, placement order
+    // recurse: plan each child's subset one level down, in batch order —
+    // an LPT level below re-sorts it anyway (total order, ties by index),
+    // and a round-robin one stays the blind index-order baseline however
+    // deep it sits
     let sub = children
         .iter()
         .enumerate()
         .map(|(d, child)| {
-            let subset: Vec<CostEstimate> =
-                per_child_pos[d].iter().map(|&k| costs[k].clone()).collect();
+            let subset: Vec<CostEstimate> = (costs.iter().zip(&child_of))
+                .filter(|&(_, &at)| at == d)
+                .map(|(c, _)| c.clone())
+                .collect();
             path.push(d);
             let p = plan_vertex(&subset, child, path, seconds_of);
             path.pop();
@@ -842,7 +848,7 @@ pub enum Formulation {
 }
 
 /// Collapse override of the hybrid decision (diagnostics and the
-/// all-explicit / all-implicit comparison baselines of the `hybrid` bench).
+/// all-explicit / all-implicit comparison baselines of `tests/hybrid.rs`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum HybridForce {
     /// Per-subdomain cost minimization (the real planner).
@@ -878,20 +884,9 @@ pub struct HybridPlanOptions {
     /// only consideration (collapses to all-explicit).
     pub iters: f64,
     /// Spec pricing host-side work (explicit-CPU assembly/apply, implicit
-    /// applies). Defaults to [`DeviceSpec::host`].
+    /// applies). Defaults to [`DeviceSpec::host`]; a probed or
+    /// paper-anchored host is just another [`DeviceSpec`] value.
     pub host: DeviceSpec,
-    /// Measured microkernel rates pricing host-side work per kernel family
-    /// instead of through the single-rate `host` spec: explicit-CPU assembly
-    /// via [`MicrokernelRates::assembly_seconds`], applies via
-    /// [`MicrokernelRates::explicit_apply_seconds`] /
-    /// [`MicrokernelRates::implicit_apply_seconds`]. `None` (the default)
-    /// keeps the historical spec-based pricing; set by
-    /// [`with_calibrated_host`](Self::with_calibrated_host).
-    ///
-    /// [`MicrokernelRates::assembly_seconds`]: crate::calibrate::MicrokernelRates::assembly_seconds
-    /// [`MicrokernelRates::explicit_apply_seconds`]: crate::calibrate::MicrokernelRates::explicit_apply_seconds
-    /// [`MicrokernelRates::implicit_apply_seconds`]: crate::calibrate::MicrokernelRates::implicit_apply_seconds
-    pub host_rates: Option<crate::calibrate::MicrokernelRates>,
     /// Whether explicit-CPU is in the candidate set (it is the fail-over
     /// for arena-spilled subdomains when the iteration count is high).
     pub allow_explicit_cpu: bool,
@@ -904,7 +899,6 @@ impl Default for HybridPlanOptions {
         HybridPlanOptions {
             iters: 50.0,
             host: DeviceSpec::host(),
-            host_rates: None,
             allow_explicit_cpu: true,
             force: HybridForce::Auto,
         }
@@ -921,30 +915,6 @@ impl HybridPlanOptions {
     /// Set the spec pricing host-side work.
     pub fn with_host(mut self, host: DeviceSpec) -> Self {
         self.host = host;
-        self
-    }
-
-    /// Price host-side work with measured microkernel rates instead of the
-    /// nominal [`DeviceSpec::host`] constants (see
-    /// [`MicrokernelRates`](crate::calibrate::MicrokernelRates): typically
-    /// built by `MicrokernelRates::probe()`). The nominal host claims
-    /// server-class throughput; on slower machines that skews the hybrid
-    /// decision toward explicit-CPU, and calibration closes the
-    /// predicted-vs-realized gap the `kernels` bench bin gates on.
-    ///
-    /// Beyond folding the rates into the host spec, this also stores the
-    /// rates themselves ([`host_rates`](Self::host_rates)) so `plan_hybrid`
-    /// prices the assembly *and apply* paths per kernel family: GEMV at
-    /// measured stream bandwidth, sparse trisolves at the measured
-    /// latency-bound rate.
-    pub fn with_calibrated_host(self, rates: &crate::calibrate::MicrokernelRates) -> Self {
-        self.with_host(rates.host_spec()).with_host_rates(*rates)
-    }
-
-    /// Set measured per-family host rates (see
-    /// [`host_rates`](Self::host_rates)) without touching the host spec.
-    pub fn with_host_rates(mut self, rates: crate::calibrate::MicrokernelRates) -> Self {
-        self.host_rates = Some(rates);
         self
     }
 
@@ -1015,8 +985,8 @@ impl HybridPlan {
 
     /// Predicted cost-to-solution at `iters` iterations: the sum over
     /// subdomains of `assembly + iters × apply` — the sequential-equivalent
-    /// work the node performs, the comparison metric of the `hybrid` bench
-    /// gate (device-level overlap shrinks all strategies alike).
+    /// work the node performs, the comparison metric of `tests/hybrid.rs`
+    /// (device-level overlap shrinks all strategies alike).
     pub fn cost_at(&self, iters: f64) -> f64 {
         self.choices
             .iter()
@@ -1093,24 +1063,15 @@ pub fn plan_hybrid(
             candidates.push((
                 Formulation::ExplicitCpu,
                 None,
-                match &opts.host_rates {
-                    Some(r) => r.assembly_seconds(c),
-                    None => c.seconds_on(&opts.host),
-                },
-                match &opts.host_rates {
-                    Some(r) => r.explicit_apply_seconds(a),
-                    None => a.explicit_seconds_on(&opts.host),
-                },
+                c.seconds_on(&opts.host),
+                a.explicit_seconds_on(&opts.host),
             ));
         }
         candidates.push((
             Formulation::Implicit,
             None,
             0.0,
-            match &opts.host_rates {
-                Some(r) => r.implicit_apply_seconds(a),
-                None => a.implicit_seconds_on(&opts.host),
-            },
+            a.implicit_seconds_on(&opts.host),
         ));
 
         match opts.force {

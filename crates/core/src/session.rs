@@ -46,20 +46,15 @@
 //! ```
 
 use crate::assemble::ScConfig;
-use crate::batch::{
-    batch_cluster_impl, batch_cpu, batch_scheduled, ClusterOptions, SubdomainTiming,
-};
+use crate::batch::{batch_cpu, batch_devices, DeviceGroup, SubdomainTiming};
 use crate::schedule::{
-    estimate_cost_of, plan_topology, ClusterPlanError, CostEstimate, Formulation, HybridPlan,
-    ScheduleOptions, ScheduledSpan, Topology,
+    DeviceSlot, Formulation, HybridPlan, ScheduleOptions, ScheduledSpan, Topology,
 };
 use crate::source::{BatchSource, IntoBatchSource};
 use sc_dense::{Mat, MatOf, Scalar};
-use sc_gpu::{Device, DevicePool, NodePool, SimSpan, TraceEvent};
+use sc_gpu::{Device, DevicePool, NodePool};
 use sc_sparse::CscOf;
-use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Working precision of the assembly/solve numerics.
 ///
@@ -102,7 +97,7 @@ impl Precision {
         }
     }
 
-    /// Stable lowercase name (diagnostics, bench records).
+    /// Stable lowercase name (diagnostics).
     pub fn name(&self) -> &'static str {
         match self {
             Precision::F64 => "f64",
@@ -117,8 +112,16 @@ impl Precision {
 }
 
 /// The execution target of a [`Backend`] — a *value*, so the same pipeline
-/// retargets between host, one simulated GPU, a device pool, or a
-/// spill-tolerant hybrid without changing call sites.
+/// retargets between host, one simulated GPU, a device pool, a
+/// spill-tolerant hybrid or a multi-node cluster without changing call
+/// sites.
+///
+/// Every device variant is the **same driver** over a different
+/// [`Topology`] tree — record every subdomain once, plan the whole batch
+/// once with [`plan_topology_by`](crate::plan_topology_by) (one pricing at
+/// every level: the recorded kernels under the leaf device's own duration
+/// model), replay each device from the lane assignment the plan holds —
+/// and takes the same [`ScheduleOptions`].
 #[derive(Clone)]
 #[non_exhaustive]
 pub enum Target {
@@ -127,50 +130,88 @@ pub enum Target {
         /// Upper bound on worker threads (`0` = all available).
         threads: usize,
     },
-    /// One simulated GPU, driven by the §4.4 scheduler (cost-model LPT or
-    /// round-robin per [`ScheduleOptions::policy`], temporary-arena
-    /// admission, deterministic record-then-replay).
+    /// One simulated GPU — a one-node, one-device tree: the §4.4 stream
+    /// scheduler (cost-model LPT or round-robin per
+    /// [`ScheduleOptions::policy`]), temporary-arena admission,
+    /// deterministic record-then-replay. A subdomain that does not fit the
+    /// device's arena **panics**.
     Gpu {
         /// The device.
         device: Arc<Device>,
-        /// Stream-scheduling options.
+        /// Scheduling options.
         schedule: ScheduleOptions,
     },
-    /// A pool of simulated GPUs: a two-level plan partitions subdomains
-    /// across devices (cost-aware LPT with per-device arena admissibility),
-    /// then each device runs the §4.4 scheduler on its share. A subdomain
-    /// that fits no device arena **panics** — use [`Target::Hybrid`] for
-    /// the spill-tolerant variant.
+    /// A pool of simulated GPUs — [`Topology::of_pool`]: subdomains are
+    /// partitioned across devices (cost-aware LPT with per-device arena
+    /// admissibility), then across each device's streams. A subdomain that
+    /// fits no device arena **panics** — use [`Target::Hybrid`] for the
+    /// spill-tolerant variant.
     Cluster {
         /// The device pool (heterogeneous mixes allowed).
         pool: Arc<DevicePool>,
-        /// Cluster scheduling options.
-        opts: ClusterOptions,
+        /// Scheduling options.
+        opts: ScheduleOptions,
     },
-    /// The cluster plan with a host fail-over: subdomains whose temporaries
-    /// fit no device arena keep their host-computed `F̃ᵢ` (the explicit-CPU
-    /// formulation) instead of erroring, and the report's
+    /// [`Target::Cluster`] with a host fail-over: subdomains whose
+    /// temporaries fit no device arena keep their host-computed `F̃ᵢ` (the
+    /// explicit-CPU formulation) instead of erroring, and the report's
     /// [`hybrid`](AssemblyReport::hybrid) block records the split.
     Hybrid {
         /// The device pool (a pool with no usable device sends everything
         /// to the host).
         pool: Arc<DevicePool>,
-        /// Cluster scheduling options for the on-pool share.
-        opts: ClusterOptions,
+        /// Scheduling options for the on-pool share.
+        opts: ScheduleOptions,
     },
-    /// A simulated multi-node cluster: the hierarchical planner partitions
-    /// subdomains across nodes by the §4.4 cost model **plus** priced
-    /// inter-node lambda/gluing traffic over each node's
-    /// [`Interconnect`](sc_gpu::Interconnect), then each node runs the
-    /// two-level cluster driver on its own [`DevicePool`]. The report gains
-    /// a per-node roll-up ([`AssemblyReport::nodes`]) with exchange-byte
-    /// accounting.
+    /// A simulated multi-node cluster — [`Topology::of_cluster`]: the node
+    /// level prices each placement as the recorded kernel seconds on the
+    /// node's best admissible device **plus** the subdomain's lambda/gluing
+    /// bytes over the node's [`Interconnect`](sc_gpu::Interconnect). The
+    /// report gains a per-node roll-up ([`AssemblyReport::nodes`]) with
+    /// exchange-byte accounting. A subdomain that fits no device arena
+    /// **panics**.
     MultiNode {
         /// The simulated cluster.
         pool: Arc<NodePool>,
-        /// Scheduling options shared by every node's device pool.
-        opts: ClusterOptions,
+        /// Scheduling options shared by every node.
+        opts: ScheduleOptions,
     },
+}
+
+impl Target {
+    /// The three device shapes as data: the target's [`Topology`], its
+    /// devices grouped in the same depth-first order (one link-less group
+    /// for one GPU or a pool, one group per node for a cluster), and its
+    /// scheduling options. `None` on the host target.
+    pub(crate) fn device_tree(&self) -> Option<(Topology, Vec<DeviceGroup<'_>>, &ScheduleOptions)> {
+        Some(match self {
+            Target::Cpu { .. } => return None,
+            Target::Gpu { device, schedule } => (
+                Topology::node(
+                    vec![Topology::device_with(
+                        DeviceSlot::of(device),
+                        schedule.policy,
+                    )],
+                    None,
+                ),
+                vec![(std::slice::from_ref(device), None)],
+                schedule,
+            ),
+            Target::Cluster { pool, opts } | Target::Hybrid { pool, opts } => (
+                Topology::of_pool(pool, opts.policy),
+                vec![(pool.devices(), None)],
+                opts,
+            ),
+            Target::MultiNode { pool, opts } => (
+                Topology::of_cluster(pool, opts.policy),
+                pool.nodes()
+                    .iter()
+                    .map(|ns| (ns.pool.devices(), Some(ns.link)))
+                    .collect(),
+                opts,
+            ),
+        })
+    }
 }
 
 impl std::fmt::Debug for Target {
@@ -257,17 +298,17 @@ impl Backend {
         Target::Gpu { device, schedule }.into()
     }
 
-    /// A device pool under the default cluster options.
+    /// A device pool under the default schedule.
     pub fn cluster(pool: Arc<DevicePool>) -> Self {
         Target::Cluster {
             pool,
-            opts: ClusterOptions::default(),
+            opts: ScheduleOptions::default(),
         }
         .into()
     }
 
-    /// A device pool under explicit cluster options.
-    pub fn cluster_with(pool: Arc<DevicePool>, opts: ClusterOptions) -> Self {
+    /// A device pool under explicit scheduling options.
+    pub fn cluster_with(pool: Arc<DevicePool>, opts: ScheduleOptions) -> Self {
         Target::Cluster { pool, opts }.into()
     }
 
@@ -275,28 +316,18 @@ impl Backend {
     pub fn hybrid(pool: Arc<DevicePool>) -> Self {
         Target::Hybrid {
             pool,
-            opts: ClusterOptions::default(),
+            opts: ScheduleOptions::default(),
         }
         .into()
     }
 
-    /// A spill-tolerant pool under explicit cluster options.
-    pub fn hybrid_with(pool: Arc<DevicePool>, opts: ClusterOptions) -> Self {
-        Target::Hybrid { pool, opts }.into()
-    }
-
-    /// A simulated multi-node cluster under the default cluster options.
+    /// A simulated multi-node cluster under the default schedule.
     pub fn multi_node(pool: Arc<NodePool>) -> Self {
         Target::MultiNode {
             pool,
-            opts: ClusterOptions::default(),
+            opts: ScheduleOptions::default(),
         }
         .into()
-    }
-
-    /// A simulated multi-node cluster under explicit cluster options.
-    pub fn multi_node_with(pool: Arc<NodePool>, opts: ClusterOptions) -> Self {
-        Target::MultiNode { pool, opts }.into()
     }
 
     /// Set the working precision (builder style).
@@ -305,7 +336,7 @@ impl Backend {
         self
     }
 
-    /// Stable lowercase name of the target (diagnostics, bench records).
+    /// Stable lowercase name of the target (diagnostics).
     pub fn name(&self) -> &'static str {
         match &self.target {
             Target::Cpu { .. } => "cpu",
@@ -341,6 +372,18 @@ impl Backend {
             Target::MultiNode { pool, .. } => Some(pool),
             _ => None,
         }
+    }
+
+    /// Every device of the target, flat, in the numbering
+    /// [`AssemblyReport::devices`] and [`SubdomainTiming::device`] use (the
+    /// one GPU; a pool's devices; a cluster's devices node-major). Empty on
+    /// the host target.
+    pub fn devices(&self) -> Vec<Arc<Device>> {
+        let groups = self.target.device_tree().map_or(Vec::new(), |t| t.1);
+        groups
+            .iter()
+            .flat_map(|(devs, _)| devs.iter().cloned())
+            .collect()
     }
 }
 
@@ -417,7 +460,7 @@ impl AssemblySession {
     }
 }
 
-/// Target dispatch of the batched drivers, generic over the working
+/// Target dispatch of the two batch drivers, generic over the working
 /// precision. Every target fills the same [`AssemblyReport`] schema; the
 /// report's `precision` field is stamped by the caller.
 fn dispatch<S: Scalar, Src: BatchSource<S>>(
@@ -425,224 +468,54 @@ fn dispatch<S: Scalar, Src: BatchSource<S>>(
     cfg: &ScConfig,
     src: &Src,
 ) -> (Vec<MatOf<S>>, AssemblyReport) {
-    match target {
-        Target::Cpu { threads } => {
-            if *threads > 0 {
+    let Some((topo, groups, opts)) = target.device_tree() else {
+        return match target {
+            Target::Cpu { threads } if *threads > 0 => {
                 rayon::with_max_threads(*threads, || batch_cpu(src, cfg))
-            } else {
-                batch_cpu(src, cfg)
             }
-        }
-        Target::Gpu { device, schedule } => batch_scheduled(src, cfg, device, schedule),
-        Target::Cluster { pool, opts } => batch_cluster_impl(src, cfg, pool, opts, false),
-        Target::Hybrid { pool, opts } => {
-            let usable = pool.devices().iter().any(|d| d.n_streams() > 0);
-            if !usable {
-                // nothing can run on the pool: everything fails over to
-                // the host, and the report says so
-                let n = src.len();
-                let (f, mut report) = batch_cpu(src, cfg);
-                report.hybrid = Some(HybridSummary {
-                    plan: None,
-                    formulation: vec![Formulation::ExplicitCpu; n],
-                    spilled: (0..n).collect(),
-                    predicted_assembly_seconds: 0.0,
-                    realized_gpu_seconds: 0.0,
-                    realized_cpu_seconds: report.cpu_seconds(),
-                    arena_high_water: 0,
-                    precision: Precision::F64,
-                });
-                return (f, report);
-            }
-            let (f, mut report) = batch_cluster_impl(src, cfg, pool, opts, true);
-            // the host fail-over share: timings the driver placed on no
-            // device
-            let host_share = || report.subdomains.iter().filter(|t| t.device.is_none());
-            let spilled: Vec<usize> = host_share().map(|t| t.index).collect();
-            let realized_cpu: f64 = host_share().map(|t| t.host_seconds).sum();
-            let mut formulation = vec![Formulation::ExplicitGpu; f.len()];
-            for &g in &spilled {
-                formulation[g] = Formulation::ExplicitCpu;
-            }
-            report.hybrid = Some(HybridSummary {
-                plan: None,
-                formulation,
-                spilled,
-                predicted_assembly_seconds: 0.0,
-                realized_gpu_seconds: report.makespan,
-                realized_cpu_seconds: realized_cpu,
-                arena_high_water: report.temp_high_water(),
-                precision: Precision::F64,
-            });
-            (f, report)
-        }
-        Target::MultiNode { pool, opts } => batch_multi_node(src, cfg, pool, opts),
-    }
-}
-
-/// A view of a subset of another batch source: the per-node shares of the
-/// multi-node driver, in node-placement order.
-struct SubsetSource<'a, Src> {
-    src: &'a Src,
-    idx: &'a [usize],
-}
-
-impl<S: Scalar, Src: BatchSource<S>> BatchSource<S> for SubsetSource<'_, Src> {
-    fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    fn factor(&self, i: usize) -> Cow<'_, CscOf<S>> {
-        self.src.factor(self.idx[i])
-    }
-
-    fn gluing(&self, i: usize) -> &CscOf<S> {
-        self.src.gluing(self.idx[i])
-    }
-}
-
-/// The multi-node driver: partition subdomains across nodes with the
-/// hierarchical planner (analytic §4.4 pricing plus the interconnect cost
-/// of each subdomain's boundary bytes), run the two-level cluster driver on
-/// every node's own pool, then merge the per-node reports into one flat
-/// [`AssemblyReport`] with global device numbering and a per-node roll-up.
-///
-/// Each node's boundary traffic is charged as **one aggregated exchange**
-/// on its timeline after its replay (the assembly-phase lambda/gluing rows
-/// leave the node once), recorded as a [`TraceEvent::Exchange`] on the
-/// node's first reporting device; a single-node pool exchanges nothing and
-/// reproduces the cluster driver's timings exactly.
-fn batch_multi_node<S: Scalar, Src: BatchSource<S>>(
-    src: &Src,
-    cfg: &ScConfig,
-    pool: &Arc<NodePool>,
-    opts: &ClusterOptions,
-) -> (Vec<MatOf<S>>, AssemblyReport) {
-    if let Some(ready) = opts.ready_at.as_ref() {
-        assert_eq!(
-            ready.len(),
-            src.len(),
-            "ClusterOptions::ready_at must carry one readiness time per \
-             batch item ({} given, {} items)",
-            ready.len(),
-            src.len()
-        );
-    }
-    let t0 = Instant::now();
-    if !src.is_empty() {
-        assert!(
-            !pool.is_empty(),
-            // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
-            "multi-node partition failed: {}",
-            ClusterPlanError::NoDevices
-        );
-    }
-
-    // node-level partition: analytic §4.4 estimates priced under the first
-    // device's spec, re-priced per placement by the topology (each node's
-    // own device specs plus its interconnect for the boundary bytes)
-    let ref_spec = if pool.is_empty() {
-        sc_gpu::DeviceSpec::host()
-    } else {
-        pool.node(0).pool.device(0).spec().clone()
+            _ => batch_cpu(src, cfg),
+        };
     };
-    let costs: Vec<CostEstimate> = (0..src.len())
-        .map(|i| {
-            let l = src.factor(i);
-            let bt = src.gluing(i);
-            let params = cfg.resolve(true, &l, bt);
-            estimate_cost_of::<S>(&ref_spec, &l, bt, &params, i)
-        })
-        .collect();
-    let topo = Topology::of_cluster(pool, opts.policy);
-    let plan = plan_topology(&costs, &topo)
-        // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
-        .unwrap_or_else(|e| panic!("multi-node partition failed: {e}"));
-    if !plan.spilled.is_empty() {
-        // documented batch-API contract: an unplaceable subdomain aborts
-        // (use Target::Hybrid inside a node for spill tolerance).
-        // sc-analyze: allow(panic-surface)
-        panic!(
-            "multi-node partition failed: subdomains {:?} fit no node's \
-             device arenas",
-            plan.spilled
-        );
+    if !matches!(target, Target::Hybrid { .. }) {
+        return batch_devices(src, cfg, &topo, &groups, opts, false);
     }
-
-    let mut f_slots: Vec<Option<MatOf<S>>> = (0..src.len()).map(|_| None).collect();
-    let mut report = AssemblyReport::default();
-    for (d, node) in pool.nodes().iter().enumerate() {
-        let idx = &plan.per_child[d];
-        let sub = SubsetSource { src, idx };
-        let mut sub_opts = ClusterOptions::default().with_policy(opts.policy);
-        if let Some(r) = opts.ready_at.as_ref() {
-            sub_opts = sub_opts.with_ready_at(idx.iter().map(|&g| r[g]).collect());
-        }
-        let (node_f, mut nrep) = batch_cluster_impl(&sub, cfg, &node.pool, &sub_opts, false);
-        for (local_f, &g) in node_f.into_iter().zip(idx.iter()) {
-            f_slots[g] = Some(local_f);
-        }
-        nrep.remap_indices(idx);
-
-        // the node's boundary bytes leave over its link once, after its
-        // replay: one aggregated exchange, overlapping nothing it feeds
-        let exchange_bytes: f64 = if pool.n_nodes() > 1 {
-            idx.iter().map(|&g| costs[g].exchange_bytes).sum()
-        } else {
-            0.0
-        };
-        let exchange_seconds = if exchange_bytes > 0.0 {
-            node.link.seconds(exchange_bytes)
-        } else {
-            0.0
-        };
-
-        // flatten into global device numbering
-        let base = report.devices.len();
-        let mut node_devices = Vec::with_capacity(nrep.devices.len());
-        for mut dev in nrep.devices {
-            dev.device += base;
-            if exchange_seconds > 0.0 && dev.device == base {
-                if let Some(trace) = dev.trace.as_mut() {
-                    let at = node.pool.synchronize_all();
-                    trace.events.push(TraceEvent::Exchange {
-                        label: "lambda-exchange",
-                        peer: (d + 1) % pool.n_nodes(),
-                        bytes: exchange_bytes as usize, // sc-analyze: allow(precision-discipline)
-                        span: SimSpan {
-                            start: at,
-                            end: at + exchange_seconds,
-                        },
-                        writes: Vec::new(),
-                    });
-                }
-            }
-            node_devices.push(dev.device);
-            report.devices.push(dev);
-        }
-        for mut t in nrep.subdomains {
-            t.device = t.device.map(|dd| dd + base);
-            t.node = Some(d);
-            report.subdomains.push(t);
-        }
-        report.nodes.push(NodeReport {
-            node: d,
-            devices: node_devices,
-            subdomains: idx.clone(),
-            makespan: nrep.makespan + exchange_seconds,
-            exchange_bytes,
-            exchange_seconds,
+    if !topo.is_usable() {
+        // nothing can run on the pool: everything fails over to
+        // the host, and the report says so
+        let n = src.len();
+        let (f, mut report) = batch_cpu(src, cfg);
+        report.hybrid = Some(HybridSummary {
+            plan: None,
+            formulation: vec![Formulation::ExplicitCpu; n],
+            spilled: (0..n).collect(),
+            predicted_assembly_seconds: 0.0,
+            realized_gpu_seconds: 0.0,
+            realized_cpu_seconds: report.cpu_seconds(),
+            arena_high_water: 0,
+            precision: Precision::F64,
         });
-        report.cache_hits += nrep.cache_hits;
-        report.cache_misses += nrep.cache_misses;
+        return (f, report);
     }
-    report.subdomains.sort_by_key(|t| t.index);
-    report.makespan = report.nodes.iter().map(|n| n.makespan).fold(0.0, f64::max);
-    report.total_seconds = t0.elapsed().as_secs_f64();
-    let f = f_slots
-        .into_iter()
-        .map(|m| m.expect("every subdomain assembled on exactly one node"))
-        .collect();
+    let (f, mut report) = batch_devices(src, cfg, &topo, &groups, opts, true);
+    // the host fail-over share: timings the driver placed on no
+    // device
+    let host_share = || report.subdomains.iter().filter(|t| t.device.is_none());
+    let spilled: Vec<usize> = host_share().map(|t| t.index).collect();
+    let realized_cpu: f64 = host_share().map(|t| t.host_seconds).sum();
+    let mut formulation = vec![Formulation::ExplicitGpu; f.len()];
+    for &g in &spilled {
+        formulation[g] = Formulation::ExplicitCpu;
+    }
+    report.hybrid = Some(HybridSummary {
+        plan: None,
+        formulation,
+        spilled,
+        predicted_assembly_seconds: 0.0,
+        realized_gpu_seconds: report.makespan,
+        realized_cpu_seconds: realized_cpu,
+        arena_high_water: report.temp_high_water(),
+        precision: Precision::F64,
+    });
     (f, report)
 }
 
@@ -761,8 +634,10 @@ impl HybridSummary {
 pub struct AssemblyReport {
     /// Per-subdomain timings, batch order.
     pub subdomains: Vec<SubdomainTiming>,
-    /// Per-device roll-ups (empty on pure-CPU runs; idle pool devices keep
-    /// an entry with an empty share).
+    /// Per-device roll-ups, one per device of the target in
+    /// [`Backend::devices`] order — on every device target and for every
+    /// batch, so idle devices (and all of them, for an empty batch) keep an
+    /// entry with an empty share. Empty on pure-CPU runs.
     pub devices: Vec<DeviceReport>,
     /// Per-node roll-ups over `devices` (empty unless the batch ran on a
     /// [`Target::MultiNode`] backend).

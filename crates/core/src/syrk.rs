@@ -61,7 +61,7 @@ pub fn run_syrk_with_cache<S: Scalar, E: Exec<S>>(
         }
         SyrkVariant::InputSplit(block) => {
             f.fill(S::ZERO);
-            let cuts = row_cuts(cache, block, n, &stepped.pivots);
+            let cuts = row_cuts(cache, block, n);
             for w in cuts.windows(2) {
                 let (r0, r1) = (w[0], w[1]);
                 // columns active in this block row ("the width of each block
@@ -77,7 +77,7 @@ pub fn run_syrk_with_cache<S: Scalar, E: Exec<S>>(
             }
         }
         SyrkVariant::OutputSplit(block) => {
-            let cuts = col_cuts(cache, block, m, &stepped.pivots, n);
+            let cuts = col_cuts(cache, block, m, n);
             for w in cuts.windows(2) {
                 let (c0, c1) = (w[0], w[1]);
                 // k range starts at the block column's first pivot ("the k

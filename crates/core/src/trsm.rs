@@ -113,7 +113,7 @@ fn trsm_rhs_split<S: Scalar, E: Exec<S>>(
 ) {
     let n = l.ncols();
     let m = stepped.ncols();
-    let cuts = col_cuts(cache, block, m, &stepped.pivots, n);
+    let cuts = col_cuts(cache, block, m, n);
     // Dense factor materialized once; subfactors are views (leading
     // dimension arithmetic — free, as the paper notes).
     let ld = match storage {
@@ -162,7 +162,7 @@ fn trsm_factor_split<S: Scalar, E: Exec<S>>(
     cache: Option<&BlockCutsCache>,
 ) {
     let n = l.ncols();
-    let cuts = row_cuts(cache, block, n, &stepped.pivots);
+    let cuts = row_cuts(cache, block, n);
     for w in cuts.windows(2) {
         let (r0, r1) = (w[0], w[1]);
         // active columns: pivots strictly below r1 ("the width of the RHS

@@ -13,30 +13,21 @@ pub enum BlockParam {
     Size(usize),
     /// Fixed number of blocks (`C` blocks over the whole dimension), uniform.
     Count(usize),
-    /// Fixed number of blocks with **non-uniform** boundaries chosen so each
-    /// block carries approximately the same number of FLOPs given the
-    /// stepped pattern (the paper's footnote 3: "One can also split the
-    /// matrices in a non-uniform way to minimize the theoretical number of
-    /// FLOPs for a given number of blocks. It was tested without observable
-    /// differences."). Kept for the ablation benches.
-    Balanced(usize),
 }
 
 impl BlockParam {
     /// Resolve to a concrete uniform block size for a dimension of length
-    /// `n` (`Balanced` falls back to uniform here; use [`resolve_block_cuts`]
-    /// for the pattern-aware boundaries).
+    /// `n`.
     pub fn block_size(self, n: usize) -> usize {
         match self {
             BlockParam::Size(s) => s.max(1),
-            BlockParam::Count(c) | BlockParam::Balanced(c) => n.div_ceil(c.max(1)).max(1),
+            BlockParam::Count(c) => n.div_ceil(c.max(1)).max(1),
         }
     }
 }
 
 /// Resolve a block parameter and return the block boundaries covering
-/// `0..n`: `[0, b, 2b, ..., n]` (uniform variants; `Balanced` degrades to
-/// uniform without pattern information).
+/// `0..n`: `[0, b, 2b, ..., n]`.
 pub fn resolve_block(param: BlockParam, n: usize) -> Vec<usize> {
     let bs = param.block_size(n);
     let mut cuts = Vec::with_capacity(n / bs + 2);
@@ -49,83 +40,16 @@ pub fn resolve_block(param: BlockParam, n: usize) -> Vec<usize> {
     cuts
 }
 
-/// Pattern-aware block resolution for **row-dimension** splits (TRSM factor
-/// splitting, SYRK input splitting): for [`BlockParam::Balanced`] the cuts
-/// are placed so every block covers roughly the same amount of *work*, where
-/// the work of row `i` is the number of stepped columns active at `i`
-/// (`pivots` must be sorted ascending). Uniform variants ignore `pivots`.
-pub fn resolve_block_cuts(param: BlockParam, n: usize, pivots: &[usize]) -> Vec<usize> {
-    let BlockParam::Balanced(count) = param else {
-        return resolve_block(param, n);
-    };
-    // prefix sums of per-row active widths
-    let mut prefix = Vec::with_capacity(n + 1);
-    prefix.push(0usize);
-    let mut j = 0usize;
-    for i in 0..n {
-        while j < pivots.len() && pivots[j] <= i {
-            j += 1;
-        }
-        prefix.push(prefix[i] + j);
-    }
-    cuts_from_prefix(&prefix, count)
-}
-
-/// Pattern-aware block resolution for **column-dimension** splits (TRSM RHS
-/// splitting, SYRK output splitting): the work of stepped column `j` is its
-/// height below the pivot, `n − pivots[j]`.
-pub fn resolve_block_cuts_cols(
-    param: BlockParam,
-    m: usize,
-    pivots: &[usize],
-    n: usize,
-) -> Vec<usize> {
-    let BlockParam::Balanced(count) = param else {
-        return resolve_block(param, m);
-    };
-    let mut prefix = Vec::with_capacity(m + 1);
-    prefix.push(0usize);
-    for j in 0..m {
-        prefix.push(prefix[j] + n.saturating_sub(pivots[j]));
-    }
-    cuts_from_prefix(&prefix, count)
-}
-
-/// Place `count` cuts at the equal-work quantiles of a prefix-sum table.
-fn cuts_from_prefix(prefix: &[usize], count: usize) -> Vec<usize> {
-    let n = prefix.len() - 1;
-    let count = count.max(1);
-    let total = *prefix.last().expect("prefix-sum table has n + 1 entries");
-    let mut cuts = vec![0usize];
-    for k in 1..count {
-        let target = total * k / count;
-        let mut cut = prefix.partition_point(|&p| p < target).min(n);
-        // enforce strictly increasing cuts
-        if cut <= *cuts.last().expect("cuts seeded with a leading 0 above") {
-            cut = (*cuts.last().expect("cuts seeded with a leading 0 above") + 1).min(n);
-        }
-        if cut >= n {
-            break;
-        }
-        cuts.push(cut);
-    }
-    if n > 0 || cuts.last() != Some(&0) {
-        cuts.push(n);
-    }
-    cuts
-}
-
 /// Thread-safe memo table for [`BlockParam`] cut resolution, shared across
 /// the subdomains of one batched assembly.
 ///
 /// In a FETI decomposition most subdomains have identical (or near-identical)
 /// dimensions, so the same `(param, n)` resolution repeats once per
-/// subdomain. Uniform variants ([`BlockParam::Size`]/[`BlockParam::Count`])
-/// depend only on `(param, n)` and are keyed pattern-free, so
-/// differently-glued subdomains of equal size share entries;
-/// [`BlockParam::Balanced`] cuts also depend on the stepped pivots, which
-/// are carried in the key verbatim — a cache hit therefore always returns
-/// exactly the cuts an uncached resolution would compute, preserving the
+/// subdomain. Cuts depend only on the parameter and the shape — row splits
+/// are keyed `(param, n)`, column splits by the stepped right-hand side's
+/// `(param, m, n)` — never on the gluing pattern, so differently-glued
+/// subdomains of equal shape share entries, and a cache hit always returns
+/// exactly the cuts an uncached resolution would compute — preserving the
 /// batch driver's bitwise-equality guarantee.
 #[derive(Default)]
 pub struct BlockCutsCache {
@@ -135,47 +59,33 @@ pub struct BlockCutsCache {
     misses: std::sync::atomic::AtomicUsize,
 }
 
-type CutsKey = (BlockParam, usize, usize, Vec<usize>);
+type CutsKey = (BlockParam, usize, usize);
 
-fn pivots_key(param: BlockParam, pivots: &[usize]) -> Vec<usize> {
-    // Only Balanced cuts depend on the pattern; uniform keys stay empty (no
-    // allocation on the default-config path). The O(m) pivot copy per
-    // Balanced lookup is noise next to the O((n+m)·m) kernel work behind it,
-    // and Balanced is an ablation config.
-    if matches!(param, BlockParam::Balanced(_)) {
-        pivots.to_vec()
-    } else {
-        Vec::new()
-    }
-}
-
-/// Row-dimension cuts, via the shared memo table when one is provided
-/// (cache-optional form of [`resolve_block_cuts`], used by the splitting
-/// kernels).
+/// Row-dimension cuts of a factor of order `n` (TRSM factor splitting, SYRK
+/// input splitting), via the shared memo table when one is provided.
 pub fn row_cuts(
     cache: Option<&BlockCutsCache>,
     param: BlockParam,
     n: usize,
-    pivots: &[usize],
 ) -> std::sync::Arc<Vec<usize>> {
     match cache {
-        Some(c) => c.rows(param, n, pivots),
-        None => std::sync::Arc::new(resolve_block_cuts(param, n, pivots)),
+        Some(c) => c.rows(param, n),
+        None => std::sync::Arc::new(resolve_block(param, n)),
     }
 }
 
-/// Column-dimension cuts, via the shared memo table when one is provided
-/// (cache-optional form of [`resolve_block_cuts_cols`]).
+/// Column-dimension cuts of an `n × m` stepped right-hand side (TRSM RHS
+/// splitting, SYRK output splitting), via the shared memo table when one is
+/// provided.
 pub fn col_cuts(
     cache: Option<&BlockCutsCache>,
     param: BlockParam,
     m: usize,
-    pivots: &[usize],
     n: usize,
 ) -> std::sync::Arc<Vec<usize>> {
     match cache {
-        Some(c) => c.cols(param, m, pivots, n),
-        None => std::sync::Arc::new(resolve_block_cuts_cols(param, m, pivots, n)),
+        Some(c) => c.cols(param, m, n),
+        None => std::sync::Arc::new(resolve_block(param, m)),
     }
 }
 
@@ -185,29 +95,18 @@ impl BlockCutsCache {
         Self::default()
     }
 
-    /// Cached [`resolve_block_cuts`] (row-dimension splits).
-    pub fn rows(
-        &self,
-        param: BlockParam,
-        n: usize,
-        pivots: &[usize],
-    ) -> std::sync::Arc<Vec<usize>> {
-        let key = (param, n, usize::MAX, pivots_key(param, pivots));
-        self.lookup(&self.rows, key, || resolve_block_cuts(param, n, pivots))
+    /// Cached [`resolve_block`] over a factor of order `n` (row-dimension
+    /// splits).
+    pub fn rows(&self, param: BlockParam, n: usize) -> std::sync::Arc<Vec<usize>> {
+        self.lookup(&self.rows, (param, n, usize::MAX), || {
+            resolve_block(param, n)
+        })
     }
 
-    /// Cached [`resolve_block_cuts_cols`] (column-dimension splits).
-    pub fn cols(
-        &self,
-        param: BlockParam,
-        m: usize,
-        pivots: &[usize],
-        n: usize,
-    ) -> std::sync::Arc<Vec<usize>> {
-        let key = (param, m, n, pivots_key(param, pivots));
-        self.lookup(&self.cols, key, || {
-            resolve_block_cuts_cols(param, m, pivots, n)
-        })
+    /// Cached [`resolve_block`] over the `m` columns of an `n`-row stepped
+    /// right-hand side (column-dimension splits).
+    pub fn cols(&self, param: BlockParam, m: usize, n: usize) -> std::sync::Arc<Vec<usize>> {
+        self.lookup(&self.cols, (param, m, n), || resolve_block(param, m))
     }
 
     fn lookup(
@@ -260,11 +159,8 @@ impl BlockCutsCache {
             std::collections::HashMap<CutsKey, std::sync::Arc<Vec<usize>>>,
         >| {
             let t = t.lock().unwrap_or_else(|e| e.into_inner());
-            t.iter()
-                .map(|(k, v)| {
-                    std::mem::size_of::<CutsKey>()
-                        + (k.3.len() + v.len()) * std::mem::size_of::<usize>()
-                })
+            t.values()
+                .map(|v| std::mem::size_of::<CutsKey>() + v.len() * std::mem::size_of::<usize>())
                 .sum::<usize>()
         };
         table(&self.rows) + table(&self.cols)
@@ -339,63 +235,10 @@ mod tests {
         assert_eq!(resolve_block(BlockParam::Size(100), 3), vec![0, 3]);
         // the zero-dimension single-cut `[0]` must be a no-op under the
         // `windows(2)` iteration every splitting kernel performs
-        for param in [
-            BlockParam::Size(5),
-            BlockParam::Count(3),
-            BlockParam::Balanced(3),
-        ] {
-            let cuts = resolve_block_cuts(param, 0, &[]);
+        for param in [BlockParam::Size(5), BlockParam::Count(3)] {
+            let cuts = resolve_block(param, 0);
             assert_eq!(cuts, vec![0], "{param:?}");
             assert_eq!(cuts.windows(2).count(), 0, "{param:?} must yield no blocks");
-            let ccuts = resolve_block_cuts_cols(param, 0, &[], 7);
-            assert_eq!(ccuts.windows(2).count(), 0, "{param:?} (cols)");
         }
-    }
-
-    #[test]
-    fn balanced_cuts_equalize_work() {
-        // pivots concentrated early: all 8 columns active from row 2 on —
-        // work ramps up quickly, so balanced blocks must be smaller at the
-        // top? No: equal-work blocks are smaller where MORE columns are
-        // active. With all pivots at 0..2, later rows carry full width and
-        // cuts are near-uniform; with pivots spread late, early blocks grow.
-        let n = 100;
-        let pivots: Vec<usize> = (0..8).map(|j| j * 12).collect();
-        let cuts = resolve_block_cuts(BlockParam::Balanced(4), n, &pivots);
-        assert_eq!(*cuts.first().unwrap(), 0);
-        assert_eq!(*cuts.last().unwrap(), n);
-        assert!(cuts.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
-        // early blocks (few active columns) must be wider than late blocks
-        let first = cuts[1] - cuts[0];
-        let last = n - cuts[cuts.len() - 2];
-        assert!(
-            first > last,
-            "balanced cuts should widen where the pattern is empty: {cuts:?}"
-        );
-        // per-block work within 2x of each other
-        let work = |r0: usize, r1: usize| -> usize {
-            (r0..r1)
-                .map(|i| pivots.iter().filter(|&&p| p <= i).count())
-                .sum()
-        };
-        let works: Vec<usize> = cuts.windows(2).map(|w| work(w[0], w[1])).collect();
-        let (mn, mx) = (*works.iter().min().unwrap(), *works.iter().max().unwrap());
-        assert!(mx <= 2 * mn + 8, "unbalanced works: {works:?}");
-    }
-
-    #[test]
-    fn balanced_without_pattern_is_uniform() {
-        let cuts = resolve_block_cuts(BlockParam::Size(3), 9, &[0, 5]);
-        assert_eq!(cuts, vec![0, 3, 6, 9]);
-    }
-
-    #[test]
-    fn balanced_handles_empty_pattern() {
-        // no active columns at all: degenerate, must still terminate with
-        // valid monotone cuts
-        let cuts = resolve_block_cuts(BlockParam::Balanced(3), 10, &[10, 10]);
-        assert_eq!(*cuts.first().unwrap(), 0);
-        assert_eq!(*cuts.last().unwrap(), 10);
-        assert!(cuts.windows(2).all(|w| w[0] < w[1]));
     }
 }

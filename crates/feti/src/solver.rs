@@ -15,8 +15,8 @@ use crate::refine::{F32Op, RefinementStats, INNER_TOL};
 use rayon::prelude::*;
 use sc_core::{
     estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
-    ClusterOptions, DeviceSlot, Formulation, HybridPlanOptions, HybridSummary, LazyBatch,
-    Precision, ScConfig, Target,
+    DeviceSlot, Formulation, HybridPlanOptions, HybridSummary, LazyBatch, Precision, ScConfig,
+    ScheduleOptions, Target,
 };
 use sc_dense::{Mat, Scalar};
 use sc_factor::Engine;
@@ -390,7 +390,7 @@ impl FetiSolverBuilder {
             Target::MultiNode { pool, .. } if pool.n_nodes() > 1 => report
                 .as_ref()
                 .filter(|rep| !rep.nodes.is_empty())
-                .map(|rep| ExchangeSim::build(pool, rep, problem)),
+                .map(|rep| ExchangeSim::build(pool, &backend.devices(), rep, problem)),
             _ => None,
         };
 
@@ -441,7 +441,12 @@ struct ExchangeSim {
 impl ExchangeSim {
     /// Collect each node's dependent streams and incoming boundary bytes
     /// from the multi-node assembly report.
-    fn build(pool: &Arc<NodePool>, report: &AssemblyReport, problem: &HeatProblem) -> Self {
+    fn build(
+        pool: &Arc<NodePool>,
+        devices: &[Arc<sc_gpu::Device>],
+        report: &AssemblyReport,
+        problem: &HeatProblem,
+    ) -> Self {
         let n = pool.n_nodes();
         let mut streams: Vec<Vec<Stream>> = vec![Vec::new(); n];
         let mut seen: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
@@ -455,7 +460,7 @@ impl ExchangeSim {
             bytes_in[node] += 8.0 * problem.subdomains[t.index].n_lambda() as f64; // sc-analyze: allow(precision-discipline)
             if !seen[node].contains(&(flat, s)) {
                 seen[node].push((flat, s));
-                streams[node].push(node_local_device(pool, flat).stream(s));
+                streams[node].push(devices[flat].stream(s));
             }
         }
         ExchangeSim {
@@ -1029,48 +1034,24 @@ fn demote(x: &[f64]) -> Vec<f32> {
     x.iter().map(|&v| f32::from_f64(v)).collect()
 }
 
-/// Resolve a report's **flattened** (cluster-global) device index to the
-/// owning node's device handle.
-fn node_local_device(pool: &NodePool, flat: usize) -> &Arc<sc_gpu::Device> {
-    let mut d = flat;
-    for ns in pool.nodes() {
-        let n = ns.pool.n_devices();
-        if d < n {
-            return ns.pool.device(d);
-        }
-        d -= n;
-    }
-    panic!("device index {flat} lies outside the node pool") // sc-analyze: allow(panic-surface)
-}
-
 /// Bind each assembled `F̃ᵢ` to its operator slot: subdomains the report
 /// placed on a device get a device-resident GEMV operator on the stream
 /// their schedule used; host subdomains (CPU backend, hybrid spills) get
 /// the host GEMV.
 fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) -> Vec<OpSlot> {
+    let devices = backend.devices();
     f.into_iter()
         .enumerate()
         .map(|(i, mat)| {
             let t = &report.subdomains[i];
             debug_assert_eq!(t.index, i, "report timings must be in batch order");
-            let op = match (&backend.target, t.device, t.stream) {
-                (Target::Gpu { device, .. }, Some(_), Some(s)) => DualOperator::ExplicitGpu {
+            OpSlot::Own(match (t.device, t.stream) {
+                (Some(d), Some(s)) => DualOperator::ExplicitGpu {
                     f: mat,
-                    kernels: GpuKernels::new(device.stream(s)),
-                },
-                (Target::Cluster { pool, .. } | Target::Hybrid { pool, .. }, Some(d), Some(s)) => {
-                    DualOperator::ExplicitGpu {
-                        f: mat,
-                        kernels: GpuKernels::new(pool.device(d).stream(s)),
-                    }
-                }
-                (Target::MultiNode { pool, .. }, Some(d), Some(s)) => DualOperator::ExplicitGpu {
-                    f: mat,
-                    kernels: GpuKernels::new(node_local_device(pool, d).stream(s)),
+                    kernels: GpuKernels::new(devices[d].stream(s)),
                 },
                 _ => DualOperator::ExplicitCpu(mat),
-            };
-            OpSlot::Own(op)
+            })
         })
         .collect()
 }
@@ -1085,34 +1066,17 @@ fn assemble_auto(
     backend: &Backend,
     plan_opts: &HybridPlanOptions,
 ) -> (Vec<OpSlot>, AssemblyReport) {
-    // the pool the explicit-GPU share may run on: the backend's own pool, a
-    // single-device pool for the GPU backend, or an empty pool on the host
-    let (pool, cluster_opts): (Arc<DevicePool>, ClusterOptions) = match &backend.target {
-        Target::Cluster { pool, opts } | Target::Hybrid { pool, opts } => {
-            (Arc::clone(pool), opts.clone())
-        }
-        Target::Gpu { device, schedule } => {
-            let mut opts = ClusterOptions::default().with_policy(schedule.policy);
-            if let Some(r) = &schedule.ready_at {
-                opts = opts.with_ready_at(r.clone());
-            }
-            (DevicePool::from_devices(vec![Arc::clone(device)]), opts)
-        }
-        // the per-subdomain decision layer works over a flat device list:
-        // the node pool's devices, interconnects not priced (the explicit
-        // share's placement is intra-node here)
-        Target::MultiNode { pool, opts } => {
-            let devices: Vec<_> = pool
-                .nodes()
-                .iter()
-                .flat_map(|ns| ns.pool.devices().iter().cloned())
-                .collect();
-            (DevicePool::from_devices(devices), opts.clone())
-        }
-        _ => (
-            DevicePool::from_devices(Vec::new()),
-            ClusterOptions::default(),
-        ),
+    // the pool the explicit-GPU share may run on: every device of the
+    // backend, flat (the per-subdomain decision layer prices no
+    // interconnect: the explicit share's placement is intra-node here) — an
+    // empty pool on the host
+    let pool = DevicePool::from_devices(backend.devices());
+    let cluster_opts = match &backend.target {
+        Target::Gpu { schedule: opts, .. }
+        | Target::Cluster { opts, .. }
+        | Target::Hybrid { opts, .. }
+        | Target::MultiNode { opts, .. } => opts.clone(),
+        _ => ScheduleOptions::default(),
     };
 
     // decision layer: analytic assembly + per-iteration apply estimates per

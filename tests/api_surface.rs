@@ -42,8 +42,9 @@ fn prelude_surface_is_complete() {
         )
     }
     // options structs carry the unified with_* builder surface
-    let _ = ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin);
-    let _ = ClusterOptions::default().with_ready_at(Vec::new());
+    let _ = ScheduleOptions::default()
+        .with_policy(StreamPolicy::RoundRobin)
+        .with_ready_at(Vec::new());
     let _ = HybridPlanOptions::default()
         .with_iters(1.0)
         .with_allow_explicit_cpu(true)

@@ -2,7 +2,9 @@
 //! admission never oversubscribes the pool, the device never executes more
 //! than `concurrency` kernels at a simulated instant, per-stream subdomain
 //! spans never interleave, and the scheduled numerics are bitwise identical
-//! to the sequential CPU reference.
+//! to the sequential CPU reference — plus the two guarantees of the one
+//! device driver: every device replays exactly the lanes of the one plan,
+//! and a lazy factor is derived once per subdomain on every target.
 
 use proptest::prelude::*;
 use schur_dd::prelude::*;
@@ -216,5 +218,134 @@ proptest! {
                 ready[e.index]
             );
         }
+    }
+}
+
+/// Single-stream price of one subdomain as the device driver records it —
+/// uploads, the assembly kernels, the resident result — under `spec`'s own
+/// duration model.
+fn recorded_seconds(item: &BatchItem<'_>, cfg: &ScConfig, spec: &DeviceSpec) -> f64 {
+    let mut rec = RecordingExec::new();
+    rec.record_upload_csc(item.l);
+    rec.record_upload_csc(item.bt);
+    let _ = assemble_sc(&mut rec, item.l, item.bt, cfg);
+    rec.record_download_bytes(0);
+    rec.into_costs()
+        .iter()
+        .map(|c| spec.kernel_seconds(c))
+        .sum()
+}
+
+/// The device leaves of `plan` over `topo`, depth-first — the order of
+/// `AssemblyReport::devices`.
+fn device_leaves<'p>(topo: &Topology, plan: &'p TopoPlan, out: &mut Vec<&'p TopoPlan>) {
+    match topo {
+        Topology::Node { children, .. } => {
+            for (child, sub) in children.iter().zip(&plan.children) {
+                device_leaves(child, sub, out);
+            }
+        }
+        _ => out.push(plan),
+    }
+}
+
+/// The driver executes the plan, it does not re-derive it: on one GPU, a
+/// 2-device pool and a 2-node cluster, every device's executed schedule
+/// grouped by stream is the matching leaf of an independently computed
+/// `plan_topology_by` over the same recorded prices.
+#[test]
+fn every_device_target_replays_the_lanes_of_the_one_plan() {
+    let w = sc_bench::BatchWorkload::build_skewed(2, &[12, 4, 6, 3]);
+    let items = w.items();
+    let cfg = ScConfig::optimized(true, false);
+    let spec = DeviceSpec::a100();
+    let price: Vec<f64> = items
+        .iter()
+        .map(|it| recorded_seconds(it, &cfg, &spec))
+        .collect();
+    let costs: Vec<CostEstimate> = items
+        .iter()
+        .enumerate()
+        .map(|(i, it)| estimate_cost(&spec, it.l, it.bt, &cfg.resolve(true, it.l, it.bt), i))
+        .collect();
+
+    let dev = Device::new(spec.clone(), 3);
+    let pool = DevicePool::uniform(spec.clone(), 2, 3);
+    let nodes = NodePool::uniform(spec.clone(), 2, 2, 2, Interconnect::infiniband());
+    let policy = StreamPolicy::default();
+    let targets = [
+        (
+            "gpu",
+            Topology::node(vec![Topology::device(DeviceSlot::of(&dev))], None),
+            Backend::gpu(dev),
+        ),
+        (
+            "cluster",
+            Topology::of_pool(&pool, policy),
+            Backend::cluster(pool),
+        ),
+        (
+            "multi-node",
+            Topology::of_cluster(&nodes, policy),
+            Backend::multi_node(nodes),
+        ),
+    ];
+    for (name, topo, backend) in targets {
+        let plan = plan_topology_by(&costs, &topo, |c, _| price[c.index]).unwrap();
+        let mut leaves = Vec::new();
+        device_leaves(&topo, &plan, &mut leaves);
+        let report = AssemblySession::new(backend, cfg).assemble(&items).report;
+        assert_eq!(report.devices.len(), leaves.len(), "{name}");
+        for (rep, leaf) in report.devices.iter().zip(leaves) {
+            let mut lanes = vec![Vec::new(); leaf.per_child.len()];
+            for e in &rep.schedule {
+                lanes[e.stream].push(e.index);
+            }
+            assert_eq!(
+                lanes, leaf.per_child,
+                "{name}: device {} ran a different lane assignment than the plan's",
+                rep.device
+            );
+        }
+    }
+}
+
+/// Record once: a lazy source's factor derivation — the expensive part of a
+/// FETI set-up — runs exactly once per subdomain on every target.
+#[test]
+fn every_target_derives_each_lazy_factor_exactly_once() {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    let w = sc_bench::BatchWorkload::build_skewed(1, &[8, 4, 6, 3]);
+    let items = w.items();
+    let spec = DeviceSpec::a100();
+    let backends = [
+        ("cpu", Backend::cpu()),
+        ("gpu", Backend::gpu(Device::new(spec.clone(), 2))),
+        (
+            "cluster",
+            Backend::cluster(DevicePool::uniform(spec.clone(), 2, 2)),
+        ),
+        (
+            "hybrid",
+            Backend::hybrid(DevicePool::uniform(spec.clone(), 2, 2)),
+        ),
+        (
+            "multi-node",
+            Backend::multi_node(NodePool::uniform(spec, 2, 1, 2, Interconnect::infiniband())),
+        ),
+    ];
+    for (name, backend) in backends {
+        let derived: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+        let res = AssemblySession::new(backend, ScConfig::Auto).assemble(LazyBatch::new(
+            &items,
+            |i, it: &BatchItem<'_>| {
+                derived[i].fetch_add(1, Relaxed);
+                std::borrow::Cow::Borrowed(it.l)
+            },
+            |it| it.bt,
+        ));
+        assert_eq!(res.f.len(), items.len());
+        let counts: Vec<usize> = derived.iter().map(|c| c.load(Relaxed)).collect();
+        assert_eq!(counts, vec![1; items.len()], "{name}");
     }
 }
