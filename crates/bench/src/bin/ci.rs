@@ -156,6 +156,11 @@ fn main() {
     }
     if run("test") {
         step("test", cargo(&["test", "-q", "--workspace"]));
+        // `.cargo/config.toml` builds for the host CPU, so an AVX-512 machine
+        // never compiles sc_dense's portable microkernel: test it by name
+        let mut portable = cargo(&["test", "-q", "-p", "sc_dense"]);
+        portable.env("RUSTFLAGS", "-C target-cpu=x86-64-v2");
+        step("test:portable-microkernel", portable);
     }
     if run("doc") {
         let mut doc = cargo(&["doc", "--workspace", "--no-deps"]);

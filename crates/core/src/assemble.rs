@@ -374,6 +374,79 @@ mod tests {
         }
     }
 
+    /// The same variant sweep at a size where every dense kernel takes its
+    /// blocked route (576 dofs, 160 multipliers, blocks of 140–200): the
+    /// oracle is built from the `*_scalar` kernels alone, so it shares no
+    /// arithmetic with what it checks. `f32` runs the same sweep at a
+    /// tolerance scaled to its epsilon (it reaches ~2e-7 here).
+    #[test]
+    fn blocked_route_variants_match_a_scalar_reference() {
+        let k = spd_matrix(24);
+        let n = k.ncols();
+        let m = 160;
+        assert!(n >= sc_dense::blocked::PANEL_BLOCK_MIN_ORDER);
+        assert!(m >= sc_dense::blocked::PANEL_BLOCK_MIN_ORDER);
+        let bt = gluing(n, m);
+        let chol = SparseCholesky::factorize(&k, CholOptions::default()).unwrap();
+        let l = chol.factor_csc();
+        let bt_perm = bt.permute_rows(chol.perm());
+        let (l32, bt32) = (l.cast::<f32>(), bt_perm.cast::<f32>());
+
+        let mut ld = k.to_dense();
+        sc_dense::partial_cholesky_scalar(ld.as_mut(), n).unwrap();
+        let mut y = bt.to_dense();
+        sc_dense::trsm_lower_left_scalar(ld.as_ref(), y.as_mut());
+        let mut fref = Mat::zeros(m, m);
+        sc_dense::syrk_t_scalar(1.0, y.as_ref(), 0.0, fref.as_mut());
+        fref.symmetrize_from_lower();
+
+        let trsms = [
+            TrsmVariant::Plain,
+            TrsmVariant::RhsSplit(BlockParam::Size(80)),
+            TrsmVariant::FactorSplit {
+                block: BlockParam::Size(200),
+                prune: false,
+            },
+            TrsmVariant::FactorSplit {
+                block: BlockParam::Size(200),
+                prune: true,
+            },
+        ];
+        let syrks = [
+            SyrkVariant::Plain,
+            SyrkVariant::InputSplit(BlockParam::Size(200)),
+            SyrkVariant::OutputSplit(BlockParam::Size(140)),
+        ];
+        for trsm in trsms {
+            for syrk in syrks {
+                let cfg = ScConfig::Fixed(ScParams {
+                    trsm,
+                    syrk,
+                    factor_storage: FactorStorage::Dense,
+                    stepped_permutation: true,
+                });
+                let f = assemble_sc(&mut CpuExec, &l, &bt_perm, &cfg);
+                let d = sc_dense::max_abs_diff(f.as_ref(), fref.as_ref());
+                assert!(d < 1e-9, "f64 {trsm:?} {syrk:?}: {d}");
+                for i in 0..m {
+                    for j in 0..i {
+                        assert_eq!(f[(i, j)], f[(j, i)], "asymmetric at ({i},{j})");
+                    }
+                }
+                let mut chol_f = f.clone();
+                assert!(
+                    sc_dense::cholesky_in_place(chol_f.as_mut()).is_ok(),
+                    "SC must be SPD ({trsm:?} {syrk:?})"
+                );
+
+                let f32 = assemble_sc(&mut CpuExec, &l32, &bt32, &cfg).cast::<f64>();
+                let d32 = sc_dense::max_abs_diff(f32.as_ref(), fref.as_ref());
+                assert!(d32 > 0.0, "f32 assembly must actually run in f32");
+                assert!(d32 < 1e-5, "f32 {trsm:?} {syrk:?}: {d32}");
+            }
+        }
+    }
+
     #[test]
     fn gpu_backend_matches_cpu_and_advances_timeline() {
         let k = spd_matrix(7);

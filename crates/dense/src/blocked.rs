@@ -1,4 +1,4 @@
-//! Cache-blocked, SIMD-friendly variants of the dense hot kernels.
+//! Cache-blocked variants of the dense hot kernels: one packed loop nest.
 //!
 //! The scalar kernels in [`mod@crate::gemm`], [`crate::trsm`], [`crate::syrk`]
 //! and [`crate::chol`] stay as the reference implementations; the public
@@ -10,34 +10,41 @@
 //! cross-backend equality tests in `sc_core::exec` do not care which variant
 //! ran, only that they all ran the same one.
 //!
-//! Structure (BLIS-style):
+//! Everything here is the same BLIS-style machinery: an `NC → KC → MC`
+//! cache-block loop nest over panels packed by [`crate::pack`] (one buffer
+//! per operand, reused from block to block), feeding an `MR × NR` register
+//! microkernel — explicit AVX-512 broadcast-FMA intrinsics where the build
+//! targets them, a portable auto-vectorized body otherwise.
 //!
-//! - [`gemm_blocked`] drives an `NC → KC → MC` cache-block loop nest over
-//!   panels packed by [`crate::pack`], with an `MR × NR` register microkernel
-//!   whose accumulators are fixed-size arrays — LLVM turns the inner loop
-//!   into broadcast-FMA vector code without any explicit intrinsics.
-//! - [`trsm_lower_left_blocked`] factors the solve into diagonal-block scalar
-//!   sweeps plus rank-`NB` gemm updates of the trailing rows;
-//!   [`par_trsm_lower_left`] distributes independent RHS column blocks over
-//!   the rayon shim.
-//! - [`syrk_t_blocked`] computes the lower triangle per column block: a
-//!   scalar diagonal tile plus a below-diagonal rectangle delegated to gemm.
-//! - [`partial_cholesky_blocked`] is right-looking panel Cholesky: scalar
-//!   factorization of the diagonal tile, a column-sweep triangular solve for
-//!   the panel below it, and a gemm-based symmetric trailing update that only
-//!   touches the lower trapezoid.
+//! - [`gemm_blocked`] is the nest over every tile of `C`.
+//! - [`syrk_t_blocked`] is the same nest over the tiles on or below the
+//!   diagonal: tiles strictly above it are skipped, the ones that cross it
+//!   are stored through a mask, and both operands are packed from the one
+//!   input. No tile runs at scalar rate.
+//! - [`trsm_lower_left_blocked`] solves `Xᵀ Lᵀ = Bᵀ`, so that `Lᵀ` is the
+//!   packed B operand and `Xᵀ` the packed A operand. Per `KC` diagonal block
+//!   a packed block of `Xᵀ` is solved where it sits, left-looking: the
+//!   microkernel applies a sliver's already-solved depth steps to its next
+//!   `MR × NR` tile, which is finished by substitution against the `NR × NR`
+//!   triangle with pre-inverted diagonal entries, vectorized across the `MR`
+//!   right-hand sides. The finished block then updates the rows below it as
+//!   one rank-`KC` sweep of the same tiles.
+//! - [`partial_cholesky_blocked`] is right-looking over `4·MR`-wide panels:
+//!   the diagonal tile is `MR`-wide steps of the same scheme down to the
+//!   scalar kernel, the panel below it is the same triangular solve in its
+//!   untransposed form `X L₁₁ᵀ = A₂₁`, and the trailing update is the
+//!   lower-triangle nest with `L₂₁` as both operands.
 //!
-//! Accumulation order differs from the scalar kernels (sums are re-blocked),
-//! so blocked results agree with the reference to rounding, not bitwise; the
-//! proptests in `tests/blocked.rs` pin the tolerance.
+//! Accumulation order differs from the scalar kernels (sums are re-blocked,
+//! fused, and the solves multiply by reciprocals), so blocked results agree
+//! with the reference to rounding, not bitwise; the proptests in
+//! `tests/blocked.rs` pin the tolerance and the TRSM backward error.
 
 use crate::chol::{partial_cholesky_scalar, CholError};
-use crate::gemm::{axpy, gemm, scale, Trans};
+use crate::gemm::Trans;
 use crate::mat::{MatMutOf, MatRefOf};
-use crate::pack::{PackedA, PackedB, MR, NR};
+use crate::pack::{Lanes, MR, NR};
 use crate::scalar::Scalar;
-use crate::syrk::syrk_t_scalar;
-use crate::trsm::trsm_lower_left_scalar;
 
 /// Depth of one packed cache block (`kc`): `KC × MR` A-slivers and `KC × NR`
 /// B-slivers stay L1-resident while the microkernel streams them.
@@ -46,8 +53,6 @@ pub const KC: usize = 256;
 pub const MC: usize = 128;
 /// Width of one packed B block (`nc`): `KC × NC` values sit in L3.
 pub const NC: usize = 1024;
-/// Diagonal-block order for the blocked TRSM/SYRK/Cholesky panel loops.
-pub const NB: usize = 64;
 
 /// Minimum `m * n * k` volume for [`crate::gemm()`] to route to the blocked
 /// kernel; below it the packing traffic dominates and the scalar AXPY/dot
@@ -74,12 +79,9 @@ pub fn gemm_prefers_blocked(m: usize, n: usize, k: usize) -> bool {
     m >= MR && n >= NR && k >= 8 && m * n * k >= GEMM_BLOCK_MIN_VOLUME
 }
 
-/// Register microkernel: `acc[jr][ir] += Σ_p apanel[p*MR+ir] * bpanel[p*NR+jr]`.
-///
-/// The fixed-size accumulator array maps onto SIMD registers
-/// (`MR` f64 lanes = two 4-wide vectors per `jr`); the per-`p` body is a
-/// broadcast of `b` against a unit-stride load of `a` — exactly the shape
-/// LLVM auto-vectorizes into FMA sequences.
+/// Register microkernel: `acc[jr][ir] = Σ_{p < kc} apanel[p*MR+ir] * bpanel[p*NR+jr]`
+/// (both panels may be longer than `kc` steps; the triangular solve passes
+/// the solved prefix of a sliver).
 #[inline(always)]
 fn microkernel<S: Scalar>(kc: usize, apanel: &[S], bpanel: &[S], acc: &mut [[S; MR]; NR]) {
     // The sealed Scalar trait admits exactly f32 and f64, so dispatching on
@@ -168,57 +170,18 @@ unsafe fn microkernel_f64_avx512(
     acc: &mut [[f64; MR]; NR],
 ) {
     use core::arch::x86_64::*;
-    let z = _mm512_setzero_pd();
-    let (mut c00, mut c01) = (z, z);
-    let (mut c10, mut c11) = (z, z);
-    let (mut c20, mut c21) = (z, z);
-    let (mut c30, mut c31) = (z, z);
-    let (mut c40, mut c41) = (z, z);
-    let (mut c50, mut c51) = (z, z);
-    let (mut c60, mut c61) = (z, z);
-    let (mut c70, mut c71) = (z, z);
+    let mut c = [[_mm512_setzero_pd(); 2]; NR];
     for p in 0..kc {
         let a0 = _mm512_loadu_pd(apanel.add(p * MR));
         let a1 = _mm512_loadu_pd(apanel.add(p * MR + 8));
-        let bk = bpanel.add(p * NR);
-        let b0 = _mm512_set1_pd(*bk);
-        c00 = _mm512_fmadd_pd(a0, b0, c00);
-        c01 = _mm512_fmadd_pd(a1, b0, c01);
-        let b1 = _mm512_set1_pd(*bk.add(1));
-        c10 = _mm512_fmadd_pd(a0, b1, c10);
-        c11 = _mm512_fmadd_pd(a1, b1, c11);
-        let b2 = _mm512_set1_pd(*bk.add(2));
-        c20 = _mm512_fmadd_pd(a0, b2, c20);
-        c21 = _mm512_fmadd_pd(a1, b2, c21);
-        let b3 = _mm512_set1_pd(*bk.add(3));
-        c30 = _mm512_fmadd_pd(a0, b3, c30);
-        c31 = _mm512_fmadd_pd(a1, b3, c31);
-        let b4 = _mm512_set1_pd(*bk.add(4));
-        c40 = _mm512_fmadd_pd(a0, b4, c40);
-        c41 = _mm512_fmadd_pd(a1, b4, c41);
-        let b5 = _mm512_set1_pd(*bk.add(5));
-        c50 = _mm512_fmadd_pd(a0, b5, c50);
-        c51 = _mm512_fmadd_pd(a1, b5, c51);
-        let b6 = _mm512_set1_pd(*bk.add(6));
-        c60 = _mm512_fmadd_pd(a0, b6, c60);
-        c61 = _mm512_fmadd_pd(a1, b6, c61);
-        let b7 = _mm512_set1_pd(*bk.add(7));
-        c70 = _mm512_fmadd_pd(a0, b7, c70);
-        c71 = _mm512_fmadd_pd(a1, b7, c71);
+        for (jr, cj) in c.iter_mut().enumerate() {
+            let b = _mm512_set1_pd(*bpanel.add(p * NR + jr));
+            *cj = [_mm512_fmadd_pd(a0, b, cj[0]), _mm512_fmadd_pd(a1, b, cj[1])];
+        }
     }
-    let pairs = [
-        (c00, c01),
-        (c10, c11),
-        (c20, c21),
-        (c30, c31),
-        (c40, c41),
-        (c50, c51),
-        (c60, c61),
-        (c70, c71),
-    ];
-    for (jr, (lo, hi)) in pairs.into_iter().enumerate() {
-        _mm512_storeu_pd(acc[jr].as_mut_ptr(), lo);
-        _mm512_storeu_pd(acc[jr].as_mut_ptr().add(8), hi);
+    for (accj, cj) in acc.iter_mut().zip(c) {
+        _mm512_storeu_pd(accj.as_mut_ptr(), cj[0]);
+        _mm512_storeu_pd(accj.as_mut_ptr().add(8), cj[1]);
     }
 }
 
@@ -236,49 +199,136 @@ unsafe fn microkernel_f32_avx512(
     acc: &mut [[f32; MR]; NR],
 ) {
     use core::arch::x86_64::*;
-    let z = _mm512_setzero_ps();
-    let mut c0 = z;
-    let mut c1 = z;
-    let mut c2 = z;
-    let mut c3 = z;
-    let mut c4 = z;
-    let mut c5 = z;
-    let mut c6 = z;
-    let mut c7 = z;
+    let mut c = [_mm512_setzero_ps(); NR];
     for p in 0..kc {
         let a = _mm512_loadu_ps(apanel.add(p * MR));
-        let bk = bpanel.add(p * NR);
-        c0 = _mm512_fmadd_ps(a, _mm512_set1_ps(*bk), c0);
-        c1 = _mm512_fmadd_ps(a, _mm512_set1_ps(*bk.add(1)), c1);
-        c2 = _mm512_fmadd_ps(a, _mm512_set1_ps(*bk.add(2)), c2);
-        c3 = _mm512_fmadd_ps(a, _mm512_set1_ps(*bk.add(3)), c3);
-        c4 = _mm512_fmadd_ps(a, _mm512_set1_ps(*bk.add(4)), c4);
-        c5 = _mm512_fmadd_ps(a, _mm512_set1_ps(*bk.add(5)), c5);
-        c6 = _mm512_fmadd_ps(a, _mm512_set1_ps(*bk.add(6)), c6);
-        c7 = _mm512_fmadd_ps(a, _mm512_set1_ps(*bk.add(7)), c7);
+        for (jr, cj) in c.iter_mut().enumerate() {
+            *cj = _mm512_fmadd_ps(a, _mm512_set1_ps(*bpanel.add(p * NR + jr)), *cj);
+        }
     }
-    let regs = [c0, c1, c2, c3, c4, c5, c6, c7];
-    for (jr, r) in regs.into_iter().enumerate() {
-        _mm512_storeu_ps(acc[jr].as_mut_ptr(), r);
+    for (accj, cj) in acc.iter_mut().zip(c) {
+        _mm512_storeu_ps(accj.as_mut_ptr(), cj);
     }
 }
 
-/// Write `C[i0.., j0..] += alpha * acc` for the live `mr × nr` corner of a
-/// microkernel tile (the padded lanes hold exact zeros and are dropped).
+/// Which entries of `C` the nest owns: all of them, or (for a square `C`)
+/// those on or below the diagonal.
+#[derive(Clone, Copy, PartialEq)]
+enum Region {
+    Full,
+    Lower,
+}
+
+/// `C = beta * C` over `region`; `beta == 0` overwrites, so NaN/inf in
+/// uninitialized output storage never survives.
+fn scale_region<S: Scalar>(beta: S, c: &mut MatMutOf<'_, S>, region: Region) {
+    // sc-analyze: allow(float-eq)
+    if beta == S::ONE {
+        return;
+    }
+    for j in 0..c.ncols() {
+        let top = if region == Region::Lower { j } else { 0 };
+        let col = &mut c.col_mut(j)[top..];
+        // sc-analyze: allow(float-eq)
+        if beta == S::ZERO {
+            col.fill(S::ZERO);
+        } else {
+            col.iter_mut().for_each(|v| *v *= beta);
+        }
+    }
+}
+
+/// Write `op(C)[i0.., j0..] += alpha * acc` for the live `mr × nr` corner of
+/// a microkernel tile (the padded lanes hold exact zeros and are dropped).
+/// `tc == Trans::Yes` stores the tile transposed (`C[j0.., i0..]`);
+/// [`Region::Lower`] masks the entries above the diagonal.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 fn store_tile<S: Scalar>(
     alpha: S,
     acc: &[[S; MR]; NR],
     c: &mut MatMutOf<'_, S>,
-    i0: usize,
-    j0: usize,
-    mr: usize,
-    nr: usize,
+    tc: Trans,
+    region: Region,
+    (i0, j0): (usize, usize),
+    (mr, nr): (usize, usize),
 ) {
-    for (jr, accj) in acc.iter().enumerate().take(nr) {
-        let col = &mut c.col_mut(j0 + jr)[i0..i0 + mr];
-        for (ci, &v) in col.iter_mut().zip(accj.iter()) {
-            *ci += alpha * v;
+    match tc {
+        Trans::No => {
+            for (jr, accj) in acc.iter().enumerate().take(nr) {
+                let skip = match region {
+                    Region::Lower => (j0 + jr).saturating_sub(i0).min(mr),
+                    Region::Full => 0,
+                };
+                let col = &mut c.col_mut(j0 + jr)[i0 + skip..i0 + mr];
+                for (ci, &v) in col.iter_mut().zip(&accj[skip..]) {
+                    *ci += alpha * v;
+                }
+            }
+        }
+        Trans::Yes => {
+            for ir in 0..mr {
+                let col = &mut c.col_mut(i0 + ir)[j0..j0 + nr];
+                for (ci, accj) in col.iter_mut().zip(acc) {
+                    *ci += alpha * accj[ir];
+                }
+            }
+        }
+    }
+}
+
+/// One packed A block against one packed B block:
+/// `op(C)[i0.., j0..] += alpha * A B` over `region`, tile by tile.
+#[allow(clippy::too_many_arguments)]
+fn macro_kernel<S: Scalar>(
+    alpha: S,
+    ap: &Lanes<S, MR>,
+    bp: &Lanes<S, NR>,
+    c: &mut MatMutOf<'_, S>,
+    tc: Trans,
+    region: Region,
+    (i0, j0): (usize, usize),
+) {
+    let (mc, nc, kc) = (ap.lanes, bp.lanes, ap.kc);
+    for jp in 0..nc.div_ceil(NR) {
+        let (j, nr) = (j0 + jp * NR, NR.min(nc - jp * NR));
+        let bpanel = bp.panel(jp);
+        for ip in 0..mc.div_ceil(MR) {
+            let (i, mr) = (i0 + ip * MR, MR.min(mc - ip * MR));
+            if region == Region::Lower && i + mr <= j {
+                continue; // strictly above the diagonal
+            }
+            let mut acc = [[S::ZERO; MR]; NR];
+            microkernel(kc, ap.panel(ip), bpanel, &mut acc);
+            store_tile(alpha, &acc, c, tc, region, (i, j), (mr, nr));
+        }
+    }
+}
+
+/// The `NC → KC → MC` loop nest: `C += alpha * op(A) * op(B)` over `region`.
+fn nest<S: Scalar>(
+    alpha: S,
+    (a, ta): (MatRefOf<'_, S>, Trans),
+    (b, tb): (MatRefOf<'_, S>, Trans),
+    c: &mut MatMutOf<'_, S>,
+    region: Region,
+) {
+    let (m, k) = op_shape(a, ta);
+    let n = c.ncols();
+    let (mut ap, mut bp) = (Lanes::new(), Lanes::new());
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            bp.pack(b, tb == Trans::Yes, (jc, nc), (pc, kc));
+            for ic in (0..m).step_by(MC) {
+                let mc = MC.min(m - ic);
+                if region == Region::Lower && ic + mc <= jc {
+                    continue; // whole block strictly above the diagonal
+                }
+                ap.pack(a, ta == Trans::No, (ic, mc), (pc, kc));
+                macro_kernel(alpha, &ap, &bp, c, Trans::No, region, (ic, jc));
+            }
         }
     }
 }
@@ -304,232 +354,160 @@ pub fn gemm_blocked<S: Scalar>(
     assert_eq!(ka, kb, "gemm inner dimension mismatch");
     assert_eq!(c.nrows(), m, "gemm C row mismatch");
     assert_eq!(c.ncols(), n, "gemm C col mismatch");
-    scale(beta, c.as_mut());
+    scale_region(beta, &mut c, Region::Full);
     // sc-analyze: allow(float-eq)
-    if alpha == S::ZERO || m == 0 || n == 0 || ka == 0 {
-        return;
+    if alpha != S::ZERO {
+        nest(alpha, (a, ta), (b, tb), &mut c, Region::Full);
     }
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..ka).step_by(KC) {
-            let kc = KC.min(ka - pc);
-            let bp = PackedB::pack(b, tb, pc, kc, jc, nc);
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
-                let ap = PackedA::pack(a, ta, ic, mc, pc, kc);
-                for jp in 0..nc.div_ceil(NR) {
-                    let nr = NR.min(nc - jp * NR);
-                    let bpanel = bp.panel(jp);
-                    for ip in 0..mc.div_ceil(MR) {
-                        let mr = MR.min(mc - ip * MR);
-                        let mut acc = [[S::ZERO; MR]; NR];
-                        microkernel(kc, ap.panel(ip), bpanel, &mut acc);
-                        store_tile(alpha, &acc, &mut c, ic + ip * MR, jc + jp * NR, mr, nr);
+}
+
+/// Blocked `C(lower) = beta * C + alpha * Aᵀ A`: one pass of the gemm nest
+/// over the tiles on or below the diagonal. Same contract as
+/// [`crate::syrk_t`] (strictly upper triangle untouched), which routes here
+/// above [`PANEL_BLOCK_MIN_ORDER`].
+pub fn syrk_t_blocked<S: Scalar>(alpha: S, a: MatRefOf<'_, S>, beta: S, mut c: MatMutOf<'_, S>) {
+    let n = a.ncols();
+    assert_eq!(c.nrows(), n, "syrk C row mismatch");
+    assert_eq!(c.ncols(), n, "syrk C col mismatch");
+    scale_region(beta, &mut c, Region::Lower);
+    // sc-analyze: allow(float-eq)
+    if alpha != S::ZERO {
+        nest(
+            alpha,
+            (a, Trans::Yes),
+            (a, Trans::No),
+            &mut c,
+            Region::Lower,
+        );
+    }
+}
+
+/// Finish one `MR × NR` tile of the triangular solve inside a packed sliver
+/// of `op(X)`: `rows` holds its depth steps `d .. d + nr`, `acc` what the
+/// already-solved steps contribute. Substitution against the `NR × NR`
+/// triangle `tri` (`tri[q][r]` is `L[r, q]` below the diagonal and
+/// `1 / L[q, q]` on it) runs across all `MR` lanes at once.
+#[inline]
+fn solve_tile<S: Scalar>(acc: &[[S; MR]; NR], tri: &[[S; NR]; NR], rows: &mut [S]) {
+    let mut t = [[S::ZERO; MR]; NR];
+    for (tj, src) in t.iter_mut().zip(rows.chunks_exact(MR)) {
+        tj.copy_from_slice(src);
+    }
+    // one named row per depth step, so every row stays in vector registers
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &mut t;
+    macro_rules! step {
+        ($jr:literal, $x:ident $(, $q:literal, $tq:ident)*) => {
+            for (v, &s) in $x.iter_mut().zip(&acc[$jr]) {
+                *v = (*v - s) * tri[$jr][$jr];
+            }
+            $(for (v, &xv) in $tq.iter_mut().zip($x.iter()) {
+                *v -= tri[$jr][$q] * xv;
+            })*
+        };
+    }
+    step!(0, t0, 1, t1, 2, t2, 3, t3, 4, t4, 5, t5, 6, t6, 7, t7);
+    step!(1, t1, 2, t2, 3, t3, 4, t4, 5, t5, 6, t6, 7, t7);
+    step!(2, t2, 3, t3, 4, t4, 5, t5, 6, t6, 7, t7);
+    step!(3, t3, 4, t4, 5, t5, 6, t6, 7, t7);
+    step!(4, t4, 5, t5, 6, t6, 7, t7);
+    step!(5, t5, 6, t6, 7, t7);
+    step!(6, t6, 7, t7);
+    step!(7, t7);
+    for (dst, tj) in rows.chunks_exact_mut(MR).zip(&t) {
+        dst.copy_from_slice(tj);
+    }
+}
+
+/// Solve `op(X) Lᵀ = op(B)` in place (`L` lower triangular, `op(X)` is
+/// `m × n` with `n` the order of `L`): the triangular-solve form of the
+/// packed nest. `tx == Trans::Yes` is `L X = B`; `Trans::No` is the Cholesky
+/// panel solve `X L₁₁ᵀ = A₂₁`.
+///
+/// Per `KC` diagonal block, rows `kb ..` of `L` are packed once as the B
+/// operand `Lᵀ` (only entries on or below `L`'s diagonal are ever used).
+/// Each `MC` rows of `op(X)` are then packed as an A block and swept over
+/// those panels: inside the diagonal block the sweep is left-looking — the
+/// microkernel applies the solved depth steps of a sliver to its next tile,
+/// [`solve_tile`] finishes it where it sits — and right of it the finished
+/// block is a plain rank-`kc` update.
+fn trsm_nest<S: Scalar>(l: MatRefOf<'_, S>, x: &mut MatMutOf<'_, S>, tx: Trans) {
+    let n = l.nrows();
+    let (m, _) = op_shape(x.as_ref(), tx);
+    let (mut xp, mut lp) = (Lanes::<S, MR>::new(), Lanes::<S, NR>::new());
+    for kb in (0..n).step_by(KC) {
+        let kc = KC.min(n - kb);
+        lp.pack(l, true, (kb, n - kb), (kb, kc));
+        for ic in (0..m).step_by(MC) {
+            let mc = MC.min(m - ic);
+            xp.pack(x.as_ref(), tx == Trans::No, (ic, mc), (kb, kc));
+            for jp in 0..(n - kb).div_ceil(NR) {
+                let (d, nr) = (kc.min(jp * NR), NR.min(n - kb - jp * NR));
+                let lpanel = lp.panel(jp);
+                // inside the block: the NR × NR triangle at depth d, diagonal
+                // pre-inverted; padded lanes solve against the identity
+                let mut tri = [[S::ZERO; NR]; NR];
+                for (q, row) in tri.iter_mut().enumerate().take(kc - d) {
+                    if q < nr {
+                        row.copy_from_slice(&lpanel[(d + q) * NR..(d + q + 1) * NR]);
+                    }
+                    row[q] = if q < nr { S::ONE / row[q] } else { S::ONE };
+                }
+                for ip in 0..mc.div_ceil(MR) {
+                    let mut acc = [[S::ZERO; MR]; NR];
+                    microkernel(d, xp.panel(ip), lpanel, &mut acc);
+                    if d < kc {
+                        solve_tile(&acc, &tri, &mut xp.panel_mut(ip)[d * MR..(d + nr) * MR]);
+                    } else {
+                        let (at, live) = ((ic + ip * MR, kb + jp * NR), (MR.min(mc - ip * MR), nr));
+                        store_tile(-S::ONE, &acc, x, tx, Region::Full, at, live);
                     }
                 }
             }
+            xp.unpack(x, tx == Trans::No, ic, kb);
         }
     }
 }
 
-/// Blocked forward substitution `L X = B` in place: scalar solve of each
-/// `NB × NB` diagonal block, then one rank-`NB` gemm update of all trailing
-/// rows (which routes through [`gemm_blocked`] when large). Same contract as
-/// [`crate::trsm_lower_left`], which routes here above
-/// [`PANEL_BLOCK_MIN_ORDER`].
+/// Blocked forward substitution `L X = B` in place, through the packed nest
+/// (the `Xᵀ Lᵀ = Bᵀ` form of the module docs). Same contract as [`crate::trsm_lower_left`], which
+/// routes here above [`PANEL_BLOCK_MIN_ORDER`].
 pub fn trsm_lower_left_blocked<S: Scalar>(l: MatRefOf<'_, S>, mut b: MatMutOf<'_, S>) {
     let n = l.nrows();
     assert_eq!(l.ncols(), n, "factor must be square");
     assert_eq!(b.nrows(), n, "RHS row mismatch");
-    let m = b.ncols();
-    for kb in (0..n).step_by(NB) {
-        let nb = NB.min(n - kb);
-        trsm_lower_left_scalar(l.sub(kb, kb, nb, nb), b.sub_mut(kb, 0, nb, m));
-        let rem = n - kb - nb;
-        if rem > 0 {
-            // the just-solved block rows, copied out so the trailing gemm can
-            // read them while writing rows below (safe-view aliasing)
-            let x1 = b.as_ref().sub(kb, 0, nb, m).to_mat();
-            gemm(
-                -S::ONE,
-                l.sub(kb + nb, kb, rem, nb),
-                Trans::No,
-                x1.as_ref(),
-                Trans::No,
-                S::ONE,
-                b.sub_mut(kb + nb, 0, rem, m),
-            );
-        }
-    }
-}
-
-/// Rayon-parallel blocked `L X = B`: RHS column blocks are independent, so
-/// the solve recursively splits `B` into disjoint column-block views (one
-/// per shim worker) and runs [`trsm_lower_left_blocked`] on each.
-pub fn par_trsm_lower_left<S: Scalar>(l: MatRefOf<'_, S>, b: MatMutOf<'_, S>) {
-    let workers = rayon::current_num_threads().max(1);
-    let chunk = b.ncols().div_ceil(workers).max(1);
-    fn rec<S: Scalar>(l: MatRefOf<'_, S>, b: MatMutOf<'_, S>, chunk: usize) {
-        if b.ncols() <= chunk {
-            trsm_lower_left_blocked(l, b);
-            return;
-        }
-        let half = (b.ncols() / chunk / 2 * chunk).max(chunk);
-        let (lo, hi) = b.split_cols_at(half);
-        rayon::join(|| rec(l, lo, chunk), || rec(l, hi, chunk));
-    }
-    rec(l, b, chunk);
-}
-
-/// Blocked `C(lower) = beta * C + alpha * Aᵀ A`: per column block, a scalar
-/// diagonal tile plus a below-diagonal rectangle delegated to gemm. Same
-/// contract as [`crate::syrk_t`] (strictly upper triangle untouched), which
-/// routes here above [`PANEL_BLOCK_MIN_ORDER`].
-pub fn syrk_t_blocked<S: Scalar>(alpha: S, a: MatRefOf<'_, S>, beta: S, mut c: MatMutOf<'_, S>) {
-    let n = a.ncols();
-    let k = a.nrows();
-    assert_eq!(c.nrows(), n, "syrk C row mismatch");
-    assert_eq!(c.ncols(), n, "syrk C col mismatch");
-    for jb in (0..n).step_by(NB) {
-        let nb = NB.min(n - jb);
-        syrk_t_scalar(alpha, a.sub(0, jb, k, nb), beta, c.sub_mut(jb, jb, nb, nb));
-        let rem = n - jb - nb;
-        if rem > 0 {
-            gemm(
-                alpha,
-                a.sub(0, jb + nb, k, rem),
-                Trans::Yes,
-                a.sub(0, jb, k, nb),
-                Trans::No,
-                beta,
-                c.sub_mut(jb + nb, jb, rem, nb),
-            );
-        }
-    }
-}
-
-/// Rayon-parallel blocked `C(lower) = beta * C + alpha * Aᵀ A`: the serial
-/// [`syrk_t_blocked`] loop touches a disjoint `NB`-column stripe of `C` per
-/// block (the diagonal tile and the below-diagonal rectangle both live in
-/// columns `jb .. jb + nb`), so the stripes fan out over the shim workers
-/// the same way [`par_trsm_lower_left`] distributes RHS column blocks.
-///
-/// Each stripe replays the **exact** `syrk_t_scalar` + `gemm` calls of the
-/// serial loop on the same sub-views, so the result is bitwise identical to
-/// [`syrk_t_blocked`] regardless of the worker count (pinned by the
-/// proptest in `tests/blocked.rs`).
-pub fn par_syrk_t_blocked<S: Scalar>(alpha: S, a: MatRefOf<'_, S>, beta: S, c: MatMutOf<'_, S>) {
-    let n = a.ncols();
-    assert_eq!(c.nrows(), n, "syrk C row mismatch");
-    assert_eq!(c.ncols(), n, "syrk C col mismatch");
-    let workers = rayon::current_num_threads().max(1);
-    // columns per worker, rounded up to a whole number of NB blocks so every
-    // split boundary coincides with a serial-loop block boundary
-    let chunk = n.div_ceil(NB).div_ceil(workers).max(1) * NB;
-
-    /// One NB-aligned column stripe of the serial loop: `c` holds **all** `n`
-    /// rows of global columns `col0 .. col0 + c.ncols()`.
-    fn stripe<S: Scalar>(
-        alpha: S,
-        a: MatRefOf<'_, S>,
-        beta: S,
-        mut c: MatMutOf<'_, S>,
-        col0: usize,
-    ) {
-        let n = a.ncols();
-        let k = a.nrows();
-        for jl in (0..c.ncols()).step_by(NB) {
-            let jb = col0 + jl;
-            let nb = NB.min(n - jb);
-            syrk_t_scalar(alpha, a.sub(0, jb, k, nb), beta, c.sub_mut(jb, jl, nb, nb));
-            let rem = n - jb - nb;
-            if rem > 0 {
-                gemm(
-                    alpha,
-                    a.sub(0, jb + nb, k, rem),
-                    Trans::Yes,
-                    a.sub(0, jb, k, nb),
-                    Trans::No,
-                    beta,
-                    c.sub_mut(jb + nb, jl, rem, nb),
-                );
-            }
-        }
-    }
-
-    fn rec<S: Scalar>(
-        alpha: S,
-        a: MatRefOf<'_, S>,
-        beta: S,
-        c: MatMutOf<'_, S>,
-        col0: usize,
-        chunk: usize,
-    ) {
-        if c.ncols() <= chunk {
-            stripe(alpha, a, beta, c, col0);
-            return;
-        }
-        let half = (c.ncols() / chunk / 2 * chunk).max(chunk);
-        let (lo, hi) = c.split_cols_at(half);
-        rayon::join(
-            || rec(alpha, a, beta, lo, col0, chunk),
-            || rec(alpha, a, beta, hi, col0 + half, chunk),
-        );
-    }
-    rec(alpha, a, beta, c, 0, chunk);
-}
-
-/// `C(lower) += alpha * L Lᵀ` for the trailing update of the blocked
-/// Cholesky (`L` is `q × k`, `C` is `q × q`, strictly upper triangle
-/// untouched). Diagonal tiles use column AXPYs clipped to the lower rows;
-/// the rectangles below them go through gemm.
-fn syrk_n_lower<S: Scalar>(alpha: S, l: MatRefOf<'_, S>, mut c: MatMutOf<'_, S>) {
-    let q = l.nrows();
-    let k = l.ncols();
-    for jb in (0..q).step_by(NB) {
-        let nb = NB.min(q - jb);
-        for jj in 0..nb {
-            let j = jb + jj;
-            let cj = &mut c.col_mut(j)[j..jb + nb];
-            for kk in 0..k {
-                let ljk = l.get(j, kk);
-                // sc-analyze: allow(float-eq)
-                if ljk != S::ZERO {
-                    axpy(alpha * ljk, &l.col(kk)[j..jb + nb], cj);
-                }
-            }
-        }
-        let rem = q - jb - nb;
-        if rem > 0 {
-            gemm(
-                alpha,
-                l.sub(jb + nb, 0, rem, k),
-                Trans::No,
-                l.sub(jb, 0, nb, k),
-                Trans::Yes,
-                S::ONE,
-                c.sub_mut(jb + nb, jb, rem, nb),
-            );
-        }
-    }
+    trsm_nest(l, &mut b, Trans::Yes);
 }
 
 /// Blocked right-looking partial Cholesky: eliminate the leading `p` pivots
-/// in `NB`-column panels. Each panel step factors the diagonal tile with the
-/// scalar kernel, solves the sub-diagonal panel `L21 L11ᵀ = A21` by column
-/// sweep, and applies the symmetric trailing update through gemm. Same
+/// in `4 * MR`-column panels. Each panel step factors its diagonal tile (the
+/// same steps at a quarter of the width, where the tile is the scalar
+/// kernel's), solves the panel below it with the packed triangular solve, and applies the
+/// symmetric trailing update as a lower-triangle pass of the gemm nest. Same
 /// contract as [`crate::partial_cholesky_in_place`], which routes here above
 /// [`PANEL_BLOCK_MIN_ORDER`].
-pub fn partial_cholesky_blocked<S: Scalar>(
-    mut a: MatMutOf<'_, S>,
-    p: usize,
-) -> Result<(), CholError> {
+pub fn partial_cholesky_blocked<S: Scalar>(a: MatMutOf<'_, S>, p: usize) -> Result<(), CholError> {
     let n = a.nrows();
     assert_eq!(a.ncols(), n, "partial cholesky needs a square matrix");
     assert!(p <= n);
-    for kb in (0..p).step_by(NB) {
-        let nb = NB.min(p - kb);
-        partial_cholesky_scalar(a.sub_mut(kb, kb, nb, nb), nb).map_err(|e| CholError {
+    cholesky_panels(a, p, 4 * MR)
+}
+
+/// The panel loop of [`partial_cholesky_blocked`] at one panel `width`.
+fn cholesky_panels<S: Scalar>(
+    mut a: MatMutOf<'_, S>,
+    p: usize,
+    width: usize,
+) -> Result<(), CholError> {
+    let n = a.nrows();
+    for kb in (0..p).step_by(width) {
+        let nb = width.min(p - kb);
+        let tile = a.sub_mut(kb, kb, nb, nb);
+        let factored = if nb <= MR {
+            partial_cholesky_scalar(tile, nb)
+        } else {
+            cholesky_panels(tile, nb, width / 4)
+        };
+        factored.map_err(|e| CholError {
             pivot: e.pivot + kb,
             value: e.value,
         })?;
@@ -537,30 +515,25 @@ pub fn partial_cholesky_blocked<S: Scalar>(
         if rem == 0 {
             continue;
         }
-        // L21 = A21 L11⁻ᵀ: column sweep against the freshly factored tile.
-        // Column k reads columns j < k of the same panel, so split the
-        // matrix at the global column to get disjoint views.
-        for kk in 0..nb {
-            let (left, mut right) = a.as_mut().split_cols_at(kb + kk);
-            let ck = right.col_mut(0);
-            for jj in 0..kk {
-                let cj = left.col(kb + jj);
-                let lkj = cj[kb + kk];
-                // sc-analyze: allow(float-eq)
-                if lkj != S::ZERO {
-                    axpy(-lkj, &cj[kb + nb..], &mut ck[kb + nb..]);
-                }
-            }
-            let inv = S::ONE / ck[kb + kk];
-            for v in &mut ck[kb + nb..] {
-                *v *= inv;
-            }
-        }
+        // L21 = A21 L11⁻ᵀ; the tile shares its columns with the panel, so
+        // the solve reads a copy of it
+        let l11 = a.as_ref().sub(kb, kb, nb, nb).to_mat();
+        trsm_nest(
+            l11.as_ref(),
+            &mut a.sub_mut(kb + nb, kb, rem, nb),
+            Trans::No,
+        );
         // Trailing symmetric update: A22(lower) -= L21 L21ᵀ.
         let (lpart, mut trail) = a.as_mut().split_cols_at(kb + nb);
         let l21 = lpart.as_ref().sub(kb + nb, kb, rem, nb);
-        let c22 = trail.sub_mut(kb + nb, 0, rem, rem);
-        syrk_n_lower(-S::ONE, l21, c22);
+        let mut c22 = trail.sub_mut(kb + nb, 0, rem, rem);
+        nest(
+            -S::ONE,
+            (l21, Trans::No),
+            (l21, Trans::Yes),
+            &mut c22,
+            Region::Lower,
+        );
     }
     Ok(())
 }
@@ -569,6 +542,8 @@ pub fn partial_cholesky_blocked<S: Scalar>(
 mod tests {
     use super::*;
     use crate::mat::Mat;
+    use crate::syrk::syrk_t_scalar;
+    use crate::trsm::trsm_lower_left_scalar;
 
     fn mk(m: usize, n: usize, seed: u64) -> Mat {
         let mut state = seed | 1;
@@ -678,9 +653,9 @@ mod tests {
 
     #[test]
     fn blocked_trsm_matches_scalar() {
-        let n = NB * 2 + 7;
+        let n = KC + MR + 7;
         let l = lower_factor(n, 10);
-        let b = mk(n, 9, 11);
+        let b = mk(n, MR + 3, 11);
         let mut x1 = b.clone();
         let mut x2 = b.clone();
         trsm_lower_left_scalar(l.as_ref(), x1.as_mut());
@@ -689,36 +664,25 @@ mod tests {
     }
 
     #[test]
-    fn par_trsm_matches_blocked() {
-        let n = NB + 13;
-        let l = lower_factor(n, 12);
-        let b = mk(n, 33, 13);
+    fn blocked_trsm_never_reads_above_the_diagonal() {
+        let n = KC + 21;
+        let mut l = lower_factor(n, 12);
+        let b = mk(n, 9, 13);
         let mut x1 = b.clone();
-        let mut x2 = b.clone();
         trsm_lower_left_blocked(l.as_ref(), x1.as_mut());
-        par_trsm_lower_left(l.as_ref(), x2.as_mut());
-        // each column is solved by the same sequential kernel regardless of
-        // which worker owns its block
+        for j in 0..n {
+            for i in 0..j {
+                l[(i, j)] = f64::NAN;
+            }
+        }
+        let mut x2 = b.clone();
+        trsm_lower_left_blocked(l.as_ref(), x2.as_mut());
         assert_eq!(x1, x2);
     }
 
     #[test]
-    fn par_syrk_matches_blocked() {
-        for n in [1, NB - 1, NB, NB * 2 + 13, NB * 3] {
-            let a = mk(37, n, 18);
-            let mut c1 = mk(n, n, 19);
-            let mut c2 = c1.clone();
-            syrk_t_blocked(0.75, a.as_ref(), -0.5, c1.as_mut());
-            par_syrk_t_blocked(0.75, a.as_ref(), -0.5, c2.as_mut());
-            // each NB column-block runs the same scalar tile + gemm calls on the
-            // same sub-views regardless of which worker owns its stripe
-            assert_eq!(c1, c2, "n={n}");
-        }
-    }
-
-    #[test]
     fn blocked_syrk_matches_scalar_and_leaves_upper() {
-        let n = NB + 21;
+        let n = MC + 21;
         let a = mk(40, n, 14);
         let mut c1 = mk(n, n, 15);
         let mut c2 = c1.clone();
@@ -742,7 +706,7 @@ mod tests {
 
     #[test]
     fn blocked_cholesky_matches_scalar() {
-        let n = NB * 2 + 9;
+        let n = KC + 73;
         let a = spd(n, 16);
         let mut f1 = a.clone();
         let mut f2 = a.clone();
@@ -754,8 +718,8 @@ mod tests {
 
     #[test]
     fn blocked_partial_cholesky_leaves_schur_complement() {
-        let n = NB + 37;
-        let p = NB + 5;
+        let n = KC + 37;
+        let p = KC + 5;
         let a = spd(n, 17);
         let mut f1 = a.clone();
         let mut f2 = a.clone();
@@ -766,10 +730,11 @@ mod tests {
 
     #[test]
     fn blocked_cholesky_reports_offset_pivot() {
-        let n = NB + 10;
+        let n = KC + 30;
         let mut a = spd(n, 18);
-        let bad = NB + 3;
-        // destroy positive definiteness at a pivot inside the second panel
+        let bad = KC + 19;
+        // destroy positive definiteness at a pivot inside the second panel,
+        // second tile of its recursion
         a[(bad, bad)] = -1.0;
         for j in 0..n {
             for i in 0..n {

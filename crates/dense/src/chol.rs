@@ -63,7 +63,7 @@ pub fn cholesky_in_place<S: Scalar>(a: MatMutOf<'_, S>) -> Result<(), CholError>
 /// the blocked panel variant ([`crate::partial_cholesky_blocked`]); smaller
 /// fronts run the scalar reference ([`partial_cholesky_scalar`]).
 pub fn partial_cholesky_in_place<S: Scalar>(a: MatMutOf<'_, S>, p: usize) -> Result<(), CholError> {
-    if a.nrows() >= crate::blocked::PANEL_BLOCK_MIN_ORDER && p >= crate::blocked::NB {
+    if a.nrows() >= crate::blocked::PANEL_BLOCK_MIN_ORDER && p >= crate::pack::MR {
         crate::blocked::partial_cholesky_blocked(a, p)
     } else {
         partial_cholesky_scalar(a, p)

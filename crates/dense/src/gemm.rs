@@ -191,53 +191,6 @@ pub(crate) fn dot_slices<S: Scalar>(x: &[S], y: &[S]) -> S {
     (s0 + s1) + (s2 + s3)
 }
 
-/// Rayon-parallel `C = alpha * op(A) * op(B) + beta * C`, parallelized over
-/// column blocks of `C`. Used for large reference computations.
-pub fn par_gemm<S: Scalar>(
-    alpha: S,
-    a: MatRefOf<'_, S>,
-    ta: Trans,
-    b: MatRefOf<'_, S>,
-    tb: Trans,
-    beta: S,
-    c: MatMutOf<'_, S>,
-) {
-    let n = c.ncols();
-    let workers = rayon::current_num_threads().max(1);
-    let chunk = n.div_ceil(workers).max(1);
-    // Split C into disjoint column blocks and process them in parallel. The
-    // recursion depth is small (log2 of block count).
-    #[allow(clippy::too_many_arguments)]
-    fn rec<S: Scalar>(
-        alpha: S,
-        a: MatRefOf<'_, S>,
-        ta: Trans,
-        b: MatRefOf<'_, S>,
-        tb: Trans,
-        beta: S,
-        c: MatMutOf<'_, S>,
-        c0: usize,
-        chunk: usize,
-    ) {
-        let n = c.ncols();
-        if n <= chunk {
-            let bsub = match tb {
-                Trans::No => b.sub(0, c0, b.nrows(), n),
-                Trans::Yes => b.sub(c0, 0, n, b.ncols()),
-            };
-            gemm(alpha, a, ta, bsub, tb, beta, c);
-            return;
-        }
-        let half = (n / chunk / 2 * chunk).max(chunk);
-        let (l, r) = c.split_cols_at(half);
-        rayon::join(
-            || rec(alpha, a, ta, b, tb, beta, l, c0, chunk),
-            || rec(alpha, a, ta, b, tb, beta, r, c0 + half, chunk),
-        );
-    }
-    rec(alpha, a, ta, b, tb, beta, c, 0, chunk);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,62 +293,6 @@ mod tests {
             c.as_mut(),
         );
         assert!(crate::max_abs_diff(c.as_ref(), expect.as_ref()) < 1e-15);
-    }
-
-    #[test]
-    fn par_gemm_matches_gemm() {
-        let (m, k, n) = (23, 17, 31);
-        let a = mk(m, k, 20);
-        let b = mk(k, n, 21);
-        let mut c1 = mk(m, n, 22);
-        let mut c2 = c1.clone();
-        gemm(
-            1.0,
-            a.as_ref(),
-            Trans::No,
-            b.as_ref(),
-            Trans::No,
-            1.0,
-            c1.as_mut(),
-        );
-        par_gemm(
-            1.0,
-            a.as_ref(),
-            Trans::No,
-            b.as_ref(),
-            Trans::No,
-            1.0,
-            c2.as_mut(),
-        );
-        assert!(crate::max_abs_diff(c1.as_ref(), c2.as_ref()) < 1e-12);
-    }
-
-    #[test]
-    fn par_gemm_trans_matches() {
-        let (m, k, n) = (13, 19, 29);
-        let a = mk(k, m, 30);
-        let b = mk(k, n, 31);
-        let mut c1 = Mat::zeros(m, n);
-        let mut c2 = Mat::zeros(m, n);
-        gemm(
-            1.0,
-            a.as_ref(),
-            Trans::Yes,
-            b.as_ref(),
-            Trans::No,
-            0.0,
-            c1.as_mut(),
-        );
-        par_gemm(
-            1.0,
-            a.as_ref(),
-            Trans::Yes,
-            b.as_ref(),
-            Trans::No,
-            0.0,
-            c2.as_mut(),
-        );
-        assert!(crate::max_abs_diff(c1.as_ref(), c2.as_ref()) < 1e-12);
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //! identical results, since the kernels never reorder arithmetic per scalar
 //! type.
 //!
-//! All kernels are sequential by default — the FETI solver parallelizes across
+//! All kernels are sequential — the FETI solver parallelizes across
 //! subdomains, one worker per subdomain, exactly like the paper's
-//! one-thread-per-subdomain loop. Rayon-parallel variants (`par_*`) exist for
-//! whole-matrix reference computations in tests and benches.
+//! one-thread-per-subdomain loop.
 //!
 //! Large problems automatically route to the cache-blocked microkernels in
 //! [`blocked`] (packed panel layout in [`pack`]); the scalar kernels remain
@@ -36,19 +35,18 @@ pub mod syrk;
 pub mod trsm;
 
 pub use blocked::{
-    gemm_blocked, par_syrk_t_blocked, par_trsm_lower_left, partial_cholesky_blocked,
-    syrk_t_blocked, trsm_lower_left_blocked,
+    gemm_blocked, partial_cholesky_blocked, syrk_t_blocked, trsm_lower_left_blocked,
 };
 pub use chol::{
     cholesky_in_place, cholesky_logdet, cholesky_solve, dense_schur_reference,
     partial_cholesky_in_place, partial_cholesky_scalar, reconstruction_error, CholError,
 };
-pub use gemm::{gemm, gemm_scalar, par_gemm, Trans};
+pub use gemm::{gemm, gemm_scalar, Trans};
 pub use gemv::{dot, gemv, gemv_t, trsv_lower, trsv_lower_t};
 pub use mat::{Mat, MatMut, MatMutOf, MatOf, MatRef, MatRefOf};
 pub use pack::{PackedA, PackedB, MR, NR};
 pub use scalar::Scalar;
-pub use syrk::{par_syrk_t, syrk_t, syrk_t_scalar};
+pub use syrk::{syrk_t, syrk_t_scalar};
 pub use trsm::{trsm_lower_left, trsm_lower_left_scalar, trsm_lower_left_t};
 
 /// Maximum absolute difference between two matrices of identical shape,

@@ -12,13 +12,16 @@
 //!   [`NR`]-column micro-panels, each stored k-major
 //!   (`panel[p * NR + jr]` is depth `p`, column `jr`).
 //!
+//! Both are one layout (`Lanes`, width `MR` or `NR`), which is what the
+//! blocked kernels pack into directly.
+//!
 //! Edge panels (block height not a multiple of `MR`, width not a multiple of
 //! `NR`) are zero-padded, so the microkernel always runs full `MR × NR`
 //! tiles and never branches on the boundary; the padded lanes contribute
 //! exact zeros and the write-back simply drops them.
 
 use crate::gemm::Trans;
-use crate::mat::MatRefOf;
+use crate::mat::{MatMutOf, MatRefOf};
 use crate::scalar::Scalar;
 
 /// Rows per A micro-panel: the register-block height of the gemm
@@ -31,139 +34,199 @@ pub const MR: usize = 16;
 /// microkernel. `MR × NR` accumulators stay resident in registers.
 pub const NR: usize = 8;
 
+/// The one packed layout behind both operands: `lanes` rows (A) or columns
+/// (B) of the operated matrix, `W` to a micro-panel, each panel k-major
+/// (`panel[p * W + lane]`). The blocked kernels keep one buffer per operand
+/// and re-[`pack`](Lanes::pack) it from block to block.
+pub(crate) struct Lanes<S, const W: usize> {
+    data: Vec<S>,
+    pub(crate) lanes: usize,
+    pub(crate) kc: usize,
+}
+
+impl<S: Scalar, const W: usize> Lanes<S, W> {
+    pub(crate) const fn new() -> Self {
+        Lanes {
+            data: Vec::new(),
+            lanes: 0,
+            kc: 0,
+        }
+    }
+
+    /// Pack lanes `l0 .. l0 + lanes`, depth `p0 .. p0 + kc`. `across` says a
+    /// lane is a *row* of `src` (`op(A)` untransposed, `op(B)` transposed: each
+    /// depth step is a contiguous column sliver); otherwise a lane is a column
+    /// of `src` and the pack transposes.
+    pub(crate) fn pack(
+        &mut self,
+        src: MatRefOf<'_, S>,
+        across: bool,
+        (l0, lanes): (usize, usize),
+        (p0, kc): (usize, usize),
+    ) {
+        (self.lanes, self.kc) = (lanes, kc);
+        let panel_len = (kc * W).max(1);
+        let len = lanes.div_ceil(W).max(1) * panel_len;
+        self.data.resize(len, S::ZERO);
+        if lanes % W != 0 || lanes == 0 {
+            // edge panel: the lanes past the block stay exact zeros
+            self.data[len - panel_len..].fill(S::ZERO);
+        }
+        if across {
+            // column by column: sequential reads, one sliver per panel
+            for p in 0..kc {
+                let col = &src.col(p0 + p)[l0..l0 + lanes];
+                for (panel, sliver) in self.data.chunks_exact_mut(panel_len).zip(col.chunks(W)) {
+                    copy_sliver::<S, W>(&mut panel[p * W..(p + 1) * W], sliver);
+                }
+            }
+        } else {
+            let panels = self.data.chunks_exact_mut(panel_len);
+            for (panel, l) in panels.zip((l0..l0 + lanes).step_by(W)) {
+                let h = W.min(l0 + lanes - l);
+                let runs: [&[S]; W] =
+                    std::array::from_fn(|r| &src.col(l + r.min(h - 1))[p0..p0 + kc]);
+                for (p, dst) in panel.chunks_exact_mut(W).enumerate() {
+                    for (v, run) in dst.iter_mut().zip(&runs).take(h) {
+                        *v = run[p];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Inverse of [`Lanes::pack`]: copy the block back (padding dropped).
+    pub(crate) fn unpack(&self, dst: &mut MatMutOf<'_, S>, across: bool, l0: usize, p0: usize) {
+        let kc = self.kc;
+        for (ip, panel) in self.data.chunks_exact((kc * W).max(1)).enumerate() {
+            let (l, h) = (l0 + ip * W, W.min(self.lanes.saturating_sub(ip * W)));
+            if across {
+                for (p, sliver) in panel.chunks_exact(W).enumerate() {
+                    copy_sliver::<S, W>(&mut dst.col_mut(p0 + p)[l..l + h], sliver);
+                }
+            } else {
+                for r in 0..h {
+                    let col = &mut dst.col_mut(l + r)[p0..p0 + kc];
+                    for (v, &s) in col.iter_mut().zip(panel[r..].iter().step_by(W)) {
+                        *v = s;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Micro-panel `ip` (lanes `ip * W ..`), length `kc * W`.
+    #[inline]
+    pub(crate) fn panel(&self, ip: usize) -> &[S] {
+        &self.data[ip * self.kc * W..(ip + 1) * self.kc * W]
+    }
+
+    /// Mutable micro-panel, for the triangular solve that works on the packed
+    /// block in place.
+    #[inline]
+    pub(crate) fn panel_mut(&mut self, ip: usize) -> &mut [S] {
+        &mut self.data[ip * self.kc * W..(ip + 1) * self.kc * W]
+    }
+
+    #[inline]
+    fn get(&self, lane: usize, p: usize) -> S {
+        debug_assert!(p < self.kc);
+        self.data[(lane / W) * self.kc * W + p * W + lane % W]
+    }
+}
+
+/// Copy a column sliver into (the head of) one `W`-wide depth step, or back:
+/// the full-width case is a fixed-size move instead of a `memcpy` call.
+#[inline(always)]
+fn copy_sliver<S: Scalar, const W: usize>(dst: &mut [S], src: &[S]) {
+    match (<&mut [S; W]>::try_from(&mut *dst), <&[S; W]>::try_from(src)) {
+        (Ok(d), Ok(s)) => *d = *s,
+        _ => {
+            let h = dst.len().min(src.len());
+            dst[..h].copy_from_slice(&src[..h]);
+        }
+    }
+}
+
 /// An `mc × kc` cache block of `op(A)`, repacked into [`MR`]-row
 /// micro-panels (see module docs for the layout).
-pub struct PackedA<S> {
-    data: Vec<S>,
-    mc: usize,
-    kc: usize,
-}
+pub struct PackedA<S>(Lanes<S, MR>);
 
 impl<S: Scalar> PackedA<S> {
     /// Pack the block of `op(A)` whose rows are `i0 .. i0 + mc` and whose
     /// depth range is `p0 .. p0 + kc` (row/depth indices in the *operated*
     /// orientation: `ta == Trans::Yes` reads `a` transposed).
     pub fn pack(a: MatRefOf<'_, S>, ta: Trans, i0: usize, mc: usize, p0: usize, kc: usize) -> Self {
-        let panels = mc.div_ceil(MR).max(1);
-        let mut data = vec![S::ZERO; panels * kc * MR];
-        for ip in 0..mc.div_ceil(MR) {
-            let base = ip * kc * MR;
-            let h = MR.min(mc - ip * MR);
-            match ta {
-                Trans::No => {
-                    // columns of `a` are contiguous: copy column slivers
-                    for p in 0..kc {
-                        let src = &a.col(p0 + p)[i0 + ip * MR..i0 + ip * MR + h];
-                        data[base + p * MR..base + p * MR + h].copy_from_slice(src);
-                    }
-                }
-                Trans::Yes => {
-                    // rows of `op(A)` are columns of `a`: gather with `get`
-                    for p in 0..kc {
-                        for ir in 0..h {
-                            data[base + p * MR + ir] = a.get(p0 + p, i0 + ip * MR + ir);
-                        }
-                    }
-                }
-            }
-        }
-        PackedA { data, mc, kc }
+        let mut lanes = Lanes::new();
+        lanes.pack(a, ta == Trans::No, (i0, mc), (p0, kc));
+        PackedA(lanes)
     }
 
     /// Micro-panel `ip` (rows `ip * MR .. ip * MR + MR` of the block),
     /// length `kc * MR`.
     #[inline]
     pub fn panel(&self, ip: usize) -> &[S] {
-        &self.data[ip * self.kc * MR..(ip + 1) * self.kc * MR]
+        self.0.panel(ip)
     }
 
     /// Read back element `(i, p)` of the packed block (round-trip accessor
     /// used by the packing tests; zero in the padded region).
     #[inline]
     pub fn get(&self, i: usize, p: usize) -> S {
-        debug_assert!(p < self.kc);
-        self.data[(i / MR) * self.kc * MR + p * MR + i % MR]
+        self.0.get(i, p)
     }
 
     /// Block height `mc` (unpadded).
     #[inline]
     pub fn block_rows(&self) -> usize {
-        self.mc
+        self.0.lanes
     }
 
     /// Block depth `kc`.
     #[inline]
     pub fn block_depth(&self) -> usize {
-        self.kc
+        self.0.kc
     }
 }
 
 /// A `kc × nc` cache block of `op(B)`, repacked into [`NR`]-column
 /// micro-panels (see module docs for the layout).
-pub struct PackedB<S> {
-    data: Vec<S>,
-    nc: usize,
-    kc: usize,
-}
+pub struct PackedB<S>(Lanes<S, NR>);
 
 impl<S: Scalar> PackedB<S> {
     /// Pack the block of `op(B)` whose depth range is `p0 .. p0 + kc` and
     /// whose columns are `j0 .. j0 + nc` (indices in the operated
     /// orientation, as in [`PackedA::pack`]).
     pub fn pack(b: MatRefOf<'_, S>, tb: Trans, p0: usize, kc: usize, j0: usize, nc: usize) -> Self {
-        let panels = nc.div_ceil(NR).max(1);
-        let mut data = vec![S::ZERO; panels * kc * NR];
-        for jp in 0..nc.div_ceil(NR) {
-            let base = jp * kc * NR;
-            let w = NR.min(nc - jp * NR);
-            match tb {
-                Trans::No => {
-                    for jr in 0..w {
-                        let src = &b.col(j0 + jp * NR + jr)[p0..p0 + kc];
-                        for (p, &v) in src.iter().enumerate() {
-                            data[base + p * NR + jr] = v;
-                        }
-                    }
-                }
-                Trans::Yes => {
-                    // depth runs along the columns of `b`: row sliver copies
-                    for p in 0..kc {
-                        let src = b.col(p0 + p);
-                        for jr in 0..w {
-                            data[base + p * NR + jr] = src[j0 + jp * NR + jr];
-                        }
-                    }
-                }
-            }
-        }
-        PackedB { data, nc, kc }
+        let mut lanes = Lanes::new();
+        lanes.pack(b, tb == Trans::Yes, (j0, nc), (p0, kc));
+        PackedB(lanes)
     }
 
     /// Micro-panel `jp` (columns `jp * NR .. jp * NR + NR` of the block),
     /// length `kc * NR`.
     #[inline]
     pub fn panel(&self, jp: usize) -> &[S] {
-        &self.data[jp * self.kc * NR..(jp + 1) * self.kc * NR]
+        self.0.panel(jp)
     }
 
     /// Read back element `(p, j)` of the packed block (round-trip accessor;
     /// zero in the padded region).
     #[inline]
     pub fn get(&self, p: usize, j: usize) -> S {
-        debug_assert!(p < self.kc);
-        self.data[(j / NR) * self.kc * NR + p * NR + j % NR]
+        self.0.get(j, p)
     }
 
     /// Block width `nc` (unpadded).
     #[inline]
     pub fn block_cols(&self) -> usize {
-        self.nc
+        self.0.lanes
     }
 
     /// Block depth `kc`.
     #[inline]
     pub fn block_depth(&self) -> usize {
-        self.kc
+        self.0.kc
     }
 }
 

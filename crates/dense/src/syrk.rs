@@ -57,46 +57,6 @@ pub fn syrk_t_scalar<S: Scalar>(alpha: S, a: MatRefOf<'_, S>, beta: S, mut c: Ma
     }
 }
 
-/// Rayon-parallel [`syrk_t`], parallelized over output columns by recursive
-/// column-block splitting (each split produces disjoint `MatMut` views, so no
-/// unsafe code is needed).
-pub fn par_syrk_t<S: Scalar>(alpha: S, a: MatRefOf<'_, S>, beta: S, c: MatMutOf<'_, S>) {
-    let n = a.ncols();
-    assert_eq!(c.nrows(), n, "syrk C row mismatch");
-    assert_eq!(c.ncols(), n, "syrk C col mismatch");
-    split_cols(alpha, a, beta, c, 0);
-}
-
-/// Process the column block of `C` starting at global column `c0`.
-fn split_cols<S: Scalar>(alpha: S, a: MatRefOf<'_, S>, beta: S, mut c: MatMutOf<'_, S>, c0: usize) {
-    let ncols = c.ncols();
-    // Small blocks: compute directly. Column j (global) writes rows j..n.
-    if ncols <= 8 {
-        for j in 0..ncols {
-            let gj = c0 + j;
-            let aj = a.col(gj);
-            let ccol = c.col_mut(j);
-            // sc-analyze: allow(float-eq)
-            if beta == S::ZERO {
-                for (i, cij) in ccol.iter_mut().enumerate().skip(gj) {
-                    *cij = alpha * dot_slices(a.col(i), aj);
-                }
-            } else {
-                for (i, cij) in ccol.iter_mut().enumerate().skip(gj) {
-                    *cij = beta * *cij + alpha * dot_slices(a.col(i), aj);
-                }
-            }
-        }
-        return;
-    }
-    let half = ncols / 2;
-    let (l, r) = c.split_cols_at(half);
-    rayon::join(
-        || split_cols(alpha, a, beta, l, c0),
-        || split_cols(alpha, a, beta, r, c0 + half),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,26 +117,6 @@ mod tests {
         for i in 0..4 {
             assert!(c[(i, i)] >= 0.0);
         }
-    }
-
-    #[test]
-    fn par_syrk_matches_seq() {
-        let a = mk(40, 33, 5);
-        let mut c1 = mk(33, 33, 6);
-        let mut c2 = c1.clone();
-        syrk_t(1.0, a.as_ref(), 1.0, c1.as_mut());
-        par_syrk_t(1.0, a.as_ref(), 1.0, c2.as_mut());
-        assert!(crate::max_abs_diff(c1.as_ref(), c2.as_ref()) < 1e-12);
-    }
-
-    #[test]
-    fn par_syrk_beta_zero_matches_seq() {
-        let a = mk(25, 19, 7);
-        let mut c1 = Mat::zeros(19, 19);
-        let mut c2 = Mat::zeros(19, 19);
-        syrk_t(1.5, a.as_ref(), 0.0, c1.as_mut());
-        par_syrk_t(1.5, a.as_ref(), 0.0, c2.as_mut());
-        assert!(crate::max_abs_diff(c1.as_ref(), c2.as_ref()) < 1e-12);
     }
 
     #[test]
