@@ -84,13 +84,16 @@ pub fn gemm_prefers_blocked(m: usize, n: usize, k: usize) -> bool {
 /// the solved prefix of a sliver).
 #[inline(always)]
 fn microkernel<S: Scalar>(kc: usize, apanel: &[S], bpanel: &[S], acc: &mut [[S; MR]; NR]) {
+    // every kernel below reads exactly `kc` depth steps of both panels
+    assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
     // The sealed Scalar trait admits exactly f32 and f64, so dispatching on
     // the element width to a width-specialized kernel is exhaustive; the
     // pointer reinterpretations below are sound because S *is* that type.
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
     {
         if S::BYTES == 8 {
-            // SAFETY: S::BYTES == 8 identifies S == f64 under the sealed trait.
+            // SAFETY: S::BYTES == 8 identifies S == f64 under the sealed trait;
+            // the assertion above covers the panel lengths.
             unsafe {
                 return microkernel_f64_avx512(
                     kc,
@@ -101,7 +104,8 @@ fn microkernel<S: Scalar>(kc: usize, apanel: &[S], bpanel: &[S], acc: &mut [[S; 
             }
         }
         if S::BYTES == 4 {
-            // SAFETY: S::BYTES == 4 identifies S == f32 under the sealed trait.
+            // SAFETY: S::BYTES == 4 identifies S == f32 under the sealed trait;
+            // the assertion above covers the panel lengths.
             unsafe {
                 return microkernel_f32_avx512(
                     kc,
@@ -289,7 +293,7 @@ fn macro_kernel<S: Scalar>(
     region: Region,
     (i0, j0): (usize, usize),
 ) {
-    let (mc, nc, kc) = (ap.lanes, bp.lanes, ap.kc);
+    let (mc, nc, kc) = (ap.lanes(), bp.lanes(), ap.depth());
     for jp in 0..nc.div_ceil(NR) {
         let (j, nr) = (j0 + jp * NR, NR.min(nc - jp * NR));
         let bpanel = bp.panel(jp);

@@ -40,8 +40,8 @@ pub const NR: usize = 8;
 /// and re-[`pack`](Lanes::pack) it from block to block.
 pub(crate) struct Lanes<S, const W: usize> {
     data: Vec<S>,
-    pub(crate) lanes: usize,
-    pub(crate) kc: usize,
+    lanes: usize,
+    kc: usize,
 }
 
 impl<S: Scalar, const W: usize> Lanes<S, W> {
@@ -113,6 +113,18 @@ impl<S: Scalar, const W: usize> Lanes<S, W> {
                 }
             }
         }
+    }
+
+    /// Lanes in the block (unpadded).
+    #[inline]
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Depth `kc` of the block.
+    #[inline]
+    pub(crate) fn depth(&self) -> usize {
+        self.kc
     }
 
     /// Micro-panel `ip` (lanes `ip * W ..`), length `kc * W`.
