@@ -41,7 +41,7 @@
 //! `tests/blocked.rs` pin the tolerance and the TRSM backward error.
 
 use crate::chol::{partial_cholesky_scalar, CholError};
-use crate::gemm::Trans;
+use crate::gemm::{op_shape, Trans};
 use crate::mat::{MatMutOf, MatRefOf};
 use crate::pack::{Lanes, MR, NR};
 use crate::scalar::Scalar;
@@ -62,14 +62,6 @@ pub const GEMM_BLOCK_MIN_VOLUME: usize = 64 * 64 * 64;
 /// Minimum factor order for `trsm_lower_left` / `syrk_t` /
 /// `partial_cholesky_in_place` to route to their blocked variants.
 pub const PANEL_BLOCK_MIN_ORDER: usize = 128;
-
-#[inline]
-fn op_shape<S: Scalar>(a: MatRefOf<'_, S>, t: Trans) -> (usize, usize) {
-    match t {
-        Trans::No => (a.nrows(), a.ncols()),
-        Trans::Yes => (a.ncols(), a.nrows()),
-    }
-}
 
 /// `true` when [`gemm_blocked`] is expected to beat the scalar kernel for an
 /// `m × k` by `k × n` product (the dispatch predicate used by
@@ -448,13 +440,14 @@ fn trsm_nest<S: Scalar>(l: MatRefOf<'_, S>, x: &mut MatMutOf<'_, S>, tx: Trans) 
                 let (d, nr) = (kc.min(jp * NR), NR.min(n - kb - jp * NR));
                 let lpanel = lp.panel(jp);
                 // inside the block: the NR × NR triangle at depth d, diagonal
-                // pre-inverted; padded lanes solve against the identity
+                // pre-inverted (steps past the block edge keep a zero row:
+                // their lanes are zero and are not written back)
                 let mut tri = [[S::ZERO; NR]; NR];
-                for (q, row) in tri.iter_mut().enumerate().take(kc - d) {
-                    if q < nr {
+                if d < kc {
+                    for (q, row) in tri.iter_mut().enumerate().take(nr) {
                         row.copy_from_slice(&lpanel[(d + q) * NR..(d + q + 1) * NR]);
+                        row[q] = S::ONE / row[q];
                     }
-                    row[q] = if q < nr { S::ONE / row[q] } else { S::ONE };
                 }
                 for ip in 0..mc.div_ceil(MR) {
                     let mut acc = [[S::ZERO; MR]; NR];
@@ -473,8 +466,9 @@ fn trsm_nest<S: Scalar>(l: MatRefOf<'_, S>, x: &mut MatMutOf<'_, S>, tx: Trans) 
 }
 
 /// Blocked forward substitution `L X = B` in place, through the packed nest
-/// (the `Xᵀ Lᵀ = Bᵀ` form of the module docs). Same contract as [`crate::trsm_lower_left`], which
-/// routes here above [`PANEL_BLOCK_MIN_ORDER`].
+/// (the `Xᵀ Lᵀ = Bᵀ` form of the module docs). Same contract as
+/// [`crate::trsm_lower_left`], which routes here above
+/// [`PANEL_BLOCK_MIN_ORDER`].
 pub fn trsm_lower_left_blocked<S: Scalar>(l: MatRefOf<'_, S>, mut b: MatMutOf<'_, S>) {
     let n = l.nrows();
     assert_eq!(l.ncols(), n, "factor must be square");
@@ -485,10 +479,10 @@ pub fn trsm_lower_left_blocked<S: Scalar>(l: MatRefOf<'_, S>, mut b: MatMutOf<'_
 /// Blocked right-looking partial Cholesky: eliminate the leading `p` pivots
 /// in `4 * MR`-column panels. Each panel step factors its diagonal tile (the
 /// same steps at a quarter of the width, where the tile is the scalar
-/// kernel's), solves the panel below it with the packed triangular solve, and applies the
-/// symmetric trailing update as a lower-triangle pass of the gemm nest. Same
-/// contract as [`crate::partial_cholesky_in_place`], which routes here above
-/// [`PANEL_BLOCK_MIN_ORDER`].
+/// kernel's), solves the panel below it with the packed triangular solve,
+/// and applies the symmetric trailing update as a lower-triangle pass of the
+/// gemm nest. Same contract as [`crate::partial_cholesky_in_place`], which
+/// routes here above [`PANEL_BLOCK_MIN_ORDER`].
 pub fn partial_cholesky_blocked<S: Scalar>(a: MatMutOf<'_, S>, p: usize) -> Result<(), CholError> {
     let n = a.nrows();
     assert_eq!(a.ncols(), n, "partial cholesky needs a square matrix");

@@ -19,7 +19,7 @@ pub enum Trans {
 }
 
 #[inline]
-fn op_shape<S: Scalar>(a: MatRefOf<'_, S>, t: Trans) -> (usize, usize) {
+pub(crate) fn op_shape<S: Scalar>(a: MatRefOf<'_, S>, t: Trans) -> (usize, usize) {
     match t {
         Trans::No => (a.nrows(), a.ncols()),
         Trans::Yes => (a.ncols(), a.nrows()),

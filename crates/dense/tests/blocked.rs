@@ -137,16 +137,11 @@ proptest! {
     fn blocked_gemm_matches_scalar_f64(
         m in 1usize..70, n in 1usize..40, k in 1usize..50, seed in 0u64..1_000_000,
     ) {
-        let _ = seed;
         for (ta, tb) in [(Trans::No, Trans::No), (Trans::Yes, Trans::No),
                          (Trans::No, Trans::Yes), (Trans::Yes, Trans::Yes)] {
             let (ar, ac) = match ta { Trans::No => (m, k), Trans::Yes => (k, m) };
             let (br, bc) = match tb { Trans::No => (k, n), Trans::Yes => (n, k) };
-            let mut s = seed | 1;
-            let mut next = move || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-            };
+            let mut next = uniform(seed);
             let a = Mat::from_fn(ar, ac, |_, _| next());
             let b = Mat::from_fn(br, bc, |_, _| next());
             check_gemm(&a, &b, ta, tb, k);
@@ -157,11 +152,7 @@ proptest! {
     fn blocked_gemm_matches_scalar_f32(
         m in 1usize..60, n in 1usize..30, k in 1usize..40, seed in 0u64..1_000_000,
     ) {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
+        let mut next = uniform(seed);
         let a = Mat::from_fn(m, k, |_, _| next()).cast::<f32>();
         let b = Mat::from_fn(k, n, |_, _| next()).cast::<f32>();
         check_gemm(&a, &b, Trans::No, Trans::No, k);
@@ -171,11 +162,7 @@ proptest! {
     fn packed_panels_round_trip(
         m in 1usize..50, k in 1usize..40, seed in 0u64..1_000_000,
     ) {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
+        let mut next = uniform(seed);
         let a = Mat::from_fn(m, k, |_, _| next());
         let pa = PackedA::pack(a.as_ref(), Trans::No, 0, m, 0, k);
         let pb = PackedB::pack(a.as_ref(), Trans::No, 0, m, 0, k);
