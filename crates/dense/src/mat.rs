@@ -130,8 +130,7 @@ impl<S: Scalar> MatOf<S> {
 
     /// Extract a rectangular copy `rows × cols` starting at `(r0, c0)`.
     pub fn submatrix(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> MatOf<S> {
-        assert!(r0 + rows <= self.nrows && c0 + cols <= self.ncols);
-        MatOf::from_fn(rows, cols, |i, j| self[(r0 + i, c0 + j)])
+        self.as_ref().sub(r0, c0, rows, cols).to_mat()
     }
 
     /// Mirror the (strictly) lower triangle into the upper triangle in place.
@@ -258,7 +257,11 @@ impl<'a, S: Scalar> MatRefOf<'a, S> {
 
     /// Copy into an owned [`MatOf`].
     pub fn to_mat(&self) -> MatOf<S> {
-        MatOf::from_fn(self.nrows, self.ncols, |i, j| self.get(i, j))
+        let mut data = Vec::with_capacity(self.nrows * self.ncols);
+        for j in 0..self.ncols {
+            data.extend_from_slice(self.col(j));
+        }
+        MatOf::from_col_major(self.nrows, self.ncols, data)
     }
 }
 
