@@ -157,8 +157,10 @@ fn main() {
     if run("test") {
         step("test", cargo(&["test", "-q", "--workspace"]));
         // `.cargo/config.toml` builds for the host CPU, so an AVX-512 machine
-        // never compiles sc_dense's portable microkernel: test it by name
-        let mut portable = cargo(&["test", "-q", "-p", "sc_dense"]);
+        // never compiles sc_dense's portable microkernel: test it by name,
+        // with sc_factor, whose fronts are the main consumer of both
+        // partial_cholesky_in_place routes
+        let mut portable = cargo(&["test", "-q", "-p", "sc_dense", "-p", "sc_factor"]);
         portable.env("RUSTFLAGS", "-C target-cpu=x86-64-v2");
         step("test:portable-microkernel", portable);
     }

@@ -16,7 +16,9 @@ use sc_sparse::CscOf;
 /// precision so the error type stays scalar-free.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FactorError {
-    /// Pivot column where the breakdown occurred.
+    /// Pivot column (permuted index space) where the breakdown occurred:
+    /// the first one in the engine's elimination order — ascending columns
+    /// here, assembly-tree postorder in [`crate::supernodal`].
     pub column: usize,
     /// The non-positive diagonal value encountered.
     pub value: f64,

@@ -4,18 +4,24 @@
 //! preprocessing stages (paper §2.2).
 
 use crate::simplicial::{simplicial_factorize, FactorError};
-use crate::supernodal::{supernodal_factorize, SupernodalFactorOf, SupernodalSymbolic};
+use crate::supernodal::{supernodal_factorize, SupernodalSymbolic};
 use crate::symbolic::{analyze, Symbolic};
 use sc_dense::Scalar;
 use sc_order::Ordering;
 use sc_sparse::{CscOf, Perm};
 
-/// Numeric engine selector.
+/// Numeric engine selector. Both engines produce the same CSC factor
+/// (pattern of [`Symbolic`], values equal up to rounding), so everything
+/// downstream — solves, factor extraction, Schur assembly — is
+/// engine-independent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// Up-looking simplicial factorization (CHOLMOD analog; extractable).
+    /// Up-looking simplicial factorization (CHOLMOD analog): scalar, one row
+    /// at a time. The independent reference the supernodal engine is tested
+    /// against.
     Simplicial,
-    /// Multifrontal supernodal factorization (PARDISO analog; faster in 3D).
+    /// Multifrontal factorization over relaxed supernodes (PARDISO analog):
+    /// dense fronts on Level-3 kernels. The default.
     Supernodal,
 }
 
@@ -33,14 +39,9 @@ impl Default for CholOptions {
     fn default() -> Self {
         CholOptions {
             ordering: Ordering::NestedDissection,
-            engine: Engine::Simplicial,
+            engine: Engine::Supernodal,
         }
     }
-}
-
-enum NumericFactor<S> {
-    Simplicial(CscOf<S>),
-    Supernodal(SupernodalFactorOf<S>),
 }
 
 /// A factorized SPD sparse matrix `A = Pᵀ L Lᵀ P`, generic over the working
@@ -48,13 +49,24 @@ enum NumericFactor<S> {
 pub struct SparseCholeskyOf<S = f64> {
     perm: Perm,
     sym: Symbolic,
-    ssym: Option<SupernodalSymbolic>,
-    numeric: NumericFactor<S>,
-    engine: Engine,
+    /// Front partition of the supernodal engine (`None`: simplicial).
+    fronts: Option<SupernodalSymbolic>,
+    l: CscOf<S>,
 }
 
 /// `f64` sparse Cholesky (the historical default working precision).
 pub type SparseCholesky = SparseCholeskyOf<f64>;
+
+fn numeric<S: Scalar>(
+    ap: &CscOf<S>,
+    sym: &Symbolic,
+    fronts: Option<&SupernodalSymbolic>,
+) -> Result<CscOf<S>, FactorError> {
+    match fronts {
+        None => simplicial_factorize(ap, sym),
+        Some(fronts) => supernodal_factorize(ap, sym, fronts),
+    }
+}
 
 impl<S: Scalar> SparseCholeskyOf<S> {
     /// Analyze and factorize `a` (full-symmetric CSC) in one call.
@@ -72,39 +84,26 @@ impl<S: Scalar> SparseCholeskyOf<S> {
     ) -> Result<Self, FactorError> {
         let ap = a.sym_perm(&perm);
         let sym = analyze(&ap);
-        let (ssym, numeric) = match engine {
-            Engine::Simplicial => (
-                None,
-                NumericFactor::Simplicial(simplicial_factorize(&ap, &sym)?),
-            ),
-            Engine::Supernodal => {
-                let ssym = SupernodalSymbolic::from_symbolic(&sym);
-                let f = supernodal_factorize(&ap, &sym, &ssym)?;
-                (Some(ssym), NumericFactor::Supernodal(f))
-            }
+        let fronts = match engine {
+            Engine::Simplicial => None,
+            Engine::Supernodal => Some(SupernodalSymbolic::from_symbolic(&sym)),
         };
+        let l = numeric(&ap, &sym, fronts.as_ref())?;
         Ok(SparseCholeskyOf {
             perm,
             sym,
-            ssym,
-            numeric,
-            engine,
+            fronts,
+            l,
         })
     }
 
     /// Re-run the numeric factorization for a matrix with the **same
-    /// pattern** but new values (the multi-step scenario of §2.2: symbolic
-    /// factorization is skipped).
+    /// pattern** but new values (the multi-step scenario of §2.2: ordering,
+    /// symbolic analysis and front partition are reused). On error the
+    /// previous factor stays in place.
     pub fn refactorize(&mut self, a: &CscOf<S>) -> Result<(), FactorError> {
         let ap = a.sym_perm(&self.perm);
-        self.numeric = match self.engine {
-            Engine::Simplicial => NumericFactor::Simplicial(simplicial_factorize(&ap, &self.sym)?),
-            Engine::Supernodal => NumericFactor::Supernodal(supernodal_factorize(
-                &ap,
-                &self.sym,
-                self.ssym.as_ref().expect("supernodal symbolic"),
-            )?),
-        };
+        self.l = numeric(&ap, &self.sym, self.fronts.as_ref())?;
         Ok(())
     }
 
@@ -123,21 +122,15 @@ impl<S: Scalar> SparseCholeskyOf<S> {
         &self.sym
     }
 
-    /// Extract the factor `L` as CSC (in permuted index space). For the
-    /// supernodal engine this materializes the panels.
+    /// A copy of the factor `L` as CSC (in permuted index space).
     pub fn factor_csc(&self) -> CscOf<S> {
-        match &self.numeric {
-            NumericFactor::Simplicial(l) => l.clone(),
-            NumericFactor::Supernodal(f) => f.to_csc(),
-        }
+        self.l.clone()
     }
 
-    /// Borrow the simplicial factor without copying (None for supernodal).
-    pub fn factor_csc_ref(&self) -> Option<&CscOf<S>> {
-        match &self.numeric {
-            NumericFactor::Simplicial(l) => Some(l),
-            NumericFactor::Supernodal(_) => None,
-        }
+    /// Borrow the factor `L` (CSC, permuted index space, pattern of
+    /// [`symbolic`](Self::symbolic)).
+    pub fn factor_csc_ref(&self) -> &CscOf<S> {
+        &self.l
     }
 
     /// Solve `A x = b`; `b` is in original (unpermuted) index space.
@@ -149,40 +142,23 @@ impl<S: Scalar> SparseCholeskyOf<S> {
 
     /// Solve in permuted index space, in place (both triangular solves).
     pub fn solve_permuted_in_place(&self, x: &mut [S]) {
-        match &self.numeric {
-            NumericFactor::Simplicial(l) => {
-                sc_sparse::csc_lower_solve(l, x);
-                sc_sparse::csc_lower_t_solve(l, x);
-            }
-            NumericFactor::Supernodal(f) => {
-                f.solve_fwd(x);
-                f.solve_bwd(x);
-            }
-        }
+        self.solve_fwd_permuted(x);
+        self.solve_bwd_permuted(x);
     }
 
     /// Forward solve only (`L y = P b`), in permuted space, in place.
     pub fn solve_fwd_permuted(&self, x: &mut [S]) {
-        match &self.numeric {
-            NumericFactor::Simplicial(l) => sc_sparse::csc_lower_solve(l, x),
-            NumericFactor::Supernodal(f) => f.solve_fwd(x),
-        }
+        sc_sparse::csc_lower_solve(&self.l, x);
     }
 
     /// Backward solve only (`Lᵀ x = y`), in permuted space, in place.
     pub fn solve_bwd_permuted(&self, x: &mut [S]) {
-        match &self.numeric {
-            NumericFactor::Simplicial(l) => sc_sparse::csc_lower_t_solve(l, x),
-            NumericFactor::Supernodal(f) => f.solve_bwd(x),
-        }
+        sc_sparse::csc_lower_t_solve(&self.l, x);
     }
 
     /// Factor non-zero count.
     pub fn factor_nnz(&self) -> usize {
-        match &self.numeric {
-            NumericFactor::Simplicial(l) => l.nnz(),
-            NumericFactor::Supernodal(f) => f.nnz(),
-        }
+        self.l.nnz()
     }
 }
 

@@ -1,378 +1,348 @@
-//! Supernodal multifrontal Cholesky (the MKL PARDISO stand-in).
+//! Multifrontal Cholesky over relaxed supernodes (the MKL PARDISO stand-in,
+//! and the default numeric engine).
 //!
-//! Fundamental supernodes (runs of columns with nested patterns) are factored
-//! as dense trapezoidal panels inside frontal matrices; children pass their
-//! dense update (Schur) blocks to parents through an extend-add. The dense
-//! pivot elimination reuses
-//! [`sc_dense::partial_cholesky_in_place`], so the numeric phase runs on
-//! Level-3-style kernels — which is what makes this engine faster than the
-//! simplicial one on 3D problems, mirroring the PARDISO/CHOLMOD split in the
-//! paper's Figure 9.
+//! The symbolic side ([`SupernodalSymbolic`]) starts from the fundamental
+//! supernodes of a [`Symbolic`] analysis and amalgamates a child into its
+//! assembly-tree parent while the merged front stays small or nearly full
+//! (CHOLMOD's relaxation thresholds, `RELAX`). A front is then an ascending
+//! list of pivot columns — not necessarily contiguous — followed by the
+//! ascending below-diagonal rows of its last pivot.
+//!
+//! The numeric side ([`supernodal_factorize`]) walks the fronts in postorder
+//! with one dense front buffer and one LIFO stack of packed update
+//! triangles, both sized by the symbolic side, eliminates each front's
+//! pivots with [`sc_dense::partial_cholesky_in_place`], and copies each
+//! pivot column's *symbolic* rows into a CSC factor with exactly the
+//! [`Symbolic`] pattern. The explicit zeros the amalgamation introduces live
+//! only in the front buffer, so the result is interchangeable with
+//! [`crate::simplicial_factorize`]'s — same pattern, values equal up to
+//! rounding.
 
 use crate::etree::{postorder, NONE};
 use crate::simplicial::FactorError;
 use crate::symbolic::Symbolic;
-use sc_dense::{partial_cholesky_in_place, MatOf, Scalar};
+use sc_dense::{partial_cholesky_in_place, MatMutOf, Scalar};
 use sc_sparse::CscOf;
 
-/// Supernode partition and assembly-tree structure derived from a
-/// [`Symbolic`] analysis.
+/// Relaxed amalgamation thresholds `(max pivots, max percentage of explicit
+/// zeros)` (CHOLMOD's defaults): a child merges into its parent when the
+/// merged front meets any row. Small fronts merge whatever they cost —
+/// per-front overhead dominates there — large ones only when nearly full.
+const RELAX: [(usize, usize); 4] = [(4, 100), (16, 80), (48, 10), (usize::MAX, 5)];
+
+/// Whether a front of `pivots` columns over `tail` further rows that holds
+/// `nnz` structural factor entries is an acceptable merge under [`RELAX`].
+fn relaxed(pivots: usize, tail: usize, nnz: usize) -> bool {
+    let stored = pivots * (pivots + 1) / 2 + pivots * tail;
+    let zeros = stored - nnz;
+    RELAX
+        .iter()
+        .any(|&(max_pivots, percent)| pivots <= max_pivots && 100 * zeros < percent * stored)
+}
+
+/// Relaxed-supernode partition of the columns into fronts, numbered in
+/// assembly-tree postorder (children before parents), plus the buffer sizes
+/// the numeric phase needs.
 #[derive(Clone, Debug)]
 pub struct SupernodalSymbolic {
-    /// First column of each supernode, plus a final sentinel (`nsuper + 1`
-    /// entries).
-    pub snode_start: Vec<usize>,
-    /// Supernode owning each column.
-    pub snode_of_col: Vec<usize>,
-    /// Sorted global row list of each supernode's front (starts with the
-    /// supernode's own columns).
-    pub rows: Vec<Vec<usize>>,
-    /// Assembly-tree parent of each supernode (`NONE` for roots).
-    pub sparent: Vec<usize>,
-    /// Postorder of the assembly tree (children before parents).
-    pub post: Vec<usize>,
+    /// Front `f` owns `cols[front_ptr[f]..front_ptr[f + 1]]`.
+    front_ptr: Vec<usize>,
+    /// Pivot columns, ascending within each front.
+    cols: Vec<usize>,
+    /// Assembly-tree parent of each front (`NONE` for roots).
+    parent: Vec<usize>,
+    /// Where each front's packed update triangle sits on the update stack.
+    update_at: Vec<usize>,
+    /// Order of the largest front.
+    max_front: usize,
+    /// High-water mark of the update stack, in scalars.
+    stack_peak: usize,
 }
 
 impl SupernodalSymbolic {
-    /// Number of supernodes.
-    pub fn nsuper(&self) -> usize {
-        self.snode_start.len() - 1
+    /// Number of fronts.
+    pub fn nfronts(&self) -> usize {
+        self.parent.len()
     }
 
-    /// Column range `[c0, c1)` of supernode `s`.
-    pub fn cols(&self, s: usize) -> (usize, usize) {
-        (self.snode_start[s], self.snode_start[s + 1])
+    /// Pivot columns of front `f`, ascending.
+    pub fn cols(&self, f: usize) -> &[usize] {
+        &self.cols[self.front_ptr[f]..self.front_ptr[f + 1]]
     }
 
-    /// Build from a symbolic analysis: detect fundamental supernodes and the
-    /// assembly tree.
+    /// Non-pivot rows of front `f`, ascending: the below-diagonal pattern of
+    /// its last pivot column. `sym` must be the analysis `self` was built
+    /// from.
+    pub fn tail<'a>(&self, f: usize, sym: &'a Symbolic) -> &'a [usize] {
+        &sym.col(self.cols[self.front_ptr[f + 1] - 1])[1..]
+    }
+
+    /// Assembly-tree parent of front `f` (`None` for a root). Always larger
+    /// than `f`.
+    pub fn parent(&self, f: usize) -> Option<usize> {
+        Some(self.parent[f]).filter(|&p| p != NONE)
+    }
+
+    /// Build from a symbolic analysis: fundamental supernodes, relaxed
+    /// amalgamation along the assembly tree, postorder numbering.
     pub fn from_symbolic(sym: &Symbolic) -> Self {
         let n = sym.n;
         let count = |j: usize| sym.col_ptr[j + 1] - sym.col_ptr[j];
-        let mut snode_start = vec![0usize];
-        for j in 1..n {
-            let fundamental = sym.parent[j - 1] == j && count(j - 1) == count(j) + 1;
-            if !fundamental {
-                snode_start.push(j);
+        // fundamental supernodes: runs of columns with nested patterns
+        let mut snode_of_col = Vec::with_capacity(n);
+        let mut last_col = Vec::new();
+        for j in 0..n {
+            if j > 0 && sym.parent[j - 1] == j && count(j - 1) == count(j) + 1 {
+                *last_col.last_mut().expect("column 0 opened a supernode") = j;
+            } else {
+                last_col.push(j);
             }
+            snode_of_col.push(last_col.len() - 1);
         }
-        snode_start.push(n);
-        let nsuper = snode_start.len() - 1;
-        let mut snode_of_col = vec![0usize; n];
+        let nsuper = last_col.len();
+        let sparent: Vec<usize> = last_col
+            .iter()
+            .map(|&c| match sym.parent[c] {
+                NONE => NONE,
+                p => snode_of_col[p],
+            })
+            .collect();
+
+        // relaxed amalgamation: supernodes in ascending order, so every
+        // group is complete before it is offered to its (still unmerged)
+        // parent; a group is named by its topmost member
+        let mut pivots = vec![0usize; nsuper];
+        let mut nnz = vec![0usize; nsuper];
+        for (j, &s) in snode_of_col.iter().enumerate() {
+            pivots[s] += 1;
+            nnz[s] += count(j);
+        }
+        let mut top = vec![NONE; nsuper];
         for s in 0..nsuper {
-            for slot in &mut snode_of_col[snode_start[s]..snode_start[s + 1]] {
-                *slot = s;
+            let ss = sparent[s];
+            if ss == NONE {
+                continue;
+            }
+            let (p, z) = (pivots[s] + pivots[ss], nnz[s] + nnz[ss]);
+            if relaxed(p, count(last_col[ss]) - 1, z) {
+                (pivots[ss], nnz[ss], top[s]) = (p, z, ss);
             }
         }
-        let mut rows = Vec::with_capacity(nsuper);
-        let mut sparent = vec![NONE; nsuper];
-        for s in 0..nsuper {
-            let c0 = snode_start[s];
-            let c_last = snode_start[s + 1] - 1;
-            rows.push(sym.col(c0).to_vec());
-            let p = sym.parent[c_last];
-            if p != NONE {
-                sparent[s] = snode_of_col[p];
+        for s in (0..nsuper).rev() {
+            top[s] = match top[s] {
+                NONE => s,
+                ss => top[ss],
+            };
+        }
+
+        // fronts = groups, numbered in postorder of the merged tree
+        let tops: Vec<usize> = (0..nsuper).filter(|&s| top[s] == s).collect();
+        let mut group = vec![NONE; nsuper];
+        for (g, &s) in tops.iter().enumerate() {
+            group[s] = g;
+        }
+        let gparent: Vec<usize> = tops
+            .iter()
+            .map(|&s| match sparent[s] {
+                NONE => NONE,
+                ss => group[top[ss]],
+            })
+            .collect();
+        let post = postorder(&gparent);
+        let nfronts = post.len();
+        let mut front_of = vec![0usize; nfronts];
+        let mut front_ptr = vec![0usize; nfronts + 1];
+        for (f, &g) in post.iter().enumerate() {
+            front_of[g] = f;
+            front_ptr[f + 1] = front_ptr[f] + pivots[tops[g]];
+        }
+        let parent: Vec<usize> = post
+            .iter()
+            .map(|&g| match gparent[g] {
+                NONE => NONE,
+                pg => front_of[pg],
+            })
+            .collect();
+        let mut next = front_ptr.clone();
+        let mut cols = vec![0usize; n];
+        for (j, &s) in snode_of_col.iter().enumerate() {
+            let f = front_of[group[top[s]]];
+            cols[next[f]] = j;
+            next[f] += 1;
+        }
+
+        // lay out the update stack: in postorder a front's children are the
+        // topmost live updates, and its own update takes their place
+        let mut ssym = SupernodalSymbolic {
+            front_ptr,
+            cols,
+            parent,
+            update_at: vec![0; nfronts],
+            max_front: 0,
+            stack_peak: 0,
+        };
+        let mut live: Vec<usize> = Vec::new();
+        let mut sp = 0;
+        for f in 0..nfronts {
+            let t = ssym.tail(f, sym).len();
+            ssym.max_front = ssym.max_front.max(ssym.cols(f).len() + t);
+            while let Some(ch) = live.pop_if(|ch| ssym.parent[*ch] == f) {
+                sp = ssym.update_at[ch];
+            }
+            if t > 0 {
+                live.push(f);
+                ssym.update_at[f] = sp;
+                sp += t * (t + 1) / 2;
+                ssym.stack_peak = ssym.stack_peak.max(sp);
             }
         }
-        let post = postorder(&sparent);
-        SupernodalSymbolic {
-            snode_start,
-            snode_of_col,
-            rows,
-            sparent,
-            post,
-        }
+        ssym
     }
 }
 
-/// Numeric supernodal factor: one dense trapezoidal panel per supernode,
-/// generic over the working precision. The [`SupernodalFactor`] alias pins
-/// `f64`.
-#[derive(Clone, Debug)]
-pub struct SupernodalFactorOf<S = f64> {
-    /// Dimension.
-    pub n: usize,
-    /// Per-supernode `|R| × nb` panels; column `i` holds `L[R[i..], c0 + i]`
-    /// in rows `i..` (the strictly-upper part of the panel is zero).
-    pub panels: Vec<MatOf<S>>,
-    /// Shared structure.
-    pub ssym: SupernodalSymbolic,
-}
-
-/// `f64` supernodal factor (the historical default working precision).
-pub type SupernodalFactor = SupernodalFactorOf<f64>;
-
 /// Numeric multifrontal factorization of the (permuted, full-symmetric)
-/// matrix `a`.
+/// matrix `a`: `L` as CSC with exactly the pattern of `sym`. On breakdown
+/// the error names the first non-positive or non-finite pivot met in
+/// postorder.
 pub fn supernodal_factorize<S: Scalar>(
     a: &CscOf<S>,
     sym: &Symbolic,
     ssym: &SupernodalSymbolic,
-) -> Result<SupernodalFactorOf<S>, FactorError> {
+) -> Result<CscOf<S>, FactorError> {
     let n = sym.n;
     assert_eq!(a.ncols(), n);
-    let nsuper = ssym.nsuper();
-    let mut panels: Vec<Option<MatOf<S>>> = vec![None; nsuper];
-    // Child updates waiting for their parent: (front row list tail, matrix).
-    let mut updates: Vec<Option<(Vec<usize>, MatOf<S>)>> = vec![None; nsuper];
-    // children lists in assembly tree
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); nsuper];
-    for s in 0..nsuper {
-        if ssym.sparent[s] != NONE {
-            children[ssym.sparent[s]].push(s);
-        }
-    }
-    let mut pos = vec![usize::MAX; n]; // global row -> front-local index
+    assert_eq!(a.nrows(), n);
+    let mut values = vec![S::ZERO; sym.nnz()];
+    let mut front = vec![S::ZERO; ssym.max_front * ssym.max_front];
+    // packed lower triangles of the updates waiting for their parent, at
+    // `ssym.update_at`; a front's children are always the topmost live ones
+    let mut stack = vec![S::ZERO; ssym.stack_peak];
+    let mut live: Vec<usize> = Vec::with_capacity(ssym.nfronts());
+    let mut pos = vec![0usize; n]; // global row -> front-local index
+    let mut rel = vec![0usize; ssym.max_front]; // child tail -> front-local
 
-    for &s in &ssym.post {
-        let (c0, c1) = ssym.cols(s);
-        let nb = c1 - c0;
-        let r = &ssym.rows[s];
-        let nr = r.len();
-        for (local, &g) in r.iter().enumerate() {
+    for f in 0..ssym.nfronts() {
+        let cols = ssym.cols(f);
+        let tail = ssym.tail(f, sym);
+        let (p, nr) = (cols.len(), cols.len() + tail.len());
+        for (local, &g) in cols.iter().chain(tail).enumerate() {
             pos[g] = local;
         }
-        let mut front = MatOf::<S>::zeros(nr, nr);
-        // scatter A's lower-triangle entries of the supernode's columns
-        for c in c0..c1 {
-            let (rows_a, vals_a) = a.col(c);
-            let jl = c - c0;
-            for (&i, &v) in rows_a.iter().zip(vals_a) {
-                if i < c {
-                    continue;
-                }
-                let il = pos[i];
-                debug_assert!(il != usize::MAX, "A entry outside front pattern");
-                front[(il, jl)] += v;
+        // a stale `pos` entry would silently misplace a row: every row
+        // scattered below must map back to itself
+        let in_front = |g: usize| cols.iter().chain(tail).nth(pos[g]) == Some(&g);
+        let front = &mut front[..nr * nr];
+        // only the lower triangle is ever read; the rest keeps stale data
+        for j in 0..nr {
+            front[j * nr + j..(j + 1) * nr].fill(S::ZERO);
+        }
+        // scatter the lower-triangle entries of A's pivot columns
+        for (col, &c) in front.chunks_exact_mut(nr).zip(cols) {
+            let (rows, vals) = a.col(c);
+            let lower = rows.partition_point(|&i| i < c);
+            for (&i, &v) in rows[lower..].iter().zip(&vals[lower..]) {
+                debug_assert!(in_front(i), "entry of A outside the front");
+                col[pos[i]] = v;
             }
         }
-        // extend-add children updates
-        for &ch in &children[s] {
-            let (urows, umat) = updates[ch].take().expect("child update missing");
-            let m = urows.len();
-            for bj in 0..m {
-                let cj = pos[urows[bj]];
-                debug_assert!(cj != usize::MAX, "child update row outside parent front");
-                for bi in bj..m {
-                    let ci = pos[urows[bi]];
-                    front[(ci, cj)] += umat[(bi, bj)];
+        // extend-add the children's update triangles, oldest first
+        let first_child = live
+            .iter()
+            .rposition(|&ch| ssym.parent[ch] != f)
+            .map_or(0, |i| i + 1);
+        for &ch in &live[first_child..] {
+            let ctail = ssym.tail(ch, sym);
+            let rel = &mut rel[..ctail.len()];
+            for (r, &g) in rel.iter_mut().zip(ctail) {
+                debug_assert!(in_front(g), "child update row outside the front");
+                *r = pos[g];
+            }
+            let mut update = &stack[ssym.update_at[ch]..];
+            for (bj, &cj) in rel.iter().enumerate() {
+                let (ucol, rest) = update.split_at(rel.len() - bj);
+                let col = &mut front[cj * nr..(cj + 1) * nr];
+                for (&ri, &u) in rel[bj..].iter().zip(ucol) {
+                    col[ri] += u;
                 }
+                update = rest;
             }
         }
-        // eliminate the supernode's nb pivots
-        partial_cholesky_in_place(front.as_mut(), nb).map_err(|e| FactorError {
-            column: c0 + e.pivot,
-            value: e.value,
+        live.truncate(first_child);
+        // eliminate the pivots
+        partial_cholesky_in_place(MatMutOf::from_parts(nr, nr, nr, front), p).map_err(|e| {
+            FactorError {
+                column: cols[e.pivot],
+                value: e.value,
+            }
         })?;
-        // stash the update matrix for the parent
-        if nr > nb {
-            let urows = r[nb..].to_vec();
-            let umat = front.submatrix(nb, nb, nr - nb, nr - nb);
-            updates[s] = Some((urows, umat));
-        } else {
-            debug_assert!(ssym.sparent[s] == NONE || nr == nb);
+        // keep the symbolic rows of each pivot column
+        for (col, &c) in front.chunks_exact(nr).zip(cols) {
+            let span = sym.col_ptr[c]..sym.col_ptr[c + 1];
+            for (dst, &g) in values[span.clone()].iter_mut().zip(&sym.row_idx[span]) {
+                *dst = col[pos[g]];
+            }
         }
-        // keep only the panel
-        panels[s] = Some(front.submatrix(0, 0, nr, nb));
-        for &g in r {
-            pos[g] = usize::MAX;
+        // stack the update triangle for the parent
+        if nr > p {
+            live.push(f);
+            let mut at = ssym.update_at[f];
+            for j in p..nr {
+                let src = &front[j * nr + j..(j + 1) * nr];
+                stack[at..at + src.len()].copy_from_slice(src);
+                at += src.len();
+            }
         }
     }
-    Ok(SupernodalFactorOf {
+    Ok(CscOf::from_parts(
         n,
-        panels: panels
-            .into_iter()
-            .map(|p| p.expect("every supernode assembled a panel in the loop above"))
-            .collect(),
-        ssym: ssym.clone(),
-    })
-}
-
-impl<S: Scalar> SupernodalFactorOf<S> {
-    /// Export the factor as a plain CSC matrix (rows sorted, diagonal first)
-    /// — the "factor extraction" capability the GPU paths need.
-    pub fn to_csc(&self) -> CscOf<S> {
-        let nsuper = self.ssym.nsuper();
-        let mut col_ptr = vec![0usize; self.n + 1];
-        for s in 0..nsuper {
-            let (c0, c1) = self.ssym.cols(s);
-            let nr = self.ssym.rows[s].len();
-            for c in c0..c1 {
-                col_ptr[c + 1] = nr - (c - c0);
-            }
-        }
-        for j in 0..self.n {
-            col_ptr[j + 1] += col_ptr[j];
-        }
-        let nnz = col_ptr[self.n];
-        let mut row_idx = vec![0usize; nnz];
-        let mut values = vec![S::ZERO; nnz];
-        for s in 0..nsuper {
-            let (c0, c1) = self.ssym.cols(s);
-            let r = &self.ssym.rows[s];
-            let panel = &self.panels[s];
-            for (i0, &dst) in col_ptr[c0..c1].iter().enumerate() {
-                for (k, &g) in r[i0..].iter().enumerate() {
-                    row_idx[dst + k] = g;
-                    values[dst + k] = panel[(i0 + k, i0)];
-                }
-            }
-        }
-        CscOf::from_parts(self.n, self.n, col_ptr, row_idx, values)
-    }
-
-    /// Forward solve `L x = b` in place using the dense panels.
-    pub fn solve_fwd(&self, x: &mut [S]) {
-        assert_eq!(x.len(), self.n);
-        for s in 0..self.ssym.nsuper() {
-            let (c0, c1) = self.ssym.cols(s);
-            let nb = c1 - c0;
-            let panel = &self.panels[s];
-            let r = &self.ssym.rows[s];
-            // dense TRSV on the top nb × nb lower triangle
-            sc_dense::trsv_lower(panel.as_ref().sub(0, 0, nb, nb), &mut x[c0..c1]);
-            // propagate to below rows
-            for (k, &g) in r[nb..].iter().enumerate() {
-                let mut s_acc = S::ZERO;
-                for j in 0..nb {
-                    s_acc += panel[(nb + k, j)] * x[c0 + j];
-                }
-                x[g] -= s_acc;
-            }
-        }
-    }
-
-    /// Backward solve `Lᵀ x = b` in place using the dense panels.
-    pub fn solve_bwd(&self, x: &mut [S]) {
-        assert_eq!(x.len(), self.n);
-        for s in (0..self.ssym.nsuper()).rev() {
-            let (c0, c1) = self.ssym.cols(s);
-            let nb = c1 - c0;
-            let panel = &self.panels[s];
-            let r = &self.ssym.rows[s];
-            // gather below-row contributions
-            for j in (0..nb).rev() {
-                let mut acc = x[c0 + j];
-                for (k, &g) in r[nb..].iter().enumerate() {
-                    acc -= panel[(nb + k, j)] * x[g];
-                }
-                // within-panel upper part of Lᵀ: columns j+1..nb of row j
-                for i in (j + 1)..nb {
-                    acc -= panel[(i, j)] * x[c0 + i];
-                }
-                x[c0 + j] = acc / panel[(j, j)];
-            }
-        }
-    }
-
-    /// Total stored factor entries (sum of panel trapezoids).
-    pub fn nnz(&self) -> usize {
-        (0..self.ssym.nsuper())
-            .map(|s| {
-                let (c0, c1) = self.ssym.cols(s);
-                let nb = c1 - c0;
-                let nr = self.ssym.rows[s].len();
-                nb * nr - nb * (nb - 1) / 2
-            })
-            .sum()
-    }
+        n,
+        sym.col_ptr.clone(),
+        sym.row_idx.clone(),
+        values,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplicial::simplicial_factorize;
     use crate::symbolic::analyze;
-    use sc_sparse::{Coo, Csc};
+    use sc_sparse::Coo;
 
-    fn laplace_2d(nx: usize) -> Csc {
-        let n = nx * nx;
-        let idx = |x: usize, y: usize| y * nx + x;
-        let mut c = Coo::new(n, n);
-        for y in 0..nx {
-            for x in 0..nx {
-                let v = idx(x, y);
-                c.push(v, v, 4.01);
-                if x > 0 {
-                    c.push(v, idx(x - 1, y), -1.0);
-                }
-                if x + 1 < nx {
-                    c.push(v, idx(x + 1, y), -1.0);
-                }
-                if y > 0 {
-                    c.push(v, idx(x, y - 1), -1.0);
-                }
-                if y + 1 < nx {
-                    c.push(v, idx(x, y + 1), -1.0);
+    #[test]
+    fn relaxation_thresholds() {
+        // four pivots merge whatever the zero share
+        assert!(relaxed(4, 100, 4));
+        // 16 pivots: < 80 % zeros
+        assert!(relaxed(16, 0, 16 * 17 / 2 / 4));
+        assert!(!relaxed(16, 0, 16));
+        // 48 pivots: < 10 %; beyond: < 5 %
+        assert!(!relaxed(48, 0, 48 * 49 / 2 * 8 / 10));
+        assert!(relaxed(49, 0, 49 * 50 / 2 * 96 / 100));
+        assert!(!relaxed(49, 0, 49 * 50 / 2 * 94 / 100));
+    }
+
+    #[test]
+    fn buffers_cover_a_chain_and_a_star() {
+        // tridiagonal: one chain; arrowhead: n - 1 leaves under one root
+        for star in [false, true] {
+            let n = 40;
+            let mut c = Coo::new(n, n);
+            for i in 0..n {
+                c.push(i, i, n as f64);
+                let j = if star { n - 1 } else { i + 1 };
+                if i + 1 < n {
+                    c.push(i, j, -1.0);
+                    c.push(j, i, -1.0);
                 }
             }
+            let a = c.to_csc();
+            let sym = analyze(&a);
+            let ssym = SupernodalSymbolic::from_symbolic(&sym);
+            assert!(ssym.max_front <= n && ssym.max_front >= 2);
+            let l = supernodal_factorize(&a, &sym, &ssym).unwrap();
+            let ls = crate::simplicial_factorize(&a, &sym).unwrap();
+            let d = sc_dense::max_abs_diff(l.to_dense().as_ref(), ls.to_dense().as_ref());
+            assert!(d < 1e-14, "star={star}: {d}");
         }
-        c.to_csc()
-    }
-
-    #[test]
-    fn supernode_partition_covers_columns() {
-        let a = laplace_2d(6);
-        let sym = analyze(&a);
-        let ssym = SupernodalSymbolic::from_symbolic(&sym);
-        assert_eq!(*ssym.snode_start.last().unwrap(), 36);
-        for s in 0..ssym.nsuper() {
-            let (c0, c1) = ssym.cols(s);
-            assert!(c0 < c1);
-            // rows start with the supernode's own columns
-            assert_eq!(&ssym.rows[s][..c1 - c0], &(c0..c1).collect::<Vec<_>>()[..]);
-        }
-    }
-
-    #[test]
-    fn matches_simplicial_factor() {
-        let a = laplace_2d(7);
-        let sym = analyze(&a);
-        let ssym = SupernodalSymbolic::from_symbolic(&sym);
-        let ls = simplicial_factorize(&a, &sym).unwrap();
-        let lm = supernodal_factorize(&a, &sym, &ssym).unwrap().to_csc();
-        assert_eq!(ls.nnz(), lm.nnz(), "pattern sizes differ");
-        let d = sc_dense::max_abs_diff(ls.to_dense().as_ref(), lm.to_dense().as_ref());
-        assert!(d < 1e-10, "factor mismatch {d}");
-    }
-
-    #[test]
-    fn solves_match_direct() {
-        let a = laplace_2d(6);
-        let n = a.ncols();
-        let sym = analyze(&a);
-        let ssym = SupernodalSymbolic::from_symbolic(&sym);
-        let f = supernodal_factorize(&a, &sym, &ssym).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 2.0).collect();
-        let mut x = b.clone();
-        f.solve_fwd(&mut x);
-        f.solve_bwd(&mut x);
-        let mut r = vec![0.0; n];
-        a.spmv(1.0, &x, 0.0, &mut r);
-        for i in 0..n {
-            assert!((r[i] - b[i]).abs() < 1e-9, "residual at {i}");
-        }
-    }
-
-    #[test]
-    fn nnz_matches_symbolic() {
-        let a = laplace_2d(5);
-        let sym = analyze(&a);
-        let ssym = SupernodalSymbolic::from_symbolic(&sym);
-        let f = supernodal_factorize(&a, &sym, &ssym).unwrap();
-        assert_eq!(f.nnz(), sym.nnz());
-    }
-
-    #[test]
-    fn detects_indefinite() {
-        let mut c = Coo::new(3, 3);
-        c.push(0, 0, 1.0);
-        c.push(1, 1, 1.0);
-        c.push(2, 2, -5.0);
-        let a = c.to_csc();
-        let sym = analyze(&a);
-        let ssym = SupernodalSymbolic::from_symbolic(&sym);
-        assert!(supernodal_factorize(&a, &sym, &ssym).is_err());
     }
 }

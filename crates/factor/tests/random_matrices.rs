@@ -1,10 +1,19 @@
-//! Property tests of the sparse Cholesky stack on random SPD matrices:
-//! engines agree, orderings preserve solutions, refactorization is exact.
+//! Property tests of the sparse Cholesky stack on random SPD matrices and
+//! regularized FEM subdomains: the supernodal engine reproduces the
+//! simplicial reference factor, orderings preserve solutions,
+//! refactorization is exact, breakdowns are reported, and the relaxed
+//! supernode partition is structurally sound.
 
 use proptest::prelude::*;
-use sc_factor::{CholOptions, Engine, SparseCholesky};
+use sc_dense::Scalar;
+use sc_factor::symbolic::analyze;
+use sc_factor::{
+    simplicial_factorize, CholOptions, Engine, SparseCholesky, SparseCholeskyOf,
+    SupernodalSymbolic, Symbolic,
+};
+use sc_fem::{Gluing, HeatProblem, Subdomain};
 use sc_order::Ordering;
-use sc_sparse::{Coo, Csc};
+use sc_sparse::{Coo, Csc, CscOf};
 
 fn spd_strategy(n: usize) -> impl Strategy<Value = Csc> {
     proptest::collection::vec((0usize..n, 0usize..n, 0.05f64..1.0), n..(4 * n)).prop_map(
@@ -27,11 +36,242 @@ fn spd_strategy(n: usize) -> impl Strategy<Value = Csc> {
     )
 }
 
+/// `a` with the stored entry `(i, j)` set to `v`.
+fn with_entry(a: &Csc, (i, j): (usize, usize), v: f64) -> Csc {
+    let mut a = a.clone();
+    let at = a.col_ptr()[j] + a.col(j).0.binary_search(&i).expect("stored entry");
+    a.values_mut()[at] = v;
+    a
+}
+
+/// `K_reg` of a subdomain: the fixing-node regularization of `sc_feti`
+/// (largest diagonal entry added at the fixing dof of a floating subdomain).
+fn regularized(sd: &Subdomain) -> Csc {
+    if sd.kernel.is_none() {
+        return sd.k.clone();
+    }
+    let rho = (0..sd.k.ncols())
+        .map(|j| sd.k.get(j, j))
+        .fold(0.0f64, f64::max);
+    let f = sd.fixing_dof;
+    with_entry(&sd.k, (f, f), sd.k.get(f, f) + rho)
+}
+
+/// `max |x − y| / max |y|` over the stored values, in `f64`.
+fn rel_diff<S: Scalar>(x: &CscOf<S>, y: &CscOf<S>) -> f64 {
+    let (mut d, mut scale) = (0.0f64, 0.0f64);
+    for (a, b) in x.values().iter().zip(y.values()) {
+        d = d.max((a.to_f64() - b.to_f64()).abs());
+        scale = scale.max(b.to_f64().abs());
+    }
+    d / scale
+}
+
+/// The differential check of the supernodal engine against the simplicial
+/// reference on one matrix at one precision: same pattern as the symbolic
+/// analysis, values within `tol` (relative), and a refactorization that is
+/// bitwise the fresh factorization.
+fn check_against_simplicial<S: Scalar>(a: &CscOf<S>, tol: f64) -> Result<(), String> {
+    let perm = Ordering::NestedDissection.compute(a);
+    let mut chol = SparseCholeskyOf::factorize_with_perm(a, perm.clone(), Engine::Supernodal)
+        .map_err(|e| e.to_string())?;
+    let sym = chol.symbolic();
+    let l = chol.factor_csc();
+    if l.col_ptr() != sym.col_ptr || l.row_idx() != sym.row_idx {
+        return Err("factor pattern differs from the symbolic analysis".into());
+    }
+    let reference = simplicial_factorize(&a.sym_perm(&perm), sym).map_err(|e| e.to_string())?;
+    let d = rel_diff(&l, &reference);
+    if d.is_nan() || d > tol {
+        return Err(format!(
+            "factor differs from the reference by {d:e} > {tol:e}"
+        ));
+    }
+    chol.refactorize(a).map_err(|e| e.to_string())?;
+    if chol.factor_csc_ref() != &l {
+        return Err("refactorize is not bitwise the fresh factorization".into());
+    }
+    Ok(())
+}
+
+#[test]
+fn supernodal_matches_simplicial_on_regularized_subdomains() {
+    // 3D c10: the fronts under the root take the blocked dense route
+    for prob in [
+        HeatProblem::build_2d(24, (2, 1), Gluing::Redundant),
+        HeatProblem::build_3d(10, (2, 1, 1), Gluing::Redundant),
+    ] {
+        for (i, sd) in prob.subdomains.iter().enumerate() {
+            let k = regularized(sd);
+            check_against_simplicial(&k, 1e-12)
+                .unwrap_or_else(|e| panic!("{}D subdomain {i}, f64: {e}", prob.dim));
+            check_against_simplicial(&k.cast::<f32>(), 1e-4)
+                .unwrap_or_else(|e| panic!("{}D subdomain {i}, f32: {e}", prob.dim));
+        }
+    }
+}
+
+/// Every structural property the numeric phase relies on.
+fn check_partition(sym: &Symbolic) {
+    let ssym = SupernodalSymbolic::from_symbolic(sym);
+    let mut owner = vec![usize::MAX; sym.n];
+    for f in 0..ssym.nfronts() {
+        let (cols, tail) = (ssym.cols(f), ssym.tail(f, sym));
+        assert!(!cols.is_empty(), "front {f} has no pivot");
+        let rows: Vec<usize> = cols.iter().chain(tail).copied().collect();
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "front {f} rows not ascending"
+        );
+        for (k, &c) in cols.iter().enumerate() {
+            assert_eq!(owner[c], usize::MAX, "column {c} in two fronts");
+            owner[c] = f;
+            // a pivot column's factor pattern lives at or below it in the front
+            assert!(
+                sym.col(c).iter().all(|g| rows[k..].contains(g)),
+                "column {c} leaves front {f}"
+            );
+        }
+        match ssym.parent(f) {
+            None => assert!(tail.is_empty(), "root front {f} has a tail"),
+            Some(p) => {
+                assert!(
+                    p > f && p < ssym.nfronts(),
+                    "front {f} not before its parent {p}"
+                );
+                let prows: Vec<usize> = ssym
+                    .cols(p)
+                    .iter()
+                    .chain(ssym.tail(p, sym))
+                    .copied()
+                    .collect();
+                assert!(
+                    tail.iter().all(|g| prows.contains(g)),
+                    "tail of {f} leaves parent {p}"
+                );
+                assert!(
+                    ssym.cols(p).contains(&tail[0]),
+                    "parent {p} does not eliminate tail[0] of {f}"
+                );
+            }
+        }
+    }
+    assert!(
+        owner.iter().all(|&f| f != usize::MAX),
+        "a column has no front"
+    );
+}
+
+fn dense_pattern(n: usize) -> Csc {
+    let mut c = Coo::new(n, n);
+    for i in 0..n {
+        for j in 0..n {
+            c.push(i, j, if i == j { 2.0 * n as f64 } else { 1.0 });
+        }
+    }
+    c.to_csc()
+}
+
+#[test]
+fn relaxed_partition_edge_cases() {
+    // 1 x 1
+    let sym = analyze(&dense_pattern(1));
+    check_partition(&sym);
+    let ssym = SupernodalSymbolic::from_symbolic(&sym);
+    assert_eq!(
+        (ssym.nfronts(), ssym.cols(0), ssym.parent(0)),
+        (1, &[0][..], None)
+    );
+    check_against_simplicial(&dense_pattern(1), 0.0).unwrap();
+    // dense: one front holding every column
+    let sym = analyze(&dense_pattern(9));
+    check_partition(&sym);
+    let ssym = SupernodalSymbolic::from_symbolic(&sym);
+    assert_eq!(ssym.nfronts(), 1);
+    assert_eq!(ssym.cols(0), (0..9).collect::<Vec<_>>());
+    // diagonal: a forest of single-column roots
+    let sym = analyze(&Csc::identity(5));
+    check_partition(&sym);
+    assert_eq!(SupernodalSymbolic::from_symbolic(&sym).nfronts(), 5);
+    // FEM subdomains; minimum degree interleaves sibling subtrees, so its
+    // merged fronts have gaps in their pivot lists
+    for prob in [
+        HeatProblem::build_2d(12, (1, 1), Gluing::Redundant),
+        HeatProblem::build_3d(5, (1, 1, 1), Gluing::Redundant),
+    ] {
+        let k = &prob.subdomains[0].k;
+        for ordering in [Ordering::NestedDissection, Ordering::MinimumDegree] {
+            check_partition(&analyze(&k.sym_perm(&ordering.compute(k))));
+        }
+    }
+}
+
+/// A grid Laplacian in minimum-degree order (which interleaves the columns
+/// of sibling subtrees) plus a pivot column that sits strictly inside a
+/// front whose pivot list has a gap before it — where "first column + local
+/// pivot" names the wrong column.
+fn matrix_with_inner_pivot() -> (Csc, usize) {
+    let prob = HeatProblem::build_2d(12, (1, 1), Gluing::Redundant);
+    let k = &prob.subdomains[0].k;
+    let ap = k.sym_perm(&Ordering::MinimumDegree.compute(k));
+    let sym = analyze(&ap);
+    let ssym = SupernodalSymbolic::from_symbolic(&sym);
+    let column = (0..ssym.nfronts())
+        .find_map(|f| {
+            let cols = ssym.cols(f);
+            (1..cols.len().saturating_sub(1))
+                .find(|&k| cols[k] != cols[0] + k)
+                .map(|k| cols[k])
+        })
+        .expect("some relaxed front has a gap before an inner pivot");
+    (ap, column)
+}
+
+#[test]
+fn both_engines_report_the_same_breakdown_column() {
+    let (ap, column) = matrix_with_inner_pivot();
+    let bad = with_entry(&ap, (column, column), -1.0);
+    for engine in [Engine::Simplicial, Engine::Supernodal] {
+        let natural = Ordering::Natural.compute(&bad);
+        let err = SparseCholesky::factorize_with_perm(&bad, natural, engine)
+            .err()
+            .unwrap_or_else(|| panic!("{engine:?} factorized an indefinite matrix"));
+        assert_eq!(err.column, column, "{engine:?}");
+        assert!(err.value < 0.0, "{engine:?}");
+    }
+}
+
+#[test]
+fn non_finite_entries_are_an_error_in_both_engines() {
+    let (ap, column) = matrix_with_inner_pivot();
+    let below = ap.col(column).0[ap.col(column).0.binary_search(&column).unwrap() + 1];
+    for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for at in [(column, column), (below, column)] {
+            let mut bad = with_entry(&ap, at, poison);
+            bad = with_entry(&bad, (at.1, at.0), poison);
+            for engine in [Engine::Simplicial, Engine::Supernodal] {
+                let natural = Ordering::Natural.compute(&bad);
+                assert!(
+                    SparseCholesky::factorize_with_perm(&bad, natural, engine).is_err(),
+                    "{engine:?} accepted {poison} at {at:?}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn engines_agree_on_solutions(a in spd_strategy(30)) {
+        if let Err(e) = check_against_simplicial(&a, 1e-12) {
+            return Err(TestCaseError::fail(format!("f64: {e}")));
+        }
+        if let Err(e) = check_against_simplicial(&a.cast::<f32>(), 1e-4) {
+            return Err(TestCaseError::fail(format!("f32: {e}")));
+        }
+        check_partition(&analyze(&a));
         let b: Vec<f64> = (0..30).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let xs = SparseCholesky::factorize(&a, CholOptions {
             ordering: Ordering::NestedDissection,

@@ -177,19 +177,19 @@ impl DualOperator {
 
     /// Assemble the explicit operator on the CPU with the given config.
     pub fn explicit_cpu(factors: &SubdomainFactors, cfg: &ScConfig) -> Self {
-        let l = factors.chol.factor_csc();
-        let f = assemble_sc(&mut CpuExec, &l, &factors.bt_perm, cfg);
+        let l = factors.chol.factor_csc_ref();
+        let f = assemble_sc(&mut CpuExec, l, &factors.bt_perm, cfg);
         DualOperator::ExplicitCpu(f)
     }
 
     /// Assemble the explicit operator on the simulated GPU (the factor is
     /// uploaded first, mirroring the original algorithm's H2D copy).
     pub fn explicit_gpu(factors: &SubdomainFactors, cfg: &ScConfig, kernels: GpuKernels) -> Self {
-        let l = factors.chol.factor_csc();
-        kernels.upload_csc(&l);
+        let l = factors.chol.factor_csc_ref();
+        kernels.upload_csc(l);
         kernels.upload_csc(&factors.bt_perm);
         let mut exec = GpuExec::new(&kernels);
-        let f = assemble_sc(&mut exec, &l, &factors.bt_perm, cfg);
+        let f = assemble_sc(&mut exec, l, &factors.bt_perm, cfg);
         kernels.download_bytes(0); // result stays on device; placeholder sync
         DualOperator::ExplicitGpu { f, kernels }
     }
@@ -220,13 +220,18 @@ impl DualOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FetiOptions;
     use sc_core::FactorStorage;
     use sc_fem::{Gluing, HeatProblem};
     use sc_gpu::{Device, DeviceSpec};
     use sc_order::Ordering;
 
     fn factors_for(sd: &sc_fem::Subdomain) -> SubdomainFactors {
-        SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection)
+        SubdomainFactors::build(
+            sd,
+            FetiOptions::default().engine,
+            Ordering::NestedDissection,
+        )
     }
 
     #[test]

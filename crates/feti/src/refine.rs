@@ -38,7 +38,7 @@ impl DemotedFactors {
     /// Demote one `f64` factor bundle.
     pub fn of(factors: &SubdomainFactors) -> Self {
         DemotedFactors {
-            l: factors.chol.factor_csc().cast::<f32>(),
+            l: factors.chol.factor_csc_ref().cast::<f32>(),
             map: BoundaryMapOf::of(&factors.bt_perm.cast::<f32>()),
         }
     }
@@ -118,8 +118,8 @@ pub struct RefinementStats {
 mod tests {
     use super::*;
     use crate::dualop::{apply_implicit, DualOperator};
+    use crate::FetiOptions;
     use sc_core::ScConfig;
-    use sc_factor::Engine;
     use sc_fem::{Gluing, HeatProblem};
     use sc_order::Ordering;
 
@@ -127,8 +127,11 @@ mod tests {
     fn demoted_apply_tracks_the_f64_implicit_operator() {
         let prob = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
         for sd in &prob.subdomains {
-            let factors =
-                SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection);
+            let factors = SubdomainFactors::build(
+                sd,
+                FetiOptions::default().engine,
+                Ordering::NestedDissection,
+            );
             let demoted = DemotedFactors::of(&factors);
             let m = sd.n_lambda();
             let p: Vec<f64> = (0..m).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
@@ -154,7 +157,11 @@ mod tests {
     fn explicit_f32_op_matches_demoted_dense_operator() {
         let prob = HeatProblem::build_2d(3, (2, 1), Gluing::Redundant);
         let sd = &prob.subdomains[0];
-        let factors = SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection);
+        let factors = SubdomainFactors::build(
+            sd,
+            FetiOptions::default().engine,
+            Ordering::NestedDissection,
+        );
         let expl = DualOperator::explicit_cpu(&factors, &ScConfig::optimized(false, false));
         let f32_mat = expl.explicit_matrix().unwrap().cast::<f32>();
         let op = F32Op::Explicit(f32_mat.clone());

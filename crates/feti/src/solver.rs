@@ -85,7 +85,7 @@ pub struct FetiOptions {
 impl Default for FetiOptions {
     fn default() -> Self {
         FetiOptions {
-            engine: Engine::Simplicial,
+            engine: Engine::Supernodal,
             ordering: Ordering::NestedDissection,
             preconditioner: Preconditioner::None,
             tol: 1e-9,
@@ -305,9 +305,7 @@ impl FetiSolverBuilder {
                 let session = AssemblySession::new(backend.clone(), cfg);
                 let res = session.assemble(LazyBatch::new(
                     &factors,
-                    // each task extracts its own factor copy, so peak memory
-                    // is one factor per worker, not one per subdomain
-                    |_, f: &SubdomainFactors| Cow::Owned(f.chol.factor_csc()),
+                    |_, f: &SubdomainFactors| Cow::Borrowed(f.chol.factor_csc_ref()),
                     |f| &f.bt_perm,
                 ));
                 let ops = bind_ops(res.f, &res.report, &backend);
@@ -1080,7 +1078,7 @@ fn assemble_auto(
     };
 
     // decision layer: analytic assembly + per-iteration apply estimates per
-    // subdomain (the factor is borrowed where the engine exposes it)
+    // subdomain
     let ref_spec = if pool.is_empty() {
         plan_opts.host.clone()
     } else {
@@ -1090,14 +1088,7 @@ fn assemble_auto(
         .par_iter()
         .enumerate()
         .map(|(i, f)| {
-            let owned;
-            let l: &Csc = match f.chol.factor_csc_ref() {
-                Some(l) => l,
-                None => {
-                    owned = f.chol.factor_csc();
-                    &owned
-                }
-            };
+            let l = f.chol.factor_csc_ref();
             let bt = &f.bt_perm;
             let params = cfg.resolve(!pool.is_empty(), l, bt);
             (
@@ -1134,7 +1125,7 @@ fn assemble_auto(
         );
         let res = session.assemble(LazyBatch::new(
             &gpu_items,
-            |_, f: &&SubdomainFactors| Cow::Owned(f.chol.factor_csc()),
+            |_, f: &&SubdomainFactors| Cow::Borrowed(f.chol.factor_csc_ref()),
             |f| &f.bt_perm,
         ));
         for (local, mat) in res.f.into_iter().enumerate() {
@@ -1159,7 +1150,7 @@ fn assemble_auto(
         let session = AssemblySession::new(Backend::cpu().precision(backend.precision), *cfg);
         let res = session.assemble(LazyBatch::new(
             &cpu_items,
-            |_, f: &&SubdomainFactors| Cow::Owned(f.chol.factor_csc()),
+            |_, f: &&SubdomainFactors| Cow::Borrowed(f.chol.factor_csc_ref()),
             |f| &f.bt_perm,
         ));
         for (local, mat) in res.f.into_iter().enumerate() {
@@ -1420,7 +1411,7 @@ mod tests {
             .map(|sd| {
                 let f = SubdomainFactors::build(
                     sd,
-                    Engine::Simplicial,
+                    FetiOptions::default().engine,
                     sc_order::Ordering::NestedDissection,
                 );
                 let l = f.chol.factor_csc();
@@ -1616,10 +1607,10 @@ mod tests {
     }
 
     #[test]
-    fn supernodal_engine_matches() {
+    fn simplicial_engine_matches() {
         let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
         let solver = FetiSolverBuilder::new()
-            .options(FetiOptions::default().with_engine(Engine::Supernodal))
+            .options(FetiOptions::default().with_engine(Engine::Simplicial))
             .build(&p);
         check_solver(&p, &solver, 1e-6);
     }

@@ -281,14 +281,7 @@ impl Service {
             let t0 = Instant::now();
             let cfg = ScConfig::Auto;
             for f in prep.factors.iter() {
-                let owned;
-                let l = match f.chol.factor_csc_ref() {
-                    Some(l) => l,
-                    None => {
-                        owned = f.chol.factor_csc();
-                        &owned
-                    }
-                };
+                let l = f.chol.factor_csc_ref();
                 let _f_tilde =
                     assemble_sc_with_cache(&mut CpuExec, l, &f.bt_perm, &cfg, Some(&prep.cuts));
             }

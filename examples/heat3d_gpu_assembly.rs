@@ -22,7 +22,13 @@ fn main() {
     let factors: Vec<SubdomainFactors> = problem
         .subdomains
         .iter()
-        .map(|sd| SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection))
+        .map(|sd| {
+            SubdomainFactors::build(
+                sd,
+                FetiOptions::default().engine,
+                Ordering::NestedDissection,
+            )
+        })
         .collect();
 
     let device = Device::new(DeviceSpec::a100(), 4);
@@ -30,10 +36,10 @@ fn main() {
         device.reset();
         for (i, f) in factors.iter().enumerate() {
             let kernels = GpuKernels::new(device.stream(i % device.n_streams()));
-            let l = f.chol.factor_csc();
+            let l = f.chol.factor_csc_ref();
             kernels.upload_bytes(16 * l.nnz() + 16 * f.bt_perm.nnz());
             let mut exec = GpuExec::new(&kernels);
-            let f_mat = assemble_sc(&mut exec, &l, &f.bt_perm, cfg);
+            let f_mat = assemble_sc(&mut exec, l, &f.bt_perm, cfg);
             std::hint::black_box(&f_mat);
         }
         let makespan = device.synchronize();

@@ -40,7 +40,11 @@ fn main() {
         .subdomains
         .iter()
         .map(|sd| {
-            let f = SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection);
+            let f = SubdomainFactors::build(
+                sd,
+                FetiOptions::default().engine,
+                Ordering::NestedDissection,
+            );
             (f.chol.factor_csc(), f.bt_perm)
         })
         .collect();

@@ -20,18 +20,12 @@ fn main() {
     // --- assemble the Schur complement of one floating subdomain ---
     let sd = &problem.subdomains[1];
     let kreg = sc_feti::regularize_fixing_node(&sd.k, sd.kernel.as_deref(), sd.fixing_dof, None);
-    let chol = SparseCholesky::factorize(
-        &kreg,
-        CholOptions {
-            ordering: Ordering::NestedDissection,
-            engine: Engine::Simplicial,
-        },
-    )
-    .expect("SPD after regularization");
+    let chol =
+        SparseCholesky::factorize(&kreg, CholOptions::default()).expect("SPD after regularization");
     let bt_perm = sd.bt.permute_rows(chol.perm());
 
     let cfg = ScConfig::optimized(/* gpu: */ false, /* 3D: */ false);
-    let f = assemble_sc(&mut CpuExec, &chol.factor_csc(), &bt_perm, &cfg);
+    let f = assemble_sc(&mut CpuExec, chol.factor_csc_ref(), &bt_perm, &cfg);
     println!(
         "assembled local dual operator F̃: {}x{} (dense, symmetric), F̃[0,0] = {:.4}",
         f.nrows(),

@@ -11,8 +11,12 @@ use schur_dd::sc_feti::SubdomainFactors;
 fn main() {
     let problem = HeatProblem::build_3d(10, (3, 3, 3), Gluing::Redundant);
     let sd = &problem.subdomains[13]; // center subdomain, glued on all sides
-    let factors = SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection);
-    let l = factors.chol.factor_csc();
+    let factors = SubdomainFactors::build(
+        sd,
+        FetiOptions::default().engine,
+        Ordering::NestedDissection,
+    );
+    let l = factors.chol.factor_csc_ref();
     println!(
         "subdomain: {} dofs, {} multipliers, factor nnz = {}\n",
         sd.n_dofs(),
@@ -36,7 +40,7 @@ fn main() {
         device.reset();
         let kernels = GpuKernels::new(device.stream(0));
         let mut exec = GpuExec::new(&kernels);
-        let f = assemble_sc(&mut exec, &l, &factors.bt_perm, &cfg);
+        let f = assemble_sc(&mut exec, l, &factors.bt_perm, &cfg);
         std::hint::black_box(&f);
         let t = device.synchronize();
         if t < best.1 {

@@ -13,7 +13,7 @@
 //! | [`sc_dense`]  | dense BLAS-like kernels (GEMM/SYRK/TRSM/Cholesky) |
 //! | [`sc_sparse`] | CSR/CSC/COO, permutations, pattern analysis |
 //! | [`sc_order`]  | nested dissection / RCM / minimum degree orderings |
-//! | [`sc_factor`] | sparse Cholesky (simplicial + supernodal multifrontal) |
+//! | [`sc_factor`] | sparse Cholesky into one CSC factor (multifrontal; simplicial reference) |
 //! | [`sc_fem`]    | heat-transfer meshes, decomposition, gluing `B`, kernels `R` |
 //! | [`sc_gpu`]    | event-driven GPU execution simulator (A100 cost model) |
 //! | [`sc_core`]   | **the paper's contribution**: stepped TRSM/SYRK splitting + the batched multi-subdomain driver |

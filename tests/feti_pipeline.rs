@@ -81,10 +81,10 @@ fn explicit_gpu_3d_with_multiple_streams() {
 }
 
 #[test]
-fn supernodal_engine_full_pipeline() {
+fn simplicial_engine_full_pipeline() {
     let p = HeatProblem::build_2d(5, (2, 2), Gluing::Redundant);
     let solver = FetiSolverBuilder::new()
-        .options(FetiOptions::default().with_engine(Engine::Supernodal))
+        .options(FetiOptions::default().with_engine(Engine::Simplicial))
         .formulation(FormulationChoice::Explicit)
         .assembly(ScConfig::optimized(false, false))
         .build(&p);

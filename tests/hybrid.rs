@@ -189,7 +189,13 @@ fn hybrid_solver_end_to_end_invariants() {
     let factors: Vec<SubdomainFactors> = p
         .subdomains
         .iter()
-        .map(|sd| SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection))
+        .map(|sd| {
+            SubdomainFactors::build(
+                sd,
+                FetiOptions::default().engine,
+                Ordering::NestedDissection,
+            )
+        })
         .collect();
     let temps: Vec<usize> = factors
         .iter()
@@ -475,7 +481,7 @@ proptest! {
         let p = HeatProblem::build_2d(cells, (sx, sy), Gluing::Redundant);
         for sd in &p.subdomains {
             let factors =
-                SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection);
+                SubdomainFactors::build(sd, FetiOptions::default().engine, Ordering::NestedDissection);
             let m = sd.n_lambda();
             let n = sd.n_dofs();
             let pvec: Vec<f64> = (0..m)

@@ -22,7 +22,11 @@ fn fixture(dim: usize, c: usize) -> Fixture {
     let center = if dim == 2 { 4 } else { 7 };
     let sd = &problem.subdomains[center];
     let kreg = regularize_fixing_node(&sd.k, sd.kernel.as_deref(), sd.fixing_dof, None);
-    let factors = SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection);
+    let factors = SubdomainFactors::build(
+        sd,
+        FetiOptions::default().engine,
+        Ordering::NestedDissection,
+    );
     Fixture {
         kreg,
         bt: sd.bt.clone(),

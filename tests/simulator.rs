@@ -10,7 +10,7 @@ fn center_factors_3d(c: usize) -> SubdomainFactors {
     let p = HeatProblem::build_3d(c, (2, 2, 2), Gluing::Redundant);
     SubdomainFactors::build(
         &p.subdomains[7],
-        Engine::Simplicial,
+        FetiOptions::default().engine,
         Ordering::NestedDissection,
     )
 }
@@ -89,7 +89,13 @@ fn streams_overlap_reduces_makespan() {
     let factors: Vec<SubdomainFactors> = p
         .subdomains
         .iter()
-        .map(|sd| SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection))
+        .map(|sd| {
+            SubdomainFactors::build(
+                sd,
+                FetiOptions::default().engine,
+                Ordering::NestedDissection,
+            )
+        })
         .collect();
     let cfg = ScConfig::optimized(true, true);
     let run = |n_streams: usize| {
