@@ -5,8 +5,9 @@
 //! 1. A **source lint engine** ([`analyze_tree`] / [`analyze_source`]):
 //!    a dependency-free Rust [`lexer`] feeding a small set of [`rules`]
 //!    tuned to this codebase's invariants — panic-free library crates,
-//!    no accidental float equality, unit-suffix discipline, and doc
-//!    coverage of the public core/gpusim surface.
+//!    no accidental float equality, unit-suffix discipline, doc coverage
+//!    of the public core/gpusim surface, and a length cap on library
+//!    files.
 //!    Per-line opt-outs use `// sc-analyze: allow(<rule>, …)` comments,
 //!    which silence the named rules on that line and the next.
 //!
@@ -42,6 +43,8 @@ pub struct SourceFile {
     /// tokens, in source order. Rules that reason about adjacency use
     /// this so comments never split an expression.
     pub sig: Vec<usize>,
+    /// Number of source lines.
+    pub n_lines: u32,
     /// `(rule-name, line)` pairs silenced by `sc-analyze: allow(…)`.
     suppressed: BTreeSet<(String, u32)>,
     /// Half-open line ranges `[start, end)` lexically inside items marked
@@ -65,6 +68,7 @@ impl SourceFile {
             rel: rel.to_string(),
             tokens,
             sig,
+            n_lines: u32::try_from(text.lines().count()).unwrap_or(u32::MAX),
             suppressed,
             test_regions,
         }

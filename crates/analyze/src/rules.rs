@@ -57,6 +57,10 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         }),
         Box::new(UnitDiscipline),
         Box::new(PubDoc),
+        Box::new(FileLength {
+            limit: 800,
+            ceilings: FILE_LENGTH_CEILINGS,
+        }),
     ]
 }
 
@@ -495,6 +499,60 @@ fn has_preceding_doc(file: &SourceFile, pub_ti: usize) -> bool {
                 continue;
             }
             _ => return false,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// file-length
+// ---------------------------------------------------------------------------
+
+/// The library files still over the [`FileLength`] limit, each with its
+/// non-test line count when the rule landed as a ceiling: an entry may only
+/// shrink, and goes once its file is under the limit.
+pub const FILE_LENGTH_CEILINGS: &[(&str, u32)] = &[
+    ("crates/core/src/schedule.rs", 1280),
+    ("crates/serve/src/protocol.rs", 879),
+];
+
+/// A library file may not exceed `limit` non-test lines (lines outside
+/// `#[test]`/`#[cfg(test)]` items, comments and blanks included): past that
+/// it needs a table of contents, and should be split by responsibility
+/// instead. A file listed in `ceilings` is held to its own ceiling.
+pub struct FileLength {
+    /// Largest allowed non-test line count.
+    pub limit: u32,
+    /// `(path, ceiling)` of the known offenders.
+    pub ceilings: &'static [(&'static str, u32)],
+}
+
+impl Rule for FileLength {
+    fn name(&self) -> &'static str {
+        "file-length"
+    }
+
+    fn applies(&self, rel: &str) -> bool {
+        is_library_source(rel)
+    }
+
+    fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
+        let limit = self
+            .ceilings
+            .iter()
+            .find(|(path, _)| *path == file.rel)
+            .map_or(self.limit, |&(_, ceiling)| ceiling);
+        let lines = (1..=file.n_lines).filter(|&l| !file.in_test_region(l));
+        if let Some(first_over) = lines.clone().nth(limit as usize) {
+            out.push(Diagnostic {
+                file: file.rel.clone(),
+                line: first_over,
+                rule: self.name().into(),
+                message: format!(
+                    "{} non-test lines, over the limit of {limit}; split the file by \
+                     responsibility",
+                    lines.count()
+                ),
+            });
         }
     }
 }

@@ -3,7 +3,7 @@
 //! suppressed / lexer-stress fixtures must come back clean.
 
 use sc_analyze::analyze_source;
-use sc_analyze::rules::default_rules;
+use sc_analyze::rules::{default_rules, FileLength, Rule};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -96,6 +96,28 @@ fn precision_discipline_fixture_fires_at_seeded_lines() {
         findings("precision_discipline.rs", "tests/integration.rs").is_empty(),
         "integration tests are not library sources"
     );
+}
+
+#[test]
+fn file_length_fixture_counts_non_test_lines_only() {
+    const REL: &str = "crates/sparse/src/fixture.rs";
+    let run = |rel: &str, limit: u32, ceilings: &'static [(&'static str, u32)]| {
+        let rules: Vec<Box<dyn Rule>> = vec![Box::new(FileLength { limit, ceilings })];
+        analyze_source(rel, &fixture("file_length.rs"), &rules)
+            .into_iter()
+            .map(|d| (d.line, d.rule))
+            .collect::<Vec<_>>()
+    };
+    // hit: six non-test lines against a limit of five, reported at the
+    // first line past the limit
+    assert_eq!(run(REL, 5, &[]), vec![(6, "file-length".to_string())]);
+    // miss: the seven lines of the test module are not counted
+    assert!(run(REL, 6, &[]).is_empty());
+    // a listed offender is held to its own ceiling, not the limit
+    assert!(run(REL, 5, &[(REL, 6)]).is_empty());
+    assert_eq!(run(REL, 800, &[(REL, 5)]).len(), 1);
+    // only library sources are capped
+    assert!(run("tests/integration.rs", 5, &[]).is_empty());
 }
 
 #[test]

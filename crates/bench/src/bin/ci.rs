@@ -10,7 +10,7 @@
 //!
 //! The `analyze` stage runs the `sc_analyze` lint engine over the tree
 //! (panic-surface, float-eq, precision-discipline, unit-discipline,
-//! pub-doc). The `benchmark` stage runs the tests of the stand-alone
+//! pub-doc, file-length). The `benchmark` stage runs the tests of the stand-alone
 //! `benchmark/` package against the workspace's current library API, so a
 //! removal that breaks the performance instrument fails here rather than
 //! at its next run. The `paper` stage runs every figure sweep of the

@@ -2,7 +2,9 @@
 //! preprocessing pipelines and per-iteration costs instrumented for the
 //! benches (Figures 9 and 10).
 //!
-//! Library mapping (see DESIGN.md "Substitutions"):
+//! Library mapping (the engines are described in ARCHITECTURE.md, "The
+//! sparse factor"; every row produces the one slot type of
+//! [`dualop`](crate::dualop)):
 //!
 //! | paper          | here                                                       |
 //! |----------------|------------------------------------------------------------|
@@ -15,9 +17,9 @@
 //! | `expl_gpu_opt` | stepped TRSM+SYRK on the simulated GPU (this paper)        |
 //! | `expl_hybrid`  | assembly like `expl_mkl`, application on the GPU           |
 
-use crate::dualop::{apply_implicit, DualOperator, SubdomainFactors};
+use crate::dualop::{DualPass, LocalOp, SubdomainFactors};
 use rayon::prelude::*;
-use sc_core::{FactorStorage, ScConfig};
+use sc_core::{assemble_sc, CpuExec, FactorStorage, GpuExec, ScConfig};
 use sc_dense::Mat;
 use sc_factor::{schur_from_factor, Engine};
 use sc_fem::HeatProblem;
@@ -112,8 +114,11 @@ pub struct ApplyCost {
 
 /// Preprocessed dual operators plus instrumentation.
 pub struct PreparedDualOp {
-    /// Per-subdomain operators, ready to apply.
-    pub ops: Vec<DualOperator>,
+    /// Per-subdomain operator slots; the implicit ones apply against
+    /// `factors`.
+    ops: Vec<LocalOp>,
+    /// Buffers of the application pass.
+    pass: DualPass<f64>,
     /// Factor bundles (needed by implicit applications and primal recovery).
     pub factors: Vec<SubdomainFactors>,
     /// Timing report.
@@ -131,6 +136,16 @@ fn sc_config_for(approach: DualOpApproach, three_d: bool) -> ScConfig {
         DualOpApproach::ExplGpuOpt => ScConfig::optimized(true, three_d),
         _ => ScConfig::original(FactorStorage::Sparse),
     }
+}
+
+/// The device of a GPU approach, its timeline reset so that the next
+/// `synchronize` is the caller's own makespan; `None` for a CPU approach.
+fn reset_device(approach: DualOpApproach, device: Option<&Arc<Device>>) -> Option<&Arc<Device>> {
+    let device = approach
+        .uses_gpu()
+        .then(|| device.expect("GPU approach needs a device"))?;
+    device.reset();
+    Some(device)
 }
 
 /// Run the preprocessing pipeline of one approach over all subdomains.
@@ -167,91 +182,72 @@ pub fn preprocess_approach(
         factorization_s,
         ..Default::default()
     };
-    let ops: Vec<DualOperator> = match approach {
-        DualOpApproach::ImplMkl | DualOpApproach::ImplCholmod => {
-            // no assembly: operators borrow nothing, applications go through
-            // `factors`; build lightweight implicit wrappers for uniformity
-            problem
-                .subdomains
-                .par_iter()
-                .map(|sd| {
-                    DualOperator::implicit(SubdomainFactors::build(
-                        sd,
-                        engine,
-                        Ordering::NestedDissection,
-                    ))
-                })
-                .collect()
-        }
-        DualOpApproach::ExplMkl => {
-            let t = Instant::now();
-            let ops = factors
-                .par_iter()
-                .map(|f| {
-                    let l = f.chol.factor_csc_ref();
-                    let fmat = schur_from_factor(l, &f.chol.symbolic().parent, &f.bt_perm);
-                    DualOperator::ExplicitCpu(fmat)
-                })
-                .collect();
-            report.assembly_cpu_s = t.elapsed().as_secs_f64();
-            ops
-        }
-        DualOpApproach::ExplCholmod | DualOpApproach::ExplCpuOpt => {
-            let cfg = sc_config_for(approach, three_d);
-            let t = Instant::now();
-            let ops = factors
-                .par_iter()
-                .map(|f| DualOperator::explicit_cpu(f, &cfg))
-                .collect();
-            report.assembly_cpu_s = t.elapsed().as_secs_f64();
-            ops
-        }
-        DualOpApproach::ExplCuda | DualOpApproach::ExplGpuOpt => {
-            let device = device.expect("GPU approach needs a device");
-            device.reset();
-            let cfg = sc_config_for(approach, three_d);
-            let n_streams = device.n_streams();
-            let ops = factors
-                .par_iter()
-                .enumerate()
-                .map(|(i, f)| {
-                    let kernels = GpuKernels::new(device.stream(i % n_streams));
-                    DualOperator::explicit_gpu(f, &cfg, kernels)
-                })
-                .collect();
-            report.assembly_gpu_s = device.synchronize();
-            ops
-        }
-        DualOpApproach::ExplHybrid => {
-            let device = device.expect("hybrid approach needs a device");
-            device.reset();
-            let n_streams = device.n_streams();
-            let t = Instant::now();
-            let mats: Vec<Mat> = factors
-                .par_iter()
-                .map(|f| {
-                    let l = f.chol.factor_csc_ref();
-                    schur_from_factor(l, &f.chol.symbolic().parent, &f.bt_perm)
-                })
-                .collect();
-            report.assembly_cpu_s = t.elapsed().as_secs_f64();
-            // upload the dense F̃ᵢ to the device for application
-            let ops = mats
-                .into_iter()
-                .enumerate()
-                .map(|(i, fmat)| {
-                    let kernels = GpuKernels::new(device.stream(i % n_streams));
-                    kernels.upload_bytes(8 * fmat.nrows() * fmat.ncols());
-                    DualOperator::ExplicitGpu { f: fmat, kernels }
-                })
-                .collect();
-            report.assembly_gpu_s = device.synchronize();
-            ops
-        }
+    // GPU approaches place their slots on round-robin streams
+    let gpu = reset_device(approach, device);
+    let stream_of = |i: usize| {
+        let d = gpu.expect("only GPU approaches place slots on streams");
+        GpuKernels::new(d.stream(i % d.n_streams()))
     };
+    // host producers of the dense F̃ᵢ are wall-timed as a whole
+    let mut on_host = |make: &(dyn Fn(&SubdomainFactors) -> Mat + Sync)| -> Vec<Mat> {
+        let t = Instant::now();
+        let mats = factors.par_iter().map(make).collect();
+        report.assembly_cpu_s = t.elapsed().as_secs_f64();
+        mats
+    };
+    let schur = |f: &SubdomainFactors| {
+        let l = f.chol.factor_csc_ref();
+        schur_from_factor(l, &f.chol.symbolic().parent, &f.bt_perm)
+    };
+    let host = |f| LocalOp::Dense { f, kernels: None };
+    let cfg = sc_config_for(approach, three_d);
+    let ops: Vec<LocalOp> = match approach {
+        // no assembly: the slots apply against `factors`
+        DualOpApproach::ImplMkl | DualOpApproach::ImplCholmod => {
+            factors.iter().map(|_| LocalOp::Implicit).collect()
+        }
+        DualOpApproach::ExplMkl => on_host(&schur).into_iter().map(host).collect(),
+        DualOpApproach::ExplCholmod | DualOpApproach::ExplCpuOpt => {
+            let assemble = |f: &SubdomainFactors| {
+                assemble_sc(&mut CpuExec, f.chol.factor_csc_ref(), &f.bt_perm, &cfg)
+            };
+            on_host(&assemble).into_iter().map(host).collect()
+        }
+        DualOpApproach::ExplCuda | DualOpApproach::ExplGpuOpt => factors
+            .par_iter()
+            .enumerate()
+            .map(|(i, f)| {
+                // live round-robin assembly; the factor is uploaded first,
+                // mirroring the original algorithm's H2D copy
+                let kernels = stream_of(i);
+                let l = f.chol.factor_csc_ref();
+                kernels.upload_csc(l);
+                kernels.upload_csc(&f.bt_perm);
+                let f = assemble_sc(&mut GpuExec::new(&kernels), l, &f.bt_perm, &cfg);
+                kernels.download_bytes(0); // result stays on device; placeholder sync
+                let kernels = Some(kernels);
+                LocalOp::Dense { f, kernels }
+            })
+            .collect(),
+        // host assembly, then the dense F̃ᵢ uploaded for application
+        DualOpApproach::ExplHybrid => on_host(&schur)
+            .into_iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let kernels = stream_of(i);
+                kernels.upload_bytes(8 * f.nrows() * f.ncols());
+                let kernels = Some(kernels);
+                LocalOp::Dense { f, kernels }
+            })
+            .collect(),
+    };
+    if let Some(d) = gpu {
+        report.assembly_gpu_s = d.synchronize();
+    }
 
     PreparedDualOp {
         ops,
+        pass: DualPass::new(problem),
         factors,
         report,
     }
@@ -271,43 +267,17 @@ pub fn measure_apply_cost(
     let p: Vec<f64> = (0..problem.n_lambda)
         .map(|i| ((i % 13) as f64) - 6.0) // sc-analyze: allow(precision-discipline)
         .collect();
-    let apply_once = || {
-        let locals: Vec<Vec<f64>> = problem
-            .subdomains
-            .par_iter()
-            .enumerate()
-            .map(|(i, sd)| {
-                let pl: Vec<f64> = sd.lambda_ids.iter().map(|&gl| p[gl]).collect();
-                let mut ql = vec![0.0; sd.n_lambda()];
-                match approach {
-                    DualOpApproach::ImplMkl | DualOpApproach::ImplCholmod => {
-                        apply_implicit(&prepared.factors[i], &pl, &mut ql)
-                    }
-                    _ => prepared.ops[i].apply(&pl, &mut ql),
-                }
-                ql
-            })
-            .collect();
-        std::hint::black_box(&locals);
-    };
-
-    if approach.uses_gpu() {
-        let device = device.expect("GPU approach needs a device");
-        device.reset();
-        for _ in 0..reps {
-            apply_once();
-        }
-        ApplyCost {
-            per_iteration_s: device.synchronize() / reps as f64, // sc-analyze: allow(precision-discipline)
-        }
-    } else {
-        let t = Instant::now();
-        for _ in 0..reps {
-            apply_once();
-        }
-        ApplyCost {
-            per_iteration_s: t.elapsed().as_secs_f64() / reps as f64, // sc-analyze: allow(precision-discipline)
-        }
+    // GPU approaches report the simulated makespan of `reps` applications,
+    // CPU approaches their wall time
+    let gpu = reset_device(approach, device);
+    let view = |i: usize| Some((&prepared.factors[i]).into());
+    let t = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(prepared.pass.apply_ops(problem, &prepared.ops, view, &p));
+    }
+    let total_s = gpu.map_or_else(|| t.elapsed().as_secs_f64(), |d| d.synchronize());
+    ApplyCost {
+        per_iteration_s: total_s / reps as f64, // sc-analyze: allow(precision-discipline)
     }
 }
 
@@ -338,12 +308,8 @@ mod tests {
                     let m = sd.n_lambda();
                     let pl: Vec<f64> = (0..m).map(|k| ((k % 5) as f64) - 2.0).collect();
                     let mut ql = vec![0.0; m];
-                    match approach {
-                        DualOpApproach::ImplMkl | DualOpApproach::ImplCholmod => {
-                            apply_implicit(&prepared.factors[i], &pl, &mut ql)
-                        }
-                        _ => prepared.ops[i].apply(&pl, &mut ql),
-                    }
+                    let view = Some((&prepared.factors[i]).into());
+                    prepared.ops[i].apply(view, &pl, &mut ql, &mut Vec::new());
                     ql
                 })
                 .collect();

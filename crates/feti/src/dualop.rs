@@ -1,13 +1,23 @@
-//! The local dual operator `F̃ᵢ = B̃ᵢ K⁺ᵢ B̃ᵢᵀ` (paper Eq. 9) in its implicit
-//! and explicit forms.
+//! The local dual operator `F̃ᵢ = B̃ᵢ K⁺ᵢ B̃ᵢᵀ` (paper Eq. 9): the factor
+//! bundle it is built from, the one slot type (`LocalOp`) for its implicit
+//! (Eq. 11) and explicit (Eq. 12) forms, the producers that bind assembled
+//! matrices to slots, and the one global pass (`DualPass`) that applies a
+//! vector of slots to a global dual vector.
 
 use crate::regularize::regularize_fixing_node;
-use sc_core::{assemble_sc, CpuExec, GpuExec, ScConfig};
-use sc_dense::{Mat, Scalar};
+use rayon::prelude::*;
+use sc_core::{
+    estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
+    DeviceSlot, Formulation, HybridPlanOptions, HybridSummary, LazyBatch, ScConfig,
+    ScheduleOptions, Target,
+};
+use sc_dense::{Mat, MatOf, Scalar};
 use sc_factor::{Engine, SparseCholesky};
-use sc_fem::Subdomain;
-use sc_gpu::GpuKernels;
-use sc_sparse::{binned_gather, BinnedPlan, Csc, CscOf};
+use sc_fem::{HeatProblem, Subdomain};
+use sc_gpu::{DevicePool, GpuKernels};
+use sc_sparse::{binned_gather, csc_lower_solve, csc_lower_t_solve, BinnedPlan, Csc, CscOf};
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex};
 
 /// Hoisted gather/scatter index map of `B̃ᵢᵀ`, flattened column-major:
 /// column `j` of the gluing block owns `rows[offsets[j]..offsets[j+1]]` with
@@ -119,110 +129,335 @@ impl SubdomainFactors {
     }
 }
 
-/// Implicit application `q̃ = B̃ (L⁻ᵀ(L⁻¹(B̃ᵀ p̃)))` from a factor bundle
-/// (paper Eq. 11) — shared by [`DualOperator::Implicit`] and the solver's
-/// borrowing implicit path. Allocates its own work vector; inside an
-/// iteration loop use [`apply_implicit_with`] to reuse one.
+/// The factor view Eq. 11 applies against: `L` in permuted index space and
+/// the boundary map of `B̃ᵀ` in the same row space.
+impl<'a> From<&'a SubdomainFactors> for (&'a Csc, &'a BoundaryMap) {
+    fn from(f: &'a SubdomainFactors) -> Self {
+        (f.chol.factor_csc_ref(), &f.map)
+    }
+}
+
+/// [`apply_implicit_with`] on a fresh work vector — a convenience for tests
+/// and one-off applications; no library path calls it.
 pub fn apply_implicit(factors: &SubdomainFactors, p: &[f64], out: &mut [f64]) {
-    let mut scratch = Vec::new();
-    apply_implicit_with(factors, p, out, &mut scratch);
+    apply_implicit_with(factors, p, out, &mut Vec::new());
 }
 
-/// [`apply_implicit`] with a caller-owned scratch vector (resized to the
-/// factor dimension, contents overwritten): the boundary permutation lives
-/// in the hoisted [`BoundaryMap`] and the dof-space work vector is reused,
-/// so the per-iteration cost is the two triangular solves plus the indexed
-/// gather/scatter — no allocation, no sparse-matrix traversal machinery.
-pub fn apply_implicit_with(
-    factors: &SubdomainFactors,
-    p: &[f64],
-    out: &mut [f64],
-    scratch: &mut Vec<f64>,
+/// Implicit application `q̃ = B̃ (L⁻ᵀ(L⁻¹(B̃ᵀ p̃)))` (paper Eq. 11) at working
+/// precision `S` against a factor view `(L, map)` — a `&SubdomainFactors` at
+/// `f64`, a demoted pair at `f32`. The caller-owned scratch (resized to the
+/// factor dimension, contents overwritten) and the hoisted [`BoundaryMapOf`]
+/// leave the two triangular solves plus the indexed gather/scatter as the
+/// per-iteration cost — no allocation, no sparse-matrix traversal machinery.
+pub fn apply_implicit_with<'a, S: Scalar>(
+    factors: impl Into<(&'a CscOf<S>, &'a BoundaryMapOf<S>)>,
+    p: &[S],
+    out: &mut [S],
+    scratch: &mut Vec<S>,
 ) {
-    let n = factors.map.n_rows();
+    let (l, map) = factors.into();
     scratch.clear();
-    scratch.resize(n, 0.0);
-    factors.map.scatter(p, scratch);
-    factors.chol.solve_fwd_permuted(scratch);
-    factors.chol.solve_bwd_permuted(scratch);
-    factors.map.gather(scratch, out);
+    scratch.resize(map.n_rows(), S::ZERO);
+    map.scatter(p, scratch);
+    csc_lower_solve(l, scratch);
+    csc_lower_t_solve(l, scratch);
+    map.gather(scratch, out);
 }
 
-/// A ready-to-apply local dual operator.
-// Variant sizes differ by design: Implicit carries the whole factor bundle,
-// the explicit variants just a dense matrix. Operators live in a short Vec
-// (one per subdomain), so boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
-pub enum DualOperator {
-    /// Implicit: `q̃ = B̃ (L⁻ᵀ(L⁻¹(B̃ᵀ p̃)))` — SpMV + two sparse solves per
-    /// application (paper Eq. 11).
-    Implicit(SubdomainFactors),
-    /// Explicit: dense `F̃ᵢ`, applied with GEMV on the CPU (Eq. 12).
-    ExplicitCpu(Mat),
-    /// Explicit: dense `F̃ᵢ` resident on the simulated GPU; applications
-    /// advance the stream timeline.
-    ExplicitGpu {
+/// One subdomain's ready-to-apply local dual operator at working precision
+/// `S` — the crate's only operator slot type: every producer fills a `Vec`
+/// of these and [`DualPass`] applies it.
+pub(crate) enum LocalOp<S = f64> {
+    /// Eq. 12: the dense `F̃ᵢ`, applied with one GEMV.
+    Dense {
         /// The assembled dense local dual operator.
-        f: Mat,
-        /// Kernel set of the stream the matrix lives on.
-        kernels: GpuKernels,
+        f: MatOf<S>,
+        /// `Some`: the matrix is resident on that simulated stream, whose
+        /// clock every application advances by the GEMV's cost.
+        kernels: Option<GpuKernels>,
     },
+    /// Eq. 11 against the factor view the pass supplies: the slot owns no
+    /// factor, so nothing is factorized or copied twice.
+    Implicit,
 }
 
-impl DualOperator {
-    /// Build the implicit operator.
-    pub fn implicit(factors: SubdomainFactors) -> Self {
-        DualOperator::Implicit(factors)
-    }
-
-    /// Assemble the explicit operator on the CPU with the given config.
-    pub fn explicit_cpu(factors: &SubdomainFactors, cfg: &ScConfig) -> Self {
-        let l = factors.chol.factor_csc_ref();
-        let f = assemble_sc(&mut CpuExec, l, &factors.bt_perm, cfg);
-        DualOperator::ExplicitCpu(f)
-    }
-
-    /// Assemble the explicit operator on the simulated GPU (the factor is
-    /// uploaded first, mirroring the original algorithm's H2D copy).
-    pub fn explicit_gpu(factors: &SubdomainFactors, cfg: &ScConfig, kernels: GpuKernels) -> Self {
-        let l = factors.chol.factor_csc_ref();
-        kernels.upload_csc(l);
-        kernels.upload_csc(&factors.bt_perm);
-        let mut exec = GpuExec::new(&kernels);
-        let f = assemble_sc(&mut exec, l, &factors.bt_perm, cfg);
-        kernels.download_bytes(0); // result stays on device; placeholder sync
-        DualOperator::ExplicitGpu { f, kernels }
-    }
-
-    /// Apply: `out = F̃ᵢ p̃` (local dual vector sizes).
-    pub fn apply(&self, p: &[f64], out: &mut [f64]) {
+impl<S: Scalar> LocalOp<S> {
+    /// `out = F̃ᵢ p`. `factors` is the subdomain's factor view (`Implicit`
+    /// needs it, `Dense` ignores it), `t` the dof-space scratch of Eq. 11.
+    pub(crate) fn apply(
+        &self,
+        factors: Option<(&CscOf<S>, &BoundaryMapOf<S>)>,
+        p: &[S],
+        out: &mut [S],
+        t: &mut Vec<S>,
+    ) {
         match self {
-            DualOperator::Implicit(factors) => apply_implicit(factors, p, out),
-            DualOperator::ExplicitCpu(f) => {
-                sc_dense::gemv(1.0, f.as_ref(), p, 0.0, out);
+            LocalOp::Dense { f, kernels: None } => {
+                sc_dense::gemv(S::ONE, f.as_ref(), p, S::ZERO, out)
             }
-            DualOperator::ExplicitGpu { f, kernels } => {
-                kernels.gemv(1.0, f.as_ref(), p, 0.0, out);
+            LocalOp::Dense {
+                f,
+                kernels: Some(k),
+            } => {
+                k.gemv(S::ONE, f.as_ref(), p, S::ZERO, out);
+            }
+            LocalOp::Implicit => {
+                let view = factors.expect("an implicit slot comes with its factor view");
+                apply_implicit_with(view, p, out, t)
             }
         }
     }
+}
 
-    /// The dense matrix, when explicit.
-    pub fn explicit_matrix(&self) -> Option<&Mat> {
-        match self {
-            DualOperator::Implicit(_) => None,
-            DualOperator::ExplicitCpu(f) => Some(f),
-            DualOperator::ExplicitGpu { f, .. } => Some(f),
+/// A worker's scratch of the [`DualPass`]: contents are overwritten by every
+/// local operation, capacities persist.
+#[derive(Default)]
+pub(crate) struct Scratch<S> {
+    /// The gathered local dual vector `λ̃ᵢ`.
+    pub(crate) pl: Vec<S>,
+    /// Dof-space work vector (Eq. 11's, the lumped `B̃ᵀ w̃`).
+    pub(crate) t: Vec<S>,
+    /// Second dof-space work vector (the lumped `K B̃ᵀ w̃`).
+    pub(crate) kt: Vec<S>,
+}
+
+/// The one global application loop: gather `λ̃ᵢ` from the global dual vector
+/// → a local operation per subdomain (in parallel) → scatter-add the local
+/// results. The scatter-add runs sequentially in subdomain-index order, so
+/// the sum at every shared multiplier is the same on any thread count.
+///
+/// The per-subdomain result vectors sit behind one lock held for the whole
+/// pass: concurrent passes on one solver serialize instead of sharing
+/// buffers. Scratch comes from a last-in-first-out pool, so a worker reuses
+/// the set it (or a neighbour) just released while it is still in cache —
+/// one set per worker in steady state, whatever the subdomain count. A
+/// poisoned lock is recovered: every pass overwrites what it reads.
+pub(crate) struct DualPass<S> {
+    ql: Mutex<Vec<Vec<S>>>,
+    pool: Mutex<Vec<Scratch<S>>>,
+}
+
+impl<S: Scalar> DualPass<S> {
+    /// Allocate the result vectors of `problem`'s subdomains.
+    pub(crate) fn new(problem: &HeatProblem) -> Self {
+        let subdomains = problem.subdomains.iter();
+        let ql = subdomains.map(|sd| vec![S::ZERO; sd.n_lambda()]);
+        DualPass {
+            ql: Mutex::new(ql.collect()),
+            pool: Mutex::new(Vec::new()),
         }
     }
+
+    /// Whether a panicking pass left the result lock poisoned.
+    #[cfg(test)]
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.ql.is_poisoned()
+    }
+
+    /// Run the pass: `local` reads the gathered `pl` and writes the
+    /// subdomain's result vector; what it returns comes back in subdomain
+    /// order. `p = None` skips the gather (no dual input: the
+    /// right-hand-side set-up), `q = None` the scatter-add (no dual output:
+    /// primal recovery).
+    pub(crate) fn run<R: Send>(
+        &self,
+        problem: &HeatProblem,
+        p: Option<&[S]>,
+        q: Option<&mut [S]>,
+        local: impl Fn(usize, &Subdomain, &mut Scratch<S>, &mut [S]) -> R + Sync + Send,
+    ) -> Vec<R> {
+        let pool = || self.pool.lock().unwrap_or_else(|e| e.into_inner());
+        let subdomains = &problem.subdomains;
+        let mut results = self.ql.lock().unwrap_or_else(|e| e.into_inner());
+        let out = results
+            .par_iter_mut()
+            .zip(subdomains)
+            .enumerate()
+            .map(|(i, (ql, sd))| {
+                let mut w = pool().pop().unwrap_or_default();
+                w.pl.clear();
+                if let Some(p) = p {
+                    w.pl.extend(sd.lambda_ids.iter().map(|&gl| p[gl]));
+                }
+                let r = local(i, sd, &mut w, ql);
+                pool().push(w);
+                r
+            })
+            .collect();
+        if let Some(q) = q {
+            for (sd, ql) in subdomains.iter().zip(results.iter()) {
+                for (&ql, &gl) in ql.iter().zip(&sd.lambda_ids) {
+                    q[gl] += ql;
+                }
+            }
+        }
+        out
+    }
+
+    /// `q = F p`: the pass with each subdomain's slot as the local
+    /// operation, `view(i)` its factor view.
+    pub(crate) fn apply_ops<'a>(
+        &self,
+        problem: &HeatProblem,
+        ops: &[LocalOp<S>],
+        view: impl Fn(usize) -> Option<(&'a CscOf<S>, &'a BoundaryMapOf<S>)> + Sync + Send,
+        p: &[S],
+    ) -> Vec<S> {
+        let mut q = vec![S::ZERO; problem.n_lambda];
+        self.run(problem, Some(p), Some(&mut q), |i, _, w, ql| {
+            ops[i].apply(view(i), &w.pl, ql, &mut w.t)
+        });
+        q
+    }
+}
+
+/// Bind each assembled `F̃ᵢ` to its operator slot: subdomains the report
+/// placed on a device get a device-resident GEMV operator on the stream
+/// their schedule used; host subdomains (CPU backend, hybrid spills) get
+/// the host GEMV.
+pub(crate) fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) -> Vec<LocalOp> {
+    let devices = backend.devices();
+    f.into_iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let t = &report.subdomains[i];
+            debug_assert_eq!(t.index, i, "report timings must be in batch order");
+            let kernels = match (t.device, t.stream) {
+                (Some(d), Some(s)) => Some(GpuKernels::new(devices[d].stream(s))),
+                _ => None,
+            };
+            LocalOp::Dense { f, kernels }
+        })
+        .collect()
+}
+
+/// The auto (hybrid) formulation: per-subdomain explicit-vs-implicit
+/// decision under the §4.4 cost model, explicit shares assembled through
+/// sessions on the backend, reports merged into one [`AssemblyReport`]
+/// (problem-global indices).
+pub(crate) fn assemble_auto(
+    factors: &[SubdomainFactors],
+    cfg: &ScConfig,
+    backend: &Backend,
+    plan_opts: &HybridPlanOptions,
+) -> (Vec<LocalOp>, AssemblyReport) {
+    // the pool the explicit-GPU share may run on: every device of the
+    // backend, flat (the per-subdomain decision layer prices no
+    // interconnect: the explicit share's placement is intra-node here) — an
+    // empty pool on the host
+    let pool = DevicePool::from_devices(backend.devices());
+    let cluster_opts = match &backend.target {
+        Target::Gpu { schedule: opts, .. }
+        | Target::Cluster { opts, .. }
+        | Target::Hybrid { opts, .. }
+        | Target::MultiNode { opts, .. } => opts.clone(),
+        _ => ScheduleOptions::default(),
+    };
+
+    // decision layer: analytic assembly + per-iteration apply estimates per
+    // subdomain
+    let ref_spec = if pool.is_empty() {
+        plan_opts.host.clone()
+    } else {
+        pool.device(0).spec().clone()
+    };
+    let estimates: Vec<(sc_core::CostEstimate, sc_core::ApplyEstimate)> = factors
+        .par_iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let l = f.chol.factor_csc_ref();
+            let bt = &f.bt_perm;
+            let params = cfg.resolve(!pool.is_empty(), l, bt);
+            (
+                estimate_cost(&ref_spec, l, bt, &params, i),
+                estimate_apply(l, bt, i),
+            )
+        })
+        .collect();
+    let (costs, applies): (Vec<_>, Vec<_>) = estimates.into_iter().unzip();
+    let slots: Vec<DeviceSlot> = pool.devices().iter().map(|d| DeviceSlot::of(d)).collect();
+    let plan = plan_hybrid(&costs, &applies, &slots, plan_opts);
+    let gpu_idx = plan.indices_of(Formulation::ExplicitGpu);
+    let cpu_idx = plan.indices_of(Formulation::ExplicitCpu);
+
+    // one slot per subdomain; non-explicit ones apply against the shared
+    // factor bundle
+    let mut ops: Vec<LocalOp> = factors.iter().map(|_| LocalOp::Implicit).collect();
+
+    // an explicit share: one session on the share's backend over the
+    // subdomains the plan gave it, slots bound by the share's report
+    let mut assemble_share = |idx: &[usize], share: Backend| -> Option<AssemblyReport> {
+        if idx.is_empty() {
+            return None;
+        }
+        let items: Vec<&SubdomainFactors> = idx.iter().map(|&g| &factors[g]).collect();
+        let res = AssemblySession::new(share.clone(), *cfg).assemble(LazyBatch::new(
+            &items,
+            |_, f: &&SubdomainFactors| Cow::Borrowed(f.chol.factor_csc_ref()),
+            |f| &f.bt_perm,
+        ));
+        for (&g, op) in idx.iter().zip(bind_ops(res.f, &res.report, &share)) {
+            ops[g] = op;
+        }
+        let mut rep = res.report;
+        rep.remap_indices(idx);
+        Some(rep)
+    };
+    // explicit-GPU share through a cluster session (two-level plan, arena
+    // admission, record/replay — bitwise CPU-equal)
+    let mut share_opts = cluster_opts.clone();
+    share_opts.ready_at = cluster_opts
+        .ready_at
+        .as_ref()
+        .map(|r| gpu_idx.iter().map(|&g| r[g]).collect());
+    let gpu_report = assemble_share(
+        &gpu_idx,
+        Backend::cluster_with(Arc::clone(&pool), share_opts).precision(backend.precision),
+    );
+    // explicit-CPU share (the spill fail-over for high iteration counts)
+    // through a CPU session
+    let cpu_report = assemble_share(&cpu_idx, Backend::cpu().precision(backend.precision));
+
+    // roll both shares up into the unified report: timings in problem-global
+    // order, device sections from the pool share, decisions in the hybrid
+    // block
+    let predicted_assembly_seconds: f64 = plan
+        .choices
+        .iter()
+        .filter(|c| c.formulation != Formulation::Implicit)
+        .map(|c| c.assembly_seconds)
+        .sum();
+    let mut unified = AssemblyReport::default();
+    for rep in [&gpu_report, &cpu_report].into_iter().flatten() {
+        unified.subdomains.extend(rep.subdomains.iter().copied());
+        unified.total_seconds += rep.total_seconds;
+        unified.cache_hits += rep.cache_hits;
+        unified.cache_misses += rep.cache_misses;
+    }
+    if let Some(g) = &gpu_report {
+        unified.devices = g.devices.clone();
+        unified.makespan = g.makespan;
+    }
+    unified.subdomains.sort_by_key(|t| t.index);
+    unified.precision = backend.precision;
+    unified.hybrid = Some(HybridSummary {
+        formulation: plan.choices.iter().map(|c| c.formulation).collect(),
+        spilled: plan.spilled.clone(),
+        plan: Some(plan),
+        predicted_assembly_seconds,
+        realized_gpu_seconds: gpu_report.as_ref().map_or(0.0, |g| g.makespan),
+        realized_cpu_seconds: cpu_report.as_ref().map_or(0.0, |c| c.total_seconds),
+        arena_high_water: gpu_report.as_ref().map_or(0, |g| g.temp_high_water()),
+        precision: backend.precision,
+    });
+    (ops, unified)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::FetiOptions;
-    use sc_core::FactorStorage;
-    use sc_fem::{Gluing, HeatProblem};
+    use sc_fem::Gluing;
     use sc_gpu::{Device, DeviceSpec};
     use sc_order::Ordering;
 
@@ -234,44 +469,91 @@ mod tests {
         )
     }
 
-    #[test]
-    fn implicit_and_explicit_agree() {
-        let prob = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
-        for sd in &prob.subdomains {
+    /// Every slot kind at precision `S` against the independent dense
+    /// oracle `B̃ K_reg⁻¹ B̃ᵀ` (full matrix, no `sc_factor`) applied with a
+    /// plain double loop, and the clock contract: a device slot advances
+    /// its stream by exactly one GEMV cost per application, a host slot
+    /// advances nothing.
+    fn slots_match_the_dense_oracle<S: Scalar>(tol: f64) {
+        let problems = [
+            HeatProblem::build_2d(4, (2, 2), Gluing::Redundant),
+            HeatProblem::build_3d(2, (2, 1, 1), Gluing::Redundant),
+        ];
+        for sd in problems.iter().flat_map(|prob| &prob.subdomains) {
             let factors = factors_for(sd);
             let m = sd.n_lambda();
-            let expl = DualOperator::explicit_cpu(&factors, &ScConfig::optimized(false, false));
-            let impl_op = DualOperator::implicit(factors_for(sd));
-            let p: Vec<f64> = (0..m).map(|i| ((i * 31 % 7) as f64) - 3.0).collect();
-            let mut q1 = vec![0.0; m];
-            let mut q2 = vec![0.0; m];
-            impl_op.apply(&p, &mut q1);
-            expl.apply(&p, &mut q2);
-            for i in 0..m {
-                assert!(
-                    (q1[i] - q2[i]).abs() < 1e-8,
-                    "implicit vs explicit mismatch at {i}: {} vs {}",
-                    q1[i],
-                    q2[i]
-                );
+            let kreg = regularize_fixing_node(&sd.k, sd.kernel.as_deref(), sd.fixing_dof, None);
+            let oracle = sc_core::assemble_sc_reference(&kreg, &sd.bt);
+            // quarter-integers: exact at f32, so only the operator rounds
+            let p: Vec<f64> = (0..m)
+                .map(|i| ((i * 31 % 7) as f64) * 0.25 - 0.75)
+                .collect();
+            let want: Vec<f64> = (0..m)
+                .map(|i| (0..m).map(|j| oracle[(i, j)] * p[j]).sum())
+                .collect();
+            let scale = want.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
+
+            let l = factors.chol.factor_csc_ref();
+            let dense = || {
+                let cfg = ScConfig::optimized(false, false);
+                sc_core::assemble_sc(&mut sc_core::CpuExec, l, &factors.bt_perm, &cfg).cast::<S>()
+            };
+            let view = (
+                l.cast::<S>(),
+                BoundaryMapOf::of(&factors.bt_perm.cast::<S>()),
+            );
+            let dev = Device::new(DeviceSpec::a100(), 1);
+            let twin = Device::new(DeviceSpec::a100(), 1);
+            let slots: [(&str, LocalOp<S>); 3] = [
+                ("implicit", LocalOp::Implicit),
+                (
+                    "dense host",
+                    LocalOp::Dense {
+                        f: dense(),
+                        kernels: None,
+                    },
+                ),
+                (
+                    "dense device",
+                    LocalOp::Dense {
+                        f: dense(),
+                        kernels: Some(GpuKernels::new(dev.stream(0))),
+                    },
+                ),
+            ];
+            let ps: Vec<S> = p.iter().map(|&v| S::from_f64(v)).collect();
+            let mut t = Vec::new();
+            for (kind, slot) in &slots {
+                for _ in 0..2 {
+                    let mut q = vec![S::ZERO; m];
+                    slot.apply(Some((&view.0, &view.1)), &ps, &mut q, &mut t);
+                    for i in 0..m {
+                        let got = q[i].to_f64();
+                        assert!(
+                            (got - want[i]).abs() <= tol * scale,
+                            "{kind} row {i}: {got} vs oracle {}",
+                            want[i]
+                        );
+                    }
+                    if *kind == "dense device" {
+                        twin.stream(0)
+                            .submit(&sc_gpu::KernelCost::gemv_of::<S>(m, m));
+                    }
+                    assert_eq!(
+                        dev.stream(0).time(),
+                        twin.stream(0).time(),
+                        "{kind}: stream clock after an application"
+                    );
+                }
             }
+            assert!(dev.stream(0).time() > 0.0, "the device slot ran");
         }
     }
 
     #[test]
-    fn gpu_explicit_matches_cpu_explicit() {
-        let prob = HeatProblem::build_2d(3, (2, 1), Gluing::Redundant);
-        let sd = &prob.subdomains[1];
-        let factors = factors_for(sd);
-        let cfg = ScConfig::optimized(true, false);
-        let cpu = DualOperator::explicit_cpu(&factors, &cfg);
-        let dev = Device::new(DeviceSpec::a100(), 1);
-        let gpu = DualOperator::explicit_gpu(&factors, &cfg, GpuKernels::new(dev.stream(0)));
-        assert_eq!(
-            cpu.explicit_matrix().unwrap(),
-            gpu.explicit_matrix().unwrap()
-        );
-        assert!(dev.synchronize() > 0.0);
+    fn every_slot_kind_matches_the_dense_oracle_at_f64_and_f32() {
+        slots_match_the_dense_oracle::<f64>(1e-9);
+        slots_match_the_dense_oracle::<f32>(1e-4);
     }
 
     #[test]
@@ -307,22 +589,6 @@ mod tests {
                 apply_implicit_with(&factors, &p, &mut again, &mut scratch);
                 assert_eq!(again, reference, "scratch reuse diverged");
                 assert_eq!(scratch.len(), n);
-            }
-        }
-    }
-
-    #[test]
-    fn explicit_matrix_is_symmetric_psd() {
-        let prob = HeatProblem::build_2d(3, (2, 1), Gluing::Redundant);
-        let sd = &prob.subdomains[0];
-        let factors = factors_for(sd);
-        let op = DualOperator::explicit_cpu(&factors, &ScConfig::original(FactorStorage::Sparse));
-        let f = op.explicit_matrix().unwrap();
-        let m = f.nrows();
-        for i in 0..m {
-            assert!(f[(i, i)] > 0.0, "diagonal must be positive");
-            for j in 0..m {
-                assert!((f[(i, j)] - f[(j, i)]).abs() < 1e-10);
             }
         }
     }

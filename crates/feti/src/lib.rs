@@ -5,7 +5,8 @@
 //! and the dual problem (Eq. 7) is solved by the projected conjugate gradient
 //! method ([`pcpg`]) with the dual operator `F = B K⁺ Bᵀ` applied either
 //! implicitly (sparse solves per iteration) or explicitly (dense `F̃ᵢ`
-//! assembled up front by `sc-core`, on the CPU or the simulated GPU).
+//! assembled up front by `sc-core`, on the CPU or the simulated GPU) — one
+//! operator slot per subdomain, applied by the one pass of [`dualop`].
 //!
 //! [`approaches`] reproduces the paper's Table 2: the eight dual-operator
 //! strategies compared in Figures 9 and 10, with their preprocessing
@@ -13,6 +14,7 @@
 
 pub mod approaches;
 pub mod dualop;
+mod exchange;
 pub mod pcpg;
 pub mod refine;
 pub mod regularize;
@@ -23,12 +25,12 @@ pub use approaches::{
     PreprocessReport,
 };
 pub use dualop::{
-    apply_implicit, apply_implicit_with, BoundaryMap, BoundaryMapOf, DualOperator, SubdomainFactors,
+    apply_implicit, apply_implicit_with, BoundaryMap, BoundaryMapOf, SubdomainFactors,
 };
 pub use pcpg::{
     pcpg_preconditioned, pcpg_preconditioned_of, PcpgBreakdown, PcpgResult, PcpgResultOf, PcpgStats,
 };
-pub use refine::{DemotedFactors, RefinementStats};
+pub use refine::RefinementStats;
 pub use regularize::regularize_fixing_node;
 pub use solver::{
     FetiOptions, FetiSolution, FetiSolver, FetiSolverBuilder, FormulationChoice, Preconditioner,

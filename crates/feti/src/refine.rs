@@ -2,95 +2,73 @@
 //!
 //! Under [`Precision::F32Refined`](sc_core::Precision) the solver runs the
 //! inner PCPG correction solves at `f32` — against demoted copies of the
-//! explicit operators and factor bundles, halving the per-iteration memory
-//! traffic — while the outer loop accumulates the iterate and measures the
-//! true projected residual `P(d − Fλ)` in `f64`. Each outer iteration
-//! solves `F δ = r` at `f32` to a modest tolerance and applies the
-//! correction `λ ← λ + δ` in `f64`; the loop stops when the `f64` residual
-//! reaches the configured target or the refinement budget is exhausted (in
-//! which case the solver falls back to the full-`f64` PCPG so a hard
-//! workload degrades to the historical path instead of returning a bad λ).
+//! operator slots (`Demoted`), halving the per-iteration memory traffic —
+//! while the outer loop accumulates the iterate and measures the true
+//! projected residual `P(d − Fλ)` in `f64`. Each outer iteration solves
+//! `F δ = r` at `f32` to a modest tolerance and applies the correction
+//! `λ ← λ + δ` in `f64`; the loop stops when the `f64` residual reaches the
+//! configured target or the refinement budget is exhausted (in which case
+//! the solver falls back to the full-`f64` PCPG so a hard workload degrades
+//! to the historical path instead of returning a bad λ).
 
-use crate::dualop::{BoundaryMapOf, SubdomainFactors};
-use sc_dense::MatOf;
-use sc_sparse::{csc_lower_solve, csc_lower_t_solve, CscOf};
-use std::sync::Mutex;
+use crate::dualop::{BoundaryMapOf, DualPass, LocalOp, SubdomainFactors};
+use crate::pcpg::{pcpg_preconditioned_of, PcpgStats};
+use crate::solver::{FetiSolver, Preconditioner};
+use rayon::prelude::*;
+use sc_dense::Scalar;
+use sc_fem::HeatProblem;
+use sc_sparse::CscOf;
 
 /// Inner (`f32`) PCPG relative tolerance: roughly `√ε_f32`, the point past
 /// which a single-precision recursion stops making progress; each outer
 /// iteration therefore knocks ~4 orders of magnitude off the `f64`
 /// residual.
-pub const INNER_TOL: f64 = 1e-4;
+const INNER_TOL: f64 = 1e-4;
 
-/// Demoted (`f32`) copy of one subdomain's factor bundle: the Cholesky
-/// factor `L` cast into single precision plus the boundary map of the
-/// demoted `B̃ᵀ`. Applies the implicit dual operator (Eq. 11) entirely at
-/// `f32` — scatter, two triangular solves, gather.
-pub struct DemotedFactors {
-    /// `L` in permuted index space, cast from the `f64` factor.
-    l: CscOf<f32>,
-    /// Gather/scatter map of the demoted `B̃ᵀ` (rows already in factor
-    /// space, like the `f64` bundle's).
-    map: BoundaryMapOf<f32>,
+/// The `f32` side of a refined solver: every operator slot demoted once at
+/// build time and reused across every inner PCPG iteration.
+pub(crate) struct Demoted {
+    /// A dense slot is the (`f32`-assembled, exactly promoted) `F̃ᵢ` cast
+    /// back; it drops the stream binding — the inner GEMVs run on the host,
+    /// so only the `f64` residual applications move a simulated clock.
+    ops: Vec<LocalOp<f32>>,
+    /// The demoted `(L, map)` factor view of each implicit slot; `None`
+    /// beside a dense one.
+    factors: Vec<Option<(CscOf<f32>, BoundaryMapOf<f32>)>>,
+    pass: DualPass<f32>,
 }
 
-impl DemotedFactors {
-    /// Demote one `f64` factor bundle.
-    pub fn of(factors: &SubdomainFactors) -> Self {
-        DemotedFactors {
-            l: factors.chol.factor_csc_ref().cast::<f32>(),
-            map: BoundaryMapOf::of(&factors.bt_perm.cast::<f32>()),
+impl Demoted {
+    /// Demote the solver's slots and the factors of the implicit ones.
+    pub(crate) fn of(ops: &[LocalOp], factors: &[SubdomainFactors], problem: &HeatProblem) -> Self {
+        let demoted: Vec<_> = ops
+            .par_iter()
+            .zip(factors)
+            .map(|(op, fac)| match op {
+                LocalOp::Dense { f, .. } => {
+                    let f = f.cast::<f32>();
+                    (LocalOp::Dense { f, kernels: None }, None)
+                }
+                LocalOp::Implicit => {
+                    let l = fac.chol.factor_csc_ref().cast::<f32>();
+                    let map = BoundaryMapOf::of(&fac.bt_perm.cast::<f32>());
+                    (LocalOp::Implicit, Some((l, map)))
+                }
+            })
+            .collect();
+        let (ops, factors) = demoted.into_iter().unzip();
+        Demoted {
+            ops,
+            factors,
+            pass: DualPass::new(problem),
         }
     }
 
-    /// `out = B̃ (L⁻ᵀ(L⁻¹(B̃ᵀ p)))` at `f32`, with a caller-owned scratch
-    /// vector (mirrors `apply_implicit_with`).
-    pub fn apply_with(&self, p: &[f32], out: &mut [f32], scratch: &mut Vec<f32>) {
-        let n = self.map.n_rows();
-        scratch.clear();
-        scratch.resize(n, 0.0);
-        self.map.scatter(p, scratch);
-        csc_lower_solve(&self.l, scratch);
-        csc_lower_t_solve(&self.l, scratch);
-        self.map.gather(scratch, out);
-    }
-}
-
-/// One subdomain's `f32` dual-operator slot, demoted once at build time and
-/// reused across every inner PCPG iteration.
-// Variant sizes differ by design, like DualOperator/OpSlot: one slot per
-// subdomain in a short Vec.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum F32Op {
-    /// Dense `F̃ᵢ` demoted from the assembled explicit operator; applied
-    /// with an `f32` GEMV.
-    Explicit(MatOf<f32>),
-    /// Implicit application through the demoted factor bundle. Carries the
-    /// subdomain's dof-space scratch vector (uncontended mutex: `apply_f32`
-    /// runs one task per subdomain).
-    Implicit {
-        factors: DemotedFactors,
-        scratch: Mutex<Vec<f32>>,
-    },
-}
-
-impl F32Op {
-    pub(crate) fn implicit(factors: &SubdomainFactors) -> Self {
-        F32Op::Implicit {
-            factors: DemotedFactors::of(factors),
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Apply: `out = F̃ᵢ p` at `f32`.
-    pub(crate) fn apply(&self, p: &[f32], out: &mut [f32]) {
-        match self {
-            F32Op::Explicit(f) => sc_dense::gemv(1.0f32, f.as_ref(), p, 0.0f32, out),
-            F32Op::Implicit { factors, scratch } => {
-                let mut t = scratch.lock().expect("f32 scratch mutex poisoned");
-                factors.apply_with(p, out, &mut t);
-            }
-        }
+    /// The pass of [`FetiSolver::apply_f`] at `f32` (the inner solves' hot
+    /// path).
+    pub(crate) fn apply(&self, problem: &HeatProblem, p: &[f32]) -> Vec<f32> {
+        let view = |i: usize| self.factors[i].as_ref().map(|(l, map)| (l, map));
+        self.pass.apply_ops(problem, &self.ops, view, p)
     }
 }
 
@@ -114,63 +92,128 @@ pub struct RefinementStats {
     pub fell_back: bool,
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dualop::{apply_implicit, DualOperator};
-    use crate::FetiOptions;
-    use sc_core::ScConfig;
-    use sc_fem::{Gluing, HeatProblem};
-    use sc_order::Ordering;
+impl FetiSolver<'_> {
+    /// Mixed-precision iterative refinement (the `F32Refined` solve path):
+    /// the outer loop measures the true projected residual `r = P(d − Fλ)`
+    /// and accumulates corrections in `f64`; each correction solves
+    /// `F δ = r` with the **`f32`** PCPG against the demoted operators. The
+    /// correction is re-projected in `f64` before the update so the coarse
+    /// constraint `Gᵀλ = e` never degrades to single precision. When the
+    /// residual stalls or the refinement budget runs out, the solve falls
+    /// back to the full-`f64` PCPG from the best iterate.
+    pub(crate) fn solve_refined(
+        &self,
+        d: &[f64],
+        lambda0: Vec<f64>,
+        refine_tol: f64,
+        max_refine: usize,
+    ) -> (Vec<f64>, PcpgStats, Option<RefinementStats>) {
+        let opts = self.options();
+        let norm0 = {
+            let pd = self.project(d);
+            sc_dense::dot(&pd, &pd).sqrt()
+        };
+        // the converged exit: the inner iterations stand in for PCPG's
+        let refined = |lambda, outer, inner, applications, rel| {
+            let stats = PcpgStats {
+                iterations: inner,
+                operator_applications: applications,
+                rel_residual: rel,
+                converged: true,
+                breakdown: None,
+                exchange_stall_seconds: 0.0,
+            };
+            let refinement = RefinementStats {
+                outer_iterations: outer,
+                inner_iterations: inner,
+                rel_residual: rel,
+                converged: true,
+                fell_back: false,
+            };
+            (lambda, stats, Some(refinement))
+        };
+        // sc-analyze: allow(float-eq)
+        if norm0 == 0.0 {
+            return refined(lambda0, 0, 0, 0, 0.0);
+        }
 
-    #[test]
-    fn demoted_apply_tracks_the_f64_implicit_operator() {
-        let prob = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
-        for sd in &prob.subdomains {
-            let factors = SubdomainFactors::build(
-                sd,
-                FetiOptions::default().engine,
-                Ordering::NestedDissection,
-            );
-            let demoted = DemotedFactors::of(&factors);
-            let m = sd.n_lambda();
-            let p: Vec<f64> = (0..m).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
-            let p32: Vec<f32> = p.iter().map(|&v| v as f32).collect(); // sc-analyze: allow(precision-discipline)
-            let mut q64 = vec![0.0f64; m];
-            apply_implicit(&factors, &p, &mut q64);
-            let mut q32 = vec![0.0f32; m];
-            let mut scratch = Vec::new();
-            demoted.apply_with(&p32, &mut q32, &mut scratch);
-            let scale = q64.iter().fold(1.0f64, |a, &b| a.max(b.abs()));
-            for i in 0..m {
-                assert!(
-                    (f64::from(q32[i]) - q64[i]).abs() < 1e-3 * scale,
-                    "subdomain apply drift at {i}: {} vs {}",
-                    q32[i],
-                    q64[i]
-                );
+        let mut lambda = lambda0;
+        let mut outer = 0usize;
+        let mut inner_total = 0usize;
+        let mut applications = 0usize;
+        let mut rel;
+        let mut prev_rel = f64::INFINITY;
+        loop {
+            // f64 truth: r = P(d − Fλ) through the full-precision operator
+            let flam = self.apply_f(&lambda);
+            applications += 1;
+            let resid: Vec<f64> = d.iter().zip(&flam).map(|(di, fi)| di - fi).collect();
+            let r = self.project(&resid);
+            rel = sc_dense::dot(&r, &r).sqrt() / norm0;
+            if rel <= refine_tol {
+                break;
             }
+            // stalled (single precision can push no further) or out of
+            // budget: hand over to the f64 fallback below
+            if outer >= max_refine || rel >= 0.5 * prev_rel {
+                break;
+            }
+            prev_rel = rel;
+
+            // inner f32 correction solve F δ = r over the Gᵀδ = 0 subspace;
+            // projector and preconditioner round-trip through their f64
+            // implementations (the operator applications are the hot path
+            // and run natively at f32)
+            let r32 = demote(&r);
+            let res = pcpg_preconditioned_of::<f32>(
+                &r32,
+                vec![0.0f32; d.len()],
+                |p| self.apply_f32(p),
+                |x| demote(&self.project(&promote(x))),
+                |w| match opts.preconditioner {
+                    Preconditioner::None => w.to_vec(),
+                    Preconditioner::Lumped => demote(&self.apply_lumped(&promote(w))),
+                },
+                INNER_TOL,
+                opts.max_iter,
+            );
+            inner_total += res.stats.iterations;
+            applications += res.stats.operator_applications;
+            // promote the correction and re-project in f64: the f32 iterate
+            // satisfies Gᵀδ = 0 only to single precision, and the coarse
+            // constraint must hold at the accumulation precision
+            let delta = self.project(&promote(&res.lambda));
+            for (li, di) in lambda.iter_mut().zip(&delta) {
+                *li += di;
+            }
+            outer += 1;
+        }
+
+        if rel <= refine_tol {
+            refined(lambda, outer, inner_total, applications, rel)
+        } else {
+            // refinement failed to reach the target: fall back to the
+            // historical full-f64 PCPG from the best iterate (Gᵀλ = e still
+            // holds, so it is a legal warm start)
+            let res = self.pcpg_f64(d, lambda);
+            let refinement = RefinementStats {
+                outer_iterations: outer,
+                inner_iterations: inner_total,
+                rel_residual: res.stats.rel_residual,
+                converged: res.stats.converged,
+                fell_back: true,
+            };
+            (res.lambda, res.stats, Some(refinement))
         }
     }
+}
 
-    #[test]
-    fn explicit_f32_op_matches_demoted_dense_operator() {
-        let prob = HeatProblem::build_2d(3, (2, 1), Gluing::Redundant);
-        let sd = &prob.subdomains[0];
-        let factors = SubdomainFactors::build(
-            sd,
-            FetiOptions::default().engine,
-            Ordering::NestedDissection,
-        );
-        let expl = DualOperator::explicit_cpu(&factors, &ScConfig::optimized(false, false));
-        let f32_mat = expl.explicit_matrix().unwrap().cast::<f32>();
-        let op = F32Op::Explicit(f32_mat.clone());
-        let m = sd.n_lambda();
-        let p: Vec<f32> = (0..m).map(|i| (i as f32) * 0.25 - 1.0).collect();
-        let mut got = vec![0.0f32; m];
-        op.apply(&p, &mut got);
-        let mut want = vec![0.0f32; m];
-        sc_dense::gemv(1.0f32, f32_mat.as_ref(), &p, 0.0f32, &mut want);
-        assert_eq!(got, want, "explicit f32 slot must be a plain f32 GEMV");
-    }
+/// Exact widening of a dual vector to `f64` (mixed-precision boundary).
+fn promote(x: &[f32]) -> Vec<f64> {
+    x.iter().map(|&v| f64::from(v)).collect()
+}
+
+/// Rounding demotion of a dual vector to `f32` (mixed-precision boundary).
+fn demote(x: &[f64]) -> Vec<f32> {
+    x.iter().map(|&v| f32::from_f64(v)).collect()
 }

@@ -9,19 +9,18 @@
 //! [`FetiSolver::solve`] and [`FetiSolver::solve_rhs`] then amortize it
 //! across any number of right-hand sides.
 
-use crate::dualop::{DualOperator, SubdomainFactors};
+use crate::dualop::{assemble_auto, bind_ops, DualPass, LocalOp, SubdomainFactors};
+use crate::exchange::ExchangeSim;
 use crate::pcpg::PcpgStats;
-use crate::refine::{F32Op, RefinementStats, INNER_TOL};
+use crate::refine::{Demoted, RefinementStats};
 use rayon::prelude::*;
 use sc_core::{
-    estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
-    DeviceSlot, Formulation, HybridPlanOptions, HybridSummary, LazyBatch, Precision, ScConfig,
-    ScheduleOptions, Target,
+    AssemblyReport, AssemblySession, Backend, HybridPlanOptions, LazyBatch, Precision, ScConfig,
+    Target,
 };
-use sc_dense::{Mat, Scalar};
+use sc_dense::Mat;
 use sc_factor::Engine;
 use sc_fem::HeatProblem;
-use sc_gpu::{DevicePool, GpuKernels, NodePool, Stream};
 use sc_order::Ordering;
 use sc_sparse::{Coo, Csc};
 use std::borrow::Cow;
@@ -139,33 +138,6 @@ pub struct FetiSolution {
     /// Mixed-precision refinement statistics; `None` under the default
     /// full-`f64` precision.
     pub refinement: Option<RefinementStats>,
-}
-
-/// Per-subdomain operator dispatch slot of the explicit/hybrid modes.
-// Variant sizes differ by design, mirroring DualOperator: slots live in one
-// short per-subdomain Vec, boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
-enum OpSlot {
-    /// An owned, ready-to-apply operator.
-    Own(DualOperator),
-    /// Apply implicitly through the solver's shared factor bundle (the
-    /// hybrid mode's spill/low-iteration choice — avoids duplicating the
-    /// factorization the solver keeps for `K⁺` solves anyway). Carries the
-    /// subdomain's dof-space scratch vector so PCPG iterations reuse one
-    /// allocation ([`apply_implicit_with`](crate::dualop::apply_implicit_with));
-    /// the mutex is uncontended — `apply_f` runs one task per subdomain.
-    SharedImplicit {
-        /// Reused dof-space work vector.
-        scratch: std::sync::Mutex<Vec<f64>>,
-    },
-}
-
-impl OpSlot {
-    fn shared_implicit() -> Self {
-        OpSlot::SharedImplicit {
-            scratch: std::sync::Mutex::new(Vec::new()),
-        }
-    }
 }
 
 /// Composable construction of a preprocessed [`FetiSolver`]:
@@ -295,12 +267,13 @@ impl FetiSolverBuilder {
             "prepared factor bundle must cover every subdomain of the problem"
         );
 
-        // dual operators: the explicit formulations pre-assemble the dense
-        // F̃ᵢ through one AssemblySession on the builder's backend; the
-        // implicit formulation reuses `factors` directly at application time
-        let mut report: Option<AssemblyReport> = None;
-        let explicit_ops: Option<Vec<OpSlot>> = match &formulation {
-            FormulationChoice::Implicit => None,
+        // one operator slot per subdomain: the explicit formulations
+        // pre-assemble the dense F̃ᵢ through one AssemblySession on the
+        // builder's backend; an implicit slot applies against `factors`
+        let (ops, report): (Vec<LocalOp>, Option<AssemblyReport>) = match &formulation {
+            FormulationChoice::Implicit => {
+                (factors.iter().map(|_| LocalOp::Implicit).collect(), None)
+            }
             FormulationChoice::Explicit => {
                 let session = AssemblySession::new(backend.clone(), cfg);
                 let res = session.assemble(LazyBatch::new(
@@ -308,14 +281,11 @@ impl FetiSolverBuilder {
                     |_, f: &SubdomainFactors| Cow::Borrowed(f.chol.factor_csc_ref()),
                     |f| &f.bt_perm,
                 ));
-                let ops = bind_ops(res.f, &res.report, &backend);
-                report = Some(res.report);
-                Some(ops)
+                (bind_ops(res.f, &res.report, &backend), Some(res.report))
             }
             FormulationChoice::Auto(plan_opts) => {
                 let (ops, unified) = assemble_auto(&factors, &cfg, &backend, plan_opts);
-                report = Some(unified);
-                Some(ops)
+                (ops, Some(unified))
             }
         };
 
@@ -331,19 +301,16 @@ impl FetiSolverBuilder {
         }
         let mut g_coo = Coo::new(problem.n_lambda, n_kernels.max(1));
         for (i, sd) in problem.subdomains.iter().enumerate() {
-            let Some(_kc) = kernel_col[i] else { continue };
-            let ker = sd.kernel.as_ref().expect("kernel column implies kernel");
+            let (Some(kc), Some(ker)) = (kernel_col[i], sd.kernel.as_ref()) else {
+                continue;
+            };
             // G[:, kc] = B_i r_i
             let mut gr = vec![0.0; sd.n_lambda()];
             sd.bt.spmv_t(1.0, ker, 0.0, &mut gr);
-            for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
+            for (&g, &gl) in gr.iter().zip(&sd.lambda_ids) {
                 // sc-analyze: allow(float-eq)
-                if gr[ll] != 0.0 {
-                    g_coo.push(
-                        gl,
-                        kernel_col[i].expect("kernel column assigned for every singular subdomain"),
-                        gr[ll],
-                    );
+                if g != 0.0 {
+                    g_coo.push(gl, kc, g);
                 }
             }
         }
@@ -363,24 +330,10 @@ impl FetiSolverBuilder {
             l
         };
 
-        // demote the operators once for the mixed-precision inner solves:
-        // explicit slots reuse the (f32-assembled, exactly promoted) dense
-        // F̃ᵢ, everything else demotes its factor bundle
-        let f32_ops: Option<Vec<F32Op>> = precision.is_f32().then(|| {
-            (0..factors.len())
-                .into_par_iter()
-                .map(|i| {
-                    let explicit = explicit_ops.as_ref().and_then(|ops| match &ops[i] {
-                        OpSlot::Own(op) => op.explicit_matrix(),
-                        OpSlot::SharedImplicit { .. } => None,
-                    });
-                    match explicit {
-                        Some(f) => F32Op::Explicit(f.cast::<f32>()),
-                        None => F32Op::implicit(&factors[i]),
-                    }
-                })
-                .collect()
-        });
+        // demote the slots once for the mixed-precision inner solves
+        let demoted = precision
+            .is_f32()
+            .then(|| Demoted::of(&ops, &factors, problem));
 
         // the multi-node backend overlaps PCPG boundary exchanges with the
         // local applies; every other target leaves the solve untouched
@@ -396,9 +349,10 @@ impl FetiSolverBuilder {
             problem,
             opts,
             factors,
-            explicit_ops,
+            ops,
+            pass: DualPass::new(problem),
             precision,
-            f32_ops,
+            demoted,
             g,
             gtg,
             kernel_col,
@@ -416,103 +370,6 @@ impl FetiSolverBuilder {
     }
 }
 
-/// Simulated inter-node boundary exchange of the multi-node backend's
-/// PCPG. Per dual-operator application each node receives its subdomains'
-/// boundary multiplier values from its peers over its interconnect; the
-/// exchange is posted **before** the local GEMVs are submitted, so queued
-/// local work overlaps the transfer, and only the remainder a stream could
-/// not hide is accumulated as stall time
-/// ([`PcpgStats::exchange_stall_seconds`]). On a single-node pool the
-/// simulation is inert and the solve is bitwise the cluster path.
-struct ExchangeSim {
-    pool: Arc<NodePool>,
-    /// Per node, the streams carrying device-resident operators — the lanes
-    /// whose GEMV results feed the global dual vector.
-    streams: Vec<Vec<Stream>>,
-    /// Boundary bytes entering each node per application.
-    bytes_in: Vec<f64>,
-    /// Stall seconds accumulated across applications; drained into the
-    /// solve's statistics (uncontended: PCPG applies sequentially).
-    stall: std::sync::Mutex<f64>,
-}
-
-impl ExchangeSim {
-    /// Collect each node's dependent streams and incoming boundary bytes
-    /// from the multi-node assembly report.
-    fn build(
-        pool: &Arc<NodePool>,
-        devices: &[Arc<sc_gpu::Device>],
-        report: &AssemblyReport,
-        problem: &HeatProblem,
-    ) -> Self {
-        let n = pool.n_nodes();
-        let mut streams: Vec<Vec<Stream>> = vec![Vec::new(); n];
-        let mut seen: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        let mut bytes_in = vec![0.0; n];
-        for t in &report.subdomains {
-            let (Some(node), Some(flat), Some(s)) = (t.node, t.device, t.stream) else {
-                continue;
-            };
-            // every application refreshes this subdomain's boundary
-            // multipliers from the peers: 8 bytes per lambda row
-            bytes_in[node] += 8.0 * problem.subdomains[t.index].n_lambda() as f64; // sc-analyze: allow(precision-discipline)
-            if !seen[node].contains(&(flat, s)) {
-                seen[node].push((flat, s));
-                streams[node].push(devices[flat].stream(s));
-            }
-        }
-        ExchangeSim {
-            pool: Arc::clone(pool),
-            streams,
-            bytes_in,
-            stall: std::sync::Mutex::new(0.0),
-        }
-    }
-
-    /// Post this application's exchanges: each node's incoming boundary
-    /// data arrives `link.seconds(bytes_in)` after its streams' current
-    /// frontier. Returns `None` on a single-node pool (nothing exchanged).
-    fn begin(&self) -> Option<Vec<f64>> {
-        if self.pool.n_nodes() < 2 {
-            return None;
-        }
-        Some(
-            self.pool
-                .nodes()
-                .iter()
-                .enumerate()
-                .map(|(d, ns)| {
-                    let t_send = self.streams[d].iter().map(|s| s.time()).fold(0.0, f64::max);
-                    t_send + ns.link.seconds(self.bytes_in[d])
-                })
-                .collect(),
-        )
-    }
-
-    /// Close this application's exchanges after the local GEMVs were
-    /// submitted: a stream whose queued work ends before its node's data
-    /// arrival stalls for the remainder; work past the arrival hid the
-    /// transfer entirely.
-    fn finish(&self, arrivals: &[f64]) {
-        let mut stalled = 0.0;
-        for (d, lanes) in self.streams.iter().enumerate() {
-            for s in lanes {
-                let wait = arrivals[d] - s.time();
-                if wait > 0.0 {
-                    stalled += wait;
-                    s.advance_to(arrivals[d]);
-                }
-            }
-        }
-        *self.stall.lock().expect("stall mutex poisoned") += stalled;
-    }
-
-    /// Take the accumulated stall seconds, resetting the counter.
-    fn drain(&self) -> f64 {
-        std::mem::take(&mut *self.stall.lock().expect("stall mutex poisoned"))
-    }
-}
-
 /// A preprocessed FETI solver: factorizations, explicit operators (if
 /// requested), and the coarse problem, ready to serve many right-hand
 /// sides through [`FetiSolver::solve`] / [`FetiSolver::solve_rhs`].
@@ -521,14 +378,16 @@ pub struct FetiSolver<'p> {
     /// Options captured at construction; `solve()` takes no arguments.
     opts: FetiOptions,
     factors: Arc<Vec<SubdomainFactors>>,
-    /// `Some` for the explicit and hybrid modes; the implicit mode applies
-    /// through `factors` directly.
-    explicit_ops: Option<Vec<OpSlot>>,
+    /// The local dual operator of each subdomain; implicit slots apply
+    /// against `factors`.
+    ops: Vec<LocalOp>,
+    /// Buffers of the global gather → local → scatter-add pass.
+    pass: DualPass<f64>,
     /// Working precision captured from the backend at construction.
     precision: Precision,
-    /// Demoted (`f32`) operator slots for the mixed-precision inner solves;
-    /// `Some` exactly when `precision` is [`Precision::F32Refined`].
-    f32_ops: Option<Vec<F32Op>>,
+    /// Demoted (`f32`) slots for the mixed-precision inner solves; `Some`
+    /// exactly when `precision` is [`Precision::F32Refined`].
+    demoted: Option<Demoted>,
     /// Sparse `G = B R` (`n_lambda × n_kernels`).
     g: Csc,
     /// Dense Cholesky factor of `GᵀG`.
@@ -575,24 +434,12 @@ impl<'p> FetiSolver<'p> {
                 None => &self.problem.subdomains[i].f,
             }
         };
-        let d_locals: Vec<Vec<f64>> = self
-            .factors
-            .par_iter()
-            .zip(&self.problem.subdomains)
-            .enumerate()
-            .map(|(i, (f, sd))| {
-                let kf = f.solve_kplus(f_of(i));
-                let mut dl = vec![0.0; sd.n_lambda()];
-                sd.bt.spmv_t(1.0, &kf, 0.0, &mut dl);
-                dl
-            })
-            .collect();
         let mut d = vec![0.0; self.problem.n_lambda];
-        for (sd, dl) in self.problem.subdomains.iter().zip(&d_locals) {
-            for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
-                d[gl] += dl[ll];
-            }
-        }
+        self.pass
+            .run(self.problem, None, Some(&mut d), |i, sd, _, dl| {
+                let kf = self.factors[i].solve_kplus(f_of(i));
+                sd.bt.spmv_t(1.0, &kf, 0.0, dl);
+            });
         let mut e = vec![0.0; self.n_kernels().max(1)];
         for (i, sd) in self.problem.subdomains.iter().enumerate() {
             let (Some(kc), Some(ker)) = (self.kernel_col[i], sd.kernel.as_ref()) else {
@@ -612,44 +459,11 @@ impl<'p> FetiSolver<'p> {
     /// [`PcpgStats::exchange_stall_seconds`]. The numerics are identical
     /// either way — the simulation only moves stream clocks.
     pub fn apply_f(&self, p: &[f64]) -> Vec<f64> {
-        let arrivals = self.exchange_sim.as_ref().and_then(|sim| sim.begin());
-        let locals: Vec<Vec<f64>> = self
-            .problem
-            .subdomains
-            .par_iter()
-            .enumerate()
-            .map(|(i, sd)| {
-                let pl: Vec<f64> = sd.lambda_ids.iter().map(|&gl| p[gl]).collect();
-                let mut ql = vec![0.0; sd.n_lambda()];
-                match &self.explicit_ops {
-                    Some(ops) => match &ops[i] {
-                        OpSlot::Own(op) => op.apply(&pl, &mut ql),
-                        OpSlot::SharedImplicit { scratch } => {
-                            // reuse this subdomain's dof-space work vector
-                            // across PCPG iterations (uncontended lock: one
-                            // task per subdomain)
-                            let mut t = scratch.lock().expect("scratch mutex poisoned");
-                            crate::dualop::apply_implicit_with(
-                                &self.factors[i],
-                                &pl,
-                                &mut ql,
-                                &mut t,
-                            )
-                        }
-                    },
-                    None => crate::dualop::apply_implicit(&self.factors[i], &pl, &mut ql),
-                }
-                ql
-            })
-            .collect();
-        if let (Some(sim), Some(arrivals)) = (self.exchange_sim.as_ref(), arrivals) {
+        let exchange = self.exchange_sim.as_ref().map(|sim| (sim, sim.begin()));
+        let view = |i: usize| Some((&self.factors[i]).into());
+        let q = self.pass.apply_ops(self.problem, &self.ops, view, p);
+        if let Some((sim, arrivals)) = exchange {
             sim.finish(&arrivals);
-        }
-        let mut q = vec![0.0; self.problem.n_lambda];
-        for (sd, ql) in self.problem.subdomains.iter().zip(&locals) {
-            for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
-                q[gl] += ql[ll];
-            }
         }
         q
     }
@@ -676,35 +490,22 @@ impl<'p> FetiSolver<'p> {
 
     /// Apply the lumped preconditioner `M⁻¹ w = Σᵢ B̃ᵢ Kᵢ B̃ᵢᵀ w̃ᵢ`.
     pub fn apply_lumped(&self, w: &[f64]) -> Vec<f64> {
-        let locals: Vec<Vec<f64>> = self
-            .problem
-            .subdomains
-            .par_iter()
-            .map(|sd| {
-                let wl: Vec<f64> = sd.lambda_ids.iter().map(|&gl| w[gl]).collect();
-                let mut t = vec![0.0; sd.n_dofs()];
-                sd.bt.spmv(1.0, &wl, 0.0, &mut t); // B̃ᵀ w̃
-                let mut kt = vec![0.0; sd.n_dofs()];
-                sd.k.spmv(1.0, &t, 0.0, &mut kt); // K B̃ᵀ w̃
-                let mut zl = vec![0.0; sd.n_lambda()];
-                sd.bt.spmv_t(1.0, &kt, 0.0, &mut zl); // B̃ K B̃ᵀ w̃
-                zl
-            })
-            .collect();
         let mut z = vec![0.0; self.problem.n_lambda];
-        for (sd, zl) in self.problem.subdomains.iter().zip(&locals) {
-            for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
-                z[gl] += zl[ll];
-            }
-        }
+        self.pass
+            .run(self.problem, Some(w), Some(&mut z), |_, sd, ws, zl| {
+                ws.t.resize(sd.n_dofs(), 0.0);
+                ws.kt.resize(sd.n_dofs(), 0.0);
+                sd.bt.spmv(1.0, &ws.pl, 0.0, &mut ws.t); // B̃ᵀ w̃
+                sd.k.spmv(1.0, &ws.t, 0.0, &mut ws.kt); // K B̃ᵀ w̃
+                sd.bt.spmv_t(1.0, &ws.kt, 0.0, zl); // B̃ K B̃ᵀ w̃
+            });
         z
     }
 
     /// Full FETI solve of the problem's own loads: PCPG on the dual, then
     /// primal recovery. Uses the options captured at construction.
     pub fn solve(&self) -> FetiSolution {
-        let (d, e) = (self.d.clone(), self.e.clone());
-        self.solve_inner(&d, &e, None)
+        self.solve_inner(&self.d, &self.e, None)
     }
 
     /// Solve for **new per-subdomain loads** without repeating any
@@ -740,7 +541,6 @@ impl<'p> FetiSolver<'p> {
     }
 
     fn solve_inner(&self, d: &[f64], e: &[f64], f_locals: Option<&[Vec<f64>]>) -> FetiSolution {
-        let opts = &self.opts;
         // λ0 = G (GᵀG)⁻¹ e satisfies Gᵀ λ0 = e (Eq. 4)
         let lambda0 = if self.n_kernels() == 0 {
             vec![0.0; self.problem.n_lambda]
@@ -757,13 +557,13 @@ impl<'p> FetiSolver<'p> {
         }
         let (lambda, mut stats, refinement) = match self.precision {
             Precision::F64 => {
-                let res = self.pcpg_f64(opts, d, lambda0);
+                let res = self.pcpg_f64(d, lambda0);
                 (res.lambda, res.stats, None)
             }
             Precision::F32Refined {
                 refine_tol,
                 max_refine,
-            } => self.solve_refined(opts, d, lambda0, refine_tol, max_refine),
+            } => self.solve_refined(d, lambda0, refine_tol, max_refine),
         };
         if let Some(sim) = &self.exchange_sim {
             stats.exchange_stall_seconds = sim.drain();
@@ -779,12 +579,8 @@ impl<'p> FetiSolver<'p> {
 
     /// The full-`f64` PCPG solve (the historical path; also the
     /// mixed-precision fallback).
-    fn pcpg_f64(
-        &self,
-        opts: &FetiOptions,
-        d: &[f64],
-        lambda0: Vec<f64>,
-    ) -> crate::pcpg::PcpgResult {
+    pub(crate) fn pcpg_f64(&self, d: &[f64], lambda0: Vec<f64>) -> crate::pcpg::PcpgResult {
+        let opts = &self.opts;
         crate::pcpg::pcpg_preconditioned(
             d,
             lambda0,
@@ -799,159 +595,13 @@ impl<'p> FetiSolver<'p> {
         )
     }
 
-    /// Apply the demoted dual operator at `f32` (the mixed-precision inner
-    /// solve's hot path): same gather/apply/scatter structure as
-    /// [`FetiSolver::apply_f`], accumulating in single precision.
-    fn apply_f32(&self, p: &[f32]) -> Vec<f32> {
-        let ops = self
-            .f32_ops
+    /// Apply the demoted dual operator at `f32` (the inner solves of
+    /// [`solve_refined`](Self::solve_refined)).
+    pub(crate) fn apply_f32(&self, p: &[f32]) -> Vec<f32> {
+        self.demoted
             .as_ref()
-            .expect("f32 operators exist under the refined precision");
-        let locals: Vec<Vec<f32>> = self
-            .problem
-            .subdomains
-            .par_iter()
-            .enumerate()
-            .map(|(i, sd)| {
-                let pl: Vec<f32> = sd.lambda_ids.iter().map(|&gl| p[gl]).collect();
-                let mut ql = vec![0.0f32; sd.n_lambda()];
-                ops[i].apply(&pl, &mut ql);
-                ql
-            })
-            .collect();
-        let mut q = vec![0.0f32; self.problem.n_lambda];
-        for (sd, ql) in self.problem.subdomains.iter().zip(&locals) {
-            for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
-                q[gl] += ql[ll];
-            }
-        }
-        q
-    }
-
-    /// Mixed-precision iterative refinement (the `F32Refined` solve path):
-    /// the outer loop measures the true projected residual `r = P(d − Fλ)`
-    /// and accumulates corrections in `f64`; each correction solves
-    /// `F δ = r` with the **`f32`** PCPG against the demoted operators. The
-    /// correction is re-projected in `f64` before the update so the coarse
-    /// constraint `Gᵀλ = e` never degrades to single precision. When the
-    /// residual stalls or the refinement budget runs out, the solve falls
-    /// back to the full-`f64` PCPG from the best iterate.
-    fn solve_refined(
-        &self,
-        opts: &FetiOptions,
-        d: &[f64],
-        lambda0: Vec<f64>,
-        refine_tol: f64,
-        max_refine: usize,
-    ) -> (Vec<f64>, PcpgStats, Option<RefinementStats>) {
-        let m = d.len();
-        let norm0 = {
-            let pd = self.project(d);
-            sc_dense::dot(&pd, &pd).sqrt()
-        };
-        // sc-analyze: allow(float-eq)
-        if norm0 == 0.0 {
-            let stats = PcpgStats {
-                iterations: 0,
-                operator_applications: 0,
-                rel_residual: 0.0,
-                converged: true,
-                breakdown: None,
-                exchange_stall_seconds: 0.0,
-            };
-            let refinement = RefinementStats {
-                outer_iterations: 0,
-                inner_iterations: 0,
-                rel_residual: 0.0,
-                converged: true,
-                fell_back: false,
-            };
-            return (lambda0, stats, Some(refinement));
-        }
-
-        let mut lambda = lambda0;
-        let mut outer = 0usize;
-        let mut inner_total = 0usize;
-        let mut applications = 0usize;
-        let mut rel;
-        let mut prev_rel = f64::INFINITY;
-        loop {
-            // f64 truth: r = P(d − Fλ) through the full-precision operator
-            let flam = self.apply_f(&lambda);
-            applications += 1;
-            let resid: Vec<f64> = d.iter().zip(&flam).map(|(di, fi)| di - fi).collect();
-            let r = self.project(&resid);
-            rel = sc_dense::dot(&r, &r).sqrt() / norm0;
-            if rel <= refine_tol {
-                break;
-            }
-            // stalled (single precision can push no further) or out of
-            // budget: hand over to the f64 fallback below
-            if outer >= max_refine || rel >= 0.5 * prev_rel {
-                break;
-            }
-            prev_rel = rel;
-
-            // inner f32 correction solve F δ = r over the Gᵀδ = 0 subspace;
-            // projector and preconditioner round-trip through their f64
-            // implementations (the operator applications are the hot path
-            // and run natively at f32)
-            let r32 = demote(&r);
-            let res = crate::pcpg::pcpg_preconditioned_of::<f32>(
-                &r32,
-                vec![0.0f32; m],
-                |p| self.apply_f32(p),
-                |x| demote(&self.project(&promote(x))),
-                |w| match opts.preconditioner {
-                    Preconditioner::None => w.to_vec(),
-                    Preconditioner::Lumped => demote(&self.apply_lumped(&promote(w))),
-                },
-                INNER_TOL,
-                opts.max_iter,
-            );
-            inner_total += res.stats.iterations;
-            applications += res.stats.operator_applications;
-            // promote the correction and re-project in f64: the f32 iterate
-            // satisfies Gᵀδ = 0 only to single precision, and the coarse
-            // constraint must hold at the accumulation precision
-            let delta = self.project(&promote(&res.lambda));
-            for (li, di) in lambda.iter_mut().zip(&delta) {
-                *li += di;
-            }
-            outer += 1;
-        }
-
-        if rel <= refine_tol {
-            let stats = PcpgStats {
-                iterations: inner_total,
-                operator_applications: applications,
-                rel_residual: rel,
-                converged: true,
-                breakdown: None,
-                exchange_stall_seconds: 0.0,
-            };
-            let refinement = RefinementStats {
-                outer_iterations: outer,
-                inner_iterations: inner_total,
-                rel_residual: rel,
-                converged: true,
-                fell_back: false,
-            };
-            (lambda, stats, Some(refinement))
-        } else {
-            // refinement failed to reach the target: fall back to the
-            // historical full-f64 PCPG from the best iterate (Gᵀλ = e still
-            // holds, so it is a legal warm start)
-            let res = self.pcpg_f64(opts, d, lambda);
-            let refinement = RefinementStats {
-                outer_iterations: outer,
-                inner_iterations: inner_total,
-                rel_residual: res.stats.rel_residual,
-                converged: res.stats.converged,
-                fell_back: true,
-            };
-            (res.lambda, res.stats, Some(refinement))
-        }
+            .expect("demoted operators exist under the refined precision")
+            .apply(self.problem, p)
     }
 
     /// The working precision captured from the backend at construction.
@@ -980,19 +630,15 @@ impl<'p> FetiSolver<'p> {
             self.g.spmv_t(1.0, &resid, 0.0, &mut gtr);
             self.coarse_solve(&gtr)
         };
-        self.factors
-            .par_iter()
-            .zip(&self.problem.subdomains)
-            .enumerate()
-            .map(|(i, (fac, sd))| {
+        self.pass
+            .run(self.problem, Some(lambda), None, |i, sd, w, _| {
                 // f_i - B̃ᵀ λ̃
-                let pl: Vec<f64> = sd.lambda_ids.iter().map(|&gl| lambda[gl]).collect();
                 let mut rhs = match f_locals {
                     Some(fs) => fs[i].clone(),
                     None => sd.f.clone(),
                 };
-                sd.bt.spmv(-1.0, &pl, 1.0, &mut rhs);
-                let mut u = fac.solve_kplus(&rhs);
+                sd.bt.spmv(-1.0, &w.pl, 1.0, &mut rhs);
+                let mut u = self.factors[i].solve_kplus(&rhs);
                 if let (Some(kc), Some(ker)) = (self.kernel_col[i], sd.kernel.as_ref()) {
                     let a = alphas[kc];
                     for (ui, ri) in u.iter_mut().zip(ker) {
@@ -1001,7 +647,6 @@ impl<'p> FetiSolver<'p> {
                 }
                 u
             })
-            .collect()
     }
 
     /// The dual right-hand side of the problem's own loads.
@@ -1022,194 +667,16 @@ impl<'p> FetiSolver<'p> {
     }
 }
 
-/// Exact widening of a dual vector to `f64` (mixed-precision boundary).
-fn promote(x: &[f32]) -> Vec<f64> {
-    x.iter().map(|&v| f64::from(v)).collect()
-}
-
-/// Rounding demotion of a dual vector to `f32` (mixed-precision boundary).
-fn demote(x: &[f64]) -> Vec<f32> {
-    x.iter().map(|&v| f32::from_f64(v)).collect()
-}
-
-/// Bind each assembled `F̃ᵢ` to its operator slot: subdomains the report
-/// placed on a device get a device-resident GEMV operator on the stream
-/// their schedule used; host subdomains (CPU backend, hybrid spills) get
-/// the host GEMV.
-fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) -> Vec<OpSlot> {
-    let devices = backend.devices();
-    f.into_iter()
-        .enumerate()
-        .map(|(i, mat)| {
-            let t = &report.subdomains[i];
-            debug_assert_eq!(t.index, i, "report timings must be in batch order");
-            OpSlot::Own(match (t.device, t.stream) {
-                (Some(d), Some(s)) => DualOperator::ExplicitGpu {
-                    f: mat,
-                    kernels: GpuKernels::new(devices[d].stream(s)),
-                },
-                _ => DualOperator::ExplicitCpu(mat),
-            })
-        })
-        .collect()
-}
-
-/// The auto (hybrid) formulation: per-subdomain explicit-vs-implicit
-/// decision under the §4.4 cost model, explicit shares assembled through
-/// sessions on the backend, reports merged into one [`AssemblyReport`]
-/// (problem-global indices).
-fn assemble_auto(
-    factors: &[SubdomainFactors],
-    cfg: &ScConfig,
-    backend: &Backend,
-    plan_opts: &HybridPlanOptions,
-) -> (Vec<OpSlot>, AssemblyReport) {
-    // the pool the explicit-GPU share may run on: every device of the
-    // backend, flat (the per-subdomain decision layer prices no
-    // interconnect: the explicit share's placement is intra-node here) — an
-    // empty pool on the host
-    let pool = DevicePool::from_devices(backend.devices());
-    let cluster_opts = match &backend.target {
-        Target::Gpu { schedule: opts, .. }
-        | Target::Cluster { opts, .. }
-        | Target::Hybrid { opts, .. }
-        | Target::MultiNode { opts, .. } => opts.clone(),
-        _ => ScheduleOptions::default(),
-    };
-
-    // decision layer: analytic assembly + per-iteration apply estimates per
-    // subdomain
-    let ref_spec = if pool.is_empty() {
-        plan_opts.host.clone()
-    } else {
-        pool.device(0).spec().clone()
-    };
-    let estimates: Vec<(sc_core::CostEstimate, sc_core::ApplyEstimate)> = factors
-        .par_iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let l = f.chol.factor_csc_ref();
-            let bt = &f.bt_perm;
-            let params = cfg.resolve(!pool.is_empty(), l, bt);
-            (
-                estimate_cost(&ref_spec, l, bt, &params, i),
-                estimate_apply(l, bt, i),
-            )
-        })
-        .collect();
-    let (costs, applies): (Vec<_>, Vec<_>) = estimates.into_iter().unzip();
-    let slots: Vec<DeviceSlot> = pool.devices().iter().map(|d| DeviceSlot::of(d)).collect();
-    let plan = plan_hybrid(&costs, &applies, &slots, plan_opts);
-    let gpu_idx = plan.indices_of(Formulation::ExplicitGpu);
-    let cpu_idx = plan.indices_of(Formulation::ExplicitCpu);
-
-    // one dispatch slot per subdomain; non-explicit ones borrow the shared
-    // factor bundle at application time
-    let mut ops: Vec<OpSlot> = (0..factors.len())
-        .map(|_| OpSlot::shared_implicit())
-        .collect();
-
-    // explicit-GPU share through a cluster session (two-level plan, arena
-    // admission, record/replay — bitwise CPU-equal)
-    let mut gpu_report: Option<AssemblyReport> = None;
-    if !gpu_idx.is_empty() {
-        let mut share_opts = cluster_opts.clone();
-        share_opts.ready_at = cluster_opts
-            .ready_at
-            .as_ref()
-            .map(|r| gpu_idx.iter().map(|&g| r[g]).collect());
-        let gpu_items: Vec<&SubdomainFactors> = gpu_idx.iter().map(|&g| &factors[g]).collect();
-        let session = AssemblySession::new(
-            Backend::cluster_with(Arc::clone(&pool), share_opts).precision(backend.precision),
-            *cfg,
-        );
-        let res = session.assemble(LazyBatch::new(
-            &gpu_items,
-            |_, f: &&SubdomainFactors| Cow::Borrowed(f.chol.factor_csc_ref()),
-            |f| &f.bt_perm,
-        ));
-        for (local, mat) in res.f.into_iter().enumerate() {
-            let t = &res.report.subdomains[local];
-            let dev = t.device.expect("gpu share runs on the pool");
-            let stream = t.stream.unwrap_or(0);
-            ops[gpu_idx[local]] = OpSlot::Own(DualOperator::ExplicitGpu {
-                f: mat,
-                kernels: GpuKernels::new(pool.device(dev).stream(stream)),
-            });
-        }
-        let mut rep = res.report;
-        rep.remap_indices(&gpu_idx);
-        gpu_report = Some(rep);
-    }
-
-    // explicit-CPU share (the spill fail-over for high iteration counts)
-    // through a CPU session
-    let mut cpu_report: Option<AssemblyReport> = None;
-    if !cpu_idx.is_empty() {
-        let cpu_items: Vec<&SubdomainFactors> = cpu_idx.iter().map(|&g| &factors[g]).collect();
-        let session = AssemblySession::new(Backend::cpu().precision(backend.precision), *cfg);
-        let res = session.assemble(LazyBatch::new(
-            &cpu_items,
-            |_, f: &&SubdomainFactors| Cow::Borrowed(f.chol.factor_csc_ref()),
-            |f| &f.bt_perm,
-        ));
-        for (local, mat) in res.f.into_iter().enumerate() {
-            ops[cpu_idx[local]] = OpSlot::Own(DualOperator::ExplicitCpu(mat));
-        }
-        let mut rep = res.report;
-        rep.remap_indices(&cpu_idx);
-        cpu_report = Some(rep);
-    }
-
-    // roll both shares up into the unified report: timings in problem-global
-    // order, device sections from the pool share, decisions in the hybrid
-    // block
-    let predicted_assembly_seconds: f64 = plan
-        .choices
-        .iter()
-        .filter(|c| c.formulation != Formulation::Implicit)
-        .map(|c| c.assembly_seconds)
-        .sum();
-    let mut unified = AssemblyReport::default();
-    if let Some(g) = &gpu_report {
-        unified.subdomains.extend(g.subdomains.iter().copied());
-        unified.devices = g.devices.clone();
-        unified.makespan = g.makespan;
-        unified.total_seconds += g.total_seconds;
-        unified.cache_hits += g.cache_hits;
-        unified.cache_misses += g.cache_misses;
-    }
-    if let Some(c) = &cpu_report {
-        unified.subdomains.extend(c.subdomains.iter().copied());
-        unified.total_seconds += c.total_seconds;
-        unified.cache_hits += c.cache_hits;
-        unified.cache_misses += c.cache_misses;
-    }
-    unified.subdomains.sort_by_key(|t| t.index);
-    let realized_gpu = gpu_report.as_ref().map_or(0.0, |g| g.makespan);
-    let realized_cpu = cpu_report.as_ref().map_or(0.0, |c| c.total_seconds);
-    let arena_high_water = gpu_report.as_ref().map_or(0, |g| g.temp_high_water());
-    unified.precision = backend.precision;
-    unified.hybrid = Some(HybridSummary {
-        formulation: plan.choices.iter().map(|c| c.formulation).collect(),
-        spilled: plan.spilled.clone(),
-        plan: Some(plan),
-        predicted_assembly_seconds,
-        realized_gpu_seconds: realized_gpu,
-        realized_cpu_seconds: realized_cpu,
-        arena_high_water,
-        precision: backend.precision,
-    });
-    (ops, unified)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_core::{HybridForce, ScheduleOptions, StreamPolicy};
+    use sc_core::{
+        assemble_sc, estimate_cost, CpuExec, Formulation, HybridForce, ScheduleOptions,
+        StreamPolicy,
+    };
     use sc_factor::{CholOptions, SparseCholesky};
     use sc_fem::Gluing;
-    use sc_gpu::{Device, DeviceSpec};
+    use sc_gpu::{Device, DevicePool, DeviceSpec};
 
     fn direct_solution(problem: &HeatProblem) -> Vec<f64> {
         let (k, f) = problem.assemble_global();
@@ -1421,6 +888,19 @@ mod tests {
             .collect()
     }
 
+    /// A device whose arena (half its memory) sits between the smallest and
+    /// the largest footprint: some subdomains fit, the rest must spill.
+    fn mid_arena_spec(temps: &[usize]) -> (DeviceSpec, usize) {
+        let (lo, hi) = (*temps.iter().min().unwrap(), *temps.iter().max().unwrap());
+        assert!(lo < hi, "workload must have a footprint spread");
+        let arena = (lo + hi) / 2;
+        let spec = DeviceSpec {
+            memory_bytes: 2 * arena,
+            ..DeviceSpec::a100()
+        };
+        (spec, arena)
+    }
+
     fn auto_solver<'p>(
         p: &'p HeatProblem,
         pool: Arc<DevicePool>,
@@ -1449,13 +929,7 @@ mod tests {
         let p = HeatProblem::build_2d(6, (3, 3), Gluing::Redundant);
         let cfg = ScConfig::optimized(true, true);
         let temps = temp_footprints(&p, &cfg);
-        let (lo, hi) = (*temps.iter().min().unwrap(), *temps.iter().max().unwrap());
-        assert!(lo < hi, "workload must have a footprint spread");
-        let arena = (lo + hi) / 2;
-        let spec = DeviceSpec {
-            memory_bytes: 2 * arena, // the arena is half of device memory
-            ..DeviceSpec::a100()
-        };
+        let (spec, arena) = mid_arena_spec(&temps);
         let pool = DevicePool::uniform(spec, 2, 2);
         // forced explicit + no CPU fail-over: admissible subdomains go to
         // the pool, oversized ones must spill to implicit (never error)
@@ -1508,8 +982,9 @@ mod tests {
             if hybrid.spilled.contains(&i) {
                 crate::dualop::apply_implicit(&solver.factors()[i], &pl, &mut ql);
             } else {
-                let expl = DualOperator::explicit_cpu(&solver.factors()[i], &cfg);
-                expl.apply(&pl, &mut ql);
+                let fac = &solver.factors()[i];
+                let f = assemble_sc(&mut CpuExec, fac.chol.factor_csc_ref(), &fac.bt_perm, &cfg);
+                sc_dense::gemv(1.0, f.as_ref(), &pl, 0.0, &mut ql);
             }
             for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
                 want[gl] += ql[ll];
@@ -1519,6 +994,123 @@ mod tests {
             got, want,
             "hybrid apply must match the mixed reference bitwise"
         );
+    }
+
+    /// One freshly built solver per call on the 3×3 workload: all-implicit,
+    /// all-explicit (host), or the mixed auto split of
+    /// `hybrid_mixes_formulations_and_matches_direct`.
+    fn fresh_solver<'p>(p: &'p HeatProblem, kind: &str, precision: Precision) -> FetiSolver<'p> {
+        let cfg = ScConfig::optimized(true, true);
+        let builder = FetiSolverBuilder::new().assembly(cfg).precision(precision);
+        match kind {
+            "implicit" => builder.build(p),
+            "explicit" => builder
+                .backend(Backend::cpu())
+                .formulation(FormulationChoice::Explicit)
+                .build(p),
+            "auto" => {
+                let (spec, _) = mid_arena_spec(&temp_footprints(p, &cfg));
+                let solver = builder
+                    .backend(Backend::cluster(DevicePool::uniform(spec, 2, 2)))
+                    .formulation(FormulationChoice::Auto(
+                        HybridPlanOptions::default()
+                            .with_iters(1e6)
+                            .with_allow_explicit_cpu(false)
+                            .with_force(HybridForce::AllExplicit),
+                    ))
+                    .build(p);
+                let hybrid = solver.report().unwrap().hybrid.as_ref().unwrap().clone();
+                assert!(hybrid.count_of(Formulation::ExplicitGpu) > 0);
+                assert!(hybrid.count_of(Formulation::Implicit) > 0);
+                solver
+            }
+            other => panic!("unknown solver kind {other}"),
+        }
+    }
+
+    /// Dual vectors that would expose scratch that is not re-zeroed:
+    /// `BoundaryMapOf::scatter` skips exact zeros, so a stale dof-space
+    /// vector would leak the previous application into the next.
+    fn probe_vectors(n: usize) -> Vec<Vec<f64>> {
+        let dense: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let sparse = (0..n)
+            .map(|i| if i % 3 == 0 { 0.0 } else { dense[i] * 0.5 })
+            .collect();
+        let half = (0..n)
+            .map(|i| if i < n / 2 { 0.0 } else { -dense[i] })
+            .collect();
+        vec![dense, sparse, vec![0.0; n], half]
+    }
+
+    #[test]
+    fn persistent_scratch_leaks_nothing_between_applications() {
+        let p = HeatProblem::build_2d(6, (3, 3), Gluing::Redundant);
+        for kind in ["implicit", "explicit", "auto"] {
+            for precision in [Precision::F64, Precision::f32_refined()] {
+                let used = fresh_solver(&p, kind, precision);
+                for v in probe_vectors(p.n_lambda) {
+                    let fresh = fresh_solver(&p, kind, precision);
+                    assert_eq!(used.apply_f(&v), fresh.apply_f(&v), "{kind} apply_f");
+                    assert_eq!(
+                        used.apply_lumped(&v),
+                        fresh.apply_lumped(&v),
+                        "{kind} apply_lumped"
+                    );
+                    if precision.is_f32() {
+                        let v32: Vec<f32> = v.iter().map(|&x| x as f32).collect();
+                        assert_eq!(
+                            used.apply_f32(&v32),
+                            fresh.apply_f32(&v32),
+                            "{kind} apply_f32"
+                        );
+                    }
+                }
+                let (a, b) = (used.solve(), fresh_solver(&p, kind, precision).solve());
+                assert_eq!(a.lambda, b.lambda, "{kind} λ after the probes");
+                assert_eq!(a.u_locals, b.u_locals, "{kind} u after the probes");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_apply_f_on_one_solver_matches_single_threaded() {
+        let p = HeatProblem::build_2d(6, (3, 3), Gluing::Redundant);
+        let solver = fresh_solver(&p, "auto", Precision::F64);
+        let vectors = probe_vectors(p.n_lambda);
+        let want: Vec<Vec<f64>> = vectors.iter().map(|v| solver.apply_f(v)).collect();
+        let start = std::sync::Barrier::new(vectors.len());
+        std::thread::scope(|s| {
+            for (v, want) in vectors.iter().zip(&want) {
+                let (solver, start) = (&solver, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..8 {
+                        assert_eq!(&solver.apply_f(v), want, "concurrent apply_f diverged");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn poisoned_pass_lock_is_recovered() {
+        let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
+        let lam: Vec<f64> = (0..p.n_lambda).map(|i| (i as f64 * 0.3).sin()).collect();
+        for kind in ["implicit", "explicit"] {
+            let solver = fresh_solver(&p, kind, Precision::F64);
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                solver.pass.run(&p, None, None, |_, _, _, _| {
+                    panic!("poisoning the pass lock on purpose")
+                })
+            }));
+            assert!(panicked.is_err());
+            assert!(solver.pass.is_poisoned(), "the panic must poison the lock");
+            let fresh = fresh_solver(&p, kind, Precision::F64);
+            assert_eq!(solver.apply_f(&lam), fresh.apply_f(&lam));
+            let (a, b) = (solver.solve(), fresh.solve());
+            assert_eq!(a.lambda, b.lambda);
+            assert_eq!(a.u_locals, b.u_locals);
+        }
     }
 
     #[test]
@@ -1577,14 +1169,7 @@ mod tests {
         // oversized share is assembled on the host instead of erroring
         let p = HeatProblem::build_2d(6, (3, 3), Gluing::Redundant);
         let cfg = ScConfig::optimized(true, true);
-        let temps = temp_footprints(&p, &cfg);
-        let (lo, hi) = (*temps.iter().min().unwrap(), *temps.iter().max().unwrap());
-        assert!(lo < hi);
-        let arena = (lo + hi) / 2;
-        let spec = DeviceSpec {
-            memory_bytes: 2 * arena,
-            ..DeviceSpec::a100()
-        };
+        let (spec, _) = mid_arena_spec(&temp_footprints(&p, &cfg));
         let pool = DevicePool::uniform(spec, 2, 2);
         let solver = explicit_solver(&p, Backend::hybrid(pool), cfg);
         check_solver(&p, &solver, 1e-6);

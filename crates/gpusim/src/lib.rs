@@ -1,5 +1,5 @@
 //! Event-driven GPU execution simulator — the workspace's substitute for the
-//! CUDA/A100 stack of the paper (see DESIGN.md, "Substitutions").
+//! CUDA/A100 stack of the paper (see ARCHITECTURE.md, "Data flow").
 //!
 //! Every "GPU kernel" in this crate does two things:
 //!

@@ -92,8 +92,8 @@ pub mod prelude {
     pub use sc_fem::{Gluing, HeatProblem};
     pub use sc_feti::{
         apply_implicit, apply_implicit_with, preprocess_approach, BoundaryMap, DualOpApproach,
-        DualOperator, FetiOptions, FetiSolution, FetiSolver, FetiSolverBuilder, FormulationChoice,
-        PcpgBreakdown, RefinementStats, SubdomainFactors,
+        FetiOptions, FetiSolution, FetiSolver, FetiSolverBuilder, FormulationChoice, PcpgBreakdown,
+        RefinementStats, SubdomainFactors,
     };
     pub use sc_gpu::{
         Device, DevicePool, DeviceSpec, GpuKernels, Interconnect, NodePool, NodeSpec,

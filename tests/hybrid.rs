@@ -500,9 +500,10 @@ proptest! {
             prop_assert_eq!(&fast, &reference, "hoisted implicit path changed bits");
 
             // numerical: explicit F̃ p vs implicit B̃ K⁺ B̃ᵀ p
-            let expl = DualOperator::explicit_cpu(&factors, &ScConfig::optimized(false, false));
+            let l = factors.chol.factor_csc_ref();
+            let expl = assemble_sc(&mut CpuExec, l, &factors.bt_perm, &ScConfig::optimized(false, false));
             let mut qe = vec![0.0; m];
-            expl.apply(&pvec, &mut qe);
+            sc_dense::gemv(1.0, expl.as_ref(), &pvec, 0.0, &mut qe);
             let scale = qe.iter().fold(1.0f64, |a, &b| a.max(b.abs()));
             for i in 0..m {
                 prop_assert!(
