@@ -15,7 +15,10 @@
 //! removal that breaks the performance instrument fails here rather than
 //! at its next run. The `paper` stage runs every figure sweep of the
 //! `paper` bin at its smallest size — a build-and-run smoke; the sweeps
-//! return no verdict.
+//! return no verdict — then the cluster-level figures (8–10) a second time
+//! into another results directory, and fails unless every `*_sim.csv` of
+//! the second run is byte-identical to the first run's: the simulated clock
+//! must not depend on the run.
 //!
 //! Nothing here measures performance or gates on it: verdicts are
 //! `cargo test` (the `test` stage), measurements are `benchmark/`.
@@ -198,21 +201,40 @@ fn main() {
         );
     }
     if run("paper") {
-        step(
-            "paper",
-            cargo(&[
-                "run",
-                "--release",
-                "-p",
-                "sc_bench",
-                "--bin",
-                "paper",
-                "--",
-                "all",
-                "--max-dofs",
-                "400",
-            ]),
-        );
+        // each run writes `results/` below its own working directory
+        let runs = [
+            ("target/paper_ci/all", &["all"][..]),
+            ("target/paper_ci/again", &["fig8", "fig9", "fig10"][..]),
+        ];
+        for (dir, figures) in runs {
+            let _ = std::fs::remove_dir_all(dir);
+            std::fs::create_dir_all(dir).expect("create the run's working directory");
+            let mut paper = cargo(&["run", "--release", "-p", "sc_bench", "--bin", "paper", "--"]);
+            paper
+                .args(figures)
+                .args(["--max-dofs", "400"])
+                .current_dir(dir);
+            step(&format!("paper:{}", figures.join("+")), paper);
+        }
+        // the host-clock tables are wall measurements and only have to exist
+        // in both runs; the sim-clock ones must not differ by a byte
+        let [first, again] = runs.map(|(dir, _)| std::path::Path::new(dir).join("results"));
+        let mut compared = 0;
+        for entry in std::fs::read_dir(&again).expect("the second run wrote results/") {
+            let name = entry.expect("readable results/ entry").file_name();
+            let twin = std::fs::read(first.join(&name)).ok();
+            let is_sim = name.to_string_lossy().ends_with("_sim.csv");
+            compared += usize::from(is_sim);
+            if twin.is_none() || (is_sim && twin != std::fs::read(again.join(&name)).ok()) {
+                eprintln!("FAIL [paper]: {name:?} is missing from, or differs in, the first run");
+                std::process::exit(1);
+            }
+        }
+        if compared == 0 {
+            eprintln!("FAIL [paper]: the second run wrote no *_sim.csv");
+            std::process::exit(1);
+        }
+        println!("paper: {compared} *_sim.csv byte-identical across two runs");
     }
     println!("\nci: all requested stages passed");
 }

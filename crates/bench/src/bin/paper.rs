@@ -4,26 +4,30 @@
 //! `cargo test`, performance tracking in `benchmark/`).
 //!
 //! CPU columns are measured wall time of the real kernels; GPU columns are
-//! simulated A100 time from the `sc_gpu` cost model.
+//! simulated A100 time from the `sc_gpu` cost model. The cluster-level
+//! figures (8–10) emit one `*_host` and one `*_sim` table each: no cell adds,
+//! subtracts or divides a wall value and a simulated one, so every
+//! `*_sim.csv` is byte-identical run to run (the `ci --stage paper` check).
 //!
 //! Usage: `cargo run --release -p sc_bench --bin paper --
-//! <table1|fig5|fig6|fig7|fig8|fig9|fig10|all> [--full] [--max-dofs N] [--reps N]`
+//! <table1|fig5|fig6|fig7|fig8|fig9|fig10|all>... [--full] [--max-dofs N] [--reps N]`
 
 use rayon::prelude::*;
 use sc_bench::{
-    ladder_2d, ladder_3d, ms, time_assembly_gpu, time_min, time_once, time_syrk_cpu, time_syrk_gpu,
+    ladder_2d, ladder_3d, ms, time_assembly_gpu, time_min, time_syrk_cpu, time_syrk_gpu,
     time_trsm_cpu, time_trsm_gpu, KernelInputs, KernelWorkload, Table,
 };
 use sc_core::tune::table1_defaults as t1;
 use sc_core::{
-    assemble_sc, BlockParam, CpuExec, FactorStorage, GpuExec, ScConfig, ScParams, SyrkVariant,
-    TrsmVariant,
+    assemble_sc, estimate_apply, AssemblySession, Backend, BlockParam, CpuExec, FactorStorage,
+    LazyBatch, ScConfig, ScParams, ScheduleOptions, StreamPolicy, SyrkVariant, TrsmVariant,
 };
 use sc_factor::Engine;
 use sc_fem::{Gluing, HeatProblem, Subdomain};
 use sc_feti::{measure_apply_cost, preprocess_approach, DualOpApproach, SubdomainFactors};
-use sc_gpu::{Device, DeviceSpec, GpuKernels};
+use sc_gpu::{Device, DeviceSpec};
 use sc_order::Ordering;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,21 +60,21 @@ fn usage(problem: &str) -> ! {
     let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
     eprintln!("paper: {problem}");
     eprintln!(
-        "usage: paper <{}|all> [--full] [--max-dofs N] [--reps N]",
+        "usage: paper <{}|all>... [--full] [--max-dofs N] [--reps N]",
         names.join("|")
     );
     std::process::exit(2);
 }
 
-/// Parse `<figure> [--full] [--max-dofs N] [--reps N]` from
+/// Parse `<figure>... [--full] [--max-dofs N] [--reps N]` from
 /// `std::env::args`; anything else is a usage error.
-fn parse_args() -> (String, BenchArgs) {
+fn parse_args() -> (Vec<String>, BenchArgs) {
     let mut args = BenchArgs {
         max_dofs_cpu: 3_000,
         max_dofs_gpu: 10_000,
         reps: 1,
     };
-    let mut figure = None;
+    let mut figures = Vec::new();
     let mut it = std::env::args().skip(1);
     let count = |flag: &str, it: &mut dyn Iterator<Item = String>| -> usize {
         match it.next().map(|v| v.parse()) {
@@ -90,28 +94,24 @@ fn parse_args() -> (String, BenchArgs) {
                 args.max_dofs_gpu = v;
             }
             "--reps" => args.reps = count("--reps", &mut it),
-            name if name == "all" || FIGURES.iter().any(|(f, _)| *f == name) => {
-                if figure.replace(a).is_some() {
-                    usage("more than one figure named");
-                }
-            }
+            name if name == "all" || FIGURES.iter().any(|(f, _)| *f == name) => figures.push(a),
             other => usage(&format!("unknown argument `{other}`")),
         }
     }
-    match figure {
-        Some(figure) => (figure, args),
-        None => usage("no figure named"),
+    if figures.is_empty() {
+        usage("no figure named");
     }
+    (figures, args)
 }
 
 fn main() {
-    let (figure, args) = parse_args();
+    let (figures, args) = parse_args();
     // four streams for the cluster-level figures (8–10), which spread the
     // subdomains round-robin; the kernel-level ones submit on stream 0 only,
     // where the stream count does not enter the simulated time
     let device = Device::new(DeviceSpec::a100(), 4);
     for (name, run) in FIGURES {
-        if figure == "all" || figure == *name {
+        if figures.iter().any(|f| f == "all" || f == name) {
             run(&args, &device);
         }
     }
@@ -490,8 +490,14 @@ fn fig7(args: &BenchArgs, device: &Arc<Device>) {
 /// - `sep` — factors precomputed, only the SC assembly measured;
 /// - `mix` — numerical factorization and SC assembly together; on the GPU
 ///   the device work of a subdomain can only start once its factorization
-///   finishes (modeled by flooring each stream at the host pipeline time),
-///   which reproduces the paper's "delayed start of GPU computations".
+///   finishes ([`ScheduleOptions::with_ready_at`] at the measured host
+///   pipeline time), which reproduces the paper's "delayed start of GPU
+///   computations".
+///
+/// The GPU series are one [`AssemblySession`] each on the paper's blind
+/// round-robin schedule. `gpu_sep_*` is purely simulated; `gpu_mix_*` is a
+/// simulated makespan floored by *measured* factorization times, so it is
+/// printed with the host-clock columns.
 fn fig8(args: &BenchArgs, device: &Arc<Device>) {
     let n_streams = device.n_streams();
     let build = |sd: &Subdomain| {
@@ -499,9 +505,9 @@ fn fig8(args: &BenchArgs, device: &Arc<Device>) {
     };
     for dim in [2usize, 3] {
         let (ladder, orig_storage) = ladder(dim, args);
-        let mut table = Table::new(
+        let mut host = Table::new(
             &format!(
-                "Fig 8: whole SC assembly, {dim}D [ms per subdomain] \
+                "Fig 8 (host clock): whole SC assembly, {dim}D [ms per subdomain] \
                  (sep = assembly only, mix = incl. factorization)"
             ),
             &[
@@ -510,13 +516,14 @@ fn fig8(args: &BenchArgs, device: &Arc<Device>) {
                 "cpu_sep_opt",
                 "cpu_mix_orig",
                 "cpu_mix_opt",
-                "gpu_sep_orig",
-                "gpu_sep_opt",
                 "gpu_mix_orig",
                 "gpu_mix_opt",
-                "su_gpu_sep",
                 "su_gpu_mix",
             ],
+        );
+        let mut sim = Table::new(
+            &format!("Fig 8 (sim clock): SC assembly only, {dim}D [ms per subdomain]"),
+            &["dofs", "gpu_sep_orig", "gpu_sep_opt", "su_gpu_sep"],
         );
 
         for &c in &ladder {
@@ -527,223 +534,249 @@ fn fig8(args: &BenchArgs, device: &Arc<Device>) {
             let opt_cpu = ScConfig::optimized(false, three_d);
             let opt_gpu = ScConfig::optimized(true, three_d);
 
-            // prebuilt factors for the `sep` configuration + per-subdomain
-            // factorization times for the `mix` pipeline model
-            let fact_times: Vec<f64> = problem
-                .subdomains
-                .iter()
-                .map(|sd| {
-                    time_once(|| {
-                        std::hint::black_box(build(sd));
-                    })
-                })
-                .collect();
-            let factors: Vec<SubdomainFactors> = problem.subdomains.par_iter().map(build).collect();
-
-            // --- CPU ---
-            let cpu_sep = |cfg: &ScConfig| {
+            // prebuilt factors for the `sep` configuration, each with its
+            // factorization time for the `mix` pipeline model
+            let timed = |sd| {
                 let t = Instant::now();
-                factors.par_iter().for_each(|f| {
-                    let l = f.chol.factor_csc();
-                    std::hint::black_box(assemble_sc(&mut CpuExec, &l, &f.bt_perm, cfg));
-                });
-                t.elapsed().as_secs_f64()
+                let f = build(sd);
+                (t.elapsed().as_secs_f64(), f)
             };
-            let cpu_mix = |cfg: &ScConfig| {
+            let (fact_times, factors): (Vec<f64>, Vec<SubdomainFactors>) =
+                problem.subdomains.iter().map(timed).unzip();
+
+            // `sep` on either target is one `AssemblySession` over the
+            // prebuilt factors; the GPU ones run the paper's blind
+            // round-robin schedule
+            let assemble = |backend: Backend, cfg: ScConfig| {
+                let batch = LazyBatch::new(
+                    &factors,
+                    |_, f: &SubdomainFactors| Cow::Borrowed(f.chol.factor_csc_ref()),
+                    |f| &f.bt_perm,
+                );
+                AssemblySession::new(backend, cfg).assemble(batch).report
+            };
+            let cpu_sep = |cfg: ScConfig| assemble(Backend::cpu(), cfg).total_seconds;
+            let cpu_mix = |cfg: ScConfig| {
                 let t = Instant::now();
                 problem.subdomains.par_iter().for_each(|sd| {
                     let f = build(sd);
-                    let l = f.chol.factor_csc();
-                    std::hint::black_box(assemble_sc(&mut CpuExec, &l, &f.bt_perm, cfg));
+                    let l = f.chol.factor_csc_ref();
+                    std::hint::black_box(assemble_sc(&mut CpuExec, l, &f.bt_perm, &cfg));
                 });
                 t.elapsed().as_secs_f64()
             };
-            let cpu_sep_orig = cpu_sep(&orig);
-            let cpu_sep_opt = cpu_sep(&opt_cpu);
-            let cpu_mix_orig = cpu_mix(&orig);
-            let cpu_mix_opt = cpu_mix(&opt_cpu);
-
-            // --- GPU (simulated; cost-only kernels) ---
-            let gpu_run = |cfg: &ScConfig, with_fact_floor: bool| -> f64 {
+            let gpu = |cfg: ScConfig, schedule: &ScheduleOptions| {
                 device.reset();
-                let mut host_clock = vec![0.0f64; n_streams];
-                for (i, f) in factors.iter().enumerate() {
-                    let s = i % n_streams;
-                    let stream = device.stream(s);
-                    if with_fact_floor {
-                        host_clock[s] += fact_times[i];
-                        stream.advance_to(host_clock[s]);
-                    }
-                    let kernels = GpuKernels::new_cost_only(stream);
-                    let l = f.chol.factor_csc();
-                    kernels.upload_bytes(16 * l.nnz() + 16 * f.bt_perm.nnz());
-                    let mut exec = GpuExec::new(&kernels);
-                    std::hint::black_box(assemble_sc(&mut exec, &l, &f.bt_perm, cfg));
-                }
-                let host_tail = host_clock.iter().copied().fold(0.0, f64::max);
-                device.synchronize().max(host_tail)
+                assemble(Backend::gpu_with(Arc::clone(device), schedule.clone()), cfg).makespan
             };
-            let gpu_sep_orig = gpu_run(&orig, false);
-            let gpu_sep_opt = gpu_run(&opt_gpu, false);
-            let gpu_mix_orig = gpu_run(&orig, true);
-            let gpu_mix_opt = gpu_run(&opt_gpu, true);
+            // `mix`: one host lane per stream factorizes its subdomains in
+            // index order; subdomain `i` is ready when its lane reaches it
+            let mut lane_clock = vec![0.0f64; n_streams];
+            let ready_at = fact_times.iter().enumerate().map(|(i, t)| {
+                lane_clock[i % n_streams] += t;
+                lane_clock[i % n_streams]
+            });
+            let sep = ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin);
+            let mix = sep.clone().with_ready_at(ready_at.collect());
+            let gpu_sep_orig = gpu(orig, &sep);
+            let gpu_sep_opt = gpu(opt_gpu, &sep);
+            let gpu_mix_orig = gpu(orig, &mix);
+            let gpu_mix_opt = gpu(opt_gpu, &mix);
 
             let per_sub = |s: f64| ms(s / nsub);
-            table.row(vec![
-                problem.dofs_per_subdomain().to_string(),
-                per_sub(cpu_sep_orig),
-                per_sub(cpu_sep_opt),
-                per_sub(cpu_mix_orig),
-                per_sub(cpu_mix_opt),
-                per_sub(gpu_sep_orig),
-                per_sub(gpu_sep_opt),
+            let dofs = problem.dofs_per_subdomain().to_string();
+            host.row(vec![
+                dofs.clone(),
+                per_sub(cpu_sep(orig)),
+                per_sub(cpu_sep(opt_cpu)),
+                per_sub(cpu_mix(orig)),
+                per_sub(cpu_mix(opt_cpu)),
                 per_sub(gpu_mix_orig),
                 per_sub(gpu_mix_opt),
-                format!("{:.2}", gpu_sep_orig / gpu_sep_opt),
                 format!("{:.2}", gpu_mix_orig / gpu_mix_opt),
             ]);
+            sim.row(vec![
+                dofs,
+                per_sub(gpu_sep_orig),
+                per_sub(gpu_sep_opt),
+                format!("{:.2}", gpu_sep_orig / gpu_sep_opt),
+            ]);
         }
-        table.emit(&format!("fig8_{dim}d"));
+        host.emit(&format!("fig8_{dim}d_host"));
+        sim.emit(&format!("fig8_{dim}d_sim"));
     }
     println!("su_gpu_sep / su_gpu_mix: orig/opt speedups. The paper reports up to 5.1 (sep)");
     println!("and 3.3 (mix) for large 3D subdomains; the mix speedup is diluted by the");
     println!("factorization time, and large-subdomain `mix` additionally pays the delayed");
-    println!("GPU start after the first factorizations.");
+    println!("GPU start after the first factorizations. gpu_mix_* sit in the host table");
+    println!("because their readiness floors are measured factorization wall times.");
 }
 
 /// Figure 9: preprocessing time of the eight dual-operator approaches of
 /// Table 2 (implicit/explicit × library/algorithm), per subdomain, over the
-/// subdomain-size ladder.
+/// subdomain-size ladder — one table per clock.
 fn fig9(args: &BenchArgs, device: &Arc<Device>) {
+    let names = |gpu_only: bool| -> Vec<&str> {
+        let rows = DualOpApproach::ALL.iter();
+        let rows = rows.filter(|a| !gpu_only || a.uses_gpu());
+        std::iter::once("dofs")
+            .chain(rows.map(|a| a.paper_name()))
+            .collect()
+    };
     for dim in [2usize, 3] {
-        let mut headers: Vec<&str> = vec!["dofs"];
-        headers.extend(DualOpApproach::ALL.iter().map(|a| a.paper_name()));
-        let mut table = Table::new(
-            &format!("Fig 9: dual-operator preprocessing, {dim}D [ms per subdomain]"),
-            &headers,
+        let mut host = Table::new(
+            &format!(
+                "Fig 9 (host clock): factorization + host-side assembly, {dim}D \
+                 [ms per subdomain]"
+            ),
+            &names(false),
         );
-
+        let mut sim = Table::new(
+            &format!("Fig 9 (sim clock): device-side assembly, {dim}D [ms per subdomain]"),
+            &names(true),
+        );
         for &c in &ladder(dim, args).0 {
             let problem = cluster_problem(dim, c);
             let nsub = problem.subdomains.len() as f64;
-            let mut row = vec![problem.dofs_per_subdomain().to_string()];
+            let dofs = problem.dofs_per_subdomain().to_string();
+            let (mut host_row, mut sim_row) = (vec![dofs.clone()], vec![dofs]);
             for approach in DualOpApproach::ALL {
-                let prepared = preprocess_approach(&problem, approach, Some(device));
-                row.push(format!("{:.3}", prepared.report.total_s() / nsub * 1e3));
+                let (_, report) = preprocess_approach(&problem, approach, Some(device));
+                host_row.push(ms((report.factorization_s + report.assembly.host_s) / nsub));
+                if approach.uses_gpu() {
+                    sim_row.push(ms(report.assembly.sim_s / nsub));
+                }
             }
-            table.row(row);
+            host.row(host_row);
+            sim.row(sim_row);
         }
-        table.emit(&format!("fig9_{dim}d"));
+        host.emit(&format!("fig9_{dim}d_host"));
+        sim.emit(&format!("fig9_{dim}d_sim"));
     }
-    println!("totals = measured factorization wall + measured CPU assembly wall +");
-    println!("simulated GPU assembly makespan (GPU columns mix measured and simulated");
-    println!("time). Paper shape to check: expl_mkl fastest explicit in 2D; expl_gpu_opt");
-    println!("fastest explicit for large 3D subdomains, up to 9.8x faster than expl_mkl");
-    println!("and only ~2.3x slower than implicit preprocessing.");
+    println!("host table: measured wall seconds of factorization + host-side assembly (for");
+    println!("expl_cuda / expl_gpu_opt the factorization alone). sim table: simulated A100");
+    println!("makespan of the device share (for expl_hybrid the upload of the host-assembled");
+    println!("operators). The clocks are never added: no sim cell contains the factorization.");
+    println!("Paper shape to check: expl_mkl fastest explicit in 2D; expl_gpu_opt fastest");
+    println!("explicit for large 3D subdomains, up to 9.8x faster than expl_mkl and only");
+    println!("~2.3x slower than implicit preprocessing.");
 }
 
 /// Figure 10: overall time spent in the FETI dual operator as a function of
 /// the iteration count — `step_time(iters) = preprocessing/iters + apply` per
 /// subdomain — and the resulting **amortization points** (the iteration count
-/// where an explicit approach overtakes the best implicit one).
+/// where an explicit approach overtakes the implicit one), one table of each
+/// per clock: CPU rows on measured wall time, GPU rows on simulated time.
 fn fig10(args: &BenchArgs, device: &Arc<Device>) {
+    use DualOpApproach::*;
     const ITERS: [usize; 5] = [1, 10, 100, 1000, 10000];
-    let is_implicit =
-        |a: DualOpApproach| matches!(a, DualOpApproach::ImplMkl | DualOpApproach::ImplCholmod);
+    let is_implicit = |a: DualOpApproach| matches!(a, ImplMkl | ImplCholmod);
+    let host_spec = DeviceSpec::host();
     for dim in [2usize, 3] {
         // the paper plots impl_mkl/expl_mkl/expl_hybrid in 2D and
         // impl_mkl/impl_cholmod/expl_hybrid/expl_gpu_opt in 3D
-        let approaches: Vec<DualOpApproach> = if dim == 2 {
-            vec![
-                DualOpApproach::ImplMkl,
-                DualOpApproach::ExplMkl,
-                DualOpApproach::ExplHybrid,
-            ]
+        let approaches: &[DualOpApproach] = if dim == 2 {
+            &[ImplMkl, ExplMkl, ExplHybrid]
         } else {
-            vec![
-                DualOpApproach::ImplMkl,
-                DualOpApproach::ImplCholmod,
-                DualOpApproach::ExplHybrid,
-                DualOpApproach::ExplGpuOpt,
-            ]
+            &[ImplMkl, ImplCholmod, ExplHybrid, ExplGpuOpt]
         };
-
-        let mut headers: Vec<&str> = vec!["dofs", "iters"];
-        headers.extend(approaches.iter().map(|a| a.paper_name()));
-        headers.push("best");
-        let mut table = Table::new(
-            &format!("Fig 10: step time per subdomain vs iterations, {dim}D [ms]"),
-            &headers,
-        );
-        let mut amort = Table::new(
-            &format!("Fig 10 ({dim}D): amortization points (explicit vs best implicit)"),
-            &["dofs", "approach", "amortization_iters"],
-        );
+        // per clock (host: the CPU rows, sim: the GPU rows): the step-time
+        // table and the amortization table
+        let mut tables = [("host", false), ("sim", true)].map(|(clock, gpu)| {
+            let rows = approaches.iter().filter(|a| a.uses_gpu() == gpu);
+            let mut headers = vec!["dofs", "iters"];
+            headers.extend(rows.map(|a| a.paper_name()));
+            headers.push("best");
+            let step = format!("step time per subdomain vs iterations, {dim}D [ms]");
+            let amort = format!("amortization points (explicit vs implicit), {dim}D");
+            (
+                clock,
+                Table::new(&format!("Fig 10 ({clock} clock): {step}"), &headers),
+                Table::new(
+                    &format!("Fig 10 ({clock} clock): {amort}"),
+                    &["dofs", "approach", "amortization_iters"],
+                ),
+            )
+        });
 
         for &c in &ladder(dim, args).0 {
             let problem = cluster_problem(dim, c);
             let nsub = problem.subdomains.len() as f64;
-            // preprocess + apply cost per approach (per subdomain)
-            let costs: Vec<(f64, f64)> = approaches
-                .iter()
-                .map(|&a| {
-                    let prepared = preprocess_approach(&problem, a, Some(device));
-                    let apply = measure_apply_cost(&problem, &prepared, a, Some(device), 3);
-                    (
-                        prepared.report.total_s() / nsub,
-                        apply.per_iteration_s / nsub,
-                    )
-                })
-                .collect();
-
-            for &iters in &ITERS {
-                let mut row = vec![problem.dofs_per_subdomain().to_string(), iters.to_string()];
-                let mut best = (f64::INFINITY, "");
-                for (&a, &(pre, app)) in approaches.iter().zip(&costs) {
-                    let step = pre / iters as f64 + app;
-                    if step < best.0 {
-                        best = (step, a.paper_name());
-                    }
-                    row.push(ms(step));
-                }
-                row.push(best.1.to_string());
-                table.row(row);
+            let dofs = problem.dofs_per_subdomain().to_string();
+            // (approach, preprocessing, apply) per subdomain, each row on its
+            // own clock; the GPU rows' implicit counterpart is the §4.4
+            // estimate of Eq. 11 priced on the host spec (what `plan_hybrid`
+            // decides with)
+            let mut rows: [Vec<(DualOpApproach, f64, f64)>; 2] = Default::default();
+            let mut eq11_sim = 0.0;
+            for &a in approaches {
+                let (solver, report) = preprocess_approach(&problem, a, Some(device));
+                let apply = measure_apply_cost(&solver, Some(device), 3);
+                let (pre, app) = if a.uses_gpu() {
+                    let eq11 = solver.factors().iter().enumerate().map(|(i, f)| {
+                        estimate_apply(f.chol.factor_csc_ref(), &f.bt_perm, i)
+                            .implicit_seconds_on(&host_spec)
+                    });
+                    eq11_sim = eq11.sum::<f64>() / nsub;
+                    (report.assembly.sim_s, apply.sim_s)
+                } else {
+                    let pre = report.factorization_s + report.assembly.host_s;
+                    (pre, apply.host_s)
+                };
+                rows[usize::from(a.uses_gpu())].push((a, pre / nsub, app / nsub));
             }
+            // the implicit side of each clock's amortization point, as
+            // (preprocessing, apply): the best wall-timed implicit row; no
+            // device assembly and the estimated apply
+            let wall_implicit = (rows[0].iter())
+                .filter(|r| is_implicit(r.0))
+                .min_by(|a, b| (a.1 + 100.0 * a.2).total_cmp(&(b.1 + 100.0 * b.2)));
+            let implicit = [wall_implicit.map(|r| (r.1, r.2)), Some((0.0, eq11_sim))];
 
-            // amortization: first iteration count where the explicit total
-            // (pre + k*apply) beats the best implicit total
-            let implicit_best: Option<(f64, f64)> = approaches
-                .iter()
-                .zip(&costs)
-                .filter(|(&a, _)| is_implicit(a))
-                .map(|(_, &c)| c)
-                .min_by(|a, b| (a.0 + 100.0 * a.1).total_cmp(&(b.0 + 100.0 * b.1)));
-            if let Some((ipre, iapp)) = implicit_best {
-                for (&a, &(pre, app)) in approaches.iter().zip(&costs) {
-                    if is_implicit(a) {
-                        continue;
-                    }
-                    let label = if app < iapp {
-                        let k = (pre - ipre) / (iapp - app);
-                        if k <= 0.0 {
-                            "always better".to_string()
-                        } else {
-                            format!("{:.0}", k.ceil())
+            for ((_, step_table, amort_table), (rows, implicit)) in
+                tables.iter_mut().zip(rows.iter().zip(implicit))
+            {
+                for &iters in &ITERS {
+                    let mut row = vec![dofs.clone(), iters.to_string()];
+                    let mut best = (f64::INFINITY, "");
+                    for &(a, pre, app) in rows {
+                        let step = pre / iters as f64 + app;
+                        if step < best.0 {
+                            best = (step, a.paper_name());
                         }
-                    } else {
+                        row.push(ms(step));
+                    }
+                    row.push(best.1.to_string());
+                    step_table.row(row);
+                }
+                // the iteration count from which paying the extra
+                // preprocessing once is recovered by the cheaper apply
+                let Some((ipre, iapp)) = implicit else {
+                    continue;
+                };
+                for &(a, pre, app) in rows.iter().filter(|r| !is_implicit(r.0)) {
+                    let label = if app >= iapp {
                         "never (apply not faster)".to_string()
+                    } else if pre <= ipre {
+                        "always better".to_string()
+                    } else {
+                        format!("{:.0}", ((pre - ipre) / (iapp - app)).ceil())
                     };
-                    amort.row(vec![
-                        problem.dofs_per_subdomain().to_string(),
-                        a.paper_name().to_string(),
-                        label,
-                    ]);
+                    amort_table.row(vec![dofs.clone(), a.paper_name().to_string(), label]);
                 }
             }
         }
-        table.emit(&format!("fig10_{dim}d"));
-        amort.emit(&format!("fig10_amortization_{dim}d"));
+        for (clock, step_table, amort_table) in &tables {
+            step_table.emit(&format!("fig10_{dim}d_{clock}"));
+            amort_table.emit(&format!("fig10_amortization_{dim}d_{clock}"));
+        }
     }
+    println!("host tables: measured wall seconds (factorization + host assembly, wall-timed");
+    println!("applies). sim tables: simulated A100 seconds of the device share; the implicit");
+    println!("side of a sim amortization point is estimate_apply(..).implicit_seconds_on(host)");
+    println!("summed over the subdomains. The factorization is shared by both sides and has no");
+    println!("sim price yet (ROADMAP 3(b)), so no sim cell contains it; expl_hybrid's sim");
+    println!("preprocessing is its upload only (its sparse-RHS assembly is in fig9's host table).");
     println!("paper shape to check (3D): expl_gpu_opt amortizes at ~10 iterations across");
     println!("subdomain sizes 1k-70k; implicit wins only for very few iterations.");
 }

@@ -2,8 +2,8 @@
 //! §4 and single-subdomain kernel-bench extractions.
 
 use sc_core::ScConfig;
-use sc_factor::{Engine, SparseCholesky};
-use sc_fem::{Gluing, HeatProblem};
+use sc_factor::Engine;
+use sc_fem::{Gluing, HeatProblem, Subdomain};
 use sc_gpu::{DevicePool, DeviceSpec};
 use sc_order::Ordering;
 use sc_sparse::Csc;
@@ -38,6 +38,13 @@ pub fn ladder_3d(max_dofs: usize) -> Vec<usize> {
         .collect()
 }
 
+/// The exact production preparation pipeline of one subdomain: its factor
+/// `L` and `B̃ᵀ` with rows in factor order.
+fn factor_pair(sd: &Subdomain) -> (Csc, Csc) {
+    let f = sc_feti::SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection);
+    (f.chol.factor_csc(), f.bt_perm)
+}
+
 /// One representative subdomain prepared for kernel benches: the factor `L`,
 /// the row-permuted `B̃ᵀ`, and metadata.
 pub struct KernelWorkload {
@@ -68,14 +75,9 @@ impl KernelWorkload {
             )
         };
         let sd = &problem.subdomains[center];
-        let kreg =
-            sc_feti::regularize_fixing_node(&sd.k, sd.kernel.as_deref(), sd.fixing_dof, None);
-        let perm = Ordering::NestedDissection.compute(&kreg);
-        let chol = SparseCholesky::factorize_with_perm(&kreg, perm, Engine::Simplicial)
-            .expect("kernel workload factorization");
-        let bt_perm = sd.bt.permute_rows(chol.perm());
+        let (l, bt_perm) = factor_pair(sd);
         KernelWorkload {
-            l: chol.factor_csc(),
+            l,
             n: sd.n_dofs(),
             m: sd.n_lambda(),
             bt_perm,
@@ -104,19 +106,7 @@ impl BatchWorkload {
         } else {
             HeatProblem::build_3d(cells_per_sub, (2, 2, 2), Gluing::Redundant)
         };
-        // the exact production preparation pipeline, per subdomain
-        let factors = problem
-            .subdomains
-            .iter()
-            .map(|sd| {
-                let f = sc_feti::SubdomainFactors::build(
-                    sd,
-                    Engine::Simplicial,
-                    Ordering::NestedDissection,
-                );
-                (f.chol.factor_csc(), f.bt_perm)
-            })
-            .collect();
+        let factors = problem.subdomains.iter().map(factor_pair).collect();
         let n = problem
             .subdomains
             .iter()
@@ -150,13 +140,7 @@ impl BatchWorkload {
         // between small and large subdomains
         for k in 0..nsub {
             for problem in &problems {
-                let sd = &problem.subdomains[k];
-                let f = sc_feti::SubdomainFactors::build(
-                    sd,
-                    Engine::Simplicial,
-                    Ordering::NestedDissection,
-                );
-                factors.push((f.chol.factor_csc(), f.bt_perm));
+                factors.push(factor_pair(&problem.subdomains[k]));
             }
         }
         let n = factors.iter().map(|(l, _)| l.ncols()).max().unwrap_or(0);

@@ -402,7 +402,7 @@ fn record_batch<S: Scalar, Src: BatchSource<S>>(
             let l = src.factor(i);
             let bt = src.gluing(i);
             let params = cfg.resolve(true, &l, bt);
-            let estimate = schedule::estimate_cost_of::<S>(spec, &l, bt, &params, i);
+            let estimate = schedule::estimate_cost(spec, &l, bt, &params, i);
             let mut rec = RecordingExec::new();
             rec.record_upload_csc(&l);
             rec.record_upload_csc(bt);

@@ -36,10 +36,10 @@ pub use assemble::{
 pub use batch::{BatchItem, BatchItemOf, SubdomainTiming};
 pub use exec::{CpuExec, Exec, GpuExec, RecordingExec};
 pub use schedule::{
-    estimate_apply, estimate_apply_of, estimate_cost, estimate_cost_of, plan_hybrid, plan_topology,
-    plan_topology_by, ApplyEstimate, ArenaSim, ClusterPlanError, CostEstimate, DeviceSlot,
-    Formulation, HybridChoice, HybridForce, HybridPlan, HybridPlanOptions, ScheduleOptions,
-    ScheduledSpan, StreamPolicy, TopoPlan, Topology,
+    estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by, ApplyEstimate,
+    ArenaSim, ClusterPlanError, CostEstimate, DeviceSlot, Formulation, HybridChoice, HybridForce,
+    HybridPlan, HybridPlanOptions, ScheduleOptions, ScheduledSpan, StreamPolicy, TopoPlan,
+    Topology,
 };
 pub use session::{
     AssemblyReport, AssemblyResult, AssemblySession, Backend, DeviceReport, HybridSummary,

@@ -31,7 +31,7 @@ use crate::assemble::ScParams;
 use crate::trsm::{FactorStorage, TrsmVariant};
 use sc_dense::Scalar;
 use sc_gpu::{DeviceSpec, Interconnect, KernelCost, SimSpan};
-use sc_sparse::{pattern, Csc, CscOf};
+use sc_sparse::{pattern, CscOf};
 
 /// Stream-assignment policy for a batched GPU assembly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -124,9 +124,7 @@ pub struct CostEstimate {
 /// in working precision `S` — every value-byte term scales with
 /// [`Scalar::BYTES`] (index traffic stays 8 bytes per entry), so `f32`
 /// halves the arena footprint and the value share of the H2D transfer.
-/// [`estimate_cost`] pins `S = f64` and reproduces the historical constants
-/// bitwise.
-pub fn estimate_cost_of<S: Scalar>(
+pub fn estimate_cost<S: Scalar>(
     spec: &DeviceSpec,
     l: &CscOf<S>,
     bt: &CscOf<S>,
@@ -194,18 +192,6 @@ pub fn estimate_cost_of<S: Scalar>(
     est
 }
 
-/// Price one `f64` subdomain (the historical entry point; see
-/// [`estimate_cost_of`]).
-pub fn estimate_cost(
-    spec: &DeviceSpec,
-    l: &Csc,
-    bt: &Csc,
-    params: &ScParams,
-    index: usize,
-) -> CostEstimate {
-    estimate_cost_of::<f64>(spec, l, bt, params, index)
-}
-
 impl CostEstimate {
     /// Re-price the single-stream seconds estimate under a different device
     /// spec (compute at peak FP64 plus the PCIe transfer) — what the
@@ -242,8 +228,7 @@ pub struct ApplyEstimate {
 /// Price one subdomain's per-iteration apply cost in both formulations from
 /// its factor and gluing block (shapes only — no kernel runs), in working
 /// precision `S` — the kernel costs price value traffic at [`Scalar::BYTES`].
-/// [`estimate_apply`] pins `S = f64`.
-pub fn estimate_apply_of<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>, index: usize) -> ApplyEstimate {
+pub fn estimate_apply<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>, index: usize) -> ApplyEstimate {
     let m = bt.ncols();
     ApplyEstimate {
         index,
@@ -256,11 +241,6 @@ pub fn estimate_apply_of<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>, index: usize) -
             KernelCost::spmm_of::<S>(bt.nnz(), 1), // q̃ = B̃ z (gather)
         ],
     }
-}
-
-/// Price one `f64` subdomain's apply cost (see [`estimate_apply_of`]).
-pub fn estimate_apply(l: &Csc, bt: &Csc, index: usize) -> ApplyEstimate {
-    estimate_apply_of::<f64>(l, bt, index)
 }
 
 impl ApplyEstimate {
@@ -1282,7 +1262,7 @@ impl ArenaSim {
 mod tests {
     use super::*;
     use crate::assemble::ScConfig;
-    use sc_sparse::Coo;
+    use sc_sparse::{Coo, Csc};
 
     fn bt_with_pivots(n: usize, pivots: &[usize]) -> Csc {
         let mut c = Coo::new(n, pivots.len());
@@ -1347,8 +1327,8 @@ mod tests {
             stepped_permutation: true,
         };
         let spec = DeviceSpec::a100();
-        let e64 = estimate_cost_of::<f64>(&spec, &l, &bt, &params, 0);
-        let e32 = estimate_cost_of::<f32>(&spec, &l.cast::<f32>(), &bt.cast::<f32>(), &params, 0);
+        let e64 = estimate_cost::<f64>(&spec, &l, &bt, &params, 0);
+        let e32 = estimate_cost::<f32>(&spec, &l.cast::<f32>(), &bt.cast::<f32>(), &params, 0);
         // H2D: index traffic stays 8 bytes per entry, values drop 8 → 4
         let nnz = (l.nnz() + bt.nnz()) as f64;
         assert_eq!(e64.transfer_bytes, 16.0 * nnz);
@@ -1358,19 +1338,14 @@ mod tests {
         // FLOP terms are precision-independent
         assert_eq!(e32.trsm_flops, e64.trsm_flops);
         assert_eq!(e32.syrk_flops, e64.syrk_flops);
-        // the unsuffixed wrapper pins f64 bitwise
-        let legacy = estimate_cost(&spec, &l, &bt, &params, 0);
-        assert_eq!(legacy.transfer_bytes, e64.transfer_bytes);
-        assert_eq!(legacy.temp_bytes, e64.temp_bytes);
-        assert_eq!(legacy.seconds, e64.seconds);
     }
 
     #[test]
     fn f32_apply_estimate_halves_gemv_bytes() {
         let l = diag_factor(32);
         let bt = bt_with_pivots(32, &[0, 8, 16]);
-        let a64 = estimate_apply_of::<f64>(&l, &bt, 0);
-        let a32 = estimate_apply_of::<f32>(&l.cast::<f32>(), &bt.cast::<f32>(), 0);
+        let a64 = estimate_apply::<f64>(&l, &bt, 0);
+        let a32 = estimate_apply::<f32>(&l.cast::<f32>(), &bt.cast::<f32>(), 0);
         let bytes = |ks: &[sc_gpu::KernelCost]| ks.iter().map(|k| k.bytes).sum::<f64>();
         let flops = |ks: &[sc_gpu::KernelCost]| ks.iter().map(|k| k.flops).sum::<f64>();
         assert_eq!(
@@ -1379,9 +1354,6 @@ mod tests {
             "explicit GEMV traffic is pure values"
         );
         assert_eq!(flops(&a32.explicit), flops(&a64.explicit));
-        let legacy = estimate_apply(&l, &bt, 0);
-        assert_eq!(bytes(&legacy.explicit), bytes(&a64.explicit));
-        assert_eq!(bytes(&legacy.implicit), bytes(&a64.implicit));
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The eight dual-operator strategies of the paper's Table 2, with their
-//! preprocessing pipelines and per-iteration costs instrumented for the
-//! benches (Figures 9 and 10).
+//! The eight dual-operator strategies of the paper's Table 2 — as a table:
+//! each row is a recipe `(Engine, Backend, formulation, ScConfig)` for the
+//! one [`FetiSolverBuilder`], so [`preprocess_approach`] returns a real
+//! [`FetiSolver`] and the benches (Figures 9 and 10) time the very code
+//! every other solve runs.
 //!
 //! Library mapping (the engines are described in ARCHITECTURE.md, "The
 //! sparse factor"; every row produces the one slot type of
@@ -16,15 +18,25 @@
 //! | `expl_cpu_opt` | stepped TRSM+SYRK on the CPU (this paper)                  |
 //! | `expl_gpu_opt` | stepped TRSM+SYRK on the simulated GPU (this paper)        |
 //! | `expl_hybrid`  | assembly like `expl_mkl`, application on the GPU           |
+//!
+//! The GPU rows run on `Backend::gpu_with(device, round-robin)` — the
+//! record → plan → replay driver of every other device assembly, with the
+//! paper's blind index-order stream assignment.
+//!
+//! ## Clocks
+//!
+//! Every timing is a [`TwoClock`]: measured host wall seconds and simulated
+//! device seconds side by side. The type has no sum — a table prints one
+//! clock or the other.
 
-use crate::dualop::{DualPass, LocalOp, SubdomainFactors};
+use crate::dualop::{LocalOp, SubdomainFactors};
+use crate::solver::{FetiOptions, FetiSolver, FetiSolverBuilder, FormulationChoice};
 use rayon::prelude::*;
-use sc_core::{assemble_sc, CpuExec, FactorStorage, GpuExec, ScConfig};
+use sc_core::{Backend, FactorStorage, ScConfig, ScheduleOptions, StreamPolicy};
 use sc_dense::Mat;
 use sc_factor::{schur_from_factor, Engine};
 use sc_fem::HeatProblem;
-use sc_gpu::{Device, GpuKernels};
-use sc_order::Ordering;
+use sc_gpu::{Device, KernelCost};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,6 +59,17 @@ pub enum DualOpApproach {
     ExplGpuOpt,
     /// CPU sparse-RHS assembly + GPU application.
     ExplHybrid,
+}
+
+/// Where a row's operator slots come from.
+enum Slots {
+    /// [`FetiSolverBuilder`] under this formulation and kernel
+    /// configuration.
+    Builder(FormulationChoice, ScConfig),
+    /// `sc_factor::schur_from_factor` per subdomain on the host (the `mkl`
+    /// rows' sparse-RHS solves), the dense `F̃ᵢ` uploaded when the row
+    /// applies on the device.
+    SparseRhs,
 }
 
 impl DualOpApproach {
@@ -76,13 +99,61 @@ impl DualOpApproach {
         }
     }
 
-    /// True when the approach reports simulated GPU time.
+    /// True when the approach assembles or applies on the device — the rows
+    /// whose [`TwoClock::sim_s`] is non-zero.
     pub fn uses_gpu(&self) -> bool {
         matches!(
             self,
             DualOpApproach::ExplCuda | DualOpApproach::ExplGpuOpt | DualOpApproach::ExplHybrid
         )
     }
+
+    /// The row of Table 2: factorization engine, backend, and the producer
+    /// of the operator slots.
+    fn recipe(self, three_d: bool, device: Option<&Arc<Device>>) -> (Engine, Backend, Slots) {
+        use DualOpApproach::*;
+        use FormulationChoice::{Explicit, Implicit};
+        let backend = if self.uses_gpu() {
+            let device = Arc::clone(device.expect("GPU approach needs a device"));
+            let blind = ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin);
+            Backend::gpu_with(device, blind)
+        } else {
+            Backend::cpu()
+        };
+        let orig = ScConfig::original(if three_d {
+            FactorStorage::Dense
+        } else {
+            FactorStorage::Sparse
+        });
+        let opt = ScConfig::optimized(self.uses_gpu(), three_d);
+        // the paper's explicit rows sit on CHOLMOD because only it lets the
+        // factor be extracted ("impl_cholmod is the baseline for CUDA-based
+        // approaches"); both engines here expose the same CSC factor, and
+        // these rows keep the simplicial one so that Figure 9's
+        // factorization column stays the CHOLMOD analog
+        let (engine, slots) = match self {
+            ImplMkl => (Engine::Supernodal, Slots::Builder(Implicit, ScConfig::Auto)),
+            ImplCholmod => (Engine::Simplicial, Slots::Builder(Implicit, ScConfig::Auto)),
+            ExplMkl => (Engine::Simplicial, Slots::SparseRhs),
+            ExplCholmod => (Engine::Simplicial, Slots::Builder(Explicit, orig)),
+            ExplCuda => (Engine::Simplicial, Slots::Builder(Explicit, orig)),
+            ExplCpuOpt => (Engine::Simplicial, Slots::Builder(Explicit, opt)),
+            ExplGpuOpt => (Engine::Simplicial, Slots::Builder(Explicit, opt)),
+            ExplHybrid => (Engine::Simplicial, Slots::SparseRhs),
+        };
+        (engine, backend, slots)
+    }
+}
+
+/// Seconds on this reproduction's two clocks, side by side: measured host
+/// wall time and simulated device time. Deliberately without a sum — the two
+/// are never added, subtracted or divided into one another.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct TwoClock {
+    /// Measured host wall seconds.
+    pub host_s: f64,
+    /// Simulated device seconds (0 for a row that touches no device).
+    pub sim_s: f64,
 }
 
 /// Preprocessing timings (the quantities plotted in Figure 9).
@@ -90,194 +161,107 @@ impl DualOpApproach {
 pub struct PreprocessReport {
     /// Measured wall seconds of the numeric factorization loop.
     pub factorization_s: f64,
-    /// Measured wall seconds of CPU-side SC assembly (0 for implicit).
-    pub assembly_cpu_s: f64,
-    /// Simulated GPU makespan of the device-side assembly (0 for CPU paths).
-    pub assembly_gpu_s: f64,
+    /// The assembly section: host wall seconds of a CPU producer, simulated
+    /// makespan of the device-side share (both 0 for the implicit rows).
+    pub assembly: TwoClock,
 }
 
-impl PreprocessReport {
-    /// End-to-end preprocessing time: CPU pipeline plus the GPU tail
-    /// (sequential model; the overlapped `mix` model lives in the fig8
-    /// driver).
-    pub fn total_s(&self) -> f64 {
-        self.factorization_s + self.assembly_cpu_s + self.assembly_gpu_s
-    }
+/// Exact `f64` of a small count feeding a cost or a mean — no value
+/// precision is involved.
+fn count(n: usize) -> f64 {
+    f64::from(u32::try_from(n).expect("count fits in 32 bits"))
 }
 
-/// Per-iteration cost of applying the global dual operator once.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ApplyCost {
-    /// Measured (CPU) or simulated (GPU) seconds per application.
-    pub per_iteration_s: f64,
-}
-
-/// Preprocessed dual operators plus instrumentation.
-pub struct PreparedDualOp {
-    /// Per-subdomain operator slots; the implicit ones apply against
-    /// `factors`.
-    ops: Vec<LocalOp>,
-    /// Buffers of the application pass.
-    pass: DualPass<f64>,
-    /// Factor bundles (needed by implicit applications and primal recovery).
-    pub factors: Vec<SubdomainFactors>,
-    /// Timing report.
-    pub report: PreprocessReport,
-}
-
-fn sc_config_for(approach: DualOpApproach, three_d: bool) -> ScConfig {
-    match approach {
-        DualOpApproach::ExplCholmod | DualOpApproach::ExplCuda => ScConfig::original(if three_d {
-            FactorStorage::Dense
-        } else {
-            FactorStorage::Sparse
-        }),
-        DualOpApproach::ExplCpuOpt => ScConfig::optimized(false, three_d),
-        DualOpApproach::ExplGpuOpt => ScConfig::optimized(true, three_d),
-        _ => ScConfig::original(FactorStorage::Sparse),
-    }
-}
-
-/// The device of a GPU approach, its timeline reset so that the next
-/// `synchronize` is the caller's own makespan; `None` for a CPU approach.
-fn reset_device(approach: DualOpApproach, device: Option<&Arc<Device>>) -> Option<&Arc<Device>> {
-    let device = approach
-        .uses_gpu()
-        .then(|| device.expect("GPU approach needs a device"))?;
-    device.reset();
-    Some(device)
-}
-
-/// Run the preprocessing pipeline of one approach over all subdomains.
+/// Run the preprocessing pipeline of one approach over all subdomains and
+/// return the ready solver with its timings.
 ///
 /// `device` is required for GPU approaches; its timeline is reset first so
-/// `report.assembly_gpu_s` is this call's makespan.
-pub fn preprocess_approach(
-    problem: &HeatProblem,
+/// `assembly.sim_s` is this call's makespan.
+pub fn preprocess_approach<'p>(
+    problem: &'p HeatProblem,
     approach: DualOpApproach,
     device: Option<&Arc<Device>>,
-) -> PreparedDualOp {
-    let three_d = problem.dim == 3;
-    let engine = match approach {
-        DualOpApproach::ImplMkl => Engine::Supernodal,
-        // the paper's explicit rows sit on CHOLMOD because only it lets the
-        // factor be extracted ("impl_cholmod is the baseline for CUDA-based
-        // approaches"); both engines here expose the same CSC factor, and
-        // these rows keep the simplicial one so that Figure 9's
-        // factorization column stays the CHOLMOD analog
-        _ => Engine::Simplicial,
-    };
+) -> (FetiSolver<'p>, PreprocessReport) {
+    let (engine, backend, slots) = approach.recipe(problem.dim == 3, device);
+    let opts = FetiOptions::default().with_engine(engine);
+    if let Some(d) = backend.device() {
+        d.reset();
+    }
 
-    // --- numeric factorization loop (parallel over subdomains) ---
-    let t0 = Instant::now();
-    let factors: Vec<SubdomainFactors> = problem
-        .subdomains
-        .par_iter()
-        .map(|sd| SubdomainFactors::build(sd, engine, Ordering::NestedDissection))
-        .collect();
-    let factorization_s = t0.elapsed().as_secs_f64();
+    let t = Instant::now();
+    let factors = SubdomainFactors::build_all(problem, engine, opts.ordering);
+    let factorization_s = t.elapsed().as_secs_f64();
 
-    // --- assembly section ---
-    let mut report = PreprocessReport {
-        factorization_s,
-        ..Default::default()
-    };
-    // GPU approaches place their slots on round-robin streams
-    let gpu = reset_device(approach, device);
-    let stream_of = |i: usize| {
-        let d = gpu.expect("only GPU approaches place slots on streams");
-        GpuKernels::new(d.stream(i % d.n_streams()))
-    };
-    // host producers of the dense F̃ᵢ are wall-timed as a whole
-    let mut on_host = |make: &(dyn Fn(&SubdomainFactors) -> Mat + Sync)| -> Vec<Mat> {
-        let t = Instant::now();
-        let mats = factors.par_iter().map(make).collect();
-        report.assembly_cpu_s = t.elapsed().as_secs_f64();
-        mats
-    };
-    let schur = |f: &SubdomainFactors| {
-        let l = f.chol.factor_csc_ref();
-        schur_from_factor(l, &f.chol.symbolic().parent, &f.bt_perm)
-    };
-    let host = |f| LocalOp::Dense { f, kernels: None };
-    let cfg = sc_config_for(approach, three_d);
-    let ops: Vec<LocalOp> = match approach {
-        // no assembly: the slots apply against `factors`
-        DualOpApproach::ImplMkl | DualOpApproach::ImplCholmod => {
-            factors.iter().map(|_| LocalOp::Implicit).collect()
+    let mut assembly = TwoClock::default();
+    let solver = match slots {
+        Slots::Builder(formulation, cfg) => {
+            let solver = FetiSolverBuilder::new()
+                .options(opts)
+                .backend(backend)
+                .formulation(formulation)
+                .assembly(cfg)
+                .factors(factors)
+                .build(problem);
+            match solver.report() {
+                Some(report) if approach.uses_gpu() => assembly.sim_s = report.makespan,
+                Some(report) => assembly.host_s = report.total_seconds,
+                None => {}
+            }
+            solver
         }
-        DualOpApproach::ExplMkl => on_host(&schur).into_iter().map(host).collect(),
-        DualOpApproach::ExplCholmod | DualOpApproach::ExplCpuOpt => {
-            let assemble = |f: &SubdomainFactors| {
-                assemble_sc(&mut CpuExec, f.chol.factor_csc_ref(), &f.bt_perm, &cfg)
-            };
-            on_host(&assemble).into_iter().map(host).collect()
-        }
-        DualOpApproach::ExplCuda | DualOpApproach::ExplGpuOpt => factors
-            .par_iter()
-            .enumerate()
-            .map(|(i, f)| {
-                // live round-robin assembly; the factor is uploaded first,
-                // mirroring the original algorithm's H2D copy
-                let kernels = stream_of(i);
+        Slots::SparseRhs => {
+            let t = Instant::now();
+            let schur = |f: &SubdomainFactors| {
                 let l = f.chol.factor_csc_ref();
-                kernels.upload_csc(l);
-                kernels.upload_csc(&f.bt_perm);
-                let f = assemble_sc(&mut GpuExec::new(&kernels), l, &f.bt_perm, &cfg);
-                kernels.download_bytes(0); // result stays on device; placeholder sync
-                let kernels = Some(kernels);
-                LocalOp::Dense { f, kernels }
-            })
-            .collect(),
-        // host assembly, then the dense F̃ᵢ uploaded for application
-        DualOpApproach::ExplHybrid => on_host(&schur)
-            .into_iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let kernels = stream_of(i);
-                kernels.upload_bytes(8 * f.nrows() * f.ncols());
-                let kernels = Some(kernels);
-                LocalOp::Dense { f, kernels }
-            })
-            .collect(),
+                schur_from_factor(l, &f.chol.symbolic().parent, &f.bt_perm)
+            };
+            let dense: Vec<Mat> = factors.par_iter().map(schur).collect();
+            assembly.host_s = t.elapsed().as_secs_f64();
+            // the hybrid row applies on the device: each F̃ᵢ is uploaded to
+            // its round-robin stream, in subdomain-index order
+            let device = backend.device();
+            let resident = |(i, f): (usize, Mat)| {
+                let stream = device.map(|d| {
+                    let stream = d.stream(i % d.n_streams());
+                    let bytes = 8.0 * count(f.nrows()) * count(f.ncols());
+                    stream.submit(&KernelCost::transfer(bytes));
+                    stream
+                });
+                LocalOp::Dense { f, stream }
+            };
+            let ops = dense.into_iter().enumerate().map(resident).collect();
+            assembly.sim_s = device.map_or(0.0, |d| d.synchronize());
+            FetiSolver::from_ops(problem, opts, &backend, factors, ops, None)
+        }
     };
-    if let Some(d) = gpu {
-        report.assembly_gpu_s = d.synchronize();
-    }
-
-    PreparedDualOp {
-        ops,
-        pass: DualPass::new(problem),
-        factors,
-        report,
-    }
+    let report = PreprocessReport {
+        factorization_s,
+        assembly,
+    };
+    (solver, report)
 }
 
-/// Measure the per-iteration cost of applying the global dual operator.
-///
-/// CPU approaches are wall-timed over `reps` applications; GPU approaches
-/// report the simulated makespan per application.
+/// Measure the per-iteration cost of applying the global dual operator:
+/// `reps` × [`FetiSolver::apply_f`], each clock read once — host wall
+/// seconds, and the simulated makespan on `device` (reset first; 0 without
+/// one, or when the solver's slots are host-resident).
 pub fn measure_apply_cost(
-    problem: &HeatProblem,
-    prepared: &PreparedDualOp,
-    approach: DualOpApproach,
+    solver: &FetiSolver<'_>,
     device: Option<&Arc<Device>>,
     reps: usize,
-) -> ApplyCost {
-    let p: Vec<f64> = (0..problem.n_lambda)
-        .map(|i| ((i % 13) as f64) - 6.0) // sc-analyze: allow(precision-discipline)
-        .collect();
-    // GPU approaches report the simulated makespan of `reps` applications,
-    // CPU approaches their wall time
-    let gpu = reset_device(approach, device);
-    let view = |i: usize| Some((&prepared.factors[i]).into());
+) -> TwoClock {
+    // any dense dual vector prices an application; the solver carries one
+    let p = solver.dual_rhs();
+    if let Some(d) = device {
+        d.reset();
+    }
     let t = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(prepared.pass.apply_ops(problem, &prepared.ops, view, &p));
+        std::hint::black_box(solver.apply_f(p));
     }
-    let total_s = gpu.map_or_else(|| t.elapsed().as_secs_f64(), |d| d.synchronize());
-    ApplyCost {
-        per_iteration_s: total_s / reps as f64, // sc-analyze: allow(precision-discipline)
+    TwoClock {
+        host_s: t.elapsed().as_secs_f64() / count(reps),
+        sim_s: device.map_or(0.0, |d| d.synchronize()) / count(reps),
     }
 }
 
@@ -295,64 +279,78 @@ mod tests {
     fn all_approaches_produce_equivalent_operators() {
         let problem = small_problem();
         let device = Device::new(DeviceSpec::a100(), 2);
-        let mut reference: Option<Vec<Vec<f64>>> = None;
+        let p: Vec<f64> = (0..problem.n_lambda).map(|k| count(k % 5) - 2.0).collect();
+        let mut reference: Option<Vec<f64>> = None;
         for approach in DualOpApproach::ALL {
-            let prepared = preprocess_approach(&problem, approach, Some(&device));
-            // apply to a fixed vector per subdomain and compare across
-            // approaches
-            let outs: Vec<Vec<f64>> = problem
-                .subdomains
-                .iter()
-                .enumerate()
-                .map(|(i, sd)| {
-                    let m = sd.n_lambda();
-                    let pl: Vec<f64> = (0..m).map(|k| ((k % 5) as f64) - 2.0).collect();
-                    let mut ql = vec![0.0; m];
-                    let view = Some((&prepared.factors[i]).into());
-                    prepared.ops[i].apply(view, &pl, &mut ql, &mut Vec::new());
-                    ql
-                })
-                .collect();
-            match &reference {
-                None => reference = Some(outs),
-                Some(r) => {
-                    for (a, b) in r.iter().zip(&outs) {
-                        for (x, y) in a.iter().zip(b) {
-                            assert!(
-                                (x - y).abs() < 1e-7,
-                                "{} deviates: {x} vs {y}",
-                                approach.paper_name()
-                            );
-                        }
-                    }
-                }
+            let (solver, _) = preprocess_approach(&problem, approach, Some(&device));
+            let q = solver.apply_f(&p);
+            let r = reference.get_or_insert_with(|| q.clone());
+            for (x, y) in r.iter().zip(&q) {
+                assert!(
+                    (x - y).abs() < 1e-7,
+                    "{} deviates: {x} vs {y}",
+                    approach.paper_name()
+                );
             }
         }
     }
 
+    /// Every row's timings sit on the clock its work ran on: CPU rows never
+    /// move the simulated clock, the device assemblies report no host
+    /// assembly seconds, the implicit rows time the factorization only.
     #[test]
-    fn gpu_approaches_report_simulated_time() {
+    fn every_row_reports_on_its_own_clock() {
         let problem = small_problem();
         let device = Device::new(DeviceSpec::a100(), 2);
-        let prepared = preprocess_approach(&problem, DualOpApproach::ExplGpuOpt, Some(&device));
-        assert!(prepared.report.assembly_gpu_s > 0.0);
-        assert_eq!(prepared.report.assembly_cpu_s, 0.0);
-        let cost = measure_apply_cost(
-            &problem,
-            &prepared,
-            DualOpApproach::ExplGpuOpt,
-            Some(&device),
-            3,
-        );
-        assert!(cost.per_iteration_s > 0.0);
+        for approach in DualOpApproach::ALL {
+            let name = approach.paper_name();
+            let (solver, report) = preprocess_approach(&problem, approach, Some(&device));
+            let apply = measure_apply_cost(&solver, Some(&device), 3);
+            assert!(report.factorization_s > 0.0, "{name}");
+            assert!(apply.host_s > 0.0, "{name}");
+            let assembly = report.assembly;
+            if approach.uses_gpu() {
+                assert!(assembly.sim_s > 0.0 && apply.sim_s > 0.0, "{name}");
+                // the sparse-RHS producer of the hybrid row is host work
+                let host_producer = approach == DualOpApproach::ExplHybrid;
+                assert_eq!(assembly.host_s > 0.0, host_producer, "{name}");
+            } else {
+                assert_eq!((assembly.sim_s, apply.sim_s), (0.0, 0.0), "{name}");
+                let implicit = matches!(
+                    approach,
+                    DualOpApproach::ImplMkl | DualOpApproach::ImplCholmod
+                );
+                assert_eq!(assembly.host_s > 0.0, !implicit, "{name}");
+            }
+        }
     }
 
+    /// The simulated clock is a function of the problem, not of how many
+    /// host threads ran the numerics: assembly and apply `sim_s` of every
+    /// device row are bitwise the one-thread values on two threads, run
+    /// after run.
     #[test]
-    fn implicit_approaches_skip_assembly() {
-        let problem = small_problem();
-        let prepared = preprocess_approach(&problem, DualOpApproach::ImplCholmod, None);
-        assert_eq!(prepared.report.assembly_cpu_s, 0.0);
-        assert_eq!(prepared.report.assembly_gpu_s, 0.0);
-        assert!(prepared.report.factorization_s > 0.0);
+    fn sim_clock_is_bitwise_repeatable_across_thread_counts() {
+        let problems = [
+            HeatProblem::build_3d(3, (2, 2, 2), Gluing::Redundant),
+            HeatProblem::build_2d(8, (3, 3), Gluing::Redundant),
+        ];
+        let sim_bits = || -> Vec<(u64, u64)> {
+            let rows = DualOpApproach::ALL.into_iter().filter(|a| a.uses_gpu());
+            rows.flat_map(|approach| {
+                problems.iter().map(move |problem| {
+                    let device = Device::new(DeviceSpec::a100(), 4);
+                    let (solver, report) = preprocess_approach(problem, approach, Some(&device));
+                    let apply = measure_apply_cost(&solver, Some(&device), 3);
+                    (report.assembly.sim_s.to_bits(), apply.sim_s.to_bits())
+                })
+            })
+            .collect()
+        };
+        let one_thread = rayon::with_max_threads(1, sim_bits);
+        for run in 0..5 {
+            let two_threads = rayon::with_max_threads(2, sim_bits);
+            assert_eq!(two_threads, one_thread, "two-thread run {run}");
+        }
     }
 }

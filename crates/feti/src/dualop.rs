@@ -14,7 +14,7 @@ use sc_core::{
 use sc_dense::{Mat, MatOf, Scalar};
 use sc_factor::{Engine, SparseCholesky};
 use sc_fem::{HeatProblem, Subdomain};
-use sc_gpu::{DevicePool, GpuKernels};
+use sc_gpu::{DevicePool, KernelCost, Stream};
 use sc_sparse::{binned_gather, csc_lower_solve, csc_lower_t_solve, BinnedPlan, Csc, CscOf};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
@@ -123,6 +123,18 @@ impl SubdomainFactors {
         SubdomainFactors { chol, bt_perm, map }
     }
 
+    /// [`build`](Self::build) over every subdomain of `problem` in parallel
+    /// (the paper's loop over the cluster's subdomains, one thread per
+    /// subdomain) — the crate's one factorization loop.
+    pub(crate) fn build_all(
+        problem: &HeatProblem,
+        engine: Engine,
+        ordering: sc_order::Ordering,
+    ) -> Arc<Vec<Self>> {
+        let build = |sd| SubdomainFactors::build(sd, engine, ordering);
+        Arc::new(problem.subdomains.par_iter().map(build).collect())
+    }
+
     /// `K⁺ v` in original dof space.
     pub fn solve_kplus(&self, v: &[f64]) -> Vec<f64> {
         self.chol.solve(v)
@@ -173,8 +185,9 @@ pub(crate) enum LocalOp<S = f64> {
         /// The assembled dense local dual operator.
         f: MatOf<S>,
         /// `Some`: the matrix is resident on that simulated stream, whose
-        /// clock every application advances by the GEMV's cost.
-        kernels: Option<GpuKernels>,
+        /// clock every application advances by the GEMV's cost
+        /// ([`LocalOp::charge`]).
+        stream: Option<Stream>,
     },
     /// Eq. 11 against the factor view the pass supplies: the slot owns no
     /// factor, so nothing is factorized or copied twice.
@@ -182,8 +195,11 @@ pub(crate) enum LocalOp<S = f64> {
 }
 
 impl<S: Scalar> LocalOp<S> {
-    /// `out = F̃ᵢ p`. `factors` is the subdomain's factor view (`Implicit`
-    /// needs it, `Dense` ignores it), `t` the dof-space scratch of Eq. 11.
+    /// `out = F̃ᵢ p` — the numerics only, safe to run on any worker thread:
+    /// a device-resident slot's simulated cost is charged separately
+    /// ([`LocalOp::charge`]). `factors` is the subdomain's factor view
+    /// (`Implicit` needs it, `Dense` ignores it), `t` the dof-space scratch
+    /// of Eq. 11.
     pub(crate) fn apply(
         &self,
         factors: Option<(&CscOf<S>, &BoundaryMapOf<S>)>,
@@ -192,19 +208,26 @@ impl<S: Scalar> LocalOp<S> {
         t: &mut Vec<S>,
     ) {
         match self {
-            LocalOp::Dense { f, kernels: None } => {
-                sc_dense::gemv(S::ONE, f.as_ref(), p, S::ZERO, out)
-            }
-            LocalOp::Dense {
-                f,
-                kernels: Some(k),
-            } => {
-                k.gemv(S::ONE, f.as_ref(), p, S::ZERO, out);
-            }
+            LocalOp::Dense { f, .. } => sc_dense::gemv(S::ONE, f.as_ref(), p, S::ZERO, out),
             LocalOp::Implicit => {
                 let view = factors.expect("an implicit slot comes with its factor view");
                 apply_implicit_with(view, p, out, t)
             }
+        }
+    }
+
+    /// Advance a device-resident slot's stream by the cost of one
+    /// application (one `m × m` GEMV); a host slot charges nothing. The
+    /// device has one slot heap shared by its streams, so the simulated
+    /// clock depends on the order of submissions: callers charge from one
+    /// thread, in subdomain-index order.
+    pub(crate) fn charge(&self) {
+        if let LocalOp::Dense {
+            f,
+            stream: Some(stream),
+        } = self
+        {
+            stream.submit(&KernelCost::gemv_of::<S>(f.nrows(), f.ncols()));
         }
     }
 }
@@ -295,7 +318,10 @@ impl<S: Scalar> DualPass<S> {
     }
 
     /// `q = F p`: the pass with each subdomain's slot as the local
-    /// operation, `view(i)` its factor view.
+    /// operation, `view(i)` its factor view. The numerics run in the
+    /// parallel phase; the device-resident slots' GEMV costs are submitted
+    /// afterwards, sequentially in subdomain-index order, so the simulated
+    /// clock is the same on any thread count.
     pub(crate) fn apply_ops<'a>(
         &self,
         problem: &HeatProblem,
@@ -307,6 +333,7 @@ impl<S: Scalar> DualPass<S> {
         self.run(problem, Some(p), Some(&mut q), |i, _, w, ql| {
             ops[i].apply(view(i), &w.pl, ql, &mut w.t)
         });
+        ops.iter().for_each(LocalOp::charge);
         q
     }
 }
@@ -322,11 +349,11 @@ pub(crate) fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) 
         .map(|(i, f)| {
             let t = &report.subdomains[i];
             debug_assert_eq!(t.index, i, "report timings must be in batch order");
-            let kernels = match (t.device, t.stream) {
-                (Some(d), Some(s)) => Some(GpuKernels::new(devices[d].stream(s))),
+            let stream = match (t.device, t.stream) {
+                (Some(d), Some(s)) => Some(devices[d].stream(s)),
                 _ => None,
             };
-            LocalOp::Dense { f, kernels }
+            LocalOp::Dense { f, stream }
         })
         .collect()
 }
@@ -510,14 +537,14 @@ mod tests {
                     "dense host",
                     LocalOp::Dense {
                         f: dense(),
-                        kernels: None,
+                        stream: None,
                     },
                 ),
                 (
                     "dense device",
                     LocalOp::Dense {
                         f: dense(),
-                        kernels: Some(GpuKernels::new(dev.stream(0))),
+                        stream: Some(dev.stream(0)),
                     },
                 ),
             ];
@@ -527,6 +554,7 @@ mod tests {
                 for _ in 0..2 {
                     let mut q = vec![S::ZERO; m];
                     slot.apply(Some((&view.0, &view.1)), &ps, &mut q, &mut t);
+                    slot.charge();
                     for i in 0..m {
                         let got = q[i].to_f64();
                         assert!(
@@ -536,8 +564,7 @@ mod tests {
                         );
                     }
                     if *kind == "dense device" {
-                        twin.stream(0)
-                            .submit(&sc_gpu::KernelCost::gemv_of::<S>(m, m));
+                        twin.stream(0).submit(&KernelCost::gemv_of::<S>(m, m));
                     }
                     assert_eq!(
                         dev.stream(0).time(),

@@ -8,9 +8,9 @@
 //! assembled up front by `sc-core`, on the CPU or the simulated GPU) — one
 //! operator slot per subdomain, applied by the one pass of [`dualop`].
 //!
-//! [`approaches`] reproduces the paper's Table 2: the eight dual-operator
-//! strategies compared in Figures 9 and 10, with their preprocessing
-//! pipelines and per-iteration apply costs instrumented for the benches.
+//! [`approaches`] is the paper's Table 2 as data: the eight dual-operator
+//! strategies compared in Figures 9 and 10 are recipes for the one
+//! [`FetiSolverBuilder`], timed on two clocks that are never added.
 
 pub mod approaches;
 pub mod dualop;
@@ -21,8 +21,7 @@ pub mod regularize;
 pub mod solver;
 
 pub use approaches::{
-    measure_apply_cost, preprocess_approach, ApplyCost, DualOpApproach, PreparedDualOp,
-    PreprocessReport,
+    measure_apply_cost, preprocess_approach, DualOpApproach, PreprocessReport, TwoClock,
 };
 pub use dualop::{
     apply_implicit, apply_implicit_with, BoundaryMap, BoundaryMapOf, SubdomainFactors,

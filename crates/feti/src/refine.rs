@@ -47,7 +47,7 @@ impl Demoted {
             .map(|(op, fac)| match op {
                 LocalOp::Dense { f, .. } => {
                     let f = f.cast::<f32>();
-                    (LocalOp::Dense { f, kernels: None }, None)
+                    (LocalOp::Dense { f, stream: None }, None)
                 }
                 LocalOp::Implicit => {
                     let l = fac.chol.factor_csc_ref().cast::<f32>();

@@ -13,7 +13,6 @@ use crate::dualop::{assemble_auto, bind_ops, DualPass, LocalOp, SubdomainFactors
 use crate::exchange::ExchangeSim;
 use crate::pcpg::PcpgStats;
 use crate::refine::{Demoted, RefinementStats};
-use rayon::prelude::*;
 use sc_core::{
     AssemblyReport, AssemblySession, Backend, HybridPlanOptions, LazyBatch, Precision, ScConfig,
     Target,
@@ -248,19 +247,10 @@ impl FetiSolverBuilder {
         if let Some(p) = precision {
             backend.precision = p;
         }
-        let precision = backend.precision;
-        // per-subdomain factorizations in parallel (the paper's loop over the
-        // cluster's subdomains, one thread per subdomain) — unless a
-        // session cache already holds the bundle for this exact problem
-        let factors: Arc<Vec<SubdomainFactors>> = prepared.unwrap_or_else(|| {
-            Arc::new(
-                problem
-                    .subdomains
-                    .par_iter()
-                    .map(|sd| SubdomainFactors::build(sd, opts.engine, opts.ordering))
-                    .collect(),
-            )
-        });
+        // per-subdomain factorizations — unless a session cache already
+        // holds the bundle for this exact problem
+        let factors = prepared
+            .unwrap_or_else(|| SubdomainFactors::build_all(problem, opts.engine, opts.ordering));
         assert_eq!(
             factors.len(),
             problem.subdomains.len(),
@@ -288,7 +278,61 @@ impl FetiSolverBuilder {
                 (ops, Some(unified))
             }
         };
+        FetiSolver::from_ops(problem, opts, &backend, factors, ops, report)
+    }
+}
 
+/// A preprocessed FETI solver: factorizations, explicit operators (if
+/// requested), and the coarse problem, ready to serve many right-hand
+/// sides through [`FetiSolver::solve`] / [`FetiSolver::solve_rhs`].
+pub struct FetiSolver<'p> {
+    problem: &'p HeatProblem,
+    /// Options captured at construction; `solve()` takes no arguments.
+    opts: FetiOptions,
+    factors: Arc<Vec<SubdomainFactors>>,
+    /// The local dual operator of each subdomain; implicit slots apply
+    /// against `factors`.
+    ops: Vec<LocalOp>,
+    /// Buffers of the global gather → local → scatter-add pass.
+    pass: DualPass<f64>,
+    /// Working precision captured from the backend at construction.
+    precision: Precision,
+    /// Demoted (`f32`) slots for the mixed-precision inner solves; `Some`
+    /// exactly when `precision` is [`Precision::F32Refined`].
+    demoted: Option<Demoted>,
+    /// Sparse `G = B R` (`n_lambda × n_kernels`).
+    g: Csc,
+    /// Dense Cholesky factor of `GᵀG`.
+    gtg: Mat,
+    /// Kernel column of each subdomain (floating ones only).
+    kernel_col: Vec<Option<usize>>,
+    /// Dual right-hand side `d = B K⁺ f` of the problem's own loads.
+    d: Vec<f64>,
+    /// Coarse right-hand side `e = Rᵀ f` of the problem's own loads.
+    e: Vec<f64>,
+    /// The unified preprocessing report (`None` for the implicit mode).
+    report: Option<AssemblyReport>,
+    /// Simulated PCPG boundary-exchange overlap; `Some` exactly when the
+    /// backend is a multi-node pool with device-resident operators.
+    exchange_sim: Option<ExchangeSim>,
+}
+
+impl<'p> FetiSolver<'p> {
+    /// The construction tail every producer of operator slots shares — the
+    /// builder's three formulations and the sparse-RHS rows of
+    /// [`approaches`](crate::approaches): kernel numbering, `G = B R`, the
+    /// coarse factor of `GᵀG`, the demoted slots of a refined `backend`
+    /// precision, the multi-node exchange model, and the right-hand sides of
+    /// the problem's own loads.
+    pub(crate) fn from_ops(
+        problem: &'p HeatProblem,
+        opts: FetiOptions,
+        backend: &Backend,
+        factors: Arc<Vec<SubdomainFactors>>,
+        ops: Vec<LocalOp>,
+        report: Option<AssemblyReport>,
+    ) -> Self {
+        let precision = backend.precision;
         // kernel numbering and G = B R (kernel = constant vector: G entries
         // are just the B̃ signs, since each B̃ᵀ column has a single ±1)
         let mut kernel_col = vec![None; problem.subdomains.len()];
@@ -368,44 +412,7 @@ impl FetiSolverBuilder {
         solver.e = e;
         solver
     }
-}
 
-/// A preprocessed FETI solver: factorizations, explicit operators (if
-/// requested), and the coarse problem, ready to serve many right-hand
-/// sides through [`FetiSolver::solve`] / [`FetiSolver::solve_rhs`].
-pub struct FetiSolver<'p> {
-    problem: &'p HeatProblem,
-    /// Options captured at construction; `solve()` takes no arguments.
-    opts: FetiOptions,
-    factors: Arc<Vec<SubdomainFactors>>,
-    /// The local dual operator of each subdomain; implicit slots apply
-    /// against `factors`.
-    ops: Vec<LocalOp>,
-    /// Buffers of the global gather → local → scatter-add pass.
-    pass: DualPass<f64>,
-    /// Working precision captured from the backend at construction.
-    precision: Precision,
-    /// Demoted (`f32`) slots for the mixed-precision inner solves; `Some`
-    /// exactly when `precision` is [`Precision::F32Refined`].
-    demoted: Option<Demoted>,
-    /// Sparse `G = B R` (`n_lambda × n_kernels`).
-    g: Csc,
-    /// Dense Cholesky factor of `GᵀG`.
-    gtg: Mat,
-    /// Kernel column of each subdomain (floating ones only).
-    kernel_col: Vec<Option<usize>>,
-    /// Dual right-hand side `d = B K⁺ f` of the problem's own loads.
-    d: Vec<f64>,
-    /// Coarse right-hand side `e = Rᵀ f` of the problem's own loads.
-    e: Vec<f64>,
-    /// The unified preprocessing report (`None` for the implicit mode).
-    report: Option<AssemblyReport>,
-    /// Simulated PCPG boundary-exchange overlap; `Some` exactly when the
-    /// backend is a multi-node pool with device-resident operators.
-    exchange_sim: Option<ExchangeSim>,
-}
-
-impl<'p> FetiSolver<'p> {
     /// The unified preprocessing report: per-subdomain timings, per-device
     /// execution timelines, and (for the auto formulation) the hybrid
     /// decisions — one schema for every backend. `None` when the dual

@@ -74,6 +74,13 @@ fn prelude_surface_is_complete() {
     assert_eq!(Precision::default(), Precision::F64);
     let _: fn(FetiSolverBuilder, Precision) -> FetiSolverBuilder = FetiSolverBuilder::precision;
     let _: fn(&FetiSolution) -> Option<RefinementStats> = |s| s.refinement;
+    // Table 2: every row yields the one solver type, timed on two clocks
+    use schur_dd::sc_feti::{measure_apply_cost, PreprocessReport, TwoClock};
+    fn _row<'p>(p: &'p HeatProblem, d: &Arc<Device>) -> (FetiSolver<'p>, PreprocessReport) {
+        preprocess_approach(p, DualOpApproach::ExplGpuOpt, Some(d))
+    }
+    let _: fn(&FetiSolver<'_>, Option<&Arc<Device>>, usize) -> TwoClock = measure_apply_cost;
+    let _: fn(&PreprocessReport) -> (f64, TwoClock) = |r| (r.factorization_s, r.assembly);
 }
 
 fn sc_feti_preconditioner() -> schur_dd::sc_feti::Preconditioner {

@@ -112,58 +112,14 @@ fn rcm_and_natural_orderings_work_end_to_end() {
 
 #[test]
 fn all_dual_approaches_are_interchangeable() {
-    // all eight Table-2 approaches produce dual operators that PCPG can use
-    // and that lead to the same primal solution
+    // every Table-2 row is a recipe for the one solver: the handle
+    // `preprocess_approach` returns runs PCPG to the direct solution
     let p = HeatProblem::build_2d(3, (2, 2), Gluing::Redundant);
-    let d = direct(&p);
-    let scale = d.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
     let device = Device::new(DeviceSpec::a100(), 2);
     for approach in DualOpApproach::ALL {
-        // route through the generic FETI solver by translating the approach
-        // to a (backend, formulation, config) triple where possible;
-        // approaches with bespoke assembly (ExplMkl / ExplHybrid) are
-        // covered by their own apply-equivalence test in sc-feti, so here we
-        // spot-check the solver-compatible ones.
-        let (backend, formulation, cfg) = match approach {
-            DualOpApproach::ImplMkl | DualOpApproach::ImplCholmod => {
-                (Backend::cpu(), FormulationChoice::Implicit, ScConfig::Auto)
-            }
-            DualOpApproach::ExplCholmod => (
-                Backend::cpu(),
-                FormulationChoice::Explicit,
-                ScConfig::original(FactorStorage::Sparse),
-            ),
-            DualOpApproach::ExplCpuOpt => (
-                Backend::cpu(),
-                FormulationChoice::Explicit,
-                ScConfig::optimized(false, false),
-            ),
-            DualOpApproach::ExplCuda => (
-                Backend::gpu(Arc::clone(&device)),
-                FormulationChoice::Explicit,
-                ScConfig::original(FactorStorage::Sparse),
-            ),
-            DualOpApproach::ExplGpuOpt => (
-                Backend::gpu(Arc::clone(&device)),
-                FormulationChoice::Explicit,
-                ScConfig::optimized(true, false),
-            ),
-            DualOpApproach::ExplMkl | DualOpApproach::ExplHybrid => continue,
-        };
-        let solver = FetiSolverBuilder::new()
-            .backend(backend)
-            .formulation(formulation)
-            .assembly(cfg)
-            .build(&p);
-        let sol = solver.solve();
-        assert!(sol.stats.converged, "{approach:?}");
-        let u = p.gather_global(&sol.u_locals);
-        for i in 0..u.len() {
-            assert!(
-                (u[i] - d[i]).abs() < 1e-6 * scale,
-                "{approach:?} deviates at dof {i}"
-            );
-        }
+        println!("{}", approach.paper_name()); // names the row a failing `check` is in
+        let (solver, _) = preprocess_approach(&p, approach, Some(&device));
+        check(&p, &solver);
     }
 }
 

@@ -316,7 +316,6 @@ fn mixed_fit() -> &'static sc_bench::BatchWorkload {
 fn mixed_fit_estimates<S: sc_dense::Scalar>(
     cfg: &ScConfig,
 ) -> (Vec<CostEstimate>, Vec<ApplyEstimate>) {
-    use schur_dd::sc_core::{estimate_apply_of, estimate_cost_of};
     mixed_fit()
         .factors
         .iter()
@@ -325,8 +324,8 @@ fn mixed_fit_estimates<S: sc_dense::Scalar>(
             let params = cfg.resolve(true, l, bt);
             let (l, bt) = (l.cast::<S>(), bt.cast::<S>());
             (
-                estimate_cost_of::<S>(&DeviceSpec::a100(), &l, &bt, &params, i),
-                estimate_apply_of::<S>(&l, &bt, i),
+                estimate_cost(&DeviceSpec::a100(), &l, &bt, &params, i),
+                estimate_apply(&l, &bt, i),
             )
         })
         .unzip()
