@@ -14,13 +14,14 @@
 
 use rayon::prelude::*;
 use sc_bench::{
-    ladder_2d, ladder_3d, ms, time_assembly_gpu, time_min, time_syrk_cpu, time_syrk_gpu,
+    ladder_2d, ladder_3d, ms, time_assembly_gpu, time_min, time_once, time_syrk_cpu, time_syrk_gpu,
     time_trsm_cpu, time_trsm_gpu, KernelInputs, KernelWorkload, Table,
 };
 use sc_core::tune::table1_defaults as t1;
 use sc_core::{
-    assemble_sc, estimate_apply, AssemblySession, Backend, BlockParam, CpuExec, FactorStorage,
-    LazyBatch, ScConfig, ScParams, ScheduleOptions, StreamPolicy, SyrkVariant, TrsmVariant,
+    assemble_sc_with_cache, estimate_apply, AssemblySession, Backend, BlockCutsCache, BlockParam,
+    CpuExec, FactorStorage, LazyBatch, ScConfig, ScParams, ScheduleOptions, StreamPolicy,
+    SyrkVariant, TrsmVariant,
 };
 use sc_factor::Engine;
 use sc_fem::{Gluing, HeatProblem, Subdomain};
@@ -556,14 +557,18 @@ fn fig8(args: &BenchArgs, device: &Arc<Device>) {
                 AssemblySession::new(backend, cfg).assemble(batch).report
             };
             let cpu_sep = |cfg: ScConfig| assemble(Backend::cpu(), cfg).total_seconds;
+            // the per-subdomain call of the CPU session (one shared cuts
+            // cache) behind each factorization: mix − sep is the factorization
             let cpu_mix = |cfg: ScConfig| {
-                let t = Instant::now();
-                problem.subdomains.par_iter().for_each(|sd| {
-                    let f = build(sd);
-                    let l = f.chol.factor_csc_ref();
-                    std::hint::black_box(assemble_sc(&mut CpuExec, l, &f.bt_perm, &cfg));
-                });
-                t.elapsed().as_secs_f64()
+                let cache = Some(BlockCutsCache::new());
+                time_once(|| {
+                    problem.subdomains.par_iter().for_each(|sd| {
+                        let f = build(sd);
+                        let (l, bt) = (f.chol.factor_csc_ref(), &f.bt_perm);
+                        let sc = assemble_sc_with_cache(&mut CpuExec, l, bt, &cfg, cache.as_ref());
+                        std::hint::black_box(sc);
+                    })
+                })
             };
             let gpu = |cfg: ScConfig, schedule: &ScheduleOptions| {
                 device.reset();
@@ -669,106 +674,57 @@ fn fig9(args: &BenchArgs, device: &Arc<Device>) {
 /// per clock: CPU rows on measured wall time, GPU rows on simulated time.
 fn fig10(args: &BenchArgs, device: &Arc<Device>) {
     use DualOpApproach::*;
-    const ITERS: [usize; 5] = [1, 10, 100, 1000, 10000];
-    let is_implicit = |a: DualOpApproach| matches!(a, ImplMkl | ImplCholmod);
     let host_spec = DeviceSpec::host();
     for dim in [2usize, 3] {
         // the paper plots impl_mkl/expl_mkl/expl_hybrid in 2D and
         // impl_mkl/impl_cholmod/expl_hybrid/expl_gpu_opt in 3D
-        let approaches: &[DualOpApproach] = if dim == 2 {
-            &[ImplMkl, ExplMkl, ExplHybrid]
+        let (cpu, gpu): (&[DualOpApproach], &[DualOpApproach]) = if dim == 2 {
+            (&[ImplMkl, ExplMkl], &[ExplHybrid])
         } else {
-            &[ImplMkl, ImplCholmod, ExplHybrid, ExplGpuOpt]
+            (&[ImplMkl, ImplCholmod], &[ExplHybrid, ExplGpuOpt])
         };
-        // per clock (host: the CPU rows, sim: the GPU rows): the step-time
-        // table and the amortization table
-        let mut tables = [("host", false), ("sim", true)].map(|(clock, gpu)| {
-            let rows = approaches.iter().filter(|a| a.uses_gpu() == gpu);
-            let mut headers = vec!["dofs", "iters"];
-            headers.extend(rows.map(|a| a.paper_name()));
-            headers.push("best");
-            let step = format!("step time per subdomain vs iterations, {dim}D [ms]");
-            let amort = format!("amortization points (explicit vs implicit), {dim}D");
-            (
-                clock,
-                Table::new(&format!("Fig 10 ({clock} clock): {step}"), &headers),
-                Table::new(
-                    &format!("Fig 10 ({clock} clock): {amort}"),
-                    &["dofs", "approach", "amortization_iters"],
-                ),
-            )
-        });
-
+        let mut host = fig10_tables("host", dim, cpu);
+        let mut sim = fig10_tables("sim", dim, gpu);
         for &c in &ladder(dim, args).0 {
             let problem = cluster_problem(dim, c);
             let nsub = problem.subdomains.len() as f64;
             let dofs = problem.dofs_per_subdomain().to_string();
-            // (approach, preprocessing, apply) per subdomain, each row on its
-            // own clock; the GPU rows' implicit counterpart is the §4.4
-            // estimate of Eq. 11 priced on the host spec (what `plan_hybrid`
-            // decides with)
-            let mut rows: [Vec<(DualOpApproach, f64, f64)>; 2] = Default::default();
-            let mut eq11_sim = 0.0;
-            for &a in approaches {
+
+            // host clock: factorization + host assembly and the wall-timed
+            // apply, the explicit rows against the best implicit one
+            let wall = |&a: &DualOpApproach| {
+                let (solver, report) = preprocess_approach(&problem, a, None);
+                let pre = report.factorization_s + report.assembly.host_s;
+                (a, pre / nsub, measure_apply_cost(&solver, 3).host_s / nsub)
+            };
+            let rows: Vec<Cost> = cpu.iter().map(wall).collect();
+            let implicit = (rows.iter().filter(|r| is_implicit(r.0)))
+                .min_by(|a, b| (a.1 + 100.0 * a.2).total_cmp(&(b.1 + 100.0 * b.2)));
+            fig10_size(&mut host, &dofs, &rows, implicit.map(|r| (r.1, r.2)));
+
+            // sim clock: the device share of assembly and apply. The implicit
+            // side has no device assembly, and its apply is the §4.4 estimate
+            // of Eq. 11 priced on the host spec (what `plan_hybrid` decides
+            // with) — a function of the factors, which the rows share
+            let (mut rows, mut eq11) = (Vec::new(), None);
+            for &a in gpu {
                 let (solver, report) = preprocess_approach(&problem, a, Some(device));
-                let apply = measure_apply_cost(&solver, Some(device), 3);
-                let (pre, app) = if a.uses_gpu() {
-                    let eq11 = solver.factors().iter().enumerate().map(|(i, f)| {
+                let apply = measure_apply_cost(&solver, 3);
+                rows.push((a, report.assembly.sim_s / nsub, apply.sim_s / nsub));
+                eq11.get_or_insert_with(|| {
+                    let factors = solver.factors().iter().enumerate();
+                    let each = factors.map(|(i, f)| {
                         estimate_apply(f.chol.factor_csc_ref(), &f.bt_perm, i)
                             .implicit_seconds_on(&host_spec)
                     });
-                    eq11_sim = eq11.sum::<f64>() / nsub;
-                    (report.assembly.sim_s, apply.sim_s)
-                } else {
-                    let pre = report.factorization_s + report.assembly.host_s;
-                    (pre, apply.host_s)
-                };
-                rows[usize::from(a.uses_gpu())].push((a, pre / nsub, app / nsub));
+                    each.sum::<f64>() / nsub
+                });
             }
-            // the implicit side of each clock's amortization point, as
-            // (preprocessing, apply): the best wall-timed implicit row; no
-            // device assembly and the estimated apply
-            let wall_implicit = (rows[0].iter())
-                .filter(|r| is_implicit(r.0))
-                .min_by(|a, b| (a.1 + 100.0 * a.2).total_cmp(&(b.1 + 100.0 * b.2)));
-            let implicit = [wall_implicit.map(|r| (r.1, r.2)), Some((0.0, eq11_sim))];
-
-            for ((_, step_table, amort_table), (rows, implicit)) in
-                tables.iter_mut().zip(rows.iter().zip(implicit))
-            {
-                for &iters in &ITERS {
-                    let mut row = vec![dofs.clone(), iters.to_string()];
-                    let mut best = (f64::INFINITY, "");
-                    for &(a, pre, app) in rows {
-                        let step = pre / iters as f64 + app;
-                        if step < best.0 {
-                            best = (step, a.paper_name());
-                        }
-                        row.push(ms(step));
-                    }
-                    row.push(best.1.to_string());
-                    step_table.row(row);
-                }
-                // the iteration count from which paying the extra
-                // preprocessing once is recovered by the cheaper apply
-                let Some((ipre, iapp)) = implicit else {
-                    continue;
-                };
-                for &(a, pre, app) in rows.iter().filter(|r| !is_implicit(r.0)) {
-                    let label = if app >= iapp {
-                        "never (apply not faster)".to_string()
-                    } else if pre <= ipre {
-                        "always better".to_string()
-                    } else {
-                        format!("{:.0}", ((pre - ipre) / (iapp - app)).ceil())
-                    };
-                    amort_table.row(vec![dofs.clone(), a.paper_name().to_string(), label]);
-                }
-            }
+            fig10_size(&mut sim, &dofs, &rows, eq11.map(|apply| (0.0, apply)));
         }
-        for (clock, step_table, amort_table) in &tables {
-            step_table.emit(&format!("fig10_{dim}d_{clock}"));
-            amort_table.emit(&format!("fig10_amortization_{dim}d_{clock}"));
+        for (clock, (step, amort)) in [("host", host), ("sim", sim)] {
+            step.emit(&format!("fig10_{dim}d_{clock}"));
+            amort.emit(&format!("fig10_amortization_{dim}d_{clock}"));
         }
     }
     println!("host tables: measured wall seconds (factorization + host assembly, wall-timed");
@@ -779,4 +735,57 @@ fn fig10(args: &BenchArgs, device: &Arc<Device>) {
     println!("preprocessing is its upload only (its sparse-RHS assembly is in fig9's host table).");
     println!("paper shape to check (3D): expl_gpu_opt amortizes at ~10 iterations across");
     println!("subdomain sizes 1k-70k; implicit wins only for very few iterations.");
+}
+
+/// `(approach, preprocessing, apply)`: seconds per subdomain on one clock.
+type Cost = (DualOpApproach, f64, f64);
+
+fn is_implicit(a: DualOpApproach) -> bool {
+    matches!(a, DualOpApproach::ImplMkl | DualOpApproach::ImplCholmod)
+}
+
+/// One clock's half of figure 10: the step-time table and the amortization
+/// table of the approaches timed on that clock.
+fn fig10_tables(clock: &str, dim: usize, approaches: &[DualOpApproach]) -> (Table, Table) {
+    let mut headers = vec!["dofs", "iters"];
+    headers.extend(approaches.iter().map(|a| a.paper_name()));
+    let step = format!("step time per subdomain vs iterations, {dim}D [ms]");
+    let amort = format!("amortization points (explicit vs implicit), {dim}D");
+    (
+        Table::new(&format!("Fig 10 ({clock} clock): {step}"), &headers),
+        Table::new(
+            &format!("Fig 10 ({clock} clock): {amort}"),
+            &["dofs", "approach", "amortization_iters"],
+        ),
+    )
+}
+
+/// One ladder size of one clock: a step-time row per iteration count, and
+/// for each explicit row the iteration count from which paying its extra
+/// preprocessing once is recovered by its cheaper apply — against
+/// `implicit = (preprocessing, apply)` on the same clock.
+fn fig10_size(
+    (step_table, amort_table): &mut (Table, Table),
+    dofs: &str,
+    rows: &[Cost],
+    implicit: Option<(f64, f64)>,
+) {
+    for iters in [1usize, 10, 100, 1000, 10000] {
+        let mut row = vec![dofs.to_string(), iters.to_string()];
+        row.extend(rows.iter().map(|r| ms(r.1 / iters as f64 + r.2)));
+        step_table.row(row);
+    }
+    let Some((ipre, iapp)) = implicit else {
+        return;
+    };
+    for &(a, pre, app) in rows.iter().filter(|r| !is_implicit(r.0)) {
+        let label = if app >= iapp {
+            "never (apply not faster)".to_string()
+        } else if pre <= ipre {
+            "always better".to_string()
+        } else {
+            format!("{:.0}", ((pre - ipre) / (iapp - app)).ceil())
+        };
+        amort_table.row(vec![dofs.to_string(), a.paper_name().to_string(), label]);
+    }
 }

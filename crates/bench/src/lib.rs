@@ -21,5 +21,5 @@ pub use report::{ms, write_csv, Table};
 pub use runner::{
     time_assembly_gpu, time_syrk_cpu, time_syrk_gpu, time_trsm_cpu, time_trsm_gpu, KernelInputs,
 };
-pub use timing::time_min;
+pub use timing::{time_min, time_once};
 pub use workloads::{ladder_2d, ladder_3d, BatchWorkload, KernelWorkload};

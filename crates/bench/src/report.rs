@@ -55,8 +55,12 @@ impl Table {
         out
     }
 
-    /// Print to stdout and persist as `results/<name>.csv`.
+    /// Print to stdout and persist as `results/<name>.csv`; a table without
+    /// rows is skipped.
     pub fn emit(&self, name: &str) {
+        if self.rows.is_empty() {
+            return;
+        }
         println!("{}", self.render());
         if let Err(e) = write_csv(name, &self.headers, &self.rows) {
             eprintln!("warning: failed to write results/{name}.csv: {e}");

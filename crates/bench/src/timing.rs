@@ -2,6 +2,13 @@
 
 use std::time::Instant;
 
+/// Wall-time one execution of `f`, in seconds.
+pub fn time_once<F: FnOnce()>(f: F) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
+}
+
 /// Minimum wall time over `reps` executions (minimum is the standard
 /// low-noise estimator for deterministic kernels).
 pub fn time_min<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -17,6 +24,14 @@ pub fn time_min<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn time_once_is_positive() {
+        let t = time_once(|| {
+            std::hint::black_box((0..1000).sum::<usize>());
+        });
+        assert!(t >= 0.0);
+    }
 
     #[test]
     fn time_min_runs_all_reps() {

@@ -243,25 +243,21 @@ pub fn preprocess_approach<'p>(
 
 /// Measure the per-iteration cost of applying the global dual operator:
 /// `reps` × [`FetiSolver::apply_f`], each clock read once — host wall
-/// seconds, and the simulated makespan on `device` (reset first; 0 without
-/// one, or when the solver's slots are host-resident).
-pub fn measure_apply_cost(
-    solver: &FetiSolver<'_>,
-    device: Option<&Arc<Device>>,
-    reps: usize,
-) -> TwoClock {
+/// seconds, and the simulated makespan over the solver's own devices (reset
+/// first; 0 for a CPU backend or host-resident slots).
+pub fn measure_apply_cost(solver: &FetiSolver<'_>, reps: usize) -> TwoClock {
     // any dense dual vector prices an application; the solver carries one
     let p = solver.dual_rhs();
-    if let Some(d) = device {
-        d.reset();
-    }
+    let devices = solver.backend().devices();
+    devices.iter().for_each(|d| d.reset());
     let t = Instant::now();
     for _ in 0..reps {
         std::hint::black_box(solver.apply_f(p));
     }
+    let makespan = devices.iter().map(|d| d.synchronize());
     TwoClock {
         host_s: t.elapsed().as_secs_f64() / count(reps),
-        sim_s: device.map_or(0.0, |d| d.synchronize()) / count(reps),
+        sim_s: makespan.fold(0.0, f64::max) / count(reps),
     }
 }
 
@@ -305,7 +301,7 @@ mod tests {
         for approach in DualOpApproach::ALL {
             let name = approach.paper_name();
             let (solver, report) = preprocess_approach(&problem, approach, Some(&device));
-            let apply = measure_apply_cost(&solver, Some(&device), 3);
+            let apply = measure_apply_cost(&solver, 3);
             assert!(report.factorization_s > 0.0, "{name}");
             assert!(apply.host_s > 0.0, "{name}");
             let assembly = report.assembly;
@@ -341,7 +337,7 @@ mod tests {
                 problems.iter().map(move |problem| {
                     let device = Device::new(DeviceSpec::a100(), 4);
                     let (solver, report) = preprocess_approach(problem, approach, Some(&device));
-                    let apply = measure_apply_cost(&solver, Some(&device), 3);
+                    let apply = measure_apply_cost(&solver, 3);
                     (report.assembly.sim_s.to_bits(), apply.sim_s.to_bits())
                 })
             })

@@ -295,8 +295,9 @@ pub struct FetiSolver<'p> {
     ops: Vec<LocalOp>,
     /// Buffers of the global gather → local → scatter-add pass.
     pass: DualPass<f64>,
-    /// Working precision captured from the backend at construction.
-    precision: Precision,
+    /// The backend captured at construction: its precision is the working
+    /// precision, its devices hold the device-resident slots.
+    backend: Backend,
     /// Demoted (`f32`) slots for the mixed-precision inner solves; `Some`
     /// exactly when `precision` is [`Precision::F32Refined`].
     demoted: Option<Demoted>,
@@ -395,7 +396,7 @@ impl<'p> FetiSolver<'p> {
             factors,
             ops,
             pass: DualPass::new(problem),
-            precision,
+            backend: backend.clone(),
             demoted,
             g,
             gtg,
@@ -419,6 +420,11 @@ impl<'p> FetiSolver<'p> {
     /// operator is applied implicitly (nothing was assembled).
     pub fn report(&self) -> Option<&AssemblyReport> {
         self.report.as_ref()
+    }
+
+    /// The backend captured at construction.
+    pub(crate) fn backend(&self) -> &Backend {
+        &self.backend
     }
 
     /// The options captured at construction.
@@ -562,7 +568,7 @@ impl<'p> FetiSolver<'p> {
         if let Some(sim) = &self.exchange_sim {
             let _ = sim.drain();
         }
-        let (lambda, mut stats, refinement) = match self.precision {
+        let (lambda, mut stats, refinement) = match self.backend.precision {
             Precision::F64 => {
                 let res = self.pcpg_f64(d, lambda0);
                 (res.lambda, res.stats, None)
@@ -613,7 +619,7 @@ impl<'p> FetiSolver<'p> {
 
     /// The working precision captured from the backend at construction.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.backend.precision
     }
 
     /// Primal recovery for the problem's own loads: `α = (GᵀG)⁻¹Gᵀ(Fλ − d)`,

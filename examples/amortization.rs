@@ -22,11 +22,11 @@ fn main() {
     // on the simulated GPU (simulated A100 seconds). The two clocks are
     // never added: one table each
     let (implicit, impl_pre) = preprocess_approach(&problem, DualOpApproach::ImplCholmod, None);
-    let impl_apply = measure_apply_cost(&implicit, None, 5);
+    let impl_apply = measure_apply_cost(&implicit, 5);
     let (cpu, cpu_pre) = preprocess_approach(&problem, DualOpApproach::ExplCpuOpt, None);
-    let cpu_apply = measure_apply_cost(&cpu, None, 5);
+    let cpu_apply = measure_apply_cost(&cpu, 5);
     let (gpu, gpu_pre) = preprocess_approach(&problem, DualOpApproach::ExplGpuOpt, Some(&device));
-    let gpu_apply = measure_apply_cost(&gpu, Some(&device), 5);
+    let gpu_apply = measure_apply_cost(&gpu, 5);
     // on the sim clock the implicit apply is the §4.4 estimate of Eq. 11
     // priced on the host spec (what the hybrid planner decides with); the
     // factorization, which both sides share, has no sim price and is left out
@@ -75,39 +75,29 @@ fn main() {
     // preprocessing (factorization + explicit assembly) happens once per
     // FetiSolver handle; solve_rhs() reuses it for every new load case
     let n_rhs = 8;
-    // the one-time preprocessing counts against the reuse side, like the
-    // gated headline row: one build + N solves vs N × (build + solve)
-    let t0 = std::time::Instant::now();
-    let solver = FetiSolverBuilder::new()
-        .backend(Backend::cpu())
-        .formulation(FormulationChoice::Explicit)
-        .assembly(ScConfig::optimized(false, true))
-        .build(&problem);
-    for k in 0..n_rhs {
-        let loads: Vec<Vec<f64>> = problem
-            .subdomains
-            .iter()
-            .map(|sd| sd.f.iter().map(|v| v * (1.0 + 0.1 * k as f64)).collect())
-            .collect();
-        let sol = solver.solve_rhs(&loads);
-        assert!(sol.stats.converged);
-    }
-    let reuse = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    for k in 0..n_rhs {
-        let fresh = FetiSolverBuilder::new()
+    let build = || {
+        FetiSolverBuilder::new()
             .backend(Backend::cpu())
             .formulation(FormulationChoice::Explicit)
             .assembly(ScConfig::optimized(false, true))
-            .build(&problem);
-        let loads: Vec<Vec<f64>> = problem
-            .subdomains
-            .iter()
-            .map(|sd| sd.f.iter().map(|v| v * (1.0 + 0.1 * k as f64)).collect())
+            .build(&problem)
+    };
+    let solve = |solver: &FetiSolver<'_>, k: usize| {
+        let scale = 1.0 + 0.1 * k as f64;
+        let subdomains = problem.subdomains.iter();
+        let loads: Vec<Vec<f64>> = subdomains
+            .map(|sd| sd.f.iter().map(|v| v * scale).collect())
             .collect();
-        let sol = fresh.solve_rhs(&loads);
-        assert!(sol.stats.converged);
-    }
+        assert!(solver.solve_rhs(&loads).stats.converged);
+    };
+    // the one-time preprocessing counts against the reuse side, like the
+    // gated headline row: one build + N solves vs N × (build + solve)
+    let t0 = std::time::Instant::now();
+    let solver = build();
+    (0..n_rhs).for_each(|k| solve(&solver, k));
+    let reuse = t0.elapsed().as_secs_f64();
+    let t1 = std::time::Instant::now();
+    (0..n_rhs).for_each(|k| solve(&build(), k));
     let naive = t1.elapsed().as_secs_f64();
     println!(
         "\nmulti-RHS reuse over {n_rhs} load cases: one preprocessed handle {:.3} s \

@@ -79,7 +79,7 @@ fn prelude_surface_is_complete() {
     fn _row<'p>(p: &'p HeatProblem, d: &Arc<Device>) -> (FetiSolver<'p>, PreprocessReport) {
         preprocess_approach(p, DualOpApproach::ExplGpuOpt, Some(d))
     }
-    let _: fn(&FetiSolver<'_>, Option<&Arc<Device>>, usize) -> TwoClock = measure_apply_cost;
+    let _: fn(&FetiSolver<'_>, usize) -> TwoClock = measure_apply_cost;
     let _: fn(&PreprocessReport) -> (f64, TwoClock) = |r| (r.factorization_s, r.assembly);
 }
 
