@@ -160,10 +160,20 @@ fn main() {
     if run("test") {
         step("test", cargo(&["test", "-q", "--workspace"]));
         // `.cargo/config.toml` builds for the host CPU, so an AVX-512 machine
-        // never compiles sc_dense's portable microkernel: test it by name,
-        // with sc_factor, whose fronts are the main consumer of both
-        // partial_cholesky_in_place routes
-        let mut portable = cargo(&["test", "-q", "-p", "sc_dense", "-p", "sc_factor"]);
+        // never compiles sc_dense's portable microkernel and SYMV tile: test
+        // them by name, with sc_factor, whose fronts are the main consumer of
+        // both partial_cholesky_in_place routes, and sc_feti, whose
+        // dense-oracle and hybrid-bitwise tests apply every slot with symv
+        let mut portable = cargo(&[
+            "test",
+            "-q",
+            "-p",
+            "sc_dense",
+            "-p",
+            "sc_factor",
+            "-p",
+            "sc_feti",
+        ]);
         portable.env("RUSTFLAGS", "-C target-cpu=x86-64-v2");
         step("test:portable-microkernel", portable);
     }

@@ -209,8 +209,8 @@ impl CostEstimate {
 /// host). Together with [`CostEstimate`] (the one-time assembly cost) this
 /// is the input of the hybrid explicit-vs-implicit decision:
 ///
-/// - **explicit** apply is one dense GEMV with the assembled `m × m` `F̃ᵢ`
-///   (paper Eq. 12);
+/// - **explicit** apply is one SYMV with the packed lower triangle of the
+///   assembled `m × m` `F̃ᵢ` (paper Eq. 12);
 /// - **implicit** apply is the Eq. 11 pipeline: scatter `B̃ᵀ p̃` (SpMV),
 ///   two sparse triangular solves with `L`, gather `B̃ (·)` (SpMV).
 #[derive(Clone, Debug)]
@@ -233,7 +233,7 @@ pub fn estimate_apply<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>, index: usize) -> A
     ApplyEstimate {
         index,
         n_lambda: m,
-        explicit: vec![KernelCost::gemv_of::<S>(m, m)],
+        explicit: vec![KernelCost::symv_of::<S>(m)],
         implicit: vec![
             KernelCost::spmm_of::<S>(bt.nnz(), 1), // t = B̃ᵀ p̃ (scatter)
             KernelCost::trsm_sparse_of::<S>(l.nnz(), 1), // L y = t
@@ -818,7 +818,7 @@ fn vertex_price(
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Formulation {
     /// Dense `F̃ᵢ` assembled on a pool device (scheduled/cluster path),
-    /// applied by device GEMV.
+    /// applied by device SYMV.
     ExplicitGpu,
     /// Dense `F̃ᵢ` assembled and applied on the host.
     ExplicitCpu,
@@ -1341,7 +1341,7 @@ mod tests {
     }
 
     #[test]
-    fn f32_apply_estimate_halves_gemv_bytes() {
+    fn f32_apply_estimate_halves_symv_bytes() {
         let l = diag_factor(32);
         let bt = bt_with_pivots(32, &[0, 8, 16]);
         let a64 = estimate_apply::<f64>(&l, &bt, 0);
@@ -1351,7 +1351,12 @@ mod tests {
         assert_eq!(
             bytes(&a32.explicit) * 2.0,
             bytes(&a64.explicit),
-            "explicit GEMV traffic is pure values"
+            "explicit SYMV traffic is pure values"
+        );
+        assert_eq!(
+            bytes(&a64.explicit),
+            8.0 * 3.0 * 4.0 / 2.0,
+            "the packed triangle of the 3 × 3 operator, each entry once"
         );
         assert_eq!(flops(&a32.explicit), flops(&a64.explicit));
     }
@@ -1603,7 +1608,7 @@ mod tests {
     fn implicit_apply_scales_with_factor_not_interface() {
         let spec = DeviceSpec::host();
         // same interface, much bigger factor: implicit apply must grow,
-        // explicit apply (GEMV over m × m) must not
+        // explicit apply (SYMV of order m) must not
         let small = apply_est(50, &[0, 1, 2]);
         let big = apply_est(5000, &[0, 1, 2]);
         assert!(big.implicit_seconds_on(&spec) > small.implicit_seconds_on(&spec));
@@ -1707,7 +1712,7 @@ mod tests {
     #[test]
     fn hybrid_spills_oversized_subdomains_to_implicit() {
         // subdomain 0 fits the arena, subdomain 1 does not; implicit applies
-        // cost 4x the explicit GEMV (the typical large-subdomain regime)
+        // cost 4x the explicit SYMV (the typical large-subdomain regime)
         let (c0, a0) = synth(0, 1 << 10, 1e9, 1e9, 4e9);
         let (c1, a1) = synth(1, 1 << 30, 1e12, 1e9, 4e9);
         let costs = vec![c0, c1];

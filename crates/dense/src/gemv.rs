@@ -1,7 +1,8 @@
-//! Dense matrix-vector kernels: GEMV, transposed GEMV, triangular solves with
-//! a single RHS, and dot products. These drive the *solution phase* of the
-//! explicit dual operator (dense `F̃ᵢ` times a dual vector) and the coarse
-//! problem of the FETI solver.
+//! Dense matrix-vector kernels over full storage: GEMV, transposed GEMV,
+//! triangular solves with a single RHS, and dot products — the coarse
+//! problem of the FETI solver and the reference products of the tests. The
+//! symmetric `F̃ᵢ` of the explicit dual operator is applied from packed
+//! storage by [`crate::symv`](mod@crate::symv) instead.
 
 use crate::gemm::{axpy, dot_slices};
 use crate::mat::MatRefOf;

@@ -3,8 +3,11 @@
 //! Provides a column-major [`Mat`] type with borrowed views ([`MatRef`],
 //! [`MatMut`]) plus the BLAS-like kernels the paper's algorithms are built
 //! from: [`gemm`](gemm::gemm), [`syrk`](syrk::syrk_t), [`trsm`](trsm::trsm_lower_left),
-//! [`gemv`](gemv::gemv), and dense [Cholesky](chol) (full and partial, the
-//! latter used by the multifrontal factorization's frontal matrices).
+//! [`gemv`](gemv::gemv), dense [Cholesky](chol) (full and partial, the
+//! latter used by the multifrontal factorization's frontal matrices), and
+//! the packed symmetric storage [`SymPackedOf`] with its fused
+//! [`symv`](symv::symv) — what the explicit dual operator is held in and
+//! applied with every PCPG iteration.
 //!
 //! Every kernel and storage type is generic over the sealed [`Scalar`] trait
 //! (`f32`/`f64`); the un-suffixed names ([`Mat`], [`MatRef`], [`MatMut`]) are
@@ -31,6 +34,7 @@ pub mod gemv;
 pub mod mat;
 pub mod pack;
 pub mod scalar;
+pub mod symv;
 pub mod syrk;
 pub mod trsm;
 
@@ -46,6 +50,7 @@ pub use gemv::{dot, gemv, gemv_t, trsv_lower, trsv_lower_t};
 pub use mat::{Mat, MatMut, MatMutOf, MatOf, MatRef, MatRefOf};
 pub use pack::{PackedA, PackedB, MR, NR};
 pub use scalar::Scalar;
+pub use symv::{symv, SymPackedOf};
 pub use syrk::{syrk_t, syrk_t_scalar};
 pub use trsm::{trsm_lower_left, trsm_lower_left_scalar, trsm_lower_left_t};
 

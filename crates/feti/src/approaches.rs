@@ -33,7 +33,7 @@ use crate::dualop::{LocalOp, SubdomainFactors};
 use crate::solver::{FetiOptions, FetiSolver, FetiSolverBuilder, FormulationChoice};
 use rayon::prelude::*;
 use sc_core::{Backend, FactorStorage, ScConfig, ScheduleOptions, StreamPolicy};
-use sc_dense::Mat;
+use sc_dense::{Mat, SymPackedOf};
 use sc_factor::{schur_from_factor, Engine};
 use sc_fem::HeatProblem;
 use sc_gpu::{Device, KernelCost};
@@ -217,13 +217,15 @@ pub fn preprocess_approach<'p>(
             };
             let dense: Vec<Mat> = factors.par_iter().map(schur).collect();
             assembly.host_s = t.elapsed().as_secs_f64();
-            // the hybrid row applies on the device: each F̃ᵢ is uploaded to
-            // its round-robin stream, in subdomain-index order
+            // the hybrid row applies on the device: the packed triangle of
+            // each F̃ᵢ is uploaded to its round-robin stream, in
+            // subdomain-index order
             let device = backend.device();
             let resident = |(i, f): (usize, Mat)| {
+                let f = SymPackedOf::from_lower(f.as_ref());
                 let stream = device.map(|d| {
                     let stream = d.stream(i % d.n_streams());
-                    let bytes = 8.0 * count(f.nrows()) * count(f.ncols());
+                    let bytes = KernelCost::symv_of::<f64>(f.nrows()).bytes;
                     stream.submit(&KernelCost::transfer(bytes));
                     stream
                 });

@@ -11,7 +11,7 @@ use sc_core::{
     DeviceSlot, Formulation, HybridPlanOptions, HybridSummary, LazyBatch, ScConfig,
     ScheduleOptions, Target,
 };
-use sc_dense::{Mat, MatOf, Scalar};
+use sc_dense::{Mat, Scalar, SymPackedOf};
 use sc_factor::{Engine, SparseCholesky};
 use sc_fem::{HeatProblem, Subdomain};
 use sc_gpu::{DevicePool, KernelCost, Stream};
@@ -180,12 +180,12 @@ pub fn apply_implicit_with<'a, S: Scalar>(
 /// `S` — the crate's only operator slot type: every producer fills a `Vec`
 /// of these and [`DualPass`] applies it.
 pub(crate) enum LocalOp<S = f64> {
-    /// Eq. 12: the dense `F̃ᵢ`, applied with one GEMV.
+    /// Eq. 12: the dense symmetric `F̃ᵢ`, applied with one SYMV.
     Dense {
-        /// The assembled dense local dual operator.
-        f: MatOf<S>,
-        /// `Some`: the matrix is resident on that simulated stream, whose
-        /// clock every application advances by the GEMV's cost
+        /// The assembled local dual operator: its lower triangle, packed.
+        f: SymPackedOf<S>,
+        /// `Some`: the triangle is resident on that simulated stream, whose
+        /// clock every application advances by the SYMV's cost
         /// ([`LocalOp::charge`]).
         stream: Option<Stream>,
     },
@@ -208,7 +208,7 @@ impl<S: Scalar> LocalOp<S> {
         t: &mut Vec<S>,
     ) {
         match self {
-            LocalOp::Dense { f, .. } => sc_dense::gemv(S::ONE, f.as_ref(), p, S::ZERO, out),
+            LocalOp::Dense { f, .. } => sc_dense::symv(f, p, out),
             LocalOp::Implicit => {
                 let view = factors.expect("an implicit slot comes with its factor view");
                 apply_implicit_with(view, p, out, t)
@@ -216,8 +216,17 @@ impl<S: Scalar> LocalOp<S> {
         }
     }
 
+    /// Bytes of operator storage the slot owns (none for an implicit one).
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> usize {
+        match self {
+            LocalOp::Dense { f, .. } => std::mem::size_of_val(f.data()),
+            LocalOp::Implicit => 0,
+        }
+    }
+
     /// Advance a device-resident slot's stream by the cost of one
-    /// application (one `m × m` GEMV); a host slot charges nothing. The
+    /// application (one SYMV of order `m`); a host slot charges nothing. The
     /// device has one slot heap shared by its streams, so the simulated
     /// clock depends on the order of submissions: callers charge from one
     /// thread, in subdomain-index order.
@@ -227,7 +236,7 @@ impl<S: Scalar> LocalOp<S> {
             stream: Some(stream),
         } = self
         {
-            stream.submit(&KernelCost::gemv_of::<S>(f.nrows(), f.ncols()));
+            stream.submit(&KernelCost::symv_of::<S>(f.nrows()));
         }
     }
 }
@@ -319,7 +328,7 @@ impl<S: Scalar> DualPass<S> {
 
     /// `q = F p`: the pass with each subdomain's slot as the local
     /// operation, `view(i)` its factor view. The numerics run in the
-    /// parallel phase; the device-resident slots' GEMV costs are submitted
+    /// parallel phase; the device-resident slots' SYMV costs are submitted
     /// afterwards, sequentially in subdomain-index order, so the simulated
     /// clock is the same on any thread count.
     pub(crate) fn apply_ops<'a>(
@@ -338,10 +347,10 @@ impl<S: Scalar> DualPass<S> {
     }
 }
 
-/// Bind each assembled `F̃ᵢ` to its operator slot: subdomains the report
-/// placed on a device get a device-resident GEMV operator on the stream
-/// their schedule used; host subdomains (CPU backend, hybrid spills) get
-/// the host GEMV.
+/// Bind each assembled `F̃ᵢ` to its operator slot, packed to its lower
+/// triangle: subdomains the report placed on a device get a device-resident
+/// operator on the stream their schedule used; host subdomains (CPU
+/// backend, hybrid spills) get a host one.
 pub(crate) fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) -> Vec<LocalOp> {
     let devices = backend.devices();
     f.into_iter()
@@ -353,6 +362,7 @@ pub(crate) fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) 
                 (Some(d), Some(s)) => Some(devices[d].stream(s)),
                 _ => None,
             };
+            let f = SymPackedOf::from_lower(f.as_ref());
             LocalOp::Dense { f, stream }
         })
         .collect()
@@ -499,7 +509,7 @@ mod tests {
     /// Every slot kind at precision `S` against the independent dense
     /// oracle `B̃ K_reg⁻¹ B̃ᵀ` (full matrix, no `sc_factor`) applied with a
     /// plain double loop, and the clock contract: a device slot advances
-    /// its stream by exactly one GEMV cost per application, a host slot
+    /// its stream by exactly one SYMV cost per application, a host slot
     /// advances nothing.
     fn slots_match_the_dense_oracle<S: Scalar>(tol: f64) {
         let problems = [
@@ -523,7 +533,8 @@ mod tests {
             let l = factors.chol.factor_csc_ref();
             let dense = || {
                 let cfg = ScConfig::optimized(false, false);
-                sc_core::assemble_sc(&mut sc_core::CpuExec, l, &factors.bt_perm, &cfg).cast::<S>()
+                let f = sc_core::assemble_sc(&mut sc_core::CpuExec, l, &factors.bt_perm, &cfg);
+                SymPackedOf::from_lower(f.as_ref()).cast::<S>()
             };
             let view = (
                 l.cast::<S>(),
@@ -564,7 +575,7 @@ mod tests {
                         );
                     }
                     if *kind == "dense device" {
-                        twin.stream(0).submit(&KernelCost::gemv_of::<S>(m, m));
+                        twin.stream(0).submit(&KernelCost::symv_of::<S>(m));
                     }
                     assert_eq!(
                         dev.stream(0).time(),

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 /// Simulated inter-node boundary exchange of the multi-node backend's
 /// PCPG. Per dual-operator application each node receives its subdomains'
 /// boundary multiplier values from its peers over its interconnect; the
-/// exchange is posted **before** the local GEMVs are submitted, so queued
+/// exchange is posted **before** the local SYMVs are submitted, so queued
 /// local work overlaps the transfer, and only the remainder a stream could
 /// not hide is accumulated as stall time ([`exchange_stall_seconds`]).
 /// Built only for a pool of two or more nodes: a single-node solve is
@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 pub(crate) struct ExchangeSim {
     pool: Arc<NodePool>,
     /// Per node, the streams carrying device-resident operators — the lanes
-    /// whose GEMV results feed the global dual vector.
+    /// whose SYMV results feed the global dual vector.
     streams: Vec<Vec<Stream>>,
     /// Boundary bytes entering each node per application.
     bytes_in: Vec<f64>,
@@ -77,7 +77,7 @@ impl ExchangeSim {
             .collect()
     }
 
-    /// Close this application's exchanges after the local GEMVs were
+    /// Close this application's exchanges after the local SYMVs were
     /// submitted: a stream whose queued work ends before its node's data
     /// arrival stalls for the remainder; work past the arrival hid the
     /// transfer entirely.

@@ -28,8 +28,8 @@ const INNER_TOL: f64 = 1e-4;
 /// The `f32` side of a refined solver: every operator slot demoted once at
 /// build time and reused across every inner PCPG iteration.
 pub(crate) struct Demoted {
-    /// A dense slot is the (`f32`-assembled, exactly promoted) `F̃ᵢ` cast
-    /// back; it drops the stream binding — the inner GEMVs run on the host,
+    /// A dense slot is the (`f32`-assembled, exactly promoted) packed `F̃ᵢ`
+    /// cast back; it drops the stream binding — the inner SYMVs run on the host,
     /// so only the `f64` residual applications move a simulated clock.
     ops: Vec<LocalOp<f32>>,
     /// The demoted `(L, map)` factor view of each implicit slot; `None`
@@ -62,6 +62,12 @@ impl Demoted {
             factors,
             pass: DualPass::new(problem),
         }
+    }
+
+    /// Bytes of operator storage the demoted slots own.
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.ops.iter().map(LocalOp::held_bytes).sum()
     }
 
     /// The pass of [`FetiSolver::apply_f`] at `f32` (the inner solves' hot

@@ -467,7 +467,7 @@ impl<'p> FetiSolver<'p> {
     ///
     /// Under the multi-node backend the application also advances the
     /// simulated boundary exchange: each node's incoming data is posted
-    /// before the local GEMVs submit, so queued device work overlaps the
+    /// before the local SYMVs submit, so queued device work overlaps the
     /// transfer; unhidden wait accumulates as
     /// [`PcpgStats::exchange_stall_seconds`]. The numerics are identical
     /// either way — the simulation only moves stream clocks.
@@ -687,6 +687,7 @@ mod tests {
         assemble_sc, estimate_cost, CpuExec, Formulation, HybridForce, ScheduleOptions,
         StreamPolicy,
     };
+    use sc_dense::SymPackedOf;
     use sc_factor::{CholOptions, SparseCholesky};
     use sc_fem::Gluing;
     use sc_gpu::{Device, DevicePool, DeviceSpec};
@@ -727,6 +728,24 @@ mod tests {
             .formulation(FormulationChoice::Explicit)
             .assembly(cfg)
             .build(problem)
+    }
+
+    #[test]
+    fn dense_slots_hold_the_packed_triangle_and_nothing_else() {
+        let p = HeatProblem::build_2d(5, (3, 2), Gluing::Redundant);
+        let entries = |sd: &sc_fem::Subdomain| sd.n_lambda() * (sd.n_lambda() + 1) / 2;
+        let triangle: usize = p.subdomains.iter().map(entries).sum();
+        for precision in [Precision::F64, Precision::f32_refined()] {
+            let solver = FetiSolverBuilder::new()
+                .formulation(FormulationChoice::Explicit)
+                .precision(precision)
+                .build(&p);
+            let held: usize = solver.ops.iter().map(LocalOp::held_bytes).sum();
+            assert_eq!(held, triangle * 8, "{precision:?}: f64 slots");
+            let demoted = solver.demoted.as_ref().map(Demoted::held_bytes);
+            let want = precision.is_f32().then_some(triangle * 4);
+            assert_eq!(demoted, want, "{precision:?}: f32 slots");
+        }
     }
 
     #[test]
@@ -997,7 +1016,7 @@ mod tests {
             } else {
                 let fac = &solver.factors()[i];
                 let f = assemble_sc(&mut CpuExec, fac.chol.factor_csc_ref(), &fac.bt_perm, &cfg);
-                sc_dense::gemv(1.0, f.as_ref(), &pl, 0.0, &mut ql);
+                sc_dense::symv(&SymPackedOf::from_lower(f.as_ref()), &pl, &mut ql);
             }
             for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
                 want[gl] += ql[ll];

@@ -161,19 +161,17 @@ impl KernelCost {
         Self::gather_of::<f64>(count)
     }
 
-    /// Dense GEMV `y = A x` in precision `S` for `m × n` A.
-    pub fn gemv_of<S: Scalar>(m: usize, n: usize) -> Self {
-        let flops = 2.0 * m as f64 * n as f64;
-        let bytes = S::BYTES as f64 * (m as f64 * n as f64);
+    /// Symmetric matrix-vector product `y = A x` in precision `S` with `A`
+    /// of order `m`, stored as its packed lower triangle (`m(m+1)/2`
+    /// entries, each read once) — one application of an explicit local dual
+    /// operator.
+    pub fn symv_of<S: Scalar>(m: usize) -> Self {
+        let flops = 2.0 * m as f64 * m as f64;
+        let bytes = S::BYTES as f64 * (m * (m + 1) / 2) as f64;
         KernelCost {
-            label: "gemv",
+            label: "symv",
             ..KernelCost::compute(flops, bytes)
         }
-    }
-
-    /// Dense `f64` GEMV.
-    pub fn gemv(m: usize, n: usize) -> Self {
-        Self::gemv_of::<f64>(m, n)
     }
 
     /// `Err` with a descriptive message when the cost carries NaN, infinite,
@@ -255,8 +253,8 @@ mod tests {
                 KernelCost::gemm_of::<f64>(8, 8, 8),
             ),
             (
-                KernelCost::gemv_of::<f32>(32, 32),
-                KernelCost::gemv_of::<f64>(32, 32),
+                KernelCost::symv_of::<f32>(33),
+                KernelCost::symv_of::<f64>(33),
             ),
         ] {
             assert_eq!(a.bytes * 2.0, b.bytes, "{}", a.label);

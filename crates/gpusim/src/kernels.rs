@@ -8,21 +8,13 @@
 
 use crate::cost::KernelCost;
 use crate::timeline::{SimSpan, Stream};
-use parking_lot::Mutex;
 use sc_dense::{MatMutOf, MatRefOf, Scalar, Trans};
 use sc_sparse::CscOf;
 
 /// Kernel-set facade bound to one stream.
-///
-/// Every submission is also folded into a per-instance *captured span* (the
-/// union `[earliest start, latest end]` of everything this instance
-/// launched). A caller that creates one `GpuKernels` per subdomain — as the
-/// batched drivers do — gets the subdomain's simulated execution span for
-/// free from [`GpuKernels::captured_span`].
 pub struct GpuKernels {
     stream: Stream,
     cost_only: bool,
-    captured: Mutex<Option<SimSpan>>,
 }
 
 impl GpuKernels {
@@ -31,7 +23,6 @@ impl GpuKernels {
         GpuKernels {
             stream,
             cost_only: false,
-            captured: Mutex::new(None),
         }
     }
 
@@ -45,7 +36,6 @@ impl GpuKernels {
         GpuKernels {
             stream,
             cost_only: true,
-            captured: Mutex::new(None),
         }
     }
 
@@ -59,41 +49,14 @@ impl GpuKernels {
         &self.stream
     }
 
-    /// Submit on the bound stream and fold the span into the captured union.
-    fn submit(&self, cost: &KernelCost) -> SimSpan {
-        let span = self.stream.submit(cost);
-        let mut captured = self.captured.lock();
-        *captured = Some(match *captured {
-            None => span,
-            Some(acc) => SimSpan {
-                start: acc.start.min(span.start),
-                end: acc.end.max(span.end),
-            },
-        });
-        span
-    }
-
-    /// Union span of every kernel submitted through this instance since
-    /// creation (or the last [`GpuKernels::reset_captured_span`]); `None`
-    /// when nothing was submitted. On the device this is the subdomain's
-    /// simulated residence interval on its stream.
-    pub fn captured_span(&self) -> Option<SimSpan> {
-        *self.captured.lock()
-    }
-
-    /// Clear the captured span (start a new measurement window).
-    pub fn reset_captured_span(&self) {
-        *self.captured.lock() = None;
-    }
-
     /// Simulated H2D upload of `bytes`.
     pub fn upload_bytes(&self, bytes: usize) -> SimSpan {
-        self.submit(&KernelCost::transfer(bytes as f64))
+        self.stream.submit(&KernelCost::transfer(bytes as f64))
     }
 
     /// Simulated D2H download of `bytes`.
     pub fn download_bytes(&self, bytes: usize) -> SimSpan {
-        self.submit(&KernelCost::transfer(bytes as f64))
+        self.stream.submit(&KernelCost::transfer(bytes as f64))
     }
 
     /// Simulated H2D upload of a CSC matrix (8-byte index + one value of
@@ -102,7 +65,8 @@ impl GpuKernels {
     /// sparse-transfer cost model). Used by every explicit-GPU
     /// preprocessing path.
     pub fn upload_csc<S: Scalar>(&self, m: &CscOf<S>) -> SimSpan {
-        self.submit(&KernelCost::csc_transfer_of::<S>(m.nnz()))
+        self.stream
+            .submit(&KernelCost::csc_transfer_of::<S>(m.nnz()))
     }
 
     /// Dense TRSM: solve `L X = B` in place (`L` lower triangular).
@@ -111,7 +75,7 @@ impl GpuKernels {
         if !self.cost_only {
             sc_dense::trsm_lower_left(l, b);
         }
-        self.submit(&cost)
+        self.stream.submit(&cost)
     }
 
     /// Sparse TRSM: solve `L X = B` in place with a CSC factor.
@@ -120,7 +84,7 @@ impl GpuKernels {
         if !self.cost_only {
             sc_sparse::csc_lower_solve_mat(l, b);
         }
-        self.submit(&cost)
+        self.stream.submit(&cost)
     }
 
     /// Dense GEMM `C = alpha op(A) op(B) + beta C`.
@@ -144,7 +108,7 @@ impl GpuKernels {
         if !self.cost_only {
             sc_dense::gemm(alpha, a, ta, b, tb, beta, c);
         }
-        self.submit(&cost)
+        self.stream.submit(&cost)
     }
 
     /// Sparse-dense GEMM `C = alpha A B + beta C` (`A` CSC).
@@ -160,7 +124,7 @@ impl GpuKernels {
         if !self.cost_only {
             a.spmm(alpha, b, beta, &mut c);
         }
-        self.submit(&cost)
+        self.stream.submit(&cost)
     }
 
     /// SYRK `C(lower) = alpha Aᵀ A + beta C`.
@@ -175,18 +139,18 @@ impl GpuKernels {
         if !self.cost_only {
             sc_dense::syrk_t(alpha, a, beta, c);
         }
-        self.submit(&cost)
+        self.stream.submit(&cost)
     }
 
     /// Gather `count` scattered `f64` elements (pruning compaction,
     /// permutations).
     pub fn gather(&self, count: usize) -> SimSpan {
-        self.submit(&KernelCost::gather(count))
+        self.stream.submit(&KernelCost::gather(count))
     }
 
     /// Gather `count` scattered elements of precision `S`.
     pub fn gather_of<S: Scalar>(&self, count: usize) -> SimSpan {
-        self.submit(&KernelCost::gather_of::<S>(count))
+        self.stream.submit(&KernelCost::gather_of::<S>(count))
     }
 }
 
@@ -212,21 +176,6 @@ mod tests {
                 0.0
             }
         })
-    }
-
-    #[test]
-    fn captured_span_is_union_of_submissions() {
-        let k = kernels();
-        assert!(k.captured_span().is_none());
-        let a = k.upload_bytes(1000);
-        let b = k.gather(64);
-        let got = k.captured_span().expect("span captured");
-        assert_eq!(got.start, a.start);
-        assert_eq!(got.end, b.end);
-        k.reset_captured_span();
-        assert!(k.captured_span().is_none());
-        let c = k.gather(8);
-        assert_eq!(k.captured_span(), Some(c));
     }
 
     #[test]

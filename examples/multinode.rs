@@ -75,7 +75,7 @@ fn main() {
 
     // --- the same topology under the FETI solver ---------------------------
     // PCPG's dual-operator applies overlap the simulated inter-node
-    // boundary exchange with local GEMVs; whatever the local work could
+    // boundary exchange with local SYMVs; whatever the local work could
     // not hide surfaces as exchange stall in the solve stats
     pool.reset_all();
     let solver = FetiSolverBuilder::new()

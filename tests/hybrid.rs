@@ -266,7 +266,7 @@ fn hybrid_solver_end_to_end_invariants() {
         } else {
             let l = factors[i].chol.factor_csc();
             let f = assemble_sc(&mut CpuExec, &l, &factors[i].bt_perm, &cfg);
-            sc_dense::gemv(1.0, f.as_ref(), &pl, 0.0, &mut ql);
+            sc_dense::symv(&sc_dense::SymPackedOf::from_lower(f.as_ref()), &pl, &mut ql);
         }
         for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
             want[gl] += ql[ll];
