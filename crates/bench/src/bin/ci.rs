@@ -163,12 +163,16 @@ fn main() {
         // never compiles sc_dense's portable microkernel and SYMV tile: test
         // them by name, with sc_factor, whose fronts are the main consumer of
         // both partial_cholesky_in_place routes, and sc_feti, whose
-        // dense-oracle and hybrid-bitwise tests apply every slot with symv
+        // dense-oracle and hybrid-bitwise tests apply every slot with symv;
+        // sc_sparse for the chunked dot of its supernodal backward sweep
+        // (reduction order defined, not left to the vector width)
         let mut portable = cargo(&[
             "test",
             "-q",
             "-p",
             "sc_dense",
+            "-p",
+            "sc_sparse",
             "-p",
             "sc_factor",
             "-p",

@@ -8,7 +8,7 @@ use crate::supernodal::{supernodal_factorize, SupernodalSymbolic};
 use crate::symbolic::{analyze, Symbolic};
 use sc_dense::Scalar;
 use sc_order::Ordering;
-use sc_sparse::{CscOf, Perm};
+use sc_sparse::{CscOf, Perm, SupernodeRuns};
 
 /// Numeric engine selector. Both engines produce the same CSC factor
 /// (pattern of [`Symbolic`], values equal up to rounding), so everything
@@ -51,6 +51,9 @@ pub struct SparseCholeskyOf<S = f64> {
     sym: Symbolic,
     /// Front partition of the supernodal engine (`None`: simplicial).
     fronts: Option<SupernodalSymbolic>,
+    /// Fundamental supernodes of `l`'s pattern, which the triangular solves
+    /// sweep (either engine's factor has the pattern of `sym`).
+    runs: SupernodeRuns,
     l: CscOf<S>,
 }
 
@@ -88,19 +91,21 @@ impl<S: Scalar> SparseCholeskyOf<S> {
             Engine::Simplicial => None,
             Engine::Supernodal => Some(SupernodalSymbolic::from_symbolic(&sym)),
         };
+        let runs = SupernodeRuns::of_factor_pattern(&sym.col_ptr, &sym.row_idx);
         let l = numeric(&ap, &sym, fronts.as_ref())?;
         Ok(SparseCholeskyOf {
             perm,
             sym,
             fronts,
+            runs,
             l,
         })
     }
 
     /// Re-run the numeric factorization for a matrix with the **same
     /// pattern** but new values (the multi-step scenario of §2.2: ordering,
-    /// symbolic analysis and front partition are reused). On error the
-    /// previous factor stays in place.
+    /// symbolic analysis, front partition and supernode runs are reused). On
+    /// error the previous factor stays in place.
     pub fn refactorize(&mut self, a: &CscOf<S>) -> Result<(), FactorError> {
         let ap = a.sym_perm(&self.perm);
         self.l = numeric(&ap, &self.sym, self.fronts.as_ref())?;
@@ -133,6 +138,15 @@ impl<S: Scalar> SparseCholeskyOf<S> {
         &self.l
     }
 
+    /// The supernode runs of the factor's pattern, which every solve here
+    /// sweeps: to pass (or
+    /// [restrict](SupernodeRuns::restricted_to) and pass) to
+    /// [`sc_sparse::supernodal_lower_solve`] with
+    /// [`factor_csc_ref`](Self::factor_csc_ref).
+    pub fn supernode_runs(&self) -> &SupernodeRuns {
+        &self.runs
+    }
+
     /// Solve `A x = b`; `b` is in original (unpermuted) index space.
     pub fn solve(&self, b: &[S]) -> Vec<S> {
         let mut x = self.perm.apply(b); // x_perm[new] = b[old]
@@ -148,12 +162,12 @@ impl<S: Scalar> SparseCholeskyOf<S> {
 
     /// Forward solve only (`L y = P b`), in permuted space, in place.
     pub fn solve_fwd_permuted(&self, x: &mut [S]) {
-        sc_sparse::csc_lower_solve(&self.l, x);
+        sc_sparse::supernodal_lower_solve(&self.l, &self.runs, x, &mut Vec::new());
     }
 
     /// Backward solve only (`Lᵀ x = y`), in permuted space, in place.
     pub fn solve_bwd_permuted(&self, x: &mut [S]) {
-        sc_sparse::csc_lower_t_solve(&self.l, x);
+        sc_sparse::supernodal_lower_t_solve(&self.l, &self.runs, x, &mut Vec::new());
     }
 
     /// Factor non-zero count.

@@ -22,7 +22,7 @@ use crate::etree::{postorder, NONE};
 use crate::simplicial::FactorError;
 use crate::symbolic::Symbolic;
 use sc_dense::{partial_cholesky_in_place, MatMutOf, Scalar};
-use sc_sparse::CscOf;
+use sc_sparse::{fundamental_supernodes, CscOf};
 
 /// Relaxed amalgamation thresholds `(max pivots, max percentage of explicit
 /// zeros)` (CHOLMOD's defaults): a child merges into its parent when the
@@ -88,16 +88,13 @@ impl SupernodalSymbolic {
     pub fn from_symbolic(sym: &Symbolic) -> Self {
         let n = sym.n;
         let count = |j: usize| sym.col_ptr[j + 1] - sym.col_ptr[j];
-        // fundamental supernodes: runs of columns with nested patterns
+        // fundamental supernodes: runs of columns with nested patterns (the
+        // ones the triangular solves block over)
         let mut snode_of_col = Vec::with_capacity(n);
         let mut last_col = Vec::new();
-        for j in 0..n {
-            if j > 0 && sym.parent[j - 1] == j && count(j - 1) == count(j) + 1 {
-                *last_col.last_mut().expect("column 0 opened a supernode") = j;
-            } else {
-                last_col.push(j);
-            }
-            snode_of_col.push(last_col.len() - 1);
+        for run in fundamental_supernodes(&sym.col_ptr, &sym.row_idx) {
+            snode_of_col.resize(run.end, last_col.len());
+            last_col.push(run.end - 1);
         }
         let nsuper = last_col.len();
         let sparent: Vec<usize> = last_col

@@ -1,8 +1,9 @@
 //! Property tests of the sparse Cholesky stack on random SPD matrices and
 //! regularized FEM subdomains: the supernodal engine reproduces the
 //! simplicial reference factor, orderings preserve solutions,
-//! refactorization is exact, breakdowns are reported, and the relaxed
-//! supernode partition is structurally sound.
+//! refactorization is exact, breakdowns are reported, the relaxed
+//! supernode partition is structurally sound, and the solver's supernodal
+//! triangular sweeps reproduce the plain CSC column sweeps.
 
 use proptest::prelude::*;
 use sc_dense::Scalar;
@@ -13,7 +14,7 @@ use sc_factor::{
 };
 use sc_fem::{Gluing, HeatProblem, Subdomain};
 use sc_order::Ordering;
-use sc_sparse::{Coo, Csc, CscOf};
+use sc_sparse::{csc_lower_solve, csc_lower_t_solve, Coo, Csc, CscOf, SupernodeRuns};
 
 fn spd_strategy(n: usize) -> impl Strategy<Value = Csc> {
     proptest::collection::vec((0usize..n, 0usize..n, 0.05f64..1.0), n..(4 * n)).prop_map(
@@ -106,6 +107,82 @@ fn supernodal_matches_simplicial_on_regularized_subdomains() {
             check_against_simplicial(&k, 1e-12)
                 .unwrap_or_else(|e| panic!("{}D subdomain {i}, f64: {e}", prob.dim));
             check_against_simplicial(&k.cast::<f32>(), 1e-4)
+                .unwrap_or_else(|e| panic!("{}D subdomain {i}, f32: {e}", prob.dim));
+        }
+    }
+}
+
+/// The solver's supernodal sweeps against the plain CSC column sweeps on its
+/// own factor, for both engines at precision `S`: the runs are the
+/// verified ones, the forward sweep agrees to `fwd_tol` (`0.0`: bitwise), the
+/// backward sweep to `bwd_tol` (relative to the largest entry), and a
+/// refactorization keeps the runs.
+fn check_sweeps_against_csc<S: Scalar>(
+    a: &CscOf<S>,
+    fwd_tol: f64,
+    bwd_tol: f64,
+) -> Result<(), String> {
+    let perm = Ordering::NestedDissection.compute(a);
+    let n = a.ncols();
+    let rel_diff = |got: &[S], want: &[S]| {
+        let scale = want
+            .iter()
+            .fold(f64::MIN_POSITIVE, |m, v| m.max(v.to_f64().abs()));
+        let diff = got
+            .iter()
+            .zip(want)
+            .map(|(g, w)| (g.to_f64() - w.to_f64()).abs());
+        diff.fold(0.0, f64::max) / scale
+    };
+    for engine in [Engine::Simplicial, Engine::Supernodal] {
+        let mut chol = SparseCholeskyOf::factorize_with_perm(a, perm.clone(), engine)
+            .map_err(|e| e.to_string())?;
+        let runs = chol.supernode_runs().clone();
+        if Ok(&runs) != SupernodeRuns::verified(chol.factor_csc_ref()).as_ref() {
+            return Err(format!(
+                "{engine:?}: the O(n) runs are not the verified ones"
+            ));
+        }
+        let mut want: Vec<S> = (0..n)
+            .map(|i| S::from_f64(((i * 7 % 13) as f64) * 0.5 - 3.0))
+            .collect();
+        let mut got = want.clone();
+        csc_lower_solve(chol.factor_csc_ref(), &mut want);
+        chol.solve_fwd_permuted(&mut got);
+        let d = rel_diff(&got, &want);
+        if d.is_nan() || d > fwd_tol {
+            return Err(format!(
+                "{engine:?}: forward sweep off by {d:e} > {fwd_tol:e}"
+            ));
+        }
+        got.copy_from_slice(&want);
+        csc_lower_t_solve(chol.factor_csc_ref(), &mut want);
+        chol.solve_bwd_permuted(&mut got);
+        let d = rel_diff(&got, &want);
+        if d.is_nan() || d > bwd_tol {
+            return Err(format!(
+                "{engine:?}: backward sweep off by {d:e} > {bwd_tol:e}"
+            ));
+        }
+        chol.refactorize(a).map_err(|e| e.to_string())?;
+        if chol.supernode_runs() != &runs {
+            return Err(format!("{engine:?}: refactorize changed the runs"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn supernodal_sweeps_match_csc_sweeps_on_regularized_subdomains() {
+    for prob in [
+        HeatProblem::build_2d(24, (2, 1), Gluing::Redundant),
+        HeatProblem::build_3d(10, (2, 1, 1), Gluing::Redundant),
+    ] {
+        for (i, sd) in prob.subdomains.iter().enumerate() {
+            let k = regularized(sd);
+            check_sweeps_against_csc(&k, 0.0, 1e-12)
+                .unwrap_or_else(|e| panic!("{}D subdomain {i}, f64: {e}", prob.dim));
+            check_sweeps_against_csc(&k.cast::<f32>(), 0.0, 1e-4)
                 .unwrap_or_else(|e| panic!("{}D subdomain {i}, f32: {e}", prob.dim));
         }
     }
@@ -272,6 +349,12 @@ proptest! {
             return Err(TestCaseError::fail(format!("f32: {e}")));
         }
         check_partition(&analyze(&a));
+        if let Err(e) = check_sweeps_against_csc(&a, 0.0, 1e-12) {
+            return Err(TestCaseError::fail(format!("f64 sweeps: {e}")));
+        }
+        if let Err(e) = check_sweeps_against_csc(&a.cast::<f32>(), 0.0, 1e-4) {
+            return Err(TestCaseError::fail(format!("f32 sweeps: {e}")));
+        }
         let b: Vec<f64> = (0..30).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let xs = SparseCholesky::factorize(&a, CholOptions {
             ordering: Ordering::NestedDissection,

@@ -15,7 +15,10 @@ use sc_dense::{Mat, Scalar, SymPackedOf};
 use sc_factor::{Engine, SparseCholesky};
 use sc_fem::{HeatProblem, Subdomain};
 use sc_gpu::{DevicePool, KernelCost, Stream};
-use sc_sparse::{binned_gather, csc_lower_solve, csc_lower_t_solve, BinnedPlan, Csc, CscOf};
+use sc_sparse::{
+    binned_gather, supernodal_lower_solve, supernodal_lower_t_solve, BinnedPlan, Csc, CscOf,
+    SupernodeRuns,
+};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
@@ -99,8 +102,9 @@ impl<S: Scalar> BoundaryMapOf<S> {
 }
 
 /// Per-subdomain factorization bundle: the regularized factor, `B̃ᵢᵀ`
-/// pre-permuted into factor row space, and the hoisted boundary index map
-/// the implicit application reuses across PCPG iterations.
+/// pre-permuted into factor row space, and what the implicit application
+/// reuses across PCPG iterations — the hoisted boundary index map and the
+/// part of the factor a boundary right-hand side can reach.
 pub struct SubdomainFactors {
     /// Factorized `K_reg`.
     pub chol: SparseCholesky,
@@ -109,6 +113,11 @@ pub struct SubdomainFactors {
     /// Gather/scatter map of `bt_perm`, hoisted out of the per-iteration
     /// apply path.
     pub map: BoundaryMap,
+    /// The factor's supernode runs restricted to the elimination-tree
+    /// closure of `bt_perm`'s rows: `L⁻¹ B̃ᵀ p̃` is zero outside it and
+    /// `B̃ L⁻ᵀ` reads nothing outside it, so Eq. 11 sweeps only these columns
+    /// (the sparsity of `B̃` again, on the implicit path).
+    pub boundary_runs: SupernodeRuns,
 }
 
 impl SubdomainFactors {
@@ -120,7 +129,15 @@ impl SubdomainFactors {
             .expect("regularized subdomain matrix must be SPD");
         let bt_perm = sd.bt.permute_rows(chol.perm());
         let map = BoundaryMap::of(&bt_perm);
-        SubdomainFactors { chol, bt_perm, map }
+        let boundary_runs = chol
+            .supernode_runs()
+            .restricted_to(chol.factor_csc_ref(), bt_perm.row_idx());
+        SubdomainFactors {
+            chol,
+            bt_perm,
+            map,
+            boundary_runs,
+        }
     }
 
     /// [`build`](Self::build) over every subdomain of `problem` in parallel
@@ -141,39 +158,60 @@ impl SubdomainFactors {
     }
 }
 
-/// The factor view Eq. 11 applies against: `L` in permuted index space and
-/// the boundary map of `B̃ᵀ` in the same row space.
-impl<'a> From<&'a SubdomainFactors> for (&'a Csc, &'a BoundaryMap) {
+/// The factor view Eq. 11 applies against at working precision `S`: `L` in
+/// permuted index space, the supernode runs of its pattern restricted to
+/// what `B̃ᵀ` reaches, and the boundary map of `B̃ᵀ` in the same row space.
+/// The runs hold no values, so a demoted view borrows the `f64` side's.
+pub struct FactorView<'a, S = f64> {
+    /// The factor.
+    pub l: &'a CscOf<S>,
+    /// [`SubdomainFactors::boundary_runs`].
+    pub runs: &'a SupernodeRuns,
+    /// The map of `B̃ᵀ`.
+    pub map: &'a BoundaryMapOf<S>,
+}
+
+impl<'a> From<&'a SubdomainFactors> for FactorView<'a> {
     fn from(f: &'a SubdomainFactors) -> Self {
-        (f.chol.factor_csc_ref(), &f.map)
+        FactorView {
+            l: f.chol.factor_csc_ref(),
+            runs: &f.boundary_runs,
+            map: &f.map,
+        }
     }
 }
 
-/// [`apply_implicit_with`] on a fresh work vector — a convenience for tests
+/// [`apply_implicit_with`] on fresh work vectors — a convenience for tests
 /// and one-off applications; no library path calls it.
 pub fn apply_implicit(factors: &SubdomainFactors, p: &[f64], out: &mut [f64]) {
-    apply_implicit_with(factors, p, out, &mut Vec::new());
+    apply_implicit_with(factors, p, out, &mut Vec::new(), &mut Vec::new());
 }
 
 /// Implicit application `q̃ = B̃ (L⁻ᵀ(L⁻¹(B̃ᵀ p̃)))` (paper Eq. 11) at working
-/// precision `S` against a factor view `(L, map)` — a `&SubdomainFactors` at
-/// `f64`, a demoted pair at `f32`. The caller-owned scratch (resized to the
-/// factor dimension, contents overwritten) and the hoisted [`BoundaryMapOf`]
-/// leave the two triangular solves plus the indexed gather/scatter as the
-/// per-iteration cost — no allocation, no sparse-matrix traversal machinery.
+/// precision `S` against a [`FactorView`] — a `&SubdomainFactors` at `f64`,
+/// a demoted factor and map at `f32`. Both triangular solves are
+/// [`sc_sparse`]'s supernodal sweeps, in place on the CSC factor and over
+/// the boundary-restricted runs only: the forward solve of `B̃ᵀ p̃` is exactly
+/// zero in every column they skip, and the gather reads no row the backward
+/// solve skipped. The caller-owned scratch (`t`: the dof-space vector,
+/// resized to the factor dimension; `w`: the sweeps' supernode tail; contents
+/// of both overwritten) and the hoisted [`BoundaryMapOf`] leave the two
+/// sweeps plus the indexed gather/scatter as the per-iteration cost — no
+/// allocation, no sparse-matrix traversal machinery.
 pub fn apply_implicit_with<'a, S: Scalar>(
-    factors: impl Into<(&'a CscOf<S>, &'a BoundaryMapOf<S>)>,
+    factors: impl Into<FactorView<'a, S>>,
     p: &[S],
     out: &mut [S],
-    scratch: &mut Vec<S>,
+    t: &mut Vec<S>,
+    w: &mut Vec<S>,
 ) {
-    let (l, map) = factors.into();
-    scratch.clear();
-    scratch.resize(map.n_rows(), S::ZERO);
-    map.scatter(p, scratch);
-    csc_lower_solve(l, scratch);
-    csc_lower_t_solve(l, scratch);
-    map.gather(scratch, out);
+    let FactorView { l, runs, map } = factors.into();
+    t.clear();
+    t.resize(map.n_rows(), S::ZERO);
+    map.scatter(p, t);
+    supernodal_lower_solve(l, runs, t, w);
+    supernodal_lower_t_solve(l, runs, t, w);
+    map.gather(t, out);
 }
 
 /// One subdomain's ready-to-apply local dual operator at working precision
@@ -198,20 +236,21 @@ impl<S: Scalar> LocalOp<S> {
     /// `out = F̃ᵢ p` — the numerics only, safe to run on any worker thread:
     /// a device-resident slot's simulated cost is charged separately
     /// ([`LocalOp::charge`]). `factors` is the subdomain's factor view
-    /// (`Implicit` needs it, `Dense` ignores it), `t` the dof-space scratch
-    /// of Eq. 11.
+    /// (`Implicit` needs it, `Dense` ignores it), `t` and `w` the scratch of
+    /// Eq. 11.
     pub(crate) fn apply(
         &self,
-        factors: Option<(&CscOf<S>, &BoundaryMapOf<S>)>,
+        factors: Option<FactorView<'_, S>>,
         p: &[S],
         out: &mut [S],
         t: &mut Vec<S>,
+        w: &mut Vec<S>,
     ) {
         match self {
             LocalOp::Dense { f, .. } => sc_dense::symv(f, p, out),
             LocalOp::Implicit => {
                 let view = factors.expect("an implicit slot comes with its factor view");
-                apply_implicit_with(view, p, out, t)
+                apply_implicit_with(view, p, out, t, w)
             }
         }
     }
@@ -251,6 +290,8 @@ pub(crate) struct Scratch<S> {
     pub(crate) t: Vec<S>,
     /// Second dof-space work vector (the lumped `K B̃ᵀ w̃`).
     pub(crate) kt: Vec<S>,
+    /// Supernode-tail work vector of Eq. 11's triangular sweeps.
+    pub(crate) w: Vec<S>,
 }
 
 /// The one global application loop: gather `λ̃ᵢ` from the global dual vector
@@ -335,12 +376,12 @@ impl<S: Scalar> DualPass<S> {
         &self,
         problem: &HeatProblem,
         ops: &[LocalOp<S>],
-        view: impl Fn(usize) -> Option<(&'a CscOf<S>, &'a BoundaryMapOf<S>)> + Sync + Send,
+        view: impl Fn(usize) -> Option<FactorView<'a, S>> + Sync + Send,
         p: &[S],
     ) -> Vec<S> {
         let mut q = vec![S::ZERO; problem.n_lambda];
         self.run(problem, Some(p), Some(&mut q), |i, _, w, ql| {
-            ops[i].apply(view(i), &w.pl, ql, &mut w.t)
+            ops[i].apply(view(i), &w.pl, ql, &mut w.t, &mut w.w)
         });
         ops.iter().for_each(LocalOp::charge);
         q
@@ -536,10 +577,15 @@ mod tests {
                 let f = sc_core::assemble_sc(&mut sc_core::CpuExec, l, &factors.bt_perm, &cfg);
                 SymPackedOf::from_lower(f.as_ref()).cast::<S>()
             };
-            let view = (
+            let (l_s, map_s) = (
                 l.cast::<S>(),
                 BoundaryMapOf::of(&factors.bt_perm.cast::<S>()),
             );
+            let view = || FactorView {
+                l: &l_s,
+                runs: &factors.boundary_runs,
+                map: &map_s,
+            };
             let dev = Device::new(DeviceSpec::a100(), 1);
             let twin = Device::new(DeviceSpec::a100(), 1);
             let slots: [(&str, LocalOp<S>); 3] = [
@@ -560,11 +606,11 @@ mod tests {
                 ),
             ];
             let ps: Vec<S> = p.iter().map(|&v| S::from_f64(v)).collect();
-            let mut t = Vec::new();
+            let (mut t, mut w) = (Vec::new(), Vec::new());
             for (kind, slot) in &slots {
                 for _ in 0..2 {
                     let mut q = vec![S::ZERO; m];
-                    slot.apply(Some((&view.0, &view.1)), &ps, &mut q, &mut t);
+                    slot.apply(Some(view()), &ps, &mut q, &mut t, &mut w);
                     slot.charge();
                     for i in 0..m {
                         let got = q[i].to_f64();
@@ -609,7 +655,8 @@ mod tests {
                 let m = sd.n_lambda();
                 let n = sd.n_dofs();
                 let p: Vec<f64> = (0..m).map(|i| ((i * 17 % 13) as f64) - 6.0).collect();
-                // reference: the pre-hoist formulation through the Csc
+                // reference: the pre-hoist formulation through the Csc, on
+                // the unrestricted sweeps
                 let mut t = vec![0.0; n];
                 factors.bt_perm.spmv(1.0, &p, 0.0, &mut t);
                 factors.chol.solve_fwd_permuted(&mut t);
@@ -622,12 +669,88 @@ mod tests {
                 assert_eq!(fast, reference, "hoisted map diverged");
 
                 // scratch reuse across applications must not leak state
-                let mut scratch = vec![7.0; 3];
+                let (mut scratch, mut tail) = (vec![7.0; 3], vec![-3.0; 2 * n]);
                 let mut again = vec![42.0; m];
-                apply_implicit_with(&factors, &p, &mut again, &mut scratch);
+                apply_implicit_with(&factors, &p, &mut again, &mut scratch, &mut tail);
                 assert_eq!(again, reference, "scratch reuse diverged");
                 assert_eq!(scratch.len(), n);
             }
         }
+    }
+
+    /// The subdomain shapes the pruning is checked on: every 2D and 3D
+    /// corner/edge shape, and the interior subdomain of a 3 × 3 × 3 grid
+    /// (all six faces glued).
+    fn pruning_subdomains() -> Vec<Subdomain> {
+        let mut sds = HeatProblem::build_2d(4, (3, 2), Gluing::Redundant).subdomains;
+        sds.extend(HeatProblem::build_3d(2, (2, 2, 1), Gluing::Redundant).subdomains);
+        sds.push(
+            HeatProblem::build_3d(2, (3, 3, 3), Gluing::Redundant)
+                .subdomains
+                .swap_remove(13),
+        );
+        sds
+    }
+
+    /// Eq. 11's sweeps over the boundary-restricted runs against the same
+    /// sweeps over the whole factor, at precision `S`: the forward result is
+    /// the same vector (the skipped columns are exact zeros), the backward
+    /// result the same bits at every row `B̃` gathers.
+    fn restricted_sweeps_match_the_unrestricted_ones<S: Scalar>() {
+        for sd in pruning_subdomains() {
+            let factors = factors_for(&sd);
+            let l = factors.chol.factor_csc_ref().cast::<S>();
+            let map = BoundaryMapOf::of(&factors.bt_perm.cast::<S>());
+            let full = factors.chol.supernode_runs();
+            let p: Vec<S> = (0..sd.n_lambda())
+                .map(|i| S::from_f64(((i * 17 % 13) as f64) * 0.25 - 1.5))
+                .collect();
+            let mut pruned = vec![S::ZERO; sd.n_dofs()];
+            map.scatter(&p, &mut pruned);
+            let mut whole = pruned.clone();
+            let mut w = Vec::new();
+
+            supernodal_lower_solve(&l, &factors.boundary_runs, &mut pruned, &mut w);
+            supernodal_lower_solve(&l, full, &mut whole, &mut w);
+            assert_eq!(pruned, whole, "forward sweep");
+            supernodal_lower_t_solve(&l, &factors.boundary_runs, &mut pruned, &mut w);
+            supernodal_lower_t_solve(&l, full, &mut whole, &mut w);
+            for &i in factors.bt_perm.row_idx() {
+                assert_eq!(pruned[i], whole[i], "backward sweep at boundary row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_sweeps_are_bitwise_the_full_ones_at_boundary_rows() {
+        restricted_sweeps_match_the_unrestricted_ones::<f64>();
+        restricted_sweeps_match_the_unrestricted_ones::<f32>();
+    }
+
+    /// Share of the problem's `nnz(L)` in the columns Eq. 11 sweeps.
+    fn swept_share(problem: &HeatProblem) -> f64 {
+        let (mut swept, mut nnz) = (0, 0);
+        for sd in &problem.subdomains {
+            let factors = factors_for(sd);
+            let col_ptr = factors.chol.factor_csc_ref().col_ptr();
+            let visited = factors.boundary_runs.visited();
+            swept += visited
+                .map(|cols| col_ptr[cols.end] - col_ptr[cols.start])
+                .sum::<usize>();
+            nnz += factors.chol.factor_nnz();
+        }
+        swept as f64 / nnz as f64
+    }
+
+    #[test]
+    fn boundary_closure_prunes_what_it_did_when_measured() {
+        // loose pins on the benchmark's two solver meshes under the default
+        // ordering (measured 0.84 and 0.41): an ordering change that numbers
+        // the interior last — every column then an ancestor of a boundary
+        // row — would silently turn the pruning off
+        let share = swept_share(&HeatProblem::build_3d(12, (2, 2, 2), Gluing::Redundant));
+        assert!((0.7..0.92).contains(&share), "3D c12 sweeps {share}");
+        let share = swept_share(&HeatProblem::build_2d(64, (4, 4), Gluing::Redundant));
+        assert!((0.3..0.5).contains(&share), "2D c64 sweeps {share}");
     }
 }

@@ -24,7 +24,7 @@ pub use approaches::{
     measure_apply_cost, preprocess_approach, DualOpApproach, PreprocessReport, TwoClock,
 };
 pub use dualop::{
-    apply_implicit, apply_implicit_with, BoundaryMap, BoundaryMapOf, SubdomainFactors,
+    apply_implicit, apply_implicit_with, BoundaryMap, BoundaryMapOf, FactorView, SubdomainFactors,
 };
 pub use pcpg::{
     pcpg_preconditioned, pcpg_preconditioned_of, PcpgBreakdown, PcpgResult, PcpgResultOf, PcpgStats,

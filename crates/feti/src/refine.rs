@@ -11,7 +11,7 @@
 //! the solver falls back to the full-`f64` PCPG so a hard workload degrades
 //! to the historical path instead of returning a bad λ).
 
-use crate::dualop::{BoundaryMapOf, DualPass, LocalOp, SubdomainFactors};
+use crate::dualop::{BoundaryMapOf, DualPass, FactorView, LocalOp, SubdomainFactors};
 use crate::pcpg::{pcpg_preconditioned_of, PcpgStats};
 use crate::solver::{FetiSolver, Preconditioner};
 use rayon::prelude::*;
@@ -32,8 +32,9 @@ pub(crate) struct Demoted {
     /// cast back; it drops the stream binding — the inner SYMVs run on the host,
     /// so only the `f64` residual applications move a simulated clock.
     ops: Vec<LocalOp<f32>>,
-    /// The demoted `(L, map)` factor view of each implicit slot; `None`
-    /// beside a dense one.
+    /// The demoted `(L, map)` of each implicit slot's factor view (its
+    /// supernode runs hold no values and stay with the `f64` factors);
+    /// `None` beside a dense one.
     factors: Vec<Option<(CscOf<f32>, BoundaryMapOf<f32>)>>,
     pass: DualPass<f32>,
 }
@@ -71,9 +72,18 @@ impl Demoted {
     }
 
     /// The pass of [`FetiSolver::apply_f`] at `f32` (the inner solves' hot
-    /// path).
-    pub(crate) fn apply(&self, problem: &HeatProblem, p: &[f32]) -> Vec<f32> {
-        let view = |i: usize| self.factors[i].as_ref().map(|(l, map)| (l, map));
+    /// path); `factors` are the ones `self` was demoted from.
+    pub(crate) fn apply(
+        &self,
+        problem: &HeatProblem,
+        factors: &[SubdomainFactors],
+        p: &[f32],
+    ) -> Vec<f32> {
+        let view = |i: usize| {
+            let (l, map) = self.factors[i].as_ref()?;
+            let runs = &factors[i].boundary_runs;
+            Some(FactorView { l, runs, map })
+        };
         self.pass.apply_ops(problem, &self.ops, view, p)
     }
 }

@@ -614,7 +614,7 @@ impl<'p> FetiSolver<'p> {
         self.demoted
             .as_ref()
             .expect("demoted operators exist under the refined precision")
-            .apply(self.problem, p)
+            .apply(self.problem, &self.factors, p)
     }
 
     /// The working precision captured from the backend at construction.
