@@ -511,7 +511,7 @@ fn has_preceding_doc(file: &SourceFile, pub_ti: usize) -> bool {
 /// non-test line count when the rule landed as a ceiling: an entry may only
 /// shrink, and goes once its file is under the limit.
 pub const FILE_LENGTH_CEILINGS: &[(&str, u32)] = &[
-    ("crates/core/src/schedule.rs", 1260),
+    ("crates/core/src/schedule.rs", 1134),
     ("crates/serve/src/protocol.rs", 879),
 ];
 

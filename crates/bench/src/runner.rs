@@ -115,7 +115,8 @@ pub fn time_syrk_gpu(inputs: &KernelInputs, variant: SyrkVariant, device: &Arc<D
 pub fn time_assembly_gpu(w: &KernelWorkload, cfg: &ScConfig, device: &Arc<Device>) -> f64 {
     device.reset();
     let kernels = GpuKernels::new_cost_only(device.stream(0));
-    kernels.upload_bytes(16 * w.l.nnz() + 16 * w.bt_perm.nnz());
+    kernels.upload_csc(&w.l);
+    kernels.upload_csc(&w.bt_perm);
     let mut exec = GpuExec::new(&kernels);
     let f = assemble_sc(&mut exec, &w.l, &w.bt_perm, cfg);
     kernels.download_bytes(8 * f.nrows() * f.ncols());

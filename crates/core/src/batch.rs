@@ -61,7 +61,7 @@
 use crate::assemble::{assemble_sc_with_cache, ScConfig};
 use crate::exec::{CpuExec, RecordingExec};
 use crate::schedule::{
-    self, plan_topology_by, ArenaSim, ClusterPlanError, CostEstimate, DeviceSlot, ScheduleOptions,
+    self, plan_topology_by, ClusterPlanError, CostEstimate, DeviceSlot, ScheduleOptions,
     ScheduledSpan, TopoPlan, Topology,
 };
 use crate::session::{AssemblyReport, DeviceReport, NodeReport};
@@ -69,7 +69,7 @@ use crate::source::BatchSource;
 use crate::tune::BlockCutsCache;
 use rayon::prelude::*;
 use sc_dense::{MatOf, Scalar};
-use sc_gpu::{Device, DeviceSpec, Interconnect, SimSpan, Trace, TraceEvent};
+use sc_gpu::{ArenaSim, Device, DeviceSpec, Interconnect, SimSpan, Trace, TraceEvent};
 use sc_sparse::CscOf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -452,7 +452,7 @@ fn replay_device<S: Scalar>(
     let sync0 = device.synchronize();
     let busy0 = device.busy_seconds();
     let n_streams = lanes.len();
-    let mut arena = ArenaSim::new(device.temp_pool().capacity());
+    let mut arena = ArenaSim::new(device.arena_capacity());
     let mut executed: Vec<ScheduledSpan> = Vec::with_capacity(lanes.iter().map(Vec::len).sum());
     let outer_span_log = device.span_log_enabled();
     device.enable_span_log();
@@ -595,7 +595,7 @@ fn replay_device<S: Scalar>(
         utilization: if cap > 0.0 { busy / cap } else { 0.0 },
         temp_high_water: arena.high_water(),
         trace: Some(Trace {
-            arena_capacity: device.temp_pool().capacity(),
+            arena_capacity: device.arena_capacity(),
             // the oversubscription audit compares arena reservations sized
             // with the replay's working precision (satellite of the mixed-
             // precision refactor: 4 for f32 replays, 8 for f64)
@@ -893,7 +893,7 @@ mod tests {
             ..DeviceSpec::a100()
         };
         let dev = Device::new(spec, 4);
-        let capacity = dev.temp_pool().capacity();
+        let capacity = dev.arena_capacity();
         let (_, report) = on_gpu(
             items.as_slice(),
             &ScConfig::optimized(true, false),
@@ -1100,7 +1100,7 @@ mod tests {
         let cfg = ScConfig::optimized(true, false);
         let pool =
             DevicePool::heterogeneous(&[DeviceSpec::a100(), DeviceSpec::tiny_test_device()], 2);
-        let tiny_arena = pool.device(1).temp_pool().capacity();
+        let tiny_arena = pool.device(1).arena_capacity();
         let spec = pool.device(0).spec().clone();
         let mut oversized = 0;
         for (i, it) in items.iter().enumerate() {
@@ -1130,7 +1130,7 @@ mod tests {
         }
         // per-device arenas were never oversubscribed
         for (d, rep) in report.devices.iter().enumerate() {
-            assert!(rep.temp_high_water <= pool.device(d).temp_pool().capacity());
+            assert!(rep.temp_high_water <= pool.device(d).arena_capacity());
         }
     }
 

@@ -35,11 +35,11 @@ pub use assemble::{
 };
 pub use batch::{BatchItem, BatchItemOf, SubdomainTiming};
 pub use exec::{CpuExec, Exec, GpuExec, RecordingExec};
+pub use sc_gpu::ArenaSim;
 pub use schedule::{
     estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by, ApplyEstimate,
-    ArenaSim, ClusterPlanError, CostEstimate, DeviceSlot, Formulation, HybridChoice, HybridForce,
-    HybridPlan, HybridPlanOptions, ScheduleOptions, ScheduledSpan, StreamPolicy, TopoPlan,
-    Topology,
+    ClusterPlanError, CostEstimate, DeviceSlot, Formulation, HybridChoice, HybridForce, HybridPlan,
+    HybridPlanOptions, ScheduleOptions, ScheduledSpan, StreamPolicy, TopoPlan, Topology,
 };
 pub use session::{
     AssemblyReport, AssemblyResult, AssemblySession, Backend, DeviceReport, HybridSummary,

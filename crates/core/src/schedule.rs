@@ -16,8 +16,9 @@
 //!    **least-loaded stream**
 //!    ([`StreamPolicy::LptLeastLoaded`]; [`StreamPolicy::RoundRobin`] keeps
 //!    the naive index-order assignment as the comparison baseline);
-//! 3. [`ArenaSim`] admits each subdomain against the device's
-//!    [`TempPool`](sc_gpu::TempPool) capacity **in simulated time**, so
+//! 3. [`ArenaSim`](sc_gpu::ArenaSim) admits each subdomain against the
+//!    device's [`arena_capacity`](sc_gpu::Device::arena_capacity) **in
+//!    simulated time**, so
 //!    concurrent temporaries never oversubscribe the arena. A stream whose
 //!    next subdomain does not fit *stalls until a holder releases* — the
 //!    paper's **"wait"** configuration. Per-subdomain host-readiness times
@@ -262,7 +263,7 @@ pub struct DeviceSlot {
     /// Capability spec (per-device cost pricing on heterogeneous pools).
     pub spec: DeviceSpec,
     /// Temporary-arena capacity in bytes
-    /// ([`TempPool::capacity`](sc_gpu::TempPool::capacity)) — the
+    /// ([`Device::arena_capacity`](sc_gpu::Device::arena_capacity)) — the
     /// admissibility bound: a subdomain whose peak temporaries exceed it can
     /// never run on this device.
     pub arena_capacity: usize,
@@ -1131,133 +1132,6 @@ pub struct ScheduledSpan {
     pub temp_bytes: usize,
 }
 
-/// Simulated-time admission against the temporary arena: reservations are
-/// intervals `[start, release)` of bytes; [`ArenaSim::admit`] returns the
-/// earliest instant at which a new reservation can *permanently* fit — i.e.
-/// after which committed usage never again exceeds `capacity − bytes`. The
-/// conservative "permanently" guard is what keeps admission safe even though
-/// a reservation's release time is only known after its kernels are
-/// replayed.
-pub struct ArenaSim {
-    capacity: usize,
-    /// Committed reservations as `(start, release, bytes)`.
-    live: Vec<(f64, f64, usize)>,
-}
-
-impl ArenaSim {
-    /// Arena of `capacity` bytes (use the device's
-    /// [`TempPool::capacity`](sc_gpu::TempPool::capacity)).
-    pub fn new(capacity: usize) -> Self {
-        ArenaSim {
-            capacity,
-            live: Vec::new(),
-        }
-    }
-
-    /// Arena capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Earliest admission instant `t ≥ not_before` for a reservation of
-    /// `bytes`, against the committed reservation set.
-    ///
-    /// # Panics
-    ///
-    /// When `bytes > capacity` — the request can never be satisfied,
-    /// mirroring [`TempPool::alloc`](sc_gpu::TempPool::alloc)'s contract.
-    pub fn admit(&self, bytes: usize, not_before: f64) -> f64 {
-        self.try_admit(bytes, not_before)
-            .expect("admission blocked only by open (in-flight) reservations")
-    }
-
-    /// [`ArenaSim::admit`], but `None` when admission is blocked by an
-    /// **open** reservation (one whose release time is not yet known — an
-    /// in-flight subdomain): the caller must replay other streams until the
-    /// holder closes.
-    pub fn try_admit(&self, bytes: usize, not_before: f64) -> Option<f64> {
-        assert!(
-            bytes <= self.capacity,
-            "temporary reservation of {bytes} B exceeds the device arena \
-             capacity {} B — the subdomain cannot be scheduled on this device",
-            self.capacity
-        );
-        let budget = self.capacity as isize - bytes as isize;
-        // sweep usage over the committed breakpoints; admission must wait
-        // past the *last* segment whose usage exceeds the remaining budget
-        let mut events: Vec<(f64, isize)> = Vec::with_capacity(2 * self.live.len());
-        for &(start, release, b) in &self.live {
-            events.push((start, b as isize));
-            events.push((release, -(b as isize)));
-        }
-        events.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                // releases before acquisitions at the same instant
-                .then(a.1.cmp(&b.1))
-        });
-        let mut t = not_before;
-        let mut usage = 0isize;
-        for (w, &(at, delta)) in events.iter().enumerate() {
-            usage += delta;
-            // usage holds on [at, seg_end)
-            let seg_end = events.get(w + 1).map(|e| e.0).unwrap_or(at);
-            if usage > budget && seg_end > at {
-                // cannot be resident during an over-budget segment: wait
-                // until it ends
-                t = t.max(seg_end);
-            }
-        }
-        debug_assert_eq!(usage, 0, "reservation events must balance");
-        t.is_finite().then_some(t)
-    }
-
-    /// Commit a reservation of `bytes` over `[start, release)`.
-    pub fn reserve(&mut self, start: f64, release: f64, bytes: usize) {
-        debug_assert!(release >= start, "reservation released before it starts");
-        self.live.push((start, release.max(start), bytes));
-    }
-
-    /// Open a reservation whose release time is not yet known (an in-flight
-    /// subdomain): it holds `bytes` from `start` indefinitely until
-    /// [`ArenaSim::close`] stamps the release. Returns a handle.
-    pub fn open(&mut self, start: f64, bytes: usize) -> usize {
-        self.live.push((start, f64::INFINITY, bytes));
-        self.live.len() - 1
-    }
-
-    /// Stamp the release time of an open reservation.
-    pub fn close(&mut self, handle: usize, release: f64) {
-        debug_assert!(
-            self.live[handle].1.is_infinite(),
-            "closing an already-closed reservation"
-        );
-        self.live[handle].1 = release.max(self.live[handle].0);
-    }
-
-    /// Peak simultaneous committed bytes over all reservations.
-    pub fn high_water(&self) -> usize {
-        let mut events: Vec<(f64, isize)> = Vec::with_capacity(2 * self.live.len());
-        for &(start, release, b) in &self.live {
-            events.push((start, b as isize));
-            events.push((release, -(b as isize)));
-        }
-        events.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                // releases before acquisitions at the same instant
-                .then(a.1.cmp(&b.1))
-        });
-        let mut usage = 0isize;
-        let mut peak = 0isize;
-        for (_, delta) in events {
-            usage += delta;
-            peak = peak.max(usage);
-        }
-        peak.max(0) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1794,48 +1668,6 @@ mod tests {
         );
         assert!(auto.cost_at(10.0) <= all_expl.cost_at(10.0) + 1e-15);
         assert!(auto.cost_at(10.0) <= all_impl.cost_at(10.0) + 1e-15);
-    }
-
-    #[test]
-    fn arena_admits_immediately_when_it_fits() {
-        let a = ArenaSim::new(1000);
-        assert_eq!(a.admit(1000, 0.5), 0.5);
-    }
-
-    #[test]
-    fn arena_waits_for_release() {
-        let mut a = ArenaSim::new(1000);
-        a.reserve(0.0, 2.0, 800);
-        // 300 B do not fit until t = 2.0
-        assert_eq!(a.admit(300, 0.0), 2.0);
-        // 200 B fit right away
-        assert_eq!(a.admit(200, 0.0), 0.0);
-    }
-
-    #[test]
-    fn arena_respects_future_reservations() {
-        let mut a = ArenaSim::new(1000);
-        // committed for the future: [5, 9)
-        a.reserve(5.0, 9.0, 800);
-        // a 300 B request at t=0 must NOT slot in before 5.0, because its
-        // release time is unknown and could overlap [5, 9)
-        assert_eq!(a.admit(300, 0.0), 9.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the device arena")]
-    fn arena_rejects_oversized_requests() {
-        let a = ArenaSim::new(10);
-        let _ = a.admit(11, 0.0);
-    }
-
-    #[test]
-    fn arena_high_water_tracks_peak() {
-        let mut a = ArenaSim::new(1000);
-        a.reserve(0.0, 4.0, 400);
-        a.reserve(1.0, 2.0, 300);
-        a.reserve(2.0, 5.0, 300);
-        assert_eq!(a.high_water(), 700);
     }
 
     // ---- hierarchical engine -------------------------------------------

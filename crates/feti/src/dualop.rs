@@ -15,10 +15,7 @@ use sc_dense::{Mat, Scalar, SymPackedOf};
 use sc_factor::{Engine, SparseCholesky};
 use sc_fem::{HeatProblem, Subdomain};
 use sc_gpu::{DevicePool, KernelCost, Stream};
-use sc_sparse::{
-    binned_gather, supernodal_lower_solve, supernodal_lower_t_solve, BinnedPlan, Csc, CscOf,
-    SupernodeRuns,
-};
+use sc_sparse::{supernodal_lower_solve, supernodal_lower_t_solve, Csc, CscOf, SupernodeRuns};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
@@ -40,12 +37,6 @@ pub struct BoundaryMapOf<S = f64> {
     coeffs: Vec<S>,
     /// Factor dimension (length of the dof-space work vector).
     n_rows: usize,
-    /// Column-length binning of the gather side (see
-    /// [`sc_sparse::binned`]): the per-multiplier dot products run in
-    /// fixed-trip-count length classes instead of one irregular loop. The
-    /// scatter side accumulates into shared dof slots and must stay
-    /// column-ordered, so it does not use the plan.
-    plan: BinnedPlan,
 }
 
 /// The `f64` boundary map (the historical default working precision).
@@ -54,14 +45,11 @@ pub type BoundaryMap = BoundaryMapOf<f64>;
 impl<S: Scalar> BoundaryMapOf<S> {
     /// Extract the map from the row-permuted gluing block.
     pub fn of(bt_perm: &CscOf<S>) -> Self {
-        let offsets = bt_perm.col_ptr().to_vec();
-        let plan = BinnedPlan::from_offsets(&offsets);
         BoundaryMapOf {
-            offsets,
+            offsets: bt_perm.col_ptr().to_vec(),
             rows: bt_perm.row_idx().to_vec(),
             coeffs: bt_perm.values().to_vec(),
             n_rows: bt_perm.nrows(),
-            plan,
         }
     }
 
@@ -91,13 +79,18 @@ impl<S: Scalar> BoundaryMapOf<S> {
     }
 
     /// Gather `out = B̃ t` from the dof-space vector — bitwise identical to
-    /// `bt_perm.spmv_t(1.0, t, 0.0, out)`. Runs through the hoisted
-    /// length-binned schedule ([`sc_sparse::binned_gather`]); per-multiplier
-    /// accumulation order is unchanged, only the multiplier visit order.
+    /// `bt_perm.spmv_t(1.0, t, 0.0, out)`: one dot product per multiplier,
+    /// accumulated in stored order.
     pub fn gather(&self, t: &[S], out: &mut [S]) {
         debug_assert_eq!(out.len(), self.n_lambda());
         debug_assert_eq!(t.len(), self.n_rows);
-        binned_gather(&self.plan, &self.offsets, &self.rows, &self.coeffs, t, out);
+        for (j, o) in out.iter_mut().enumerate() {
+            let mut s = S::ZERO;
+            for k in self.offsets[j]..self.offsets[j + 1] {
+                s += self.coeffs[k] * t[self.rows[k]];
+            }
+            *o = s;
+        }
     }
 }
 
@@ -143,7 +136,7 @@ impl SubdomainFactors {
     /// [`build`](Self::build) over every subdomain of `problem` in parallel
     /// (the paper's loop over the cluster's subdomains, one thread per
     /// subdomain) — the crate's one factorization loop.
-    pub(crate) fn build_all(
+    pub fn build_all(
         problem: &HeatProblem,
         engine: Engine,
         ordering: sc_order::Ordering,
@@ -676,6 +669,37 @@ mod tests {
                 assert_eq!(scratch.len(), n);
             }
         }
+    }
+
+    /// `BoundaryMapOf::gather` against `spmv_t` on a block with an empty
+    /// column and columns of 1, 2 and 4 entries (the FEM builds only
+    /// length 1), with coefficients whose sum depends on the order.
+    fn gather_is_bitwise_spmv_t<S: Scalar>() {
+        let mut coo = sc_sparse::Coo::new(6, 4);
+        for (i, j, v) in [
+            (2, 1, 1.0),
+            (0, 2, -0.1),
+            (5, 2, 0.7),
+            (1, 3, 0.3),
+            (2, 3, -1e-3),
+            (3, 3, 1e3),
+            (4, 3, -0.7),
+        ] {
+            coo.push(i, j, v);
+        }
+        let bt = coo.to_csc().cast::<S>();
+        let t: Vec<S> = (0..6).map(|i| S::from_f64(0.1 + 1.3 * i as f64)).collect();
+        let mut want = vec![S::from_f64(9.0); 4];
+        bt.spmv_t(S::ONE, &t, S::ZERO, &mut want);
+        let mut got = vec![S::from_f64(-9.0); 4];
+        BoundaryMapOf::of(&bt).gather(&t, &mut got);
+        assert_eq!(got, want, "{}", S::NAME);
+    }
+
+    #[test]
+    fn gather_is_bitwise_spmv_t_at_f64_and_f32() {
+        gather_is_bitwise_spmv_t::<f64>();
+        gather_is_bitwise_spmv_t::<f32>();
     }
 
     /// The subdomain shapes the pruning is checked on: every 2D and 3D

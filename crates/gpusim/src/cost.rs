@@ -1,10 +1,9 @@
 //! Kernel cost descriptors and cost builders for the BLAS/sparse-BLAS kernel
 //! set the Schur assembler uses.
 //!
-//! Every builder that moves matrix values has a `_of::<S>` variant pricing
+//! Every builder that moves matrix values is an `_of::<S>` function pricing
 //! bytes at `S::BYTES` per element (`f32` halves value traffic; index
-//! traffic stays 8 bytes). The unsuffixed names pin `f64` and are bitwise
-//! identical to the historical constants.
+//! traffic stays 8 bytes).
 
 use sc_dense::Scalar;
 
@@ -58,7 +57,8 @@ impl KernelCost {
         }
     }
 
-    /// H2D transfer of an `f64` CSC matrix (16 bytes per stored entry).
+    /// H2D transfer of an `f64` CSC matrix (16 bytes per stored entry) — the
+    /// one unsuffixed builder, kept for the byte ledger of `benchmark/`.
     pub fn csc_transfer(nnz: usize) -> Self {
         Self::csc_transfer_of::<f64>(nnz)
     }
@@ -71,11 +71,6 @@ impl KernelCost {
             label: "trsm_dense",
             ..KernelCost::compute(flops, bytes)
         }
-    }
-
-    /// Dense `f64` TRSM.
-    pub fn trsm_dense(n: usize, m: usize) -> Self {
-        Self::trsm_dense_of::<f64>(n, m)
     }
 
     /// Sparse TRSM in precision `S` with a CSC/CSR factor of `nnz` non-zeros
@@ -93,11 +88,6 @@ impl KernelCost {
         }
     }
 
-    /// Sparse `f64` TRSM.
-    pub fn trsm_sparse(nnz: usize, m: usize) -> Self {
-        Self::trsm_sparse_of::<f64>(nnz, m)
-    }
-
     /// SYRK `C += Aᵀ A` in precision `S` with `A` `k × n` (output `n × n`,
     /// lower triangle).
     pub fn syrk_of<S: Scalar>(n: usize, k: usize) -> Self {
@@ -109,11 +99,6 @@ impl KernelCost {
         }
     }
 
-    /// `f64` SYRK.
-    pub fn syrk(n: usize, k: usize) -> Self {
-        Self::syrk_of::<f64>(n, k)
-    }
-
     /// GEMM `C += A B` in precision `S` with `A` `m × k`, `B` `k × n`.
     pub fn gemm_of<S: Scalar>(m: usize, n: usize, k: usize) -> Self {
         let flops = 2.0 * m as f64 * n as f64 * k as f64;
@@ -123,11 +108,6 @@ impl KernelCost {
             label: "gemm",
             ..KernelCost::compute(flops, bytes)
         }
-    }
-
-    /// `f64` GEMM.
-    pub fn gemm(m: usize, n: usize, k: usize) -> Self {
-        Self::gemm_of::<f64>(m, n, k)
     }
 
     /// Sparse-times-dense GEMM in precision `S` with `nnz` stored entries
@@ -142,11 +122,6 @@ impl KernelCost {
         }
     }
 
-    /// `f64` sparse-times-dense GEMM.
-    pub fn spmm(nnz: usize, n: usize) -> Self {
-        Self::spmm_of::<f64>(nnz, n)
-    }
-
     /// Gather/scatter of `count` elements in precision `S` (pruning
     /// compaction, permutation): one index read + one value move per element.
     pub fn gather_of<S: Scalar>(count: usize) -> Self {
@@ -154,11 +129,6 @@ impl KernelCost {
             label: "gather",
             ..KernelCost::compute(0.0, (INDEX_BYTES + S::BYTES as f64) * count as f64)
         }
-    }
-
-    /// Gather/scatter of `count` `f64` elements.
-    pub fn gather(count: usize) -> Self {
-        Self::gather_of::<f64>(count)
     }
 
     /// Symmetric matrix-vector product `y = A x` in precision `S` with `A`
@@ -203,8 +173,8 @@ mod tests {
 
     #[test]
     fn trsm_scales_quadratically_in_n() {
-        let a = KernelCost::trsm_dense(100, 10);
-        let b = KernelCost::trsm_dense(200, 10);
+        let a = KernelCost::trsm_dense_of::<f64>(100, 10);
+        let b = KernelCost::trsm_dense_of::<f64>(200, 10);
         assert!((b.flops / a.flops - 4.0).abs() < 1e-12);
     }
 
@@ -218,6 +188,7 @@ mod tests {
     #[test]
     fn csc_transfer_charges_16_bytes_per_entry() {
         let t = KernelCost::csc_transfer(100);
+        assert_eq!(t, KernelCost::csc_transfer_of::<f64>(100));
         assert_eq!(t.bytes, 1600.0);
         assert!(t.over_pcie);
         assert_eq!(t.label, "upload_csc");
@@ -225,14 +196,14 @@ mod tests {
 
     #[test]
     fn gemm_flops_standard() {
-        let c = KernelCost::gemm(3, 4, 5);
+        let c = KernelCost::gemm_of::<f64>(3, 4, 5);
         assert_eq!(c.flops, 120.0);
     }
 
     #[test]
     fn syrk_half_of_gemm() {
-        let s = KernelCost::syrk(10, 20);
-        let g = KernelCost::gemm(10, 10, 20);
+        let s = KernelCost::syrk_of::<f64>(10, 20);
+        let g = KernelCost::gemm_of::<f64>(10, 10, 20);
         assert!((s.flops * 2.0 - g.flops).abs() < 1e-12);
     }
 
@@ -275,19 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn unsuffixed_builders_pin_f64() {
-        assert_eq!(
-            KernelCost::trsm_sparse(500, 16),
-            KernelCost::trsm_sparse_of::<f64>(500, 16)
-        );
-        assert_eq!(
-            KernelCost::spmm(500, 16),
-            KernelCost::spmm_of::<f64>(500, 16)
-        );
-        assert_eq!(KernelCost::gather(64), KernelCost::gather_of::<f64>(64));
-    }
-
-    #[test]
     fn validate_rejects_nan_and_negative() {
         assert!(KernelCost::compute(1.0, 1.0).validate().is_ok());
         assert!(KernelCost::compute(0.0, 0.0).validate().is_ok());
@@ -298,7 +256,7 @@ mod tests {
             .validate()
             .is_err());
         assert!(KernelCost::compute(-1.0, 0.0).validate().is_err());
-        let mut t = KernelCost::trsm_dense(4, 4);
+        let mut t = KernelCost::trsm_dense_of::<f64>(4, 4);
         t.bytes = f64::NAN;
         assert!(t.validate().unwrap_err().contains("trsm_dense"));
     }

@@ -1,299 +1,174 @@
-//! Device memory pools per the paper's §3.1.
+//! The temporary arena of the paper's §3.1, in simulated time.
 //!
 //! The original algorithm "mentally splits the GPU memory into two parts —
-//! persistent and temporary. … The temporary memory allocator can reuse
-//! memory without calling the GPU library's memory allocation routines. If
-//! there is enough remaining memory in the allocator's memory pool, memory is
-//! assigned and returned immediately. Otherwise, the allocating thread is
-//! blocked until enough memory becomes available."
-//!
-//! [`TempPool`] reproduces exactly that contract (bytes accounting +
-//! blocking), which is what the multi-stream assembly loop relies on to bound
-//! its footprint when many subdomains are in flight.
-//!
-//! Waiting is **FIFO**: each blocked [`TempPool::alloc`] takes a ticket and
-//! is admitted strictly in ticket order. Without the queue, a blocked large
-//! request could wait forever while a stream of smaller requests kept
-//! slipping past the condvar every time bytes were released — admission
-//! order is part of the allocator's contract, not a best-effort hint.
+//! persistent and temporary", and a worker whose subdomain does not fit
+//! into the temporary part waits until enough of it is released. A replay
+//! has no threads to block: [`ArenaSim`] answers *when*, on the simulated
+//! clock, a reservation fits into the device's
+//! [`arena_capacity`](crate::Device::arena_capacity), and the replay starts
+//! the subdomain's stream no earlier.
 
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::sync::Arc;
-
-struct PoolState {
-    free: usize,
-    high_water: usize,
+/// Simulated-time admission against the temporary arena: reservations are
+/// intervals `[start, release)` of bytes; [`ArenaSim::try_admit`] returns the
+/// earliest instant at which a new reservation can *permanently* fit — i.e.
+/// after which committed usage never again exceeds `capacity − bytes`. The
+/// conservative "permanently" guard is what keeps admission safe even though
+/// a reservation's release time is only known after its kernels are
+/// replayed.
+pub struct ArenaSim {
     capacity: usize,
-    /// Tickets of threads blocked in [`TempPool::alloc`], oldest first.
-    waiters: VecDeque<u64>,
-    /// Next ticket to hand out.
-    next_ticket: u64,
+    /// Committed reservations as `(start, release, bytes)`.
+    live: Vec<(f64, f64, usize)>,
 }
 
-/// Blocking temporary-arena allocator.
-pub struct TempPool {
-    state: Mutex<PoolState>,
-    available: Condvar,
-}
-
-impl TempPool {
-    /// Create a pool of `capacity` bytes.
-    pub fn new(capacity: usize) -> Arc<Self> {
-        Arc::new(TempPool {
-            state: Mutex::new(PoolState {
-                free: capacity,
-                high_water: 0,
-                capacity,
-                waiters: VecDeque::new(),
-                next_ticket: 0,
-            }),
-            available: Condvar::new(),
-        })
+impl ArenaSim {
+    /// Arena of `capacity` bytes (use the device's
+    /// [`arena_capacity`](crate::Device::arena_capacity)).
+    pub fn new(capacity: usize) -> Self {
+        ArenaSim {
+            capacity,
+            live: Vec::new(),
+        }
     }
 
-    /// Pool capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.state.lock().capacity
+    /// The committed usage changes `(instant, ±bytes)` in time order,
+    /// releases before acquisitions at the same instant.
+    fn events(&self) -> Vec<(f64, isize)> {
+        let mut events: Vec<(f64, isize)> = Vec::with_capacity(2 * self.live.len());
+        for &(start, release, b) in &self.live {
+            events.push((start, b as isize));
+            events.push((release, -(b as isize)));
+        }
+        events.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        });
+        events
     }
 
-    /// Currently free bytes.
-    pub fn free_bytes(&self) -> usize {
-        self.state.lock().free
-    }
-
-    /// Largest amount of simultaneously allocated bytes observed.
-    pub fn high_water(&self) -> usize {
-        self.state.lock().high_water
-    }
-
-    /// Allocate `bytes`, blocking until available. Admission is **FIFO**:
-    /// a blocked request is served strictly in arrival order, so a large
-    /// request cannot be starved by a stream of smaller ones that would
-    /// otherwise keep fitting into the freed bytes first. Panics if the
-    /// request can never be satisfied (larger than capacity) — that is a
-    /// configuration error, mirroring a CUDA OOM on a buffer bigger than the
-    /// card.
+    /// Earliest admission instant `t ≥ not_before` for a reservation of
+    /// `bytes` against the committed reservation set; `None` when admission
+    /// is blocked by an **open** reservation (one whose release time is not
+    /// yet known — an in-flight subdomain): the caller must replay other
+    /// streams until the holder closes.
     ///
-    /// **Contract (the paper's usage):** a worker allocates the whole
-    /// temporary footprint of its subdomain as *one* request and holds no
-    /// earlier allocation while blocking. Strict admission ordering means a
-    /// thread that blocks on a second allocation while still holding a
-    /// first can deadlock behind a queued request that is itself waiting
-    /// for the held bytes — size the request up front, or use
-    /// [`TempPool::try_alloc`] for opportunistic nested buffers.
-    pub fn alloc(self: &Arc<Self>, bytes: usize) -> TempAlloc {
-        let mut st = self.state.lock();
+    /// # Panics
+    ///
+    /// When `bytes > capacity` — the request can never be satisfied (a
+    /// buffer bigger than the card's arena is a configuration error).
+    pub fn try_admit(&self, bytes: usize, not_before: f64) -> Option<f64> {
         assert!(
-            bytes <= st.capacity,
-            "temporary allocation of {bytes} B exceeds pool capacity {} B",
-            st.capacity
+            bytes <= self.capacity,
+            "temporary reservation of {bytes} B exceeds the device arena \
+             capacity {} B — the subdomain cannot be scheduled on this device",
+            self.capacity
         );
-        if st.free < bytes || !st.waiters.is_empty() {
-            // take a ticket and wait until (a) it is our turn and (b) the
-            // bytes are there; later arrivals queue behind us even when
-            // their smaller requests would fit right now
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            st.waiters.push_back(ticket);
-            while st.waiters.front() != Some(&ticket) || st.free < bytes {
-                self.available.wait(&mut st);
+        let budget = self.capacity as isize - bytes as isize;
+        // sweep usage over the committed breakpoints; admission must wait
+        // past the *last* segment whose usage exceeds the remaining budget
+        let events = self.events();
+        let mut t = not_before;
+        let mut usage = 0isize;
+        for (w, &(at, delta)) in events.iter().enumerate() {
+            usage += delta;
+            // usage holds on [at, seg_end)
+            let seg_end = events.get(w + 1).map(|e| e.0).unwrap_or(at);
+            if usage > budget && seg_end > at {
+                // cannot be resident during an over-budget segment: wait
+                // until it ends
+                t = t.max(seg_end);
             }
-            st.waiters.pop_front();
         }
-        st.free -= bytes;
-        let used = st.capacity - st.free;
-        if used > st.high_water {
-            st.high_water = used;
-        }
-        drop(st);
-        // the next ticket holder may also fit into what remains
-        self.available.notify_all();
-        TempAlloc {
-            pool: Arc::clone(self),
-            bytes,
-        }
+        debug_assert_eq!(usage, 0, "reservation events must balance");
+        t.is_finite().then_some(t)
     }
 
-    /// Non-blocking variant: `None` when the pool cannot satisfy the request
-    /// right now. Honors the FIFO queue — when blocked allocations are
-    /// waiting, `try_alloc` refuses rather than jumping the line.
-    pub fn try_alloc(self: &Arc<Self>, bytes: usize) -> Option<TempAlloc> {
-        let mut st = self.state.lock();
-        if bytes > st.free || !st.waiters.is_empty() {
-            return None;
+    /// Open a reservation whose release time is not yet known (an in-flight
+    /// subdomain): it holds `bytes` from `start` indefinitely until
+    /// [`ArenaSim::close`] stamps the release. Returns a handle.
+    pub fn open(&mut self, start: f64, bytes: usize) -> usize {
+        self.live.push((start, f64::INFINITY, bytes));
+        self.live.len() - 1
+    }
+
+    /// Stamp the release time of an open reservation.
+    pub fn close(&mut self, handle: usize, release: f64) {
+        debug_assert!(
+            self.live[handle].1.is_infinite(),
+            "closing an already-closed reservation"
+        );
+        self.live[handle].1 = release.max(self.live[handle].0);
+    }
+
+    /// Peak simultaneous committed bytes over all reservations.
+    pub fn high_water(&self) -> usize {
+        let mut usage = 0isize;
+        let mut peak = 0isize;
+        for (_, delta) in self.events() {
+            usage += delta;
+            peak = peak.max(usage);
         }
-        st.free -= bytes;
-        let used = st.capacity - st.free;
-        if used > st.high_water {
-            st.high_water = used;
-        }
-        drop(st);
-        Some(TempAlloc {
-            pool: Arc::clone(self),
-            bytes,
-        })
-    }
-
-    fn release(&self, bytes: usize) {
-        let mut st = self.state.lock();
-        st.free += bytes;
-        debug_assert!(st.free <= st.capacity, "double free in temp pool");
-        drop(st);
-        self.available.notify_all();
-    }
-}
-
-/// RAII guard for a temporary allocation; returns the bytes on drop.
-pub struct TempAlloc {
-    pool: Arc<TempPool>,
-    bytes: usize,
-}
-
-impl TempAlloc {
-    /// Size of this allocation.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-impl Drop for TempAlloc {
-    fn drop(&mut self) {
-        self.pool.release(self.bytes);
+        peak.max(0) as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
-    #[test]
-    fn alloc_and_drop_roundtrip() {
-        let p = TempPool::new(1000);
-        {
-            let a = p.alloc(400);
-            assert_eq!(p.free_bytes(), 600);
-            let b = p.alloc(600);
-            assert_eq!(p.free_bytes(), 0);
-            drop(a);
-            assert_eq!(p.free_bytes(), 400);
-            drop(b);
+    /// An arena of 1000 B holding the closed reservations `(start, release,
+    /// bytes)`.
+    fn arena(held: &[(f64, f64, usize)]) -> ArenaSim {
+        let mut a = ArenaSim::new(1000);
+        for &(start, release, bytes) in held {
+            let h = a.open(start, bytes);
+            a.close(h, release);
         }
-        assert_eq!(p.free_bytes(), 1000);
-        assert_eq!(p.high_water(), 1000);
+        a
     }
 
     #[test]
-    fn try_alloc_fails_when_exhausted() {
-        let p = TempPool::new(100);
-        let _a = p.alloc(80);
-        assert!(p.try_alloc(50).is_none());
-        assert!(p.try_alloc(20).is_some());
+    fn admits_immediately_when_it_fits() {
+        assert_eq!(arena(&[]).try_admit(1000, 0.5), Some(0.5));
     }
 
     #[test]
-    #[should_panic(expected = "exceeds pool capacity")]
-    fn oversized_request_panics() {
-        let p = TempPool::new(10);
-        let _ = p.alloc(11);
+    fn waits_for_release() {
+        let a = arena(&[(0.0, 2.0, 800)]);
+        // 300 B do not fit until t = 2.0
+        assert_eq!(a.try_admit(300, 0.0), Some(2.0));
+        // 200 B fit right away
+        assert_eq!(a.try_admit(200, 0.0), Some(0.0));
     }
 
     #[test]
-    fn blocked_thread_wakes_on_release() {
-        let p = TempPool::new(100);
-        let a = p.alloc(100);
-        let p2 = Arc::clone(&p);
-        let t = std::thread::spawn(move || {
-            // blocks until the main thread drops `a`
-            let g = p2.alloc(60);
-            g.bytes()
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        drop(a);
-        let got = t.join().unwrap();
-        assert_eq!(got, 60);
+    fn respects_future_reservations() {
+        // committed for the future: [5, 9). A 300 B request at t=0 must NOT
+        // slot in before 5.0, because its release time is unknown and could
+        // overlap [5, 9)
+        assert_eq!(arena(&[(5.0, 9.0, 800)]).try_admit(300, 0.0), Some(9.0));
     }
 
     #[test]
-    fn fifo_big_request_wins_against_a_stream_of_small_ones() {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-        // Starvation regression: a full-capacity request arrives while the
-        // pool is partially held, and small allocations keep churning. With
-        // wakeup-race admission the small ones would keep slipping past the
-        // condvar forever; FIFO tickets guarantee the big request is served
-        // as soon as everything ahead of it drains.
-        let p = TempPool::new(100);
-        let holder = p.alloc(60);
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let churned = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            // churner: an endless stream of 30 B allocations
-            let p2 = Arc::clone(&p);
-            let stop2 = Arc::clone(&stop);
-            let churned2 = Arc::clone(&churned);
-            s.spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    let g = p2.alloc(30);
-                    churned2.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_micros(200));
-                    drop(g);
-                }
-            });
-            // let the churn establish itself, then enqueue the big request
-            std::thread::sleep(Duration::from_millis(20));
-            let p3 = Arc::clone(&p);
-            let big = s.spawn(move || {
-                let g = p3.alloc(100);
-                g.bytes()
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            // release the held 60 B: once the in-flight small one drains, the
-            // big request is next in line and must be admitted
-            drop(holder);
-            assert_eq!(big.join().unwrap(), 100, "big request must be served");
-            stop.store(true, Ordering::Relaxed);
-        });
-        assert!(
-            churned.load(Ordering::Relaxed) > 0,
-            "the small-allocation churn must actually have run"
-        );
-        assert_eq!(p.free_bytes(), 100);
+    fn an_open_reservation_blocks_until_it_closes() {
+        let mut a = arena(&[]);
+        let h = a.open(0.0, 800);
+        assert_eq!(a.try_admit(300, 0.0), None);
+        assert_eq!(a.try_admit(200, 1.0), Some(1.0));
+        a.close(h, 3.0);
+        assert_eq!(a.try_admit(300, 0.0), Some(3.0));
     }
 
     #[test]
-    fn try_alloc_does_not_jump_the_fifo_queue() {
-        let p = TempPool::new(100);
-        let holder = p.alloc(80);
-        let p2 = Arc::clone(&p);
-        let waiter = std::thread::spawn(move || p2.alloc(50).bytes());
-        // wait until the 50 B request is queued
-        while p.state.lock().waiters.is_empty() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // 20 B fit into the free bytes, but a blocked allocation is ahead
-        assert!(p.try_alloc(20).is_none(), "try_alloc must not overtake");
-        drop(holder);
-        assert_eq!(waiter.join().unwrap(), 50);
+    #[should_panic(expected = "exceeds the device arena")]
+    fn rejects_oversized_requests() {
+        let _ = ArenaSim::new(10).try_admit(11, 0.0);
     }
 
     #[test]
-    fn many_threads_never_exceed_capacity() {
-        let p = TempPool::new(256);
-        std::thread::scope(|s| {
-            for i in 0..8 {
-                let p = Arc::clone(&p);
-                s.spawn(move || {
-                    for _ in 0..50 {
-                        let g = p.alloc(32 + (i % 3) * 16);
-                        std::hint::black_box(&g);
-                    }
-                });
-            }
-        });
-        assert_eq!(p.free_bytes(), 256);
-        assert!(p.high_water() <= 256);
+    fn high_water_tracks_peak() {
+        let a = arena(&[(0.0, 4.0, 400), (1.0, 2.0, 300), (2.0, 5.0, 300)]);
+        assert_eq!(a.high_water(), 700);
     }
 }

@@ -2,7 +2,7 @@
 //! paper's production setting (8 GPUs per Karolina node).
 //!
 //! Each member [`Device`] owns its own streams, timeline, and temporary-arena
-//! [`TempPool`](crate::TempPool); the pool itself adds no shared state beyond
+//! capacity; the pool itself adds no shared state beyond
 //! the roster, mirroring real multi-GPU nodes where cards only interact
 //! through the host. Heterogeneous mixes (e.g. an A100 next to a tiny test
 //! card) are allowed — the cluster planner in `sc_core::schedule` uses each
@@ -136,7 +136,7 @@ mod tests {
         assert_eq!(pool.device(0).spec().name, "sim-A100-40GB");
         assert_eq!(pool.device(1).spec().name, "sim-tiny");
         // arena capacities differ with device memory
-        assert!(pool.device(0).temp_pool().capacity() > pool.device(1).temp_pool().capacity());
+        assert!(pool.device(0).arena_capacity() > pool.device(1).arena_capacity());
     }
 
     #[test]

@@ -2,10 +2,9 @@
 
 use crate::cost::KernelCost;
 use crate::device::DeviceSpec;
-use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Simulated execution interval of one kernel, in seconds since device
 /// creation (or the last [`Device::reset`]).
@@ -49,18 +48,15 @@ struct TimelineState {
     span_log: Option<Vec<(usize, SimSpan)>>,
 }
 
-/// A simulated GPU: capability spec + execution timeline + memory pools.
+/// A simulated GPU: capability spec + execution timeline.
 pub struct Device {
     spec: DeviceSpec,
     state: Mutex<TimelineState>,
-    temp_pool: Arc<crate::memory::TempPool>,
 }
 
 impl Device {
-    /// Create a device with `n_streams` streams. The temporary-arena pool is
-    /// sized at 1/2 of device memory (the rest is "persistent", §3.1).
+    /// Create a device with `n_streams` streams.
     pub fn new(spec: DeviceSpec, n_streams: usize) -> Arc<Self> {
-        let temp_pool = crate::memory::TempPool::new(spec.memory_bytes / 2);
         let concurrency = spec.concurrency.max(1);
         Arc::new(Device {
             spec,
@@ -71,8 +67,11 @@ impl Device {
                 launches: 0,
                 span_log: None,
             }),
-            temp_pool,
         })
+    }
+
+    fn state(&self) -> MutexGuard<'_, TimelineState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Capability spec.
@@ -80,16 +79,12 @@ impl Device {
         &self.spec
     }
 
-    /// The device's temporary-arena pool.
-    pub fn temp_pool(&self) -> &Arc<crate::memory::TempPool> {
-        &self.temp_pool
-    }
-
-    /// Temporary-arena capacity in bytes — the admissibility bound planners
-    /// check before placing a subdomain's temporaries on this device
-    /// (shorthand for `temp_pool().capacity()`).
+    /// Temporary-arena capacity in bytes: 1/2 of device memory (the rest is
+    /// "persistent", §3.1) — the admissibility bound planners check before
+    /// placing a subdomain's temporaries on this device, and what
+    /// [`ArenaSim`](crate::ArenaSim) admits against during a replay.
     pub fn arena_capacity(&self) -> usize {
-        self.temp_pool.capacity()
+        self.spec.memory_bytes / 2
     }
 
     /// Handle to stream `i`.
@@ -102,7 +97,7 @@ impl Device {
 
     /// Number of streams.
     pub fn n_streams(&self) -> usize {
-        self.state.lock().stream_clock.len()
+        self.state().stream_clock.len()
     }
 
     /// Submit a kernel on stream `id`, not starting before `ready_at`
@@ -124,7 +119,7 @@ impl Device {
             cost.label
         );
         let dur = self.spec.kernel_seconds(cost);
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let t0 = st.stream_clock[id].max(ready_at);
         let Reverse(F(slot_free)) = st.slots.pop().expect("no slots");
         let start = t0.max(slot_free);
@@ -144,7 +139,7 @@ impl Device {
     /// and re-armed by [`Device::reset`]). Used by tests that check the
     /// concurrency invariant of the timeline.
     pub fn enable_span_log(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         if st.span_log.is_none() {
             st.span_log = Some(Vec::new());
         }
@@ -152,8 +147,7 @@ impl Device {
 
     /// Drain the recorded kernel spans (empty when logging is disabled).
     pub fn take_span_log(&self) -> Vec<(usize, SimSpan)> {
-        self.state
-            .lock()
+        self.state()
             .span_log
             .as_mut()
             .map(std::mem::take)
@@ -163,18 +157,14 @@ impl Device {
     /// Whether span logging is currently armed (see
     /// [`Device::enable_span_log`]).
     pub fn span_log_enabled(&self) -> bool {
-        self.state.lock().span_log.is_some()
+        self.state().span_log.is_some()
     }
 
     /// Number of entries currently in the span log (0 when disabled). Pair
     /// with [`Device::span_log_since`] for a non-destructive window snapshot
     /// that leaves the log intact for a later [`Device::take_span_log`].
     pub fn span_log_len(&self) -> usize {
-        self.state
-            .lock()
-            .span_log
-            .as_ref()
-            .map_or(0, |log| log.len())
+        self.state().span_log.as_ref().map_or(0, |log| log.len())
     }
 
     /// Clone the span-log entries recorded at or after position `mark`
@@ -183,8 +173,7 @@ impl Device {
     /// (e.g. the scheduled replay attaching its trace) leave earlier
     /// enablers' data untouched.
     pub fn span_log_since(&self, mark: usize) -> Vec<(usize, SimSpan)> {
-        self.state
-            .lock()
+        self.state()
             .span_log
             .as_ref()
             .map_or_else(Vec::new, |log| log.get(mark..).unwrap_or(&[]).to_vec())
@@ -193,29 +182,29 @@ impl Device {
     /// Stop recording and discard the log (the inverse of
     /// [`Device::enable_span_log`]). A later enable starts empty again.
     pub fn disable_span_log(&self) {
-        self.state.lock().span_log = None;
+        self.state().span_log = None;
     }
 
     /// Current simulated clock of stream `id` (completion of its last
     /// kernel) — the analog of a stream-synchronize + timer read.
     pub fn stream_time(&self, id: usize) -> f64 {
-        self.state.lock().stream_clock[id]
+        self.state().stream_clock[id]
     }
 
     /// Device-wide synchronize: simulated completion time of all streams.
     pub fn synchronize(&self) -> f64 {
-        let st = self.state.lock();
+        let st = self.state();
         st.stream_clock.iter().copied().fold(0.0, f64::max)
     }
 
     /// Total busy kernel-seconds since the last reset.
     pub fn busy_seconds(&self) -> f64 {
-        self.state.lock().busy
+        self.state().busy
     }
 
     /// Kernels launched since the last reset.
     pub fn launches(&self) -> usize {
-        self.state.lock().launches
+        self.state().launches
     }
 
     /// Advance stream `id`'s clock to at least `t` (models a host-side
@@ -223,15 +212,15 @@ impl Device {
     /// "this subdomain's factorization finished at `t`" in the overlapped
     /// `mix` configuration of the paper's §4.4).
     pub fn advance_stream(&self, id: usize, t: f64) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         if st.stream_clock[id] < t {
             st.stream_clock[id] = t;
         }
     }
 
-    /// Reset the timeline (new experiment), keeping the spec and pools.
+    /// Reset the timeline (new experiment), keeping the spec.
     pub fn reset(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let n = st.stream_clock.len();
         st.stream_clock = vec![0.0; n];
         st.slots = (0..self.spec.concurrency.max(1))
@@ -268,12 +257,6 @@ impl Stream {
         self.device.submit(self.id, cost, 0.0)
     }
 
-    /// Submit a kernel that cannot start before `ready_at` (models host-side
-    /// dependencies, e.g. "factorization of this subdomain finished at t").
-    pub fn submit_after(&self, cost: &KernelCost, ready_at: f64) -> SimSpan {
-        self.device.submit(self.id, cost, ready_at)
-    }
-
     /// Simulated completion time of this stream's last kernel.
     pub fn time(&self) -> f64 {
         self.device.stream_time(self.id)
@@ -291,6 +274,18 @@ mod tests {
 
     fn dev() -> Arc<Device> {
         Device::new(DeviceSpec::tiny_test_device(), 4)
+    }
+
+    #[test]
+    fn arena_is_half_of_device_memory() {
+        for spec in [
+            DeviceSpec::a100(),
+            DeviceSpec::h100(),
+            DeviceSpec::tiny_test_device(),
+        ] {
+            let d = Device::new(spec, 1);
+            assert_eq!(d.arena_capacity(), d.spec().memory_bytes / 2);
+        }
     }
 
     #[test]
@@ -320,7 +315,7 @@ mod tests {
     fn ready_at_delays_start() {
         let d = dev();
         let c = KernelCost::compute(1e6, 8e3);
-        let span = d.stream(3).submit_after(&c, 1.5);
+        let span = d.submit(3, &c, 1.5);
         assert!(span.start >= 1.5);
     }
 
@@ -363,7 +358,7 @@ mod tests {
     #[test]
     fn negative_bytes_are_rejected() {
         let d = dev();
-        let mut cost = KernelCost::gather(4);
+        let mut cost = KernelCost::gather_of::<f64>(4);
         cost.bytes = -1.0;
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             d.stream(1).submit(&cost);

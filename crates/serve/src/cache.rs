@@ -13,7 +13,6 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use sc_core::{BlockCutsCache, ContentHasher, SessionCache};
 use sc_fem::{Gluing, HeatProblem};
 use sc_feti::{FetiOptions, SubdomainFactors};
@@ -90,13 +89,7 @@ pub fn prepare(spec: &MeshSpec, opts: &FetiOptions) -> PreparedSession {
     } else {
         HeatProblem::build_3d(spec.cells, spec.subs, gluing_of(spec.gluing))
     };
-    let factors: Arc<Vec<SubdomainFactors>> = Arc::new(
-        problem
-            .subdomains
-            .par_iter()
-            .map(|sd| SubdomainFactors::build(sd, opts.engine, opts.ordering))
-            .collect(),
-    );
+    let factors = SubdomainFactors::build_all(&problem, opts.engine, opts.ordering);
     let cuts = BlockCutsCache::new();
     let bytes = approx_bytes(&problem, &factors, &cuts);
     PreparedSession {

@@ -14,7 +14,6 @@
 //! - Permutations are carried by [`Perm`], which stores both directions of the
 //!   mapping to keep `old→new`/`new→old` confusion out of call sites.
 
-pub mod binned;
 pub mod coo;
 pub mod csc;
 pub mod csr;
@@ -22,7 +21,6 @@ pub mod pattern;
 pub mod perm;
 pub mod trisolve;
 
-pub use binned::{binned_gather, binned_spmv, BinnedPlan};
 pub use coo::{Coo, CooOf};
 pub use csc::{Csc, CscOf};
 pub use csr::{Csr, CsrOf};

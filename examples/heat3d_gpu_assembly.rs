@@ -37,7 +37,8 @@ fn main() {
         for (i, f) in factors.iter().enumerate() {
             let kernels = GpuKernels::new(device.stream(i % device.n_streams()));
             let l = f.chol.factor_csc_ref();
-            kernels.upload_bytes(16 * l.nnz() + 16 * f.bt_perm.nnz());
+            kernels.upload_csc(l);
+            kernels.upload_csc(&f.bt_perm);
             let mut exec = GpuExec::new(&kernels);
             let f_mat = assemble_sc(&mut exec, l, &f.bt_perm, cfg);
             std::hint::black_box(&f_mat);

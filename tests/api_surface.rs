@@ -81,6 +81,17 @@ fn prelude_surface_is_complete() {
     }
     let _: fn(&FetiSolver<'_>, usize) -> TwoClock = measure_apply_cost;
     let _: fn(&PreprocessReport) -> (f64, TwoClock) = |r| (r.factorization_s, r.assembly);
+    // the launch facade `benchmark/` drives next to `GpuExec`, by calling it
+    let dev = Device::new(DeviceSpec::tiny_test_device(), 1);
+    assert_eq!(dev.arena_capacity(), dev.spec().memory_bytes / 2);
+    let kernels = GpuKernels::new(dev.stream(0));
+    assert!(!kernels.is_cost_only());
+    assert!(GpuKernels::new_cost_only(dev.stream(0)).is_cost_only());
+    let mut one = Coo::new(1, 1);
+    one.push(0, 0, 1.0);
+    let up = kernels.upload_csc(&one.to_csc());
+    let down = kernels.download_bytes(64);
+    assert!(up.end <= down.start && kernels.stream().time() == down.end);
 }
 
 fn sc_feti_preconditioner() -> schur_dd::sc_feti::Preconditioner {

@@ -136,7 +136,7 @@ proptest! {
         // --- no device's simulated arena exceeds its own capacity
         prop_assert_eq!(report.devices.len(), n_devices);
         for rep in &report.devices {
-            let capacity = pool.device(rep.device).temp_pool().capacity();
+            let capacity = pool.device(rep.device).arena_capacity();
             prop_assert!(
                 rep.temp_high_water <= capacity,
                 "device {}: arena high water {} > capacity {capacity}",
@@ -197,7 +197,7 @@ proptest! {
         let cfg = ScConfig::optimized(true, false);
         let res = AssemblySession::new(Backend::cluster(pool.clone()), cfg).assemble(&items);
         for rep in &res.report.devices {
-            prop_assert!(rep.temp_high_water <= pool.device(rep.device).temp_pool().capacity());
+            prop_assert!(rep.temp_high_water <= pool.device(rep.device).arena_capacity());
         }
         let mut placed: Vec<usize> = res
             .report

@@ -247,7 +247,7 @@ fn hybrid_solver_end_to_end_invariants() {
     assert!(report.arena_high_water <= arena);
     assert!(!unified.devices.is_empty(), "gpu share ran");
     for dev in &unified.devices {
-        assert!(dev.temp_high_water <= pool.device(dev.device).temp_pool().capacity());
+        assert!(dev.temp_high_water <= pool.device(dev.device).arena_capacity());
     }
 
     // hybrid application bitwise == mixed reference: the explicit share is

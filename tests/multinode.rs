@@ -159,7 +159,7 @@ proptest! {
         for rep in &report.devices {
             let node = rep.device / devices_per_node;
             let local = rep.device % devices_per_node;
-            let capacity = pool.node(node).pool.device(local).temp_pool().capacity();
+            let capacity = pool.node(node).pool.device(local).arena_capacity();
             prop_assert!(
                 rep.temp_high_water <= capacity,
                 "device {}: arena high water {} > capacity {capacity}",

@@ -133,7 +133,7 @@ proptest! {
         .assemble(&items);
         let report = &res.report;
         let schedule = &report.devices[0].schedule;
-        let capacity = dev.temp_pool().capacity();
+        let capacity = dev.arena_capacity();
 
         // --- arena: usage from the executed schedule never exceeds capacity
         prop_assert!(report.temp_high_water() <= capacity);

@@ -117,33 +117,6 @@ fn streams_overlap_reduces_makespan() {
 }
 
 #[test]
-fn temp_pool_bounds_inflight_memory() {
-    use schur_dd::sc_gpu::TempPool;
-    let pool = TempPool::new(1 << 20);
-    crossbeam_scope(|scope| {
-        for _ in 0..4 {
-            let p = pool.clone();
-            scope.spawn(move || {
-                for _ in 0..100 {
-                    let g = p.alloc(128 * 1024);
-                    std::hint::black_box(&g);
-                }
-            });
-        }
-    });
-    assert_eq!(pool.free_bytes(), 1 << 20, "all allocations returned");
-    assert!(pool.high_water() <= 1 << 20);
-}
-
-/// Minimal scoped-thread helper (std scoped threads).
-fn crossbeam_scope<'env, F>(f: F)
-where
-    F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>),
-{
-    std::thread::scope(f);
-}
-
-#[test]
 fn device_spec_sanity() {
     let a100 = DeviceSpec::a100();
     // peak-bound sanity: 2 TF of work cannot finish faster than peak allows
