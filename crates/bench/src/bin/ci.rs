@@ -165,7 +165,9 @@ fn main() {
         // both partial_cholesky_in_place routes, and sc_feti, whose
         // dense-oracle and hybrid-bitwise tests apply every slot with symv;
         // sc_sparse for the chunked dot of its supernodal backward sweep
-        // (reduction order defined, not left to the vector width)
+        // (reduction order defined, not left to the vector width); sc_core,
+        // whose dense-oracle tests drive the stepped SYRK blocks narrower
+        // than 128 that syrk_t sends to the nest from order MR
         let mut portable = cargo(&[
             "test",
             "-q",
@@ -177,6 +179,8 @@ fn main() {
             "sc_factor",
             "-p",
             "sc_feti",
+            "-p",
+            "sc_core",
         ]);
         portable.env("RUSTFLAGS", "-C target-cpu=x86-64-v2");
         step("test:portable-microkernel", portable);

@@ -447,6 +447,36 @@ mod tests {
         }
     }
 
+    /// Table 1's GPU 2D row (sparse storage, factor split `S 1000`, input
+    /// split `S 2000`) where the input split's SYRK blocks are narrower
+    /// than 128 but wide enough for the packed nest, and the diagonal
+    /// blocks' sparse solves run more than one group of eight right-hand
+    /// sides: against the dense oracle at `f64` and `f32`.
+    #[test]
+    fn table1_gpu_2d_row_with_narrow_syrk_blocks_matches_the_oracle() {
+        let k = spd_matrix(32);
+        let m = 100;
+        assert!((sc_dense::MR..sc_dense::blocked::PANEL_BLOCK_MIN_ORDER).contains(&m));
+        let bt = gluing(k.ncols(), m);
+        let chol = SparseCholesky::factorize(&k, CholOptions::default()).unwrap();
+        let l = chol.factor_csc();
+        let bt_perm = bt.permute_rows(chol.perm());
+        let params = ScParams::optimized(true, false);
+        assert_eq!(params.factor_storage, FactorStorage::Sparse);
+        let cfg = ScConfig::Fixed(params);
+        let fref = assemble_sc_reference(&k, &bt);
+        let scale = fref.data().iter().fold(0.0, |s: f64, v| s.max(v.abs()));
+
+        let f = assemble_sc(&mut CpuExec, &l, &bt_perm, &cfg);
+        let d = sc_dense::max_abs_diff(f.as_ref(), fref.as_ref());
+        assert!(d < 1e-12 * scale, "f64: {d} of {scale}");
+
+        let (l32, bt32) = (l.cast::<f32>(), bt_perm.cast::<f32>());
+        let f32 = assemble_sc(&mut CpuExec, &l32, &bt32, &cfg).cast::<f64>();
+        let d32 = sc_dense::max_abs_diff(f32.as_ref(), fref.as_ref());
+        assert!(d32 > 0.0 && d32 < 1e-5 * scale, "f32: {d32} of {scale}");
+    }
+
     #[test]
     fn gpu_backend_matches_cpu_and_advances_timeline() {
         let k = spd_matrix(7);

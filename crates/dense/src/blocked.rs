@@ -59,8 +59,9 @@ pub const NC: usize = 1024;
 /// forms win.
 pub const GEMM_BLOCK_MIN_VOLUME: usize = 64 * 64 * 64;
 
-/// Minimum factor order for `trsm_lower_left` / `syrk_t` /
-/// `partial_cholesky_in_place` to route to their blocked variants.
+/// Minimum factor order for `trsm_lower_left` / `partial_cholesky_in_place`
+/// to route to their blocked variants (`syrk_t` routes on its own measured
+/// rule, see [`crate::syrk_t`]).
 pub const PANEL_BLOCK_MIN_ORDER: usize = 128;
 
 /// `true` when [`gemm_blocked`] is expected to beat the scalar kernel for an
@@ -360,7 +361,7 @@ pub fn gemm_blocked<S: Scalar>(
 /// Blocked `C(lower) = beta * C + alpha * Aᵀ A`: one pass of the gemm nest
 /// over the tiles on or below the diagonal. Same contract as
 /// [`crate::syrk_t`] (strictly upper triangle untouched), which routes here
-/// above [`PANEL_BLOCK_MIN_ORDER`].
+/// from an output order of [`MR`] at any depth.
 pub fn syrk_t_blocked<S: Scalar>(alpha: S, a: MatRefOf<'_, S>, beta: S, mut c: MatMutOf<'_, S>) {
     let n = a.ncols();
     assert_eq!(c.nrows(), n, "syrk C row mismatch");

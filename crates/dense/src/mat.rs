@@ -385,7 +385,10 @@ impl<'a, S: Scalar> MatMutOf<'a, S> {
     /// Split into two disjoint mutable column-block views `[0, c)` and `[c, ncols)`.
     pub fn split_cols_at(self, c: usize) -> (MatMutOf<'a, S>, MatMutOf<'a, S>) {
         assert!(c <= self.ncols);
-        let (left, right) = self.data.split_at_mut(c * self.ld);
+        // a window's data ends at its last column's last row, short of
+        // `ncols * ld` when `ld > nrows`
+        let at = (c * self.ld).min(self.data.len());
+        let (left, right) = self.data.split_at_mut(at);
         (
             MatMutOf {
                 nrows: self.nrows,
@@ -464,6 +467,26 @@ mod tests {
         r.set(0, 0, -2.0);
         assert_eq!(m[(0, 0)], -1.0);
         assert_eq!(m[(0, 2)], -2.0);
+    }
+
+    #[test]
+    fn split_cols_of_a_strided_window_at_every_edge() {
+        // a 2 × 3 window of a 5 × 4 matrix: ld 5 > 2 rows, and its data ends
+        // at the last column's last row
+        let mut m = Mat::from_fn(5, 4, |i, j| (10 * i + j) as f64);
+        // column `j` of the window
+        let want = |j: usize| [(11 + j) as f64, (21 + j) as f64];
+        for c in [0, 1, 3] {
+            let window = m.as_mut().into_sub(1, 1, 2, 3);
+            let (l, r) = window.split_cols_at(c);
+            assert_eq!((l.ncols(), r.ncols()), (c, 3 - c));
+            for j in 0..c {
+                assert_eq!(l.col(j), want(j));
+            }
+            for j in 0..3 - c {
+                assert_eq!(r.col(j), want(c + j));
+            }
+        }
     }
 
     #[test]

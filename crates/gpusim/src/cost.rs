@@ -75,6 +75,11 @@ impl KernelCost {
 
     /// Sparse TRSM in precision `S` with a CSC/CSR factor of `nnz` non-zeros
     /// and `m` RHS columns: every factor entry touches every RHS column once.
+    ///
+    /// The factor re-read per column block of 32 is the device model and
+    /// stays as it is; it does not describe the host kernel
+    /// (`sc_sparse::csc_lower_solve_mat`), which reads the factor once per
+    /// group of 8 columns.
     pub fn trsm_sparse_of<S: Scalar>(nnz: usize, m: usize) -> Self {
         let flops = 2.0 * nnz as f64 * m as f64;
         // sparse kernels are memory-heavier per flop (index traffic, poor

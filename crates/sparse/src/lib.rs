@@ -27,6 +27,6 @@ pub use csr::{Csr, CsrOf};
 pub use pattern::{column_pivots, is_stepped, stepped_fill_ratio};
 pub use perm::Perm;
 pub use trisolve::{
-    csc_lower_solve, csc_lower_solve_mat, csc_lower_t_solve, csc_lower_t_solve_mat,
-    fundamental_supernodes, supernodal_lower_solve, supernodal_lower_t_solve, SupernodeRuns,
+    csc_lower_solve, csc_lower_solve_mat, csc_lower_t_solve, fundamental_supernodes,
+    supernodal_lower_solve, supernodal_lower_t_solve, SupernodeRuns,
 };

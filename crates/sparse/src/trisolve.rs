@@ -3,11 +3,11 @@
 //! Two families over the same `CscOf<S>`:
 //!
 //! - the **column sweeps** ([`csc_lower_solve`], [`csc_lower_t_solve`] and
-//!   their multi-column `_mat` forms): forward/backward substitution one
-//!   stored entry at a time. They accept any lower-triangular CSC with the
-//!   diagonal stored, form the `sparse factor storage` path of the Schur
-//!   assembler (paper §3.1), and are the yardstick and the test oracle of
-//!   the second family;
+//!   the multi-column forward form [`csc_lower_solve_mat`], eight right-hand
+//!   sides per sweep): forward/backward substitution one stored entry at a
+//!   time. They accept any lower-triangular CSC with the diagonal stored,
+//!   form the `sparse factor storage` path of the Schur assembler (paper
+//!   §3.1), and are the yardstick and the test oracle of the second family;
 //! - the **supernodal sweeps** ([`supernodal_lower_solve`],
 //!   [`supernodal_lower_t_solve`]) over the [`SupernodeRuns`] of the
 //!   pattern: a fundamental supernode is already a packed trapezoid in CSC (column
@@ -77,45 +77,46 @@ pub fn csc_lower_t_solve<S: Scalar>(l: &CscOf<S>, x: &mut [S]) {
 
 /// Solve `L X = B` in place for a dense multi-column RHS (sparse TRSM).
 ///
-/// The factor column sweep is shared across RHS columns; each factor entry is
-/// applied to one RHS row at a time, so the inner loop runs along the RHS row
-/// (strided by the leading dimension). For tall skinny RHS this is the
-/// standard sparse TRSM ordering.
+/// The right-hand sides go through in groups of eight: a group is copied
+/// into a row-interleaved scratch (row `i` of the group is one `[S; 8]`, a
+/// short last group zero-padded), the factor is swept once over it, and the
+/// group is copied back. Each stored entry `L[i,j]` thus updates eight
+/// values with one index load, and the factor is streamed once per group
+/// instead of once per column. Per element it is the forward substitution
+/// `x = b[j] / L[j,j]`, then `b[i] -= L[i,j] x`, in column order and with no
+/// zero-value fast path (sparse BLAS kernels traverse the stored pattern
+/// unconditionally), so every column of the result is bitwise that of
+/// [`csc_lower_solve`] up to the sign of zeros (that solve skips a column
+/// whose `x` is zero).
 pub fn csc_lower_solve_mat<S: Scalar>(l: &CscOf<S>, mut b: MatMutOf<'_, S>) {
     let n = l.ncols();
     assert_eq!(l.nrows(), n);
     assert_eq!(b.nrows(), n);
-    for c in 0..b.ncols() {
-        let bcol = b.col_mut(c);
+    let mut lanes = vec![[S::ZERO; LANES]; n];
+    for c0 in (0..b.ncols()).step_by(LANES) {
+        let group = c0..b.ncols().min(c0 + LANES);
+        lanes.fill([S::ZERO; LANES]);
+        for (k, c) in group.clone().enumerate() {
+            for (row, &v) in lanes.iter_mut().zip(b.col(c)) {
+                row[k] = v;
+            }
+        }
         for j in 0..n {
             let (rows, vals) = l.col(j);
             debug_assert_eq!(rows.first(), Some(&j), "missing diagonal in column {j}");
-            let xj = bcol[j] / vals[0];
-            bcol[j] = xj;
-            // no zero-value fast path (see sc-dense TRSM): sparse BLAS
-            // kernels traverse the stored factor pattern unconditionally
+            let xj = lanes[j].map(|v| v / vals[0]);
+            lanes[j] = xj;
             for (&i, &v) in rows[1..].iter().zip(&vals[1..]) {
-                bcol[i] -= v * xj;
+                let row = &mut lanes[i];
+                for k in 0..LANES {
+                    row[k] -= v * xj[k];
+                }
             }
         }
-    }
-}
-
-/// Solve `Lᵀ X = B` in place for a dense multi-column RHS.
-pub fn csc_lower_t_solve_mat<S: Scalar>(l: &CscOf<S>, mut b: MatMutOf<'_, S>) {
-    let n = l.ncols();
-    assert_eq!(l.nrows(), n);
-    assert_eq!(b.nrows(), n);
-    for c in 0..b.ncols() {
-        let bcol = b.col_mut(c);
-        for j in (0..n).rev() {
-            let (rows, vals) = l.col(j);
-            debug_assert_eq!(rows.first(), Some(&j), "missing diagonal in column {j}");
-            let mut s = bcol[j];
-            for (&i, &v) in rows[1..].iter().zip(&vals[1..]) {
-                s -= v * bcol[i];
+        for (k, c) in group.enumerate() {
+            for (dst, row) in b.col_mut(c).iter_mut().zip(&lanes) {
+                *dst = row[k];
             }
-            bcol[j] = s / vals[0];
         }
     }
 }
@@ -126,7 +127,8 @@ pub fn csc_lower_t_solve_mat<S: Scalar>(l: &CscOf<S>, mut b: MatMutOf<'_, S>) {
 /// sweeps take the same route through every column they share.
 const BLOCKED_MIN_WIDTH: usize = 4;
 
-/// Accumulators of the backward sweep's chunked dot.
+/// Accumulators of the backward sweep's chunked dot, and right-hand sides
+/// per group of [`csc_lower_solve_mat`].
 const LANES: usize = 8;
 
 /// The maximal runs of consecutive columns `0..n` under `extends(j)`: does
@@ -443,7 +445,7 @@ mod tests {
     use super::*;
     use crate::coo::Coo;
     use crate::csc::Csc;
-    use sc_dense::Mat;
+    use sc_dense::{Mat, MatOf};
 
     fn sparse_lower(n: usize) -> Csc {
         let mut c = Coo::new(n, n);
@@ -490,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn mat_solves_match_dense() {
+    fn mat_solve_matches_dense() {
         let n = 13;
         let m = 4;
         let l = sparse_lower(n);
@@ -501,12 +503,53 @@ mod tests {
         let mut xd = b.clone();
         sc_dense::trsm_lower_left(ld.as_ref(), xd.as_mut());
         assert!(sc_dense::max_abs_diff(x.as_ref(), xd.as_ref()) < 1e-12);
+    }
 
-        let mut y = b.clone();
-        csc_lower_t_solve_mat(&l, y.as_mut());
-        let mut yd = b.clone();
-        sc_dense::trsm_lower_left_t(ld.as_ref(), yd.as_mut());
-        assert!(sc_dense::max_abs_diff(y.as_ref(), yd.as_ref()) < 1e-12);
+    /// `csc_lower_solve_mat` on the `n × width` window at `(pad, pad)` of a
+    /// `(n + 2 pad) × (width + 2 pad)` matrix, against `csc_lower_solve` on
+    /// each of the window's columns: bit for bit, and nothing outside the
+    /// window touched. Columns are zero above a pivot row, as the stepped
+    /// right-hand sides of the assembly are.
+    fn assert_mat_solve_is_per_column<S: Scalar>(l: &CscOf<S>, width: usize, pad: usize) {
+        let n = l.ncols();
+        let big = MatOf::<S>::from_fn(n + 2 * pad, width + 2 * pad, |i, j| {
+            if i < (j * 5) % (n + 1) {
+                S::ZERO
+            } else {
+                S::from_f64(((i * 7 + j * 13) % 11) as f64 * 0.37 - 1.5)
+            }
+        });
+        let mut got = big.clone();
+        csc_lower_solve_mat(l, got.as_mut().into_sub(pad, pad, n, width));
+        let bits = |v: &[S]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        for j in 0..big.ncols() {
+            let mut want = big.col(j).to_vec();
+            if (pad..pad + width).contains(&j) {
+                csc_lower_solve(l, &mut want[pad..pad + n]);
+            }
+            assert_eq!(bits(got.col(j)), bits(&want), "column {j}, width {width}");
+        }
+    }
+
+    #[test]
+    fn mat_solve_is_bitwise_the_per_column_solve() {
+        let l = sparse_lower(23);
+        // some columns store only their diagonal
+        let mut c = Coo::new(19, 19);
+        for j in 0..19 {
+            c.push(j, j, 1.5 + (j % 4) as f64 * 0.3);
+            if j % 3 == 0 && j + 4 < 19 {
+                c.push(j + 4, j, -0.7);
+                c.push(18, j, 0.2);
+            }
+        }
+        let diag_only = c.to_csc();
+        for width in [0, 1, 7, 8, 9, 17] {
+            for (l, pad) in [(&l, 0), (&l, 3), (&diag_only, 0)] {
+                assert_mat_solve_is_per_column(l, width, pad);
+                assert_mat_solve_is_per_column(&l.cast::<f32>(), width, pad);
+            }
+        }
     }
 
     #[test]
