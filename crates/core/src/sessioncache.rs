@@ -1,10 +1,12 @@
 //! Cross-session keyed cache of prepared solver state (the serve layer's
 //! amortization store).
 //!
-//! The paper's economics are amortization: symbolic factorization, ordering
-//! and block-cut resolution dominate a single assembly, and reusing them is
+//! The paper's economics are amortization: ordering, symbolic factorization
+//! and block-cut resolution dominate a single set-up, and reusing them is
 //! what makes GPU Schur assembly pay off. Within one problem the
-//! [`BlockCutsCache`](crate::tune::BlockCutsCache) memoizes cut resolution;
+//! [`BlockCutsCache`](crate::tune::BlockCutsCache) memoizes cut resolution
+//! and `sc_feti`'s factorization loop analyzes each class of subdomains with
+//! one pattern of `K` once (an `Arc`-shared `sc_factor::Analysis`);
 //! a persistent service amortizes across *problems*: any client submitting a
 //! job with the same content key (mesh/pattern hash + assembly config +
 //! precision) reuses the prepared state of whoever computed it first.

@@ -34,6 +34,6 @@ pub mod symbolic;
 pub use etree::{etree, postorder};
 pub use schur::{schur_from_factor, sparse_solve_reach};
 pub use simplicial::{simplicial_factorize, FactorError};
-pub use solver::{CholOptions, Engine, SparseCholesky, SparseCholeskyOf};
+pub use solver::{Analysis, CholOptions, Engine, SparseCholesky, SparseCholeskyOf};
 pub use supernodal::{supernodal_factorize, SupernodalSymbolic};
 pub use symbolic::Symbolic;

@@ -12,7 +12,7 @@ use sc_core::{
     ScheduleOptions, Target,
 };
 use sc_dense::{Mat, Scalar, SymPackedOf};
-use sc_factor::{Engine, SparseCholesky};
+use sc_factor::{Analysis, Engine, SparseCholesky};
 use sc_fem::{HeatProblem, Subdomain};
 use sc_gpu::{DevicePool, KernelCost, Stream};
 use sc_sparse::{supernodal_lower_solve, supernodal_lower_t_solve, Csc, CscOf, SupernodeRuns};
@@ -114,35 +114,84 @@ pub struct SubdomainFactors {
 }
 
 impl SubdomainFactors {
-    /// Regularize and factorize one subdomain.
+    /// Regularize and factorize one subdomain: [`build_all`](Self::build_all)'s
+    /// loop over a class of one.
     pub fn build(sd: &Subdomain, engine: Engine, ordering: sc_order::Ordering) -> Self {
-        let kreg = regularize_fixing_node(&sd.k, sd.kernel.as_deref(), sd.fixing_dof, None);
-        let perm = ordering.compute(&kreg);
-        let chol = SparseCholesky::factorize_with_perm(&kreg, perm, engine)
-            .expect("regularized subdomain matrix must be SPD");
-        let bt_perm = sd.bt.permute_rows(chol.perm());
-        let map = BoundaryMap::of(&bt_perm);
-        let boundary_runs = chol
-            .supernode_runs()
-            .restricted_to(chol.factor_csc_ref(), bt_perm.row_idx());
-        SubdomainFactors {
-            chol,
-            bt_perm,
-            map,
-            boundary_runs,
-        }
+        let mut one = Self::build_each(std::slice::from_ref(sd), engine, ordering);
+        one.pop().expect("one subdomain in, one bundle out")
     }
 
-    /// [`build`](Self::build) over every subdomain of `problem` in parallel
-    /// (the paper's loop over the cluster's subdomains, one thread per
-    /// subdomain) — the crate's one factorization loop.
+    /// Regularize and factorize every subdomain of `problem` — the crate's
+    /// one factorization loop. The ordering and the symbolic analysis are
+    /// functions of the pattern of `K_reg` alone, and a uniform decomposition
+    /// has few such patterns (the subdomains on the Dirichlet boundary and
+    /// the floating ones), so the loop analyzes each class of equal patterns
+    /// once and shares that [`Analysis`] behind one `Arc`. Only the numeric
+    /// factorization and the `B̃`-side data run per subdomain (in parallel,
+    /// the paper's loop over the cluster's subdomains); every bundle is
+    /// bitwise the one a per-subdomain analysis would give.
     pub fn build_all(
         problem: &HeatProblem,
         engine: Engine,
         ordering: sc_order::Ordering,
     ) -> Arc<Vec<Self>> {
-        let build = |sd| SubdomainFactors::build(sd, engine, ordering);
-        Arc::new(problem.subdomains.par_iter().map(build).collect())
+        Arc::new(Self::build_each(&problem.subdomains, engine, ordering))
+    }
+
+    fn build_each(
+        subdomains: &[Subdomain],
+        engine: Engine,
+        ordering: sc_order::Ordering,
+    ) -> Vec<Self> {
+        // 1. regularize; class the subdomains by the exact pattern of K_reg,
+        //    each class represented by its first member
+        let regularize = |sd: &Subdomain| {
+            regularize_fixing_node(&sd.k, sd.kernel.as_deref(), sd.fixing_dof, None)
+        };
+        let kregs: Vec<Csc> = subdomains.par_iter().map(regularize).collect();
+        let mut reps: Vec<usize> = Vec::new();
+        let mut class = Vec::with_capacity(kregs.len());
+        for (i, k) in kregs.iter().enumerate() {
+            let same =
+                |&r: &usize| kregs[r].col_ptr() == k.col_ptr() && kregs[r].row_idx() == k.row_idx();
+            class.push(reps.iter().position(same).unwrap_or_else(|| {
+                reps.push(i);
+                reps.len() - 1
+            }));
+        }
+        // 2. order and analyze one representative per class
+        let analyses: Vec<Arc<Analysis>> = reps
+            .par_iter()
+            .map(|&r| {
+                Arc::new(Analysis::new(
+                    &kregs[r],
+                    ordering.compute(&kregs[r]),
+                    engine,
+                ))
+            })
+            .collect();
+        // 3. factorize every subdomain against its class's analysis
+        let factorize = |((sd, kreg), c): ((&Subdomain, Csc), usize)| {
+            let chol = SparseCholesky::factorize_with_analysis(&kreg, Arc::clone(&analyses[c]))
+                .expect("regularized subdomain matrix must be SPD");
+            let bt_perm = sd.bt.permute_rows(chol.perm());
+            let map = BoundaryMap::of(&bt_perm);
+            let boundary_runs = chol
+                .supernode_runs()
+                .restricted_to(chol.factor_csc_ref(), bt_perm.row_idx());
+            SubdomainFactors {
+                chol,
+                bt_perm,
+                map,
+                boundary_runs,
+            }
+        };
+        subdomains
+            .par_iter()
+            .zip(kregs)
+            .zip(class)
+            .map(factorize)
+            .collect()
     }
 
     /// `K⁺ v` in original dof space.
@@ -532,12 +581,68 @@ mod tests {
     use sc_gpu::{Device, DeviceSpec};
     use sc_order::Ordering;
 
-    fn factors_for(sd: &sc_fem::Subdomain) -> SubdomainFactors {
-        SubdomainFactors::build(
-            sd,
-            FetiOptions::default().engine,
-            Ordering::NestedDissection,
-        )
+    /// Every subdomain of `prob` with its factor bundle, built the way the
+    /// solver builds them.
+    fn with_factors(prob: &HeatProblem) -> impl Iterator<Item = (&Subdomain, SubdomainFactors)> {
+        let opts = FetiOptions::default();
+        let all = SubdomainFactors::build_each(&prob.subdomains, opts.engine, opts.ordering);
+        prob.subdomains.iter().zip(all)
+    }
+
+    /// `build_all` analyzes the two pattern classes of `K_reg` (subdomains on
+    /// the Dirichlet boundary, floating ones) once each, and every bundle is
+    /// bitwise the one an independent per-subdomain factorization gives.
+    #[test]
+    fn build_all_shares_one_analysis_per_class_bitwise() {
+        let cases = [
+            (
+                HeatProblem::build_2d(16, (4, 4), Gluing::Redundant),
+                Engine::Supernodal,
+            ),
+            (
+                HeatProblem::build_3d(5, (2, 2, 2), Gluing::Redundant),
+                Engine::Simplicial,
+            ),
+        ];
+        for (prob, engine) in &cases {
+            let all = SubdomainFactors::build_all(prob, *engine, Ordering::NestedDissection);
+            let mut classes: Vec<&Arc<Analysis>> = Vec::new();
+            for f in all.iter() {
+                if !classes.iter().any(|c| Arc::ptr_eq(c, f.chol.analysis())) {
+                    classes.push(f.chol.analysis());
+                }
+            }
+            assert_eq!(classes.len(), 2, "{}D", prob.dim);
+            for (i, (sd, f)) in prob.subdomains.iter().zip(all.iter()).enumerate() {
+                let kreg = regularize_fixing_node(&sd.k, sd.kernel.as_deref(), sd.fixing_dof, None);
+                let perm = Ordering::NestedDissection.compute(&kreg);
+                let alone = SparseCholesky::factorize_with_perm(&kreg, perm, *engine).unwrap();
+                let bt_perm = sd.bt.permute_rows(alone.perm());
+                let boundary_runs = alone
+                    .supernode_runs()
+                    .restricted_to(alone.factor_csc_ref(), bt_perm.row_idx());
+                let bits = |l: &Csc| l.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let at = format!("{}D subdomain {i}", prob.dim);
+                assert_eq!(f.chol.perm(), alone.perm(), "{at}");
+                assert_eq!(
+                    f.chol.factor_csc_ref().col_ptr(),
+                    alone.factor_csc_ref().col_ptr(),
+                    "{at}"
+                );
+                assert_eq!(
+                    f.chol.factor_csc_ref().row_idx(),
+                    alone.factor_csc_ref().row_idx(),
+                    "{at}"
+                );
+                assert_eq!(
+                    bits(f.chol.factor_csc_ref()),
+                    bits(alone.factor_csc_ref()),
+                    "{at}"
+                );
+                assert_eq!(f.bt_perm, bt_perm, "{at}");
+                assert_eq!(f.boundary_runs, boundary_runs, "{at}");
+            }
+        }
     }
 
     /// Every slot kind at precision `S` against the independent dense
@@ -550,8 +655,7 @@ mod tests {
             HeatProblem::build_2d(4, (2, 2), Gluing::Redundant),
             HeatProblem::build_3d(2, (2, 1, 1), Gluing::Redundant),
         ];
-        for sd in problems.iter().flat_map(|prob| &prob.subdomains) {
-            let factors = factors_for(sd);
+        for (sd, factors) in problems.iter().flat_map(with_factors) {
             let m = sd.n_lambda();
             let kreg = regularize_fixing_node(&sd.k, sd.kernel.as_deref(), sd.fixing_dof, None);
             let oracle = sc_core::assemble_sc_reference(&kreg, &sd.bt);
@@ -643,8 +747,7 @@ mod tests {
             HeatProblem::build_3d(2, (2, 2, 1), Gluing::Redundant),
         ];
         for prob in &problems {
-            for sd in &prob.subdomains {
-                let factors = factors_for(sd);
+            for (sd, factors) in with_factors(prob) {
                 let m = sd.n_lambda();
                 let n = sd.n_dofs();
                 let p: Vec<f64> = (0..m).map(|i| ((i * 17 % 13) as f64) - 6.0).collect();
@@ -702,18 +805,15 @@ mod tests {
         gather_is_bitwise_spmv_t::<f32>();
     }
 
-    /// The subdomain shapes the pruning is checked on: every 2D and 3D
-    /// corner/edge shape, and the interior subdomain of a 3 × 3 × 3 grid
-    /// (all six faces glued).
-    fn pruning_subdomains() -> Vec<Subdomain> {
-        let mut sds = HeatProblem::build_2d(4, (3, 2), Gluing::Redundant).subdomains;
-        sds.extend(HeatProblem::build_3d(2, (2, 2, 1), Gluing::Redundant).subdomains);
-        sds.push(
-            HeatProblem::build_3d(2, (3, 3, 3), Gluing::Redundant)
-                .subdomains
-                .swap_remove(13),
-        );
-        sds
+    /// The problems the pruning is checked on: every 2D and 3D corner/edge
+    /// subdomain shape, and the interior subdomain of a 3 × 3 × 3 grid (all
+    /// six faces glued).
+    fn pruning_problems() -> [HeatProblem; 3] {
+        [
+            HeatProblem::build_2d(4, (3, 2), Gluing::Redundant),
+            HeatProblem::build_3d(2, (2, 2, 1), Gluing::Redundant),
+            HeatProblem::build_3d(2, (3, 3, 3), Gluing::Redundant),
+        ]
     }
 
     /// Eq. 11's sweeps over the boundary-restricted runs against the same
@@ -721,8 +821,7 @@ mod tests {
     /// the same vector (the skipped columns are exact zeros), the backward
     /// result the same bits at every row `B̃` gathers.
     fn restricted_sweeps_match_the_unrestricted_ones<S: Scalar>() {
-        for sd in pruning_subdomains() {
-            let factors = factors_for(&sd);
+        for (sd, factors) in pruning_problems().iter().flat_map(with_factors) {
             let l = factors.chol.factor_csc_ref().cast::<S>();
             let map = BoundaryMapOf::of(&factors.bt_perm.cast::<S>());
             let full = factors.chol.supernode_runs();
@@ -754,8 +853,7 @@ mod tests {
     /// Share of the problem's `nnz(L)` in the columns Eq. 11 sweeps.
     fn swept_share(problem: &HeatProblem) -> f64 {
         let (mut swept, mut nnz) = (0, 0);
-        for sd in &problem.subdomains {
-            let factors = factors_for(sd);
+        for (_, factors) in with_factors(problem) {
             let col_ptr = factors.chol.factor_csc_ref().col_ptr();
             let visited = factors.boundary_runs.visited();
             swept += visited

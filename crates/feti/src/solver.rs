@@ -905,17 +905,13 @@ mod tests {
     /// Peak temporary footprints of every subdomain under `cfg`, priced the
     /// same way the hybrid decision layer prices them.
     fn temp_footprints(p: &HeatProblem, cfg: &ScConfig) -> Vec<usize> {
-        p.subdomains
+        let opts = FetiOptions::default();
+        SubdomainFactors::build_all(p, opts.engine, opts.ordering)
             .iter()
-            .map(|sd| {
-                let f = SubdomainFactors::build(
-                    sd,
-                    FetiOptions::default().engine,
-                    sc_order::Ordering::NestedDissection,
-                );
-                let l = f.chol.factor_csc();
-                let params = cfg.resolve(true, &l, &f.bt_perm);
-                estimate_cost(&DeviceSpec::a100(), &l, &f.bt_perm, &params, 0).temp_bytes
+            .map(|f| {
+                let l = f.chol.factor_csc_ref();
+                let params = cfg.resolve(true, l, &f.bt_perm);
+                estimate_cost(&DeviceSpec::a100(), l, &f.bt_perm, &params, 0).temp_bytes
             })
             .collect()
     }

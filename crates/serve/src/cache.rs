@@ -110,6 +110,7 @@ fn approx_bytes(
 ) -> usize {
     let mut b = cuts.approx_bytes();
     for f in factors {
+        // L's own values + row indices; the per-class shared analysis is uncharged
         b += f.chol.symbolic().nnz() * 16 + f.bt_perm.nnz() * 16;
     }
     for sd in &problem.subdomains {

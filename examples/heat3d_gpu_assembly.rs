@@ -19,17 +19,8 @@ fn main() {
     );
 
     // factorize every subdomain on the CPU (the paper's CHOLMOD role)
-    let factors: Vec<SubdomainFactors> = problem
-        .subdomains
-        .iter()
-        .map(|sd| {
-            SubdomainFactors::build(
-                sd,
-                FetiOptions::default().engine,
-                Ordering::NestedDissection,
-            )
-        })
-        .collect();
+    let opts = FetiOptions::default();
+    let factors = SubdomainFactors::build_all(&problem, opts.engine, opts.ordering);
 
     let device = Device::new(DeviceSpec::a100(), 4);
     let run = |label: &str, cfg: &ScConfig| -> f64 {

@@ -35,20 +35,16 @@ fn main() {
     );
 
     // --- batched assembly across the cluster ------------------------------
-    // the exact production preparation pipeline, per subdomain
-    let factors: Vec<_> = problem
-        .subdomains
+    // the exact production preparation pipeline
+    let opts = FetiOptions::default();
+    let factors = SubdomainFactors::build_all(&problem, opts.engine, opts.ordering);
+    let items: Vec<BatchItem> = factors
         .iter()
-        .map(|sd| {
-            let f = SubdomainFactors::build(
-                sd,
-                FetiOptions::default().engine,
-                Ordering::NestedDissection,
-            );
-            (f.chol.factor_csc(), f.bt_perm)
+        .map(|f| BatchItem {
+            l: f.chol.factor_csc_ref(),
+            bt: &f.bt_perm,
         })
         .collect();
-    let items: Vec<BatchItem> = factors.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
 
     let session = AssemblySession::new(
         Backend::multi_node(std::sync::Arc::clone(&pool)),
