@@ -20,15 +20,14 @@ use sc_bench::{
 use sc_core::tune::table1_defaults as t1;
 use sc_core::{
     assemble_sc_with_cache, estimate_apply, AssemblySession, Backend, BlockCutsCache, BlockParam,
-    CpuExec, FactorStorage, LazyBatch, ScConfig, ScParams, ScheduleOptions, StreamPolicy,
-    SyrkVariant, TrsmVariant,
+    CpuExec, FactorStorage, ScConfig, ScParams, ScheduleOptions, StreamPolicy, SyrkVariant,
+    TrsmVariant,
 };
 use sc_factor::Engine;
 use sc_fem::{Gluing, HeatProblem, Subdomain};
 use sc_feti::{measure_apply_cost, preprocess_approach, DualOpApproach, SubdomainFactors};
 use sc_gpu::{Device, DeviceSpec};
 use sc_order::Ordering;
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -548,13 +547,9 @@ fn fig8(args: &BenchArgs, device: &Arc<Device>) {
             // `sep` on either target is one `AssemblySession` over the
             // prebuilt factors; the GPU ones run the paper's blind
             // round-robin schedule
+            let items: Vec<_> = factors.iter().map(SubdomainFactors::batch_item).collect();
             let assemble = |backend: Backend, cfg: ScConfig| {
-                let batch = LazyBatch::new(
-                    &factors,
-                    |_, f: &SubdomainFactors| Cow::Borrowed(f.chol.factor_csc_ref()),
-                    |f| &f.bt_perm,
-                );
-                AssemblySession::new(backend, cfg).assemble(batch).report
+                AssemblySession::new(backend, cfg).assemble(&items).report
             };
             let cpu_sep = |cfg: ScConfig| assemble(Backend::cpu(), cfg).total_seconds;
             // the per-subdomain call of the CPU session (one shared cuts

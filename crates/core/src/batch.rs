@@ -13,9 +13,8 @@
 //! The public entry point is
 //! [`AssemblySession::assemble`](crate::session::AssemblySession::assemble), which
 //! dispatches on a [`Backend`](crate::Backend) value onto the two
-//! crate-private drivers here. Both take any [`BatchSource`] (lazy per-task
-//! factor derivation goes through [`LazyBatch`](crate::source::LazyBatch))
-//! and fill the one [`AssemblyReport`] schema directly.
+//! crate-private drivers here. Both take any [`BatchSource`] and fill the
+//! one [`AssemblyReport`] schema directly.
 //!
 //! Execution targets:
 //!
@@ -38,11 +37,9 @@
 //!   plan holds, kernel by kernel in stream-clock order, admitting every
 //!   subdomain against the device's temporary arena ("wait") and honouring
 //!   host readiness ("mix") — a deterministic simulated timeline,
-//!   reproducible run to run;
-//! - **hybrid spill** — the same walk tolerating
-//!   [`TopoPlan::spilled`](crate::schedule::TopoPlan::spilled) entries:
-//!   subdomains that fit no device arena keep their host-computed `F̃ᵢ`
-//!   instead of erroring.
+//!   reproducible run to run. A subdomain that fits no device arena aborts
+//!   the batch: routing it elsewhere is the hybrid planner's decision
+//!   ([`plan_hybrid`](crate::plan_hybrid)), made before the batch is built.
 //!
 //! Results are **identical** to running [`assemble_sc`](crate::assemble_sc) per subdomain
 //! sequentially: every subdomain's pipeline is independent and the cache only
@@ -118,8 +115,8 @@ pub struct SubdomainTiming {
 }
 
 impl SubdomainTiming {
-    /// A host-side timing (CPU driver, hybrid spills): backend time is host
-    /// wall time and no stream, device or node is involved.
+    /// A host-side timing (the CPU driver): backend time is host wall time
+    /// and no stream, device or node is involved.
     fn on_host(index: usize, n_dofs: usize, n_lambda: usize, host_seconds: f64) -> Self {
         SubdomainTiming {
             index,
@@ -150,7 +147,7 @@ pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
             let t = Instant::now();
             let l = src.factor(i);
             let bt = src.gluing(i);
-            let f = assemble_sc_with_cache(&mut CpuExec, &l, bt, cfg, Some(&cache));
+            let f = assemble_sc_with_cache(&mut CpuExec, l, bt, cfg, Some(&cache));
             let timing =
                 SubdomainTiming::on_host(i, l.ncols(), bt.ncols(), t.elapsed().as_secs_f64());
             (f, timing)
@@ -186,13 +183,6 @@ pub(crate) type DeviceGroup<'a> = (&'a [Arc<Device>], Option<Interconnect>);
 /// overhead and occupancy included, so launch-bound batches do not overload
 /// the card (or the node) with the biggest peak-FLOP number.
 ///
-/// With `allow_spill = true` (the spill channel of
-/// [`Target::Hybrid`](crate::session::Target::Hybrid)) a subdomain that
-/// fits no device arena keeps its host-computed `F̃ᵢ` — the record phase
-/// computes every subdomain's numerics host-side anyway — and is reported
-/// as a host timing (`stream`, `span` and `device` all `None`) in no
-/// device's share.
-///
 /// Under the multi-node target each node's boundary traffic is charged as
 /// **one aggregated exchange** on its timeline after its replay (the
 /// assembly-phase lambda/gluing rows leave the node once), recorded as a
@@ -204,16 +194,14 @@ pub(crate) type DeviceGroup<'a> = (&'a [Arc<Device>], Option<Interconnect>);
 ///
 /// When `opts.ready_at` does not carry one entry per batch item; when the
 /// batch is non-empty and `topo` holds no usable device
-/// ([`ClusterPlanError::NoDevices`]); or — with `allow_spill = false` —
-/// when a subdomain's temporaries exceed every device's arena
-/// ([`ClusterPlanError::Spilled`]).
+/// ([`ClusterPlanError::NoDevices`]); or when a subdomain's temporaries
+/// exceed every device's arena ([`ClusterPlanError::Spilled`]).
 pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
     src: Src,
     cfg: &ScConfig,
     topo: &Topology,
     groups: &[DeviceGroup<'_>],
     opts: &ScheduleOptions,
-    allow_spill: bool,
 ) -> (Vec<MatOf<S>>, AssemblyReport) {
     if let Some(ready) = opts.ready_at.as_ref() {
         assert_eq!(
@@ -232,8 +220,7 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
         .collect();
 
     // record: every subdomain **once** — the numerics, kernel sequences and
-    // arena footprints feed every planning level and the replay, so a lazy
-    // source's factor derivation runs once per subdomain
+    // arena footprints feed every planning level and the replay
     let cache = BlockCutsCache::new();
     let ref_spec = slots
         .first()
@@ -262,18 +249,18 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
         [n, d] => kernel_seconds[c.index][first_of[n] + d],
         _ => unreachable!("device vertices sit one or two levels below the root"),
     })
-    // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
-    .unwrap_or_else(|e| panic!("device placement failed: {e}"));
-    if !allow_spill && !plan.spilled.is_empty() {
-        // documented batch-API contract: spill without opt-in aborts. sc-analyze: allow(panic-surface)
-        panic!(
-            "device placement failed: {}",
-            ClusterPlanError::Spilled {
+    .and_then(|plan| {
+        if plan.spilled.is_empty() {
+            Ok(plan)
+        } else {
+            Err(ClusterPlanError::Spilled {
                 spilled: plan.spilled,
                 max_arena: schedule::max_usable_arena(&slots),
-            }
-        );
-    }
+            })
+        }
+    })
+    // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
+    .unwrap_or_else(|e| panic!("device placement failed: {e}"));
 
     // replay: walk the plan group by group, device by device, for a
     // deterministic simulated timeline
@@ -357,16 +344,6 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
         });
     }
 
-    // spilled subdomains keep their host-computed numerics; report them as
-    // host timings (no stream, no device)
-    report.subdomains.extend(plan.spilled.iter().map(|&g| {
-        SubdomainTiming::on_host(
-            g,
-            costs[g].n_dofs,
-            costs[g].n_lambda,
-            recorded[g].host_seconds,
-        )
-    }));
     report.subdomains.sort_by_key(|t| t.index);
     report.cache_hits = cache.hits();
     report.cache_misses = cache.misses();
@@ -401,12 +378,12 @@ fn record_batch<S: Scalar, Src: BatchSource<S>>(
             let t_host = Instant::now();
             let l = src.factor(i);
             let bt = src.gluing(i);
-            let params = cfg.resolve(true, &l, bt);
-            let estimate = schedule::estimate_cost(spec, &l, bt, &params, i);
+            let params = cfg.resolve(true, l, bt);
+            let estimate = schedule::estimate_cost(spec, l, bt, &params, i);
             let mut rec = RecordingExec::new();
-            rec.record_upload_csc(&l);
+            rec.record_upload_csc(l);
             rec.record_upload_csc(bt);
-            let f = assemble_sc_with_cache(&mut rec, &l, bt, cfg, Some(cache));
+            let f = assemble_sc_with_cache(&mut rec, l, bt, cfg, Some(cache));
             rec.record_download_bytes(0); // result stays on device
             let (costs, accesses) = rec.into_recording();
             let recorded = Recorded {
@@ -667,14 +644,14 @@ mod tests {
             .collect()
     }
 
-    /// The one driver over a target's device tree, spills not tolerated.
+    /// The one driver over a target's device tree.
     fn on_target(
         target: &Target,
         items: &[BatchItem<'_>],
         cfg: &ScConfig,
     ) -> (Vec<sc_dense::Mat>, AssemblyReport) {
         let (topo, groups, opts) = target.device_tree().expect("a device target");
-        batch_devices(items, cfg, &topo, &groups, opts, false)
+        batch_devices(items, cfg, &topo, &groups, opts)
     }
 
     /// … on one GPU (the one-node, one-device tree).

@@ -46,7 +46,7 @@ pub use session::{
     NodeReport, Precision, StreamLane, Target,
 };
 pub use sessioncache::{ContentHasher, SessionCache, SessionCacheStats};
-pub use source::{BatchSource, IntoBatchSource, LazyBatch};
+pub use source::BatchSource;
 pub use stepped::{SteppedRhs, SteppedRhsOf};
 pub use syrk::{run_syrk as run_syrk_variant, run_syrk_with_cache, SyrkVariant};
 pub use trsm::{run_trsm as run_trsm_variant, run_trsm_with_cache, FactorStorage, TrsmVariant};

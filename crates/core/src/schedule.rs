@@ -310,7 +310,7 @@ pub enum ClusterPlanError {
     /// caller with a fallback formulation (the hybrid operator's implicit
     /// path) can reroute them and re-plan the remainder — [`plan_topology`]
     /// itself reports the same set in [`TopoPlan::spilled`] instead of
-    /// failing, and `Backend::hybrid` / `FormulationChoice::Auto` automate
+    /// failing, and [`plan_hybrid`] (`FormulationChoice::Auto`) automates
     /// the reroute.
     Spilled {
         /// Batch indices of every subdomain that fits no device arena,
@@ -333,8 +333,7 @@ impl std::fmt::Display for ClusterPlanError {
                 f,
                 "{} subdomain(s) {spilled:?} need more temporaries than the \
                  largest device arena in the pool ({max_arena} B); recoverable: \
-                 reroute them to the host (Backend::hybrid) or the implicit \
-                 formulation (FormulationChoice::Auto), or re-plan without them",
+                 let FormulationChoice::Auto reroute them, or re-plan without them",
                 spilled.len()
             ),
         }
@@ -344,8 +343,8 @@ impl std::fmt::Display for ClusterPlanError {
 impl std::error::Error for ClusterPlanError {}
 
 /// Largest arena capacity among stream-capable devices (0 when none) —
-/// the payload of [`ClusterPlanError::Spilled`] on the batch driver's strict
-/// (non-spill) failure path.
+/// the payload of [`ClusterPlanError::Spilled`] on the batch driver's
+/// failure path.
 pub(crate) fn max_usable_arena(devices: &[DeviceSlot]) -> usize {
     devices
         .iter()
@@ -1427,8 +1426,7 @@ mod tests {
         assert!(empty.per_child.is_empty());
         assert!(empty.child_of.is_empty());
 
-        // the strict (non-spill) failure the batch drivers raise from a
-        // plan's spill list
+        // the failure the batch driver raises from a plan's spill list
         let mut huge = est(10, &[2]);
         huge.temp_bytes = 1 << 30;
         let devs = [
@@ -1444,10 +1442,9 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "1 subdomain(s) [0] need more temporaries than the largest device \
-             arena in the pool (1048576 B); recoverable: reroute them to the \
-             host (Backend::hybrid) or the implicit formulation \
-             (FormulationChoice::Auto), or re-plan without them",
-            "the Spilled error must name the surviving fallbacks"
+             arena in the pool (1048576 B); recoverable: let \
+             FormulationChoice::Auto reroute them, or re-plan without them",
+            "the Spilled error must name the one surviving fallback"
         );
     }
 

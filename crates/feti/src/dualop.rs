@@ -8,7 +8,7 @@ use crate::regularize::regularize_fixing_node;
 use rayon::prelude::*;
 use sc_core::{
     estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
-    DeviceSlot, Formulation, HybridPlanOptions, HybridSummary, LazyBatch, ScConfig,
+    BatchItem, DeviceSlot, Formulation, HybridPlanOptions, HybridSummary, ScConfig,
     ScheduleOptions, Target,
 };
 use sc_dense::{Mat, Scalar, SymPackedOf};
@@ -16,7 +16,6 @@ use sc_factor::{Analysis, Engine, SparseCholesky};
 use sc_fem::{HeatProblem, Subdomain};
 use sc_gpu::{DevicePool, KernelCost, Stream};
 use sc_sparse::{supernodal_lower_solve, supernodal_lower_t_solve, Csc, CscOf, SupernodeRuns};
-use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// Hoisted gather/scatter index map of `B̃ᵢᵀ`, flattened column-major:
@@ -197,6 +196,14 @@ impl SubdomainFactors {
     /// `K⁺ v` in original dof space.
     pub fn solve_kplus(&self, v: &[f64]) -> Vec<f64> {
         self.chol.solve(v)
+    }
+
+    /// The `(L, B̃ᵀ)` pair the explicit assembly consumes, borrowed.
+    pub fn batch_item(&self) -> BatchItem<'_> {
+        BatchItem {
+            l: self.chol.factor_csc_ref(),
+            bt: &self.bt_perm,
+        }
     }
 }
 
@@ -432,8 +439,8 @@ impl<S: Scalar> DualPass<S> {
 
 /// Bind each assembled `F̃ᵢ` to its operator slot, packed to its lower
 /// triangle: subdomains the report placed on a device get a device-resident
-/// operator on the stream their schedule used; host subdomains (CPU
-/// backend, hybrid spills) get a host one.
+/// operator on the stream their schedule used; host subdomains (the CPU
+/// backend, the auto formulation's explicit-CPU share) get a host one.
 pub(crate) fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) -> Vec<LocalOp> {
     let devices = backend.devices();
     f.into_iter()
@@ -455,6 +462,11 @@ pub(crate) fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) 
 /// decision under the §4.4 cost model, explicit shares assembled through
 /// sessions on the backend, reports merged into one [`AssemblyReport`]
 /// (problem-global indices).
+///
+/// # Panics
+///
+/// When the backend's `ScheduleOptions::ready_at` does not carry one entry
+/// per subdomain.
 pub(crate) fn assemble_auto(
     factors: &[SubdomainFactors],
     cfg: &ScConfig,
@@ -469,10 +481,21 @@ pub(crate) fn assemble_auto(
     let cluster_opts = match &backend.target {
         Target::Gpu { schedule: opts, .. }
         | Target::Cluster { opts, .. }
-        | Target::Hybrid { opts, .. }
         | Target::MultiNode { opts, .. } => opts.clone(),
         _ => ScheduleOptions::default(),
     };
+    // checked here, not by the device driver: the explicit-GPU share below
+    // sees only its own slice of the vector
+    if let Some(ready) = cluster_opts.ready_at.as_ref() {
+        assert_eq!(
+            ready.len(),
+            factors.len(),
+            "ScheduleOptions::ready_at must carry one readiness time per \
+             batch item ({} given, {} items)",
+            ready.len(),
+            factors.len()
+        );
+    }
 
     // decision layer: analytic assembly + per-iteration apply estimates per
     // subdomain
@@ -510,12 +533,8 @@ pub(crate) fn assemble_auto(
         if idx.is_empty() {
             return None;
         }
-        let items: Vec<&SubdomainFactors> = idx.iter().map(|&g| &factors[g]).collect();
-        let res = AssemblySession::new(share.clone(), *cfg).assemble(LazyBatch::new(
-            &items,
-            |_, f: &&SubdomainFactors| Cow::Borrowed(f.chol.factor_csc_ref()),
-            |f| &f.bt_perm,
-        ));
+        let items: Vec<BatchItem> = idx.iter().map(|&g| factors[g].batch_item()).collect();
+        let res = AssemblySession::new(share.clone(), *cfg).assemble(&items);
         for (&g, op) in idx.iter().zip(bind_ops(res.f, &res.report, &share)) {
             ops[g] = op;
         }
@@ -535,18 +554,13 @@ pub(crate) fn assemble_auto(
         Backend::cluster_with(Arc::clone(&pool), share_opts).precision(backend.precision),
     );
     // explicit-CPU share (the spill fail-over for high iteration counts)
-    // through a CPU session
+    // through a CPU session: the only route from over-arena subdomains to
+    // host assembly
     let cpu_report = assemble_share(&cpu_idx, Backend::cpu().precision(backend.precision));
 
     // roll both shares up into the unified report: timings in problem-global
     // order, device sections from the pool share, decisions in the hybrid
     // block
-    let predicted_assembly_seconds: f64 = plan
-        .choices
-        .iter()
-        .filter(|c| c.formulation != Formulation::Implicit)
-        .map(|c| c.assembly_seconds)
-        .sum();
     let mut unified = AssemblyReport::default();
     for rep in [&gpu_report, &cpu_report].into_iter().flatten() {
         unified.subdomains.extend(rep.subdomains.iter().copied());
@@ -561,14 +575,8 @@ pub(crate) fn assemble_auto(
     unified.subdomains.sort_by_key(|t| t.index);
     unified.precision = backend.precision;
     unified.hybrid = Some(HybridSummary {
-        formulation: plan.choices.iter().map(|c| c.formulation).collect(),
-        spilled: plan.spilled.clone(),
-        plan: Some(plan),
-        predicted_assembly_seconds,
-        realized_gpu_seconds: gpu_report.as_ref().map_or(0.0, |g| g.makespan),
+        plan,
         realized_cpu_seconds: cpu_report.as_ref().map_or(0.0, |c| c.total_seconds),
-        arena_high_water: gpu_report.as_ref().map_or(0, |g| g.temp_high_water()),
-        precision: backend.precision,
     });
     (ops, unified)
 }

@@ -14,15 +14,13 @@ use crate::exchange::ExchangeSim;
 use crate::pcpg::PcpgStats;
 use crate::refine::{Demoted, RefinementStats};
 use sc_core::{
-    AssemblyReport, AssemblySession, Backend, HybridPlanOptions, LazyBatch, Precision, ScConfig,
-    Target,
+    AssemblyReport, AssemblySession, Backend, HybridPlanOptions, Precision, ScConfig, Target,
 };
 use sc_dense::Mat;
 use sc_factor::Engine;
 use sc_fem::HeatProblem;
 use sc_order::Ordering;
 use sc_sparse::{Coo, Csc};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Which dual-operator formulation the solver realizes (orthogonal to the
@@ -265,12 +263,8 @@ impl FetiSolverBuilder {
                 (factors.iter().map(|_| LocalOp::Implicit).collect(), None)
             }
             FormulationChoice::Explicit => {
-                let session = AssemblySession::new(backend.clone(), cfg);
-                let res = session.assemble(LazyBatch::new(
-                    &factors,
-                    |_, f: &SubdomainFactors| Cow::Borrowed(f.chol.factor_csc_ref()),
-                    |f| &f.bt_perm,
-                ));
+                let items: Vec<_> = factors.iter().map(SubdomainFactors::batch_item).collect();
+                let res = AssemblySession::new(backend.clone(), cfg).assemble(&items);
                 (bind_ops(res.f, &res.report, &backend), Some(res.report))
             }
             FormulationChoice::Auto(plan_opts) => {
@@ -978,24 +972,29 @@ mod tests {
         assert!(n_gpu > 0, "some subdomains must fit the arena");
         assert!(n_impl > 0, "some subdomains must spill: temps {temps:?}");
         assert_eq!(n_gpu + n_impl, p.subdomains.len());
-        assert_eq!(hybrid.spilled.len(), n_impl);
+        let spilled = &hybrid.plan.spilled;
+        assert_eq!(spilled.len(), n_impl);
         // spilled = exactly the subdomains whose temporaries exceed the arena
         for (i, &t) in temps.iter().enumerate() {
             assert_eq!(
-                hybrid.spilled.contains(&i),
+                spilled.contains(&i),
                 t > arena,
                 "subdomain {i}: {t} B vs arena {arena} B"
             );
         }
-        // arena never oversubscribed, and the pool really ran
-        assert!(hybrid.arena_high_water <= arena);
-        assert!(hybrid.realized_gpu_seconds > 0.0);
-        assert!(hybrid.predicted_assembly_seconds > 0.0);
-        // every explicitly assembled subdomain carries a device placement
-        for t in &report.subdomains {
-            assert!(t.device.is_some(), "gpu share timing at {}", t.index);
-            assert!(!hybrid.spilled.contains(&t.index));
-        }
+        // the report says the rest: the device-placed subdomains are exactly
+        // the plan's explicit-GPU share, the arena was never oversubscribed,
+        // and the pool really ran
+        let on_device: Vec<usize> = report
+            .subdomains
+            .iter()
+            .filter(|t| t.device.is_some())
+            .map(|t| t.index)
+            .collect();
+        assert_eq!(on_device, hybrid.plan.indices_of(Formulation::ExplicitGpu));
+        assert_eq!(report.subdomains.len(), n_gpu, "nothing else was assembled");
+        assert!(report.temp_high_water() <= arena);
+        assert!(report.makespan > 0.0);
 
         // the hybrid operator application must be bitwise identical to the
         // per-subdomain reference: CPU-assembled explicit F̃ᵢ where the plan
@@ -1007,7 +1006,7 @@ mod tests {
         for (i, sd) in p.subdomains.iter().enumerate() {
             let pl: Vec<f64> = sd.lambda_ids.iter().map(|&gl| lam[gl]).collect();
             let mut ql = vec![0.0; sd.n_lambda()];
-            if hybrid.spilled.contains(&i) {
+            if spilled.contains(&i) {
                 crate::dualop::apply_implicit(&solver.factors()[i], &pl, &mut ql);
             } else {
                 let fac = &solver.factors()[i];
@@ -1163,10 +1162,65 @@ mod tests {
         let report = solver.report().unwrap();
         let hybrid = report.hybrid.as_ref().unwrap();
         assert_eq!(hybrid.count_of(Formulation::Implicit), p.subdomains.len());
-        assert_eq!(hybrid.spilled.len(), p.subdomains.len());
+        assert_eq!(hybrid.plan.spilled.len(), p.subdomains.len());
         assert!(report.subdomains.is_empty(), "nothing was assembled");
         assert!(report.devices.is_empty());
-        assert_eq!(hybrid.predicted_assembly_seconds, 0.0);
+        assert_eq!(report.makespan, 0.0);
+    }
+
+    #[test]
+    fn auto_on_a_drained_pool_assembles_on_the_host() {
+        // a pool whose one device has no streams admits nothing: every
+        // subdomain spills, and at a high iteration count the plan's
+        // explicit-CPU candidate takes them all
+        let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
+        let drained = DevicePool::from_devices(vec![Device::new(DeviceSpec::a100(), 0)]);
+        let solver = auto_solver(
+            &p,
+            drained,
+            ScConfig::optimized(true, false),
+            1e6,
+            true,
+            HybridForce::Auto,
+        );
+        check_solver(&p, &solver, 1e-6);
+        let report = solver.report().unwrap();
+        let hybrid = report.hybrid.as_ref().unwrap();
+        let all: Vec<usize> = (0..p.subdomains.len()).collect();
+        assert_eq!(hybrid.plan.spilled, all);
+        assert_eq!(hybrid.count_of(Formulation::ExplicitGpu), 0);
+        assert_eq!(hybrid.count_of(Formulation::ExplicitCpu), all.len());
+        assert!(report.devices.is_empty());
+    }
+
+    /// An auto solver on a 2 × 2 problem (4 subdomains) whose cluster
+    /// backend carries `n` readiness times.
+    fn auto_with_ready_at(n: usize) {
+        let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
+        let pool = DevicePool::uniform(DeviceSpec::a100(), 1, 2);
+        let opts = ScheduleOptions::default().with_ready_at(vec![0.0; n]);
+        FetiSolverBuilder::new()
+            .backend(Backend::cluster_with(pool, opts))
+            .formulation(FormulationChoice::Auto(HybridPlanOptions::default()))
+            .build(&p);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "ScheduleOptions::ready_at must carry one readiness time per \
+                               batch item (7 given, 4 items)"
+    )]
+    fn auto_rejects_a_too_long_ready_at() {
+        auto_with_ready_at(7);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "ScheduleOptions::ready_at must carry one readiness time per \
+                               batch item (3 given, 4 items)"
+    )]
+    fn auto_rejects_a_too_short_ready_at() {
+        auto_with_ready_at(3);
     }
 
     #[test]
@@ -1189,27 +1243,6 @@ mod tests {
         let (impl_inf, expl_inf) = collapse(f64::INFINITY);
         assert_eq!(impl_inf, 0, "iters→∞ must go all-explicit");
         assert_eq!(expl_inf, p.subdomains.len());
-    }
-
-    #[test]
-    fn hybrid_backend_spills_explicitly_to_the_host() {
-        // Explicit formulation on the spill-tolerant Hybrid backend: the
-        // oversized share is assembled on the host instead of erroring
-        let p = HeatProblem::build_2d(6, (3, 3), Gluing::Redundant);
-        let cfg = ScConfig::optimized(true, true);
-        let (spec, _) = mid_arena_spec(&temp_footprints(&p, &cfg));
-        let pool = DevicePool::uniform(spec, 2, 2);
-        let solver = explicit_solver(&p, Backend::hybrid(pool), cfg);
-        check_solver(&p, &solver, 1e-6);
-        let report = solver.report().unwrap();
-        let hybrid = report.hybrid.as_ref().unwrap();
-        assert!(!hybrid.spilled.is_empty(), "some subdomains must spill");
-        assert_eq!(
-            hybrid.count_of(Formulation::ExplicitCpu),
-            hybrid.spilled.len()
-        );
-        // every subdomain still got an explicit operator
-        assert_eq!(report.subdomains.len(), p.subdomains.len());
     }
 
     #[test]

@@ -83,9 +83,9 @@ pub mod prelude {
         ApplyEstimate, AssemblyReport, AssemblyResult, AssemblySession, Backend, BatchItem,
         BatchSource, BlockCutsCache, BlockParam, ClusterPlanError, CostEstimate, CpuExec,
         DeviceReport, DeviceSlot, FactorStorage, Formulation, GpuExec, HybridForce, HybridPlan,
-        HybridPlanOptions, HybridSummary, IntoBatchSource, LazyBatch, NodeReport, Precision,
-        RecordingExec, ScConfig, ScParams, ScheduleOptions, ScheduledSpan, SteppedRhs, StreamLane,
-        StreamPolicy, SubdomainTiming, SyrkVariant, TopoPlan, Topology, TrsmVariant,
+        HybridPlanOptions, HybridSummary, NodeReport, Precision, RecordingExec, ScConfig, ScParams,
+        ScheduleOptions, ScheduledSpan, SteppedRhs, StreamLane, StreamPolicy, SubdomainTiming,
+        SyrkVariant, TopoPlan, Topology, TrsmVariant,
     };
     pub use sc_dense::Mat;
     pub use sc_factor::{CholOptions, Engine, SparseCholesky};

@@ -32,15 +32,12 @@ fn prelude_surface_is_complete() {
     }
     fn _report_rows(_: &SubdomainTiming, _: &NodeReport, _: &ScheduledSpan) {}
     fn _solver_types(_: &FetiSolverBuilder, _: &FormulationChoice, _: &dyn BatchSource) {}
-    // IntoBatchSource + LazyBatch usable through the prelude
-    fn _generic<S: IntoBatchSource>(_: S) {}
-    fn _lazy<'a>(items: &'a [(Csc, Csc)]) -> impl BatchSource + 'a {
-        LazyBatch::new(
-            items,
-            |_, (l, _): &(Csc, Csc)| std::borrow::Cow::Borrowed(l),
-            |(_, bt)| bt,
-        )
+    // BatchSource, the one input bound of `assemble`, usable through the
+    // prelude
+    fn _source(items: &[(Csc, Csc)]) -> impl BatchSource + '_ {
+        items
     }
+    let _: fn(&SubdomainFactors) -> BatchItem<'_> = SubdomainFactors::batch_item;
     // options structs carry the unified with_* builder surface
     let _ = ScheduleOptions::default()
         .with_policy(StreamPolicy::RoundRobin)
@@ -57,10 +54,8 @@ fn prelude_surface_is_complete() {
         .with_max_iter(10);
     let _ = [
         Backend::cpu(),
-        Backend::cpu_with_threads(2),
         Backend::gpu(Device::new(DeviceSpec::a100(), 1)),
         Backend::cluster(DevicePool::uniform(DeviceSpec::a100(), 1, 1)),
-        Backend::hybrid(DevicePool::uniform(DeviceSpec::a100(), 1, 1)),
     ];
     // mixed-precision surface: the Precision knob on Backend and the
     // builder, the F32Refined payload shape, and the refinement stats
@@ -159,7 +154,6 @@ fn assemble_on_every_backend(
     let dev = Device::new(DeviceSpec::a100(), n_streams);
     let dev_rr = Device::new(DeviceSpec::a100(), n_streams);
     let pool = DevicePool::uniform(DeviceSpec::a100(), n_devices, n_streams);
-    let pool_hy = DevicePool::uniform(DeviceSpec::a100(), n_devices, n_streams);
     let backends = [
         ("cpu", Backend::cpu()),
         ("gpu", Backend::gpu(Arc::clone(&dev))),
@@ -171,7 +165,6 @@ fn assemble_on_every_backend(
             ),
         ),
         ("cluster", Backend::cluster(Arc::clone(&pool))),
-        ("hybrid", Backend::hybrid(Arc::clone(&pool_hy))),
     ];
     let mut clocks = Vec::new();
     for (name, backend) in backends {
@@ -186,7 +179,6 @@ fn assemble_on_every_backend(
         dev.synchronize(),
         dev_rr.synchronize(),
         pool.synchronize_all(),
-        pool_hy.synchronize_all(),
     ]);
     Ok(clocks)
 }
@@ -239,7 +231,6 @@ fn explicit_backends_apply_the_cpu_operator_bitwise() {
     let cpu = explicit(Backend::cpu());
     let want = cpu.apply_f(&lam);
     let u_cpu = p.gather_global(&cpu.solve().u_locals);
-    let pool = || DevicePool::uniform(DeviceSpec::a100(), 2, 2);
     for (name, backend) in [
         ("gpu", Backend::gpu(Device::new(DeviceSpec::a100(), 2))),
         (
@@ -249,8 +240,10 @@ fn explicit_backends_apply_the_cpu_operator_bitwise() {
                 ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin),
             ),
         ),
-        ("cluster", Backend::cluster(pool())),
-        ("hybrid", Backend::hybrid(pool())),
+        (
+            "cluster",
+            Backend::cluster(DevicePool::uniform(DeviceSpec::a100(), 2, 2)),
+        ),
     ] {
         let solver = explicit(backend);
         assert_eq!(solver.apply_f(&lam), want, "{name}: apply deviates");

@@ -239,12 +239,13 @@ fn hybrid_solver_end_to_end_invariants() {
     );
     assert!(report.count_of(Formulation::ExplicitGpu) > 0);
     assert!(report.count_of(Formulation::Implicit) > 0);
+    let spilled = &report.plan.spilled;
     for (i, &t) in temps.iter().enumerate() {
-        assert_eq!(report.spilled.contains(&i), t > arena, "subdomain {i}");
+        assert_eq!(spilled.contains(&i), t > arena, "subdomain {i}");
     }
 
     // no explicit placement oversubscribes its device arena
-    assert!(report.arena_high_water <= arena);
+    assert!(unified.temp_high_water() <= arena);
     assert!(!unified.devices.is_empty(), "gpu share ran");
     for dev in &unified.devices {
         assert!(dev.temp_high_water <= pool.device(dev.device).arena_capacity());
@@ -261,7 +262,7 @@ fn hybrid_solver_end_to_end_invariants() {
     for (i, sd) in p.subdomains.iter().enumerate() {
         let pl: Vec<f64> = sd.lambda_ids.iter().map(|&gl| lam[gl]).collect();
         let mut ql = vec![0.0; sd.n_lambda()];
-        if report.spilled.contains(&i) {
+        if spilled.contains(&i) {
             apply_implicit(&factors[i], &pl, &mut ql);
         } else {
             let l = factors[i].chol.factor_csc();
@@ -277,15 +278,10 @@ fn hybrid_solver_end_to_end_invariants() {
         "hybrid apply must be bitwise the mixed reference"
     );
 
-    // the spill-tolerant cluster session agrees with the hybrid placement
-    let gpu_idx: Vec<usize> = (0..n).filter(|i| !report.spilled.contains(i)).collect();
-    let gpu_items: Vec<&SubdomainFactors> = gpu_idx.iter().map(|&g| &factors[g]).collect();
-    let res =
-        AssemblySession::new(Backend::cluster(Arc::clone(&pool)), cfg).assemble(LazyBatch::new(
-            &gpu_items,
-            |_, f: &&SubdomainFactors| std::borrow::Cow::Owned(f.chol.factor_csc()),
-            |f| &f.bt_perm,
-        ));
+    // a cluster session over the unspilled share fits the pool
+    let gpu_idx: Vec<usize> = (0..n).filter(|i| !spilled.contains(i)).collect();
+    let gpu_items: Vec<BatchItem> = gpu_idx.iter().map(|&g| factors[g].batch_item()).collect();
+    let res = AssemblySession::new(Backend::cluster(Arc::clone(&pool)), cfg).assemble(&gpu_items);
     assert_eq!(res.f.len(), gpu_idx.len());
 
     // and the solve still matches the direct solution

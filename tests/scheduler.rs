@@ -2,9 +2,8 @@
 //! admission never oversubscribes the pool, the device never executes more
 //! than `concurrency` kernels at a simulated instant, per-stream subdomain
 //! spans never interleave, and the scheduled numerics are bitwise identical
-//! to the sequential CPU reference — plus the two guarantees of the one
-//! device driver: every device replays exactly the lanes of the one plan,
-//! and a lazy factor is derived once per subdomain on every target.
+//! to the sequential CPU reference — plus the guarantee of the one device
+//! driver: every device replays exactly the lanes of the one plan.
 
 use proptest::prelude::*;
 use schur_dd::prelude::*;
@@ -307,45 +306,5 @@ fn every_device_target_replays_the_lanes_of_the_one_plan() {
                 rep.device
             );
         }
-    }
-}
-
-/// Record once: a lazy source's factor derivation — the expensive part of a
-/// FETI set-up — runs exactly once per subdomain on every target.
-#[test]
-fn every_target_derives_each_lazy_factor_exactly_once() {
-    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-    let w = sc_bench::BatchWorkload::build_skewed(1, &[8, 4, 6, 3]);
-    let items = w.items();
-    let spec = DeviceSpec::a100();
-    let backends = [
-        ("cpu", Backend::cpu()),
-        ("gpu", Backend::gpu(Device::new(spec.clone(), 2))),
-        (
-            "cluster",
-            Backend::cluster(DevicePool::uniform(spec.clone(), 2, 2)),
-        ),
-        (
-            "hybrid",
-            Backend::hybrid(DevicePool::uniform(spec.clone(), 2, 2)),
-        ),
-        (
-            "multi-node",
-            Backend::multi_node(NodePool::uniform(spec, 2, 1, 2, Interconnect::infiniband())),
-        ),
-    ];
-    for (name, backend) in backends {
-        let derived: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
-        let res = AssemblySession::new(backend, ScConfig::Auto).assemble(LazyBatch::new(
-            &items,
-            |i, it: &BatchItem<'_>| {
-                derived[i].fetch_add(1, Relaxed);
-                std::borrow::Cow::Borrowed(it.l)
-            },
-            |it| it.bt,
-        ));
-        assert_eq!(res.f.len(), items.len());
-        let counts: Vec<usize> = derived.iter().map(|c| c.load(Relaxed)).collect();
-        assert_eq!(counts, vec![1; items.len()], "{name}");
     }
 }

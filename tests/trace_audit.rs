@@ -7,7 +7,10 @@
 use proptest::prelude::*;
 use sc_analyze::trace::{validate, TraceViolation};
 use sc_bench::BatchWorkload;
-use sc_core::{AssemblyReport, AssemblySession, Backend, Precision, ScConfig, ScheduleOptions};
+use sc_core::{
+    estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
+    BatchItem, DeviceSlot, Formulation, HybridPlanOptions, Precision, ScConfig, ScheduleOptions,
+};
 use sc_gpu::{Device, DevicePool, DeviceSpec, Interconnect, NodePool, Trace, TraceEvent};
 use std::sync::OnceLock;
 
@@ -56,12 +59,36 @@ fn cluster() -> AssemblyReport {
         .report
 }
 
-/// The mixed-fit batch on its arena-constrained pool, with host fail-over
-/// for the over-arena quarter.
+/// The mixed-fit batch on its arena-constrained pool, split the way the
+/// auto formulation splits it: the hybrid plan spills the over-arena
+/// quarter, and its explicit-GPU share is what the pool replays.
 fn hybrid() -> AssemblyReport {
+    let items = mixed_fit().items();
     let (pool, _arena) = mixed_fit().mixed_fit_pool(&cfg());
-    AssemblySession::new(Backend::hybrid(pool), cfg())
-        .assemble(mixed_fit().items())
+    let (costs, applies): (Vec<_>, Vec<_>) = items
+        .iter()
+        .enumerate()
+        .map(|(i, it)| {
+            let params = cfg().resolve(true, it.l, it.bt);
+            (
+                estimate_cost(&DeviceSpec::a100(), it.l, it.bt, &params, i),
+                estimate_apply(it.l, it.bt, i),
+            )
+        })
+        .unzip();
+    let slots: Vec<DeviceSlot> = pool.devices().iter().map(|d| DeviceSlot::of(d)).collect();
+    let plan = plan_hybrid(&costs, &applies, &slots, &HybridPlanOptions::default());
+    assert!(
+        !plan.spilled.is_empty(),
+        "the over-arena quarter must spill"
+    );
+    let share: Vec<BatchItem> = plan
+        .indices_of(Formulation::ExplicitGpu)
+        .into_iter()
+        .map(|g| items[g])
+        .collect();
+    AssemblySession::new(Backend::cluster(pool), cfg())
+        .assemble(&share)
         .report
 }
 
