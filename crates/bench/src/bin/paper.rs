@@ -19,9 +19,8 @@ use sc_bench::{
 };
 use sc_core::tune::table1_defaults as t1;
 use sc_core::{
-    assemble_sc_with_cache, estimate_apply, AssemblySession, Backend, BlockCutsCache, BlockParam,
-    CpuExec, FactorStorage, ScConfig, ScParams, ScheduleOptions, StreamPolicy, SyrkVariant,
-    TrsmVariant,
+    assemble_sc, estimate_apply, AssemblySession, Backend, BlockParam, CpuExec, FactorStorage,
+    ScConfig, ScParams, ScheduleOptions, StreamPolicy, SyrkVariant, TrsmVariant,
 };
 use sc_factor::Engine;
 use sc_fem::{Gluing, HeatProblem, Subdomain};
@@ -138,7 +137,7 @@ fn cluster_problem(dim: usize, cells: usize) -> HeatProblem {
 }
 
 /// Table 1: optimal splitting of the matrices — for each algorithm
-/// (TRSM RHS / TRSM factor / SYRK input / SYRK output), platform (CPU / GPU)
+/// (TRSM factor / SYRK input / SYRK output), platform (CPU / GPU)
 /// and dimension (2D / 3D), sweep block-size and block-count parameters and
 /// report the best one (`S <size>` or `C <count>`, as in the paper).
 fn table1(args: &BenchArgs, device: &Arc<Device>) {
@@ -182,16 +181,6 @@ fn table1(args: &BenchArgs, device: &Arc<Device>) {
     };
     let (sparse, dense) = (FactorStorage::Sparse, FactorStorage::Dense);
 
-    // --- TRSM, RHS splitting ---
-    let rs = TrsmVariant::RhsSplit;
-    table.row(vec![
-        "TRSM, RHS splitting".to_string(),
-        best(&mut |p| time_trsm_cpu(&w2, &in2, sparse, rs(p), args.reps)),
-        best(&mut |p| time_trsm_cpu(&w3, &in3, sparse, rs(p), args.reps)),
-        best(&mut |p| time_trsm_gpu(&w2, &in2, sparse, rs(p), device)),
-        best(&mut |p| time_trsm_gpu(&w3, &in3, sparse, rs(p), device)),
-    ]);
-
     // --- TRSM, factor splitting (with pruning, the paper's §4.1 setting) ---
     let fs = |p: BlockParam| TrsmVariant::FactorSplit {
         block: p,
@@ -228,7 +217,7 @@ fn table1(args: &BenchArgs, device: &Arc<Device>) {
         "workloads: 2D {} dofs (m={}), 3D {} dofs (m={}); paper Table 1 for reference:",
         w2.n, w2.m, w3.n, w3.m
     );
-    println!("  TRSM RHS:    S100 S100 C1 S1000 | TRSM factor: S200 S200 S1000 S500");
+    println!("  TRSM factor: S200 S200 S1000 S500");
     println!("  SYRK input:  S200 C50 S2000 S1000 | SYRK output: S200 C10 S200 S1000");
 }
 
@@ -309,21 +298,16 @@ fn fig5(args: &BenchArgs, device: &Arc<Device>) {
     );
 }
 
-/// Figure 6: comparison of TRSM splitting variants (RHS split, factor split,
-/// factor split + pruning) and SYRK splitting variants (input split, output
-/// split), on CPU and simulated GPU, for 2D and 3D subdomain ladders.
+/// Figure 6: comparison of TRSM splitting variants (factor split, factor
+/// split + pruning) and SYRK splitting variants (input split, output split),
+/// on CPU and simulated GPU, for 2D and 3D subdomain ladders.
 fn fig6(args: &BenchArgs, device: &Arc<Device>) {
     for dim in [2usize, 3] {
         let (ladder, storage) = ladder(dim, args);
-        let (trsm_rhs_cpu, trsm_f_cpu) = if dim == 2 {
-            (t1::TRSM_RHS_CPU_2D, t1::TRSM_FACTOR_CPU_2D)
+        let (trsm_f_cpu, trsm_f_gpu) = if dim == 2 {
+            (t1::TRSM_FACTOR_CPU_2D, t1::TRSM_FACTOR_GPU_2D)
         } else {
-            (t1::TRSM_RHS_CPU_3D, t1::TRSM_FACTOR_CPU_3D)
-        };
-        let (trsm_rhs_gpu, trsm_f_gpu) = if dim == 2 {
-            (t1::TRSM_RHS_GPU_2D, t1::TRSM_FACTOR_GPU_2D)
-        } else {
-            (t1::TRSM_RHS_GPU_3D, t1::TRSM_FACTOR_GPU_3D)
+            (t1::TRSM_FACTOR_CPU_3D, t1::TRSM_FACTOR_GPU_3D)
         };
         let (syrk_in_cpu, syrk_out_cpu) = if dim == 2 {
             (t1::SYRK_INPUT_CPU_2D, t1::SYRK_OUTPUT_CPU_2D)
@@ -338,16 +322,7 @@ fn fig6(args: &BenchArgs, device: &Arc<Device>) {
 
         let mut trsm_table = Table::new(
             &format!("Fig 6 (top): TRSM splitting variants, {dim}D [ms per subdomain]"),
-            &[
-                "dofs",
-                "m",
-                "cpu_rhs",
-                "cpu_f",
-                "cpu_f+prune",
-                "gpu_rhs",
-                "gpu_f",
-                "gpu_f+prune",
-            ],
+            &["dofs", "m", "cpu_f", "cpu_f+prune", "gpu_f", "gpu_f+prune"],
         );
         let mut syrk_table = Table::new(
             &format!("Fig 6 (bottom): SYRK splitting variants, {dim}D [ms per subdomain]"),
@@ -371,10 +346,8 @@ fn fig6(args: &BenchArgs, device: &Arc<Device>) {
             trsm_table.row(vec![
                 w.n.to_string(),
                 w.m.to_string(),
-                ms(trsm_cpu(TrsmVariant::RhsSplit(trsm_rhs_cpu))),
                 ms(trsm_cpu(factor_split(trsm_f_cpu, false))),
                 ms(trsm_cpu(factor_split(trsm_f_cpu, true))),
-                ms(trsm_gpu(TrsmVariant::RhsSplit(trsm_rhs_gpu))),
                 ms(trsm_gpu(factor_split(trsm_f_gpu, false))),
                 ms(trsm_gpu(factor_split(trsm_f_gpu, true))),
             ]);
@@ -552,16 +525,14 @@ fn fig8(args: &BenchArgs, device: &Arc<Device>) {
                 AssemblySession::new(backend, cfg).assemble(&items).report
             };
             let cpu_sep = |cfg: ScConfig| assemble(Backend::cpu(), cfg).total_seconds;
-            // the per-subdomain call of the CPU session (one shared cuts
-            // cache) behind each factorization: mix − sep is the factorization
+            // the per-subdomain assembly behind each factorization: mix − sep
+            // is the factorization
             let cpu_mix = |cfg: ScConfig| {
-                let cache = Some(BlockCutsCache::new());
                 time_once(|| {
                     problem.subdomains.par_iter().for_each(|sd| {
                         let f = build(sd);
                         let (l, bt) = (f.chol.factor_csc_ref(), &f.bt_perm);
-                        let sc = assemble_sc_with_cache(&mut CpuExec, l, bt, &cfg, cache.as_ref());
-                        std::hint::black_box(sc);
+                        std::hint::black_box(assemble_sc(&mut CpuExec, l, bt, &cfg));
                     })
                 })
             };

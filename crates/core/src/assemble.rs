@@ -18,7 +18,7 @@ use sc_sparse::CscOf;
 /// Fully resolved assembler parameters: one entry per knob the paper tunes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScParams {
-    /// TRSM algorithm (plain / RHS split / factor split + pruning).
+    /// TRSM algorithm (plain / factor split ± pruning).
     pub trsm: TrsmVariant,
     /// SYRK algorithm (plain / input split / output split).
     pub syrk: SyrkVariant,
@@ -175,7 +175,7 @@ pub fn assemble_sc<S: Scalar, E: Exec<S>>(
 /// [`assemble_sc`] with an optional shared [`BlockCutsCache`]; the batched
 /// driver passes one cache for the whole cluster so equal-shape subdomains
 /// resolve their block partitions once.
-pub fn assemble_sc_with_cache<S: Scalar, E: Exec<S>>(
+pub(crate) fn assemble_sc_with_cache<S: Scalar, E: Exec<S>>(
     exec: &mut E,
     l: &CscOf<S>,
     bt: &CscOf<S>,
@@ -342,7 +342,6 @@ mod tests {
     fn all_variant_combinations_match_reference() {
         let trsms = [
             TrsmVariant::Plain,
-            TrsmVariant::RhsSplit(BlockParam::Size(8)),
             TrsmVariant::FactorSplit {
                 block: BlockParam::Size(10),
                 prune: false,
@@ -402,7 +401,6 @@ mod tests {
 
         let trsms = [
             TrsmVariant::Plain,
-            TrsmVariant::RhsSplit(BlockParam::Size(80)),
             TrsmVariant::FactorSplit {
                 block: BlockParam::Size(200),
                 prune: false,

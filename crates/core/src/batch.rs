@@ -4,8 +4,8 @@
 //! assembles the dense local dual operators `F̃ᵢ` of **hundreds of subdomains
 //! per cluster**, one OpenMP thread per subdomain. This module is that loop:
 //! the drivers fan the per-subdomain [`assemble_sc`](crate::assemble_sc)
-//! pipelines out over rayon, sharing one [`BlockCutsCache`] so that
-//! equal-shape subdomains (the overwhelmingly common case on regular
+//! pipelines out over rayon, sharing one crate-private block-cut memo table
+//! so that equal-shape subdomains (the overwhelmingly common case on regular
 //! decompositions) resolve their [`BlockParam`](crate::tune::BlockParam)
 //! partitions exactly once, and recording per-subdomain timings for
 //! load-balance diagnostics.

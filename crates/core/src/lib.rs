@@ -7,8 +7,8 @@
 //!    descend left to right (the **stepped shape**). Rows are never permuted:
 //!    that would interfere with the fill-reducing ordering of the factor.
 //! 2. [`trsm`] — solve `L Y = B̃ᵀ` skipping the known-zero region above the
-//!    pivots, by **RHS splitting** or **factor splitting** (with optional
-//!    **pruning** of empty rows in the sub-diagonal factor blocks).
+//!    pivots, by **factor splitting** (with optional **pruning** of empty
+//!    rows in the sub-diagonal factor blocks).
 //! 3. [`syrk`] — compute `F̃ = YᵀY` skipping the same zero region, by
 //!    **input splitting** or **output splitting**.
 //! 4. un-permute the result back to the original multiplier ordering.
@@ -30,9 +30,7 @@ pub mod syrk;
 pub mod trsm;
 pub mod tune;
 
-pub use assemble::{
-    assemble_sc, assemble_sc_reference, assemble_sc_with_cache, ScConfig, ScParams,
-};
+pub use assemble::{assemble_sc, assemble_sc_reference, ScConfig, ScParams};
 pub use batch::{BatchItem, BatchItemOf, SubdomainTiming};
 pub use exec::{CpuExec, Exec, GpuExec, RecordingExec};
 pub use sc_gpu::ArenaSim;
@@ -48,6 +46,6 @@ pub use session::{
 pub use sessioncache::{ContentHasher, SessionCache, SessionCacheStats};
 pub use source::BatchSource;
 pub use stepped::{SteppedRhs, SteppedRhsOf};
-pub use syrk::{run_syrk as run_syrk_variant, run_syrk_with_cache, SyrkVariant};
-pub use trsm::{run_trsm as run_trsm_variant, run_trsm_with_cache, FactorStorage, TrsmVariant};
-pub use tune::{resolve_block, BlockCutsCache, BlockParam};
+pub use syrk::{run_syrk as run_syrk_variant, SyrkVariant};
+pub use trsm::{run_trsm as run_trsm_variant, FactorStorage, TrsmVariant};
+pub use tune::BlockParam;

@@ -171,9 +171,7 @@ pub fn estimate_cost<S: Scalar>(
             dense_blocks + prune_out
         }
         (FactorStorage::Dense, _) => eb * n * n,
-        // sparse kernels work off the (persistent) CSC factor; RHS splitting
-        // extracts trailing subfactors, bounded by the factor itself
-        (FactorStorage::Sparse, TrsmVariant::RhsSplit(_)) => (INDEX_BYTES + eb) * l.nnz(),
+        // sparse kernels work off the (persistent) CSC factor
         (FactorStorage::Sparse, _) => 0,
     };
     let temp_bytes = y_bytes + factor_bytes;

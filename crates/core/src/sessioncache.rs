@@ -3,8 +3,8 @@
 //!
 //! The paper's economics are amortization: ordering, symbolic factorization
 //! and block-cut resolution dominate a single set-up, and reusing them is
-//! what makes GPU Schur assembly pay off. Within one problem the
-//! [`BlockCutsCache`](crate::tune::BlockCutsCache) memoizes cut resolution
+//! what makes GPU Schur assembly pay off. Within one batch the assembly
+//! drivers memoize cut resolution across equal-shape subdomains,
 //! and `sc_feti`'s factorization loop analyzes each class of subdomains with
 //! one pattern of `K` once (an `Arc`-shared `sc_factor::Analysis`);
 //! a persistent service amortizes across *problems*: any client submitting a

@@ -42,7 +42,7 @@ pub fn run_syrk<S: Scalar, E: Exec<S>>(
 
 /// [`run_syrk`] with an optional shared block-cut memo table (see
 /// [`BlockCutsCache`]).
-pub fn run_syrk_with_cache<S: Scalar, E: Exec<S>>(
+pub(crate) fn run_syrk_with_cache<S: Scalar, E: Exec<S>>(
     exec: &mut E,
     y: &MatOf<S>,
     stepped: &SteppedRhsOf<S>,

@@ -3,19 +3,20 @@
 //! All variants solve `L Y = B̃ᵀ` in place on a dense `Y` that starts as the
 //! dense expansion of the stepped `B̃ᵀ`. The baseline ([`TrsmVariant::Plain`])
 //! is the original algorithm of \[9\]: one library TRSM over the full factor.
-//! The optimized variants skip the zero region above the column pivots:
+//! The optimized variant, **factor splitting**, skips the zero region above
+//! the column pivots: the factor is blocked along the diagonal; each step
+//! runs a small TRSM on the diagonal block restricted to the currently
+//! active RHS columns, then a GEMM for the sub-diagonal block — with
+//! optional **pruning** (compacting empty rows out of the sub-diagonal block
+//! before a dense GEMM).
 //!
-//! - **RHS splitting**: column blocks of `Y` are solved against the trailing
-//!   subfactor below the block's first pivot only;
-//! - **factor splitting**: the factor is blocked along the diagonal; each
-//!   step runs a small TRSM on the diagonal block restricted to the currently
-//!   active RHS columns, then a GEMM for the sub-diagonal block — with
-//!   optional **pruning** (compacting empty rows out of the sub-diagonal
-//!   block before a dense GEMM).
+//! The paper's other variant, RHS splitting, is deliberately absent: on
+//! every benchmark mesh it loses to factor splitting or the plain solve on
+//! both time clocks (the Table 1 search recorded in ROADMAP.md).
 
 use crate::exec::Exec;
 use crate::stepped::SteppedRhsOf;
-use crate::tune::{col_cuts, row_cuts, BlockCutsCache, BlockParam};
+use crate::tune::{row_cuts, BlockCutsCache, BlockParam};
 use sc_dense::{MatMutOf, MatOf, Scalar, Trans};
 use sc_sparse::CscOf;
 
@@ -35,8 +36,6 @@ pub enum FactorStorage {
 pub enum TrsmVariant {
     /// Original algorithm of \[9\]: single TRSM over the whole factor.
     Plain,
-    /// RHS splitting with the given column-block parameter.
-    RhsSplit(BlockParam),
     /// Factor splitting with the given factor-block parameter; `prune`
     /// compacts empty rows out of sub-diagonal blocks before the GEMM.
     FactorSplit {
@@ -63,7 +62,7 @@ pub fn run_trsm<S: Scalar, E: Exec<S>>(
 /// [`run_trsm`] with an optional shared block-cut memo table (used by the
 /// batched multi-subdomain driver so equal-shape subdomains resolve their
 /// block partitions once).
-pub fn run_trsm_with_cache<S: Scalar, E: Exec<S>>(
+pub(crate) fn run_trsm_with_cache<S: Scalar, E: Exec<S>>(
     exec: &mut E,
     l: &CscOf<S>,
     stepped: &SteppedRhsOf<S>,
@@ -77,7 +76,6 @@ pub fn run_trsm_with_cache<S: Scalar, E: Exec<S>>(
     assert_eq!(y.ncols(), stepped.ncols(), "Y column mismatch");
     match variant {
         TrsmVariant::Plain => trsm_plain(exec, l, storage, y.as_mut()),
-        TrsmVariant::RhsSplit(block) => trsm_rhs_split(exec, l, stepped, storage, block, y, cache),
         TrsmVariant::FactorSplit { block, prune } => {
             trsm_factor_split(exec, l, stepped, storage, block, prune, y, cache)
         }
@@ -96,53 +94,6 @@ fn trsm_plain<S: Scalar, E: Exec<S>>(
             let ld = l.to_dense();
             exec.gather(l.nnz()); // densification traffic
             exec.trsm_dense(ld.as_ref(), y);
-        }
-    }
-}
-
-/// RHS splitting (paper Figure 3a): each column block is solved with the
-/// trailing subfactor below its first pivot.
-fn trsm_rhs_split<S: Scalar, E: Exec<S>>(
-    exec: &mut E,
-    l: &CscOf<S>,
-    stepped: &SteppedRhsOf<S>,
-    storage: FactorStorage,
-    block: BlockParam,
-    y: &mut MatOf<S>,
-    cache: Option<&BlockCutsCache>,
-) {
-    let n = l.ncols();
-    let m = stepped.ncols();
-    let cuts = col_cuts(cache, block, m, n);
-    // Dense factor materialized once; subfactors are views (leading
-    // dimension arithmetic — free, as the paper notes).
-    let ld = match storage {
-        FactorStorage::Dense => {
-            exec.gather(l.nnz());
-            Some(l.to_dense())
-        }
-        FactorStorage::Sparse => None,
-    };
-    for w in cuts.windows(2) {
-        let (c0, c1) = (w[0], w[1]);
-        // first pivot in the block bounds the subfactor
-        let p = stepped.pivots[c0];
-        if p >= n {
-            break; // empty columns (and all following) need no work
-        }
-        let ysub = y.as_mut().into_sub(p, c0, n - p, c1 - c0);
-        match (&ld, storage) {
-            (Some(ld), FactorStorage::Dense) => {
-                exec.trsm_dense(ld.as_ref().sub(p, p, n - p, n - p), ysub);
-            }
-            (_, FactorStorage::Sparse) => {
-                // "We must manually extract the sparse subfactor before each
-                // TRSM if we use a sparse factor." (§3.2)
-                let sub = l.trailing_submatrix(p, p, n);
-                exec.gather(sub.nnz());
-                exec.trsm_sparse(&sub, ysub);
-            }
-            _ => unreachable!(),
         }
     }
 }
@@ -332,18 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn rhs_split_matches_reference() {
-        for block in [
-            BlockParam::Size(4),
-            BlockParam::Size(64),
-            BlockParam::Count(3),
-        ] {
-            check_variant(TrsmVariant::RhsSplit(block), FactorStorage::Sparse);
-            check_variant(TrsmVariant::RhsSplit(block), FactorStorage::Dense);
-        }
-    }
-
-    #[test]
     fn factor_split_matches_reference() {
         for block in [
             BlockParam::Size(5),
@@ -373,7 +312,10 @@ mod tests {
             FactorStorage::Dense,
         );
         check_variant(
-            TrsmVariant::RhsSplit(BlockParam::Size(1)),
+            TrsmVariant::FactorSplit {
+                block: BlockParam::Size(1),
+                prune: false,
+            },
             FactorStorage::Sparse,
         );
     }
@@ -390,7 +332,10 @@ mod tests {
             &l,
             &stepped,
             FactorStorage::Sparse,
-            TrsmVariant::RhsSplit(BlockParam::Size(10)),
+            TrsmVariant::FactorSplit {
+                block: BlockParam::Size(10),
+                prune: true,
+            },
             &mut y,
         );
     }

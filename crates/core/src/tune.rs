@@ -28,7 +28,7 @@ impl BlockParam {
 
 /// Resolve a block parameter and return the block boundaries covering
 /// `0..n`: `[0, b, 2b, ..., n]`.
-pub fn resolve_block(param: BlockParam, n: usize) -> Vec<usize> {
+pub(crate) fn resolve_block(param: BlockParam, n: usize) -> Vec<usize> {
     let bs = param.block_size(n);
     let mut cuts = Vec::with_capacity(n / bs + 2);
     let mut p = 0;
@@ -52,7 +52,7 @@ pub fn resolve_block(param: BlockParam, n: usize) -> Vec<usize> {
 /// exactly the cuts an uncached resolution would compute — preserving the
 /// batch driver's bitwise-equality guarantee.
 #[derive(Default)]
-pub struct BlockCutsCache {
+pub(crate) struct BlockCutsCache {
     rows: std::sync::Mutex<std::collections::HashMap<CutsKey, std::sync::Arc<Vec<usize>>>>,
     cols: std::sync::Mutex<std::collections::HashMap<CutsKey, std::sync::Arc<Vec<usize>>>>,
     hits: std::sync::atomic::AtomicUsize,
@@ -63,7 +63,7 @@ type CutsKey = (BlockParam, usize, usize);
 
 /// Row-dimension cuts of a factor of order `n` (TRSM factor splitting, SYRK
 /// input splitting), via the shared memo table when one is provided.
-pub fn row_cuts(
+pub(crate) fn row_cuts(
     cache: Option<&BlockCutsCache>,
     param: BlockParam,
     n: usize,
@@ -74,10 +74,9 @@ pub fn row_cuts(
     }
 }
 
-/// Column-dimension cuts of an `n × m` stepped right-hand side (TRSM RHS
-/// splitting, SYRK output splitting), via the shared memo table when one is
-/// provided.
-pub fn col_cuts(
+/// Column-dimension cuts of an `n × m` stepped right-hand side (SYRK output
+/// splitting), via the shared memo table when one is provided.
+pub(crate) fn col_cuts(
     cache: Option<&BlockCutsCache>,
     param: BlockParam,
     m: usize,
@@ -149,38 +148,15 @@ impl BlockCutsCache {
     pub fn misses(&self) -> usize {
         self.misses.load(std::sync::atomic::Ordering::Relaxed)
     }
-
-    /// Approximate heap bytes held by the memo tables (keys + cut vectors),
-    /// so a byte-budgeted session cache
-    /// ([`SessionCache`](crate::sessioncache::SessionCache)) can account for
-    /// a bundled cuts cache when charging an entry against its budget.
-    pub fn approx_bytes(&self) -> usize {
-        let table = |t: &std::sync::Mutex<
-            std::collections::HashMap<CutsKey, std::sync::Arc<Vec<usize>>>,
-        >| {
-            let t = t.lock().unwrap_or_else(|e| e.into_inner());
-            t.values()
-                .map(|v| std::mem::size_of::<CutsKey>() + v.len() * std::mem::size_of::<usize>())
-                .sum::<usize>()
-        };
-        table(&self.rows) + table(&self.cols)
-    }
 }
 
 /// The paper's Table 1: optimal splitting parameters per algorithm, platform
-/// and dimension (`S` = block size, `C` = block count). Used as defaults by
-/// the benches and the FETI pipeline.
+/// and dimension (`S` = block size, `C` = block count), without the RHS
+/// splitting row (that TRSM is not implemented). Used as defaults by the
+/// benches and the FETI pipeline.
 pub mod table1_defaults {
     use super::BlockParam;
 
-    /// TRSM, RHS splitting — CPU 2D: `S 100`.
-    pub const TRSM_RHS_CPU_2D: BlockParam = BlockParam::Size(100);
-    /// TRSM, RHS splitting — CPU 3D: `S 100`.
-    pub const TRSM_RHS_CPU_3D: BlockParam = BlockParam::Size(100);
-    /// TRSM, RHS splitting — GPU 2D: `C 1`.
-    pub const TRSM_RHS_GPU_2D: BlockParam = BlockParam::Count(1);
-    /// TRSM, RHS splitting — GPU 3D: `S 1000`.
-    pub const TRSM_RHS_GPU_3D: BlockParam = BlockParam::Size(1000);
     /// TRSM, factor splitting — CPU 2D: `S 200`.
     pub const TRSM_FACTOR_CPU_2D: BlockParam = BlockParam::Size(200);
     /// TRSM, factor splitting — CPU 3D: `S 200`.

@@ -190,8 +190,8 @@ mod tests {
 
     #[test]
     fn subview_solve_matches_extracted() {
-        // Solving on a trailing-subfactor view must equal solving an
-        // extracted copy — this is what RHS-splitting TRSM relies on.
+        // Solving on a trailing-block view (leading dimension larger than
+        // its order) must equal solving an extracted copy.
         let n = 9;
         let p = 4;
         let l = lower_factor(n, 7);

@@ -1,19 +1,18 @@
 //! Cross-session prepared-state cache: content-addressed symbolic/numeric
-//! factorizations and block-cut resolutions, shared by every tenant.
+//! factorizations, shared by every tenant.
 //!
 //! The expensive part of a FETI job on a repeated mesh family is not the
-//! PCPG iteration — it is the preprocessing: building the decomposition,
+//! PCPG iteration — it is the preprocessing: building the decomposition and
 //! regularizing and factorizing every subdomain (symbolic analysis +
-//! numeric Cholesky) and resolving the stepped block partitions. All of it
-//! is a pure function of *(mesh spec, assembly config, precision)*, so the
-//! service keys a [`SessionCache`] on a content hash of exactly those
-//! inputs and reuses the prepared bundle across jobs, tenants, and client
-//! sessions. Determinism of the preprocessing (pinned by the feti crate's
+//! numeric Cholesky). All of it is a pure function of *(mesh spec,
+//! assembly config, precision)*, so the service keys a [`SessionCache`] on
+//! a content hash of exactly those inputs and reuses the prepared bundle
+//! across jobs, tenants, and client sessions. Determinism of the preprocessing (pinned by the feti crate's
 //! bitwise reuse test) makes a warm solve bitwise identical to a cold one.
 
 use std::sync::Arc;
 
-use sc_core::{BlockCutsCache, ContentHasher, SessionCache};
+use sc_core::{ContentHasher, SessionCache};
 use sc_fem::{Gluing, HeatProblem};
 use sc_feti::{FetiOptions, SubdomainFactors};
 
@@ -30,9 +29,6 @@ pub struct PreparedSession {
     /// Per-subdomain regularized factorizations, `Arc`-shared so they plug
     /// straight into [`sc_feti::FetiSolverBuilder::factors`].
     pub factors: Arc<Vec<SubdomainFactors>>,
-    /// Shared block-cut resolutions for the explicit assembly kernels;
-    /// warmed by the first assembly against this bundle, hit by the rest.
-    pub cuts: BlockCutsCache,
     /// Approximate resident size, charged against the cache byte budget.
     pub bytes: usize,
 }
@@ -90,25 +86,19 @@ pub fn prepare(spec: &MeshSpec, opts: &FetiOptions) -> PreparedSession {
         HeatProblem::build_3d(spec.cells, spec.subs, gluing_of(spec.gluing))
     };
     let factors = SubdomainFactors::build_all(&problem, opts.engine, opts.ordering);
-    let cuts = BlockCutsCache::new();
-    let bytes = approx_bytes(&problem, &factors, &cuts);
+    let bytes = approx_bytes(&problem, &factors);
     PreparedSession {
         problem,
         factors,
-        cuts,
         bytes,
     }
 }
 
 /// Resident-size estimate of a prepared bundle: factor + gluing nonzeros at
-/// 16 bytes each (8 value + ~8 amortized index), stiffness nonzeros for the
-/// retained problem, plus the block-cut tables.
-fn approx_bytes(
-    problem: &HeatProblem,
-    factors: &[SubdomainFactors],
-    cuts: &BlockCutsCache,
-) -> usize {
-    let mut b = cuts.approx_bytes();
+/// 16 bytes each (8 value + ~8 amortized index), plus stiffness nonzeros for
+/// the retained problem.
+fn approx_bytes(problem: &HeatProblem, factors: &[SubdomainFactors]) -> usize {
+    let mut b = 0;
     for f in factors {
         // L's own values + row indices; the per-class shared analysis is uncharged
         b += f.chol.symbolic().nnz() * 16 + f.bt_perm.nnz() * 16;

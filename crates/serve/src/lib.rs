@@ -4,10 +4,10 @@
 //! A FETI shop rarely solves one problem once: design loops, load sweeps,
 //! and parameter studies resubmit the *same decomposition* with different
 //! loads, precisions, and tenants. The expensive preprocessing — mesh
-//! decomposition, per-subdomain regularized Cholesky (symbolic + numeric),
-//! stepped block-cut resolution — is a pure function of the problem
-//! content, so a long-lived service can pay it once and amortize it across
-//! every later job, whoever submits it.
+//! decomposition, per-subdomain regularized Cholesky (symbolic + numeric)
+//! — is a pure function of the problem content, so a long-lived service
+//! can pay it once and amortize it across every later job, whoever submits
+//! it.
 //!
 //! Three layers:
 //!

@@ -33,15 +33,6 @@ pub struct QueuedJob {
     pub submitted_at: f64,
 }
 
-/// Why a job left the queue without running.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Drop {
-    /// Explicit `cancel` request.
-    Cancelled,
-    /// Queue wait exceeded the job's `timeout_s` before dispatch.
-    Expired,
-}
-
 /// Per-tenant roll-up, reported by the `stats` op.
 #[derive(Clone, Debug, Default)]
 pub struct TenantStats {

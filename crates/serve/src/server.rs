@@ -15,7 +15,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sc_core::{assemble_sc_with_cache, Backend, CpuExec, Precision, ScConfig, SessionCacheStats};
+use sc_core::{Backend, Precision, ScConfig, SessionCacheStats};
 use sc_feti::{FetiOptions, FetiSolverBuilder, FormulationChoice};
 use sc_gpu::{DevicePool, DeviceSpec};
 
@@ -270,24 +270,6 @@ impl Service {
             lambda: None,
             u_locals: None,
         };
-
-        // Fast path: a pure-f64 host assembly can run straight against the
-        // cached factors and the bundle's shared block-cut resolutions —
-        // no solver build, no device pool.
-        if req.kind == JobKind::Assemble
-            && req.backend == BackendTag::Cpu
-            && req.precision == PrecisionTag::F64
-        {
-            let t0 = Instant::now();
-            let cfg = ScConfig::Auto;
-            for f in prep.factors.iter() {
-                let l = f.chol.factor_csc_ref();
-                let _f_tilde =
-                    assemble_sc_with_cache(&mut CpuExec, l, &f.bt_perm, &cfg, Some(&prep.cuts));
-            }
-            outcome.device_s = t0.elapsed().as_secs_f64();
-            return outcome;
-        }
 
         let backend = match req.backend {
             BackendTag::Cluster => {
@@ -639,14 +621,22 @@ mod tests {
     }
 
     #[test]
-    fn cpu_assemble_fast_path_warms_the_cut_cache() {
+    fn cpu_f64_assemble_job_goes_through_the_builder() {
         let mut h = ServeHandle::new(small_opts());
-        let line = submit_line("a", "a1", "assemble").replace('}', ",\"backend\":\"cpu\"}");
-        h.request(&line);
+        let line =
+            |job: &str| submit_line("a", job, "assemble").replace('}', ",\"backend\":\"cpu\"}");
+        h.request(&line("a1"));
         h.request("{\"op\":\"run\"}");
-        let o = h.take_outcome("a", "a1").expect("outcome");
-        assert!(o.iterations.is_none(), "assemble does not run PCPG");
-        assert!(o.device_s > 0.0);
+        h.request(&line("a2"));
+        let r = h.request("{\"op\":\"run\"}");
+        assert!(r[0].contains("\"cache\":\"hit\""), "{}", r[0]);
+        let s = h.cache_stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+        for job in ["a1", "a2"] {
+            let o = h.take_outcome("a", job).expect("outcome");
+            assert!(o.iterations.is_none(), "assemble does not run PCPG");
+            assert!(o.device_s > 0.0);
+        }
     }
 
     #[test]

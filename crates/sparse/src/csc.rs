@@ -404,27 +404,6 @@ impl<S: Scalar> CscOf<S> {
         CscOf::from_parts(self.nrows, self.ncols, col_ptr, row_idx, values)
     }
 
-    /// Extract the sub-matrix of rows `r0..` and columns `c0..c1`, shifting
-    /// row indices down by `r0`. Entries with row `< r0` must not exist in the
-    /// selected columns (checked) — this is the *subfactor extraction* used by
-    /// RHS-splitting TRSM with a sparse factor (paper §3.2).
-    pub fn trailing_submatrix(&self, r0: usize, c0: usize, c1: usize) -> CscOf<S> {
-        assert!(c0 <= c1 && c1 <= self.ncols);
-        let mut col_ptr = vec![0usize; c1 - c0 + 1];
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        for (jn, j) in (c0..c1).enumerate() {
-            let (rows, vals) = self.col(j);
-            for (&i, &v) in rows.iter().zip(vals) {
-                assert!(i >= r0, "entry above the requested trailing block");
-                row_idx.push(i - r0);
-                values.push(v);
-            }
-            col_ptr[jn + 1] = row_idx.len();
-        }
-        CscOf::from_parts(self.nrows - r0, c1 - c0, col_ptr, row_idx, values)
-    }
-
     /// Extract a general rectangular block `rows r0..r1 × cols c0..c1`,
     /// dropping entries outside the row range.
     pub fn block(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> CscOf<S> {
@@ -623,29 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn trailing_submatrix_shifts() {
-        // lower-triangular example
-        let mut c = Coo::new(4, 4);
-        for (i, j, v) in [
-            (0, 0, 1.0),
-            (1, 1, 2.0),
-            (2, 2, 3.0),
-            (3, 3, 4.0),
-            (2, 1, 0.5),
-            (3, 2, 0.25),
-        ] {
-            c.push(i, j, v);
-        }
-        let l = c.to_csc();
-        let s = l.trailing_submatrix(1, 1, 4);
-        assert_eq!(s.nrows(), 3);
-        assert_eq!(s.ncols(), 3);
-        assert_eq!(s.get(0, 0), 2.0);
-        assert_eq!(s.get(1, 0), 0.5);
-        assert_eq!(s.get(2, 1), 0.25);
-    }
-
-    #[test]
     fn block_extraction() {
         let m = sample();
         let b = m.block(1, 3, 0, 2);
@@ -668,13 +624,6 @@ mod tests {
         assert_eq!(g[(0, 0)], 1.0);
         assert_eq!(g[(1, 0)], 2.0);
         assert_eq!(g[(1, 1)], 4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "above the requested trailing block")]
-    fn trailing_submatrix_checks_rows() {
-        let m = sample(); // has entry (0, 2)
-        m.trailing_submatrix(1, 2, 3);
     }
 
     #[test]

@@ -81,11 +81,11 @@ pub mod prelude {
     pub use sc_core::{
         assemble_sc, estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by,
         ApplyEstimate, AssemblyReport, AssemblyResult, AssemblySession, Backend, BatchItem,
-        BatchSource, BlockCutsCache, BlockParam, ClusterPlanError, CostEstimate, CpuExec,
-        DeviceReport, DeviceSlot, FactorStorage, Formulation, GpuExec, HybridForce, HybridPlan,
-        HybridPlanOptions, HybridSummary, NodeReport, Precision, RecordingExec, ScConfig, ScParams,
-        ScheduleOptions, ScheduledSpan, SteppedRhs, StreamLane, StreamPolicy, SubdomainTiming,
-        SyrkVariant, TopoPlan, Topology, TrsmVariant,
+        BatchSource, BlockParam, ClusterPlanError, CostEstimate, CpuExec, DeviceReport, DeviceSlot,
+        FactorStorage, Formulation, GpuExec, HybridForce, HybridPlan, HybridPlanOptions,
+        HybridSummary, NodeReport, Precision, RecordingExec, ScConfig, ScParams, ScheduleOptions,
+        ScheduledSpan, SteppedRhs, StreamLane, StreamPolicy, SubdomainTiming, SyrkVariant,
+        TopoPlan, Topology, TrsmVariant,
     };
     pub use sc_dense::Mat;
     pub use sc_factor::{CholOptions, Engine, SparseCholesky};

@@ -110,8 +110,8 @@ proptest! {
         let reference = assemble_sc(
             &mut CpuExec, &l, &bt_perm, &ScConfig::original(FactorStorage::Sparse));
         for trsm in [
-            TrsmVariant::RhsSplit(BlockParam::Size(trsm_block)),
             TrsmVariant::FactorSplit { block: BlockParam::Size(trsm_block), prune },
+            TrsmVariant::FactorSplit { block: BlockParam::Size(trsm_block), prune: !prune },
         ] {
             for syrk in [
                 SyrkVariant::InputSplit(BlockParam::Size(syrk_block)),
@@ -140,7 +140,7 @@ proptest! {
         let stepped = SteppedRhs::new(&bt.permute_rows(chol.perm()));
         for variant in [
             TrsmVariant::Plain,
-            TrsmVariant::RhsSplit(BlockParam::Size(block)),
+            TrsmVariant::FactorSplit { block: BlockParam::Size(block), prune: false },
             TrsmVariant::FactorSplit { block: BlockParam::Size(block), prune: true },
         ] {
             let mut y = stepped.to_dense();

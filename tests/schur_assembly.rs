@@ -41,7 +41,6 @@ fn all_configs_match_dense_reference_2d() {
     let l = fx.factors.chol.factor_csc();
     for trsm in [
         TrsmVariant::Plain,
-        TrsmVariant::RhsSplit(BlockParam::Size(7)),
         TrsmVariant::FactorSplit {
             block: BlockParam::Size(9),
             prune: false,
