@@ -6,6 +6,9 @@
 //! ```text
 //! F̃ = unpermute( (L⁻¹ · stepped(B̃ᵀ))ᵀ (L⁻¹ · stepped(B̃ᵀ)) )
 //! ```
+//!
+//! With the stepped permutation on, `L` and `B̃ᵀ` are first restricted to
+//! the elimination-tree closure of `B̃ᵀ`'s rows, outside which `L⁻¹B̃ᵀ` is 0.
 
 use crate::exec::Exec;
 use crate::stepped::SteppedRhsOf;
@@ -86,20 +89,16 @@ pub enum ScConfig {
     Auto,
 }
 
-/// Density of a lower-triangular CSC factor relative to a full triangle.
-fn factor_density<S: Scalar>(l: &CscOf<S>) -> f64 {
+/// 2D nested-dissection factors stay a few percent dense; 3D ones fill an
+/// order of magnitude more. A lower-triangular factor filling more than 0.15
+/// of its full triangle, `nnz(L) > 0.15 · n(n+1)/2`, is taken for 3D (tested
+/// exactly, in integers): the threshold separates the two regimes on the
+/// workspace's heat-transfer ladders.
+fn three_d_like<S: Scalar>(l: &CscOf<S>) -> bool {
     let n = l.ncols();
-    if n == 0 {
-        return 0.0;
-    }
-    let tri = n as f64 * (n as f64 + 1.0) / 2.0; // sc-analyze: allow(precision-discipline)
-    l.nnz() as f64 / tri // sc-analyze: allow(precision-discipline)
+    40 * l.nnz() > 3 * n * (n + 1)
 }
 
-/// 2D nested-dissection factors stay a few percent dense; 3D ones fill an
-/// order of magnitude more. This threshold separates the two regimes on the
-/// workspace's heat-transfer ladders.
-const AUTO_THREE_D_DENSITY: f64 = 0.15;
 /// Below these sizes the splitting variants cannot amortize their extra
 /// kernel launches (the left branch of the paper's Figure 5 U-curve).
 const AUTO_MIN_DOFS: usize = 96;
@@ -126,7 +125,7 @@ impl ScConfig {
             ScConfig::Auto => {
                 let n = l.ncols();
                 let m = bt.ncols();
-                let three_d_like = factor_density(l) > AUTO_THREE_D_DENSITY;
+                let three_d_like = three_d_like(l);
                 if n < AUTO_MIN_DOFS || m < AUTO_MIN_LAMBDA {
                     ScParams {
                         trsm: TrsmVariant::Plain,
@@ -187,6 +186,17 @@ pub(crate) fn assemble_sc_with_cache<S: Scalar, E: Exec<S>>(
     let m = bt.ncols();
     let params = cfg.resolve(exec.is_gpu(), l, bt);
 
+    // `Y = L⁻¹B̃ᵀ` is zero outside the closure of `B̃ᵀ`'s rows: solve and
+    // SYRK only the closure's principal submatrix when it is a strict one
+    let closure = params
+        .stepped_permutation
+        .then(|| restrict_to_closure(l, bt))
+        .flatten();
+    if let Some((l_c, bt_c)) = &closure {
+        exec.gather(l_c.nnz() + bt_c.nnz());
+    }
+    let (l, bt) = closure.as_ref().map_or((l, bt), |(l_c, bt_c)| (l_c, bt_c));
+
     let stepped = if params.stepped_permutation {
         SteppedRhsOf::new(bt)
     } else {
@@ -224,6 +234,7 @@ pub(crate) fn assemble_sc_with_cache<S: Scalar, E: Exec<S>>(
         &mut y,
         cache,
     );
+    drop(closure); // the SYRK reads only `Y` and the stepped `B̃ᵀ`
 
     let mut f = MatOf::<S>::zeros(m, m);
     run_syrk_with_cache(exec, &y, &stepped, syrk_variant, &mut f, cache);
@@ -232,6 +243,61 @@ pub(crate) fn assemble_sc_with_cache<S: Scalar, E: Exec<S>>(
     // back to original multiplier ordering (the "final phase" permutation)
     exec.gather(m * m);
     stepped.unpermute_symmetric(&f)
+}
+
+/// The principal submatrix `L_c` of `l` on the closure of `bt`'s rows under
+/// every stored below-diagonal entry of `l`, and `bt` with its rows
+/// renumbered into it; `None` when the closure is all of `0..n`.
+///
+/// On a Cholesky pattern the closure is the union of the rows' elimination
+/// tree paths; walking every entry keeps it exact for any lower-triangular
+/// `l`. No row outside it receives an update from a row inside it, so
+/// `L_c⁻¹ B̃ᵀ_c` is `L⁻¹ B̃ᵀ` with its zero rows left out.
+fn restrict_to_closure<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>) -> Option<(CscOf<S>, CscOf<S>)> {
+    let n = l.ncols();
+    let mut reached = vec![false; n];
+    for &i in bt.row_idx() {
+        reached[i] = true;
+    }
+    // the column order is topological: an entry (i, j) of `l` has i ≥ j
+    for j in 0..n {
+        if reached[j] {
+            for &i in l.col(j).0 {
+                reached[i] = true;
+            }
+        }
+    }
+    let keep: Vec<usize> = (0..n).filter(|&j| reached[j]).collect();
+    if keep.len() == n {
+        return None;
+    }
+    let mut new_of_old = vec![usize::MAX; n];
+    for (new, &old) in keep.iter().enumerate() {
+        new_of_old[old] = new;
+    }
+    // every stored row of a kept column is kept, so renumbering preserves
+    // the sorted, diagonal-first columns
+    let l_c = renumber_rows(l, keep.iter().copied(), &new_of_old, keep.len());
+    let bt_c = renumber_rows(bt, 0..bt.ncols(), &new_of_old, keep.len());
+    Some((l_c, bt_c))
+}
+
+/// The columns `cols` of `a`, with every row `i` renamed `new_of_old[i]`.
+fn renumber_rows<S: Scalar>(
+    a: &CscOf<S>,
+    cols: impl Iterator<Item = usize>,
+    new_of_old: &[usize],
+    nrows: usize,
+) -> CscOf<S> {
+    let (mut col_ptr, mut row_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for j in cols {
+        let (rows, vals) = a.col(j);
+        row_idx.extend(rows.iter().map(|&i| new_of_old[i]));
+        values.extend_from_slice(vals);
+        col_ptr.push(row_idx.len());
+    }
+    let ncols = col_ptr.len() - 1;
+    CscOf::from_parts(nrows, ncols, col_ptr, row_idx, values)
 }
 
 /// Dense reference: `F̃ = B̃ K_reg⁻¹ B̃ᵀ` computed with dense kernels from the
@@ -256,11 +322,11 @@ pub fn assemble_sc_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{CpuExec, GpuExec};
+    use crate::exec::{CpuExec, GpuExec, RecordingExec};
     use crate::tune::BlockParam;
     use sc_dense::Mat;
     use sc_factor::{CholOptions, Engine, SparseCholesky};
-    use sc_gpu::{Device, DeviceSpec, GpuKernels};
+    use sc_gpu::{Device, DeviceSpec, GpuKernels, KernelCost};
     use sc_order::Ordering;
     use sc_sparse::{Coo, Csc};
 
@@ -338,8 +404,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_variant_combinations_match_reference() {
+    /// Every `ScParams` combination the dense-oracle sweeps cover: each TRSM
+    /// and SYRK variant on both factor storages, stepped.
+    fn swept_params() -> Vec<ScParams> {
         let trsms = [
             TrsmVariant::Plain,
             TrsmVariant::FactorSplit {
@@ -356,21 +423,213 @@ mod tests {
             SyrkVariant::InputSplit(BlockParam::Size(9)),
             SyrkVariant::OutputSplit(BlockParam::Size(5)),
         ];
+        let mut all = Vec::new();
         for trsm in trsms {
             for syrk in syrks {
-                for storage in [FactorStorage::Sparse, FactorStorage::Dense] {
-                    let cfg = ScConfig::Fixed(ScParams {
+                for factor_storage in [FactorStorage::Sparse, FactorStorage::Dense] {
+                    all.push(ScParams {
                         trsm,
                         syrk,
-                        factor_storage: storage,
+                        factor_storage,
                         stepped_permutation: true,
                     });
-                    let (f, fref) = assemble_with(&cfg, 6, 10);
-                    let d = sc_dense::max_abs_diff(f.as_ref(), fref.as_ref());
-                    assert!(d < 1e-9, "{trsm:?} {syrk:?} {storage:?}: {d}");
                 }
             }
         }
+        all
+    }
+
+    #[test]
+    fn all_variant_combinations_match_reference() {
+        for params in swept_params() {
+            let (f, fref) = assemble_with(&ScConfig::Fixed(params), 6, 10);
+            let d = sc_dense::max_abs_diff(f.as_ref(), fref.as_ref());
+            assert!(d < 1e-9, "{params:?}: {d}");
+        }
+    }
+
+    /// Every swept configuration against `fref`, at `f64` within 1e-12 and
+    /// at `f32` within 1e-5 of `fref`'s largest entry.
+    fn check_every_variant(l: &Csc, bt_perm: &Csc, fref: &Mat) {
+        let scale = fref.data().iter().fold(0.0, |s: f64, v| s.max(v.abs()));
+        assert!(scale > 0.0);
+        let (l32, bt32) = (l.cast::<f32>(), bt_perm.cast::<f32>());
+        for params in swept_params() {
+            let cfg = ScConfig::Fixed(params);
+            let f = assemble_sc(&mut CpuExec, l, bt_perm, &cfg);
+            let d = sc_dense::max_abs_diff(f.as_ref(), fref.as_ref());
+            assert!(d <= 1e-12 * scale, "f64 {params:?}: {d} of {scale}");
+            let f32 = assemble_sc(&mut CpuExec, &l32, &bt32, &cfg).cast::<f64>();
+            let d32 = sc_dense::max_abs_diff(f32.as_ref(), fref.as_ref());
+            assert!(d32 <= 1e-5 * scale, "f32 {params:?}: {d32} of {scale}");
+        }
+    }
+
+    /// The ND factor of the `nx × nx` Laplacian and a `B̃ᵀ` with one ±1
+    /// column per factor-space row `pick` chooses: `(L, B̃ᵀ, oracle F̃)`.
+    fn glued(
+        nx: usize,
+        pick: impl FnOnce(&Csc, &sc_sparse::Perm) -> Vec<usize>,
+    ) -> (Csc, Csc, Mat) {
+        let k = spd_matrix(nx);
+        let chol = SparseCholesky::factorize(&k, CholOptions::default()).unwrap();
+        let l = chol.factor_csc();
+        let rows = pick(&l, chol.perm());
+        let mut c = Coo::new(k.ncols(), rows.len());
+        for (j, &i) in rows.iter().enumerate() {
+            c.push(i, j, if j.is_multiple_of(2) { 1.0 } else { -1.0 });
+        }
+        let bt_perm = c.to_csc();
+        let fref = assemble_sc_reference(&k, &bt_perm.permute_rows(&chol.perm().inverse()));
+        (l, bt_perm, fref)
+    }
+
+    /// Order of the factor `assemble_sc` solves with.
+    fn closure_order(l: &Csc, bt_perm: &Csc) -> usize {
+        restrict_to_closure(l, bt_perm).map_or(l.ncols(), |(l_c, _)| l_c.ncols())
+    }
+
+    /// The multipliers of one grid edge, as a subdomain's gluing.
+    fn edge_gluing(nx: usize) -> (Csc, Csc, Mat) {
+        glued(nx, |_, perm| {
+            (0..nx).map(|y| perm.new_of_old(y * nx)).collect()
+        })
+    }
+
+    #[test]
+    fn strict_closure_matches_the_oracle() {
+        let (l, bt_perm, fref) = edge_gluing(12);
+        let n_c = closure_order(&l, &bt_perm);
+        assert!(n_c < l.ncols(), "closure {n_c} of {}", l.ncols());
+        check_every_variant(&l, &bt_perm, &fref);
+    }
+
+    #[test]
+    fn full_closure_is_not_restricted_and_matches_the_oracle() {
+        // the elimination tree's leaves reach every row
+        let (l, bt_perm, fref) = glued(8, |l, _| {
+            let mut is_parent = vec![false; l.ncols()];
+            for j in 0..l.ncols() {
+                if let Some(&p) = l.col(j).0.get(1) {
+                    is_parent[p] = true;
+                }
+            }
+            (0..l.ncols()).filter(|&j| !is_parent[j]).collect()
+        });
+        assert!(bt_perm.ncols() < l.ncols());
+        assert!(restrict_to_closure(&l, &bt_perm).is_none());
+        check_every_variant(&l, &bt_perm, &fref);
+    }
+
+    #[test]
+    fn multipliers_on_the_tree_root_only_match_the_oracle() {
+        let (l, bt_perm, fref) = glued(7, |l, _| {
+            let root = l.ncols() - 1;
+            assert_eq!(l.col(root).0, [root]);
+            vec![root, root]
+        });
+        assert_eq!(closure_order(&l, &bt_perm), 1);
+        check_every_variant(&l, &bt_perm, &fref);
+    }
+
+    #[test]
+    fn closure_follows_every_entry_of_a_non_cholesky_factor() {
+        // column 0 reaches rows 2 and 4, but column 2 stores no
+        // below-diagonal entry: a walk along first below-diagonal entries
+        // stops at 2 and misses row 4, where `L⁻¹B̃ᵀ` is non-zero
+        let cols: [&[(usize, f64)]; 6] = [
+            &[(0, 2.0), (2, 0.5), (4, -0.7)],
+            &[(1, 1.5), (3, 0.3)],
+            &[(2, 1.8)],
+            &[(3, 1.2), (5, 0.4)],
+            &[(4, 1.7)],
+            &[(5, 1.1)],
+        ];
+        let n = cols.len();
+        let mut c = Coo::new(n, n);
+        for (j, col) in cols.iter().enumerate() {
+            for &(i, v) in *col {
+                c.push(i, j, v);
+            }
+        }
+        let l = c.to_csc();
+        let mut c = Coo::new(n, 2);
+        c.push(0, 0, 1.0);
+        c.push(2, 1, -1.0);
+        let bt = c.to_csc();
+        assert_eq!(closure_order(&l, &bt), 3);
+        // the oracle factorizes `K = L Lᵀ` afresh
+        let ld = l.to_dense();
+        let mut k = Coo::new(n, n);
+        for j in 0..n {
+            for i in 0..n {
+                k.push(i, j, (0..n).map(|c| ld[(i, c)] * ld[(j, c)]).sum());
+            }
+        }
+        check_every_variant(&l, &bt, &assemble_sc_reference(&k.to_csc(), &bt));
+    }
+
+    #[test]
+    fn original_config_still_prices_the_full_factor() {
+        let (l, bt_perm, _) = edge_gluing(12);
+        let (n, m) = (l.ncols(), bt_perm.ncols());
+        assert!(closure_order(&l, &bt_perm) < n);
+        let costs = |cfg: ScConfig| {
+            let mut rec = RecordingExec::new();
+            assemble_sc(&mut rec, &l, &bt_perm, &cfg);
+            rec.into_costs()
+        };
+        assert_eq!(
+            costs(ScConfig::original(FactorStorage::Sparse)),
+            [
+                KernelCost::gather_of::<f64>(bt_perm.nnz()),
+                KernelCost::trsm_sparse_of::<f64>(l.nnz(), m),
+                KernelCost::syrk_of::<f64>(m, n),
+                KernelCost::gather_of::<f64>(m * m),
+            ]
+        );
+        assert_eq!(
+            costs(ScConfig::original(FactorStorage::Dense)),
+            [
+                KernelCost::gather_of::<f64>(bt_perm.nnz()),
+                KernelCost::gather_of::<f64>(l.nnz()),
+                KernelCost::trsm_dense_of::<f64>(n, m),
+                KernelCost::syrk_of::<f64>(m, n),
+                KernelCost::gather_of::<f64>(m * m),
+            ]
+        );
+        // the stepped configuration prices the compaction first
+        let (l_c, bt_c) = restrict_to_closure(&l, &bt_perm).unwrap();
+        let plain_stepped = ScParams {
+            stepped_permutation: true,
+            ..ScParams::original(FactorStorage::Sparse)
+        };
+        assert_eq!(
+            costs(ScConfig::Fixed(plain_stepped))[..3],
+            [
+                KernelCost::gather_of::<f64>(l_c.nnz() + bt_c.nnz()),
+                KernelCost::gather_of::<f64>(bt_c.nnz()),
+                KernelCost::trsm_sparse_of::<f64>(l_c.nnz(), m),
+            ]
+        );
+    }
+
+    #[test]
+    fn three_d_threshold_is_exact_at_the_boundary() {
+        // n = 15: 0.15 · n(n+1)/2 = 18 entries exactly
+        let factor = |nnz: usize| {
+            let mut c = Coo::new(15, 15);
+            for j in 0..15 {
+                c.push(j, j, 1.0);
+            }
+            for i in 1..=nnz - 15 {
+                c.push(i, 0, 1.0);
+            }
+            c.to_csc()
+        };
+        assert!(!three_d_like(&factor(18)));
+        assert!(three_d_like(&factor(19)));
+        assert!(!three_d_like(&Csc::zeros(0, 0)));
     }
 
     /// The same variant sweep at a size where every dense kernel takes its

@@ -5,9 +5,9 @@
 //! per cluster**, one OpenMP thread per subdomain. This module is that loop:
 //! the drivers fan the per-subdomain [`assemble_sc`](crate::assemble_sc)
 //! pipelines out over rayon, sharing one crate-private block-cut memo table
-//! so that equal-shape subdomains (the overwhelmingly common case on regular
-//! decompositions) resolve their [`BlockParam`](crate::tune::BlockParam)
-//! partitions exactly once, and recording per-subdomain timings for
+//! so that subdomains of equal closure order (the assembly solves on the
+//! closure of `B̃ᵀ`'s rows) resolve their [`BlockParam`](crate::tune::BlockParam)
+//! partitions once, and recording per-subdomain timings for
 //! load-balance diagnostics.
 //!
 //! The public entry point is

@@ -99,16 +99,16 @@ pub struct CostEstimate {
     pub n_dofs: usize,
     /// Local multiplier count.
     pub n_lambda: usize,
-    /// Estimated TRSM FLOPs: dense forward substitution below each column's
-    /// pivot, `Σⱼ (n − pⱼ)²`.
+    /// Estimated TRSM FLOPs, an upper bound priced on the full `n` (the
+    /// stepped assembly solves only the closure of `B̃ᵀ`'s rows): `Σⱼ (n − pⱼ)²`.
     pub trsm_flops: f64,
-    /// Estimated SYRK FLOPs: with sorted pivots, column `j` pairs with the
-    /// `j + 1` columns left of it over rows `pⱼ..n`: `Σⱼ 2 (j+1) (n − pⱼ)`.
+    /// Estimated SYRK FLOPs, an upper bound on the full `n`: with sorted pivots, column
+    /// `j` pairs with the `j + 1` columns left of it over rows `pⱼ..n`: `Σⱼ 2 (j+1) (n − pⱼ)`.
     pub syrk_flops: f64,
     /// H2D bytes for the factor and gluing block.
     pub transfer_bytes: f64,
-    /// Peak temporary-arena footprint: the dense `Y` (`8 n m` bytes) plus
-    /// densified factor blocks when the TRSM densifies.
+    /// Peak temporary-arena footprint, an upper bound on the full `n`: the
+    /// dense `Y` (`8 n m` bytes) plus densified factor blocks when the TRSM densifies.
     pub temp_bytes: usize,
     /// Boundary bytes this subdomain exchanges with off-node neighbours per
     /// placement (one value per local multiplier — the lambda segment the

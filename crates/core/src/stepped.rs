@@ -84,8 +84,9 @@ impl<S: Scalar> SteppedRhsOf<S> {
         out
     }
 
-    /// Fraction of the dense area below the pivots (work remaining after the
-    /// optimization; → 1/3 for a perfect triangle, paper §4.3).
+    /// Fraction of the dense area at or below the pivots
+    /// ([`pattern::stepped_fill_ratio`]): → 1/2 for a perfect triangle,
+    /// whose TRSM work fraction tends to 1/3 (paper §4.3).
     pub fn fill_ratio(&self) -> f64 {
         pattern::stepped_fill_ratio(&self.bt)
     }

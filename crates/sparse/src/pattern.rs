@@ -62,9 +62,10 @@ pub fn active_width_per_row(pivots: &[usize], nrows: usize) -> Vec<usize> {
 }
 
 /// Fraction of the dense `nrows × ncols` area that lies **at or below** the
-/// column pivots — the fraction of a dense TRSM's work that the stepped
-/// kernels actually have to perform. For a perfectly triangular RHS this is
-/// `1/3` at large sizes, matching the paper's theoretical speedup of 3 (§4.3).
+/// column pivots, `Σⱼ(n − pⱼ)/(nm)`. For a perfectly triangular RHS this
+/// area fraction tends to `1/2`. It is not the work fraction: a stepped
+/// TRSM does `Σⱼ(n − pⱼ)²/(n²m)` of a dense TRSM's work, which tends to
+/// `1/3` there, the paper's theoretical speedup of 3 (§4.3).
 pub fn stepped_fill_ratio<S: Scalar>(b: &CscOf<S>) -> f64 {
     if b.nrows() == 0 || b.ncols() == 0 {
         return 0.0;

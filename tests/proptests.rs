@@ -43,6 +43,19 @@ fn bt_strategy(n: usize, m: usize) -> impl Strategy<Value = Csc> {
     })
 }
 
+/// Gluing seeded on the first one to `max_seeds − 1` of `n` DOFs, so the
+/// elimination-tree closure of its rows is mostly a strict subset.
+fn seeded_bt_strategy(n: usize, max_seeds: usize, m: usize) -> impl Strategy<Value = Csc> {
+    (1usize..max_seeds, bt_strategy(max_seeds, m)).prop_map(move |(seeds, bt)| {
+        let mut coo = Coo::new(n, m);
+        for j in 0..m {
+            let (rows, vals) = bt.col(j);
+            coo.push(rows[0] % seeds, j, vals[0]);
+        }
+        coo.to_csc()
+    })
+}
+
 /// Solve `problem` at `Precision::f32_refined()` (implicit or explicit
 /// operators) and require the primal solution to match the direct f64
 /// solve at the f64-level tolerance the pipeline tests use.
@@ -100,30 +113,33 @@ proptest! {
     fn sc_assembly_invariant_under_all_configs(
         a in spd_strategy(18),
         bt in bt_strategy(18, 9),
+        seeded in seeded_bt_strategy(18, 6, 9),
         trsm_block in 1usize..20,
         syrk_block in 1usize..20,
         prune in prop::bool::ANY,
     ) {
         let chol = SparseCholesky::factorize(&a, CholOptions::default()).unwrap();
         let l = chol.factor_csc();
-        let bt_perm = bt.permute_rows(chol.perm());
-        let reference = assemble_sc(
-            &mut CpuExec, &l, &bt_perm, &ScConfig::original(FactorStorage::Sparse));
-        for trsm in [
-            TrsmVariant::FactorSplit { block: BlockParam::Size(trsm_block), prune },
-            TrsmVariant::FactorSplit { block: BlockParam::Size(trsm_block), prune: !prune },
-        ] {
-            for syrk in [
-                SyrkVariant::InputSplit(BlockParam::Size(syrk_block)),
-                SyrkVariant::OutputSplit(BlockParam::Size(syrk_block)),
+        for bt in [bt, seeded] {
+            let bt_perm = bt.permute_rows(chol.perm());
+            let reference = assemble_sc(
+                &mut CpuExec, &l, &bt_perm, &ScConfig::original(FactorStorage::Sparse));
+            for trsm in [
+                TrsmVariant::FactorSplit { block: BlockParam::Size(trsm_block), prune },
+                TrsmVariant::FactorSplit { block: BlockParam::Size(trsm_block), prune: !prune },
             ] {
-                for storage in [FactorStorage::Sparse, FactorStorage::Dense] {
-                    let cfg = ScConfig::Fixed(ScParams {
-                        trsm, syrk, factor_storage: storage, stepped_permutation: true,
-                    });
-                    let f = assemble_sc(&mut CpuExec, &l, &bt_perm, &cfg);
-                    let d = sc_dense::max_abs_diff(f.as_ref(), reference.as_ref());
-                    prop_assert!(d < 1e-8, "{:?}/{:?}/{:?}: {}", trsm, syrk, storage, d);
+                for syrk in [
+                    SyrkVariant::InputSplit(BlockParam::Size(syrk_block)),
+                    SyrkVariant::OutputSplit(BlockParam::Size(syrk_block)),
+                ] {
+                    for storage in [FactorStorage::Sparse, FactorStorage::Dense] {
+                        let cfg = ScConfig::Fixed(ScParams {
+                            trsm, syrk, factor_storage: storage, stepped_permutation: true,
+                        });
+                        let f = assemble_sc(&mut CpuExec, &l, &bt_perm, &cfg);
+                        let d = sc_dense::max_abs_diff(f.as_ref(), reference.as_ref());
+                        prop_assert!(d < 1e-8, "{:?}/{:?}/{:?}: {}", trsm, syrk, storage, d);
+                    }
                 }
             }
         }
