@@ -697,8 +697,9 @@ fn fig10(args: &BenchArgs, device: &Arc<Device>) {
     println!("applies). sim tables: simulated A100 seconds of the device share; the implicit");
     println!("side of a sim amortization point is estimate_apply(..).implicit_seconds_on(host)");
     println!("summed over the subdomains. The factorization is shared by both sides and has no");
-    println!("sim price yet (ROADMAP 3(b)), so no sim cell contains it; expl_hybrid's sim");
-    println!("preprocessing is its upload only (its sparse-RHS assembly is in fig9's host table).");
+    println!("sim price yet (ROADMAP, \"The Table-2 approaches on one clock\"), so no sim cell");
+    println!("contains it; expl_hybrid's sim preprocessing is its upload only (its sparse-RHS");
+    println!("assembly is in fig9's host table).");
     println!("paper shape to check (3D): expl_gpu_opt amortizes at ~10 iterations across");
     println!("subdomain sizes 1k-70k; implicit wins only for very few iterations.");
 }

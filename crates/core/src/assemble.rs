@@ -8,7 +8,9 @@
 //! ```
 //!
 //! With the stepped permutation on, `L` and `B̃ᵀ` are first restricted to
-//! the elimination-tree closure of `B̃ᵀ`'s rows, outside which `L⁻¹B̃ᵀ` is 0.
+//! the [`RowClosure`] of `B̃ᵀ`'s rows, outside which `L⁻¹B̃ᵀ` is 0: the same
+//! value, from the same one walk, that the implicit operator's sweeps
+//! visit, exact for any lower-triangular `L`.
 
 use crate::exec::Exec;
 use crate::stepped::SteppedRhsOf;
@@ -16,7 +18,7 @@ use crate::syrk::{run_syrk_with_cache, SyrkVariant};
 use crate::trsm::{run_trsm_with_cache, FactorStorage, TrsmVariant};
 use crate::tune::BlockCutsCache;
 use sc_dense::{MatOf, Scalar};
-use sc_sparse::CscOf;
+use sc_sparse::{CscOf, RowClosure};
 
 /// Fully resolved assembler parameters: one entry per knob the paper tunes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -190,7 +192,7 @@ pub(crate) fn assemble_sc_with_cache<S: Scalar, E: Exec<S>>(
     // SYRK only the closure's principal submatrix when it is a strict one
     let closure = params
         .stepped_permutation
-        .then(|| restrict_to_closure(l, bt))
+        .then(|| RowClosure::of(l, bt.row_idx()).restrict(l, bt))
         .flatten();
     if let Some((l_c, bt_c)) = &closure {
         exec.gather(l_c.nnz() + bt_c.nnz());
@@ -243,61 +245,6 @@ pub(crate) fn assemble_sc_with_cache<S: Scalar, E: Exec<S>>(
     // back to original multiplier ordering (the "final phase" permutation)
     exec.gather(m * m);
     stepped.unpermute_symmetric(&f)
-}
-
-/// The principal submatrix `L_c` of `l` on the closure of `bt`'s rows under
-/// every stored below-diagonal entry of `l`, and `bt` with its rows
-/// renumbered into it; `None` when the closure is all of `0..n`.
-///
-/// On a Cholesky pattern the closure is the union of the rows' elimination
-/// tree paths; walking every entry keeps it exact for any lower-triangular
-/// `l`. No row outside it receives an update from a row inside it, so
-/// `L_c⁻¹ B̃ᵀ_c` is `L⁻¹ B̃ᵀ` with its zero rows left out.
-fn restrict_to_closure<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>) -> Option<(CscOf<S>, CscOf<S>)> {
-    let n = l.ncols();
-    let mut reached = vec![false; n];
-    for &i in bt.row_idx() {
-        reached[i] = true;
-    }
-    // the column order is topological: an entry (i, j) of `l` has i ≥ j
-    for j in 0..n {
-        if reached[j] {
-            for &i in l.col(j).0 {
-                reached[i] = true;
-            }
-        }
-    }
-    let keep: Vec<usize> = (0..n).filter(|&j| reached[j]).collect();
-    if keep.len() == n {
-        return None;
-    }
-    let mut new_of_old = vec![usize::MAX; n];
-    for (new, &old) in keep.iter().enumerate() {
-        new_of_old[old] = new;
-    }
-    // every stored row of a kept column is kept, so renumbering preserves
-    // the sorted, diagonal-first columns
-    let l_c = renumber_rows(l, keep.iter().copied(), &new_of_old, keep.len());
-    let bt_c = renumber_rows(bt, 0..bt.ncols(), &new_of_old, keep.len());
-    Some((l_c, bt_c))
-}
-
-/// The columns `cols` of `a`, with every row `i` renamed `new_of_old[i]`.
-fn renumber_rows<S: Scalar>(
-    a: &CscOf<S>,
-    cols: impl Iterator<Item = usize>,
-    new_of_old: &[usize],
-    nrows: usize,
-) -> CscOf<S> {
-    let (mut col_ptr, mut row_idx, mut values) = (vec![0], Vec::new(), Vec::new());
-    for j in cols {
-        let (rows, vals) = a.col(j);
-        row_idx.extend(rows.iter().map(|&i| new_of_old[i]));
-        values.extend_from_slice(vals);
-        col_ptr.push(row_idx.len());
-    }
-    let ncols = col_ptr.len() - 1;
-    CscOf::from_parts(nrows, ncols, col_ptr, row_idx, values)
 }
 
 /// Dense reference: `F̃ = B̃ K_reg⁻¹ B̃ᵀ` computed with dense kernels from the
@@ -484,9 +431,15 @@ mod tests {
         (l, bt_perm, fref)
     }
 
+    /// `(L_c, B̃ᵀ_c)` as `assemble_sc` restricts them; `None` when the
+    /// closure is all of `L`.
+    fn closure_restriction(l: &Csc, bt_perm: &Csc) -> Option<(Csc, Csc)> {
+        RowClosure::of(l, bt_perm.row_idx()).restrict(l, bt_perm)
+    }
+
     /// Order of the factor `assemble_sc` solves with.
     fn closure_order(l: &Csc, bt_perm: &Csc) -> usize {
-        restrict_to_closure(l, bt_perm).map_or(l.ncols(), |(l_c, _)| l_c.ncols())
+        closure_restriction(l, bt_perm).map_or(l.ncols(), |(l_c, _)| l_c.ncols())
     }
 
     /// The multipliers of one grid edge, as a subdomain's gluing.
@@ -517,7 +470,7 @@ mod tests {
             (0..l.ncols()).filter(|&j| !is_parent[j]).collect()
         });
         assert!(bt_perm.ncols() < l.ncols());
-        assert!(restrict_to_closure(&l, &bt_perm).is_none());
+        assert!(closure_restriction(&l, &bt_perm).is_none());
         check_every_variant(&l, &bt_perm, &fref);
     }
 
@@ -599,7 +552,7 @@ mod tests {
             ]
         );
         // the stepped configuration prices the compaction first
-        let (l_c, bt_c) = restrict_to_closure(&l, &bt_perm).unwrap();
+        let (l_c, bt_c) = closure_restriction(&l, &bt_perm).unwrap();
         let plain_stepped = ScParams {
             stepped_permutation: true,
             ..ScParams::original(FactorStorage::Sparse)

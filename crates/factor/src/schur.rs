@@ -120,21 +120,6 @@ pub fn schur_from_factor<S: Scalar>(l: &CscOf<S>, parent: &[usize], bt: &CscOf<S
     f
 }
 
-/// Flop count proxy for the sparse Schur path (sum over columns of the
-/// factor entries visited) — used by benches to report work savings.
-pub fn schur_reach_flops<S: Scalar>(l: &CscOf<S>, parent: &[usize], bt: &CscOf<S>) -> usize {
-    let n = l.ncols();
-    let mut mark = vec![false; n];
-    let mut flops = 0usize;
-    for t in 0..bt.ncols() {
-        let reach = sparse_solve_reach(parent, bt.col(t).0, &mut mark);
-        for &j in &reach {
-            flops += 2 * l.col(j).0.len();
-        }
-    }
-    flops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,19 +197,5 @@ mod tests {
         let f = schur_from_factor(&l, &chol.symbolic().parent, &bt);
         assert!((f[(0, 1)] - f[(1, 0)]).abs() < 1e-14);
         assert!(f[(0, 0)] > 0.0 && f[(1, 1)] > 0.0);
-    }
-
-    #[test]
-    fn reach_flops_less_than_full_solve_flops() {
-        let n = 40;
-        let a = laplace_1d(n);
-        let chol = SparseCholesky::factorize(&a, CholOptions::default()).unwrap();
-        let l = chol.factor_csc();
-        let mut bt = Coo::new(n, 1);
-        bt.push(n - 1, 0, 1.0);
-        let bt = bt.to_csc().permute_rows(chol.perm());
-        let flops = schur_reach_flops(&l, &chol.symbolic().parent, &bt);
-        let full: usize = 2 * l.nnz();
-        assert!(flops <= full);
     }
 }

@@ -189,9 +189,9 @@ impl<S: Scalar> SparseCholeskyOf<S> {
     }
 
     /// The supernode runs of the factor's pattern, which every solve here
-    /// sweeps: to pass (or
-    /// [restrict](SupernodeRuns::restricted_to) and pass) to
-    /// [`sc_sparse::supernodal_lower_solve`] with
+    /// sweeps: to pass (or [restrict](SupernodeRuns::restricted_to) to a
+    /// sparse right-hand side's [`RowClosure`](sc_sparse::RowClosure) and
+    /// pass) to [`sc_sparse::supernodal_lower_solve`] with
     /// [`factor_csc_ref`](Self::factor_csc_ref).
     pub fn supernode_runs(&self) -> &SupernodeRuns {
         &self.analysis.runs

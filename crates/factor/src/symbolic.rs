@@ -140,17 +140,6 @@ pub fn analyze<S: Scalar>(a: &CscOf<S>) -> Symbolic {
     }
 }
 
-impl Symbolic {
-    /// Recompute the row pattern of row `k` (test helper).
-    pub fn row_pattern<S: Scalar>(&self, a: &CscOf<S>, k: usize) -> Vec<usize> {
-        let mut mark = vec![0usize; self.n];
-        let mut stack = vec![0usize; self.n];
-        let mut out = Vec::new();
-        ereach(a, k, &self.parent, &mut mark, &mut stack, &mut out);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

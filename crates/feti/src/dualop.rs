@@ -105,9 +105,9 @@ pub struct SubdomainFactors {
     /// Gather/scatter map of `bt_perm`, hoisted out of the per-iteration
     /// apply path.
     pub map: BoundaryMap,
-    /// The factor's supernode runs restricted to the elimination-tree
-    /// closure of `bt_perm`'s rows: `L⁻¹ B̃ᵀ p̃` is zero outside it and
-    /// `B̃ L⁻ᵀ` reads nothing outside it, so Eq. 11 sweeps only these columns
+    /// The factor's supernode runs restricted to the
+    /// [`RowClosure`](sc_sparse::RowClosure) of `bt_perm`'s rows, the closure
+    /// the explicit assembly solves on: Eq. 11 sweeps only these columns
     /// (the sparsity of `B̃` again, on the implicit path).
     pub boundary_runs: SupernodeRuns,
 }
@@ -175,9 +175,8 @@ impl SubdomainFactors {
                 .expect("regularized subdomain matrix must be SPD");
             let bt_perm = sd.bt.permute_rows(chol.perm());
             let map = BoundaryMap::of(&bt_perm);
-            let boundary_runs = chol
-                .supernode_runs()
-                .restricted_to(chol.factor_csc_ref(), bt_perm.row_idx());
+            let closure = sc_sparse::RowClosure::of(chol.factor_csc_ref(), bt_perm.row_idx());
+            let boundary_runs = chol.supernode_runs().restricted_to(&closure);
             SubdomainFactors {
                 chol,
                 bt_perm,
@@ -626,9 +625,8 @@ mod tests {
                 let perm = Ordering::NestedDissection.compute(&kreg);
                 let alone = SparseCholesky::factorize_with_perm(&kreg, perm, *engine).unwrap();
                 let bt_perm = sd.bt.permute_rows(alone.perm());
-                let boundary_runs = alone
-                    .supernode_runs()
-                    .restricted_to(alone.factor_csc_ref(), bt_perm.row_idx());
+                let closure = sc_sparse::RowClosure::of(alone.factor_csc_ref(), bt_perm.row_idx());
+                let boundary_runs = alone.supernode_runs().restricted_to(&closure);
                 let bits = |l: &Csc| l.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 let at = format!("{}D subdomain {i}", prob.dim);
                 assert_eq!(f.chol.perm(), alone.perm(), "{at}");

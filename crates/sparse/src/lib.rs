@@ -24,7 +24,7 @@ pub mod trisolve;
 pub use coo::{Coo, CooOf};
 pub use csc::{Csc, CscOf};
 pub use csr::{Csr, CsrOf};
-pub use pattern::{column_pivots, is_stepped, stepped_fill_ratio};
+pub use pattern::{column_pivots, is_stepped, stepped_fill_ratio, RowClosure};
 pub use perm::Perm;
 pub use trisolve::{
     csc_lower_solve, csc_lower_solve_mat, csc_lower_t_solve, fundamental_supernodes,

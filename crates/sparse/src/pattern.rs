@@ -1,4 +1,4 @@
-//! Sparsity-pattern analysis for the stepped shape.
+//! Sparsity-pattern analysis of `B̃ᵀ` against the factor.
 //!
 //! The paper's optimizations revolve around two pattern quantities of the
 //! (column-permuted) `B̃ᵀ` matrix:
@@ -8,6 +8,10 @@
 //!
 //! A matrix is in *stepped shape* when column pivots are non-decreasing from
 //! left to right (which makes row trails non-decreasing from top to bottom).
+//!
+//! Below the pivots, `L⁻¹B̃ᵀ` is still zero outside the [`RowClosure`] of
+//! `B̃ᵀ`'s rows, the one value both the explicit assembly and the implicit
+//! operator's sweeps restrict the factor to.
 
 use crate::csc::CscOf;
 use sc_dense::Scalar;
@@ -77,6 +81,82 @@ pub fn stepped_fill_ratio<S: Scalar>(b: &CscOf<S>) -> f64 {
         below += b.nrows() - p;
     }
     below as f64 / total // sc-analyze: allow(precision-discipline)
+}
+
+/// The closure of a set of seed rows under the stored entries of a
+/// lower-triangular `L`: the columns a seed reaches along chains of stored
+/// below-diagonal entries. `L⁻¹b` is zero outside the closure of `b`'s rows,
+/// and a backward solve reads nothing outside it to get its rows right. On a
+/// Cholesky factor it is the seeds' elimination-tree paths; following every
+/// entry keeps it exact for any lower-triangular `L`. Pattern-only.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RowClosure {
+    /// Order of `L`.
+    n: usize,
+    /// The kept columns, ascending.
+    cols: Vec<usize>,
+}
+
+impl RowClosure {
+    /// The closure of `seeds` in `l`, in one ascending sweep over the kept
+    /// columns: the column order is topological (an entry `(i, j)` has
+    /// `i ≥ j`).
+    pub fn of<S: Scalar>(l: &CscOf<S>, seeds: &[usize]) -> Self {
+        let n = l.ncols();
+        let mut reached = vec![false; n];
+        for &i in seeds {
+            reached[i] = true;
+        }
+        for j in 0..n {
+            if reached[j] {
+                for &i in l.col(j).0 {
+                    reached[i] = true;
+                }
+            }
+        }
+        let cols = (0..n).filter(|&j| reached[j]).collect();
+        RowClosure { n, cols }
+    }
+
+    /// Order of the `L` the closure was taken in.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The kept columns, ascending.
+    pub fn cols(&self) -> &[usize] {
+        &self.cols
+    }
+
+    /// The principal submatrix `L_c` of `l` on the closure, and `bt` (rows
+    /// in the closure, as the seeds') with its rows renumbered into it, so
+    /// `L_c⁻¹ bt_c` is `L⁻¹ bt` without its zero rows; `None` when the
+    /// closure is all of `0..n`.
+    pub fn restrict<S: Scalar>(&self, l: &CscOf<S>, bt: &CscOf<S>) -> Option<(CscOf<S>, CscOf<S>)> {
+        assert_eq!(l.ncols(), self.n, "closure of another pattern");
+        let n_c = self.cols.len();
+        if n_c == self.n {
+            return None;
+        }
+        let mut new_of_old = vec![usize::MAX; self.n];
+        for (new, &old) in self.cols.iter().enumerate() {
+            new_of_old[old] = new;
+        }
+        // every stored row of a kept column is kept, and the renumbering is
+        // monotone: the columns stay sorted and diagonal-first
+        let (mut col_ptr, mut row_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+        for &j in &self.cols {
+            let (rows, vals) = l.col(j);
+            row_idx.extend(rows.iter().map(|&i| new_of_old[i]));
+            values.extend_from_slice(vals);
+            col_ptr.push(row_idx.len());
+        }
+        let l_c = CscOf::from_parts(n_c, n_c, col_ptr, row_idx, values);
+        let rows = bt.row_idx().iter().map(|&i| new_of_old[i]).collect();
+        let (col_ptr, values) = (bt.col_ptr().to_vec(), bt.values().to_vec());
+        let bt_c = CscOf::from_parts(n_c, bt.ncols(), col_ptr, rows, values);
+        Some((l_c, bt_c))
+    }
 }
 
 #[cfg(test)]

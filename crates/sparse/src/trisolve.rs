@@ -16,12 +16,13 @@
 //!   scratch, the columns are applied as contiguous `axpy`s (forward) or
 //!   fixed-order chunked dots (backward), and the scratch is scattered back
 //!   once — in place on the factor's `values`, no second copy. Runs
-//!   restricted to an elimination-tree closure
-//!   ([`SupernodeRuns::restricted_to`]) skip every column a sparse
-//!   right-hand side cannot reach. `sc_factor`'s solves and the implicit
-//!   dual operator (paper Eq. 11) run on these.
+//!   restricted to the [`RowClosure`] of a sparse right-hand side's rows
+//!   ([`SupernodeRuns::restricted_to`]) skip every column it cannot reach,
+//!   exactly on any lower-triangular factor. `sc_factor`'s solves and the
+//!   implicit dual operator (paper Eq. 11) run on these.
 
 use crate::csc::CscOf;
+use crate::pattern::RowClosure;
 use sc_dense::{MatMutOf, Scalar};
 use std::ops::Range;
 
@@ -183,10 +184,10 @@ struct Span {
 
 /// What the supernodal sweeps know about a lower-triangular CSC pattern:
 /// which stretches of columns are fundamental supernodes wide enough for the
-/// blocked route, and — once [restricted](Self::restricted_to) — which
-/// columns a sweep has to visit at all. Pattern-only and a few words per
-/// wide supernode: one value serves a factor, its refactorizations and its
-/// demoted copies.
+/// blocked route, and — once [restricted](Self::restricted_to) to a
+/// [`RowClosure`] — which columns a sweep has to visit at all. Pattern-only
+/// and a few words per wide supernode: one value serves a factor, its
+/// refactorizations and its demoted copies.
 ///
 /// Building one checks, once and in release builds too, that every column
 /// stores its diagonal first: the invariant the supernodal sweeps divide by.
@@ -259,28 +260,17 @@ impl SupernodeRuns {
         Ok(SupernodeRuns { n, spans, max_tail })
     }
 
-    /// The same runs, visiting only the columns in the closure of `seeds`
-    /// under `parent(j)` = first below-diagonal row of column `j` — the
-    /// elimination tree of a Cholesky factor `l` (the pattern `self` was
-    /// built from). A forward solve whose right-hand side is zero outside
-    /// `seeds` is zero outside that closure, and a backward solve needs
-    /// nothing outside it to get the closure's rows right: the sweeps over
-    /// the restricted value are exact on the closure and leave every other
-    /// entry of `x` untouched. Inside a supernode `parent(j) = j + 1`, so
-    /// the visited columns of a blocked span are always a suffix of it.
-    pub fn restricted_to<S: Scalar>(&self, l: &CscOf<S>, seeds: &[usize]) -> Self {
-        assert_eq!(l.ncols(), self.n, "runs of another pattern");
-        let (col_ptr, row_idx) = (l.col_ptr(), l.row_idx());
+    /// The same runs, visiting only the columns of `closure` (taken in the
+    /// pattern `self` was built from): the sweeps over the restricted value
+    /// are exact on the closure and leave every other entry of `x`
+    /// untouched. Inside a nested run column `j`'s first below-diagonal row
+    /// is `j + 1`, so the visited columns of a blocked span are a suffix of
+    /// it.
+    pub fn restricted_to(&self, closure: &RowClosure) -> Self {
+        assert_eq!(closure.n(), self.n, "closure of another pattern");
         let mut reached = vec![false; self.n];
-        for &seed in seeds {
-            let mut j = seed;
-            while !reached[j] {
-                reached[j] = true;
-                match row_idx[col_ptr[j]..col_ptr[j + 1]].get(1) {
-                    Some(&parent) => j = parent,
-                    None => break,
-                }
-            }
+        for &j in closure.cols() {
+            reached[j] = true;
         }
         let mut spans = Vec::new();
         for Span { cols, blocked } in &self.spans {

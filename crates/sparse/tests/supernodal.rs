@@ -2,13 +2,14 @@
 //! CSC column sweeps: edge patterns (1 × 1, diagonal, dense, arrowhead, star,
 //! chain), random lower-triangular patterns, factor-like filled patterns
 //! with wide nested runs, a pattern that passes the count/parent rule
-//! without being nested, and runs restricted to an elimination-tree
-//! closure — at `f64` (forward bitwise, backward to 1e-12) and `f32` (1e-4).
+//! without being nested, and runs restricted to the closure of a few rows on
+//! factor-like and arbitrary lower-triangular patterns — at `f64` (forward
+//! bitwise, backward to 1e-12) and `f32` (1e-4).
 
 use sc_dense::Scalar;
 use sc_sparse::{
     csc_lower_solve, csc_lower_t_solve, fundamental_supernodes, supernodal_lower_solve,
-    supernodal_lower_t_solve, Coo, Csc, SupernodeRuns,
+    supernodal_lower_t_solve, Coo, Csc, RowClosure, SupernodeRuns,
 };
 
 /// Deterministic stream of pseudo-random `u64`s.
@@ -230,36 +231,76 @@ fn partition_constructors_reject_what_the_sweeps_cannot_divide_by() {
     assert!(SupernodeRuns::verified(&c.to_csc()).is_err());
 }
 
+/// `full` (runs of `l`) restricted to the closure of `seeds`, checked: it
+/// visits exactly the closure's columns, which hold the seeds and every row
+/// of every kept column; the restricted forward sweep gives the unrestricted
+/// result (the skipped entries are exact zeros) and the backward sweep its
+/// bits on the closure.
+fn check_restricted(l: &Csc, full: &SupernodeRuns, seeds: &[usize], at: &str) -> SupernodeRuns {
+    let closure = RowClosure::of(l, seeds);
+    let pruned = full.restricted_to(&closure);
+    let kept = closure.cols();
+    assert!(pruned.visited().flatten().eq(kept.iter().copied()), "{at}");
+    assert!(seeds.iter().all(|s| kept.contains(s)), "{at}");
+    for &j in kept {
+        assert!(l.col(j).0.iter().all(|i| kept.contains(i)), "{at}");
+    }
+
+    let mut b = vec![0.0; l.ncols()];
+    for (k, &s) in seeds.iter().enumerate() {
+        b[s] += 1.0 + k as f64;
+    }
+    let (mut whole, mut part, mut w) = (b.clone(), b, Vec::new());
+    supernodal_lower_solve(l, full, &mut whole, &mut w);
+    supernodal_lower_solve(l, &pruned, &mut part, &mut w);
+    assert_eq!(part, whole, "forward, {at}");
+    supernodal_lower_t_solve(l, full, &mut whole, &mut w);
+    supernodal_lower_t_solve(l, &pruned, &mut part, &mut w);
+    for &j in kept {
+        assert_eq!(part[j], whole[j], "backward row {j}, {at}");
+    }
+    pruned
+}
+
 #[test]
 fn restricted_sweeps_are_exact_on_the_closure() {
     for seed in 0..20u64 {
         let n = 30 + (seed as usize * 11) % 50;
-        let l = cholesky_like(n, 2 + seed % 8, seed);
-        let full = SupernodeRuns::of_factor_pattern(l.col_ptr(), l.row_idx());
         let mut next = lcg(seed ^ 0x51);
         let seeds: Vec<usize> = (0..1 + seed as usize % 4)
             .map(|_| (next() % n as u64) as usize)
             .collect();
-        let pruned = full.restricted_to(&l, &seeds);
-        let closure: Vec<usize> = pruned.visited().flatten().collect();
-        assert!(seeds.iter().all(|s| closure.contains(s)));
-        // upward closed: every row of a visited column is visited
-        for &j in &closure {
-            assert!(l.col(j).0.iter().all(|i| closure.contains(i)));
-        }
+        let l = cholesky_like(n, 2 + seed % 8, seed);
+        let full = SupernodeRuns::of_factor_pattern(l.col_ptr(), l.row_idx());
+        check_restricted(&l, &full, &seeds, &format!("factor-like, seed {seed}"));
+        // arbitrary lower-triangular: the closure follows every entry
+        let l = random_lower(n, 1 + seed % 6, seed);
+        let full = SupernodeRuns::verified(&l).unwrap();
+        check_restricted(&l, &full, &seeds, &format!("random, seed {seed}"));
+    }
+}
 
-        let mut b = vec![0.0; n];
-        for (k, &s) in seeds.iter().enumerate() {
-            b[s] += 1.0 + k as f64;
-        }
-        let (mut whole, mut part, mut w) = (b.clone(), b, Vec::new());
-        supernodal_lower_solve(&l, &full, &mut whole, &mut w);
-        supernodal_lower_solve(&l, &pruned, &mut part, &mut w);
-        assert_eq!(part, whole, "forward, seed {seed}");
-        supernodal_lower_t_solve(&l, &full, &mut whole, &mut w);
-        supernodal_lower_t_solve(&l, &pruned, &mut part, &mut w);
-        for &j in &closure {
-            assert_eq!(part[j], whole[j], "backward row {j}, seed {seed}");
+#[test]
+fn restricted_sweeps_are_exact_on_a_factor_that_is_not_a_cholesky_pattern() {
+    // column 0 reaches rows 2 and 4, but column 2 stores no below-diagonal
+    // entry: a walk along first below-diagonal entries stops at 2 and
+    // misses row 4, where the forward solve is 0.35 / 1.7, not 0
+    let cols: [&[(usize, f64)]; 6] = [
+        &[(0, 2.0), (2, 0.5), (4, -0.7)],
+        &[(1, 1.5), (3, 0.3)],
+        &[(2, 1.8)],
+        &[(3, 1.2), (5, 0.4)],
+        &[(4, 1.7)],
+        &[(5, 1.1)],
+    ];
+    let mut c = Coo::new(6, 6);
+    for (j, col) in cols.iter().enumerate() {
+        for &(i, v) in *col {
+            c.push(i, j, v);
         }
     }
+    let l = c.to_csc();
+    let full = SupernodeRuns::verified(&l).unwrap();
+    let pruned = check_restricted(&l, &full, &[0, 2], "6 x 6");
+    assert!(pruned.visited().eq([0..1, 2..3, 4..5]));
 }
