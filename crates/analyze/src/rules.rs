@@ -511,7 +511,7 @@ fn has_preceding_doc(file: &SourceFile, pub_ti: usize) -> bool {
 /// non-test line count when the rule landed as a ceiling: an entry may only
 /// shrink, and goes once its file is under the limit.
 pub const FILE_LENGTH_CEILINGS: &[(&str, u32)] = &[
-    ("crates/core/src/schedule.rs", 1131),
+    ("crates/core/src/schedule.rs", 1031),
     ("crates/serve/src/protocol.rs", 879),
 ];
 
@@ -569,7 +569,7 @@ mod tests {
     #[test]
     fn panic_surface_fires_in_library_only() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        assert_eq!(run("crates/sparse/src/csr.rs", src).len(), 1);
+        assert_eq!(run("crates/sparse/src/csc.rs", src).len(), 1);
         assert!(run("crates/bench/src/lib.rs", src).is_empty());
         assert!(run("tests/integration.rs", src).is_empty());
         assert!(run("crates/shims/rayon/src/lib.rs", src).is_empty());
@@ -577,19 +577,19 @@ mod tests {
 
     #[test]
     fn descriptive_expect_is_fine_short_is_not() {
-        let good = "fn f(x: Option<u8>) -> u8 { x.expect(\"csr row pointer table non-empty\") }\n";
-        assert!(run("crates/sparse/src/csr.rs", good).is_empty());
+        let good = "fn f(x: Option<u8>) -> u8 { x.expect(\"csc col pointer table non-empty\") }\n";
+        assert!(run("crates/sparse/src/csc.rs", good).is_empty());
         let bad = "fn f(x: Option<u8>) -> u8 { x.expect(\"oops\") }\n";
-        assert_eq!(run("crates/sparse/src/csr.rs", bad).len(), 1);
+        assert_eq!(run("crates/sparse/src/csc.rs", bad).len(), 1);
         let fmt =
             "fn f(x: Option<u8>, i: usize) -> u8 { x.expect(&format!(\"slot {i} must exist\")) }\n";
-        assert!(run("crates/sparse/src/csr.rs", fmt).is_empty());
+        assert!(run("crates/sparse/src/csc.rs", fmt).is_empty());
     }
 
     #[test]
     fn panic_surface_exempts_test_regions() {
         let src = "#[test]\nfn t() { let x: Option<u8> = None; x.unwrap(); panic!(\"boom\"); }\n";
-        assert!(run("crates/sparse/src/csr.rs", src).is_empty());
+        assert!(run("crates/sparse/src/csc.rs", src).is_empty());
     }
 
     #[test]
@@ -606,7 +606,7 @@ mod tests {
     #[test]
     fn precision_discipline_flags_bare_float_casts() {
         let demote = "fn f(x: f64) -> f32 { x as f32 }\n";
-        assert_eq!(run("crates/sparse/src/csr.rs", demote).len(), 1);
+        assert_eq!(run("crates/sparse/src/csc.rs", demote).len(), 1);
         let promote = "fn f(x: f32) -> f64 { x as f64 }\n";
         assert_eq!(run("crates/feti/src/solver.rs", promote).len(), 1);
         // the sanctioned conversion surface is clean
@@ -614,7 +614,7 @@ mod tests {
         assert!(run("crates/feti/src/solver.rs", from).is_empty());
         // integer casts to integer widths are out of scope
         let int = "fn f(n: usize) -> u32 { n as u32 }\n";
-        assert!(run("crates/sparse/src/csr.rs", int).is_empty());
+        assert!(run("crates/sparse/src/csc.rs", int).is_empty());
     }
 
     #[test]
@@ -629,7 +629,7 @@ mod tests {
         assert!(run("crates/bench/src/lib.rs", src).is_empty());
         // test regions inside library files are exempt
         let test_mod = "#[cfg(test)]\nmod tests {\n fn g() { let _ = 1usize as f64; }\n}\n";
-        assert!(run("crates/sparse/src/csr.rs", test_mod).is_empty());
+        assert!(run("crates/sparse/src/csc.rs", test_mod).is_empty());
         // the line escape silences exactly this rule
         let escaped =
             "fn f(n: usize) -> f64 { n as f64 } // sc-analyze: allow(precision-discipline)\n";
@@ -655,7 +655,7 @@ mod tests {
     fn pub_doc_requires_doc_comment_on_core_surface() {
         let bad = "pub fn undocumented() {}\n";
         assert_eq!(run("crates/core/src/x.rs", bad).len(), 1);
-        assert!(run("crates/sparse/src/csr.rs", bad).is_empty());
+        assert!(run("crates/sparse/src/csc.rs", bad).is_empty());
         let good = "/// Documented.\npub fn documented() {}\n";
         assert!(run("crates/core/src/x.rs", good).is_empty());
         let attr = "/// Documented.\n#[inline]\npub fn documented() {}\n";
@@ -669,14 +669,14 @@ mod tests {
     #[test]
     fn suppression_silences_exactly_one_rule() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() } // sc-analyze: allow(panic-surface)\n";
-        assert!(run("crates/sparse/src/csr.rs", src).is_empty());
+        assert!(run("crates/sparse/src/csc.rs", src).is_empty());
         let wrong = "fn f(x: Option<u8>) -> u8 { x.unwrap() } // sc-analyze: allow(float-eq)\n";
-        assert_eq!(run("crates/sparse/src/csr.rs", wrong).len(), 1);
+        assert_eq!(run("crates/sparse/src/csc.rs", wrong).len(), 1);
     }
 
     #[test]
     fn violations_inside_strings_and_comments_do_not_fire() {
         let src = "fn f() -> &'static str { \"call .unwrap() and panic!\" } // .unwrap() here\n";
-        assert!(run("crates/sparse/src/csr.rs", src).is_empty());
+        assert!(run("crates/sparse/src/csc.rs", src).is_empty());
     }
 }

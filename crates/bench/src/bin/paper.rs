@@ -137,7 +137,7 @@ fn cluster_problem(dim: usize, cells: usize) -> HeatProblem {
 }
 
 /// Table 1: optimal splitting of the matrices — for each algorithm
-/// (TRSM factor / SYRK input / SYRK output), platform (CPU / GPU)
+/// (TRSM factor / SYRK input), platform (CPU / GPU)
 /// and dimension (2D / 3D), sweep block-size and block-count parameters and
 /// report the best one (`S <size>` or `C <count>`, as in the paper).
 fn table1(args: &BenchArgs, device: &Arc<Device>) {
@@ -203,22 +203,13 @@ fn table1(args: &BenchArgs, device: &Arc<Device>) {
         best(&mut |p| time_syrk_gpu(&in3, SyrkVariant::InputSplit(p), device)),
     ]);
 
-    // --- SYRK, output splitting ---
-    table.row(vec![
-        "SYRK, output splitting".to_string(),
-        best(&mut |p| time_syrk_cpu(&in2, SyrkVariant::OutputSplit(p), args.reps)),
-        best(&mut |p| time_syrk_cpu(&in3, SyrkVariant::OutputSplit(p), args.reps)),
-        best(&mut |p| time_syrk_gpu(&in2, SyrkVariant::OutputSplit(p), device)),
-        best(&mut |p| time_syrk_gpu(&in3, SyrkVariant::OutputSplit(p), device)),
-    ]);
-
     table.emit("table1");
     println!(
         "workloads: 2D {} dofs (m={}), 3D {} dofs (m={}); paper Table 1 for reference:",
         w2.n, w2.m, w3.n, w3.m
     );
     println!("  TRSM factor: S200 S200 S1000 S500");
-    println!("  SYRK input:  S200 C50 S2000 S1000 | SYRK output: S200 C10 S200 S1000");
+    println!("  SYRK input:  S200 C50 S2000 S1000");
 }
 
 /// Figure 5: dependency of the SC assembly time on the partition parameter
@@ -299,8 +290,9 @@ fn fig5(args: &BenchArgs, device: &Arc<Device>) {
 }
 
 /// Figure 6: comparison of TRSM splitting variants (factor split, factor
-/// split + pruning) and SYRK splitting variants (input split, output split),
-/// on CPU and simulated GPU, for 2D and 3D subdomain ladders.
+/// split + pruning) and the SYRK input split, on CPU and simulated GPU, for
+/// 2D and 3D subdomain ladders (the paper's output split is not implemented,
+/// see `sc_core::syrk`).
 fn fig6(args: &BenchArgs, device: &Arc<Device>) {
     for dim in [2usize, 3] {
         let (ladder, storage) = ladder(dim, args);
@@ -309,15 +301,10 @@ fn fig6(args: &BenchArgs, device: &Arc<Device>) {
         } else {
             (t1::TRSM_FACTOR_CPU_3D, t1::TRSM_FACTOR_GPU_3D)
         };
-        let (syrk_in_cpu, syrk_out_cpu) = if dim == 2 {
-            (t1::SYRK_INPUT_CPU_2D, t1::SYRK_OUTPUT_CPU_2D)
+        let (syrk_in_cpu, syrk_in_gpu) = if dim == 2 {
+            (t1::SYRK_INPUT_CPU_2D, t1::SYRK_INPUT_GPU_2D)
         } else {
-            (t1::SYRK_INPUT_CPU_3D, t1::SYRK_OUTPUT_CPU_3D)
-        };
-        let (syrk_in_gpu, syrk_out_gpu) = if dim == 2 {
-            (t1::SYRK_INPUT_GPU_2D, t1::SYRK_OUTPUT_GPU_2D)
-        } else {
-            (t1::SYRK_INPUT_GPU_3D, t1::SYRK_OUTPUT_GPU_3D)
+            (t1::SYRK_INPUT_CPU_3D, t1::SYRK_INPUT_GPU_3D)
         };
 
         let mut trsm_table = Table::new(
@@ -326,14 +313,7 @@ fn fig6(args: &BenchArgs, device: &Arc<Device>) {
         );
         let mut syrk_table = Table::new(
             &format!("Fig 6 (bottom): SYRK splitting variants, {dim}D [ms per subdomain]"),
-            &[
-                "dofs",
-                "m",
-                "cpu_input",
-                "cpu_output",
-                "gpu_input",
-                "gpu_output",
-            ],
+            &["dofs", "m", "cpu_input", "gpu_input"],
         );
 
         for &c in &ladder {
@@ -353,16 +333,12 @@ fn fig6(args: &BenchArgs, device: &Arc<Device>) {
             ]);
 
             let cpu_in = time_syrk_cpu(&inputs, SyrkVariant::InputSplit(syrk_in_cpu), args.reps);
-            let cpu_out = time_syrk_cpu(&inputs, SyrkVariant::OutputSplit(syrk_out_cpu), args.reps);
             let gpu_in = time_syrk_gpu(&inputs, SyrkVariant::InputSplit(syrk_in_gpu), device);
-            let gpu_out = time_syrk_gpu(&inputs, SyrkVariant::OutputSplit(syrk_out_gpu), device);
             syrk_table.row(vec![
                 w.n.to_string(),
                 w.m.to_string(),
                 ms(cpu_in),
-                ms(cpu_out),
                 ms(gpu_in),
-                ms(gpu_out),
             ]);
         }
         trsm_table.emit(&format!("fig6_trsm_{dim}d"));

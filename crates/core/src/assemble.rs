@@ -25,7 +25,7 @@ use sc_sparse::{CscOf, RowClosure};
 pub struct ScParams {
     /// TRSM algorithm (plain / factor split ± pruning).
     pub trsm: TrsmVariant,
-    /// SYRK algorithm (plain / input split / output split).
+    /// SYRK algorithm (plain / input split).
     pub syrk: SyrkVariant,
     /// Factor storage inside TRSM kernels.
     pub factor_storage: FactorStorage,
@@ -368,7 +368,6 @@ mod tests {
         let syrks = [
             SyrkVariant::Plain,
             SyrkVariant::InputSplit(BlockParam::Size(9)),
-            SyrkVariant::OutputSplit(BlockParam::Size(5)),
         ];
         let mut all = Vec::new();
         for trsm in trsms {
@@ -625,7 +624,6 @@ mod tests {
         let syrks = [
             SyrkVariant::Plain,
             SyrkVariant::InputSplit(BlockParam::Size(200)),
-            SyrkVariant::OutputSplit(BlockParam::Size(140)),
         ];
         for trsm in trsms {
             for syrk in syrks {

@@ -10,7 +10,8 @@
 //!    pivots, by **factor splitting** (with optional **pruning** of empty
 //!    rows in the sub-diagonal factor blocks).
 //! 3. [`syrk`] — compute `F̃ = YᵀY` skipping the same zero region, by
-//!    **input splitting** or **output splitting**.
+//!    **input splitting** (the paper's output splitting is deliberately
+//!    absent: on the closure input splitting is never worse than it).
 //! 4. un-permute the result back to the original multiplier ordering.
 //!
 //! All kernels are written against the [`exec::Exec`] backend trait, so the
@@ -36,7 +37,7 @@ pub use exec::{CpuExec, Exec, GpuExec, RecordingExec};
 pub use sc_gpu::ArenaSim;
 pub use schedule::{
     estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by, ApplyEstimate,
-    ClusterPlanError, CostEstimate, DeviceSlot, Formulation, HybridChoice, HybridForce, HybridPlan,
+    ClusterPlanError, CostEstimate, DeviceSlot, Formulation, HybridChoice, HybridPlan,
     HybridPlanOptions, ScheduleOptions, ScheduledSpan, StreamPolicy, TopoPlan, Topology,
 };
 pub use session::{

@@ -11,9 +11,9 @@
 //! 1. [`estimate_cost`] prices each subdomain from its stepped pattern —
 //!    TRSM and SYRK FLOPs below the column pivots, H2D transfer bytes, and
 //!    the peak temporary footprint (`Y` plus densified factor blocks);
-//! 2. [`plan_topology`] over a [`Topology::streams`] leaf orders submission
+//! 2. [`plan_topology`] over a [`Topology::Device`] vertex orders submission
 //!    **longest-processing-time-first** and assigns each subdomain to the
-//!    **least-loaded stream**
+//!    **least-loaded stream** of the device
 //!    ([`StreamPolicy::LptLeastLoaded`]; [`StreamPolicy::RoundRobin`] keeps
 //!    the naive index-order assignment as the comparison baseline);
 //! 3. [`ArenaSim`](sc_gpu::ArenaSim) admits each subdomain against the
@@ -356,27 +356,17 @@ pub(crate) fn max_usable_arena(devices: &[DeviceSlot]) -> usize {
 /// pool (devices of a pool, streams of a device) generalized recursively to
 /// an arbitrary node → device → stream tree.
 ///
-/// - [`Topology::Streams`] is a leaf of homogeneous lanes — the stream
-///   level of one device;
-/// - [`Topology::Device`] is one device of a pool (its [`DeviceSlot`] spec,
-///   arena, and stream count), which plans its streams as a nested
-///   [`Topology::Streams`];
+/// - [`Topology::Device`] is the leaf: one device of a pool (its
+///   [`DeviceSlot`] spec, arena, and stream count), which plans its own
+///   streams as lanes;
 /// - [`Topology::Node`] groups children behind an optional
 ///   [`Interconnect`]: a single-node device pool when the link is `None`,
 ///   a cluster node when pricing placements behind the link's
 ///   latency/bandwidth model ([`CostEstimate::exchange_bytes`] crosses it).
 #[derive(Clone, Debug)]
 pub enum Topology {
-    /// A leaf of `n` identical lanes planned under `policy` (the stream
-    /// level).
-    Streams {
-        /// Number of lanes (streams).
-        n: usize,
-        /// Lane-assignment policy.
-        policy: StreamPolicy,
-    },
-    /// One device of a pool; its streams are planned as a nested lane leaf
-    /// under `policy`.
+    /// One device of a pool; its streams are planned as lanes under
+    /// `policy`.
     Device {
         /// The device's planner-facing description.
         slot: DeviceSlot,
@@ -396,11 +386,6 @@ pub enum Topology {
 }
 
 impl Topology {
-    /// A lane leaf of `n` streams.
-    pub fn streams(n: usize, policy: StreamPolicy) -> Self {
-        Topology::Streams { n, policy }
-    }
-
     /// A device vertex with the default stream policy.
     pub fn device(slot: DeviceSlot) -> Self {
         Topology::Device {
@@ -455,7 +440,6 @@ impl Topology {
     /// completion-time estimate).
     pub fn weight(&self) -> f64 {
         match self {
-            Topology::Streams { n, .. } => *n as f64, // sc-analyze: allow(precision-discipline)
             Topology::Device { slot, .. } => slot.n_streams as f64, // sc-analyze: allow(precision-discipline)
             Topology::Node { children, .. } => children
                 .iter()
@@ -469,7 +453,6 @@ impl Topology {
     /// ([`DeviceSlot::is_usable`] lifted over the tree).
     pub fn is_usable(&self) -> bool {
         match self {
-            Topology::Streams { n, .. } => *n > 0,
             Topology::Device { slot, .. } => slot.is_usable(),
             Topology::Node { children, .. } => children.iter().any(|c| c.is_usable()),
         }
@@ -480,7 +463,6 @@ impl Topology {
     /// over the tree).
     pub fn admits(&self, temp_bytes: usize) -> bool {
         match self {
-            Topology::Streams { n, .. } => *n > 0,
             Topology::Device { slot, .. } => slot.admits(temp_bytes),
             Topology::Node { children, .. } => children.iter().any(|c| c.admits(temp_bytes)),
         }
@@ -489,12 +471,11 @@ impl Topology {
     /// Analytic single-stream pricing of `cost` at the vertex reached by
     /// `path` (child indices from this vertex down): the
     /// [`CostEstimate::seconds_on`] model at device vertices, the estimate's
-    /// own seconds at bare lane leaves. The default pricing of
-    /// [`plan_topology`].
+    /// own seconds when `path` ends at a group vertex. The default pricing
+    /// of [`plan_topology`].
     pub fn analytic_seconds(&self, cost: &CostEstimate, path: &[usize]) -> f64 {
         match (self, path) {
             (Topology::Device { slot, .. }, _) => cost.seconds_on(&slot.spec),
-            (Topology::Streams { .. }, _) => cost.seconds,
             (Topology::Node { children, .. }, [head, rest @ ..]) => {
                 children[*head].analytic_seconds(cost, rest)
             }
@@ -508,8 +489,8 @@ impl Topology {
 #[derive(Clone, Debug)]
 pub struct TopoPlan {
     /// `per_child[d]` lists the subdomain indices ([`CostEstimate::index`])
-    /// assigned below child `d`, in placement order. For a lane leaf the
-    /// children are the lanes (streams).
+    /// assigned below child `d`, in placement order. For a device vertex
+    /// the children are its lanes (streams).
     pub per_child: Vec<Vec<usize>>,
     /// Estimated accumulated load per child, in that child's own seconds.
     pub est_load: Vec<f64>,
@@ -519,8 +500,8 @@ pub struct TopoPlan {
     /// Subdomain indices admitted by no child (ascending); empty below the
     /// group level.
     pub spilled: Vec<usize>,
-    /// Recursively planned children (empty for lane leaves): `children[d]`
-    /// plans the subset `per_child[d]` one level down.
+    /// Recursively planned children (empty for device vertices):
+    /// `children[d]` plans the subset `per_child[d]` one level down.
     pub children: Vec<TopoPlan>,
 }
 
@@ -574,11 +555,11 @@ pub fn plan_topology(
 ///   cheapest admissible placement inside — communication is a first-class
 ///   cost, not an afterthought. Each child then plans its share, handed
 ///   down in batch order, the same way ([`TopoPlan::children`]);
-/// - a [`Topology::Streams`] leaf (and the lane level of every
-///   [`Topology::Device`]) assigns under [`StreamPolicy`]; an empty batch
-///   yields an empty plan for any lane count (including 0), while planning
-///   a non-empty batch onto `0` lanes is a configuration error and panics
-///   with a descriptive message instead of silently rounding up.
+/// - a [`Topology::Device`] assigns its lanes (streams) under
+///   [`StreamPolicy`]; an empty batch yields an empty plan for any lane
+///   count (including 0), while planning a non-empty batch onto `0` lanes
+///   is a configuration error and panics with a descriptive message
+///   instead of silently rounding up.
 pub fn plan_topology_by(
     costs: &[CostEstimate],
     topo: &Topology,
@@ -597,7 +578,6 @@ fn plan_vertex(
     seconds_of: &impl Fn(&CostEstimate, &[usize]) -> f64,
 ) -> Result<TopoPlan, ClusterPlanError> {
     match topo {
-        Topology::Streams { n, policy } => Ok(plan_lanes(costs, *n, *policy, path, seconds_of)),
         Topology::Device { slot, policy } => {
             Ok(plan_lanes(costs, slot.n_streams, *policy, path, seconds_of))
         }
@@ -784,7 +764,7 @@ fn plan_group(
 }
 
 /// Single-stream price of placing `cost` below child `d`: the leaf pricing
-/// at device/lane vertices, and — behind a node boundary — the interconnect
+/// at device vertices, and — behind a node boundary — the interconnect
 /// transfer of the subdomain's boundary bytes **plus** the cheapest
 /// admissible placement inside (infinite when nothing inside admits it).
 fn vertex_price(
@@ -796,7 +776,7 @@ fn vertex_price(
 ) -> f64 {
     path.push(d);
     let s = match child {
-        Topology::Streams { .. } | Topology::Device { .. } => seconds_of(cost, path),
+        Topology::Device { .. } => seconds_of(cost, path),
         Topology::Node { children, link } => {
             let wire = link.map_or(0.0, |l| l.seconds(cost.exchange_bytes));
             let best = children
@@ -825,32 +805,14 @@ pub enum Formulation {
     Implicit,
 }
 
-/// Collapse override of the hybrid decision (diagnostics and the
-/// all-explicit / all-implicit comparison baselines of `tests/hybrid.rs`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum HybridForce {
-    /// Per-subdomain cost minimization (the real planner).
-    #[default]
-    Auto,
-    /// Force an explicit formulation everywhere; subdomains whose
-    /// temporaries fit no device arena **fail over** to explicit-CPU (or,
-    /// when explicit-CPU is disallowed, to implicit — never an error).
-    AllExplicit,
-    /// Force the implicit formulation everywhere.
-    AllImplicit,
-}
-
 /// Inputs of [`plan_hybrid`] beyond the per-subdomain estimates.
 ///
-/// Construct with [`Default`] and the `with_*` setters (the struct is
-/// `#[non_exhaustive]`: the decision layer is expected to grow knobs):
+/// Construct with [`Default`] and [`with_iters`](Self::with_iters) (the
+/// struct is `#[non_exhaustive]`):
 ///
 /// ```
-/// use sc_core::{HybridForce, HybridPlanOptions};
-/// let opts = HybridPlanOptions::default()
-///     .with_iters(120.0)
-///     .with_allow_explicit_cpu(false)
-///     .with_force(HybridForce::Auto);
+/// use sc_core::HybridPlanOptions;
+/// let opts = HybridPlanOptions::default().with_iters(120.0);
 /// assert_eq!(opts.iters, 120.0);
 /// ```
 #[derive(Clone, Debug)]
@@ -861,25 +823,11 @@ pub struct HybridPlanOptions {
     /// (collapses to all-implicit); `f64::INFINITY` makes apply cost the
     /// only consideration (collapses to all-explicit).
     pub iters: f64,
-    /// Spec pricing host-side work (explicit-CPU assembly/apply, implicit
-    /// applies). Defaults to [`DeviceSpec::host`]; a probed or
-    /// paper-anchored host is just another [`DeviceSpec`] value.
-    pub host: DeviceSpec,
-    /// Whether explicit-CPU is in the candidate set (it is the fail-over
-    /// for arena-spilled subdomains when the iteration count is high).
-    pub allow_explicit_cpu: bool,
-    /// Collapse override.
-    pub force: HybridForce,
 }
 
 impl Default for HybridPlanOptions {
     fn default() -> Self {
-        HybridPlanOptions {
-            iters: 50.0,
-            host: DeviceSpec::host(),
-            allow_explicit_cpu: true,
-            force: HybridForce::Auto,
-        }
+        HybridPlanOptions { iters: 50.0 }
     }
 }
 
@@ -887,24 +835,6 @@ impl HybridPlanOptions {
     /// Set the expected PCPG iteration count.
     pub fn with_iters(mut self, iters: f64) -> Self {
         self.iters = iters;
-        self
-    }
-
-    /// Set the spec pricing host-side work.
-    pub fn with_host(mut self, host: DeviceSpec) -> Self {
-        self.host = host;
-        self
-    }
-
-    /// Include or exclude explicit-CPU from the candidate set.
-    pub fn with_allow_explicit_cpu(mut self, allow: bool) -> Self {
-        self.allow_explicit_cpu = allow;
-        self
-    }
-
-    /// Set the collapse override.
-    pub fn with_force(mut self, force: HybridForce) -> Self {
-        self.force = force;
         self
     }
 }
@@ -971,11 +901,6 @@ impl HybridPlan {
             .map(|c| c.assembly_seconds + iters * c.apply_seconds)
             .sum()
     }
-
-    /// [`HybridPlan::cost_at`] the plan's own expected iteration count.
-    pub fn total_cost(&self) -> f64 {
-        self.cost_at(self.iters)
-    }
 }
 
 /// Decide, **per subdomain**, whichever of {explicit-GPU, explicit-CPU,
@@ -988,7 +913,7 @@ impl HybridPlan {
 ///   and only devices whose arena holds the subdomain's peak temporaries
 ///   are candidates — an oversized subdomain **spills** to the remaining
 ///   formulations instead of erroring;
-/// - explicit-CPU and implicit are priced under `opts.host`;
+/// - explicit-CPU and implicit are priced under [`DeviceSpec::host`];
 /// - `iters = 0` collapses to all-implicit (assembly is pure overhead),
 ///   `iters = ∞` to all-explicit (ordering by apply cost alone, assembly
 ///   as the tie-break).
@@ -1010,61 +935,35 @@ pub fn plan_hybrid(
         "expected iteration count must be a non-negative number, got {}",
         opts.iters
     );
+    let host = DeviceSpec::host();
     let mut choices = Vec::with_capacity(costs.len());
     let mut spilled = Vec::new();
     for (c, a) in costs.iter().zip(applies) {
         debug_assert_eq!(c.index, a.index, "estimate slices must align");
-        // candidate list: (formulation, device_hint, assembly_s, apply_s)
-        let mut candidates: Vec<(Formulation, Option<usize>, f64, f64)> = Vec::with_capacity(3);
-        let gpu_best = (0..devices.len())
+        // candidates: (formulation, device_hint, assembly_s, apply_s)
+        let gpu = (0..devices.len())
             .filter(|&d| devices[d].admits(c.temp_bytes))
             .map(|d| {
-                (
-                    d,
-                    c.seconds_on(&devices[d].spec),
-                    a.explicit_seconds_on(&devices[d].spec),
-                )
+                let spec = &devices[d].spec;
+                let (asm, app) = (c.seconds_on(spec), a.explicit_seconds_on(spec));
+                (Formulation::ExplicitGpu, Some(d), asm, app)
             })
             .min_by(|x, y| {
-                total_key(x.1, x.2, opts.iters)
-                    .partial_cmp(&total_key(y.1, y.2, opts.iters))
+                total_key(x.2, x.3, opts.iters)
+                    .partial_cmp(&total_key(y.2, y.3, opts.iters))
                     .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(x.0.cmp(&y.0))
+                    .then(x.1.cmp(&y.1))
             });
-        let is_spilled = gpu_best.is_none();
-        if let Some((d, asm, app)) = gpu_best {
-            candidates.push((Formulation::ExplicitGpu, Some(d), asm, app));
-        } else {
+        let is_spilled = gpu.is_none();
+        if is_spilled {
             spilled.push(c.index);
         }
-        if opts.allow_explicit_cpu {
-            candidates.push((
-                Formulation::ExplicitCpu,
-                None,
-                c.seconds_on(&opts.host),
-                a.explicit_seconds_on(&opts.host),
-            ));
-        }
-        candidates.push((
-            Formulation::Implicit,
-            None,
-            0.0,
-            a.implicit_seconds_on(&opts.host),
-        ));
-
-        match opts.force {
-            HybridForce::Auto => {}
-            HybridForce::AllExplicit => {
-                // keep the explicit candidates; fall back to implicit only
-                // when nothing explicit exists at all
-                if candidates.iter().any(|x| x.0 != Formulation::Implicit) {
-                    candidates.retain(|x| x.0 != Formulation::Implicit);
-                }
-            }
-            HybridForce::AllImplicit => {
-                candidates.retain(|x| x.0 == Formulation::Implicit);
-            }
-        }
+        let (cpu_asm, cpu_app) = (c.seconds_on(&host), a.explicit_seconds_on(&host));
+        let impl_app = a.implicit_seconds_on(&host);
+        let host_side = [
+            (Formulation::ExplicitCpu, None, cpu_asm, cpu_app),
+            (Formulation::Implicit, None, 0.0, impl_app),
+        ];
 
         // preference on exact ties: implicit (no assembly to lose), then
         // explicit-GPU, then explicit-CPU
@@ -1073,8 +972,9 @@ pub fn plan_hybrid(
             Formulation::ExplicitGpu => 1,
             Formulation::ExplicitCpu => 2,
         };
-        let (formulation, device_hint, assembly_seconds, apply_seconds) = candidates
+        let (formulation, device_hint, assembly_seconds, apply_seconds) = gpu
             .into_iter()
+            .chain(host_side)
             .min_by(|x, y| {
                 total_key(x.2, x.3, opts.iters)
                     .partial_cmp(&total_key(y.2, y.3, opts.iters))
@@ -1258,9 +1158,11 @@ mod tests {
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
     }
 
-    /// Plan onto the `n` streams of one device (a bare lane leaf).
+    /// Plan onto the `n` streams of one device vertex, each subdomain
+    /// priced at its own `seconds`.
     fn plan_streams(costs: &[CostEstimate], n: usize, policy: StreamPolicy) -> TopoPlan {
-        plan_topology(costs, &Topology::streams(n, policy))
+        let device = Topology::device_with(slot(DeviceSpec::a100(), usize::MAX, n), policy);
+        plan_topology_by(costs, &device, |c, _| c.seconds)
             .expect("stream-level planning has no failure mode")
     }
 
@@ -1587,12 +1489,17 @@ mod tests {
         let costs = vec![c0, c1];
         let applies = vec![a0, a1];
         let devs = vec![slot(DeviceSpec::a100(), 1 << 20, 2)];
-        let opts = HybridPlanOptions {
-            iters: 1e6, // explicit-favoring
-            allow_explicit_cpu: false,
-            ..Default::default()
+        let plan_at = |iters: f64| {
+            plan_hybrid(
+                &costs,
+                &applies,
+                &devs,
+                &HybridPlanOptions::default().with_iters(iters),
+            )
         };
-        let plan = plan_hybrid(&costs, &applies, &devs, &opts);
+        // at 10 iterations the spilled subdomain's host assembly is not
+        // amortized: it must fall back to implicit
+        let plan = plan_at(10.0);
         assert_eq!(plan.spilled, vec![1]);
         assert_eq!(plan.choices[0].formulation, Formulation::ExplicitGpu);
         assert_eq!(plan.choices[0].device_hint, Some(0));
@@ -1603,66 +1510,52 @@ mod tests {
         );
         assert!(plan.choices[1].spilled);
         assert_eq!(plan.choices[1].assembly_seconds, 0.0);
-        // with explicit-CPU allowed, the high-iteration spill fails over to
-        // the CPU-explicit formulation instead
-        let with_cpu = plan_hybrid(
-            &costs,
-            &applies,
-            &devs,
-            &HybridPlanOptions {
-                allow_explicit_cpu: true,
-                ..opts
-            },
-        );
-        assert_eq!(with_cpu.choices[1].formulation, Formulation::ExplicitCpu);
+        // at a high iteration count the spill fails over to the
+        // CPU-explicit formulation instead
+        let many = plan_at(1e6);
+        assert_eq!(many.spilled, vec![1]);
+        assert_eq!(many.choices[1].formulation, Formulation::ExplicitCpu);
     }
 
     #[test]
-    fn hybrid_force_overrides_follow_admissibility() {
+    fn hybrid_plan_is_no_costlier_than_either_collapse() {
         let (c0, a0) = synth(0, 1 << 10, 1e9, 1e9, 4e9);
         let (c1, a1) = synth(1, 1 << 30, 1e12, 1e9, 4e9);
         let costs = vec![c0, c1];
         let applies = vec![a0, a1];
         let devs = vec![slot(DeviceSpec::a100(), 1 << 20, 2)];
-        let all_expl = plan_hybrid(
-            &costs,
-            &applies,
-            &devs,
-            &HybridPlanOptions {
-                iters: 10.0,
-                force: HybridForce::AllExplicit,
-                ..Default::default()
-            },
-        );
-        assert_eq!(all_expl.count_of(Formulation::Implicit), 0);
-        assert_eq!(
-            all_expl.choices[1].formulation,
-            Formulation::ExplicitCpu,
-            "forced explicit must fail over the spilled subdomain to the CPU"
-        );
-        let all_impl = plan_hybrid(
-            &costs,
-            &applies,
-            &devs,
-            &HybridPlanOptions {
-                iters: 1e9,
-                force: HybridForce::AllImplicit,
-                ..Default::default()
-            },
-        );
-        assert_eq!(all_impl.count_of(Formulation::Implicit), 2);
-        // cost roll-up: forced plans can only be costlier than Auto
-        let auto = plan_hybrid(
-            &costs,
-            &applies,
-            &devs,
-            &HybridPlanOptions {
-                iters: 10.0,
-                ..Default::default()
-            },
-        );
-        assert!(auto.cost_at(10.0) <= all_expl.cost_at(10.0) + 1e-15);
-        assert!(auto.cost_at(10.0) <= all_impl.cost_at(10.0) + 1e-15);
+        let host = DeviceSpec::host();
+        for iters in [0.0, 1.0, 10.0, 1e3, 1e6] {
+            let plan = plan_hybrid(
+                &costs,
+                &applies,
+                &devs,
+                &HybridPlanOptions::default().with_iters(iters),
+            );
+            // the baselines from the same estimates: every subdomain
+            // explicit (on the device where its arena admits it, else on
+            // the host, whichever is cheaper), and every subdomain implicit
+            let total = |asm: f64, app: f64| asm + iters * app;
+            let all_expl: f64 = (costs.iter().zip(&applies))
+                .map(|(c, a)| {
+                    let cpu = total(c.seconds_on(&host), a.explicit_seconds_on(&host));
+                    let gpu = (devs[0].admits(c.temp_bytes)).then(|| {
+                        total(
+                            c.seconds_on(&devs[0].spec),
+                            a.explicit_seconds_on(&devs[0].spec),
+                        )
+                    });
+                    gpu.map_or(cpu, |g| g.min(cpu))
+                })
+                .sum();
+            let all_impl: f64 = applies
+                .iter()
+                .map(|a| total(0.0, a.implicit_seconds_on(&host)))
+                .sum();
+            let auto = plan.cost_at(iters);
+            assert!(auto <= all_expl + 1e-15, "iters {iters}");
+            assert!(auto <= all_impl + 1e-15, "iters {iters}");
+        }
     }
 
     // ---- hierarchical engine -------------------------------------------
@@ -1680,7 +1573,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_leaf_plan_pins_lpt_and_round_robin_placement() {
+    fn device_lane_plan_pins_lpt_and_round_robin_placement() {
         // 9 subdomains, 8 s at even indices and 1 s at odd ones, 3 lanes
         let costs = skewed_costs(9);
         // LPT: the five 8 s items go longest-first (ties by index) onto the
@@ -1702,7 +1595,7 @@ mod tests {
         assert_eq!(rr.child_of, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
         for plan in [&lpt, &rr] {
             assert!(plan.spilled.is_empty());
-            assert!(plan.children.is_empty(), "a lane leaf has no sub-plans");
+            assert!(plan.children.is_empty(), "a device vertex has no sub-plans");
         }
     }
 

@@ -45,21 +45,19 @@ pub(crate) fn resolve_block(param: BlockParam, n: usize) -> Vec<usize> {
 ///
 /// In a FETI decomposition most subdomains have identical (or near-identical)
 /// dimensions, so the same `(param, n)` resolution repeats once per
-/// subdomain. Cuts depend only on the parameter and the shape — row splits
-/// are keyed `(param, n)`, column splits by the stepped right-hand side's
-/// `(param, m, n)` — never on the gluing pattern, so differently-glued
-/// subdomains of equal shape share entries, and a cache hit always returns
-/// exactly the cuts an uncached resolution would compute — preserving the
-/// batch driver's bitwise-equality guarantee.
+/// subdomain. Cuts depend only on the parameter and the factor's order `n`,
+/// never on the gluing pattern, so differently-glued subdomains of equal
+/// order share entries, and a cache hit always returns exactly the cuts an
+/// uncached resolution would compute — preserving the batch driver's
+/// bitwise-equality guarantee.
 #[derive(Default)]
 pub(crate) struct BlockCutsCache {
     rows: std::sync::Mutex<std::collections::HashMap<CutsKey, std::sync::Arc<Vec<usize>>>>,
-    cols: std::sync::Mutex<std::collections::HashMap<CutsKey, std::sync::Arc<Vec<usize>>>>,
     hits: std::sync::atomic::AtomicUsize,
     misses: std::sync::atomic::AtomicUsize,
 }
 
-type CutsKey = (BlockParam, usize, usize);
+type CutsKey = (BlockParam, usize);
 
 /// Row-dimension cuts of a factor of order `n` (TRSM factor splitting, SYRK
 /// input splitting), via the shared memo table when one is provided.
@@ -74,22 +72,8 @@ pub(crate) fn row_cuts(
     }
 }
 
-/// Column-dimension cuts of an `n × m` stepped right-hand side (SYRK output
-/// splitting), via the shared memo table when one is provided.
-pub(crate) fn col_cuts(
-    cache: Option<&BlockCutsCache>,
-    param: BlockParam,
-    m: usize,
-    n: usize,
-) -> std::sync::Arc<Vec<usize>> {
-    match cache {
-        Some(c) => c.cols(param, m, n),
-        None => std::sync::Arc::new(resolve_block(param, m)),
-    }
-}
-
 impl BlockCutsCache {
-    /// Empty cache; entries populate on first resolve per (param, shape) key.
+    /// Empty cache; entries populate on first resolve per `(param, n)` key.
     pub fn new() -> Self {
         Self::default()
     }
@@ -97,26 +81,11 @@ impl BlockCutsCache {
     /// Cached [`resolve_block`] over a factor of order `n` (row-dimension
     /// splits).
     pub fn rows(&self, param: BlockParam, n: usize) -> std::sync::Arc<Vec<usize>> {
-        self.lookup(&self.rows, (param, n, usize::MAX), || {
-            resolve_block(param, n)
-        })
-    }
-
-    /// Cached [`resolve_block`] over the `m` columns of an `n`-row stepped
-    /// right-hand side (column-dimension splits).
-    pub fn cols(&self, param: BlockParam, m: usize, n: usize) -> std::sync::Arc<Vec<usize>> {
-        self.lookup(&self.cols, (param, m, n), || resolve_block(param, m))
-    }
-
-    fn lookup(
-        &self,
-        table: &std::sync::Mutex<std::collections::HashMap<CutsKey, std::sync::Arc<Vec<usize>>>>,
-        key: CutsKey,
-        compute: impl FnOnce() -> Vec<usize>,
-    ) -> std::sync::Arc<Vec<usize>> {
         use std::collections::hash_map::Entry;
         use std::sync::atomic::Ordering::Relaxed;
-        if let Some(cuts) = table.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
+        let key = (param, n);
+        let table = || self.rows.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(cuts) = table().get(&key) {
             self.hits.fetch_add(1, Relaxed);
             return std::sync::Arc::clone(cuts);
         }
@@ -124,9 +93,8 @@ impl BlockCutsCache {
         // loses the insert race serves (and counts) the winner's entry, so
         // hit/miss stats stay deterministic per distinct key regardless of
         // how many tasks raced on first touch.
-        let cuts = std::sync::Arc::new(compute());
-        let mut t = table.lock().unwrap_or_else(|e| e.into_inner());
-        match t.entry(key) {
+        let cuts = std::sync::Arc::new(resolve_block(param, n));
+        match table().entry(key) {
             Entry::Occupied(e) => {
                 self.hits.fetch_add(1, Relaxed);
                 std::sync::Arc::clone(e.get())
@@ -152,8 +120,9 @@ impl BlockCutsCache {
 
 /// The paper's Table 1: optimal splitting parameters per algorithm, platform
 /// and dimension (`S` = block size, `C` = block count), without the RHS
-/// splitting row (that TRSM is not implemented). Used as defaults by the
-/// benches and the FETI pipeline.
+/// splitting and output splitting rows (those variants are not implemented,
+/// see the `trsm` and `syrk` module docs). Used as defaults by the benches
+/// and the FETI pipeline.
 pub mod table1_defaults {
     use super::BlockParam;
 
@@ -173,14 +142,6 @@ pub mod table1_defaults {
     pub const SYRK_INPUT_GPU_2D: BlockParam = BlockParam::Size(2000);
     /// SYRK, input splitting — GPU 3D: `S 1000`.
     pub const SYRK_INPUT_GPU_3D: BlockParam = BlockParam::Size(1000);
-    /// SYRK, output splitting — CPU 2D: `S 200`.
-    pub const SYRK_OUTPUT_CPU_2D: BlockParam = BlockParam::Size(200);
-    /// SYRK, output splitting — CPU 3D: `C 10`.
-    pub const SYRK_OUTPUT_CPU_3D: BlockParam = BlockParam::Count(10);
-    /// SYRK, output splitting — GPU 2D: `S 200`.
-    pub const SYRK_OUTPUT_GPU_2D: BlockParam = BlockParam::Size(200);
-    /// SYRK, output splitting — GPU 3D: `S 1000`.
-    pub const SYRK_OUTPUT_GPU_3D: BlockParam = BlockParam::Size(1000);
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use sc_core::{
 use sc_dense::{Mat, Scalar, SymPackedOf};
 use sc_factor::{Analysis, Engine, SparseCholesky};
 use sc_fem::{HeatProblem, Subdomain};
-use sc_gpu::{DevicePool, KernelCost, Stream};
+use sc_gpu::{DevicePool, DeviceSpec, KernelCost, Stream};
 use sc_sparse::{supernodal_lower_solve, supernodal_lower_t_solve, Csc, CscOf, SupernodeRuns};
 use std::sync::{Arc, Mutex};
 
@@ -499,7 +499,7 @@ pub(crate) fn assemble_auto(
     // decision layer: analytic assembly + per-iteration apply estimates per
     // subdomain
     let ref_spec = if pool.is_empty() {
-        plan_opts.host.clone()
+        DeviceSpec::host()
     } else {
         pool.device(0).spec().clone()
     };
@@ -585,7 +585,7 @@ mod tests {
     use super::*;
     use crate::FetiOptions;
     use sc_fem::Gluing;
-    use sc_gpu::{Device, DeviceSpec};
+    use sc_gpu::Device;
     use sc_order::Ordering;
 
     /// Every subdomain of `prob` with its factor bundle, built the way the

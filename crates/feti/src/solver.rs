@@ -678,8 +678,7 @@ impl<'p> FetiSolver<'p> {
 mod tests {
     use super::*;
     use sc_core::{
-        assemble_sc, estimate_cost, CpuExec, Formulation, HybridForce, ScheduleOptions,
-        StreamPolicy,
+        assemble_sc, estimate_cost, CpuExec, Formulation, ScheduleOptions, StreamPolicy,
     };
     use sc_dense::SymPackedOf;
     use sc_factor::{CholOptions, SparseCholesky};
@@ -928,41 +927,42 @@ mod tests {
         pool: Arc<DevicePool>,
         cfg: ScConfig,
         iters: f64,
-        allow_cpu: bool,
-        force: HybridForce,
     ) -> FetiSolver<'p> {
         FetiSolverBuilder::new()
             .backend(Backend::cluster(pool))
             .formulation(FormulationChoice::Auto(
-                HybridPlanOptions::default()
-                    .with_iters(iters)
-                    .with_allow_explicit_cpu(allow_cpu)
-                    .with_force(force),
+                HybridPlanOptions::default().with_iters(iters),
             ))
             .assembly(cfg)
             .build(p)
     }
+
+    /// A 3×3 decomposition whose subdomains are large enough for a device
+    /// assembly to pay off against the host's implicit applies: on a pool
+    /// whose arena sits between the smallest and the largest footprint
+    /// ([`mid_arena_spec`]), the plan at [`MIXED_ITERS`] sends the admitted
+    /// subdomains to the pool and the spilled ones to the implicit path.
+    fn mixed_problem() -> HeatProblem {
+        HeatProblem::build_2d(36, (3, 3), Gluing::Redundant)
+    }
+
+    /// Expected iteration count of the [`mixed_problem`] plans: high enough
+    /// for a device assembly to pay off, too low for a host assembly to.
+    const MIXED_ITERS: f64 = 5.0;
 
     #[test]
     fn hybrid_mixes_formulations_and_matches_direct() {
         // a 3×3 decomposition carries corner, edge, and interior subdomains
         // with different interface sizes: an arena between the extremes
         // splits them into explicitly-admissible and spilled
-        let p = HeatProblem::build_2d(6, (3, 3), Gluing::Redundant);
+        let p = mixed_problem();
         let cfg = ScConfig::optimized(true, true);
         let temps = temp_footprints(&p, &cfg);
         let (spec, arena) = mid_arena_spec(&temps);
         let pool = DevicePool::uniform(spec, 2, 2);
-        // forced explicit + no CPU fail-over: admissible subdomains go to
-        // the pool, oversized ones must spill to implicit (never error)
-        let solver = auto_solver(
-            &p,
-            Arc::clone(&pool),
-            cfg,
-            1e6,
-            false,
-            HybridForce::AllExplicit,
-        );
+        // at MIXED_ITERS admissible subdomains go to the pool and oversized
+        // ones spill to implicit (never error)
+        let solver = auto_solver(&p, Arc::clone(&pool), cfg, MIXED_ITERS);
         check_solver(&p, &solver, 1e-6);
 
         let report = solver.report().expect("auto mode reports");
@@ -973,7 +973,7 @@ mod tests {
         assert!(n_impl > 0, "some subdomains must spill: temps {temps:?}");
         assert_eq!(n_gpu + n_impl, p.subdomains.len());
         let spilled = &hybrid.plan.spilled;
-        assert_eq!(spilled.len(), n_impl);
+        assert_eq!(spilled, &hybrid.plan.indices_of(Formulation::Implicit));
         // spilled = exactly the subdomains whose temporaries exceed the arena
         for (i, &t) in temps.iter().enumerate() {
             assert_eq!(
@@ -1023,9 +1023,9 @@ mod tests {
         );
     }
 
-    /// One freshly built solver per call on the 3×3 workload: all-implicit,
-    /// all-explicit (host), or the mixed auto split of
-    /// `hybrid_mixes_formulations_and_matches_direct`.
+    /// One freshly built solver per call on a 3×3 workload: all-implicit,
+    /// all-explicit (host), or — on the [`mixed_problem`] — the mixed auto
+    /// split of `hybrid_mixes_formulations_and_matches_direct`.
     fn fresh_solver<'p>(p: &'p HeatProblem, kind: &str, precision: Precision) -> FetiSolver<'p> {
         let cfg = ScConfig::optimized(true, true);
         let builder = FetiSolverBuilder::new().assembly(cfg).precision(precision);
@@ -1040,10 +1040,7 @@ mod tests {
                 let solver = builder
                     .backend(Backend::cluster(DevicePool::uniform(spec, 2, 2)))
                     .formulation(FormulationChoice::Auto(
-                        HybridPlanOptions::default()
-                            .with_iters(1e6)
-                            .with_allow_explicit_cpu(false)
-                            .with_force(HybridForce::AllExplicit),
+                        HybridPlanOptions::default().with_iters(MIXED_ITERS),
                     ))
                     .build(p);
                 let hybrid = solver.report().unwrap().hybrid.as_ref().unwrap().clone();
@@ -1071,12 +1068,15 @@ mod tests {
 
     #[test]
     fn persistent_scratch_leaks_nothing_between_applications() {
-        let p = HeatProblem::build_2d(6, (3, 3), Gluing::Redundant);
-        for kind in ["implicit", "explicit", "auto"] {
+        let (small, mixed) = (
+            HeatProblem::build_2d(6, (3, 3), Gluing::Redundant),
+            mixed_problem(),
+        );
+        for (kind, p) in [("implicit", &small), ("explicit", &small), ("auto", &mixed)] {
             for precision in [Precision::F64, Precision::f32_refined()] {
-                let used = fresh_solver(&p, kind, precision);
+                let used = fresh_solver(p, kind, precision);
                 for v in probe_vectors(p.n_lambda) {
-                    let fresh = fresh_solver(&p, kind, precision);
+                    let fresh = fresh_solver(p, kind, precision);
                     assert_eq!(used.apply_f(&v), fresh.apply_f(&v), "{kind} apply_f");
                     assert_eq!(
                         used.apply_lumped(&v),
@@ -1092,7 +1092,7 @@ mod tests {
                         );
                     }
                 }
-                let (a, b) = (used.solve(), fresh_solver(&p, kind, precision).solve());
+                let (a, b) = (used.solve(), fresh_solver(p, kind, precision).solve());
                 assert_eq!(a.lambda, b.lambda, "{kind} λ after the probes");
                 assert_eq!(a.u_locals, b.u_locals, "{kind} u after the probes");
             }
@@ -1101,7 +1101,7 @@ mod tests {
 
     #[test]
     fn concurrent_apply_f_on_one_solver_matches_single_threaded() {
-        let p = HeatProblem::build_2d(6, (3, 3), Gluing::Redundant);
+        let p = mixed_problem();
         let solver = fresh_solver(&p, "auto", Precision::F64);
         let vectors = probe_vectors(p.n_lambda);
         let want: Vec<Vec<f64>> = vectors.iter().map(|v| solver.apply_f(v)).collect();
@@ -1150,14 +1150,9 @@ mod tests {
             ..DeviceSpec::a100()
         };
         let pool = DevicePool::uniform(spec, 1, 2);
-        let solver = auto_solver(
-            &p,
-            pool,
-            ScConfig::optimized(true, false),
-            1e9,
-            false,
-            HybridForce::Auto,
-        );
+        // at an iteration count that amortizes no assembly, the host's
+        // explicit formulation loses to implicit too
+        let solver = auto_solver(&p, pool, ScConfig::optimized(true, false), 0.0);
         check_solver(&p, &solver, 1e-6);
         let report = solver.report().unwrap();
         let hybrid = report.hybrid.as_ref().unwrap();
@@ -1175,14 +1170,7 @@ mod tests {
         // explicit-CPU candidate takes them all
         let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
         let drained = DevicePool::from_devices(vec![Device::new(DeviceSpec::a100(), 0)]);
-        let solver = auto_solver(
-            &p,
-            drained,
-            ScConfig::optimized(true, false),
-            1e6,
-            true,
-            HybridForce::Auto,
-        );
+        let solver = auto_solver(&p, drained, ScConfig::optimized(true, false), 1e6);
         check_solver(&p, &solver, 1e-6);
         let report = solver.report().unwrap();
         let hybrid = report.hybrid.as_ref().unwrap();
@@ -1229,7 +1217,7 @@ mod tests {
         let cfg = ScConfig::optimized(true, false);
         let collapse = |iters: f64| {
             let pool = DevicePool::uniform(DeviceSpec::a100(), 1, 2);
-            let solver = auto_solver(&p, pool, cfg, iters, true, HybridForce::Auto);
+            let solver = auto_solver(&p, pool, cfg, iters);
             let report = solver.report().unwrap();
             let h = report.hybrid.as_ref().unwrap();
             (
@@ -1395,7 +1383,7 @@ mod tests {
 
     #[test]
     fn auto_on_gpu_backend_uses_a_single_device_pool() {
-        let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
+        let p = mixed_problem();
         let dev = Device::new(DeviceSpec::a100(), 2);
         let solver = FetiSolverBuilder::new()
             .backend(Backend::gpu_with(
@@ -1403,19 +1391,29 @@ mod tests {
                 ScheduleOptions::default().with_policy(StreamPolicy::LptLeastLoaded),
             ))
             .formulation(FormulationChoice::Auto(
-                HybridPlanOptions::default()
-                    .with_force(HybridForce::AllExplicit)
-                    .with_allow_explicit_cpu(false),
+                HybridPlanOptions::default().with_iters(MIXED_ITERS),
             ))
             .assembly(ScConfig::optimized(true, false))
             .build(&p);
         check_solver(&p, &solver, 1e-6);
         assert!(dev.synchronize() > 0.0, "the device must have been used");
-        let hybrid = solver.report().unwrap().hybrid.as_ref().unwrap().clone();
+        let report = solver.report().unwrap();
+        let plan = &report.hybrid.as_ref().unwrap().plan;
+        assert!(plan.count_of(Formulation::ExplicitGpu) > 0);
+        assert!(
+            plan.spilled.is_empty(),
+            "the whole A100 arena admits every subdomain"
+        );
+        let on_device: Vec<usize> = report
+            .subdomains
+            .iter()
+            .filter(|t| t.device == Some(0))
+            .map(|t| t.index)
+            .collect();
         assert_eq!(
-            hybrid.count_of(Formulation::ExplicitGpu),
-            p.subdomains.len(),
-            "forced explicit with no CPU fail-over goes all-explicit-GPU"
+            on_device,
+            plan.indices_of(Formulation::ExplicitGpu),
+            "the plan's explicit-GPU share runs on the one device"
         );
     }
 }

@@ -15,8 +15,8 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sc_core::{Backend, Precision, ScConfig, SessionCacheStats};
-use sc_feti::{FetiOptions, FetiSolverBuilder, FormulationChoice};
+use sc_core::{estimate_cost, Backend, DeviceSlot, Precision, ScConfig, SessionCacheStats};
+use sc_feti::{FetiOptions, FetiSolverBuilder, FormulationChoice, SubdomainFactors};
 use sc_gpu::{DevicePool, DeviceSpec};
 
 use crate::cache::{content_key, prepare, PreparedCache};
@@ -152,12 +152,7 @@ impl Service {
     fn submit(&mut self, job: JobRequest) -> String {
         if let Err(msg) = self.admit(&job) {
             self.sched.note_rejected(&job.tenant);
-            let mut s = String::from("{\"ok\":false,\"error\":{\"kind\":\"admission\",\"line\":");
-            s.push_str(&self.line_no.to_string());
-            s.push_str(",\"msg\":");
-            write_json_str(&mut s, &msg);
-            s.push_str("}}");
-            return s;
+            return admission_error(self.line_no, &msg);
         }
         let key = content_key(&job.spec, job.precision, &self.opts.feti);
         let est = match self.realized.get(&(key, job.kind)) {
@@ -181,9 +176,10 @@ impl Service {
     }
 
     /// Admission control: a cluster job whose per-subdomain working set
-    /// cannot fit the largest device arena would deadlock the batch
-    /// driver's spill logic at best — reject it up front, analytically,
-    /// before any preprocessing is spent on it.
+    /// cannot fit the largest device arena would abort the batch driver's
+    /// placement — reject it up front, analytically, before any
+    /// preprocessing is spent on it. The proxy is only a cheap early
+    /// filter; [`arena_fit`] applies the driver's own rule at dispatch.
     fn admit(&self, job: &JobRequest) -> Result<(), String> {
         if job.backend == BackendTag::Cpu {
             return Ok(()); // host jobs never touch the arena
@@ -211,7 +207,15 @@ impl Service {
                     break;
                 }
             }
-            let outcome = self.execute(&tenant, &qj);
+            let outcome = match self.execute(&tenant, &qj) {
+                Ok(outcome) => outcome,
+                Err(msg) => {
+                    self.sched.note_rejected(&tenant);
+                    let msg = format!("job {:?} of tenant {tenant:?}: {msg}", qj.req.job);
+                    lines.push(admission_error(self.line_no, &msg));
+                    continue;
+                }
+            };
             self.sched.complete(
                 &tenant,
                 &qj,
@@ -243,7 +247,9 @@ impl Service {
     }
 
     /// Run one dispatched job against the pool, via the cross-session cache.
-    fn execute(&mut self, tenant: &str, qj: &QueuedJob) -> JobOutcome {
+    /// A cluster job whose prepared factors fail [`arena_fit`] does not
+    /// run: the error names the subdomains no device arena admits.
+    fn execute(&mut self, tenant: &str, qj: &QueuedJob) -> Result<JobOutcome, String> {
         let req = &qj.req;
         // Cache lookup happens at dispatch, not submit: an entry evicted
         // while the job queued is simply re-prepared here.
@@ -258,6 +264,9 @@ impl Service {
                 (built, false, secs)
             }
         };
+        if req.backend == BackendTag::Cluster {
+            arena_fit(&self.opts.pool, &prep.factors, req.precision)?;
+        }
         let mut outcome = JobOutcome {
             tenant: tenant.to_string(),
             job: req.job.clone(),
@@ -312,7 +321,7 @@ impl Service {
             outcome.lambda = Some(sol.lambda);
             outcome.u_locals = Some(sol.u_locals);
         }
-        outcome
+        Ok(outcome)
     }
 
     fn stats_line(&self) -> String {
@@ -374,6 +383,45 @@ fn precision_of(tag: PrecisionTag) -> Precision {
     }
 }
 
+/// The device driver's own admission rule, applied at dispatch to a
+/// cluster job's prepared factors: every subdomain's peak temporaries,
+/// priced by [`estimate_cost`] under its resolved [`ScConfig::Auto`]
+/// parameters at the job's working precision, must fit some device of the
+/// pool ([`DeviceSlot::admits`]). A job that fails it would abort the batch
+/// driver's placement.
+fn arena_fit(
+    pool: &DevicePool,
+    factors: &[SubdomainFactors],
+    precision: PrecisionTag,
+) -> Result<(), String> {
+    let slots: Vec<DeviceSlot> = pool.devices().iter().map(|d| DeviceSlot::of(d)).collect();
+    let spec = DeviceSpec::host(); // the footprint does not depend on the spec
+    let over: Vec<usize> = (0..factors.len())
+        .filter(|&i| {
+            let (l, bt) = (factors[i].chol.factor_csc_ref(), &factors[i].bt_perm);
+            let params = ScConfig::Auto.resolve(true, l, bt);
+            let need = match precision {
+                PrecisionTag::F64 => estimate_cost(&spec, l, bt, &params, i),
+                PrecisionTag::F32Refined => {
+                    estimate_cost(&spec, &l.cast::<f32>(), &bt.cast::<f32>(), &params, i)
+                }
+            }
+            .temp_bytes;
+            !slots.iter().any(|s| s.admits(need))
+        })
+        .collect();
+    if over.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "{} subdomain(s) {over:?} need more temporaries than the largest \
+         device arena ({} B); resubmit with backend \"cpu\" or smaller \
+         subdomains",
+        over.len(),
+        pool.max_arena_capacity()
+    ))
+}
+
 /// Analytic per-subdomain working-set proxy for admission: the dense
 /// triangular-solve result `Y` (`n × m`) plus the assembled `F̃` tile
 /// (`m × m`) at the working precision's width.
@@ -389,6 +437,16 @@ fn working_set_bytes(spec: &MeshSpec, precision: PrecisionTag) -> usize {
         PrecisionTag::F32Refined => 4,
     };
     width * (n * m + m * m)
+}
+
+/// The structured `admission` error response to protocol line `line`.
+fn admission_error(line: usize, msg: &str) -> String {
+    let mut s = String::from("{\"ok\":false,\"error\":{\"kind\":\"admission\",\"line\":");
+    s.push_str(&line.to_string());
+    s.push_str(",\"msg\":");
+    write_json_str(&mut s, msg);
+    s.push_str("}}");
+    s
 }
 
 fn done_line(o: &JobOutcome) -> String {
@@ -618,6 +676,46 @@ mod tests {
         assert!(r[0].contains("\"event\":\"accepted\""), "{}", r[0]);
         let stats = h.tenant_stats();
         assert_eq!(stats[0].1.jobs_rejected, 1);
+    }
+
+    #[test]
+    fn job_the_device_driver_cannot_place_is_rejected_at_dispatch() {
+        // the submit-time proxy admits this job, but the driver's own
+        // footprint estimate of its factors fits no 512 KiB arena
+        let spec = DeviceSpec {
+            memory_bytes: 1 << 20,
+            ..DeviceSpec::a100()
+        };
+        let mut h = ServeHandle::new(ServeOptions {
+            pool: DevicePool::uniform(spec, 1, 1),
+            keep_results: true,
+            ..ServeOptions::default()
+        });
+        let r = h.request(
+            "{\"op\":\"solve\",\"tenant\":\"a\",\"job\":\"j\",\"dim\":2,\"cells\":16,\"subs\":[2,2]}",
+        );
+        assert!(r[0].contains("\"event\":\"accepted\""), "{}", r[0]);
+        let r = h.request("{\"op\":\"run\"}");
+        assert_eq!(r.len(), 2, "one error line + one drained line: {r:?}");
+        assert!(r[0].contains("\"kind\":\"admission\""), "{}", r[0]);
+        assert!(
+            r[0].contains("[0, 1, 2, 3]"),
+            "names the subdomains: {}",
+            r[0]
+        );
+        assert!(r[1].contains("\"jobs\":0"), "{}", r[1]);
+        assert!(h.take_outcome("a", "j").is_none(), "the job did not run");
+        assert_eq!(h.tenant_stats()[0].1.jobs_rejected, 1);
+        // the service keeps serving: the same mesh on the host runs
+        let r = h.request(
+            "{\"op\":\"solve\",\"tenant\":\"a\",\"job\":\"host\",\"dim\":2,\"cells\":16,\
+             \"subs\":[2,2],\"backend\":\"cpu\"}",
+        );
+        assert!(r[0].contains("\"event\":\"accepted\""), "{}", r[0]);
+        let r = h.request("{\"op\":\"run\"}");
+        assert!(r[0].contains("\"event\":\"done\""), "{}", r[0]);
+        let out = h.take_outcome("a", "host").expect("the host job ran");
+        assert!(out.iterations.expect("solve ran") > 0);
     }
 
     #[test]

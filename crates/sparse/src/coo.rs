@@ -1,11 +1,10 @@
 //! Triplet (coordinate) format builder.
 //!
 //! FEM assembly scatters element contributions as `(row, col, value)` triplets
-//! and converts once to CSC/CSR; duplicate coordinates are summed during the
+//! and converts once to CSC; duplicate coordinates are summed during the
 //! conversion, which is exactly the semantics element assembly needs.
 
 use crate::csc::CscOf;
-use crate::csr::CsrOf;
 use sc_dense::Scalar;
 
 /// Coordinate-format sparse matrix builder, generic over the element scalar.
@@ -115,11 +114,6 @@ impl<S: Scalar> CooOf<S> {
             col_ptr[j + 1] = out_ri.len();
         }
         CscOf::from_parts(self.nrows, self.ncols, col_ptr, out_ri, out_vv)
-    }
-
-    /// Convert to CSR, summing duplicates and sorting column indices per row.
-    pub fn to_csr(&self) -> CsrOf<S> {
-        self.to_csc().to_csr()
     }
 }
 

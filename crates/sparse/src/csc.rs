@@ -1,6 +1,5 @@
 //! Compressed sparse column storage.
 
-use crate::csr::CsrOf;
 use crate::perm::Perm;
 use sc_dense::{MatOf, Scalar};
 
@@ -210,43 +209,6 @@ impl<S: Scalar> CscOf<S> {
             }
         }
         m
-    }
-
-    /// Convert to CSR (transpose of the internal layout; `O(nnz)`).
-    pub fn to_csr(&self) -> CsrOf<S> {
-        let mut row_counts = vec![0usize; self.nrows + 1];
-        for &i in &self.row_idx {
-            row_counts[i + 1] += 1;
-        }
-        for i in 0..self.nrows {
-            row_counts[i + 1] += row_counts[i];
-        }
-        let mut col_idx = vec![0usize; self.nnz()];
-        let mut vals = vec![S::ZERO; self.nnz()];
-        let mut next = row_counts.clone();
-        for j in 0..self.ncols {
-            let (rows, v) = self.col(j);
-            for (&i, &x) in rows.iter().zip(v) {
-                let p = next[i];
-                next[i] += 1;
-                col_idx[p] = j;
-                vals[p] = x;
-            }
-        }
-        CsrOf::from_parts(self.nrows, self.ncols, row_counts, col_idx, vals)
-    }
-
-    /// Transposed copy (CSC of the transpose).
-    pub fn transpose(&self) -> CscOf<S> {
-        let t = self.to_csr();
-        // A CSR of A reinterpreted as CSC of Aᵀ.
-        CscOf::from_parts(
-            self.ncols,
-            self.nrows,
-            t.row_ptr().to_vec(),
-            t.col_idx().to_vec(),
-            t.values().to_vec(),
-        )
     }
 
     /// Element-wise precision conversion (pattern shared, values converted
@@ -495,28 +457,6 @@ mod tests {
         for i in 0..3 {
             for j in 0..3 {
                 assert_eq!(m.get(i, j), d[(i, j)]);
-            }
-        }
-    }
-
-    #[test]
-    fn csr_roundtrip_preserves_entries() {
-        let m = sample();
-        let r = m.to_csr();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(m.get(i, j), r.get(i, j));
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_swaps_indices() {
-        let m = sample();
-        let t = m.transpose();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(m.get(i, j), t.get(j, i));
             }
         }
     }

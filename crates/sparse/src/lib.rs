@@ -1,4 +1,4 @@
-//! Sparse matrix substrate: COO/CSC/CSR storage, conversions, permutations,
+//! Sparse matrix substrate: COO/CSC storage, conversions, permutations,
 //! triangular solves, and pattern analysis.
 //!
 //! Conventions used throughout the workspace:
@@ -6,8 +6,9 @@
 //! - **CSC** ([`Csc`]) is the primary format for factors and for the gluing
 //!   matrix `B̃ᵀ` (whose columns correspond to Lagrange multipliers). Row
 //!   indices inside each column are stored sorted.
-//! - **CSR** ([`Csr`]) serves row-oriented products (`B x`, SpMV in the
-//!   implicit dual operator).
+//! - There is no row-major format: the row-oriented products of the dual
+//!   operator (`B̃ x`) run through `sc_feti`'s binned boundary map, and
+//!   [`CscOf::spmv_t`] covers the rest.
 //! - Symmetric matrices (FEM stiffness) are stored with **both** triangles so
 //!   that SpMV, graph adjacency, and upper-triangle access for the symbolic
 //!   factorization all come from one structure.
@@ -16,14 +17,12 @@
 
 pub mod coo;
 pub mod csc;
-pub mod csr;
 pub mod pattern;
 pub mod perm;
 pub mod trisolve;
 
 pub use coo::{Coo, CooOf};
 pub use csc::{Csc, CscOf};
-pub use csr::{Csr, CsrOf};
 pub use pattern::{column_pivots, is_stepped, stepped_fill_ratio, RowClosure};
 pub use perm::Perm;
 pub use trisolve::{

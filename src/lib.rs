@@ -82,10 +82,10 @@ pub mod prelude {
         assemble_sc, estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by,
         ApplyEstimate, AssemblyReport, AssemblyResult, AssemblySession, Backend, BatchItem,
         BatchSource, BlockParam, ClusterPlanError, CostEstimate, CpuExec, DeviceReport, DeviceSlot,
-        FactorStorage, Formulation, GpuExec, HybridForce, HybridPlan, HybridPlanOptions,
-        HybridSummary, NodeReport, Precision, RecordingExec, ScConfig, ScParams, ScheduleOptions,
-        ScheduledSpan, SteppedRhs, StreamLane, StreamPolicy, SubdomainTiming, SyrkVariant,
-        TopoPlan, Topology, TrsmVariant,
+        FactorStorage, Formulation, GpuExec, HybridPlan, HybridPlanOptions, HybridSummary,
+        NodeReport, Precision, RecordingExec, ScConfig, ScParams, ScheduleOptions, ScheduledSpan,
+        SteppedRhs, StreamLane, StreamPolicy, SubdomainTiming, SyrkVariant, TopoPlan, Topology,
+        TrsmVariant,
     };
     pub use sc_dense::Mat;
     pub use sc_factor::{CholOptions, Engine, SparseCholesky};
@@ -100,5 +100,5 @@ pub mod prelude {
     };
     pub use sc_order::Ordering;
     pub use sc_serve::{JobOutcome, ServeHandle, ServeOptions};
-    pub use sc_sparse::{Csc, Csr, Perm};
+    pub use sc_sparse::{Csc, Perm};
 }

@@ -42,10 +42,7 @@ fn prelude_surface_is_complete() {
     let _ = ScheduleOptions::default()
         .with_policy(StreamPolicy::RoundRobin)
         .with_ready_at(Vec::new());
-    let _ = HybridPlanOptions::default()
-        .with_iters(1.0)
-        .with_allow_explicit_cpu(true)
-        .with_force(HybridForce::Auto);
+    let _ = HybridPlanOptions::default().with_iters(1.0);
     let _ = FetiOptions::default()
         .with_engine(Engine::Simplicial)
         .with_ordering(Ordering::Natural)

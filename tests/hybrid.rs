@@ -110,7 +110,7 @@ proptest! {
                 );
             }
             // the decision is cost-minimal among its admissible candidates
-            let host = &opts.host;
+            let host = &DeviceSpec::host();
             let spec = &devices[0].spec;
             let total = |asm: f64, app: f64| asm + iters * app;
             let chosen = total(c.assembly_seconds, c.apply_seconds);
@@ -179,12 +179,16 @@ proptest! {
 /// Real-workload property: on a 3×3 decomposition with an arena between the
 /// smallest and largest temp footprint, the hybrid solver mixes
 /// formulations, never oversubscribes the arena, applies bitwise like the
-/// per-formulation reference, and still solves the PDE.
+/// per-formulation reference, and still solves the PDE. The subdomains are
+/// large enough (37² dofs) for a device assembly to pay off against the
+/// host's implicit applies at 5 expected iterations, which is too few for a
+/// host assembly to: the admitted subdomains go to the pool, the spilled
+/// ones implicit.
 #[test]
 fn hybrid_solver_end_to_end_invariants() {
     use std::sync::Arc;
 
-    let p = HeatProblem::build_2d(6, (3, 3), Gluing::Redundant);
+    let p = HeatProblem::build_2d(36, (3, 3), Gluing::Redundant);
     let cfg = ScConfig::optimized(true, true);
     let factors: Vec<SubdomainFactors> = p
         .subdomains
@@ -219,10 +223,7 @@ fn hybrid_solver_end_to_end_invariants() {
     let solver = FetiSolverBuilder::new()
         .backend(Backend::cluster(Arc::clone(&pool)))
         .formulation(FormulationChoice::Auto(
-            HybridPlanOptions::default()
-                .with_iters(1e6)
-                .with_allow_explicit_cpu(false)
-                .with_force(HybridForce::AllExplicit),
+            HybridPlanOptions::default().with_iters(5.0),
         ))
         .assembly(cfg)
         .build(&p);
@@ -243,6 +244,7 @@ fn hybrid_solver_end_to_end_invariants() {
     for (i, &t) in temps.iter().enumerate() {
         assert_eq!(spilled.contains(&i), t > arena, "subdomain {i}");
     }
+    assert_eq!(spilled, &report.plan.indices_of(Formulation::Implicit));
 
     // no explicit placement oversubscribes its device arena
     assert!(unified.temp_high_water() <= arena);
@@ -336,23 +338,52 @@ fn plan_mixed_fit(
     costs: &[CostEstimate],
     applies: &[ApplyEstimate],
     pool: &DevicePool,
-    force: HybridForce,
 ) -> HybridPlan {
-    let slots: Vec<DeviceSlot> = pool.devices().iter().map(|d| DeviceSlot::of(d)).collect();
     plan_hybrid(
         costs,
         applies,
-        &slots,
-        &HybridPlanOptions::default()
-            .with_iters(MIXED_FIT_ITERS)
-            .with_force(force),
+        &pool_slots(pool),
+        &HybridPlanOptions::default().with_iters(MIXED_FIT_ITERS),
     )
+}
+
+fn pool_slots(pool: &DevicePool) -> Vec<DeviceSlot> {
+    pool.devices().iter().map(|d| DeviceSlot::of(d)).collect()
+}
+
+/// The two collapse baselines of the hybrid decision at `iters`, priced from
+/// the same estimates the planner reads: every subdomain explicit (the
+/// cheaper of the device where an arena admits it and the host), and every
+/// subdomain implicit on the host.
+fn collapse_costs(
+    costs: &[CostEstimate],
+    applies: &[ApplyEstimate],
+    slots: &[DeviceSlot],
+    iters: f64,
+) -> (f64, f64) {
+    let host = DeviceSpec::host();
+    let total = |asm: f64, app: f64| asm + iters * app;
+    let all_explicit = (costs.iter().zip(applies))
+        .map(|(c, a)| {
+            let cpu = total(c.seconds_on(&host), a.explicit_seconds_on(&host));
+            slots
+                .iter()
+                .filter(|d| d.admits(c.temp_bytes))
+                .map(|d| total(c.seconds_on(&d.spec), a.explicit_seconds_on(&d.spec)))
+                .fold(cpu, f64::min)
+        })
+        .sum();
+    let all_implicit = applies
+        .iter()
+        .map(|a| total(0.0, a.implicit_seconds_on(&host)))
+        .sum();
+    (all_explicit, all_implicit)
 }
 
 /// The acceptance workload of the hybrid planner: at the same expected
 /// iteration count, the per-subdomain decision must beat — by ≥ 1.3× in
 /// predicted simulated cost-to-solution (Σ assembly + iters × apply) — both
-/// the forced-explicit collapse, whose over-arena quarter must fail over to
+/// the all-explicit collapse, whose over-arena quarter must fail over to
 /// explicit-CPU assembly, and the all-implicit one. The explicit-GPU share
 /// is then really assembled through the cluster backend: bitwise the
 /// sequential CPU reference, arena never oversubscribed.
@@ -363,19 +394,16 @@ fn auto_beats_all_explicit_and_all_implicit_by_1_3x_on_the_mixed_fit_workload() 
     let cfg = ScConfig::optimized(true, false);
     let (pool, arena) = w.mixed_fit_pool(&cfg);
     let (costs, applies) = mixed_fit_estimates::<f64>(&cfg);
-    let auto = plan_mixed_fit(&costs, &applies, &pool, HybridForce::Auto);
-    let all_expl = plan_mixed_fit(&costs, &applies, &pool, HybridForce::AllExplicit);
-    let all_impl = plan_mixed_fit(&costs, &applies, &pool, HybridForce::AllImplicit);
+    let auto = plan_mixed_fit(&costs, &applies, &pool);
 
     assert_eq!(
-        all_expl.spilled.len(),
+        auto.spilled.len(),
         items.len() / 4,
         "exactly the top quarter must spill, got {:?}",
-        all_expl.spilled
+        auto.spilled
     );
     let h = auto.cost_at(MIXED_FIT_ITERS);
-    let e = all_expl.cost_at(MIXED_FIT_ITERS);
-    let i = all_impl.cost_at(MIXED_FIT_ITERS);
+    let (e, i) = collapse_costs(&costs, &applies, &pool_slots(&pool), MIXED_FIT_ITERS);
     assert!(
         e / h >= 1.3 && i / h >= 1.3,
         "hybrid cost {h:.6}s must beat all-explicit {e:.6}s and all-implicit {i:.6}s \
@@ -411,8 +439,8 @@ fn auto_beats_all_explicit_and_all_implicit_by_1_3x_on_the_mixed_fit_workload() 
 /// is the concurrent temporary footprint, not admission gating) must peak
 /// at ≤ 0.55× the `f64` high water — the ideal is 0.5, element payloads
 /// halve while index arrays do not. **Planner admissions:** priced at
-/// `f32` width, the forced-explicit plan must admit strictly more
-/// subdomains than the `f64` pricing at the same arena capacity.
+/// `f32` width, the plan must admit strictly more subdomains to the pool's
+/// arenas than the `f64` pricing at the same arena capacity.
 #[test]
 fn f32_halves_the_arena_and_admits_more_explicit_subdomains_on_the_mixed_fit_workload() {
     let w = mixed_fit();
@@ -440,9 +468,9 @@ fn f32_halves_the_arena_and_admits_more_explicit_subdomains_on_the_mixed_fit_wor
     );
 
     let (pool, arena) = w.mixed_fit_pool(&cfg);
-    // AllExplicit isolates pure admissibility: admitted = not spilled
+    // the spill set is pure admissibility: admitted = not spilled
     let admitted = |(costs, applies): (Vec<CostEstimate>, Vec<ApplyEstimate>)| {
-        let plan = plan_mixed_fit(&costs, &applies, &pool, HybridForce::AllExplicit);
+        let plan = plan_mixed_fit(&costs, &applies, &pool);
         items.len() - plan.spilled.len()
     };
     let admitted64 = admitted(mixed_fit_estimates::<f64>(&cfg));

@@ -129,8 +129,8 @@ proptest! {
                 TrsmVariant::FactorSplit { block: BlockParam::Size(trsm_block), prune: !prune },
             ] {
                 for syrk in [
+                    SyrkVariant::Plain,
                     SyrkVariant::InputSplit(BlockParam::Size(syrk_block)),
-                    SyrkVariant::OutputSplit(BlockParam::Size(syrk_block)),
                 ] {
                     for storage in [FactorStorage::Sparse, FactorStorage::Dense] {
                         let cfg = ScConfig::Fixed(ScParams {
@@ -189,7 +189,7 @@ proptest! {
         run_syrk_variant(&mut CpuExec, &y, &stepped, SyrkVariant::Plain, &mut reference);
         for variant in [
             SyrkVariant::InputSplit(BlockParam::Size(block)),
-            SyrkVariant::OutputSplit(BlockParam::Size(block)),
+            SyrkVariant::InputSplit(BlockParam::Count(block)),
         ] {
             let mut f = Mat::zeros(m, m);
             run_syrk_variant(&mut CpuExec, &y, &stepped, variant, &mut f);

@@ -53,7 +53,7 @@ fn all_configs_match_dense_reference_2d() {
         for syrk in [
             SyrkVariant::Plain,
             SyrkVariant::InputSplit(BlockParam::Size(6)),
-            SyrkVariant::OutputSplit(BlockParam::Count(3)),
+            SyrkVariant::InputSplit(BlockParam::Count(3)),
         ] {
             for storage in [FactorStorage::Sparse, FactorStorage::Dense] {
                 let cfg = ScConfig::Fixed(ScParams {
