@@ -508,17 +508,17 @@ fn has_preceding_doc(file: &SourceFile, pub_ti: usize) -> bool {
 // ---------------------------------------------------------------------------
 
 /// The library files still over the [`FileLength`] limit, each with its
-/// non-test line count when the rule landed as a ceiling: an entry may only
-/// shrink, and goes once its file is under the limit.
-pub const FILE_LENGTH_CEILINGS: &[(&str, u32)] = &[
-    ("crates/core/src/schedule.rs", 1031),
-    ("crates/serve/src/protocol.rs", 879),
-];
+/// current non-test line count as its ceiling: an entry may only shrink,
+/// and goes once its file is under the limit (the rule reports both).
+pub const FILE_LENGTH_CEILINGS: &[(&str, u32)] = &[("crates/core/src/schedule.rs", 1021)];
 
 /// A library file may not exceed `limit` non-test lines (lines outside
 /// `#[test]`/`#[cfg(test)]` items, comments and blanks included): past that
 /// it needs a table of contents, and should be split by responsibility
-/// instead. A file listed in `ceilings` is held to its own ceiling.
+/// instead. A file listed in `ceilings` is held to its own ceiling, and the
+/// table ratchets: a listed file under its ceiling is reported too, so the
+/// entry is lowered to the new count or, once the file is within `limit`,
+/// deleted.
 pub struct FileLength {
     /// Largest allowed non-test line count.
     pub limit: u32,
@@ -536,24 +536,38 @@ impl Rule for FileLength {
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-        let limit = self
+        let ceiling = self
             .ceilings
             .iter()
             .find(|(path, _)| *path == file.rel)
-            .map_or(self.limit, |&(_, ceiling)| ceiling);
+            .map(|&(_, ceiling)| ceiling);
+        let limit = ceiling.unwrap_or(self.limit);
         let lines = (1..=file.n_lines).filter(|&l| !file.in_test_region(l));
-        if let Some(first_over) = lines.clone().nth(limit as usize) {
-            out.push(Diagnostic {
-                file: file.rel.clone(),
-                line: first_over,
-                rule: self.name().into(),
-                message: format!(
-                    "{} non-test lines, over the limit of {limit}; split the file by \
-                     responsibility",
-                    lines.count()
-                ),
-            });
-        }
+        let count = lines.clone().count() as u32;
+        let (line, message) = if count > limit {
+            let first_over = lines.clone().nth(limit as usize).unwrap_or(1);
+            let msg = format!(
+                "{count} non-test lines, over the limit of {limit}; split the file by \
+                 responsibility"
+            );
+            (first_over, msg)
+        } else if ceiling.is_some() && count < limit {
+            let fix = if count <= self.limit {
+                "delete the entry".to_string()
+            } else {
+                format!("lower the ceiling to {count}")
+            };
+            let msg = format!("{count} non-test lines, under the ceiling of {limit}; {fix}");
+            (1, msg)
+        } else {
+            return;
+        };
+        out.push(Diagnostic {
+            file: file.rel.clone(),
+            line,
+            rule: self.name().into(),
+            message,
+        });
     }
 }
 
@@ -620,7 +634,7 @@ mod tests {
     #[test]
     fn precision_discipline_respects_scope_and_escapes() {
         let src = "fn f(n: usize) -> f64 { n as f64 }\n";
-        assert_eq!(run("crates/core/src/schedule.rs", src).len(), 1);
+        assert_eq!(run("crates/core/src/tune.rs", src).len(), 1);
         // the Scalar impl module and the gpusim pricing files are sanctioned
         assert!(run("crates/dense/src/scalar.rs", src).is_empty());
         assert!(run("crates/gpusim/src/cost.rs", src).is_empty());
@@ -633,7 +647,7 @@ mod tests {
         // the line escape silences exactly this rule
         let escaped =
             "fn f(n: usize) -> f64 { n as f64 } // sc-analyze: allow(precision-discipline)\n";
-        assert!(run("crates/core/src/schedule.rs", escaped).is_empty());
+        assert!(run("crates/core/src/tune.rs", escaped).is_empty());
     }
 
     #[test]

@@ -136,3 +136,40 @@ fn tricky_lexer_fixture_is_clean() {
         "lexer misread strings/comments as code: {got:?}"
     );
 }
+
+/// Where the ratchet tests list the six-line file-length fixture.
+const LISTED: &str = "crates/sparse/src/fixture.rs";
+
+/// The file-length findings, with their messages, for the fixture at `LISTED`.
+fn file_length_messages(
+    limit: u32,
+    ceilings: &'static [(&'static str, u32)],
+) -> Vec<(u32, String)> {
+    let rules: Vec<Box<dyn Rule>> = vec![Box::new(FileLength { limit, ceilings })];
+    analyze_source(LISTED, &fixture("file_length.rs"), &rules)
+        .into_iter()
+        .map(|d| (d.line, d.message))
+        .collect()
+}
+
+#[test]
+fn file_length_asks_to_lower_a_ceiling_the_file_is_under() {
+    assert_eq!(
+        file_length_messages(5, &[(LISTED, 7)]),
+        vec![(
+            1,
+            "6 non-test lines, under the ceiling of 7; lower the ceiling to 6".to_string()
+        )]
+    );
+}
+
+#[test]
+fn file_length_asks_to_delete_an_entry_within_the_limit() {
+    assert_eq!(
+        file_length_messages(6, &[(LISTED, 7)]),
+        vec![(
+            1,
+            "6 non-test lines, under the ceiling of 7; delete the entry".to_string()
+        )]
+    );
+}

@@ -846,10 +846,6 @@ pub struct HybridChoice {
     pub index: usize,
     /// Chosen formulation.
     pub formulation: Formulation,
-    /// For [`Formulation::ExplicitGpu`]: the pool device the analytic model
-    /// prefers. A hint only — the cluster planner re-partitions the explicit
-    /// share under the recorded kernel durations and may place differently.
-    pub device_hint: Option<usize>,
     /// Predicted one-time assembly seconds of the chosen formulation
     /// (0 for implicit).
     pub assembly_seconds: f64,
@@ -940,20 +936,20 @@ pub fn plan_hybrid(
     let mut spilled = Vec::new();
     for (c, a) in costs.iter().zip(applies) {
         debug_assert_eq!(c.index, a.index, "estimate slices must align");
-        // candidates: (formulation, device_hint, assembly_s, apply_s)
-        let gpu = (0..devices.len())
-            .filter(|&d| devices[d].admits(c.temp_bytes))
+        // candidates: (formulation, assembly_s, apply_s)
+        let by_total = |x: &(Formulation, f64, f64), y: &(Formulation, f64, f64)| {
+            total_key(x.1, x.2, opts.iters)
+                .partial_cmp(&total_key(y.1, y.2, opts.iters))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        };
+        let gpu = devices
+            .iter()
+            .filter(|d| d.admits(c.temp_bytes))
             .map(|d| {
-                let spec = &devices[d].spec;
-                let (asm, app) = (c.seconds_on(spec), a.explicit_seconds_on(spec));
-                (Formulation::ExplicitGpu, Some(d), asm, app)
+                let (asm, app) = (c.seconds_on(&d.spec), a.explicit_seconds_on(&d.spec));
+                (Formulation::ExplicitGpu, asm, app)
             })
-            .min_by(|x, y| {
-                total_key(x.2, x.3, opts.iters)
-                    .partial_cmp(&total_key(y.2, y.3, opts.iters))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(x.1.cmp(&y.1))
-            });
+            .min_by(by_total);
         let is_spilled = gpu.is_none();
         if is_spilled {
             spilled.push(c.index);
@@ -961,8 +957,8 @@ pub fn plan_hybrid(
         let (cpu_asm, cpu_app) = (c.seconds_on(&host), a.explicit_seconds_on(&host));
         let impl_app = a.implicit_seconds_on(&host);
         let host_side = [
-            (Formulation::ExplicitCpu, None, cpu_asm, cpu_app),
-            (Formulation::Implicit, None, 0.0, impl_app),
+            (Formulation::ExplicitCpu, cpu_asm, cpu_app),
+            (Formulation::Implicit, 0.0, impl_app),
         ];
 
         // preference on exact ties: implicit (no assembly to lose), then
@@ -972,20 +968,14 @@ pub fn plan_hybrid(
             Formulation::ExplicitGpu => 1,
             Formulation::ExplicitCpu => 2,
         };
-        let (formulation, device_hint, assembly_seconds, apply_seconds) = gpu
+        let (formulation, assembly_seconds, apply_seconds) = gpu
             .into_iter()
             .chain(host_side)
-            .min_by(|x, y| {
-                total_key(x.2, x.3, opts.iters)
-                    .partial_cmp(&total_key(y.2, y.3, opts.iters))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(pref(x.0).cmp(&pref(y.0)))
-            })
+            .min_by(|x, y| by_total(x, y).then(pref(x.0).cmp(&pref(y.0))))
             .expect("the implicit formulation is always a candidate");
         choices.push(HybridChoice {
             index: c.index,
             formulation,
-            device_hint,
             assembly_seconds,
             apply_seconds,
             total_seconds: assembly_seconds + opts.iters * apply_seconds,
@@ -1502,7 +1492,6 @@ mod tests {
         let plan = plan_at(10.0);
         assert_eq!(plan.spilled, vec![1]);
         assert_eq!(plan.choices[0].formulation, Formulation::ExplicitGpu);
-        assert_eq!(plan.choices[0].device_hint, Some(0));
         assert_eq!(
             plan.choices[1].formulation,
             Formulation::Implicit,

@@ -79,7 +79,6 @@ fn main() -> ExitCode {
     let opts = ServeOptions {
         pool: pool_of(&args),
         cache_budget_bytes: args.cache_mb << 20,
-        ..ServeOptions::default()
     };
     let result = match &args.tcp {
         Some(addr) => {

@@ -13,10 +13,10 @@
 use std::sync::Arc;
 
 use sc_core::{ContentHasher, SessionCache};
-use sc_fem::{Gluing, HeatProblem};
+use sc_fem::HeatProblem;
 use sc_feti::{FetiOptions, SubdomainFactors};
 
-use crate::protocol::{GluingTag, MeshSpec, PrecisionTag};
+use crate::protocol::{MeshSpec, PrecisionTag, WireName};
 
 /// Everything preprocessing produces for one mesh/config/precision key.
 ///
@@ -39,11 +39,11 @@ pub type PreparedCache = SessionCache<PreparedSession>;
 /// Content-address a job's preprocessing inputs.
 ///
 /// Everything that changes the prepared state goes into the hash — mesh
-/// spec (dimension, resolution, decomposition, gluing), precision tag, and
-/// the factorization options that shape the symbolic analysis. The load
-/// `scale` and the backend placement deliberately do **not**: they change
-/// where/what is computed downstream, not the factorizations.
-pub fn content_key(spec: &MeshSpec, precision: PrecisionTag, opts: &FetiOptions) -> u64 {
+/// spec (dimension, resolution, decomposition, gluing) and precision tag.
+/// The load `scale` and the backend placement deliberately do **not**: they
+/// change where/what is computed downstream, not the factorizations. The
+/// factorization options are the service-wide [`FetiOptions::default`].
+pub fn content_key(spec: &MeshSpec, precision: PrecisionTag) -> u64 {
     let mut h = ContentHasher::new();
     h.write_str("sc_serve/prepared/v1");
     h.write_u64(u64::from(spec.dim));
@@ -51,40 +51,20 @@ pub fn content_key(spec: &MeshSpec, precision: PrecisionTag, opts: &FetiOptions)
     h.write_usize(spec.subs.0);
     h.write_usize(spec.subs.1);
     h.write_usize(spec.subs.2);
-    h.write_str(match spec.gluing {
-        GluingTag::Redundant => "redundant",
-        GluingTag::Chain => "chain",
-    });
-    h.write_str(match precision {
-        PrecisionTag::F64 => "f64",
-        PrecisionTag::F32Refined => "f32_refined",
-    });
-    // Engine/ordering select the symbolic structure; tol/max_iter/precond
-    // only steer PCPG and are excluded for the same reason as `scale`.
-    h.write_str(&format!("{:?}", opts.engine));
-    h.write_str(&format!("{:?}", opts.ordering));
+    h.write_str(spec.gluing.name());
+    h.write_str(precision.name());
     h.finish()
-}
-
-fn gluing_of(tag: GluingTag) -> Gluing {
-    match tag {
-        GluingTag::Redundant => Gluing::Redundant,
-        GluingTag::Chain => Gluing::Chain,
-    }
 }
 
 /// Build the prepared bundle for a mesh spec — the cold path a cache miss
 /// pays once per content key.
-pub fn prepare(spec: &MeshSpec, opts: &FetiOptions) -> PreparedSession {
+pub fn prepare(spec: &MeshSpec) -> PreparedSession {
     let problem = if spec.dim == 2 {
-        HeatProblem::build_2d(
-            spec.cells,
-            (spec.subs.0, spec.subs.1),
-            gluing_of(spec.gluing),
-        )
+        HeatProblem::build_2d(spec.cells, (spec.subs.0, spec.subs.1), spec.gluing)
     } else {
-        HeatProblem::build_3d(spec.cells, spec.subs, gluing_of(spec.gluing))
+        HeatProblem::build_3d(spec.cells, spec.subs, spec.gluing)
     };
+    let opts = FetiOptions::default();
     let factors = SubdomainFactors::build_all(&problem, opts.engine, opts.ordering);
     let bytes = approx_bytes(&problem, &factors);
     PreparedSession {
@@ -112,37 +92,34 @@ fn approx_bytes(problem: &HeatProblem, factors: &[SubdomainFactors]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_fem::Gluing;
 
     fn spec2d() -> MeshSpec {
         MeshSpec {
             dim: 2,
             cells: 4,
             subs: (2, 2, 1),
-            gluing: GluingTag::Redundant,
+            gluing: Gluing::Redundant,
         }
     }
 
     #[test]
     fn content_key_separates_every_input() {
         let base = spec2d();
-        let opts = FetiOptions::default();
-        let k0 = content_key(&base, PrecisionTag::F64, &opts);
-        assert_eq!(k0, content_key(&base, PrecisionTag::F64, &opts), "stable");
+        let k0 = content_key(&base, PrecisionTag::F64);
+        assert_eq!(k0, content_key(&base, PrecisionTag::F64), "stable");
 
         let mut cells = base.clone();
         cells.cells = 5;
         let mut subs = base.clone();
         subs.subs = (2, 3, 1);
         let mut glue = base.clone();
-        glue.gluing = GluingTag::Chain;
+        glue.gluing = Gluing::Chain;
         for (label, other) in [
-            ("cells", content_key(&cells, PrecisionTag::F64, &opts)),
-            ("subs", content_key(&subs, PrecisionTag::F64, &opts)),
-            ("gluing", content_key(&glue, PrecisionTag::F64, &opts)),
-            (
-                "precision",
-                content_key(&base, PrecisionTag::F32Refined, &opts),
-            ),
+            ("cells", content_key(&cells, PrecisionTag::F64)),
+            ("subs", content_key(&subs, PrecisionTag::F64)),
+            ("gluing", content_key(&glue, PrecisionTag::F64)),
+            ("precision", content_key(&base, PrecisionTag::F32Refined)),
         ] {
             assert_ne!(k0, other, "{label} must change the key");
         }
@@ -150,20 +127,18 @@ mod tests {
 
     #[test]
     fn scale_and_backend_do_not_enter_the_key() {
-        // The key is a function of MeshSpec/precision/opts only; BackendTag
-        // is not even a parameter. This test documents the contract by
+        // The key is a function of MeshSpec/precision only; BackendTag is
+        // not even a parameter. This test documents the contract by
         // constructing the key without any backend in scope.
-        let opts = FetiOptions::default();
         let _ = crate::protocol::BackendTag::Cluster;
-        let a = content_key(&spec2d(), PrecisionTag::F64, &opts);
-        let b = content_key(&spec2d(), PrecisionTag::F64, &opts);
+        let a = content_key(&spec2d(), PrecisionTag::F64);
+        let b = content_key(&spec2d(), PrecisionTag::F64);
         assert_eq!(a, b);
     }
 
     #[test]
     fn prepare_covers_every_subdomain_and_charges_bytes() {
-        let opts = FetiOptions::default();
-        let prep = prepare(&spec2d(), &opts);
+        let prep = prepare(&spec2d());
         assert_eq!(prep.factors.len(), prep.problem.subdomains.len());
         assert_eq!(prep.factors.len(), 4);
         assert!(prep.bytes > 0, "a real bundle has a positive footprint");

@@ -11,14 +11,16 @@
 //!
 //! Three layers:
 //!
-//! - [`protocol`] — a strict JSON-lines job-intake protocol (hand-rolled,
-//!   zero dependencies) with line/field-accurate [`ProtoError`]s. Fuzzed
-//!   in `tests/intake.rs`: arbitrary bytes never panic the parser, and
-//!   [`encode_request`] → [`parse_request`] is lossless.
+//! - [`json`] + [`protocol`] — a strict JSON-lines job-intake protocol
+//!   (hand-rolled, zero dependencies): [`json`] is the codec (parser with
+//!   line-accurate [`ProtoError`]s, writer helpers), [`protocol`] the typed
+//!   requests with field-accurate decoding, each wire enum spelled in one
+//!   name table. Fuzzed in `tests/intake.rs`: arbitrary bytes never panic
+//!   the parser, and [`encode_request`] → [`parse_request`] is lossless.
 //! - [`cache`] — the cross-session prepared-state cache: a byte-budgeted
 //!   LRU ([`sc_core::SessionCache`]) keyed by a content hash of
-//!   *(mesh spec, precision, factorization options)*. Warm solves are
-//!   bitwise identical to cold ones (pinned in `tests/cache.rs`).
+//!   *(mesh spec, precision)*. Warm solves are bitwise identical to cold
+//!   ones (pinned in `tests/cache.rs`).
 //! - [`scheduler`] + [`server`] — weighted deficit-round-robin fairness in
 //!   estimated device-seconds, admission control against the shared
 //!   [`sc_gpu::DevicePool`] arena, per-job timeout/cancellation, and
@@ -37,14 +39,15 @@
 //! ```
 
 pub mod cache;
+pub mod json;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
 
 pub use cache::{content_key, prepare, PreparedCache, PreparedSession};
+pub use json::{parse_json_line, JVal, ProtoError};
 pub use protocol::{
-    encode_request, parse_json_line, parse_request, BackendTag, GluingTag, JVal, JobKind,
-    JobRequest, MeshSpec, PrecisionTag, ProtoError, Request,
+    encode_request, parse_request, BackendTag, JobKind, JobRequest, MeshSpec, PrecisionTag, Request,
 };
 pub use scheduler::{estimate_job_seconds, QueuedJob, Scheduler, TenantStats};
 pub use server::{

@@ -319,7 +319,8 @@ pub fn estimate_job_seconds(spec: &MeshSpec) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{BackendTag, GluingTag, JobKind, PrecisionTag};
+    use crate::protocol::{BackendTag, JobKind, PrecisionTag};
+    use sc_fem::Gluing;
 
     fn job(tenant: &str, id: &str, timeout_s: Option<f64>, weight: Option<f64>) -> JobRequest {
         JobRequest {
@@ -330,7 +331,7 @@ mod tests {
                 dim: 2,
                 cells: 4,
                 subs: (2, 2, 1),
-                gluing: GluingTag::Redundant,
+                gluing: Gluing::Redundant,
             },
             precision: PrecisionTag::F64,
             backend: BackendTag::Cluster,
@@ -436,7 +437,7 @@ mod tests {
             dim: 2,
             cells: 4,
             subs: (2, 2, 1),
-            gluing: GluingTag::Redundant,
+            gluing: Gluing::Redundant,
         };
         let fine = MeshSpec {
             cells: 16,
@@ -446,7 +447,7 @@ mod tests {
             dim: 3,
             cells: 4,
             subs: (2, 2, 2),
-            gluing: GluingTag::Redundant,
+            gluing: Gluing::Redundant,
         };
         assert!(estimate_job_seconds(&fine) > estimate_job_seconds(&small));
         assert!(estimate_job_seconds(&cube) > estimate_job_seconds(&small));

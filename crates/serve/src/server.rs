@@ -16,35 +16,31 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sc_core::{estimate_cost, Backend, DeviceSlot, Precision, ScConfig, SessionCacheStats};
-use sc_feti::{FetiOptions, FetiSolverBuilder, FormulationChoice, SubdomainFactors};
+use sc_feti::{FetiSolverBuilder, FormulationChoice, SubdomainFactors};
 use sc_gpu::{DevicePool, DeviceSpec};
 
 use crate::cache::{content_key, prepare, PreparedCache};
+use crate::json::{write_json_f64, write_json_str};
 use crate::protocol::{
-    parse_request, write_json_f64, write_json_str, BackendTag, JobKind, JobRequest, MeshSpec,
-    PrecisionTag, Request,
+    parse_request, BackendTag, JobKind, JobRequest, MeshSpec, PrecisionTag, Request, WireName,
 };
 use crate::scheduler::{estimate_job_seconds, QueuedJob, Scheduler, TenantStats};
 
-/// Service configuration.
+/// DRR credit per tenant visit, in device-seconds. Must sit well below the
+/// cost of the smallest expected job, or deficit round-robin degenerates
+/// into one-job-per-visit round-robin and coarse-job tenants are
+/// over-served (the §4.4 estimates for the served mesh family bottom out
+/// around `3e-7 s`).
+const QUANTUM_S: f64 = 1e-7;
+
+/// Service configuration. Every job factorizes and iterates under
+/// [`sc_feti::FetiOptions::default`].
 #[derive(Clone)]
 pub struct ServeOptions {
     /// The shared (simulated) device pool all cluster jobs run on.
     pub pool: Arc<DevicePool>,
     /// Byte budget of the cross-session prepared-state cache.
     pub cache_budget_bytes: usize,
-    /// DRR credit per tenant visit, in device-seconds. Must sit well below
-    /// the cost of the smallest expected job, or deficit round-robin
-    /// degenerates into one-job-per-visit round-robin and coarse-job
-    /// tenants are over-served (the §4.4 estimates for the served mesh
-    /// family bottom out around `3e-7 s`).
-    pub quantum_s: f64,
-    /// Retain full [`JobOutcome`]s (λ, per-subdomain u) for in-process
-    /// retrieval. Off for the wire front-ends — a long-lived server must
-    /// not grow per-job memory.
-    pub keep_results: bool,
-    /// Factorization/PCPG options shared by every job.
-    pub feti: FetiOptions,
 }
 
 impl Default for ServeOptions {
@@ -52,15 +48,12 @@ impl Default for ServeOptions {
         ServeOptions {
             pool: DevicePool::uniform(DeviceSpec::a100(), 2, 2),
             cache_budget_bytes: 256 << 20,
-            quantum_s: 1e-7,
-            keep_results: false,
-            feti: FetiOptions::default(),
         }
     }
 }
 
-/// What one executed job produced (retained when
-/// [`ServeOptions::keep_results`] is set).
+/// What one executed job produced, retained by a [`ServeHandle`] for
+/// [`ServeHandle::take_outcome`].
 #[derive(Clone, Debug)]
 pub struct JobOutcome {
     pub tenant: String,
@@ -89,26 +82,29 @@ pub struct Service {
     sched: Scheduler,
     /// 1-based count of protocol lines seen, carried into every error.
     line_no: usize,
-    results: HashMap<(String, String), JobOutcome>,
+    /// Full [`JobOutcome`]s (λ, per-subdomain u) for in-process retrieval:
+    /// `Some` only under a [`ServeHandle`] — a long-lived wire server must
+    /// not grow per-job memory.
+    results: Option<HashMap<(String, String), JobOutcome>>,
     /// Measured-rate calibration of the submit-time cost estimates:
-    /// running mean of realized device-seconds per (content key, job
-    /// kind). The closed-form §4.4 estimate prices a job the service has
+    /// running mean of realized device-seconds per (content key, job kind,
+    /// backend). The closed-form §4.4 estimate prices a job the service has
     /// never run; once a key has completed, its realized cost replaces the
-    /// model, so the fair scheduler divides device-seconds tenants
-    /// actually consume, not what the nominal rate predicts.
-    realized: HashMap<(u64, JobKind), (f64, usize)>,
+    /// model, so the fair scheduler divides what tenants actually consume.
+    /// The backend is in the key because `cpu` jobs bill host wall seconds
+    /// and `cluster` jobs simulated device seconds.
+    realized: HashMap<(u64, JobKind, BackendTag), (f64, usize)>,
 }
 
 impl Service {
     pub fn new(opts: ServeOptions) -> Self {
         let cache = PreparedCache::new(opts.cache_budget_bytes);
-        let sched = Scheduler::new(opts.quantum_s);
         Service {
             opts,
             cache,
-            sched,
+            sched: Scheduler::new(QUANTUM_S),
             line_no: 0,
-            results: HashMap::new(),
+            results: None,
             realized: HashMap::new(),
         }
     }
@@ -154,12 +150,12 @@ impl Service {
             self.sched.note_rejected(&job.tenant);
             return admission_error(self.line_no, &msg);
         }
-        let key = content_key(&job.spec, job.precision, &self.opts.feti);
-        let est = match self.realized.get(&(key, job.kind)) {
+        let key = content_key(&job.spec, job.precision);
+        let est = match self.realized.get(&(key, job.kind, job.backend)) {
             Some((mean, _)) => *mean,
             None => estimate_job_seconds(&job.spec),
         };
-        let op = op_name(job.kind);
+        let op = job.kind.name();
         let tenant = job.tenant.clone();
         let id = job.job.clone();
         let depth = self.sched.submit(job, key, est);
@@ -225,16 +221,15 @@ impl Service {
             );
             let (mean, n) = self
                 .realized
-                .entry((qj.key, qj.req.kind))
+                .entry((qj.key, qj.req.kind, qj.req.backend))
                 .or_insert((0.0, 0));
             *n += 1;
             *mean += (outcome.device_s - *mean) / *n as f64; // sc-analyze: allow(precision-discipline)
             spent += outcome.device_s;
             drained += 1;
             lines.push(done_line(&outcome));
-            if self.opts.keep_results {
-                self.results
-                    .insert((outcome.tenant.clone(), outcome.job.clone()), outcome);
+            if let Some(results) = &mut self.results {
+                results.insert((outcome.tenant.clone(), outcome.job.clone()), outcome);
             }
         }
         let mut fin = String::from("{\"ok\":true,\"event\":\"drained\",\"jobs\":");
@@ -257,7 +252,7 @@ impl Service {
             Some(p) => (p, true, 0.0),
             None => {
                 let t0 = Instant::now();
-                let built = Arc::new(prepare(&req.spec, &self.opts.feti));
+                let built = Arc::new(prepare(&req.spec));
                 let secs = t0.elapsed().as_secs_f64();
                 let bytes = built.bytes;
                 self.cache.insert(qj.key, Arc::clone(&built), bytes);
@@ -293,7 +288,6 @@ impl Service {
 
         let t0 = Instant::now();
         let solver = FetiSolverBuilder::new()
-            .options(self.opts.feti.clone())
             .backend(backend)
             .formulation(FormulationChoice::Explicit)
             .assembly(ScConfig::Auto)
@@ -366,13 +360,6 @@ impl Service {
     }
 }
 
-fn op_name(kind: JobKind) -> &'static str {
-    match kind {
-        JobKind::Assemble => "assemble",
-        JobKind::Solve => "solve",
-    }
-}
-
 fn precision_of(tag: PrecisionTag) -> Precision {
     match tag {
         PrecisionTag::F64 => Precision::F64,
@@ -424,7 +411,8 @@ fn arena_fit(
 
 /// Analytic per-subdomain working-set proxy for admission: the dense
 /// triangular-solve result `Y` (`n × m`) plus the assembled `F̃` tile
-/// (`m × m`) at the working precision's width.
+/// (`m × m`) at the working precision's width. Saturates: the largest 3D
+/// job the protocol accepts would overflow `usize`.
 fn working_set_bytes(spec: &MeshSpec, precision: PrecisionTag) -> usize {
     let n = (spec.cells + 1).pow(u32::from(spec.dim));
     let m = if spec.dim == 2 {
@@ -436,7 +424,9 @@ fn working_set_bytes(spec: &MeshSpec, precision: PrecisionTag) -> usize {
         PrecisionTag::F64 => 8,
         PrecisionTag::F32Refined => 4,
     };
-    width * (n * m + m * m)
+    n.saturating_mul(m)
+        .saturating_add(m.saturating_mul(m))
+        .saturating_mul(width)
 }
 
 /// The structured `admission` error response to protocol line `line`.
@@ -455,7 +445,7 @@ fn done_line(o: &JobOutcome) -> String {
     s.push_str(",\"job\":");
     write_json_str(&mut s, &o.job);
     s.push_str(",\"op\":");
-    write_json_str(&mut s, op_name(o.kind));
+    write_json_str(&mut s, o.kind.name());
     s.push_str(",\"cache\":");
     write_json_str(&mut s, if o.cache_hit { "hit" } else { "miss" });
     s.push_str(",\"prep_s\":");
@@ -496,11 +486,10 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    pub fn new(mut opts: ServeOptions) -> Self {
-        opts.keep_results = true;
-        ServeHandle {
-            service: Service::new(opts),
-        }
+    pub fn new(opts: ServeOptions) -> Self {
+        let mut service = Service::new(opts);
+        service.results = Some(HashMap::new());
+        ServeHandle { service }
     }
 
     /// Submit one protocol line; returns the response lines.
@@ -512,6 +501,7 @@ impl ServeHandle {
     pub fn take_outcome(&mut self, tenant: &str, job: &str) -> Option<JobOutcome> {
         self.service
             .results
+            .as_mut()?
             .remove(&(tenant.to_string(), job.to_string()))
     }
 
@@ -594,6 +584,7 @@ pub fn serve_tcp(addr: &str, opts: ServeOptions) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse_json_line, JVal};
 
     fn small_opts() -> ServeOptions {
         ServeOptions {
@@ -688,7 +679,6 @@ mod tests {
         };
         let mut h = ServeHandle::new(ServeOptions {
             pool: DevicePool::uniform(spec, 1, 1),
-            keep_results: true,
             ..ServeOptions::default()
         });
         let r = h.request(
@@ -755,8 +745,49 @@ mod tests {
         assert!(lines[3].contains("bye"));
         // every response line is itself valid protocol JSON
         for (i, l) in lines.iter().enumerate() {
-            crate::protocol::parse_json_line(l.as_bytes(), i + 1).expect("valid JSON");
+            parse_json_line(l.as_bytes(), i + 1).expect("valid JSON");
         }
+    }
+
+    /// The `est_s` an `accepted` line quotes.
+    fn est_s(line: &str) -> f64 {
+        let Ok(JVal::Obj(fields)) = parse_json_line(line.as_bytes(), 1) else {
+            panic!("not a JSON object: {line}")
+        };
+        match fields.iter().find(|(k, _)| k == "est_s") {
+            Some((_, JVal::Num(v))) => *v,
+            _ => panic!("no est_s: {line}"),
+        }
+    }
+
+    #[test]
+    fn cpu_wall_seconds_never_price_a_cluster_job() {
+        // the same mesh on both backends shares a content key; the realized
+        // cost of a cpu job (host wall seconds) must not move the estimate
+        // of a later cluster job (simulated device seconds)
+        let cluster_est = |with_cpu_job: bool| {
+            let mut h = ServeHandle::new(small_opts());
+            h.request(&submit_line("a", "c1", "solve"));
+            h.request("{\"op\":\"run\"}");
+            if with_cpu_job {
+                h.request(&submit_line("a", "h1", "solve").replace('}', ",\"backend\":\"cpu\"}"));
+                h.request("{\"op\":\"run\"}");
+            }
+            est_s(&h.request(&submit_line("a", "c2", "solve"))[0])
+        };
+        let alone = cluster_est(false);
+        assert!(alone > 0.0);
+        assert_eq!(cluster_est(true).to_bits(), alone.to_bits());
+    }
+
+    #[test]
+    fn largest_3d_job_is_rejected_without_overflow() {
+        let mut h = ServeHandle::new(small_opts());
+        let r = h.request(
+            "{\"op\":\"solve\",\"tenant\":\"a\",\"job\":\"max\",\
+             \"dim\":3,\"cells\":4096,\"subs\":[1,1,1]}",
+        );
+        assert!(r[0].contains("\"kind\":\"admission\""), "{}", r[0]);
     }
 
     #[test]

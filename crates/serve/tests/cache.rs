@@ -18,9 +18,10 @@
 //!    splits device-seconds across equal-weight tenants within 1.5×.
 
 use proptest::prelude::*;
+use sc_fem::Gluing;
 use sc_serve::{
-    encode_request, BackendTag, GluingTag, JobKind, JobOutcome, JobRequest, MeshSpec, PrecisionTag,
-    Request, ServeHandle, ServeOptions, TenantStats,
+    encode_request, BackendTag, JobKind, JobOutcome, JobRequest, MeshSpec, PrecisionTag, Request,
+    ServeHandle, ServeOptions, TenantStats,
 };
 
 fn submit(
@@ -232,7 +233,7 @@ fn submit_mix(svc: &mut ServeHandle, phase: &str) {
                     dim: t.dim,
                     cells: t.cells,
                     subs: t.subs,
-                    gluing: GluingTag::Redundant,
+                    gluing: Gluing::Redundant,
                 },
                 precision: PrecisionTag::F64,
                 backend: BackendTag::Cluster,

@@ -11,9 +11,10 @@
 //!    identity on every representable [`Request`].
 
 use proptest::prelude::*;
+use sc_fem::Gluing;
 use sc_serve::{
-    encode_request, parse_json_line, parse_request, BackendTag, GluingTag, JobKind, JobRequest,
-    MeshSpec, PrecisionTag, ProtoError, Request,
+    encode_request, parse_json_line, parse_request, BackendTag, JobKind, JobRequest, MeshSpec,
+    PrecisionTag, ProtoError, Request,
 };
 
 fn check_structured(err: &ProtoError, line_no: usize) -> Result<(), TestCaseError> {
@@ -100,9 +101,9 @@ fn arb_request() -> impl Strategy<Value = Request> {
                             cells,
                             subs: (sx, sy, if dim == 2 { 1 } else { sz }),
                             gluing: if gluing_pick == 0 {
-                                GluingTag::Redundant
+                                Gluing::Redundant
                             } else {
-                                GluingTag::Chain
+                                Gluing::Chain
                             },
                         },
                         precision: if prec_pick == 0 {
@@ -215,7 +216,7 @@ proptest! {
 
 #[test]
 fn oversized_line_is_rejected_without_allocation_blowup() {
-    let line = vec![b'['; sc_serve::protocol::MAX_LINE_BYTES + 1];
+    let line = vec![b'['; sc_serve::json::MAX_LINE_BYTES + 1];
     let err = parse_json_line(&line, 9).expect_err("over-long lines are rejected");
     assert_eq!(err.line, 9);
     assert!(err.msg.contains("longer than"));

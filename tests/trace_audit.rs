@@ -124,17 +124,15 @@ fn kernels() -> AssemblyReport {
 /// cold path), Arc-shared factors into the solver build, explicit assembly
 /// on the shared pool.
 fn serve() -> AssemblyReport {
-    let opts = sc_feti::FetiOptions::default();
     let spec = sc_serve::MeshSpec {
         dim: 3,
         cells: 6,
         subs: (2, 2, 2),
-        gluing: sc_serve::GluingTag::Redundant,
+        gluing: sc_fem::Gluing::Redundant,
     };
-    let prep = sc_serve::prepare(&spec, &opts);
+    let prep = sc_serve::prepare(&spec);
     let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
     let solver = sc_feti::FetiSolverBuilder::new()
-        .options(opts)
         .backend(Backend::cluster(pool))
         .formulation(sc_feti::FormulationChoice::Explicit)
         .assembly(ScConfig::Auto)
