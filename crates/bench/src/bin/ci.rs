@@ -23,6 +23,7 @@
 //! Nothing here measures performance or gates on it: verdicts are
 //! `cargo test` (the `test` stage), measurements are `benchmark/`.
 
+use std::path::Path;
 use std::process::Command;
 
 const STAGES: &[&str] = &[
@@ -37,17 +38,26 @@ const STAGES: &[&str] = &[
     "paper",
 ];
 
-/// Every example of the facade crate, built and run by the `examples`
-/// stage (the workflow's examples matrix leg drives one each).
-const EXAMPLES: &[&str] = &[
-    "quickstart",
-    "heat2d_feti",
-    "heat3d_gpu_assembly",
-    "amortization",
-    "tuning",
-    "multinode",
-    "serve",
-];
+/// Every example of the facade crate — the stems of `examples/*.rs`,
+/// sorted — built and run by the `examples` stage (the workflow's examples
+/// matrix leg drives one each; `crates/bench/tests/examples_matrix.rs`
+/// keeps that matrix equal to this list).
+fn examples() -> Vec<String> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| {
+        eprintln!("ci: cannot list {}: {e}", dir.display());
+        std::process::exit(1);
+    });
+    let mut names: Vec<String> = entries
+        .filter_map(|e| {
+            let path = e.ok()?.path();
+            let stem = path.file_stem()?.to_str()?;
+            (path.extension()? == "rs").then(|| stem.to_string())
+        })
+        .collect();
+    names.sort();
+    names
+}
 
 struct Args {
     stage: String,
@@ -59,7 +69,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: ci [--stage <all|{}>] [--only-example <{}>]",
         STAGES.join("|"),
-        EXAMPLES.join("|"),
+        examples().join("|"),
     );
     std::process::exit(2);
 }
@@ -99,8 +109,9 @@ fn parse_args() -> Args {
         std::process::exit(2);
     }
     if let Some(ex) = &args.only_example {
-        if !EXAMPLES.contains(&ex.as_str()) {
-            eprintln!("unknown example '{ex}' — examples: {EXAMPLES:?}");
+        let examples = examples();
+        if !examples.contains(ex) {
+            eprintln!("unknown example '{ex}' — examples: {examples:?}");
             std::process::exit(2);
         }
     }
@@ -195,14 +206,14 @@ fn main() {
             "examples:build",
             cargo(&["build", "--release", "--examples"]),
         );
-        let examples: Vec<&str> = match &args.only_example {
-            Some(ex) => vec![ex.as_str()],
-            None => EXAMPLES.to_vec(),
+        let examples = match &args.only_example {
+            Some(ex) => vec![ex.clone()],
+            None => examples(),
         };
         for ex in examples {
             step(
                 &format!("examples:run:{ex}"),
-                cargo(&["run", "--release", "--example", ex]),
+                cargo(&["run", "--release", "--example", &ex]),
             );
         }
     }

@@ -14,9 +14,8 @@
 
 use crate::exec::Exec;
 use crate::stepped::SteppedRhsOf;
-use crate::syrk::{run_syrk_with_cache, SyrkVariant};
-use crate::trsm::{run_trsm_with_cache, FactorStorage, TrsmVariant};
-use crate::tune::BlockCutsCache;
+use crate::syrk::{run_syrk, SyrkVariant};
+use crate::trsm::{run_trsm, FactorStorage, TrsmVariant};
 use sc_dense::{MatOf, Scalar};
 use sc_sparse::{CscOf, RowClosure};
 
@@ -170,19 +169,6 @@ pub fn assemble_sc<S: Scalar, E: Exec<S>>(
     bt: &CscOf<S>,
     cfg: &ScConfig,
 ) -> MatOf<S> {
-    assemble_sc_with_cache(exec, l, bt, cfg, None)
-}
-
-/// [`assemble_sc`] with an optional shared [`BlockCutsCache`]; the batched
-/// driver passes one cache for the whole cluster so equal-shape subdomains
-/// resolve their block partitions once.
-pub(crate) fn assemble_sc_with_cache<S: Scalar, E: Exec<S>>(
-    exec: &mut E,
-    l: &CscOf<S>,
-    bt: &CscOf<S>,
-    cfg: &ScConfig,
-    cache: Option<&BlockCutsCache>,
-) -> MatOf<S> {
     let n = l.ncols();
     assert_eq!(bt.nrows(), n, "B̃ᵀ rows must live in factor space");
     let m = bt.ncols();
@@ -227,19 +213,18 @@ pub(crate) fn assemble_sc_with_cache<S: Scalar, E: Exec<S>>(
     let mut y = stepped.to_dense();
     exec.gather(stepped.bt.nnz());
 
-    run_trsm_with_cache(
+    run_trsm(
         exec,
         l,
         &stepped,
         params.factor_storage,
         trsm_variant,
         &mut y,
-        cache,
     );
     drop(closure); // the SYRK reads only `Y` and the stepped `B̃ᵀ`
 
     let mut f = MatOf::<S>::zeros(m, m);
-    run_syrk_with_cache(exec, &y, &stepped, syrk_variant, &mut f, cache);
+    run_syrk(exec, &y, &stepped, syrk_variant, &mut f);
     f.symmetrize_from_lower();
 
     // back to original multiplier ordering (the "final phase" permutation)

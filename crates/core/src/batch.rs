@@ -3,12 +3,10 @@
 //! The paper's production setting (like its CUDA predecessor, arXiv:2502.08382)
 //! assembles the dense local dual operators `F̃ᵢ` of **hundreds of subdomains
 //! per cluster**, one OpenMP thread per subdomain. This module is that loop:
-//! the drivers fan the per-subdomain [`assemble_sc`](crate::assemble_sc)
-//! pipelines out over rayon, sharing one crate-private block-cut memo table
-//! so that subdomains of equal closure order (the assembly solves on the
-//! closure of `B̃ᵀ`'s rows) resolve their [`BlockParam`](crate::tune::BlockParam)
-//! partitions once, and recording per-subdomain timings for
-//! load-balance diagnostics.
+//! the drivers fan the per-subdomain [`assemble_sc`] pipelines out over
+//! rayon and record per-subdomain timings for load-balance diagnostics. The drivers share no state between subdomains:
+//! each task computes its own block cuts, a pure function of the
+//! [`BlockParam`](crate::tune::BlockParam) and its closure order.
 //!
 //! The public entry point is
 //! [`AssemblySession::assemble`](crate::session::AssemblySession::assemble), which
@@ -41,10 +39,9 @@
 //!   the batch: routing it elsewhere is the hybrid planner's decision
 //!   ([`plan_hybrid`](crate::plan_hybrid)), made before the batch is built.
 //!
-//! Results are **identical** to running [`assemble_sc`](crate::assemble_sc) per subdomain
-//! sequentially: every subdomain's pipeline is independent and the cache only
-//! memoizes block boundaries, not numerics (dedicated tests assert bitwise
-//! equality for every target).
+//! Results are **identical** to running [`assemble_sc`] per subdomain
+//! sequentially: every subdomain's pipeline is independent (dedicated tests
+//! assert bitwise equality for every target).
 //!
 //! ## Clocks
 //!
@@ -55,7 +52,7 @@
 //! commensurable clocks; the device makespan lives in
 //! [`AssemblyReport::makespan`].
 
-use crate::assemble::{assemble_sc_with_cache, ScConfig};
+use crate::assemble::{assemble_sc, ScConfig};
 use crate::exec::{CpuExec, RecordingExec};
 use crate::schedule::{
     self, plan_topology_by, ClusterPlanError, CostEstimate, DeviceSlot, ScheduleOptions,
@@ -63,7 +60,6 @@ use crate::schedule::{
 };
 use crate::session::{AssemblyReport, DeviceReport, NodeReport};
 use crate::source::BatchSource;
-use crate::tune::BlockCutsCache;
 use rayon::prelude::*;
 use sc_dense::{MatOf, Scalar};
 use sc_gpu::{ArenaSim, Device, DeviceSpec, Interconnect, SimSpan, Trace, TraceEvent};
@@ -73,7 +69,7 @@ use std::time::Instant;
 
 /// Per-subdomain input to the batched assembler: the subdomain's Cholesky
 /// factor and its gluing block with rows already in factor order (the same
-/// pair [`assemble_sc`](crate::assemble_sc) takes).
+/// pair [`assemble_sc`] takes).
 #[derive(Clone, Copy)]
 pub struct BatchItemOf<'a, S: Scalar = f64> {
     /// Cholesky factor of the regularized subdomain matrix (CSC, diag-first).
@@ -133,13 +129,11 @@ impl SubdomainTiming {
 }
 
 /// CPU batch driver over any [`BatchSource`]: one rayon task per subdomain
-/// — the paper's one-thread-per-subdomain cluster loop — all sharing a
-/// single [`BlockCutsCache`].
+/// — the paper's one-thread-per-subdomain cluster loop.
 pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
     src: Src,
     cfg: &ScConfig,
 ) -> (Vec<MatOf<S>>, AssemblyReport) {
-    let cache = BlockCutsCache::new();
     let t0 = Instant::now();
     let assembled: Vec<(MatOf<S>, SubdomainTiming)> = (0..src.len())
         .into_par_iter()
@@ -147,7 +141,7 @@ pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
             let t = Instant::now();
             let l = src.factor(i);
             let bt = src.gluing(i);
-            let f = assemble_sc_with_cache(&mut CpuExec, l, bt, cfg, Some(&cache));
+            let f = assemble_sc(&mut CpuExec, l, bt, cfg);
             let timing =
                 SubdomainTiming::on_host(i, l.ncols(), bt.ncols(), t.elapsed().as_secs_f64());
             (f, timing)
@@ -158,8 +152,6 @@ pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
     let report = AssemblyReport {
         subdomains,
         total_seconds,
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
         ..Default::default()
     };
     (f, report)
@@ -192,10 +184,10 @@ pub(crate) type DeviceGroup<'a> = (&'a [Arc<Device>], Option<Interconnect>);
 ///
 /// # Panics
 ///
-/// When `opts.ready_at` does not carry one entry per batch item; when the
-/// batch is non-empty and `topo` holds no usable device
-/// ([`ClusterPlanError::NoDevices`]); or when a subdomain's temporaries
-/// exceed every device's arena ([`ClusterPlanError::Spilled`]).
+/// When `opts.ready_at` does not carry one finite, non-negative entry per
+/// batch item; when the batch is non-empty and `topo` holds no usable
+/// device ([`ClusterPlanError::NoDevices`]); or when a subdomain's
+/// temporaries exceed every device's arena ([`ClusterPlanError::Spilled`]).
 pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
     src: Src,
     cfg: &ScConfig,
@@ -212,6 +204,13 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
             ready.len(),
             src.len()
         );
+        for (i, &t) in ready.iter().enumerate() {
+            assert!(
+                t.is_finite() && t >= 0.0,
+                "ScheduleOptions::ready_at[{i}] = {t} is not a finite, \
+                 non-negative readiness time"
+            );
+        }
     }
     let t0 = Instant::now();
     let slots: Vec<DeviceSlot> = groups
@@ -221,11 +220,10 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
 
     // record: every subdomain **once** — the numerics, kernel sequences and
     // arena footprints feed every planning level and the replay
-    let cache = BlockCutsCache::new();
     let ref_spec = slots
         .first()
         .map_or_else(DeviceSpec::host, |s| s.spec.clone());
-    let (recorded, costs) = record_batch(&src, cfg, &ref_spec, &cache);
+    let (recorded, costs) = record_batch(&src, cfg, &ref_spec);
 
     // plan: the whole tree in one call. A device vertex sits at `[d]` below
     // a two-level root and at `[node, d]` below a three-level one
@@ -345,8 +343,6 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
     }
 
     report.subdomains.sort_by_key(|t| t.index);
-    report.cache_hits = cache.hits();
-    report.cache_misses = cache.misses();
     report.total_seconds = t0.elapsed().as_secs_f64();
     (recorded.into_iter().map(|r| r.f).collect(), report)
 }
@@ -370,7 +366,6 @@ fn record_batch<S: Scalar, Src: BatchSource<S>>(
     src: &Src,
     cfg: &ScConfig,
     spec: &DeviceSpec,
-    cache: &BlockCutsCache,
 ) -> (Vec<Recorded<S>>, Vec<CostEstimate>) {
     (0..src.len())
         .into_par_iter()
@@ -383,7 +378,7 @@ fn record_batch<S: Scalar, Src: BatchSource<S>>(
             let mut rec = RecordingExec::new();
             rec.record_upload_csc(l);
             rec.record_upload_csc(bt);
-            let f = assemble_sc_with_cache(&mut rec, l, bt, cfg, Some(cache));
+            let f = assemble_sc(&mut rec, l, bt, cfg);
             rec.record_download_bytes(0); // result stays on device
             let (costs, accesses) = rec.into_recording();
             let recorded = Recorded {
@@ -721,20 +716,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_shared_across_equal_subdomains() {
+    fn cpu_batch_report_times_every_subdomain_on_the_host() {
         let data = factorized(&cluster(8, 6, 10));
         let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(false, false);
         let (_, r) = batch_cpu(items.as_slice(), &cfg);
-        // Equal-size subdomains: after the first resolution per (param, n)
-        // the rest must hit. With 8 subdomains there are far more lookups
-        // than distinct keys.
-        assert!(
-            r.cache_hits > r.cache_misses,
-            "expected mostly hits, got {} hits / {} misses",
-            r.cache_hits,
-            r.cache_misses
-        );
         assert_eq!(r.subdomains.len(), 8);
         assert!(r.subdomains.iter().all(|t| t.seconds >= 0.0));
         assert!(r.subdomains.iter().all(|t| t.host_seconds >= 0.0));
@@ -934,6 +920,30 @@ mod tests {
                 e.index,
                 e.span.start,
                 ready[e.index]
+            );
+        }
+    }
+
+    #[test]
+    fn bad_readiness_times_are_rejected_by_subdomain_and_value() {
+        let data = factorized(&cluster(4, 6, 10));
+        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let dev = Device::new(DeviceSpec::a100(), 2);
+            let opts = ScheduleOptions::default().with_ready_at(vec![0.0, 0.0, bad, 0.0]);
+            let cfg = ScConfig::optimized(true, false);
+            let err = std::panic::catch_unwind(|| on_gpu(items.as_slice(), &cfg, &dev, &opts))
+                .expect_err("a bad readiness time must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert_eq!(
+                msg,
+                format!(
+                    "ScheduleOptions::ready_at[2] = {bad} is not a finite, non-negative \
+                     readiness time"
+                )
             );
         }
     }

@@ -41,8 +41,8 @@ pub use schedule::{
     HybridPlanOptions, ScheduleOptions, ScheduledSpan, StreamPolicy, TopoPlan, Topology,
 };
 pub use session::{
-    AssemblyReport, AssemblyResult, AssemblySession, Backend, DeviceReport, HybridSummary,
-    NodeReport, Precision, StreamLane, Target,
+    AssemblyReport, AssemblyResult, AssemblySession, Backend, DeviceReport, NodeReport, Precision,
+    StreamLane, Target,
 };
 pub use sessioncache::{ContentHasher, SessionCache, SessionCacheStats};
 pub use source::BatchSource;

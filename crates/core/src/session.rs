@@ -47,9 +47,7 @@
 
 use crate::assemble::ScConfig;
 use crate::batch::{batch_cpu, batch_devices, DeviceGroup, SubdomainTiming};
-use crate::schedule::{
-    DeviceSlot, Formulation, HybridPlan, ScheduleOptions, ScheduledSpan, Topology,
-};
+use crate::schedule::{DeviceSlot, HybridPlan, ScheduleOptions, ScheduledSpan, Topology};
 use crate::source::BatchSource;
 use sc_dense::{Mat, MatOf, Scalar};
 use sc_gpu::{Device, DevicePool, NodePool};
@@ -341,6 +339,17 @@ impl Backend {
         }
     }
 
+    /// The scheduling options of a device target, for in-place edits;
+    /// `None` on the host target.
+    pub fn schedule_mut(&mut self) -> Option<&mut ScheduleOptions> {
+        match &mut self.target {
+            Target::Cpu => None,
+            Target::Gpu { schedule: opts, .. }
+            | Target::Cluster { opts, .. }
+            | Target::MultiNode { opts, .. } => Some(opts),
+        }
+    }
+
     /// Every device of the target, flat, in the numbering
     /// [`AssemblyReport::devices`] and [`SubdomainTiming::device`] use (the
     /// one GPU; a pool's devices; a cluster's devices node-major). Empty on
@@ -509,27 +518,6 @@ pub struct NodeReport {
     pub exchange_seconds: f64,
 }
 
-/// The hybrid section of an [`AssemblyReport`]: the cost-model plan that
-/// split the batch across formulations ([`plan_hybrid`](crate::plan_hybrid),
-/// run by the FETI auto formulation) and what the plan cannot say. The spill
-/// list is `plan.spilled`, the predicted assembly the plan's explicit
-/// `assembly_seconds`; the device makespan, arena high water and precision
-/// are the surrounding report's.
-#[derive(Clone, Debug)]
-pub struct HybridSummary {
-    /// The per-subdomain plan the batch was realized from.
-    pub plan: HybridPlan,
-    /// Realized host wall seconds of the explicit-CPU share.
-    pub realized_cpu_seconds: f64,
-}
-
-impl HybridSummary {
-    /// Number of subdomains realized with the given formulation.
-    pub fn count_of(&self, f: Formulation) -> usize {
-        self.plan.count_of(f)
-    }
-}
-
 /// The one report type of the unified surface: per-subdomain timings, per
 /// device the per-stream execution timeline, and — when the backend split
 /// the batch — the hybrid decisions. Every execution target fills the same
@@ -547,16 +535,20 @@ pub struct AssemblyReport {
     /// Per-node roll-ups over `devices` (empty unless the batch ran on a
     /// [`Target::MultiNode`] backend).
     pub nodes: Vec<NodeReport>,
-    /// Hybrid split decisions (`None` unless a decision layer split the
-    /// batch).
-    pub hybrid: Option<HybridSummary>,
+    /// The cost-model plan that split the batch across formulations
+    /// ([`plan_hybrid`](crate::plan_hybrid), run by the FETI auto
+    /// formulation); `None` unless a decision layer split the batch.
+    pub hybrid: Option<HybridPlan>,
     /// Host wall time of the whole batched assembly.
     pub total_seconds: f64,
     /// Simulated device makespan (largest per-device makespan; 0 on CPU).
     pub makespan: f64,
-    /// Block-cut resolutions served from the shared cache.
+    /// Always 0: block cuts are computed per subdomain, with no memo table.
+    /// Kept only while the benchmark's `core.cuts_cache_hit_share` row reads
+    /// it; ROADMAP item 1(c), "Retire `core.cuts_cache_hit_share`", deletes
+    /// it.
     pub cache_hits: usize,
-    /// Block-cut resolutions computed fresh.
+    /// Always 0, like [`cache_hits`](Self::cache_hits), and deleted with it.
     pub cache_misses: usize,
     /// Working precision the batch was assembled under.
     pub precision: Precision,
@@ -601,7 +593,7 @@ impl AssemblyReport {
     /// When `self.hybrid` is `Some`: its plan is indexed by batch position
     /// and cannot be re-expanded from `map` alone, so a
     /// remapped hybrid section would be internally inconsistent. Merge the
-    /// shares first, then attach the global hybrid summary.
+    /// shares first, then attach the global hybrid plan.
     pub fn remap_indices(&mut self, map: &[usize]) {
         assert!(
             self.hybrid.is_none(),

@@ -17,7 +17,7 @@
 
 use crate::exec::Exec;
 use crate::stepped::SteppedRhsOf;
-use crate::tune::{row_cuts, BlockCutsCache, BlockParam};
+use crate::tune::{resolve_block, BlockParam};
 use sc_dense::{MatOf, Scalar};
 
 /// SYRK algorithm selector.
@@ -39,19 +39,6 @@ pub fn run_syrk<S: Scalar, E: Exec<S>>(
     variant: SyrkVariant,
     f: &mut MatOf<S>,
 ) {
-    run_syrk_with_cache(exec, y, stepped, variant, f, None)
-}
-
-/// [`run_syrk`] with an optional shared block-cut memo table (see
-/// [`BlockCutsCache`]).
-pub(crate) fn run_syrk_with_cache<S: Scalar, E: Exec<S>>(
-    exec: &mut E,
-    y: &MatOf<S>,
-    stepped: &SteppedRhsOf<S>,
-    variant: SyrkVariant,
-    f: &mut MatOf<S>,
-    cache: Option<&BlockCutsCache>,
-) {
     let n = y.nrows();
     let m = y.ncols();
     assert_eq!(f.nrows(), m);
@@ -63,7 +50,7 @@ pub(crate) fn run_syrk_with_cache<S: Scalar, E: Exec<S>>(
         }
         SyrkVariant::InputSplit(block) => {
             f.fill(S::ZERO);
-            let cuts = row_cuts(cache, block, n);
+            let cuts = resolve_block(block, n);
             for w in cuts.windows(2) {
                 let (r0, r1) = (w[0], w[1]);
                 // columns active in this block row ("the width of each block

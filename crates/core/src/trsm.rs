@@ -16,7 +16,7 @@
 
 use crate::exec::Exec;
 use crate::stepped::SteppedRhsOf;
-use crate::tune::{row_cuts, BlockCutsCache, BlockParam};
+use crate::tune::{resolve_block, BlockParam};
 use sc_dense::{MatMutOf, MatOf, Scalar, Trans};
 use sc_sparse::CscOf;
 
@@ -56,28 +56,13 @@ pub fn run_trsm<S: Scalar, E: Exec<S>>(
     variant: TrsmVariant,
     y: &mut MatOf<S>,
 ) {
-    run_trsm_with_cache(exec, l, stepped, storage, variant, y, None)
-}
-
-/// [`run_trsm`] with an optional shared block-cut memo table (used by the
-/// batched multi-subdomain driver so equal-shape subdomains resolve their
-/// block partitions once).
-pub(crate) fn run_trsm_with_cache<S: Scalar, E: Exec<S>>(
-    exec: &mut E,
-    l: &CscOf<S>,
-    stepped: &SteppedRhsOf<S>,
-    storage: FactorStorage,
-    variant: TrsmVariant,
-    y: &mut MatOf<S>,
-    cache: Option<&BlockCutsCache>,
-) {
     let n = l.ncols();
     assert_eq!(y.nrows(), n, "Y row mismatch");
     assert_eq!(y.ncols(), stepped.ncols(), "Y column mismatch");
     match variant {
         TrsmVariant::Plain => trsm_plain(exec, l, storage, y.as_mut()),
         TrsmVariant::FactorSplit { block, prune } => {
-            trsm_factor_split(exec, l, stepped, storage, block, prune, y, cache)
+            trsm_factor_split(exec, l, stepped, storage, block, prune, y)
         }
     }
 }
@@ -101,7 +86,6 @@ fn trsm_plain<S: Scalar, E: Exec<S>>(
 /// Factor splitting (paper Figure 3b): blocked forward substitution with a
 /// TRSM on each diagonal block (restricted to active RHS columns) and a GEMM
 /// for the sub-diagonal block, optionally pruned.
-#[allow(clippy::too_many_arguments)]
 fn trsm_factor_split<S: Scalar, E: Exec<S>>(
     exec: &mut E,
     l: &CscOf<S>,
@@ -110,10 +94,9 @@ fn trsm_factor_split<S: Scalar, E: Exec<S>>(
     block: BlockParam,
     prune: bool,
     y: &mut MatOf<S>,
-    cache: Option<&BlockCutsCache>,
 ) {
     let n = l.ncols();
-    let cuts = row_cuts(cache, block, n);
+    let cuts = resolve_block(block, n);
     for w in cuts.windows(2) {
         let (r0, r1) = (w[0], w[1]);
         // active columns: pivots strictly below r1 ("the width of the RHS

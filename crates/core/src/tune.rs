@@ -40,84 +40,6 @@ pub(crate) fn resolve_block(param: BlockParam, n: usize) -> Vec<usize> {
     cuts
 }
 
-/// Thread-safe memo table for [`BlockParam`] cut resolution, shared across
-/// the subdomains of one batched assembly.
-///
-/// In a FETI decomposition most subdomains have identical (or near-identical)
-/// dimensions, so the same `(param, n)` resolution repeats once per
-/// subdomain. Cuts depend only on the parameter and the factor's order `n`,
-/// never on the gluing pattern, so differently-glued subdomains of equal
-/// order share entries, and a cache hit always returns exactly the cuts an
-/// uncached resolution would compute — preserving the batch driver's
-/// bitwise-equality guarantee.
-#[derive(Default)]
-pub(crate) struct BlockCutsCache {
-    rows: std::sync::Mutex<std::collections::HashMap<CutsKey, std::sync::Arc<Vec<usize>>>>,
-    hits: std::sync::atomic::AtomicUsize,
-    misses: std::sync::atomic::AtomicUsize,
-}
-
-type CutsKey = (BlockParam, usize);
-
-/// Row-dimension cuts of a factor of order `n` (TRSM factor splitting, SYRK
-/// input splitting), via the shared memo table when one is provided.
-pub(crate) fn row_cuts(
-    cache: Option<&BlockCutsCache>,
-    param: BlockParam,
-    n: usize,
-) -> std::sync::Arc<Vec<usize>> {
-    match cache {
-        Some(c) => c.rows(param, n),
-        None => std::sync::Arc::new(resolve_block(param, n)),
-    }
-}
-
-impl BlockCutsCache {
-    /// Empty cache; entries populate on first resolve per `(param, n)` key.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cached [`resolve_block`] over a factor of order `n` (row-dimension
-    /// splits).
-    pub fn rows(&self, param: BlockParam, n: usize) -> std::sync::Arc<Vec<usize>> {
-        use std::collections::hash_map::Entry;
-        use std::sync::atomic::Ordering::Relaxed;
-        let key = (param, n);
-        let table = || self.rows.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(cuts) = table().get(&key) {
-            self.hits.fetch_add(1, Relaxed);
-            return std::sync::Arc::clone(cuts);
-        }
-        // Compute outside the lock, then re-check under it: a lookup that
-        // loses the insert race serves (and counts) the winner's entry, so
-        // hit/miss stats stay deterministic per distinct key regardless of
-        // how many tasks raced on first touch.
-        let cuts = std::sync::Arc::new(resolve_block(param, n));
-        match table().entry(key) {
-            Entry::Occupied(e) => {
-                self.hits.fetch_add(1, Relaxed);
-                std::sync::Arc::clone(e.get())
-            }
-            Entry::Vacant(v) => {
-                self.misses.fetch_add(1, Relaxed);
-                v.insert(std::sync::Arc::clone(&cuts));
-                cuts
-            }
-        }
-    }
-
-    /// Number of lookups served from the memo table.
-    pub fn hits(&self) -> usize {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of lookups that had to compute fresh cuts.
-    pub fn misses(&self) -> usize {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
 /// The paper's Table 1: optimal splitting parameters per algorithm, platform
 /// and dimension (`S` = block size, `C` = block count), without the RHS
 /// splitting and output splitting rows (those variants are not implemented,

@@ -8,13 +8,12 @@ use crate::regularize::regularize_fixing_node;
 use rayon::prelude::*;
 use sc_core::{
     estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
-    BatchItem, DeviceSlot, Formulation, HybridPlanOptions, HybridSummary, ScConfig,
-    ScheduleOptions, Target,
+    BatchItem, DeviceSlot, Formulation, HybridPlanOptions, ScConfig,
 };
 use sc_dense::{Mat, Scalar, SymPackedOf};
 use sc_factor::{Analysis, Engine, SparseCholesky};
 use sc_fem::{HeatProblem, Subdomain};
-use sc_gpu::{DevicePool, DeviceSpec, KernelCost, Stream};
+use sc_gpu::{DeviceSpec, KernelCost, Stream};
 use sc_sparse::{supernodal_lower_solve, supernodal_lower_t_solve, Csc, CscOf, SupernodeRuns};
 use std::sync::{Arc, Mutex};
 
@@ -459,33 +458,51 @@ pub(crate) fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) 
 
 /// The auto (hybrid) formulation: per-subdomain explicit-vs-implicit
 /// decision under the §4.4 cost model, explicit shares assembled through
-/// sessions on the backend, reports merged into one [`AssemblyReport`]
-/// (problem-global indices).
+/// sessions — the explicit-GPU share on the caller's own target, with
+/// `ready_at` sliced to the share — and the reports merged into one
+/// [`AssemblyReport`] (problem-global indices).
 ///
 /// # Panics
 ///
 /// When the backend's `ScheduleOptions::ready_at` does not carry one entry
-/// per subdomain.
+/// per subdomain, or carries a non-finite or negative entry.
 pub(crate) fn assemble_auto(
     factors: &[SubdomainFactors],
     cfg: &ScConfig,
     backend: &Backend,
     plan_opts: &HybridPlanOptions,
 ) -> (Vec<LocalOp>, AssemblyReport) {
-    // the pool the explicit-GPU share may run on: every device of the
-    // backend, flat (the per-subdomain decision layer prices no
-    // interconnect: the explicit share's placement is intra-node here) — an
-    // empty pool on the host
-    let pool = DevicePool::from_devices(backend.devices());
-    let cluster_opts = match &backend.target {
-        Target::Gpu { schedule: opts, .. }
-        | Target::Cluster { opts, .. }
-        | Target::MultiNode { opts, .. } => opts.clone(),
-        _ => ScheduleOptions::default(),
-    };
-    // checked here, not by the device driver: the explicit-GPU share below
-    // sees only its own slice of the vector
-    if let Some(ready) = cluster_opts.ready_at.as_ref() {
+    // decision layer: analytic assembly + per-iteration apply estimates per
+    // subdomain, priced against every device of the backend, flat (the
+    // per-subdomain decision prices no interconnect) — none on the host
+    let devices = backend.devices();
+    let ref_spec = devices
+        .first()
+        .map_or_else(DeviceSpec::host, |d| d.spec().clone());
+    let estimates: Vec<(sc_core::CostEstimate, sc_core::ApplyEstimate)> = factors
+        .par_iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let l = f.chol.factor_csc_ref();
+            let bt = &f.bt_perm;
+            let params = cfg.resolve(!devices.is_empty(), l, bt);
+            (
+                estimate_cost(&ref_spec, l, bt, &params, i),
+                estimate_apply(l, bt, i),
+            )
+        })
+        .collect();
+    let (costs, applies): (Vec<_>, Vec<_>) = estimates.into_iter().unzip();
+    let slots: Vec<DeviceSlot> = devices.iter().map(|d| DeviceSlot::of(d)).collect();
+    let plan = plan_hybrid(&costs, &applies, &slots, plan_opts);
+    let gpu_idx = plan.indices_of(Formulation::ExplicitGpu);
+    let cpu_idx = plan.indices_of(Formulation::ExplicitCpu);
+
+    // the explicit-GPU share runs on the caller's own target; only its
+    // readiness times are sliced to the share, checked here because the
+    // device driver sees only that slice
+    let mut gpu_backend = backend.clone();
+    if let Some(ready) = gpu_backend.schedule_mut().and_then(|o| o.ready_at.as_mut()) {
         assert_eq!(
             ready.len(),
             factors.len(),
@@ -494,33 +511,15 @@ pub(crate) fn assemble_auto(
             ready.len(),
             factors.len()
         );
+        for (i, &t) in ready.iter().enumerate() {
+            assert!(
+                t.is_finite() && t >= 0.0,
+                "ScheduleOptions::ready_at[{i}] = {t} is not a finite, \
+                 non-negative readiness time"
+            );
+        }
+        *ready = gpu_idx.iter().map(|&g| ready[g]).collect();
     }
-
-    // decision layer: analytic assembly + per-iteration apply estimates per
-    // subdomain
-    let ref_spec = if pool.is_empty() {
-        DeviceSpec::host()
-    } else {
-        pool.device(0).spec().clone()
-    };
-    let estimates: Vec<(sc_core::CostEstimate, sc_core::ApplyEstimate)> = factors
-        .par_iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let l = f.chol.factor_csc_ref();
-            let bt = &f.bt_perm;
-            let params = cfg.resolve(!pool.is_empty(), l, bt);
-            (
-                estimate_cost(&ref_spec, l, bt, &params, i),
-                estimate_apply(l, bt, i),
-            )
-        })
-        .collect();
-    let (costs, applies): (Vec<_>, Vec<_>) = estimates.into_iter().unzip();
-    let slots: Vec<DeviceSlot> = pool.devices().iter().map(|d| DeviceSlot::of(d)).collect();
-    let plan = plan_hybrid(&costs, &applies, &slots, plan_opts);
-    let gpu_idx = plan.indices_of(Formulation::ExplicitGpu);
-    let cpu_idx = plan.indices_of(Formulation::ExplicitCpu);
 
     // one slot per subdomain; non-explicit ones apply against the shared
     // factor bundle
@@ -541,42 +540,29 @@ pub(crate) fn assemble_auto(
         rep.remap_indices(idx);
         Some(rep)
     };
-    // explicit-GPU share through a cluster session (two-level plan, arena
-    // admission, record/replay — bitwise CPU-equal)
-    let mut share_opts = cluster_opts.clone();
-    share_opts.ready_at = cluster_opts
-        .ready_at
-        .as_ref()
-        .map(|r| gpu_idx.iter().map(|&g| r[g]).collect());
-    let gpu_report = assemble_share(
-        &gpu_idx,
-        Backend::cluster_with(Arc::clone(&pool), share_opts).precision(backend.precision),
-    );
+    // record/replay with arena admission — bitwise CPU-equal
+    let gpu_report = assemble_share(&gpu_idx, gpu_backend);
     // explicit-CPU share (the spill fail-over for high iteration counts)
     // through a CPU session: the only route from over-arena subdomains to
     // host assembly
     let cpu_report = assemble_share(&cpu_idx, Backend::cpu().precision(backend.precision));
 
     // roll both shares up into the unified report: timings in problem-global
-    // order, device sections from the pool share, decisions in the hybrid
-    // block
+    // order, device and node sections from the device share, the plan in
+    // the hybrid section
     let mut unified = AssemblyReport::default();
     for rep in [&gpu_report, &cpu_report].into_iter().flatten() {
         unified.subdomains.extend(rep.subdomains.iter().copied());
         unified.total_seconds += rep.total_seconds;
-        unified.cache_hits += rep.cache_hits;
-        unified.cache_misses += rep.cache_misses;
     }
-    if let Some(g) = &gpu_report {
-        unified.devices = g.devices.clone();
+    if let Some(g) = gpu_report {
+        unified.devices = g.devices;
+        unified.nodes = g.nodes;
         unified.makespan = g.makespan;
     }
     unified.subdomains.sort_by_key(|t| t.index);
     unified.precision = backend.precision;
-    unified.hybrid = Some(HybridSummary {
-        plan,
-        realized_cpu_seconds: cpu_report.as_ref().map_or(0.0, |c| c.total_seconds),
-    });
+    unified.hybrid = Some(plan);
     (ops, unified)
 }
 

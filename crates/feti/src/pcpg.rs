@@ -56,7 +56,9 @@ pub struct PcpgStats {
     /// Simulated seconds the dual-operator applications spent **waiting** on
     /// inter-node boundary exchanges that local work could not hide
     /// (0 everywhere except the multi-node backend, which stamps it after
-    /// the solve). The iteration itself never touches this field.
+    /// the solve under every formulation that places operators on its
+    /// devices, `Auto` included). The iteration itself never touches this
+    /// field.
     pub exchange_stall_seconds: f64,
 }
 

@@ -308,7 +308,8 @@ pub struct FetiSolver<'p> {
     /// The unified preprocessing report (`None` for the implicit mode).
     report: Option<AssemblyReport>,
     /// Simulated PCPG boundary-exchange overlap; `Some` exactly when the
-    /// backend is a multi-node pool with device-resident operators.
+    /// backend is a multi-node pool with device-resident operators (the
+    /// explicit formulation, or the explicit-GPU share of `Auto`).
     exchange_sim: Option<ExchangeSim>,
 }
 
@@ -683,7 +684,7 @@ mod tests {
     use sc_dense::SymPackedOf;
     use sc_factor::{CholOptions, SparseCholesky};
     use sc_fem::Gluing;
-    use sc_gpu::{Device, DevicePool, DeviceSpec};
+    use sc_gpu::{Device, DevicePool, DeviceSpec, Interconnect, NodePool};
 
     fn direct_solution(problem: &HeatProblem) -> Vec<f64> {
         let (k, f) = problem.assemble_global();
@@ -972,8 +973,8 @@ mod tests {
         assert!(n_gpu > 0, "some subdomains must fit the arena");
         assert!(n_impl > 0, "some subdomains must spill: temps {temps:?}");
         assert_eq!(n_gpu + n_impl, p.subdomains.len());
-        let spilled = &hybrid.plan.spilled;
-        assert_eq!(spilled, &hybrid.plan.indices_of(Formulation::Implicit));
+        let spilled = &hybrid.spilled;
+        assert_eq!(spilled, &hybrid.indices_of(Formulation::Implicit));
         // spilled = exactly the subdomains whose temporaries exceed the arena
         for (i, &t) in temps.iter().enumerate() {
             assert_eq!(
@@ -991,7 +992,7 @@ mod tests {
             .filter(|t| t.device.is_some())
             .map(|t| t.index)
             .collect();
-        assert_eq!(on_device, hybrid.plan.indices_of(Formulation::ExplicitGpu));
+        assert_eq!(on_device, hybrid.indices_of(Formulation::ExplicitGpu));
         assert_eq!(report.subdomains.len(), n_gpu, "nothing else was assembled");
         assert!(report.temp_high_water() <= arena);
         assert!(report.makespan > 0.0);
@@ -1157,7 +1158,7 @@ mod tests {
         let report = solver.report().unwrap();
         let hybrid = report.hybrid.as_ref().unwrap();
         assert_eq!(hybrid.count_of(Formulation::Implicit), p.subdomains.len());
-        assert_eq!(hybrid.plan.spilled.len(), p.subdomains.len());
+        assert_eq!(hybrid.spilled.len(), p.subdomains.len());
         assert!(report.subdomains.is_empty(), "nothing was assembled");
         assert!(report.devices.is_empty());
         assert_eq!(report.makespan, 0.0);
@@ -1175,18 +1176,18 @@ mod tests {
         let report = solver.report().unwrap();
         let hybrid = report.hybrid.as_ref().unwrap();
         let all: Vec<usize> = (0..p.subdomains.len()).collect();
-        assert_eq!(hybrid.plan.spilled, all);
+        assert_eq!(hybrid.spilled, all);
         assert_eq!(hybrid.count_of(Formulation::ExplicitGpu), 0);
         assert_eq!(hybrid.count_of(Formulation::ExplicitCpu), all.len());
         assert!(report.devices.is_empty());
     }
 
     /// An auto solver on a 2 × 2 problem (4 subdomains) whose cluster
-    /// backend carries `n` readiness times.
-    fn auto_with_ready_at(n: usize) {
+    /// backend carries the readiness times `ready`.
+    fn auto_with_ready_at(ready: Vec<f64>) {
         let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
         let pool = DevicePool::uniform(DeviceSpec::a100(), 1, 2);
-        let opts = ScheduleOptions::default().with_ready_at(vec![0.0; n]);
+        let opts = ScheduleOptions::default().with_ready_at(ready);
         FetiSolverBuilder::new()
             .backend(Backend::cluster_with(pool, opts))
             .formulation(FormulationChoice::Auto(HybridPlanOptions::default()))
@@ -1199,7 +1200,7 @@ mod tests {
                                batch item (7 given, 4 items)"
     )]
     fn auto_rejects_a_too_long_ready_at() {
-        auto_with_ready_at(7);
+        auto_with_ready_at(vec![0.0; 7]);
     }
 
     #[test]
@@ -1208,7 +1209,42 @@ mod tests {
                                batch item (3 given, 4 items)"
     )]
     fn auto_rejects_a_too_short_ready_at() {
-        auto_with_ready_at(3);
+        auto_with_ready_at(vec![0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "ScheduleOptions::ready_at[1] = NaN is not a finite, non-negative readiness time"
+    )]
+    fn auto_rejects_a_nan_readiness_time() {
+        auto_with_ready_at(vec![0.0, f64::NAN, 0.0, 0.0]);
+    }
+
+    /// `Auto` on a multi-node pool keeps the node level: the explicit-GPU
+    /// share runs on the nodes themselves, so the report carries both node
+    /// sections and PCPG prices the boundary exchange, as under `Explicit`.
+    #[test]
+    fn auto_on_a_multi_node_pool_reports_the_nodes_and_their_exchange() {
+        let p = HeatProblem::build_2d(36, (3, 3), Gluing::Redundant);
+        for formulation in [
+            FormulationChoice::Explicit,
+            FormulationChoice::Auto(HybridPlanOptions::default().with_iters(5.0)),
+        ] {
+            let pool = NodePool::uniform(DeviceSpec::a100(), 2, 1, 2, Interconnect::infiniband());
+            let solver = FetiSolverBuilder::new()
+                .backend(Backend::multi_node(pool))
+                .formulation(formulation.clone())
+                .assembly(ScConfig::Auto)
+                .build(&p);
+            let report = solver.report().expect("explicit formulations report");
+            assert_eq!(report.nodes.len(), 2, "{formulation:?}");
+            let sol = solver.solve();
+            assert!(sol.stats.converged, "{formulation:?}");
+            assert!(
+                sol.stats.exchange_stall_seconds > 0.0,
+                "{formulation:?} must price the boundary exchange"
+            );
+        }
     }
 
     #[test]
@@ -1398,7 +1434,7 @@ mod tests {
         check_solver(&p, &solver, 1e-6);
         assert!(dev.synchronize() > 0.0, "the device must have been used");
         let report = solver.report().unwrap();
-        let plan = &report.hybrid.as_ref().unwrap().plan;
+        let plan = report.hybrid.as_ref().unwrap();
         assert!(plan.count_of(Formulation::ExplicitGpu) > 0);
         assert!(
             plan.spilled.is_empty(),

@@ -82,10 +82,9 @@ pub mod prelude {
         assemble_sc, estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by,
         ApplyEstimate, AssemblyReport, AssemblyResult, AssemblySession, Backend, BatchItem,
         BatchSource, BlockParam, ClusterPlanError, CostEstimate, CpuExec, DeviceReport, DeviceSlot,
-        FactorStorage, Formulation, GpuExec, HybridPlan, HybridPlanOptions, HybridSummary,
-        NodeReport, Precision, RecordingExec, ScConfig, ScParams, ScheduleOptions, ScheduledSpan,
-        SteppedRhs, StreamLane, StreamPolicy, SubdomainTiming, SyrkVariant, TopoPlan, Topology,
-        TrsmVariant,
+        FactorStorage, Formulation, GpuExec, HybridPlan, HybridPlanOptions, NodeReport, Precision,
+        RecordingExec, ScConfig, ScParams, ScheduleOptions, ScheduledSpan, SteppedRhs, StreamLane,
+        StreamPolicy, SubdomainTiming, SyrkVariant, TopoPlan, Topology, TrsmVariant,
     };
     pub use sc_dense::Mat;
     pub use sc_factor::{CholOptions, Engine, SparseCholesky};

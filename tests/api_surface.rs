@@ -27,7 +27,6 @@ fn prelude_surface_is_complete() {
         _: &Backend,
         _: &DeviceReport,
         _: &StreamLane,
-        _: &HybridSummary,
     ) {
     }
     fn _report_rows(_: &SubdomainTiming, _: &NodeReport, _: &ScheduledSpan) {}

@@ -240,11 +240,11 @@ fn hybrid_solver_end_to_end_invariants() {
     );
     assert!(report.count_of(Formulation::ExplicitGpu) > 0);
     assert!(report.count_of(Formulation::Implicit) > 0);
-    let spilled = &report.plan.spilled;
+    let spilled = &report.spilled;
     for (i, &t) in temps.iter().enumerate() {
         assert_eq!(spilled.contains(&i), t > arena, "subdomain {i}");
     }
-    assert_eq!(spilled, &report.plan.indices_of(Formulation::Implicit));
+    assert_eq!(spilled, &report.indices_of(Formulation::Implicit));
 
     // no explicit placement oversubscribes its device arena
     assert!(unified.temp_high_water() <= arena);
