@@ -32,17 +32,17 @@ pub mod trsm;
 pub mod tune;
 
 pub use assemble::{assemble_sc, assemble_sc_reference, ScConfig, ScParams};
-pub use batch::{BatchItem, BatchItemOf, SubdomainTiming};
+pub use batch::{BatchItem, BatchItemOf};
 pub use exec::{CpuExec, Exec, GpuExec, RecordingExec};
 pub use sc_gpu::ArenaSim;
 pub use schedule::{
     estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by, ApplyEstimate,
     ClusterPlanError, CostEstimate, DeviceSlot, Formulation, HybridChoice, HybridPlan,
-    HybridPlanOptions, ScheduleOptions, ScheduledSpan, StreamPolicy, TopoPlan, Topology,
+    HybridPlanOptions, ScheduleOptions, StreamPolicy, TopoPlan, Topology,
 };
 pub use session::{
     AssemblyReport, AssemblyResult, AssemblySession, Backend, DeviceReport, NodeReport, Precision,
-    StreamLane, Target,
+    ScheduledSpan, SubdomainTiming, Target,
 };
 pub use sessioncache::{ContentHasher, SessionCache, SessionCacheStats};
 pub use source::BatchSource;

@@ -31,7 +31,7 @@
 use crate::assemble::ScParams;
 use crate::trsm::{FactorStorage, TrsmVariant};
 use sc_dense::Scalar;
-use sc_gpu::{DeviceSpec, Interconnect, KernelCost, SimSpan};
+use sc_gpu::{DeviceSpec, Interconnect, KernelCost};
 use sc_sparse::{pattern, CscOf};
 
 /// Stream-assignment policy for a batched GPU assembly.
@@ -85,6 +85,34 @@ impl ScheduleOptions {
     pub fn with_ready_at(mut self, ready_at: Vec<f64>) -> Self {
         self.ready_at = Some(ready_at);
         self
+    }
+
+    /// Check [`ready_at`](Self::ready_at) against a batch of `n_items`
+    /// subdomains — the one check every device driver makes before it
+    /// places anything.
+    ///
+    /// # Panics
+    ///
+    /// When `ready_at` is set and does not carry one entry per item, or
+    /// carries an entry that is not finite and non-negative.
+    pub fn assert_ready_at(&self, n_items: usize) {
+        let Some(ready) = self.ready_at.as_ref() else {
+            return;
+        };
+        assert_eq!(
+            ready.len(),
+            n_items,
+            "ScheduleOptions::ready_at must carry one readiness time per \
+             batch item ({} given, {n_items} items)",
+            ready.len(),
+        );
+        for (i, &t) in ready.iter().enumerate() {
+            assert!(
+                t.is_finite() && t >= 0.0,
+                "ScheduleOptions::ready_at[{i}] = {t} is not a finite, \
+                 non-negative readiness time"
+            );
+        }
     }
 }
 
@@ -851,13 +879,6 @@ pub struct HybridChoice {
     pub assembly_seconds: f64,
     /// Predicted per-iteration apply seconds of the chosen formulation.
     pub apply_seconds: f64,
-    /// `assembly_seconds + iters × apply_seconds` (infinite when
-    /// `iters = ∞`).
-    pub total_seconds: f64,
-    /// True when the subdomain's temporaries fit **no** device arena: the
-    /// explicit-GPU formulation was never a candidate (the recoverable
-    /// [`ClusterPlanError::Spilled`] condition).
-    pub spilled: bool,
 }
 
 /// The per-subdomain explicit-vs-implicit plan produced by [`plan_hybrid`].
@@ -885,17 +906,6 @@ impl HybridPlan {
     /// Number of subdomains assigned the given formulation.
     pub fn count_of(&self, f: Formulation) -> usize {
         self.choices.iter().filter(|c| c.formulation == f).count()
-    }
-
-    /// Predicted cost-to-solution at `iters` iterations: the sum over
-    /// subdomains of `assembly + iters × apply` — the sequential-equivalent
-    /// work the node performs, the comparison metric of `tests/hybrid.rs`
-    /// (device-level overlap shrinks all strategies alike).
-    pub fn cost_at(&self, iters: f64) -> f64 {
-        self.choices
-            .iter()
-            .map(|c| c.assembly_seconds + iters * c.apply_seconds)
-            .sum()
     }
 }
 
@@ -950,8 +960,7 @@ pub fn plan_hybrid(
                 (Formulation::ExplicitGpu, asm, app)
             })
             .min_by(by_total);
-        let is_spilled = gpu.is_none();
-        if is_spilled {
+        if gpu.is_none() {
             spilled.push(c.index);
         }
         let (cpu_asm, cpu_app) = (c.seconds_on(&host), a.explicit_seconds_on(&host));
@@ -978,8 +987,6 @@ pub fn plan_hybrid(
             formulation,
             assembly_seconds,
             apply_seconds,
-            total_seconds: assembly_seconds + opts.iters * apply_seconds,
-            spilled: is_spilled,
         });
     }
     spilled.sort_unstable();
@@ -999,24 +1006,6 @@ fn total_key(assembly: f64, apply: f64, iters: f64) -> (f64, f64) {
     } else {
         (assembly + iters * apply, 0.0)
     }
-}
-
-/// One subdomain's placement in the executed schedule (per-stream timeline
-/// entry of the batch report).
-#[derive(Clone, Copy, Debug)]
-pub struct ScheduledSpan {
-    /// Subdomain index in the input batch.
-    pub index: usize,
-    /// Stream it ran on.
-    pub stream: usize,
-    /// Simulated time its temporary-arena reservation was granted (equals
-    /// `span.start` up to stream availability; strictly earlier stalls mean
-    /// the stream waited on the arena — the "wait" configuration).
-    pub admitted_at: f64,
-    /// Simulated execution interval (first kernel start .. last kernel end).
-    pub span: SimSpan,
-    /// Bytes reserved in the temporary arena for the interval.
-    pub temp_bytes: usize,
 }
 
 #[cfg(test)]
@@ -1497,7 +1486,6 @@ mod tests {
             Formulation::Implicit,
             "oversized subdomain must fall back, not error"
         );
-        assert!(plan.choices[1].spilled);
         assert_eq!(plan.choices[1].assembly_seconds, 0.0);
         // at a high iteration count the spill fails over to the
         // CPU-explicit formulation instead
@@ -1541,7 +1529,9 @@ mod tests {
                 .iter()
                 .map(|a| total(0.0, a.implicit_seconds_on(&host)))
                 .sum();
-            let auto = plan.cost_at(iters);
+            let auto: f64 = (plan.choices.iter())
+                .map(|c| total(c.assembly_seconds, c.apply_seconds))
+                .sum();
             assert!(auto <= all_expl + 1e-15, "iters {iters}");
             assert!(auto <= all_impl + 1e-15, "iters {iters}");
         }

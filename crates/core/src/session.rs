@@ -2,7 +2,10 @@
 //! target, an [`AssemblySession`] binds it to an assembly configuration,
 //! and [`AssemblySession::assemble`] drives any [`BatchSource`] through
 //! the paper's record → plan → replay pipeline, reporting through one
-//! nested [`AssemblyReport`] regardless of target.
+//! nested [`AssemblyReport`] regardless of target. The report states each
+//! placement once: one [`SubdomainTiming`] row per subdomain holds its host
+//! wall time and, on a device target, its simulated [`ScheduledSpan`]; the
+//! [`DeviceReport`] and [`NodeReport`] sections keep only their roll-ups.
 //!
 //! ```
 //! use sc_core::{AssemblySession, Backend, ScConfig};
@@ -46,11 +49,11 @@
 //! ```
 
 use crate::assemble::ScConfig;
-use crate::batch::{batch_cpu, batch_devices, DeviceGroup, SubdomainTiming};
-use crate::schedule::{DeviceSlot, HybridPlan, ScheduleOptions, ScheduledSpan, Topology};
+use crate::batch::{batch_cpu, batch_devices, DeviceGroup};
+use crate::schedule::{DeviceSlot, HybridPlan, ScheduleOptions, Topology};
 use crate::source::BatchSource;
 use sc_dense::{Mat, MatOf, Scalar};
-use sc_gpu::{Device, DevicePool, NodePool};
+use sc_gpu::{Device, DevicePool, NodePool, SimSpan};
 use sc_sparse::CscOf;
 use std::sync::Arc;
 
@@ -330,15 +333,6 @@ impl Backend {
         }
     }
 
-    /// The node pool of the [`Target::MultiNode`] target, if that is what
-    /// this backend runs on.
-    pub fn node_pool(&self) -> Option<&Arc<NodePool>> {
-        match &self.target {
-            Target::MultiNode { pool, .. } => Some(pool),
-            _ => None,
-        }
-    }
-
     /// The scheduling options of a device target, for in-place edits;
     /// `None` on the host target.
     pub fn schedule_mut(&mut self) -> Option<&mut ScheduleOptions> {
@@ -351,7 +345,7 @@ impl Backend {
     }
 
     /// Every device of the target, flat, in the numbering
-    /// [`AssemblyReport::devices`] and [`SubdomainTiming::device`] use (the
+    /// [`AssemblyReport::devices`] and [`ScheduledSpan::device`] use (the
     /// one GPU; a pool's devices; a cluster's devices node-major). Empty on
     /// the host target.
     pub fn devices(&self) -> Vec<Arc<Device>> {
@@ -445,26 +439,47 @@ fn dispatch<S: Scalar, Src: BatchSource<S>>(
     }
 }
 
-/// One stream's executed spans inside a [`DeviceReport`], chronological.
-#[derive(Clone, Debug)]
-pub struct StreamLane {
-    /// Stream index, device-local.
-    pub stream: usize,
-    /// Executed spans on that stream, in execution order.
-    pub spans: Vec<ScheduledSpan>,
+/// One subdomain's row of an [`AssemblyReport`]: the report's only record
+/// of where and when the subdomain ran.
+#[derive(Clone, Copy, Debug)]
+pub struct SubdomainTiming {
+    /// Position of the subdomain in the input batch.
+    pub index: usize,
+    /// Host wall seconds spent in this subdomain's task — on every target
+    /// (compare with [`AssemblyReport::total_seconds`], never with simulated
+    /// time).
+    pub host_seconds: f64,
+    /// Where the subdomain ran on a device target, in simulated time;
+    /// `None` on the host.
+    pub placement: Option<ScheduledSpan>,
 }
 
-/// Per-device section of an [`AssemblyReport`]: the device's share, its
-/// executed schedule, and its roll-up numbers.
+/// One subdomain's placement in the executed device schedule. The node of
+/// a multi-node run is the [`NodeReport`] whose `devices` list `device`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ScheduledSpan {
+    /// Device it ran on, in [`AssemblyReport::devices`] numbering (`0` on
+    /// the single-GPU target).
+    pub device: usize,
+    /// Stream it ran on, device-local.
+    pub stream: usize,
+    /// Simulated time its temporary-arena reservation was granted (equals
+    /// `span.start` up to stream availability; strictly earlier stalls mean
+    /// the stream waited on the arena — the "wait" configuration).
+    pub admitted_at: f64,
+    /// Simulated execution interval (first kernel start .. last kernel end).
+    pub span: SimSpan,
+    /// Bytes reserved in the temporary arena for the interval.
+    pub temp_bytes: usize,
+}
+
+/// Per-device section of an [`AssemblyReport`]: the device's roll-up
+/// numbers and its replay trace. Which subdomains it ran is in the rows of
+/// [`AssemblyReport::subdomains`].
 #[derive(Clone, Debug, Default)]
 pub struct DeviceReport {
     /// Pool index of the device.
     pub device: usize,
-    /// Subdomain indices assigned to this device, in execution order.
-    pub subdomains: Vec<usize>,
-    /// Executed schedule (one entry per subdomain, execution order);
-    /// empty on drivers without a recorded schedule.
-    pub schedule: Vec<ScheduledSpan>,
     /// Simulated makespan of this device's share.
     pub makespan: f64,
     /// Busy kernel-seconds over `makespan × n_streams` (0 when idle).
@@ -477,28 +492,9 @@ pub struct DeviceReport {
     pub trace: Option<sc_gpu::Trace>,
 }
 
-impl DeviceReport {
-    /// Group the executed schedule into per-stream lanes (chronological
-    /// within each lane; lanes ordered by stream index).
-    pub fn stream_lanes(&self) -> Vec<StreamLane> {
-        let mut lanes: Vec<StreamLane> = Vec::new();
-        for e in &self.schedule {
-            match lanes.iter_mut().find(|l| l.stream == e.stream) {
-                Some(lane) => lane.spans.push(*e),
-                None => lanes.push(StreamLane {
-                    stream: e.stream,
-                    spans: vec![*e],
-                }),
-            }
-        }
-        lanes.sort_by_key(|l| l.stream);
-        lanes
-    }
-}
-
-/// Per-node section of an [`AssemblyReport`]: which devices and subdomains
-/// the node owned, plus the cost of shipping its boundary rows to the rest
-/// of the cluster over its interconnect. Empty unless the batch ran on a
+/// Per-node section of an [`AssemblyReport`]: which devices the node owned,
+/// plus the cost of shipping its boundary rows to the rest of the cluster
+/// over its interconnect. Empty unless the batch ran on a
 /// [`Target::MultiNode`] backend.
 #[derive(Clone, Debug, Default)]
 pub struct NodeReport {
@@ -506,8 +502,6 @@ pub struct NodeReport {
     pub node: usize,
     /// Global (flattened) device indices owned by this node, ascending.
     pub devices: Vec<usize>,
-    /// Subdomain indices assigned to this node, in placement order.
-    pub subdomains: Vec<usize>,
     /// Simulated makespan of this node's share **including** the trailing
     /// boundary exchange.
     pub makespan: f64,
@@ -518,19 +512,19 @@ pub struct NodeReport {
     pub exchange_seconds: f64,
 }
 
-/// The one report type of the unified surface: per-subdomain timings, per
-/// device the per-stream execution timeline, and — when the backend split
-/// the batch — the hybrid decisions. Every execution target fills the same
-/// schema; sections that do not apply stay empty (`devices` on CPU runs,
-/// `hybrid` on single-target runs).
+/// The one report type of the unified surface: one row per subdomain
+/// (where and when it ran), per-device and per-node roll-ups, and — when
+/// the backend split the batch — the hybrid decisions. Every execution
+/// target fills the same schema; sections that do not apply stay empty
+/// (`devices` on CPU runs, `hybrid` on single-target runs).
 #[derive(Clone, Debug, Default)]
 pub struct AssemblyReport {
-    /// Per-subdomain timings, batch order.
+    /// One row per assembled subdomain, batch order.
     pub subdomains: Vec<SubdomainTiming>,
     /// Per-device roll-ups, one per device of the target in
     /// [`Backend::devices`] order — on every device target and for every
     /// batch, so idle devices (and all of them, for an empty batch) keep an
-    /// entry with an empty share. Empty on pure-CPU runs.
+    /// entry. Empty on pure-CPU runs.
     pub devices: Vec<DeviceReport>,
     /// Per-node roll-ups over `devices` (empty unless the batch ran on a
     /// [`Target::MultiNode`] backend).
@@ -555,21 +549,6 @@ pub struct AssemblyReport {
 }
 
 impl AssemblyReport {
-    /// Sum of per-subdomain **host** task times (the sequential-equivalent
-    /// host cost).
-    pub fn cpu_seconds(&self) -> f64 {
-        self.subdomains.iter().map(|t| t.host_seconds).sum()
-    }
-
-    /// Achieved host-side parallel speedup `cpu_seconds / total_seconds`.
-    pub fn speedup(&self) -> f64 {
-        if self.total_seconds > 0.0 {
-            self.cpu_seconds() / self.total_seconds
-        } else {
-            1.0
-        }
-    }
-
     /// Largest per-device temporary-arena high water, bytes.
     pub fn temp_high_water(&self) -> usize {
         self.devices
@@ -579,13 +558,8 @@ impl AssemblyReport {
             .unwrap_or(0)
     }
 
-    /// Pool device of subdomain `i` (`None` when it ran on the host).
-    pub fn device_of(&self, i: usize) -> Option<usize> {
-        self.subdomains.get(i).and_then(|t| t.device)
-    }
-
     /// Remap every subdomain index through `map` (share-local → global) and
-    /// re-sort the timing list; used when a share of a bigger problem was
+    /// re-sort the rows; used when a share of a bigger problem was
     /// assembled separately — **before** any hybrid section is attached.
     ///
     /// # Panics
@@ -604,19 +578,6 @@ impl AssemblyReport {
             t.index = map[t.index];
         }
         self.subdomains.sort_by_key(|t| t.index);
-        for d in &mut self.devices {
-            for g in &mut d.subdomains {
-                *g = map[*g];
-            }
-            for e in &mut d.schedule {
-                e.index = map[e.index];
-            }
-        }
-        for n in &mut self.nodes {
-            for g in &mut n.subdomains {
-                *g = map[*g];
-            }
-        }
     }
 }
 
@@ -681,7 +642,7 @@ mod tests {
         assert_eq!(gpu.report.devices.len(), 1);
         assert!(gpu.report.makespan > 0.0);
         assert!(gpu.report.devices[0].utilization > 0.0);
-        assert!(!gpu.report.devices[0].stream_lanes().is_empty());
+        assert!(gpu.report.subdomains.iter().all(|t| t.placement.is_some()));
 
         let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
         let cl = AssemblySession::new(Backend::cluster(pool), cfg).assemble(&items);

@@ -58,12 +58,6 @@ impl ContentHasher {
         self.write_u64(v as u64)
     }
 
-    /// Absorb an `f64` by bit pattern (`NaN`s with different payloads hash
-    /// differently — content identity, not numeric equality).
-    pub fn write_f64(&mut self, v: f64) -> &mut Self {
-        self.write_u64(v.to_bits())
-    }
-
     /// Absorb a string, length-prefixed so `("ab","c")` and `("a","bc")`
     /// produce different keys.
     pub fn write_str(&mut self, s: &str) -> &mut Self {
@@ -240,12 +234,12 @@ mod tests {
     #[test]
     fn content_hasher_is_deterministic_and_order_sensitive() {
         let mut a = ContentHasher::new();
-        a.write_str("mesh").write_usize(64).write_f64(1.5);
+        a.write_str("mesh").write_usize(64).write_u64(15);
         let mut b = ContentHasher::new();
-        b.write_str("mesh").write_usize(64).write_f64(1.5);
+        b.write_str("mesh").write_usize(64).write_u64(15);
         assert_eq!(a.finish(), b.finish());
         let mut c = ContentHasher::new();
-        c.write_usize(64).write_str("mesh").write_f64(1.5);
+        c.write_usize(64).write_str("mesh").write_u64(15);
         assert_ne!(a.finish(), c.finish(), "field order must matter");
         // length prefixing: ("ab","c") != ("a","bc")
         let mut d = ContentHasher::new();

@@ -112,12 +112,6 @@ impl<S: Scalar> MatOf<S> {
         &self.data
     }
 
-    /// Mutable underlying column-major storage.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [S] {
-        &mut self.data
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> MatOf<S> {
         MatOf::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])
@@ -403,15 +397,6 @@ impl<'a, S: Scalar> MatMutOf<'a, S> {
                 data: right,
             },
         )
-    }
-
-    /// Copy all entries from `src` (shapes must match).
-    pub fn copy_from(&mut self, src: MatRefOf<'_, S>) {
-        assert_eq!(self.nrows, src.nrows());
-        assert_eq!(self.ncols, src.ncols());
-        for j in 0..self.ncols {
-            self.col_mut(j).copy_from_slice(src.col(j));
-        }
     }
 
     /// Set every entry to `v`.

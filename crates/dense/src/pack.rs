@@ -187,18 +187,6 @@ impl<S: Scalar> PackedA<S> {
     pub fn get(&self, i: usize, p: usize) -> S {
         self.0.get(i, p)
     }
-
-    /// Block height `mc` (unpadded).
-    #[inline]
-    pub fn block_rows(&self) -> usize {
-        self.0.lanes
-    }
-
-    /// Block depth `kc`.
-    #[inline]
-    pub fn block_depth(&self) -> usize {
-        self.0.kc
-    }
 }
 
 /// A `kc × nc` cache block of `op(B)`, repacked into [`NR`]-column
@@ -227,18 +215,6 @@ impl<S: Scalar> PackedB<S> {
     #[inline]
     pub fn get(&self, p: usize, j: usize) -> S {
         self.0.get(j, p)
-    }
-
-    /// Block width `nc` (unpadded).
-    #[inline]
-    pub fn block_cols(&self) -> usize {
-        self.0.lanes
-    }
-
-    /// Block depth `kc`.
-    #[inline]
-    pub fn block_depth(&self) -> usize {
-        self.0.kc
     }
 }
 

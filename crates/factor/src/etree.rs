@@ -75,17 +75,6 @@ pub fn postorder(parent: &[usize]) -> Vec<usize> {
     post
 }
 
-/// Number of children of each node in the forest.
-pub fn child_counts(parent: &[usize]) -> Vec<usize> {
-    let mut c = vec![0usize; parent.len()];
-    for &p in parent {
-        if p != NONE {
-            c[p] += 1;
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,14 +142,5 @@ mod tests {
         let post = postorder(&parent);
         assert_eq!(post.len(), 4);
         assert!(post.contains(&0) && post.contains(&2));
-    }
-
-    #[test]
-    fn child_counts_sum_to_non_roots() {
-        let a = arrowhead(7);
-        let parent = etree(&a);
-        let c = child_counts(&parent);
-        assert_eq!(c.iter().sum::<usize>(), 6);
-        assert_eq!(c[6], 6);
     }
 }

@@ -205,7 +205,7 @@ impl<S: Scalar> SparseCholeskyOf<S> {
     }
 
     /// Solve in permuted index space, in place (both triangular solves).
-    pub fn solve_permuted_in_place(&self, x: &mut [S]) {
+    fn solve_permuted_in_place(&self, x: &mut [S]) {
         self.solve_fwd_permuted(x);
         self.solve_bwd_permuted(x);
     }

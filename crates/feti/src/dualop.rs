@@ -437,19 +437,16 @@ impl<S: Scalar> DualPass<S> {
 
 /// Bind each assembled `F̃ᵢ` to its operator slot, packed to its lower
 /// triangle: subdomains the report placed on a device get a device-resident
-/// operator on the stream their schedule used; host subdomains (the CPU
+/// operator on the stream of their placement; host subdomains (the CPU
 /// backend, the auto formulation's explicit-CPU share) get a host one.
 pub(crate) fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) -> Vec<LocalOp> {
     let devices = backend.devices();
     f.into_iter()
+        .zip(&report.subdomains)
         .enumerate()
-        .map(|(i, f)| {
-            let t = &report.subdomains[i];
-            debug_assert_eq!(t.index, i, "report timings must be in batch order");
-            let stream = match (t.device, t.stream) {
-                (Some(d), Some(s)) => Some(devices[d].stream(s)),
-                _ => None,
-            };
+        .map(|(i, (f, t))| {
+            debug_assert_eq!(t.index, i, "report rows must be in batch order");
+            let stream = t.placement.map(|p| devices[p.device].stream(p.stream));
             let f = SymPackedOf::from_lower(f.as_ref());
             LocalOp::Dense { f, stream }
         })
@@ -502,23 +499,11 @@ pub(crate) fn assemble_auto(
     // readiness times are sliced to the share, checked here because the
     // device driver sees only that slice
     let mut gpu_backend = backend.clone();
-    if let Some(ready) = gpu_backend.schedule_mut().and_then(|o| o.ready_at.as_mut()) {
-        assert_eq!(
-            ready.len(),
-            factors.len(),
-            "ScheduleOptions::ready_at must carry one readiness time per \
-             batch item ({} given, {} items)",
-            ready.len(),
-            factors.len()
-        );
-        for (i, &t) in ready.iter().enumerate() {
-            assert!(
-                t.is_finite() && t >= 0.0,
-                "ScheduleOptions::ready_at[{i}] = {t} is not a finite, \
-                 non-negative readiness time"
-            );
+    if let Some(opts) = gpu_backend.schedule_mut() {
+        opts.assert_ready_at(factors.len());
+        if let Some(ready) = opts.ready_at.as_mut() {
+            *ready = gpu_idx.iter().map(|&g| ready[g]).collect();
         }
-        *ready = gpu_idx.iter().map(|&g| ready[g]).collect();
     }
 
     // one slot per subdomain; non-explicit ones apply against the shared
@@ -547,18 +532,13 @@ pub(crate) fn assemble_auto(
     // host assembly
     let cpu_report = assemble_share(&cpu_idx, Backend::cpu().precision(backend.precision));
 
-    // roll both shares up into the unified report: timings in problem-global
+    // roll both shares up into the unified report: rows in problem-global
     // order, device and node sections from the device share, the plan in
     // the hybrid section
-    let mut unified = AssemblyReport::default();
-    for rep in [&gpu_report, &cpu_report].into_iter().flatten() {
-        unified.subdomains.extend(rep.subdomains.iter().copied());
-        unified.total_seconds += rep.total_seconds;
-    }
-    if let Some(g) = gpu_report {
-        unified.devices = g.devices;
-        unified.nodes = g.nodes;
-        unified.makespan = g.makespan;
+    let mut unified = gpu_report.unwrap_or_default();
+    if let Some(c) = cpu_report {
+        unified.subdomains.extend(c.subdomains);
+        unified.total_seconds += c.total_seconds;
     }
     unified.subdomains.sort_by_key(|t| t.index);
     unified.precision = backend.precision;

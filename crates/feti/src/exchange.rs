@@ -39,19 +39,24 @@ impl ExchangeSim {
         problem: &HeatProblem,
     ) -> Self {
         let n = pool.n_nodes();
+        let mut node_of = vec![0; devices.len()];
+        for node in &report.nodes {
+            for &d in &node.devices {
+                node_of[d] = node.node;
+            }
+        }
         let mut streams: Vec<Vec<Stream>> = vec![Vec::new(); n];
         let mut seen: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
         let mut bytes_in = vec![0.0; n];
         for t in &report.subdomains {
-            let (Some(node), Some(flat), Some(s)) = (t.node, t.device, t.stream) else {
-                continue;
-            };
+            let Some(p) = t.placement else { continue };
+            let node = node_of[p.device];
             // every application refreshes this subdomain's boundary
             // multipliers from the peers: 8 bytes per lambda row
             bytes_in[node] += 8.0 * problem.subdomains[t.index].n_lambda() as f64; // sc-analyze: allow(precision-discipline)
-            if !seen[node].contains(&(flat, s)) {
-                seen[node].push((flat, s));
-                streams[node].push(devices[flat].stream(s));
+            if !seen[node].contains(&(p.device, p.stream)) {
+                seen[node].push((p.device, p.stream));
+                streams[node].push(devices[p.device].stream(p.stream));
             }
         }
         ExchangeSim {

@@ -26,9 +26,7 @@ pub use approaches::{
 pub use dualop::{
     apply_implicit, apply_implicit_with, BoundaryMap, BoundaryMapOf, FactorView, SubdomainFactors,
 };
-pub use pcpg::{
-    pcpg_preconditioned, pcpg_preconditioned_of, PcpgBreakdown, PcpgResult, PcpgResultOf, PcpgStats,
-};
+pub use pcpg::{pcpg_preconditioned_of, PcpgBreakdown, PcpgResult, PcpgResultOf, PcpgStats};
 pub use refine::RefinementStats;
 pub use regularize::regularize_fixing_node;
 pub use solver::{

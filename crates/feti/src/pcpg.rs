@@ -6,11 +6,10 @@
 //! closures so it is testable with toy operators and reusable for every dual
 //! operator implementation.
 //!
-//! The iteration is generic over the working precision
-//! ([`pcpg_preconditioned_of`]): the mixed-precision refinement outer loop
-//! runs the inner solve at `f32` while tolerances, statistics, and breakdown
-//! diagnostics stay `f64`. The [`pcpg`] / [`pcpg_preconditioned`] wrappers
-//! pin `f64` and are bitwise identical to the historical implementation.
+//! The one entry point, [`pcpg_preconditioned_of`], is generic over the
+//! working precision: the `f64` solve and the mixed-precision refinement's
+//! inner `f32` solves run the same iteration, while tolerances, statistics,
+//! and breakdown diagnostics stay `f64`.
 
 use sc_dense::{dot, Scalar};
 
@@ -75,47 +74,22 @@ pub struct PcpgResultOf<S = f64> {
 /// Result of an `f64` PCPG run.
 pub type PcpgResult = PcpgResultOf<f64>;
 
-/// Run PCPG (unpreconditioned: the preconditioner is the identity).
+/// Run PCPG with a preconditioner `M⁻¹` (e.g. the lumped preconditioner
+/// `Σ B̃ᵢ K_i B̃ᵢᵀ`; pass `|w| w.to_vec()` for none) at working precision `S`.
 ///
 /// - `d` — dual right-hand side;
 /// - `lambda0` — initial iterate satisfying the equality constraint
 ///   (`Gᵀλ₀ = e`);
 /// - `apply_f` — the dual operator;
 /// - `project` — application of `P` (must be idempotent and symmetric);
+/// - `precond` — application of `M⁻¹`; the search directions use
+///   `z = P M⁻¹ w`;
 /// - `tol` — relative tolerance on `‖P r‖ / ‖P d‖`.
-pub fn pcpg(
-    d: &[f64],
-    lambda0: Vec<f64>,
-    apply_f: impl FnMut(&[f64]) -> Vec<f64>,
-    project: impl FnMut(&[f64]) -> Vec<f64>,
-    tol: f64,
-    max_iter: usize,
-) -> PcpgResult {
-    pcpg_preconditioned(d, lambda0, apply_f, project, |w| w.to_vec(), tol, max_iter)
-}
-
-/// Run PCPG with a preconditioner `M⁻¹` (e.g. the lumped preconditioner
-/// `Σ B̃ᵢ K_i B̃ᵢᵀ`). The search directions use `z = P M⁻¹ w`; with the
-/// identity preconditioner this reduces exactly to [`pcpg`].
-pub fn pcpg_preconditioned(
-    d: &[f64],
-    lambda0: Vec<f64>,
-    apply_f: impl FnMut(&[f64]) -> Vec<f64>,
-    project: impl FnMut(&[f64]) -> Vec<f64>,
-    precond: impl FnMut(&[f64]) -> Vec<f64>,
-    tol: f64,
-    max_iter: usize,
-) -> PcpgResult {
-    pcpg_preconditioned_of::<f64>(d, lambda0, apply_f, project, precond, tol, max_iter)
-}
-
-/// Run PCPG at working precision `S` (the generic engine behind
-/// [`pcpg_preconditioned`]). All vector arithmetic — dots, axpys, the
-/// recursive residual — happens in `S`; the tolerance test and the reported
-/// statistics are `f64` (widening from `f32` is exact, and monomorphized at
-/// `f64` this is bitwise the historical iteration). The mixed-precision
-/// refinement loop drives this at `S = f32` for its inner correction
-/// solves.
+///
+/// All vector arithmetic — dots, axpys, the recursive residual — happens in
+/// `S`; the tolerance test and the reported statistics are `f64` (widening
+/// from `f32` is exact). The mixed-precision refinement loop drives this at
+/// `S = f32` for its inner correction solves.
 pub fn pcpg_preconditioned_of<S: Scalar>(
     d: &[S],
     lambda0: Vec<S>,
@@ -270,7 +244,7 @@ mod tests {
             }
         });
         let d: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let res = pcpg(
+        let res = pcpg_preconditioned_of(
             &d,
             vec![0.0; n],
             |p| {
@@ -279,6 +253,7 @@ mod tests {
                 out
             },
             |x| x.to_vec(),
+            |w| w.to_vec(),
             1e-12,
             200,
         );
@@ -310,7 +285,7 @@ mod tests {
         };
         let a = Mat::from_fn(n, n, |i, j| if i == j { 2.0 } else { 0.1 });
         let d: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let res = pcpg(
+        let res = pcpg_preconditioned_of(
             &d,
             vec![0.0; n],
             |p| {
@@ -319,6 +294,7 @@ mod tests {
                 out
             },
             project,
+            |w| w.to_vec(),
             1e-10,
             100,
         );
@@ -330,11 +306,12 @@ mod tests {
 
     #[test]
     fn zero_rhs_returns_immediately() {
-        let res = pcpg(
+        let res = pcpg_preconditioned_of(
             &[0.0; 5],
             vec![0.0; 5],
             |_| panic!("operator must not be called"),
             |x| x.to_vec(),
+            |w| w.to_vec(),
             1e-10,
             10,
         );
@@ -349,11 +326,12 @@ mod tests {
         // breakdown is named and convergence is judged on the true residual.
         let n = 6;
         let d = vec![1.0; n];
-        let res = pcpg(
+        let res = pcpg_preconditioned_of(
             &d,
             vec![0.0; n],
             |p| p.iter().map(|x| -x).collect(),
             |x| x.to_vec(),
+            |w| w.to_vec(),
             1e-10,
             50,
         );
@@ -372,7 +350,7 @@ mod tests {
         let n = 6;
         let a = Mat::from_fn(n, n, |i, j| if i == j { 2.0 } else { 0.0 });
         let d = vec![1.0; n];
-        let res = pcpg_preconditioned(
+        let res = pcpg_preconditioned_of(
             &d,
             vec![0.0; n],
             |p| {
@@ -405,7 +383,7 @@ mod tests {
             }
         });
         let d: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let res = pcpg(
+        let res = pcpg_preconditioned_of(
             &d,
             vec![0.0; n],
             |p| {
@@ -414,6 +392,7 @@ mod tests {
                 out
             },
             |x| x.to_vec(),
+            |w| w.to_vec(),
             1e-11,
             100,
         );
@@ -456,7 +435,7 @@ mod tests {
         });
         let d: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64).sin()).collect();
         let calls = Cell::new(0usize);
-        let res = pcpg(
+        let res = pcpg_preconditioned_of(
             &d,
             vec![0.0; n],
             |p| {
@@ -469,6 +448,7 @@ mod tests {
                 out
             },
             |x| x.to_vec(),
+            |w| w.to_vec(),
             1e-10,
             200,
         );
@@ -499,7 +479,7 @@ mod tests {
             },
         );
         let d = vec![1.0; n];
-        let res = pcpg(
+        let res = pcpg_preconditioned_of(
             &d,
             vec![0.0; n],
             |p| {
@@ -508,6 +488,7 @@ mod tests {
                 out
             },
             |x| x.to_vec(),
+            |w| w.to_vec(),
             1e-16,
             3,
         );

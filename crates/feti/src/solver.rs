@@ -589,7 +589,7 @@ impl<'p> FetiSolver<'p> {
     /// mixed-precision fallback).
     pub(crate) fn pcpg_f64(&self, d: &[f64], lambda0: Vec<f64>) -> crate::pcpg::PcpgResult {
         let opts = &self.opts;
-        crate::pcpg::pcpg_preconditioned(
+        crate::pcpg::pcpg_preconditioned_of(
             d,
             lambda0,
             |p| self.apply_f(p),
@@ -684,7 +684,7 @@ mod tests {
     use sc_dense::SymPackedOf;
     use sc_factor::{CholOptions, SparseCholesky};
     use sc_fem::Gluing;
-    use sc_gpu::{Device, DevicePool, DeviceSpec, Interconnect, NodePool};
+    use sc_gpu::{Device, DevicePool, DeviceSpec, Interconnect, KernelCost, NodePool};
 
     fn direct_solution(problem: &HeatProblem) -> Vec<f64> {
         let (k, f) = problem.assemble_global();
@@ -816,9 +816,9 @@ mod tests {
         assert!(dev.synchronize() > 0.0, "GPU must have been used");
         let report = solver.report().expect("explicit mode reports");
         assert_eq!(report.devices.len(), 1);
-        assert_eq!(report.devices[0].schedule.len(), p.subdomains.len());
+        assert_eq!(report.subdomains.len(), p.subdomains.len());
         assert!(report.makespan > 0.0);
-        assert!(report.subdomains.iter().all(|t| t.stream.is_some()));
+        assert!(report.subdomains.iter().all(|t| t.placement.is_some()));
     }
 
     #[test]
@@ -835,15 +835,12 @@ mod tests {
 
         let report = solver.report().expect("cluster mode reports");
         assert_eq!(report.devices.len(), 2);
-        let mut placed: Vec<usize> = report
-            .devices
-            .iter()
-            .flat_map(|d| d.subdomains.iter().copied())
-            .collect();
-        placed.sort_unstable();
-        assert_eq!(placed, (0..p.subdomains.len()).collect::<Vec<_>>());
-        assert!(report.makespan > 0.0);
         assert_eq!(report.subdomains.len(), p.subdomains.len());
+        for (i, t) in report.subdomains.iter().enumerate() {
+            assert_eq!(t.index, i, "one row per subdomain, in order");
+            assert!(t.placement.is_some_and(|p| p.device < 2));
+        }
+        assert!(report.makespan > 0.0);
 
         // the cluster-assembled F̃ᵢ are bitwise identical to the CPU
         // explicit path (same fixed config ⇒ same kernel sequence)
@@ -989,7 +986,7 @@ mod tests {
         let on_device: Vec<usize> = report
             .subdomains
             .iter()
-            .filter(|t| t.device.is_some())
+            .filter(|t| t.placement.is_some())
             .map(|t| t.index)
             .collect();
         assert_eq!(on_device, hybrid.indices_of(Formulation::ExplicitGpu));
@@ -1220,6 +1217,82 @@ mod tests {
         auto_with_ready_at(vec![0.0, f64::NAN, 0.0, 0.0]);
     }
 
+    /// `bind_ops` puts each explicit operator on the stream its report row
+    /// names: one application advances exactly those streams, each by the
+    /// SYMVs of the subdomains placed on it (replayed on twin devices in the
+    /// subdomain order the pass charges in), and no other stream. The
+    /// multi-node pool runs over an ideal link, whose exchange arrives
+    /// before any SYMV ends, so no stream stalls.
+    #[test]
+    fn one_application_charges_exactly_the_streams_the_report_names() {
+        let p = mixed_problem();
+        let cfg = ScConfig::optimized(true, true);
+        let (mid, _) = mid_arena_spec(&temp_footprints(&p, &cfg));
+        let a100 = DeviceSpec::a100();
+        let explicit = FormulationChoice::Explicit;
+        let cases = [
+            (
+                "gpu",
+                explicit.clone(),
+                Backend::gpu(Device::new(a100.clone(), 3)),
+            ),
+            (
+                "cluster",
+                explicit.clone(),
+                Backend::cluster(DevicePool::uniform(a100.clone(), 2, 2)),
+            ),
+            (
+                "multi_node",
+                explicit,
+                Backend::multi_node(NodePool::uniform(a100, 2, 2, 2, Interconnect::ideal())),
+            ),
+            (
+                "auto",
+                FormulationChoice::Auto(HybridPlanOptions::default().with_iters(MIXED_ITERS)),
+                Backend::cluster(DevicePool::uniform(mid, 2, 2)),
+            ),
+        ];
+        let lam: Vec<f64> = (0..p.n_lambda).map(|i| (i as f64 * 0.37).sin()).collect();
+        for (name, formulation, backend) in cases {
+            let solver = FetiSolverBuilder::new()
+                .backend(backend.clone())
+                .formulation(formulation)
+                .assembly(cfg)
+                .build(&p);
+            let report = solver.report().expect("explicit formulations report");
+            if let Some(plan) = &report.hybrid {
+                assert!(
+                    plan.count_of(Formulation::Implicit) > 0,
+                    "{name}: a host share"
+                );
+            }
+            let devices = backend.devices();
+            let twins: Vec<Arc<Device>> = (devices.iter())
+                .map(|d| Device::new(d.spec().clone(), d.n_streams()))
+                .collect();
+            let mut named = Vec::new();
+            for t in &report.subdomains {
+                let Some(at) = t.placement else { continue };
+                let symv = KernelCost::symv_of::<f64>(p.subdomains[t.index].n_lambda());
+                twins[at.device].stream(at.stream).submit(&symv);
+                named.push((at.device, at.stream));
+            }
+            assert!(!named.is_empty(), "{name}: operators on the devices");
+
+            devices.iter().for_each(|d| d.reset());
+            solver.apply_f(&lam);
+            for (d, (dev, twin)) in devices.iter().zip(&twins).enumerate() {
+                for s in 0..dev.n_streams() {
+                    let at = format!("{name}: device {d} stream {s}");
+                    assert_eq!(dev.stream_time(s), twin.stream_time(s), "{at}");
+                    if !named.contains(&(d, s)) {
+                        assert_eq!(dev.stream_time(s), 0.0, "{at} moved");
+                    }
+                }
+            }
+        }
+    }
+
     /// `Auto` on a multi-node pool keeps the node level: the explicit-GPU
     /// share runs on the nodes themselves, so the report carries both node
     /// sections and PCPG prices the boundary exchange, as under `Explicit`.
@@ -1443,7 +1516,7 @@ mod tests {
         let on_device: Vec<usize> = report
             .subdomains
             .iter()
-            .filter(|t| t.device == Some(0))
+            .filter(|t| t.placement.is_some_and(|p| p.device == 0))
             .map(|t| t.index)
             .collect();
         assert_eq!(

@@ -62,12 +62,6 @@ impl DevicePool {
         &self.devices
     }
 
-    /// Per-device temporary-arena capacities in bytes, pool order — the
-    /// admissibility inputs of the cluster and hybrid planners.
-    pub fn arena_capacities(&self) -> Vec<usize> {
-        self.devices.iter().map(|d| d.arena_capacity()).collect()
-    }
-
     /// Largest temporary-arena capacity among devices that can actually run
     /// work (`n_streams > 0`); 0 for an empty or fully drained pool. A
     /// subdomain whose peak temporaries exceed this can never be assembled
@@ -95,11 +89,6 @@ impl DevicePool {
             .fold(0.0, f64::max)
     }
 
-    /// Total busy kernel-seconds across all devices.
-    pub fn busy_seconds_all(&self) -> f64 {
-        self.devices.iter().map(|d| d.busy_seconds()).sum()
-    }
-
     /// Reset every device's timeline (new experiment).
     pub fn reset_all(&self) {
         for d in &self.devices {
@@ -124,7 +113,6 @@ mod tests {
         assert!(pool.device(0).synchronize() > pool.device(1).synchronize());
         assert_eq!(pool.device(2).synchronize(), 0.0, "untouched device");
         assert_eq!(pool.synchronize_all(), pool.device(0).synchronize());
-        assert!(pool.busy_seconds_all() > 0.0);
         pool.reset_all();
         assert_eq!(pool.synchronize_all(), 0.0);
     }
@@ -159,9 +147,6 @@ mod tests {
             Device::new(DeviceSpec::a100(), 0), // drained: unusable
             Device::new(DeviceSpec::tiny_test_device(), 2),
         ]);
-        let caps = pool.arena_capacities();
-        assert_eq!(caps.len(), 2);
-        assert_eq!(caps[0], DeviceSpec::a100().memory_bytes / 2);
         // the drained A100's big arena must not count as usable
         assert_eq!(
             pool.max_arena_capacity(),

@@ -159,22 +159,6 @@ impl Trace {
             .filter(|e| matches!(e, TraceEvent::Kernel { .. }))
             .count()
     }
-
-    /// Number of arena reservations (alloc events) in the trace.
-    pub fn n_allocs(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Alloc { .. }))
-            .count()
-    }
-
-    /// Number of inter-node exchange events in the trace.
-    pub fn n_exchanges(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Exchange { .. }))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -234,6 +218,5 @@ mod tests {
             )],
         };
         assert_eq!(t.n_kernels(), 1);
-        assert_eq!(t.n_allocs(), 1);
     }
 }

@@ -328,7 +328,7 @@ fn decode_job(r: &mut FieldReader, kind: JobKind) -> Result<JobRequest, ProtoErr
 }
 
 /// Decode one syntactically parsed line into a typed [`Request`].
-pub fn decode_request(v: JVal, line_no: usize) -> Result<Request, ProtoError> {
+fn decode_request(v: JVal, line_no: usize) -> Result<Request, ProtoError> {
     let mut r = FieldReader::new(v, line_no)?;
     let op = r.req_str("op")?;
     let req = match op.as_str() {

@@ -55,11 +55,6 @@ impl<S: Scalar> CooOf<S> {
         self.ncols
     }
 
-    /// Number of stored triplets (before duplicate summation).
-    pub fn ntriplets(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Append a triplet. Panics on out-of-range coordinates.
     #[inline]
     pub fn push(&mut self, i: usize, j: usize, v: S) {

@@ -46,25 +46,6 @@ pub fn pivots_or_end<S: Scalar>(b: &CscOf<S>) -> Vec<usize> {
         .collect()
 }
 
-/// Given non-decreasing column pivots, the *row trail* of row `i` is the
-/// index of the right-most column whose pivot is `<= i` — i.e. the number of
-/// columns "active" at row `i`, minus one. Returns, for each row, the count
-/// of active columns (`trail + 1`), which is the quantity the kernels need
-/// (an effective width).
-pub fn active_width_per_row(pivots: &[usize], nrows: usize) -> Vec<usize> {
-    // pivots must be sorted ascending (stepped shape).
-    debug_assert!(pivots.windows(2).all(|w| w[0] <= w[1]));
-    let mut widths = vec![0usize; nrows];
-    let mut j = 0usize;
-    for (i, w) in widths.iter_mut().enumerate() {
-        while j < pivots.len() && pivots[j] <= i {
-            j += 1;
-        }
-        *w = j;
-    }
-    widths
-}
-
 /// Fraction of the dense `nrows × ncols` area that lies **at or below** the
 /// column pivots, `Σⱼ(n − pⱼ)/(nm)`. For a perfectly triangular RHS this
 /// area fraction tends to `1/2`. It is not the work fraction: a stepped
@@ -199,13 +180,6 @@ mod tests {
         let b = c.to_csc(); // col 1 empty
         assert!(is_stepped(&b));
         assert_eq!(pivots_or_end(&b), vec![1, 3]);
-    }
-
-    #[test]
-    fn active_widths_accumulate() {
-        let piv = vec![0, 1, 3];
-        let w = active_width_per_row(&piv, 4);
-        assert_eq!(w, vec![1, 2, 2, 3]);
     }
 
     #[test]

@@ -36,21 +36,6 @@ impl Perm {
         }
     }
 
-    /// Build from the `new_of_old` direction.
-    pub fn from_new_of_old(new_of_old: Vec<usize>) -> Self {
-        let n = new_of_old.len();
-        let mut old_of_new = vec![usize::MAX; n];
-        for (old, &new) in new_of_old.iter().enumerate() {
-            assert!(new < n, "index out of range");
-            assert!(old_of_new[new] == usize::MAX, "duplicate index {new}");
-            old_of_new[new] = old;
-        }
-        Perm {
-            old_of_new,
-            new_of_old,
-        }
-    }
-
     /// Length of the permutation.
     pub fn len(&self) -> usize {
         self.old_of_new.len()
@@ -71,16 +56,6 @@ impl Perm {
     #[inline]
     pub fn new_of_old(&self, i: usize) -> usize {
         self.new_of_old[i]
-    }
-
-    /// The full `old_of_new` slice.
-    pub fn old_of_new_slice(&self) -> &[usize] {
-        &self.old_of_new
-    }
-
-    /// The full `new_of_old` slice.
-    pub fn new_of_old_slice(&self) -> &[usize] {
-        &self.new_of_old
     }
 
     /// Inverse permutation.
@@ -159,12 +134,5 @@ mod tests {
     #[should_panic(expected = "duplicate index")]
     fn rejects_non_permutation() {
         Perm::from_old_of_new(vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn from_new_of_old_matches() {
-        let p = Perm::from_old_of_new(vec![2, 0, 1]);
-        let q = Perm::from_new_of_old(p.new_of_old_slice().to_vec());
-        assert_eq!(p, q);
     }
 }

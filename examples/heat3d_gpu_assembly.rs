@@ -76,18 +76,21 @@ fn main() {
             report.makespan * 1e3,
             report.temp_high_water() as f64 / 1024.0
         );
-        for device in &report.devices {
-            for lane in device.stream_lanes() {
-                for entry in &lane.spans {
-                    println!(
-                        "  subdomain {:2} -> stream {} @ [{:8.3}, {:8.3}] us",
-                        entry.index,
-                        lane.stream,
-                        entry.span.start * 1e6,
-                        entry.span.end * 1e6
-                    );
-                }
-            }
+        // one row per subdomain; listed per stream, chronologically
+        let mut rows: Vec<_> = (report.subdomains.iter())
+            .filter_map(|t| t.placement.map(|p| (t.index, p)))
+            .collect();
+        rows.sort_by(|(_, a), (_, b)| {
+            (a.stream.cmp(&b.stream)).then(a.span.start.total_cmp(&b.span.start))
+        });
+        for (index, p) in rows {
+            println!(
+                "  subdomain {:2} -> stream {} @ [{:8.3}, {:8.3}] us",
+                index,
+                p.stream,
+                p.span.start * 1e6,
+                p.span.end * 1e6
+            );
         }
     }
 }

@@ -57,11 +57,15 @@ fn main() {
         result.report.subdomains.len()
     );
     for n in &result.report.nodes {
+        // a subdomain's node is the node owning its device
+        let on_node = (result.report.subdomains.iter())
+            .filter(|t| t.placement.is_some_and(|p| n.devices.contains(&p.device)))
+            .count();
         println!(
             "  node {}: {:2} subdomains on devices {:?}, makespan {:.3} ms, \
              exchange {:.1} KiB ({:.1} us over the link)",
             n.node,
-            n.subdomains.len(),
+            on_node,
             n.devices,
             n.makespan * 1e3,
             n.exchange_bytes / 1024.0,

@@ -83,7 +83,7 @@ pub mod prelude {
         ApplyEstimate, AssemblyReport, AssemblyResult, AssemblySession, Backend, BatchItem,
         BatchSource, BlockParam, ClusterPlanError, CostEstimate, CpuExec, DeviceReport, DeviceSlot,
         FactorStorage, Formulation, GpuExec, HybridPlan, HybridPlanOptions, NodeReport, Precision,
-        RecordingExec, ScConfig, ScParams, ScheduleOptions, ScheduledSpan, SteppedRhs, StreamLane,
+        RecordingExec, ScConfig, ScParams, ScheduleOptions, ScheduledSpan, SteppedRhs,
         StreamPolicy, SubdomainTiming, SyrkVariant, TopoPlan, Topology, TrsmVariant,
     };
     pub use sc_dense::Mat;

@@ -26,7 +26,6 @@ fn prelude_surface_is_complete() {
         _: &AssemblyReport,
         _: &Backend,
         _: &DeviceReport,
-        _: &StreamLane,
     ) {
     }
     fn _report_rows(_: &SubdomainTiming, _: &NodeReport, _: &ScheduledSpan) {}

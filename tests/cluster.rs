@@ -119,18 +119,13 @@ proptest! {
             .assemble(&items);
         let report = &res.report;
 
-        // --- every subdomain placed on exactly one device
-        let mut placed: Vec<usize> = report
-            .devices
-            .iter()
-            .flat_map(|d| d.subdomains.iter().copied())
-            .collect();
-        placed.sort_unstable();
-        prop_assert_eq!(placed, (0..items.len()).collect::<Vec<_>>());
+        // --- every subdomain placed on exactly one device: one row each,
+        //     in batch order, naming a device of the pool
         prop_assert_eq!(report.subdomains.len(), items.len());
-        for t in &report.subdomains {
-            let d = t.device.expect("cluster places every subdomain");
-            prop_assert!(report.devices[d].subdomains.contains(&t.index));
+        for (i, t) in report.subdomains.iter().enumerate() {
+            prop_assert_eq!(t.index, i);
+            let p = t.placement.expect("cluster places every subdomain");
+            prop_assert!(p.device < n_devices);
         }
 
         // --- no device's simulated arena exceeds its own capacity
@@ -145,7 +140,8 @@ proptest! {
             );
             // sweep the executed schedule: committed usage never exceeds it
             let mut events: Vec<(f64, i64)> = Vec::new();
-            for e in &rep.schedule {
+            let placed = report.subdomains.iter().filter_map(|t| t.placement);
+            for e in placed.filter(|p| p.device == rep.device) {
                 events.push((e.admitted_at, e.temp_bytes as i64));
                 events.push((e.span.end.max(e.admitted_at), -(e.temp_bytes as i64)));
             }
@@ -199,13 +195,13 @@ proptest! {
         for rep in &res.report.devices {
             prop_assert!(rep.temp_high_water <= pool.device(rep.device).arena_capacity());
         }
-        let mut placed: Vec<usize> = res
+        let placed: Vec<usize> = res
             .report
-            .devices
+            .subdomains
             .iter()
-            .flat_map(|d| d.subdomains.iter().copied())
+            .filter(|t| t.placement.is_some())
+            .map(|t| t.index)
             .collect();
-        placed.sort_unstable();
         prop_assert_eq!(placed, (0..items.len()).collect::<Vec<_>>());
         for (i, (l, bt)) in data.iter().enumerate() {
             let seq = assemble_sc(&mut CpuExec, l, bt, &cfg);

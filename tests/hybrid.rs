@@ -67,6 +67,15 @@ fn estimates_of(subs: &[SynthSub]) -> (Vec<CostEstimate>, Vec<ApplyEstimate>) {
         .unzip()
 }
 
+/// Predicted cost-to-solution of `plan` at `iters` iterations: the sum over
+/// subdomains of `assembly + iters × apply` — the sequential-equivalent work
+/// the node performs (device-level overlap shrinks all strategies alike).
+fn cost_at(plan: &HybridPlan, iters: f64) -> f64 {
+    (plan.choices.iter())
+        .map(|c| c.assembly_seconds + iters * c.apply_seconds)
+        .sum()
+}
+
 fn slots(arenas: &[usize]) -> Vec<DeviceSlot> {
     arenas
         .iter()
@@ -101,7 +110,6 @@ proptest! {
         for (i, c) in plan.choices.iter().enumerate() {
             prop_assert_eq!(c.index, i, "one decision per subdomain, in order");
             let over = subs[i].temp_bytes > max_arena;
-            prop_assert_eq!(c.spilled, over);
             prop_assert_eq!(plan.spilled.contains(&i), over);
             if over {
                 prop_assert!(
@@ -129,13 +137,11 @@ proptest! {
                 prop_assert!(chosen <= gpu_total + 1e-18);
             }
         }
-        // cost roll-up is consistent with the per-choice records
-        let sum: f64 = plan
-            .choices
-            .iter()
-            .map(|c| c.assembly_seconds + iters * c.apply_seconds)
+        // the roll-up of per-choice minima undercuts the all-implicit plan
+        let all_implicit: f64 = (applies.iter())
+            .map(|a| iters * a.implicit_seconds_on(&DeviceSpec::host()))
             .sum();
-        prop_assert!((plan.cost_at(iters) - sum).abs() <= 1e-15 * sum.max(1.0));
+        prop_assert!(cost_at(&plan, iters) <= all_implicit * (1.0 + 1e-12) + 1e-18);
     }
 
     /// Iteration-count extremes collapse the decision: `iters = 0` makes
@@ -402,7 +408,7 @@ fn auto_beats_all_explicit_and_all_implicit_by_1_3x_on_the_mixed_fit_workload() 
         "exactly the top quarter must spill, got {:?}",
         auto.spilled
     );
-    let h = auto.cost_at(MIXED_FIT_ITERS);
+    let h = cost_at(&auto, MIXED_FIT_ITERS);
     let (e, i) = collapse_costs(&costs, &applies, &pool_slots(&pool), MIXED_FIT_ITERS);
     assert!(
         e / h >= 1.3 && i / h >= 1.3,

@@ -131,13 +131,14 @@ proptest! {
         )
         .assemble(&items);
         let report = &res.report;
-        let schedule = &report.devices[0].schedule;
+        let schedule: Vec<ScheduledSpan> =
+            report.subdomains.iter().filter_map(|t| t.placement).collect();
         let capacity = dev.arena_capacity();
 
         // --- arena: usage from the executed schedule never exceeds capacity
         prop_assert!(report.temp_high_water() <= capacity);
         let mut events: Vec<(f64, i64)> = Vec::new();
-        for e in schedule {
+        for e in &schedule {
             prop_assert!(e.temp_bytes <= capacity, "reservation larger than arena");
             events.push((e.admitted_at, e.temp_bytes as i64));
             events.push((e.span.end.max(e.admitted_at), -(e.temp_bytes as i64)));
@@ -170,12 +171,13 @@ proptest! {
         }
 
         // --- streams: a stream runs one subdomain at a time, in order
-        // (stream_lanes groups the executed schedule per stream)
-        for lane in report.devices[0].stream_lanes() {
-            for w in lane.spans.windows(2) {
+        for s in 0..n_streams {
+            let mut lane: Vec<&ScheduledSpan> = schedule.iter().filter(|e| e.stream == s).collect();
+            lane.sort_by(|a, b| a.span.start.total_cmp(&b.span.start));
+            for w in lane.windows(2) {
                 prop_assert!(
                     w[1].span.start >= w[0].span.end - 1e-15,
-                    "stream {}: overlapping subdomain spans", lane.stream
+                    "stream {}: overlapping subdomain spans", s
                 );
             }
         }
@@ -208,13 +210,14 @@ proptest! {
             ScConfig::optimized(true, false),
         )
         .assemble(&items);
-        for e in &res.report.devices[0].schedule {
+        for t in &res.report.subdomains {
+            let start = t.placement.expect("placed on the device").span.start;
             prop_assert!(
-                e.span.start >= ready[e.index] - 1e-15,
+                start >= ready[t.index] - 1e-15,
                 "subdomain {} started at {} before readiness {}",
-                e.index,
-                e.span.start,
-                ready[e.index]
+                t.index,
+                start,
+                ready[t.index]
             );
         }
     }
@@ -296,9 +299,15 @@ fn every_device_target_replays_the_lanes_of_the_one_plan() {
         let report = AssemblySession::new(backend, cfg).assemble(&items).report;
         assert_eq!(report.devices.len(), leaves.len(), "{name}");
         for (rep, leaf) in report.devices.iter().zip(leaves) {
+            // the device's rows, chronological, grouped by stream
+            let mut rows: Vec<(usize, ScheduledSpan)> = (report.subdomains.iter())
+                .filter_map(|t| t.placement.map(|p| (t.index, p)))
+                .filter(|(_, p)| p.device == rep.device)
+                .collect();
+            rows.sort_by(|(_, a), (_, b)| a.span.start.total_cmp(&b.span.start));
             let mut lanes = vec![Vec::new(); leaf.per_child.len()];
-            for e in &rep.schedule {
-                lanes[e.stream].push(e.index);
+            for (index, p) in rows {
+                lanes[p.stream].push(index);
             }
             assert_eq!(
                 lanes, leaf.per_child,
