@@ -117,16 +117,13 @@ impl ScheduleOptions {
 }
 
 /// Cost estimate of one subdomain's assembly, derived from the stepped
-/// pattern (pivots), `n_dofs`, and `n_lambda` — computed *before* any kernel
-/// runs, which is what lets the planner order submissions.
+/// pattern (pivots), the factor dimension and the multiplier count —
+/// computed *before* any kernel runs, which is what lets the planner order
+/// submissions.
 #[derive(Clone, Debug)]
 pub struct CostEstimate {
     /// Position of the subdomain in the input batch.
     pub index: usize,
-    /// Factor dimension.
-    pub n_dofs: usize,
-    /// Local multiplier count.
-    pub n_lambda: usize,
     /// Estimated TRSM FLOPs, an upper bound priced on the full `n` (the
     /// stepped assembly solves only the closure of `B̃ᵀ`'s rows): `Σⱼ (n − pⱼ)²`.
     pub trsm_flops: f64,
@@ -206,8 +203,6 @@ pub fn estimate_cost<S: Scalar>(
 
     let mut est = CostEstimate {
         index,
-        n_dofs: n,
-        n_lambda: m,
         trsm_flops,
         syrk_flops,
         transfer_bytes,
@@ -1055,7 +1050,6 @@ mod tests {
     #[test]
     fn empty_subdomain_costs_only_transfer() {
         let e = est(10, &[]);
-        assert_eq!(e.n_lambda, 0);
         assert_eq!(e.trsm_flops, 0.0);
         assert_eq!(e.syrk_flops, 0.0);
         assert!(e.transfer_bytes > 0.0, "the factor still travels");
@@ -1441,8 +1435,6 @@ mod tests {
     ) -> (CostEstimate, ApplyEstimate) {
         let c = CostEstimate {
             index,
-            n_dofs: 100,
-            n_lambda: 10,
             trsm_flops: asm_flops,
             syrk_flops: 0.0,
             transfer_bytes: 0.0,

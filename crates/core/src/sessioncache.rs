@@ -3,13 +3,12 @@
 //!
 //! The paper's economics are amortization: ordering, symbolic factorization
 //! and block-cut resolution dominate a single set-up, and reusing them is
-//! what makes GPU Schur assembly pay off. Within one batch the assembly
-//! drivers memoize cut resolution across equal-shape subdomains,
-//! and `sc_feti`'s factorization loop analyzes each class of subdomains with
-//! one pattern of `K` once (an `Arc`-shared `sc_factor::Analysis`);
-//! a persistent service amortizes across *problems*: any client submitting a
-//! job with the same content key (mesh/pattern hash + assembly config +
-//! precision) reuses the prepared state of whoever computed it first.
+//! what makes GPU Schur assembly pay off. Within one batch `sc_feti`'s
+//! factorization loop analyzes each class of subdomains with one pattern of
+//! `K` once (an `Arc`-shared `sc_factor::Analysis`); a persistent service
+//! amortizes across *problems*: any client submitting a job with the same
+//! content key (the serve layer hashes the mesh spec) reuses the prepared
+//! state of whoever computed it first.
 //!
 //! [`SessionCache`] is that store: a thread-safe, byte-budgeted LRU keyed by
 //! a 64-bit content hash ([`ContentHasher`]). Values are `Arc`-shared, so an
@@ -120,7 +119,8 @@ struct CacheInner<T> {
 
 /// Thread-safe byte-budgeted LRU keyed by a [`ContentHasher`] digest.
 ///
-/// `insert` evicts least-recently-used entries until the newcomer fits; a
+/// `insert` evicts entries until the newcomer fits, least recently used
+/// first among those the caller is not about to read (its keep set); a
 /// value whose own size exceeds the whole budget is not cached at all (the
 /// job still runs, it just doesn't amortize). All values are `Arc`-shared:
 /// eviction drops the cache's reference only, never state in use.
@@ -170,10 +170,13 @@ impl<T> SessionCache<T> {
     }
 
     /// Insert `value` under `key`, charging `bytes` against the budget and
-    /// evicting LRU entries until it fits. Returns `false` (and caches
+    /// evicting entries until it fits. The victim is the least recently
+    /// used entry whose key is not in `keep` (the keys queued work is about
+    /// to read); when every resident entry is kept, it is the least recently
+    /// used one, so the budget always holds. Returns `false` (and caches
     /// nothing) when `bytes` alone exceeds the budget. Re-inserting an
     /// existing key replaces the entry and its byte charge.
-    pub fn insert(&self, key: u64, value: Arc<T>, bytes: usize) -> bool {
+    pub fn insert(&self, key: u64, value: Arc<T>, bytes: usize, keep: &[u64]) -> bool {
         if bytes > self.budget_bytes {
             return false;
         }
@@ -187,7 +190,7 @@ impl<T> SessionCache<T> {
             let lru = inner
                 .map
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
+                .min_by_key(|(k, e)| (keep.contains(k), e.last_used))
                 .map(|(&k, _)| k)
                 .expect("non-empty map whenever resident bytes exceed the remaining budget");
             let evicted = inner.map.remove(&lru).expect("key from live iteration");
@@ -253,7 +256,7 @@ mod tests {
     fn get_insert_roundtrip_and_counters() {
         let cache = SessionCache::<Vec<u8>>::new(1024);
         assert!(cache.get(7).is_none());
-        assert!(cache.insert(7, Arc::new(vec![1, 2, 3]), 100));
+        assert!(cache.insert(7, Arc::new(vec![1, 2, 3]), 100, &[]));
         let v = cache.get(7).expect("hit after insert");
         assert_eq!(*v, vec![1, 2, 3]);
         let s = cache.stats();
@@ -265,12 +268,12 @@ mod tests {
     #[test]
     fn lru_eviction_respects_recency() {
         let cache = SessionCache::<&'static str>::new(300);
-        cache.insert(1, Arc::new("a"), 100);
-        cache.insert(2, Arc::new("b"), 100);
-        cache.insert(3, Arc::new("c"), 100);
+        cache.insert(1, Arc::new("a"), 100, &[]);
+        cache.insert(2, Arc::new("b"), 100, &[]);
+        cache.insert(3, Arc::new("c"), 100, &[]);
         // touch 1 so 2 becomes the LRU
         cache.get(1);
-        assert!(cache.insert(4, Arc::new("d"), 100));
+        assert!(cache.insert(4, Arc::new("d"), 100, &[]));
         assert!(cache.get(2).is_none(), "LRU entry evicted");
         assert!(cache.get(1).is_some());
         assert!(cache.get(3).is_some());
@@ -279,10 +282,36 @@ mod tests {
     }
 
     #[test]
+    fn kept_entries_survive_until_everything_resident_is_kept() {
+        let cache = SessionCache::<&'static str>::new(300);
+        cache.insert(1, Arc::new("a"), 100, &[]);
+        cache.insert(2, Arc::new("b"), 100, &[]);
+        cache.insert(3, Arc::new("c"), 100, &[]);
+        // 1 is the LRU entry, but a queued job reads it: 2 goes instead
+        assert!(cache.insert(4, Arc::new("d"), 100, &[1]));
+        assert!(
+            cache.get(2).is_none(),
+            "LRU entry outside the keep set evicted"
+        );
+        assert!(cache.get(1).is_some(), "kept entry survives");
+        // every resident entry kept: plain LRU, and the budget still holds
+        assert!(cache.insert(5, Arc::new("e"), 200, &[1, 3, 4]));
+        let s = cache.stats();
+        assert!(
+            s.bytes <= s.budget_bytes,
+            "{} of {} bytes",
+            s.bytes,
+            s.budget_bytes
+        );
+        assert!(cache.get(3).is_none() && cache.get(4).is_none());
+        assert!(cache.get(1).is_some() && cache.get(5).is_some());
+    }
+
+    #[test]
     fn oversized_value_is_not_cached_and_evicts_nothing() {
         let cache = SessionCache::<u32>::new(100);
-        cache.insert(1, Arc::new(10), 60);
-        assert!(!cache.insert(2, Arc::new(20), 101));
+        cache.insert(1, Arc::new(10), 60, &[]);
+        assert!(!cache.insert(2, Arc::new(20), 101, &[]));
         assert!(cache.get(1).is_some(), "resident entry untouched");
         assert!(cache.get(2).is_none());
         assert_eq!(cache.stats().evictions, 0);
@@ -291,8 +320,8 @@ mod tests {
     #[test]
     fn reinsert_replaces_byte_charge() {
         let cache = SessionCache::<u32>::new(100);
-        cache.insert(1, Arc::new(10), 80);
-        cache.insert(1, Arc::new(11), 40);
+        cache.insert(1, Arc::new(10), 80, &[]);
+        cache.insert(1, Arc::new(11), 40, &[]);
         let s = cache.stats();
         assert_eq!((s.entries, s.bytes), (1, 40));
         assert_eq!(*cache.get(1).unwrap(), 11);
@@ -301,9 +330,9 @@ mod tests {
     #[test]
     fn evicted_arc_survives_while_held() {
         let cache = SessionCache::<Vec<u64>>::new(100);
-        cache.insert(1, Arc::new(vec![42; 4]), 100);
+        cache.insert(1, Arc::new(vec![42; 4]), 100, &[]);
         let held = cache.get(1).unwrap();
-        cache.insert(2, Arc::new(vec![7; 4]), 100); // evicts key 1
+        cache.insert(2, Arc::new(vec![7; 4]), 100, &[]); // evicts key 1
         assert!(cache.get(1).is_none());
         assert_eq!(held[0], 42, "in-use state outlives its eviction");
     }
@@ -311,7 +340,7 @@ mod tests {
     #[test]
     fn clear_keeps_counters() {
         let cache = SessionCache::<u32>::new(100);
-        cache.insert(1, Arc::new(1), 10);
+        cache.insert(1, Arc::new(1), 10, &[]);
         cache.get(1);
         cache.clear();
         assert!(cache.get(1).is_none());

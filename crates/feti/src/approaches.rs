@@ -36,7 +36,7 @@ use sc_core::{Backend, FactorStorage, ScConfig, ScheduleOptions, StreamPolicy};
 use sc_dense::{Mat, SymPackedOf};
 use sc_factor::{schur_from_factor, Engine};
 use sc_fem::HeatProblem;
-use sc_gpu::{Device, KernelCost};
+use sc_gpu::Device;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -222,14 +222,11 @@ pub fn preprocess_approach<'p>(
             // subdomain-index order
             let device = backend.device();
             let resident = |(i, f): (usize, Mat)| {
-                let f = SymPackedOf::from_lower(f.as_ref());
-                let stream = device.map(|d| {
-                    let stream = d.stream(i % d.n_streams());
-                    let bytes = KernelCost::symv_of::<f64>(f.nrows()).bytes;
-                    stream.submit(&KernelCost::transfer(bytes));
-                    stream
-                });
-                LocalOp::Dense { f, stream }
+                let f = Arc::new(SymPackedOf::from_lower(f.as_ref()));
+                let stream = device.map(|d| d.stream(i % d.n_streams()));
+                let op = LocalOp::Dense { f, stream };
+                op.upload();
+                op
             };
             let ops = dense.into_iter().enumerate().map(resident).collect();
             assembly.sim_s = device.map_or(0.0, |d| d.synchronize());

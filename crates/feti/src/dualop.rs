@@ -267,8 +267,9 @@ pub fn apply_implicit_with<'a, S: Scalar>(
 pub(crate) enum LocalOp<S = f64> {
     /// Eq. 12: the dense symmetric `F̃ᵢ`, applied with one SYMV.
     Dense {
-        /// The assembled local dual operator: its lower triangle, packed.
-        f: SymPackedOf<S>,
+        /// The assembled local dual operator: its lower triangle, packed,
+        /// shared with every build that reuses it ([`AssembledOperators`]).
+        f: Arc<SymPackedOf<S>>,
         /// `Some`: the triangle is resident on that simulated stream, whose
         /// clock every application advances by the SYMV's cost
         /// ([`LocalOp::charge`]).
@@ -294,7 +295,7 @@ impl<S: Scalar> LocalOp<S> {
         w: &mut Vec<S>,
     ) {
         match self {
-            LocalOp::Dense { f, .. } => sc_dense::symv(f, p, out),
+            LocalOp::Dense { f, .. } => sc_dense::symv(f.as_ref(), p, out),
             LocalOp::Implicit => {
                 let view = factors.expect("an implicit slot comes with its factor view");
                 apply_implicit_with(view, p, out, t, w)
@@ -323,6 +324,21 @@ impl<S: Scalar> LocalOp<S> {
         } = self
         {
             stream.submit(&KernelCost::symv_of::<S>(f.nrows()));
+        }
+    }
+
+    /// Advance a device-resident slot's stream by the H2D upload of its
+    /// packed triangle; a host slot charges nothing. Same ordering contract
+    /// as [`LocalOp::charge`].
+    pub(crate) fn upload(&self) {
+        if let LocalOp::Dense {
+            f,
+            stream: Some(stream),
+        } = self
+        {
+            // the SYMV reads exactly the packed triangle's bytes
+            let bytes = KernelCost::symv_of::<S>(f.nrows()).bytes;
+            stream.submit(&KernelCost::transfer(bytes));
         }
     }
 }
@@ -435,22 +451,68 @@ impl<S: Scalar> DualPass<S> {
     }
 }
 
-/// Bind each assembled `F̃ᵢ` to its operator slot, packed to its lower
-/// triangle: subdomains the report placed on a device get a device-resident
-/// operator on the stream of their placement; host subdomains (the CPU
-/// backend, the auto formulation's explicit-CPU share) get a host one.
-pub(crate) fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) -> Vec<LocalOp> {
-    let devices = backend.devices();
-    f.into_iter()
-        .zip(&report.subdomains)
-        .enumerate()
-        .map(|(i, (f, t))| {
-            debug_assert_eq!(t.index, i, "report rows must be in batch order");
-            let stream = t.placement.map(|p| devices[p.device].stream(p.stream));
-            let f = SymPackedOf::from_lower(f.as_ref());
-            LocalOp::Dense { f, stream }
-        })
-        .collect()
+/// The explicit operators one build assembled, shareable with later builds
+/// of the same problem ([`FetiSolver::shared_operators`],
+/// [`FetiSolverBuilder::operators`]): each subdomain's packed `F̃ᵢ` (`None`
+/// where the slot applies implicitly) and the report of the build that
+/// assembled them, whose placements name the stream each triangle lives on.
+///
+/// [`FetiSolver::shared_operators`]: crate::FetiSolver::shared_operators
+/// [`FetiSolverBuilder::operators`]: crate::FetiSolverBuilder::operators
+pub struct AssembledOperators {
+    triangles: Vec<Option<Arc<SymPackedOf<f64>>>>,
+    report: AssemblyReport,
+}
+
+impl AssembledOperators {
+    /// Pack each assembled `F̃ᵢ` (`None`: an implicit slot) to its lower
+    /// triangle; `report` rows carry problem-global indices.
+    pub(crate) fn new(f: Vec<Option<Mat>>, report: AssemblyReport) -> Self {
+        let pack = |f: Option<Mat>| f.map(|f| Arc::new(SymPackedOf::from_lower(f.as_ref())));
+        AssembledOperators {
+            triangles: f.into_iter().map(pack).collect(),
+            report,
+        }
+    }
+
+    /// The report of the build that assembled the operators.
+    pub fn report(&self) -> &AssemblyReport {
+        &self.report
+    }
+
+    /// Number of subdomains (operator slots) covered.
+    pub(crate) fn len(&self) -> usize {
+        self.triangles.len()
+    }
+
+    /// Bytes of the packed triangles.
+    pub fn packed_bytes(&self) -> usize {
+        let bytes = |f: &Arc<SymPackedOf<f64>>| std::mem::size_of_val(f.data());
+        self.triangles.iter().flatten().map(bytes).sum()
+    }
+
+    /// One slot per subdomain, each triangle shared, not copied: a
+    /// subdomain the report placed on a device gets a slot resident on the
+    /// stream of its placement (on `backend`'s devices), the others a host
+    /// one, and a subdomain with no triangle an implicit one.
+    pub(crate) fn bind(&self, backend: &Backend) -> Vec<LocalOp> {
+        let devices = backend.devices();
+        let mut streams: Vec<Option<Stream>> = self.triangles.iter().map(|_| None).collect();
+        for t in &self.report.subdomains {
+            streams[t.index] = t.placement.map(|p| devices[p.device].stream(p.stream));
+        }
+        self.triangles
+            .iter()
+            .zip(streams)
+            .map(|(f, stream)| match f {
+                Some(f) => LocalOp::Dense {
+                    f: Arc::clone(f),
+                    stream,
+                },
+                None => LocalOp::Implicit,
+            })
+            .collect()
+    }
 }
 
 /// The auto (hybrid) formulation: per-subdomain explicit-vs-implicit
@@ -468,7 +530,7 @@ pub(crate) fn assemble_auto(
     cfg: &ScConfig,
     backend: &Backend,
     plan_opts: &HybridPlanOptions,
-) -> (Vec<LocalOp>, AssemblyReport) {
+) -> AssembledOperators {
     // decision layer: analytic assembly + per-iteration apply estimates per
     // subdomain, priced against every device of the backend, flat (the
     // per-subdomain decision prices no interconnect) — none on the host
@@ -506,20 +568,20 @@ pub(crate) fn assemble_auto(
         }
     }
 
-    // one slot per subdomain; non-explicit ones apply against the shared
-    // factor bundle
-    let mut ops: Vec<LocalOp> = factors.iter().map(|_| LocalOp::Implicit).collect();
+    // one operator per subdomain; non-explicit ones stay `None` and apply
+    // against the shared factor bundle
+    let mut f: Vec<Option<Mat>> = factors.iter().map(|_| None).collect();
 
     // an explicit share: one session on the share's backend over the
-    // subdomains the plan gave it, slots bound by the share's report
+    // subdomains the plan gave it
     let mut assemble_share = |idx: &[usize], share: Backend| -> Option<AssemblyReport> {
         if idx.is_empty() {
             return None;
         }
         let items: Vec<BatchItem> = idx.iter().map(|&g| factors[g].batch_item()).collect();
-        let res = AssemblySession::new(share.clone(), *cfg).assemble(&items);
-        for (&g, op) in idx.iter().zip(bind_ops(res.f, &res.report, &share)) {
-            ops[g] = op;
+        let res = AssemblySession::new(share, *cfg).assemble(&items);
+        for (&g, fg) in idx.iter().zip(res.f) {
+            f[g] = Some(fg);
         }
         let mut rep = res.report;
         rep.remap_indices(idx);
@@ -543,7 +605,7 @@ pub(crate) fn assemble_auto(
     unified.subdomains.sort_by_key(|t| t.index);
     unified.precision = backend.precision;
     unified.hybrid = Some(plan);
-    (ops, unified)
+    AssembledOperators::new(f, unified)
 }
 
 #[cfg(test)]
@@ -662,14 +724,14 @@ mod tests {
                 (
                     "dense host",
                     LocalOp::Dense {
-                        f: dense(),
+                        f: Arc::new(dense()),
                         stream: None,
                     },
                 ),
                 (
                     "dense device",
                     LocalOp::Dense {
-                        f: dense(),
+                        f: Arc::new(dense()),
                         stream: Some(dev.stream(0)),
                     },
                 ),

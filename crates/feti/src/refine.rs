@@ -18,6 +18,7 @@ use rayon::prelude::*;
 use sc_dense::Scalar;
 use sc_fem::HeatProblem;
 use sc_sparse::CscOf;
+use std::sync::Arc;
 
 /// Inner (`f32`) PCPG relative tolerance: roughly `√ε_f32`, the point past
 /// which a single-precision recursion stops making progress; each outer
@@ -47,7 +48,7 @@ impl Demoted {
             .zip(factors)
             .map(|(op, fac)| match op {
                 LocalOp::Dense { f, .. } => {
-                    let f = f.cast::<f32>();
+                    let f = Arc::new(f.cast::<f32>());
                     (LocalOp::Dense { f, stream: None }, None)
                 }
                 LocalOp::Implicit => {

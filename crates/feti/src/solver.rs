@@ -9,7 +9,7 @@
 //! [`FetiSolver::solve`] and [`FetiSolver::solve_rhs`] then amortize it
 //! across any number of right-hand sides.
 
-use crate::dualop::{assemble_auto, bind_ops, DualPass, LocalOp, SubdomainFactors};
+use crate::dualop::{assemble_auto, AssembledOperators, DualPass, LocalOp, SubdomainFactors};
 use crate::exchange::ExchangeSim;
 use crate::pcpg::PcpgStats;
 use crate::refine::{Demoted, RefinementStats};
@@ -172,6 +172,7 @@ pub struct FetiSolverBuilder {
     formulation: FormulationChoice,
     precision: Option<Precision>,
     factors: Option<Arc<Vec<SubdomainFactors>>>,
+    operators: Option<Arc<AssembledOperators>>,
 }
 
 impl FetiSolverBuilder {
@@ -229,6 +230,23 @@ impl FetiSolverBuilder {
         self
     }
 
+    /// Reuse previously assembled dual operators instead of assembling: the
+    /// build runs no [`AssemblySession`] and binds each packed `F̃ᵢ`, shared
+    /// and not copied, to the stream its recorded placement names on this
+    /// builder's backend, charging that stream the H2D upload of the
+    /// triangle. The formulation that assembled them decides which slots are
+    /// dense; this builder's formulation and assembly configuration are not
+    /// consulted, and [`FetiSolver::report`] is the assembling build's
+    /// report. The operators must come from a
+    /// [`FetiSolver::shared_operators`] call on a build of an **identical**
+    /// problem at the same working precision, whose backend had the devices
+    /// this one has (the contract of [`factors`](Self::factors)); a length
+    /// mismatch panics at build time.
+    pub fn operators(mut self, operators: Arc<AssembledOperators>) -> Self {
+        self.operators = Some(operators);
+        self
+    }
+
     /// Run the initialization + preprocessing stages (paper §2.2) and return
     /// the reusable solver handle. Options are captured here, once —
     /// [`FetiSolver::solve`] takes no arguments.
@@ -240,6 +258,7 @@ impl FetiSolverBuilder {
             formulation,
             precision,
             factors: prepared,
+            operators: reused,
         } = self;
         let mut backend = backend.unwrap_or_else(Backend::cpu);
         if let Some(p) = precision {
@@ -255,24 +274,38 @@ impl FetiSolverBuilder {
             "prepared factor bundle must cover every subdomain of the problem"
         );
 
-        // one operator slot per subdomain: the explicit formulations
-        // pre-assemble the dense F̃ᵢ through one AssemblySession on the
-        // builder's backend; an implicit slot applies against `factors`
-        let (ops, report): (Vec<LocalOp>, Option<AssemblyReport>) = match &formulation {
-            FormulationChoice::Implicit => {
-                (factors.iter().map(|_| LocalOp::Implicit).collect(), None)
+        // the dense F̃ᵢ: reused, or pre-assembled by the explicit
+        // formulations through one AssemblySession on the builder's backend
+        let operators = match (&reused, &formulation) {
+            (Some(reused), _) => {
+                assert_eq!(
+                    reused.len(),
+                    problem.subdomains.len(),
+                    "reused operators must cover every subdomain of the problem"
+                );
+                Some(Arc::clone(reused))
             }
-            FormulationChoice::Explicit => {
+            (None, FormulationChoice::Implicit) => None,
+            (None, FormulationChoice::Explicit) => {
                 let items: Vec<_> = factors.iter().map(SubdomainFactors::batch_item).collect();
                 let res = AssemblySession::new(backend.clone(), cfg).assemble(&items);
-                (bind_ops(res.f, &res.report, &backend), Some(res.report))
+                let f = res.f.into_iter().map(Some).collect();
+                Some(Arc::new(AssembledOperators::new(f, res.report)))
             }
-            FormulationChoice::Auto(plan_opts) => {
-                let (ops, unified) = assemble_auto(&factors, &cfg, &backend, plan_opts);
-                (ops, Some(unified))
+            (None, FormulationChoice::Auto(plan_opts)) => {
+                Some(Arc::new(assemble_auto(&factors, &cfg, &backend, plan_opts)))
             }
         };
-        FetiSolver::from_ops(problem, opts, &backend, factors, ops, report)
+        // one operator slot per subdomain; an implicit slot applies against
+        // `factors`, and a reused triangle is uploaded to its stream
+        let ops: Vec<LocalOp> = match &operators {
+            Some(operators) => operators.bind(&backend),
+            None => factors.iter().map(|_| LocalOp::Implicit).collect(),
+        };
+        if reused.is_some() {
+            ops.iter().for_each(LocalOp::upload);
+        }
+        FetiSolver::from_ops(problem, opts, &backend, factors, ops, operators)
     }
 }
 
@@ -305,8 +338,10 @@ pub struct FetiSolver<'p> {
     d: Vec<f64>,
     /// Coarse right-hand side `e = Rᵀ f` of the problem's own loads.
     e: Vec<f64>,
-    /// The unified preprocessing report (`None` for the implicit mode).
-    report: Option<AssemblyReport>,
+    /// The dense operators the slots share, with the unified preprocessing
+    /// report of the build that assembled them (`None` for the implicit
+    /// mode).
+    operators: Option<Arc<AssembledOperators>>,
     /// Simulated PCPG boundary-exchange overlap; `Some` exactly when the
     /// backend is a multi-node pool with device-resident operators (the
     /// explicit formulation, or the explicit-GPU share of `Auto`).
@@ -326,7 +361,7 @@ impl<'p> FetiSolver<'p> {
         backend: &Backend,
         factors: Arc<Vec<SubdomainFactors>>,
         ops: Vec<LocalOp>,
-        report: Option<AssemblyReport>,
+        operators: Option<Arc<AssembledOperators>>,
     ) -> Self {
         let precision = backend.precision;
         // kernel numbering and G = B R (kernel = constant vector: G entries
@@ -378,8 +413,9 @@ impl<'p> FetiSolver<'p> {
         // the multi-node backend overlaps PCPG boundary exchanges with the
         // local applies; every other target leaves the solve untouched
         let exchange_sim = match &backend.target {
-            Target::MultiNode { pool, .. } if pool.n_nodes() > 1 => report
-                .as_ref()
+            Target::MultiNode { pool, .. } if pool.n_nodes() > 1 => operators
+                .as_deref()
+                .map(AssembledOperators::report)
                 .filter(|rep| !rep.nodes.is_empty())
                 .map(|rep| ExchangeSim::build(pool, &backend.devices(), rep, problem)),
             _ => None,
@@ -398,7 +434,7 @@ impl<'p> FetiSolver<'p> {
             kernel_col,
             d: Vec::new(),
             e: Vec::new(),
-            report,
+            operators,
             exchange_sim,
         };
         // dual + coarse right-hand sides of the problem's own loads (any
@@ -412,9 +448,11 @@ impl<'p> FetiSolver<'p> {
     /// The unified preprocessing report: per-subdomain timings, per-device
     /// execution timelines, and (for the auto formulation) the hybrid
     /// decisions — one schema for every backend. `None` when the dual
-    /// operator is applied implicitly (nothing was assembled).
+    /// operator is applied implicitly (nothing was assembled). A build from
+    /// reused operators ([`FetiSolverBuilder::operators`]) reports the build
+    /// that assembled them.
     pub fn report(&self) -> Option<&AssemblyReport> {
-        self.report.as_ref()
+        self.operators.as_deref().map(AssembledOperators::report)
     }
 
     /// The backend captured at construction.
@@ -673,6 +711,14 @@ impl<'p> FetiSolver<'p> {
     pub fn shared_factors(&self) -> Arc<Vec<SubdomainFactors>> {
         Arc::clone(&self.factors)
     }
+
+    /// Clone the shared handle of the assembled dual operators (`None` when
+    /// nothing was assembled), so a session cache can retain them past this
+    /// solver's lifetime and feed them back through
+    /// [`FetiSolverBuilder::operators`].
+    pub fn shared_operators(&self) -> Option<Arc<AssembledOperators>> {
+        self.operators.clone()
+    }
 }
 
 #[cfg(test)]
@@ -770,6 +816,57 @@ mod tests {
                 "primal solutions must match bitwise"
             );
             assert_eq!(sc.stats.iterations, sw.stats.iterations);
+        }
+    }
+
+    /// A build from another build's operators assembles nothing: its slots
+    /// share the cold build's triangles, it reports the cold build, and it
+    /// solves bitwise as the cold build does, at either precision. On a
+    /// device backend it moves each stream by exactly the uploads of the
+    /// triangles placed on it.
+    #[test]
+    fn reused_operators_solve_is_bitwise_identical_and_bill_only_uploads() {
+        let p = HeatProblem::build_2d(6, (3, 2), Gluing::Redundant);
+        for precision in [Precision::F64, Precision::f32_refined()] {
+            let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
+            let cold = FetiSolverBuilder::new()
+                .backend(Backend::cluster(Arc::clone(&pool)))
+                .formulation(FormulationChoice::Explicit)
+                .assembly(ScConfig::Auto)
+                .precision(precision)
+                .build(&p);
+            let operators = cold.shared_operators().expect("explicit builds share");
+            pool.reset_all();
+            let warm = FetiSolverBuilder::new()
+                .backend(Backend::cluster(Arc::clone(&pool)))
+                .precision(precision)
+                .factors(cold.shared_factors())
+                .operators(Arc::clone(&operators))
+                .build(&p);
+            let uploads = pool.synchronize_all();
+
+            let twins = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
+            for t in &operators.report().subdomains {
+                let at = t.placement.expect("every cluster row is placed");
+                let m = p.subdomains[t.index].n_lambda();
+                let bytes = KernelCost::symv_of::<f64>(m).bytes;
+                twins
+                    .device(at.device)
+                    .stream(at.stream)
+                    .submit(&KernelCost::transfer(bytes));
+            }
+            assert_eq!(uploads, twins.synchronize_all(), "{precision:?}");
+            assert!(uploads > 0.0 && uploads < cold.report().unwrap().makespan);
+
+            let shared = warm.ops.iter().zip(&cold.ops).all(|pair| {
+                matches!(pair, (LocalOp::Dense { f: a, .. }, LocalOp::Dense { f: b, .. })
+                    if Arc::ptr_eq(a, b))
+            });
+            assert!(shared, "{precision:?}: triangles are shared, not copied");
+            assert!(std::ptr::eq(warm.report().unwrap(), cold.report().unwrap()));
+            let (sc, sw) = (cold.solve(), warm.solve());
+            assert_eq!(sc.lambda, sw.lambda, "{precision:?}: λ bitwise");
+            assert_eq!(sc.u_locals, sw.u_locals, "{precision:?}: u bitwise");
         }
     }
 
@@ -1217,12 +1314,13 @@ mod tests {
         auto_with_ready_at(vec![0.0, f64::NAN, 0.0, 0.0]);
     }
 
-    /// `bind_ops` puts each explicit operator on the stream its report row
+    /// Binding puts each explicit operator on the stream its report row
     /// names: one application advances exactly those streams, each by the
     /// SYMVs of the subdomains placed on it (replayed on twin devices in the
-    /// subdomain order the pass charges in), and no other stream. The
-    /// multi-node pool runs over an ideal link, whose exchange arrives
-    /// before any SYMV ends, so no stream stalls.
+    /// subdomain order the pass charges in), and no other stream — also
+    /// when the operators are reused from a cluster build. The multi-node
+    /// pool runs over an ideal link, whose exchange arrives before any SYMV
+    /// ends, so no stream stalls.
     #[test]
     fn one_application_charges_exactly_the_streams_the_report_names() {
         let p = mixed_problem();
@@ -1230,35 +1328,46 @@ mod tests {
         let (mid, _) = mid_arena_spec(&temp_footprints(&p, &cfg));
         let a100 = DeviceSpec::a100();
         let explicit = FormulationChoice::Explicit;
+        let cluster = Backend::cluster(DevicePool::uniform(a100.clone(), 2, 2));
+        let build = |formulation, backend: &Backend| {
+            FetiSolverBuilder::new()
+                .backend(backend.clone())
+                .formulation(formulation)
+                .assembly(cfg)
+                .build(&p)
+        };
+        let reused = build(explicit.clone(), &cluster).shared_operators();
         let cases = [
             (
                 "gpu",
                 explicit.clone(),
                 Backend::gpu(Device::new(a100.clone(), 3)),
+                None,
             ),
-            (
-                "cluster",
-                explicit.clone(),
-                Backend::cluster(DevicePool::uniform(a100.clone(), 2, 2)),
-            ),
+            ("cluster", explicit.clone(), cluster.clone(), None),
+            ("reused", FormulationChoice::Implicit, cluster, reused),
             (
                 "multi_node",
                 explicit,
                 Backend::multi_node(NodePool::uniform(a100, 2, 2, 2, Interconnect::ideal())),
+                None,
             ),
             (
                 "auto",
                 FormulationChoice::Auto(HybridPlanOptions::default().with_iters(MIXED_ITERS)),
                 Backend::cluster(DevicePool::uniform(mid, 2, 2)),
+                None,
             ),
         ];
         let lam: Vec<f64> = (0..p.n_lambda).map(|i| (i as f64 * 0.37).sin()).collect();
-        for (name, formulation, backend) in cases {
-            let solver = FetiSolverBuilder::new()
-                .backend(backend.clone())
-                .formulation(formulation)
-                .assembly(cfg)
-                .build(&p);
+        for (name, formulation, backend, reused) in cases {
+            let solver = match reused {
+                Some(operators) => FetiSolverBuilder::new()
+                    .backend(backend.clone())
+                    .operators(operators)
+                    .build(&p),
+                None => build(formulation, &backend),
+            };
             let report = solver.report().expect("explicit formulations report");
             if let Some(plan) = &report.hybrid {
                 assert!(

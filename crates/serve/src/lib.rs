@@ -4,10 +4,10 @@
 //! A FETI shop rarely solves one problem once: design loops, load sweeps,
 //! and parameter studies resubmit the *same decomposition* with different
 //! loads, precisions, and tenants. The expensive preprocessing — mesh
-//! decomposition, per-subdomain regularized Cholesky (symbolic + numeric)
-//! — is a pure function of the problem content, so a long-lived service
-//! can pay it once and amortize it across every later job, whoever submits
-//! it.
+//! decomposition, per-subdomain regularized Cholesky (symbolic + numeric),
+//! the explicit assembly of each `F̃ᵢ` — is a pure function of the problem
+//! content, so a long-lived service can pay it once and amortize it across
+//! every later job, whoever submits it.
 //!
 //! Three layers:
 //!
@@ -18,9 +18,10 @@
 //!   name table. Fuzzed in `tests/intake.rs`: arbitrary bytes never panic
 //!   the parser, and [`encode_request`] → [`parse_request`] is lossless.
 //! - [`cache`] — the cross-session prepared-state cache: a byte-budgeted
-//!   LRU ([`sc_core::SessionCache`]) keyed by a content hash of
-//!   *(mesh spec, precision)*. Warm solves are bitwise identical to cold
-//!   ones (pinned in `tests/cache.rs`).
+//!   LRU ([`sc_core::SessionCache`]) keyed by a content hash of the mesh
+//!   spec, whose bundles also keep the assembled operators of each
+//!   (precision, backend). Warm solves are bitwise identical to cold ones
+//!   (pinned in `tests/cache.rs`).
 //! - [`scheduler`] + [`server`] — weighted deficit-round-robin fairness in
 //!   estimated device-seconds, admission control against the shared
 //!   [`sc_gpu::DevicePool`] arena, per-job timeout/cancellation, and

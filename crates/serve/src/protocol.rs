@@ -59,7 +59,7 @@ impl WireName for Gluing {
 }
 
 /// Working precision selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PrecisionTag {
     /// Full `f64`.
     F64,
@@ -88,8 +88,8 @@ impl WireName for BackendTag {
         &[("cluster", BackendTag::Cluster), ("cpu", BackendTag::Cpu)];
 }
 
-/// The mesh/decomposition content of a job — together with config and
-/// precision this is what the session cache keys on.
+/// The mesh/decomposition content of a job — what the session cache keys
+/// on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MeshSpec {
     /// 2 or 3.

@@ -103,6 +103,13 @@ impl Scheduler {
         self.tenants.values().map(|t| t.queue.len()).sum()
     }
 
+    /// Content keys of every queued job (repeats included): the prepared
+    /// state the queue is about to read.
+    pub fn queued_keys(&self) -> Vec<u64> {
+        let queues = self.tenants.values().flat_map(|t| &t.queue);
+        queues.map(|q| q.key).collect()
+    }
+
     fn tenant_mut(&mut self, name: &str) -> &mut Tenant {
         self.tenants
             .entry(name.to_string())

@@ -61,9 +61,15 @@ pub struct JobOutcome {
     pub kind: JobKind,
     /// Whether the prepared state came out of the cross-session cache.
     pub cache_hit: bool,
+    /// Whether the job reused the dual operators an earlier job of the same
+    /// mesh, precision and backend assembled (in-process only: the wire
+    /// `done` line does not carry it).
+    pub reused_operators: bool,
     /// Wall seconds spent preparing (0.0 on a hit).
     pub prep_s: f64,
-    /// Realized device-seconds billed to the tenant.
+    /// Realized device-seconds billed to the tenant: the assembly makespan
+    /// of a cluster job that assembled, the makespan of the uploads of one
+    /// that reused the operators; host wall seconds of a `cpu` job's build.
     pub device_s: f64,
     /// PCPG iterations (solve jobs).
     pub iterations: Option<usize>,
@@ -87,13 +93,15 @@ pub struct Service {
     /// not grow per-job memory.
     results: Option<HashMap<(String, String), JobOutcome>>,
     /// Measured-rate calibration of the submit-time cost estimates:
-    /// running mean of realized device-seconds per (content key, job kind,
-    /// backend). The closed-form §4.4 estimate prices a job the service has
-    /// never run; once a key has completed, its realized cost replaces the
-    /// model, so the fair scheduler divides what tenants actually consume.
-    /// The backend is in the key because `cpu` jobs bill host wall seconds
-    /// and `cluster` jobs simulated device seconds.
-    realized: HashMap<(u64, JobKind, BackendTag), (f64, usize)>,
+    /// running mean of realized device-seconds per (content key, precision,
+    /// job kind, backend). The closed-form §4.4 estimate prices a job the
+    /// service has never run; once a key has completed, its realized cost
+    /// replaces the model, so the fair scheduler divides what tenants
+    /// actually consume. The content key covers the mesh only, so the
+    /// precision is in the key to keep `f32` and `f64` device-seconds
+    /// apart; the backend is because `cpu` jobs bill host wall seconds and
+    /// `cluster` jobs simulated device seconds.
+    realized: HashMap<(u64, PrecisionTag, JobKind, BackendTag), (f64, usize)>,
 }
 
 impl Service {
@@ -150,8 +158,11 @@ impl Service {
             self.sched.note_rejected(&job.tenant);
             return admission_error(self.line_no, &msg);
         }
-        let key = content_key(&job.spec, job.precision);
-        let est = match self.realized.get(&(key, job.kind, job.backend)) {
+        let key = content_key(&job.spec);
+        let est = match self
+            .realized
+            .get(&(key, job.precision, job.kind, job.backend))
+        {
             Some((mean, _)) => *mean,
             None => estimate_job_seconds(&job.spec),
         };
@@ -219,10 +230,9 @@ impl Service {
                 outcome.prep_s,
                 outcome.cache_hit,
             );
-            let (mean, n) = self
-                .realized
-                .entry((qj.key, qj.req.kind, qj.req.backend))
-                .or_insert((0.0, 0));
+            let r = &qj.req;
+            let realized = (qj.key, r.precision, r.kind, r.backend);
+            let (mean, n) = self.realized.entry(realized).or_insert((0.0, 0));
             *n += 1;
             *mean += (outcome.device_s - *mean) / *n as f64; // sc-analyze: allow(precision-discipline)
             spent += outcome.device_s;
@@ -246,6 +256,9 @@ impl Service {
     /// run: the error names the subdomains no device arena admits.
     fn execute(&mut self, tenant: &str, qj: &QueuedJob) -> Result<JobOutcome, String> {
         let req = &qj.req;
+        // what the queue is about to read stays resident while anything
+        // else can be evicted instead
+        let keep = self.sched.queued_keys();
         // Cache lookup happens at dispatch, not submit: an entry evicted
         // while the job queued is simply re-prepared here.
         let (prep, cache_hit, prep_s) = match self.cache.get(qj.key) {
@@ -255,7 +268,7 @@ impl Service {
                 let built = Arc::new(prepare(&req.spec));
                 let secs = t0.elapsed().as_secs_f64();
                 let bytes = built.bytes;
-                self.cache.insert(qj.key, Arc::clone(&built), bytes);
+                self.cache.insert(qj.key, Arc::clone(&built), bytes, &keep);
                 (built, false, secs)
             }
         };
@@ -267,6 +280,7 @@ impl Service {
             job: req.job.clone(),
             kind: req.kind,
             cache_hit,
+            reused_operators: false,
             prep_s,
             device_s: 0.0,
             iterations: None,
@@ -286,18 +300,34 @@ impl Service {
         }
         .precision(precision_of(req.precision));
 
-        let t0 = Instant::now();
-        let solver = FetiSolverBuilder::new()
+        // the operators of an earlier job of this mesh, precision and
+        // backend: the build uploads them instead of assembling
+        let slot = (req.precision, req.backend);
+        let reused = prep.operators.get(&slot).cloned();
+        outcome.reused_operators = reused.is_some();
+        let mut builder = FetiSolverBuilder::new()
             .backend(backend)
             .formulation(FormulationChoice::Explicit)
             .assembly(ScConfig::Auto)
-            .factors(Arc::clone(&prep.factors))
-            .build(&prep.problem);
-        outcome.device_s = match solver.report() {
-            Some(r) if r.makespan > 0.0 => r.makespan,
-            Some(r) => r.total_seconds,
-            None => t0.elapsed().as_secs_f64(),
+            .factors(Arc::clone(&prep.factors));
+        if let Some(operators) = reused {
+            builder = builder.operators(operators);
+        }
+        let t0 = Instant::now();
+        let solver = builder.build(&prep.problem);
+        outcome.device_s = match (outcome.reused_operators, req.backend, solver.report()) {
+            (true, BackendTag::Cluster, _) => self.opts.pool.synchronize_all(),
+            (false, _, Some(r)) if r.makespan > 0.0 => r.makespan,
+            (false, _, Some(r)) => r.total_seconds,
+            _ => t0.elapsed().as_secs_f64(),
         };
+        // keep what this job assembled for the next one, charged to the
+        // bundle at its packed bytes
+        if let (false, Some(operators)) = (outcome.reused_operators, solver.shared_operators()) {
+            let grown = prep.with_operators(slot, operators);
+            let bytes = grown.bytes;
+            self.cache.insert(qj.key, Arc::new(grown), bytes, &keep);
+        }
         if req.kind == JobKind::Solve {
             let sol = if (req.scale - 1.0).abs() > f64::EPSILON {
                 let scaled: Vec<Vec<f64>> = prep
@@ -630,6 +660,43 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 1));
         let warm = h.take_outcome("b", "warm").expect("outcome");
         assert_eq!(warm.prep_s, 0.0, "hits pay no preprocessing");
+    }
+
+    #[test]
+    fn warm_cluster_job_bills_the_makespan_of_its_uploads() {
+        let mut h = ServeHandle::new(small_opts());
+        h.request(&submit_line("a", "cold", "solve"));
+        h.request("{\"op\":\"run\"}");
+        h.request(&submit_line("b", "warm", "solve"));
+        h.request("{\"op\":\"run\"}");
+        let cold = h.take_outcome("a", "cold").expect("cold outcome");
+        let warm = h.take_outcome("b", "warm").expect("warm outcome");
+        assert!(!cold.reused_operators && warm.reused_operators);
+
+        // replay the uploads of the cold job's placements on a twin pool
+        let spec = MeshSpec {
+            dim: 2,
+            cells: 4,
+            subs: (2, 2, 1),
+            gluing: sc_fem::Gluing::Redundant,
+        };
+        let prep = h
+            .service
+            .cache
+            .get(content_key(&spec))
+            .expect("bundle resident");
+        let ops = &prep.operators[&(PrecisionTag::F64, BackendTag::Cluster)];
+        let twins = DevicePool::uniform(DeviceSpec::a100(), 1, 2);
+        for t in &ops.report().subdomains {
+            let at = t.placement.expect("cluster rows are placed");
+            let m = prep.problem.subdomains[t.index].n_lambda();
+            let bytes = sc_gpu::KernelCost::symv_of::<f64>(m).bytes;
+            let upload = sc_gpu::KernelCost::transfer(bytes);
+            twins.device(at.device).stream(at.stream).submit(&upload);
+        }
+        assert_eq!(warm.device_s, twins.synchronize_all());
+        assert!(warm.device_s > 0.0 && warm.device_s < cold.device_s);
+        assert_eq!(cold.device_s, ops.report().makespan);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Three contracts:
 //!
 //! 1. **Warm ≡ cold, bitwise** — a solve served from a cached prepared
-//!    bundle returns exactly the λ and per-subdomain u a cold run
-//!    produces, for every backend × precision combination. Preprocessing
-//!    is deterministic, so there is no tolerance here: `assert_eq!` on the
-//!    raw `f64` vectors.
+//!    bundle and its reused operators returns exactly the λ and
+//!    per-subdomain u a cold run produces, for every backend × precision
+//!    combination, and the precisions of one mesh share one bundle.
+//!    Preprocessing is deterministic, so there is no tolerance here:
+//!    `assert_eq!` on the raw `f64` vectors.
 //! 2. **Eviction never corrupts** — under a byte budget so tight that
 //!    bundles keep evicting each other, every job still produces the
 //!    bitwise-reference answer (an evicted entry costs re-preparation,
@@ -66,23 +67,31 @@ fn assert_bitwise(a: &JobOutcome, b: &JobOutcome, label: &str) {
 #[test]
 fn warm_solve_is_bitwise_identical_to_cold_across_backends_and_precisions() {
     for backend in ["cluster", "cpu"] {
-        for precision in ["f64", "f32_refined"] {
+        // one service per backend: both precisions share the mesh's bundle
+        let mut svc = ServeHandle::new(ServeOptions::default());
+        for (p, precision) in ["f64", "f32_refined"].into_iter().enumerate() {
             let label = format!("{backend}/{precision}");
-            let mut svc = ServeHandle::new(ServeOptions::default());
             let cold = run_one(
                 &mut svc,
-                &submit(2, 4, "t1", "cold", precision, backend),
+                &submit(2, 4, "t1", &format!("cold-{precision}"), precision, backend),
                 "t1",
-                "cold",
+                &format!("cold-{precision}"),
             );
-            assert!(!cold.cache_hit, "{label}: first job must miss");
+            // the f64 job prepares the bundle; the f32_refined job finds it
+            // but assembles its own operators
+            assert_eq!(cold.cache_hit, p > 0, "{label}: one bundle per mesh");
+            assert!(!cold.reused_operators, "{label}: first job assembles");
             let warm = run_one(
                 &mut svc,
-                &submit(2, 4, "t2", "warm", precision, backend),
+                &submit(2, 4, "t2", &format!("warm-{precision}"), precision, backend),
                 "t2",
-                "warm",
+                &format!("warm-{precision}"),
             );
             assert!(warm.cache_hit, "{label}: second job must hit");
+            assert!(
+                warm.reused_operators,
+                "{label}: second job reuses the operators"
+            );
             assert_eq!(warm.prep_s, 0.0, "{label}: hits pay no preprocessing");
             assert_bitwise(&cold, &warm, &label);
 
@@ -97,7 +106,27 @@ fn warm_solve_is_bitwise_identical_to_cold_across_backends_and_precisions() {
             );
             assert_bitwise(&reference, &warm, &format!("{label} vs fresh service"));
         }
+        let stats = svc.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (3, 1), "{backend}: one bundle");
     }
+
+    // an f64 job followed by an f32_refined job on one mesh: one miss, one hit
+    let mut svc = ServeHandle::new(ServeOptions::default());
+    run_one(
+        &mut svc,
+        &submit(2, 5, "t", "a", "f64", "cluster"),
+        "t",
+        "a",
+    );
+    let f32 = run_one(
+        &mut svc,
+        &submit(2, 5, "t", "b", "f32_refined", "cluster"),
+        "t",
+        "b",
+    );
+    let stats = svc.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1));
+    assert!(f32.cache_hit && !f32.reused_operators);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Solver-as-a-service in-process: drive the persistent multi-tenant
 //! service through its JSON-lines protocol, watch the cross-session cache
-//! turn repeat preprocessing into hits, and read per-tenant roll-ups.
+//! turn repeat preprocessing into hits and repeat assembly into uploads of
+//! the operators, and read per-tenant roll-ups.
 //!
 //! The same service speaks the identical protocol over a pipe or TCP via
 //! the `sc_serve` binary (`cargo run -p sc_serve --release`); this example
@@ -14,18 +15,23 @@ use schur_dd::prelude::*;
 fn main() {
     let mut svc = ServeHandle::new(ServeOptions::default());
 
-    // two tenants submit jobs over the same mesh family: the first job
-    // pays preprocessing (symbolic + numeric factorization of every
-    // subdomain), every later job with the same content key hits the cache
+    // two tenants submit jobs over the same mesh: the first job pays
+    // preprocessing (symbolic + numeric factorization of every subdomain)
+    // and the assembly of every F̃ᵢ; every later job on the mesh hits the
+    // cache, and a repeat at the same precision reuses the assembled
+    // operators, billing only their uploads to the devices
     let jobs = [
-        ("acme", "nightly-1"),
-        ("acme", "nightly-2"),
-        ("zeus", "explore-1"),
+        ("acme", "nightly-1", "f64"),
+        ("acme", "nightly-2", "f64"),
+        ("zeus", "explore-1", "f64"),
+        ("zeus", "explore-2", "f32_refined"),
+        ("zeus", "explore-3", "f32_refined"),
     ];
-    for (tenant, job) in jobs {
+    for (tenant, job, precision) in jobs {
         let line = format!(
             "{{\"op\":\"solve\",\"tenant\":\"{tenant}\",\"job\":\"{job}\",\
-             \"dim\":2,\"cells\":8,\"subs\":[2,2],\"backend\":\"cluster\"}}"
+             \"dim\":2,\"cells\":8,\"subs\":[2,2],\"backend\":\"cluster\",\
+             \"precision\":\"{precision}\"}}"
         );
         for reply in svc.request(&line) {
             println!("<- {reply}");
@@ -41,16 +47,25 @@ fn main() {
     }
 
     println!();
-    for (tenant, job) in jobs {
+    let mut assembled = 0;
+    for (tenant, job, precision) in jobs {
         let out = svc.take_outcome(tenant, job).expect("job ran");
+        assembled += usize::from(!out.reused_operators);
         println!(
-            "{tenant}/{job}: cache {} | preprocessing {:.3} ms | device {:.3} ms | {} PCPG iters",
+            "{tenant}/{job} ({precision}): cache {} | operators {} | preprocessing {:.3} ms | \
+             device {:.4} ms | {} PCPG iters",
             if out.cache_hit { "hit " } else { "miss" },
+            if out.reused_operators {
+                "reused (upload only)"
+            } else {
+                "assembled"
+            },
             out.prep_s * 1e3,
             out.device_s * 1e3,
             out.iterations.unwrap_or(0),
         );
     }
+    assert_eq!(assembled, 2, "one assembly per precision, uploads after");
 
     let cache = svc.cache_stats();
     println!(

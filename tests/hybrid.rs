@@ -47,8 +47,6 @@ fn estimates_of(subs: &[SynthSub]) -> (Vec<CostEstimate>, Vec<ApplyEstimate>) {
             (
                 CostEstimate {
                     index: i,
-                    n_dofs: 64,
-                    n_lambda: 8,
                     trsm_flops: s.asm_gflops * 1e9,
                     syrk_flops: 0.0,
                     transfer_bytes: 0.0,
