@@ -17,10 +17,6 @@
 //!   not overlap in time (a stream is a serial queue);
 //! * **arena accounting**: live bytes may never exceed the arena
 //!   capacity at any instant.
-//! * **exchange ordering**: an inter-node transfer
-//!   ([`TraceEvent::Exchange`]) may not overlap the span of a kernel
-//!   that reads a slot the exchange writes — the consumer would observe
-//!   a half-arrived buffer.
 //!
 //! All checks run on the trace alone; nothing re-executes.
 
@@ -129,21 +125,6 @@ pub enum TraceViolation {
         /// Pool capacity in bytes.
         capacity: usize,
     },
-    /// An inter-node exchange overlaps a kernel that reads a slot the
-    /// exchange writes: the consumer has no ordering edge to the
-    /// transfer and would observe a half-arrived buffer.
-    ExchangeOverlap {
-        /// Arena slot id the exchange writes and the kernel reads.
-        slot: usize,
-        /// Label of the exchange event.
-        exchange: &'static str,
-        /// Label of the dependent kernel.
-        kernel: &'static str,
-        /// Peer node of the transfer.
-        peer: usize,
-        /// Start time of the dependent kernel's span.
-        at: f64,
-    },
 }
 
 impl std::fmt::Display for TraceViolation {
@@ -203,17 +184,6 @@ impl std::fmt::Display for TraceViolation {
                 "arena oversubscribed at t={at:.6e}: {live_bytes} live bytes > \
                  capacity {capacity}"
             ),
-            TraceViolation::ExchangeOverlap {
-                slot,
-                exchange,
-                kernel,
-                peer,
-                at,
-            } => write!(
-                f,
-                "exchange-overlap: transfer `{exchange}` (peer {peer}) still writes \
-                 slot {slot} while dependent kernel `{kernel}` reads it at t={at:.6e}"
-            ),
         }
     }
 }
@@ -234,7 +204,6 @@ pub fn validate(trace: &Trace) -> Vec<TraceViolation> {
     check_cross_stream(trace, &mut out);
     check_stream_serialization(trace, &mut out);
     check_arena_budget(trace, &mut out);
-    check_exchange_overlap(trace, &mut out);
     out
 }
 
@@ -279,7 +248,7 @@ fn slot_lifetimes(trace: &Trace, out: &mut Vec<TraceViolation>) -> Vec<(usize, S
                     life.free_at = Some(*at);
                 }
             }
-            TraceEvent::Kernel { .. } | TraceEvent::Exchange { .. } => {}
+            TraceEvent::Kernel { .. } => {}
         }
     }
     lives
@@ -465,7 +434,7 @@ fn check_arena_budget(trace: &Trace, out: &mut Vec<TraceViolation>) {
                 // recover the bytes from the matching alloc below
                 deltas.push((*at, i64::MIN)); // placeholder, fixed next
             }
-            TraceEvent::Kernel { .. } | TraceEvent::Exchange { .. } => {}
+            TraceEvent::Kernel { .. } => {}
         }
     }
     // Rebuild free sizes from slot lifetimes (a Free event does not
@@ -489,7 +458,7 @@ fn check_arena_budget(trace: &Trace, out: &mut Vec<TraceViolation>) {
                 deltas[di].1 = -(bytes as i64);
                 di += 1;
             }
-            TraceEvent::Kernel { .. } | TraceEvent::Exchange { .. } => {}
+            TraceEvent::Kernel { .. } => {}
         }
     }
     // sort by (time, frees-first)
@@ -507,42 +476,6 @@ fn check_arena_budget(trace: &Trace, out: &mut Vec<TraceViolation>) {
                 live_bytes: live as usize,
                 capacity: trace.arena_capacity,
             });
-        }
-    }
-}
-
-fn check_exchange_overlap(trace: &Trace, out: &mut Vec<TraceViolation>) {
-    for ev in &trace.events {
-        let TraceEvent::Exchange {
-            label: xlabel,
-            peer,
-            span: xspan,
-            writes,
-            ..
-        } = ev
-        else {
-            continue;
-        };
-        for kev in &trace.events {
-            let TraceEvent::Kernel {
-                label, span, reads, ..
-            } = kev
-            else {
-                continue;
-            };
-            // strict overlap in time (touching endpoints are ordered)
-            if span.end <= xspan.start + EPS || xspan.end <= span.start + EPS {
-                continue;
-            }
-            if let Some(&slot) = reads.iter().find(|s| writes.contains(s)) {
-                out.push(TraceViolation::ExchangeOverlap {
-                    slot,
-                    exchange: xlabel,
-                    kernel: label,
-                    peer: *peer,
-                    at: span.start,
-                });
-            }
         }
     }
 }
@@ -689,40 +622,6 @@ mod tests {
         assert!(v
             .iter()
             .any(|v| matches!(v, TraceViolation::ArenaOversubscribed { .. })));
-    }
-
-    #[test]
-    fn exchange_overlapping_dependent_kernel_detected() {
-        let mut t = clean_trace();
-        // transfer into slot 0 spanning [0.5, 1.5): the `syrk` kernel
-        // reading slot 0 at [1.0, 2.0) consumes a half-arrived buffer
-        t.events.push(TraceEvent::Exchange {
-            label: "lambda-exchange",
-            peer: 1,
-            bytes: 256,
-            span: span(0.5, 1.5),
-            writes: vec![0],
-        });
-        let v = validate(&t);
-        assert!(v.iter().any(|v| matches!(
-            v,
-            TraceViolation::ExchangeOverlap {
-                slot: 0,
-                kernel: "syrk",
-                peer: 1,
-                ..
-            }
-        )));
-        // moved past every reader, the same transfer is clean
-        let mut t = clean_trace();
-        t.events.push(TraceEvent::Exchange {
-            label: "lambda-exchange",
-            peer: 1,
-            bytes: 256,
-            span: span(2.0, 3.0),
-            writes: vec![0],
-        });
-        assert!(validate(&t).is_empty());
     }
 
     #[test]

@@ -229,53 +229,6 @@ proptest! {
     }
 
     #[test]
-    fn exchange_slid_under_a_dependent_kernel_is_reported(
-        n_slots in 1usize..6,
-        n_streams in 1usize..4,
-        kernels in 1usize..4,
-        pick in 0usize..64,
-    ) {
-        let mut t = clean_trace(n_slots, n_streams, kernels);
-        let victim = pick % n_slots;
-        let read_span = t.events.iter().find_map(|e| match e {
-            TraceEvent::Kernel { span, reads, .. } if reads.contains(&victim) => Some(*span),
-            _ => None,
-        }).expect("every slot is read in the synthetic trace");
-        // a well-ordered exchange (entirely before the reader) is clean
-        let safe_span = SimSpan {
-            start: read_span.start - 1.0,
-            end: read_span.start,
-        };
-        t.events.push(TraceEvent::Exchange {
-            label: "boundary",
-            peer: 1,
-            bytes: 64,
-            span: safe_span,
-            writes: vec![victim],
-        });
-        prop_assert!(validate(&t).is_empty(), "ordered exchange flagged");
-        // mutate it to straddle the reader's span: must be reported with
-        // the victim slot and the reader's label in the diagnostic
-        if let Some(TraceEvent::Exchange { span, .. }) = t.events.last_mut() {
-            *span = SimSpan {
-                start: read_span.start + 0.25,
-                end: read_span.end - 0.25,
-            };
-        }
-        let v = validate(&t);
-        prop_assert!(
-            has(&v, |x| matches!(x, TraceViolation::ExchangeOverlap { slot, exchange: "boundary", peer: 1, .. }
-                if *slot == victim)),
-            "exchange overlap on slot {victim} not reported: {v:?}"
-        );
-        let msg = v.iter().map(|x| x.to_string()).collect::<Vec<_>>().join("\n");
-        prop_assert!(
-            msg.contains("exchange-overlap") && msg.contains("synthetic"),
-            "diagnostic must name the hazard class and the dependent kernel: {msg}"
-        );
-    }
-
-    #[test]
     fn arena_oversubscription_is_reported(
         n_slots in 1usize..6,
         n_streams in 1usize..4,

@@ -17,21 +17,20 @@
 //! Execution targets:
 //!
 //! - **CPU** (`batch_cpu`) — one rayon task per subdomain;
-//! - **every device target** (`batch_devices`) — one GPU, a device pool
-//!   and a multi-node cluster are the same walk over a
-//!   [`Topology`] tree (node → device → stream) that differs only in its
-//!   data. **Record once**: numerics run host-parallel through
-//!   [`RecordingExec`] (bitwise the CPU path) and every subdomain's kernel
-//!   sequence is kept. **Plan once**: [`plan_topology_by`] places the whole
-//!   batch over the whole tree — cost-aware LPT across nodes and devices
-//!   with per-device arena admissibility, then the paper-§4.4 stream
-//!   assignment per device (LPT onto the least-loaded stream;
+//! - **every device target** (`batch_devices`) — one GPU and a device pool
+//!   are the same pass over a [`Topology::Pool`] (pool → device → lane; one
+//!   GPU is a one-device pool). **Record once**: numerics run host-parallel
+//!   through [`RecordingExec`] (bitwise the CPU path) and every subdomain's
+//!   kernel sequence is kept. **Plan once**: [`plan_topology_by`] places the
+//!   whole batch — cost-aware LPT across devices with per-device arena
+//!   admissibility, then the paper-§4.4 stream assignment per device (LPT
+//!   onto the least-loaded stream;
 //!   [`StreamPolicy::RoundRobin`](crate::schedule::StreamPolicy::RoundRobin)
 //!   keeps the paper's blind 16-stream index-order submission as the
-//!   comparison baseline) — with one pricing closure at every level: the
-//!   recorded kernel sequence under the leaf device's own
+//!   comparison baseline) — with one pricing closure at both levels: the
+//!   recorded kernel sequence under each device's own
 //!   [`DeviceSpec::kernel_seconds`](sc_gpu::DeviceSpec::kernel_seconds).
-//!   **Replay**: each device leaf executes exactly the lane assignment the
+//!   **Replay**: each device executes exactly the lane assignment the
 //!   plan holds, kernel by kernel in stream-clock order, admitting every
 //!   subdomain against the device's temporary arena ("wait") and honouring
 //!   host readiness ("mix") — a deterministic simulated timeline,
@@ -49,21 +48,20 @@
 //! `host_seconds` is host wall time on every target; its `placement` is
 //! `None` on the CPU driver and, on the device targets, the replayed
 //! [`ScheduledSpan`] (device, stream, arena admission, simulated span) —
-//! the only place a placement is stated. The device and node sections keep
-//! only their roll-ups, and the device makespan lives in
+//! the only place a placement is stated. The device sections keep only
+//! their roll-ups, and the device makespan lives in
 //! [`AssemblyReport::makespan`].
 
 use crate::assemble::{assemble_sc, ScConfig};
 use crate::exec::{CpuExec, RecordingExec};
 use crate::schedule::{
-    self, plan_topology_by, ClusterPlanError, CostEstimate, DeviceSlot, ScheduleOptions, TopoPlan,
-    Topology,
+    self, plan_topology_by, ClusterPlanError, CostEstimate, DeviceSlot, ScheduleOptions, Topology,
 };
-use crate::session::{AssemblyReport, DeviceReport, NodeReport, ScheduledSpan, SubdomainTiming};
+use crate::session::{AssemblyReport, DeviceReport, ScheduledSpan, SubdomainTiming};
 use crate::source::BatchSource;
 use rayon::prelude::*;
 use sc_dense::{MatOf, Scalar};
-use sc_gpu::{ArenaSim, Device, DeviceSpec, Interconnect, SimSpan, Trace, TraceEvent};
+use sc_gpu::{ArenaSim, Device, DeviceSpec, SimSpan, Trace, TraceEvent};
 use sc_sparse::CscOf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -112,60 +110,40 @@ pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
     (f, report)
 }
 
-/// One group of devices, in [`AssemblyReport::devices`] order, behind an
-/// optional interconnect: a cluster node under the multi-node target (its
-/// link prices the node's boundary exchange), the whole pool — or the one
-/// GPU — otherwise.
-pub(crate) type DeviceGroup<'a> = (&'a [Arc<Device>], Option<Interconnect>);
-
 /// **The** device driver: record every subdomain once, plan the whole
-/// batch once over `topo`, replay each device leaf from the lane assignment
-/// the plan holds. `topo` is the target's [`Topology`] and `groups` its
-/// devices in the same depth-first order — one link-less group below a
-/// two-level tree (one GPU, a device pool), one group per cluster node
-/// below a three-level one.
+/// batch once over `devices` as a [`Topology::Pool`] (one GPU is a
+/// one-device pool), replay each device from the lane assignment the plan
+/// holds.
 ///
-/// The pricing closure is the same at every placement level: the recorded
-/// kernel sequence under the leaf device's own duration model — launch
-/// overhead and occupancy included, so launch-bound batches do not overload
-/// the card (or the node) with the biggest peak-FLOP number.
-///
-/// Under the multi-node target each node's boundary traffic is charged as
-/// **one aggregated exchange** on its timeline after its replay (the
-/// assembly-phase lambda/gluing rows leave the node once), recorded as a
-/// [`TraceEvent::Exchange`] on the node's first device; a single-node
-/// cluster exchanges nothing and reproduces the pool target's timings
-/// exactly.
+/// The pricing closure is the same at both placement levels: the recorded
+/// kernel sequence under each device's own duration model — launch overhead
+/// and occupancy included, so launch-bound batches do not overload the card
+/// with the biggest peak-FLOP number.
 ///
 /// # Panics
 ///
 /// When `opts.ready_at` does not carry one finite, non-negative entry per
-/// batch item; when the batch is non-empty and `topo` holds no usable
-/// device ([`ClusterPlanError::NoDevices`]); or when a subdomain's
-/// temporaries exceed every device's arena ([`ClusterPlanError::Spilled`]).
+/// batch item; when the batch is non-empty and no device is usable
+/// ([`ClusterPlanError::NoDevices`]); or when a subdomain's temporaries
+/// exceed every device's arena ([`ClusterPlanError::Spilled`]).
 pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
     src: Src,
     cfg: &ScConfig,
-    topo: &Topology,
-    groups: &[DeviceGroup<'_>],
+    devices: &[Arc<Device>],
     opts: &ScheduleOptions,
 ) -> (Vec<MatOf<S>>, AssemblyReport) {
     opts.assert_ready_at(src.len());
     let t0 = Instant::now();
-    let slots: Vec<DeviceSlot> = groups
-        .iter()
-        .flat_map(|(devs, _)| devs.iter().map(|d| DeviceSlot::of(d)))
-        .collect();
+    let slots: Vec<DeviceSlot> = devices.iter().map(|d| DeviceSlot::of(d)).collect();
 
     // record: every subdomain **once** — the numerics, kernel sequences and
-    // arena footprints feed every planning level and the replay
+    // arena footprints feed both planning levels and the replay
     let ref_spec = slots
         .first()
         .map_or_else(DeviceSpec::host, |s| s.spec.clone());
     let (recorded, costs) = record_batch(&src, cfg, &ref_spec);
 
-    // plan: the whole tree in one call. A device vertex sits at `[d]` below
-    // a two-level root and at `[node, d]` below a three-level one
+    // plan: devices, then each device's lanes, in one call
     let kernel_seconds: Vec<Vec<f64>> = recorded
         .iter()
         .map(|r| {
@@ -175,99 +153,39 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
                 .collect()
         })
         .collect();
-    let mut first_of = Vec::with_capacity(groups.len());
-    let mut n_devices = 0;
-    for (devs, _) in groups {
-        first_of.push(n_devices);
-        n_devices += devs.len();
-    }
-    let plan = plan_topology_by(&costs, topo, |c, path| match *path {
-        [d] => kernel_seconds[c.index][d],
-        [n, d] => kernel_seconds[c.index][first_of[n] + d],
-        _ => unreachable!("device vertices sit one or two levels below the root"),
-    })
-    .and_then(|plan| {
-        if plan.spilled.is_empty() {
-            Ok(plan)
-        } else {
-            Err(ClusterPlanError::Spilled {
-                spilled: plan.spilled,
-                max_arena: schedule::max_usable_arena(&slots),
-            })
-        }
-    })
-    // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
-    .unwrap_or_else(|e| panic!("device placement failed: {e}"));
-
-    // replay: walk the plan group by group, device by device, for a
-    // deterministic simulated timeline
-    let clustered = groups.iter().any(|(_, link)| link.is_some());
-    let group_plans: Vec<&TopoPlan> = if clustered {
-        plan.children.iter().collect()
-    } else {
-        vec![&plan]
+    let max_arena = schedule::max_usable_arena(&slots);
+    let topo = Topology::Pool {
+        slots,
+        policy: opts.policy,
     };
-    let mut report = AssemblyReport::default();
-    for (n, (&(devs, link), gplan)) in groups.iter().zip(group_plans).enumerate() {
-        let first = report.devices.len();
-        let mut replay_makespan = 0.0f64;
-        for (dev, lanes) in devs.iter().zip(&gplan.children) {
-            let d = report.devices.len();
-            let dev_report = replay_device(
-                dev,
-                d,
-                &lanes.per_child,
-                &recorded,
-                &costs,
-                opts.ready_at.as_deref(),
-                &mut report.subdomains,
-            );
-            replay_makespan = replay_makespan.max(dev_report.makespan);
-            report.devices.push(dev_report);
-        }
-        let Some(link) = link else {
-            report.makespan = report.makespan.max(replay_makespan);
-            continue;
-        };
-        // the node's boundary bytes leave over its link once, after its
-        // replay: one aggregated exchange, overlapping nothing it feeds
-        let exchange_bytes: f64 = if groups.len() > 1 {
-            plan.per_child[n]
-                .iter()
-                .map(|&g| costs[g].exchange_bytes)
-                .sum()
-        } else {
-            0.0
-        };
-        let exchange_seconds = if exchange_bytes > 0.0 {
-            link.seconds(exchange_bytes)
-        } else {
-            0.0
-        };
-        if exchange_seconds > 0.0 {
-            if let Some(trace) = report.devices[first].trace.as_mut() {
-                let at = devs.iter().map(|d| d.synchronize()).fold(0.0, f64::max);
-                trace.events.push(TraceEvent::Exchange {
-                    label: "lambda-exchange",
-                    peer: (n + 1) % groups.len(),
-                    bytes: exchange_bytes as usize, // sc-analyze: allow(precision-discipline)
-                    span: SimSpan {
-                        start: at,
-                        end: at + exchange_seconds,
-                    },
-                    writes: Vec::new(),
-                });
+    let plan = plan_topology_by(&costs, &topo, |c, d| kernel_seconds[c.index][d])
+        .and_then(|plan| {
+            if plan.spilled.is_empty() {
+                Ok(plan)
+            } else {
+                Err(ClusterPlanError::Spilled {
+                    spilled: plan.spilled,
+                    max_arena,
+                })
             }
-        }
-        let makespan = replay_makespan + exchange_seconds;
-        report.makespan = report.makespan.max(makespan);
-        report.nodes.push(NodeReport {
-            node: n,
-            devices: (first..report.devices.len()).collect(),
-            makespan,
-            exchange_bytes,
-            exchange_seconds,
-        });
+        })
+        // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
+        .unwrap_or_else(|e| panic!("device placement failed: {e}"));
+
+    // replay: device by device, for a deterministic simulated timeline
+    let mut report = AssemblyReport::default();
+    for (d, (dev, lanes)) in devices.iter().zip(&plan.lanes).enumerate() {
+        let dev_report = replay_device(
+            dev,
+            d,
+            &lanes.per_lane,
+            &recorded,
+            &costs,
+            opts.ready_at.as_deref(),
+            &mut report.subdomains,
+        );
+        report.makespan = report.makespan.max(dev_report.makespan);
+        report.devices.push(dev_report);
     }
 
     report.subdomains.sort_by_key(|t| t.index);
@@ -288,8 +206,7 @@ struct Recorded<S: Scalar = f64> {
 
 /// The record phase: host-parallel numerics through [`RecordingExec`], plus
 /// per-subdomain analytic cost estimates under `spec` — the planner's
-/// arena footprints and exchange bytes; its seconds come from the recorded
-/// kernels instead.
+/// arena footprints; its seconds come from the recorded kernels instead.
 fn record_batch<S: Scalar, Src: BatchSource<S>>(
     src: &Src,
     cfg: &ScConfig,
@@ -323,7 +240,7 @@ fn record_batch<S: Scalar, Src: BatchSource<S>>(
 }
 
 /// The replay phase, for one device: execute the per-stream submission
-/// queues `lanes` (the device's leaf of the plan; batch indices into
+/// queues `lanes` (the device's lane plan; batch indices into
 /// `recorded`/`costs`/`ready_at`) onto `dev`, admitting each subdomain
 /// against the device's temporary arena ("wait") and applying
 /// per-subdomain host readiness ("mix"). Pushes each subdomain's report row,
@@ -570,17 +487,17 @@ mod tests {
             .collect()
     }
 
-    /// The one driver over a target's device tree.
+    /// The one driver over a target's devices.
     fn on_target(
         target: &Target,
         items: &[BatchItem<'_>],
         cfg: &ScConfig,
     ) -> (Vec<sc_dense::Mat>, AssemblyReport) {
-        let (topo, groups, opts) = target.device_tree().expect("a device target");
-        batch_devices(items, cfg, &topo, &groups, opts)
+        let (devices, opts) = target.devices().expect("a device target");
+        batch_devices(items, cfg, devices, opts)
     }
 
-    /// … on one GPU (the one-node, one-device tree).
+    /// … on one GPU (a one-device pool).
     fn on_gpu(
         items: &[BatchItem<'_>],
         cfg: &ScConfig,

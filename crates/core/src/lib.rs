@@ -38,10 +38,10 @@ pub use sc_gpu::ArenaSim;
 pub use schedule::{
     estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by, ApplyEstimate,
     ClusterPlanError, CostEstimate, DeviceSlot, Formulation, HybridChoice, HybridPlan,
-    HybridPlanOptions, ScheduleOptions, StreamPolicy, TopoPlan, Topology,
+    HybridPlanOptions, LanePlan, ScheduleOptions, StreamPolicy, TopoPlan, Topology,
 };
 pub use session::{
-    AssemblyReport, AssemblyResult, AssemblySession, Backend, DeviceReport, NodeReport, Precision,
+    AssemblyReport, AssemblyResult, AssemblySession, Backend, DeviceReport, Precision,
     ScheduledSpan, SubdomainTiming, Target,
 };
 pub use sessioncache::{ContentHasher, SessionCache, SessionCacheStats};

@@ -11,9 +11,11 @@
 //! 1. [`estimate_cost`] prices each subdomain from its stepped pattern —
 //!    TRSM and SYRK FLOPs below the column pivots, H2D transfer bytes, and
 //!    the peak temporary footprint (`Y` plus densified factor blocks);
-//! 2. [`plan_topology`] over a [`Topology::Device`] vertex orders submission
-//!    **longest-processing-time-first** and assigns each subdomain to the
-//!    **least-loaded stream** of the device
+//! 2. [`plan_topology`] makes one flat pass over a [`Topology`]: on a
+//!    [`Topology::Pool`] it first partitions the batch across devices
+//!    (cost-aware LPT under per-device arena admissibility), then, on every
+//!    device, orders submission **longest-processing-time-first** and
+//!    assigns each subdomain to the **least-loaded stream**
 //!    ([`StreamPolicy::LptLeastLoaded`]; [`StreamPolicy::RoundRobin`] keeps
 //!    the naive index-order assignment as the comparison baseline);
 //! 3. [`ArenaSim`](sc_gpu::ArenaSim) admits each subdomain against the
@@ -31,7 +33,7 @@
 use crate::assemble::ScParams;
 use crate::trsm::{FactorStorage, TrsmVariant};
 use sc_dense::Scalar;
-use sc_gpu::{DeviceSpec, Interconnect, KernelCost};
+use sc_gpu::{DeviceSpec, KernelCost};
 use sc_sparse::{pattern, CscOf};
 
 /// Stream-assignment policy for a batched GPU assembly.
@@ -135,12 +137,6 @@ pub struct CostEstimate {
     /// Peak temporary-arena footprint, an upper bound on the full `n`: the
     /// dense `Y` (`8 n m` bytes) plus densified factor blocks when the TRSM densifies.
     pub temp_bytes: usize,
-    /// Boundary bytes this subdomain exchanges with off-node neighbours per
-    /// placement (one value per local multiplier — the lambda segment the
-    /// gluing rows tie to other subdomains). The hierarchical planner prices
-    /// this over the [`Interconnect`] of any node boundary a placement
-    /// crosses; irrelevant (and unpriced) below the node level.
-    pub exchange_bytes: f64,
     /// Single-stream device-seconds estimate under `spec` (compute at peak
     /// FP64 plus the PCIe transfer) — the LPT ordering key.
     pub seconds: f64,
@@ -207,7 +203,6 @@ pub fn estimate_cost<S: Scalar>(
         syrk_flops,
         transfer_bytes,
         temp_bytes,
-        exchange_bytes: (eb * m) as f64, // sc-analyze: allow(precision-discipline)
         seconds: 0.0,
     };
     est.seconds = est.seconds_on(spec);
@@ -375,41 +370,32 @@ pub(crate) fn max_usable_arena(devices: &[DeviceSlot]) -> usize {
         .unwrap_or(0)
 }
 
-/// One vertex of a placement hierarchy: the two planning levels of a device
-/// pool (devices of a pool, streams of a device) generalized recursively to
-/// an arbitrary node → device → stream tree.
+/// The placement shape of a device target, planned by [`plan_topology`]:
 ///
-/// - [`Topology::Device`] is the leaf: one device of a pool (its
-///   [`DeviceSlot`] spec, arena, and stream count), which plans its own
-///   streams as lanes;
-/// - [`Topology::Node`] groups children behind an optional
-///   [`Interconnect`]: a single-node device pool when the link is `None`,
-///   a cluster node when pricing placements behind the link's
-///   latency/bandwidth model ([`CostEstimate::exchange_bytes`] crosses it).
+/// - [`Topology::Device`] is one device: its streams are planned as lanes;
+/// - [`Topology::Pool`] is a device pool: the batch is partitioned across
+///   the devices first, then each device's share across its lanes.
 #[derive(Clone, Debug)]
 pub enum Topology {
-    /// One device of a pool; its streams are planned as lanes under
-    /// `policy`.
+    /// One device; its streams are planned as lanes under `policy`.
     Device {
         /// The device's planner-facing description.
         slot: DeviceSlot,
-        /// Stream-assignment policy of the nested lane level.
+        /// Stream-assignment policy of the lane level.
         policy: StreamPolicy,
     },
-    /// A group of children (devices of one node, or nodes of a cluster)
-    /// reached over an optional interconnect.
-    Node {
-        /// Child vertices, in placement order.
-        children: Vec<Topology>,
-        /// The link a placement into this subtree crosses (`None` inside a
-        /// node: PCIe traffic is already priced by the per-device cost
-        /// model).
-        link: Option<Interconnect>,
+    /// A device pool, in pool order; every device's streams are planned as
+    /// lanes under `policy`.
+    Pool {
+        /// The devices' planner-facing descriptions.
+        slots: Vec<DeviceSlot>,
+        /// Stream-assignment policy of every device's lane level.
+        policy: StreamPolicy,
     },
 }
 
 impl Topology {
-    /// A device vertex with the default stream policy.
+    /// One device with the default stream policy.
     pub fn device(slot: DeviceSlot) -> Self {
         Topology::Device {
             slot,
@@ -417,133 +403,75 @@ impl Topology {
         }
     }
 
-    /// A device vertex with an explicit stream policy.
-    pub fn device_with(slot: DeviceSlot, policy: StreamPolicy) -> Self {
-        Topology::Device { slot, policy }
-    }
-
-    /// A grouping vertex over `children`, optionally behind `link`.
-    pub fn node(children: Vec<Topology>, link: Option<Interconnect>) -> Self {
-        Topology::Node { children, link }
-    }
-
-    /// The single-node topology of a [`DevicePool`](sc_gpu::DevicePool):
-    /// one [`Topology::Device`] child per device, no link.
+    /// The topology of a [`DevicePool`](sc_gpu::DevicePool): one slot per
+    /// device, in pool order.
     pub fn of_pool(pool: &sc_gpu::DevicePool, policy: StreamPolicy) -> Self {
-        Topology::node(
-            pool.devices()
-                .iter()
-                .map(|d| Topology::device_with(DeviceSlot::of(d), policy))
-                .collect(),
-            None,
-        )
-    }
-
-    /// The three-level topology of a [`NodePool`](sc_gpu::NodePool): a root
-    /// over one [`Topology::Node`] per cluster node (behind that node's
-    /// [`Interconnect`]), each holding its devices.
-    pub fn of_cluster(pool: &sc_gpu::NodePool, policy: StreamPolicy) -> Self {
-        Topology::node(
-            pool.nodes()
-                .iter()
-                .map(|ns| {
-                    let inner = Topology::of_pool(&ns.pool, policy);
-                    match inner {
-                        Topology::Node { children, .. } => Topology::node(children, Some(ns.link)),
-                        other => other,
-                    }
-                })
-                .collect(),
-            None,
-        )
-    }
-
-    /// Parallel capacity below this vertex: total stream count (the load
-    /// normalizer of the selection key — the `est_load / n_streams`
-    /// completion-time estimate).
-    pub fn weight(&self) -> f64 {
-        match self {
-            Topology::Device { slot, .. } => slot.n_streams as f64, // sc-analyze: allow(precision-discipline)
-            Topology::Node { children, .. } => children
-                .iter()
-                .filter(|c| c.is_usable())
-                .map(|c| c.weight())
-                .sum(),
+        Topology::Pool {
+            slots: pool.devices().iter().map(|d| DeviceSlot::of(d)).collect(),
+            policy,
         }
     }
 
-    /// Whether anything can execute below this vertex
-    /// ([`DeviceSlot::is_usable`] lifted over the tree).
-    pub fn is_usable(&self) -> bool {
+    /// Analytic single-stream pricing of `cost` on device `d`: the
+    /// [`CostEstimate::seconds_on`] model under that device's spec. The
+    /// default pricing of [`plan_topology`].
+    pub fn analytic_seconds(&self, cost: &CostEstimate, d: usize) -> f64 {
         match self {
-            Topology::Device { slot, .. } => slot.is_usable(),
-            Topology::Node { children, .. } => children.iter().any(|c| c.is_usable()),
-        }
-    }
-
-    /// Whether a subdomain whose peak temporaries are `temp_bytes` may be
-    /// placed somewhere below this vertex ([`DeviceSlot::admits`] lifted
-    /// over the tree).
-    pub fn admits(&self, temp_bytes: usize) -> bool {
-        match self {
-            Topology::Device { slot, .. } => slot.admits(temp_bytes),
-            Topology::Node { children, .. } => children.iter().any(|c| c.admits(temp_bytes)),
-        }
-    }
-
-    /// Analytic single-stream pricing of `cost` at the vertex reached by
-    /// `path` (child indices from this vertex down): the
-    /// [`CostEstimate::seconds_on`] model at device vertices, the estimate's
-    /// own seconds when `path` ends at a group vertex. The default pricing
-    /// of [`plan_topology`].
-    pub fn analytic_seconds(&self, cost: &CostEstimate, path: &[usize]) -> f64 {
-        match (self, path) {
-            (Topology::Device { slot, .. }, _) => cost.seconds_on(&slot.spec),
-            (Topology::Node { children, .. }, [head, rest @ ..]) => {
-                children[*head].analytic_seconds(cost, rest)
-            }
-            (Topology::Node { .. }, []) => cost.seconds,
+            Topology::Device { slot, .. } => cost.seconds_on(&slot.spec),
+            Topology::Pool { slots, .. } => cost.seconds_on(&slots[d].spec),
         }
     }
 }
 
-/// Hierarchical placement produced by [`plan_topology`]: one level of
-/// child queues plus the recursively planned children.
+/// One device's stream assignment, part of a [`TopoPlan`].
+#[derive(Clone, Debug)]
+pub struct LanePlan {
+    /// `per_lane[s]` lists the subdomain indices ([`CostEstimate::index`])
+    /// submitted on stream `s`, in submission order.
+    pub per_lane: Vec<Vec<usize>>,
+    /// Estimated accumulated load per lane, in the device's own seconds.
+    pub est_load: Vec<f64>,
+}
+
+/// The placement produced by [`plan_topology`]: per-device queues plus one
+/// lane plan per device.
 #[derive(Clone, Debug)]
 pub struct TopoPlan {
-    /// `per_child[d]` lists the subdomain indices ([`CostEstimate::index`])
-    /// assigned below child `d`, in placement order. For a device vertex
-    /// the children are its lanes (streams).
-    pub per_child: Vec<Vec<usize>>,
-    /// Estimated accumulated load per child, in that child's own seconds.
+    /// `per_device[d]` lists the subdomain indices ([`CostEstimate::index`])
+    /// placed on device `d`, in placement order.
+    pub per_device: Vec<Vec<usize>>,
+    /// Estimated accumulated load per device, in that device's own seconds.
     pub est_load: Vec<f64>,
-    /// Child of each entry of the input cost slice, in slice order;
+    /// Device of each entry of the input cost slice, in slice order;
     /// `usize::MAX` for spilled entries.
-    pub child_of: Vec<usize>,
-    /// Subdomain indices admitted by no child (ascending); empty below the
-    /// group level.
+    pub device_of: Vec<usize>,
+    /// Subdomain indices no device admits (ascending); always empty on a
+    /// [`Topology::Device`].
     pub spilled: Vec<usize>,
-    /// Recursively planned children (empty for device vertices):
-    /// `children[d]` plans the subset `per_child[d]` one level down.
-    pub children: Vec<TopoPlan>,
+    /// `lanes[d]` assigns device `d`'s share to its streams.
+    pub lanes: Vec<LanePlan>,
 }
 
 impl TopoPlan {
-    /// Largest estimated completion time across children (each child's
-    /// accumulated load over its parallel width) — the planner's makespan
-    /// prediction at this level.
+    /// The planner's makespan prediction: the busiest lane of a single
+    /// device; on a pool, the largest estimated completion time across its
+    /// usable devices (each device's accumulated load over its stream
+    /// count).
     pub fn est_makespan(&self, topo: &Topology) -> f64 {
         match topo {
-            Topology::Node { children, .. } => self
-                .est_load
-                .iter()
-                .zip(children)
-                .filter(|(_, c)| c.is_usable())
-                .map(|(l, c)| l / c.weight().max(1.0))
-                .fold(0.0f64, f64::max),
-            _ => self.est_load.iter().copied().fold(0.0f64, f64::max),
+            Topology::Device { .. } => self.lanes[0].est_load.iter().copied().fold(0.0, f64::max),
+            Topology::Pool { slots, .. } => (self.est_load.iter().zip(slots))
+                .filter(|(_, s)| s.is_usable())
+                .map(|(l, s)| l / width(s))
+                .fold(0.0, f64::max),
         }
     }
+}
+
+/// A device's parallel width: its stream count, the load normalizer of the
+/// pool level's completion-time estimate.
+fn width(slot: &DeviceSlot) -> f64 {
+    slot.n_streams as f64 // sc-analyze: allow(precision-discipline)
 }
 
 /// Plan a batch over a [`Topology`] with the analytic
@@ -552,176 +480,64 @@ pub fn plan_topology(
     costs: &[CostEstimate],
     topo: &Topology,
 ) -> Result<TopoPlan, ClusterPlanError> {
-    plan_topology_by(costs, topo, |c, path| topo.analytic_seconds(c, path))
+    plan_topology_by(costs, topo, |c, d| topo.analytic_seconds(c, d))
 }
 
 /// Plan a batch over a [`Topology`] with caller-supplied pricing — **the**
 /// planner behind the device batch driver, which calls it once per batch
-/// and replays the returned tree. `seconds_of(cost, path)` returns the
-/// subdomain's single-stream seconds at the vertex reached by the
-/// child-index `path` from the root (e.g. `[d]` is device `d` of a
-/// single-node pool). The driver passes the recorded kernel sequences
+/// and replays the returned lanes. `seconds_of(cost, d)` returns the
+/// subdomain's single-stream seconds on device `d` (`0` on a
+/// [`Topology::Device`]). The driver passes the recorded kernel sequences
 /// priced by each device's own duration model
 /// ([`DeviceSpec::kernel_seconds`]), which accounts for launch overhead and
 /// the occupancy ramp that the analytic estimate ignores — peak-FLOP
 /// pricing overloads fast cards on launch-bound batches.
 ///
-/// The two kinds of level:
+/// The two levels:
 ///
-/// - a [`Topology::Node`] partitions longest-first under the worst-case
-///   child (ties by index), placing each subdomain on the admissible child
-///   with the lowest estimated completion time (accumulated load over
-///   [`Topology::weight`], ties by child index); inadmissible-everywhere
-///   subdomains spill; a usable-child-free vertex with a non-empty batch is
-///   [`ClusterPlanError::NoDevices`]. Placement into a child behind an
-///   [`Interconnect`] prices `link.seconds(exchange_bytes)` **plus** the
-///   cheapest admissible placement inside — communication is a first-class
-///   cost, not an afterthought. Each child then plans its share, handed
-///   down in batch order, the same way ([`TopoPlan::children`]);
-/// - a [`Topology::Device`] assigns its lanes (streams) under
-///   [`StreamPolicy`]; an empty batch yields an empty plan for any lane
-///   count (including 0), while planning a non-empty batch onto `0` lanes
-///   is a configuration error and panics with a descriptive message
-///   instead of silently rounding up.
+/// - on a [`Topology::Pool`] the device level partitions longest-first
+///   under the worst-case device (ties by index), placing each subdomain on
+///   the admissible device ([`DeviceSlot::admits`]) with the lowest
+///   estimated completion time (accumulated load over stream count, ties by
+///   device index); inadmissible-everywhere subdomains spill; a pool without
+///   a usable device and a non-empty batch is [`ClusterPlanError::NoDevices`].
+///   Each device's share is handed to its lane level in batch order;
+/// - the lane level assigns a device's streams under [`StreamPolicy`]; an
+///   empty batch yields an empty plan for any lane count (including 0),
+///   while planning a non-empty batch onto `0` lanes of a
+///   [`Topology::Device`] is a configuration error and panics with a
+///   descriptive message instead of silently rounding up.
 pub fn plan_topology_by(
     costs: &[CostEstimate],
     topo: &Topology,
-    seconds_of: impl Fn(&CostEstimate, &[usize]) -> f64,
+    seconds_of: impl Fn(&CostEstimate, usize) -> f64,
 ) -> Result<TopoPlan, ClusterPlanError> {
-    let mut path = Vec::new();
-    plan_vertex(costs, topo, &mut path, &seconds_of)
-}
-
-/// Recursive planner worker: plans `costs` at `topo`, with `path` holding
-/// the child indices from the root to `topo`.
-fn plan_vertex(
-    costs: &[CostEstimate],
-    topo: &Topology,
-    path: &mut Vec<usize>,
-    seconds_of: &impl Fn(&CostEstimate, &[usize]) -> f64,
-) -> Result<TopoPlan, ClusterPlanError> {
-    match topo {
+    let (slots, policy) = match topo {
         Topology::Device { slot, policy } => {
-            Ok(plan_lanes(costs, slot.n_streams, *policy, path, seconds_of))
-        }
-        Topology::Node { children, link: _ } => plan_group(costs, children, path, seconds_of),
-    }
-}
-
-/// Lane-level planning, with the ordering key supplied by `seconds_of` at
-/// the current vertex.
-fn plan_lanes(
-    costs: &[CostEstimate],
-    n_lanes: usize,
-    policy: StreamPolicy,
-    path: &[usize],
-    seconds_of: &impl Fn(&CostEstimate, &[usize]) -> f64,
-) -> TopoPlan {
-    if costs.is_empty() {
-        return TopoPlan {
-            per_child: vec![Vec::new(); n_lanes],
-            est_load: vec![0.0; n_lanes],
-            child_of: Vec::new(),
-            spilled: Vec::new(),
-            children: Vec::new(),
-        };
-    }
-    assert!(
-        n_lanes > 0,
-        "cannot plan a batch of {} subdomains onto 0 streams",
-        costs.len()
-    );
-    let secs: Vec<f64> = costs.iter().map(|c| seconds_of(c, path)).collect();
-    let mut per_child = vec![Vec::new(); n_lanes];
-    let mut est_load = vec![0.0f64; n_lanes];
-    let mut child_of = vec![usize::MAX; costs.len()];
-    match policy {
-        StreamPolicy::RoundRobin => {
-            for (k, c) in costs.iter().enumerate() {
-                per_child[k % n_lanes].push(c.index);
-                est_load[k % n_lanes] += secs[k];
-                child_of[k] = k % n_lanes;
-            }
-        }
-        StreamPolicy::LptLeastLoaded => {
-            let mut order: Vec<usize> = (0..costs.len()).collect();
-            // longest first; ties broken by index for determinism
-            order.sort_by(|&a, &b| {
-                secs[b]
-                    .partial_cmp(&secs[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(costs[a].index.cmp(&costs[b].index))
+            let priced: Vec<(usize, f64)> =
+                costs.iter().map(|c| (c.index, seconds_of(c, 0))).collect();
+            let lanes = plan_lanes(&priced, slot.n_streams, *policy);
+            return Ok(TopoPlan {
+                per_device: vec![costs.iter().map(|c| c.index).collect()],
+                est_load: vec![priced.iter().map(|&(_, s)| s).sum()],
+                device_of: vec![0; costs.len()],
+                spilled: Vec::new(),
+                lanes: vec![lanes],
             });
-            for k in order {
-                let s = (0..n_lanes)
-                    .min_by(|&a, &b| {
-                        est_load[a]
-                            .partial_cmp(&est_load[b])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.cmp(&b))
-                    })
-                    .expect("n_lanes >= 1");
-                per_child[s].push(costs[k].index);
-                est_load[s] += secs[k];
-                child_of[k] = s;
-            }
         }
-    }
-    TopoPlan {
-        per_child,
-        est_load,
-        child_of,
-        spilled: Vec::new(),
-        children: Vec::new(),
-    }
-}
-
-/// Group-level planning: **cost-aware LPT with per-child arena
-/// admissibility** over arbitrary child vertices — a subdomain whose
-/// temporaries exceed a child's arena is never placed there (when only the
-/// big card fits it, it falls back to the big card regardless of load; when
-/// nothing fits it, it spills) — followed by recursion into each child with
-/// its assigned subset.
-fn plan_group(
-    costs: &[CostEstimate],
-    children: &[Topology],
-    path: &mut Vec<usize>,
-    seconds_of: &impl Fn(&CostEstimate, &[usize]) -> f64,
-) -> Result<TopoPlan, ClusterPlanError> {
-    if costs.is_empty() {
-        let sub = children
-            .iter()
-            .enumerate()
-            .map(|(d, child)| {
-                path.push(d);
-                let p = plan_vertex(&[], child, path, seconds_of);
-                path.pop();
-                p.expect("planning an empty batch cannot fail")
-            })
-            .collect();
-        return Ok(TopoPlan {
-            per_child: vec![Vec::new(); children.len()],
-            est_load: vec![0.0; children.len()],
-            child_of: Vec::new(),
-            spilled: Vec::new(),
-            children: sub,
-        });
-    }
-    // a child without execution capacity (a drained card, an empty node) is
-    // not a partition candidate
-    if !children.iter().any(|c| c.is_usable()) {
+        Topology::Pool { slots, policy } => (slots, *policy),
+    };
+    // a device without execution capacity (a drained card) is not a
+    // partition candidate
+    if !costs.is_empty() && !slots.iter().any(DeviceSlot::is_usable) {
         return Err(ClusterPlanError::NoDevices);
     }
-    // per-child seconds of every subdomain, priced at that child's vertex
+    // per-device seconds of every subdomain
     let seconds: Vec<Vec<f64>> = costs
         .iter()
-        .map(|c| {
-            (0..children.len())
-                .map(|d| vertex_price(c, &children[d], d, path, seconds_of))
-                .collect()
-        })
+        .map(|c| (0..slots.len()).map(|d| seconds_of(c, d)).collect())
         .collect();
-    // longest-first under the worst-case child (standard heuristic ordering
+    // longest-first under the worst-case device (standard heuristic ordering
     // for unrelated machines); ties broken by index for determinism
     let worst: Vec<f64> = seconds
         .iter()
@@ -735,17 +551,20 @@ fn plan_group(
             .then(costs[a].index.cmp(&costs[b].index))
     });
 
-    let weight: Vec<f64> = children.iter().map(|c| c.weight()).collect();
-    let mut per_child = vec![Vec::new(); children.len()];
-    let mut est_load = vec![0.0f64; children.len()];
-    let mut child_of = vec![usize::MAX; costs.len()];
+    // cost-aware LPT with per-device arena admissibility: a subdomain whose
+    // temporaries exceed a device's arena is never placed there (when only
+    // the big card fits it, it falls back to the big card regardless of
+    // load; when nothing fits it, it spills)
+    let mut per_device = vec![Vec::new(); slots.len()];
+    let mut est_load = vec![0.0f64; slots.len()];
+    let mut device_of = vec![usize::MAX; costs.len()];
     let mut spilled = Vec::new();
     for k in order {
-        let best = (0..children.len())
-            .filter(|&d| children[d].admits(costs[k].temp_bytes))
+        let best = (0..slots.len())
+            .filter(|&d| slots[d].admits(costs[k].temp_bytes))
             .min_by(|&a, &b| {
-                let fa = (est_load[a] + seconds[k][a]) / weight[a];
-                let fb = (est_load[b] + seconds[k][b]) / weight[b];
+                let fa = (est_load[a] + seconds[k][a]) / width(&slots[a]);
+                let fb = (est_load[b] + seconds[k][b]) / width(&slots[b]);
                 fa.partial_cmp(&fb)
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
@@ -754,65 +573,74 @@ fn plan_group(
             spilled.push(costs[k].index);
             continue;
         };
-        per_child[d].push(costs[k].index);
+        per_device[d].push(costs[k].index);
         est_load[d] += seconds[k][d];
-        child_of[k] = d;
+        device_of[k] = d;
     }
     spilled.sort_unstable();
-    // recurse: plan each child's subset one level down, in batch order —
-    // an LPT level below re-sorts it anyway (total order, ties by index),
-    // and a round-robin one stays the blind index-order baseline however
-    // deep it sits
-    let sub = children
-        .iter()
-        .enumerate()
-        .map(|(d, child)| {
-            let subset: Vec<CostEstimate> = (costs.iter().zip(&child_of))
+    // each device plans its share in batch order — an LPT lane level
+    // re-sorts it anyway (total order, ties by index), and a round-robin one
+    // stays the blind index-order baseline
+    let lanes = (slots.iter().enumerate())
+        .map(|(d, slot)| {
+            let share: Vec<(usize, f64)> = (costs.iter().zip(&seconds).zip(&device_of))
                 .filter(|&(_, &at)| at == d)
-                .map(|(c, _)| c.clone())
+                .map(|((c, s), _)| (c.index, s[d]))
                 .collect();
-            path.push(d);
-            let p = plan_vertex(&subset, child, path, seconds_of);
-            path.pop();
-            p.expect("an admitted subset plans on its own child")
+            plan_lanes(&share, slot.n_streams, policy)
         })
         .collect();
     Ok(TopoPlan {
-        per_child,
+        per_device,
         est_load,
-        child_of,
+        device_of,
         spilled,
-        children: sub,
+        lanes,
     })
 }
 
-/// Single-stream price of placing `cost` below child `d`: the leaf pricing
-/// at device vertices, and — behind a node boundary — the interconnect
-/// transfer of the subdomain's boundary bytes **plus** the cheapest
-/// admissible placement inside (infinite when nothing inside admits it).
-fn vertex_price(
-    cost: &CostEstimate,
-    child: &Topology,
-    d: usize,
-    path: &mut Vec<usize>,
-    seconds_of: &impl Fn(&CostEstimate, &[usize]) -> f64,
-) -> f64 {
-    path.push(d);
-    let s = match child {
-        Topology::Device { .. } => seconds_of(cost, path),
-        Topology::Node { children, link } => {
-            let wire = link.map_or(0.0, |l| l.seconds(cost.exchange_bytes));
-            let best = children
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.admits(cost.temp_bytes))
-                .map(|(j, c)| vertex_price(cost, c, j, path, seconds_of))
-                .fold(f64::INFINITY, f64::min);
-            wire + best
+/// Lane-level planning of `(index, seconds)` pairs onto `n_lanes` streams.
+fn plan_lanes(priced: &[(usize, f64)], n_lanes: usize, policy: StreamPolicy) -> LanePlan {
+    let mut per_lane = vec![Vec::new(); n_lanes];
+    let mut est_load = vec![0.0f64; n_lanes];
+    if priced.is_empty() {
+        return LanePlan { per_lane, est_load };
+    }
+    assert!(
+        n_lanes > 0,
+        "cannot plan a batch of {} subdomains onto 0 streams",
+        priced.len()
+    );
+    match policy {
+        StreamPolicy::RoundRobin => {
+            for (k, &(index, secs)) in priced.iter().enumerate() {
+                per_lane[k % n_lanes].push(index);
+                est_load[k % n_lanes] += secs;
+            }
         }
-    };
-    path.pop();
-    s
+        StreamPolicy::LptLeastLoaded => {
+            let mut order: Vec<(usize, f64)> = priced.to_vec();
+            // longest first; ties broken by index for determinism
+            order.sort_by(|a, b| {
+                b.1.partial_cmp(&a.1)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.0.cmp(&b.0))
+            });
+            for (index, secs) in order {
+                let s = (0..n_lanes)
+                    .min_by(|&a, &b| {
+                        est_load[a]
+                            .partial_cmp(&est_load[b])
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(a.cmp(&b))
+                    })
+                    .expect("n_lanes >= 1");
+                per_lane[s].push(index);
+                est_load[s] += secs;
+            }
+        }
+    }
+    LanePlan { per_lane, est_load }
 }
 
 /// How one subdomain's dual operator is realized (the hybrid decision).
@@ -1118,34 +946,41 @@ mod tests {
             .collect();
         let rr = plan_streams(&costs, 2, StreamPolicy::RoundRobin);
         let lpt = plan_streams(&costs, 2, StreamPolicy::LptLeastLoaded);
-        let makespan = |p: &TopoPlan| p.est_load.iter().copied().fold(0.0f64, f64::max);
+        let device = lanes(2, StreamPolicy::default());
         assert!(
-            makespan(&lpt) < makespan(&rr),
+            lpt.est_makespan(&device) < rr.est_makespan(&device),
             "LPT {:?} must beat round-robin {:?}",
-            lpt.est_load,
-            rr.est_load
+            lpt.lanes[0].est_load,
+            rr.lanes[0].est_load
         );
         // every subdomain appears exactly once
-        let mut seen: Vec<usize> = lpt.per_child.concat();
+        let mut seen: Vec<usize> = lpt.lanes[0].per_lane.concat();
         seen.sort_unstable();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
     }
 
-    /// Plan onto the `n` streams of one device vertex, each subdomain
+    /// Plan onto the `n` streams of one device, each subdomain
     /// priced at its own `seconds`.
     fn plan_streams(costs: &[CostEstimate], n: usize, policy: StreamPolicy) -> TopoPlan {
-        let device = Topology::device_with(slot(DeviceSpec::a100(), usize::MAX, n), policy);
-        plan_topology_by(costs, &device, |c, _| c.seconds)
+        plan_topology_by(costs, &lanes(n, policy), |c, _| c.seconds)
             .expect("stream-level planning has no failure mode")
+    }
+
+    /// One device with `n` streams under `policy`.
+    fn lanes(n: usize, policy: StreamPolicy) -> Topology {
+        Topology::Device {
+            slot: slot(DeviceSpec::a100(), usize::MAX, n),
+            policy,
+        }
     }
 
     #[test]
     fn plan_handles_degenerate_shapes() {
         let p = plan_streams(&[], 4, StreamPolicy::LptLeastLoaded);
-        assert_eq!(p.per_child, vec![Vec::<usize>::new(); 4]);
+        assert_eq!(p.lanes[0].per_lane, vec![Vec::<usize>::new(); 4]);
         let one = vec![est(10, &[2])];
         let p = plan_streams(&one, 1, StreamPolicy::RoundRobin);
-        assert_eq!(p.per_child, vec![vec![0]]);
+        assert_eq!(p.lanes[0].per_lane, vec![vec![0]]);
     }
 
     fn slot(spec: DeviceSpec, arena: usize, n_streams: usize) -> DeviceSlot {
@@ -1156,16 +991,19 @@ mod tests {
         }
     }
 
-    /// The single-node topology of a device pool described by `devs`.
-    fn node_of(devs: &[DeviceSlot]) -> Topology {
-        Topology::node(devs.iter().cloned().map(Topology::device).collect(), None)
+    /// The topology of a device pool described by `devs`.
+    fn pool_of(devs: &[DeviceSlot]) -> Topology {
+        Topology::Pool {
+            slots: devs.to_vec(),
+            policy: StreamPolicy::default(),
+        }
     }
 
     #[test]
     fn plan_rejects_zero_streams_for_nonempty_batches_only() {
         let empty = plan_streams(&[], 0, StreamPolicy::LptLeastLoaded);
-        assert!(empty.per_child.is_empty());
-        assert!(empty.est_load.is_empty());
+        assert!(empty.lanes[0].per_lane.is_empty());
+        assert!(empty.lanes[0].est_load.is_empty());
         let one = vec![est(10, &[2])];
         let err = std::panic::catch_unwind(|| plan_streams(&one, 0, StreamPolicy::RoundRobin))
             .unwrap_err();
@@ -1192,16 +1030,16 @@ mod tests {
             slot(DeviceSpec::a100(), usize::MAX, 2),
             slot(DeviceSpec::a100(), usize::MAX, 2),
         ];
-        let p = plan_topology(&costs, &node_of(&devs)).unwrap();
+        let p = plan_topology(&costs, &pool_of(&devs)).unwrap();
         assert!(p.spilled.is_empty());
         // every subdomain placed exactly once
-        let mut seen: Vec<usize> = p.per_child.concat();
+        let mut seen: Vec<usize> = p.per_device.concat();
         seen.sort_unstable();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
-        assert_eq!(p.child_of.len(), 8);
+        assert_eq!(p.device_of.len(), 8);
         // LPT must split the 4 heavy items evenly
         let heavy_per_dev: Vec<usize> = p
-            .per_child
+            .per_device
             .iter()
             .map(|idx| idx.iter().filter(|&&i| i.is_multiple_of(2)).count())
             .collect();
@@ -1212,6 +1050,9 @@ mod tests {
             "loads {:?} must be roughly balanced",
             p.est_load
         );
+        // a second device never grows the predicted makespan
+        let one = plan_topology(&costs, &pool_of(&devs[..1])).unwrap();
+        assert!(p.est_makespan(&pool_of(&devs)) <= one.est_makespan(&pool_of(&devs[..1])));
     }
 
     #[test]
@@ -1230,9 +1071,9 @@ mod tests {
             slot(DeviceSpec::tiny_test_device(), 2 << 20, 2), // big arena, slow
             slot(DeviceSpec::a100(), 16 << 10, 2),            // small arena, fast
         ];
-        let p = plan_topology(&[big, small_a, small_b], &node_of(&devs)).unwrap();
-        assert_eq!(p.child_of[0], 0, "oversized subdomain must use device 0");
-        assert!(p.per_child[0].contains(&0));
+        let p = plan_topology(&[big, small_a, small_b], &pool_of(&devs)).unwrap();
+        assert_eq!(p.device_of[0], 0, "oversized subdomain must use device 0");
+        assert!(p.per_device[0].contains(&0));
     }
 
     #[test]
@@ -1252,12 +1093,12 @@ mod tests {
             slot(DeviceSpec::h100(), usize::MAX, 2),
             slot(DeviceSpec::tiny_test_device(), usize::MAX, 2),
         ];
-        let p = plan_topology(&costs, &node_of(&devs)).unwrap();
+        let p = plan_topology(&costs, &pool_of(&devs)).unwrap();
         // the H100 is ~3000x faster than the tiny card: everything goes there
         assert!(
-            p.per_child[0].len() > p.per_child[1].len(),
+            p.per_device[0].len() > p.per_device[1].len(),
             "fast device must absorb most of the equal-cost work: {:?}",
-            p.per_child
+            p.per_device
         );
     }
 
@@ -1276,14 +1117,14 @@ mod tests {
             slot(DeviceSpec::a100(), usize::MAX, 0),
             slot(DeviceSpec::a100(), usize::MAX, 2),
         ];
-        let p = plan_topology(&costs, &node_of(&devs)).unwrap();
-        assert!(p.per_child[0].is_empty(), "0-stream device must stay idle");
-        assert_eq!(p.per_child[1].len(), 4);
-        assert!(p.child_of.iter().all(|&d| d == 1));
+        let p = plan_topology(&costs, &pool_of(&devs)).unwrap();
+        assert!(p.per_device[0].is_empty(), "0-stream device must stay idle");
+        assert_eq!(p.per_device[1].len(), 4);
+        assert!(p.device_of.iter().all(|&d| d == 1));
         // a pool of only 0-stream devices cannot run anything
         let dead = vec![slot(DeviceSpec::a100(), usize::MAX, 0)];
         assert_eq!(
-            plan_topology(&costs, &node_of(&dead)).unwrap_err(),
+            plan_topology(&costs, &pool_of(&dead)).unwrap_err(),
             ClusterPlanError::NoDevices
         );
     }
@@ -1292,12 +1133,12 @@ mod tests {
     fn cluster_plan_errors_are_descriptive() {
         let one = vec![est(10, &[2])];
         assert_eq!(
-            plan_topology(&one, &node_of(&[])).unwrap_err(),
+            plan_topology(&one, &pool_of(&[])).unwrap_err(),
             ClusterPlanError::NoDevices
         );
-        let empty = plan_topology(&[], &node_of(&[])).unwrap();
-        assert!(empty.per_child.is_empty());
-        assert!(empty.child_of.is_empty());
+        let empty = plan_topology(&[], &pool_of(&[])).unwrap();
+        assert!(empty.per_device.is_empty());
+        assert!(empty.device_of.is_empty());
 
         // the failure the batch driver raises from a plan's spill list
         let mut huge = est(10, &[2]);
@@ -1306,7 +1147,7 @@ mod tests {
             slot(DeviceSpec::a100(), 1 << 20, 2),
             slot(DeviceSpec::a100(), 1 << 22, 0), // drained: its arena does not count
         ];
-        let plan = plan_topology(&[huge], &node_of(&devs)).unwrap();
+        let plan = plan_topology(&[huge], &pool_of(&devs)).unwrap();
         assert_eq!(plan.spilled, vec![0]);
         let err = ClusterPlanError::Spilled {
             spilled: plan.spilled,
@@ -1334,10 +1175,10 @@ mod tests {
         let mut b = a.clone();
         b.index = 2;
         let devs = vec![slot(DeviceSpec::a100(), 1 << 20, 2)];
-        let plan = plan_topology(&[a, big, b], &node_of(&devs)).unwrap();
+        let plan = plan_topology(&[a, big, b], &pool_of(&devs)).unwrap();
         assert_eq!(plan.spilled, vec![1]);
-        assert_eq!(plan.child_of[1], usize::MAX, "spilled entry unplaced");
-        let mut placed: Vec<usize> = plan.per_child.concat();
+        assert_eq!(plan.device_of[1], usize::MAX, "spilled entry unplaced");
+        let mut placed: Vec<usize> = plan.per_device.concat();
         placed.sort_unstable();
         assert_eq!(placed, vec![0, 2]);
     }
@@ -1439,7 +1280,6 @@ mod tests {
             syrk_flops: 0.0,
             transfer_bytes: 0.0,
             temp_bytes,
-            exchange_bytes: 0.0,
             seconds: 0.0,
         };
         let a = ApplyEstimate {
@@ -1529,7 +1369,7 @@ mod tests {
         }
     }
 
-    // ---- hierarchical engine -------------------------------------------
+    // ---- pinned placements ---------------------------------------------
 
     fn skewed_costs(n: usize) -> Vec<CostEstimate> {
         (0..n)
@@ -1551,27 +1391,34 @@ mod tests {
         // least-loaded lane (ties by lane), then the 1 s items fill lane 2
         let lpt = plan_streams(&costs, 3, StreamPolicy::LptLeastLoaded);
         assert_eq!(
-            lpt.per_child,
+            lpt.lanes[0].per_lane,
             vec![vec![0, 6], vec![2, 8], vec![4, 1, 3, 5, 7]]
         );
-        assert_eq!(lpt.est_load, vec![16.0, 16.0, 12.0]);
-        assert_eq!(lpt.child_of, vec![0, 2, 1, 2, 2, 2, 0, 2, 1]);
+        assert_eq!(lpt.lanes[0].est_load, vec![16.0, 16.0, 12.0]);
+        // the predicted makespan of one device is its busiest lane
+        assert_eq!(
+            lpt.est_makespan(&lanes(3, StreamPolicy::LptLeastLoaded)),
+            16.0
+        );
         // round-robin: subdomain k on lane k mod 3, in index order
         let rr = plan_streams(&costs, 3, StreamPolicy::RoundRobin);
         assert_eq!(
-            rr.per_child,
+            rr.lanes[0].per_lane,
             vec![vec![0, 3, 6], vec![1, 4, 7], vec![2, 5, 8]]
         );
-        assert_eq!(rr.est_load, vec![17.0, 10.0, 17.0]);
-        assert_eq!(rr.child_of, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
+        assert_eq!(rr.lanes[0].est_load, vec![17.0, 10.0, 17.0]);
+        assert_eq!(rr.est_makespan(&lanes(3, StreamPolicy::RoundRobin)), 17.0);
         for plan in [&lpt, &rr] {
+            // the one device holds the whole batch, in batch order
+            assert_eq!(plan.per_device, vec![(0..9).collect::<Vec<_>>()]);
+            assert_eq!(plan.device_of, vec![0; 9]);
             assert!(plan.spilled.is_empty());
-            assert!(plan.children.is_empty(), "a device vertex has no sub-plans");
+            assert_eq!(plan.lanes.len(), 1, "one device, one lane plan");
         }
     }
 
     #[test]
-    fn flat_node_plan_pins_the_two_level_partition() {
+    fn pool_plan_pins_the_two_level_partition() {
         // 10 subdomains (8 s even / 1 s odd) over three devices of 2, 4 and
         // 1 streams that run them at 1x, 0.5x and 4x the nominal seconds
         let costs = skewed_costs(10);
@@ -1581,148 +1428,30 @@ mod tests {
             slot(DeviceSpec::tiny_test_device(), usize::MAX, 1),
         ];
         let slowdown = [1.0, 0.5, 4.0];
-        let plan = plan_topology_by(&costs, &node_of(&devs), |c, path| {
-            c.seconds * slowdown[path[0]]
-        })
-        .unwrap();
+        let plan =
+            plan_topology_by(&costs, &pool_of(&devs), |c, d| c.seconds * slowdown[d]).unwrap();
         // longest-first under the worst-case device (ties by index), each
         // onto the device with the lowest (load + cost) / n_streams (ties
         // by device): subdomains 6 and 9 land on device 0 through exact
         // ties with device 1, subdomain 1 is the only one the slow card wins
         assert_eq!(
-            plan.per_child,
+            plan.per_device,
             vec![vec![6, 9], vec![0, 2, 4, 8, 3, 5, 7], vec![1]]
         );
         assert_eq!(plan.est_load, vec![9.0, 17.5, 4.0]);
-        assert_eq!(plan.child_of, vec![1, 2, 1, 1, 1, 1, 0, 1, 1, 0]);
+        // the predicted makespan of a pool: each device's load over its
+        // stream count, max(9.0 / 2, 17.5 / 4, 4.0 / 1)
+        assert_eq!(plan.est_makespan(&pool_of(&devs)), 4.5);
+        assert_eq!(plan.device_of, vec![1, 2, 1, 1, 1, 1, 0, 1, 1, 0]);
         assert!(plan.spilled.is_empty());
-        assert_eq!(plan.children.len(), 3, "one sub-plan per device");
-        for (d, child) in plan.children.iter().enumerate() {
-            // the nested stream plan covers exactly the device's share
-            let mut below: Vec<usize> = child.per_child.concat();
+        assert_eq!(plan.lanes.len(), 3, "one lane plan per device");
+        for (d, lanes) in plan.lanes.iter().enumerate() {
+            // the device's lane plan covers exactly its share
+            let mut below: Vec<usize> = lanes.per_lane.concat();
             below.sort_unstable();
-            let mut share = plan.per_child[d].clone();
+            let mut share = plan.per_device[d].clone();
             share.sort_unstable();
             assert_eq!(below, share);
         }
-    }
-
-    #[test]
-    fn three_level_plan_places_each_subdomain_on_exactly_one_leaf() {
-        let costs = skewed_costs(12);
-        let node = |n_dev: usize| {
-            Topology::node(
-                (0..n_dev)
-                    .map(|_| Topology::device(slot(DeviceSpec::a100(), usize::MAX, 2)))
-                    .collect(),
-                Some(Interconnect::ideal()),
-            )
-        };
-        let topo = Topology::node(vec![node(2), node(3)], None);
-        let plan = plan_topology(&costs, &topo).unwrap();
-        assert!(plan.spilled.is_empty());
-        // level 1: every subdomain on exactly one node
-        let mut seen: Vec<usize> = plan.per_child.concat();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..12).collect::<Vec<_>>());
-        for (i, &d) in plan.child_of.iter().enumerate() {
-            assert!(plan.per_child[d].contains(&i));
-        }
-        // level 2 and 3: each node's plan covers its share, each device's
-        // lanes cover the device's share
-        for (d, nplan) in plan.children.iter().enumerate() {
-            let mut below: Vec<usize> = nplan.per_child.concat();
-            below.sort_unstable();
-            let mut share = plan.per_child[d].clone();
-            share.sort_unstable();
-            assert_eq!(below, share);
-            for (dd, dplan) in nplan.children.iter().enumerate() {
-                let mut lanes: Vec<usize> = dplan.per_child.concat();
-                lanes.sort_unstable();
-                let mut dev_share = nplan.per_child[dd].clone();
-                dev_share.sort_unstable();
-                assert_eq!(lanes, dev_share);
-            }
-        }
-    }
-
-    #[test]
-    fn interconnect_price_steers_boundary_heavy_work_to_the_cheap_link() {
-        let costs: Vec<CostEstimate> = (0..6)
-            .map(|i| {
-                let mut c = est(40, &[0; 12]);
-                c.index = i;
-                c.exchange_bytes = 1.0e9; // 1 GB of boundary rows each
-                c.temp_bytes = 1;
-                c
-            })
-            .collect();
-        let node_with = |link: Interconnect| {
-            Topology::node(
-                vec![Topology::device(slot(DeviceSpec::a100(), usize::MAX, 2))],
-                Some(link),
-            )
-        };
-        // a 1 GB exchange costs 1000 s over the slow link and 1 ms over the
-        // ideal one; local kernel seconds are microscopic next to either
-        let slow = Interconnect::new(0.0, 1.0e6);
-        let topo = Topology::node(
-            vec![node_with(slow), node_with(Interconnect::ideal())],
-            None,
-        );
-        let plan = plan_topology(&costs, &topo).unwrap();
-        assert!(
-            plan.per_child[1].len() > plan.per_child[0].len(),
-            "the cheap link must absorb the boundary-heavy work: {:?}",
-            plan.per_child
-        );
-    }
-
-    #[test]
-    fn hierarchical_spill_surfaces_at_the_root() {
-        let mut small = est(20, &[0; 4]);
-        small.index = 0;
-        small.temp_bytes = 1 << 8;
-        let mut huge = est(200, &[0; 20]);
-        huge.index = 1;
-        huge.temp_bytes = 1 << 30;
-        let topo = Topology::node(
-            vec![Topology::node(
-                vec![Topology::device(slot(DeviceSpec::a100(), 1 << 20, 2))],
-                Some(Interconnect::ideal()),
-            )],
-            None,
-        );
-        let plan = plan_topology(&[small, huge], &topo).unwrap();
-        assert_eq!(plan.spilled, vec![1]);
-        assert_eq!(plan.child_of[1], usize::MAX);
-        assert_eq!(plan.per_child[0], vec![0]);
-        // a topology with no usable leaves still reports NoDevices
-        let dead = Topology::node(Vec::new(), None);
-        assert_eq!(
-            plan_topology(&[est(10, &[2])], &dead).unwrap_err(),
-            ClusterPlanError::NoDevices
-        );
-    }
-
-    #[test]
-    fn est_makespan_never_grows_with_more_nodes() {
-        let costs = skewed_costs(16);
-        let node_of = |n_dev: usize| {
-            Topology::node(
-                (0..n_dev)
-                    .map(|_| Topology::device(slot(DeviceSpec::a100(), usize::MAX, 2)))
-                    .collect(),
-                Some(Interconnect::ideal()),
-            )
-        };
-        let one = Topology::node(vec![node_of(2)], None);
-        let four = Topology::node((0..4).map(|_| node_of(2)).collect(), None);
-        let m1 = plan_topology(&costs, &one).unwrap().est_makespan(&one);
-        let m4 = plan_topology(&costs, &four).unwrap().est_makespan(&four);
-        assert!(
-            m4 <= m1 + 1e-12,
-            "4 nodes ({m4}) must not be slower than 1 ({m1})"
-        );
     }
 }

@@ -5,7 +5,7 @@
 //! nested [`AssemblyReport`] regardless of target. The report states each
 //! placement once: one [`SubdomainTiming`] row per subdomain holds its host
 //! wall time and, on a device target, its simulated [`ScheduledSpan`]; the
-//! [`DeviceReport`] and [`NodeReport`] sections keep only their roll-ups.
+//! [`DeviceReport`] sections keep only their roll-ups.
 //!
 //! ```
 //! use sc_core::{AssemblySession, Backend, ScConfig};
@@ -49,11 +49,11 @@
 //! ```
 
 use crate::assemble::ScConfig;
-use crate::batch::{batch_cpu, batch_devices, DeviceGroup};
-use crate::schedule::{DeviceSlot, HybridPlan, ScheduleOptions, Topology};
+use crate::batch::{batch_cpu, batch_devices};
+use crate::schedule::{HybridPlan, ScheduleOptions};
 use crate::source::BatchSource;
 use sc_dense::{Mat, MatOf, Scalar};
-use sc_gpu::{Device, DevicePool, NodePool, SimSpan};
+use sc_gpu::{Device, DevicePool, SimSpan};
 use sc_sparse::CscOf;
 use std::sync::Arc;
 
@@ -113,22 +113,23 @@ impl Precision {
 }
 
 /// The execution target of a [`Backend`] — a *value*, so the same pipeline
-/// retargets between host, one simulated GPU, a device pool or a
-/// multi-node cluster without changing call sites.
+/// retargets between host, one simulated GPU or a device pool without
+/// changing call sites.
 ///
-/// Every device variant is the **same driver** over a different
-/// [`Topology`] tree — record every subdomain once, plan the whole batch
-/// once with [`plan_topology_by`](crate::plan_topology_by) (one pricing at
-/// every level: the recorded kernels under the leaf device's own duration
-/// model), replay each device from the lane assignment the plan holds —
-/// and takes the same [`ScheduleOptions`].
+/// Both device variants are the **same driver** over their devices — record
+/// every subdomain once, plan the whole batch once with
+/// [`plan_topology_by`](crate::plan_topology_by) over a
+/// [`Topology::Pool`](crate::Topology::Pool) (one GPU is a one-device pool;
+/// one pricing at both levels: the recorded kernels under each device's own
+/// duration model), replay each device from the lane assignment the plan
+/// holds — and take the same [`ScheduleOptions`].
 #[derive(Clone)]
 #[non_exhaustive]
 pub enum Target {
     /// Host execution, one rayon task per subdomain (cap the workers with
     /// `rayon::with_max_threads` around the call).
     Cpu,
-    /// One simulated GPU — a one-node, one-device tree: the §4.4 stream
+    /// One simulated GPU, planned as a one-device pool: the §4.4 stream
     /// scheduler (cost-model LPT or round-robin per
     /// [`ScheduleOptions::policy`]), temporary-arena admission,
     /// deterministic record-then-replay. A subdomain that does not fit the
@@ -139,66 +140,28 @@ pub enum Target {
         /// Scheduling options.
         schedule: ScheduleOptions,
     },
-    /// A pool of simulated GPUs — [`Topology::of_pool`]: subdomains are
-    /// partitioned across devices (cost-aware LPT with per-device arena
-    /// admissibility), then across each device's streams. A subdomain that
-    /// fits no device arena **panics**; the hybrid planner
-    /// ([`plan_hybrid`](crate::plan_hybrid)) is what keeps such subdomains
-    /// off the pool.
+    /// A pool of simulated GPUs: subdomains are partitioned across devices
+    /// (cost-aware LPT with per-device arena admissibility), then across
+    /// each device's streams. A subdomain that fits no device arena
+    /// **panics**; the hybrid planner ([`plan_hybrid`](crate::plan_hybrid))
+    /// is what keeps such subdomains off the pool.
     Cluster {
         /// The device pool (heterogeneous mixes allowed).
         pool: Arc<DevicePool>,
         /// Scheduling options.
         opts: ScheduleOptions,
     },
-    /// A simulated multi-node cluster — [`Topology::of_cluster`]: the node
-    /// level prices each placement as the recorded kernel seconds on the
-    /// node's best admissible device **plus** the subdomain's lambda/gluing
-    /// bytes over the node's [`Interconnect`](sc_gpu::Interconnect). The
-    /// report gains a per-node roll-up ([`AssemblyReport::nodes`]) with
-    /// exchange-byte accounting. A subdomain that fits no device arena
-    /// **panics**.
-    MultiNode {
-        /// The simulated cluster.
-        pool: Arc<NodePool>,
-        /// Scheduling options shared by every node.
-        opts: ScheduleOptions,
-    },
 }
 
 impl Target {
-    /// The three device shapes as data: the target's [`Topology`], its
-    /// devices grouped in the same depth-first order (one link-less group
-    /// for one GPU or a pool, one group per node for a cluster), and its
-    /// scheduling options. `None` on the host target.
-    pub(crate) fn device_tree(&self) -> Option<(Topology, Vec<DeviceGroup<'_>>, &ScheduleOptions)> {
-        Some(match self {
-            Target::Cpu => return None,
-            Target::Gpu { device, schedule } => (
-                Topology::node(
-                    vec![Topology::device_with(
-                        DeviceSlot::of(device),
-                        schedule.policy,
-                    )],
-                    None,
-                ),
-                vec![(std::slice::from_ref(device), None)],
-                schedule,
-            ),
-            Target::Cluster { pool, opts } => (
-                Topology::of_pool(pool, opts.policy),
-                vec![(pool.devices(), None)],
-                opts,
-            ),
-            Target::MultiNode { pool, opts } => (
-                Topology::of_cluster(pool, opts.policy),
-                pool.nodes()
-                    .iter()
-                    .map(|ns| (ns.pool.devices(), Some(ns.link)))
-                    .collect(),
-                opts,
-            ),
-        })
+    /// The devices of a device target, in [`AssemblyReport::devices`]
+    /// numbering, with its scheduling options; `None` on the host target.
+    pub(crate) fn devices(&self) -> Option<(&[Arc<Device>], &ScheduleOptions)> {
+        match self {
+            Target::Cpu => None,
+            Target::Gpu { device, schedule } => Some((std::slice::from_ref(device), schedule)),
+            Target::Cluster { pool, opts } => Some((pool.devices(), opts)),
+        }
     }
 }
 
@@ -213,12 +176,6 @@ impl std::fmt::Debug for Target {
                 .finish(),
             Target::Cluster { pool, opts } => f
                 .debug_struct("Cluster")
-                .field("n_devices", &pool.n_devices())
-                .field("opts", opts)
-                .finish(),
-            Target::MultiNode { pool, opts } => f
-                .debug_struct("MultiNode")
-                .field("n_nodes", &pool.n_nodes())
                 .field("n_devices", &pool.n_devices())
                 .field("opts", opts)
                 .finish(),
@@ -290,15 +247,6 @@ impl Backend {
         Target::Cluster { pool, opts }.into()
     }
 
-    /// A simulated multi-node cluster under the default schedule.
-    pub fn multi_node(pool: Arc<NodePool>) -> Self {
-        Target::MultiNode {
-            pool,
-            opts: ScheduleOptions::default(),
-        }
-        .into()
-    }
-
     /// Set the working precision (builder style).
     pub fn precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
@@ -311,7 +259,6 @@ impl Backend {
             Target::Cpu => "cpu",
             Target::Gpu { .. } => "gpu",
             Target::Cluster { .. } => "cluster",
-            Target::MultiNode { .. } => "multinode",
         }
     }
 
@@ -338,22 +285,15 @@ impl Backend {
     pub fn schedule_mut(&mut self) -> Option<&mut ScheduleOptions> {
         match &mut self.target {
             Target::Cpu => None,
-            Target::Gpu { schedule: opts, .. }
-            | Target::Cluster { opts, .. }
-            | Target::MultiNode { opts, .. } => Some(opts),
+            Target::Gpu { schedule: opts, .. } | Target::Cluster { opts, .. } => Some(opts),
         }
     }
 
-    /// Every device of the target, flat, in the numbering
+    /// Every device of the target, in the numbering
     /// [`AssemblyReport::devices`] and [`ScheduledSpan::device`] use (the
-    /// one GPU; a pool's devices; a cluster's devices node-major). Empty on
-    /// the host target.
-    pub fn devices(&self) -> Vec<Arc<Device>> {
-        let groups = self.target.device_tree().map_or(Vec::new(), |t| t.1);
-        groups
-            .iter()
-            .flat_map(|(devs, _)| devs.iter().cloned())
-            .collect()
+    /// one GPU; a pool's devices). Empty on the host target.
+    pub fn devices(&self) -> &[Arc<Device>] {
+        self.target.devices().map_or(&[], |(devices, _)| devices)
     }
 }
 
@@ -433,8 +373,8 @@ fn dispatch<S: Scalar, Src: BatchSource<S>>(
     cfg: &ScConfig,
     src: &Src,
 ) -> (Vec<MatOf<S>>, AssemblyReport) {
-    match target.device_tree() {
-        Some((topo, groups, opts)) => batch_devices(src, cfg, &topo, &groups, opts),
+    match target.devices() {
+        Some((devices, opts)) => batch_devices(src, cfg, devices, opts),
         None => batch_cpu(src, cfg),
     }
 }
@@ -454,8 +394,7 @@ pub struct SubdomainTiming {
     pub placement: Option<ScheduledSpan>,
 }
 
-/// One subdomain's placement in the executed device schedule. The node of
-/// a multi-node run is the [`NodeReport`] whose `devices` list `device`.
+/// One subdomain's placement in the executed device schedule.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScheduledSpan {
     /// Device it ran on, in [`AssemblyReport::devices`] numbering (`0` on
@@ -492,28 +431,8 @@ pub struct DeviceReport {
     pub trace: Option<sc_gpu::Trace>,
 }
 
-/// Per-node section of an [`AssemblyReport`]: which devices the node owned,
-/// plus the cost of shipping its boundary rows to the rest of the cluster
-/// over its interconnect. Empty unless the batch ran on a
-/// [`Target::MultiNode`] backend.
-#[derive(Clone, Debug, Default)]
-pub struct NodeReport {
-    /// Pool index of the node.
-    pub node: usize,
-    /// Global (flattened) device indices owned by this node, ascending.
-    pub devices: Vec<usize>,
-    /// Simulated makespan of this node's share **including** the trailing
-    /// boundary exchange.
-    pub makespan: f64,
-    /// Boundary (lambda/gluing) bytes this node ships to its peers.
-    pub exchange_bytes: f64,
-    /// Simulated seconds of that exchange under the node's interconnect
-    /// (0 on a single-node pool: nothing leaves the node).
-    pub exchange_seconds: f64,
-}
-
 /// The one report type of the unified surface: one row per subdomain
-/// (where and when it ran), per-device and per-node roll-ups, and — when
+/// (where and when it ran), per-device roll-ups, and — when
 /// the backend split the batch — the hybrid decisions. Every execution
 /// target fills the same schema; sections that do not apply stay empty
 /// (`devices` on CPU runs, `hybrid` on single-target runs).
@@ -526,9 +445,6 @@ pub struct AssemblyReport {
     /// batch, so idle devices (and all of them, for an empty batch) keep an
     /// entry. Empty on pure-CPU runs.
     pub devices: Vec<DeviceReport>,
-    /// Per-node roll-ups over `devices` (empty unless the batch ran on a
-    /// [`Target::MultiNode`] backend).
-    pub nodes: Vec<NodeReport>,
     /// The cost-model plan that split the batch across formulations
     /// ([`plan_hybrid`](crate::plan_hybrid), run by the FETI auto
     /// formulation); `None` unless a decision layer split the batch.

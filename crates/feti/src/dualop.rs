@@ -532,8 +532,8 @@ pub(crate) fn assemble_auto(
     plan_opts: &HybridPlanOptions,
 ) -> AssembledOperators {
     // decision layer: analytic assembly + per-iteration apply estimates per
-    // subdomain, priced against every device of the backend, flat (the
-    // per-subdomain decision prices no interconnect) — none on the host
+    // subdomain, priced against every device of the backend — none on the
+    // host
     let devices = backend.devices();
     let ref_spec = devices
         .first()
@@ -595,7 +595,7 @@ pub(crate) fn assemble_auto(
     let cpu_report = assemble_share(&cpu_idx, Backend::cpu().precision(backend.precision));
 
     // roll both shares up into the unified report: rows in problem-global
-    // order, device and node sections from the device share, the plan in
+    // order, device sections from the device share, the plan in
     // the hybrid section
     let mut unified = gpu_report.unwrap_or_default();
     if let Some(c) = cpu_report {

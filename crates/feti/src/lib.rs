@@ -14,7 +14,6 @@
 
 pub mod approaches;
 pub mod dualop;
-mod exchange;
 pub mod pcpg;
 pub mod refine;
 pub mod regularize;

@@ -52,13 +52,6 @@ pub struct PcpgStats {
     /// `Some` when the iteration stopped on a loss of positivity instead of
     /// converging or running out of budget.
     pub breakdown: Option<PcpgBreakdown>,
-    /// Simulated seconds the dual-operator applications spent **waiting** on
-    /// inter-node boundary exchanges that local work could not hide
-    /// (0 everywhere except the multi-node backend, which stamps it after
-    /// the solve under every formulation that places operators on its
-    /// devices, `Auto` included). The iteration itself never touches this
-    /// field.
-    pub exchange_stall_seconds: f64,
 }
 
 /// Result of a PCPG run at working precision `S`. The [`PcpgResult`] alias
@@ -125,7 +118,6 @@ pub fn pcpg_preconditioned_of<S: Scalar>(
                 rel_residual: 0.0,
                 converged: true,
                 breakdown: None,
-                exchange_stall_seconds: 0.0,
             },
         };
     }
@@ -219,7 +211,6 @@ pub fn pcpg_preconditioned_of<S: Scalar>(
             rel_residual,
             converged: rel_residual <= tol,
             breakdown,
-            exchange_stall_seconds: 0.0,
         },
     }
 }

@@ -138,7 +138,6 @@ impl FetiSolver<'_> {
                 rel_residual: rel,
                 converged: true,
                 breakdown: None,
-                exchange_stall_seconds: 0.0,
             };
             let refinement = RefinementStats {
                 outer_iterations: outer,

@@ -10,12 +10,9 @@
 //! across any number of right-hand sides.
 
 use crate::dualop::{assemble_auto, AssembledOperators, DualPass, LocalOp, SubdomainFactors};
-use crate::exchange::ExchangeSim;
 use crate::pcpg::PcpgStats;
 use crate::refine::{Demoted, RefinementStats};
-use sc_core::{
-    AssemblyReport, AssemblySession, Backend, HybridPlanOptions, Precision, ScConfig, Target,
-};
+use sc_core::{AssemblyReport, AssemblySession, Backend, HybridPlanOptions, Precision, ScConfig};
 use sc_dense::Mat;
 use sc_factor::Engine;
 use sc_fem::HeatProblem;
@@ -342,10 +339,6 @@ pub struct FetiSolver<'p> {
     /// report of the build that assembled them (`None` for the implicit
     /// mode).
     operators: Option<Arc<AssembledOperators>>,
-    /// Simulated PCPG boundary-exchange overlap; `Some` exactly when the
-    /// backend is a multi-node pool with device-resident operators (the
-    /// explicit formulation, or the explicit-GPU share of `Auto`).
-    exchange_sim: Option<ExchangeSim>,
 }
 
 impl<'p> FetiSolver<'p> {
@@ -353,8 +346,7 @@ impl<'p> FetiSolver<'p> {
     /// builder's three formulations and the sparse-RHS rows of
     /// [`approaches`](crate::approaches): kernel numbering, `G = B R`, the
     /// coarse factor of `GᵀG`, the demoted slots of a refined `backend`
-    /// precision, the multi-node exchange model, and the right-hand sides of
-    /// the problem's own loads.
+    /// precision, and the right-hand sides of the problem's own loads.
     pub(crate) fn from_ops(
         problem: &'p HeatProblem,
         opts: FetiOptions,
@@ -410,17 +402,6 @@ impl<'p> FetiSolver<'p> {
             .is_f32()
             .then(|| Demoted::of(&ops, &factors, problem));
 
-        // the multi-node backend overlaps PCPG boundary exchanges with the
-        // local applies; every other target leaves the solve untouched
-        let exchange_sim = match &backend.target {
-            Target::MultiNode { pool, .. } if pool.n_nodes() > 1 => operators
-                .as_deref()
-                .map(AssembledOperators::report)
-                .filter(|rep| !rep.nodes.is_empty())
-                .map(|rep| ExchangeSim::build(pool, &backend.devices(), rep, problem)),
-            _ => None,
-        };
-
         let mut solver = FetiSolver {
             problem,
             opts,
@@ -435,7 +416,6 @@ impl<'p> FetiSolver<'p> {
             d: Vec::new(),
             e: Vec::new(),
             operators,
-            exchange_sim,
         };
         // dual + coarse right-hand sides of the problem's own loads (any
         // other loads go through solve_rhs, which recomputes both)
@@ -497,21 +477,9 @@ impl<'p> FetiSolver<'p> {
     }
 
     /// Apply the assembled dual operator `F` to a global dual vector.
-    ///
-    /// Under the multi-node backend the application also advances the
-    /// simulated boundary exchange: each node's incoming data is posted
-    /// before the local SYMVs submit, so queued device work overlaps the
-    /// transfer; unhidden wait accumulates as
-    /// [`PcpgStats::exchange_stall_seconds`]. The numerics are identical
-    /// either way — the simulation only moves stream clocks.
     pub fn apply_f(&self, p: &[f64]) -> Vec<f64> {
-        let exchange = self.exchange_sim.as_ref().map(|sim| (sim, sim.begin()));
         let view = |i: usize| Some((&self.factors[i]).into());
-        let q = self.pass.apply_ops(self.problem, &self.ops, view, p);
-        if let Some((sim, arrivals)) = exchange {
-            sim.finish(&arrivals);
-        }
-        q
+        self.pass.apply_ops(self.problem, &self.ops, view, p)
     }
 
     /// Solve the small coarse system `(GᵀG) x = b`.
@@ -596,12 +564,7 @@ impl<'p> FetiSolver<'p> {
             self.g.spmv(1.0, &y, 0.0, &mut l0);
             l0
         };
-        // reset the exchange-stall counter so the stamped figure below
-        // covers exactly this solve's dual-operator applications
-        if let Some(sim) = &self.exchange_sim {
-            let _ = sim.drain();
-        }
-        let (lambda, mut stats, refinement) = match self.backend.precision {
+        let (lambda, stats, refinement) = match self.backend.precision {
             Precision::F64 => {
                 let res = self.pcpg_f64(d, lambda0);
                 (res.lambda, res.stats, None)
@@ -611,9 +574,6 @@ impl<'p> FetiSolver<'p> {
                 max_refine,
             } => self.solve_refined(d, lambda0, refine_tol, max_refine),
         };
-        if let Some(sim) = &self.exchange_sim {
-            stats.exchange_stall_seconds = sim.drain();
-        }
         let u_locals = self.recover_primal_with(&lambda, d, f_locals);
         FetiSolution {
             u_locals,
@@ -730,7 +690,7 @@ mod tests {
     use sc_dense::SymPackedOf;
     use sc_factor::{CholOptions, SparseCholesky};
     use sc_fem::Gluing;
-    use sc_gpu::{Device, DevicePool, DeviceSpec, Interconnect, KernelCost, NodePool};
+    use sc_gpu::{Device, DevicePool, DeviceSpec, KernelCost};
 
     fn direct_solution(problem: &HeatProblem) -> Vec<f64> {
         let (k, f) = problem.assemble_global();
@@ -1318,9 +1278,7 @@ mod tests {
     /// names: one application advances exactly those streams, each by the
     /// SYMVs of the subdomains placed on it (replayed on twin devices in the
     /// subdomain order the pass charges in), and no other stream — also
-    /// when the operators are reused from a cluster build. The multi-node
-    /// pool runs over an ideal link, whose exchange arrives before any SYMV
-    /// ends, so no stream stalls.
+    /// when the operators are reused from a cluster build.
     #[test]
     fn one_application_charges_exactly_the_streams_the_report_names() {
         let p = mixed_problem();
@@ -1341,17 +1299,11 @@ mod tests {
             (
                 "gpu",
                 explicit.clone(),
-                Backend::gpu(Device::new(a100.clone(), 3)),
+                Backend::gpu(Device::new(a100, 3)),
                 None,
             ),
-            ("cluster", explicit.clone(), cluster.clone(), None),
+            ("cluster", explicit, cluster.clone(), None),
             ("reused", FormulationChoice::Implicit, cluster, reused),
-            (
-                "multi_node",
-                explicit,
-                Backend::multi_node(NodePool::uniform(a100, 2, 2, 2, Interconnect::ideal())),
-                None,
-            ),
             (
                 "auto",
                 FormulationChoice::Auto(HybridPlanOptions::default().with_iters(MIXED_ITERS)),
@@ -1399,33 +1351,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// `Auto` on a multi-node pool keeps the node level: the explicit-GPU
-    /// share runs on the nodes themselves, so the report carries both node
-    /// sections and PCPG prices the boundary exchange, as under `Explicit`.
-    #[test]
-    fn auto_on_a_multi_node_pool_reports_the_nodes_and_their_exchange() {
-        let p = HeatProblem::build_2d(36, (3, 3), Gluing::Redundant);
-        for formulation in [
-            FormulationChoice::Explicit,
-            FormulationChoice::Auto(HybridPlanOptions::default().with_iters(5.0)),
-        ] {
-            let pool = NodePool::uniform(DeviceSpec::a100(), 2, 1, 2, Interconnect::infiniband());
-            let solver = FetiSolverBuilder::new()
-                .backend(Backend::multi_node(pool))
-                .formulation(formulation.clone())
-                .assembly(ScConfig::Auto)
-                .build(&p);
-            let report = solver.report().expect("explicit formulations report");
-            assert_eq!(report.nodes.len(), 2, "{formulation:?}");
-            let sol = solver.solve();
-            assert!(sol.stats.converged, "{formulation:?}");
-            assert!(
-                sol.stats.exchange_stall_seconds > 0.0,
-                "{formulation:?} must price the boundary exchange"
-            );
         }
     }
 

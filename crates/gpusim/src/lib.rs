@@ -24,7 +24,6 @@ pub mod cost;
 pub mod device;
 pub mod kernels;
 pub mod memory;
-pub mod node;
 pub mod pool;
 pub mod timeline;
 pub mod trace;
@@ -33,7 +32,6 @@ pub use cost::KernelCost;
 pub use device::DeviceSpec;
 pub use kernels::GpuKernels;
 pub use memory::ArenaSim;
-pub use node::{Interconnect, NodePool, NodeSpec};
 pub use pool::DevicePool;
 pub use timeline::{Device, SimSpan, Stream};
 pub use trace::{SlotAccess, Trace, TraceEvent};

@@ -92,24 +92,6 @@ pub enum TraceEvent {
         /// Arena slots the kernel writes.
         writes: Vec<usize>,
     },
-    /// One simulated inter-node transfer over the cluster interconnect
-    /// (recorded by the multi-node drivers). A kernel that **reads** a slot
-    /// this exchange **writes** depends on the delivered bytes and must not
-    /// start before the exchange's span ends — the hazard
-    /// `sc_analyze::trace::validate` flags as an exchange overlap.
-    Exchange {
-        /// Transfer family (e.g. `"lambda-exchange"`).
-        label: &'static str,
-        /// Peer node the bytes move to/from.
-        peer: usize,
-        /// Bytes on the wire.
-        bytes: usize,
-        /// Simulated transfer interval on the node timeline.
-        span: SimSpan,
-        /// Arena slots whose contents the exchange delivers (dependents
-        /// must wait; empty for pure egress transfers).
-        writes: Vec<usize>,
-    },
 }
 
 /// A complete recorded schedule of one device replay: the event stream plus

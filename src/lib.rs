@@ -82,7 +82,7 @@ pub mod prelude {
         assemble_sc, estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by,
         ApplyEstimate, AssemblyReport, AssemblyResult, AssemblySession, Backend, BatchItem,
         BatchSource, BlockParam, ClusterPlanError, CostEstimate, CpuExec, DeviceReport, DeviceSlot,
-        FactorStorage, Formulation, GpuExec, HybridPlan, HybridPlanOptions, NodeReport, Precision,
+        FactorStorage, Formulation, GpuExec, HybridPlan, HybridPlanOptions, Precision,
         RecordingExec, ScConfig, ScParams, ScheduleOptions, ScheduledSpan, SteppedRhs,
         StreamPolicy, SubdomainTiming, SyrkVariant, TopoPlan, Topology, TrsmVariant,
     };
@@ -94,9 +94,7 @@ pub mod prelude {
         FetiOptions, FetiSolution, FetiSolver, FetiSolverBuilder, FormulationChoice, PcpgBreakdown,
         RefinementStats, SubdomainFactors,
     };
-    pub use sc_gpu::{
-        Device, DevicePool, DeviceSpec, GpuKernels, Interconnect, NodePool, NodeSpec,
-    };
+    pub use sc_gpu::{Device, DevicePool, DeviceSpec, GpuKernels};
     pub use sc_order::Ordering;
     pub use sc_serve::{JobOutcome, ServeHandle, ServeOptions};
     pub use sc_sparse::{Csc, Perm};

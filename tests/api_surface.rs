@@ -28,7 +28,7 @@ fn prelude_surface_is_complete() {
         _: &DeviceReport,
     ) {
     }
-    fn _report_rows(_: &SubdomainTiming, _: &NodeReport, _: &ScheduledSpan) {}
+    fn _report_rows(_: &SubdomainTiming, _: &ScheduledSpan) {}
     fn _solver_types(_: &FetiSolverBuilder, _: &FormulationChoice, _: &dyn BatchSource) {}
     // BatchSource, the one input bound of `assemble`, usable through the
     // prelude

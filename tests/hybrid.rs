@@ -51,7 +51,6 @@ fn estimates_of(subs: &[SynthSub]) -> (Vec<CostEstimate>, Vec<ApplyEstimate>) {
                     syrk_flops: 0.0,
                     transfer_bytes: 0.0,
                     temp_bytes: s.temp_bytes,
-                    exchange_bytes: 0.0,
                     seconds: 0.0,
                 },
                 ApplyEstimate {

@@ -238,23 +238,10 @@ fn recorded_seconds(item: &BatchItem<'_>, cfg: &ScConfig, spec: &DeviceSpec) -> 
         .sum()
 }
 
-/// The device leaves of `plan` over `topo`, depth-first — the order of
-/// `AssemblyReport::devices`.
-fn device_leaves<'p>(topo: &Topology, plan: &'p TopoPlan, out: &mut Vec<&'p TopoPlan>) {
-    match topo {
-        Topology::Node { children, .. } => {
-            for (child, sub) in children.iter().zip(&plan.children) {
-                device_leaves(child, sub, out);
-            }
-        }
-        _ => out.push(plan),
-    }
-}
-
-/// The driver executes the plan, it does not re-derive it: on one GPU, a
-/// 2-device pool and a 2-node cluster, every device's executed schedule
-/// grouped by stream is the matching leaf of an independently computed
-/// `plan_topology_by` over the same recorded prices.
+/// The driver executes the plan, it does not re-derive it: on one GPU and a
+/// 2-device pool, every device's executed schedule grouped by stream is that
+/// device's lane plan in an independently computed `plan_topology_by` over
+/// the same recorded prices.
 #[test]
 fn every_device_target_replays_the_lanes_of_the_one_plan() {
     let w = sc_bench::BatchWorkload::build_skewed(2, &[12, 4, 6, 3]);
@@ -273,12 +260,14 @@ fn every_device_target_replays_the_lanes_of_the_one_plan() {
 
     let dev = Device::new(spec.clone(), 3);
     let pool = DevicePool::uniform(spec.clone(), 2, 3);
-    let nodes = NodePool::uniform(spec.clone(), 2, 2, 2, Interconnect::infiniband());
     let policy = StreamPolicy::default();
     let targets = [
         (
             "gpu",
-            Topology::node(vec![Topology::device(DeviceSlot::of(&dev))], None),
+            Topology::Pool {
+                slots: vec![DeviceSlot::of(&dev)],
+                policy,
+            },
             Backend::gpu(dev),
         ),
         (
@@ -286,31 +275,24 @@ fn every_device_target_replays_the_lanes_of_the_one_plan() {
             Topology::of_pool(&pool, policy),
             Backend::cluster(pool),
         ),
-        (
-            "multi-node",
-            Topology::of_cluster(&nodes, policy),
-            Backend::multi_node(nodes),
-        ),
     ];
     for (name, topo, backend) in targets {
         let plan = plan_topology_by(&costs, &topo, |c, _| price[c.index]).unwrap();
-        let mut leaves = Vec::new();
-        device_leaves(&topo, &plan, &mut leaves);
         let report = AssemblySession::new(backend, cfg).assemble(&items).report;
-        assert_eq!(report.devices.len(), leaves.len(), "{name}");
-        for (rep, leaf) in report.devices.iter().zip(leaves) {
+        assert_eq!(report.devices.len(), plan.lanes.len(), "{name}");
+        for (rep, planned) in report.devices.iter().zip(&plan.lanes) {
             // the device's rows, chronological, grouped by stream
             let mut rows: Vec<(usize, ScheduledSpan)> = (report.subdomains.iter())
                 .filter_map(|t| t.placement.map(|p| (t.index, p)))
                 .filter(|(_, p)| p.device == rep.device)
                 .collect();
             rows.sort_by(|(_, a), (_, b)| a.span.start.total_cmp(&b.span.start));
-            let mut lanes = vec![Vec::new(); leaf.per_child.len()];
+            let mut lanes = vec![Vec::new(); planned.per_lane.len()];
             for (index, p) in rows {
                 lanes[p.stream].push(index);
             }
             assert_eq!(
-                lanes, leaf.per_child,
+                lanes, planned.per_lane,
                 "{name}: device {} ran a different lane assignment than the plan's",
                 rep.device
             );

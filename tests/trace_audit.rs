@@ -11,7 +11,7 @@ use sc_core::{
     estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
     BatchItem, DeviceSlot, Formulation, HybridPlanOptions, Precision, ScConfig, ScheduleOptions,
 };
-use sc_gpu::{Device, DevicePool, DeviceSpec, Interconnect, NodePool, Trace, TraceEvent};
+use sc_gpu::{Device, DevicePool, DeviceSpec, Trace, TraceEvent};
 use std::sync::OnceLock;
 
 fn cfg() -> ScConfig {
@@ -100,19 +100,6 @@ fn precision() -> AssemblyReport {
     scheduled(mixed_fit(), 4, Precision::f32_refined())
 }
 
-/// The replicated weak-scaling batch sharded across a 4-node cluster: the
-/// traces carry inter-node exchange events on top of the kernels (the
-/// sanitizer's exchange-overlap class).
-fn multinode() -> AssemblyReport {
-    let w = BatchWorkload::build_skewed(2, &[14, 10, 12, 8]);
-    let base = w.items();
-    let items: Vec<_> = (0..4).flat_map(|_| base.clone()).collect();
-    let pool = NodePool::uniform(DeviceSpec::a100(), 4, 1, 4, Interconnect::infiniband());
-    AssemblySession::new(Backend::multi_node(pool), cfg())
-        .assemble(&items)
-        .report
-}
-
 /// The full 3D decomposition again, on two streams: a narrower device
 /// interleaves the same kernel sequence differently.
 fn kernels() -> AssemblyReport {
@@ -153,7 +140,6 @@ const WORKLOADS: &[(&str, usize, Replay)] = &[
     ("cluster", 4, cluster),
     ("hybrid", 2, hybrid),
     ("precision", 1, precision),
-    ("multinode", 4, multinode),
     ("kernels", 1, kernels),
     ("serve", 2, serve),
 ];
