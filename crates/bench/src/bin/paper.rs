@@ -393,7 +393,7 @@ fn fig7(args: &BenchArgs, device: &Arc<Device>) {
             // paper §4.3)
             let solver_fwd = time_min(args.reps, || {
                 let mut y = inputs.y0.clone();
-                sc_sparse::csc_lower_solve_mat(&w.l, y.as_mut());
+                sc_sparse::csc_lower_solve_mat(w.l.view(), y.as_mut());
                 std::hint::black_box(&y);
             });
             let gpu_orig = time_trsm_gpu(&w, &inputs, storage, TrsmVariant::Plain, device);

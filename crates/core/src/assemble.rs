@@ -7,17 +7,18 @@
 //! F̃ = unpermute( (L⁻¹ · stepped(B̃ᵀ))ᵀ (L⁻¹ · stepped(B̃ᵀ)) )
 //! ```
 //!
-//! With the stepped permutation on, `L` and `B̃ᵀ` are first restricted to
-//! the [`RowClosure`] of `B̃ᵀ`'s rows, outside which `L⁻¹B̃ᵀ` is 0: the same
-//! value, from the same one walk, that the implicit operator's sweeps
-//! visit, exact for any lower-triangular `L`.
+//! in two phases: an [`AssemblyPlan`] from the patterns (with the stepped
+//! permutation on, `L` restricted to the [`RowClosure`](sc_sparse::RowClosure)
+//! of `B̃ᵀ`'s rows, outside which `L⁻¹B̃ᵀ` is 0: the same value, from the
+//! same one walk, that the implicit operator's sweeps visit), then its
+//! numeric phase, which reads `L` in place and returns the packed lower
+//! triangle. [`assemble_sc`] is both phases plus the expansion of the
+//! triangle to the full square.
 
 use crate::exec::Exec;
-use crate::stepped::SteppedRhsOf;
-use crate::syrk::{run_syrk, SyrkVariant};
-use crate::trsm::{run_trsm, FactorStorage, TrsmVariant};
-use sc_dense::{MatOf, Scalar};
-use sc_sparse::{CscOf, RowClosure};
+use crate::plan::{AssemblyPlan, FactorStorage, SyrkVariant, TrsmVariant};
+use sc_dense::{MatOf, Scalar, SymPackedOf};
+use sc_sparse::CscOf;
 
 /// Fully resolved assembler parameters: one entry per knob the paper tunes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,74 +163,27 @@ impl From<ScParams> for ScConfig {
 /// - `bt` — `B̃ᵀ` with rows **already permuted** into the factor's order.
 ///
 /// The result is indexed by the original (unstepped) multiplier order and is
-/// fully symmetric.
-pub fn assemble_sc<S: Scalar, E: Exec<S>>(
+/// fully symmetric: the packed triangle of the plan's numeric phase
+/// ([`AssemblyPlan::assemble`]), expanded.
+pub fn assemble_sc<S: Scalar, E: Exec>(
     exec: &mut E,
     l: &CscOf<S>,
     bt: &CscOf<S>,
     cfg: &ScConfig,
 ) -> MatOf<S> {
-    let n = l.ncols();
-    assert_eq!(bt.nrows(), n, "B̃ᵀ rows must live in factor space");
-    let m = bt.ncols();
+    assemble_packed(exec, l, bt, cfg).to_dense()
+}
+
+/// `F̃`'s packed lower triangle in the original multiplier order: the plan
+/// of `cfg` resolved on `exec`'s platform, and its numeric phase.
+pub(crate) fn assemble_packed<S: Scalar, E: Exec>(
+    exec: &mut E,
+    l: &CscOf<S>,
+    bt: &CscOf<S>,
+    cfg: &ScConfig,
+) -> SymPackedOf<S> {
     let params = cfg.resolve(exec.is_gpu(), l, bt);
-
-    // `Y = L⁻¹B̃ᵀ` is zero outside the closure of `B̃ᵀ`'s rows: solve and
-    // SYRK only the closure's principal submatrix when it is a strict one
-    let closure = params
-        .stepped_permutation
-        .then(|| RowClosure::of(l, bt.row_idx()).restrict(l, bt))
-        .flatten();
-    if let Some((l_c, bt_c)) = &closure {
-        exec.gather(l_c.nnz() + bt_c.nnz());
-    }
-    let (l, bt) = closure.as_ref().map_or((l, bt), |(l_c, bt_c)| (l_c, bt_c));
-
-    let stepped = if params.stepped_permutation {
-        SteppedRhsOf::new(bt)
-    } else {
-        SteppedRhsOf {
-            bt: bt.clone(),
-            pivots: sc_sparse::pattern::pivots_or_end(bt),
-            col_perm: sc_sparse::Perm::identity(m),
-        }
-    };
-    // NOTE: without the stepped permutation the pivots may not be sorted;
-    // the splitting kernels require sorted pivots, so fall back to plain
-    // variants in that case (this is what "original" does anyway).
-    let sorted = stepped.pivots.windows(2).all(|w| w[0] <= w[1]);
-    let trsm_variant = if sorted {
-        params.trsm
-    } else {
-        TrsmVariant::Plain
-    };
-    let syrk_variant = if sorted {
-        params.syrk
-    } else {
-        SyrkVariant::Plain
-    };
-
-    // dense RHS expansion (the TRSM is in-place on the dense Y)
-    let mut y = stepped.to_dense();
-    exec.gather(stepped.bt.nnz());
-
-    run_trsm(
-        exec,
-        l,
-        &stepped,
-        params.factor_storage,
-        trsm_variant,
-        &mut y,
-    );
-    drop(closure); // the SYRK reads only `Y` and the stepped `B̃ᵀ`
-
-    let mut f = MatOf::<S>::zeros(m, m);
-    run_syrk(exec, &y, &stepped, syrk_variant, &mut f);
-    f.symmetrize_from_lower();
-
-    // back to original multiplier ordering (the "final phase" permutation)
-    exec.gather(m * m);
-    stepped.unpermute_symmetric(&f)
+    AssemblyPlan::new(l, bt, &params).assemble(exec, l, bt)
 }
 
 /// Dense reference: `F̃ = B̃ K_reg⁻¹ B̃ᵀ` computed with dense kernels from the
@@ -260,7 +214,7 @@ mod tests {
     use sc_factor::{CholOptions, Engine, SparseCholesky};
     use sc_gpu::{Device, DeviceSpec, GpuKernels, KernelCost};
     use sc_order::Ordering;
-    use sc_sparse::{Coo, Csc};
+    use sc_sparse::{Coo, Csc, RowClosure};
 
     /// SPD matrix: 2D Laplacian + shift.
     fn spd_matrix(nx: usize) -> Csc {
@@ -415,15 +369,28 @@ mod tests {
         (l, bt_perm, fref)
     }
 
-    /// `(L_c, B̃ᵀ_c)` as `assemble_sc` restricts them; `None` when the
-    /// closure is all of `L`.
-    fn closure_restriction(l: &Csc, bt_perm: &Csc) -> Option<(Csc, Csc)> {
-        RowClosure::of(l, bt_perm.row_idx()).restrict(l, bt_perm)
+    /// The stepped plain configuration, which solves on the closure.
+    fn plain_stepped(storage: FactorStorage) -> ScParams {
+        ScParams {
+            stepped_permutation: true,
+            ..ScParams::original(storage)
+        }
     }
 
     /// Order of the factor `assemble_sc` solves with.
     fn closure_order(l: &Csc, bt_perm: &Csc) -> usize {
-        closure_restriction(l, bt_perm).map_or(l.ncols(), |(l_c, _)| l_c.ncols())
+        AssemblyPlan::new(l, bt_perm, &plain_stepped(FactorStorage::Sparse)).closure_order()
+    }
+
+    /// The elimination tree's leaves, whose paths reach every row.
+    fn leaves(l: &Csc) -> Vec<usize> {
+        let mut is_parent = vec![false; l.ncols()];
+        for j in 0..l.ncols() {
+            if let Some(&p) = l.col(j).0.get(1) {
+                is_parent[p] = true;
+            }
+        }
+        (0..l.ncols()).filter(|&j| !is_parent[j]).collect()
     }
 
     /// The multipliers of one grid edge, as a subdomain's gluing.
@@ -444,17 +411,9 @@ mod tests {
     #[test]
     fn full_closure_is_not_restricted_and_matches_the_oracle() {
         // the elimination tree's leaves reach every row
-        let (l, bt_perm, fref) = glued(8, |l, _| {
-            let mut is_parent = vec![false; l.ncols()];
-            for j in 0..l.ncols() {
-                if let Some(&p) = l.col(j).0.get(1) {
-                    is_parent[p] = true;
-                }
-            }
-            (0..l.ncols()).filter(|&j| !is_parent[j]).collect()
-        });
+        let (l, bt_perm, fref) = glued(8, |l, _| leaves(l));
         assert!(bt_perm.ncols() < l.ncols());
-        assert!(closure_restriction(&l, &bt_perm).is_none());
+        assert_eq!(closure_order(&l, &bt_perm), l.ncols());
         check_every_variant(&l, &bt_perm, &fref);
     }
 
@@ -535,20 +494,67 @@ mod tests {
                 KernelCost::gather_of::<f64>(m * m),
             ]
         );
-        // the stepped configuration prices the compaction first
-        let (l_c, bt_c) = closure_restriction(&l, &bt_perm).unwrap();
-        let plain_stepped = ScParams {
-            stepped_permutation: true,
-            ..ScParams::original(FactorStorage::Sparse)
-        };
+        // the stepped configuration solves on the closure, read in place:
+        // no compaction launch comes first
+        let closure = RowClosure::of(&l, bt_perm.row_idx());
+        let nnz_c: usize = closure.cols().iter().map(|&j| l.col(j).0.len()).sum();
+        assert!(nnz_c < l.nnz());
         assert_eq!(
-            costs(ScConfig::Fixed(plain_stepped))[..3],
+            costs(ScConfig::Fixed(plain_stepped(FactorStorage::Sparse)))[..2],
             [
-                KernelCost::gather_of::<f64>(l_c.nnz() + bt_c.nnz()),
-                KernelCost::gather_of::<f64>(bt_c.nnz()),
-                KernelCost::trsm_sparse_of::<f64>(l_c.nnz(), m),
+                KernelCost::gather_of::<f64>(bt_perm.nnz()),
+                KernelCost::trsm_sparse_of::<f64>(nnz_c, m),
             ]
         );
+    }
+
+    /// The plan prices itself: on a restricting, a full-closure, an empty
+    /// (`m = 0`) and a 1-DOF subdomain, under every swept configuration and
+    /// the original one in both storages, [`AssemblyPlan::launches`] is
+    /// exactly what `RecordingExec` records for `assemble_sc`, at `f64` and
+    /// at `f32`.
+    #[test]
+    fn the_plan_prices_exactly_what_the_assembly_launches() {
+        let (l_edge, bt_edge, _) = edge_gluing(12);
+        let (l_full, bt_full, _) = glued(8, |l, _| leaves(l));
+        let l_empty = SparseCholesky::factorize(&spd_matrix(5), CholOptions::default())
+            .unwrap()
+            .factor_csc();
+        let bt_empty = Csc::zeros(l_empty.ncols(), 0);
+        let mut one = Coo::new(1, 1);
+        one.push(0, 0, 2.0);
+        let mut two = Coo::new(1, 2);
+        two.push(0, 0, 1.0);
+        two.push(0, 1, -1.0);
+        let subdomains = [
+            (l_edge, bt_edge),
+            (l_full, bt_full),
+            (l_empty, bt_empty),
+            (one.to_csc(), two.to_csc()),
+        ];
+        assert!(closure_order(&subdomains[0].0, &subdomains[0].1) < subdomains[0].0.ncols());
+        assert_eq!(
+            closure_order(&subdomains[1].0, &subdomains[1].1),
+            subdomains[1].0.ncols()
+        );
+        let mut params = swept_params();
+        params.extend([FactorStorage::Sparse, FactorStorage::Dense].map(ScParams::original));
+        for (l, bt) in &subdomains {
+            let (l32, bt32) = (l.cast::<f32>(), bt.cast::<f32>());
+            for p in &params {
+                let plan = AssemblyPlan::new(l, bt, p);
+                let mut rec = RecordingExec::new();
+                assemble_sc(&mut rec, l, bt, &ScConfig::Fixed(*p));
+                let (costs, accesses) = rec.into_recording();
+                let want: Vec<_> = costs.into_iter().zip(accesses).collect();
+                assert_eq!(plan.launches::<f64>(), want, "{p:?} n={}", l.ncols());
+                let mut rec = RecordingExec::new();
+                assemble_sc(&mut rec, &l32, &bt32, &ScConfig::Fixed(*p));
+                let (costs, accesses) = rec.into_recording();
+                let want: Vec<_> = costs.into_iter().zip(accesses).collect();
+                assert_eq!(plan.launches::<f32>(), want, "f32 {p:?} n={}", l.ncols());
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's production setting (like its CUDA predecessor, arXiv:2502.08382)
 //! assembles the dense local dual operators `F̃ᵢ` of **hundreds of subdomains
 //! per cluster**, one OpenMP thread per subdomain. This module is that loop:
-//! the drivers fan the per-subdomain [`assemble_sc`] pipelines out over
+//! the drivers fan the per-subdomain plan-then-assemble pipelines out over
 //! rayon and record per-subdomain timings for load-balance diagnostics. The drivers share no state between subdomains:
 //! each task computes its own block cuts, a pure function of the
 //! [`BlockParam`](crate::tune::BlockParam) and its closure order.
@@ -38,7 +38,8 @@
 //!   the batch: routing it elsewhere is the hybrid planner's decision
 //!   ([`plan_hybrid`](crate::plan_hybrid)), made before the batch is built.
 //!
-//! Results are **identical** to running [`assemble_sc`] per subdomain
+//! Results, each `F̃ᵢ`'s packed lower triangle, are **identical** to
+//! running [`AssemblyPlan::assemble`] per subdomain
 //! sequentially: every subdomain's pipeline is independent (dedicated tests
 //! assert bitwise equality for every target).
 //!
@@ -52,15 +53,16 @@
 //! their roll-ups, and the device makespan lives in
 //! [`AssemblyReport::makespan`].
 
-use crate::assemble::{assemble_sc, ScConfig};
+use crate::assemble::{assemble_packed, ScConfig};
 use crate::exec::{CpuExec, RecordingExec};
+use crate::plan::AssemblyPlan;
 use crate::schedule::{
     self, plan_topology_by, ClusterPlanError, CostEstimate, DeviceSlot, ScheduleOptions, Topology,
 };
 use crate::session::{AssemblyReport, DeviceReport, ScheduledSpan, SubdomainTiming};
 use crate::source::BatchSource;
 use rayon::prelude::*;
-use sc_dense::{MatOf, Scalar};
+use sc_dense::{Scalar, SymPackedOf};
 use sc_gpu::{ArenaSim, Device, DeviceSpec, SimSpan, Trace, TraceEvent};
 use sc_sparse::CscOf;
 use std::sync::Arc;
@@ -68,7 +70,7 @@ use std::time::Instant;
 
 /// Per-subdomain input to the batched assembler: the subdomain's Cholesky
 /// factor and its gluing block with rows already in factor order (the same
-/// pair [`assemble_sc`] takes).
+/// pair [`assemble_sc`](crate::assemble_sc) takes).
 #[derive(Clone, Copy)]
 pub struct BatchItemOf<'a, S: Scalar = f64> {
     /// Cholesky factor of the regularized subdomain matrix (CSC, diag-first).
@@ -85,13 +87,13 @@ pub type BatchItem<'a> = BatchItemOf<'a, f64>;
 pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
     src: Src,
     cfg: &ScConfig,
-) -> (Vec<MatOf<S>>, AssemblyReport) {
+) -> (Vec<SymPackedOf<S>>, AssemblyReport) {
     let t0 = Instant::now();
-    let assembled: Vec<(MatOf<S>, SubdomainTiming)> = (0..src.len())
+    let assembled: Vec<(SymPackedOf<S>, SubdomainTiming)> = (0..src.len())
         .into_par_iter()
         .map(|i| {
             let t = Instant::now();
-            let f = assemble_sc(&mut CpuExec, src.factor(i), src.gluing(i), cfg);
+            let f = assemble_packed(&mut CpuExec, src.factor(i), src.gluing(i), cfg);
             let timing = SubdomainTiming {
                 index: i,
                 host_seconds: t.elapsed().as_secs_f64(),
@@ -131,7 +133,7 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
     cfg: &ScConfig,
     devices: &[Arc<Device>],
     opts: &ScheduleOptions,
-) -> (Vec<MatOf<S>>, AssemblyReport) {
+) -> (Vec<SymPackedOf<S>>, AssemblyReport) {
     opts.assert_ready_at(src.len());
     let t0 = Instant::now();
     let slots: Vec<DeviceSlot> = devices.iter().map(|d| DeviceSlot::of(d)).collect();
@@ -193,12 +195,12 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
     (recorded.into_iter().map(|r| r.f).collect(), report)
 }
 
-/// One subdomain's record-phase output: the host-computed `F̃ᵢ` (bitwise
-/// identical to the CPU path), the kernel-cost sequence to replay (with the
+/// One subdomain's record-phase output: the host-computed packed `F̃ᵢ`
+/// (bitwise identical to the CPU path), the kernel-cost sequence to replay (with the
 /// per-kernel arena-slot accesses for the hazard-audit trace), and the host
 /// task time.
 struct Recorded<S: Scalar = f64> {
-    f: MatOf<S>,
+    f: SymPackedOf<S>,
     costs: Vec<sc_gpu::KernelCost>,
     accesses: Vec<sc_gpu::SlotAccess>,
     host_seconds: f64,
@@ -223,7 +225,7 @@ fn record_batch<S: Scalar, Src: BatchSource<S>>(
             let mut rec = RecordingExec::new();
             rec.record_upload_csc(l);
             rec.record_upload_csc(bt);
-            let f = assemble_sc(&mut rec, l, bt, cfg);
+            let f = AssemblyPlan::new(l, bt, &params).assemble(&mut rec, l, bt);
             rec.record_download_bytes(0); // result stays on device
             let (costs, accesses) = rec.into_recording();
             let recorded = Recorded {
@@ -431,11 +433,11 @@ fn replay_device<S: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assemble::assemble_sc;
+    use crate::assemble::assemble_packed;
     use crate::exec::CpuExec;
+    use crate::plan::FactorStorage;
     use crate::schedule::StreamPolicy;
     use crate::session::Target;
-    use crate::trsm::FactorStorage;
     use sc_factor::{CholOptions, SparseCholesky};
     use sc_gpu::{DevicePool, DeviceSpec};
     use sc_sparse::{Coo, Csc};
@@ -492,7 +494,7 @@ mod tests {
         target: &Target,
         items: &[BatchItem<'_>],
         cfg: &ScConfig,
-    ) -> (Vec<sc_dense::Mat>, AssemblyReport) {
+    ) -> (Vec<SymPackedOf<f64>>, AssemblyReport) {
         let (devices, opts) = target.devices().expect("a device target");
         batch_devices(items, cfg, devices, opts)
     }
@@ -503,7 +505,7 @@ mod tests {
         cfg: &ScConfig,
         dev: &Arc<Device>,
         opts: &ScheduleOptions,
-    ) -> (Vec<sc_dense::Mat>, AssemblyReport) {
+    ) -> (Vec<SymPackedOf<f64>>, AssemblyReport) {
         let target = Target::Gpu {
             device: Arc::clone(dev),
             schedule: opts.clone(),
@@ -517,7 +519,7 @@ mod tests {
         cfg: &ScConfig,
         pool: &Arc<DevicePool>,
         opts: &ScheduleOptions,
-    ) -> (Vec<sc_dense::Mat>, AssemblyReport) {
+    ) -> (Vec<SymPackedOf<f64>>, AssemblyReport) {
         let target = Target::Cluster {
             pool: Arc::clone(pool),
             opts: opts.clone(),
@@ -567,7 +569,7 @@ mod tests {
             let (f, _) = batch_cpu(items.as_slice(), &cfg);
             assert_eq!(f.len(), items.len());
             for (i, (l, bt)) in data.iter().enumerate() {
-                let seq = assemble_sc(&mut CpuExec, l, bt, &cfg);
+                let seq = assemble_packed(&mut CpuExec, l, bt, &cfg);
                 assert_eq!(
                     f[i], seq,
                     "batched F̃ must equal sequential F̃ bitwise (subdomain {i})"
@@ -660,10 +662,10 @@ mod tests {
                 // sequential host reference; RecordingExec resolves Auto with
                 // the same GPU-platform flag the scheduled driver uses while
                 // computing on the CPU kernels
-                let seq = assemble_sc(&mut RecordingExec::new(), l, bt, &cfg);
+                let seq = assemble_packed(&mut RecordingExec::new(), l, bt, &cfg);
                 assert_eq!(f[i], seq, "scheduled F̃ must be bitwise sequential ({i})");
                 if matches!(cfg, ScConfig::Fixed(_)) {
-                    let cpu = assemble_sc(&mut CpuExec, l, bt, &cfg);
+                    let cpu = assemble_packed(&mut CpuExec, l, bt, &cfg);
                     assert_eq!(f[i], cpu, "fixed configs match the CPU backend bitwise");
                 }
             }
@@ -871,10 +873,10 @@ mod tests {
             let pool = DevicePool::uniform(DeviceSpec::a100(), 3, 2);
             let (f, report) = on_pool(items.as_slice(), &cfg, &pool, &ScheduleOptions::default());
             for (i, (l, bt)) in data.iter().enumerate() {
-                let seq = assemble_sc(&mut RecordingExec::new(), l, bt, &cfg);
+                let seq = assemble_packed(&mut RecordingExec::new(), l, bt, &cfg);
                 assert_eq!(f[i], seq, "cluster F̃ must be bitwise sequential ({i})");
                 if matches!(cfg, ScConfig::Fixed(_)) {
-                    let cpu = assemble_sc(&mut CpuExec, l, bt, &cfg);
+                    let cpu = assemble_packed(&mut CpuExec, l, bt, &cfg);
                     assert_eq!(f[i], cpu, "fixed configs match the CPU backend bitwise");
                 }
             }
@@ -960,7 +962,7 @@ mod tests {
                     "oversized subdomain {i} must run on the big card"
                 );
             }
-            let seq = assemble_sc(&mut CpuExec, it.l, it.bt, &cfg);
+            let seq = assemble_packed(&mut CpuExec, it.l, it.bt, &cfg);
             assert_eq!(f[i], seq, "heterogeneous F̃ deviates at {i}");
         }
         // per-device arenas were never oversubscribed
@@ -1014,7 +1016,7 @@ mod tests {
         );
         assert_eq!(pool.device(0).synchronize(), 0.0);
         for (i, (l, bt)) in data.iter().enumerate() {
-            let seq = assemble_sc(&mut CpuExec, l, bt, &cfg);
+            let seq = assemble_packed(&mut CpuExec, l, bt, &cfg);
             assert_eq!(f[i], seq, "subdomain {i} deviates");
         }
     }
@@ -1071,9 +1073,9 @@ mod tests {
         ] {
             let (cpu, _) = batch_cpu(items.as_slice(), &cfg);
             assert_eq!(cpu[0].nrows(), 0);
-            assert_eq!(cpu[0].ncols(), 0);
+            assert!(cpu[0].data().is_empty());
             assert_eq!(cpu[1].nrows(), 1);
-            assert!(cpu[1][(0, 0)] > 0.0, "1×1 F̃ must be positive");
+            assert!(cpu[1].data()[0] > 0.0, "1×1 F̃ must be positive");
             let dev = Device::new(DeviceSpec::a100(), 2);
             let (rr, _) = on_gpu(items.as_slice(), &cfg, &dev, &round_robin());
             let (sched, _) = on_gpu(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());

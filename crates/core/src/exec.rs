@@ -1,25 +1,21 @@
 //! Execution backend abstraction: the same splitting algorithms run on the
 //! CPU and on the simulated GPU, in either working precision.
 //!
-//! The six assembly kernels are written **once**, as provided methods of
-//! [`Exec`]: each names its [`KernelCost`] and runs its `sc-dense` /
-//! `sc-sparse` host routine. A backend is only a launch sink
-//! ([`Exec::launch`]) that decides what happens to the cost and whether the
-//! host numerics run, so "bitwise identical across targets" holds by
-//! construction.
-//!
-//! The trait is generic over the element type `S` ([`Scalar`], `f32` or
-//! `f64`) with `f64` as the default parameter, so every pre-existing
-//! `impl Exec`-consuming call site keeps compiling (and keeps its bitwise
-//! behaviour) while the mixed-precision session path instantiates the same
-//! backends at `f32`.
+//! The assembly kernels are written **once**, in the numeric phase of
+//! [`AssemblyPlan`](crate::AssemblyPlan): each launch names its
+//! [`KernelCost`] and runs its `sc-dense` / `sc-sparse` host routine. A
+//! backend is only a launch sink ([`Exec::launch`]) that decides what
+//! happens to the cost and whether the host numerics run, so "bitwise
+//! identical across targets" holds by construction. A launch's cost
+//! already carries its working precision, so one backend serves `f64` and
+//! `f32` assemblies alike.
 
-use sc_dense::{MatMutOf, MatRefOf, Scalar, Trans};
+use sc_dense::Scalar;
 use sc_gpu::{GpuKernels, KernelCost, SlotAccess};
 use sc_sparse::CscOf;
 
-/// Backend kernel set used by the TRSM/SYRK splitting algorithms.
-pub trait Exec<S: Scalar = f64> {
+/// Launch sink of the assembly's kernels.
+pub trait Exec {
     /// True when this backend models the GPU platform — [`ScConfig::Auto`]
     /// resolves its Table-1-style defaults against this flag.
     ///
@@ -33,86 +29,13 @@ pub trait Exec<S: Scalar = f64> {
     /// subdomain's temporary-arena slot. Returns whether the host numerics
     /// of the kernel run.
     fn launch(&mut self, cost: impl FnOnce() -> KernelCost, access: SlotAccess) -> bool;
-
-    /// Dense lower-triangular solve `L X = B`, in place.
-    fn trsm_dense(&mut self, l: MatRefOf<'_, S>, b: MatMutOf<'_, S>) {
-        let cost = || KernelCost::trsm_dense_of::<S>(l.nrows(), b.ncols());
-        if self.launch(cost, SlotAccess::read_write()) {
-            sc_dense::trsm_lower_left(l, b);
-        }
-    }
-
-    /// Sparse lower-triangular solve `L X = B`, in place.
-    fn trsm_sparse(&mut self, l: &CscOf<S>, b: MatMutOf<'_, S>) {
-        let cost = || KernelCost::trsm_sparse_of::<S>(l.nnz(), b.ncols());
-        if self.launch(cost, SlotAccess::read_write()) {
-            sc_sparse::csc_lower_solve_mat(l, b);
-        }
-    }
-
-    /// Dense GEMM `C = alpha op(A) op(B) + beta C`.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm(
-        &mut self,
-        alpha: S,
-        a: MatRefOf<'_, S>,
-        ta: Trans,
-        b: MatRefOf<'_, S>,
-        tb: Trans,
-        beta: S,
-        c: MatMutOf<'_, S>,
-    ) {
-        let cost = || {
-            let k = match ta {
-                Trans::No => a.ncols(),
-                Trans::Yes => a.nrows(),
-            };
-            KernelCost::gemm_of::<S>(c.nrows(), c.ncols(), k)
-        };
-        if self.launch(cost, SlotAccess::read_write()) {
-            sc_dense::gemm(alpha, a, ta, b, tb, beta, c);
-        }
-    }
-
-    /// Sparse-dense GEMM `C = alpha A B + beta C`.
-    fn spmm(
-        &mut self,
-        alpha: S,
-        a: &CscOf<S>,
-        b: MatRefOf<'_, S>,
-        beta: S,
-        mut c: MatMutOf<'_, S>,
-    ) {
-        let cost = || KernelCost::spmm_of::<S>(a.nnz(), b.ncols());
-        if self.launch(cost, SlotAccess::read_write()) {
-            a.spmm(alpha, b, beta, &mut c);
-        }
-    }
-
-    /// SYRK `C(lower) = alpha Aᵀ A + beta C`.
-    fn syrk(&mut self, alpha: S, a: MatRefOf<'_, S>, beta: S, c: MatMutOf<'_, S>) {
-        let cost = || KernelCost::syrk_of::<S>(a.ncols(), a.nrows());
-        if self.launch(cost, SlotAccess::read_write()) {
-            sc_dense::syrk_t(alpha, a, beta, c);
-        }
-    }
-
-    /// Gather/scatter of `count` elements (pruning compaction, permutation,
-    /// dense expansion). Pure cost accounting: the callers move the data
-    /// themselves, so no host numerics hang off the launch.
-    fn gather(&mut self, count: usize) {
-        self.launch(
-            || KernelCost::gather_of::<S>(count),
-            SlotAccess::read_write(),
-        );
-    }
 }
 
 /// Host backend: the kernel bodies run, no cost is ever built.
 #[derive(Default, Clone, Copy, Debug)]
 pub struct CpuExec;
 
-impl<S: Scalar> Exec<S> for CpuExec {
+impl Exec for CpuExec {
     fn launch(&mut self, _cost: impl FnOnce() -> KernelCost, _access: SlotAccess) -> bool {
         true
     }
@@ -132,7 +55,7 @@ impl<'a> GpuExec<'a> {
     }
 }
 
-impl<S: Scalar> Exec<S> for GpuExec<'_> {
+impl Exec for GpuExec<'_> {
     fn is_gpu(&self) -> bool {
         true
     }
@@ -208,7 +131,7 @@ impl RecordingExec {
     }
 }
 
-impl<S: Scalar> Exec<S> for RecordingExec {
+impl Exec for RecordingExec {
     // models the GPU platform: ScConfig::Auto must resolve exactly as it
     // would on a live GpuExec so recorded costs match a direct GPU run
     fn is_gpu(&self) -> bool {
@@ -224,130 +147,93 @@ impl<S: Scalar> Exec<S> for RecordingExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_dense::MatOf;
+    use crate::{AssemblyPlan, BlockParam, FactorStorage, ScParams, SyrkVariant, TrsmVariant};
     use sc_gpu::{Device, DeviceSpec};
-    use sc_sparse::Coo;
-    use std::sync::Arc;
+    use sc_sparse::{Coo, CscOf};
 
-    /// Operands of the six kernels at precision `S`: a 5 × 5 lower factor
-    /// (dense and CSC), a 5 × 3 right-hand side / operand and a 3 × 3
-    /// accumulator.
-    struct Fixture<S> {
-        l: MatOf<S>,
-        l_csc: CscOf<S>,
-        a: MatOf<S>,
-        c: MatOf<S>,
+    /// A 12 × 12 banded factor and a 5-column gluing block whose closure
+    /// leaves out one row: every diagonal block of 4 has a panel below it.
+    fn fixture() -> (CscOf<f64>, CscOf<f64>) {
+        let n = 12;
+        let mut lc = Coo::new(n, n);
+        for j in 0..n {
+            lc.push(j, j, 2.0 + j as f64 * 0.1);
+            if j + 2 < n {
+                lc.push(j + 2, j, -0.3);
+            }
+        }
+        let mut bc = Coo::new(n, 5);
+        for j in 0..5 {
+            bc.push((j * 3) % n, j, 1.0);
+        }
+        (lc.to_csc(), bc.to_csc())
     }
 
-    impl<S: Scalar> Fixture<S> {
-        fn new() -> Self {
-            // diagonal plus every other entry below it
-            let stored = |i: usize, j: usize| i == j || (i > j && (i + j) % 2 == 1);
-            let value = |i: usize, j: usize| if i == j { 3.0 + 0.1 * i as f64 } else { -0.2 };
-            let mut coo = Coo::new(5, 5);
-            for j in 0..5 {
-                for i in (j..5).filter(|&i| stored(i, j)) {
-                    coo.push(i, j, value(i, j));
+    /// Both storages, pruned and unpruned: between them the plans launch
+    /// all six kernels. Each plan runs once per backend, and every backend
+    /// takes exactly the plan's priced launches.
+    fn one_plan_serves_every_backend<S: Scalar>() {
+        let (l, bt) = fixture();
+        let (l, bt) = (l.cast::<S>(), bt.cast::<S>());
+        let mut labels = std::collections::BTreeSet::new();
+        for factor_storage in [FactorStorage::Sparse, FactorStorage::Dense] {
+            for prune in [false, true] {
+                let params = ScParams {
+                    trsm: TrsmVariant::FactorSplit {
+                        block: BlockParam::Size(4),
+                        prune,
+                    },
+                    syrk: SyrkVariant::InputSplit(BlockParam::Size(5)),
+                    factor_storage,
+                    stepped_permutation: true,
+                };
+                let at = format!("{params:?} at {}", S::NAME);
+                let plan = AssemblyPlan::new(&l, &bt, &params);
+                let cpu = plan.assemble(&mut CpuExec, &l, &bt);
+                let dev = Device::new(DeviceSpec::a100(), 1);
+                let computing = GpuKernels::new(dev.stream(0));
+                let gpu = plan.assemble(&mut GpuExec::new(&computing), &l, &bt);
+                let mut rec = RecordingExec::new();
+                let recorded = plan.assemble(&mut rec, &l, &bt);
+                assert_eq!(cpu, gpu, "{at}: GpuExec");
+                assert_eq!(cpu, recorded, "{at}: RecordingExec");
+                assert!(cpu.data().iter().any(|v| v.to_f64().abs() > 0.0), "{at}");
+
+                let dev_cost_only = Device::new(DeviceSpec::a100(), 1);
+                let cost_only = GpuKernels::new_cost_only(dev_cost_only.stream(0));
+                let untouched = plan.assemble(&mut GpuExec::new(&cost_only), &l, &bt);
+                let zero = |v: &S| v.to_f64().abs() == 0.0; // sc-analyze: allow(float-eq)
+                assert!(untouched.data().iter().all(zero), "{at}: cost-only wrote");
+
+                let (costs, accesses) = rec.into_recording();
+                labels.extend(costs.iter().map(|c| c.label));
+                let launched: Vec<_> = costs.into_iter().zip(accesses).collect();
+                assert_eq!(launched, plan.launches::<S>(), "{at}");
+                for d in [&dev, &dev_cost_only] {
+                    assert_eq!(d.launches(), launched.len(), "{at}");
                 }
             }
-            let l = coo.to_csc();
-            Fixture {
-                l: l.to_dense().cast::<S>(),
-                l_csc: l.cast::<S>(),
-                a: MatOf::from_fn(5, 3, |i, j| S::from_f64(0.3 * (i * 3 + j) as f64 - 1.1)),
-                c: MatOf::from_fn(3, 3, |i, j| S::from_f64(0.5 + (i + 2 * j) as f64)),
-            }
         }
-
-        /// One row per kernel: the cost its single launch must carry. The
-        /// cost's label names the kernel for [`Fixture::run`].
-        fn table(&self) -> [KernelCost; 6] {
-            let nnz = self.l_csc.nnz();
-            [
-                KernelCost::trsm_dense_of::<S>(5, 3),
-                KernelCost::trsm_sparse_of::<S>(nnz, 3),
-                KernelCost::gemm_of::<S>(3, 3, 5),
-                KernelCost::spmm_of::<S>(nnz, 3),
-                KernelCost::syrk_of::<S>(3, 5),
-                KernelCost::gather_of::<S>(7),
-            ]
-        }
-
-        /// The output buffer of `kernel` before the call.
-        fn initial(&self, kernel: &str) -> MatOf<S> {
-            match kernel {
-                "trsm_dense" | "trsm_sparse" | "spmm" => self.a.clone(),
-                _ => self.c.clone(),
-            }
-        }
-
-        /// Call `kernel` once on `e` and return its output buffer.
-        fn run(&self, kernel: &str, e: &mut impl Exec<S>) -> MatOf<S> {
-            let (alpha, beta) = (S::from_f64(1.5), S::from_f64(-0.5));
-            let (l, a) = (self.l.as_ref(), self.a.as_ref());
-            let mut out = self.initial(kernel);
-            match kernel {
-                "trsm_dense" => e.trsm_dense(l, out.as_mut()),
-                "trsm_sparse" => e.trsm_sparse(&self.l_csc, out.as_mut()),
-                "gemm" => e.gemm(alpha, a, Trans::Yes, a, Trans::No, beta, out.as_mut()),
-                "spmm" => e.spmm(alpha, &self.l_csc, a, beta, out.as_mut()),
-                "syrk" => e.syrk(alpha, a, beta, out.as_mut()),
-                "gather" => e.gather(7),
-                other => unreachable!("no kernel named {other}"),
-            }
-            out
-        }
-    }
-
-    fn logging_device() -> Arc<Device> {
-        let dev = Device::new(DeviceSpec::a100(), 1);
-        dev.enable_span_log();
-        dev
-    }
-
-    fn one_kernel_body_serves_every_backend<S: Scalar>() {
-        let fx = Fixture::<S>::new();
-        for want in fx.table() {
-            let kernel = want.label;
-            let cpu = fx.run(kernel, &mut CpuExec);
-            let dev = logging_device();
-            let computing = GpuKernels::new(dev.stream(0));
-            let gpu = fx.run(kernel, &mut GpuExec::new(&computing));
-            let mut rec = RecordingExec::new();
-            let recorded = fx.run(kernel, &mut rec);
-            assert_eq!(cpu, gpu, "{kernel} at {}: GpuExec", S::NAME);
-            assert_eq!(cpu, recorded, "{kernel} at {}: RecordingExec", S::NAME);
-            if kernel != "gather" {
-                assert_ne!(cpu, fx.initial(kernel), "{kernel} computed nothing");
-            }
-
-            let dev_cost_only = logging_device();
-            let cost_only = GpuKernels::new_cost_only(dev_cost_only.stream(0));
-            let untouched = fx.run(kernel, &mut GpuExec::new(&cost_only));
-            assert_eq!(untouched, fx.initial(kernel), "{kernel}: cost-only wrote");
-
-            let (costs, accesses) = rec.into_recording();
-            assert_eq!(costs, [want], "{kernel} at {}: recorded cost", S::NAME);
-            assert_eq!(accesses, [SlotAccess::read_write()]);
-            for d in [&dev, &dev_cost_only] {
-                assert_eq!(d.launches(), costs.len());
-                let spans = d.take_span_log();
-                assert_eq!(spans.len(), 1);
-                // a fresh device starts at t = 0, so the span is the cost
-                assert_eq!(spans[0].1.duration(), d.spec().kernel_seconds(&want));
-            }
-        }
+        let six = [
+            "gather",
+            "gemm",
+            "spmm",
+            "syrk",
+            "trsm_dense",
+            "trsm_sparse",
+        ];
+        assert!(labels.iter().eq(six.iter()), "{labels:?}");
     }
 
     #[test]
-    fn six_kernels_two_precisions_four_backends() {
-        one_kernel_body_serves_every_backend::<f64>();
-        one_kernel_body_serves_every_backend::<f32>();
+    fn one_plan_two_precisions_four_backends() {
+        one_plan_serves_every_backend::<f64>();
+        one_plan_serves_every_backend::<f32>();
     }
 
     #[test]
     fn cpu_exec_never_builds_a_cost() {
-        let ran = Exec::<f64>::launch(
+        let ran = Exec::launch(
             &mut CpuExec,
             || unreachable!("the host backend prices nothing"),
             SlotAccess::read_write(),
@@ -363,20 +249,7 @@ mod tests {
         // RecordingExec: numerics must match bitwise, and the recorded cost
         // count must equal the device's launch count, the explicit
         // upload/download transfers included.
-        let n = 12;
-        let mut lc = Coo::new(n, n);
-        for j in 0..n {
-            lc.push(j, j, 2.0 + j as f64 * 0.1);
-            if j + 2 < n {
-                lc.push(j + 2, j, -0.3);
-            }
-        }
-        let l = lc.to_csc();
-        let mut bc = Coo::new(n, 5);
-        for j in 0..5 {
-            bc.push((j * 3) % n, j, 1.0);
-        }
-        let bt = bc.to_csc();
+        let (l, bt) = fixture();
         let cfg = ScConfig::optimized(true, false);
 
         let dev = Device::new(DeviceSpec::a100(), 1);
@@ -394,10 +267,7 @@ mod tests {
         rec.record_download_bytes(0);
 
         assert_eq!(f_gpu, f_rec, "recorded path must match GPU path bitwise");
-        assert!(
-            Exec::<f64>::is_gpu(&rec),
-            "recorder models the GPU platform"
-        );
+        assert!(Exec::is_gpu(&rec), "recorder models the GPU platform");
         let costs = rec.into_costs();
         assert_eq!(
             costs.len(),

@@ -31,7 +31,7 @@
 //!    ([`ScheduleOptions::ready_at`]).
 
 use crate::assemble::ScParams;
-use crate::trsm::{FactorStorage, TrsmVariant};
+use crate::plan::{FactorStorage, TrsmVariant};
 use sc_dense::Scalar;
 use sc_gpu::{DeviceSpec, KernelCost};
 use sc_sparse::{pattern, CscOf};
@@ -886,8 +886,8 @@ mod tests {
     #[test]
     fn f32_estimate_halves_value_byte_terms() {
         use crate::assemble::ScParams;
-        use crate::syrk::SyrkVariant;
-        use crate::trsm::{FactorStorage, TrsmVariant};
+        use crate::plan::SyrkVariant;
+        use crate::plan::{FactorStorage, TrsmVariant};
         let l = diag_factor(64);
         let bt = bt_with_pivots(64, &[0, 5, 10, 40]);
         // dense factor storage: the arena holds matrix values only, so the

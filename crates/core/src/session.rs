@@ -52,7 +52,7 @@ use crate::assemble::ScConfig;
 use crate::batch::{batch_cpu, batch_devices};
 use crate::schedule::{HybridPlan, ScheduleOptions};
 use crate::source::BatchSource;
-use sc_dense::{Mat, MatOf, Scalar};
+use sc_dense::{Scalar, SymPackedOf};
 use sc_gpu::{Device, DevicePool, SimSpan};
 use sc_sparse::CscOf;
 use std::sync::Arc;
@@ -309,11 +309,12 @@ pub struct AssemblySession {
     cfg: ScConfig,
 }
 
-/// Result of [`AssemblySession::assemble`]: one dense `F̃ᵢ` per input
-/// subdomain (batch order preserved) plus the unified report.
+/// Result of [`AssemblySession::assemble`]: one `F̃ᵢ` per input subdomain
+/// (batch order preserved) plus the unified report.
 pub struct AssemblyResult {
-    /// Assembled local dual operators, indexed like the input batch.
-    pub f: Vec<Mat>,
+    /// Assembled local dual operators, each its packed lower triangle in
+    /// the original multiplier order, indexed like the input batch.
+    pub f: Vec<SymPackedOf<f64>>,
     /// Unified diagnostics.
     pub report: AssemblyReport,
 }
@@ -343,7 +344,7 @@ impl AssemblySession {
     /// record → plan → replay pipeline runs in `f32` (halved value-byte
     /// terms in the transfer/arena cost model), and the assembled operators
     /// are promoted back to `f64` on return — the promotion is exact, so
-    /// `f[i].cast::<f32>()` recovers the `f32`-assembled operator bitwise.
+    /// `f[i].cast::<f32>()` recovers the `f32`-assembled triangle bitwise.
     pub fn assemble<Src: BatchSource>(&self, src: Src) -> AssemblyResult {
         match self.backend.precision {
             Precision::F64 => {
@@ -357,7 +358,7 @@ impl AssemblySession {
                 let (f, mut report) = dispatch(&self.backend.target, &self.cfg, &demoted);
                 report.precision = p;
                 AssemblyResult {
-                    f: f.into_iter().map(|m| m.cast::<f64>()).collect(),
+                    f: f.into_iter().map(|t| t.cast::<f64>()).collect(),
                     report,
                 }
             }
@@ -372,7 +373,7 @@ fn dispatch<S: Scalar, Src: BatchSource<S>>(
     target: &Target,
     cfg: &ScConfig,
     src: &Src,
-) -> (Vec<MatOf<S>>, AssemblyReport) {
+) -> (Vec<SymPackedOf<S>>, AssemblyReport) {
     match target.devices() {
         Some((devices, opts)) => batch_devices(src, cfg, devices, opts),
         None => batch_cpu(src, cfg),
@@ -582,7 +583,8 @@ mod tests {
             .assemble(&items);
         assert!(f32r.report.precision.is_f32());
         for i in 0..items.len() {
-            let err = sc_dense::max_abs_diff(base.f[i].as_ref(), f32r.f[i].as_ref());
+            let (f64_f, f32_f) = (base.f[i].to_dense(), f32r.f[i].to_dense());
+            let err = sc_dense::max_abs_diff(f64_f.as_ref(), f32_f.as_ref());
             assert!(err > 0.0, "f32 assembly must actually run in f32 at {i}");
             assert!(err < 1e-3, "f32 assembly drifted {err} at {i}");
         }

@@ -6,6 +6,11 @@
 //! columns."). Columns are stably sorted by their pivot row, producing
 //! non-decreasing column pivots — the property every splitting kernel relies
 //! on.
+//!
+//! [`AssemblyPlan`](crate::AssemblyPlan) computes the same permutation from
+//! the pattern alone; [`SteppedRhsOf`] is the materialized form the
+//! kernel-level entry points ([`run_trsm_variant`](crate::run_trsm_variant),
+//! [`run_syrk_variant`](crate::run_syrk_variant)) take.
 
 use sc_dense::{MatOf, Scalar};
 use sc_sparse::{pattern, CscOf, Perm};
@@ -56,32 +61,9 @@ impl<S: Scalar> SteppedRhsOf<S> {
         self.bt.ncols()
     }
 
-    /// Number of columns whose pivot is strictly below `row_end` — the
-    /// *effective width* used by factor splitting and input-split SYRK.
-    pub fn active_width(&self, row_end: usize) -> usize {
-        self.pivots.partition_point(|&p| p < row_end)
-    }
-
     /// Dense expansion of the stepped matrix (the TRSM right-hand side).
     pub fn to_dense(&self) -> MatOf<S> {
         self.bt.to_dense()
-    }
-
-    /// Map a matrix indexed by stepped columns back to original multiplier
-    /// indices: `out[orig_i, orig_j] = f[step_i, step_j]`.
-    pub fn unpermute_symmetric(&self, f: &MatOf<S>) -> MatOf<S> {
-        let m = self.ncols();
-        assert_eq!(f.nrows(), m);
-        assert_eq!(f.ncols(), m);
-        let mut out = MatOf::<S>::zeros(m, m);
-        for js in 0..m {
-            let jo = self.col_perm.old_of_new(js);
-            for is in 0..m {
-                let io = self.col_perm.old_of_new(is);
-                out[(io, jo)] = f[(is, js)];
-            }
-        }
-        out
     }
 
     /// Fraction of the dense area at or below the pivots
@@ -120,31 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn active_width_counts_started_columns() {
-        let s = SteppedRhs::new(&unsorted_bt());
-        assert_eq!(s.active_width(0), 0);
-        assert_eq!(s.active_width(1), 2);
-        assert_eq!(s.active_width(3), 3);
-        assert_eq!(s.active_width(6), 4);
-    }
-
-    #[test]
-    fn unpermute_restores_original_indexing() {
-        let s = SteppedRhs::new(&unsorted_bt());
-        let m = s.ncols();
-        // f_perm[i][j] = i*10 + j in stepped space
-        let f = sc_dense::Mat::from_fn(m, m, |i, j| (i * 10 + j) as f64);
-        let out = s.unpermute_symmetric(&f);
-        for js in 0..m {
-            for is in 0..m {
-                let io = s.col_perm.old_of_new(is);
-                let jo = s.col_perm.old_of_new(js);
-                assert_eq!(out[(io, jo)], f[(is, js)]);
-            }
-        }
-    }
-
-    #[test]
     fn pivots_monotone_for_random_patterns() {
         // The stepped invariant on arbitrary gluing patterns: after the
         // column permutation the pivot row indices are sorted ascending
@@ -179,24 +136,6 @@ mod tests {
             assert!(sc_sparse::pattern::is_stepped(&s.bt));
             assert!(s.pivots.iter().all(|&p| p <= n));
         }
-    }
-
-    #[test]
-    fn unpermute_roundtrip_is_exact() {
-        // un-permuting F̃ and re-applying the stepped permutation must
-        // reproduce the original matrix bitwise — the "final phase"
-        // permutation of the assembler is a pure relabeling.
-        let s = SteppedRhs::new(&unsorted_bt());
-        let m = s.ncols();
-        let f = sc_dense::Mat::from_fn(m, m, |i, j| ((i * 31 + j * 17) % 13) as f64 * 0.125 - 0.75);
-        let g = s.unpermute_symmetric(&f);
-        let mut back = sc_dense::Mat::zeros(m, m);
-        for js in 0..m {
-            for is in 0..m {
-                back[(is, js)] = g[(s.col_perm.old_of_new(is), s.col_perm.old_of_new(js))];
-            }
-        }
-        assert_eq!(back, f, "round-trip must be bitwise exact");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! So the order is fixed here and the two tiles are tested against each
 //! other bit for bit.
 
-use crate::mat::MatRefOf;
+use crate::mat::{MatOf, MatRefOf};
 use crate::scalar::Scalar;
 
 /// Columns per pass of [`symv`].
@@ -51,6 +51,31 @@ impl<S: Scalar> SymPackedOf<S> {
             data.extend_from_slice(&a.col(j)[j..]);
         }
         SymPackedOf { n, data }
+    }
+
+    /// The triangle of order `n` whose entry `(i, j)`, `i ≥ j`, is
+    /// `f(i, j)`, called column by column.
+    pub fn from_lower_fn(n: usize, mut f: impl FnMut(usize, usize) -> S) -> Self {
+        let mut data = Vec::with_capacity(n * (n + 1) / 2);
+        for j in 0..n {
+            data.extend((j..n).map(|i| f(i, j)));
+        }
+        SymPackedOf { n, data }
+    }
+
+    /// The full symmetric square.
+    pub fn to_dense(&self) -> MatOf<S> {
+        let mut a = MatOf::zeros(self.n, self.n);
+        let mut rest = self.data.as_slice();
+        for j in 0..self.n {
+            let col;
+            (col, rest) = rest.split_at(self.n - j);
+            for (i, &v) in (j..self.n).zip(col) {
+                a[(i, j)] = v;
+                a[(j, i)] = v;
+            }
+        }
+        a
     }
 
     /// Order of the matrix.
@@ -312,7 +337,6 @@ unsafe fn tile_f32_avx512(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mat::MatOf;
 
     const SIZES: [usize; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64, 131, 533];
 
@@ -389,6 +413,16 @@ mod tests {
         let mut y = vec![0.0; n];
         symv(&packed, &x, &mut y);
         assert!(y.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn from_lower_fn_and_to_dense_round_trip_a_symmetric_square() {
+        for n in SIZES {
+            let (a, _) = sym_and_x::<f64>(n, 13 + n as u64);
+            let packed = SymPackedOf::from_lower_fn(n, |i, j| a[(i, j)]);
+            assert_eq!(packed, SymPackedOf::from_lower(a.as_ref()), "n={n}");
+            assert_eq!(packed.to_dense(), a, "n={n}");
+        }
     }
 
     #[test]

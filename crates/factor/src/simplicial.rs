@@ -10,6 +10,7 @@
 use crate::symbolic::{ereach, Symbolic};
 use sc_dense::Scalar;
 use sc_sparse::CscOf;
+use std::sync::Arc;
 
 /// Numeric breakdown: the matrix is not positive definite at some pivot.
 /// The offending diagonal is widened to `f64` regardless of the working
@@ -48,8 +49,7 @@ pub fn simplicial_factorize<S: Scalar>(
     assert_eq!(a.nrows(), n);
     let nnz = sym.nnz();
     let mut l_vals = vec![S::ZERO; nnz];
-    let l_cols = sym.col_ptr.clone();
-    let l_rows = sym.row_idx.clone();
+    let (l_cols, l_rows) = (sym.col_ptr(), sym.row_idx());
 
     // next free slot per column (diagonal written separately at l_cols[j])
     let mut fill = vec![0usize; n];
@@ -101,7 +101,7 @@ pub fn simplicial_factorize<S: Scalar>(
         }
         l_vals[l_cols[k]] = d.sqrt();
     }
-    Ok(CscOf::from_parts(n, n, l_cols, l_rows, l_vals))
+    Ok(CscOf::from_pattern(n, n, Arc::clone(sym.pattern()), l_vals))
 }
 
 #[cfg(test)]

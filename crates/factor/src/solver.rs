@@ -8,7 +8,7 @@ use crate::supernodal::{supernodal_factorize, SupernodalSymbolic};
 use crate::symbolic::{analyze, Symbolic};
 use sc_dense::Scalar;
 use sc_order::Ordering;
-use sc_sparse::{CscOf, Perm, SupernodeRuns};
+use sc_sparse::{CscOf, CscPattern, Perm, SupernodeRuns};
 use std::sync::Arc;
 
 /// Numeric engine selector. Both engines produce the same CSC factor
@@ -52,10 +52,8 @@ impl Default for CholOptions {
 /// pattern can be factorized against one shared `Arc<Analysis>` — the
 /// congruent subdomains of a uniform decomposition share one per class.
 pub struct Analysis {
-    /// Column pointers of the analyzed (unpermuted) matrix.
-    col_ptr: Vec<usize>,
-    /// Row indices of the analyzed (unpermuted) matrix.
-    row_idx: Vec<usize>,
+    /// Pattern of the analyzed (unpermuted) matrix.
+    analyzed: Arc<CscPattern>,
     perm: Perm,
     sym: Symbolic,
     /// Front partition of the supernodal engine (`None`: simplicial).
@@ -74,10 +72,9 @@ impl Analysis {
             Engine::Simplicial => None,
             Engine::Supernodal => Some(SupernodalSymbolic::from_symbolic(&sym)),
         };
-        let runs = SupernodeRuns::of_factor_pattern(&sym.col_ptr, &sym.row_idx);
+        let runs = SupernodeRuns::of_factor_pattern(sym.col_ptr(), sym.row_idx());
         Analysis {
-            col_ptr: a.col_ptr().to_vec(),
-            row_idx: a.row_idx().to_vec(),
+            analyzed: Arc::clone(a.pattern()),
             perm,
             sym,
             fronts,
@@ -88,7 +85,8 @@ impl Analysis {
     /// Whether `a` has exactly the pattern this analysis was computed from
     /// (an exact comparison of the stored indices, not a hash).
     pub fn matches<S: Scalar>(&self, a: &CscOf<S>) -> bool {
-        a.nrows() == self.sym.n && a.col_ptr() == self.col_ptr && a.row_idx() == self.row_idx
+        a.nrows() == self.sym.n
+            && (Arc::ptr_eq(a.pattern(), &self.analyzed) || **a.pattern() == *self.analyzed)
     }
 
     /// Numeric factorization of the permuted matrix `ap`.

@@ -23,6 +23,7 @@ use crate::simplicial::FactorError;
 use crate::symbolic::Symbolic;
 use sc_dense::{partial_cholesky_in_place, MatMutOf, Scalar};
 use sc_sparse::{fundamental_supernodes, CscOf};
+use std::sync::Arc;
 
 /// Relaxed amalgamation thresholds `(max pivots, max percentage of explicit
 /// zeros)` (CHOLMOD's defaults): a child merges into its parent when the
@@ -87,12 +88,12 @@ impl SupernodalSymbolic {
     /// amalgamation along the assembly tree, postorder numbering.
     pub fn from_symbolic(sym: &Symbolic) -> Self {
         let n = sym.n;
-        let count = |j: usize| sym.col_ptr[j + 1] - sym.col_ptr[j];
+        let count = |j: usize| sym.col_ptr()[j + 1] - sym.col_ptr()[j];
         // fundamental supernodes: runs of columns with nested patterns (the
         // ones the triangular solves block over)
         let mut snode_of_col = Vec::with_capacity(n);
         let mut last_col = Vec::new();
-        for run in fundamental_supernodes(&sym.col_ptr, &sym.row_idx) {
+        for run in fundamental_supernodes(sym.col_ptr(), sym.row_idx()) {
             snode_of_col.resize(run.end, last_col.len());
             last_col.push(run.end - 1);
         }
@@ -274,8 +275,8 @@ pub fn supernodal_factorize<S: Scalar>(
         })?;
         // keep the symbolic rows of each pivot column
         for (col, &c) in front.chunks_exact(nr).zip(cols) {
-            let span = sym.col_ptr[c]..sym.col_ptr[c + 1];
-            for (dst, &g) in values[span.clone()].iter_mut().zip(&sym.row_idx[span]) {
+            let span = sym.col_ptr()[c]..sym.col_ptr()[c + 1];
+            for (dst, &g) in values[span.clone()].iter_mut().zip(&sym.row_idx()[span]) {
                 *dst = col[pos[g]];
             }
         }
@@ -290,13 +291,7 @@ pub fn supernodal_factorize<S: Scalar>(
             }
         }
     }
-    Ok(CscOf::from_parts(
-        n,
-        n,
-        sym.col_ptr.clone(),
-        sym.row_idx.clone(),
-        values,
-    ))
+    Ok(CscOf::from_pattern(n, n, Arc::clone(sym.pattern()), values))
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 
 use crate::etree::{etree, NONE};
 use sc_dense::Scalar;
-use sc_sparse::CscOf;
+use sc_sparse::{CscOf, CscPattern};
+use std::sync::Arc;
 
 /// Result of the symbolic analysis of a (permuted) symmetric matrix.
 #[derive(Clone, Debug)]
@@ -19,21 +20,35 @@ pub struct Symbolic {
     pub n: usize,
     /// Elimination tree (`NONE` for roots).
     pub parent: Vec<usize>,
-    /// Column pointers of `L` (`n + 1` entries).
-    pub col_ptr: Vec<usize>,
-    /// Row indices of `L`, per column, ascending, diagonal first.
-    pub row_idx: Vec<usize>,
+    /// The pattern of `L`: rows per column ascending, diagonal first. Every
+    /// factor computed against this analysis holds this one allocation.
+    pattern: Arc<CscPattern>,
 }
 
 impl Symbolic {
     /// Non-zeros in the factor (including the diagonal).
     pub fn nnz(&self) -> usize {
-        self.row_idx.len()
+        self.row_idx().len()
+    }
+
+    /// Column pointers of `L` (`n + 1` entries).
+    pub fn col_ptr(&self) -> &[usize] {
+        self.pattern.col_ptr()
+    }
+
+    /// Row indices of `L`, per column, ascending, diagonal first.
+    pub fn row_idx(&self) -> &[usize] {
+        self.pattern.row_idx()
+    }
+
+    /// The shared pattern of `L`.
+    pub fn pattern(&self) -> &Arc<CscPattern> {
+        &self.pattern
     }
 
     /// Row indices of column `j` of `L` (ascending; first entry is `j`).
     pub fn col(&self, j: usize) -> &[usize] {
-        &self.row_idx[self.col_ptr[j]..self.col_ptr[j + 1]]
+        &self.row_idx()[self.col_ptr()[j]..self.col_ptr()[j + 1]]
     }
 
     /// Fill-in ratio `|L| / |tril(A)|` (test/bench diagnostic).
@@ -135,8 +150,7 @@ pub fn analyze<S: Scalar>(a: &CscOf<S>) -> Symbolic {
     Symbolic {
         n,
         parent,
-        col_ptr,
-        row_idx,
+        pattern: Arc::new(CscPattern::new(col_ptr, row_idx)),
     }
 }
 

@@ -78,7 +78,7 @@ fn check_against_simplicial<S: Scalar>(a: &CscOf<S>, tol: f64) -> Result<(), Str
         .map_err(|e| e.to_string())?;
     let sym = chol.symbolic();
     let l = chol.factor_csc();
-    if l.col_ptr() != sym.col_ptr || l.row_idx() != sym.row_idx {
+    if l.col_ptr() != sym.col_ptr() || l.row_idx() != sym.row_idx() {
         return Err("factor pattern differs from the symbolic analysis".into());
     }
     let reference = simplicial_factorize(&a.sym_perm(&perm), sym).map_err(|e| e.to_string())?;

@@ -10,7 +10,7 @@ use sc_core::{
     estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
     BatchItem, DeviceSlot, Formulation, HybridPlanOptions, ScConfig,
 };
-use sc_dense::{Mat, Scalar, SymPackedOf};
+use sc_dense::{Scalar, SymPackedOf};
 use sc_factor::{Analysis, Engine, SparseCholesky};
 use sc_fem::{HeatProblem, Subdomain};
 use sc_gpu::{DeviceSpec, KernelCost, Stream};
@@ -465,12 +465,11 @@ pub struct AssembledOperators {
 }
 
 impl AssembledOperators {
-    /// Pack each assembled `F̃ᵢ` (`None`: an implicit slot) to its lower
-    /// triangle; `report` rows carry problem-global indices.
-    pub(crate) fn new(f: Vec<Option<Mat>>, report: AssemblyReport) -> Self {
-        let pack = |f: Option<Mat>| f.map(|f| Arc::new(SymPackedOf::from_lower(f.as_ref())));
+    /// Hold each assembled `F̃ᵢ`'s packed triangle (`None`: an implicit
+    /// slot); `report` rows carry problem-global indices.
+    pub(crate) fn new(f: Vec<Option<SymPackedOf<f64>>>, report: AssemblyReport) -> Self {
         AssembledOperators {
-            triangles: f.into_iter().map(pack).collect(),
+            triangles: f.into_iter().map(|f| f.map(Arc::new)).collect(),
             report,
         }
     }
@@ -570,7 +569,7 @@ pub(crate) fn assemble_auto(
 
     // one operator per subdomain; non-explicit ones stay `None` and apply
     // against the shared factor bundle
-    let mut f: Vec<Option<Mat>> = factors.iter().map(|_| None).collect();
+    let mut f: Vec<Option<SymPackedOf<f64>>> = factors.iter().map(|_| None).collect();
 
     // an explicit share: one session on the share's backend over the
     // subdomains the plan gave it
@@ -627,6 +626,8 @@ mod tests {
     /// `build_all` analyzes the two pattern classes of `K_reg` (subdomains on
     /// the Dirichlet boundary, floating ones) once each, and every bundle is
     /// bitwise the one an independent per-subdomain factorization gives.
+    /// Every factor's `L` holds its class analysis's pattern allocation, and
+    /// so do its `f32` demotion and its refactorizations.
     #[test]
     fn build_all_shares_one_analysis_per_class_bitwise() {
         let cases = [
@@ -675,7 +676,28 @@ mod tests {
                 );
                 assert_eq!(f.bt_perm, bt_perm, "{at}");
                 assert_eq!(f.boundary_runs, boundary_runs, "{at}");
+
+                let shared = f.chol.symbolic().pattern();
+                let l = f.chol.factor_csc_ref();
+                assert!(Arc::ptr_eq(l.pattern(), shared), "{at}");
+                assert!(Arc::ptr_eq(l.cast::<f32>().pattern(), shared), "{at}");
+                let analysis = Arc::clone(f.chol.analysis());
+                let mut again = SparseCholesky::factorize_with_analysis(&kreg, analysis).unwrap();
+                again.refactorize(&kreg).unwrap();
+                assert!(
+                    Arc::ptr_eq(again.factor_csc_ref().pattern(), shared),
+                    "{at}"
+                );
+                assert_eq!(bits(again.factor_csc_ref()), bits(l), "{at}");
             }
+            let mut patterns: Vec<&Arc<sc_sparse::CscPattern>> = Vec::new();
+            for f in all.iter() {
+                let p = f.chol.factor_csc_ref().pattern();
+                if !patterns.iter().any(|q| Arc::ptr_eq(q, p)) {
+                    patterns.push(p);
+                }
+            }
+            assert_eq!(patterns.len(), 2, "{}D: one L pattern per class", prob.dim);
         }
     }
 

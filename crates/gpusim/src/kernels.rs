@@ -3,8 +3,8 @@
 //! [`GpuKernels`] binds a [`Stream`] to a mode (computing or cost-only) and
 //! prices the host↔device transfers. It computes nothing: the six assembly
 //! kernels — their numerics *and* their [`KernelCost`]s — are written once,
-//! in `sc_core::Exec`, whose `GpuExec` backend submits each cost to
-//! [`GpuKernels::stream`].
+//! in the numeric phase of `sc_core::AssemblyPlan`, and the `GpuExec`
+//! backend submits each cost to [`GpuKernels::stream`].
 
 use crate::cost::KernelCost;
 use crate::timeline::{SimSpan, Stream};

@@ -107,10 +107,15 @@ pub fn prepare(spec: &MeshSpec) -> PreparedSession {
 /// Resident-size estimate of a prepared bundle: factor + gluing nonzeros at
 /// 16 bytes each (8 value + ~8 amortized index), plus stiffness nonzeros for
 /// the retained problem.
+///
+/// It over-counts `L`: each factor's row indices are its class analysis's
+/// one shared pattern, so a bundle really holds 8 bytes per `L` entry plus
+/// one index array per pattern class. The 16-byte charge is kept so the
+/// cache's budget, and with it the eviction traffic, stays what it was.
 fn approx_bytes(problem: &HeatProblem, factors: &[SubdomainFactors]) -> usize {
     let mut b = 0;
     for f in factors {
-        // L's own values + row indices; the per-class shared analysis is uncharged
+        // 16 bytes per L entry, although its row indices are shared per class
         b += f.chol.symbolic().nnz() * 16 + f.bt_perm.nnz() * 16;
     }
     for sd in &problem.subdomains {

@@ -22,7 +22,7 @@ pub mod perm;
 pub mod trisolve;
 
 pub use coo::{Coo, CooOf};
-pub use csc::{Csc, CscOf};
+pub use csc::{Csc, CscOf, CscPattern, CscView};
 pub use pattern::{column_pivots, is_stepped, stepped_fill_ratio, RowClosure};
 pub use perm::Perm;
 pub use trisolve::{

@@ -108,36 +108,6 @@ impl RowClosure {
     pub fn cols(&self) -> &[usize] {
         &self.cols
     }
-
-    /// The principal submatrix `L_c` of `l` on the closure, and `bt` (rows
-    /// in the closure, as the seeds') with its rows renumbered into it, so
-    /// `L_c⁻¹ bt_c` is `L⁻¹ bt` without its zero rows; `None` when the
-    /// closure is all of `0..n`.
-    pub fn restrict<S: Scalar>(&self, l: &CscOf<S>, bt: &CscOf<S>) -> Option<(CscOf<S>, CscOf<S>)> {
-        assert_eq!(l.ncols(), self.n, "closure of another pattern");
-        let n_c = self.cols.len();
-        if n_c == self.n {
-            return None;
-        }
-        let mut new_of_old = vec![usize::MAX; self.n];
-        for (new, &old) in self.cols.iter().enumerate() {
-            new_of_old[old] = new;
-        }
-        // every stored row of a kept column is kept, and the renumbering is
-        // monotone: the columns stay sorted and diagonal-first
-        let (mut col_ptr, mut row_idx, mut values) = (vec![0], Vec::new(), Vec::new());
-        for &j in &self.cols {
-            let (rows, vals) = l.col(j);
-            row_idx.extend(rows.iter().map(|&i| new_of_old[i]));
-            values.extend_from_slice(vals);
-            col_ptr.push(row_idx.len());
-        }
-        let l_c = CscOf::from_parts(n_c, n_c, col_ptr, row_idx, values);
-        let rows = bt.row_idx().iter().map(|&i| new_of_old[i]).collect();
-        let (col_ptr, values) = (bt.col_ptr().to_vec(), bt.values().to_vec());
-        let bt_c = CscOf::from_parts(n_c, bt.ncols(), col_ptr, rows, values);
-        Some((l_c, bt_c))
-    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //!   exactly on any lower-triangular factor. `sc_factor`'s solves and the
 //!   implicit dual operator (paper Eq. 11) run on these.
 
-use crate::csc::CscOf;
+use crate::csc::{CscOf, CscView};
 use crate::pattern::RowClosure;
 use sc_dense::{MatMutOf, Scalar};
 use std::ops::Range;
@@ -89,7 +89,10 @@ pub fn csc_lower_t_solve<S: Scalar>(l: &CscOf<S>, x: &mut [S]) {
 /// unconditionally), so every column of the result is bitwise that of
 /// [`csc_lower_solve`] up to the sign of zeros (that solve skips a column
 /// whose `x` is zero).
-pub fn csc_lower_solve_mat<S: Scalar>(l: &CscOf<S>, mut b: MatMutOf<'_, S>) {
+///
+/// `l` is a [`CscView`]: a whole factor ([`CscOf::view`]) or a diagonal
+/// block of one, read in place.
+pub fn csc_lower_solve_mat<S: Scalar>(l: CscView<'_, S>, mut b: MatMutOf<'_, S>) {
     let n = l.ncols();
     assert_eq!(l.nrows(), n);
     assert_eq!(b.nrows(), n);
@@ -103,11 +106,12 @@ pub fn csc_lower_solve_mat<S: Scalar>(l: &CscOf<S>, mut b: MatMutOf<'_, S>) {
             }
         }
         for j in 0..n {
-            let (rows, vals) = l.col(j);
-            debug_assert_eq!(rows.first(), Some(&j), "missing diagonal in column {j}");
-            let xj = lanes[j].map(|v| v / vals[0]);
+            let mut col = l.col(j);
+            let (diag_row, diag) = col.next().expect("every column stores its diagonal");
+            debug_assert_eq!(diag_row, j, "missing diagonal in column {j}");
+            let xj = lanes[j].map(|v| v / diag);
             lanes[j] = xj;
-            for (&i, &v) in rows[1..].iter().zip(&vals[1..]) {
+            for (i, v) in col {
                 let row = &mut lanes[i];
                 for k in 0..LANES {
                     row[k] -= v * xj[k];
@@ -489,7 +493,7 @@ mod tests {
         let ld = l.to_dense();
         let b = Mat::from_fn(n, m, |i, j| ((i * 3 + j * 7) % 5) as f64 - 2.0);
         let mut x = b.clone();
-        csc_lower_solve_mat(&l, x.as_mut());
+        csc_lower_solve_mat(l.view(), x.as_mut());
         let mut xd = b.clone();
         sc_dense::trsm_lower_left(ld.as_ref(), xd.as_mut());
         assert!(sc_dense::max_abs_diff(x.as_ref(), xd.as_ref()) < 1e-12);
@@ -510,7 +514,7 @@ mod tests {
             }
         });
         let mut got = big.clone();
-        csc_lower_solve_mat(l, got.as_mut().into_sub(pad, pad, n, width));
+        csc_lower_solve_mat(l.view(), got.as_mut().into_sub(pad, pad, n, width));
         let bits = |v: &[S]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
         for j in 0..big.ncols() {
             let mut want = big.col(j).to_vec();
@@ -554,7 +558,7 @@ mod tests {
         for i in 7..n {
             b[(i, 1)] = 2.0;
         }
-        csc_lower_solve_mat(&l, b.as_mut());
+        csc_lower_solve_mat(l.view(), b.as_mut());
         for i in 0..4 {
             assert_eq!(b[(i, 0)], 0.0);
         }

@@ -176,7 +176,7 @@ proptest! {
         // --- numerics: bitwise equal to the sequential CPU reference
         for (i, (l, bt)) in data.iter().enumerate() {
             let seq = assemble_sc(&mut CpuExec, l, bt, &ScConfig::optimized(true, false));
-            prop_assert_eq!(&res.f[i], &seq, "subdomain {} deviates", i);
+            prop_assert_eq!(&res.f[i].to_dense(), &seq, "subdomain {} deviates", i);
         }
     }
 
@@ -205,7 +205,7 @@ proptest! {
         prop_assert_eq!(placed, (0..items.len()).collect::<Vec<_>>());
         for (i, (l, bt)) in data.iter().enumerate() {
             let seq = assemble_sc(&mut CpuExec, l, bt, &cfg);
-            prop_assert_eq!(&res.f[i], &seq, "subdomain {} deviates", i);
+            prop_assert_eq!(&res.f[i].to_dense(), &seq, "subdomain {} deviates", i);
         }
     }
 }

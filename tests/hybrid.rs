@@ -425,7 +425,8 @@ fn auto_beats_all_explicit_and_all_implicit_by_1_3x_on_the_mixed_fit_workload() 
     for (local, &g) in gpu_idx.iter().enumerate() {
         let reference = assemble_sc(&mut CpuExec, items[g].l, items[g].bt, &cfg);
         assert_eq!(
-            res.f[local], reference,
+            res.f[local].to_dense(),
+            reference,
             "hybrid GPU share diverged from the CPU reference at subdomain {g}"
         );
     }

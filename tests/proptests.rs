@@ -92,21 +92,13 @@ proptest! {
     fn stepped_permutation_always_sorts_pivots(bt in bt_strategy(20, 12)) {
         let stepped = SteppedRhs::new(&bt);
         prop_assert!(pattern::is_stepped(&stepped.bt));
-        // permutation round-trip: unpermuting the identity-permuted F works
-        let m = stepped.ncols();
-        let f = Mat::from_fn(m, m, |i, j| (i * m + j) as f64);
-        let g = stepped.unpermute_symmetric(&f);
-        // applying the permutation again must give back f
-        let mut back = Mat::zeros(m, m);
-        for js in 0..m {
-            for is in 0..m {
-                back[(is, js)] = g[(
-                    stepped.col_perm.old_of_new(is),
-                    stepped.col_perm.old_of_new(js),
-                )];
-            }
+        // the permutation only relabels columns: stepped column `js` is
+        // `bt`'s column `old_of_new(js)`, and the relabeling round-trips
+        for js in 0..stepped.ncols() {
+            let jo = stepped.col_perm.old_of_new(js);
+            prop_assert_eq!(stepped.col_perm.new_of_old(jo), js);
+            prop_assert_eq!(stepped.bt.col(js), bt.col(jo));
         }
-        prop_assert_eq!(back, f);
     }
 
     #[test]

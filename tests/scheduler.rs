@@ -103,8 +103,8 @@ fn scheduled_beats_round_robin_on_the_bench_workload() {
     );
     for (i, item) in items.iter().enumerate() {
         let seq = assemble_sc(&mut CpuExec, item.l, item.bt, &cfg);
-        assert_eq!(lpt.f[i], seq, "scheduled F̃ deviates at {i}");
-        assert_eq!(rr.f[i], seq, "round-robin F̃ deviates at {i}");
+        assert_eq!(lpt.f[i].to_dense(), seq, "scheduled F̃ deviates at {i}");
+        assert_eq!(rr.f[i].to_dense(), seq, "round-robin F̃ deviates at {i}");
     }
 }
 
@@ -186,7 +186,7 @@ proptest! {
         // --- numerics: bitwise equal to the sequential CPU reference
         for (i, (l, bt)) in data.iter().enumerate() {
             let seq = assemble_sc(&mut CpuExec, l, bt, &cfg);
-            prop_assert_eq!(&res.f[i], &seq, "subdomain {} deviates", i);
+            prop_assert_eq!(&res.f[i].to_dense(), &seq, "subdomain {} deviates", i);
         }
     }
 
