@@ -292,7 +292,7 @@ fn fig5(args: &BenchArgs, device: &Arc<Device>) {
 /// Figure 6: comparison of TRSM splitting variants (factor split, factor
 /// split + pruning) and the SYRK input split, on CPU and simulated GPU, for
 /// 2D and 3D subdomain ladders (the paper's output split is not implemented,
-/// see `sc_core::syrk`).
+/// see `sc_core::plan`).
 fn fig6(args: &BenchArgs, device: &Arc<Device>) {
     for dim in [2usize, 3] {
         let (ladder, storage) = ladder(dim, args);

@@ -169,9 +169,50 @@ mod tests {
         (lc.to_csc(), bc.to_csc())
     }
 
+    /// The fixture's launches, priced by hand from its block shapes. The
+    /// closure drops row 1 (11 rows, pivots 0, 0, 2, 5, 8); blocks of 4 cut
+    /// it at 4 and 8. Block 0: order 4, width 3, 6 diagonal entries, a panel
+    /// of 2 entries on 2 rows over the 7 rows below; block 1: order 4,
+    /// width 4, 6 entries, a panel of 2 entries on 2 of 3 rows; block 2:
+    /// order 3, width 5, 4 entries, no panel. SYRK blocks of 5 rows reach
+    /// widths 3, 5, 5 (the last one 1 row). The expansion moves the 5
+    /// entries of `B̃ᵀ`, the packing the 5 × 5 `F̃`.
+    fn hand_priced<S: Scalar>(storage: FactorStorage, prune: bool) -> Vec<KernelCost> {
+        let g = KernelCost::gather_of::<S>;
+        let dense = storage == FactorStorage::Dense;
+        let solve = |diag_nnz, order, width| match storage {
+            FactorStorage::Sparse => KernelCost::trsm_sparse_of::<S>(diag_nnz, width),
+            FactorStorage::Dense => KernelCost::trsm_dense_of::<S>(order, width),
+        };
+        // (diagonal entries, order, width, rows below)
+        let blocks = [(6, 4, 3, 7), (6, 4, 4, 3), (4, 3, 5, 0)];
+        let mut costs = vec![g(5)];
+        for (diag_nnz, order, width, below) in blocks {
+            costs.extend(dense.then(|| g(diag_nnz)));
+            costs.push(solve(diag_nnz, order, width));
+            if below == 0 {
+                continue;
+            }
+            if prune {
+                let gemm = KernelCost::gemm_of::<S>(2, width, order);
+                costs.extend([g(2 + 2), gemm, g(2 * width)]);
+            } else if dense {
+                let gemm = KernelCost::gemm_of::<S>(below, width, order);
+                costs.extend([g(order * width), g(2), gemm]);
+            } else {
+                costs.extend([g(order * width), KernelCost::spmm_of::<S>(2, width)]);
+            }
+        }
+        let syrk = [(3, 5), (5, 5), (5, 1)].map(|(n, k)| KernelCost::syrk_of::<S>(n, k));
+        costs.extend(syrk);
+        costs.push(g(25));
+        costs
+    }
+
     /// Both storages, pruned and unpruned: between them the plans launch
-    /// all six kernels. Each plan runs once per backend, and every backend
-    /// takes exactly the plan's priced launches.
+    /// all six kernels. Each plan runs once per backend; every backend takes
+    /// exactly the hand-priced launches, and the device spends each one's
+    /// modelled time.
     fn one_plan_serves_every_backend<S: Scalar>() {
         let (l, bt) = fixture();
         let (l, bt) = (l.cast::<S>(), bt.cast::<S>());
@@ -190,7 +231,7 @@ mod tests {
                 let at = format!("{params:?} at {}", S::NAME);
                 let plan = AssemblyPlan::new(&l, &bt, &params);
                 let cpu = plan.assemble(&mut CpuExec, &l, &bt);
-                let dev = Device::new(DeviceSpec::a100(), 1);
+                let dev = logging_device();
                 let computing = GpuKernels::new(dev.stream(0));
                 let gpu = plan.assemble(&mut GpuExec::new(&computing), &l, &bt);
                 let mut rec = RecordingExec::new();
@@ -199,18 +240,30 @@ mod tests {
                 assert_eq!(cpu, recorded, "{at}: RecordingExec");
                 assert!(cpu.data().iter().any(|v| v.to_f64().abs() > 0.0), "{at}");
 
-                let dev_cost_only = Device::new(DeviceSpec::a100(), 1);
+                let dev_cost_only = logging_device();
                 let cost_only = GpuKernels::new_cost_only(dev_cost_only.stream(0));
                 let untouched = plan.assemble(&mut GpuExec::new(&cost_only), &l, &bt);
                 let zero = |v: &S| v.to_f64().abs() == 0.0; // sc-analyze: allow(float-eq)
                 assert!(untouched.data().iter().all(zero), "{at}: cost-only wrote");
 
+                let want = hand_priced::<S>(factor_storage, prune);
                 let (costs, accesses) = rec.into_recording();
                 labels.extend(costs.iter().map(|c| c.label));
-                let launched: Vec<_> = costs.into_iter().zip(accesses).collect();
-                assert_eq!(launched, plan.launches::<S>(), "{at}");
+                assert_eq!(costs, want, "{at}: recorded costs");
+                assert!(accesses.iter().all(|&a| a == SlotAccess::read_write()));
+                let priced: Vec<_> = plan.launches::<S>().into_iter().map(|(c, _)| c).collect();
+                assert_eq!(priced, want, "{at}: the plan's price");
                 for d in [&dev, &dev_cost_only] {
-                    assert_eq!(d.launches(), launched.len(), "{at}");
+                    assert_eq!(d.launches(), want.len(), "{at}");
+                    // one stream: each launch ends its modelled time after
+                    // the previous one
+                    let ends = d.take_span_log().into_iter().map(|(_, span)| span.end);
+                    let mut clock = 0.0;
+                    let modelled = want.iter().map(|c| {
+                        clock += d.spec().kernel_seconds(c);
+                        clock
+                    });
+                    assert!(ends.eq(modelled), "{at}: submitted costs");
                 }
             }
         }
@@ -225,8 +278,14 @@ mod tests {
         assert!(labels.iter().eq(six.iter()), "{labels:?}");
     }
 
+    fn logging_device() -> std::sync::Arc<Device> {
+        let dev = Device::new(DeviceSpec::a100(), 1);
+        dev.enable_span_log();
+        dev
+    }
+
     #[test]
-    fn one_plan_two_precisions_four_backends() {
+    fn six_kernels_two_precisions_four_backends() {
         one_plan_serves_every_backend::<f64>();
         one_plan_serves_every_backend::<f32>();
     }

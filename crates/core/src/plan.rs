@@ -4,9 +4,9 @@
 //! knows before it reads a value, built from `(pattern(L), pattern(B̃ᵀ),
 //! ScParams)`: the [`RowClosure`] of `B̃ᵀ`'s rows (outside which `L⁻¹B̃ᵀ`
 //! is 0) as column offsets into `L` plus a row renumbering; the stepped
-//! permutation of `B̃ᵀ`'s columns and their pivots; each TRSM block's
-//! width, split offsets and live rows; the SYRK cuts; and the launch list,
-//! which [`AssemblyPlan::launches`] prices without allocating `Y`.
+//! permutation of `B̃ᵀ`'s columns, whose pivots set each TRSM block's
+//! width, split offsets and live rows and the SYRK cuts; and the launch
+//! list, which [`AssemblyPlan::launches`] prices without allocating `Y`.
 //!
 //! The TRSM solves `L Y = B̃ᵀ` in place on the dense stepped `Y`. The
 //! baseline ([`TrsmVariant::Plain`]) is the original algorithm of \[9\]: one
@@ -72,26 +72,40 @@ pub enum SyrkVariant {
     InputSplit(BlockParam),
 }
 
-/// One TRSM block: closure rows and columns `r0..r1`.
+/// Row blocks `(r0, r1, width)` of a stepped `rows × m` matrix with these
+/// pivots: without a `block` one over all of it; split, `block`'s cuts, each
+/// as wide as the columns pivoting above its end ("the width ... is dictated
+/// by the right-most non-zero"), the empty ones dropped.
+fn row_blocks(
+    pivots: &[usize],
+    rows: usize,
+    m: usize,
+    block: Option<BlockParam>,
+) -> Vec<(usize, usize, usize)> {
+    let Some(block) = block else {
+        return vec![(0, rows, m)];
+    };
+    let width = |r1: usize| pivots.partition_point(|&p| p < r1);
+    let cuts = resolve_block(block, rows);
+    let blocks = cuts.windows(2).map(|w| (w[0], w[1], width(w[1])));
+    blocks.filter(|&(.., width)| width > 0).collect()
+}
+
+/// One TRSM block: closure rows and columns `r0..r1`, the leading `width`
+/// columns of `Y`.
 #[derive(Clone, Debug)]
 struct TrsmBlock {
     r0: usize,
     r1: usize,
-    /// Active right-hand sides: the stepped columns pivoting above `r1`.
     width: usize,
-    /// Stored entries of the diagonal block and of the panel below it.
-    diag_nnz: usize,
-    below_nnz: usize,
     /// Pruning: the panel's rows holding an entry, relative to `r1`.
     live: Vec<usize>,
 }
 
-/// One launch of the list: [`AssemblyPlan::cost`] prices it,
-/// [`AssemblyPlan::run`] executes it.
+/// One TRSM launch: [`AssemblyPlan::cost`] prices it,
+/// [`AssemblyPlan::solve`] executes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Op {
-    /// The stepped `B̃ᵀ`, expanded into the dense `Y`.
-    Expand,
     /// Dense copy of block `b`'s diagonal block (`below`: of its panel).
     Densify {
         b: usize,
@@ -108,20 +122,49 @@ enum Op {
     GatherLive(usize),
     GemmLive(usize),
     ScatterLive(usize),
-    /// SYRK launch `k`.
-    Syrk(usize),
-    /// The packed triangle, in the original multiplier order.
-    Pack,
 }
 
-impl Op {
-    fn is_trsm(self) -> bool {
-        !matches!(self, Op::Expand | Op::Syrk(_) | Op::Pack)
+/// The SYRK launches over `Y`'s row blocks (`(r0, r1, width)`, see
+/// [`row_blocks`]). Input splitting accumulates into a zeroed `F̃`, the
+/// plain SYRK overwrites it.
+#[derive(Clone, Debug)]
+struct SyrkPlan {
+    cuts: Vec<(usize, usize, usize)>,
+    accumulates: bool,
+}
+
+impl SyrkPlan {
+    fn new(pivots: &[usize], rows: usize, m: usize, variant: SyrkVariant) -> Self {
+        let block = match variant {
+            SyrkVariant::Plain => None,
+            SyrkVariant::InputSplit(block) => Some(block),
+        };
+        let cuts = row_blocks(pivots, rows, m, block);
+        SyrkPlan {
+            cuts,
+            accumulates: block.is_some(),
+        }
+    }
+
+    fn cost<S: Scalar>(&(r0, r1, width): &(usize, usize, usize)) -> KernelCost {
+        KernelCost::syrk_of::<S>(width, r1 - r0)
+    }
+
+    /// Each cut: `F̃[..w, ..w] (+)= Y[r0..r1, ..w]ᵀ Y[r0..r1, ..w]`.
+    fn run<S: Scalar, E: Exec>(&self, exec: &mut E, y: &MatOf<S>, f: &mut MatOf<S>) {
+        let beta = if self.accumulates { S::ONE } else { S::ZERO };
+        for cut in &self.cuts {
+            if exec.launch(|| Self::cost::<S>(cut), SlotAccess::read_write()) {
+                let &(r0, r1, width) = cut;
+                let a = y.as_ref().sub(r0, 0, r1 - r0, width);
+                sc_dense::syrk_t(S::ONE, a, beta, f.as_mut().into_sub(0, 0, width, width));
+            }
+        }
     }
 }
 
 /// The pattern phase of one subdomain's explicit assembly (module docs).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct AssemblyPlan {
     /// Order and stored entries of the `L` planned for, columns and stored
     /// entries of the `B̃ᵀ`.
@@ -136,18 +179,12 @@ pub struct AssemblyPlan {
     end: Vec<usize>,
     /// `L` row → closure row; `None` when the closure is all of `L`.
     renumber: Option<Vec<usize>>,
-    /// Stepped column `s` is multiplier `order.old_of_new(s)`; its pivot,
-    /// a closure row (an empty column pivots at the closure's order).
+    /// Stepped column `s` is multiplier `order.old_of_new(s)`.
     order: Perm,
-    pivots: Vec<usize>,
     storage: FactorStorage,
     blocks: Vec<TrsmBlock>,
-    /// SYRK launches: rows `r0..r1` of `Y`, its leading `width` columns.
-    /// Input splitting accumulates into a zeroed `F̃`, the plain SYRK
-    /// overwrites it.
-    syrks: Vec<(usize, usize, usize)>,
-    syrk_accumulates: bool,
-    ops: Vec<Op>,
+    trsm: Vec<Op>,
+    syrk: SyrkPlan,
 }
 
 impl AssemblyPlan {
@@ -160,7 +197,7 @@ impl AssemblyPlan {
     /// kernels need sorted ones, so such a plan falls back to the plain
     /// variants (what the original algorithm does anyway).
     pub fn new<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>, params: &ScParams) -> Self {
-        let (n, col_ptr) = (l.ncols(), l.col_ptr());
+        let (n, m, col_ptr) = (l.ncols(), bt.ncols(), l.col_ptr());
         assert_eq!(bt.nrows(), n, "B̃ᵀ rows must live in factor space");
         let closure = params
             .stepped_permutation
@@ -169,38 +206,44 @@ impl AssemblyPlan {
         let cols: Vec<usize> = closure
             .as_ref()
             .map_or((0..n).collect(), |c| c.cols().to_vec());
-        let mut plan = AssemblyPlan {
-            begin: cols.iter().map(|&j| col_ptr[j]).collect(),
-            end: cols.iter().map(|&j| col_ptr[j + 1]).collect(),
-            renumber: closure.map(|_| {
-                let mut renumber = vec![usize::MAX; n];
-                cols.iter().enumerate().for_each(|(c, &j)| renumber[j] = c);
-                renumber
-            }),
-            ..Default::default()
-        };
-        let rows = plan.closure_order();
-        let raw: Vec<usize> = (0..bt.ncols())
-            .map(|j| bt.col(j).0.first().map_or(rows, |&i| plan.row(i)))
+        let renumber = closure.map(|_| {
+            let mut renumber = vec![usize::MAX; n];
+            cols.iter().enumerate().for_each(|(c, &j)| renumber[j] = c);
+            renumber
+        });
+        let row = |i: usize| renumber.as_ref().map_or(i, |r| r[i]);
+        let rows = cols.len();
+        // an empty column pivots at the closure's order
+        let raw: Vec<usize> = (0..m)
+            .map(|j| bt.col(j).0.first().map_or(rows, |&i| row(i)))
             .collect();
-        let mut order: Vec<usize> = (0..raw.len()).collect();
+        let mut order: Vec<usize> = (0..m).collect();
         if params.stepped_permutation {
             order.sort_by_key(|&j| raw[j]); // stable: ties keep their order
         }
-        plan.pivots = order.iter().map(|&j| raw[j]).collect();
-        plan.order = Perm::from_old_of_new(order);
-        (plan.n, plan.nnz_l, plan.m, plan.nnz_bt) = (n, l.nnz(), bt.ncols(), bt.nnz());
-        plan.split = plan.end.clone();
-        plan.storage = params.factor_storage;
-        let (trsm, syrk) = if plan.pivots.is_sorted() {
+        let pivots: Vec<usize> = order.iter().map(|&j| raw[j]).collect();
+        let (trsm, syrk) = if pivots.is_sorted() {
             (params.trsm, params.syrk)
         } else {
             (TrsmVariant::Plain, SyrkVariant::Plain)
         };
-        plan.ops.push(Op::Expand);
-        plan.push_trsm(l, trsm);
-        plan.push_syrk(syrk);
-        plan.ops.push(Op::Pack);
+        let end: Vec<usize> = cols.iter().map(|&j| col_ptr[j + 1]).collect();
+        let mut plan = AssemblyPlan {
+            n,
+            nnz_l: l.nnz(),
+            m,
+            nnz_bt: bt.nnz(),
+            begin: cols.iter().map(|&j| col_ptr[j]).collect(),
+            split: end.clone(),
+            end,
+            renumber,
+            order: Perm::from_old_of_new(order),
+            storage: params.factor_storage,
+            blocks: Vec::new(),
+            trsm: Vec::new(),
+            syrk: SyrkPlan::new(&pivots, rows, m, syrk),
+        };
+        plan.push_trsm(l, &pivots, trsm);
         plan
     }
 
@@ -214,46 +257,20 @@ impl AssemblyPlan {
         self.renumber.as_ref().map_or(i, |r| r[i])
     }
 
-    /// Stepped columns pivoting strictly above row `row_end`.
-    fn active_width(&self, row_end: usize) -> usize {
-        self.pivots.partition_point(|&p| p < row_end)
-    }
-
     /// The TRSM blocks and their launches; the plain solve is one block
     /// over the whole closure.
-    fn push_trsm<S: Scalar>(&mut self, l: &CscOf<S>, variant: TrsmVariant) {
+    fn push_trsm<S: Scalar>(&mut self, l: &CscOf<S>, pivots: &[usize], variant: TrsmVariant) {
         let rows = self.closure_order();
-        let (cuts, prune) = match variant {
-            TrsmVariant::Plain => (vec![0, rows], false),
-            TrsmVariant::FactorSplit { block, prune } => (resolve_block(block, rows), prune),
+        let (block, prune) = match variant {
+            TrsmVariant::Plain => (None, false),
+            TrsmVariant::FactorSplit { block, prune } => (Some(block), prune),
         };
         let dense = self.storage == FactorStorage::Dense;
-        for w in cuts.windows(2) {
-            let (r0, r1) = (w[0], w[1]);
-            // "the width of the RHS submatrix is dictated by the right-most
-            // non-zero in the top RHS block"
-            let width = match variant {
-                TrsmVariant::Plain => self.m,
-                TrsmVariant::FactorSplit { .. } => self.active_width(r1),
-            };
-            if width == 0 && variant != TrsmVariant::Plain {
-                continue;
-            }
+        for (r0, r1, width) in row_blocks(pivots, rows, self.m, block) {
             for c in (r0..r1).filter(|_| r1 < rows) {
                 let col = &l.row_idx()[self.begin[c]..self.end[c]];
                 self.split[c] = self.begin[c] + col.partition_point(|&i| self.row(i) < r1);
             }
-            let count = |from: &[usize], to: &[usize]| -> usize {
-                from[r0..r1]
-                    .iter()
-                    .zip(&to[r0..r1])
-                    .map(|(a, b)| b - a)
-                    .sum()
-            };
-            let (diag_nnz, below_nnz) = (
-                count(&self.begin, &self.split),
-                count(&self.split, &self.end),
-            );
             // the panel's rows holding an entry (paper: "pruning", analogous
             // to CHOLMOD's supernodal row compression)
             let mut held = vec![false; if prune { rows - r1 } else { 0 }];
@@ -268,58 +285,61 @@ impl AssemblyPlan {
                 r0,
                 r1,
                 width,
-                diag_nnz,
-                below_nnz,
                 live,
             });
             if dense {
-                self.ops.push(Op::Densify { b, below: false });
+                self.trsm.push(Op::Densify { b, below: false });
             }
-            self.ops.push(Op::Solve(b));
-            if below_nnz == 0 {
+            self.trsm.push(Op::Solve(b));
+            if self.nnz(b, true) == 0 {
                 continue;
             }
             if prune {
-                self.ops
+                self.trsm
                     .extend([Op::GatherLive(b), Op::GemmLive(b), Op::ScatterLive(b)]);
             } else {
-                self.ops.push(Op::CopyTop(b));
+                self.trsm.push(Op::CopyTop(b));
                 if dense {
-                    self.ops.push(Op::Densify { b, below: true });
+                    self.trsm.push(Op::Densify { b, below: true });
                 }
-                self.ops.push(Op::Update(b));
+                self.trsm.push(Op::Update(b));
             }
         }
     }
 
-    /// The SYRK launches; the plain SYRK is one over all of `Y`.
-    fn push_syrk(&mut self, variant: SyrkVariant) {
-        let rows = self.closure_order();
-        let cuts = match variant {
-            SyrkVariant::Plain => vec![0, rows],
-            SyrkVariant::InputSplit(block) => resolve_block(block, rows),
+    /// Stored entries of block `b`'s diagonal block (`below`: of its panel).
+    fn nnz(&self, b: usize, below: bool) -> usize {
+        let cols = self.blocks[b].r0..self.blocks[b].r1;
+        let (from, to) = if below {
+            (&self.split, &self.end)
+        } else {
+            (&self.begin, &self.split)
         };
-        self.syrk_accumulates = variant != SyrkVariant::Plain;
-        for w in cuts.windows(2) {
-            // "the width of each block row is dictated by the right-most
-            // non-zero in the block row"
-            let width = match variant {
-                SyrkVariant::Plain => self.m,
-                SyrkVariant::InputSplit(_) => self.active_width(w[1]),
-            };
-            if width > 0 || variant == SyrkVariant::Plain {
-                self.ops.push(Op::Syrk(self.syrks.len()));
-                self.syrks.push((w[0], w[1], width));
-            }
-        }
+        cols.map(|c| to[c] - from[c]).sum()
     }
 
     /// The launch sequence at working precision `S`, with each launch's
     /// access to the subdomain's arena slot: what the numeric phase submits,
     /// priced without allocating anything.
     pub fn launches<S: Scalar>(&self) -> Vec<(KernelCost, SlotAccess)> {
-        let cost = |&op: &Op| (self.cost::<S>(op), SlotAccess::read_write());
-        self.ops.iter().map(cost).collect()
+        let trsm = self.trsm.iter().map(|&op| self.cost::<S>(op));
+        let syrk = self.syrk.cuts.iter().map(SyrkPlan::cost::<S>);
+        let costs = [self.expand_cost::<S>()]
+            .into_iter()
+            .chain(trsm)
+            .chain(syrk);
+        let costs = costs.chain([self.pack_cost::<S>()]);
+        costs.map(|c| (c, SlotAccess::read_write())).collect()
+    }
+
+    /// The stepped `B̃ᵀ`, expanded into the dense `Y`.
+    fn expand_cost<S: Scalar>(&self) -> KernelCost {
+        KernelCost::gather_of::<S>(self.nnz_bt)
+    }
+
+    /// The packed triangle, in the original multiplier order.
+    fn pack_cost<S: Scalar>(&self) -> KernelCost {
+        KernelCost::gather_of::<S>(self.m * self.m)
     }
 
     fn cost<S: Scalar>(&self, op: Op) -> KernelCost {
@@ -327,27 +347,20 @@ impl AssemblyPlan {
         let order = |b: usize| blk(b).r1 - blk(b).r0;
         let sparse = self.storage == FactorStorage::Sparse;
         match op {
-            Op::Expand => KernelCost::gather_of::<S>(self.nnz_bt),
-            Op::Densify { b, below: false } => KernelCost::gather_of::<S>(blk(b).diag_nnz),
-            Op::Densify { b, below: true } => KernelCost::gather_of::<S>(blk(b).below_nnz),
+            Op::Densify { b, below } => KernelCost::gather_of::<S>(self.nnz(b, below)),
             Op::Solve(b) if sparse => {
-                KernelCost::trsm_sparse_of::<S>(blk(b).diag_nnz, blk(b).width)
+                KernelCost::trsm_sparse_of::<S>(self.nnz(b, false), blk(b).width)
             }
             Op::Solve(b) => KernelCost::trsm_dense_of::<S>(order(b), blk(b).width),
             Op::CopyTop(b) => KernelCost::gather_of::<S>(order(b) * blk(b).width),
-            Op::Update(b) if sparse => KernelCost::spmm_of::<S>(blk(b).below_nnz, blk(b).width),
+            Op::Update(b) if sparse => KernelCost::spmm_of::<S>(self.nnz(b, true), blk(b).width),
             Op::Update(b) => {
                 let below = self.closure_order() - blk(b).r1;
                 KernelCost::gemm_of::<S>(below, blk(b).width, order(b))
             }
-            Op::GatherLive(b) => KernelCost::gather_of::<S>(blk(b).below_nnz + blk(b).live.len()),
+            Op::GatherLive(b) => KernelCost::gather_of::<S>(self.nnz(b, true) + blk(b).live.len()),
             Op::GemmLive(b) => KernelCost::gemm_of::<S>(blk(b).live.len(), blk(b).width, order(b)),
             Op::ScatterLive(b) => KernelCost::gather_of::<S>(blk(b).live.len() * blk(b).width),
-            Op::Syrk(k) => {
-                let (r0, r1, width) = self.syrks[k];
-                KernelCost::syrk_of::<S>(width, r1 - r0)
-            }
-            Op::Pack => KernelCost::gather_of::<S>(self.m * self.m),
         }
     }
 
@@ -367,46 +380,38 @@ impl AssemblyPlan {
             "another pattern"
         );
         let mut y = MatOf::zeros(self.closure_order(), self.m);
+        if exec.launch(|| self.expand_cost::<S>(), SlotAccess::read_write()) {
+            for s in 0..self.m {
+                let (rows, vals) = bt.col(self.order.old_of_new(s));
+                for (&i, &v) in rows.iter().zip(vals) {
+                    y[(self.row(i), s)] = v;
+                }
+            }
+        }
+        self.solve(exec, l, &mut y);
         let mut f = MatOf::zeros(self.m, self.m);
-        self.run(exec, l, Some(bt), &mut y, &mut f, |_| true);
+        self.syrk.run(exec, &y, &mut f);
         drop(y);
+        exec.launch(|| self.pack_cost::<S>(), SlotAccess::read_write());
         // the "final phase" permutation: original entry (i, j) is stepped
         // entry (s(i), s(j)), read from the SYRK's lower triangle
         let s = |i: usize| self.order.new_of_old(i);
         SymPackedOf::from_lower_fn(self.m, |i, j| f[(s(i).max(s(j)), s(i).min(s(j)))])
     }
 
-    /// Launch the ops `keep` selects on `exec` and run their numerics where
-    /// the backend computes: `y` is the closure-order × `m` solve buffer,
-    /// `f` the SYRK output, `bt` read by the expansion only.
-    fn run<S: Scalar, E: Exec>(
-        &self,
-        exec: &mut E,
-        l: &CscOf<S>,
-        bt: Option<&CscOf<S>>,
-        y: &mut MatOf<S>,
-        f: &mut MatOf<S>,
-        keep: impl Fn(Op) -> bool,
-    ) {
+    /// The TRSM launches on `exec`, with their numerics where the backend
+    /// computes: `y` (closure order × `m`, stepped) becomes `L_c⁻¹ y`.
+    fn solve<S: Scalar, E: Exec>(&self, exec: &mut E, l: &CscOf<S>, y: &mut MatOf<S>) {
         let rows = self.closure_order();
         // a densified block or gathered live panel; copied rows of `Y` or the
         // live panel's product
         let (mut dense, mut top) = (MatOf::zeros(0, 0), MatOf::zeros(0, 0));
         let (minus, one, zero) = (-S::ONE, S::ONE, S::ZERO);
-        for &op in self.ops.iter().filter(|&&op| keep(op)) {
+        for &op in &self.trsm {
             if !exec.launch(|| self.cost::<S>(op), SlotAccess::read_write()) {
                 continue;
             }
             match op {
-                Op::Expand => {
-                    let bt = bt.expect("the expansion reads B̃ᵀ");
-                    for s in 0..self.m {
-                        let (rws, vals) = bt.col(self.order.old_of_new(s));
-                        for (&i, &v) in rws.iter().zip(vals) {
-                            y[(self.row(i), s)] = v;
-                        }
-                    }
-                }
                 Op::Densify { b, below } => dense = self.view(l, b, below).to_dense(),
                 Op::Solve(b) => {
                     let blk = &self.blocks[b];
@@ -425,20 +430,14 @@ impl AssemblyPlan {
                 Op::Update(b) => {
                     let blk = &self.blocks[b];
                     let mut ybot = y.as_mut().into_sub(blk.r1, 0, rows - blk.r1, blk.width);
-                    let t = top.as_ref();
+                    let (a, t) = (dense.as_ref(), top.as_ref());
                     match self.storage {
                         FactorStorage::Sparse => {
                             self.view(l, b, true).spmm(minus, t, one, &mut ybot)
                         }
-                        FactorStorage::Dense => sc_dense::gemm(
-                            minus,
-                            dense.as_ref(),
-                            Trans::No,
-                            t,
-                            Trans::No,
-                            one,
-                            ybot,
-                        ),
+                        FactorStorage::Dense => {
+                            sc_dense::gemm(minus, a, Trans::No, t, Trans::No, one, ybot)
+                        }
                     }
                 }
                 Op::GatherLive(b) => {
@@ -470,46 +469,20 @@ impl AssemblyPlan {
                         }
                     }
                 }
-                Op::Syrk(k) => self.syrk(k, y, f),
-                Op::Pack => {}
             }
         }
-    }
-
-    /// SYRK launch `k`: `F̃[..w, ..w] (+)= Y[r0..r1, ..w]ᵀ Y[r0..r1, ..w]`.
-    fn syrk<S: Scalar>(&self, k: usize, y: &MatOf<S>, f: &mut MatOf<S>) {
-        let (r0, r1, width) = self.syrks[k];
-        let a = y.as_ref().sub(r0, 0, r1 - r0, width);
-        let beta = if self.syrk_accumulates {
-            S::ONE
-        } else {
-            S::ZERO
-        };
-        sc_dense::syrk_t(S::ONE, a, beta, f.as_mut().into_sub(0, 0, width, width));
     }
 
     /// Block `b`'s diagonal block (`below`: its panel) of `l`, in place.
     fn view<'a, S: Scalar>(&'a self, l: &'a CscOf<S>, b: usize, below: bool) -> CscView<'a, S> {
         let TrsmBlock { r0, r1, .. } = self.blocks[b];
-        let (cols, renumber) = (r0..r1, self.renumber.as_deref());
-        if below {
-            let rows = self.closure_order() - r1;
-            l.view_of(
-                rows,
-                &self.split[cols.clone()],
-                &self.end[cols],
-                renumber,
-                r1,
-            )
+        let (nrows, base, starts, ends) = if below {
+            (self.closure_order() - r1, r1, &self.split, &self.end)
         } else {
-            l.view_of(
-                r1 - r0,
-                &self.begin[cols.clone()],
-                &self.split[cols],
-                renumber,
-                r0,
-            )
-        }
+            (r1 - r0, r0, &self.begin, &self.split)
+        };
+        let renumber = self.renumber.as_deref();
+        l.view_of(nrows, &starts[r0..r1], &ends[r0..r1], renumber, base)
     }
 }
 
@@ -531,13 +504,12 @@ pub fn run_trsm<S: Scalar, E: Exec>(
         trsm: variant,
         ..ScParams::original(storage)
     };
-    let plan = AssemblyPlan::new(l, &stepped.bt, &params);
-    plan.run(exec, l, None, y, &mut MatOf::zeros(0, 0), Op::is_trsm);
+    AssemblyPlan::new(l, &stepped.bt, &params).solve(exec, l, y);
 }
 
 /// Compute `f(lower) = Yᵀ Y` with the selected variant: the SYRK launches
-/// of an [`AssemblyPlan`]. `f` must be `m × m` and is fully overwritten
-/// (lower triangle written, upper left untouched).
+/// of an [`AssemblyPlan`] over the stepped pivots. `f` must be `m × m` and
+/// is fully overwritten (lower triangle written, upper left untouched).
 pub fn run_syrk<S: Scalar, E: Exec>(
     exec: &mut E,
     y: &MatOf<S>,
@@ -550,19 +522,7 @@ pub fn run_syrk<S: Scalar, E: Exec>(
     if variant != SyrkVariant::Plain {
         f.fill(S::ZERO);
     }
-    let params = ScParams {
-        syrk: variant,
-        ..ScParams::original(FactorStorage::Sparse)
-    };
-    // the SYRK reads no factor: any pattern of `Y`'s row count plans it
-    let plan = AssemblyPlan::new(&CscOf::identity(y.nrows()), &stepped.bt, &params);
-    for &op in &plan.ops {
-        if let Op::Syrk(k) = op {
-            if exec.launch(|| plan.cost::<S>(op), SlotAccess::read_write()) {
-                plan.syrk(k, y, f);
-            }
-        }
-    }
+    SyrkPlan::new(&stepped.pivots, y.nrows(), m, variant).run(exec, y, f);
 }
 
 #[cfg(test)]

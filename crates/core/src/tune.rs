@@ -43,7 +43,7 @@ pub(crate) fn resolve_block(param: BlockParam, n: usize) -> Vec<usize> {
 /// The paper's Table 1: optimal splitting parameters per algorithm, platform
 /// and dimension (`S` = block size, `C` = block count), without the RHS
 /// splitting and output splitting rows (those variants are not implemented,
-/// see the `trsm` and `syrk` module docs). Used as defaults by the benches
+/// see the `plan` module docs). Used as defaults by the benches
 /// and the FETI pipeline.
 pub mod table1_defaults {
     use super::BlockParam;

@@ -4,9 +4,8 @@
 /// indices appear) and its inverse `new_of_old`.
 ///
 /// With `p = old_of_new`, the permuted object satisfies
-/// `permuted[i_new] = original[p[i_new]]`. The default is the permutation
-/// of `0..0`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// `permuted[i_new] = original[p[i_new]]`.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Perm {
     old_of_new: Vec<usize>,
     new_of_old: Vec<usize>,
