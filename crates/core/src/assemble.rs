@@ -13,11 +13,12 @@
 //! same one walk, that the implicit operator's sweeps visit), then its
 //! numeric phase, which reads `L` in place and returns the packed lower
 //! triangle. [`assemble_sc`] is both phases plus the expansion of the
-//! triangle to the full square.
+//! triangle to the full square, with the plan's launch list submitted to
+//! the backend once in between.
 
 use crate::exec::Exec;
 use crate::plan::{AssemblyPlan, FactorStorage, SyrkVariant, TrsmVariant};
-use sc_dense::{MatOf, Scalar, SymPackedOf};
+use sc_dense::{MatOf, Scalar};
 use sc_sparse::CscOf;
 
 /// Fully resolved assembler parameters: one entry per knob the paper tunes.
@@ -162,28 +163,25 @@ impl From<ScParams> for ScConfig {
 ///   diag-first), in fill-reducing order;
 /// - `bt` — `B̃ᵀ` with rows **already permuted** into the factor's order.
 ///
-/// The result is indexed by the original (unstepped) multiplier order and is
-/// fully symmetric: the packed triangle of the plan's numeric phase
-/// ([`AssemblyPlan::assemble`]), expanded.
+/// The plan of `cfg` is resolved on `exec`'s platform, and its launch list
+/// ([`AssemblyPlan::launches`]) is submitted to `exec` once. The result is
+/// indexed by the original (unstepped) multiplier order and is fully
+/// symmetric: the packed triangle of the plan's numeric phase
+/// ([`AssemblyPlan::assemble`]), expanded. When the backend does not compute
+/// (cost-only kernels), no numerics run and the result is the untouched
+/// `m × m` zero square.
 pub fn assemble_sc<S: Scalar, E: Exec>(
     exec: &mut E,
     l: &CscOf<S>,
     bt: &CscOf<S>,
     cfg: &ScConfig,
 ) -> MatOf<S> {
-    assemble_packed(exec, l, bt, cfg).to_dense()
-}
-
-/// `F̃`'s packed lower triangle in the original multiplier order: the plan
-/// of `cfg` resolved on `exec`'s platform, and its numeric phase.
-pub(crate) fn assemble_packed<S: Scalar, E: Exec>(
-    exec: &mut E,
-    l: &CscOf<S>,
-    bt: &CscOf<S>,
-    cfg: &ScConfig,
-) -> SymPackedOf<S> {
-    let params = cfg.resolve(exec.is_gpu(), l, bt);
-    AssemblyPlan::new(l, bt, &params).assemble(exec, l, bt)
+    let plan = AssemblyPlan::new(l, bt, &cfg.resolve(exec.is_gpu(), l, bt));
+    if exec.submit(|| plan.launches::<S>()) {
+        plan.assemble(l, bt).to_dense()
+    } else {
+        MatOf::zeros(bt.ncols(), bt.ncols())
+    }
 }
 
 /// Dense reference: `F̃ = B̃ K_reg⁻¹ B̃ᵀ` computed with dense kernels from the
@@ -545,13 +543,11 @@ mod tests {
                 let plan = AssemblyPlan::new(l, bt, p);
                 let mut rec = RecordingExec::new();
                 assemble_sc(&mut rec, l, bt, &ScConfig::Fixed(*p));
-                let (costs, accesses) = rec.into_recording();
-                let want: Vec<_> = costs.into_iter().zip(accesses).collect();
+                let want = rec.into_costs();
                 assert_eq!(plan.launches::<f64>(), want, "{p:?} n={}", l.ncols());
                 let mut rec = RecordingExec::new();
                 assemble_sc(&mut rec, &l32, &bt32, &ScConfig::Fixed(*p));
-                let (costs, accesses) = rec.into_recording();
-                let want: Vec<_> = costs.into_iter().zip(accesses).collect();
+                let want = rec.into_costs();
                 assert_eq!(plan.launches::<f32>(), want, "f32 {p:?} n={}", l.ncols());
             }
         }

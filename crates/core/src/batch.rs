@@ -4,7 +4,8 @@
 //! assembles the dense local dual operators `F̃ᵢ` of **hundreds of subdomains
 //! per cluster**, one OpenMP thread per subdomain. This module is that loop:
 //! the drivers fan the per-subdomain plan-then-assemble pipelines out over
-//! rayon and record per-subdomain timings for load-balance diagnostics. The drivers share no state between subdomains:
+//! rayon and record per-subdomain timings for load-balance diagnostics.
+//! Both run one per-subdomain body and share no state between subdomains:
 //! each task computes its own block cuts, a pure function of the
 //! [`BlockParam`](crate::tune::BlockParam) and its closure order.
 //!
@@ -20,10 +21,11 @@
 //! - **every device target** (`batch_devices`) — one GPU and a device pool
 //!   are the same pass over a [`Topology::Pool`] (pool → device → lane; one
 //!   GPU is a one-device pool). **Record once**: numerics run host-parallel
-//!   through [`RecordingExec`] (bitwise the CPU path) and every subdomain's
-//!   kernel sequence is kept. **Plan once**: [`plan_topology_by`] places the
-//!   whole batch — cost-aware LPT across devices with per-device arena
-//!   admissibility, then the paper-§4.4 stream assignment per device (LPT
+//!   (bitwise the CPU path) and every subdomain's kernel sequence is kept,
+//!   built around the plan's [`launches`](AssemblyPlan::launches). **Plan
+//!   once**: [`plan_topology_by`] places the whole batch — cost-aware LPT
+//!   across devices with per-device arena admissibility, then the
+//!   paper-§4.4 stream assignment per device (LPT
 //!   onto the least-loaded stream;
 //!   [`StreamPolicy::RoundRobin`](crate::schedule::StreamPolicy::RoundRobin)
 //!   keeps the paper's blind 16-stream index-order submission as the
@@ -53,8 +55,7 @@
 //! their roll-ups, and the device makespan lives in
 //! [`AssemblyReport::makespan`].
 
-use crate::assemble::{assemble_packed, ScConfig};
-use crate::exec::{CpuExec, RecordingExec};
+use crate::assemble::{ScConfig, ScParams};
 use crate::plan::AssemblyPlan;
 use crate::schedule::{
     self, plan_topology_by, ClusterPlanError, CostEstimate, DeviceSlot, ScheduleOptions, Topology,
@@ -63,7 +64,7 @@ use crate::session::{AssemblyReport, DeviceReport, ScheduledSpan, SubdomainTimin
 use crate::source::BatchSource;
 use rayon::prelude::*;
 use sc_dense::{Scalar, SymPackedOf};
-use sc_gpu::{ArenaSim, Device, DeviceSpec, SimSpan, Trace, TraceEvent};
+use sc_gpu::{ArenaSim, Device, DeviceSpec, KernelCost, SimSpan, SlotAccess, Trace, TraceEvent};
 use sc_sparse::CscOf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -82,6 +83,22 @@ pub struct BatchItemOf<'a, S: Scalar = f64> {
 /// `f64` batch item (the historical type).
 pub type BatchItem<'a> = BatchItemOf<'a, f64>;
 
+/// The per-subdomain body of both drivers: `cfg` resolved on the platform
+/// (`gpu`), the plan, its numeric phase (the packed `F̃ᵢ`), and the host
+/// seconds of all three.
+fn assemble_one<S: Scalar>(
+    l: &CscOf<S>,
+    bt: &CscOf<S>,
+    cfg: &ScConfig,
+    gpu: bool,
+) -> (ScParams, AssemblyPlan, SymPackedOf<S>, f64) {
+    let t = Instant::now();
+    let params = cfg.resolve(gpu, l, bt);
+    let plan = AssemblyPlan::new(l, bt, &params);
+    let f = plan.assemble(l, bt);
+    (params, plan, f, t.elapsed().as_secs_f64())
+}
+
 /// CPU batch driver over any [`BatchSource`]: one rayon task per subdomain
 /// — the paper's one-thread-per-subdomain cluster loop.
 pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
@@ -92,11 +109,10 @@ pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
     let assembled: Vec<(SymPackedOf<S>, SubdomainTiming)> = (0..src.len())
         .into_par_iter()
         .map(|i| {
-            let t = Instant::now();
-            let f = assemble_packed(&mut CpuExec, src.factor(i), src.gluing(i), cfg);
+            let (.., f, host_seconds) = assemble_one(src.factor(i), src.gluing(i), cfg, false);
             let timing = SubdomainTiming {
                 index: i,
-                host_seconds: t.elapsed().as_secs_f64(),
+                host_seconds,
                 placement: None,
             };
             (f, timing)
@@ -151,7 +167,12 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
         .map(|r| {
             slots
                 .iter()
-                .map(|s| r.costs.iter().map(|c| s.spec.kernel_seconds(c)).sum())
+                .map(|s| {
+                    r.kernels
+                        .iter()
+                        .map(|(c, _)| s.spec.kernel_seconds(c))
+                        .sum()
+                })
                 .collect()
         })
         .collect();
@@ -195,20 +216,21 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
     (recorded.into_iter().map(|r| r.f).collect(), report)
 }
 
-/// One subdomain's record-phase output: the host-computed packed `F̃ᵢ`
-/// (bitwise identical to the CPU path), the kernel-cost sequence to replay (with the
-/// per-kernel arena-slot accesses for the hazard-audit trace), and the host
-/// task time.
+/// One subdomain's record-phase output: the packed `F̃ᵢ`, the kernel
+/// sequence to replay, each kernel with its arena-slot access for the
+/// hazard-audit trace, and the host task time.
 struct Recorded<S: Scalar = f64> {
     f: SymPackedOf<S>,
-    costs: Vec<sc_gpu::KernelCost>,
-    accesses: Vec<sc_gpu::SlotAccess>,
+    kernels: Vec<(KernelCost, SlotAccess)>,
     host_seconds: f64,
 }
 
-/// The record phase: host-parallel numerics through [`RecordingExec`], plus
-/// per-subdomain analytic cost estimates under `spec` — the planner's
-/// arena footprints; its seconds come from the recorded kernels instead.
+/// The record phase: the per-subdomain body host-parallel on the GPU
+/// platform, plus analytic cost estimates under `spec` (the planner's
+/// arena footprints; its seconds come from the recorded kernels). Each
+/// kernel sequence is the uploads of `L` and `B̃ᵀ` (writing the arena
+/// slot), the plan's launches (reading and writing it) and the download
+/// (reading it; `F̃ᵢ` stays on the device, 0 bytes).
 fn record_batch<S: Scalar, Src: BatchSource<S>>(
     src: &Src,
     cfg: &ScConfig,
@@ -217,24 +239,24 @@ fn record_batch<S: Scalar, Src: BatchSource<S>>(
     (0..src.len())
         .into_par_iter()
         .map(|i| {
-            let t_host = Instant::now();
-            let l = src.factor(i);
-            let bt = src.gluing(i);
-            let params = cfg.resolve(true, l, bt);
+            let (l, bt) = (src.factor(i), src.gluing(i));
+            let (params, plan, f, host_seconds) = assemble_one(l, bt, cfg, true);
+            let upload = |nnz| (KernelCost::csc_transfer_of::<S>(nnz), SlotAccess::write());
+            let launches = plan.launches::<S>().into_iter();
+            let kernels = [upload(l.nnz()), upload(bt.nnz())]
+                .into_iter()
+                .chain(launches.map(|c| (c, SlotAccess::read_write())))
+                .chain([(KernelCost::transfer(0.0), SlotAccess::read())])
+                .collect();
             let estimate = schedule::estimate_cost(spec, l, bt, &params, i);
-            let mut rec = RecordingExec::new();
-            rec.record_upload_csc(l);
-            rec.record_upload_csc(bt);
-            let f = AssemblyPlan::new(l, bt, &params).assemble(&mut rec, l, bt);
-            rec.record_download_bytes(0); // result stays on device
-            let (costs, accesses) = rec.into_recording();
-            let recorded = Recorded {
-                f,
-                costs,
-                accesses,
-                host_seconds: t_host.elapsed().as_secs_f64(),
-            };
-            (recorded, estimate)
+            (
+                Recorded {
+                    f,
+                    kernels,
+                    host_seconds,
+                },
+                estimate,
+            )
         })
         .collect::<Vec<_>>()
         .into_iter()
@@ -256,7 +278,7 @@ fn record_batch<S: Scalar, Src: BatchSource<S>>(
 ///
 /// Every replay also emits a hazard-audit [`Trace`]: an `Alloc` event at
 /// each subdomain's arena admission, one `Kernel` event per replayed launch
-/// (stream, span, and the slot read/write sets bound from the recorder's
+/// (stream, span, and the slot read/write sets bound from the record phase's
 /// relative accesses), and a `Free` event at the release — plus the
 /// device's own span log over the replay window as an independent witness
 /// of per-stream serialization. The span log is captured non-destructively:
@@ -281,7 +303,7 @@ fn replay_device<S: Scalar>(
         lanes
             .iter()
             .flatten()
-            .map(|&i| recorded[i].costs.len() + 2)
+            .map(|&i| recorded[i].kernels.len() + 2)
             .sum(),
     );
     struct InFlight {
@@ -314,23 +336,15 @@ fn replay_device<S: Scalar>(
         for s in order {
             if let Some(fl) = current[s].as_mut() {
                 // replay the subdomain's next kernel
-                let cost = &recorded[fl.index].costs[fl.kpos];
-                let access = recorded[fl.index].accesses[fl.kpos];
+                let (cost, access) = &recorded[fl.index].kernels[fl.kpos];
                 let k = device.submit(s, cost, 0.0);
+                let slot = |touched: bool| if touched { vec![fl.index] } else { Vec::new() };
                 events.push(TraceEvent::Kernel {
                     label: cost.label,
                     stream: s,
                     span: k,
-                    reads: if access.reads {
-                        vec![fl.index]
-                    } else {
-                        Vec::new()
-                    },
-                    writes: if access.writes {
-                        vec![fl.index]
-                    } else {
-                        Vec::new()
-                    },
+                    reads: slot(access.reads),
+                    writes: slot(access.writes),
                 });
                 fl.kpos += 1;
                 fl.span = Some(match fl.span {
@@ -340,7 +354,7 @@ fn replay_device<S: Scalar>(
                         end: k.end,
                     },
                 });
-                if fl.kpos == recorded[fl.index].costs.len() {
+                if fl.kpos == recorded[fl.index].kernels.len() {
                     // last kernel replayed: release the arena reservation
                     let fl = current[s].take().expect("in flight");
                     let span = fl.span.unwrap_or(SimSpan {
@@ -433,8 +447,6 @@ fn replay_device<S: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assemble::assemble_packed;
-    use crate::exec::CpuExec;
     use crate::plan::FactorStorage;
     use crate::schedule::StreamPolicy;
     use crate::session::Target;
@@ -487,6 +499,11 @@ mod tests {
                 (chol.factor_csc(), bt.permute_rows(chol.perm()))
             })
             .collect()
+    }
+
+    /// One subdomain's packed `F̃ᵢ` through the drivers' body, on its own.
+    fn sequential(l: &Csc, bt: &Csc, cfg: &ScConfig, gpu: bool) -> SymPackedOf<f64> {
+        assemble_one(l, bt, cfg, gpu).2
     }
 
     /// The one driver over a target's devices.
@@ -569,7 +586,7 @@ mod tests {
             let (f, _) = batch_cpu(items.as_slice(), &cfg);
             assert_eq!(f.len(), items.len());
             for (i, (l, bt)) in data.iter().enumerate() {
-                let seq = assemble_packed(&mut CpuExec, l, bt, &cfg);
+                let seq = sequential(l, bt, &cfg, false);
                 assert_eq!(
                     f[i], seq,
                     "batched F̃ must equal sequential F̃ bitwise (subdomain {i})"
@@ -609,6 +626,34 @@ mod tests {
         // round-robin: subdomain i runs on stream i mod n_streams
         for t in &report.subdomains {
             assert_eq!(placed(t).stream, t.index % dev.n_streams());
+        }
+    }
+
+    /// Each subdomain's replayed kernels touch its arena slot as the
+    /// record phase tagged them: the two uploads write it, the plan's
+    /// launches read and write it, the download reads it.
+    #[test]
+    fn replayed_kernels_touch_the_slot_as_recorded() {
+        let data = factorized(&cluster(3, 6, 8));
+        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
+        let cfg = ScConfig::optimized(true, false);
+        let dev = Device::new(DeviceSpec::a100(), 2);
+        let (_, report) = on_gpu(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
+        let trace = report.devices[0].trace.as_ref().expect("a replay traces");
+        for (i, (l, bt)) in data.iter().enumerate() {
+            let touches = trace.events.iter().filter_map(|e| match e {
+                TraceEvent::Kernel { reads, writes, .. } => {
+                    let (r, w) = (reads.contains(&i), writes.contains(&i));
+                    (r || w).then_some((r, w))
+                }
+                _ => None,
+            });
+            let plan = AssemblyPlan::new(l, bt, &cfg.resolve(true, l, bt));
+            let launches = plan.launches::<f64>().len();
+            let mut want = vec![(false, true); 2];
+            want.extend(vec![(true, true); launches]);
+            want.push((true, false));
+            assert_eq!(touches.collect::<Vec<_>>(), want, "subdomain {i}");
         }
     }
 
@@ -659,13 +704,12 @@ mod tests {
             let dev = Device::new(DeviceSpec::a100(), 4);
             let (f, a) = on_gpu(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
             for (i, (l, bt)) in data.iter().enumerate() {
-                // sequential host reference; RecordingExec resolves Auto with
-                // the same GPU-platform flag the scheduled driver uses while
-                // computing on the CPU kernels
-                let seq = assemble_packed(&mut RecordingExec::new(), l, bt, &cfg);
+                // sequential host reference, Auto resolved on the GPU
+                // platform as the scheduled driver does
+                let seq = sequential(l, bt, &cfg, true);
                 assert_eq!(f[i], seq, "scheduled F̃ must be bitwise sequential ({i})");
                 if matches!(cfg, ScConfig::Fixed(_)) {
-                    let cpu = assemble_packed(&mut CpuExec, l, bt, &cfg);
+                    let cpu = sequential(l, bt, &cfg, false);
                     assert_eq!(f[i], cpu, "fixed configs match the CPU backend bitwise");
                 }
             }
@@ -873,10 +917,10 @@ mod tests {
             let pool = DevicePool::uniform(DeviceSpec::a100(), 3, 2);
             let (f, report) = on_pool(items.as_slice(), &cfg, &pool, &ScheduleOptions::default());
             for (i, (l, bt)) in data.iter().enumerate() {
-                let seq = assemble_packed(&mut RecordingExec::new(), l, bt, &cfg);
+                let seq = sequential(l, bt, &cfg, true);
                 assert_eq!(f[i], seq, "cluster F̃ must be bitwise sequential ({i})");
                 if matches!(cfg, ScConfig::Fixed(_)) {
-                    let cpu = assemble_packed(&mut CpuExec, l, bt, &cfg);
+                    let cpu = sequential(l, bt, &cfg, false);
                     assert_eq!(f[i], cpu, "fixed configs match the CPU backend bitwise");
                 }
             }
@@ -962,7 +1006,7 @@ mod tests {
                     "oversized subdomain {i} must run on the big card"
                 );
             }
-            let seq = assemble_packed(&mut CpuExec, it.l, it.bt, &cfg);
+            let seq = sequential(it.l, it.bt, &cfg, false);
             assert_eq!(f[i], seq, "heterogeneous F̃ deviates at {i}");
         }
         // per-device arenas were never oversubscribed
@@ -1016,7 +1060,7 @@ mod tests {
         );
         assert_eq!(pool.device(0).synchronize(), 0.0);
         for (i, (l, bt)) in data.iter().enumerate() {
-            let seq = assemble_packed(&mut CpuExec, l, bt, &cfg);
+            let seq = sequential(l, bt, &cfg, false);
             assert_eq!(f[i], seq, "subdomain {i} deviates");
         }
     }

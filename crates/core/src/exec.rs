@@ -1,20 +1,20 @@
 //! Execution backend abstraction: the same splitting algorithms run on the
 //! CPU and on the simulated GPU, in either working precision.
 //!
-//! The assembly kernels are written **once**, in the numeric phase of
-//! [`AssemblyPlan`](crate::AssemblyPlan): each launch names its
-//! [`KernelCost`] and runs its `sc-dense` / `sc-sparse` host routine. A
-//! backend is only a launch sink ([`Exec::launch`]) that decides what
-//! happens to the cost and whether the host numerics run, so "bitwise
-//! identical across targets" holds by construction. A launch's cost
-//! already carries its working precision, so one backend serves `f64` and
-//! `f32` assemblies alike.
+//! An assembly is one launch list, [`AssemblyPlan::launches`]: the
+//! [`KernelCost`]s of its `sc-dense` / `sc-sparse` host routines, in launch
+//! order, written once in the plan next to the numerics they price. A
+//! backend is only a sink for that list ([`Exec::submit`]): it decides what
+//! happens to the costs and whether the plan's numeric phase runs, so
+//! "bitwise identical across targets" holds by construction. A launch's
+//! cost already carries its working precision, so one backend serves `f64`
+//! and `f32` assemblies alike.
+//!
+//! [`AssemblyPlan::launches`]: crate::AssemblyPlan::launches
 
-use sc_dense::Scalar;
-use sc_gpu::{GpuKernels, KernelCost, SlotAccess};
-use sc_sparse::CscOf;
+use sc_gpu::{GpuKernels, KernelCost};
 
-/// Launch sink of the assembly's kernels.
+/// Sink of an assembly's launch list.
 pub trait Exec {
     /// True when this backend models the GPU platform — [`ScConfig::Auto`]
     /// resolves its Table-1-style defaults against this flag.
@@ -24,26 +24,25 @@ pub trait Exec {
         false
     }
 
-    /// Take one kernel launch: `cost` builds its [`KernelCost`] (called only
-    /// by backends that price kernels), `access` is how it touches the
-    /// subdomain's temporary-arena slot. Returns whether the host numerics
-    /// of the kernel run.
-    fn launch(&mut self, cost: impl FnOnce() -> KernelCost, access: SlotAccess) -> bool;
+    /// Take one launch list: `launches` builds it, in launch order (called
+    /// only by backends that price kernels). Returns whether the host
+    /// numerics of those launches run.
+    fn submit(&mut self, launches: impl FnOnce() -> Vec<KernelCost>) -> bool;
 }
 
-/// Host backend: the kernel bodies run, no cost is ever built.
+/// Host backend: the numerics run, no cost is ever built.
 #[derive(Default, Clone, Copy, Debug)]
 pub struct CpuExec;
 
 impl Exec for CpuExec {
-    fn launch(&mut self, _cost: impl FnOnce() -> KernelCost, _access: SlotAccess) -> bool {
+    fn submit(&mut self, _launches: impl FnOnce() -> Vec<KernelCost>) -> bool {
         true
     }
 }
 
 /// Simulated-GPU backend: every launch advances the bound stream's simulated
-/// timeline (see `sc-gpu`); the host numerics run unless the kernel set is
-/// cost-only.
+/// timeline (see `sc-gpu`), in list order; the host numerics run unless the
+/// kernel set is cost-only.
 pub struct GpuExec<'a> {
     kernels: &'a GpuKernels,
 }
@@ -60,30 +59,21 @@ impl Exec for GpuExec<'_> {
         true
     }
 
-    fn launch(&mut self, cost: impl FnOnce() -> KernelCost, _access: SlotAccess) -> bool {
-        self.kernels.stream().submit(&cost());
+    fn submit(&mut self, launches: impl FnOnce() -> Vec<KernelCost>) -> bool {
+        for cost in launches() {
+            self.kernels.stream().submit(&cost);
+        }
         !self.kernels.is_cost_only()
     }
 }
 
-/// Recording backend for the scheduled batch driver: the host numerics run
-/// (the one kernel body, so results are bitwise those of [`CpuExec`]) while
-/// every launch's [`KernelCost`] is appended instead of submitted — kernel
-/// for kernel the costs [`GpuExec`] submits, priced at the working
-/// precision's element width.
-/// The scheduler later replays the recorded sequence into the device
-/// timeline in a deterministic order, decoupling host-side parallel
-/// computation from simulated-time accounting.
-///
-/// Alongside each cost the recorder notes how the kernel touches the
-/// subdomain's temporary-arena slot ([`SlotAccess`]): uploads write it,
-/// downloads read it, compute kernels read and write it. The replay binds
-/// these relative accesses to the concrete slot admitted for the subdomain,
-/// producing the hazard-audit [`Trace`](sc_gpu::Trace).
+/// Recording backend: the host numerics run (the one kernel body, so
+/// results are bitwise those of [`CpuExec`]) while every list is appended
+/// instead of submitted — kernel for kernel the costs [`GpuExec`] submits,
+/// priced at the working precision's element width.
 #[derive(Default)]
 pub struct RecordingExec {
     costs: Vec<KernelCost>,
-    accesses: Vec<SlotAccess>,
 }
 
 impl RecordingExec {
@@ -92,42 +82,9 @@ impl RecordingExec {
         RecordingExec::default()
     }
 
-    fn push(&mut self, cost: KernelCost, access: SlotAccess) {
-        self.costs.push(cost);
-        self.accesses.push(access);
-    }
-
-    /// Record the H2D upload of a CSC matrix (mirrors
-    /// `GpuKernels::upload_csc`, via the shared
-    /// [`KernelCost::csc_transfer_of`] cost model). Writes the subdomain's
-    /// arena slot.
-    pub fn record_upload_csc<S: Scalar>(&mut self, m: &CscOf<S>) {
-        self.push(
-            KernelCost::csc_transfer_of::<S>(m.nnz()),
-            SlotAccess::write(),
-        );
-    }
-
-    /// Record a D2H download of `bytes` (mirrors
-    /// `GpuKernels::download_bytes`). Reads the subdomain's arena slot.
-    pub fn record_download_bytes(&mut self, bytes: usize) {
-        self.push(KernelCost::transfer(bytes as f64), SlotAccess::read()); // sc-analyze: allow(precision-discipline)
-    }
-
     /// The recorded kernel sequence, in launch order.
     pub fn into_costs(self) -> Vec<KernelCost> {
         self.costs
-    }
-
-    /// The recorded kernel sequence with the per-kernel slot accesses, in
-    /// launch order (the two vectors are index-aligned).
-    pub fn into_recording(self) -> (Vec<KernelCost>, Vec<SlotAccess>) {
-        debug_assert_eq!(
-            self.costs.len(),
-            self.accesses.len(),
-            "every recorded cost carries exactly one slot access"
-        );
-        (self.costs, self.accesses)
     }
 }
 
@@ -138,8 +95,8 @@ impl Exec for RecordingExec {
         true
     }
 
-    fn launch(&mut self, cost: impl FnOnce() -> KernelCost, access: SlotAccess) -> bool {
-        self.push(cost(), access);
+    fn submit(&mut self, launches: impl FnOnce() -> Vec<KernelCost>) -> bool {
+        self.costs.extend(launches());
         true
     }
 }
@@ -147,7 +104,9 @@ impl Exec for RecordingExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AssemblyPlan, BlockParam, FactorStorage, ScParams, SyrkVariant, TrsmVariant};
+    use crate::{assemble_sc, AssemblyPlan, BlockParam, FactorStorage, ScConfig, ScParams};
+    use crate::{SyrkVariant, TrsmVariant};
+    use sc_dense::{MatOf, Scalar};
     use sc_gpu::{Device, DeviceSpec};
     use sc_sparse::{Coo, CscOf};
 
@@ -229,30 +188,28 @@ mod tests {
                     stepped_permutation: true,
                 };
                 let at = format!("{params:?} at {}", S::NAME);
-                let plan = AssemblyPlan::new(&l, &bt, &params);
-                let cpu = plan.assemble(&mut CpuExec, &l, &bt);
+                let cfg = ScConfig::Fixed(params);
+                let cpu = assemble_sc(&mut CpuExec, &l, &bt, &cfg);
                 let dev = logging_device();
                 let computing = GpuKernels::new(dev.stream(0));
-                let gpu = plan.assemble(&mut GpuExec::new(&computing), &l, &bt);
+                let gpu = assemble_sc(&mut GpuExec::new(&computing), &l, &bt, &cfg);
                 let mut rec = RecordingExec::new();
-                let recorded = plan.assemble(&mut rec, &l, &bt);
+                let recorded = assemble_sc(&mut rec, &l, &bt, &cfg);
                 assert_eq!(cpu, gpu, "{at}: GpuExec");
                 assert_eq!(cpu, recorded, "{at}: RecordingExec");
                 assert!(cpu.data().iter().any(|v| v.to_f64().abs() > 0.0), "{at}");
 
                 let dev_cost_only = logging_device();
                 let cost_only = GpuKernels::new_cost_only(dev_cost_only.stream(0));
-                let untouched = plan.assemble(&mut GpuExec::new(&cost_only), &l, &bt);
-                let zero = |v: &S| v.to_f64().abs() == 0.0; // sc-analyze: allow(float-eq)
-                assert!(untouched.data().iter().all(zero), "{at}: cost-only wrote");
+                let untouched = assemble_sc(&mut GpuExec::new(&cost_only), &l, &bt, &cfg);
+                assert_eq!(untouched, MatOf::zeros(5, 5), "{at}: cost-only wrote");
 
                 let want = hand_priced::<S>(factor_storage, prune);
-                let (costs, accesses) = rec.into_recording();
+                let costs = rec.into_costs();
                 labels.extend(costs.iter().map(|c| c.label));
                 assert_eq!(costs, want, "{at}: recorded costs");
-                assert!(accesses.iter().all(|&a| a == SlotAccess::read_write()));
-                let priced: Vec<_> = plan.launches::<S>().into_iter().map(|(c, _)| c).collect();
-                assert_eq!(priced, want, "{at}: the plan's price");
+                let plan = AssemblyPlan::new(&l, &bt, &params);
+                assert_eq!(plan.launches::<S>(), want, "{at}: the plan's price");
                 for d in [&dev, &dev_cost_only] {
                     assert_eq!(d.launches(), want.len(), "{at}");
                     // one stream: each launch ends its modelled time after
@@ -292,18 +249,14 @@ mod tests {
 
     #[test]
     fn cpu_exec_never_builds_a_cost() {
-        let ran = Exec::launch(
-            &mut CpuExec,
-            || unreachable!("the host backend prices nothing"),
-            SlotAccess::read_write(),
-        );
+        let ran = Exec::submit(&mut CpuExec, || {
+            unreachable!("the host backend prices nothing")
+        });
         assert!(ran, "the host numerics always run");
     }
 
     #[test]
     fn recording_exec_mirrors_gpu_exec_costs_and_numbers() {
-        use crate::assemble::{assemble_sc, ScConfig};
-
         // small factor + gluing block, assembled once on GpuExec and once on
         // RecordingExec: numerics must match bitwise, and the recorded cost
         // count must equal the device's launch count, the explicit
@@ -320,16 +273,19 @@ mod tests {
         k.download_bytes(0);
 
         let mut rec = RecordingExec::new();
-        rec.record_upload_csc(&l);
-        rec.record_upload_csc(&bt);
         let f_rec = assemble_sc(&mut rec, &l, &bt, &cfg);
-        rec.record_download_bytes(0);
 
         assert_eq!(f_gpu, f_rec, "recorded path must match GPU path bitwise");
         assert!(Exec::is_gpu(&rec), "recorder models the GPU platform");
-        let costs = rec.into_costs();
+        // the device driver's sequence: two uploads, the launches, a download
+        let uploads = [l.nnz(), bt.nnz()].map(KernelCost::csc_transfer_of::<f64>);
+        let download = KernelCost::transfer(0.0);
+        let costs = uploads
+            .into_iter()
+            .chain(rec.into_costs())
+            .chain([download]);
         assert_eq!(
-            costs.len(),
+            costs.count(),
             dev.launches(),
             "recorded kernel sequence must mirror the live submission count"
         );

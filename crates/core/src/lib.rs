@@ -15,14 +15,16 @@
 //!    absent: on the closure input splitting is never worse than it).
 //! 4. write `F̃`'s packed lower triangle in the original multiplier order.
 //!
-//! Every launch goes through the [`exec::Exec`] backend trait, so the
-//! same algorithm runs on the CPU ([`exec::CpuExec`]) and on the simulated
-//! GPU ([`exec::GpuExec`]) — mirroring the paper's claim that the approach
-//! only needs basic BLAS/sparse-BLAS routines available on any platform.
+//! The plan's launch list ([`plan::AssemblyPlan::launches`]) is what every
+//! [`exec::Exec`] backend consumes, once per assembly, so the same
+//! algorithm runs on the CPU ([`exec::CpuExec`]) and on the simulated GPU
+//! ([`exec::GpuExec`]) — mirroring the paper's claim that the approach only
+//! needs basic BLAS/sparse-BLAS routines available on any platform.
 
 pub mod assemble;
 pub mod batch;
 pub mod exec;
+pub mod hybrid;
 pub mod plan;
 pub mod schedule;
 pub mod session;
@@ -34,15 +36,16 @@ pub mod tune;
 pub use assemble::{assemble_sc, assemble_sc_reference, ScConfig, ScParams};
 pub use batch::{BatchItem, BatchItemOf};
 pub use exec::{CpuExec, Exec, GpuExec, RecordingExec};
+pub use hybrid::{plan_hybrid, Formulation, HybridChoice, HybridPlan, HybridPlanOptions};
 pub use plan::{
     run_syrk as run_syrk_variant, run_trsm as run_trsm_variant, AssemblyPlan, FactorStorage,
     SyrkVariant, TrsmVariant,
 };
 pub use sc_gpu::ArenaSim;
 pub use schedule::{
-    estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by, ApplyEstimate,
-    ClusterPlanError, CostEstimate, DeviceSlot, Formulation, HybridChoice, HybridPlan,
-    HybridPlanOptions, LanePlan, ScheduleOptions, StreamPolicy, TopoPlan, Topology,
+    estimate_apply, estimate_cost, plan_topology, plan_topology_by, ApplyEstimate,
+    ClusterPlanError, CostEstimate, DeviceSlot, LanePlan, ScheduleOptions, StreamPolicy, TopoPlan,
+    Topology,
 };
 pub use session::{
     AssemblyReport, AssemblyResult, AssemblySession, Backend, DeviceReport, Precision,

@@ -6,7 +6,9 @@
 //! is 0) as column offsets into `L` plus a row renumbering; the stepped
 //! permutation of `B̃ᵀ`'s columns, whose pivots set each TRSM block's
 //! width, split offsets and live rows and the SYRK cuts; and the launch
-//! list, which [`AssemblyPlan::launches`] prices without allocating `Y`.
+//! list. [`AssemblyPlan::launches`] prices that list without allocating
+//! anything: it is what every backend consumes ([`Exec::submit`]), and the
+//! numeric phase runs only when the backend computes.
 //!
 //! The TRSM solves `L Y = B̃ᵀ` in place on the dense stepped `Y`. The
 //! baseline ([`TrsmVariant::Plain`]) is the original algorithm of \[9\]: one
@@ -20,12 +22,12 @@
 //! deliberately absent: on every benchmark mesh they lose to these or are
 //! within 0.5 % of them (the Table 1 search recorded in ROADMAP.md).
 //!
-//! The numeric phase ([`AssemblyPlan::assemble`]) walks the launch list. It
-//! reads `L`'s values in place through [`CscView`]s: every stored row of a
-//! kept column is kept, so each column of the closure's factor `L_c` is a
-//! contiguous slice of `L`. It drops `Y` after the SYRK and writes the
-//! packed lower triangle of `F̃` in the original multiplier order straight
-//! from the SYRK output. The plan holds no value and no row index of `L`,
+//! The numeric phase ([`AssemblyPlan::assemble`]) walks the same launch
+//! list and takes no backend. It reads `L`'s values in place through
+//! [`CscView`]s: every stored row of a kept column is kept, so each column
+//! of the closure's factor `L_c` is a contiguous slice of `L`. It drops `Y`
+//! after the SYRK and writes the packed lower triangle of `F̃` in the
+//! original multiplier order straight from the SYRK output. The plan holds no value and no row index of `L`,
 //! so one plan serves every precision of a factor with its pattern.
 
 use crate::assemble::ScParams;
@@ -33,7 +35,7 @@ use crate::exec::Exec;
 use crate::stepped::SteppedRhsOf;
 use crate::tune::{resolve_block, BlockParam};
 use sc_dense::{MatOf, Scalar, SymPackedOf, Trans};
-use sc_gpu::{KernelCost, SlotAccess};
+use sc_gpu::KernelCost;
 use sc_sparse::{CscOf, CscView, Perm, RowClosure};
 
 /// Storage format for the triangular factor inside TRSM kernels
@@ -146,19 +148,17 @@ impl SyrkPlan {
         }
     }
 
-    fn cost<S: Scalar>(&(r0, r1, width): &(usize, usize, usize)) -> KernelCost {
-        KernelCost::syrk_of::<S>(width, r1 - r0)
+    fn launches<S: Scalar>(&self) -> impl Iterator<Item = KernelCost> + '_ {
+        let cuts = self.cuts.iter();
+        cuts.map(|&(r0, r1, width)| KernelCost::syrk_of::<S>(width, r1 - r0))
     }
 
     /// Each cut: `F̃[..w, ..w] (+)= Y[r0..r1, ..w]ᵀ Y[r0..r1, ..w]`.
-    fn run<S: Scalar, E: Exec>(&self, exec: &mut E, y: &MatOf<S>, f: &mut MatOf<S>) {
+    fn run<S: Scalar>(&self, y: &MatOf<S>, f: &mut MatOf<S>) {
         let beta = if self.accumulates { S::ONE } else { S::ZERO };
-        for cut in &self.cuts {
-            if exec.launch(|| Self::cost::<S>(cut), SlotAccess::read_write()) {
-                let &(r0, r1, width) = cut;
-                let a = y.as_ref().sub(r0, 0, r1 - r0, width);
-                sc_dense::syrk_t(S::ONE, a, beta, f.as_mut().into_sub(0, 0, width, width));
-            }
+        for &(r0, r1, width) in &self.cuts {
+            let a = y.as_ref().sub(r0, 0, r1 - r0, width);
+            sc_dense::syrk_t(S::ONE, a, beta, f.as_mut().into_sub(0, 0, width, width));
         }
     }
 }
@@ -318,28 +318,20 @@ impl AssemblyPlan {
         cols.map(|c| to[c] - from[c]).sum()
     }
 
-    /// The launch sequence at working precision `S`, with each launch's
-    /// access to the subdomain's arena slot: what the numeric phase submits,
-    /// priced without allocating anything.
-    pub fn launches<S: Scalar>(&self) -> Vec<(KernelCost, SlotAccess)> {
-        let trsm = self.trsm.iter().map(|&op| self.cost::<S>(op));
-        let syrk = self.syrk.cuts.iter().map(SyrkPlan::cost::<S>);
-        let costs = [self.expand_cost::<S>()]
-            .into_iter()
-            .chain(trsm)
-            .chain(syrk);
-        let costs = costs.chain([self.pack_cost::<S>()]);
-        costs.map(|c| (c, SlotAccess::read_write())).collect()
+    /// The launch list at working precision `S`, in launch order: the
+    /// expansion of the stepped `B̃ᵀ` into the dense `Y`, the TRSM, the
+    /// SYRK, and the packing of the triangle in the original multiplier
+    /// order. What a backend takes for [`AssemblyPlan::assemble`], priced
+    /// without allocating anything.
+    pub fn launches<S: Scalar>(&self) -> Vec<KernelCost> {
+        let expand = KernelCost::gather_of::<S>(self.nnz_bt);
+        let pack = KernelCost::gather_of::<S>(self.m * self.m);
+        let kernels = self.trsm_launches::<S>().chain(self.syrk.launches::<S>());
+        [expand].into_iter().chain(kernels).chain([pack]).collect()
     }
 
-    /// The stepped `B̃ᵀ`, expanded into the dense `Y`.
-    fn expand_cost<S: Scalar>(&self) -> KernelCost {
-        KernelCost::gather_of::<S>(self.nnz_bt)
-    }
-
-    /// The packed triangle, in the original multiplier order.
-    fn pack_cost<S: Scalar>(&self) -> KernelCost {
-        KernelCost::gather_of::<S>(self.m * self.m)
+    fn trsm_launches<S: Scalar>(&self) -> impl Iterator<Item = KernelCost> + '_ {
+        self.trsm.iter().map(|&op| self.cost::<S>(op))
     }
 
     fn cost<S: Scalar>(&self, op: Op) -> KernelCost {
@@ -367,12 +359,7 @@ impl AssemblyPlan {
     /// The numeric phase: `F̃`'s lower triangle, packed, in the original
     /// multiplier order. `l` and `bt` must have the patterns the plan was
     /// built from; their values are read in place.
-    pub fn assemble<S: Scalar, E: Exec>(
-        &self,
-        exec: &mut E,
-        l: &CscOf<S>,
-        bt: &CscOf<S>,
-    ) -> SymPackedOf<S> {
+    pub fn assemble<S: Scalar>(&self, l: &CscOf<S>, bt: &CscOf<S>) -> SymPackedOf<S> {
         let shapes = (l.ncols(), l.nnz(), bt.ncols(), bt.nnz());
         assert_eq!(
             shapes,
@@ -380,37 +367,31 @@ impl AssemblyPlan {
             "another pattern"
         );
         let mut y = MatOf::zeros(self.closure_order(), self.m);
-        if exec.launch(|| self.expand_cost::<S>(), SlotAccess::read_write()) {
-            for s in 0..self.m {
-                let (rows, vals) = bt.col(self.order.old_of_new(s));
-                for (&i, &v) in rows.iter().zip(vals) {
-                    y[(self.row(i), s)] = v;
-                }
+        for s in 0..self.m {
+            let (rows, vals) = bt.col(self.order.old_of_new(s));
+            for (&i, &v) in rows.iter().zip(vals) {
+                y[(self.row(i), s)] = v;
             }
         }
-        self.solve(exec, l, &mut y);
+        self.solve(l, &mut y);
         let mut f = MatOf::zeros(self.m, self.m);
-        self.syrk.run(exec, &y, &mut f);
+        self.syrk.run(&y, &mut f);
         drop(y);
-        exec.launch(|| self.pack_cost::<S>(), SlotAccess::read_write());
         // the "final phase" permutation: original entry (i, j) is stepped
         // entry (s(i), s(j)), read from the SYRK's lower triangle
         let s = |i: usize| self.order.new_of_old(i);
         SymPackedOf::from_lower_fn(self.m, |i, j| f[(s(i).max(s(j)), s(i).min(s(j)))])
     }
 
-    /// The TRSM launches on `exec`, with their numerics where the backend
-    /// computes: `y` (closure order × `m`, stepped) becomes `L_c⁻¹ y`.
-    fn solve<S: Scalar, E: Exec>(&self, exec: &mut E, l: &CscOf<S>, y: &mut MatOf<S>) {
+    /// The TRSM launches' numerics: `y` (closure order × `m`, stepped)
+    /// becomes `L_c⁻¹ y`.
+    fn solve<S: Scalar>(&self, l: &CscOf<S>, y: &mut MatOf<S>) {
         let rows = self.closure_order();
         // a densified block or gathered live panel; copied rows of `Y` or the
         // live panel's product
         let (mut dense, mut top) = (MatOf::zeros(0, 0), MatOf::zeros(0, 0));
         let (minus, one, zero) = (-S::ONE, S::ONE, S::ZERO);
         for &op in &self.trsm {
-            if !exec.launch(|| self.cost::<S>(op), SlotAccess::read_write()) {
-                continue;
-            }
             match op {
                 Op::Densify { b, below } => dense = self.view(l, b, below).to_dense(),
                 Op::Solve(b) => {
@@ -489,7 +470,8 @@ impl AssemblyPlan {
 /// Run the selected TRSM variant: on return `y` holds `L⁻¹ B̃ᵀ` (stepped
 /// column order). `l` is the CSC factor (diag-first columns), not
 /// restricted to a closure: the TRSM launches of an [`AssemblyPlan`] on all
-/// of `l`.
+/// of `l`, submitted to `exec` as one list; `y` is left untouched when the
+/// backend does not compute.
 pub fn run_trsm<S: Scalar, E: Exec>(
     exec: &mut E,
     l: &CscOf<S>,
@@ -504,12 +486,16 @@ pub fn run_trsm<S: Scalar, E: Exec>(
         trsm: variant,
         ..ScParams::original(storage)
     };
-    AssemblyPlan::new(l, &stepped.bt, &params).solve(exec, l, y);
+    let plan = AssemblyPlan::new(l, &stepped.bt, &params);
+    if exec.submit(|| plan.trsm_launches::<S>().collect()) {
+        plan.solve(l, y);
+    }
 }
 
 /// Compute `f(lower) = Yᵀ Y` with the selected variant: the SYRK launches
-/// of an [`AssemblyPlan`] over the stepped pivots. `f` must be `m × m` and
-/// is fully overwritten (lower triangle written, upper left untouched).
+/// of an [`AssemblyPlan`] over the stepped pivots, submitted to `exec` as
+/// one list. `f` must be `m × m`; when the backend computes its lower
+/// triangle is overwritten (the upper left untouched), otherwise nothing.
 pub fn run_syrk<S: Scalar, E: Exec>(
     exec: &mut E,
     y: &MatOf<S>,
@@ -519,10 +505,13 @@ pub fn run_syrk<S: Scalar, E: Exec>(
 ) {
     let m = y.ncols();
     assert_eq!((f.nrows(), f.ncols(), stepped.ncols()), (m, m, m));
-    if variant != SyrkVariant::Plain {
-        f.fill(S::ZERO);
+    let plan = SyrkPlan::new(&stepped.pivots, y.nrows(), m, variant);
+    if exec.submit(|| plan.launches::<S>().collect()) {
+        if plan.accumulates {
+            f.fill(S::ZERO);
+        }
+        plan.run(y, f);
     }
-    SyrkPlan::new(&stepped.pivots, y.nrows(), m, variant).run(exec, y, f);
 }
 
 #[cfg(test)]

@@ -50,7 +50,8 @@
 
 use crate::assemble::ScConfig;
 use crate::batch::{batch_cpu, batch_devices};
-use crate::schedule::{HybridPlan, ScheduleOptions};
+use crate::hybrid::HybridPlan;
+use crate::schedule::ScheduleOptions;
 use crate::source::BatchSource;
 use sc_dense::{Scalar, SymPackedOf};
 use sc_gpu::{Device, DevicePool, SimSpan};

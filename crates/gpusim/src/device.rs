@@ -75,43 +75,6 @@ impl DeviceSpec {
         }
     }
 
-    /// Look a spec up by short name (`"a100"`, `"h100"`, `"tiny"`,
-    /// `"host"`) — the registry behind CLI flags like `--devices a100,h100`.
-    /// Node-level names (`"node8xa100"`: 8 cards per node) resolve to the
-    /// **per-card** spec; pair with [`DeviceSpec::node_from_name`] when the
-    /// card count matters.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "a100" => Some(Self::a100()),
-            "h100" => Some(Self::h100()),
-            "tiny" => Some(Self::tiny_test_device()),
-            "host" => Some(Self::host()),
-            _ => Self::node_from_name(name).map(|(spec, _)| spec),
-        }
-    }
-
-    /// Parse a whole-node preset `"node<K>x<device>"` (e.g. `"node8xa100"`,
-    /// the paper's 8-GPU Karolina node) into the per-card spec and the card
-    /// count — what `--devices`-style CLI flags use to select a node in one
-    /// token. `None` for anything else.
-    pub fn node_from_name(name: &str) -> Option<(Self, usize)> {
-        let rest = name.strip_prefix("node")?;
-        let (count, device) = rest.split_once('x')?;
-        let n: usize = count.parse().ok().filter(|&n| n > 0)?;
-        match device {
-            "a100" => Some((Self::a100(), n)),
-            "h100" => Some((Self::h100(), n)),
-            "tiny" => Some((Self::tiny_test_device(), n)),
-            "host" => Some((Self::host(), n)),
-            _ => None,
-        }
-    }
-
-    /// Short names accepted by [`DeviceSpec::from_name`].
-    pub fn registry() -> &'static [&'static str] {
-        &["a100", "h100", "tiny", "host", "node8xa100", "node4xh100"]
-    }
-
     /// A deliberately small test device: tiny memory and high launch
     /// overhead, to exercise pool-blocking and launch-bound paths in tests.
     pub fn tiny_test_device() -> Self {
@@ -160,22 +123,6 @@ impl DeviceSpec {
 mod tests {
     use super::*;
     use crate::cost::KernelCost;
-
-    #[test]
-    fn node_names_resolve_to_per_card_specs() {
-        let (spec, n) = DeviceSpec::node_from_name("node8xa100").expect("known node preset");
-        assert_eq!(n, 8);
-        assert_eq!(spec.name, DeviceSpec::a100().name);
-        // from_name resolves node names too (registry contract), to the card
-        assert_eq!(
-            DeviceSpec::from_name("node4xh100").map(|s| s.name),
-            Some(DeviceSpec::h100().name)
-        );
-        assert!(DeviceSpec::node_from_name("node0xa100").is_none());
-        assert!(DeviceSpec::node_from_name("nodeXxa100").is_none());
-        assert!(DeviceSpec::node_from_name("node8xvolta").is_none());
-        assert!(DeviceSpec::node_from_name("a100").is_none());
-    }
 
     #[test]
     fn tiny_kernels_are_launch_bound() {

@@ -3,8 +3,8 @@
 //! [`GpuKernels`] binds a [`Stream`] to a mode (computing or cost-only) and
 //! prices the host↔device transfers. It computes nothing: the six assembly
 //! kernels — their numerics *and* their [`KernelCost`]s — are written once,
-//! in the numeric phase of `sc_core::AssemblyPlan`, and the `GpuExec`
-//! backend submits each cost to [`GpuKernels::stream`].
+//! in `sc_core::AssemblyPlan`, and the `GpuExec` backend submits the plan's
+//! launch list to [`GpuKernels::stream`] in order.
 
 use crate::cost::KernelCost;
 use crate::timeline::{SimSpan, Stream};

@@ -4,7 +4,8 @@
 //! The crate is a **pricing model plus a timeline to replay into**. It
 //! computes nothing and blocks no thread: the numerics of every "GPU kernel"
 //! run on the host, in the one kernel body of `sc_core::AssemblyPlan`'s
-//! numeric phase, and what arrives here is the kernel's [`KernelCost`]. Submitting it advances a
+//! numeric phase, and what arrives here is the plan's launch list, one
+//! [`KernelCost`] per kernel. Submitting one advances a
 //! simulated device timeline according to a calibrated cost model
 //! (kernel-launch latency, FLOP throughput with an occupancy ramp, HBM and
 //! PCIe bandwidth), so reported "GPU time" reproduces the *shape* of real

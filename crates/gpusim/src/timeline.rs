@@ -261,11 +261,6 @@ impl Stream {
     pub fn time(&self) -> f64 {
         self.device.stream_time(self.id)
     }
-
-    /// Advance this stream's clock to at least `t` (host dependency).
-    pub fn advance_to(&self, t: f64) {
-        self.device.advance_stream(self.id, t);
-    }
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ use crate::timeline::SimSpan;
 
 /// How one recorded kernel touches its subdomain's temporary-arena slot.
 ///
-/// Recorded host-side by `RecordingExec` (which cannot know the concrete
-/// slot id yet — slots are assigned at replay admission), then bound to the
+/// Tagged host-side by the device driver's record phase in `sc_core`
+/// (which cannot know the concrete slot id yet — slots are assigned at replay admission), then bound to the
 /// admitted slot when the kernel replays onto the device timeline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlotAccess {

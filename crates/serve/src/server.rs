@@ -252,8 +252,9 @@ impl Service {
     }
 
     /// Run one dispatched job against the pool, via the cross-session cache.
-    /// A cluster job whose prepared factors fail [`arena_fit`] does not
-    /// run: the error names the subdomains no device arena admits.
+    /// A cluster job that assembles and whose prepared factors fail
+    /// [`arena_fit`] does not run: the error names the subdomains no device
+    /// arena admits.
     fn execute(&mut self, tenant: &str, qj: &QueuedJob) -> Result<JobOutcome, String> {
         let req = &qj.req;
         // what the queue is about to read stays resident while anything
@@ -272,7 +273,13 @@ impl Service {
                 (built, false, secs)
             }
         };
-        if req.backend == BackendTag::Cluster {
+        // the operators of an earlier job of this mesh, precision and
+        // backend: the build uploads them instead of assembling. Only a job
+        // that assembles is checked against the arenas: the first assembly
+        // of its bundle's (precision, backend) passed the same check.
+        let slot = (req.precision, req.backend);
+        let reused = prep.operators.get(&slot).cloned();
+        if reused.is_none() && req.backend == BackendTag::Cluster {
             arena_fit(&self.opts.pool, &prep.factors, req.precision)?;
         }
         let mut outcome = JobOutcome {
@@ -280,7 +287,7 @@ impl Service {
             job: req.job.clone(),
             kind: req.kind,
             cache_hit,
-            reused_operators: false,
+            reused_operators: reused.is_some(),
             prep_s,
             device_s: 0.0,
             iterations: None,
@@ -300,11 +307,6 @@ impl Service {
         }
         .precision(precision_of(req.precision));
 
-        // the operators of an earlier job of this mesh, precision and
-        // backend: the build uploads them instead of assembling
-        let slot = (req.precision, req.backend);
-        let reused = prep.operators.get(&slot).cloned();
-        outcome.reused_operators = reused.is_some();
         let mut builder = FetiSolverBuilder::new()
             .backend(backend)
             .formulation(FormulationChoice::Explicit)

@@ -23,7 +23,7 @@ pub mod trisolve;
 
 pub use coo::{Coo, CooOf};
 pub use csc::{Csc, CscOf, CscPattern, CscView};
-pub use pattern::{column_pivots, is_stepped, stepped_fill_ratio, RowClosure};
+pub use pattern::{is_stepped, stepped_fill_ratio, RowClosure};
 pub use perm::Perm;
 pub use trisolve::{
     csc_lower_solve, csc_lower_solve_mat, csc_lower_t_solve, fundamental_supernodes,

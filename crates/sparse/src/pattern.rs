@@ -16,14 +16,6 @@
 use crate::csc::CscOf;
 use sc_dense::Scalar;
 
-/// Row index of the first stored entry of each column; `None` for empty
-/// columns.
-pub fn column_pivots<S: Scalar>(b: &CscOf<S>) -> Vec<Option<usize>> {
-    (0..b.ncols())
-        .map(|j| b.col(j).0.first().copied())
-        .collect()
-}
-
 /// True when the column pivots are non-decreasing left to right (empty
 /// columns are treated as pivoting at `nrows`, i.e. they sort to the right).
 pub fn is_stepped<S: Scalar>(b: &CscOf<S>) -> bool {
@@ -128,10 +120,8 @@ mod tests {
     }
 
     #[test]
-    fn pivots_found() {
-        let b = stepped_example();
-        assert_eq!(column_pivots(&b), vec![Some(0), Some(1), Some(3)]);
-        assert!(is_stepped(&b));
+    fn stepped_detected() {
+        assert!(is_stepped(&stepped_example()));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use schur_dd::prelude::*;
-use schur_dd::sc_gpu::{Device, DeviceSpec};
+use schur_dd::sc_gpu::{Device, DeviceSpec, KernelCost};
 use schur_dd::sc_sparse::{Coo, Csc};
 
 /// A cluster of SPD subdomains with sizes drawn per subdomain — factorized
@@ -228,14 +228,14 @@ proptest! {
 /// duration model.
 fn recorded_seconds(item: &BatchItem<'_>, cfg: &ScConfig, spec: &DeviceSpec) -> f64 {
     let mut rec = RecordingExec::new();
-    rec.record_upload_csc(item.l);
-    rec.record_upload_csc(item.bt);
     let _ = assemble_sc(&mut rec, item.l, item.bt, cfg);
-    rec.record_download_bytes(0);
-    rec.into_costs()
-        .iter()
-        .map(|c| spec.kernel_seconds(c))
-        .sum()
+    let uploads = [item.l.nnz(), item.bt.nnz()].map(KernelCost::csc_transfer_of::<f64>);
+    let download = KernelCost::transfer(0.0);
+    let costs = uploads
+        .into_iter()
+        .chain(rec.into_costs())
+        .chain([download]);
+    costs.map(|c| spec.kernel_seconds(&c)).sum()
 }
 
 /// The driver executes the plan, it does not re-derive it: on one GPU and a

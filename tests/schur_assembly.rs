@@ -3,9 +3,10 @@
 //! subdomains (not synthetic patterns), in 2D and 3D.
 
 use schur_dd::prelude::*;
-use schur_dd::sc_core::assemble_sc_reference;
+use schur_dd::sc_core::{assemble_sc_reference, run_trsm_variant, AssemblyPlan, Exec};
 use schur_dd::sc_factor::schur_from_factor;
 use schur_dd::sc_feti::{regularize_fixing_node, SubdomainFactors};
+use schur_dd::sc_gpu::KernelCost;
 
 struct Fixture {
     kreg: Csc,
@@ -150,5 +151,77 @@ fn assembled_sc_drives_correct_feti_iteration() {
     schur_dd::sc_feti::dualop::apply_implicit(&fx.factors, &p, &mut q_impl);
     for i in 0..m {
         assert!((q_expl[i] - q_impl[i]).abs() < 1e-8);
+    }
+}
+
+/// A backend implemented outside `sc_core`: it keeps every launch list it
+/// is handed and answers `computes`.
+struct ListSink {
+    computes: bool,
+    lists: Vec<Vec<KernelCost>>,
+}
+
+impl ListSink {
+    fn new(computes: bool) -> Self {
+        ListSink {
+            computes,
+            lists: Vec::new(),
+        }
+    }
+}
+
+impl Exec for ListSink {
+    fn is_gpu(&self) -> bool {
+        true
+    }
+
+    fn submit(&mut self, launches: impl FnOnce() -> Vec<KernelCost>) -> bool {
+        self.lists.push(launches());
+        self.computes
+    }
+}
+
+/// The backend contract: each `assemble_sc` call hands the sink exactly one
+/// list, the plan's launches at the working precision; a sink that answers
+/// `false` gets the untouched `m × m` zero square, and `run_trsm_variant`
+/// leaves its `y` untouched.
+#[test]
+fn a_foreign_backend_takes_one_launch_list_per_call() {
+    let fx = fixture(3, 4);
+    let l = fx.factors.chol.factor_csc();
+    let bt = &fx.factors.bt_perm;
+    let (l32, bt32) = (l.cast::<f32>(), bt.cast::<f32>());
+    let m = bt.ncols();
+    for cfg in [
+        ScConfig::Auto,
+        ScConfig::optimized(true, true),
+        ScConfig::original(FactorStorage::Sparse),
+    ] {
+        let params = cfg.resolve(true, &l, bt);
+        let plan = AssemblyPlan::new(&l, bt, &params);
+        let host = ScConfig::Fixed(params);
+
+        let mut sink = ListSink::new(true);
+        let f = assemble_sc(&mut sink, &l, bt, &cfg);
+        assert_eq!(f, assemble_sc(&mut CpuExec, &l, bt, &host), "{cfg:?}");
+        let f32 = assemble_sc(&mut sink, &l32, &bt32, &cfg);
+        assert_eq!(f32, assemble_sc(&mut CpuExec, &l32, &bt32, &host));
+        let want = [plan.launches::<f64>(), plan.launches::<f32>()];
+        assert_eq!(sink.lists, want, "{cfg:?}");
+
+        let mut cost_only = ListSink::new(false);
+        assert_eq!(assemble_sc(&mut cost_only, &l, bt, &cfg), Mat::zeros(m, m));
+        assert_eq!(cost_only.lists, want[..1], "{cfg:?}");
+
+        let stepped = SteppedRhs::new(bt);
+        let (storage, trsm) = (params.factor_storage, params.trsm);
+        let y0 = stepped.to_dense();
+        let mut y = y0.clone();
+        run_trsm_variant(&mut cost_only, &l, &stepped, storage, trsm, &mut y);
+        assert_eq!(y, y0, "{cfg:?}: cost-only TRSM wrote");
+        assert_eq!(cost_only.lists.len(), 2, "{cfg:?}: one TRSM list");
+        run_trsm_variant(&mut sink, &l, &stepped, storage, trsm, &mut y);
+        assert_ne!(y, y0, "{cfg:?}: a computing sink solves");
+        assert_eq!(sink.lists[2], cost_only.lists[1], "{cfg:?}");
     }
 }
