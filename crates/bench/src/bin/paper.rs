@@ -496,9 +496,10 @@ fn fig8(args: &BenchArgs, device: &Arc<Device>) {
             // `sep` on either target is one `AssemblySession` over the
             // prebuilt factors; the GPU ones run the paper's blind
             // round-robin schedule
-            let items: Vec<_> = factors.iter().map(SubdomainFactors::batch_item).collect();
             let assemble = |backend: Backend, cfg: ScConfig| {
-                AssemblySession::new(backend, cfg).assemble(&items).report
+                AssemblySession::new(backend, cfg)
+                    .assemble(factors.as_slice())
+                    .report
             };
             let cpu_sep = |cfg: ScConfig| assemble(Backend::cpu(), cfg).total_seconds;
             // the per-subdomain assembly behind each factorization: mix − sep

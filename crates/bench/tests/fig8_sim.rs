@@ -35,12 +35,11 @@ fn optimized_sep_gpu_section_never_loses_at_fig8_sizes() {
             let build =
                 |sd| SubdomainFactors::build(sd, Engine::Simplicial, Ordering::NestedDissection);
             let factors: Vec<SubdomainFactors> = problem.subdomains.iter().map(build).collect();
-            let items: Vec<_> = factors.iter().map(SubdomainFactors::batch_item).collect();
             let makespan = |cfg: ScConfig| {
                 device.reset();
                 let backend = Backend::gpu_with(device.clone(), sep.clone());
                 AssemblySession::new(backend, cfg)
-                    .assemble(&items)
+                    .assemble(factors.as_slice())
                     .report
                     .makespan
             };

@@ -9,12 +9,12 @@
 //!
 //! in two phases: an [`AssemblyPlan`] from the patterns (with the stepped
 //! permutation on, `L` restricted to the [`RowClosure`](sc_sparse::RowClosure)
-//! of `B̃ᵀ`'s rows, outside which `L⁻¹B̃ᵀ` is 0: the same value, from the
-//! same one walk, that the implicit operator's sweeps visit), then its
-//! numeric phase, which reads `L` in place and returns the packed lower
-//! triangle. [`assemble_sc`] is both phases plus the expansion of the
-//! triangle to the full square, with the plan's launch list submitted to
-//! the backend once in between.
+//! of `B̃ᵀ`'s rows, outside which `L⁻¹B̃ᵀ` is 0: the value the
+//! [`AssemblyShape`](crate::AssemblyShape) holds, which the implicit
+//! operator's sweeps visit too), then its numeric phase, which reads `L` in
+//! place and returns the packed lower triangle. [`assemble_sc`] is both
+//! phases plus the expansion of the triangle to the full square, with the
+//! plan's launch list submitted to the backend once in between.
 
 use crate::exec::Exec;
 use crate::plan::{AssemblyPlan, FactorStorage, SyrkVariant, TrsmVariant};
@@ -207,12 +207,13 @@ pub fn assemble_sc_reference(
 mod tests {
     use super::*;
     use crate::exec::{CpuExec, GpuExec, RecordingExec};
+    use crate::plan::AssemblyShape;
     use crate::tune::BlockParam;
     use sc_dense::Mat;
     use sc_factor::{CholOptions, Engine, SparseCholesky};
     use sc_gpu::{Device, DeviceSpec, GpuKernels, KernelCost};
     use sc_order::Ordering;
-    use sc_sparse::{Coo, Csc, RowClosure};
+    use sc_sparse::{Coo, Csc};
 
     /// SPD matrix: 2D Laplacian + shift.
     fn spd_matrix(nx: usize) -> Csc {
@@ -494,8 +495,13 @@ mod tests {
         );
         // the stepped configuration solves on the closure, read in place:
         // no compaction launch comes first
-        let closure = RowClosure::of(&l, bt_perm.row_idx());
-        let nnz_c: usize = closure.cols().iter().map(|&j| l.col(j).0.len()).sum();
+        let shape = AssemblyShape::of(&l, &bt_perm);
+        let nnz_c: usize = shape
+            .closure()
+            .cols()
+            .iter()
+            .map(|&j| l.col(j).0.len())
+            .sum();
         assert!(nnz_c < l.nnz());
         assert_eq!(
             costs(ScConfig::Fixed(plain_stepped(FactorStorage::Sparse)))[..2],
@@ -510,7 +516,9 @@ mod tests {
     /// (`m = 0`) and a 1-DOF subdomain, under every swept configuration and
     /// the original one in both storages, [`AssemblyPlan::launches`] is
     /// exactly what `RecordingExec` records for `assemble_sc`, at `f64` and
-    /// at `f32`.
+    /// at `f32`. One [`AssemblyShape`] per subdomain, cut under each of
+    /// those configurations at either precision, launches and assembles
+    /// exactly what [`AssemblyPlan::new`] does.
     #[test]
     fn the_plan_prices_exactly_what_the_assembly_launches() {
         let (l_edge, bt_edge, _) = edge_gluing(12);
@@ -539,8 +547,23 @@ mod tests {
         params.extend([FactorStorage::Sparse, FactorStorage::Dense].map(ScParams::original));
         for (l, bt) in &subdomains {
             let (l32, bt32) = (l.cast::<f32>(), bt.cast::<f32>());
+            let shape = AssemblyShape::of(l, bt);
             for p in &params {
                 let plan = AssemblyPlan::new(l, bt, p);
+                let cut = AssemblyPlan::cut(&shape, l, p);
+                assert_eq!(cut.launches::<f64>(), plan.launches::<f64>(), "{p:?}");
+                assert_eq!(cut.assemble(l, bt), plan.assemble(l, bt), "{p:?}");
+                let (plan32, cut32) = (
+                    AssemblyPlan::new(&l32, &bt32, p),
+                    AssemblyPlan::cut(&shape, &l32, p),
+                );
+                assert_eq!(
+                    cut32.launches::<f32>(),
+                    plan32.launches::<f32>(),
+                    "f32 {p:?}"
+                );
+                let f32 = plan32.assemble(&l32, &bt32);
+                assert_eq!(cut32.assemble(&l32, &bt32), f32, "f32 {p:?}");
                 let mut rec = RecordingExec::new();
                 assemble_sc(&mut rec, l, bt, &ScConfig::Fixed(*p));
                 let want = rec.into_costs();

@@ -3,56 +3,38 @@
 //! The paper's production setting (like its CUDA predecessor, arXiv:2502.08382)
 //! assembles the dense local dual operators `F̃ᵢ` of **hundreds of subdomains
 //! per cluster**, one OpenMP thread per subdomain. This module is that loop:
-//! the drivers fan the per-subdomain plan-then-assemble pipelines out over
-//! rayon and record per-subdomain timings for load-balance diagnostics.
-//! Both run one per-subdomain body and share no state between subdomains:
-//! each task computes its own block cuts, a pure function of the
-//! [`BlockParam`](crate::tune::BlockParam) and its closure order.
-//!
-//! The public entry point is
-//! [`AssemblySession::assemble`](crate::session::AssemblySession::assemble), which
-//! dispatches on a [`Backend`](crate::Backend) value onto the two
-//! crate-private drivers here. Both take any [`BatchSource`] and fill the
-//! one [`AssemblyReport`] schema directly.
-//!
-//! Execution targets:
+//! two crate-private drivers behind
+//! [`AssemblySession::assemble`](crate::session::AssemblySession::assemble),
+//! each over any [`BatchSource`], filling the one [`AssemblyReport`]. Both
+//! run one per-subdomain body that shares no state between subdomains: it
+//! resolves the configuration, asks the source once for the subdomain's
+//! [`AssemblyShape`](crate::AssemblyShape), cuts it into the
+//! [`AssemblyPlan`] and runs the plan's numeric phase.
 //!
 //! - **CPU** (`batch_cpu`) — one rayon task per subdomain;
 //! - **every device target** (`batch_devices`) — one GPU and a device pool
-//!   are the same pass over a [`Topology::Pool`] (pool → device → lane; one
-//!   GPU is a one-device pool). **Record once**: numerics run host-parallel
-//!   (bitwise the CPU path) and every subdomain's kernel sequence is kept,
-//!   built around the plan's [`launches`](AssemblyPlan::launches). **Plan
-//!   once**: [`plan_topology_by`] places the whole batch — cost-aware LPT
-//!   across devices with per-device arena admissibility, then the
-//!   paper-§4.4 stream assignment per device (LPT
-//!   onto the least-loaded stream;
-//!   [`StreamPolicy::RoundRobin`](crate::schedule::StreamPolicy::RoundRobin)
-//!   keeps the paper's blind 16-stream index-order submission as the
-//!   comparison baseline) — with one pricing closure at both levels: the
-//!   recorded kernel sequence under each device's own
+//!   are the same pass over a [`Topology::Pool`] (one GPU is a one-device
+//!   pool). **Record once**: the numerics run host-parallel (bitwise the
+//!   CPU path), and each subdomain's kernel sequence is the uploads, the
+//!   plan's [`launches`](AssemblyPlan::launches) and the download. **Plan
+//!   once**: [`plan_topology_by`] places the whole batch (cost-aware LPT
+//!   across devices under per-device arena admissibility, then the paper's
+//!   §4.4 stream assignment per device, or the blind round-robin baseline),
+//!   pricing both levels with the recorded kernels under each device's own
 //!   [`DeviceSpec::kernel_seconds`](sc_gpu::DeviceSpec::kernel_seconds).
-//!   **Replay**: each device executes exactly the lane assignment the
-//!   plan holds, kernel by kernel in stream-clock order, admitting every
-//!   subdomain against the device's temporary arena ("wait") and honouring
-//!   host readiness ("mix") — a deterministic simulated timeline,
-//!   reproducible run to run. A subdomain that fits no device arena aborts
-//!   the batch: routing it elsewhere is the hybrid planner's decision
-//!   ([`plan_hybrid`](crate::plan_hybrid)), made before the batch is built.
+//!   **Replay**: each device executes the lanes the plan holds, kernel by
+//!   kernel in stream-clock order, admitting every subdomain against its
+//!   temporary arena ("wait") and honouring host readiness ("mix"): a
+//!   deterministic simulated timeline. A subdomain that fits no device
+//!   arena aborts the batch; routing it elsewhere is the hybrid planner's
+//!   decision ([`plan_hybrid`](crate::plan_hybrid)).
 //!
-//! Results, each `F̃ᵢ`'s packed lower triangle, are **identical** to
-//! running [`AssemblyPlan::assemble`] per subdomain
-//! sequentially: every subdomain's pipeline is independent (dedicated tests
-//! assert bitwise equality for every target).
-//!
-//! ## The report
-//!
-//! Both drivers give each subdomain one [`SubdomainTiming`] row. Its
-//! `host_seconds` is host wall time on every target; its `placement` is
-//! `None` on the CPU driver and, on the device targets, the replayed
-//! [`ScheduledSpan`] (device, stream, arena admission, simulated span) —
-//! the only place a placement is stated. The device sections keep only
-//! their roll-ups, and the device makespan lives in
+//! Each `F̃ᵢ`'s packed lower triangle is **identical** to running
+//! [`AssemblyPlan::assemble`] per subdomain sequentially (tests assert it
+//! bitwise for every target). Each subdomain has one [`SubdomainTiming`]
+//! row: host wall seconds on every target and, on a device target, the
+//! replayed [`ScheduledSpan`], the only place a placement is stated; the
+//! device sections keep their roll-ups, the makespan is
 //! [`AssemblyReport::makespan`].
 
 use crate::assemble::{ScConfig, ScParams};
@@ -84,17 +66,19 @@ pub struct BatchItemOf<'a, S: Scalar = f64> {
 pub type BatchItem<'a> = BatchItemOf<'a, f64>;
 
 /// The per-subdomain body of both drivers: `cfg` resolved on the platform
-/// (`gpu`), the plan, its numeric phase (the packed `F̃ᵢ`), and the host
-/// seconds of all three.
-fn assemble_one<S: Scalar>(
-    l: &CscOf<S>,
-    bt: &CscOf<S>,
+/// (`gpu`), the source's shape of subdomain `i` cut into its plan, the
+/// plan's numeric phase (the packed `F̃ᵢ`), and the host seconds of all
+/// three.
+fn assemble_one<S: Scalar, Src: BatchSource<S>>(
+    src: &Src,
+    i: usize,
     cfg: &ScConfig,
     gpu: bool,
 ) -> (ScParams, AssemblyPlan, SymPackedOf<S>, f64) {
     let t = Instant::now();
+    let (l, bt) = (src.factor(i), src.gluing(i));
     let params = cfg.resolve(gpu, l, bt);
-    let plan = AssemblyPlan::new(l, bt, &params);
+    let plan = AssemblyPlan::cut(&src.shape(i), l, &params);
     let f = plan.assemble(l, bt);
     (params, plan, f, t.elapsed().as_secs_f64())
 }
@@ -109,7 +93,7 @@ pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
     let assembled: Vec<(SymPackedOf<S>, SubdomainTiming)> = (0..src.len())
         .into_par_iter()
         .map(|i| {
-            let (.., f, host_seconds) = assemble_one(src.factor(i), src.gluing(i), cfg, false);
+            let (.., f, host_seconds) = assemble_one(&src, i, cfg, false);
             let timing = SubdomainTiming {
                 index: i,
                 host_seconds,
@@ -239,8 +223,8 @@ fn record_batch<S: Scalar, Src: BatchSource<S>>(
     (0..src.len())
         .into_par_iter()
         .map(|i| {
+            let (params, plan, f, host_seconds) = assemble_one(src, i, cfg, true);
             let (l, bt) = (src.factor(i), src.gluing(i));
-            let (params, plan, f, host_seconds) = assemble_one(l, bt, cfg, true);
             let upload = |nnz| (KernelCost::csc_transfer_of::<S>(nnz), SlotAccess::write());
             let launches = plan.launches::<S>().into_iter();
             let kernels = [upload(l.nnz()), upload(bt.nnz())]
@@ -503,7 +487,7 @@ mod tests {
 
     /// One subdomain's packed `F̃ᵢ` through the drivers' body, on its own.
     fn sequential(l: &Csc, bt: &Csc, cfg: &ScConfig, gpu: bool) -> SymPackedOf<f64> {
-        assemble_one(l, bt, cfg, gpu).2
+        assemble_one(&[BatchItem { l, bt }].as_slice(), 0, cfg, gpu).2
     }
 
     /// The one driver over a target's devices.

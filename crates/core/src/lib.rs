@@ -1,8 +1,9 @@
 //! The paper's primary contribution: **sparsity-utilizing explicit Schur
 //! complement assembly** (`F̃ = (L⁻¹B̃ᵀ)ᵀ(L⁻¹B̃ᵀ)`, Eq. 14).
 //!
-//! Pipeline (paper §3), as one [`plan::AssemblyPlan`] per subdomain: a
-//! pattern phase, then a numeric phase that reads `L` in place.
+//! Pipeline (paper §3), as one [`plan::AssemblyShape`] per subdomain, cut
+//! into one [`plan::AssemblyPlan`] per configuration, then a numeric phase
+//! that reads `L` in place.
 //!
 //! 1. [`stepped`] — permute the *columns* of `B̃ᵀ` so that column pivots
 //!    descend left to right (the **stepped shape**). Rows are never permuted:
@@ -38,8 +39,8 @@ pub use batch::{BatchItem, BatchItemOf};
 pub use exec::{CpuExec, Exec, GpuExec, RecordingExec};
 pub use hybrid::{plan_hybrid, Formulation, HybridChoice, HybridPlan, HybridPlanOptions};
 pub use plan::{
-    run_syrk as run_syrk_variant, run_trsm as run_trsm_variant, AssemblyPlan, FactorStorage,
-    SyrkVariant, TrsmVariant,
+    run_syrk as run_syrk_variant, run_trsm as run_trsm_variant, AssemblyPlan, AssemblyShape,
+    FactorStorage, SyrkVariant, TrsmVariant,
 };
 pub use sc_gpu::ArenaSim;
 pub use schedule::{
@@ -52,7 +53,7 @@ pub use session::{
     ScheduledSpan, SubdomainTiming, Target,
 };
 pub use sessioncache::{ContentHasher, SessionCache, SessionCacheStats};
-pub use source::BatchSource;
+pub use source::{BatchEntry, BatchSource};
 pub use stepped::{SteppedRhs, SteppedRhsOf};
 
 pub use tune::BlockParam;

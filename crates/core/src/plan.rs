@@ -1,14 +1,17 @@
-//! The explicit assembly (paper §3) as a pattern phase and a numeric phase.
+//! The explicit assembly (paper §3) as a shape, a cut and a numeric phase.
 //!
-//! An [`AssemblyPlan`] is everything the assembly of one subdomain's `F̃`
-//! knows before it reads a value, built from `(pattern(L), pattern(B̃ᵀ),
-//! ScParams)`: the [`RowClosure`] of `B̃ᵀ`'s rows (outside which `L⁻¹B̃ᵀ`
-//! is 0) as column offsets into `L` plus a row renumbering; the stepped
-//! permutation of `B̃ᵀ`'s columns, whose pivots set each TRSM block's
-//! width, split offsets and live rows and the SYRK cuts; and the launch
-//! list. [`AssemblyPlan::launches`] prices that list without allocating
-//! anything: it is what every backend consumes ([`Exec::submit`]), and the
-//! numeric phase runs only when the backend computes.
+//! An [`AssemblyShape`] is what the assembly of one subdomain's `F̃` knows
+//! from `(pattern(L), pattern(B̃ᵀ))` alone: the [`RowClosure`] of `B̃ᵀ`'s rows
+//! (outside which `L⁻¹B̃ᵀ` is 0) as column offsets into `L` plus a row
+//! renumbering, and the stepped permutation of `B̃ᵀ`'s columns with its
+//! pivots. It takes no parameter, so it is built once per subdomain, beside
+//! the factor (the FETI bundles keep theirs), and serves every precision.
+//! [`AssemblyPlan::cut`] turns it into an [`AssemblyPlan`] for one resolved
+//! [`ScParams`]: the pivots set each TRSM block's width, split offsets and
+//! live rows and the SYRK cuts, and so the launch list.
+//! [`AssemblyPlan::launches`] prices that list without allocating anything:
+//! it is what every backend consumes ([`Exec::submit`]), and the numeric
+//! phase runs only when the backend computes.
 //!
 //! The TRSM solves `L Y = B̃ᵀ` in place on the dense stepped `Y`. The
 //! baseline ([`TrsmVariant::Plain`]) is the original algorithm of \[9\]: one
@@ -27,16 +30,17 @@
 //! [`CscView`]s: every stored row of a kept column is kept, so each column
 //! of the closure's factor `L_c` is a contiguous slice of `L`. It drops `Y`
 //! after the SYRK and writes the packed lower triangle of `F̃` in the
-//! original multiplier order straight from the SYRK output. The plan holds no value and no row index of `L`,
-//! so one plan serves every precision of a factor with its pattern.
+//! original multiplier order straight from the SYRK output. Neither the
+//! shape nor the plan holds a value or a row index of `L`, so one of each
+//! serves every precision of a factor with its pattern.
 
 use crate::assemble::ScParams;
 use crate::exec::Exec;
-use crate::stepped::SteppedRhsOf;
+use crate::stepped::{stepped_order, SteppedRhsOf};
 use crate::tune::{resolve_block, BlockParam};
 use sc_dense::{MatOf, Scalar, SymPackedOf, Trans};
 use sc_gpu::KernelCost;
-use sc_sparse::{CscOf, CscView, Perm, RowClosure};
+use sc_sparse::{pattern, CscOf, CscView, Perm, RowClosure};
 
 /// Storage format for the triangular factor inside TRSM kernels
 /// ("factor storage" in the paper's §3.1).
@@ -163,7 +167,69 @@ impl SyrkPlan {
     }
 }
 
-/// The pattern phase of one subdomain's explicit assembly (module docs).
+/// The parameter-free pattern data of one subdomain's explicit assembly
+/// (module docs).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AssemblyShape {
+    /// Stored entries of `L` and of `B̃ᵀ`.
+    nnz_l: usize,
+    nnz_bt: usize,
+    closure: RowClosure,
+    /// Closure column `c` is `L`'s entries `begin[c]..end[c]`.
+    begin: Vec<usize>,
+    end: Vec<usize>,
+    /// `L` row → closure row; `None` when the closure is all of `L`.
+    renumber: Option<Vec<usize>>,
+    /// Column `j`'s first row, an `L` row (`n` when the column is empty).
+    raw: Vec<usize>,
+    /// Stepped column `s` is column `order.old_of_new(s)`, whose pivot is
+    /// closure row `pivots[s]` (the closure's order when empty).
+    order: Perm,
+    pivots: Vec<usize>,
+}
+
+impl AssemblyShape {
+    /// The shape of `l` (CSC, diagonal first, fill-reducing order) and `bt`
+    /// (rows already in `l`'s order). Reads no values.
+    pub fn of<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>) -> Self {
+        let (n, col_ptr) = (l.ncols(), l.col_ptr());
+        assert_eq!(bt.nrows(), n, "B̃ᵀ rows must live in factor space");
+        let closure = RowClosure::of(l, bt.row_idx());
+        let cols = closure.cols();
+        let renumber = (cols.len() < n).then(|| {
+            let mut renumber = vec![usize::MAX; n];
+            cols.iter().enumerate().for_each(|(c, &j)| renumber[j] = c);
+            renumber
+        });
+        let raw = pattern::pivots_or_end(bt);
+        let (order, sorted) = stepped_order(&raw);
+        let row = |i: usize| match &renumber {
+            _ if i == n => cols.len(),
+            Some(renumber) => renumber[i],
+            None => i,
+        };
+        AssemblyShape {
+            nnz_l: l.nnz(),
+            nnz_bt: bt.nnz(),
+            begin: cols.iter().map(|&j| col_ptr[j]).collect(),
+            end: cols.iter().map(|&j| col_ptr[j + 1]).collect(),
+            pivots: sorted.into_iter().map(row).collect(),
+            closure,
+            renumber,
+            raw,
+            order,
+        }
+    }
+
+    /// The closure of `B̃ᵀ`'s rows in `L`: the columns the stepped assembly
+    /// solves with, and those Eq. 11's sweeps visit.
+    pub fn closure(&self) -> &RowClosure {
+        &self.closure
+    }
+}
+
+/// One subdomain's explicit assembly under one resolved [`ScParams`]: its
+/// [`AssemblyShape`] cut into TRSM blocks and SYRK cuts (module docs).
 #[derive(Clone, Debug)]
 pub struct AssemblyPlan {
     /// Order and stored entries of the `L` planned for, columns and stored
@@ -189,61 +255,53 @@ pub struct AssemblyPlan {
 
 impl AssemblyPlan {
     /// Plan the assembly of `F̃ = (L⁻¹B̃ᵀ)ᵀ(L⁻¹B̃ᵀ)` from the patterns of
-    /// `l` (CSC, diagonal first, fill-reducing order) and `bt` (rows
-    /// already in `l`'s order) under `params`. Reads no values.
+    /// `l` and `bt` under `params`: the [`cut`](Self::cut) of their fresh
+    /// [`AssemblyShape`].
+    pub fn new<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>, params: &ScParams) -> Self {
+        Self::cut(&AssemblyShape::of(l, bt), l, params)
+    }
+
+    /// The plan of `shape` under `params`. `l` must have the pattern the
+    /// shape was taken from; only its row indices are read.
     ///
-    /// With the stepped permutation on, the plan works on the closure of
-    /// `bt`'s rows. Without it the pivots may be unsorted; the splitting
+    /// With the stepped permutation on, the plan works on the shape's
+    /// closure. Without it the pivots may be unsorted; the splitting
     /// kernels need sorted ones, so such a plan falls back to the plain
     /// variants (what the original algorithm does anyway).
-    pub fn new<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>, params: &ScParams) -> Self {
-        let (n, m, col_ptr) = (l.ncols(), bt.ncols(), l.col_ptr());
-        assert_eq!(bt.nrows(), n, "B̃ᵀ rows must live in factor space");
-        let closure = params
-            .stepped_permutation
-            .then(|| RowClosure::of(l, bt.row_idx()))
-            .filter(|c| c.cols().len() < n);
-        let cols: Vec<usize> = closure
-            .as_ref()
-            .map_or((0..n).collect(), |c| c.cols().to_vec());
-        let renumber = closure.map(|_| {
-            let mut renumber = vec![usize::MAX; n];
-            cols.iter().enumerate().for_each(|(c, &j)| renumber[j] = c);
-            renumber
-        });
-        let row = |i: usize| renumber.as_ref().map_or(i, |r| r[i]);
-        let rows = cols.len();
-        // an empty column pivots at the closure's order
-        let raw: Vec<usize> = (0..m)
-            .map(|j| bt.col(j).0.first().map_or(rows, |&i| row(i)))
-            .collect();
-        let mut order: Vec<usize> = (0..m).collect();
-        if params.stepped_permutation {
-            order.sort_by_key(|&j| raw[j]); // stable: ties keep their order
-        }
-        let pivots: Vec<usize> = order.iter().map(|&j| raw[j]).collect();
+    pub fn cut<S: Scalar>(shape: &AssemblyShape, l: &CscOf<S>, params: &ScParams) -> Self {
+        let (s, n, m, col_ptr) = (shape, l.ncols(), shape.raw.len(), l.col_ptr());
+        assert_eq!((n, l.nnz()), (s.closure.n(), s.nnz_l), "another pattern");
+        let (renumber, order, pivots) = if params.stepped_permutation {
+            (s.renumber.clone(), s.order.clone(), &s.pivots)
+        } else {
+            (None, Perm::identity(m), &s.raw)
+        };
+        // without a renumbering the closure is all of `L`
+        let (begin, end) = match renumber {
+            Some(_) => (s.begin.clone(), s.end.clone()),
+            None => (col_ptr[..n].to_vec(), col_ptr[1..].to_vec()),
+        };
         let (trsm, syrk) = if pivots.is_sorted() {
             (params.trsm, params.syrk)
         } else {
             (TrsmVariant::Plain, SyrkVariant::Plain)
         };
-        let end: Vec<usize> = cols.iter().map(|&j| col_ptr[j + 1]).collect();
         let mut plan = AssemblyPlan {
             n,
-            nnz_l: l.nnz(),
+            nnz_l: s.nnz_l,
             m,
-            nnz_bt: bt.nnz(),
-            begin: cols.iter().map(|&j| col_ptr[j]).collect(),
+            nnz_bt: s.nnz_bt,
+            syrk: SyrkPlan::new(pivots, begin.len(), m, syrk),
+            begin,
             split: end.clone(),
             end,
             renumber,
-            order: Perm::from_old_of_new(order),
+            order,
             storage: params.factor_storage,
             blocks: Vec::new(),
             trsm: Vec::new(),
-            syrk: SyrkPlan::new(&pivots, rows, m, syrk),
         };
-        plan.push_trsm(l, &pivots, trsm);
+        plan.push_trsm(l, pivots, trsm);
         plan
     }
 

@@ -32,6 +32,7 @@
 
 use crate::assemble::ScParams;
 use crate::plan::{FactorStorage, TrsmVariant};
+use crate::stepped::stepped_order;
 use sc_dense::Scalar;
 use sc_gpu::{DeviceSpec, KernelCost};
 use sc_sparse::{pattern, CscOf};
@@ -135,7 +136,8 @@ pub struct CostEstimate {
     /// H2D bytes for the factor and gluing block.
     pub transfer_bytes: f64,
     /// Peak temporary-arena footprint, an upper bound on the full `n`: the
-    /// dense `Y` (`8 n m` bytes) plus densified factor blocks when the TRSM densifies.
+    /// dense `Y` (`S::BYTES · n · m` bytes) plus densified factor blocks when
+    /// the TRSM densifies. Every term is `S::BYTES` times a pattern count.
     pub temp_bytes: usize,
     /// Single-stream device-seconds estimate under `spec` (compute at peak
     /// FP64 plus the PCIe transfer) — the LPT ordering key.
@@ -159,10 +161,8 @@ pub fn estimate_cost<S: Scalar>(
     let eb = S::BYTES;
     let n = l.ncols();
     let m = bt.ncols();
-    // sorted pivots — the stepped pattern the kernels will actually see
-    // (identical to SteppedRhs::new's, without building the permuted matrix)
-    let mut pivots = pattern::pivots_or_end(bt);
-    pivots.sort_unstable();
+    // sorted pivots: the stepped pattern the kernels will actually see
+    let (_, pivots) = stepped_order(&pattern::pivots_or_end(bt));
 
     let mut trsm_flops = 0.0;
     let mut syrk_flops = 0.0;
@@ -700,28 +700,47 @@ pub(crate) mod tests {
         use crate::assemble::ScParams;
         use crate::plan::SyrkVariant;
         use crate::plan::{FactorStorage, TrsmVariant};
+        use crate::tune::BlockParam;
         let l = diag_factor(64);
         let bt = bt_with_pivots(64, &[0, 5, 10, 40]);
-        // dense factor storage: the arena holds matrix values only, so the
-        // exact-halving claim is precision arithmetic, not layout luck
-        let params = ScParams {
-            trsm: TrsmVariant::Plain,
-            syrk: SyrkVariant::Plain,
-            factor_storage: FactorStorage::Dense,
-            stepped_permutation: true,
-        };
-        let spec = DeviceSpec::a100();
-        let e64 = estimate_cost::<f64>(&spec, &l, &bt, &params, 0);
-        let e32 = estimate_cost::<f32>(&spec, &l.cast::<f32>(), &bt.cast::<f32>(), &params, 0);
-        // H2D: index traffic stays 8 bytes per entry, values drop 8 → 4
-        let nnz = (l.nnz() + bt.nnz()) as f64;
-        assert_eq!(e64.transfer_bytes, 16.0 * nnz);
-        assert_eq!(e32.transfer_bytes, 12.0 * nnz);
-        // arena footprint halves exactly
-        assert_eq!(e32.temp_bytes * 2, e64.temp_bytes);
-        // FLOP terms are precision-independent
-        assert_eq!(e32.trsm_flops, e64.trsm_flops);
-        assert_eq!(e32.syrk_flops, e64.syrk_flops);
+        let (y64, m) = (8 * 64 * 4, 4);
+        // the plain dense solve densifies all of `L`; the pruned factor split
+        // on sparse storage gathers dense panels and a compacted GEMM output:
+        // the arena holds matrix values only, so the exact halving (which
+        // `sc_serve`'s dispatch check relies on) is precision arithmetic, not
+        // layout luck
+        let cases = [
+            (TrsmVariant::Plain, FactorStorage::Dense, 8 * 64 * 64),
+            (
+                TrsmVariant::FactorSplit {
+                    block: BlockParam::Size(16),
+                    prune: true,
+                },
+                FactorStorage::Sparse,
+                8 * 64 * 16 + 8 * 64 * m,
+            ),
+        ];
+        for (trsm, factor_storage, factor_bytes) in cases {
+            let params = ScParams {
+                trsm,
+                syrk: SyrkVariant::Plain,
+                factor_storage,
+                stepped_permutation: true,
+            };
+            let spec = DeviceSpec::a100();
+            let e64 = estimate_cost::<f64>(&spec, &l, &bt, &params, 0);
+            let e32 = estimate_cost::<f32>(&spec, &l.cast::<f32>(), &bt.cast::<f32>(), &params, 0);
+            assert_eq!(e64.temp_bytes, y64 + factor_bytes, "{params:?}");
+            // H2D: index traffic stays 8 bytes per entry, values drop 8 → 4
+            let nnz = (l.nnz() + bt.nnz()) as f64;
+            assert_eq!(e64.transfer_bytes, 16.0 * nnz);
+            assert_eq!(e32.transfer_bytes, 12.0 * nnz);
+            // arena footprint halves exactly
+            assert_eq!(e32.temp_bytes * 2, e64.temp_bytes, "{params:?}");
+            // FLOP terms are precision-independent
+            assert_eq!(e32.trsm_flops, e64.trsm_flops);
+            assert_eq!(e32.syrk_flops, e64.syrk_flops);
+        }
     }
 
     #[test]

@@ -51,11 +51,13 @@
 use crate::assemble::ScConfig;
 use crate::batch::{batch_cpu, batch_devices};
 use crate::hybrid::HybridPlan;
+use crate::plan::AssemblyShape;
 use crate::schedule::ScheduleOptions;
-use crate::source::BatchSource;
+use crate::source::{BatchEntry, BatchSource};
 use sc_dense::{Scalar, SymPackedOf};
 use sc_gpu::{Device, DevicePool, SimSpan};
 use sc_sparse::CscOf;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Working precision of the assembly/solve numerics.
@@ -353,8 +355,8 @@ impl AssemblySession {
                 AssemblyResult { f, report }
             }
             p @ Precision::F32Refined { .. } => {
-                let demoted: Vec<(CscOf<f32>, CscOf<f32>)> = (0..src.len())
-                    .map(|i| (src.factor(i).cast::<f32>(), src.gluing(i).cast::<f32>()))
+                let demoted: Vec<Demoted> = (0..src.len())
+                    .map(|i| Demoted(src.factor(i).cast(), src.gluing(i).cast(), src.shape(i)))
                     .collect();
                 let (f, mut report) = dispatch(&self.backend.target, &self.cfg, &demoted);
                 report.precision = p;
@@ -364,6 +366,24 @@ impl AssemblySession {
                 }
             }
         }
+    }
+}
+
+/// One subdomain of an `f64` source demoted to `f32`: the cast pair with
+/// the source's own shape, which `cast` keeps valid by keeping the patterns.
+struct Demoted<'a>(CscOf<f32>, CscOf<f32>, Cow<'a, AssemblyShape>);
+
+impl BatchEntry<f32> for Demoted<'_> {
+    fn factor(&self) -> &CscOf<f32> {
+        &self.0
+    }
+
+    fn gluing(&self) -> &CscOf<f32> {
+        &self.1
+    }
+
+    fn shape(&self) -> Cow<'_, AssemblyShape> {
+        Cow::Borrowed(&self.2)
     }
 }
 
@@ -506,6 +526,7 @@ mod tests {
     use sc_factor::{CholOptions, SparseCholesky};
     use sc_gpu::DeviceSpec;
     use sc_sparse::{Coo, Csc};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn workload(nsub: usize, nx: usize, m: usize) -> Vec<(Csc, Csc)> {
         (0..nsub)
@@ -613,6 +634,62 @@ mod tests {
             Some(4),
             "replay traces must carry the f32 element width"
         );
+    }
+
+    /// `(L, B̃ᵀ)` pairs as a source that counts the shape requests of each
+    /// subdomain.
+    struct Counting<'a> {
+        pairs: &'a [(Csc, Csc)],
+        asked: Vec<AtomicUsize>,
+    }
+
+    impl BatchSource for Counting<'_> {
+        fn len(&self) -> usize {
+            self.pairs.len()
+        }
+
+        fn factor(&self, i: usize) -> &Csc {
+            &self.pairs[i].0
+        }
+
+        fn gluing(&self, i: usize) -> &Csc {
+            &self.pairs[i].1
+        }
+
+        fn shape(&self, i: usize) -> Cow<'_, AssemblyShape> {
+            self.asked[i].fetch_add(1, Ordering::Relaxed);
+            Cow::Owned(AssemblyShape::of(self.factor(i), self.gluing(i)))
+        }
+    }
+
+    /// The CPU driver, the one-GPU driver, the pool driver and the `f32`
+    /// session path each ask a source for every subdomain's shape exactly
+    /// once, and assemble bitwise what they assemble from the bare pairs.
+    #[test]
+    fn every_driver_asks_for_each_shape_once() {
+        let data = workload(5, 6, 8);
+        let backends = [
+            Backend::cpu(),
+            Backend::gpu(Device::new(DeviceSpec::a100(), 2)),
+            Backend::cluster(DevicePool::uniform(DeviceSpec::a100(), 2, 2)),
+            Backend::cpu().precision(Precision::f32_refined()),
+        ];
+        for backend in backends {
+            let name = format!("{} {}", backend.name(), backend.precision.name());
+            let session = AssemblySession::new(backend, ScConfig::Auto);
+            let counting = Counting {
+                pairs: &data,
+                asked: data.iter().map(|_| AtomicUsize::new(0)).collect(),
+            };
+            let counted = session.assemble(&counting);
+            let asked: Vec<usize> = counting
+                .asked
+                .iter()
+                .map(|a| a.load(Ordering::Relaxed))
+                .collect();
+            assert_eq!(asked, vec![1; data.len()], "{name}");
+            assert_eq!(counted.f, session.assemble(data.as_slice()).f, "{name}");
+        }
     }
 
     #[test]

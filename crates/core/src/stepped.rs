@@ -7,9 +7,11 @@
 //! non-decreasing column pivots — the property every splitting kernel relies
 //! on.
 //!
-//! [`AssemblyPlan`](crate::AssemblyPlan) computes the same permutation from
-//! the pattern alone; [`SteppedRhsOf`] is the materialized form the
-//! kernel-level entry points ([`run_trsm_variant`](crate::run_trsm_variant),
+//! `stepped_order` is that sort, the only one: the
+//! [`AssemblyShape`](crate::AssemblyShape) keeps its result from the pattern
+//! alone, [`estimate_cost`](crate::estimate_cost) reads its pivots, and
+//! [`SteppedRhsOf`] is the materialized form the kernel-level entry points
+//! ([`run_trsm_variant`](crate::run_trsm_variant),
 //! [`run_syrk_variant`](crate::run_syrk_variant)) take.
 
 use sc_dense::{MatOf, Scalar};
@@ -37,12 +39,8 @@ impl<S: Scalar> SteppedRhsOf<S> {
     /// Build the stepped form of `bt` (`n × m`, rows already in the factor's
     /// permuted space).
     pub fn new(bt: &CscOf<S>) -> Self {
-        let raw_pivots = pattern::pivots_or_end(bt);
-        let mut order: Vec<usize> = (0..bt.ncols()).collect();
-        order.sort_by_key(|&j| raw_pivots[j]); // stable: preserves ties
-        let col_perm = Perm::from_old_of_new(order);
+        let (col_perm, pivots) = stepped_order(&pattern::pivots_or_end(bt));
         let stepped = bt.permute_cols(&col_perm);
-        let pivots = pattern::pivots_or_end(&stepped);
         debug_assert!(pattern::is_stepped(&stepped));
         SteppedRhsOf {
             bt: stepped,
@@ -72,6 +70,16 @@ impl<S: Scalar> SteppedRhsOf<S> {
     pub fn fill_ratio(&self) -> f64 {
         pattern::stepped_fill_ratio(&self.bt)
     }
+}
+
+/// The stepped permutation of columns with first rows `raw`: the stable
+/// sort by pivot (ties keep their order) as `old_of_new`, and the sorted
+/// pivots.
+pub(crate) fn stepped_order(raw: &[usize]) -> (Perm, Vec<usize>) {
+    let mut order: Vec<usize> = (0..raw.len()).collect();
+    order.sort_by_key(|&j| raw[j]);
+    let pivots = order.iter().map(|&j| raw[j]).collect();
+    (Perm::from_old_of_new(order), pivots)
 }
 
 #[cfg(test)]

@@ -7,14 +7,15 @@
 use crate::regularize::regularize_fixing_node;
 use rayon::prelude::*;
 use sc_core::{
-    estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
-    BatchItem, DeviceSlot, Formulation, HybridPlanOptions, ScConfig,
+    estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, AssemblyShape,
+    Backend, BatchEntry, DeviceSlot, Formulation, HybridPlanOptions, ScConfig,
 };
 use sc_dense::{Scalar, SymPackedOf};
 use sc_factor::{Analysis, Engine, SparseCholesky};
 use sc_fem::{HeatProblem, Subdomain};
 use sc_gpu::{DeviceSpec, KernelCost, Stream};
 use sc_sparse::{supernodal_lower_solve, supernodal_lower_t_solve, Csc, CscOf, SupernodeRuns};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// Hoisted gather/scatter index map of `B̃ᵢᵀ`, flattened column-major:
@@ -93,9 +94,11 @@ impl<S: Scalar> BoundaryMapOf<S> {
 }
 
 /// Per-subdomain factorization bundle: the regularized factor, `B̃ᵢᵀ`
-/// pre-permuted into factor row space, and what the implicit application
-/// reuses across PCPG iterations — the hoisted boundary index map and the
-/// part of the factor a boundary right-hand side can reach.
+/// pre-permuted into factor row space, the assembly's shape of the pair,
+/// and what the implicit application reuses across PCPG iterations — the
+/// hoisted boundary index map and the part of the factor a boundary
+/// right-hand side can reach. A slice of bundles is the explicit assembly's
+/// [`BatchSource`](sc_core::BatchSource), handing each bundle's shape over.
 pub struct SubdomainFactors {
     /// Factorized `K_reg`.
     pub chol: SparseCholesky,
@@ -104,10 +107,12 @@ pub struct SubdomainFactors {
     /// Gather/scatter map of `bt_perm`, hoisted out of the per-iteration
     /// apply path.
     pub map: BoundaryMap,
-    /// The factor's supernode runs restricted to the
-    /// [`RowClosure`](sc_sparse::RowClosure) of `bt_perm`'s rows, the closure
-    /// the explicit assembly solves on: Eq. 11 sweeps only these columns
-    /// (the sparsity of `B̃` again, on the implicit path).
+    /// The pattern data of the explicit assembly of `(L, bt_perm)`: the
+    /// closure of `bt_perm`'s rows and the stepped permutation.
+    pub shape: AssemblyShape,
+    /// The factor's supernode runs restricted to the shape's closure, the
+    /// one the explicit assembly solves on: Eq. 11 sweeps only these
+    /// columns (the sparsity of `B̃` again, on the implicit path).
     pub boundary_runs: SupernodeRuns,
 }
 
@@ -174,12 +179,13 @@ impl SubdomainFactors {
                 .expect("regularized subdomain matrix must be SPD");
             let bt_perm = sd.bt.permute_rows(chol.perm());
             let map = BoundaryMap::of(&bt_perm);
-            let closure = sc_sparse::RowClosure::of(chol.factor_csc_ref(), bt_perm.row_idx());
-            let boundary_runs = chol.supernode_runs().restricted_to(&closure);
+            let shape = AssemblyShape::of(chol.factor_csc_ref(), &bt_perm);
+            let boundary_runs = chol.supernode_runs().restricted_to(shape.closure());
             SubdomainFactors {
                 chol,
                 bt_perm,
                 map,
+                shape,
                 boundary_runs,
             }
         };
@@ -195,13 +201,19 @@ impl SubdomainFactors {
     pub fn solve_kplus(&self, v: &[f64]) -> Vec<f64> {
         self.chol.solve(v)
     }
+}
 
-    /// The `(L, B̃ᵀ)` pair the explicit assembly consumes, borrowed.
-    pub fn batch_item(&self) -> BatchItem<'_> {
-        BatchItem {
-            l: self.chol.factor_csc_ref(),
-            bt: &self.bt_perm,
-        }
+impl BatchEntry for SubdomainFactors {
+    fn factor(&self) -> &Csc {
+        self.chol.factor_csc_ref()
+    }
+
+    fn gluing(&self) -> &Csc {
+        &self.bt_perm
+    }
+
+    fn shape(&self) -> Cow<'_, AssemblyShape> {
+        Cow::Borrowed(&self.shape)
     }
 }
 
@@ -577,8 +589,8 @@ pub(crate) fn assemble_auto(
         if idx.is_empty() {
             return None;
         }
-        let items: Vec<BatchItem> = idx.iter().map(|&g| factors[g].batch_item()).collect();
-        let res = AssemblySession::new(share, *cfg).assemble(&items);
+        let bundles: Vec<&SubdomainFactors> = idx.iter().map(|&g| &factors[g]).collect();
+        let res = AssemblySession::new(share, *cfg).assemble(&bundles);
         for (&g, fg) in idx.iter().zip(res.f) {
             f[g] = Some(fg);
         }
@@ -654,8 +666,8 @@ mod tests {
                 let perm = Ordering::NestedDissection.compute(&kreg);
                 let alone = SparseCholesky::factorize_with_perm(&kreg, perm, *engine).unwrap();
                 let bt_perm = sd.bt.permute_rows(alone.perm());
-                let closure = sc_sparse::RowClosure::of(alone.factor_csc_ref(), bt_perm.row_idx());
-                let boundary_runs = alone.supernode_runs().restricted_to(&closure);
+                let shape = AssemblyShape::of(alone.factor_csc_ref(), &bt_perm);
+                let boundary_runs = alone.supernode_runs().restricted_to(shape.closure());
                 let bits = |l: &Csc| l.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 let at = format!("{}D subdomain {i}", prob.dim);
                 assert_eq!(f.chol.perm(), alone.perm(), "{at}");
@@ -675,6 +687,7 @@ mod tests {
                     "{at}"
                 );
                 assert_eq!(f.bt_perm, bt_perm, "{at}");
+                assert_eq!(f.shape, shape, "{at}");
                 assert_eq!(f.boundary_runs, boundary_runs, "{at}");
 
                 let shared = f.chol.symbolic().pattern();

@@ -284,8 +284,7 @@ impl FetiSolverBuilder {
             }
             (None, FormulationChoice::Implicit) => None,
             (None, FormulationChoice::Explicit) => {
-                let items: Vec<_> = factors.iter().map(SubdomainFactors::batch_item).collect();
-                let res = AssemblySession::new(backend.clone(), cfg).assemble(&items);
+                let res = AssemblySession::new(backend.clone(), cfg).assemble(factors.as_slice());
                 let f = res.f.into_iter().map(Some).collect();
                 Some(Arc::new(AssembledOperators::new(f, res.report)))
             }

@@ -419,13 +419,9 @@ fn arena_fit(
         .filter(|&i| {
             let (l, bt) = (factors[i].chol.factor_csc_ref(), &factors[i].bt_perm);
             let params = ScConfig::Auto.resolve(true, l, bt);
-            let need = match precision {
-                PrecisionTag::F64 => estimate_cost(&spec, l, bt, &params, i),
-                PrecisionTag::F32Refined => {
-                    estimate_cost(&spec, &l.cast::<f32>(), &bt.cast::<f32>(), &params, i)
-                }
-            }
-            .temp_bytes;
+            let need = estimate_cost(&spec, l, bt, &params, i).temp_bytes;
+            // every term is `S::BYTES` times a pattern count: f32 halves it exactly
+            let need = need / 8 * precision_of(precision).elem_bytes();
             !slots.iter().any(|s| s.admits(need))
         })
         .collect();
@@ -775,6 +771,76 @@ mod tests {
         assert!(r[0].contains("\"event\":\"done\""), "{}", r[0]);
         let out = h.take_outcome("a", "host").expect("the host job ran");
         assert!(out.iterations.expect("solve ran") > 0);
+    }
+
+    /// An arena between a job's `f32` and `f64` footprints, each priced on
+    /// factors cast to the job's precision (what the device driver records):
+    /// dispatch admits the `f32_refined` cluster job, which then runs, and
+    /// rejects its `f64` twin, naming the subdomains no arena admits.
+    #[test]
+    fn an_arena_between_the_two_footprints_admits_only_the_f32_job() {
+        let mesh = MeshSpec {
+            dim: 2,
+            cells: 16,
+            subs: (2, 2, 1),
+            gluing: sc_fem::Gluing::Redundant,
+        };
+        let prep = prepare(&mesh);
+        let host = DeviceSpec::host();
+        let needs: Vec<(usize, usize)> = (prep.factors.iter().enumerate())
+            .map(|(i, f)| {
+                let (l, bt) = (f.chol.factor_csc_ref(), &f.bt_perm);
+                let params = ScConfig::Auto.resolve(true, l, bt);
+                let (l32, bt32) = (l.cast::<f32>(), bt.cast::<f32>());
+                let need32 = estimate_cost(&host, &l32, &bt32, &params, i).temp_bytes;
+                (need32, estimate_cost(&host, l, bt, &params, i).temp_bytes)
+            })
+            .collect();
+        let need32 = needs.iter().map(|n| n.0).max().expect("subdomains");
+        let need64 = needs.iter().map(|n| n.1).max().expect("subdomains");
+        assert!(need32 < need64);
+        // the arena is half the device memory: (need32 + need64) / 2
+        let spec = DeviceSpec {
+            memory_bytes: need32 + need64,
+            ..DeviceSpec::a100()
+        };
+        let mut h = ServeHandle::new(ServeOptions {
+            pool: DevicePool::uniform(spec, 1, 1),
+            ..ServeOptions::default()
+        });
+        let arena = h.service.opts.pool.max_arena_capacity();
+        assert!(
+            need32 <= arena && arena < need64,
+            "{need32} {arena} {need64}"
+        );
+        let line = |job: &str, precision: &str| {
+            format!(
+                "{{\"op\":\"solve\",\"tenant\":\"a\",\"job\":\"{job}\",\"dim\":2,\
+                 \"cells\":16,\"subs\":[2,2],\"precision\":\"{precision}\"}}"
+            )
+        };
+        let r = h.request(&line("f32", "f32_refined"));
+        assert!(r[0].contains("\"event\":\"accepted\""), "{}", r[0]);
+        let r = h.request("{\"op\":\"run\"}");
+        assert!(r[0].contains("\"event\":\"done\""), "{}", r[0]);
+        let out = h.take_outcome("a", "f32").expect("the f32 job ran");
+        assert!(out.iterations.expect("solve ran") > 0);
+
+        let r = h.request(&line("f64", "f64"));
+        assert!(r[0].contains("\"event\":\"accepted\""), "{}", r[0]);
+        let r = h.request("{\"op\":\"run\"}");
+        assert!(r[0].contains("\"kind\":\"admission\""), "{}", r[0]);
+        let over: Vec<usize> = (0..needs.len()).filter(|&i| needs[i].1 > arena).collect();
+        assert!(!over.is_empty());
+        assert!(
+            r[0].contains(&format!("{over:?}")),
+            "names {over:?}: {}",
+            r[0]
+        );
+        assert!(
+            h.take_outcome("a", "f64").is_none(),
+            "the f64 job did not run"
+        );
     }
 
     #[test]

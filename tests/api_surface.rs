@@ -35,7 +35,10 @@ fn prelude_surface_is_complete() {
     fn _source(items: &[(Csc, Csc)]) -> impl BatchSource + '_ {
         items
     }
-    let _: fn(&SubdomainFactors) -> BatchItem<'_> = SubdomainFactors::batch_item;
+    // FETI factor bundles are a source, handing over the shapes they keep
+    fn _bundles(factors: &[SubdomainFactors]) -> impl BatchSource + '_ {
+        factors
+    }
     // options structs carry the unified with_* builder surface
     let _ = ScheduleOptions::default()
         .with_policy(StreamPolicy::RoundRobin)

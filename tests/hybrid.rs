@@ -285,8 +285,8 @@ fn hybrid_solver_end_to_end_invariants() {
 
     // a cluster session over the unspilled share fits the pool
     let gpu_idx: Vec<usize> = (0..n).filter(|i| !spilled.contains(i)).collect();
-    let gpu_items: Vec<BatchItem> = gpu_idx.iter().map(|&g| factors[g].batch_item()).collect();
-    let res = AssemblySession::new(Backend::cluster(Arc::clone(&pool)), cfg).assemble(&gpu_items);
+    let gpu_bundles: Vec<&SubdomainFactors> = gpu_idx.iter().map(|&g| &factors[g]).collect();
+    let res = AssemblySession::new(Backend::cluster(Arc::clone(&pool)), cfg).assemble(&gpu_bundles);
     assert_eq!(res.f.len(), gpu_idx.len());
 
     // and the solve still matches the direct solution
