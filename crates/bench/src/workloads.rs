@@ -224,14 +224,6 @@ impl BatchWorkload {
         self.n as f64 / min.max(1) as f64
     }
 
-    /// Borrow the factors as batch-driver items.
-    pub fn items(&self) -> Vec<sc_core::BatchItem<'_>> {
-        self.factors
-            .iter()
-            .map(|(l, bt)| sc_core::BatchItem { l, bt })
-            .collect()
-    }
-
     /// Number of subdomains in the batch.
     pub fn n_subdomains(&self) -> usize {
         self.factors.len()
@@ -261,8 +253,6 @@ mod tests {
                 w.n_subdomains() >= 8,
                 "{dim}D batch must exercise >= 8 subdomains"
             );
-            let items = w.items();
-            assert_eq!(items.len(), w.n_subdomains());
             for (l, bt) in &w.factors {
                 assert!(l.ncols() > 0 && l.ncols() <= w.n);
                 assert_eq!(bt.nrows(), l.ncols());
@@ -295,9 +285,7 @@ mod tests {
         use sc_core::{assemble_sc, AssemblySession, Backend, CpuExec, ScConfig};
         let w = BatchWorkload::build(2, 3);
         let cfg = ScConfig::optimized(false, false);
-        // the factor pairs are a BatchSource themselves — no BatchItem
-        // wrapping needed
-        let batch = AssemblySession::new(Backend::cpu(), cfg).assemble(w.factors.as_slice());
+        let batch = AssemblySession::new(Backend::cpu(), cfg).assemble(&w.factors);
         for (i, (l, bt)) in w.factors.iter().enumerate() {
             let seq = assemble_sc(&mut CpuExec, l, bt, &cfg);
             assert_eq!(batch.f[i].to_dense(), seq, "subdomain {i}");

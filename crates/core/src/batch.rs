@@ -5,9 +5,9 @@
 //! per cluster**, one OpenMP thread per subdomain. This module is that loop:
 //! two crate-private drivers behind
 //! [`AssemblySession::assemble`](crate::session::AssemblySession::assemble),
-//! each over any [`BatchSource`], filling the one [`AssemblyReport`]. Both
-//! run one per-subdomain body that shares no state between subdomains: it
-//! resolves the configuration, asks the source once for the subdomain's
+//! each over a slice of [`BatchEntry`]s, filling the one [`AssemblyReport`].
+//! Both run one per-subdomain body that shares no state between subdomains:
+//! it resolves the configuration, asks the entry once for its
 //! [`AssemblyShape`](crate::AssemblyShape), cuts it into the
 //! [`AssemblyPlan`] and runs the plan's numeric phase.
 //!
@@ -43,57 +43,40 @@ use crate::schedule::{
     self, plan_topology_by, ClusterPlanError, CostEstimate, DeviceSlot, ScheduleOptions, Topology,
 };
 use crate::session::{AssemblyReport, DeviceReport, ScheduledSpan, SubdomainTiming};
-use crate::source::BatchSource;
+use crate::source::BatchEntry;
 use rayon::prelude::*;
 use sc_dense::{Scalar, SymPackedOf};
 use sc_gpu::{ArenaSim, Device, DeviceSpec, KernelCost, SimSpan, SlotAccess, Trace, TraceEvent};
-use sc_sparse::CscOf;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-subdomain input to the batched assembler: the subdomain's Cholesky
-/// factor and its gluing block with rows already in factor order (the same
-/// pair [`assemble_sc`](crate::assemble_sc) takes).
-#[derive(Clone, Copy)]
-pub struct BatchItemOf<'a, S: Scalar = f64> {
-    /// Cholesky factor of the regularized subdomain matrix (CSC, diag-first).
-    pub l: &'a CscOf<S>,
-    /// `B̃ᵢᵀ` with rows permuted into the factor's order.
-    pub bt: &'a CscOf<S>,
-}
-
-/// `f64` batch item (the historical type).
-pub type BatchItem<'a> = BatchItemOf<'a, f64>;
-
 /// The per-subdomain body of both drivers: `cfg` resolved on the platform
-/// (`gpu`), the source's shape of subdomain `i` cut into its plan, the
-/// plan's numeric phase (the packed `F̃ᵢ`), and the host seconds of all
-/// three.
-fn assemble_one<S: Scalar, Src: BatchSource<S>>(
-    src: &Src,
-    i: usize,
+/// (`gpu`), the entry's shape cut into its plan, the plan's numeric phase
+/// (the packed `F̃ᵢ`), and the host seconds of all three.
+fn assemble_one<S: Scalar, E: BatchEntry<S>>(
+    entry: &E,
     cfg: &ScConfig,
     gpu: bool,
 ) -> (ScParams, AssemblyPlan, SymPackedOf<S>, f64) {
     let t = Instant::now();
-    let (l, bt) = (src.factor(i), src.gluing(i));
+    let (l, bt) = (entry.factor(), entry.gluing());
     let params = cfg.resolve(gpu, l, bt);
-    let plan = AssemblyPlan::cut(&src.shape(i), l, &params);
+    let plan = AssemblyPlan::cut(&entry.shape(), l, &params);
     let f = plan.assemble(l, bt);
     (params, plan, f, t.elapsed().as_secs_f64())
 }
 
-/// CPU batch driver over any [`BatchSource`]: one rayon task per subdomain
-/// — the paper's one-thread-per-subdomain cluster loop.
-pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
-    src: Src,
+/// CPU batch driver: one rayon task per subdomain — the paper's
+/// one-thread-per-subdomain cluster loop.
+pub(crate) fn batch_cpu<S: Scalar, E: BatchEntry<S>>(
+    src: &[E],
     cfg: &ScConfig,
 ) -> (Vec<SymPackedOf<S>>, AssemblyReport) {
     let t0 = Instant::now();
     let assembled: Vec<(SymPackedOf<S>, SubdomainTiming)> = (0..src.len())
         .into_par_iter()
         .map(|i| {
-            let (.., f, host_seconds) = assemble_one(&src, i, cfg, false);
+            let (.., f, host_seconds) = assemble_one(&src[i], cfg, false);
             let timing = SubdomainTiming {
                 index: i,
                 host_seconds,
@@ -128,8 +111,8 @@ pub(crate) fn batch_cpu<S: Scalar, Src: BatchSource<S>>(
 /// batch item; when the batch is non-empty and no device is usable
 /// ([`ClusterPlanError::NoDevices`]); or when a subdomain's temporaries
 /// exceed every device's arena ([`ClusterPlanError::Spilled`]).
-pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
-    src: Src,
+pub(crate) fn batch_devices<S: Scalar, E: BatchEntry<S>>(
+    src: &[E],
     cfg: &ScConfig,
     devices: &[Arc<Device>],
     opts: &ScheduleOptions,
@@ -143,7 +126,7 @@ pub(crate) fn batch_devices<S: Scalar, Src: BatchSource<S>>(
     let ref_spec = slots
         .first()
         .map_or_else(DeviceSpec::host, |s| s.spec.clone());
-    let (recorded, costs) = record_batch(&src, cfg, &ref_spec);
+    let (recorded, costs) = record_batch(src, cfg, &ref_spec);
 
     // plan: devices, then each device's lanes, in one call
     let kernel_seconds: Vec<Vec<f64>> = recorded
@@ -215,16 +198,16 @@ struct Recorded<S: Scalar = f64> {
 /// kernel sequence is the uploads of `L` and `B̃ᵀ` (writing the arena
 /// slot), the plan's launches (reading and writing it) and the download
 /// (reading it; `F̃ᵢ` stays on the device, 0 bytes).
-fn record_batch<S: Scalar, Src: BatchSource<S>>(
-    src: &Src,
+fn record_batch<S: Scalar, E: BatchEntry<S>>(
+    src: &[E],
     cfg: &ScConfig,
     spec: &DeviceSpec,
 ) -> (Vec<Recorded<S>>, Vec<CostEstimate>) {
     (0..src.len())
         .into_par_iter()
         .map(|i| {
-            let (params, plan, f, host_seconds) = assemble_one(src, i, cfg, true);
-            let (l, bt) = (src.factor(i), src.gluing(i));
+            let (params, plan, f, host_seconds) = assemble_one(&src[i], cfg, true);
+            let (l, bt) = (src[i].factor(), src[i].gluing());
             let upload = |nnz| (KernelCost::csc_transfer_of::<S>(nnz), SlotAccess::write());
             let launches = plan.launches::<S>().into_iter();
             let kernels = [upload(l.nnz()), upload(bt.nnz())]
@@ -408,7 +391,8 @@ fn replay_device<S: Scalar>(
     }
     let makespan = device.synchronize() - sync0;
     let busy = device.busy_seconds() - busy0;
-    let cap = makespan * n_streams.max(1) as f64; // sc-analyze: allow(precision-discipline)
+    let streams = u32::try_from(n_streams.max(1)).expect("stream count fits in 32 bits");
+    let cap = makespan * f64::from(streams);
     DeviceReport {
         device: d,
         makespan,
@@ -487,13 +471,13 @@ mod tests {
 
     /// One subdomain's packed `F̃ᵢ` through the drivers' body, on its own.
     fn sequential(l: &Csc, bt: &Csc, cfg: &ScConfig, gpu: bool) -> SymPackedOf<f64> {
-        assemble_one(&[BatchItem { l, bt }].as_slice(), 0, cfg, gpu).2
+        assemble_one(&(l.clone(), bt.clone()), cfg, gpu).2
     }
 
     /// The one driver over a target's devices.
     fn on_target(
         target: &Target,
-        items: &[BatchItem<'_>],
+        items: &[(Csc, Csc)],
         cfg: &ScConfig,
     ) -> (Vec<SymPackedOf<f64>>, AssemblyReport) {
         let (devices, opts) = target.devices().expect("a device target");
@@ -502,7 +486,7 @@ mod tests {
 
     /// … on one GPU (a one-device pool).
     fn on_gpu(
-        items: &[BatchItem<'_>],
+        items: &[(Csc, Csc)],
         cfg: &ScConfig,
         dev: &Arc<Device>,
         opts: &ScheduleOptions,
@@ -516,7 +500,7 @@ mod tests {
 
     /// … on a device pool.
     fn on_pool(
-        items: &[BatchItem<'_>],
+        items: &[(Csc, Csc)],
         cfg: &ScConfig,
         pool: &Arc<DevicePool>,
         opts: &ScheduleOptions,
@@ -560,15 +544,14 @@ mod tests {
     #[test]
     fn batch_matches_sequential_bitwise() {
         let data = factorized(&cluster(9, 7, 12));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         for cfg in [
             ScConfig::optimized(false, false),
             ScConfig::optimized(false, true),
             ScConfig::original(FactorStorage::Sparse),
             ScConfig::Auto,
         ] {
-            let (f, _) = batch_cpu(items.as_slice(), &cfg);
-            assert_eq!(f.len(), items.len());
+            let (f, _) = batch_cpu(&data, &cfg);
+            assert_eq!(f.len(), data.len());
             for (i, (l, bt)) in data.iter().enumerate() {
                 let seq = sequential(l, bt, &cfg, false);
                 assert_eq!(
@@ -582,9 +565,8 @@ mod tests {
     #[test]
     fn cpu_batch_report_times_every_subdomain_on_the_host() {
         let data = factorized(&cluster(8, 6, 10));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(false, false);
-        let (_, r) = batch_cpu(items.as_slice(), &cfg);
+        let (_, r) = batch_cpu(&data, &cfg);
         assert_eq!(r.subdomains.len(), 8);
         assert!(r.subdomains.iter().all(|t| t.placement.is_none()));
         assert!(r.subdomains.iter().all(|t| t.host_seconds >= 0.0));
@@ -597,12 +579,11 @@ mod tests {
     #[test]
     fn gpu_batch_matches_cpu_batch_and_advances_timeline() {
         let data = factorized(&cluster(8, 6, 10));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
-        let (cpu, _) = batch_cpu(items.as_slice(), &cfg);
+        let (cpu, _) = batch_cpu(&data, &cfg);
         let dev = Device::new(DeviceSpec::a100(), 4);
-        let (gpu, report) = on_gpu(items.as_slice(), &cfg, &dev, &round_robin());
-        for i in 0..items.len() {
+        let (gpu, report) = on_gpu(&data, &cfg, &dev, &round_robin());
+        for i in 0..data.len() {
             assert_eq!(cpu[i], gpu[i], "backend mismatch at subdomain {i}");
         }
         assert!(dev.synchronize() > 0.0, "device timeline must advance");
@@ -619,10 +600,9 @@ mod tests {
     #[test]
     fn replayed_kernels_touch_the_slot_as_recorded() {
         let data = factorized(&cluster(3, 6, 8));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
         let dev = Device::new(DeviceSpec::a100(), 2);
-        let (_, report) = on_gpu(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
+        let (_, report) = on_gpu(&data, &cfg, &dev, &ScheduleOptions::default());
         let trace = report.devices[0].trace.as_ref().expect("a replay traces");
         for (i, (l, bt)) in data.iter().enumerate() {
             let touches = trace.events.iter().filter_map(|e| match e {
@@ -647,10 +627,9 @@ mod tests {
         // time: each subdomain's span lives on one stream, spans on a stream
         // do not overlap, so their sum is at most sync × n_streams
         let data = factorized(&cluster(10, 7, 12));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
         let dev = Device::new(DeviceSpec::a100(), 3);
-        let (_, report) = on_gpu(items.as_slice(), &cfg, &dev, &round_robin());
+        let (_, report) = on_gpu(&data, &cfg, &dev, &round_robin());
         let sync = dev.synchronize();
         let sum: f64 = (report.subdomains.iter())
             .map(|t| placed(t).span.duration())
@@ -683,10 +662,9 @@ mod tests {
     #[test]
     fn scheduled_matches_sequential_bitwise_and_is_deterministic() {
         let data = factorized(&skewed_cluster(12, &[4, 9, 6, 12], 10));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         for cfg in [ScConfig::optimized(true, false), ScConfig::Auto] {
             let dev = Device::new(DeviceSpec::a100(), 4);
-            let (f, a) = on_gpu(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
+            let (f, a) = on_gpu(&data, &cfg, &dev, &ScheduleOptions::default());
             for (i, (l, bt)) in data.iter().enumerate() {
                 // sequential host reference, Auto resolved on the GPU
                 // platform as the scheduled driver does
@@ -699,7 +677,7 @@ mod tests {
             }
             // reproducible simulated timeline on a fresh device
             let dev2 = Device::new(DeviceSpec::a100(), 4);
-            let (_, b) = on_gpu(items.as_slice(), &cfg, &dev2, &ScheduleOptions::default());
+            let (_, b) = on_gpu(&data, &cfg, &dev2, &ScheduleOptions::default());
             assert_eq!(dev.synchronize(), dev2.synchronize());
             for (x, y) in a.subdomains.iter().zip(&b.subdomains) {
                 assert_eq!(x.index, y.index);
@@ -714,20 +692,19 @@ mod tests {
         // acceptance workload of the scheduler
         let data = factorized(&skewed_cluster(16, &[12, 4, 4, 4], 10));
         assert!(data.len() >= 16);
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
 
         let dev_rr = Device::new(DeviceSpec::a100(), 4);
-        let (rr, _) = on_gpu(items.as_slice(), &cfg, &dev_rr, &round_robin());
+        let (rr, _) = on_gpu(&data, &cfg, &dev_rr, &round_robin());
         let dev_s = Device::new(DeviceSpec::a100(), 4);
-        let (sched, _) = on_gpu(items.as_slice(), &cfg, &dev_s, &ScheduleOptions::default());
+        let (sched, _) = on_gpu(&data, &cfg, &dev_s, &ScheduleOptions::default());
         assert!(
             dev_s.synchronize() < dev_rr.synchronize(),
             "LPT schedule {} must beat round-robin {}",
             dev_s.synchronize(),
             dev_rr.synchronize()
         );
-        for i in 0..items.len() {
+        for i in 0..data.len() {
             assert_eq!(rr[i], sched[i], "policy must not change numerics");
         }
     }
@@ -737,7 +714,6 @@ mod tests {
         // a tiny device: the arena holds one subdomain's temporaries but not
         // two, so admissions must serialize
         let data = factorized(&cluster(6, 8, 14));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let spec = DeviceSpec {
             memory_bytes: 128 * 1024, // 64 KiB arena
             ..DeviceSpec::a100()
@@ -745,7 +721,7 @@ mod tests {
         let dev = Device::new(spec, 4);
         let capacity = dev.arena_capacity();
         let (_, report) = on_gpu(
-            items.as_slice(),
+            &data,
             &ScConfig::optimized(true, false),
             &dev,
             &ScheduleOptions::default(),
@@ -753,7 +729,7 @@ mod tests {
         let res = &report.devices[0];
         assert!(res.temp_high_water <= capacity);
         assert!(res.temp_high_water > 0);
-        assert_eq!(report.subdomains.len(), items.len());
+        assert_eq!(report.subdomains.len(), data.len());
         // at least one stream must have stalled for the arena: its subdomain
         // was admitted strictly after the stream's previous work ended (no
         // ready_at is set, so nothing else can delay admission)
@@ -770,7 +746,7 @@ mod tests {
         // control: with the full A100 arena the same batch never stalls
         let dev_big = Device::new(DeviceSpec::a100(), 4);
         let (_, res_big) = on_gpu(
-            items.as_slice(),
+            &data,
             &ScConfig::optimized(true, false),
             &dev_big,
             &ScheduleOptions::default(),
@@ -788,11 +764,10 @@ mod tests {
     #[test]
     fn scheduled_mix_applies_host_readiness() {
         let data = factorized(&cluster(4, 6, 8));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let dev = Device::new(DeviceSpec::a100(), 2);
         let ready = vec![0.5, 0.25, 0.0, 1.0];
         let (_, res) = on_gpu(
-            items.as_slice(),
+            &data,
             &ScConfig::optimized(true, false),
             &dev,
             &ScheduleOptions::default()
@@ -813,12 +788,11 @@ mod tests {
     #[test]
     fn bad_readiness_times_are_rejected_by_subdomain_and_value() {
         let data = factorized(&cluster(4, 6, 10));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         for bad in [f64::NAN, -1.0, f64::INFINITY] {
             let dev = Device::new(DeviceSpec::a100(), 2);
             let opts = ScheduleOptions::default().with_ready_at(vec![0.0, 0.0, bad, 0.0]);
             let cfg = ScConfig::optimized(true, false);
-            let err = std::panic::catch_unwind(|| on_gpu(items.as_slice(), &cfg, &dev, &opts))
+            let err = std::panic::catch_unwind(|| on_gpu(&data, &cfg, &dev, &opts))
                 .expect_err("a bad readiness time must panic");
             let msg = err
                 .downcast_ref::<String>()
@@ -836,7 +810,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let empty: &[BatchItem] = &[];
+        let empty: &[(Csc, Csc)] = &[];
         let (f, report) = batch_cpu(empty, &ScConfig::optimized(false, false));
         assert!(f.is_empty());
         assert_eq!(report.cache_hits + report.cache_misses, 0);
@@ -874,9 +848,8 @@ mod tests {
     #[test]
     fn zero_stream_devices_are_rejected_with_a_clear_error() {
         let data = factorized(&cluster(2, 5, 6));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
-        let empty: &[BatchItem] = &[];
+        let empty: &[(Csc, Csc)] = &[];
         for opts in [ScheduleOptions::default(), round_robin()] {
             // empty batches are fine even on a 0-stream device
             let dev = Device::new(DeviceSpec::a100(), 0);
@@ -884,7 +857,7 @@ mod tests {
             // non-empty batches fail with the planner's typed error, not an
             // index panic
             let msg = panic_message(|| {
-                on_gpu(items.as_slice(), &cfg, &dev, &opts);
+                on_gpu(&data, &cfg, &dev, &opts);
             });
             assert_eq!(
                 msg,
@@ -896,10 +869,9 @@ mod tests {
     #[test]
     fn cluster_matches_sequential_bitwise_and_places_each_subdomain_once() {
         let data = factorized(&skewed_cluster(12, &[4, 9, 6, 12], 10));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         for cfg in [ScConfig::optimized(true, false), ScConfig::Auto] {
             let pool = DevicePool::uniform(DeviceSpec::a100(), 3, 2);
-            let (f, report) = on_pool(items.as_slice(), &cfg, &pool, &ScheduleOptions::default());
+            let (f, report) = on_pool(&data, &cfg, &pool, &ScheduleOptions::default());
             for (i, (l, bt)) in data.iter().enumerate() {
                 let seq = sequential(l, bt, &cfg, true);
                 assert_eq!(f[i], seq, "cluster F̃ must be bitwise sequential ({i})");
@@ -909,7 +881,7 @@ mod tests {
                 }
             }
             // partition integrity: one row per subdomain, on a pool device
-            assert_eq!(report.subdomains.len(), items.len());
+            assert_eq!(report.subdomains.len(), data.len());
             for (i, t) in report.subdomains.iter().enumerate() {
                 assert_eq!(t.index, i, "timings must be in batch order");
                 assert!(placed(t).device < report.devices.len());
@@ -933,12 +905,11 @@ mod tests {
     #[test]
     fn cluster_beats_single_device_on_skewed_batches() {
         let data = factorized(&skewed_cluster(16, &[12, 4, 6, 3], 10));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
         let one = DevicePool::uniform(DeviceSpec::a100(), 1, 4);
-        let (f1, r1) = on_pool(items.as_slice(), &cfg, &one, &ScheduleOptions::default());
+        let (f1, r1) = on_pool(&data, &cfg, &one, &ScheduleOptions::default());
         let four = DevicePool::uniform(DeviceSpec::a100(), 4, 4);
-        let (f4, r4) = on_pool(items.as_slice(), &cfg, &four, &ScheduleOptions::default());
+        let (f4, r4) = on_pool(&data, &cfg, &four, &ScheduleOptions::default());
         assert!(
             r4.makespan < r1.makespan,
             "4 devices ({}) must beat 1 device ({})",
@@ -947,9 +918,9 @@ mod tests {
         );
         // the single-device cluster path is exactly the scheduled driver
         let dev = Device::new(DeviceSpec::a100(), 4);
-        let (f, sched) = on_gpu(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
+        let (f, sched) = on_gpu(&data, &cfg, &dev, &ScheduleOptions::default());
         assert_eq!(r1.makespan, sched.makespan);
-        for i in 0..items.len() {
+        for i in 0..data.len() {
             assert_eq!(f1[i], f[i]);
             assert_eq!(f1[i], f4[i], "device count must not change numerics");
         }
@@ -961,16 +932,15 @@ mod tests {
         // arena (8 n m > 2¹⁹ needs n·m > 65536): the planner must route
         // them to the A100, small ones may go anywhere
         let data = factorized(&skewed_cluster(4, &[31, 3], 70));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
         let pool =
             DevicePool::heterogeneous(&[DeviceSpec::a100(), DeviceSpec::tiny_test_device()], 2);
         let tiny_arena = pool.device(1).arena_capacity();
         let spec = pool.device(0).spec().clone();
         let mut oversized = 0;
-        for (i, it) in items.iter().enumerate() {
-            let params = cfg.resolve(true, it.l, it.bt);
-            let est = crate::schedule::estimate_cost(&spec, it.l, it.bt, &params, i);
+        for (i, (l, bt)) in data.iter().enumerate() {
+            let params = cfg.resolve(true, l, bt);
+            let est = crate::schedule::estimate_cost(&spec, l, bt, &params, i);
             if est.temp_bytes > tiny_arena {
                 oversized += 1;
             }
@@ -979,10 +949,10 @@ mod tests {
             oversized > 0,
             "workload must contain tiny-card-oversized subdomains"
         );
-        let (f, report) = on_pool(items.as_slice(), &cfg, &pool, &ScheduleOptions::default());
-        for (i, it) in items.iter().enumerate() {
-            let params = cfg.resolve(true, it.l, it.bt);
-            let est = crate::schedule::estimate_cost(&spec, it.l, it.bt, &params, i);
+        let (f, report) = on_pool(&data, &cfg, &pool, &ScheduleOptions::default());
+        for (i, (l, bt)) in data.iter().enumerate() {
+            let params = cfg.resolve(true, l, bt);
+            let est = crate::schedule::estimate_cost(&spec, l, bt, &params, i);
             if est.temp_bytes > tiny_arena {
                 assert_eq!(
                     placed(&report.subdomains[i]).device,
@@ -990,7 +960,7 @@ mod tests {
                     "oversized subdomain {i} must run on the big card"
                 );
             }
-            let seq = sequential(it.l, it.bt, &cfg, false);
+            let seq = sequential(l, bt, &cfg, false);
             assert_eq!(f[i], seq, "heterogeneous F̃ deviates at {i}");
         }
         // per-device arenas were never oversubscribed
@@ -1002,11 +972,10 @@ mod tests {
     #[test]
     fn cluster_mix_applies_host_readiness() {
         let data = factorized(&cluster(6, 6, 8));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
-        let ready: Vec<f64> = (0..items.len()).map(|i| 0.25 * i as f64).collect();
+        let ready: Vec<f64> = (0..data.len()).map(|i| 0.25 * i as f64).collect();
         let (_, report) = on_pool(
-            items.as_slice(),
+            &data,
             &ScConfig::optimized(true, false),
             &pool,
             &ScheduleOptions::default()
@@ -1030,14 +999,13 @@ mod tests {
         // the planner must keep the dead card idle instead of stranding
         // subdomains on it
         let data = factorized(&cluster(5, 6, 8));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
         let pool = DevicePool::from_devices(vec![
             Device::new(DeviceSpec::a100(), 0),
             Device::new(DeviceSpec::a100(), 4),
         ]);
-        let (f, report) = on_pool(items.as_slice(), &cfg, &pool, &ScheduleOptions::default());
-        assert_eq!(report.subdomains.len(), items.len());
+        let (f, report) = on_pool(&data, &cfg, &pool, &ScheduleOptions::default());
+        assert_eq!(report.subdomains.len(), data.len());
         assert!(
             report.subdomains.iter().all(|t| placed(t).device == 1),
             "dead card must stay idle"
@@ -1054,7 +1022,6 @@ mod tests {
         // 8 n m = 8 · 1024 · 80 = 640 KiB of temporaries > the tiny card's
         // 512 KiB arena, on every device of the pool — and on a single GPU
         let data = factorized(&cluster(1, 32, 80));
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
         let pool = DevicePool::uniform(DeviceSpec::tiny_test_device(), 2, 2);
         let want = format!(
@@ -1066,11 +1033,11 @@ mod tests {
         );
         let opts = ScheduleOptions::default();
         let on_the_pool = panic_message(|| {
-            on_pool(items.as_slice(), &cfg, &pool, &opts);
+            on_pool(&data, &cfg, &pool, &opts);
         });
         assert_eq!(on_the_pool, want);
         let on_one_gpu = panic_message(|| {
-            on_gpu(items.as_slice(), &cfg, pool.device(0), &opts);
+            on_gpu(&data, &cfg, pool.device(0), &opts);
         });
         assert_eq!(on_one_gpu, want);
     }
@@ -1092,22 +1059,21 @@ mod tests {
             (l_reg.clone(), bt_one),
             (l_reg, bt_reg),
         ];
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         for cfg in [
             ScConfig::optimized(false, false),
             ScConfig::optimized(true, true),
             ScConfig::original(FactorStorage::Dense),
             ScConfig::Auto,
         ] {
-            let (cpu, _) = batch_cpu(items.as_slice(), &cfg);
+            let (cpu, _) = batch_cpu(&data, &cfg);
             assert_eq!(cpu[0].nrows(), 0);
             assert!(cpu[0].data().is_empty());
             assert_eq!(cpu[1].nrows(), 1);
             assert!(cpu[1].data()[0] > 0.0, "1×1 F̃ must be positive");
             let dev = Device::new(DeviceSpec::a100(), 2);
-            let (rr, _) = on_gpu(items.as_slice(), &cfg, &dev, &round_robin());
-            let (sched, _) = on_gpu(items.as_slice(), &cfg, &dev, &ScheduleOptions::default());
-            for i in 0..items.len() {
+            let (rr, _) = on_gpu(&data, &cfg, &dev, &round_robin());
+            let (sched, _) = on_gpu(&data, &cfg, &dev, &ScheduleOptions::default());
+            for i in 0..data.len() {
                 assert_eq!(cpu[i], rr[i], "round-robin mismatch at {i}");
                 assert_eq!(cpu[i], sched[i], "scheduled mismatch at {i}");
             }

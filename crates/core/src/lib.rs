@@ -21,6 +21,10 @@
 //! algorithm runs on the CPU ([`exec::CpuExec`]) and on the simulated GPU
 //! ([`exec::GpuExec`]) — mirroring the paper's claim that the approach only
 //! needs basic BLAS/sparse-BLAS routines available on any platform.
+//!
+//! A batch of subdomains is a slice of [`source::BatchEntry`]s, each the
+//! pair (`L`, `B̃ᵀ`) with its shape; [`session::AssemblySession::assemble`]
+//! runs it on any target.
 
 pub mod assemble;
 pub mod batch;
@@ -35,7 +39,6 @@ pub mod stepped;
 pub mod tune;
 
 pub use assemble::{assemble_sc, assemble_sc_reference, ScConfig, ScParams};
-pub use batch::{BatchItem, BatchItemOf};
 pub use exec::{CpuExec, Exec, GpuExec, RecordingExec};
 pub use hybrid::{plan_hybrid, Formulation, HybridChoice, HybridPlan, HybridPlanOptions};
 pub use plan::{
@@ -53,7 +56,7 @@ pub use session::{
     ScheduledSpan, SubdomainTiming, Target,
 };
 pub use sessioncache::{ContentHasher, SessionCache, SessionCacheStats};
-pub use source::{BatchEntry, BatchSource};
+pub use source::BatchEntry;
 pub use stepped::{SteppedRhs, SteppedRhsOf};
 
 pub use tune::BlockParam;

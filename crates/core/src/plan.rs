@@ -2,13 +2,14 @@
 //!
 //! An [`AssemblyShape`] is what the assembly of one subdomain's `F̃` knows
 //! from `(pattern(L), pattern(B̃ᵀ))` alone: the [`RowClosure`] of `B̃ᵀ`'s rows
-//! (outside which `L⁻¹B̃ᵀ` is 0) as column offsets into `L` plus a row
-//! renumbering, and the stepped permutation of `B̃ᵀ`'s columns with its
-//! pivots. It takes no parameter, so it is built once per subdomain, beside
-//! the factor (the FETI bundles keep theirs), and serves every precision.
-//! [`AssemblyPlan::cut`] turns it into an [`AssemblyPlan`] for one resolved
-//! [`ScParams`]: the pivots set each TRSM block's width, split offsets and
-//! live rows and the SYRK cuts, and so the launch list.
+//! (outside which `L⁻¹B̃ᵀ` is 0), and the stepped permutation of `B̃ᵀ`'s
+//! columns with its pivots in closure rows. It takes no parameter, so it is
+//! built once per subdomain, beside the factor (the FETI bundles keep
+//! theirs), and serves every precision. [`AssemblyPlan::cut`] turns it into
+//! an [`AssemblyPlan`] for one resolved [`ScParams`]: the closure's column
+//! offsets into `L` and its row renumbering, and from the pivots each TRSM
+//! block's width, split offsets and live rows and the SYRK cuts, and so the
+//! launch list.
 //! [`AssemblyPlan::launches`] prices that list without allocating anything:
 //! it is what every backend consumes ([`Exec::submit`]), and the numeric
 //! phase runs only when the backend computes.
@@ -175,11 +176,6 @@ pub struct AssemblyShape {
     nnz_l: usize,
     nnz_bt: usize,
     closure: RowClosure,
-    /// Closure column `c` is `L`'s entries `begin[c]..end[c]`.
-    begin: Vec<usize>,
-    end: Vec<usize>,
-    /// `L` row → closure row; `None` when the closure is all of `L`.
-    renumber: Option<Vec<usize>>,
     /// Column `j`'s first row, an `L` row (`n` when the column is empty).
     raw: Vec<usize>,
     /// Stepped column `s` is column `order.old_of_new(s)`, whose pivot is
@@ -192,30 +188,19 @@ impl AssemblyShape {
     /// The shape of `l` (CSC, diagonal first, fill-reducing order) and `bt`
     /// (rows already in `l`'s order). Reads no values.
     pub fn of<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>) -> Self {
-        let (n, col_ptr) = (l.ncols(), l.col_ptr());
-        assert_eq!(bt.nrows(), n, "B̃ᵀ rows must live in factor space");
+        assert_eq!(bt.nrows(), l.ncols(), "B̃ᵀ rows must live in factor space");
         let closure = RowClosure::of(l, bt.row_idx());
-        let cols = closure.cols();
-        let renumber = (cols.len() < n).then(|| {
-            let mut renumber = vec![usize::MAX; n];
-            cols.iter().enumerate().for_each(|(c, &j)| renumber[j] = c);
-            renumber
-        });
         let raw = pattern::pivots_or_end(bt);
         let (order, sorted) = stepped_order(&raw);
-        let row = |i: usize| match &renumber {
-            _ if i == n => cols.len(),
-            Some(renumber) => renumber[i],
-            None => i,
-        };
+        // every pivot is a closure row; the empty columns' `n` maps past
+        // the last one
+        let cols = closure.cols();
+        let pivots = sorted.iter().map(|&p| cols.partition_point(|&j| j < p));
         AssemblyShape {
             nnz_l: l.nnz(),
             nnz_bt: bt.nnz(),
-            begin: cols.iter().map(|&j| col_ptr[j]).collect(),
-            end: cols.iter().map(|&j| col_ptr[j + 1]).collect(),
-            pivots: sorted.into_iter().map(row).collect(),
+            pivots: pivots.collect(),
             closure,
-            renumber,
             raw,
             order,
         }
@@ -271,15 +256,21 @@ impl AssemblyPlan {
     pub fn cut<S: Scalar>(shape: &AssemblyShape, l: &CscOf<S>, params: &ScParams) -> Self {
         let (s, n, m, col_ptr) = (shape, l.ncols(), shape.raw.len(), l.col_ptr());
         assert_eq!((n, l.nnz()), (s.closure.n(), s.nnz_l), "another pattern");
-        let (renumber, order, pivots) = if params.stepped_permutation {
-            (s.renumber.clone(), s.order.clone(), &s.pivots)
+        let (closure, order, pivots) = if params.stepped_permutation {
+            (Some(s.closure.cols()), s.order.clone(), &s.pivots)
         } else {
             (None, Perm::identity(m), &s.raw)
         };
-        // without a renumbering the closure is all of `L`
-        let (begin, end) = match renumber {
-            Some(_) => (s.begin.clone(), s.end.clone()),
-            None => (col_ptr[..n].to_vec(), col_ptr[1..].to_vec()),
+        // a closure short of all of `L` is renumbered; otherwise the plan
+        // works on all of `L`
+        let (begin, end, renumber) = match closure {
+            Some(cols) if cols.len() < n => {
+                let mut renumber = vec![usize::MAX; n];
+                cols.iter().enumerate().for_each(|(c, &j)| renumber[j] = c);
+                let at = |off: usize| cols.iter().map(|&j| col_ptr[j + off]).collect();
+                (at(0), at(1), Some(renumber))
+            }
+            _ => (col_ptr[..n].to_vec(), col_ptr[1..].to_vec(), None),
         };
         let (trsm, syrk) = if pivots.is_sorted() {
             (params.trsm, params.syrk)

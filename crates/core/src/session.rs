@@ -1,7 +1,7 @@
 //! The unified assembly surface: a [`Backend`] value names the execution
 //! target, an [`AssemblySession`] binds it to an assembly configuration,
-//! and [`AssemblySession::assemble`] drives any [`BatchSource`] through
-//! the paper's record → plan → replay pipeline, reporting through one
+//! and [`AssemblySession::assemble`] drives a slice of [`BatchEntry`]s
+//! through the paper's record → plan → replay pipeline, reporting through one
 //! nested [`AssemblyReport`] regardless of target. The report states each
 //! placement once: one [`SubdomainTiming`] row per subdomain holds its host
 //! wall time and, on a device target, its simulated [`ScheduledSpan`]; the
@@ -9,7 +9,6 @@
 //!
 //! ```
 //! use sc_core::{AssemblySession, Backend, ScConfig};
-//! # use sc_core::BatchItem;
 //! # use sc_factor::SparseCholesky;
 //! # use sc_sparse::Coo;
 //! # let mut c = Coo::new(3, 3);
@@ -22,7 +21,7 @@
 //! # let mut b = Coo::new(3, 2);
 //! # b.push(0, 0, 1.0); b.push(2, 1, -1.0);
 //! # let bt = b.to_csc().permute_rows(chol.perm());
-//! # let items = vec![BatchItem { l: &l, bt: &bt }];
+//! # let items = vec![(l, bt)];
 //! let session = AssemblySession::new(Backend::cpu(), ScConfig::optimized(false, false));
 //! let result = session.assemble(&items);
 //! assert_eq!(result.f.len(), items.len());
@@ -36,7 +35,7 @@
 //! ```no_run
 //! # use sc_core::{AssemblySession, Backend, ScConfig};
 //! # use sc_gpu::{Device, DevicePool, DeviceSpec};
-//! # let items: Vec<sc_core::BatchItem> = Vec::new();
+//! # let items: Vec<(sc_sparse::Csc, sc_sparse::Csc)> = Vec::new();
 //! let gpu = AssemblySession::new(
 //!     Backend::gpu(Device::new(DeviceSpec::a100(), 4)),
 //!     ScConfig::Auto,
@@ -53,7 +52,7 @@ use crate::batch::{batch_cpu, batch_devices};
 use crate::hybrid::HybridPlan;
 use crate::plan::AssemblyShape;
 use crate::schedule::ScheduleOptions;
-use crate::source::{BatchEntry, BatchSource};
+use crate::source::BatchEntry;
 use sc_dense::{Scalar, SymPackedOf};
 use sc_gpu::{Device, DevicePool, SimSpan};
 use sc_sparse::CscOf;
@@ -340,23 +339,25 @@ impl AssemblySession {
 
     /// Assemble every subdomain's `F̃ᵢ` on the session's backend.
     ///
-    /// Accepts any [`BatchSource`] (`&[BatchItem]`, `&[(Csc, Csc)]`, a `Vec`
-    /// of either). The numerics are bitwise identical across all backends; only the
+    /// Takes a slice of any [`BatchEntry`]: owned `(Csc, Csc)` pairs, FETI
+    /// factor bundles, or references to either for a share of a batch. The
+    /// numerics are bitwise identical across all backends; only the
     /// simulated timeline and the report's device sections differ. Under
     /// [`Precision::F32Refined`] the inputs are demoted to `f32`, the whole
     /// record → plan → replay pipeline runs in `f32` (halved value-byte
     /// terms in the transfer/arena cost model), and the assembled operators
     /// are promoted back to `f64` on return — the promotion is exact, so
     /// `f[i].cast::<f32>()` recovers the `f32`-assembled triangle bitwise.
-    pub fn assemble<Src: BatchSource>(&self, src: Src) -> AssemblyResult {
+    pub fn assemble<E: BatchEntry>(&self, src: &[E]) -> AssemblyResult {
         match self.backend.precision {
             Precision::F64 => {
-                let (f, report) = dispatch(&self.backend.target, &self.cfg, &src);
+                let (f, report) = dispatch(&self.backend.target, &self.cfg, src);
                 AssemblyResult { f, report }
             }
             p @ Precision::F32Refined { .. } => {
-                let demoted: Vec<Demoted> = (0..src.len())
-                    .map(|i| Demoted(src.factor(i).cast(), src.gluing(i).cast(), src.shape(i)))
+                let demoted: Vec<Demoted> = src
+                    .iter()
+                    .map(|e| Demoted(e.factor().cast(), e.gluing().cast(), e.shape()))
                     .collect();
                 let (f, mut report) = dispatch(&self.backend.target, &self.cfg, &demoted);
                 report.precision = p;
@@ -369,8 +370,8 @@ impl AssemblySession {
     }
 }
 
-/// One subdomain of an `f64` source demoted to `f32`: the cast pair with
-/// the source's own shape, which `cast` keeps valid by keeping the patterns.
+/// One `f64` entry demoted to `f32`: the cast pair with the entry's own
+/// shape, which `cast` keeps valid by keeping the patterns.
 struct Demoted<'a>(CscOf<f32>, CscOf<f32>, Cow<'a, AssemblyShape>);
 
 impl BatchEntry<f32> for Demoted<'_> {
@@ -390,10 +391,10 @@ impl BatchEntry<f32> for Demoted<'_> {
 /// Target dispatch of the two batch drivers, generic over the working
 /// precision. Every target fills the same [`AssemblyReport`] schema; the
 /// report's `precision` field is stamped by the caller.
-fn dispatch<S: Scalar, Src: BatchSource<S>>(
+fn dispatch<S: Scalar, E: BatchEntry<S>>(
     target: &Target,
     cfg: &ScConfig,
-    src: &Src,
+    src: &[E],
 ) -> (Vec<SymPackedOf<S>>, AssemblyReport) {
     match target.devices() {
         Some((devices, opts)) => batch_devices(src, cfg, devices, opts),
@@ -522,7 +523,6 @@ impl AssemblyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchItem;
     use sc_factor::{CholOptions, SparseCholesky};
     use sc_gpu::DeviceSpec;
     use sc_sparse::{Coo, Csc};
@@ -570,24 +570,23 @@ mod tests {
     #[test]
     fn every_backend_is_bitwise_identical_through_one_entry_point() {
         let data = workload(6, 6, 8);
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
-        let cpu = AssemblySession::new(Backend::cpu(), cfg).assemble(&items);
+        let cpu = AssemblySession::new(Backend::cpu(), cfg).assemble(&data);
         assert!(cpu.report.devices.is_empty());
         assert_eq!(cpu.report.makespan, 0.0);
 
         let dev = Device::new(DeviceSpec::a100(), 3);
-        let gpu = AssemblySession::new(Backend::gpu(Arc::clone(&dev)), cfg).assemble(&items);
+        let gpu = AssemblySession::new(Backend::gpu(Arc::clone(&dev)), cfg).assemble(&data);
         assert_eq!(gpu.report.devices.len(), 1);
         assert!(gpu.report.makespan > 0.0);
         assert!(gpu.report.devices[0].utilization > 0.0);
         assert!(gpu.report.subdomains.iter().all(|t| t.placement.is_some()));
 
         let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
-        let cl = AssemblySession::new(Backend::cluster(pool), cfg).assemble(&items);
+        let cl = AssemblySession::new(Backend::cluster(pool), cfg).assemble(&data);
         assert_eq!(cl.report.devices.len(), 2);
 
-        for i in 0..items.len() {
+        for i in 0..data.len() {
             assert_eq!(cpu.f[i], gpu.f[i], "gpu deviates at {i}");
             assert_eq!(cpu.f[i], cl.f[i], "cluster deviates at {i}");
         }
@@ -596,15 +595,14 @@ mod tests {
     #[test]
     fn f32_precision_assembles_close_to_f64_and_stamps_reports() {
         let data = workload(5, 6, 8);
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = ScConfig::optimized(true, false);
-        let base = AssemblySession::new(Backend::cpu(), cfg).assemble(&items);
+        let base = AssemblySession::new(Backend::cpu(), cfg).assemble(&data);
         assert_eq!(base.report.precision, Precision::F64);
 
         let f32r = AssemblySession::new(Backend::cpu().precision(Precision::f32_refined()), cfg)
-            .assemble(&items);
+            .assemble(&data);
         assert!(f32r.report.precision.is_f32());
-        for i in 0..items.len() {
+        for i in 0..data.len() {
             let (f64_f, f32_f) = (base.f[i].to_dense(), f32r.f[i].to_dense());
             let err = sc_dense::max_abs_diff(f64_f.as_ref(), f32_f.as_ref());
             assert!(err > 0.0, "f32 assembly must actually run in f32 at {i}");
@@ -614,13 +612,13 @@ mod tests {
         // the demoted pipeline is still deterministic across targets, and
         // the halved value bytes shrink the device arena footprint
         let dev = Device::new(DeviceSpec::a100(), 2);
-        let g64 = AssemblySession::new(Backend::gpu(Arc::clone(&dev)), cfg).assemble(&items);
+        let g64 = AssemblySession::new(Backend::gpu(Arc::clone(&dev)), cfg).assemble(&data);
         let g32 = AssemblySession::new(
             Backend::gpu(Arc::clone(&dev)).precision(Precision::f32_refined()),
             cfg,
         )
-        .assemble(&items);
-        for i in 0..items.len() {
+        .assemble(&data);
+        for i in 0..data.len() {
             assert_eq!(g32.f[i], f32r.f[i], "gpu f32 deviates from cpu f32 at {i}");
         }
         assert!(
@@ -636,35 +634,30 @@ mod tests {
         );
     }
 
-    /// `(L, B̃ᵀ)` pairs as a source that counts the shape requests of each
-    /// subdomain.
+    /// An `(L, B̃ᵀ)` pair as an entry that counts its shape requests.
     struct Counting<'a> {
-        pairs: &'a [(Csc, Csc)],
-        asked: Vec<AtomicUsize>,
+        pair: &'a (Csc, Csc),
+        asked: AtomicUsize,
     }
 
-    impl BatchSource for Counting<'_> {
-        fn len(&self) -> usize {
-            self.pairs.len()
+    impl BatchEntry for Counting<'_> {
+        fn factor(&self) -> &Csc {
+            &self.pair.0
         }
 
-        fn factor(&self, i: usize) -> &Csc {
-            &self.pairs[i].0
+        fn gluing(&self) -> &Csc {
+            &self.pair.1
         }
 
-        fn gluing(&self, i: usize) -> &Csc {
-            &self.pairs[i].1
-        }
-
-        fn shape(&self, i: usize) -> Cow<'_, AssemblyShape> {
-            self.asked[i].fetch_add(1, Ordering::Relaxed);
-            Cow::Owned(AssemblyShape::of(self.factor(i), self.gluing(i)))
+        fn shape(&self) -> Cow<'_, AssemblyShape> {
+            self.asked.fetch_add(1, Ordering::Relaxed);
+            Cow::Owned(AssemblyShape::of(self.factor(), self.gluing()))
         }
     }
 
     /// The CPU driver, the one-GPU driver, the pool driver and the `f32`
-    /// session path each ask a source for every subdomain's shape exactly
-    /// once, and assemble bitwise what they assemble from the bare pairs.
+    /// session path each ask every entry for its shape exactly once, and
+    /// assemble bitwise what they assemble from the bare pairs.
     #[test]
     fn every_driver_asks_for_each_shape_once() {
         let data = workload(5, 6, 8);
@@ -677,30 +670,18 @@ mod tests {
         for backend in backends {
             let name = format!("{} {}", backend.name(), backend.precision.name());
             let session = AssemblySession::new(backend, ScConfig::Auto);
-            let counting = Counting {
-                pairs: &data,
-                asked: data.iter().map(|_| AtomicUsize::new(0)).collect(),
-            };
+            let counting: Vec<Counting> = (data.iter())
+                .map(|pair| Counting {
+                    pair,
+                    asked: AtomicUsize::new(0),
+                })
+                .collect();
             let counted = session.assemble(&counting);
-            let asked: Vec<usize> = counting
-                .asked
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
+            let asked: Vec<usize> = (counting.iter())
+                .map(|c| c.asked.load(Ordering::Relaxed))
                 .collect();
             assert_eq!(asked, vec![1; data.len()], "{name}");
-            assert_eq!(counted.f, session.assemble(data.as_slice()).f, "{name}");
-        }
-    }
-
-    #[test]
-    fn pair_sources_match_item_slices() {
-        let data = workload(4, 6, 7);
-        let items: Vec<BatchItem<'_>> = data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
-        let session = AssemblySession::new(Backend::cpu(), ScConfig::Auto);
-        let eager = session.assemble(&items);
-        let pairs = session.assemble(data.as_slice());
-        for i in 0..items.len() {
-            assert_eq!(eager.f[i], pairs.f[i], "(Csc, Csc) source deviates at {i}");
+            assert_eq!(counted.f, session.assemble(&data).f, "{name}");
         }
     }
 }

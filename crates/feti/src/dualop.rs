@@ -18,60 +18,49 @@ use sc_sparse::{supernodal_lower_solve, supernodal_lower_t_solve, Csc, CscOf, Su
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
-/// Hoisted gather/scatter index map of `B̃ᵢᵀ`, flattened column-major:
-/// column `j` of the gluing block owns `rows[offsets[j]..offsets[j+1]]` with
-/// matching `coeffs` (the ±1 boundary signs, one entry per column on
-/// redundant gluing). Precomputed **once** per subdomain so the implicit
-/// dual-operator application resolves its boundary permutation by direct
-/// indexed loops instead of re-walking the sparse matrix machinery every
-/// PCPG iteration. Generic over the working precision: the mixed-precision
-/// refinement keeps a demoted `f32` copy next to the `f64` one
-/// ([`BoundaryMap`]).
-pub struct BoundaryMapOf<S = f64> {
-    /// Per-column offsets into `rows`/`coeffs` (`n_lambda + 1` entries).
-    offsets: Vec<usize>,
-    /// Factor-space row of each stored coefficient.
-    rows: Vec<usize>,
-    /// Coefficient values (the B̃ signs).
-    coeffs: Vec<S>,
-    /// Factor dimension (length of the dof-space work vector).
-    n_rows: usize,
+/// The gather/scatter of `B̃ᵢᵀ`, read in place: column `j` of the gluing
+/// block owns its stored rows and coefficients (the ±1 boundary signs, one
+/// entry per column on redundant gluing). The implicit dual-operator
+/// application resolves its boundary permutation by direct indexed loops
+/// over the block's own arrays instead of the sparse-matrix machinery.
+/// Generic over the working precision: the mixed-precision refinement views
+/// a demoted `f32` block ([`BoundaryMap`] is the `f64` one).
+#[derive(Clone, Copy)]
+pub struct BoundaryMapOf<'a, S = f64> {
+    /// The row-permuted gluing block.
+    bt: &'a CscOf<S>,
 }
 
 /// The `f64` boundary map (the historical default working precision).
-pub type BoundaryMap = BoundaryMapOf<f64>;
+pub type BoundaryMap<'a> = BoundaryMapOf<'a, f64>;
 
-impl<S: Scalar> BoundaryMapOf<S> {
-    /// Extract the map from the row-permuted gluing block.
-    pub fn of(bt_perm: &CscOf<S>) -> Self {
-        BoundaryMapOf {
-            offsets: bt_perm.col_ptr().to_vec(),
-            rows: bt_perm.row_idx().to_vec(),
-            coeffs: bt_perm.values().to_vec(),
-            n_rows: bt_perm.nrows(),
-        }
+impl<'a, S: Scalar> BoundaryMapOf<'a, S> {
+    /// The map of the row-permuted gluing block.
+    pub fn of(bt_perm: &'a CscOf<S>) -> Self {
+        BoundaryMapOf { bt: bt_perm }
     }
 
     /// Local multiplier count.
     pub fn n_lambda(&self) -> usize {
-        self.offsets.len() - 1
+        self.bt.ncols()
     }
 
     /// Factor dimension.
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        self.bt.nrows()
     }
 
     /// Scatter `t = B̃ᵀ p̃` into the (pre-zeroed) dof-space vector `t` —
     /// bitwise identical to `bt_perm.spmv(1.0, p, 0.0, t)`.
     pub fn scatter(&self, p: &[S], t: &mut [S]) {
         debug_assert_eq!(p.len(), self.n_lambda());
-        debug_assert_eq!(t.len(), self.n_rows);
+        debug_assert_eq!(t.len(), self.n_rows());
+        let (offsets, rows, coeffs) = (self.bt.col_ptr(), self.bt.row_idx(), self.bt.values());
         for (j, &pj) in p.iter().enumerate() {
             // sc-analyze: allow(float-eq)
             if pj != S::ZERO {
-                for k in self.offsets[j]..self.offsets[j + 1] {
-                    t[self.rows[k]] += pj * self.coeffs[k];
+                for k in offsets[j]..offsets[j + 1] {
+                    t[rows[k]] += pj * coeffs[k];
                 }
             }
         }
@@ -82,11 +71,12 @@ impl<S: Scalar> BoundaryMapOf<S> {
     /// accumulated in stored order.
     pub fn gather(&self, t: &[S], out: &mut [S]) {
         debug_assert_eq!(out.len(), self.n_lambda());
-        debug_assert_eq!(t.len(), self.n_rows);
+        debug_assert_eq!(t.len(), self.n_rows());
+        let (offsets, rows, coeffs) = (self.bt.col_ptr(), self.bt.row_idx(), self.bt.values());
         for (j, o) in out.iter_mut().enumerate() {
             let mut s = S::ZERO;
-            for k in self.offsets[j]..self.offsets[j + 1] {
-                s += self.coeffs[k] * t[self.rows[k]];
+            for k in offsets[j]..offsets[j + 1] {
+                s += coeffs[k] * t[rows[k]];
             }
             *o = s;
         }
@@ -95,18 +85,14 @@ impl<S: Scalar> BoundaryMapOf<S> {
 
 /// Per-subdomain factorization bundle: the regularized factor, `B̃ᵢᵀ`
 /// pre-permuted into factor row space, the assembly's shape of the pair,
-/// and what the implicit application reuses across PCPG iterations — the
-/// hoisted boundary index map and the part of the factor a boundary
-/// right-hand side can reach. A slice of bundles is the explicit assembly's
-/// [`BatchSource`](sc_core::BatchSource), handing each bundle's shape over.
+/// and the part of the factor a boundary right-hand side can reach, which
+/// the implicit application reuses across PCPG iterations. A bundle is a
+/// [`BatchEntry`] of the explicit assembly, handing its shape over.
 pub struct SubdomainFactors {
     /// Factorized `K_reg`.
     pub chol: SparseCholesky,
     /// `B̃ᵢᵀ` with rows in the factor's permuted space.
     pub bt_perm: Csc,
-    /// Gather/scatter map of `bt_perm`, hoisted out of the per-iteration
-    /// apply path.
-    pub map: BoundaryMap,
     /// The pattern data of the explicit assembly of `(L, bt_perm)`: the
     /// closure of `bt_perm`'s rows and the stepped permutation.
     pub shape: AssemblyShape,
@@ -178,13 +164,11 @@ impl SubdomainFactors {
             let chol = SparseCholesky::factorize_with_analysis(&kreg, Arc::clone(&analyses[c]))
                 .expect("regularized subdomain matrix must be SPD");
             let bt_perm = sd.bt.permute_rows(chol.perm());
-            let map = BoundaryMap::of(&bt_perm);
             let shape = AssemblyShape::of(chol.factor_csc_ref(), &bt_perm);
             let boundary_runs = chol.supernode_runs().restricted_to(shape.closure());
             SubdomainFactors {
                 chol,
                 bt_perm,
-                map,
                 shape,
                 boundary_runs,
             }
@@ -219,15 +203,15 @@ impl BatchEntry for SubdomainFactors {
 
 /// The factor view Eq. 11 applies against at working precision `S`: `L` in
 /// permuted index space, the supernode runs of its pattern restricted to
-/// what `B̃ᵀ` reaches, and the boundary map of `B̃ᵀ` in the same row space.
-/// The runs hold no values, so a demoted view borrows the `f64` side's.
+/// what `B̃ᵀ` reaches, and `B̃ᵀ` in the same row space. The runs hold no
+/// values, so a demoted view borrows the `f64` side's.
 pub struct FactorView<'a, S = f64> {
     /// The factor.
     pub l: &'a CscOf<S>,
     /// [`SubdomainFactors::boundary_runs`].
     pub runs: &'a SupernodeRuns,
-    /// The map of `B̃ᵀ`.
-    pub map: &'a BoundaryMapOf<S>,
+    /// `B̃ᵀ`, gathered and scattered in place ([`BoundaryMapOf`]).
+    pub bt: &'a CscOf<S>,
 }
 
 impl<'a> From<&'a SubdomainFactors> for FactorView<'a> {
@@ -235,7 +219,7 @@ impl<'a> From<&'a SubdomainFactors> for FactorView<'a> {
         FactorView {
             l: f.chol.factor_csc_ref(),
             runs: &f.boundary_runs,
-            map: &f.map,
+            bt: &f.bt_perm,
         }
     }
 }
@@ -248,13 +232,13 @@ pub fn apply_implicit(factors: &SubdomainFactors, p: &[f64], out: &mut [f64]) {
 
 /// Implicit application `q̃ = B̃ (L⁻ᵀ(L⁻¹(B̃ᵀ p̃)))` (paper Eq. 11) at working
 /// precision `S` against a [`FactorView`] — a `&SubdomainFactors` at `f64`,
-/// a demoted factor and map at `f32`. Both triangular solves are
+/// a demoted factor and gluing block at `f32`. Both triangular solves are
 /// [`sc_sparse`]'s supernodal sweeps, in place on the CSC factor and over
 /// the boundary-restricted runs only: the forward solve of `B̃ᵀ p̃` is exactly
 /// zero in every column they skip, and the gather reads no row the backward
 /// solve skipped. The caller-owned scratch (`t`: the dof-space vector,
 /// resized to the factor dimension; `w`: the sweeps' supernode tail; contents
-/// of both overwritten) and the hoisted [`BoundaryMapOf`] leave the two
+/// of both overwritten) and the in-place [`BoundaryMapOf`] leave the two
 /// sweeps plus the indexed gather/scatter as the per-iteration cost — no
 /// allocation, no sparse-matrix traversal machinery.
 pub fn apply_implicit_with<'a, S: Scalar>(
@@ -264,7 +248,8 @@ pub fn apply_implicit_with<'a, S: Scalar>(
     t: &mut Vec<S>,
     w: &mut Vec<S>,
 ) {
-    let FactorView { l, runs, map } = factors.into();
+    let FactorView { l, runs, bt } = factors.into();
+    let map = BoundaryMapOf::of(bt);
     t.clear();
     t.resize(map.n_rows(), S::ZERO);
     map.scatter(p, t);
@@ -639,7 +624,8 @@ mod tests {
     /// the Dirichlet boundary, floating ones) once each, and every bundle is
     /// bitwise the one an independent per-subdomain factorization gives.
     /// Every factor's `L` holds its class analysis's pattern allocation, and
-    /// so do its `f32` demotion and its refactorizations.
+    /// so do its `f32` demotion and its refactorizations. Eq. 11 reads each
+    /// bundle's `B̃ᵀ` in place, and its `f32` demotion shares the pattern.
     #[test]
     fn build_all_shares_one_analysis_per_class_bitwise() {
         let cases = [
@@ -661,6 +647,8 @@ mod tests {
                 }
             }
             assert_eq!(classes.len(), 2, "{}D", prob.dim);
+            let implicit: Vec<LocalOp> = all.iter().map(|_| LocalOp::Implicit).collect();
+            let demoted = crate::refine::Demoted::of(&implicit, &all, prob);
             for (i, (sd, f)) in prob.subdomains.iter().zip(all.iter()).enumerate() {
                 let kreg = regularize_fixing_node(&sd.k, sd.kernel.as_deref(), sd.fixing_dof, None);
                 let perm = Ordering::NestedDissection.compute(&kreg);
@@ -702,6 +690,11 @@ mod tests {
                     "{at}"
                 );
                 assert_eq!(bits(again.factor_csc_ref()), bits(l), "{at}");
+
+                let bt = FactorView::from(f).bt.row_idx();
+                assert!(std::ptr::eq(bt, f.bt_perm.row_idx()), "{at}");
+                let bt32 = demoted.view(&all, i).expect("an implicit slot").bt;
+                assert!(Arc::ptr_eq(bt32.pattern(), f.bt_perm.pattern()), "{at}");
             }
             let mut patterns: Vec<&Arc<sc_sparse::CscPattern>> = Vec::new();
             for f in all.iter() {
@@ -743,14 +736,11 @@ mod tests {
                 let f = sc_core::assemble_sc(&mut sc_core::CpuExec, l, &factors.bt_perm, &cfg);
                 SymPackedOf::from_lower(f.as_ref()).cast::<S>()
             };
-            let (l_s, map_s) = (
-                l.cast::<S>(),
-                BoundaryMapOf::of(&factors.bt_perm.cast::<S>()),
-            );
+            let (l_s, bt_s) = (l.cast::<S>(), factors.bt_perm.cast::<S>());
             let view = || FactorView {
                 l: &l_s,
                 runs: &factors.boundary_runs,
-                map: &map_s,
+                bt: &bt_s,
             };
             let dev = Device::new(DeviceSpec::a100(), 1);
             let twin = Device::new(DeviceSpec::a100(), 1);
@@ -892,7 +882,8 @@ mod tests {
     fn restricted_sweeps_match_the_unrestricted_ones<S: Scalar>() {
         for (sd, factors) in pruning_problems().iter().flat_map(with_factors) {
             let l = factors.chol.factor_csc_ref().cast::<S>();
-            let map = BoundaryMapOf::of(&factors.bt_perm.cast::<S>());
+            let bt = factors.bt_perm.cast::<S>();
+            let map = BoundaryMapOf::of(&bt);
             let full = factors.chol.supernode_runs();
             let p: Vec<S> = (0..sd.n_lambda())
                 .map(|i| S::from_f64(((i * 17 % 13) as f64) * 0.25 - 1.5))

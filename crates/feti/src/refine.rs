@@ -11,7 +11,7 @@
 //! the solver falls back to the full-`f64` PCPG so a hard workload degrades
 //! to the historical path instead of returning a bad λ).
 
-use crate::dualop::{BoundaryMapOf, DualPass, FactorView, LocalOp, SubdomainFactors};
+use crate::dualop::{DualPass, FactorView, LocalOp, SubdomainFactors};
 use crate::pcpg::{pcpg_preconditioned_of, PcpgStats};
 use crate::solver::{FetiSolver, Preconditioner};
 use rayon::prelude::*;
@@ -33,10 +33,10 @@ pub(crate) struct Demoted {
     /// cast back; it drops the stream binding — the inner SYMVs run on the host,
     /// so only the `f64` residual applications move a simulated clock.
     ops: Vec<LocalOp<f32>>,
-    /// The demoted `(L, map)` of each implicit slot's factor view (its
-    /// supernode runs hold no values and stay with the `f64` factors);
-    /// `None` beside a dense one.
-    factors: Vec<Option<(CscOf<f32>, BoundaryMapOf<f32>)>>,
+    /// The demoted `(L, B̃ᵀ)` of each implicit slot's factor view, sharing
+    /// the `f64` patterns (its supernode runs hold no values and stay with
+    /// the `f64` factors); `None` beside a dense one.
+    factors: Vec<Option<(CscOf<f32>, CscOf<f32>)>>,
     pass: DualPass<f32>,
 }
 
@@ -53,8 +53,8 @@ impl Demoted {
                 }
                 LocalOp::Implicit => {
                     let l = fac.chol.factor_csc_ref().cast::<f32>();
-                    let map = BoundaryMapOf::of(&fac.bt_perm.cast::<f32>());
-                    (LocalOp::Implicit, Some((l, map)))
+                    let bt = fac.bt_perm.cast::<f32>();
+                    (LocalOp::Implicit, Some((l, bt)))
                 }
             })
             .collect();
@@ -80,12 +80,19 @@ impl Demoted {
         factors: &[SubdomainFactors],
         p: &[f32],
     ) -> Vec<f32> {
-        let view = |i: usize| {
-            let (l, map) = self.factors[i].as_ref()?;
-            let runs = &factors[i].boundary_runs;
-            Some(FactorView { l, runs, map })
-        };
-        self.pass.apply_ops(problem, &self.ops, view, p)
+        self.pass
+            .apply_ops(problem, &self.ops, |i| self.view(factors, i), p)
+    }
+
+    /// Subdomain `i`'s demoted factor view, `None` beside a dense slot.
+    pub(crate) fn view<'a>(
+        &'a self,
+        factors: &'a [SubdomainFactors],
+        i: usize,
+    ) -> Option<FactorView<'a, f32>> {
+        let (l, bt) = self.factors[i].as_ref()?;
+        let runs = &factors[i].boundary_runs;
+        Some(FactorView { l, runs, bt })
     }
 }
 

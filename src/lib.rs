@@ -59,10 +59,10 @@
 //!
 //! ```no_run
 //! use schur_dd::prelude::*;
-//! # let items: Vec<BatchItem> = Vec::new();
+//! # let items: Vec<(Csc, Csc)> = Vec::new();
 //! let device = Device::new(DeviceSpec::a100(), 4);
 //! let session = AssemblySession::new(Backend::gpu(device), ScConfig::Auto);
-//! let result = session.assemble(&items);
+//! let result = session.assemble(&items); // one (L, B̃ᵀ) pair per subdomain
 //! println!("makespan {:.3} ms", result.report.makespan * 1e3);
 //! ```
 
@@ -80,8 +80,8 @@ pub use sc_sparse;
 pub mod prelude {
     pub use sc_core::{
         assemble_sc, estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by,
-        ApplyEstimate, AssemblyReport, AssemblyResult, AssemblySession, Backend, BatchItem,
-        BatchSource, BlockParam, ClusterPlanError, CostEstimate, CpuExec, DeviceReport, DeviceSlot,
+        ApplyEstimate, AssemblyReport, AssemblyResult, AssemblySession, Backend, BatchEntry,
+        BlockParam, ClusterPlanError, CostEstimate, CpuExec, DeviceReport, DeviceSlot,
         FactorStorage, Formulation, GpuExec, HybridPlan, HybridPlanOptions, Precision,
         RecordingExec, ScConfig, ScParams, ScheduleOptions, ScheduledSpan, SteppedRhs,
         StreamPolicy, SubdomainTiming, SyrkVariant, TopoPlan, Topology, TrsmVariant,

@@ -29,15 +29,21 @@ fn prelude_surface_is_complete() {
     ) {
     }
     fn _report_rows(_: &SubdomainTiming, _: &ScheduledSpan) {}
-    fn _solver_types(_: &FetiSolverBuilder, _: &FormulationChoice, _: &dyn BatchSource) {}
-    // BatchSource, the one input bound of `assemble`, usable through the
-    // prelude
-    fn _source(items: &[(Csc, Csc)]) -> impl BatchSource + '_ {
-        items
-    }
-    // FETI factor bundles are a source, handing over the shapes they keep
-    fn _bundles(factors: &[SubdomainFactors]) -> impl BatchSource + '_ {
-        factors
+    fn _solver_types(_: &FetiSolverBuilder, _: &FormulationChoice, _: &dyn BatchEntry) {}
+    // `assemble` takes a slice of entries: owned pairs (through a `Vec`),
+    // FETI factor bundles (handing over the shapes they keep), and
+    // references to bundles for a share of a batch
+    fn _entries(
+        session: &AssemblySession,
+        pairs: Vec<(Csc, Csc)>,
+        bundles: &[SubdomainFactors],
+        share: &[&SubdomainFactors],
+    ) -> [AssemblyResult; 3] {
+        [
+            session.assemble(&pairs),
+            session.assemble(bundles),
+            session.assemble(share),
+        ]
     }
     // options structs carry the unified with_* builder surface
     let _ = ScheduleOptions::default()
@@ -143,7 +149,7 @@ fn mixed_workload() -> impl Strategy<Value = Vec<(Csc, Csc)>> {
 /// `F̃ᵢ` against `reference`; returns the devices' final simulated clocks
 /// and the reported makespans.
 fn assemble_on_every_backend(
-    items: &[BatchItem<'_>],
+    items: &[(Csc, Csc)],
     cfg: ScConfig,
     reference: &[Mat],
     n_streams: usize,
@@ -197,15 +203,13 @@ proptest! {
         n_streams in 1usize..4,
         n_devices in 1usize..4,
     ) {
-        let items: Vec<BatchItem<'_>> =
-            data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
         let cfg = if auto_cfg { ScConfig::Auto } else { ScConfig::optimized(true, false) };
         let reference: Vec<Mat> = data
             .iter()
             .map(|(l, bt)| assemble_sc(&mut CpuExec, l, bt, &cfg))
             .collect();
-        let first = assemble_on_every_backend(&items, cfg, &reference, n_streams, n_devices)?;
-        let again = assemble_on_every_backend(&items, cfg, &reference, n_streams, n_devices)?;
+        let first = assemble_on_every_backend(&data, cfg, &reference, n_streams, n_devices)?;
+        let again = assemble_on_every_backend(&data, cfg, &reference, n_streams, n_devices)?;
         prop_assert_eq!(first, again,
             "fresh devices with identical options must replay the same simulated timeline");
     }

@@ -74,7 +74,7 @@ fn tight_spec() -> DeviceSpec {
 #[test]
 fn four_devices_beat_one_by_2_5x_on_the_cluster32_workload() {
     let w = sc_bench::BatchWorkload::build_cluster32();
-    let items = w.items();
+    let items = w.factors.as_slice();
     let cfg = ScConfig::optimized(true, false);
     let [one, two, four, mixed] = [
         DevicePool::uniform(DeviceSpec::a100(), 1, 4),
@@ -82,7 +82,7 @@ fn four_devices_beat_one_by_2_5x_on_the_cluster32_workload() {
         DevicePool::uniform(DeviceSpec::a100(), 4, 4),
         DevicePool::heterogeneous(&[DeviceSpec::a100(), DeviceSpec::h100()], 4),
     ]
-    .map(|pool| AssemblySession::new(Backend::cluster(pool), cfg).assemble(&items));
+    .map(|pool| AssemblySession::new(Backend::cluster(pool), cfg).assemble(items));
 
     let speedup = one.report.makespan / four.report.makespan;
     assert!(
@@ -112,11 +112,10 @@ proptest! {
         n_devices in 1usize..5,
         n_streams in 1usize..4,
     ) {
-        let items: Vec<BatchItem<'_>> =
-            data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
+        let items = data.as_slice();
         let pool = DevicePool::uniform(tight_spec(), n_devices, n_streams);
         let res = AssemblySession::new(Backend::cluster(pool.clone()), ScConfig::optimized(true, false))
-            .assemble(&items);
+            .assemble(items);
         let report = &res.report;
 
         // --- every subdomain placed on exactly one device: one row each,
@@ -164,7 +163,7 @@ proptest! {
             Backend::gpu(std::sync::Arc::clone(&single)),
             ScConfig::optimized(true, false),
         )
-        .assemble(&items);
+        .assemble(items);
         prop_assert!(
             report.makespan <= sres.report.makespan * (1.0 + 1e-12),
             "cluster makespan {} over {n_devices} devices exceeds the \
@@ -187,11 +186,10 @@ proptest! {
     ) {
         // one tight card next to a full A100: placement must respect each
         // device's own arena and numerics must stay bitwise CPU-identical
-        let items: Vec<BatchItem<'_>> =
-            data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
+        let items = data.as_slice();
         let pool = DevicePool::heterogeneous(&[DeviceSpec::a100(), tight_spec()], n_streams);
         let cfg = ScConfig::optimized(true, false);
-        let res = AssemblySession::new(Backend::cluster(pool.clone()), cfg).assemble(&items);
+        let res = AssemblySession::new(Backend::cluster(pool.clone()), cfg).assemble(items);
         for rep in &res.report.devices {
             prop_assert!(rep.temp_high_water <= pool.device(rep.device).arena_capacity());
         }

@@ -393,7 +393,7 @@ fn collapse_costs(
 #[test]
 fn auto_beats_all_explicit_and_all_implicit_by_1_3x_on_the_mixed_fit_workload() {
     let w = mixed_fit();
-    let items = w.items();
+    let items = w.factors.as_slice();
     let cfg = ScConfig::optimized(true, false);
     let (pool, arena) = w.mixed_fit_pool(&cfg);
     let (costs, applies) = mixed_fit_estimates::<f64>(&cfg);
@@ -420,10 +420,11 @@ fn auto_beats_all_explicit_and_all_implicit_by_1_3x_on_the_mixed_fit_workload() 
         !gpu_idx.is_empty(),
         "the medium class must stay on the pool"
     );
-    let share: Vec<BatchItem<'_>> = gpu_idx.iter().map(|&g| items[g]).collect();
+    let share: Vec<&(Csc, Csc)> = gpu_idx.iter().map(|&g| &items[g]).collect();
     let res = AssemblySession::new(Backend::cluster(pool), cfg).assemble(&share);
     for (local, &g) in gpu_idx.iter().enumerate() {
-        let reference = assemble_sc(&mut CpuExec, items[g].l, items[g].bt, &cfg);
+        let (l, bt) = &items[g];
+        let reference = assemble_sc(&mut CpuExec, l, bt, &cfg);
         assert_eq!(
             res.f[local].to_dense(),
             reference,
@@ -448,7 +449,7 @@ fn auto_beats_all_explicit_and_all_implicit_by_1_3x_on_the_mixed_fit_workload() 
 #[test]
 fn f32_halves_the_arena_and_admits_more_explicit_subdomains_on_the_mixed_fit_workload() {
     let w = mixed_fit();
-    let items = w.items();
+    let items = w.factors.as_slice();
     let cfg = ScConfig::optimized(true, false);
 
     let high_water = |precision: Precision| {
@@ -457,7 +458,7 @@ fn f32_halves_the_arena_and_admits_more_explicit_subdomains_on_the_mixed_fit_wor
             Backend::gpu_with(device, ScheduleOptions::default()).precision(precision),
             cfg,
         )
-        .assemble(&items)
+        .assemble(items)
         .report;
         assert_eq!(report.precision.is_f32(), precision.is_f32());
         report.temp_high_water()

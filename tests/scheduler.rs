@@ -79,7 +79,7 @@ fn scheduled_beats_round_robin_on_the_bench_workload() {
     let w = sc_bench::BatchWorkload::build_skewed(2, &[12, 4, 6, 3]);
     assert!(w.n_subdomains() >= 16);
     assert!(w.size_spread() >= 4.0);
-    let items = w.items();
+    let items = w.factors.as_slice();
     let cfg = ScConfig::optimized(true, false);
 
     let dev_rr = Device::new(DeviceSpec::a100(), 4);
@@ -90,10 +90,10 @@ fn scheduled_beats_round_robin_on_the_bench_workload() {
         ),
         cfg,
     )
-    .assemble(&items);
+    .assemble(items);
     let dev_lpt = Device::new(DeviceSpec::a100(), 4);
     let lpt =
-        AssemblySession::new(Backend::gpu(std::sync::Arc::clone(&dev_lpt)), cfg).assemble(&items);
+        AssemblySession::new(Backend::gpu(std::sync::Arc::clone(&dev_lpt)), cfg).assemble(items);
 
     assert!(
         dev_lpt.synchronize() < dev_rr.synchronize(),
@@ -101,8 +101,8 @@ fn scheduled_beats_round_robin_on_the_bench_workload() {
         dev_lpt.synchronize(),
         dev_rr.synchronize()
     );
-    for (i, item) in items.iter().enumerate() {
-        let seq = assemble_sc(&mut CpuExec, item.l, item.bt, &cfg);
+    for (i, (l, bt)) in items.iter().enumerate() {
+        let seq = assemble_sc(&mut CpuExec, l, bt, &cfg);
         assert_eq!(lpt.f[i].to_dense(), seq, "scheduled F̃ deviates at {i}");
         assert_eq!(rr.f[i].to_dense(), seq, "round-robin F̃ deviates at {i}");
     }
@@ -117,8 +117,7 @@ proptest! {
         n_streams in 1usize..5,
         lpt in prop::bool::ANY,
     ) {
-        let items: Vec<BatchItem<'_>> =
-            data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
+        let items = data.as_slice();
         let dev = tight_device(n_streams);
         dev.enable_span_log();
         let cfg = ScConfig::optimized(true, false);
@@ -129,7 +128,7 @@ proptest! {
             Backend::gpu_with(std::sync::Arc::clone(&dev), opts),
             cfg,
         )
-        .assemble(&items);
+        .assemble(items);
         let report = &res.report;
         let schedule: Vec<ScheduledSpan> =
             report.subdomains.iter().filter_map(|t| t.placement).collect();
@@ -196,8 +195,7 @@ proptest! {
         n_streams in 1usize..4,
         delays in proptest::collection::vec(0.0f64..2.0, 12),
     ) {
-        let items: Vec<BatchItem<'_>> =
-            data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
+        let items = data.as_slice();
         let ready: Vec<f64> = (0..items.len()).map(|i| delays[i % delays.len()]).collect();
         let dev = tight_device(n_streams);
         let res = AssemblySession::new(
@@ -209,7 +207,7 @@ proptest! {
             ),
             ScConfig::optimized(true, false),
         )
-        .assemble(&items);
+        .assemble(items);
         for t in &res.report.subdomains {
             let start = t.placement.expect("placed on the device").span.start;
             prop_assert!(
@@ -226,10 +224,10 @@ proptest! {
 /// Single-stream price of one subdomain as the device driver records it —
 /// uploads, the assembly kernels, the resident result — under `spec`'s own
 /// duration model.
-fn recorded_seconds(item: &BatchItem<'_>, cfg: &ScConfig, spec: &DeviceSpec) -> f64 {
+fn recorded_seconds((l, bt): &(Csc, Csc), cfg: &ScConfig, spec: &DeviceSpec) -> f64 {
     let mut rec = RecordingExec::new();
-    let _ = assemble_sc(&mut rec, item.l, item.bt, cfg);
-    let uploads = [item.l.nnz(), item.bt.nnz()].map(KernelCost::csc_transfer_of::<f64>);
+    let _ = assemble_sc(&mut rec, l, bt, cfg);
+    let uploads = [l.nnz(), bt.nnz()].map(KernelCost::csc_transfer_of::<f64>);
     let download = KernelCost::transfer(0.0);
     let costs = uploads
         .into_iter()
@@ -245,7 +243,7 @@ fn recorded_seconds(item: &BatchItem<'_>, cfg: &ScConfig, spec: &DeviceSpec) -> 
 #[test]
 fn every_device_target_replays_the_lanes_of_the_one_plan() {
     let w = sc_bench::BatchWorkload::build_skewed(2, &[12, 4, 6, 3]);
-    let items = w.items();
+    let items = w.factors.as_slice();
     let cfg = ScConfig::optimized(true, false);
     let spec = DeviceSpec::a100();
     let price: Vec<f64> = items
@@ -255,7 +253,7 @@ fn every_device_target_replays_the_lanes_of_the_one_plan() {
     let costs: Vec<CostEstimate> = items
         .iter()
         .enumerate()
-        .map(|(i, it)| estimate_cost(&spec, it.l, it.bt, &cfg.resolve(true, it.l, it.bt), i))
+        .map(|(i, (l, bt))| estimate_cost(&spec, l, bt, &cfg.resolve(true, l, bt), i))
         .collect();
 
     let dev = Device::new(spec.clone(), 3);
@@ -278,7 +276,7 @@ fn every_device_target_replays_the_lanes_of_the_one_plan() {
     ];
     for (name, topo, backend) in targets {
         let plan = plan_topology_by(&costs, &topo, |c, _| price[c.index]).unwrap();
-        let report = AssemblySession::new(backend, cfg).assemble(&items).report;
+        let report = AssemblySession::new(backend, cfg).assemble(items).report;
         assert_eq!(report.devices.len(), plan.lanes.len(), "{name}");
         for (rep, planned) in report.devices.iter().zip(&plan.lanes) {
             // the device's rows, chronological, grouped by stream

@@ -9,9 +9,10 @@ use sc_analyze::trace::{validate, TraceViolation};
 use sc_bench::BatchWorkload;
 use sc_core::{
     estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
-    BatchItem, DeviceSlot, Formulation, HybridPlanOptions, Precision, ScConfig, ScheduleOptions,
+    DeviceSlot, Formulation, HybridPlanOptions, Precision, ScConfig, ScheduleOptions,
 };
 use sc_gpu::{Device, DevicePool, DeviceSpec, Trace, TraceEvent};
+use sc_sparse::Csc;
 use std::sync::OnceLock;
 
 fn cfg() -> ScConfig {
@@ -25,7 +26,7 @@ fn scheduled(w: &BatchWorkload, n_streams: usize, precision: Precision) -> Assem
         Backend::gpu_with(device, ScheduleOptions::default()).precision(precision),
         cfg(),
     )
-    .assemble(w.items())
+    .assemble(&w.factors)
     .report
 }
 
@@ -55,7 +56,7 @@ fn schedule() -> AssemblyReport {
 fn cluster() -> AssemblyReport {
     let pool = DevicePool::uniform(DeviceSpec::a100(), 4, 4);
     AssemblySession::new(Backend::cluster(pool), cfg())
-        .assemble(BatchWorkload::build_cluster32().items())
+        .assemble(&BatchWorkload::build_cluster32().factors)
         .report
 }
 
@@ -63,16 +64,16 @@ fn cluster() -> AssemblyReport {
 /// auto formulation splits it: the hybrid plan spills the over-arena
 /// quarter, and its explicit-GPU share is what the pool replays.
 fn hybrid() -> AssemblyReport {
-    let items = mixed_fit().items();
+    let items = &mixed_fit().factors;
     let (pool, _arena) = mixed_fit().mixed_fit_pool(&cfg());
     let (costs, applies): (Vec<_>, Vec<_>) = items
         .iter()
         .enumerate()
-        .map(|(i, it)| {
-            let params = cfg().resolve(true, it.l, it.bt);
+        .map(|(i, (l, bt))| {
+            let params = cfg().resolve(true, l, bt);
             (
-                estimate_cost(&DeviceSpec::a100(), it.l, it.bt, &params, i),
-                estimate_apply(it.l, it.bt, i),
+                estimate_cost(&DeviceSpec::a100(), l, bt, &params, i),
+                estimate_apply(l, bt, i),
             )
         })
         .unzip();
@@ -82,10 +83,10 @@ fn hybrid() -> AssemblyReport {
         !plan.spilled.is_empty(),
         "the over-arena quarter must spill"
     );
-    let share: Vec<BatchItem> = plan
+    let share: Vec<&(Csc, Csc)> = plan
         .indices_of(Formulation::ExplicitGpu)
         .into_iter()
-        .map(|g| items[g])
+        .map(|g| &items[g])
         .collect();
     AssemblySession::new(Backend::cluster(pool), cfg())
         .assemble(&share)
