@@ -183,14 +183,9 @@ impl BatchWorkload {
     /// admitted explicitly. Returns the pool and the arena capacity in
     /// bytes.
     pub fn mixed_fit_pool(&self, cfg: &ScConfig) -> (Arc<DevicePool>, usize) {
-        let ref_spec = DeviceSpec::a100();
-        let mut temps: Vec<usize> = self
-            .factors
-            .iter()
-            .enumerate()
-            .map(|(i, (l, bt))| {
-                let params = cfg.resolve(true, l, bt);
-                sc_core::estimate_cost(&ref_spec, l, bt, &params, i).temp_bytes
+        let mut temps: Vec<usize> = (self.factors.iter())
+            .map(|(l, bt)| {
+                sc_core::temp_footprint::<f64>(l.ncols(), bt.ncols(), &cfg.resolve(true, l, bt))
             })
             .collect();
         temps.sort_unstable();
@@ -202,7 +197,7 @@ impl BatchWorkload {
         );
         let spec = DeviceSpec {
             memory_bytes: 2 * arena,
-            ..ref_spec
+            ..DeviceSpec::a100()
         };
         let pool = DevicePool::uniform(spec, 2, 4);
         assert_eq!(

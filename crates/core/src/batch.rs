@@ -13,13 +13,14 @@
 //!
 //! - **CPU** (`batch_cpu`) — one rayon task per subdomain;
 //! - **every device target** (`batch_devices`) — one GPU and a device pool
-//!   are the same pass over a [`Topology::Pool`] (one GPU is a one-device
-//!   pool). **Record once**: the numerics run host-parallel (bitwise the
-//!   CPU path), and each subdomain's kernel sequence is the uploads, the
-//!   plan's [`launches`](AssemblyPlan::launches) and the download. **Plan
-//!   once**: [`plan_topology_by`] places the whole batch (cost-aware LPT
-//!   across devices under per-device arena admissibility, then the paper's
-//!   §4.4 stream assignment per device, or the blind round-robin baseline),
+//!   are the same pass over a [`Topology`] (one GPU is a one-device pool).
+//!   **Record once**: the numerics run host-parallel (bitwise the CPU
+//!   path), and each subdomain's kernel sequence is the uploads, the plan's
+//!   [`launches`](AssemblyPlan::launches) and the download, beside its
+//!   arena footprint ([`temp_footprint`]). **Plan once**:
+//!   [`plan_topology_by`] places the whole batch (cost-aware LPT across
+//!   devices under per-device arena admissibility, then the paper's §4.4
+//!   stream assignment per device, or the blind round-robin baseline),
 //!   pricing both levels with the recorded kernels under each device's own
 //!   [`DeviceSpec::kernel_seconds`](sc_gpu::DeviceSpec::kernel_seconds).
 //!   **Replay**: each device executes the lanes the plan holds, kernel by
@@ -39,14 +40,12 @@
 
 use crate::assemble::{ScConfig, ScParams};
 use crate::plan::AssemblyPlan;
-use crate::schedule::{
-    self, plan_topology_by, ClusterPlanError, CostEstimate, DeviceSlot, ScheduleOptions, Topology,
-};
+use crate::schedule::{plan_topology_by, temp_footprint, DeviceSlot, ScheduleOptions, Topology};
 use crate::session::{AssemblyReport, DeviceReport, ScheduledSpan, SubdomainTiming};
 use crate::source::BatchEntry;
 use rayon::prelude::*;
 use sc_dense::{Scalar, SymPackedOf};
-use sc_gpu::{ArenaSim, Device, DeviceSpec, KernelCost, SimSpan, SlotAccess, Trace, TraceEvent};
+use sc_gpu::{ArenaSim, Device, KernelCost, SimSpan, SlotAccess, Trace, TraceEvent};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -96,9 +95,8 @@ pub(crate) fn batch_cpu<S: Scalar, E: BatchEntry<S>>(
 }
 
 /// **The** device driver: record every subdomain once, plan the whole
-/// batch once over `devices` as a [`Topology::Pool`] (one GPU is a
-/// one-device pool), replay each device from the lane assignment the plan
-/// holds.
+/// batch once over `devices` as one [`Topology`] (one GPU is a one-device
+/// pool), replay each device from the lane assignment the plan holds.
 ///
 /// The pricing closure is the same at both placement levels: the recorded
 /// kernel sequence under each device's own duration model — launch overhead
@@ -109,8 +107,9 @@ pub(crate) fn batch_cpu<S: Scalar, E: BatchEntry<S>>(
 ///
 /// When `opts.ready_at` does not carry one finite, non-negative entry per
 /// batch item; when the batch is non-empty and no device is usable
-/// ([`ClusterPlanError::NoDevices`]); or when a subdomain's temporaries
-/// exceed every device's arena ([`ClusterPlanError::Spilled`]).
+/// ([`ClusterPlanError::NoDevices`](crate::ClusterPlanError::NoDevices)); or
+/// when a subdomain's temporaries exceed every usable device's arena (the
+/// plan's [`spilled`](crate::TopoPlan::spilled) set, named in the message).
 pub(crate) fn batch_devices<S: Scalar, E: BatchEntry<S>>(
     src: &[E],
     cfg: &ScConfig,
@@ -119,48 +118,46 @@ pub(crate) fn batch_devices<S: Scalar, E: BatchEntry<S>>(
 ) -> (Vec<SymPackedOf<S>>, AssemblyReport) {
     opts.assert_ready_at(src.len());
     let t0 = Instant::now();
-    let slots: Vec<DeviceSlot> = devices.iter().map(|d| DeviceSlot::of(d)).collect();
 
     // record: every subdomain **once** — the numerics, kernel sequences and
     // arena footprints feed both planning levels and the replay
-    let ref_spec = slots
-        .first()
-        .map_or_else(DeviceSpec::host, |s| s.spec.clone());
-    let (recorded, costs) = record_batch(src, cfg, &ref_spec);
+    let recorded = record_batch(src, cfg);
 
     // plan: devices, then each device's lanes, in one call
-    let kernel_seconds: Vec<Vec<f64>> = recorded
-        .iter()
-        .map(|r| {
-            slots
-                .iter()
-                .map(|s| {
-                    r.kernels
-                        .iter()
-                        .map(|(c, _)| s.spec.kernel_seconds(c))
-                        .sum()
-                })
-                .collect()
-        })
-        .collect();
-    let max_arena = schedule::max_usable_arena(&slots);
-    let topo = Topology::Pool {
-        slots,
+    let topo = Topology {
+        slots: devices.iter().map(|d| DeviceSlot::of(d)).collect(),
         policy: opts.policy,
     };
-    let plan = plan_topology_by(&costs, &topo, |c, d| kernel_seconds[c.index][d])
-        .and_then(|plan| {
-            if plan.spilled.is_empty() {
-                Ok(plan)
-            } else {
-                Err(ClusterPlanError::Spilled {
-                    spilled: plan.spilled,
-                    max_arena,
-                })
-            }
-        })
-        // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
-        .unwrap_or_else(|e| panic!("device placement failed: {e}"));
+    let items: Vec<(usize, usize)> = (recorded.iter().enumerate())
+        .map(|(i, r)| (i, r.temp_bytes))
+        .collect();
+    let plan = plan_topology_by(&items, &topo, |k, d| {
+        let spec = &topo.slots[d].spec;
+        recorded[k]
+            .kernels
+            .iter()
+            .map(|(c, _)| spec.kernel_seconds(c))
+            .sum()
+    })
+    .map_err(|e| e.to_string())
+    .and_then(|plan| {
+        if plan.spilled.is_empty() {
+            return Ok(plan);
+        }
+        let max_arena = (topo.slots.iter().filter(|s| s.is_usable()))
+            .map(|s| s.arena_capacity)
+            .max()
+            .unwrap_or(0);
+        Err(format!(
+            "{} subdomain(s) {:?} need more temporaries than the largest device \
+             arena in the pool ({max_arena} B); recoverable: let \
+             FormulationChoice::Auto reroute them, or re-plan without them",
+            plan.spilled.len(),
+            plan.spilled
+        ))
+    })
+    // documented batch-API contract: planning failure aborts. sc-analyze: allow(panic-surface)
+    .unwrap_or_else(|e| panic!("device placement failed: {e}"));
 
     // replay: device by device, for a deterministic simulated timeline
     let mut report = AssemblyReport::default();
@@ -170,7 +167,6 @@ pub(crate) fn batch_devices<S: Scalar, E: BatchEntry<S>>(
             d,
             &lanes.per_lane,
             &recorded,
-            &costs,
             opts.ready_at.as_deref(),
             &mut report.subdomains,
         );
@@ -185,24 +181,22 @@ pub(crate) fn batch_devices<S: Scalar, E: BatchEntry<S>>(
 
 /// One subdomain's record-phase output: the packed `F̃ᵢ`, the kernel
 /// sequence to replay, each kernel with its arena-slot access for the
-/// hazard-audit trace, and the host task time.
+/// hazard-audit trace, the peak temporary footprint the planner admits and
+/// the replay reserves, and the host task time.
 struct Recorded<S: Scalar = f64> {
     f: SymPackedOf<S>,
     kernels: Vec<(KernelCost, SlotAccess)>,
+    temp_bytes: usize,
     host_seconds: f64,
 }
 
 /// The record phase: the per-subdomain body host-parallel on the GPU
-/// platform, plus analytic cost estimates under `spec` (the planner's
-/// arena footprints; its seconds come from the recorded kernels). Each
-/// kernel sequence is the uploads of `L` and `B̃ᵀ` (writing the arena
-/// slot), the plan's launches (reading and writing it) and the download
-/// (reading it; `F̃ᵢ` stays on the device, 0 bytes).
-fn record_batch<S: Scalar, E: BatchEntry<S>>(
-    src: &[E],
-    cfg: &ScConfig,
-    spec: &DeviceSpec,
-) -> (Vec<Recorded<S>>, Vec<CostEstimate>) {
+/// platform, plus each subdomain's [`temp_footprint`] (the planner's arena
+/// admission; its seconds come from the recorded kernels). Each kernel
+/// sequence is the uploads of `L` and `B̃ᵀ` (writing the arena slot), the
+/// plan's launches (reading and writing it) and the download (reading it;
+/// `F̃ᵢ` stays on the device, 0 bytes).
+fn record_batch<S: Scalar, E: BatchEntry<S>>(src: &[E], cfg: &ScConfig) -> Vec<Recorded<S>> {
     (0..src.len())
         .into_par_iter()
         .map(|i| {
@@ -215,24 +209,19 @@ fn record_batch<S: Scalar, E: BatchEntry<S>>(
                 .chain(launches.map(|c| (c, SlotAccess::read_write())))
                 .chain([(KernelCost::transfer(0.0), SlotAccess::read())])
                 .collect();
-            let estimate = schedule::estimate_cost(spec, l, bt, &params, i);
-            (
-                Recorded {
-                    f,
-                    kernels,
-                    host_seconds,
-                },
-                estimate,
-            )
+            Recorded {
+                f,
+                kernels,
+                temp_bytes: temp_footprint::<S>(l.ncols(), bt.ncols(), &params),
+                host_seconds,
+            }
         })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .unzip()
+        .collect()
 }
 
 /// The replay phase, for one device: execute the per-stream submission
 /// queues `lanes` (the device's lane plan; batch indices into
-/// `recorded`/`costs`/`ready_at`) onto `dev`, admitting each subdomain
+/// `recorded`/`ready_at`) onto `dev`, admitting each subdomain
 /// against the device's temporary arena ("wait") and applying
 /// per-subdomain host readiness ("mix"). Pushes each subdomain's report row,
 /// placed on device `d`, to `rows` as the subdomain completes, and returns
@@ -255,7 +244,6 @@ fn replay_device<S: Scalar>(
     d: usize,
     lanes: &[Vec<usize>],
     recorded: &[Recorded<S>],
-    costs: &[CostEstimate],
     ready_at: Option<&[f64]>,
     rows: &mut Vec<SubdomainTiming>,
 ) -> DeviceReport {
@@ -356,7 +344,7 @@ fn replay_device<S: Scalar>(
             // "wait": stall the stream until the arena can hold the
             // temporaries; blocked by an in-flight holder → let another
             // stream replay first
-            let bytes = costs[i].temp_bytes;
+            let bytes = recorded[i].temp_bytes;
             let Some(admitted_at) = arena.try_admit(bytes, device.stream_time(s)) else {
                 continue;
             };
@@ -416,7 +404,7 @@ fn replay_device<S: Scalar>(
 mod tests {
     use super::*;
     use crate::plan::FactorStorage;
-    use crate::schedule::StreamPolicy;
+    use crate::schedule::{ClusterPlanError, StreamPolicy};
     use crate::session::Target;
     use sc_factor::{CholOptions, SparseCholesky};
     use sc_gpu::{DevicePool, DeviceSpec};
@@ -936,24 +924,19 @@ mod tests {
         let pool =
             DevicePool::heterogeneous(&[DeviceSpec::a100(), DeviceSpec::tiny_test_device()], 2);
         let tiny_arena = pool.device(1).arena_capacity();
-        let spec = pool.device(0).spec().clone();
-        let mut oversized = 0;
-        for (i, (l, bt)) in data.iter().enumerate() {
-            let params = cfg.resolve(true, l, bt);
-            let est = crate::schedule::estimate_cost(&spec, l, bt, &params, i);
-            if est.temp_bytes > tiny_arena {
-                oversized += 1;
-            }
-        }
+        let footprint = |l: &Csc, bt: &Csc| {
+            temp_footprint::<f64>(l.ncols(), bt.ncols(), &cfg.resolve(true, l, bt))
+        };
+        let oversized = (data.iter())
+            .filter(|(l, bt)| footprint(l, bt) > tiny_arena)
+            .count();
         assert!(
             oversized > 0,
             "workload must contain tiny-card-oversized subdomains"
         );
         let (f, report) = on_pool(&data, &cfg, &pool, &ScheduleOptions::default());
         for (i, (l, bt)) in data.iter().enumerate() {
-            let params = cfg.resolve(true, l, bt);
-            let est = crate::schedule::estimate_cost(&spec, l, bt, &params, i);
-            if est.temp_bytes > tiny_arena {
+            if footprint(l, bt) > tiny_arena {
                 assert_eq!(
                     placed(&report.subdomains[i]).device,
                     0,
@@ -1020,17 +1003,19 @@ mod tests {
     #[test]
     fn a_subdomain_that_fits_nowhere_panics_with_the_spill_list() {
         // 8 n m = 8 · 1024 · 80 = 640 KiB of temporaries > the tiny card's
-        // 512 KiB arena, on every device of the pool — and on a single GPU
+        // 512 KiB arena, on every usable device of the pool — and on a
+        // single GPU; the drained (0-stream) A100's bigger arena does not
+        // count
         let data = factorized(&cluster(1, 32, 80));
         let cfg = ScConfig::optimized(true, false);
-        let pool = DevicePool::uniform(DeviceSpec::tiny_test_device(), 2, 2);
-        let want = format!(
-            "device placement failed: {}",
-            ClusterPlanError::Spilled {
-                spilled: vec![0],
-                max_arena: pool.device(0).arena_capacity(),
-            }
-        );
+        let tiny = || Device::new(DeviceSpec::tiny_test_device(), 2);
+        let drained = Device::new(DeviceSpec::a100(), 0);
+        let pool = DevicePool::from_devices(vec![tiny(), tiny(), drained]);
+        assert!(pool.device(2).arena_capacity() > pool.device(0).arena_capacity());
+        let want = "device placement failed: 1 subdomain(s) [0] need more \
+                    temporaries than the largest device arena in the pool \
+                    (524288 B); recoverable: let FormulationChoice::Auto \
+                    reroute them, or re-plan without them";
         let opts = ScheduleOptions::default();
         let on_the_pool = panic_message(|| {
             on_pool(&data, &cfg, &pool, &opts);

@@ -47,7 +47,7 @@ pub use plan::{
 };
 pub use sc_gpu::ArenaSim;
 pub use schedule::{
-    estimate_apply, estimate_cost, plan_topology, plan_topology_by, ApplyEstimate,
+    estimate_apply, estimate_cost, plan_topology, plan_topology_by, temp_footprint, ApplyEstimate,
     ClusterPlanError, CostEstimate, DeviceSlot, LanePlan, ScheduleOptions, StreamPolicy, TopoPlan,
     Topology,
 };

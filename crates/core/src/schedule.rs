@@ -10,12 +10,13 @@
 //!
 //! 1. [`estimate_cost`] prices each subdomain from its stepped pattern —
 //!    TRSM and SYRK FLOPs below the column pivots, H2D transfer bytes, and
-//!    the peak temporary footprint (`Y` plus densified factor blocks);
-//! 2. [`plan_topology`] makes one flat pass over a [`Topology`]: on a
-//!    [`Topology::Pool`] it first partitions the batch across devices
-//!    (cost-aware LPT under per-device arena admissibility), then, on every
-//!    device, orders submission **longest-processing-time-first** and
-//!    assigns each subdomain to the **least-loaded stream**
+//!    the peak temporary footprint ([`temp_footprint`]: `Y` plus densified
+//!    factor blocks, a function of the shape and parameters alone);
+//! 2. [`plan_topology`] makes one flat pass over a [`Topology`], a device
+//!    pool (one GPU is a pool of one): it first partitions the batch across
+//!    devices (cost-aware LPT under per-device arena admissibility), then,
+//!    on every device, orders submission **longest-processing-time-first**
+//!    and assigns each subdomain to the **least-loaded stream**
 //!    ([`StreamPolicy::LptLeastLoaded`]; [`StreamPolicy::RoundRobin`] keeps
 //!    the naive index-order assignment as the comparison baseline);
 //! 3. [`ArenaSim`](sc_gpu::ArenaSim) admits each subdomain against the
@@ -135,9 +136,7 @@ pub struct CostEstimate {
     pub syrk_flops: f64,
     /// H2D bytes for the factor and gluing block.
     pub transfer_bytes: f64,
-    /// Peak temporary-arena footprint, an upper bound on the full `n`: the
-    /// dense `Y` (`S::BYTES · n · m` bytes) plus densified factor blocks when
-    /// the TRSM densifies. Every term is `S::BYTES` times a pattern count.
+    /// Peak temporary-arena footprint ([`temp_footprint`]).
     pub temp_bytes: usize,
     /// Single-stream device-seconds estimate under `spec` (compute at peak
     /// FP64 plus the PCIe transfer) — the LPT ordering key.
@@ -158,9 +157,7 @@ pub fn estimate_cost<S: Scalar>(
     /// Bytes of one stored index in the transfer model (row ids travel as
     /// 8-byte words regardless of value precision).
     const INDEX_BYTES: usize = 8;
-    let eb = S::BYTES;
     let n = l.ncols();
-    let m = bt.ncols();
     // sorted pivots: the stepped pattern the kernels will actually see
     let (_, pivots) = stepped_order(&pattern::pivots_or_end(bt));
 
@@ -171,13 +168,30 @@ pub fn estimate_cost<S: Scalar>(
         trsm_flops += below * below;
         syrk_flops += 2.0 * (j + 1) as f64 * below; // sc-analyze: allow(precision-discipline)
     }
-    let transfer_bytes = (INDEX_BYTES + eb) as f64 * (l.nnz() + bt.nnz()) as f64; // sc-analyze: allow(precision-discipline)
+    let transfer_bytes = (INDEX_BYTES + S::BYTES) as f64 * (l.nnz() + bt.nnz()) as f64; // sc-analyze: allow(precision-discipline)
 
-    // temporary footprint: the dense RHS/solution Y always lives in the
-    // arena; densifying TRSM variants additionally materialize factor
-    // blocks, and the pruning path gathers a dense sub-diagonal panel plus
-    // a compacted GEMM output regardless of factor storage
-    let y_bytes = eb * n * m;
+    let mut est = CostEstimate {
+        index,
+        trsm_flops,
+        syrk_flops,
+        transfer_bytes,
+        temp_bytes: temp_footprint::<S>(n, bt.ncols(), params),
+        seconds: 0.0,
+    };
+    est.seconds = est.seconds_on(spec);
+    est
+}
+
+/// Peak temporary-arena footprint, in bytes, of assembling one subdomain
+/// with an `n`-column factor and `m` multipliers under `params`, in working
+/// precision `S` — an upper bound on the full `n`, and the
+/// [`CostEstimate::temp_bytes`] of [`estimate_cost`]. The dense
+/// RHS/solution `Y` always lives in the arena; densifying TRSM variants
+/// additionally materialize factor blocks, and the pruning path gathers a
+/// dense sub-diagonal panel plus a compacted GEMM output regardless of
+/// factor storage. Every term is [`Scalar::BYTES`] times a pattern count.
+pub fn temp_footprint<S: Scalar>(n: usize, m: usize, params: &ScParams) -> usize {
+    let eb = S::BYTES;
     let factor_bytes = match (params.factor_storage, params.trsm) {
         (storage, TrsmVariant::FactorSplit { block, prune }) => {
             let bs = block.block_size(n).min(n);
@@ -195,18 +209,7 @@ pub fn estimate_cost<S: Scalar>(
         // sparse kernels work off the (persistent) CSC factor
         (FactorStorage::Sparse, _) => 0,
     };
-    let temp_bytes = y_bytes + factor_bytes;
-
-    let mut est = CostEstimate {
-        index,
-        trsm_flops,
-        syrk_flops,
-        transfer_bytes,
-        temp_bytes,
-        seconds: 0.0,
-    };
-    est.seconds = est.seconds_on(spec);
-    est
+    eb * n * m + factor_bytes
 }
 
 impl CostEstimate {
@@ -313,28 +316,12 @@ impl DeviceSlot {
     }
 }
 
-/// Why a batch could not be partitioned across a device pool.
+/// Why a batch could not be planned over a [`Topology`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClusterPlanError {
-    /// The batch is non-empty but the pool holds no device that could
+    /// The batch is non-empty but the topology holds no device that could
     /// execute anything (no devices at all, or none with streams).
     NoDevices,
-    /// One or more subdomains' peak temporary footprints exceed every
-    /// stream-capable device's arena: they cannot be assembled explicitly
-    /// anywhere in this pool. Unlike a hard placement failure this is
-    /// **recoverable**: the payload names every offending subdomain, so a
-    /// caller with a fallback formulation (the hybrid operator's implicit
-    /// path) can reroute them and re-plan the remainder — [`plan_topology`]
-    /// itself reports the same set in [`TopoPlan::spilled`] instead of
-    /// failing, and [`plan_hybrid`](crate::plan_hybrid) (`FormulationChoice::Auto`) automates
-    /// the reroute.
-    Spilled {
-        /// Batch indices of every subdomain that fits no device arena,
-        /// ascending.
-        spilled: Vec<usize>,
-        /// The largest usable (stream-capable) arena capacity in the pool.
-        max_arena: usize,
-    },
 }
 
 impl std::fmt::Display for ClusterPlanError {
@@ -345,60 +332,28 @@ impl std::fmt::Display for ClusterPlanError {
                 "cannot partition a non-empty batch: the pool holds no \
                  device with streams"
             ),
-            ClusterPlanError::Spilled { spilled, max_arena } => write!(
-                f,
-                "{} subdomain(s) {spilled:?} need more temporaries than the \
-                 largest device arena in the pool ({max_arena} B); recoverable: \
-                 let FormulationChoice::Auto reroute them, or re-plan without them",
-                spilled.len()
-            ),
         }
     }
 }
 
 impl std::error::Error for ClusterPlanError {}
 
-/// Largest arena capacity among stream-capable devices (0 when none) —
-/// the payload of [`ClusterPlanError::Spilled`] on the batch driver's
-/// failure path.
-pub(crate) fn max_usable_arena(devices: &[DeviceSlot]) -> usize {
-    devices
-        .iter()
-        .filter(|d| d.is_usable())
-        .map(|d| d.arena_capacity)
-        .max()
-        .unwrap_or(0)
-}
-
-/// The placement shape of a device target, planned by [`plan_topology`]:
-///
-/// - [`Topology::Device`] is one device: its streams are planned as lanes;
-/// - [`Topology::Pool`] is a device pool: the batch is partitioned across
-///   the devices first, then each device's share across its lanes.
+/// The devices a batch is planned over by [`plan_topology`], in pool
+/// order: the batch is partitioned across the devices first, then each
+/// device's share across its stream lanes. One GPU is a pool of one.
 #[derive(Clone, Debug)]
-pub enum Topology {
-    /// One device; its streams are planned as lanes under `policy`.
-    Device {
-        /// The device's planner-facing description.
-        slot: DeviceSlot,
-        /// Stream-assignment policy of the lane level.
-        policy: StreamPolicy,
-    },
-    /// A device pool, in pool order; every device's streams are planned as
-    /// lanes under `policy`.
-    Pool {
-        /// The devices' planner-facing descriptions.
-        slots: Vec<DeviceSlot>,
-        /// Stream-assignment policy of every device's lane level.
-        policy: StreamPolicy,
-    },
+pub struct Topology {
+    /// The devices' planner-facing descriptions.
+    pub slots: Vec<DeviceSlot>,
+    /// Stream-assignment policy of every device's lane level.
+    pub policy: StreamPolicy,
 }
 
 impl Topology {
     /// One device with the default stream policy.
     pub fn device(slot: DeviceSlot) -> Self {
-        Topology::Device {
-            slot,
+        Topology {
+            slots: vec![slot],
             policy: StreamPolicy::default(),
         }
     }
@@ -406,19 +361,9 @@ impl Topology {
     /// The topology of a [`DevicePool`](sc_gpu::DevicePool): one slot per
     /// device, in pool order.
     pub fn of_pool(pool: &sc_gpu::DevicePool, policy: StreamPolicy) -> Self {
-        Topology::Pool {
+        Topology {
             slots: pool.devices().iter().map(|d| DeviceSlot::of(d)).collect(),
             policy,
-        }
-    }
-
-    /// Analytic single-stream pricing of `cost` on device `d`: the
-    /// [`CostEstimate::seconds_on`] model under that device's spec. The
-    /// default pricing of [`plan_topology`].
-    pub fn analytic_seconds(&self, cost: &CostEstimate, d: usize) -> f64 {
-        match self {
-            Topology::Device { slot, .. } => cost.seconds_on(&slot.spec),
-            Topology::Pool { slots, .. } => cost.seconds_on(&slots[d].spec),
         }
     }
 }
@@ -426,116 +371,90 @@ impl Topology {
 /// One device's stream assignment, part of a [`TopoPlan`].
 #[derive(Clone, Debug)]
 pub struct LanePlan {
-    /// `per_lane[s]` lists the subdomain indices ([`CostEstimate::index`])
-    /// submitted on stream `s`, in submission order.
+    /// `per_lane[s]` lists the batch indices submitted on stream `s`, in
+    /// submission order.
     pub per_lane: Vec<Vec<usize>>,
     /// Estimated accumulated load per lane, in the device's own seconds.
     pub est_load: Vec<f64>,
 }
 
-/// The placement produced by [`plan_topology`]: per-device queues plus one
-/// lane plan per device.
+/// The placement produced by [`plan_topology`]: one lane plan per device,
+/// which states each placed subdomain once, plus the spill set.
 #[derive(Clone, Debug)]
 pub struct TopoPlan {
-    /// `per_device[d]` lists the subdomain indices ([`CostEstimate::index`])
-    /// placed on device `d`, in placement order.
-    pub per_device: Vec<Vec<usize>>,
-    /// Estimated accumulated load per device, in that device's own seconds.
-    pub est_load: Vec<f64>,
-    /// Device of each entry of the input cost slice, in slice order;
-    /// `usize::MAX` for spilled entries.
-    pub device_of: Vec<usize>,
-    /// Subdomain indices no device admits (ascending); always empty on a
-    /// [`Topology::Device`].
+    /// Batch indices no device admits (ascending).
     pub spilled: Vec<usize>,
     /// `lanes[d]` assigns device `d`'s share to its streams.
     pub lanes: Vec<LanePlan>,
 }
 
 impl TopoPlan {
-    /// The planner's makespan prediction: the busiest lane of a single
-    /// device; on a pool, the largest estimated completion time across its
-    /// usable devices (each device's accumulated load over its stream
-    /// count).
+    /// The planner's makespan prediction for the topology it was planned
+    /// over: the busiest planned lane over all devices.
     pub fn est_makespan(&self, topo: &Topology) -> f64 {
-        match topo {
-            Topology::Device { .. } => self.lanes[0].est_load.iter().copied().fold(0.0, f64::max),
-            Topology::Pool { slots, .. } => (self.est_load.iter().zip(slots))
-                .filter(|(_, s)| s.is_usable())
-                .map(|(l, s)| l / width(s))
-                .fold(0.0, f64::max),
-        }
+        debug_assert_eq!(
+            self.lanes.len(),
+            topo.slots.len(),
+            "a plan of this topology"
+        );
+        (self.lanes.iter().flat_map(|l| l.est_load.iter().copied())).fold(0.0, f64::max)
     }
 }
 
 /// A device's parallel width: its stream count, the load normalizer of the
-/// pool level's completion-time estimate.
+/// device level's completion-time estimate.
 fn width(slot: &DeviceSlot) -> f64 {
-    slot.n_streams as f64 // sc-analyze: allow(precision-discipline)
+    f64::from(u32::try_from(slot.n_streams).expect("stream count fits in 32 bits"))
 }
 
-/// Plan a batch over a [`Topology`] with the analytic
-/// [`Topology::analytic_seconds`] pricing (see [`plan_topology_by`]).
+/// Plan a batch of cost estimates over a [`Topology`], each priced by its
+/// [`CostEstimate::seconds_on`] under the device's spec (see
+/// [`plan_topology_by`]).
 pub fn plan_topology(
     costs: &[CostEstimate],
     topo: &Topology,
 ) -> Result<TopoPlan, ClusterPlanError> {
-    plan_topology_by(costs, topo, |c, d| topo.analytic_seconds(c, d))
+    let items: Vec<(usize, usize)> = costs.iter().map(|c| (c.index, c.temp_bytes)).collect();
+    plan_topology_by(&items, topo, |k, d| {
+        costs[k].seconds_on(&topo.slots[d].spec)
+    })
 }
 
 /// Plan a batch over a [`Topology`] with caller-supplied pricing — **the**
 /// planner behind the device batch driver, which calls it once per batch
-/// and replays the returned lanes. `seconds_of(cost, d)` returns the
-/// subdomain's single-stream seconds on device `d` (`0` on a
-/// [`Topology::Device`]). The driver passes the recorded kernel sequences
-/// priced by each device's own duration model
+/// and replays the returned lanes. `items[k]` is one subdomain's batch index
+/// and peak temporary footprint in bytes; `seconds_of(k, d)` returns its
+/// single-stream seconds on device `d`. The driver passes the recorded
+/// kernel sequences priced by each device's own duration model
 /// ([`DeviceSpec::kernel_seconds`]), which accounts for launch overhead and
 /// the occupancy ramp that the analytic estimate ignores — peak-FLOP
 /// pricing overloads fast cards on launch-bound batches.
 ///
 /// The two levels:
 ///
-/// - on a [`Topology::Pool`] the device level partitions longest-first
-///   under the worst-case device (ties by index), placing each subdomain on
-///   the admissible device ([`DeviceSlot::admits`]) with the lowest
-///   estimated completion time (accumulated load over stream count, ties by
-///   device index); inadmissible-everywhere subdomains spill; a pool without
-///   a usable device and a non-empty batch is [`ClusterPlanError::NoDevices`].
-///   Each device's share is handed to its lane level in batch order;
+/// - the device level partitions longest-first under the worst-case device
+///   (ties by index), placing each subdomain on the admissible device
+///   ([`DeviceSlot::admits`]) with the lowest estimated completion time
+///   (accumulated load over stream count, ties by device index);
+///   inadmissible-everywhere subdomains spill; a topology without a usable
+///   device and a non-empty batch is [`ClusterPlanError::NoDevices`]. Each
+///   device's share is handed to its lane level in batch order;
 /// - the lane level assigns a device's streams under [`StreamPolicy`]; an
-///   empty batch yields an empty plan for any lane count (including 0),
-///   while planning a non-empty batch onto `0` lanes of a
-///   [`Topology::Device`] is a configuration error and panics with a
-///   descriptive message instead of silently rounding up.
+///   empty share yields an empty plan for any lane count (including 0).
 pub fn plan_topology_by(
-    costs: &[CostEstimate],
+    items: &[(usize, usize)],
     topo: &Topology,
-    seconds_of: impl Fn(&CostEstimate, usize) -> f64,
+    seconds_of: impl Fn(usize, usize) -> f64,
 ) -> Result<TopoPlan, ClusterPlanError> {
-    let (slots, policy) = match topo {
-        Topology::Device { slot, policy } => {
-            let priced: Vec<(usize, f64)> =
-                costs.iter().map(|c| (c.index, seconds_of(c, 0))).collect();
-            let lanes = plan_lanes(&priced, slot.n_streams, *policy);
-            return Ok(TopoPlan {
-                per_device: vec![costs.iter().map(|c| c.index).collect()],
-                est_load: vec![priced.iter().map(|&(_, s)| s).sum()],
-                device_of: vec![0; costs.len()],
-                spilled: Vec::new(),
-                lanes: vec![lanes],
-            });
-        }
-        Topology::Pool { slots, policy } => (slots, *policy),
-    };
+    let slots = &topo.slots;
     // a device without execution capacity (a drained card) is not a
     // partition candidate
-    if !costs.is_empty() && !slots.iter().any(DeviceSlot::is_usable) {
+    if !items.is_empty() && !slots.iter().any(DeviceSlot::is_usable) {
         return Err(ClusterPlanError::NoDevices);
     }
     // per-device seconds of every subdomain
-    let seconds: Vec<Vec<f64>> = costs
-        .iter()
-        .map(|c| (0..slots.len()).map(|d| seconds_of(c, d)).collect())
+    let seconds: Vec<Vec<f64>> = (0..items.len())
+        .map(|k| (0..slots.len()).map(|d| seconds_of(k, d)).collect())
         .collect();
     // longest-first under the worst-case device (standard heuristic ordering
     // for unrelated machines); ties broken by index for determinism
@@ -543,74 +462,60 @@ pub fn plan_topology_by(
         .iter()
         .map(|s| s.iter().copied().fold(0.0f64, f64::max))
         .collect();
-    let mut order: Vec<usize> = (0..costs.len()).collect();
+    let mut order: Vec<usize> = (0..items.len()).collect();
     order.sort_by(|&a, &b| {
         worst[b]
             .partial_cmp(&worst[a])
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then(costs[a].index.cmp(&costs[b].index))
+            .then(items[a].0.cmp(&items[b].0))
     });
 
     // cost-aware LPT with per-device arena admissibility: a subdomain whose
     // temporaries exceed a device's arena is never placed there (when only
     // the big card fits it, it falls back to the big card regardless of
     // load; when nothing fits it, it spills)
-    let mut per_device = vec![Vec::new(); slots.len()];
-    let mut est_load = vec![0.0f64; slots.len()];
-    let mut device_of = vec![usize::MAX; costs.len()];
+    let mut share = vec![Vec::new(); slots.len()];
+    let mut load = vec![0.0f64; slots.len()];
     let mut spilled = Vec::new();
     for k in order {
         let best = (0..slots.len())
-            .filter(|&d| slots[d].admits(costs[k].temp_bytes))
+            .filter(|&d| slots[d].admits(items[k].1))
             .min_by(|&a, &b| {
-                let fa = (est_load[a] + seconds[k][a]) / width(&slots[a]);
-                let fb = (est_load[b] + seconds[k][b]) / width(&slots[b]);
+                let fa = (load[a] + seconds[k][a]) / width(&slots[a]);
+                let fb = (load[b] + seconds[k][b]) / width(&slots[b]);
                 fa.partial_cmp(&fb)
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });
         let Some(d) = best else {
-            spilled.push(costs[k].index);
+            spilled.push(items[k].0);
             continue;
         };
-        per_device[d].push(costs[k].index);
-        est_load[d] += seconds[k][d];
-        device_of[k] = d;
+        share[d].push(k);
+        load[d] += seconds[k][d];
     }
     spilled.sort_unstable();
     // each device plans its share in batch order — an LPT lane level
     // re-sorts it anyway (total order, ties by index), and a round-robin one
     // stays the blind index-order baseline
-    let lanes = (slots.iter().enumerate())
-        .map(|(d, slot)| {
-            let share: Vec<(usize, f64)> = (costs.iter().zip(&seconds).zip(&device_of))
-                .filter(|&(_, &at)| at == d)
-                .map(|((c, s), _)| (c.index, s[d]))
+    let lanes = (slots.iter().zip(share).enumerate())
+        .map(|(d, (slot, mut share))| {
+            share.sort_unstable();
+            let priced: Vec<(usize, f64)> = share
+                .into_iter()
+                .map(|k| (items[k].0, seconds[k][d]))
                 .collect();
-            plan_lanes(&share, slot.n_streams, policy)
+            plan_lanes(&priced, slot.n_streams, topo.policy)
         })
         .collect();
-    Ok(TopoPlan {
-        per_device,
-        est_load,
-        device_of,
-        spilled,
-        lanes,
-    })
+    Ok(TopoPlan { spilled, lanes })
 }
 
-/// Lane-level planning of `(index, seconds)` pairs onto `n_lanes` streams.
+/// Lane-level planning of `(index, seconds)` pairs onto `n_lanes` streams
+/// (at least one whenever `priced` is non-empty).
 fn plan_lanes(priced: &[(usize, f64)], n_lanes: usize, policy: StreamPolicy) -> LanePlan {
     let mut per_lane = vec![Vec::new(); n_lanes];
     let mut est_load = vec![0.0f64; n_lanes];
-    if priced.is_empty() {
-        return LanePlan { per_lane, est_load };
-    }
-    assert!(
-        n_lanes > 0,
-        "cannot plan a batch of {} subdomains onto 0 streams",
-        priced.len()
-    );
     match policy {
         StreamPolicy::RoundRobin => {
             for (k, &(index, secs)) in priced.iter().enumerate() {
@@ -634,7 +539,7 @@ fn plan_lanes(priced: &[(usize, f64)], n_lanes: usize, policy: StreamPolicy) -> 
                             .unwrap_or(std::cmp::Ordering::Equal)
                             .then(a.cmp(&b))
                     })
-                    .expect("n_lanes >= 1");
+                    .expect("a placed share has a lane");
                 per_lane[s].push(index);
                 est_load[s] += secs;
             }
@@ -793,16 +698,37 @@ pub(crate) mod tests {
     /// Plan onto the `n` streams of one device, each subdomain
     /// priced at its own `seconds`.
     fn plan_streams(costs: &[CostEstimate], n: usize, policy: StreamPolicy) -> TopoPlan {
-        plan_topology_by(costs, &lanes(n, policy), |c, _| c.seconds)
-            .expect("stream-level planning has no failure mode")
+        plan_by_seconds(costs, &lanes(n, policy)).expect("a device with streams")
+    }
+
+    /// Plan `costs` over `topo`, each subdomain priced at its own `seconds`
+    /// on every device.
+    fn plan_by_seconds(
+        costs: &[CostEstimate],
+        topo: &Topology,
+    ) -> Result<TopoPlan, ClusterPlanError> {
+        let items: Vec<(usize, usize)> = costs.iter().map(|c| (c.index, c.temp_bytes)).collect();
+        plan_topology_by(&items, topo, |k, _| costs[k].seconds)
     }
 
     /// One device with `n` streams under `policy`.
     fn lanes(n: usize, policy: StreamPolicy) -> Topology {
-        Topology::Device {
-            slot: slot(DeviceSpec::a100(), usize::MAX, n),
+        Topology {
             policy,
+            ..Topology::device(slot(DeviceSpec::a100(), usize::MAX, n))
         }
+    }
+
+    /// Device `d`'s share of `plan`, ascending.
+    fn share(plan: &TopoPlan, d: usize) -> Vec<usize> {
+        let mut share = plan.lanes[d].per_lane.concat();
+        share.sort_unstable();
+        share
+    }
+
+    /// Device `d`'s planned load: the sum of its lanes' loads.
+    fn load(plan: &TopoPlan, d: usize) -> f64 {
+        plan.lanes[d].est_load.iter().sum()
     }
 
     #[test]
@@ -824,7 +750,7 @@ pub(crate) mod tests {
 
     /// The topology of a device pool described by `devs`.
     fn pool_of(devs: &[DeviceSlot]) -> Topology {
-        Topology::Pool {
+        Topology {
             slots: devs.to_vec(),
             policy: StreamPolicy::default(),
         }
@@ -836,13 +762,10 @@ pub(crate) mod tests {
         assert!(empty.lanes[0].per_lane.is_empty());
         assert!(empty.lanes[0].est_load.is_empty());
         let one = vec![est(10, &[2])];
-        let err = std::panic::catch_unwind(|| plan_streams(&one, 0, StreamPolicy::RoundRobin))
-            .unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap_or(&"").to_string());
-        assert!(msg.contains("0 streams"), "descriptive error, got: {msg}");
+        assert_eq!(
+            plan_by_seconds(&one, &lanes(0, StreamPolicy::RoundRobin)).unwrap_err(),
+            ClusterPlanError::NoDevices
+        );
     }
 
     #[test]
@@ -864,22 +787,23 @@ pub(crate) mod tests {
         let p = plan_topology(&costs, &pool_of(&devs)).unwrap();
         assert!(p.spilled.is_empty());
         // every subdomain placed exactly once
-        let mut seen: Vec<usize> = p.per_device.concat();
+        let mut seen: Vec<usize> = [share(&p, 0), share(&p, 1)].concat();
         seen.sort_unstable();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
-        assert_eq!(p.device_of.len(), 8);
         // LPT must split the 4 heavy items evenly
-        let heavy_per_dev: Vec<usize> = p
-            .per_device
-            .iter()
-            .map(|idx| idx.iter().filter(|&&i| i.is_multiple_of(2)).count())
+        let heavy_per_dev: Vec<usize> = (0..2)
+            .map(|d| {
+                share(&p, d)
+                    .iter()
+                    .filter(|&&i| i.is_multiple_of(2))
+                    .count()
+            })
             .collect();
         assert_eq!(heavy_per_dev, vec![2, 2], "heavy items must spread");
-        let spread = (p.est_load[0] - p.est_load[1]).abs();
+        let loads = [load(&p, 0), load(&p, 1)];
         assert!(
-            spread <= p.est_load[0].max(p.est_load[1]) * 0.5,
-            "loads {:?} must be roughly balanced",
-            p.est_load
+            (loads[0] - loads[1]).abs() <= loads[0].max(loads[1]) * 0.5,
+            "loads {loads:?} must be roughly balanced"
         );
         // a second device never grows the predicted makespan
         let one = plan_topology(&costs, &pool_of(&devs[..1])).unwrap();
@@ -903,8 +827,11 @@ pub(crate) mod tests {
             slot(DeviceSpec::a100(), 16 << 10, 2),            // small arena, fast
         ];
         let p = plan_topology(&[big, small_a, small_b], &pool_of(&devs)).unwrap();
-        assert_eq!(p.device_of[0], 0, "oversized subdomain must use device 0");
-        assert!(p.per_device[0].contains(&0));
+        assert!(
+            share(&p, 0).contains(&0),
+            "oversized subdomain must use device 0"
+        );
+        assert!(!share(&p, 1).contains(&0));
     }
 
     #[test]
@@ -927,9 +854,9 @@ pub(crate) mod tests {
         let p = plan_topology(&costs, &pool_of(&devs)).unwrap();
         // the H100 is ~3000x faster than the tiny card: everything goes there
         assert!(
-            p.per_device[0].len() > p.per_device[1].len(),
+            share(&p, 0).len() > share(&p, 1).len(),
             "fast device must absorb most of the equal-cost work: {:?}",
-            p.per_device
+            p.lanes
         );
     }
 
@@ -949,9 +876,11 @@ pub(crate) mod tests {
             slot(DeviceSpec::a100(), usize::MAX, 2),
         ];
         let p = plan_topology(&costs, &pool_of(&devs)).unwrap();
-        assert!(p.per_device[0].is_empty(), "0-stream device must stay idle");
-        assert_eq!(p.per_device[1].len(), 4);
-        assert!(p.device_of.iter().all(|&d| d == 1));
+        assert!(
+            p.lanes[0].per_lane.is_empty(),
+            "0-stream device must stay idle"
+        );
+        assert_eq!(share(&p, 1), vec![0, 1, 2, 3]);
         // a pool of only 0-stream devices cannot run anything
         let dead = vec![slot(DeviceSpec::a100(), usize::MAX, 0)];
         assert_eq!(
@@ -968,29 +897,19 @@ pub(crate) mod tests {
             ClusterPlanError::NoDevices
         );
         let empty = plan_topology(&[], &pool_of(&[])).unwrap();
-        assert!(empty.per_device.is_empty());
-        assert!(empty.device_of.is_empty());
+        assert!(empty.lanes.is_empty() && empty.spilled.is_empty());
 
-        // the failure the batch driver raises from a plan's spill list
+        // a subdomain over every usable arena spills; a drained card's
+        // bigger arena does not admit it
         let mut huge = est(10, &[2]);
         huge.temp_bytes = 1 << 30;
         let devs = [
             slot(DeviceSpec::a100(), 1 << 20, 2),
-            slot(DeviceSpec::a100(), 1 << 22, 0), // drained: its arena does not count
+            slot(DeviceSpec::a100(), 1 << 31, 0),
         ];
         let plan = plan_topology(&[huge], &pool_of(&devs)).unwrap();
         assert_eq!(plan.spilled, vec![0]);
-        let err = ClusterPlanError::Spilled {
-            spilled: plan.spilled,
-            max_arena: max_usable_arena(&devs),
-        };
-        assert_eq!(
-            err.to_string(),
-            "1 subdomain(s) [0] need more temporaries than the largest device \
-             arena in the pool (1048576 B); recoverable: let \
-             FormulationChoice::Auto reroute them, or re-plan without them",
-            "the Spilled error must name the one surviving fallback"
-        );
+        assert!(share(&plan, 0).is_empty() && share(&plan, 1).is_empty());
     }
 
     #[test]
@@ -1008,10 +927,7 @@ pub(crate) mod tests {
         let devs = vec![slot(DeviceSpec::a100(), 1 << 20, 2)];
         let plan = plan_topology(&[a, big, b], &pool_of(&devs)).unwrap();
         assert_eq!(plan.spilled, vec![1]);
-        assert_eq!(plan.device_of[1], usize::MAX, "spilled entry unplaced");
-        let mut placed: Vec<usize> = plan.per_device.concat();
-        placed.sort_unstable();
-        assert_eq!(placed, vec![0, 2]);
+        assert_eq!(share(&plan, 0), vec![0, 2], "spilled entry unplaced");
     }
 
     fn apply_est(n: usize, pivots: &[usize]) -> ApplyEstimate {
@@ -1077,9 +993,8 @@ pub(crate) mod tests {
         assert_eq!(rr.lanes[0].est_load, vec![17.0, 10.0, 17.0]);
         assert_eq!(rr.est_makespan(&lanes(3, StreamPolicy::RoundRobin)), 17.0);
         for plan in [&lpt, &rr] {
-            // the one device holds the whole batch, in batch order
-            assert_eq!(plan.per_device, vec![(0..9).collect::<Vec<_>>()]);
-            assert_eq!(plan.device_of, vec![0; 9]);
+            // the one device holds the whole batch
+            assert_eq!(share(plan, 0), (0..9).collect::<Vec<_>>());
             assert!(plan.spilled.is_empty());
             assert_eq!(plan.lanes.len(), 1, "one device, one lane plan");
         }
@@ -1096,30 +1011,29 @@ pub(crate) mod tests {
             slot(DeviceSpec::tiny_test_device(), usize::MAX, 1),
         ];
         let slowdown = [1.0, 0.5, 4.0];
-        let plan =
-            plan_topology_by(&costs, &pool_of(&devs), |c, d| c.seconds * slowdown[d]).unwrap();
+        let items: Vec<(usize, usize)> = costs.iter().map(|c| (c.index, c.temp_bytes)).collect();
+        let plan = plan_topology_by(&items, &pool_of(&devs), |k, d| {
+            costs[k].seconds * slowdown[d]
+        })
+        .unwrap();
         // longest-first under the worst-case device (ties by index), each
         // onto the device with the lowest (load + cost) / n_streams (ties
         // by device): subdomains 6 and 9 land on device 0 through exact
-        // ties with device 1, subdomain 1 is the only one the slow card wins
+        // ties with device 1, subdomain 1 is the only one the slow card
+        // wins; then each device's share goes LPT onto its own lanes
+        let per_lane: Vec<&[Vec<usize>]> = plan.lanes.iter().map(|l| &l.per_lane[..]).collect();
         assert_eq!(
-            plan.per_device,
-            vec![vec![6, 9], vec![0, 2, 4, 8, 3, 5, 7], vec![1]]
+            per_lane,
+            [
+                &[vec![6], vec![9]][..],
+                &[vec![0, 3], vec![2, 5], vec![4, 7], vec![8]],
+                &[vec![1]],
+            ]
         );
-        assert_eq!(plan.est_load, vec![9.0, 17.5, 4.0]);
-        // the predicted makespan of a pool: each device's load over its
-        // stream count, max(9.0 / 2, 17.5 / 4, 4.0 / 1)
-        assert_eq!(plan.est_makespan(&pool_of(&devs)), 4.5);
-        assert_eq!(plan.device_of, vec![1, 2, 1, 1, 1, 1, 0, 1, 1, 0]);
+        let est_load: Vec<&[f64]> = plan.lanes.iter().map(|l| &l.est_load[..]).collect();
+        assert_eq!(est_load, [&[8.0, 1.0][..], &[4.5, 4.5, 4.5, 4.0], &[4.0]]);
+        // the predicted makespan: the busiest lane of any device
+        assert_eq!(plan.est_makespan(&pool_of(&devs)), 8.0);
         assert!(plan.spilled.is_empty());
-        assert_eq!(plan.lanes.len(), 3, "one lane plan per device");
-        for (d, lanes) in plan.lanes.iter().enumerate() {
-            // the device's lane plan covers exactly its share
-            let mut below: Vec<usize> = lanes.per_lane.concat();
-            below.sort_unstable();
-            let mut share = plan.per_device[d].clone();
-            share.sort_unstable();
-            assert_eq!(below, share);
-        }
     }
 }

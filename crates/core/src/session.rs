@@ -120,8 +120,8 @@ impl Precision {
 ///
 /// Both device variants are the **same driver** over their devices — record
 /// every subdomain once, plan the whole batch once with
-/// [`plan_topology_by`](crate::plan_topology_by) over a
-/// [`Topology::Pool`](crate::Topology::Pool) (one GPU is a one-device pool;
+/// [`plan_topology_by`](crate::plan_topology_by) over one
+/// [`Topology`](crate::Topology) (one GPU is a one-device pool;
 /// one pricing at both levels: the recorded kernels under each device's own
 /// duration model), replay each device from the lane assignment the plan
 /// holds — and take the same [`ScheduleOptions`].

@@ -684,7 +684,7 @@ impl<'p> FetiSolver<'p> {
 mod tests {
     use super::*;
     use sc_core::{
-        assemble_sc, estimate_cost, CpuExec, Formulation, ScheduleOptions, StreamPolicy,
+        assemble_sc, temp_footprint, CpuExec, Formulation, ScheduleOptions, StreamPolicy,
     };
     use sc_dense::SymPackedOf;
     use sc_factor::{CholOptions, SparseCholesky};
@@ -956,9 +956,8 @@ mod tests {
         SubdomainFactors::build_all(p, opts.engine, opts.ordering)
             .iter()
             .map(|f| {
-                let l = f.chol.factor_csc_ref();
-                let params = cfg.resolve(true, l, &f.bt_perm);
-                estimate_cost(&DeviceSpec::a100(), l, &f.bt_perm, &params, 0).temp_bytes
+                let (l, bt) = (f.chol.factor_csc_ref(), &f.bt_perm);
+                temp_footprint::<f64>(l.ncols(), bt.ncols(), &cfg.resolve(true, l, bt))
             })
             .collect()
     }

@@ -15,7 +15,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sc_core::{estimate_cost, Backend, DeviceSlot, Precision, ScConfig, SessionCacheStats};
+use sc_core::{temp_footprint, Backend, DeviceSlot, Precision, ScConfig, SessionCacheStats};
 use sc_feti::{FetiSolverBuilder, FormulationChoice, SubdomainFactors};
 use sc_gpu::{DevicePool, DeviceSpec};
 
@@ -404,7 +404,7 @@ fn precision_of(tag: PrecisionTag) -> Precision {
 
 /// The device driver's own admission rule, applied at dispatch to a
 /// cluster job's prepared factors: every subdomain's peak temporaries,
-/// priced by [`estimate_cost`] under its resolved [`ScConfig::Auto`]
+/// priced by [`temp_footprint`] under its resolved [`ScConfig::Auto`]
 /// parameters at the job's working precision, must fit some device of the
 /// pool ([`DeviceSlot::admits`]). A job that fails it would abort the batch
 /// driver's placement.
@@ -414,14 +414,14 @@ fn arena_fit(
     precision: PrecisionTag,
 ) -> Result<(), String> {
     let slots: Vec<DeviceSlot> = pool.devices().iter().map(|d| DeviceSlot::of(d)).collect();
-    let spec = DeviceSpec::host(); // the footprint does not depend on the spec
     let over: Vec<usize> = (0..factors.len())
         .filter(|&i| {
             let (l, bt) = (factors[i].chol.factor_csc_ref(), &factors[i].bt_perm);
-            let params = ScConfig::Auto.resolve(true, l, bt);
-            let need = estimate_cost(&spec, l, bt, &params, i).temp_bytes;
-            // every term is `S::BYTES` times a pattern count: f32 halves it exactly
-            let need = need / 8 * precision_of(precision).elem_bytes();
+            let (n, m, params) = (l.ncols(), bt.ncols(), ScConfig::Auto.resolve(true, l, bt));
+            let need = match precision {
+                PrecisionTag::F64 => temp_footprint::<f64>(n, m, &params),
+                PrecisionTag::F32Refined => temp_footprint::<f32>(n, m, &params),
+            };
             !slots.iter().any(|s| s.admits(need))
         })
         .collect();
@@ -786,14 +786,14 @@ mod tests {
             gluing: sc_fem::Gluing::Redundant,
         };
         let prep = prepare(&mesh);
-        let host = DeviceSpec::host();
-        let needs: Vec<(usize, usize)> = (prep.factors.iter().enumerate())
-            .map(|(i, f)| {
+        let needs: Vec<(usize, usize)> = (prep.factors.iter())
+            .map(|f| {
                 let (l, bt) = (f.chol.factor_csc_ref(), &f.bt_perm);
-                let params = ScConfig::Auto.resolve(true, l, bt);
-                let (l32, bt32) = (l.cast::<f32>(), bt.cast::<f32>());
-                let need32 = estimate_cost(&host, &l32, &bt32, &params, i).temp_bytes;
-                (need32, estimate_cost(&host, l, bt, &params, i).temp_bytes)
+                let (n, m, params) = (l.ncols(), bt.ncols(), ScConfig::Auto.resolve(true, l, bt));
+                (
+                    temp_footprint::<f32>(n, m, &params),
+                    temp_footprint::<f64>(n, m, &params),
+                )
             })
             .collect();
         let need32 = needs.iter().map(|n| n.0).max().expect("subdomains");

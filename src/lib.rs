@@ -80,8 +80,8 @@ pub use sc_sparse;
 pub mod prelude {
     pub use sc_core::{
         assemble_sc, estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by,
-        ApplyEstimate, AssemblyReport, AssemblyResult, AssemblySession, Backend, BatchEntry,
-        BlockParam, ClusterPlanError, CostEstimate, CpuExec, DeviceReport, DeviceSlot,
+        temp_footprint, ApplyEstimate, AssemblyReport, AssemblyResult, AssemblySession, Backend,
+        BatchEntry, BlockParam, ClusterPlanError, CostEstimate, CpuExec, DeviceReport, DeviceSlot,
         FactorStorage, Formulation, GpuExec, HybridPlan, HybridPlanOptions, Precision,
         RecordingExec, ScConfig, ScParams, ScheduleOptions, ScheduledSpan, SteppedRhs,
         StreamPolicy, SubdomainTiming, SyrkVariant, TopoPlan, Topology, TrsmVariant,

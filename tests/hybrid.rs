@@ -209,7 +209,7 @@ fn hybrid_solver_end_to_end_invariants() {
         .map(|f| {
             let l = f.chol.factor_csc();
             let params = cfg.resolve(true, &l, &f.bt_perm);
-            estimate_cost(&DeviceSpec::a100(), &l, &f.bt_perm, &params, 0).temp_bytes
+            temp_footprint::<f64>(l.ncols(), f.bt_perm.ncols(), &params)
         })
         .collect();
     let (lo, hi) = (*temps.iter().min().unwrap(), *temps.iter().max().unwrap());

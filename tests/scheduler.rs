@@ -250,10 +250,11 @@ fn every_device_target_replays_the_lanes_of_the_one_plan() {
         .iter()
         .map(|it| recorded_seconds(it, &cfg, &spec))
         .collect();
-    let costs: Vec<CostEstimate> = items
-        .iter()
-        .enumerate()
-        .map(|(i, (l, bt))| estimate_cost(&spec, l, bt, &cfg.resolve(true, l, bt), i))
+    let footprints: Vec<(usize, usize)> = (items.iter().enumerate())
+        .map(|(i, (l, bt))| {
+            let params = cfg.resolve(true, l, bt);
+            (i, temp_footprint::<f64>(l.ncols(), bt.ncols(), &params))
+        })
         .collect();
 
     let dev = Device::new(spec.clone(), 3);
@@ -262,10 +263,7 @@ fn every_device_target_replays_the_lanes_of_the_one_plan() {
     let targets = [
         (
             "gpu",
-            Topology::Pool {
-                slots: vec![DeviceSlot::of(&dev)],
-                policy,
-            },
+            Topology::device(DeviceSlot::of(&dev)),
             Backend::gpu(dev),
         ),
         (
@@ -275,7 +273,7 @@ fn every_device_target_replays_the_lanes_of_the_one_plan() {
         ),
     ];
     for (name, topo, backend) in targets {
-        let plan = plan_topology_by(&costs, &topo, |c, _| price[c.index]).unwrap();
+        let plan = plan_topology_by(&footprints, &topo, |k, _| price[k]).unwrap();
         let report = AssemblySession::new(backend, cfg).assemble(items).report;
         assert_eq!(report.devices.len(), plan.lanes.len(), "{name}");
         for (rep, planned) in report.devices.iter().zip(&plan.lanes) {
