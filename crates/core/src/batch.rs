@@ -12,8 +12,8 @@
 //! [`AssemblyPlan`] and runs the plan's numeric phase.
 //!
 //! - **CPU** (`batch_cpu`) — one rayon task per subdomain;
-//! - **every device target** (`batch_devices`) — one GPU and a device pool
-//!   are the same pass over a [`Topology`] (one GPU is a one-device pool).
+//! - **every device target** (`batch_devices`) — one pass over the
+//!   target's device pool as a [`Topology`] (one GPU is a pool of one).
 //!   **Record once**: the numerics run host-parallel (bitwise the CPU
 //!   path), and each subdomain's kernel sequence is the uploads, the plan's
 //!   [`launches`](AssemblyPlan::launches) and the download, beside its
@@ -40,12 +40,12 @@
 
 use crate::assemble::{ScConfig, ScParams};
 use crate::plan::AssemblyPlan;
-use crate::schedule::{plan_topology_by, temp_footprint, DeviceSlot, ScheduleOptions, Topology};
+use crate::schedule::{plan_topology_by, temp_footprint, ScheduleOptions, Topology};
 use crate::session::{AssemblyReport, DeviceReport, ScheduledSpan, SubdomainTiming};
 use crate::source::BatchEntry;
 use rayon::prelude::*;
 use sc_dense::{Scalar, SymPackedOf};
-use sc_gpu::{ArenaSim, Device, KernelCost, SimSpan, SlotAccess, Trace, TraceEvent};
+use sc_gpu::{ArenaSim, Device, DevicePool, KernelCost, SimSpan, SlotAccess, Trace, TraceEvent};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -95,8 +95,8 @@ pub(crate) fn batch_cpu<S: Scalar, E: BatchEntry<S>>(
 }
 
 /// **The** device driver: record every subdomain once, plan the whole
-/// batch once over `devices` as one [`Topology`] (one GPU is a one-device
-/// pool), replay each device from the lane assignment the plan holds.
+/// batch once over the `pool`'s [`Topology`] (one GPU is a pool of one),
+/// replay each device from the lane assignment the plan holds.
 ///
 /// The pricing closure is the same at both placement levels: the recorded
 /// kernel sequence under each device's own duration model — launch overhead
@@ -113,7 +113,7 @@ pub(crate) fn batch_cpu<S: Scalar, E: BatchEntry<S>>(
 pub(crate) fn batch_devices<S: Scalar, E: BatchEntry<S>>(
     src: &[E],
     cfg: &ScConfig,
-    devices: &[Arc<Device>],
+    pool: &DevicePool,
     opts: &ScheduleOptions,
 ) -> (Vec<SymPackedOf<S>>, AssemblyReport) {
     opts.assert_ready_at(src.len());
@@ -124,10 +124,7 @@ pub(crate) fn batch_devices<S: Scalar, E: BatchEntry<S>>(
     let recorded = record_batch(src, cfg);
 
     // plan: devices, then each device's lanes, in one call
-    let topo = Topology {
-        slots: devices.iter().map(|d| DeviceSlot::of(d)).collect(),
-        policy: opts.policy,
-    };
+    let topo = Topology::of_pool(pool, opts.policy);
     let items: Vec<(usize, usize)> = (recorded.iter().enumerate())
         .map(|(i, r)| (i, r.temp_bytes))
         .collect();
@@ -161,7 +158,7 @@ pub(crate) fn batch_devices<S: Scalar, E: BatchEntry<S>>(
 
     // replay: device by device, for a deterministic simulated timeline
     let mut report = AssemblyReport::default();
-    for (d, (dev, lanes)) in devices.iter().zip(&plan.lanes).enumerate() {
+    for (d, (dev, lanes)) in pool.devices().iter().zip(&plan.lanes).enumerate() {
         let dev_report = replay_device(
             dev,
             d,
@@ -405,9 +402,9 @@ mod tests {
     use super::*;
     use crate::plan::FactorStorage;
     use crate::schedule::{ClusterPlanError, StreamPolicy};
-    use crate::session::Target;
+    use crate::session::{AssemblySession, Backend};
     use sc_factor::{CholOptions, SparseCholesky};
-    use sc_gpu::{DevicePool, DeviceSpec};
+    use sc_gpu::DeviceSpec;
     use sc_sparse::{Coo, Csc};
 
     /// A small family of SPD matrices + gluing blocks mimicking a cluster of
@@ -462,42 +459,14 @@ mod tests {
         assemble_one(&(l.clone(), bt.clone()), cfg, gpu).2
     }
 
-    /// The one driver over a target's devices.
-    fn on_target(
-        target: &Target,
+    /// The one driver, through a session on a device `backend`.
+    fn on(
         items: &[(Csc, Csc)],
         cfg: &ScConfig,
+        backend: Backend,
     ) -> (Vec<SymPackedOf<f64>>, AssemblyReport) {
-        let (devices, opts) = target.devices().expect("a device target");
-        batch_devices(items, cfg, devices, opts)
-    }
-
-    /// … on one GPU (a one-device pool).
-    fn on_gpu(
-        items: &[(Csc, Csc)],
-        cfg: &ScConfig,
-        dev: &Arc<Device>,
-        opts: &ScheduleOptions,
-    ) -> (Vec<SymPackedOf<f64>>, AssemblyReport) {
-        let target = Target::Gpu {
-            device: Arc::clone(dev),
-            schedule: opts.clone(),
-        };
-        on_target(&target, items, cfg)
-    }
-
-    /// … on a device pool.
-    fn on_pool(
-        items: &[(Csc, Csc)],
-        cfg: &ScConfig,
-        pool: &Arc<DevicePool>,
-        opts: &ScheduleOptions,
-    ) -> (Vec<SymPackedOf<f64>>, AssemblyReport) {
-        let target = Target::Cluster {
-            pool: Arc::clone(pool),
-            opts: opts.clone(),
-        };
-        on_target(&target, items, cfg)
+        let res = AssemblySession::new(backend, *cfg).assemble(items);
+        (res.f, res.report)
     }
 
     /// Subdomain `t`'s device placement (every row of a device run has one).
@@ -570,7 +539,11 @@ mod tests {
         let cfg = ScConfig::optimized(true, false);
         let (cpu, _) = batch_cpu(&data, &cfg);
         let dev = Device::new(DeviceSpec::a100(), 4);
-        let (gpu, report) = on_gpu(&data, &cfg, &dev, &round_robin());
+        let (gpu, report) = on(
+            &data,
+            &cfg,
+            Backend::gpu_with(Arc::clone(&dev), round_robin()),
+        );
         for i in 0..data.len() {
             assert_eq!(cpu[i], gpu[i], "backend mismatch at subdomain {i}");
         }
@@ -590,7 +563,7 @@ mod tests {
         let data = factorized(&cluster(3, 6, 8));
         let cfg = ScConfig::optimized(true, false);
         let dev = Device::new(DeviceSpec::a100(), 2);
-        let (_, report) = on_gpu(&data, &cfg, &dev, &ScheduleOptions::default());
+        let (_, report) = on(&data, &cfg, Backend::gpu(Arc::clone(&dev)));
         let trace = report.devices[0].trace.as_ref().expect("a replay traces");
         for (i, (l, bt)) in data.iter().enumerate() {
             let touches = trace.events.iter().filter_map(|e| match e {
@@ -617,7 +590,11 @@ mod tests {
         let data = factorized(&cluster(10, 7, 12));
         let cfg = ScConfig::optimized(true, false);
         let dev = Device::new(DeviceSpec::a100(), 3);
-        let (_, report) = on_gpu(&data, &cfg, &dev, &round_robin());
+        let (_, report) = on(
+            &data,
+            &cfg,
+            Backend::gpu_with(Arc::clone(&dev), round_robin()),
+        );
         let sync = dev.synchronize();
         let sum: f64 = (report.subdomains.iter())
             .map(|t| placed(t).span.duration())
@@ -652,7 +629,7 @@ mod tests {
         let data = factorized(&skewed_cluster(12, &[4, 9, 6, 12], 10));
         for cfg in [ScConfig::optimized(true, false), ScConfig::Auto] {
             let dev = Device::new(DeviceSpec::a100(), 4);
-            let (f, a) = on_gpu(&data, &cfg, &dev, &ScheduleOptions::default());
+            let (f, a) = on(&data, &cfg, Backend::gpu(Arc::clone(&dev)));
             for (i, (l, bt)) in data.iter().enumerate() {
                 // sequential host reference, Auto resolved on the GPU
                 // platform as the scheduled driver does
@@ -665,7 +642,7 @@ mod tests {
             }
             // reproducible simulated timeline on a fresh device
             let dev2 = Device::new(DeviceSpec::a100(), 4);
-            let (_, b) = on_gpu(&data, &cfg, &dev2, &ScheduleOptions::default());
+            let (_, b) = on(&data, &cfg, Backend::gpu(Arc::clone(&dev2)));
             assert_eq!(dev.synchronize(), dev2.synchronize());
             for (x, y) in a.subdomains.iter().zip(&b.subdomains) {
                 assert_eq!(x.index, y.index);
@@ -683,9 +660,13 @@ mod tests {
         let cfg = ScConfig::optimized(true, false);
 
         let dev_rr = Device::new(DeviceSpec::a100(), 4);
-        let (rr, _) = on_gpu(&data, &cfg, &dev_rr, &round_robin());
+        let (rr, _) = on(
+            &data,
+            &cfg,
+            Backend::gpu_with(Arc::clone(&dev_rr), round_robin()),
+        );
         let dev_s = Device::new(DeviceSpec::a100(), 4);
-        let (sched, _) = on_gpu(&data, &cfg, &dev_s, &ScheduleOptions::default());
+        let (sched, _) = on(&data, &cfg, Backend::gpu(Arc::clone(&dev_s)));
         assert!(
             dev_s.synchronize() < dev_rr.synchronize(),
             "LPT schedule {} must beat round-robin {}",
@@ -708,11 +689,10 @@ mod tests {
         };
         let dev = Device::new(spec, 4);
         let capacity = dev.arena_capacity();
-        let (_, report) = on_gpu(
+        let (_, report) = on(
             &data,
             &ScConfig::optimized(true, false),
-            &dev,
-            &ScheduleOptions::default(),
+            Backend::gpu(Arc::clone(&dev)),
         );
         let res = &report.devices[0];
         assert!(res.temp_high_water <= capacity);
@@ -733,11 +713,10 @@ mod tests {
 
         // control: with the full A100 arena the same batch never stalls
         let dev_big = Device::new(DeviceSpec::a100(), 4);
-        let (_, res_big) = on_gpu(
+        let (_, res_big) = on(
             &data,
             &ScConfig::optimized(true, false),
-            &dev_big,
-            &ScheduleOptions::default(),
+            Backend::gpu(Arc::clone(&dev_big)),
         );
         let mut prev_end = vec![0.0f64; dev_big.n_streams()];
         for e in &chronological(&res_big) {
@@ -754,13 +733,15 @@ mod tests {
         let data = factorized(&cluster(4, 6, 8));
         let dev = Device::new(DeviceSpec::a100(), 2);
         let ready = vec![0.5, 0.25, 0.0, 1.0];
-        let (_, res) = on_gpu(
+        let (_, res) = on(
             &data,
             &ScConfig::optimized(true, false),
-            &dev,
-            &ScheduleOptions::default()
-                .with_policy(StreamPolicy::LptLeastLoaded)
-                .with_ready_at(ready.clone()),
+            Backend::gpu_with(
+                Arc::clone(&dev),
+                ScheduleOptions::default()
+                    .with_policy(StreamPolicy::LptLeastLoaded)
+                    .with_ready_at(ready.clone()),
+            ),
         );
         for t in &res.subdomains {
             let start = placed(t).span.start;
@@ -780,8 +761,14 @@ mod tests {
             let dev = Device::new(DeviceSpec::a100(), 2);
             let opts = ScheduleOptions::default().with_ready_at(vec![0.0, 0.0, bad, 0.0]);
             let cfg = ScConfig::optimized(true, false);
-            let err = std::panic::catch_unwind(|| on_gpu(&data, &cfg, &dev, &opts))
-                .expect_err("a bad readiness time must panic");
+            let err = std::panic::catch_unwind(|| {
+                on(
+                    &data,
+                    &cfg,
+                    Backend::gpu_with(Arc::clone(&dev), opts.clone()),
+                )
+            })
+            .expect_err("a bad readiness time must panic");
             let msg = err
                 .downcast_ref::<String>()
                 .map(String::as_str)
@@ -805,7 +792,11 @@ mod tests {
         // every device target keeps one idle section per device
         let dev = Device::new(DeviceSpec::a100(), 2);
         for opts in [ScheduleOptions::default(), round_robin()] {
-            let (f, report) = on_gpu(empty, &ScConfig::Auto, &dev, &opts);
+            let (f, report) = on(
+                empty,
+                &ScConfig::Auto,
+                Backend::gpu_with(Arc::clone(&dev), opts.clone()),
+            );
             assert!(f.is_empty());
             assert_eq!(report.devices.len(), 1);
             assert!(report.subdomains.is_empty());
@@ -814,14 +805,14 @@ mod tests {
         assert_eq!(dev.synchronize(), 0.0);
         assert_eq!(dev.launches(), 0);
         let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
-        let (f, cl) = on_pool(empty, &ScConfig::Auto, &pool, &ScheduleOptions::default());
+        let (f, cl) = on(empty, &ScConfig::Auto, Backend::cluster(Arc::clone(&pool)));
         assert!(f.is_empty());
         assert_eq!(cl.devices.len(), 2);
         assert_eq!(cl.makespan, 0.0);
         assert!(cl.subdomains.is_empty());
         // clean empty report even on an empty pool
         let none = DevicePool::from_devices(Vec::new());
-        let (f, cl) = on_pool(empty, &ScConfig::Auto, &none, &ScheduleOptions::default());
+        let (f, cl) = on(empty, &ScConfig::Auto, Backend::cluster(Arc::clone(&none)));
         assert!(f.is_empty() && cl.devices.is_empty());
     }
 
@@ -841,11 +832,21 @@ mod tests {
         for opts in [ScheduleOptions::default(), round_robin()] {
             // empty batches are fine even on a 0-stream device
             let dev = Device::new(DeviceSpec::a100(), 0);
-            assert!(on_gpu(empty, &cfg, &dev, &opts).0.is_empty());
+            assert!(on(
+                empty,
+                &cfg,
+                Backend::gpu_with(Arc::clone(&dev), opts.clone())
+            )
+            .0
+            .is_empty());
             // non-empty batches fail with the planner's typed error, not an
             // index panic
             let msg = panic_message(|| {
-                on_gpu(&data, &cfg, &dev, &opts);
+                on(
+                    &data,
+                    &cfg,
+                    Backend::gpu_with(Arc::clone(&dev), opts.clone()),
+                );
             });
             assert_eq!(
                 msg,
@@ -859,7 +860,7 @@ mod tests {
         let data = factorized(&skewed_cluster(12, &[4, 9, 6, 12], 10));
         for cfg in [ScConfig::optimized(true, false), ScConfig::Auto] {
             let pool = DevicePool::uniform(DeviceSpec::a100(), 3, 2);
-            let (f, report) = on_pool(&data, &cfg, &pool, &ScheduleOptions::default());
+            let (f, report) = on(&data, &cfg, Backend::cluster(Arc::clone(&pool)));
             for (i, (l, bt)) in data.iter().enumerate() {
                 let seq = sequential(l, bt, &cfg, true);
                 assert_eq!(f[i], seq, "cluster F̃ must be bitwise sequential ({i})");
@@ -895,9 +896,9 @@ mod tests {
         let data = factorized(&skewed_cluster(16, &[12, 4, 6, 3], 10));
         let cfg = ScConfig::optimized(true, false);
         let one = DevicePool::uniform(DeviceSpec::a100(), 1, 4);
-        let (f1, r1) = on_pool(&data, &cfg, &one, &ScheduleOptions::default());
+        let (f1, r1) = on(&data, &cfg, Backend::cluster(Arc::clone(&one)));
         let four = DevicePool::uniform(DeviceSpec::a100(), 4, 4);
-        let (f4, r4) = on_pool(&data, &cfg, &four, &ScheduleOptions::default());
+        let (f4, r4) = on(&data, &cfg, Backend::cluster(Arc::clone(&four)));
         assert!(
             r4.makespan < r1.makespan,
             "4 devices ({}) must beat 1 device ({})",
@@ -906,7 +907,7 @@ mod tests {
         );
         // the single-device cluster path is exactly the scheduled driver
         let dev = Device::new(DeviceSpec::a100(), 4);
-        let (f, sched) = on_gpu(&data, &cfg, &dev, &ScheduleOptions::default());
+        let (f, sched) = on(&data, &cfg, Backend::gpu(Arc::clone(&dev)));
         assert_eq!(r1.makespan, sched.makespan);
         for i in 0..data.len() {
             assert_eq!(f1[i], f[i]);
@@ -934,7 +935,7 @@ mod tests {
             oversized > 0,
             "workload must contain tiny-card-oversized subdomains"
         );
-        let (f, report) = on_pool(&data, &cfg, &pool, &ScheduleOptions::default());
+        let (f, report) = on(&data, &cfg, Backend::cluster(Arc::clone(&pool)));
         for (i, (l, bt)) in data.iter().enumerate() {
             if footprint(l, bt) > tiny_arena {
                 assert_eq!(
@@ -957,13 +958,15 @@ mod tests {
         let data = factorized(&cluster(6, 6, 8));
         let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
         let ready: Vec<f64> = (0..data.len()).map(|i| 0.25 * i as f64).collect();
-        let (_, report) = on_pool(
+        let (_, report) = on(
             &data,
             &ScConfig::optimized(true, false),
-            &pool,
-            &ScheduleOptions::default()
-                .with_policy(StreamPolicy::LptLeastLoaded)
-                .with_ready_at(ready.clone()),
+            Backend::cluster_with(
+                Arc::clone(&pool),
+                ScheduleOptions::default()
+                    .with_policy(StreamPolicy::LptLeastLoaded)
+                    .with_ready_at(ready.clone()),
+            ),
         );
         for t in &report.subdomains {
             let start = placed(t).span.start;
@@ -987,7 +990,7 @@ mod tests {
             Device::new(DeviceSpec::a100(), 0),
             Device::new(DeviceSpec::a100(), 4),
         ]);
-        let (f, report) = on_pool(&data, &cfg, &pool, &ScheduleOptions::default());
+        let (f, report) = on(&data, &cfg, Backend::cluster(Arc::clone(&pool)));
         assert_eq!(report.subdomains.len(), data.len());
         assert!(
             report.subdomains.iter().all(|t| placed(t).device == 1),
@@ -1018,11 +1021,19 @@ mod tests {
                     reroute them, or re-plan without them";
         let opts = ScheduleOptions::default();
         let on_the_pool = panic_message(|| {
-            on_pool(&data, &cfg, &pool, &opts);
+            on(
+                &data,
+                &cfg,
+                Backend::cluster_with(Arc::clone(&pool), opts.clone()),
+            );
         });
         assert_eq!(on_the_pool, want);
         let on_one_gpu = panic_message(|| {
-            on_gpu(&data, &cfg, pool.device(0), &opts);
+            on(
+                &data,
+                &cfg,
+                Backend::gpu_with(Arc::clone(pool.device(0)), opts.clone()),
+            );
         });
         assert_eq!(on_one_gpu, want);
     }
@@ -1056,8 +1067,12 @@ mod tests {
             assert_eq!(cpu[1].nrows(), 1);
             assert!(cpu[1].data()[0] > 0.0, "1×1 F̃ must be positive");
             let dev = Device::new(DeviceSpec::a100(), 2);
-            let (rr, _) = on_gpu(&data, &cfg, &dev, &round_robin());
-            let (sched, _) = on_gpu(&data, &cfg, &dev, &ScheduleOptions::default());
+            let (rr, _) = on(
+                &data,
+                &cfg,
+                Backend::gpu_with(Arc::clone(&dev), round_robin()),
+            );
+            let (sched, _) = on(&data, &cfg, Backend::gpu(Arc::clone(&dev)));
             for i in 0..data.len() {
                 assert_eq!(cpu[i], rr[i], "round-robin mismatch at {i}");
                 assert_eq!(cpu[i], sched[i], "scheduled mismatch at {i}");

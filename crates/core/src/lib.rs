@@ -53,7 +53,7 @@ pub use schedule::{
 };
 pub use session::{
     AssemblyReport, AssemblyResult, AssemblySession, Backend, DeviceReport, Precision,
-    ScheduledSpan, SubdomainTiming, Target,
+    ScheduledSpan, SubdomainTiming,
 };
 pub use sessioncache::{ContentHasher, SessionCache, SessionCacheStats};
 pub use source::BatchEntry;

@@ -51,8 +51,8 @@ pub enum StreamPolicy {
     LptLeastLoaded,
 }
 
-/// Options of the device batch driver — the payload of every device
-/// variant of [`Target`](crate::Target).
+/// Options of the device batch driver — the schedule of every device
+/// [`Backend`](crate::Backend).
 ///
 /// Construct with [`Default`] and the `with_*` setters (the struct is
 /// `#[non_exhaustive]`, so it may grow fields without breaking callers):
@@ -164,11 +164,11 @@ pub fn estimate_cost<S: Scalar>(
     let mut trsm_flops = 0.0;
     let mut syrk_flops = 0.0;
     for (j, &p) in pivots.iter().enumerate() {
-        let below = n.saturating_sub(p) as f64; // sc-analyze: allow(precision-discipline)
+        let below = exact(n.saturating_sub(p));
         trsm_flops += below * below;
-        syrk_flops += 2.0 * (j + 1) as f64 * below; // sc-analyze: allow(precision-discipline)
+        syrk_flops += 2.0 * exact(j + 1) * below;
     }
-    let transfer_bytes = (INDEX_BYTES + S::BYTES) as f64 * (l.nnz() + bt.nnz()) as f64; // sc-analyze: allow(precision-discipline)
+    let transfer_bytes = exact(INDEX_BYTES + S::BYTES) * exact(l.nnz() + bt.nnz());
 
     let mut est = CostEstimate {
         index,
@@ -401,10 +401,10 @@ impl TopoPlan {
     }
 }
 
-/// A device's parallel width: its stream count, the load normalizer of the
-/// device level's completion-time estimate.
-fn width(slot: &DeviceSlot) -> f64 {
-    f64::from(u32::try_from(slot.n_streams).expect("stream count fits in 32 bits"))
+/// Exact `f64` of a count that feeds the cost model: no value precision is
+/// involved.
+fn exact(n: usize) -> f64 {
+    f64::from(u32::try_from(n).expect("count fits in 32 bits"))
 }
 
 /// Plan a batch of cost estimates over a [`Topology`], each priced by its
@@ -478,12 +478,13 @@ pub fn plan_topology_by(
     let mut load = vec![0.0f64; slots.len()];
     let mut spilled = Vec::new();
     for k in order {
+        // completion-time estimate: the device's load over its stream count
+        let done = |d: usize| (load[d] + seconds[k][d]) / exact(slots[d].n_streams);
         let best = (0..slots.len())
             .filter(|&d| slots[d].admits(items[k].1))
             .min_by(|&a, &b| {
-                let fa = (load[a] + seconds[k][a]) / width(&slots[a]);
-                let fb = (load[b] + seconds[k][b]) / width(&slots[b]);
-                fa.partial_cmp(&fb)
+                done(a)
+                    .partial_cmp(&done(b))
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });

@@ -100,93 +100,55 @@ impl Precision {
         }
     }
 
-    /// Stable lowercase name (diagnostics).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Precision::F64 => "f64",
-            Precision::F32Refined { .. } => "f32+refine",
-        }
-    }
-
     /// True for the `f32` working-precision mode.
     pub fn is_f32(&self) -> bool {
         matches!(self, Precision::F32Refined { .. })
     }
 }
 
-/// The execution target of a [`Backend`] — a *value*, so the same pipeline
-/// retargets between host, one simulated GPU or a device pool without
-/// changing call sites.
-///
-/// Both device variants are the **same driver** over their devices — record
-/// every subdomain once, plan the whole batch once with
-/// [`plan_topology_by`](crate::plan_topology_by) over one
-/// [`Topology`](crate::Topology) (one GPU is a one-device pool;
-/// one pricing at both levels: the recorded kernels under each device's own
-/// duration model), replay each device from the lane assignment the plan
-/// holds — and take the same [`ScheduleOptions`].
+/// The execution target of a [`Backend`]: the host, or a device pool under
+/// one set of scheduling options (one GPU is a pool of one).
 #[derive(Clone)]
-#[non_exhaustive]
-pub enum Target {
-    /// Host execution, one rayon task per subdomain (cap the workers with
-    /// `rayon::with_max_threads` around the call).
+enum Target {
     Cpu,
-    /// One simulated GPU, planned as a one-device pool: the §4.4 stream
-    /// scheduler (cost-model LPT or round-robin per
-    /// [`ScheduleOptions::policy`]), temporary-arena admission,
-    /// deterministic record-then-replay. A subdomain that does not fit the
-    /// device's arena **panics**.
-    Gpu {
-        /// The device.
-        device: Arc<Device>,
-        /// Scheduling options.
+    Devices {
+        pool: Arc<DevicePool>,
         schedule: ScheduleOptions,
     },
-    /// A pool of simulated GPUs: subdomains are partitioned across devices
-    /// (cost-aware LPT with per-device arena admissibility), then across
-    /// each device's streams. A subdomain that fits no device arena
-    /// **panics**; the hybrid planner ([`plan_hybrid`](crate::plan_hybrid))
-    /// is what keeps such subdomains off the pool.
-    Cluster {
-        /// The device pool (heterogeneous mixes allowed).
-        pool: Arc<DevicePool>,
-        /// Scheduling options.
-        opts: ScheduleOptions,
-    },
-}
-
-impl Target {
-    /// The devices of a device target, in [`AssemblyReport::devices`]
-    /// numbering, with its scheduling options; `None` on the host target.
-    pub(crate) fn devices(&self) -> Option<(&[Arc<Device>], &ScheduleOptions)> {
-        match self {
-            Target::Cpu => None,
-            Target::Gpu { device, schedule } => Some((std::slice::from_ref(device), schedule)),
-            Target::Cluster { pool, opts } => Some((pool.devices(), opts)),
-        }
-    }
 }
 
 impl std::fmt::Debug for Target {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Target::Cpu => f.write_str("Cpu"),
-            Target::Gpu { device, schedule } => f
-                .debug_struct("Gpu")
-                .field("n_streams", &device.n_streams())
-                .field("schedule", schedule)
-                .finish(),
-            Target::Cluster { pool, opts } => f
-                .debug_struct("Cluster")
+            Target::Devices { pool, schedule } => f
+                .debug_struct("Devices")
                 .field("n_devices", &pool.n_devices())
-                .field("opts", opts)
+                .field("schedule", schedule)
                 .finish(),
         }
     }
 }
 
 /// An execution target paired with a working precision: what an
-/// [`AssemblySession`] (and the FETI solver builder) runs on.
+/// [`AssemblySession`] (and the FETI solver builder) runs on — a *value*,
+/// so the same pipeline retargets between the host, one simulated GPU and
+/// a device pool without changing call sites.
+///
+/// The target is the host or a device pool; one GPU is a pool of one.
+/// - **Host**: one rayon task per subdomain (cap the workers with
+///   `rayon::with_max_threads` around the call).
+/// - **Devices**: one driver over the device list — record every subdomain
+///   once, plan the whole batch once with
+///   [`plan_topology_by`](crate::plan_topology_by) over the pool's
+///   [`Topology`](crate::Topology) (cost-aware LPT across devices under
+///   per-device arena admissibility, then the §4.4 stream assignment per
+///   [`ScheduleOptions::policy`]; one pricing at both levels: the recorded
+///   kernels under each device's own duration model), replay each device
+///   from the lane assignment the plan holds. A subdomain that fits no
+///   device arena **panics**; the hybrid planner
+///   ([`plan_hybrid`](crate::plan_hybrid)) is what keeps such subdomains
+///   off the devices.
 ///
 /// Construct with the target shorthands and chain
 /// [`precision`](Backend::precision) to opt into mixed precision:
@@ -199,54 +161,42 @@ impl std::fmt::Debug for Target {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Backend {
-    /// The execution target.
-    pub target: Target,
+    target: Target,
     /// Working precision of the numerics (default [`Precision::F64`]).
     pub precision: Precision,
-}
-
-impl From<Target> for Backend {
-    /// Wrap a target at the default `f64` precision.
-    fn from(target: Target) -> Self {
-        Backend {
-            target,
-            precision: Precision::F64,
-        }
-    }
 }
 
 impl Backend {
     /// Host execution on all available worker threads.
     pub fn cpu() -> Self {
-        Target::Cpu.into()
+        Backend {
+            target: Target::Cpu,
+            precision: Precision::F64,
+        }
     }
 
     /// One device under the default schedule (LPT + arena admission).
     pub fn gpu(device: Arc<Device>) -> Self {
-        Target::Gpu {
-            device,
-            schedule: ScheduleOptions::default(),
-        }
-        .into()
+        Backend::gpu_with(device, ScheduleOptions::default())
     }
 
-    /// One device under explicit scheduling options.
+    /// One device under explicit scheduling options: a pool of one around
+    /// the caller's own `Arc`, so the device's clock reads the run.
     pub fn gpu_with(device: Arc<Device>, schedule: ScheduleOptions) -> Self {
-        Target::Gpu { device, schedule }.into()
+        Backend::cluster_with(DevicePool::from_devices(vec![device]), schedule)
     }
 
     /// A device pool under the default schedule.
     pub fn cluster(pool: Arc<DevicePool>) -> Self {
-        Target::Cluster {
-            pool,
-            opts: ScheduleOptions::default(),
-        }
-        .into()
+        Backend::cluster_with(pool, ScheduleOptions::default())
     }
 
     /// A device pool under explicit scheduling options.
-    pub fn cluster_with(pool: Arc<DevicePool>, opts: ScheduleOptions) -> Self {
-        Target::Cluster { pool, opts }.into()
+    pub fn cluster_with(pool: Arc<DevicePool>, schedule: ScheduleOptions) -> Self {
+        Backend {
+            target: Target::Devices { pool, schedule },
+            precision: Precision::F64,
+        }
     }
 
     /// Set the working precision (builder style).
@@ -255,29 +205,21 @@ impl Backend {
         self
     }
 
-    /// Stable lowercase name of the target (diagnostics).
-    pub fn name(&self) -> &'static str {
-        match &self.target {
-            Target::Cpu => "cpu",
-            Target::Gpu { .. } => "gpu",
-            Target::Cluster { .. } => "cluster",
-        }
-    }
-
-    /// The device pool this backend schedules onto, if any. The single-GPU
-    /// target exposes its device through [`Backend::device`] instead.
+    /// The device pool, `Some` exactly when the target has two or more
+    /// devices. A one-device target exposes its device through
+    /// [`Backend::device`] instead.
     pub fn pool(&self) -> Option<&Arc<DevicePool>> {
         match &self.target {
-            Target::Cluster { pool, .. } => Some(pool),
+            Target::Devices { pool, .. } if pool.n_devices() > 1 => Some(pool),
             _ => None,
         }
     }
 
-    /// The single device of the [`Target::Gpu`] target, if that is what
-    /// this backend runs on.
+    /// The device, `Some` exactly when the target has one device
+    /// ([`Backend::gpu`], or a pool of one).
     pub fn device(&self) -> Option<&Arc<Device>> {
-        match &self.target {
-            Target::Gpu { device, .. } => Some(device),
+        match self.devices() {
+            [device] => Some(device),
             _ => None,
         }
     }
@@ -287,15 +229,18 @@ impl Backend {
     pub fn schedule_mut(&mut self) -> Option<&mut ScheduleOptions> {
         match &mut self.target {
             Target::Cpu => None,
-            Target::Gpu { schedule: opts, .. } | Target::Cluster { opts, .. } => Some(opts),
+            Target::Devices { schedule, .. } => Some(schedule),
         }
     }
 
     /// Every device of the target, in the numbering
-    /// [`AssemblyReport::devices`] and [`ScheduledSpan::device`] use (the
-    /// one GPU; a pool's devices). Empty on the host target.
+    /// [`AssemblyReport::devices`] and [`ScheduledSpan::device`] use. Empty
+    /// on the host target.
     pub fn devices(&self) -> &[Arc<Device>] {
-        self.target.devices().map_or(&[], |(devices, _)| devices)
+        match &self.target {
+            Target::Cpu => &[],
+            Target::Devices { pool, .. } => pool.devices(),
+        }
     }
 }
 
@@ -396,9 +341,9 @@ fn dispatch<S: Scalar, E: BatchEntry<S>>(
     cfg: &ScConfig,
     src: &[E],
 ) -> (Vec<SymPackedOf<S>>, AssemblyReport) {
-    match target.devices() {
-        Some((devices, opts)) => batch_devices(src, cfg, devices, opts),
-        None => batch_cpu(src, cfg),
+    match target {
+        Target::Cpu => batch_cpu(src, cfg),
+        Target::Devices { pool, schedule } => batch_devices(src, cfg, pool, schedule),
     }
 }
 
@@ -421,7 +366,7 @@ pub struct SubdomainTiming {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScheduledSpan {
     /// Device it ran on, in [`AssemblyReport::devices`] numbering (`0` on
-    /// the single-GPU target).
+    /// a one-device target).
     pub device: usize,
     /// Stream it ran on, device-local.
     pub stream: usize,
@@ -634,6 +579,40 @@ mod tests {
         );
     }
 
+    /// The device-list views read exactly the device count: `device()` on
+    /// one device, `pool()` on two or more, whatever constructor built the
+    /// backend. `benchmark/src/ledger/stages.rs:293` dispatches its
+    /// topology on this pair.
+    #[test]
+    fn device_and_pool_views_read_the_device_count() {
+        let dev = Device::new(DeviceSpec::a100(), 2);
+        let views = |b: &Backend| (b.devices().len(), b.device().is_some(), b.pool().is_some());
+        let cases = [
+            (Backend::cpu(), (0, false, false)),
+            (Backend::gpu(Arc::clone(&dev)), (1, true, false)),
+            (
+                Backend::cluster(DevicePool::from_devices(vec![Arc::clone(&dev)])),
+                (1, true, false),
+            ),
+            (
+                Backend::cluster(DevicePool::uniform(DeviceSpec::a100(), 2, 2)),
+                (2, false, true),
+            ),
+            (
+                Backend::cluster(DevicePool::from_devices(vec![])),
+                (0, false, false),
+            ),
+        ];
+        for (backend, want) in cases {
+            assert_eq!(views(&backend), want, "{backend:?}");
+        }
+        // one GPU is a pool of one around the caller's own device
+        assert!(Arc::ptr_eq(
+            &Backend::gpu(Arc::clone(&dev)).devices()[0],
+            &dev
+        ));
+    }
+
     /// An `(L, B̃ᵀ)` pair as an entry that counts its shape requests.
     struct Counting<'a> {
         pair: &'a (Csc, Csc),
@@ -668,7 +647,7 @@ mod tests {
             Backend::cpu().precision(Precision::f32_refined()),
         ];
         for backend in backends {
-            let name = format!("{} {}", backend.name(), backend.precision.name());
+            let name = format!("{backend:?}");
             let session = AssemblySession::new(backend, ScConfig::Auto);
             let counting: Vec<Counting> = (data.iter())
                 .map(|pair| Counting {

@@ -184,7 +184,7 @@ pub fn preprocess_approach<'p>(
 ) -> (FetiSolver<'p>, PreprocessReport) {
     let (engine, backend, slots) = approach.recipe(problem.dim == 3, device);
     let opts = FetiOptions::default().with_engine(engine);
-    if let Some(d) = backend.device() {
+    for d in backend.devices() {
         d.reset();
     }
 

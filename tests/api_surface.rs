@@ -146,8 +146,8 @@ fn mixed_workload() -> impl Strategy<Value = Vec<(Csc, Csc)>> {
 }
 
 /// Assemble `items` on every backend over fresh devices, checking each
-/// `F̃ᵢ` against `reference`; returns the devices' final simulated clocks
-/// and the reported makespans.
+/// `F̃ᵢ` against `reference`; returns the reported makespans, in backend
+/// order, then the devices' final simulated clocks.
 fn assemble_on_every_backend(
     items: &[(Csc, Csc)],
     cfg: ScConfig,
@@ -158,6 +158,7 @@ fn assemble_on_every_backend(
     let dev = Device::new(DeviceSpec::a100(), n_streams);
     let dev_rr = Device::new(DeviceSpec::a100(), n_streams);
     let pool = DevicePool::uniform(DeviceSpec::a100(), n_devices, n_streams);
+    let dev_one = Device::new(DeviceSpec::a100(), n_streams);
     let backends = [
         ("cpu", Backend::cpu()),
         ("gpu", Backend::gpu(Arc::clone(&dev))),
@@ -169,6 +170,10 @@ fn assemble_on_every_backend(
             ),
         ),
         ("cluster", Backend::cluster(Arc::clone(&pool))),
+        (
+            "cluster of one",
+            Backend::cluster(DevicePool::from_devices(vec![Arc::clone(&dev_one)])),
+        ),
     ];
     let mut clocks = Vec::new();
     for (name, backend) in backends {
@@ -183,6 +188,7 @@ fn assemble_on_every_backend(
         dev.synchronize(),
         dev_rr.synchronize(),
         pool.synchronize_all(),
+        dev_one.synchronize(),
     ]);
     Ok(clocks)
 }
@@ -195,7 +201,9 @@ proptest! {
     /// auto configurations (the workload's subdomains stay below the size
     /// where `ScConfig::Auto` starts choosing by platform), and two fresh
     /// sets of devices with identical options replay the same simulated
-    /// timeline.
+    /// timeline. One GPU is a pool of one: `"gpu"` and `"cluster of one"`
+    /// share the spec, the streams and the default schedule, so they report
+    /// the same makespan.
     #[test]
     fn every_backend_is_bitwise_the_sequential_reference(
         data in mixed_workload(),
@@ -209,6 +217,9 @@ proptest! {
             .map(|(l, bt)| assemble_sc(&mut CpuExec, l, bt, &cfg))
             .collect();
         let first = assemble_on_every_backend(&data, cfg, &reference, n_streams, n_devices)?;
+        // makespans in backend order: cpu, gpu, gpu round-robin, cluster,
+        // cluster of one
+        prop_assert_eq!(first[1], first[4], "gpu vs cluster of one");
         let again = assemble_on_every_backend(&data, cfg, &reference, n_streams, n_devices)?;
         prop_assert_eq!(first, again,
             "fresh devices with identical options must replay the same simulated timeline");
