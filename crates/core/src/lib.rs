@@ -33,7 +33,6 @@ pub mod hybrid;
 pub mod plan;
 pub mod schedule;
 pub mod session;
-pub mod sessioncache;
 pub mod source;
 pub mod stepped;
 pub mod tune;
@@ -55,8 +54,27 @@ pub use session::{
     AssemblyReport, AssemblyResult, AssemblySession, Backend, DeviceReport, Precision,
     ScheduledSpan, SubdomainTiming,
 };
-pub use sessioncache::{ContentHasher, SessionCache, SessionCacheStats};
 pub use source::BatchEntry;
 pub use stepped::{SteppedRhs, SteppedRhsOf};
 
 pub use tune::BlockParam;
+
+/// Counter snapshot of `sc_serve`'s prepared-state cache (the serve `stats`
+/// request reports these per service). The cache itself lives in `sc_serve`;
+/// this record stays at this path because the benchmark package names it
+/// here, and moves with the benchmark's next change (ROADMAP item 1).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SessionCacheStats {
+    /// Lookups served from the cache.
+    pub hits: usize,
+    /// Lookups that found no entry.
+    pub misses: usize,
+    /// Entries dropped to make room under the byte budget.
+    pub evictions: usize,
+    /// Entries currently resident.
+    pub entries: usize,
+    /// Bytes currently accounted against the budget.
+    pub bytes: usize,
+    /// The configured budget.
+    pub budget_bytes: usize,
+}

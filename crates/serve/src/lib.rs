@@ -18,10 +18,10 @@
 //!   name table. Fuzzed in `tests/intake.rs`: arbitrary bytes never panic
 //!   the parser, and [`encode_request`] → [`parse_request`] is lossless.
 //! - [`cache`] — the cross-session prepared-state cache: a byte-budgeted
-//!   LRU ([`sc_core::SessionCache`]) keyed by a content hash of the mesh
-//!   spec, whose bundles also keep the assembled operators of each
-//!   (precision, backend). Warm solves are bitwise identical to cold ones
-//!   (pinned in `tests/cache.rs`).
+//!   LRU ([`PreparedCache`]) keyed by a content hash of the mesh spec,
+//!   whose bundles also keep the assembled operators of each (precision,
+//!   backend). Warm solves are bitwise identical to cold ones (pinned in
+//!   `tests/cache.rs`).
 //! - [`scheduler`] + [`server`] — weighted deficit-round-robin fairness in
 //!   estimated device-seconds, admission control against the shared
 //!   [`sc_gpu::DevicePool`] arena, per-job timeout/cancellation, and

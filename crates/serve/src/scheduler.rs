@@ -276,12 +276,6 @@ impl Scheduler {
         }
     }
 
-    /// Put a job back at the head of its tenant's queue (run-budget
-    /// exhausted before it could dispatch).
-    pub fn requeue_front(&mut self, tenant: &str, job: QueuedJob) {
-        self.tenant_mut(tenant).queue.push_front(job);
-    }
-
     /// Snapshot of every tenant's roll-up, sorted by name.
     pub fn stats(&self) -> Vec<(String, TenantStats)> {
         self.tenants
@@ -302,8 +296,11 @@ fn next_after(names: &[String], i: usize) -> String {
 /// nominal device rate. Proxies for `n`, `m`, `nnz(L)` come from the
 /// structured mesh geometry, so the estimate needs no preprocessing — it
 /// must be computable at *submit* time, before any cache lookup.
+///
+/// Panics if `cells` or a `subs` factor exceeds `u32::MAX`; the protocol
+/// bounds each to 4096.
 pub fn estimate_job_seconds(spec: &MeshSpec) -> f64 {
-    let c = spec.cells as f64; // sc-analyze: allow(precision-discipline)
+    let c = f64::from(u32::try_from(spec.cells).expect("decode_job bounds cells to 4096"));
     let dim = u32::from(spec.dim);
     let n = (c + 1.0).powi(dim as i32); // dofs per subdomain
     let m = if spec.dim == 2 {
@@ -318,7 +315,11 @@ pub fn estimate_job_seconds(spec: &MeshSpec) -> f64 {
         n.powf(4.0 / 3.0)
     };
     let flops_per_sub = 4.0 * nnz_l * m + n * m * m;
-    let n_subs = (spec.subs.0 * spec.subs.1 * spec.subs.2) as f64; // sc-analyze: allow(precision-discipline)
+    // multiplied in f64, not converted as one product (which can exceed
+    // `u32`): every partial product stays below 2^53, so it is exact
+    let [s0, s1, s2] = [spec.subs.0, spec.subs.1, spec.subs.2]
+        .map(|s| f64::from(u32::try_from(s).expect("decode_job bounds each subs factor to 4096")));
+    let n_subs = s0 * s1 * s2;
     const NOMINAL_RATE: f64 = 250e9; // effective flop/s for small batched kernels
     flops_per_sub * n_subs / NOMINAL_RATE
 }

@@ -207,13 +207,12 @@ impl Service {
         let mut lines = Vec::new();
         let mut spent = 0.0_f64;
         let mut drained = 0usize;
-        while let Some((tenant, qj)) = self.sched.pop_next() {
-            if let Some(budget) = budget_s {
-                if spent >= budget {
-                    self.sched.requeue_front(&tenant, qj);
-                    break;
-                }
-            }
+        // the budget is checked before popping: a pop debits the tenant's
+        // DRR deficit and moves the cursor on, so the job it returns must run
+        while budget_s.is_none_or(|budget| spent < budget) {
+            let Some((tenant, qj)) = self.sched.pop_next() else {
+                break;
+            };
             let outcome = match self.execute(&tenant, &qj) {
                 Ok(outcome) => outcome,
                 Err(msg) => {
@@ -268,8 +267,7 @@ impl Service {
                 let t0 = Instant::now();
                 let built = Arc::new(prepare(&req.spec));
                 let secs = t0.elapsed().as_secs_f64();
-                let bytes = built.bytes;
-                self.cache.insert(qj.key, Arc::clone(&built), bytes, &keep);
+                self.cache.insert(qj.key, Arc::clone(&built), &keep);
                 (built, false, secs)
             }
         };
@@ -327,8 +325,7 @@ impl Service {
         // bundle at its packed bytes
         if let (false, Some(operators)) = (outcome.reused_operators, solver.shared_operators()) {
             let grown = prep.with_operators(slot, operators);
-            let bytes = grown.bytes;
-            self.cache.insert(qj.key, Arc::new(grown), bytes, &keep);
+            self.cache.insert(qj.key, Arc::new(grown), &keep);
         }
         if req.kind == JobKind::Solve {
             let sol = if (req.scale - 1.0).abs() > f64::EPSILON {
@@ -884,14 +881,22 @@ mod tests {
         }
     }
 
-    /// The `est_s` an `accepted` line quotes.
-    fn est_s(line: &str) -> f64 {
+    /// Field `key` of a response line.
+    fn field(line: &str, key: &str) -> JVal {
         let Ok(JVal::Obj(fields)) = parse_json_line(line.as_bytes(), 1) else {
             panic!("not a JSON object: {line}")
         };
-        match fields.iter().find(|(k, _)| k == "est_s") {
-            Some((_, JVal::Num(v))) => *v,
-            _ => panic!("no est_s: {line}"),
+        match fields.into_iter().find(|(k, _)| k == key) {
+            Some((_, v)) => v,
+            None => panic!("no {key}: {line}"),
+        }
+    }
+
+    /// The `est_s` an `accepted` line quotes.
+    fn est_s(line: &str) -> f64 {
+        match field(line, "est_s") {
+            JVal::Num(v) => v,
+            other => panic!("est_s is not a number: {other:?}"),
         }
     }
 
@@ -913,6 +918,42 @@ mod tests {
         let alone = cluster_est(false);
         assert!(alone > 0.0);
         assert_eq!(cluster_est(true).to_bits(), alone.to_bits());
+    }
+
+    #[test]
+    fn a_budgeted_drain_dispatches_in_the_order_of_a_plain_one() {
+        // a budget only says where a drain pauses: popping a job debits its
+        // tenant's DRR deficit and moves the cursor on, so a job popped and
+        // put back would be paid for twice and run late
+        let submit_mix = |h: &mut ServeHandle| {
+            for (tenant, cells) in [("a", 4), ("b", 6), ("c", 5)] {
+                for i in 0..3 {
+                    h.request(&format!(
+                        "{{\"op\":\"assemble\",\"tenant\":\"{tenant}\",\"job\":\"{tenant}{i}\",\
+                         \"dim\":2,\"cells\":{cells},\"subs\":[2,2]}}"
+                    ));
+                }
+            }
+        };
+        let done_order = |lines: &[String]| -> Vec<(JVal, JVal)> {
+            let done = lines.iter().filter(|l| l.contains("\"event\":\"done\""));
+            done.map(|l| (field(l, "tenant"), field(l, "job")))
+                .collect()
+        };
+        let mut plain = ServeHandle::new(small_opts());
+        submit_mix(&mut plain);
+        let reference = plain.request("{\"op\":\"run\"}");
+
+        let mut split = ServeHandle::new(small_opts());
+        submit_mix(&mut split);
+        let mut lines = Vec::new();
+        for step in 1..=4 {
+            // below any job's device-seconds: each budgeted run dispatches one
+            lines.extend(split.request("{\"op\":\"run\",\"budget_s\":1e-12}"));
+            assert_eq!(done_order(&lines).len(), step);
+        }
+        lines.extend(split.request("{\"op\":\"run\"}"));
+        assert_eq!(done_order(&lines), done_order(&reference));
     }
 
     #[test]
