@@ -494,7 +494,6 @@ mod tests {
     fn clean_trace() -> Trace {
         Trace {
             arena_capacity: 1024,
-            elem_bytes: 8,
             n_streams: 2,
             concurrency: 2,
             events: vec![
@@ -628,7 +627,6 @@ mod tests {
     fn handoff_at_equal_time_is_not_oversubscription() {
         let t = Trace {
             arena_capacity: 512,
-            elem_bytes: 8,
             n_streams: 1,
             concurrency: 1,
             events: vec![

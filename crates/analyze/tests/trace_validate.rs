@@ -39,7 +39,6 @@ fn clean_trace(n_slots: usize, n_streams: usize, kernels_per_slot: usize) -> Tra
     }
     Trace {
         arena_capacity: max_bytes,
-        elem_bytes: 8,
         n_streams,
         concurrency: n_streams,
         events,

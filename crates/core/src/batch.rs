@@ -44,7 +44,7 @@ use crate::schedule::{plan_topology_by, temp_footprint, ScheduleOptions, Topolog
 use crate::session::{AssemblyReport, DeviceReport, ScheduledSpan, SubdomainTiming};
 use crate::source::BatchEntry;
 use rayon::prelude::*;
-use sc_dense::{Scalar, SymPackedOf};
+use sc_dense::SymPackedOf;
 use sc_gpu::{ArenaSim, Device, DevicePool, KernelCost, SimSpan, SlotAccess, Trace, TraceEvent};
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,11 +52,11 @@ use std::time::Instant;
 /// The per-subdomain body of both drivers: `cfg` resolved on the platform
 /// (`gpu`), the entry's shape cut into its plan, the plan's numeric phase
 /// (the packed `F̃ᵢ`), and the host seconds of all three.
-fn assemble_one<S: Scalar, E: BatchEntry<S>>(
+fn assemble_one<E: BatchEntry>(
     entry: &E,
     cfg: &ScConfig,
     gpu: bool,
-) -> (ScParams, AssemblyPlan, SymPackedOf<S>, f64) {
+) -> (ScParams, AssemblyPlan, SymPackedOf<f64>, f64) {
     let t = Instant::now();
     let (l, bt) = (entry.factor(), entry.gluing());
     let params = cfg.resolve(gpu, l, bt);
@@ -67,12 +67,12 @@ fn assemble_one<S: Scalar, E: BatchEntry<S>>(
 
 /// CPU batch driver: one rayon task per subdomain — the paper's
 /// one-thread-per-subdomain cluster loop.
-pub(crate) fn batch_cpu<S: Scalar, E: BatchEntry<S>>(
+pub(crate) fn batch_cpu<E: BatchEntry>(
     src: &[E],
     cfg: &ScConfig,
-) -> (Vec<SymPackedOf<S>>, AssemblyReport) {
+) -> (Vec<SymPackedOf<f64>>, AssemblyReport) {
     let t0 = Instant::now();
-    let assembled: Vec<(SymPackedOf<S>, SubdomainTiming)> = (0..src.len())
+    let assembled: Vec<(SymPackedOf<f64>, SubdomainTiming)> = (0..src.len())
         .into_par_iter()
         .map(|i| {
             let (.., f, host_seconds) = assemble_one(&src[i], cfg, false);
@@ -110,12 +110,12 @@ pub(crate) fn batch_cpu<S: Scalar, E: BatchEntry<S>>(
 /// ([`ClusterPlanError::NoDevices`](crate::ClusterPlanError::NoDevices)); or
 /// when a subdomain's temporaries exceed every usable device's arena (the
 /// plan's [`spilled`](crate::TopoPlan::spilled) set, named in the message).
-pub(crate) fn batch_devices<S: Scalar, E: BatchEntry<S>>(
+pub(crate) fn batch_devices<E: BatchEntry>(
     src: &[E],
     cfg: &ScConfig,
     pool: &DevicePool,
     opts: &ScheduleOptions,
-) -> (Vec<SymPackedOf<S>>, AssemblyReport) {
+) -> (Vec<SymPackedOf<f64>>, AssemblyReport) {
     opts.assert_ready_at(src.len());
     let t0 = Instant::now();
 
@@ -180,8 +180,8 @@ pub(crate) fn batch_devices<S: Scalar, E: BatchEntry<S>>(
 /// sequence to replay, each kernel with its arena-slot access for the
 /// hazard-audit trace, the peak temporary footprint the planner admits and
 /// the replay reserves, and the host task time.
-struct Recorded<S: Scalar = f64> {
-    f: SymPackedOf<S>,
+struct Recorded {
+    f: SymPackedOf<f64>,
     kernels: Vec<(KernelCost, SlotAccess)>,
     temp_bytes: usize,
     host_seconds: f64,
@@ -193,14 +193,14 @@ struct Recorded<S: Scalar = f64> {
 /// sequence is the uploads of `L` and `B̃ᵀ` (writing the arena slot), the
 /// plan's launches (reading and writing it) and the download (reading it;
 /// `F̃ᵢ` stays on the device, 0 bytes).
-fn record_batch<S: Scalar, E: BatchEntry<S>>(src: &[E], cfg: &ScConfig) -> Vec<Recorded<S>> {
+fn record_batch<E: BatchEntry>(src: &[E], cfg: &ScConfig) -> Vec<Recorded> {
     (0..src.len())
         .into_par_iter()
         .map(|i| {
             let (params, plan, f, host_seconds) = assemble_one(&src[i], cfg, true);
             let (l, bt) = (src[i].factor(), src[i].gluing());
-            let upload = |nnz| (KernelCost::csc_transfer_of::<S>(nnz), SlotAccess::write());
-            let launches = plan.launches::<S>().into_iter();
+            let upload = |nnz| (KernelCost::csc_transfer_of::<f64>(nnz), SlotAccess::write());
+            let launches = plan.launches::<f64>().into_iter();
             let kernels = [upload(l.nnz()), upload(bt.nnz())]
                 .into_iter()
                 .chain(launches.map(|c| (c, SlotAccess::read_write())))
@@ -209,7 +209,7 @@ fn record_batch<S: Scalar, E: BatchEntry<S>>(src: &[E], cfg: &ScConfig) -> Vec<R
             Recorded {
                 f,
                 kernels,
-                temp_bytes: temp_footprint::<S>(l.ncols(), bt.ncols(), &params),
+                temp_bytes: temp_footprint::<f64>(l.ncols(), bt.ncols(), &params),
                 host_seconds,
             }
         })
@@ -236,11 +236,11 @@ fn record_batch<S: Scalar, E: BatchEntry<S>>(src: &[E], cfg: &ScConfig) -> Vec<R
 /// device's own span log over the replay window as an independent witness
 /// of per-stream serialization. The span log is captured non-destructively:
 /// an outer `enable_span_log` caller still drains the full log afterwards.
-fn replay_device<S: Scalar>(
+fn replay_device(
     device: &Arc<Device>,
     d: usize,
     lanes: &[Vec<usize>],
-    recorded: &[Recorded<S>],
+    recorded: &[Recorded],
     ready_at: Option<&[f64]>,
     rows: &mut Vec<SubdomainTiming>,
 ) -> DeviceReport {
@@ -385,10 +385,6 @@ fn replay_device<S: Scalar>(
         temp_high_water: arena.high_water(),
         trace: Some(Trace {
             arena_capacity: device.arena_capacity(),
-            // the oversubscription audit compares arena reservations sized
-            // with the replay's working precision (satellite of the mixed-
-            // precision refactor: 4 for f32 replays, 8 for f64)
-            elem_bytes: S::BYTES,
             n_streams,
             concurrency: device.spec().concurrency,
             events,

@@ -50,29 +50,26 @@
 use crate::assemble::ScConfig;
 use crate::batch::{batch_cpu, batch_devices};
 use crate::hybrid::HybridPlan;
-use crate::plan::AssemblyShape;
 use crate::schedule::ScheduleOptions;
 use crate::source::BatchEntry;
-use sc_dense::{Scalar, SymPackedOf};
+use sc_dense::SymPackedOf;
 use sc_gpu::{Device, DevicePool, SimSpan};
-use sc_sparse::CscOf;
-use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Working precision of the assembly/solve numerics.
+/// Working precision of a FETI solve, set with
+/// `sc_feti::FetiSolverBuilder::precision`.
 ///
-/// [`Precision::F64`] is the historical behaviour and stays **bitwise
-/// identical** to the pre-precision pipeline. [`Precision::F32Refined`]
-/// assembles and factors in `f32` — halving every value-byte term in the
-/// transfer/arena cost model, so schedulers admit roughly twice the
-/// subdomains per arena — and recovers `f64`-level accuracy with iterative
-/// refinement in the outer FETI solve (`sc_feti`).
+/// The assembly does not depend on it: every `F̃ᵢ` is assembled in `f64`.
+/// [`Precision::F64`] solves with full-`f64` PCPG.
+/// [`Precision::F32Refined`] wraps inner `f32` PCPG solves, which apply
+/// demoted copies of the operators, in an `f64` iterative-refinement loop
+/// whose residual applies the `f64` operators.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Precision {
     /// Full `f64` throughout.
     #[default]
     F64,
-    /// `f32` working precision with `f64` iterative refinement on top.
+    /// `f32` inner solves with `f64` iterative refinement on top.
     F32Refined {
         /// Relative residual the refinement loop drives toward (in `f64`).
         refine_tol: f64,
@@ -92,15 +89,7 @@ impl Precision {
         }
     }
 
-    /// Bytes of one matrix element in the working precision (4 or 8).
-    pub fn elem_bytes(&self) -> usize {
-        match self {
-            Precision::F64 => 8,
-            Precision::F32Refined { .. } => 4,
-        }
-    }
-
-    /// True for the `f32` working-precision mode.
+    /// True for the `f32`-refined mode.
     pub fn is_f32(&self) -> bool {
         matches!(self, Precision::F32Refined { .. })
     }
@@ -130,10 +119,9 @@ impl std::fmt::Debug for Target {
     }
 }
 
-/// An execution target paired with a working precision: what an
-/// [`AssemblySession`] (and the FETI solver builder) runs on — a *value*,
-/// so the same pipeline retargets between the host, one simulated GPU and
-/// a device pool without changing call sites.
+/// An execution target: what an [`AssemblySession`] (and the FETI solver
+/// builder) runs on — a *value*, so the same pipeline retargets between the
+/// host, one simulated GPU and a device pool without changing call sites.
 ///
 /// The target is the host or a device pool; one GPU is a pool of one.
 /// - **Host**: one rayon task per subdomain (cap the workers with
@@ -149,21 +137,9 @@ impl std::fmt::Debug for Target {
 ///   device arena **panics**; the hybrid planner
 ///   ([`plan_hybrid`](crate::plan_hybrid)) is what keeps such subdomains
 ///   off the devices.
-///
-/// Construct with the target shorthands and chain
-/// [`precision`](Backend::precision) to opt into mixed precision:
-///
-/// ```
-/// use sc_core::{Backend, Precision};
-/// let b = Backend::cpu().precision(Precision::f32_refined());
-/// assert!(b.precision.is_f32());
-/// assert_eq!(Backend::cpu().precision, Precision::F64);
-/// ```
 #[derive(Clone, Debug)]
 pub struct Backend {
     target: Target,
-    /// Working precision of the numerics (default [`Precision::F64`]).
-    pub precision: Precision,
 }
 
 impl Backend {
@@ -171,7 +147,6 @@ impl Backend {
     pub fn cpu() -> Self {
         Backend {
             target: Target::Cpu,
-            precision: Precision::F64,
         }
     }
 
@@ -195,14 +170,7 @@ impl Backend {
     pub fn cluster_with(pool: Arc<DevicePool>, schedule: ScheduleOptions) -> Self {
         Backend {
             target: Target::Devices { pool, schedule },
-            precision: Precision::F64,
         }
-    }
-
-    /// Set the working precision (builder style).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// The device pool, `Some` exactly when the target has two or more
@@ -287,63 +255,13 @@ impl AssemblySession {
     /// Takes a slice of any [`BatchEntry`]: owned `(Csc, Csc)` pairs, FETI
     /// factor bundles, or references to either for a share of a batch. The
     /// numerics are bitwise identical across all backends; only the
-    /// simulated timeline and the report's device sections differ. Under
-    /// [`Precision::F32Refined`] the inputs are demoted to `f32`, the whole
-    /// record → plan → replay pipeline runs in `f32` (halved value-byte
-    /// terms in the transfer/arena cost model), and the assembled operators
-    /// are promoted back to `f64` on return — the promotion is exact, so
-    /// `f[i].cast::<f32>()` recovers the `f32`-assembled triangle bitwise.
+    /// simulated timeline and the report's device sections differ.
     pub fn assemble<E: BatchEntry>(&self, src: &[E]) -> AssemblyResult {
-        match self.backend.precision {
-            Precision::F64 => {
-                let (f, report) = dispatch(&self.backend.target, &self.cfg, src);
-                AssemblyResult { f, report }
-            }
-            p @ Precision::F32Refined { .. } => {
-                let demoted: Vec<Demoted> = src
-                    .iter()
-                    .map(|e| Demoted(e.factor().cast(), e.gluing().cast(), e.shape()))
-                    .collect();
-                let (f, mut report) = dispatch(&self.backend.target, &self.cfg, &demoted);
-                report.precision = p;
-                AssemblyResult {
-                    f: f.into_iter().map(|t| t.cast::<f64>()).collect(),
-                    report,
-                }
-            }
-        }
-    }
-}
-
-/// One `f64` entry demoted to `f32`: the cast pair with the entry's own
-/// shape, which `cast` keeps valid by keeping the patterns.
-struct Demoted<'a>(CscOf<f32>, CscOf<f32>, Cow<'a, AssemblyShape>);
-
-impl BatchEntry<f32> for Demoted<'_> {
-    fn factor(&self) -> &CscOf<f32> {
-        &self.0
-    }
-
-    fn gluing(&self) -> &CscOf<f32> {
-        &self.1
-    }
-
-    fn shape(&self) -> Cow<'_, AssemblyShape> {
-        Cow::Borrowed(&self.2)
-    }
-}
-
-/// Target dispatch of the two batch drivers, generic over the working
-/// precision. Every target fills the same [`AssemblyReport`] schema; the
-/// report's `precision` field is stamped by the caller.
-fn dispatch<S: Scalar, E: BatchEntry<S>>(
-    target: &Target,
-    cfg: &ScConfig,
-    src: &[E],
-) -> (Vec<SymPackedOf<S>>, AssemblyReport) {
-    match target {
-        Target::Cpu => batch_cpu(src, cfg),
-        Target::Devices { pool, schedule } => batch_devices(src, cfg, pool, schedule),
+        let (f, report) = match &self.backend.target {
+            Target::Cpu => batch_cpu(src, &self.cfg),
+            Target::Devices { pool, schedule } => batch_devices(src, &self.cfg, pool, schedule),
+        };
+        AssemblyResult { f, report }
     }
 }
 
@@ -428,8 +346,6 @@ pub struct AssemblyReport {
     pub cache_hits: usize,
     /// Always 0, like [`cache_hits`](Self::cache_hits), and deleted with it.
     pub cache_misses: usize,
-    /// Working precision the batch was assembled under.
-    pub precision: Precision,
 }
 
 impl AssemblyReport {
@@ -468,9 +384,11 @@ impl AssemblyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::AssemblyShape;
     use sc_factor::{CholOptions, SparseCholesky};
     use sc_gpu::DeviceSpec;
     use sc_sparse::{Coo, Csc};
+    use std::borrow::Cow;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn workload(nsub: usize, nx: usize, m: usize) -> Vec<(Csc, Csc)> {
@@ -537,48 +455,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn f32_precision_assembles_close_to_f64_and_stamps_reports() {
-        let data = workload(5, 6, 8);
-        let cfg = ScConfig::optimized(true, false);
-        let base = AssemblySession::new(Backend::cpu(), cfg).assemble(&data);
-        assert_eq!(base.report.precision, Precision::F64);
-
-        let f32r = AssemblySession::new(Backend::cpu().precision(Precision::f32_refined()), cfg)
-            .assemble(&data);
-        assert!(f32r.report.precision.is_f32());
-        for i in 0..data.len() {
-            let (f64_f, f32_f) = (base.f[i].to_dense(), f32r.f[i].to_dense());
-            let err = sc_dense::max_abs_diff(f64_f.as_ref(), f32_f.as_ref());
-            assert!(err > 0.0, "f32 assembly must actually run in f32 at {i}");
-            assert!(err < 1e-3, "f32 assembly drifted {err} at {i}");
-        }
-
-        // the demoted pipeline is still deterministic across targets, and
-        // the halved value bytes shrink the device arena footprint
-        let dev = Device::new(DeviceSpec::a100(), 2);
-        let g64 = AssemblySession::new(Backend::gpu(Arc::clone(&dev)), cfg).assemble(&data);
-        let g32 = AssemblySession::new(
-            Backend::gpu(Arc::clone(&dev)).precision(Precision::f32_refined()),
-            cfg,
-        )
-        .assemble(&data);
-        for i in 0..data.len() {
-            assert_eq!(g32.f[i], f32r.f[i], "gpu f32 deviates from cpu f32 at {i}");
-        }
-        assert!(
-            g32.report.devices[0].temp_high_water < g64.report.devices[0].temp_high_water,
-            "f32 arena high water {} must undercut f64 {}",
-            g32.report.devices[0].temp_high_water,
-            g64.report.devices[0].temp_high_water
-        );
-        assert_eq!(
-            g32.report.devices[0].trace.as_ref().map(|t| t.elem_bytes),
-            Some(4),
-            "replay traces must carry the f32 element width"
-        );
-    }
-
     /// The device-list views read exactly the device count: `device()` on
     /// one device, `pool()` on two or more, whatever constructor built the
     /// backend. `benchmark/src/ledger/stages.rs:293` dispatches its
@@ -634,9 +510,9 @@ mod tests {
         }
     }
 
-    /// The CPU driver, the one-GPU driver, the pool driver and the `f32`
-    /// session path each ask every entry for its shape exactly once, and
-    /// assemble bitwise what they assemble from the bare pairs.
+    /// The CPU driver, the one-GPU driver and the pool driver each ask every
+    /// entry for its shape exactly once, and assemble bitwise what they
+    /// assemble from the bare pairs.
     #[test]
     fn every_driver_asks_for_each_shape_once() {
         let data = workload(5, 6, 8);
@@ -644,7 +520,6 @@ mod tests {
             Backend::cpu(),
             Backend::gpu(Device::new(DeviceSpec::a100(), 2)),
             Backend::cluster(DevicePool::uniform(DeviceSpec::a100(), 2, 2)),
-            Backend::cpu().precision(Precision::f32_refined()),
         ];
         for backend in backends {
             let name = format!("{backend:?}");

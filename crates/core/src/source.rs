@@ -5,21 +5,18 @@
 //! FETI solver's factor bundles hand over the one they keep.
 
 use crate::plan::AssemblyShape;
-use sc_dense::Scalar;
-use sc_sparse::CscOf;
+use sc_sparse::Csc;
 use std::borrow::Cow;
 
-/// One subdomain of the batched assembly, in working precision `S` (`f64`
-/// by default; the mixed-precision session path demotes each entry to
-/// `f32`).
+/// One subdomain of the batched assembly.
 ///
 /// Every accessor is called from any worker thread (hence `Sync`).
-pub trait BatchEntry<S: Scalar = f64>: Sync {
+pub trait BatchEntry: Sync {
     /// The Cholesky factor (CSC, diag-first).
-    fn factor(&self) -> &CscOf<S>;
+    fn factor(&self) -> &Csc;
 
     /// `B̃ᵀ`, rows already permuted into factor order.
-    fn gluing(&self) -> &CscOf<S>;
+    fn gluing(&self) -> &Csc;
 
     /// The [`AssemblyShape`] of the pair, which the drivers ask for once
     /// per subdomain; by default taken afresh.
@@ -30,12 +27,12 @@ pub trait BatchEntry<S: Scalar = f64>: Sync {
 
 /// References to entries are entries (a share of a batch is a `Vec` of
 /// them).
-impl<S: Scalar, T: BatchEntry<S> + ?Sized> BatchEntry<S> for &T {
-    fn factor(&self) -> &CscOf<S> {
+impl<T: BatchEntry + ?Sized> BatchEntry for &T {
+    fn factor(&self) -> &Csc {
         (**self).factor()
     }
 
-    fn gluing(&self) -> &CscOf<S> {
+    fn gluing(&self) -> &Csc {
         (**self).gluing()
     }
 
@@ -45,12 +42,12 @@ impl<S: Scalar, T: BatchEntry<S> + ?Sized> BatchEntry<S> for &T {
 }
 
 /// Owned `(L, B̃ᵀ)` pairs (the shape bench workloads carry).
-impl<S: Scalar> BatchEntry<S> for (CscOf<S>, CscOf<S>) {
-    fn factor(&self) -> &CscOf<S> {
+impl BatchEntry for (Csc, Csc) {
+    fn factor(&self) -> &Csc {
         &self.0
     }
 
-    fn gluing(&self) -> &CscOf<S> {
+    fn gluing(&self) -> &Csc {
         &self.1
     }
 }

@@ -32,7 +32,7 @@
 use crate::dualop::{LocalOp, SubdomainFactors};
 use crate::solver::{FetiOptions, FetiSolver, FetiSolverBuilder, FormulationChoice};
 use rayon::prelude::*;
-use sc_core::{Backend, FactorStorage, ScConfig, ScheduleOptions, StreamPolicy};
+use sc_core::{Backend, FactorStorage, Precision, ScConfig, ScheduleOptions, StreamPolicy};
 use sc_dense::{Mat, SymPackedOf};
 use sc_factor::{schur_from_factor, Engine};
 use sc_fem::HeatProblem;
@@ -230,7 +230,7 @@ pub fn preprocess_approach<'p>(
             };
             let ops = dense.into_iter().enumerate().map(resident).collect();
             assembly.sim_s = device.map_or(0.0, |d| d.synchronize());
-            FetiSolver::from_ops(problem, opts, &backend, factors, ops, None)
+            FetiSolver::from_ops(problem, opts, Precision::F64, &backend, factors, ops, None)
         }
     };
     let report = PreprocessReport {

@@ -588,7 +588,7 @@ pub(crate) fn assemble_auto(
     // explicit-CPU share (the spill fail-over for high iteration counts)
     // through a CPU session: the only route from over-arena subdomains to
     // host assembly
-    let cpu_report = assemble_share(&cpu_idx, Backend::cpu().precision(backend.precision));
+    let cpu_report = assemble_share(&cpu_idx, Backend::cpu());
 
     // roll both shares up into the unified report: rows in problem-global
     // order, device sections from the device share, the plan in
@@ -599,7 +599,6 @@ pub(crate) fn assemble_auto(
         unified.total_seconds += c.total_seconds;
     }
     unified.subdomains.sort_by_key(|t| t.index);
-    unified.precision = backend.precision;
     unified.hybrid = Some(plan);
     AssembledOperators::new(f, unified)
 }

@@ -1,15 +1,15 @@
 //! Mixed-precision iterative refinement of the FETI dual solve.
 //!
-//! Under [`Precision::F32Refined`](sc_core::Precision) the solver runs the
-//! inner PCPG correction solves at `f32` — against demoted copies of the
-//! operator slots (`Demoted`), halving the per-iteration memory traffic —
-//! while the outer loop accumulates the iterate and measures the true
-//! projected residual `P(d − Fλ)` in `f64`. Each outer iteration solves
-//! `F δ = r` at `f32` to a modest tolerance and applies the correction
-//! `λ ← λ + δ` in `f64`; the loop stops when the `f64` residual reaches the
-//! configured target or the refinement budget is exhausted (in which case
-//! the solver falls back to the full-`f64` PCPG so a hard workload degrades
-//! to the historical path instead of returning a bad λ).
+//! Under [`Precision::F32Refined`](sc_core::Precision) the inner PCPG
+//! correction solves run at `f32`, against demoted copies of the
+//! `f64`-assembled operator slots (`Demoted`), halving the per-iteration
+//! memory traffic. The outer loop accumulates the iterate in `f64` and
+//! measures the true residual `P(d − Fλ)` with the `f64` operators, the one
+//! refinement converges to (Carson & Higham, SIAM J. Sci. Comput. 40(2),
+//! 2018). Each outer iteration solves `F δ = r` at `f32` to a modest
+//! tolerance and adds `δ` in `f64`, until the residual reaches the target or
+//! the budget runs out; then the solver falls back to the full-`f64` PCPG
+//! instead of returning a bad λ.
 
 use crate::dualop::{DualPass, FactorView, LocalOp, SubdomainFactors};
 use crate::pcpg::{pcpg_preconditioned_of, PcpgStats};
@@ -29,9 +29,9 @@ const INNER_TOL: f64 = 1e-4;
 /// The `f32` side of a refined solver: every operator slot demoted once at
 /// build time and reused across every inner PCPG iteration.
 pub(crate) struct Demoted {
-    /// A dense slot is the (`f32`-assembled, exactly promoted) packed `F̃ᵢ`
-    /// cast back; it drops the stream binding — the inner SYMVs run on the host,
-    /// so only the `f64` residual applications move a simulated clock.
+    /// A dense slot is the `f64`-assembled packed `F̃ᵢ` rounded to `f32`; it
+    /// drops the stream binding — the inner SYMVs run on the host, so only
+    /// the `f64` residual applications move a simulated clock.
     ops: Vec<LocalOp<f32>>,
     /// The demoted `(L, B̃ᵀ)` of each implicit slot's factor view, sharing
     /// the `f64` patterns (its supernode runs hold no values and stay with
@@ -98,7 +98,9 @@ impl Demoted {
 
 /// Statistics of one mixed-precision refinement run, attached to
 /// [`FetiSolution`](crate::FetiSolution) when the solver was built with
-/// [`Precision::F32Refined`](sc_core::Precision).
+/// [`Precision::F32Refined`](sc_core::Precision). Whether the solve
+/// converged, and its final true `f64` residual, are in
+/// [`FetiSolution::stats`](crate::FetiSolution::stats).
 #[derive(Clone, Copy, Debug)]
 pub struct RefinementStats {
     /// Outer refinement iterations performed (`f64` residual + correction
@@ -106,13 +108,9 @@ pub struct RefinementStats {
     pub outer_iterations: usize,
     /// Total inner (`f32`) PCPG iterations across all correction solves.
     pub inner_iterations: usize,
-    /// Final true relative projected residual `‖P(d − Fλ)‖ / ‖Pd‖`,
-    /// measured in `f64`.
-    pub rel_residual: f64,
-    /// Whether the `f64` residual reached the configured refinement target.
-    pub converged: bool,
-    /// True when refinement stalled or exhausted its budget and the solver
-    /// re-solved with the full-`f64` PCPG path.
+    /// False when refinement reached its target. True when it stalled or
+    /// exhausted its budget and the solver re-solved with the full-`f64`
+    /// PCPG path, whose statistics are then the solution's.
     pub fell_back: bool,
 }
 
@@ -149,14 +147,11 @@ impl FetiSolver<'_> {
             let refinement = RefinementStats {
                 outer_iterations: outer,
                 inner_iterations: inner,
-                rel_residual: rel,
-                converged: true,
                 fell_back: false,
             };
             (lambda, stats, Some(refinement))
         };
-        // sc-analyze: allow(float-eq)
-        if norm0 == 0.0 {
+        if norm0 <= 0.0 {
             return refined(lambda0, 0, 0, 0, 0.0);
         }
 
@@ -222,8 +217,6 @@ impl FetiSolver<'_> {
             let refinement = RefinementStats {
                 outer_iterations: outer,
                 inner_iterations: inner_total,
-                rel_residual: res.stats.rel_residual,
-                converged: res.stats.converged,
                 fell_back: true,
             };
             (res.lambda, res.stats, Some(refinement))

@@ -126,8 +126,8 @@ pub struct FetiSolution {
     /// The dual solution `λ`.
     pub lambda: Vec<f64>,
     /// PCPG statistics. For the mixed-precision path, `iterations` counts
-    /// the inner (`f32`) iterations and `rel_residual` is the final `f64`
-    /// true residual.
+    /// the inner (`f32`) iterations and `rel_residual` is the true `f64`
+    /// residual `‖P(d − Fλ)‖ / ‖Pd‖` of the returned `λ`.
     pub stats: PcpgStats,
     /// Mixed-precision refinement statistics; `None` under the default
     /// full-`f64` precision.
@@ -167,7 +167,7 @@ pub struct FetiSolverBuilder {
     cfg: ScConfig,
     backend: Option<Backend>,
     formulation: FormulationChoice,
-    precision: Option<Precision>,
+    precision: Precision,
     factors: Option<Arc<Vec<SubdomainFactors>>>,
     operators: Option<Arc<AssembledOperators>>,
 }
@@ -204,12 +204,12 @@ impl FetiSolverBuilder {
         self
     }
 
-    /// Set the working precision, overriding the backend's. Under
-    /// [`Precision::F32Refined`] the explicit operators are assembled and
-    /// applied at `f32` and every solve wraps the inner PCPG in an `f64`
+    /// Set the working precision of every solve (default [`Precision::F64`]).
+    /// Under [`Precision::F32Refined`] the `f64`-assembled operators are
+    /// demoted for the inner PCPG solves only, inside an `f64`
     /// iterative-refinement loop ([`FetiSolution::refinement`]).
     pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = Some(precision);
+        self.precision = precision;
         self
     }
 
@@ -236,7 +236,7 @@ impl FetiSolverBuilder {
     /// consulted, and [`FetiSolver::report`] is the assembling build's
     /// report. The operators must come from a
     /// [`FetiSolver::shared_operators`] call on a build of an **identical**
-    /// problem at the same working precision, whose backend had the devices
+    /// problem, at either working precision, whose backend had the devices
     /// this one has (the contract of [`factors`](Self::factors)); a length
     /// mismatch panics at build time.
     pub fn operators(mut self, operators: Arc<AssembledOperators>) -> Self {
@@ -257,10 +257,7 @@ impl FetiSolverBuilder {
             factors: prepared,
             operators: reused,
         } = self;
-        let mut backend = backend.unwrap_or_else(Backend::cpu);
-        if let Some(p) = precision {
-            backend.precision = p;
-        }
+        let backend = backend.unwrap_or_else(Backend::cpu);
         // per-subdomain factorizations — unless a session cache already
         // holds the bundle for this exact problem
         let factors = prepared
@@ -301,7 +298,7 @@ impl FetiSolverBuilder {
         if reused.is_some() {
             ops.iter().for_each(LocalOp::upload);
         }
-        FetiSolver::from_ops(problem, opts, &backend, factors, ops, operators)
+        FetiSolver::from_ops(problem, opts, precision, &backend, factors, ops, operators)
     }
 }
 
@@ -318,11 +315,12 @@ pub struct FetiSolver<'p> {
     ops: Vec<LocalOp>,
     /// Buffers of the global gather → local → scatter-add pass.
     pass: DualPass<f64>,
-    /// The backend captured at construction: its precision is the working
-    /// precision, its devices hold the device-resident slots.
+    /// The backend captured at construction: its devices hold the
+    /// device-resident slots.
     backend: Backend,
-    /// Demoted (`f32`) slots for the mixed-precision inner solves; `Some`
-    /// exactly when `precision` is [`Precision::F32Refined`].
+    /// Working precision of every solve, and the demoted (`f32`) slots of
+    /// its inner solves, `Some` exactly under [`Precision::F32Refined`].
+    precision: Precision,
     demoted: Option<Demoted>,
     /// Sparse `G = B R` (`n_lambda × n_kernels`).
     g: Csc,
@@ -344,17 +342,17 @@ impl<'p> FetiSolver<'p> {
     /// The construction tail every producer of operator slots shares — the
     /// builder's three formulations and the sparse-RHS rows of
     /// [`approaches`](crate::approaches): kernel numbering, `G = B R`, the
-    /// coarse factor of `GᵀG`, the demoted slots of a refined `backend`
-    /// precision, and the right-hand sides of the problem's own loads.
+    /// coarse factor of `GᵀG`, the demoted slots of a refined `precision`,
+    /// and the right-hand sides of the problem's own loads.
     pub(crate) fn from_ops(
         problem: &'p HeatProblem,
         opts: FetiOptions,
+        precision: Precision,
         backend: &Backend,
         factors: Arc<Vec<SubdomainFactors>>,
         ops: Vec<LocalOp>,
         operators: Option<Arc<AssembledOperators>>,
     ) -> Self {
-        let precision = backend.precision;
         // kernel numbering and G = B R (kernel = constant vector: G entries
         // are just the B̃ signs, since each B̃ᵀ column has a single ±1)
         let mut kernel_col = vec![None; problem.subdomains.len()];
@@ -408,6 +406,7 @@ impl<'p> FetiSolver<'p> {
             ops,
             pass: DualPass::new(problem),
             backend: backend.clone(),
+            precision,
             demoted,
             g,
             gtg,
@@ -563,7 +562,7 @@ impl<'p> FetiSolver<'p> {
             self.g.spmv(1.0, &y, 0.0, &mut l0);
             l0
         };
-        let (lambda, stats, refinement) = match self.backend.precision {
+        let (lambda, stats, refinement) = match self.precision {
             Precision::F64 => {
                 let res = self.pcpg_f64(d, lambda0);
                 (res.lambda, res.stats, None)
@@ -609,9 +608,9 @@ impl<'p> FetiSolver<'p> {
             .apply(self.problem, &self.factors, p)
     }
 
-    /// The working precision captured from the backend at construction.
+    /// The working precision captured at construction.
     pub fn precision(&self) -> Precision {
-        self.backend.precision
+        self.precision
     }
 
     /// Primal recovery for the problem's own loads: `α = (GᵀG)⁻¹Gᵀ(Fλ − d)`,
@@ -1436,27 +1435,59 @@ mod tests {
     #[test]
     fn f32_refined_explicit_matches_direct_at_f64_accuracy() {
         let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
-        let solver = FetiSolverBuilder::new()
-            .backend(Backend::cpu())
-            .precision(Precision::f32_refined())
-            .formulation(FormulationChoice::Explicit)
-            .assembly(ScConfig::optimized(false, false))
-            .build(&p);
+        let build = |precision| {
+            FetiSolverBuilder::new()
+                .backend(Backend::cpu())
+                .precision(precision)
+                .formulation(FormulationChoice::Explicit)
+                .assembly(ScConfig::optimized(false, false))
+                .build(&p)
+        };
+        let solver = build(Precision::f32_refined());
         assert!(solver.precision().is_f32());
         check_solver(&p, &solver, 1e-6);
         let sol = solver.solve();
         let refinement = sol.refinement.expect("refined path reports stats");
-        assert!(refinement.converged && !refinement.fell_back);
+        assert!(sol.stats.converged && !refinement.fell_back);
         assert!(
-            refinement.rel_residual <= 1e-10,
+            sol.stats.rel_residual <= 1e-10,
             "refined residual {} must reach the f64-level target",
-            refinement.rel_residual
+            sol.stats.rel_residual
         );
         assert!(refinement.outer_iterations >= 1);
         assert!(refinement.inner_iterations >= refinement.outer_iterations);
-        // the assembly itself ran at f32 and says so in the report
-        let report = solver.report().expect("explicit mode reports");
-        assert!(report.precision.is_f32());
+        // the assembly itself ran in f64: the operator is bitwise the f64
+        // build's
+        let v: Vec<f64> = (0..p.n_lambda).map(|i| (i as f64 * 0.37).sin()).collect();
+        assert_eq!(solver.apply_f(&v), build(Precision::F64).apply_f(&v));
+    }
+
+    /// Refinement converges to the operator its residual applies. With the
+    /// operators assembled in `f64`, an explicit refined solve of a 3D mesh
+    /// lands on the `f64` solve's `u`, not merely near it.
+    #[test]
+    fn f32_refined_explicit_3d_reaches_the_f64_solution() {
+        let p = HeatProblem::build_3d(8, (2, 2, 2), Gluing::Redundant);
+        let solve = |precision| {
+            FetiSolverBuilder::new()
+                .backend(Backend::cpu())
+                .precision(precision)
+                .formulation(FormulationChoice::Explicit)
+                .assembly(ScConfig::Auto)
+                .build(&p)
+                .solve()
+        };
+        let (s64, s32) = (solve(Precision::F64), solve(Precision::f32_refined()));
+        assert!(
+            !s32.refinement
+                .expect("refined path reports stats")
+                .fell_back
+        );
+        let (want, got) = (s64.u_locals.concat(), s32.u_locals.concat());
+        let diff: f64 = want.iter().zip(&got).map(|(a, b)| (a - b).powi(2)).sum();
+        let norm: f64 = want.iter().map(|a| a * a).sum();
+        let rel = (diff / norm).sqrt();
+        assert!(rel <= 1e-9, "‖u − u₆₄‖/‖u₆₄‖ = {rel:e}");
     }
 
     #[test]
@@ -1470,8 +1501,8 @@ mod tests {
         check_solver(&p, &solver, 1e-6);
         let sol = solver.solve();
         let refinement = sol.refinement.expect("refined path reports stats");
-        assert!(refinement.converged && !refinement.fell_back);
-        assert!(refinement.rel_residual <= 1e-10);
+        assert!(sol.stats.converged && !refinement.fell_back);
+        assert!(sol.stats.rel_residual <= 1e-10);
     }
 
     #[test]

@@ -97,15 +97,10 @@ pub enum TraceEvent {
 /// A complete recorded schedule of one device replay: the event stream plus
 /// the device's own span log over the replay window, against the arena and
 /// stream geometry the schedule ran under.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Temporary-arena capacity the schedule was admitted against, bytes.
     pub arena_capacity: usize,
-    /// Bytes of one matrix element in the replayed schedule (8 for `f64`,
-    /// 4 for `f32`). Arena reservations in [`Trace::events`] are sized with
-    /// this width, so the oversubscription audit compares like against like
-    /// instead of assuming 8-byte slots.
-    pub elem_bytes: usize,
     /// Number of streams of the device.
     pub n_streams: usize,
     /// Bounded kernel concurrency of the device (across streams).
@@ -117,20 +112,6 @@ pub struct Trace {
     /// timeline's span-log machinery rather than reconstructed from
     /// [`Trace::events`].
     pub span_log: Vec<(usize, SimSpan)>,
-}
-
-impl Default for Trace {
-    /// Empty trace with the historical 8-byte (`f64`) element width.
-    fn default() -> Self {
-        Trace {
-            arena_capacity: 0,
-            elem_bytes: 8,
-            n_streams: 0,
-            concurrency: 0,
-            events: Vec::new(),
-            span_log: Vec::new(),
-        }
-    }
 }
 
 impl Trace {
@@ -170,7 +151,6 @@ mod tests {
     fn counters_count_event_kinds() {
         let t = Trace {
             arena_capacity: 100,
-            elem_bytes: 8,
             n_streams: 2,
             concurrency: 2,
             events: vec![

@@ -8,9 +8,11 @@
 //! and the factorizations are a pure function of the mesh spec, so the
 //! service keys a [`PreparedCache`] on a content hash of the spec alone and
 //! reuses the prepared bundle across jobs, precisions, tenants and client
-//! sessions. The assembled operators also depend on the working precision
-//! and the backend, so the bundle keeps one set per (precision, backend):
-//! the one the first job of that pair assembled. Determinism of the
+//! sessions. The assembled operators also depend on the backend (their
+//! placements), but not on the working precision, which demotes them only
+//! for a refined solve's inner applies. So the bundle keeps one set per
+//! backend: the one the first job on that backend assembled, at either
+//! precision. Determinism of the
 //! preprocessing (pinned by the feti crate's bitwise reuse tests) makes a
 //! warm solve bitwise identical to a cold one.
 
@@ -21,7 +23,7 @@ use sc_core::SessionCacheStats;
 use sc_fem::HeatProblem;
 use sc_feti::{AssembledOperators, FetiOptions, SubdomainFactors};
 
-use crate::protocol::{BackendTag, MeshSpec, PrecisionTag, WireName};
+use crate::protocol::{BackendTag, MeshSpec, WireName};
 
 /// Everything preprocessing produces for one mesh spec.
 ///
@@ -34,10 +36,10 @@ pub struct PreparedSession {
     /// Per-subdomain regularized factorizations, `Arc`-shared so they plug
     /// straight into [`sc_feti::FetiSolverBuilder::factors`].
     pub factors: Arc<Vec<SubdomainFactors>>,
-    /// The assembled dual operators of the first job of each (precision,
-    /// backend), with that job's placements; they plug straight into
-    /// [`sc_feti::FetiSolverBuilder::operators`].
-    pub operators: HashMap<(PrecisionTag, BackendTag), Arc<AssembledOperators>>,
+    /// The assembled dual operators of the first job on each backend, with
+    /// that job's placements; they plug straight into
+    /// [`sc_feti::FetiSolverBuilder::operators`] at either precision.
+    pub operators: HashMap<BackendTag, Arc<AssembledOperators>>,
     /// Approximate resident size, charged against the cache byte budget:
     /// the problem and factors, plus the packed bytes of every operator set.
     pub bytes: usize,
@@ -48,7 +50,7 @@ impl PreparedSession {
     /// bytes; everything else is shared with `self`, not copied.
     pub fn with_operators(
         &self,
-        slot: (PrecisionTag, BackendTag),
+        slot: BackendTag,
         operators: Arc<AssembledOperators>,
     ) -> PreparedSession {
         let mut all = self.operators.clone();
@@ -154,8 +156,8 @@ impl PreparedCache {
 /// and gluing. The precision, the load `scale` and the backend placement
 /// deliberately do **not** enter the key: the decomposition and the
 /// factorizations do not depend on them (one bundle serves them all), and
-/// the operators they do change are kept per (precision, backend) inside
-/// the bundle. The factorization options are the service-wide
+/// the operators the backend does change are kept per backend inside the
+/// bundle. The factorization options are the service-wide
 /// [`FetiOptions::default`].
 pub fn content_key(spec: &MeshSpec) -> u64 {
     const DOMAIN: &[u8] = b"sc_serve/prepared/v2";

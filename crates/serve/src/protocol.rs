@@ -63,7 +63,8 @@ impl WireName for Gluing {
 pub enum PrecisionTag {
     /// Full `f64`.
     F64,
-    /// `f32` assembly/apply under `f64` iterative refinement.
+    /// `f32` inner applies of the `f64`-assembled operators under `f64`
+    /// iterative refinement.
     F32Refined,
 }
 

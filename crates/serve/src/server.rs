@@ -62,8 +62,8 @@ pub struct JobOutcome {
     /// Whether the prepared state came out of the cross-session cache.
     pub cache_hit: bool,
     /// Whether the job reused the dual operators an earlier job of the same
-    /// mesh, precision and backend assembled (in-process only: the wire
-    /// `done` line does not carry it).
+    /// mesh and backend assembled, at either precision (in-process only:
+    /// the wire `done` line does not carry it).
     pub reused_operators: bool,
     /// Wall seconds spent preparing (0.0 on a hit).
     pub prep_s: f64,
@@ -97,11 +97,13 @@ pub struct Service {
     /// job kind, backend). The closed-form §4.4 estimate prices a job the
     /// service has never run; once a key has completed, its realized cost
     /// replaces the model, so the fair scheduler divides what tenants
-    /// actually consume. The content key covers the mesh only, so the
-    /// precision is in the key to keep `f32` and `f64` device-seconds
-    /// apart; the backend is because `cpu` jobs bill host wall seconds and
-    /// `cluster` jobs simulated device seconds.
-    realized: HashMap<(u64, PrecisionTag, JobKind, BackendTag), (f64, usize)>,
+    /// actually consume. The precision is in the key although both
+    /// precisions share one assembly: merging their estimates would change
+    /// the DRR schedule, which needs its own measurement. The
+    /// backend is in it because `cpu` jobs bill host wall seconds and
+    /// `cluster` jobs simulated device seconds. The job count beside each
+    /// mean is an `f64`, exact below 2⁵³ jobs.
+    realized: HashMap<(u64, PrecisionTag, JobKind, BackendTag), (f64, f64)>,
 }
 
 impl Service {
@@ -191,7 +193,7 @@ impl Service {
         if job.backend == BackendTag::Cpu {
             return Ok(()); // host jobs never touch the arena
         }
-        let need = working_set_bytes(&job.spec, job.precision);
+        let need = working_set_bytes(&job.spec);
         let cap = self.opts.pool.max_arena_capacity();
         if need > cap {
             return Err(format!(
@@ -231,9 +233,9 @@ impl Service {
             );
             let r = &qj.req;
             let realized = (qj.key, r.precision, r.kind, r.backend);
-            let (mean, n) = self.realized.entry(realized).or_insert((0.0, 0));
-            *n += 1;
-            *mean += (outcome.device_s - *mean) / *n as f64; // sc-analyze: allow(precision-discipline)
+            let (mean, n) = self.realized.entry(realized).or_insert((0.0, 0.0));
+            *n += 1.0;
+            *mean += (outcome.device_s - *mean) / *n;
             spent += outcome.device_s;
             drained += 1;
             lines.push(done_line(&outcome));
@@ -271,14 +273,13 @@ impl Service {
                 (built, false, secs)
             }
         };
-        // the operators of an earlier job of this mesh, precision and
-        // backend: the build uploads them instead of assembling. Only a job
-        // that assembles is checked against the arenas: the first assembly
-        // of its bundle's (precision, backend) passed the same check.
-        let slot = (req.precision, req.backend);
-        let reused = prep.operators.get(&slot).cloned();
+        // the operators of an earlier job of this mesh and backend, at
+        // either precision: the build uploads them instead of assembling.
+        // Only a job that assembles is checked against the arenas: the first
+        // assembly on its bundle's backend passed the same check.
+        let reused = prep.operators.get(&req.backend).cloned();
         if reused.is_none() && req.backend == BackendTag::Cluster {
-            arena_fit(&self.opts.pool, &prep.factors, req.precision)?;
+            arena_fit(&self.opts.pool, &prep.factors)?;
         }
         let mut outcome = JobOutcome {
             tenant: tenant.to_string(),
@@ -302,11 +303,11 @@ impl Service {
                 Backend::cluster(Arc::clone(&self.opts.pool))
             }
             BackendTag::Cpu => Backend::cpu(),
-        }
-        .precision(precision_of(req.precision));
+        };
 
         let mut builder = FetiSolverBuilder::new()
             .backend(backend)
+            .precision(precision_of(req.precision))
             .formulation(FormulationChoice::Explicit)
             .assembly(ScConfig::Auto)
             .factors(Arc::clone(&prep.factors));
@@ -324,7 +325,7 @@ impl Service {
         // keep what this job assembled for the next one, charged to the
         // bundle at its packed bytes
         if let (false, Some(operators)) = (outcome.reused_operators, solver.shared_operators()) {
-            let grown = prep.with_operators(slot, operators);
+            let grown = prep.with_operators(req.backend, operators);
             self.cache.insert(qj.key, Arc::new(grown), &keep);
         }
         if req.kind == JobKind::Solve {
@@ -402,23 +403,15 @@ fn precision_of(tag: PrecisionTag) -> Precision {
 /// The device driver's own admission rule, applied at dispatch to a
 /// cluster job's prepared factors: every subdomain's peak temporaries,
 /// priced by [`temp_footprint`] under its resolved [`ScConfig::Auto`]
-/// parameters at the job's working precision, must fit some device of the
-/// pool ([`DeviceSlot::admits`]). A job that fails it would abort the batch
-/// driver's placement.
-fn arena_fit(
-    pool: &DevicePool,
-    factors: &[SubdomainFactors],
-    precision: PrecisionTag,
-) -> Result<(), String> {
+/// parameters, must fit some device of the pool ([`DeviceSlot::admits`]). A
+/// job that fails it would abort the batch driver's placement.
+fn arena_fit(pool: &DevicePool, factors: &[SubdomainFactors]) -> Result<(), String> {
     let slots: Vec<DeviceSlot> = pool.devices().iter().map(|d| DeviceSlot::of(d)).collect();
     let over: Vec<usize> = (0..factors.len())
         .filter(|&i| {
             let (l, bt) = (factors[i].chol.factor_csc_ref(), &factors[i].bt_perm);
-            let (n, m, params) = (l.ncols(), bt.ncols(), ScConfig::Auto.resolve(true, l, bt));
-            let need = match precision {
-                PrecisionTag::F64 => temp_footprint::<f64>(n, m, &params),
-                PrecisionTag::F32Refined => temp_footprint::<f32>(n, m, &params),
-            };
+            let need =
+                temp_footprint::<f64>(l.ncols(), bt.ncols(), &ScConfig::Auto.resolve(true, l, bt));
             !slots.iter().any(|s| s.admits(need))
         })
         .collect();
@@ -436,22 +429,18 @@ fn arena_fit(
 
 /// Analytic per-subdomain working-set proxy for admission: the dense
 /// triangular-solve result `Y` (`n × m`) plus the assembled `F̃` tile
-/// (`m × m`) at the working precision's width. Saturates: the largest 3D
-/// job the protocol accepts would overflow `usize`.
-fn working_set_bytes(spec: &MeshSpec, precision: PrecisionTag) -> usize {
+/// (`m × m`), in `f64`. Saturates: the largest 3D job the protocol accepts
+/// would overflow `usize`.
+fn working_set_bytes(spec: &MeshSpec) -> usize {
     let n = (spec.cells + 1).pow(u32::from(spec.dim));
     let m = if spec.dim == 2 {
         4 * (spec.cells + 1)
     } else {
         6 * (spec.cells + 1) * (spec.cells + 1)
     };
-    let width = match precision {
-        PrecisionTag::F64 => 8,
-        PrecisionTag::F32Refined => 4,
-    };
     n.saturating_mul(m)
         .saturating_add(m.saturating_mul(m))
-        .saturating_mul(width)
+        .saturating_mul(8)
 }
 
 /// The structured `admission` error response to protocol line `line`.
@@ -680,7 +669,7 @@ mod tests {
             .cache
             .get(content_key(&spec))
             .expect("bundle resident");
-        let ops = &prep.operators[&(PrecisionTag::F64, BackendTag::Cluster)];
+        let ops = &prep.operators[&BackendTag::Cluster];
         let twins = DevicePool::uniform(DeviceSpec::a100(), 1, 2);
         for t in &ops.report().subdomains {
             let at = t.placement.expect("cluster rows are placed");
@@ -768,76 +757,6 @@ mod tests {
         assert!(r[0].contains("\"event\":\"done\""), "{}", r[0]);
         let out = h.take_outcome("a", "host").expect("the host job ran");
         assert!(out.iterations.expect("solve ran") > 0);
-    }
-
-    /// An arena between a job's `f32` and `f64` footprints, each priced on
-    /// factors cast to the job's precision (what the device driver records):
-    /// dispatch admits the `f32_refined` cluster job, which then runs, and
-    /// rejects its `f64` twin, naming the subdomains no arena admits.
-    #[test]
-    fn an_arena_between_the_two_footprints_admits_only_the_f32_job() {
-        let mesh = MeshSpec {
-            dim: 2,
-            cells: 16,
-            subs: (2, 2, 1),
-            gluing: sc_fem::Gluing::Redundant,
-        };
-        let prep = prepare(&mesh);
-        let needs: Vec<(usize, usize)> = (prep.factors.iter())
-            .map(|f| {
-                let (l, bt) = (f.chol.factor_csc_ref(), &f.bt_perm);
-                let (n, m, params) = (l.ncols(), bt.ncols(), ScConfig::Auto.resolve(true, l, bt));
-                (
-                    temp_footprint::<f32>(n, m, &params),
-                    temp_footprint::<f64>(n, m, &params),
-                )
-            })
-            .collect();
-        let need32 = needs.iter().map(|n| n.0).max().expect("subdomains");
-        let need64 = needs.iter().map(|n| n.1).max().expect("subdomains");
-        assert!(need32 < need64);
-        // the arena is half the device memory: (need32 + need64) / 2
-        let spec = DeviceSpec {
-            memory_bytes: need32 + need64,
-            ..DeviceSpec::a100()
-        };
-        let mut h = ServeHandle::new(ServeOptions {
-            pool: DevicePool::uniform(spec, 1, 1),
-            ..ServeOptions::default()
-        });
-        let arena = h.service.opts.pool.max_arena_capacity();
-        assert!(
-            need32 <= arena && arena < need64,
-            "{need32} {arena} {need64}"
-        );
-        let line = |job: &str, precision: &str| {
-            format!(
-                "{{\"op\":\"solve\",\"tenant\":\"a\",\"job\":\"{job}\",\"dim\":2,\
-                 \"cells\":16,\"subs\":[2,2],\"precision\":\"{precision}\"}}"
-            )
-        };
-        let r = h.request(&line("f32", "f32_refined"));
-        assert!(r[0].contains("\"event\":\"accepted\""), "{}", r[0]);
-        let r = h.request("{\"op\":\"run\"}");
-        assert!(r[0].contains("\"event\":\"done\""), "{}", r[0]);
-        let out = h.take_outcome("a", "f32").expect("the f32 job ran");
-        assert!(out.iterations.expect("solve ran") > 0);
-
-        let r = h.request(&line("f64", "f64"));
-        assert!(r[0].contains("\"event\":\"accepted\""), "{}", r[0]);
-        let r = h.request("{\"op\":\"run\"}");
-        assert!(r[0].contains("\"kind\":\"admission\""), "{}", r[0]);
-        let over: Vec<usize> = (0..needs.len()).filter(|&i| needs[i].1 > arena).collect();
-        assert!(!over.is_empty());
-        assert!(
-            r[0].contains(&format!("{over:?}")),
-            "names {over:?}: {}",
-            r[0]
-        );
-        assert!(
-            h.take_outcome("a", "f64").is_none(),
-            "the f64 job did not run"
-        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! 1. **Warm ≡ cold, bitwise** — a solve served from a cached prepared
 //!    bundle and its reused operators returns exactly the λ and
 //!    per-subdomain u a cold run produces, for every backend × precision
-//!    combination, and the precisions of one mesh share one bundle.
+//!    combination, and the precisions of one mesh share one bundle and the
+//!    operators its first job assembled.
 //!    Preprocessing is deterministic, so there is no tolerance here:
 //!    `assert_eq!` on the raw `f64` vectors.
 //! 2. **Eviction never corrupts** — under a byte budget so tight that
@@ -68,6 +69,7 @@ fn assert_bitwise(a: &JobOutcome, b: &JobOutcome, label: &str) {
 fn warm_solve_is_bitwise_identical_to_cold_across_backends_and_precisions() {
     for backend in ["cluster", "cpu"] {
         // one service per backend: both precisions share the mesh's bundle
+        // and its operators
         let mut svc = ServeHandle::new(ServeOptions::default());
         for (p, precision) in ["f64", "f32_refined"].into_iter().enumerate() {
             let label = format!("{backend}/{precision}");
@@ -77,10 +79,14 @@ fn warm_solve_is_bitwise_identical_to_cold_across_backends_and_precisions() {
                 "t1",
                 &format!("cold-{precision}"),
             );
-            // the f64 job prepares the bundle; the f32_refined job finds it
-            // but assembles its own operators
+            // the f64 job prepares the bundle and assembles; the
+            // f32_refined job finds both
             assert_eq!(cold.cache_hit, p > 0, "{label}: one bundle per mesh");
-            assert!(!cold.reused_operators, "{label}: first job assembles");
+            assert_eq!(
+                cold.reused_operators,
+                p > 0,
+                "{label}: only the first job assembles"
+            );
             let warm = run_one(
                 &mut svc,
                 &submit(2, 4, "t2", &format!("warm-{precision}"), precision, backend),
@@ -110,23 +116,32 @@ fn warm_solve_is_bitwise_identical_to_cold_across_backends_and_precisions() {
         assert_eq!((stats.hits, stats.misses), (3, 1), "{backend}: one bundle");
     }
 
-    // an f64 job followed by an f32_refined job on one mesh: one miss, one hit
-    let mut svc = ServeHandle::new(ServeOptions::default());
-    run_one(
-        &mut svc,
-        &submit(2, 5, "t", "a", "f64", "cluster"),
-        "t",
-        "a",
-    );
-    let f32 = run_one(
-        &mut svc,
-        &submit(2, 5, "t", "b", "f32_refined", "cluster"),
-        "t",
-        "b",
-    );
-    let stats = svc.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
-    assert!(f32.cache_hit && !f32.reused_operators);
+    // an f64 job followed by an f32_refined job on one mesh: one miss, one
+    // hit, one assembly, and the refined solve lands on the f64 job's u
+    for (dim, cells) in [(2, 5), (3, 10)] {
+        let mut svc = ServeHandle::new(ServeOptions::default());
+        let f64 = run_one(
+            &mut svc,
+            &submit(dim, cells, "t", "a", "f64", "cluster"),
+            "t",
+            "a",
+        );
+        let f32 = run_one(
+            &mut svc,
+            &submit(dim, cells, "t", "b", "f32_refined", "cluster"),
+            "t",
+            "b",
+        );
+        let stats = svc.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert!(f32.cache_hit && f32.reused_operators);
+        let concat = |o: &JobOutcome| o.u_locals.as_ref().expect("solve job").concat();
+        let (want, got) = (concat(&f64), concat(&f32));
+        let diff: f64 = want.iter().zip(&got).map(|(a, b)| (a - b).powi(2)).sum();
+        let norm: f64 = want.iter().map(|a| a * a).sum();
+        let rel = (diff / norm).sqrt();
+        assert!(rel <= 1e-9, "{dim}D c{cells}: ‖u − u₆₄‖/‖u₆₄‖ = {rel:e}");
+    }
 }
 
 #[test]

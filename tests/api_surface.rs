@@ -61,18 +61,21 @@ fn prelude_surface_is_complete() {
         Backend::gpu(Device::new(DeviceSpec::a100(), 1)),
         Backend::cluster(DevicePool::uniform(DeviceSpec::a100(), 1, 1)),
     ];
-    // mixed-precision surface: the Precision knob on Backend and the
-    // builder, the F32Refined payload shape, and the refinement stats
+    // mixed-precision surface: the Precision knob on the solver builder
+    // (its one setter) and the solver, the F32Refined payload shape, and
+    // the refinement stats
     fn _precision_types(_: &Precision, _: &RefinementStats) {}
-    let b = Backend::cpu().precision(Precision::F32Refined {
+    let refined = Precision::F32Refined {
         refine_tol: 1e-10,
         max_refine: 8,
-    });
-    assert!(b.precision.is_f32());
-    assert_eq!(Backend::cpu().precision, Precision::F64);
+    };
+    assert!(refined.is_f32());
     assert_eq!(Precision::default(), Precision::F64);
     let _: fn(FetiSolverBuilder, Precision) -> FetiSolverBuilder = FetiSolverBuilder::precision;
+    let _: fn(&FetiSolver<'_>) -> Precision = |s| s.precision();
     let _: fn(&FetiSolution) -> Option<RefinementStats> = |s| s.refinement;
+    let _: fn(&RefinementStats) -> (usize, usize, bool) =
+        |r| (r.outer_iterations, r.inner_iterations, r.fell_back);
     // Table 2: every row yields the one solver type, timed on two clocks
     use schur_dd::sc_feti::{measure_apply_cost, PreprocessReport, TwoClock};
     fn _row<'p>(p: &'p HeatProblem, d: &Arc<Device>) -> (FetiSolver<'p>, PreprocessReport) {

@@ -303,30 +303,22 @@ fn hybrid_solver_end_to_end_invariants() {
     }
 }
 
-/// The mixed-fit batch (twelve medium subdomains, four large ones whose
-/// temporaries exceed the arena) is expensive to factorize; the two planner
-/// verdicts below share one copy.
-fn mixed_fit() -> &'static sc_bench::BatchWorkload {
-    static W: std::sync::OnceLock<sc_bench::BatchWorkload> = std::sync::OnceLock::new();
-    W.get_or_init(sc_bench::BatchWorkload::build_mixed_fit)
-}
-
-/// Price every mixed-fit subdomain at element width `S` under the
-/// reference A100 spec: the §4.4 assembly estimate and the per-application
-/// estimate the hybrid planner consumes.
-fn mixed_fit_estimates<S: sc_dense::Scalar>(
+/// Price every subdomain of the mixed-fit batch (twelve medium
+/// subdomains, four large ones whose temporaries exceed the arena) under
+/// the reference A100 spec: the §4.4 assembly estimate and the
+/// per-application estimate the hybrid planner consumes.
+fn mixed_fit_estimates(
+    w: &sc_bench::BatchWorkload,
     cfg: &ScConfig,
 ) -> (Vec<CostEstimate>, Vec<ApplyEstimate>) {
-    mixed_fit()
-        .factors
+    w.factors
         .iter()
         .enumerate()
         .map(|(i, (l, bt))| {
             let params = cfg.resolve(true, l, bt);
-            let (l, bt) = (l.cast::<S>(), bt.cast::<S>());
             (
-                estimate_cost(&DeviceSpec::a100(), &l, &bt, &params, i),
-                estimate_apply(&l, &bt, i),
+                estimate_cost(&DeviceSpec::a100(), l, bt, &params, i),
+                estimate_apply(l, bt, i),
             )
         })
         .unzip()
@@ -392,11 +384,11 @@ fn collapse_costs(
 /// sequential CPU reference, arena never oversubscribed.
 #[test]
 fn auto_beats_all_explicit_and_all_implicit_by_1_3x_on_the_mixed_fit_workload() {
-    let w = mixed_fit();
+    let w = sc_bench::BatchWorkload::build_mixed_fit();
     let items = w.factors.as_slice();
     let cfg = ScConfig::optimized(true, false);
     let (pool, arena) = w.mixed_fit_pool(&cfg);
-    let (costs, applies) = mixed_fit_estimates::<f64>(&cfg);
+    let (costs, applies) = mixed_fit_estimates(&w, &cfg);
     let auto = plan_mixed_fit(&costs, &applies, &pool);
 
     assert_eq!(
@@ -435,60 +427,6 @@ fn auto_beats_all_explicit_and_all_implicit_by_1_3x_on_the_mixed_fit_workload() 
         res.report.temp_high_water() <= arena,
         "arena oversubscribed: {} B of {arena} B",
         res.report.temp_high_water()
-    );
-}
-
-/// What the `f32` working precision buys on the mixed-fit workload, on the
-/// two axes of the paper's memory argument. **Arena footprint:** the batch
-/// assembled on one scheduled A100 with an ample arena (so the high water
-/// is the concurrent temporary footprint, not admission gating) must peak
-/// at ≤ 0.55× the `f64` high water — the ideal is 0.5, element payloads
-/// halve while index arrays do not. **Planner admissions:** priced at
-/// `f32` width, the plan must admit strictly more subdomains to the pool's
-/// arenas than the `f64` pricing at the same arena capacity.
-#[test]
-fn f32_halves_the_arena_and_admits_more_explicit_subdomains_on_the_mixed_fit_workload() {
-    let w = mixed_fit();
-    let items = w.factors.as_slice();
-    let cfg = ScConfig::optimized(true, false);
-
-    let high_water = |precision: Precision| {
-        let device = Device::new(DeviceSpec::a100(), 4);
-        let report = AssemblySession::new(
-            Backend::gpu_with(device, ScheduleOptions::default()).precision(precision),
-            cfg,
-        )
-        .assemble(items)
-        .report;
-        assert_eq!(report.precision.is_f32(), precision.is_f32());
-        report.temp_high_water()
-    };
-    let hw64 = high_water(Precision::F64);
-    let hw32 = high_water(Precision::f32_refined());
-    assert!(hw64 > 0, "scheduled assembly must record temp high water");
-    let ratio = hw32 as f64 / hw64 as f64;
-    assert!(
-        ratio <= 0.55,
-        "f32 arena high water {hw32} B is {ratio:.3}x the f64 {hw64} B (gate <= 0.55)"
-    );
-
-    let (pool, arena) = w.mixed_fit_pool(&cfg);
-    // the spill set is pure admissibility: admitted = not spilled
-    let admitted = |(costs, applies): (Vec<CostEstimate>, Vec<ApplyEstimate>)| {
-        let plan = plan_mixed_fit(&costs, &applies, &pool);
-        items.len() - plan.spilled.len()
-    };
-    let admitted64 = admitted(mixed_fit_estimates::<f64>(&cfg));
-    let admitted32 = admitted(mixed_fit_estimates::<f32>(&cfg));
-    assert_eq!(
-        admitted64,
-        items.len() - items.len() / 4,
-        "the f64 pricing must spill exactly the top quarter"
-    );
-    assert!(
-        admitted32 > admitted64,
-        "f32 pricing must admit strictly more explicit subdomains than f64 at arena \
-         {arena} B (f64 {admitted64}, f32 {admitted32})"
     );
 }
 

@@ -71,7 +71,7 @@ fn refined_solve_matches_direct(problem: &HeatProblem, explicit: bool) -> bool {
         Some(r) => r,
         None => return false, // the f32 path must report its refinement
     };
-    if !sol.stats.converged || !refinement.converged {
+    if !sol.stats.converged || refinement.fell_back {
         return false;
     }
     let (k, f) = problem.assemble_global();

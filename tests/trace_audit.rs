@@ -9,7 +9,7 @@ use sc_analyze::trace::{validate, TraceViolation};
 use sc_bench::BatchWorkload;
 use sc_core::{
     estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
-    DeviceSlot, Formulation, HybridPlanOptions, Precision, ScConfig, ScheduleOptions,
+    DeviceSlot, Formulation, HybridPlanOptions, ScConfig, ScheduleOptions,
 };
 use sc_gpu::{Device, DevicePool, DeviceSpec, Trace, TraceEvent};
 use sc_sparse::Csc;
@@ -20,36 +20,22 @@ fn cfg() -> ScConfig {
 }
 
 /// Assemble a workload on one scheduled A100 with `n_streams` streams.
-fn scheduled(w: &BatchWorkload, n_streams: usize, precision: Precision) -> AssemblyReport {
+fn scheduled(w: &BatchWorkload, n_streams: usize) -> AssemblyReport {
     let device = Device::new(DeviceSpec::a100(), n_streams);
-    AssemblySession::new(
-        Backend::gpu_with(device, ScheduleOptions::default()).precision(precision),
-        cfg(),
-    )
-    .assemble(&w.factors)
-    .report
-}
-
-/// The mixed-fit batch is the expensive one to factorize; the two audits
-/// that replay it share one copy.
-fn mixed_fit() -> &'static BatchWorkload {
-    static W: OnceLock<BatchWorkload> = OnceLock::new();
-    W.get_or_init(BatchWorkload::build_mixed_fit)
+    AssemblySession::new(Backend::gpu_with(device, ScheduleOptions::default()), cfg())
+        .assemble(&w.factors)
+        .report
 }
 
 /// The full 3D decomposition on one scheduled device.
 fn headline() -> AssemblyReport {
-    scheduled(&BatchWorkload::build(3, 4), 4, Precision::F64)
+    scheduled(&BatchWorkload::build(3, 4), 4)
 }
 
 /// The skewed batch under the LPT stream scheduler — the cheapest workload
 /// with real stream contention.
 fn schedule() -> AssemblyReport {
-    scheduled(
-        &BatchWorkload::build_skewed(2, &[12, 4, 6, 3]),
-        4,
-        Precision::F64,
-    )
+    scheduled(&BatchWorkload::build_skewed(2, &[12, 4, 6, 3]), 4)
 }
 
 /// The 32-subdomain shard across a 4-device pool.
@@ -64,8 +50,9 @@ fn cluster() -> AssemblyReport {
 /// auto formulation splits it: the hybrid plan spills the over-arena
 /// quarter, and its explicit-GPU share is what the pool replays.
 fn hybrid() -> AssemblyReport {
-    let items = &mixed_fit().factors;
-    let (pool, _arena) = mixed_fit().mixed_fit_pool(&cfg());
+    let w = BatchWorkload::build_mixed_fit();
+    let items = &w.factors;
+    let (pool, _arena) = w.mixed_fit_pool(&cfg());
     let (costs, applies): (Vec<_>, Vec<_>) = items
         .iter()
         .enumerate()
@@ -93,18 +80,10 @@ fn hybrid() -> AssemblyReport {
         .report
 }
 
-/// The mixed-fit batch replayed at the f32 working precision, so the
-/// audited trace carries 4-byte element payloads (arena accounting, slot
-/// lifetimes and ordering edges must stay hazard-free at the halved widths
-/// too).
-fn precision() -> AssemblyReport {
-    scheduled(mixed_fit(), 4, Precision::f32_refined())
-}
-
 /// The full 3D decomposition again, on two streams: a narrower device
 /// interleaves the same kernel sequence differently.
 fn kernels() -> AssemblyReport {
-    scheduled(&BatchWorkload::build(3, 4), 2, Precision::F64)
+    scheduled(&BatchWorkload::build(3, 4), 2)
 }
 
 /// One warm cluster job exactly as the multi-tenant service dispatches it:
@@ -140,7 +119,6 @@ const WORKLOADS: &[(&str, usize, Replay)] = &[
     ("schedule", 1, schedule),
     ("cluster", 4, cluster),
     ("hybrid", 2, hybrid),
-    ("precision", 1, precision),
     ("kernels", 1, kernels),
     ("serve", 2, serve),
 ];
