@@ -178,7 +178,8 @@ fn main() {
         // sc_sparse for the chunked dot of its supernodal backward sweep
         // (reduction order defined, not left to the vector width); sc_core,
         // whose dense-oracle tests drive the stepped SYRK blocks narrower
-        // than 128 that syrk_t sends to the nest from order MR
+        // than 128 that syrk_t sends to the nest from order MR; sc_serve,
+        // whose warm == cold bitwise tests apply the cached Gᵢ slots
         let mut portable = cargo(&[
             "test",
             "-q",
@@ -192,6 +193,8 @@ fn main() {
             "sc_feti",
             "-p",
             "sc_core",
+            "-p",
+            "sc_serve",
         ]);
         portable.env("RUSTFLAGS", "-C target-cpu=x86-64-v2");
         step("test:portable-microkernel", portable);

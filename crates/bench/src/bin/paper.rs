@@ -19,8 +19,8 @@ use sc_bench::{
 };
 use sc_core::tune::table1_defaults as t1;
 use sc_core::{
-    assemble_sc, estimate_apply, AssemblySession, Backend, BlockParam, CpuExec, FactorStorage,
-    ScConfig, ScParams, ScheduleOptions, StreamPolicy, SyrkVariant, TrsmVariant,
+    assemble_sc, estimate_apply, AssemblySession, Backend, BatchEntry, BlockParam, CpuExec,
+    FactorStorage, ScConfig, ScParams, ScheduleOptions, StreamPolicy, SyrkVariant, TrsmVariant,
 };
 use sc_factor::Engine;
 use sc_fem::{Gluing, HeatProblem, Subdomain};
@@ -508,8 +508,10 @@ fn fig8(args: &BenchArgs, device: &Arc<Device>) {
                 time_once(|| {
                     problem.subdomains.par_iter().for_each(|sd| {
                         let f = build(sd);
-                        let (l, bt) = (f.chol.factor_csc_ref(), &f.bt_perm);
-                        std::hint::black_box(assemble_sc(&mut CpuExec, l, bt, &cfg));
+                        // what the session assembles: the factor bundle's
+                        // gluing block
+                        let (l, pt) = (f.factor(), f.gluing());
+                        std::hint::black_box(assemble_sc(&mut CpuExec, l, pt, &cfg));
                     })
                 })
             };

@@ -67,7 +67,7 @@ enum Slots {
     /// configuration.
     Builder(FormulationChoice, ScConfig),
     /// `sc_factor::schur_from_factor` per subdomain on the host (the `mkl`
-    /// rows' sparse-RHS solves), the dense `F̃ᵢ` uploaded when the row
+    /// rows' sparse-RHS solves), the dense `Gᵢ` uploaded when the row
     /// applies on the device.
     SparseRhs,
 }
@@ -211,24 +211,34 @@ pub fn preprocess_approach<'p>(
         }
         Slots::SparseRhs => {
             let t = Instant::now();
+            // Gᵢ on the distinct glued dofs, like every explicit producer
             let schur = |f: &SubdomainFactors| {
                 let l = f.chol.factor_csc_ref();
-                schur_from_factor(l, &f.chol.symbolic().parent, &f.bt_perm)
+                schur_from_factor(l, &f.chol.symbolic().parent, &f.pt_perm)
             };
             let dense: Vec<Mat> = factors.par_iter().map(schur).collect();
             assembly.host_s = t.elapsed().as_secs_f64();
             // the hybrid row applies on the device: the packed triangle of
-            // each F̃ᵢ is uploaded to its round-robin stream, in
+            // each Gᵢ is uploaded to its round-robin stream, in
             // subdomain-index order
             let device = backend.device();
-            let resident = |(i, f): (usize, Mat)| {
-                let f = Arc::new(SymPackedOf::from_lower(f.as_ref()));
+            let resident = |(i, (g, f)): (usize, (Mat, &SubdomainFactors))| {
+                let g = Arc::new(SymPackedOf::from_lower(g.as_ref()));
                 let stream = device.map(|d| d.stream(i % d.n_streams()));
-                let op = LocalOp::Dense { f, stream };
+                let op = LocalOp::Dense {
+                    g,
+                    ct: f.ct.clone(),
+                    stream,
+                };
                 op.upload();
                 op
             };
-            let ops = dense.into_iter().enumerate().map(resident).collect();
+            let ops = dense
+                .into_iter()
+                .zip(factors.iter())
+                .enumerate()
+                .map(resident)
+                .collect();
             assembly.sim_s = device.map_or(0.0, |d| d.synchronize());
             FetiSolver::from_ops(problem, opts, Precision::F64, &backend, factors, ops, None)
         }

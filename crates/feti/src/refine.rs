@@ -29,7 +29,7 @@ const INNER_TOL: f64 = 1e-4;
 /// The `f32` side of a refined solver: every operator slot demoted once at
 /// build time and reused across every inner PCPG iteration.
 pub(crate) struct Demoted {
-    /// A dense slot is the `f64`-assembled packed `F̃ᵢ` rounded to `f32`; it
+    /// A dense slot is the `f64`-assembled packed `Gᵢ` rounded to `f32`; it
     /// drops the stream binding — the inner SYMVs run on the host, so only
     /// the `f64` residual applications move a simulated clock.
     ops: Vec<LocalOp<f32>>,
@@ -47,9 +47,16 @@ impl Demoted {
             .par_iter()
             .zip(factors)
             .map(|(op, fac)| match op {
-                LocalOp::Dense { f, .. } => {
-                    let f = Arc::new(f.cast::<f32>());
-                    (LocalOp::Dense { f, stream: None }, None)
+                LocalOp::Dense { g, ct, .. } => {
+                    let (g, ct) = (Arc::new(g.cast()), ct.cast());
+                    (
+                        LocalOp::Dense {
+                            g,
+                            ct,
+                            stream: None,
+                        },
+                        None,
+                    )
                 }
                 LocalOp::Implicit => {
                     let l = fac.chol.factor_csc_ref().cast::<f32>();

@@ -292,7 +292,7 @@ impl FetiSolverBuilder {
         // one operator slot per subdomain; an implicit slot applies against
         // `factors`, and a reused triangle is uploaded to its stream
         let ops: Vec<LocalOp> = match &operators {
-            Some(operators) => operators.bind(&backend),
+            Some(operators) => operators.bind(&backend, &factors),
             None => factors.iter().map(|_| LocalOp::Implicit).collect(),
         };
         if reused.is_some() {
@@ -372,10 +372,7 @@ impl<'p> FetiSolver<'p> {
             let mut gr = vec![0.0; sd.n_lambda()];
             sd.bt.spmv_t(1.0, ker, 0.0, &mut gr);
             for (&g, &gl) in gr.iter().zip(&sd.lambda_ids) {
-                // sc-analyze: allow(float-eq)
-                if g != 0.0 {
-                    g_coo.push(gl, kc, g);
-                }
+                g_coo.push(gl, kc, g);
             }
         }
         let g = g_coo.to_csc();
@@ -683,7 +680,8 @@ impl<'p> FetiSolver<'p> {
 mod tests {
     use super::*;
     use sc_core::{
-        assemble_sc, temp_footprint, CpuExec, Formulation, ScheduleOptions, StreamPolicy,
+        assemble_sc, temp_footprint, BatchEntry, CpuExec, Formulation, ScheduleOptions,
+        StreamPolicy,
     };
     use sc_dense::SymPackedOf;
     use sc_factor::{CholOptions, SparseCholesky};
@@ -731,13 +729,14 @@ mod tests {
     #[test]
     fn dense_slots_hold_the_packed_triangle_and_nothing_else() {
         let p = HeatProblem::build_2d(5, (3, 2), Gluing::Redundant);
-        let entries = |sd: &sc_fem::Subdomain| sd.n_lambda() * (sd.n_lambda() + 1) / 2;
-        let triangle: usize = p.subdomains.iter().map(entries).sum();
         for precision in [Precision::F64, Precision::f32_refined()] {
             let solver = FetiSolverBuilder::new()
                 .formulation(FormulationChoice::Explicit)
                 .precision(precision)
                 .build(&p);
+            // the triangles of order nb, the distinct glued dofs
+            let entries = |f: &SubdomainFactors| f.pt_perm.ncols() * (f.pt_perm.ncols() + 1) / 2;
+            let triangle: usize = solver.factors().iter().map(entries).sum();
             let held: usize = solver.ops.iter().map(LocalOp::held_bytes).sum();
             assert_eq!(held, triangle * 8, "{precision:?}: f64 slots");
             let demoted = solver.demoted.as_ref().map(Demoted::held_bytes);
@@ -806,8 +805,8 @@ mod tests {
             let twins = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
             for t in &operators.report().subdomains {
                 let at = t.placement.expect("every cluster row is placed");
-                let m = p.subdomains[t.index].n_lambda();
-                let bytes = KernelCost::symv_of::<f64>(m).bytes;
+                let nb = cold.factors()[t.index].pt_perm.ncols();
+                let bytes = KernelCost::symv_of::<f64>(nb).bytes;
                 twins
                     .device(at.device)
                     .stream(at.stream)
@@ -817,7 +816,7 @@ mod tests {
             assert!(uploads > 0.0 && uploads < cold.report().unwrap().makespan);
 
             let shared = warm.ops.iter().zip(&cold.ops).all(|pair| {
-                matches!(pair, (LocalOp::Dense { f: a, .. }, LocalOp::Dense { f: b, .. })
+                matches!(pair, (LocalOp::Dense { g: a, .. }, LocalOp::Dense { g: b, .. })
                     if Arc::ptr_eq(a, b))
             });
             assert!(shared, "{precision:?}: triangles are shared, not copied");
@@ -949,14 +948,15 @@ mod tests {
     }
 
     /// Peak temporary footprints of every subdomain under `cfg`, priced the
-    /// same way the hybrid decision layer prices them.
+    /// same way the hybrid decision layer prices them: on the gluing block
+    /// the explicit producers assemble.
     fn temp_footprints(p: &HeatProblem, cfg: &ScConfig) -> Vec<usize> {
         let opts = FetiOptions::default();
         SubdomainFactors::build_all(p, opts.engine, opts.ordering)
             .iter()
             .map(|f| {
-                let (l, bt) = (f.chol.factor_csc_ref(), &f.bt_perm);
-                temp_footprint::<f64>(l.ncols(), bt.ncols(), &cfg.resolve(true, l, bt))
+                let (l, pt) = (f.factor(), f.gluing());
+                temp_footprint::<f64>(l.ncols(), pt.ncols(), &cfg.resolve(true, l, pt))
             })
             .collect()
     }
@@ -1049,9 +1049,9 @@ mod tests {
         assert!(report.makespan > 0.0);
 
         // the hybrid operator application must be bitwise identical to the
-        // per-subdomain reference: CPU-assembled explicit F̃ᵢ where the plan
-        // went explicit (record/replay is bitwise CPU-equal), the shared
-        // implicit pipeline where it spilled
+        // per-subdomain reference: CPU-assembled explicit Gᵢ between Cᵢ's
+        // gather and scatter where the plan went explicit (record/replay is
+        // bitwise CPU-equal), the shared implicit pipeline where it spilled
         let lam: Vec<f64> = (0..p.n_lambda).map(|i| (i as f64 * 0.37).sin()).collect();
         let got = solver.apply_f(&lam);
         let mut want = vec![0.0; p.n_lambda];
@@ -1062,8 +1062,12 @@ mod tests {
                 crate::dualop::apply_implicit(&solver.factors()[i], &pl, &mut ql);
             } else {
                 let fac = &solver.factors()[i];
-                let f = assemble_sc(&mut CpuExec, fac.chol.factor_csc_ref(), &fac.bt_perm, &cfg);
-                sc_dense::symv(&SymPackedOf::from_lower(f.as_ref()), &pl, &mut ql);
+                let g = assemble_sc(&mut CpuExec, fac.factor(), &fac.pt_perm, &cfg);
+                let map = crate::BoundaryMap::of(&fac.ct);
+                let (mut pb, mut y) = (vec![0.0; map.n_rows()], vec![0.0; map.n_rows()]);
+                map.scatter(&pl, &mut pb);
+                sc_dense::symv(&SymPackedOf::from_lower(g.as_ref()), &pb, &mut y);
+                map.gather(&y, &mut ql);
             }
             for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
                 want[gl] += ql[ll];
@@ -1105,8 +1109,8 @@ mod tests {
     }
 
     /// Dual vectors that would expose scratch that is not re-zeroed:
-    /// `BoundaryMapOf::scatter` skips exact zeros, so a stale dof-space
-    /// vector would leak the previous application into the next.
+    /// `BoundaryMapOf::scatter` accumulates into its vector, so a stale
+    /// dof-space vector would leak the previous application into the next.
     fn probe_vectors(n: usize) -> Vec<Vec<f64>> {
         let dense: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let sparse = (0..n)
@@ -1149,6 +1153,38 @@ mod tests {
                 assert_eq!(a.u_locals, b.u_locals, "{kind} u after the probes");
             }
         }
+    }
+
+    /// The pass walks each worker's chunk forward on even applications and
+    /// backward on odd ones: `q` and every stream clock after each
+    /// application are bitwise the same in either direction, on one thread
+    /// and on two.
+    #[test]
+    fn alternating_walks_apply_bitwise_on_one_and_two_threads() {
+        let p = HeatProblem::build_3d(3, (2, 2, 2), Gluing::Redundant);
+        let lam: Vec<f64> = (0..p.n_lambda).map(|i| (i as f64 * 0.37).sin()).collect();
+        let applications = || {
+            let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
+            let solver = FetiSolverBuilder::new()
+                .backend(Backend::cluster(Arc::clone(&pool)))
+                .formulation(FormulationChoice::Explicit)
+                .build(&p);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (0..3)
+                .map(|_| {
+                    pool.reset_all();
+                    let q = solver.apply_f(&lam);
+                    let clocks: Vec<f64> = (pool.devices().iter())
+                        .flat_map(|d| (0..d.n_streams()).map(|s| d.stream_time(s)))
+                        .collect();
+                    assert!(clocks.iter().any(|&t| t > 0.0), "device slots");
+                    (bits(&q), bits(&clocks))
+                })
+                .collect::<Vec<_>>()
+        };
+        let one = rayon::with_max_threads(1, applications);
+        assert!(one.windows(2).all(|w| w[0] == w[1]), "walk direction");
+        assert_eq!(rayon::with_max_threads(2, applications), one, "two threads");
     }
 
     #[test]
@@ -1331,7 +1367,8 @@ mod tests {
             let mut named = Vec::new();
             for t in &report.subdomains {
                 let Some(at) = t.placement else { continue };
-                let symv = KernelCost::symv_of::<f64>(p.subdomains[t.index].n_lambda());
+                let nb = solver.factors()[t.index].pt_perm.ncols();
+                let symv = KernelCost::symv_of::<f64>(nb);
                 twins[at.device].stream(at.stream).submit(&symv);
                 named.push((at.device, at.stream));
             }

@@ -38,8 +38,11 @@ pub struct PreparedSession {
     pub factors: Arc<Vec<SubdomainFactors>>,
     /// The assembled dual operators of the first job on each backend, with
     /// that job's placements; they plug straight into
-    /// [`sc_feti::FetiSolverBuilder::operators`] at either precision.
-    pub operators: HashMap<BackendTag, Arc<AssembledOperators>>,
+    /// [`sc_feti::FetiSolverBuilder::operators`] at either precision. `None`
+    /// under a backend: its operators made the bundle larger than the whole
+    /// cache budget, so the bundle is kept without them and later jobs on
+    /// that backend assemble without retrying the insert.
+    pub operators: HashMap<BackendTag, Option<Arc<AssembledOperators>>>,
     /// Approximate resident size, charged against the cache byte budget:
     /// the problem and factors, plus the packed bytes of every operator set.
     pub bytes: usize,
@@ -47,14 +50,15 @@ pub struct PreparedSession {
 
 impl PreparedSession {
     /// This bundle plus `operators` under `slot`, charged at their packed
-    /// bytes; everything else is shared with `self`, not copied.
+    /// bytes (`None`: the mark of operators that do not fit, charged
+    /// nothing); everything else is shared with `self`, not copied.
     pub fn with_operators(
         &self,
         slot: BackendTag,
-        operators: Arc<AssembledOperators>,
+        operators: Option<Arc<AssembledOperators>>,
     ) -> PreparedSession {
         let mut all = self.operators.clone();
-        let bytes = self.bytes + operators.packed_bytes();
+        let bytes = self.bytes + operators.as_ref().map_or(0, |o| o.packed_bytes());
         all.insert(slot, operators);
         PreparedSession {
             problem: Arc::clone(&self.problem),
@@ -201,8 +205,8 @@ pub fn prepare(spec: &MeshSpec) -> PreparedSession {
 }
 
 /// Resident-size estimate of a prepared bundle: factor + gluing nonzeros at
-/// 16 bytes each (8 value + ~8 amortized index), plus stiffness nonzeros for
-/// the retained problem.
+/// 16 bytes each (8 value + ~8 amortized index; the gluing is `B̃ᵢᵀ` and its
+/// split `P̂ᵢᵀ`, `Cᵢᵀ`), plus stiffness nonzeros for the retained problem.
 ///
 /// It over-counts `L`: each factor's row indices are its class analysis's
 /// one shared pattern, so a bundle really holds 8 bytes per `L` entry plus
@@ -212,7 +216,8 @@ fn approx_bytes(problem: &HeatProblem, factors: &[SubdomainFactors]) -> usize {
     let mut b = 0;
     for f in factors {
         // 16 bytes per L entry, although its row indices are shared per class
-        b += f.chol.symbolic().nnz() * 16 + f.bt_perm.nnz() * 16;
+        let gluing = f.bt_perm.nnz() + f.pt_perm.nnz() + f.ct.nnz();
+        b += f.chol.symbolic().nnz() * 16 + gluing * 16;
     }
     for sd in &problem.subdomains {
         b += sd.k.nnz() * 16 + sd.bt.nnz() * 16 + sd.f.len() * 8;

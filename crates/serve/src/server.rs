@@ -15,7 +15,9 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sc_core::{temp_footprint, Backend, DeviceSlot, Precision, ScConfig, SessionCacheStats};
+use sc_core::{
+    temp_footprint, Backend, BatchEntry, DeviceSlot, Precision, ScConfig, SessionCacheStats,
+};
 use sc_feti::{FetiSolverBuilder, FormulationChoice, SubdomainFactors};
 use sc_gpu::{DevicePool, DeviceSpec};
 
@@ -277,7 +279,9 @@ impl Service {
         // either precision: the build uploads them instead of assembling.
         // Only a job that assembles is checked against the arenas: the first
         // assembly on its bundle's backend passed the same check.
-        let reused = prep.operators.get(&req.backend).cloned();
+        let kept = prep.operators.get(&req.backend);
+        let first = kept.is_none();
+        let reused = kept.cloned().flatten();
         if reused.is_none() && req.backend == BackendTag::Cluster {
             arena_fit(&self.opts.pool, &prep.factors)?;
         }
@@ -322,11 +326,16 @@ impl Service {
             (false, _, Some(r)) => r.total_seconds,
             _ => t0.elapsed().as_secs_f64(),
         };
-        // keep what this job assembled for the next one, charged to the
-        // bundle at its packed bytes
-        if let (false, Some(operators)) = (outcome.reused_operators, solver.shared_operators()) {
-            let grown = prep.with_operators(req.backend, operators);
-            self.cache.insert(qj.key, Arc::new(grown), &keep);
+        // keep what the first assembly on this backend produced for the
+        // next job, charged to the bundle at its packed bytes; if that grows
+        // the bundle past the whole budget, keep it without them, marked, so
+        // that later jobs still reuse the factors and do not retry
+        if let (true, Some(operators)) = (first, solver.shared_operators()) {
+            let grown = prep.with_operators(req.backend, Some(operators));
+            if !self.cache.insert(qj.key, Arc::new(grown), &keep) {
+                let marked = prep.with_operators(req.backend, None);
+                self.cache.insert(qj.key, Arc::new(marked), &keep);
+            }
         }
         if req.kind == JobKind::Solve {
             let sol = if (req.scale - 1.0).abs() > f64::EPSILON {
@@ -402,16 +411,17 @@ fn precision_of(tag: PrecisionTag) -> Precision {
 
 /// The device driver's own admission rule, applied at dispatch to a
 /// cluster job's prepared factors: every subdomain's peak temporaries,
-/// priced by [`temp_footprint`] under its resolved [`ScConfig::Auto`]
-/// parameters, must fit some device of the pool ([`DeviceSlot::admits`]). A
-/// job that fails it would abort the batch driver's placement.
+/// priced by [`temp_footprint`] on the gluing block it assembles (`P̂ᵢᵀ`)
+/// under its resolved [`ScConfig::Auto`] parameters, must fit some device
+/// of the pool ([`DeviceSlot::admits`]). A job that fails it would abort
+/// the batch driver's placement.
 fn arena_fit(pool: &DevicePool, factors: &[SubdomainFactors]) -> Result<(), String> {
     let slots: Vec<DeviceSlot> = pool.devices().iter().map(|d| DeviceSlot::of(d)).collect();
     let over: Vec<usize> = (0..factors.len())
         .filter(|&i| {
-            let (l, bt) = (factors[i].chol.factor_csc_ref(), &factors[i].bt_perm);
+            let (l, pt) = (factors[i].factor(), factors[i].gluing());
             let need =
-                temp_footprint::<f64>(l.ncols(), bt.ncols(), &ScConfig::Auto.resolve(true, l, bt));
+                temp_footprint::<f64>(l.ncols(), pt.ncols(), &ScConfig::Auto.resolve(true, l, pt));
             !slots.iter().any(|s| s.admits(need))
         })
         .collect();
@@ -669,18 +679,65 @@ mod tests {
             .cache
             .get(content_key(&spec))
             .expect("bundle resident");
-        let ops = &prep.operators[&BackendTag::Cluster];
+        let ops = prep.operators[&BackendTag::Cluster].as_ref().expect("kept");
         let twins = DevicePool::uniform(DeviceSpec::a100(), 1, 2);
         for t in &ops.report().subdomains {
             let at = t.placement.expect("cluster rows are placed");
-            let m = prep.problem.subdomains[t.index].n_lambda();
-            let bytes = sc_gpu::KernelCost::symv_of::<f64>(m).bytes;
+            let nb = prep.factors[t.index].pt_perm.ncols();
+            let bytes = sc_gpu::KernelCost::symv_of::<f64>(nb).bytes;
             let upload = sc_gpu::KernelCost::transfer(bytes);
             twins.device(at.device).stream(at.stream).submit(&upload);
         }
         assert_eq!(warm.device_s, twins.synchronize_all());
         assert!(warm.device_s > 0.0 && warm.device_s < cold.device_s);
         assert_eq!(cold.device_s, ops.report().makespan);
+    }
+
+    /// A budget between the bundle's bytes and the bundle grown by its
+    /// operators: the first job keeps the factors without the operators and
+    /// marks the bundle so; the second job of the mesh hits the cache,
+    /// assembles again, leaves the cached bundle as it was, and solves
+    /// bitwise as the first did.
+    #[test]
+    fn operators_over_the_budget_are_marked_once_and_not_retried() {
+        let spec = MeshSpec {
+            dim: 2,
+            cells: 4,
+            subs: (2, 2, 1),
+            gluing: sc_fem::Gluing::Redundant,
+        };
+        let bundle = prepare(&spec).bytes;
+        let mut roomy = ServeHandle::new(small_opts());
+        roomy.request(&submit_line("a", "j", "solve"));
+        roomy.request("{\"op\":\"run\"}");
+        let grown = roomy.cache_stats().bytes;
+        assert!(grown > bundle, "the operators are charged");
+
+        let mut h = ServeHandle::new(ServeOptions {
+            cache_budget_bytes: (bundle + grown) / 2,
+            ..small_opts()
+        });
+        let cached = |h: &mut ServeHandle| {
+            let prep = h.service.cache.get(content_key(&spec));
+            prep.expect("the bundle stays resident")
+        };
+        h.request(&submit_line("a", "first", "solve"));
+        h.request("{\"op\":\"run\"}");
+        let after_first = cached(&mut h);
+        assert_eq!(h.cache_stats().bytes, bundle, "charged without operators");
+        assert!(
+            after_first.operators.contains_key(&BackendTag::Cluster),
+            "the bundle records that its operators do not fit"
+        );
+        h.request(&submit_line("b", "second", "solve"));
+        let r = h.request("{\"op\":\"run\"}");
+        assert!(r[0].contains("\"cache\":\"hit\""), "{}", r[0]);
+        assert!(Arc::ptr_eq(&after_first, &cached(&mut h)), "no re-insert");
+        assert_eq!(h.cache_stats().bytes, bundle);
+        let (first, second) = (h.take_outcome("a", "first"), h.take_outcome("b", "second"));
+        let (first, second) = (first.expect("first"), second.expect("second"));
+        assert!(!first.reused_operators && !second.reused_operators);
+        assert_eq!(first.lambda, second.lambda, "λ bitwise");
     }
 
     #[test]

@@ -27,11 +27,17 @@ pub mod prelude {
 }
 
 /// Number of worker threads a parallel combinator will use at most,
-/// honouring any cap installed by [`with_max_threads`].
+/// honouring any cap installed by [`with_max_threads`]. The machine's
+/// parallelism is read once per process, as rayon sizes its global pool
+/// once: on Linux each `available_parallelism` call reads the cgroup files
+/// (tens of µs), which every combinator would otherwise pay.
 pub fn current_num_threads() -> usize {
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let avail = *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
     match MAX_THREADS.with(|c| c.get()) {
         0 => avail,
         cap => avail.min(cap),

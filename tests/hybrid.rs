@@ -204,12 +204,14 @@ fn hybrid_solver_end_to_end_invariants() {
             )
         })
         .collect();
+    // priced on the gluing block the planner prices and the producers
+    // assemble: P̂ᵢᵀ, one column per distinct glued dof
     let temps: Vec<usize> = factors
         .iter()
         .map(|f| {
-            let l = f.chol.factor_csc();
-            let params = cfg.resolve(true, &l, &f.bt_perm);
-            temp_footprint::<f64>(l.ncols(), f.bt_perm.ncols(), &params)
+            let (l, pt) = (f.factor(), f.gluing());
+            let params = cfg.resolve(true, l, pt);
+            temp_footprint::<f64>(l.ncols(), pt.ncols(), &params)
         })
         .collect();
     let (lo, hi) = (*temps.iter().min().unwrap(), *temps.iter().max().unwrap());
@@ -257,9 +259,10 @@ fn hybrid_solver_end_to_end_invariants() {
     }
 
     // hybrid application bitwise == mixed reference: the explicit share is
-    // bitwise the all-explicit CPU assembly (record/replay property), the
-    // spilled share the shared implicit pipeline. Cross-check the GPU-share
-    // F̃ᵢ matrices against a fresh CPU cluster assembly too.
+    // bitwise the all-explicit CPU assembly of Gᵢ (record/replay property)
+    // between Cᵢ's gather and scatter, the spilled share the shared implicit
+    // pipeline. Cross-check the GPU share against a fresh CPU cluster
+    // assembly too.
     let cfg = ScConfig::optimized(true, true);
     let lam: Vec<f64> = (0..p.n_lambda).map(|i| (i as f64 * 0.41).cos()).collect();
     let got = solver.apply_f(&lam);
@@ -270,9 +273,13 @@ fn hybrid_solver_end_to_end_invariants() {
         if spilled.contains(&i) {
             apply_implicit(&factors[i], &pl, &mut ql);
         } else {
-            let l = factors[i].chol.factor_csc();
-            let f = assemble_sc(&mut CpuExec, &l, &factors[i].bt_perm, &cfg);
-            sc_dense::symv(&sc_dense::SymPackedOf::from_lower(f.as_ref()), &pl, &mut ql);
+            let f = &factors[i];
+            let g = assemble_sc(&mut CpuExec, f.factor(), f.gluing(), &cfg);
+            let map = BoundaryMap::of(&f.ct);
+            let (mut pb, mut y) = (vec![0.0; map.n_rows()], vec![0.0; map.n_rows()]);
+            map.scatter(&pl, &mut pb);
+            sc_dense::symv(&sc_dense::SymPackedOf::from_lower(g.as_ref()), &pb, &mut y);
+            map.gather(&y, &mut ql);
         }
         for (ll, &gl) in sd.lambda_ids.iter().enumerate() {
             want[gl] += ql[ll];
