@@ -1,8 +1,9 @@
 //! Local CI parity: run the exact build/test/clippy/fmt/doc sequence the
 //! GitHub workflow runs, in one command, so contributors reproduce CI
 //! without guessing which flags the workflow passes. The workflow's
-//! `analyze`, `benchmark`, `examples` and `paper` jobs call this same bin,
-//! which is what keeps the two from drifting.
+//! `build`/`test`, `analyze`, `benchmark`, `examples` and `paper` steps call
+//! this same bin, which is what keeps the two from drifting: the commands
+//! and the portable-kernel package list live only here.
 //!
 //! Usage:
 //!   cargo run -p sc_bench --bin ci                    # everything

@@ -222,23 +222,14 @@ pub fn preprocess_approach<'p>(
             // each Gᵢ is uploaded to its round-robin stream, in
             // subdomain-index order
             let device = backend.device();
-            let resident = |(i, (g, f)): (usize, (Mat, &SubdomainFactors))| {
+            let resident = |(i, g): (usize, Mat)| {
                 let g = Arc::new(SymPackedOf::from_lower(g.as_ref()));
                 let stream = device.map(|d| d.stream(i % d.n_streams()));
-                let op = LocalOp::Dense {
-                    g,
-                    ct: f.ct.clone(),
-                    stream,
-                };
+                let op = LocalOp::Dense { g, stream };
                 op.upload();
                 op
             };
-            let ops = dense
-                .into_iter()
-                .zip(factors.iter())
-                .enumerate()
-                .map(resident)
-                .collect();
+            let ops = dense.into_iter().enumerate().map(resident).collect();
             assembly.sim_s = device.map_or(0.0, |d| d.synchronize());
             FetiSolver::from_ops(problem, opts, Precision::F64, &backend, factors, ops, None)
         }

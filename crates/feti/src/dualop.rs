@@ -11,7 +11,9 @@
 //! unit column per distinct glued dof, `Cᵢ` (`m × nb`) holds each
 //! multiplier's coefficient at its dof's index. The assembly builds
 //! `Gᵢ = P̂ᵢ K⁺ᵢ P̂ᵢᵀ` of order `nb ≤ m`, and a slot applies
-//! `F̃ᵢ = Cᵢ Gᵢ Cᵢᵀ` as gather → SYMV of order `nb` → scatter.
+//! `F̃ᵢ = Cᵢ Gᵢ Cᵢᵀ` as gather → SYMV of order `nb` → scatter. The implicit
+//! form applies the same `Cᵢ Gᵢ Cᵢᵀ`, with Eq. 11's two triangular sweeps in
+//! place of the SYMV.
 
 use crate::regularize::regularize_fixing_node;
 use rayon::prelude::*;
@@ -28,27 +30,24 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
-/// The gather/scatter of `B̃ᵢᵀ`, read in place: column `j` of the gluing
-/// block owns its stored rows and coefficients (the ±1 boundary signs, one
-/// entry per column). The implicit dual-operator application resolves its
-/// boundary permutation by direct indexed loops over the block's own arrays
-/// instead of the sparse-matrix machinery, and a dense slot maps the
-/// multipliers to its glued dofs the same way over `Cᵢᵀ`.
-/// Generic over the working precision: the mixed-precision refinement views
-/// a demoted `f32` block ([`BoundaryMap`] is the `f64` one).
+/// The gather/scatter of a gluing block with one entry per column, read in
+/// place: column `j` owns its stored rows and coefficients (the ±1 boundary
+/// signs). Every local operator maps the multipliers to its distinct glued
+/// dofs over the bundle's `Cᵢᵀ` ([`SubdomainFactors::ct`]) with direct
+/// indexed loops over the block's own arrays, instead of the sparse-matrix
+/// machinery. The block is the `f64` one at every working precision `S`:
+/// each coefficient is converted with `S::from_f64` where it is read, as
+/// [`CscOf::cast`] would, so a demoted application reads the same block.
 #[derive(Clone, Copy)]
-pub struct BoundaryMapOf<'a, S = f64> {
-    /// The row-permuted gluing block.
-    bt: &'a CscOf<S>,
+pub struct BoundaryMap<'a> {
+    /// The gluing block.
+    bt: &'a Csc,
 }
 
-/// The `f64` boundary map (the historical default working precision).
-pub type BoundaryMap<'a> = BoundaryMapOf<'a, f64>;
-
-impl<'a, S: Scalar> BoundaryMapOf<'a, S> {
-    /// The map of the row-permuted gluing block.
-    pub fn of(bt_perm: &'a CscOf<S>) -> Self {
-        BoundaryMapOf { bt: bt_perm }
+impl<'a> BoundaryMap<'a> {
+    /// The map of a gluing block.
+    pub fn of(bt: &'a Csc) -> Self {
+        BoundaryMap { bt }
     }
 
     /// Local multiplier count.
@@ -56,37 +55,37 @@ impl<'a, S: Scalar> BoundaryMapOf<'a, S> {
         self.bt.ncols()
     }
 
-    /// Factor dimension.
+    /// Row count of the block.
     pub fn n_rows(&self) -> usize {
         self.bt.nrows()
     }
 
-    /// Scatter `t = B̃ᵀ p̃` into the (pre-zeroed) dof-space vector `t` —
-    /// bitwise identical to `bt_perm.spmv(1.0, p, 0.0, t)` on finite input:
-    /// the products of a zero `p̃ⱼ` that `spmv` skips are signed zeros, and
-    /// adding one leaves every entry of `t` as it was (a `+0` stays `+0`).
-    pub fn scatter(&self, p: &[S], t: &mut [S]) {
+    /// Scatter `t = B̃ᵀ p̃` into the (pre-zeroed) vector `t` — bitwise
+    /// identical to `spmv(1.0, p, 0.0, t)` on the block cast to `S` on finite
+    /// input: the products of a zero `p̃ⱼ` that `spmv` skips are signed zeros,
+    /// and adding one leaves every entry of `t` as it was (a `+0` stays `+0`).
+    pub fn scatter<S: Scalar>(&self, p: &[S], t: &mut [S]) {
         debug_assert_eq!(p.len(), self.n_lambda());
         debug_assert_eq!(t.len(), self.n_rows());
         let (offsets, rows, coeffs) = (self.bt.col_ptr(), self.bt.row_idx(), self.bt.values());
         for (j, &pj) in p.iter().enumerate() {
             for k in offsets[j]..offsets[j + 1] {
-                t[rows[k]] += pj * coeffs[k];
+                t[rows[k]] += pj * S::from_f64(coeffs[k]);
             }
         }
     }
 
-    /// Gather `out = B̃ t` from the dof-space vector — bitwise identical to
-    /// `bt_perm.spmv_t(1.0, t, 0.0, out)`: one dot product per multiplier,
-    /// accumulated in stored order.
-    pub fn gather(&self, t: &[S], out: &mut [S]) {
+    /// Gather `out = B̃ t` — bitwise identical to `spmv_t(1.0, t, 0.0, out)`
+    /// on the block cast to `S`: one dot product per multiplier, accumulated
+    /// in stored order.
+    pub fn gather<S: Scalar>(&self, t: &[S], out: &mut [S]) {
         debug_assert_eq!(out.len(), self.n_lambda());
         debug_assert_eq!(t.len(), self.n_rows());
         let (offsets, rows, coeffs) = (self.bt.col_ptr(), self.bt.row_idx(), self.bt.values());
         for (j, o) in out.iter_mut().enumerate() {
             let mut s = S::ZERO;
             for k in offsets[j]..offsets[j + 1] {
-                s += coeffs[k] * t[rows[k]];
+                s += S::from_f64(coeffs[k]) * t[rows[k]];
             }
             *o = s;
         }
@@ -99,11 +98,14 @@ impl<'a, S: Scalar> BoundaryMapOf<'a, S> {
 /// boundary right-hand side can reach, which the implicit application
 /// reuses across PCPG iterations. A bundle is a [`BatchEntry`] of the
 /// explicit assembly: its gluing block is `P̂ᵢᵀ`, so every explicit producer
-/// assembles `Gᵢ = P̂ᵢ K⁺ᵢ P̂ᵢᵀ`.
+/// assembles `Gᵢ = P̂ᵢ K⁺ᵢ P̂ᵢᵀ`, and every operator slot applies
+/// `Cᵢ Gᵢ Cᵢᵀ` through the one split.
 pub struct SubdomainFactors {
     /// Factorized `K_reg`.
     pub chol: SparseCholesky,
-    /// `B̃ᵢᵀ` with rows in the factor's permuted space.
+    /// `B̃ᵢᵀ` with rows in the factor's permuted space, split into
+    /// `pt_perm` and `ct` at construction. No apply path reads it: it stays
+    /// for callers that assemble or price on the multipliers.
     pub bt_perm: Csc,
     /// `P̂ᵢᵀ` (`n × nb`): one unit column per distinct row of `bt_perm`,
     /// in ascending factor order.
@@ -247,122 +249,110 @@ impl BatchEntry for SubdomainFactors {
     }
 }
 
-/// The factor view Eq. 11 applies against at working precision `S`: `L` in
-/// permuted index space, the supernode runs of its pattern restricted to
-/// what `B̃ᵀ` reaches, and `B̃ᵀ` in the same row space. The runs hold no
-/// values, so a demoted view borrows the `f64` side's.
-pub struct FactorView<'a, S = f64> {
-    /// The factor.
-    pub l: &'a CscOf<S>,
-    /// [`SubdomainFactors::boundary_runs`].
-    pub runs: &'a SupernodeRuns,
-    /// `B̃ᵀ`, gathered and scattered in place ([`BoundaryMapOf`]).
-    pub bt: &'a CscOf<S>,
-}
-
-impl<'a> From<&'a SubdomainFactors> for FactorView<'a> {
-    fn from(f: &'a SubdomainFactors) -> Self {
-        FactorView {
-            l: f.chol.factor_csc_ref(),
-            runs: &f.boundary_runs,
-            bt: &f.bt_perm,
-        }
-    }
-}
-
-/// [`apply_implicit_with`] on fresh work vectors — a convenience for tests
-/// and one-off applications; no library path calls it.
+/// [`apply_implicit_with`] at `f64` on fresh work vectors — a convenience
+/// for tests and one-off applications; no library path calls it.
 pub fn apply_implicit(factors: &SubdomainFactors, p: &[f64], out: &mut [f64]) {
-    apply_implicit_with(factors, p, out, &mut Vec::new(), &mut Vec::new());
+    let l = factors.chol.factor_csc_ref();
+    apply_implicit_with(factors, l, p, out, &mut LocalScratch::default());
 }
 
-/// Implicit application `q̃ = B̃ (L⁻ᵀ(L⁻¹(B̃ᵀ p̃)))` (paper Eq. 11) at working
-/// precision `S` against a [`FactorView`] — a `&SubdomainFactors` at `f64`,
-/// a demoted factor and gluing block at `f32`. Both triangular solves are
-/// [`sc_sparse`]'s supernodal sweeps, in place on the CSC factor and over
-/// the boundary-restricted runs only: the forward solve of `B̃ᵀ p̃` is exactly
-/// zero in every column they skip, and the gather reads no row the backward
-/// solve skipped. The caller-owned scratch (`t`: the dof-space vector,
-/// resized to the factor dimension; `w`: the sweeps' supernode tail; contents
-/// of both overwritten) and the in-place [`BoundaryMapOf`] leave the two
-/// sweeps plus the indexed gather/scatter as the per-iteration cost — no
-/// allocation, no sparse-matrix traversal machinery.
-pub fn apply_implicit_with<'a, S: Scalar>(
-    factors: impl Into<FactorView<'a, S>>,
+/// Implicit application `q̃ = Cᵢ P̂ᵢ L⁻ᵀ L⁻¹ P̂ᵢᵀ Cᵢᵀ p̃` (paper Eq. 11 on the
+/// distinct glued dofs) at working precision `S` against the factor `l` —
+/// the bundle's own at `f64`, its demotion at `f32` — and the bundle's
+/// gluing split. It is the local step of an implicit operator slot: the
+/// scratch's capacities persist across calls, so the per-iteration cost is
+/// the two sweeps plus the indexed gather, placement and scatter.
+pub fn apply_implicit_with<S: Scalar>(
+    factors: &SubdomainFactors,
+    l: &CscOf<S>,
     p: &[S],
     out: &mut [S],
-    t: &mut Vec<S>,
-    w: &mut Vec<S>,
+    scratch: &mut LocalScratch<S>,
 ) {
-    let FactorView { l, runs, bt } = factors.into();
-    let map = BoundaryMapOf::of(bt);
-    t.clear();
-    t.resize(map.n_rows(), S::ZERO);
-    map.scatter(p, t);
-    supernodal_lower_solve(l, runs, t, w);
-    supernodal_lower_t_solve(l, runs, t, w);
-    map.gather(t, out);
+    LocalOp::Implicit.apply(factors, Some(l), p, out, scratch);
+}
+
+/// The work vectors of one local application `Cᵢ Gᵢ Cᵢᵀ` at precision `S`:
+/// contents are overwritten by every application, capacities persist.
+#[derive(Default)]
+pub struct LocalScratch<S> {
+    /// `p_b = Cᵢᵀ p̃` on the distinct glued dofs.
+    pb: Vec<S>,
+    /// `y = Gᵢ p_b`.
+    y: Vec<S>,
+    /// Eq. 11's dof-space vector (also the lumped `B̃ᵀ w̃`).
+    pub(crate) t: Vec<S>,
+    /// Eq. 11's supernode tail (also the lumped `K B̃ᵀ w̃`).
+    pub(crate) w: Vec<S>,
 }
 
 /// One subdomain's ready-to-apply local dual operator at working precision
 /// `S` — the crate's only operator slot type: every producer fills a `Vec`
-/// of these and [`DualPass`] applies it.
+/// of these and [`DualPass`] applies it. Both kinds apply `Cᵢ Gᵢ Cᵢᵀ`
+/// through the bundle's split; the slot only says how `Gᵢ` is applied.
 pub(crate) enum LocalOp<S = f64> {
-    /// Eq. 12 on the distinct glued dofs: `F̃ᵢ = Cᵢ Gᵢ Cᵢᵀ`, applied as a
-    /// gather, one SYMV of order `nb` and a scatter.
+    /// Eq. 12: the assembled `Gᵢ`, applied with one SYMV of order `nb`.
     Dense {
         /// The assembled `Gᵢ = P̂ᵢ K⁺ᵢ P̂ᵢᵀ`: its lower triangle, packed,
         /// shared with every build that reuses it ([`AssembledOperators`]).
         g: Arc<SymPackedOf<S>>,
-        /// `Cᵢᵀ` ([`SubdomainFactors::ct`]): gathers `p_b = Cᵢᵀ p̃` and
-        /// scatters `q̃ = Cᵢ y`.
-        ct: CscOf<S>,
         /// `Some`: the triangle is resident on that simulated stream, whose
         /// clock every application advances by the SYMV's cost
         /// ([`LocalOp::charge`]).
         stream: Option<Stream>,
     },
-    /// Eq. 11 against the factor view the pass supplies: the slot owns no
-    /// factor, so nothing is factorized or copied twice.
+    /// Eq. 11: `p_b` placed on `P̂ᵢᵀ`'s rows, the two sweeps over
+    /// [`SubdomainFactors::boundary_runs`], those rows read back. The slot
+    /// owns no factor: the caller supplies it, so nothing is factorized or
+    /// copied twice.
     Implicit,
 }
 
 impl<S: Scalar> LocalOp<S> {
-    /// `out = F̃ᵢ p` — the numerics only, safe to run on any worker thread:
-    /// a device-resident slot's simulated cost is charged separately
-    /// ([`LocalOp::charge`]). `factors` is the subdomain's factor view
-    /// (`Implicit` needs it, `Dense` ignores it), `t` and `w` the scratch of
-    /// Eq. 11 (a dense slot's `p_b` and `y`).
+    /// `out = Cᵢ Gᵢ Cᵢᵀ p` on subdomain `f` — the numerics only, safe to run
+    /// on any worker thread: a device-resident slot's simulated cost is
+    /// charged separately ([`LocalOp::charge`]). `l` is the factor at `S`
+    /// (`Implicit` needs it, `Dense` ignores it).
     pub(crate) fn apply(
         &self,
-        factors: Option<FactorView<'_, S>>,
+        f: &SubdomainFactors,
+        l: Option<&CscOf<S>>,
         p: &[S],
         out: &mut [S],
-        t: &mut Vec<S>,
-        w: &mut Vec<S>,
+        scratch: &mut LocalScratch<S>,
     ) {
+        let LocalScratch { pb, y, t, w } = scratch;
+        let map = BoundaryMap::of(&f.ct);
+        pb.clear();
+        pb.resize(map.n_rows(), S::ZERO);
+        map.scatter(p, pb);
+        y.resize(map.n_rows(), S::ZERO);
         match self {
-            LocalOp::Dense { g, ct, .. } => {
-                let map = BoundaryMapOf::of(ct);
-                t.clear();
-                t.resize(map.n_rows(), S::ZERO);
-                map.scatter(p, t);
-                w.resize(map.n_rows(), S::ZERO);
-                sc_dense::symv(g.as_ref(), t, w);
-                map.gather(w, out);
-            }
+            LocalOp::Dense { g, .. } => sc_dense::symv(g.as_ref(), pb, y),
             LocalOp::Implicit => {
-                let view = factors.expect("an implicit slot comes with its factor view");
-                apply_implicit_with(view, p, out, t, w)
+                let l = l.expect("an implicit slot comes with its factor");
+                let glued = f.pt_perm.row_idx();
+                t.clear();
+                t.resize(l.nrows(), S::ZERO);
+                for (&r, &v) in glued.iter().zip(pb.iter()) {
+                    t[r] = v;
+                }
+                supernodal_lower_solve(l, &f.boundary_runs, t, w);
+                supernodal_lower_t_solve(l, &f.boundary_runs, t, w);
+                for (yi, &r) in y.iter_mut().zip(glued) {
+                    *yi = t[r];
+                }
             }
         }
+        map.gather(y, out);
     }
 
-    /// Bytes of operator storage the slot owns (none for an implicit one).
+    /// Bytes of operator storage the slot owns (none for an implicit one);
+    /// the pattern names every field, so a new one must be counted here.
     #[cfg(test)]
     pub(crate) fn held_bytes(&self) -> usize {
         match self {
-            LocalOp::Dense { g, .. } => std::mem::size_of_val(g.data()),
+            LocalOp::Dense { g, stream: _ } => std::mem::size_of_val(g.data()),
             LocalOp::Implicit => 0,
         }
     }
@@ -407,12 +397,8 @@ impl<S: Scalar> LocalOp<S> {
 pub(crate) struct Scratch<S> {
     /// The gathered local dual vector `λ̃ᵢ`.
     pub(crate) pl: Vec<S>,
-    /// Dof-space work vector (Eq. 11's, the lumped `B̃ᵀ w̃`).
-    pub(crate) t: Vec<S>,
-    /// Second dof-space work vector (the lumped `K B̃ᵀ w̃`).
-    pub(crate) kt: Vec<S>,
-    /// Supernode-tail work vector of Eq. 11's triangular sweeps.
-    pub(crate) w: Vec<S>,
+    /// The work vectors of the local operation.
+    pub(crate) local: LocalScratch<S>,
 }
 
 /// The one global application loop: gather `λ̃ᵢ` from the global dual vector
@@ -526,21 +512,23 @@ impl<S: Scalar> DualPass<S> {
     }
 
     /// `q = F p`: the pass with each subdomain's slot as the local
-    /// operation, `view(i)` its factor view. The numerics run in the
-    /// parallel phase; the device-resident slots' SYMV costs are submitted
-    /// afterwards, sequentially in subdomain-index order, so the simulated
-    /// clock is the same on any thread count and in either walk direction.
+    /// operation, on its bundle in `factors` and `l(i)` its factor at `S`.
+    /// The numerics run in the parallel phase; the device-resident slots'
+    /// SYMV costs are submitted afterwards, sequentially in subdomain-index
+    /// order, so the simulated clock is the same on any thread count and in
+    /// either walk direction.
     pub(crate) fn apply_ops<'a>(
         &self,
         problem: &HeatProblem,
+        factors: &[SubdomainFactors],
         ops: &[LocalOp<S>],
-        view: impl Fn(usize) -> Option<FactorView<'a, S>> + Sync + Send,
+        l: impl Fn(usize) -> Option<&'a CscOf<S>> + Sync + Send,
         p: &[S],
     ) -> Vec<S> {
         let mut q = vec![S::ZERO; problem.n_lambda];
         let backward = self.applications.fetch_add(1, AtomicOrdering::Relaxed) % 2 == 1;
         self.run_walk(problem, Some(p), Some(&mut q), backward, |i, _, w, ql| {
-            ops[i].apply(view(i), &w.pl, ql, &mut w.t, &mut w.w)
+            ops[i].apply(&factors[i], l(i), &w.pl, ql, &mut w.local)
         });
         ops.iter().for_each(LocalOp::charge);
         q
@@ -586,25 +574,47 @@ impl AssembledOperators {
         self.triangles.iter().flatten().map(bytes).sum()
     }
 
-    /// One slot per subdomain, each triangle shared, not copied, beside its
-    /// bundle's `Cᵢᵀ`: a subdomain the report placed on a device gets a
-    /// slot resident on the stream of its placement (on `backend`'s
-    /// devices), the others a host one, and a subdomain with no triangle an
-    /// implicit one.
-    pub(crate) fn bind(&self, backend: &Backend, factors: &[SubdomainFactors]) -> Vec<LocalOp> {
+    /// One slot per subdomain, each triangle shared, not copied: a
+    /// subdomain the report placed on a device gets a slot resident on the
+    /// stream of its placement (on `backend`'s devices), the others a host
+    /// one, and a subdomain with no triangle an implicit one.
+    ///
+    /// # Panics
+    ///
+    /// When a placement names a device or a stream `backend` lacks: the
+    /// contract of [`FetiSolverBuilder::operators`] is a backend with the
+    /// devices of the build that assembled the operators.
+    ///
+    /// [`FetiSolverBuilder::operators`]: crate::FetiSolverBuilder::operators
+    pub(crate) fn bind(&self, backend: &Backend) -> Vec<LocalOp> {
         let devices = backend.devices();
         let mut streams: Vec<Option<Stream>> = self.triangles.iter().map(|_| None).collect();
         for t in &self.report.subdomains {
-            streams[t.index] = t.placement.map(|p| devices[p.device].stream(p.stream));
+            streams[t.index] = t.placement.map(|p| {
+                let lacks = |what: String| {
+                    format!(
+                        "subdomain {} was assembled on {what}, which this backend lacks: \
+                         FetiSolverBuilder::operators needs the devices of the assembling build",
+                        t.index
+                    )
+                };
+                let (d, s) = (p.device, p.stream);
+                assert!(d < devices.len(), "{}", lacks(format!("device {d}")));
+                let device = &devices[d];
+                assert!(
+                    s < device.n_streams(),
+                    "{}",
+                    lacks(format!("stream {s} of device {d}"))
+                );
+                device.stream(s)
+            });
         }
         self.triangles
             .iter()
             .zip(streams)
-            .zip(factors)
-            .map(|((g, stream), f)| match g {
+            .map(|(g, stream)| match g {
                 Some(g) => LocalOp::Dense {
                     g: Arc::clone(g),
-                    ct: f.ct.clone(),
                     stream,
                 },
                 None => LocalOp::Implicit,
@@ -724,8 +734,7 @@ mod tests {
     /// the Dirichlet boundary, floating ones) once each, and every bundle is
     /// bitwise the one an independent per-subdomain factorization gives.
     /// Every factor's `L` holds its class analysis's pattern allocation, and
-    /// so do its `f32` demotion and its refactorizations. Eq. 11 reads each
-    /// bundle's `B̃ᵀ` in place, and its `f32` demotion shares the pattern.
+    /// so do its `f32` demotion and its refactorizations.
     #[test]
     fn build_all_shares_one_analysis_per_class_bitwise() {
         let cases = [
@@ -793,10 +802,8 @@ mod tests {
                 );
                 assert_eq!(bits(again.factor_csc_ref()), bits(l), "{at}");
 
-                let bt = FactorView::from(f).bt.row_idx();
-                assert!(std::ptr::eq(bt, f.bt_perm.row_idx()), "{at}");
-                let bt32 = demoted.view(&all, i).expect("an implicit slot").bt;
-                assert!(Arc::ptr_eq(bt32.pattern(), f.bt_perm.pattern()), "{at}");
+                let l32 = demoted.l[i].as_ref().expect("an implicit slot");
+                assert!(Arc::ptr_eq(l32.pattern(), shared), "{at}");
             }
             let mut patterns: Vec<&Arc<sc_sparse::CscPattern>> = Vec::new();
             for f in all.iter() {
@@ -963,7 +970,9 @@ mod tests {
     /// oracle `B̃ K_reg⁻¹ B̃ᵀ` (full matrix, no `sc_factor`) applied with a
     /// plain double loop, and the clock contract: a device slot advances
     /// its stream by exactly one SYMV cost of order `nb` per application, a
-    /// host slot advances nothing.
+    /// host slot advances nothing. The implicit slot is also bitwise Eq. 11
+    /// on the multipliers: `B̃ᵀ` (cast to `S`) scattered with `spmv`, the
+    /// same two sweeps, gathered with `spmv_t`.
     fn slots_match_the_dense_oracle<S: Scalar>(tol: f64) {
         for (sd, factors) in split_problems().iter().flat_map(with_factors) {
             let m = sd.n_lambda();
@@ -984,17 +993,11 @@ mod tests {
                 let g = sc_core::assemble_sc(&mut sc_core::CpuExec, l, &factors.pt_perm, &cfg);
                 SymPackedOf::from_lower(g.as_ref()).cast::<S>()
             };
-            let (l_s, bt_s) = (l.cast::<S>(), factors.bt_perm.cast::<S>());
-            let view = || FactorView {
-                l: &l_s,
-                runs: &factors.boundary_runs,
-                bt: &bt_s,
-            };
+            let l_s = l.cast::<S>();
             let dev = Device::new(DeviceSpec::a100(), 1);
             let twin = Device::new(DeviceSpec::a100(), 1);
             let slot = |stream| LocalOp::Dense {
                 g: Arc::new(dense()),
-                ct: factors.ct.cast::<S>(),
                 stream,
             };
             let slots: [(&str, LocalOp<S>); 3] = [
@@ -1003,12 +1006,27 @@ mod tests {
                 ("dense device", slot(Some(dev.stream(0)))),
             ];
             let ps: Vec<S> = p.iter().map(|&v| S::from_f64(v)).collect();
-            let (mut t, mut w) = (Vec::new(), Vec::new());
+
+            // Eq. 11 on the multipliers, the implicit slot's bitwise oracle
+            let (bt_s, runs) = (factors.bt_perm.cast::<S>(), &factors.boundary_runs);
+            let (mut t, mut w) = (vec![S::ZERO; sd.n_dofs()], Vec::new());
+            bt_s.spmv(S::ONE, &ps, S::ZERO, &mut t);
+            supernodal_lower_solve(&l_s, runs, &mut t, &mut w);
+            supernodal_lower_t_solve(&l_s, runs, &mut t, &mut w);
+            let mut eq11 = vec![S::ZERO; m];
+            bt_s.spmv_t(S::ONE, &t, S::ZERO, &mut eq11);
+
+            let mut scratch = LocalScratch::default();
             for (kind, slot) in &slots {
                 for _ in 0..2 {
                     let mut q = vec![S::ZERO; m];
-                    slot.apply(Some(view()), &ps, &mut q, &mut t, &mut w);
+                    slot.apply(&factors, Some(&l_s), &ps, &mut q, &mut scratch);
                     slot.charge();
+                    if *kind == "implicit" {
+                        let bits =
+                            |v: &[S]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&q), bits(&eq11), "implicit vs Eq. 11 on B̃ᵀ");
+                    }
                     for i in 0..m {
                         let got = q[i].to_f64();
                         assert!(
@@ -1066,18 +1084,25 @@ mod tests {
                 assert_eq!(fast, reference, "hoisted map diverged");
 
                 // scratch reuse across applications must not leak state
-                let (mut scratch, mut tail) = (vec![7.0; 3], vec![-3.0; 2 * n]);
+                let mut scratch = LocalScratch {
+                    pb: vec![5.0; n],
+                    y: vec![-5.0; 1],
+                    t: vec![7.0; 3],
+                    w: vec![-3.0; 2 * n],
+                };
                 let mut again = vec![42.0; m];
-                apply_implicit_with(&factors, &p, &mut again, &mut scratch, &mut tail);
+                let l = factors.chol.factor_csc_ref();
+                apply_implicit_with(&factors, l, &p, &mut again, &mut scratch);
                 assert_eq!(again, reference, "scratch reuse diverged");
-                assert_eq!(scratch.len(), n);
+                assert_eq!(scratch.t.len(), n);
             }
         }
     }
 
-    /// `BoundaryMapOf::gather` against `spmv_t` on a block with an empty
-    /// column and columns of 1, 2 and 4 entries (the FEM builds only
-    /// length 1), with coefficients whose sum depends on the order.
+    /// `BoundaryMap::gather` at `S` against `spmv_t` on the block cast to `S`,
+    /// on a block with an empty column and columns of 1, 2 and 4 entries
+    /// (the FEM builds only length 1), with coefficients whose sum depends
+    /// on the order and which `f32` rounds.
     fn gather_is_bitwise_spmv_t<S: Scalar>() {
         let mut coo = sc_sparse::Coo::new(6, 4);
         for (i, j, v) in [
@@ -1091,12 +1116,12 @@ mod tests {
         ] {
             coo.push(i, j, v);
         }
-        let bt = coo.to_csc().cast::<S>();
+        let bt = coo.to_csc();
         let t: Vec<S> = (0..6).map(|i| S::from_f64(0.1 + 1.3 * i as f64)).collect();
         let mut want = vec![S::from_f64(9.0); 4];
-        bt.spmv_t(S::ONE, &t, S::ZERO, &mut want);
+        bt.cast::<S>().spmv_t(S::ONE, &t, S::ZERO, &mut want);
         let mut got = vec![S::from_f64(-9.0); 4];
-        BoundaryMapOf::of(&bt).gather(&t, &mut got);
+        BoundaryMap::of(&bt).gather(&t, &mut got);
         assert_eq!(got, want, "{}", S::NAME);
     }
 
@@ -1124,8 +1149,7 @@ mod tests {
     fn restricted_sweeps_match_the_unrestricted_ones<S: Scalar>() {
         for (sd, factors) in pruning_problems().iter().flat_map(with_factors) {
             let l = factors.chol.factor_csc_ref().cast::<S>();
-            let bt = factors.bt_perm.cast::<S>();
-            let map = BoundaryMapOf::of(&bt);
+            let map = BoundaryMap::of(&factors.bt_perm);
             let full = factors.chol.supernode_runs();
             let p: Vec<S> = (0..sd.n_lambda())
                 .map(|i| S::from_f64(((i * 17 % 13) as f64) * 0.25 - 1.5))

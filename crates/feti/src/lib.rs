@@ -23,8 +23,8 @@ pub use approaches::{
     measure_apply_cost, preprocess_approach, DualOpApproach, PreprocessReport, TwoClock,
 };
 pub use dualop::{
-    apply_implicit, apply_implicit_with, AssembledOperators, BoundaryMap, BoundaryMapOf,
-    FactorView, SubdomainFactors,
+    apply_implicit, apply_implicit_with, AssembledOperators, BoundaryMap, LocalScratch,
+    SubdomainFactors,
 };
 pub use pcpg::{pcpg_preconditioned_of, PcpgBreakdown, PcpgResult, PcpgResultOf, PcpgStats};
 pub use refine::RefinementStats;

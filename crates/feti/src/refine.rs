@@ -11,7 +11,7 @@
 //! the budget runs out; then the solver falls back to the full-`f64` PCPG
 //! instead of returning a bad λ.
 
-use crate::dualop::{DualPass, FactorView, LocalOp, SubdomainFactors};
+use crate::dualop::{DualPass, LocalOp, SubdomainFactors};
 use crate::pcpg::{pcpg_preconditioned_of, PcpgStats};
 use crate::solver::{FetiSolver, Preconditioner};
 use rayon::prelude::*;
@@ -33,10 +33,10 @@ pub(crate) struct Demoted {
     /// drops the stream binding — the inner SYMVs run on the host, so only
     /// the `f64` residual applications move a simulated clock.
     ops: Vec<LocalOp<f32>>,
-    /// The demoted `(L, B̃ᵀ)` of each implicit slot's factor view, sharing
-    /// the `f64` patterns (its supernode runs hold no values and stay with
-    /// the `f64` factors); `None` beside a dense one.
-    factors: Vec<Option<(CscOf<f32>, CscOf<f32>)>>,
+    /// The demoted `L` of each implicit slot, sharing the `f64` pattern;
+    /// `None` beside a dense one. Only values are cast: every slot reads
+    /// the `f64` bundle's gluing split and supernode runs.
+    pub(crate) l: Vec<Option<CscOf<f32>>>,
     pass: DualPass<f32>,
 }
 
@@ -47,36 +47,28 @@ impl Demoted {
             .par_iter()
             .zip(factors)
             .map(|(op, fac)| match op {
-                LocalOp::Dense { g, ct, .. } => {
-                    let (g, ct) = (Arc::new(g.cast()), ct.cast());
-                    (
-                        LocalOp::Dense {
-                            g,
-                            ct,
-                            stream: None,
-                        },
-                        None,
-                    )
+                LocalOp::Dense { g, .. } => {
+                    let g = Arc::new(g.cast());
+                    (LocalOp::Dense { g, stream: None }, None)
                 }
-                LocalOp::Implicit => {
-                    let l = fac.chol.factor_csc_ref().cast::<f32>();
-                    let bt = fac.bt_perm.cast::<f32>();
-                    (LocalOp::Implicit, Some((l, bt)))
-                }
+                LocalOp::Implicit => (LocalOp::Implicit, Some(fac.chol.factor_csc_ref().cast())),
             })
             .collect();
-        let (ops, factors) = demoted.into_iter().unzip();
+        let (ops, l) = demoted.into_iter().unzip();
         Demoted {
             ops,
-            factors,
+            l,
             pass: DualPass::new(problem),
         }
     }
 
-    /// Bytes of operator storage the demoted slots own.
+    /// Bytes of operator storage the demoted side owns: the slots' triangles
+    /// and the implicit slots' factor values.
     #[cfg(test)]
     pub(crate) fn held_bytes(&self) -> usize {
-        self.ops.iter().map(LocalOp::held_bytes).sum()
+        let l = |l: &CscOf<f32>| std::mem::size_of_val(l.values());
+        let factors: usize = self.l.iter().flatten().map(l).sum();
+        self.ops.iter().map(LocalOp::held_bytes).sum::<usize>() + factors
     }
 
     /// The pass of [`FetiSolver::apply_f`] at `f32` (the inner solves' hot
@@ -87,19 +79,8 @@ impl Demoted {
         factors: &[SubdomainFactors],
         p: &[f32],
     ) -> Vec<f32> {
-        self.pass
-            .apply_ops(problem, &self.ops, |i| self.view(factors, i), p)
-    }
-
-    /// Subdomain `i`'s demoted factor view, `None` beside a dense slot.
-    pub(crate) fn view<'a>(
-        &'a self,
-        factors: &'a [SubdomainFactors],
-        i: usize,
-    ) -> Option<FactorView<'a, f32>> {
-        let (l, bt) = self.factors[i].as_ref()?;
-        let runs = &factors[i].boundary_runs;
-        Some(FactorView { l, runs, bt })
+        let l = |i: usize| self.l[i].as_ref();
+        self.pass.apply_ops(problem, factors, &self.ops, l, p)
     }
 }
 

@@ -238,7 +238,8 @@ impl FetiSolverBuilder {
     /// [`FetiSolver::shared_operators`] call on a build of an **identical**
     /// problem, at either working precision, whose backend had the devices
     /// this one has (the contract of [`factors`](Self::factors)); a length
-    /// mismatch panics at build time.
+    /// mismatch, or a placement on a device or a stream this backend lacks,
+    /// panics at build time.
     pub fn operators(mut self, operators: Arc<AssembledOperators>) -> Self {
         self.operators = Some(operators);
         self
@@ -247,6 +248,14 @@ impl FetiSolverBuilder {
     /// Run the initialization + preprocessing stages (paper §2.2) and return
     /// the reusable solver handle. Options are captured here, once —
     /// [`FetiSolver::solve`] takes no arguments.
+    ///
+    /// # Panics
+    ///
+    /// When reused [`factors`](Self::factors) or
+    /// [`operators`](Self::operators) do not cover every subdomain of
+    /// `problem`, or when the reused operators were assembled on a device or
+    /// a stream this builder's backend lacks (the contract of
+    /// [`operators`](Self::operators)).
     pub fn build<'p>(self, problem: &'p HeatProblem) -> FetiSolver<'p> {
         let FetiSolverBuilder {
             opts,
@@ -292,7 +301,7 @@ impl FetiSolverBuilder {
         // one operator slot per subdomain; an implicit slot applies against
         // `factors`, and a reused triangle is uploaded to its stream
         let ops: Vec<LocalOp> = match &operators {
-            Some(operators) => operators.bind(&backend, &factors),
+            Some(operators) => operators.bind(&backend),
             None => factors.iter().map(|_| LocalOp::Implicit).collect(),
         };
         if reused.is_some() {
@@ -473,8 +482,9 @@ impl<'p> FetiSolver<'p> {
 
     /// Apply the assembled dual operator `F` to a global dual vector.
     pub fn apply_f(&self, p: &[f64]) -> Vec<f64> {
-        let view = |i: usize| Some((&self.factors[i]).into());
-        self.pass.apply_ops(self.problem, &self.ops, view, p)
+        let l = |i: usize| Some(self.factors[i].chol.factor_csc_ref());
+        self.pass
+            .apply_ops(self.problem, &self.factors, &self.ops, l, p)
     }
 
     /// Solve the small coarse system `(GᵀG) x = b`.
@@ -502,11 +512,12 @@ impl<'p> FetiSolver<'p> {
         let mut z = vec![0.0; self.problem.n_lambda];
         self.pass
             .run(self.problem, Some(w), Some(&mut z), |_, sd, ws, zl| {
-                ws.t.resize(sd.n_dofs(), 0.0);
-                ws.kt.resize(sd.n_dofs(), 0.0);
-                sd.bt.spmv(1.0, &ws.pl, 0.0, &mut ws.t); // B̃ᵀ w̃
-                sd.k.spmv(1.0, &ws.t, 0.0, &mut ws.kt); // K B̃ᵀ w̃
-                sd.bt.spmv_t(1.0, &ws.kt, 0.0, zl); // B̃ K B̃ᵀ w̃
+                let (t, kt) = (&mut ws.local.t, &mut ws.local.w);
+                t.resize(sd.n_dofs(), 0.0);
+                kt.resize(sd.n_dofs(), 0.0);
+                sd.bt.spmv(1.0, &ws.pl, 0.0, t); // B̃ᵀ w̃
+                sd.k.spmv(1.0, t, 0.0, kt); // K B̃ᵀ w̃
+                sd.bt.spmv_t(1.0, kt, 0.0, zl); // B̃ K B̃ᵀ w̃
             });
         z
     }
@@ -726,22 +737,35 @@ mod tests {
             .build(problem)
     }
 
+    /// Neither a slot nor its demotion holds a gluing block: a dense slot
+    /// holds its packed triangle, an implicit one nothing, and the demotion
+    /// casts only those triangles and the implicit slots' `L` values.
     #[test]
     fn dense_slots_hold_the_packed_triangle_and_nothing_else() {
         let p = HeatProblem::build_2d(5, (3, 2), Gluing::Redundant);
-        for precision in [Precision::F64, Precision::f32_refined()] {
-            let solver = FetiSolverBuilder::new()
-                .formulation(FormulationChoice::Explicit)
-                .precision(precision)
-                .build(&p);
-            // the triangles of order nb, the distinct glued dofs
-            let entries = |f: &SubdomainFactors| f.pt_perm.ncols() * (f.pt_perm.ncols() + 1) / 2;
-            let triangle: usize = solver.factors().iter().map(entries).sum();
-            let held: usize = solver.ops.iter().map(LocalOp::held_bytes).sum();
-            assert_eq!(held, triangle * 8, "{precision:?}: f64 slots");
-            let demoted = solver.demoted.as_ref().map(Demoted::held_bytes);
-            let want = precision.is_f32().then_some(triangle * 4);
-            assert_eq!(demoted, want, "{precision:?}: f32 slots");
+        for formulation in [FormulationChoice::Explicit, FormulationChoice::Implicit] {
+            for precision in [Precision::F64, Precision::f32_refined()] {
+                let solver = FetiSolverBuilder::new()
+                    .formulation(formulation.clone())
+                    .precision(precision)
+                    .build(&p);
+                let at = format!("{formulation:?} {precision:?}");
+                // the triangles of order nb, the distinct glued dofs, or the
+                // factors of the implicit slots
+                let (mut triangle, mut l) = (0, 0);
+                for f in solver.factors() {
+                    let nb = f.pt_perm.ncols();
+                    match formulation {
+                        FormulationChoice::Implicit => l += f.chol.factor_nnz(),
+                        _ => triangle += nb * (nb + 1) / 2,
+                    }
+                }
+                let held: usize = solver.ops.iter().map(LocalOp::held_bytes).sum();
+                assert_eq!(held, triangle * 8, "{at}: f64 slots");
+                let demoted = solver.demoted.as_ref().map(Demoted::held_bytes);
+                let want = precision.is_f32().then_some((triangle + l) * 4);
+                assert_eq!(demoted, want, "{at}: f32 slots and factors");
+            }
         }
     }
 
@@ -825,6 +849,33 @@ mod tests {
             assert_eq!(sc.lambda, sw.lambda, "{precision:?}: λ bitwise");
             assert_eq!(sc.u_locals, sw.u_locals, "{precision:?}: u bitwise");
         }
+    }
+
+    /// Reused operators bound to a backend without their device, or
+    /// without their stream, panic with the contract, not inside an index.
+    fn bind_gpu_operators_to(backend: Backend) {
+        let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
+        let gpu = Backend::gpu(Device::new(DeviceSpec::a100(), 4));
+        let cold = explicit_solver(&p, gpu, ScConfig::optimized(true, false));
+        let placed = cold.report().unwrap().subdomains.iter();
+        assert!(placed.filter_map(|t| t.placement).any(|at| at.stream == 3));
+        FetiSolverBuilder::new()
+            .backend(backend)
+            .factors(cold.shared_factors())
+            .operators(cold.shared_operators().unwrap())
+            .build(&p);
+    }
+
+    #[test]
+    #[should_panic(expected = "assembled on device 0, which this backend lacks")]
+    fn reused_gpu_operators_on_the_cpu_panic_with_the_contract() {
+        bind_gpu_operators_to(Backend::cpu());
+    }
+
+    #[test]
+    #[should_panic(expected = "of device 0, which this backend lacks")]
+    fn reused_operators_on_fewer_streams_panic_with_the_contract() {
+        bind_gpu_operators_to(Backend::gpu(Device::new(DeviceSpec::a100(), 2)));
     }
 
     #[test]
@@ -1109,7 +1160,7 @@ mod tests {
     }
 
     /// Dual vectors that would expose scratch that is not re-zeroed:
-    /// `BoundaryMapOf::scatter` accumulates into its vector, so a stale
+    /// `BoundaryMap::scatter` accumulates into its vector, so a stale
     /// dof-space vector would leak the previous application into the next.
     fn probe_vectors(n: usize) -> Vec<Vec<f64>> {
         let dense: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
