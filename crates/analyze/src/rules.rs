@@ -49,9 +49,7 @@ pub trait Rule {
 pub fn default_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(PanicSurface),
-        Box::new(FloatEq {
-            allow_files: FLOAT_EQ_ALLOWLIST,
-        }),
+        Box::new(FloatEq),
         Box::new(PrecisionDiscipline {
             allow_files: PRECISION_ALLOWLIST,
         }),
@@ -63,14 +61,6 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         }),
     ]
 }
-
-/// Files permitted to compare floats bitwise with `==`/`!=`: replay
-/// determinism tests, where the whole point is bit-identical numerics.
-pub const FLOAT_EQ_ALLOWLIST: &[&str] = &[
-    "tests/determinism.rs",
-    "crates/core/src/batch.rs",
-    "crates/core/tests/",
-];
 
 /// True for paths that are library (non-test, non-bench, non-shim)
 /// sources: `src/**` of the facade or of any `crates/<name>` except
@@ -208,21 +198,13 @@ fn expect_has_descriptive_message(file: &SourceFile, open_si: usize) -> bool {
 // ---------------------------------------------------------------------------
 
 /// `==`/`!=` on expressions involving float literals is almost always a
-/// bug outside determinism tests; use a tolerance or compare `.to_bits()`.
-/// Files on the allowlist assert bitwise replay equality on purpose.
-pub struct FloatEq {
-    /// Exact paths or `/`-terminated directory prefixes exempt from the
-    /// rule.
-    pub allow_files: &'static [&'static str],
-}
+/// bug; use a tolerance or compare `.to_bits()` (how bitwise replay
+/// equality is asserted). The rule runs on every file.
+pub struct FloatEq;
 
 impl Rule for FloatEq {
     fn name(&self) -> &'static str {
         "float-eq"
-    }
-
-    fn applies(&self, rel: &str) -> bool {
-        !allowlisted(rel, self.allow_files)
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
@@ -607,10 +589,10 @@ mod tests {
     }
 
     #[test]
-    fn float_eq_fires_and_respects_allowlist() {
+    fn float_eq_fires_in_every_file() {
         let src = "fn f(x: f64) -> bool { x == 0.5 }\n";
         assert_eq!(run("crates/fem/src/problem.rs", src).len(), 1);
-        assert!(run("tests/determinism.rs", src).is_empty());
+        assert_eq!(run("tests/determinism.rs", src).len(), 1);
         let neg = "fn f(x: f64) -> bool { x != -1.5 }\n";
         assert_eq!(run("crates/fem/src/problem.rs", neg).len(), 1);
         let int = "fn f(x: u8) -> bool { x == 5 }\n";

@@ -289,7 +289,7 @@ fn replay_device(
             if let Some(fl) = current[s].as_mut() {
                 // replay the subdomain's next kernel
                 let (cost, access) = &recorded[fl.index].kernels[fl.kpos];
-                let k = device.submit(s, cost, 0.0);
+                let k = device.submit(s, cost);
                 let slot = |touched: bool| if touched { vec![fl.index] } else { Vec::new() };
                 events.push(TraceEvent::Kernel {
                     label: cost.label,

@@ -63,35 +63,23 @@ use std::sync::Arc;
 /// [`Precision::F64`] solves with full-`f64` PCPG.
 /// [`Precision::F32Refined`] wraps inner `f32` PCPG solves, which apply
 /// demoted copies of the operators, in an `f64` iterative-refinement loop
-/// whose residual applies the `f64` operators.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// whose residual applies the `f64` operators. Both stop at the solver's
+/// own tolerance (`sc_feti::FetiOptions::tol`), so the variants carry no
+/// settings.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// Full `f64` throughout.
     #[default]
     F64,
     /// `f32` inner solves with `f64` iterative refinement on top.
-    F32Refined {
-        /// Relative residual the refinement loop drives toward (in `f64`).
-        refine_tol: f64,
-        /// Refinement iterations allowed before the solve falls back to a
-        /// full `f64` pass.
-        max_refine: usize,
-    },
+    F32Refined,
 }
 
 impl Precision {
-    /// The `f32`-refined mode under default refinement limits
-    /// (`refine_tol = 1e-10`, `max_refine = 40`).
+    /// The same value as [`Precision::F32Refined`], for callers that name
+    /// it as a function.
     pub fn f32_refined() -> Self {
-        Precision::F32Refined {
-            refine_tol: 1e-10,
-            max_refine: 40,
-        }
-    }
-
-    /// True for the `f32`-refined mode.
-    pub fn is_f32(&self) -> bool {
-        matches!(self, Precision::F32Refined { .. })
+        Precision::F32Refined
     }
 }
 

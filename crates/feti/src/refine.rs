@@ -7,9 +7,11 @@
 //! measures the true residual `P(d − Fλ)` with the `f64` operators, the one
 //! refinement converges to (Carson & Higham, SIAM J. Sci. Comput. 40(2),
 //! 2018). Each outer iteration solves `F δ = r` at `f32` to a modest
-//! tolerance and adds `δ` in `f64`, until the residual reaches the target or
-//! the budget runs out; then the solver falls back to the full-`f64` PCPG
-//! instead of returning a bad λ.
+//! tolerance and adds `δ` in `f64`, until the residual reaches the solve's
+//! own tolerance ([`FetiOptions::tol`](crate::FetiOptions::tol)), the
+//! stopping rule of the `f64` solve. When the residual stalls or four
+//! corrections (`MAX_OUTER`) do not reach it, the solver falls back to the
+//! full-`f64` PCPG instead of returning a bad λ.
 
 use crate::dualop::{DualPass, LocalOp, SubdomainFactors};
 use crate::pcpg::{pcpg_preconditioned_of, PcpgStats};
@@ -25,6 +27,11 @@ use std::sync::Arc;
 /// iteration therefore knocks ~4 orders of magnitude off the `f64`
 /// residual.
 const INNER_TOL: f64 = 1e-4;
+
+/// Correction solves a refined solve runs before it falls back to the
+/// full-`f64` PCPG. At [`INNER_TOL`] each correction gains ~4 orders, so
+/// four reach the default `tol` of 1e-9 from an O(1) residual.
+pub(crate) const MAX_OUTER: usize = 4;
 
 /// The `f32` side of a refined solver: every operator slot demoted once at
 /// build time and reused across every inner PCPG iteration.
@@ -96,9 +103,11 @@ pub struct RefinementStats {
     pub outer_iterations: usize,
     /// Total inner (`f32`) PCPG iterations across all correction solves.
     pub inner_iterations: usize,
-    /// False when refinement reached its target. True when it stalled or
-    /// exhausted its budget and the solver re-solved with the full-`f64`
-    /// PCPG path, whose statistics are then the solution's.
+    /// False when refinement reached the solve's tolerance
+    /// ([`FetiOptions::tol`](crate::FetiOptions::tol)). True when it
+    /// stalled or ran four corrections (`MAX_OUTER`) short of it and the
+    /// solver re-solved with the full-`f64` PCPG path, whose statistics are
+    /// then the solution's.
     pub fell_back: bool,
 }
 
@@ -108,15 +117,16 @@ impl FetiSolver<'_> {
     /// and accumulates corrections in `f64`; each correction solves
     /// `F δ = r` with the **`f32`** PCPG against the demoted operators. The
     /// correction is re-projected in `f64` before the update so the coarse
-    /// constraint `Gᵀλ = e` never degrades to single precision. When the
-    /// residual stalls or the refinement budget runs out, the solve falls
-    /// back to the full-`f64` PCPG from the best iterate.
+    /// constraint `Gᵀλ = e` never degrades to single precision. The loop
+    /// stops at the options' `tol`; when the residual stalls or
+    /// `max_outer` corrections fall short of it (the solver passes
+    /// [`MAX_OUTER`]), the solve falls back to the full-`f64` PCPG from the
+    /// best iterate.
     pub(crate) fn solve_refined(
         &self,
         d: &[f64],
         lambda0: Vec<f64>,
-        refine_tol: f64,
-        max_refine: usize,
+        max_outer: usize,
     ) -> (Vec<f64>, PcpgStats, Option<RefinementStats>) {
         let opts = self.options();
         let norm0 = {
@@ -156,12 +166,12 @@ impl FetiSolver<'_> {
             let resid: Vec<f64> = d.iter().zip(&flam).map(|(di, fi)| di - fi).collect();
             let r = self.project(&resid);
             rel = sc_dense::dot(&r, &r).sqrt() / norm0;
-            if rel <= refine_tol {
+            if rel <= opts.tol {
                 break;
             }
             // stalled (single precision can push no further) or out of
             // budget: hand over to the f64 fallback below
-            if outer >= max_refine || rel >= 0.5 * prev_rel {
+            if outer >= max_outer || rel >= 0.5 * prev_rel {
                 break;
             }
             prev_rel = rel;
@@ -195,7 +205,7 @@ impl FetiSolver<'_> {
             outer += 1;
         }
 
-        if rel <= refine_tol {
+        if rel <= opts.tol {
             refined(lambda, outer, inner_total, applications, rel)
         } else {
             // refinement failed to reach the target: fall back to the

@@ -11,7 +11,7 @@
 
 use crate::dualop::{assemble_auto, AssembledOperators, DualPass, LocalOp, SubdomainFactors};
 use crate::pcpg::PcpgStats;
-use crate::refine::{Demoted, RefinementStats};
+use crate::refine::{Demoted, RefinementStats, MAX_OUTER};
 use sc_core::{AssemblyReport, AssemblySession, Backend, HybridPlanOptions, Precision, ScConfig};
 use sc_dense::Mat;
 use sc_factor::Engine;
@@ -207,7 +207,8 @@ impl FetiSolverBuilder {
     /// Set the working precision of every solve (default [`Precision::F64`]).
     /// Under [`Precision::F32Refined`] the `f64`-assembled operators are
     /// demoted for the inner PCPG solves only, inside an `f64`
-    /// iterative-refinement loop ([`FetiSolution::refinement`]).
+    /// iterative-refinement loop ([`FetiSolution::refinement`]) that stops
+    /// at [`FetiOptions::tol`], as the `f64` solve does.
     pub fn precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
         self
@@ -327,9 +328,9 @@ pub struct FetiSolver<'p> {
     /// The backend captured at construction: its devices hold the
     /// device-resident slots.
     backend: Backend,
-    /// Working precision of every solve, and the demoted (`f32`) slots of
-    /// its inner solves, `Some` exactly under [`Precision::F32Refined`].
-    precision: Precision,
+    /// The demoted (`f32`) slots of the refined solve's inner solves,
+    /// `Some` exactly under [`Precision::F32Refined`]: the working
+    /// precision of every solve.
     demoted: Option<Demoted>,
     /// Sparse `G = B R` (`n_lambda × n_kernels`).
     g: Csc,
@@ -401,9 +402,8 @@ impl<'p> FetiSolver<'p> {
         };
 
         // demote the slots once for the mixed-precision inner solves
-        let demoted = precision
-            .is_f32()
-            .then(|| Demoted::of(&ops, &factors, problem));
+        let demoted =
+            (precision == Precision::F32Refined).then(|| Demoted::of(&ops, &factors, problem));
 
         let mut solver = FetiSolver {
             problem,
@@ -412,7 +412,6 @@ impl<'p> FetiSolver<'p> {
             ops,
             pass: DualPass::new(problem),
             backend: backend.clone(),
-            precision,
             demoted,
             g,
             gtg,
@@ -561,24 +560,12 @@ impl<'p> FetiSolver<'p> {
     }
 
     fn solve_inner(&self, d: &[f64], e: &[f64], f_locals: Option<&[Vec<f64>]>) -> FetiSolution {
-        // λ0 = G (GᵀG)⁻¹ e satisfies Gᵀ λ0 = e (Eq. 4)
-        let lambda0 = if self.n_kernels() == 0 {
-            vec![0.0; self.problem.n_lambda]
+        let lambda0 = self.lambda0(e);
+        let (lambda, stats, refinement) = if self.demoted.is_some() {
+            self.solve_refined(d, lambda0, MAX_OUTER)
         } else {
-            let y = self.coarse_solve(e);
-            let mut l0 = vec![0.0; self.problem.n_lambda];
-            self.g.spmv(1.0, &y, 0.0, &mut l0);
-            l0
-        };
-        let (lambda, stats, refinement) = match self.precision {
-            Precision::F64 => {
-                let res = self.pcpg_f64(d, lambda0);
-                (res.lambda, res.stats, None)
-            }
-            Precision::F32Refined {
-                refine_tol,
-                max_refine,
-            } => self.solve_refined(d, lambda0, refine_tol, max_refine),
+            let res = self.pcpg_f64(d, lambda0);
+            (res.lambda, res.stats, None)
         };
         let u_locals = self.recover_primal_with(&lambda, d, f_locals);
         FetiSolution {
@@ -587,6 +574,17 @@ impl<'p> FetiSolver<'p> {
             stats,
             refinement,
         }
+    }
+
+    /// The PCPG starting point `λ0 = G (GᵀG)⁻¹ e`, which satisfies
+    /// `Gᵀ λ0 = e` (Eq. 4).
+    fn lambda0(&self, e: &[f64]) -> Vec<f64> {
+        let mut l0 = vec![0.0; self.problem.n_lambda];
+        if self.n_kernels() > 0 {
+            let y = self.coarse_solve(e);
+            self.g.spmv(1.0, &y, 0.0, &mut l0);
+        }
+        l0
     }
 
     /// The full-`f64` PCPG solve (the historical path; also the
@@ -618,7 +616,10 @@ impl<'p> FetiSolver<'p> {
 
     /// The working precision captured at construction.
     pub fn precision(&self) -> Precision {
-        self.precision
+        match self.demoted {
+            Some(_) => Precision::F32Refined,
+            None => Precision::F64,
+        }
     }
 
     /// Primal recovery for the problem's own loads: `α = (GᵀG)⁻¹Gᵀ(Fλ − d)`,
@@ -712,8 +713,14 @@ mod tests {
             "PCPG did not converge: {:?}",
             sol.stats
         );
+        check_primal(problem, &sol.u_locals, tol);
+    }
+
+    /// `u_locals` matches the direct solve to `tol` relative to its largest
+    /// entry.
+    fn check_primal(problem: &HeatProblem, u_locals: &[Vec<f64>], tol: f64) {
         let direct = direct_solution(problem);
-        let u = problem.gather_global(&sol.u_locals);
+        let u = problem.gather_global(u_locals);
         let scale = direct.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         for i in 0..u.len() {
             assert!(
@@ -744,7 +751,7 @@ mod tests {
     fn dense_slots_hold_the_packed_triangle_and_nothing_else() {
         let p = HeatProblem::build_2d(5, (3, 2), Gluing::Redundant);
         for formulation in [FormulationChoice::Explicit, FormulationChoice::Implicit] {
-            for precision in [Precision::F64, Precision::f32_refined()] {
+            for precision in [Precision::F64, Precision::F32Refined] {
                 let solver = FetiSolverBuilder::new()
                     .formulation(formulation.clone())
                     .precision(precision)
@@ -763,7 +770,7 @@ mod tests {
                 let held: usize = solver.ops.iter().map(LocalOp::held_bytes).sum();
                 assert_eq!(held, triangle * 8, "{at}: f64 slots");
                 let demoted = solver.demoted.as_ref().map(Demoted::held_bytes);
-                let want = precision.is_f32().then_some((triangle + l) * 4);
+                let want = (precision == Precision::F32Refined).then_some((triangle + l) * 4);
                 assert_eq!(demoted, want, "{at}: f32 slots and factors");
             }
         }
@@ -808,7 +815,7 @@ mod tests {
     #[test]
     fn reused_operators_solve_is_bitwise_identical_and_bill_only_uploads() {
         let p = HeatProblem::build_2d(6, (3, 2), Gluing::Redundant);
-        for precision in [Precision::F64, Precision::f32_refined()] {
+        for precision in [Precision::F64, Precision::F32Refined] {
             let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
             let cold = FetiSolverBuilder::new()
                 .backend(Backend::cluster(Arc::clone(&pool)))
@@ -1180,7 +1187,7 @@ mod tests {
             mixed_problem(),
         );
         for (kind, p) in [("implicit", &small), ("explicit", &small), ("auto", &mixed)] {
-            for precision in [Precision::F64, Precision::f32_refined()] {
+            for precision in [Precision::F64, Precision::F32Refined] {
                 let used = fresh_solver(p, kind, precision);
                 for v in probe_vectors(p.n_lambda) {
                     let fresh = fresh_solver(p, kind, precision);
@@ -1190,7 +1197,7 @@ mod tests {
                         fresh.apply_lumped(&v),
                         "{kind} apply_lumped"
                     );
-                    if precision.is_f32() {
+                    if precision == Precision::F32Refined {
                         let v32: Vec<f32> = v.iter().map(|&x| x as f32).collect();
                         assert_eq!(
                             used.apply_f32(&v32),
@@ -1525,14 +1532,15 @@ mod tests {
         let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
         let build = |precision| {
             FetiSolverBuilder::new()
+                .options(FetiOptions::default().with_tol(1e-10))
                 .backend(Backend::cpu())
                 .precision(precision)
                 .formulation(FormulationChoice::Explicit)
                 .assembly(ScConfig::optimized(false, false))
                 .build(&p)
         };
-        let solver = build(Precision::f32_refined());
-        assert!(solver.precision().is_f32());
+        let solver = build(Precision::F32Refined);
+        assert_eq!(solver.precision(), Precision::F32Refined);
         check_solver(&p, &solver, 1e-6);
         let sol = solver.solve();
         let refinement = sol.refinement.expect("refined path reports stats");
@@ -1565,7 +1573,7 @@ mod tests {
                 .build(&p)
                 .solve()
         };
-        let (s64, s32) = (solve(Precision::F64), solve(Precision::f32_refined()));
+        let (s64, s32) = (solve(Precision::F64), solve(Precision::F32Refined));
         assert!(
             !s32.refinement
                 .expect("refined path reports stats")
@@ -1584,7 +1592,8 @@ mod tests {
         // factor bundles (f32 triangular solves)
         let p = HeatProblem::build_3d(2, (2, 2, 1), Gluing::Redundant);
         let solver = FetiSolverBuilder::new()
-            .precision(Precision::f32_refined())
+            .options(FetiOptions::default().with_tol(1e-10))
+            .precision(Precision::F32Refined)
             .build(&p);
         check_solver(&p, &solver, 1e-6);
         let sol = solver.solve();
@@ -1598,7 +1607,7 @@ mod tests {
         let p = HeatProblem::build_2d(5, (3, 2), Gluing::Redundant);
         let s64 = FetiSolverBuilder::new().build(&p).solve();
         let s32 = FetiSolverBuilder::new()
-            .precision(Precision::f32_refined())
+            .precision(Precision::F32Refined)
             .build(&p)
             .solve();
         assert!(
@@ -1617,28 +1626,48 @@ mod tests {
         }
     }
 
+    /// A refined solve stops where the `f64` solve stops: a converged
+    /// solve reports a residual at or below the options' `tol`, whether
+    /// refinement reached it or the `f64` fallback did. Three corrections
+    /// take this mesh to ~2e-11, between the two tolerances.
+    #[test]
+    fn refined_solve_stops_at_the_options_tol() {
+        let p = HeatProblem::build_2d(6, (3, 3), Gluing::Redundant);
+        for tol in [1e-8, 1e-12] {
+            let sol = FetiSolverBuilder::new()
+                .options(FetiOptions::default().with_tol(tol))
+                .precision(Precision::F32Refined)
+                .build(&p)
+                .solve();
+            assert!(sol.refinement.is_some(), "refined path reports stats");
+            assert!(
+                !sol.stats.converged || sol.stats.rel_residual <= tol,
+                "tol {tol:e}: converged at {:e}",
+                sol.stats.rel_residual
+            );
+        }
+    }
+
     #[test]
     fn refinement_budget_exhaustion_falls_back_to_f64() {
-        // one outer iteration cannot reach 1e-14 from an O(1) residual at
-        // inner tolerance 1e-4: the budget runs out and the solver must
-        // fall back to the full-f64 PCPG instead of returning a bad λ
+        // one correction cannot reach the default tol of 1e-9 from an O(1)
+        // residual at inner tolerance 1e-4: the cap of 1 runs out and the
+        // solver must fall back to the full-f64 PCPG instead of returning a
+        // bad λ
         let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
         let solver = FetiSolverBuilder::new()
-            .precision(Precision::F32Refined {
-                refine_tol: 1e-14,
-                max_refine: 1,
-            })
+            .precision(Precision::F32Refined)
             .build(&p);
-        let sol = solver.solve();
-        let refinement = sol.refinement.expect("refined path reports stats");
+        let (lambda, stats, refinement) =
+            solver.solve_refined(&solver.d, solver.lambda0(&solver.e), 1);
+        let refinement = refinement.expect("refined path reports stats");
         assert!(refinement.fell_back, "budget exhaustion must fall back");
         assert_eq!(refinement.outer_iterations, 1);
         assert!(
-            sol.stats.converged,
-            "the f64 fallback must still converge: {:?}",
-            sol.stats
+            stats.converged && stats.rel_residual <= solver.options().tol,
+            "the f64 fallback must still converge: {stats:?}"
         );
-        check_solver(&p, &solver, 1e-6);
+        check_primal(&p, &solver.recover_primal(&lambda), 1e-6);
     }
 
     #[test]

@@ -88,7 +88,13 @@ impl Device {
     }
 
     /// Handle to stream `i`.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not below [`Device::n_streams`].
     pub fn stream(self: &Arc<Self>, i: usize) -> Stream {
+        let n = self.n_streams();
+        assert!(i < n, "stream {i} requested on a device with {n} streams");
         Stream {
             device: Arc::clone(self),
             id: i,
@@ -100,29 +106,24 @@ impl Device {
         self.state().stream_clock.len()
     }
 
-    /// Submit a kernel on stream `id`, not starting before `ready_at`
-    /// (simulated seconds). Returns its simulated span.
+    /// Submit a kernel on stream `id`, after the stream's last kernel (and
+    /// any readiness set with [`Device::advance_stream`]). Returns its
+    /// simulated span.
     ///
     /// # Panics
     ///
     /// When `cost` carries NaN, infinite, or negative work (see
     /// [`KernelCost::validate`]) — malformed costs fail here with an error
     /// naming the kernel, instead of corrupting the slot heap's ordering.
-    pub fn submit(&self, id: usize, cost: &KernelCost, ready_at: f64) -> SimSpan {
+    pub fn submit(&self, id: usize, cost: &KernelCost) -> SimSpan {
         if let Err(e) = cost.validate() {
             // documented contract (see `# Panics`). sc-analyze: allow(panic-surface)
             panic!("rejected submission on stream {id}: {e}");
         }
-        assert!(
-            ready_at.is_finite() && ready_at >= 0.0,
-            "kernel '{}' submitted with invalid ready_at {ready_at}",
-            cost.label
-        );
         let dur = self.spec.kernel_seconds(cost);
         let mut st = self.state();
-        let t0 = st.stream_clock[id].max(ready_at);
         let Reverse(F(slot_free)) = st.slots.pop().expect("no slots");
-        let start = t0.max(slot_free);
+        let start = st.stream_clock[id].max(slot_free);
         let end = start + dur;
         st.slots.push(Reverse(F(end)));
         st.stream_clock[id] = end;
@@ -252,9 +253,9 @@ impl Stream {
         self.id
     }
 
-    /// Submit a kernel on this stream (ready immediately).
+    /// Submit a kernel on this stream.
     pub fn submit(&self, cost: &KernelCost) -> SimSpan {
-        self.device.submit(self.id, cost, 0.0)
+        self.device.submit(self.id, cost)
     }
 
     /// Simulated completion time of this stream's last kernel.
@@ -310,8 +311,18 @@ mod tests {
     fn ready_at_delays_start() {
         let d = dev();
         let c = KernelCost::compute(1e6, 8e3);
-        let span = d.submit(3, &c, 1.5);
-        assert!(span.start >= 1.5);
+        d.advance_stream(3, 1.5);
+        let span = d.submit(3, &c);
+        assert_eq!(span.start.to_bits(), 1.5f64.to_bits());
+        // advancing to an earlier time never moves the clock back
+        d.advance_stream(3, 0.5);
+        assert!(d.submit(3, &c).start >= span.end);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream 4 requested on a device with 4 streams")]
+    fn out_of_range_stream_panics_where_it_is_requested() {
+        dev().stream(4);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod server;
 pub use cache::{content_key, prepare, PreparedCache, PreparedSession};
 pub use json::{parse_json_line, JVal, ProtoError};
 pub use protocol::{
-    encode_request, parse_request, BackendTag, JobKind, JobRequest, MeshSpec, PrecisionTag, Request,
+    encode_request, parse_request, BackendTag, JobKind, JobRequest, MeshSpec, Request,
 };
 pub use scheduler::{estimate_job_seconds, QueuedJob, Scheduler, TenantStats};
 pub use server::{

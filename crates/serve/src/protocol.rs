@@ -5,10 +5,14 @@
 //! syntax layer (parser, [`ProtoError`], writer helpers) lives in
 //! [`crate::json`]; this module turns a parsed line into a [`Request`],
 //! rejecting unknown fields and out-of-range values with an error naming
-//! the field.
+//! the field. A request's gluing and precision are the library's own
+//! [`Gluing`] and [`Precision`], spelled on the wire by a `WireName`
+//! table like the service's own enums, so a decoded job carries the value
+//! the solver builder takes.
 
 use std::fmt::Display;
 
+use sc_core::Precision;
 use sc_fem::Gluing;
 
 use crate::json::{parse_json_line, write_json_f64, write_json_str, JVal, ProtoError};
@@ -58,20 +62,10 @@ impl WireName for Gluing {
         &[("redundant", Gluing::Redundant), ("chain", Gluing::Chain)];
 }
 
-/// Working precision selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PrecisionTag {
-    /// Full `f64`.
-    F64,
-    /// `f32` inner applies of the `f64`-assembled operators under `f64`
-    /// iterative refinement.
-    F32Refined,
-}
-
-impl WireName for PrecisionTag {
+impl WireName for Precision {
     const NAMES: &'static [(&'static str, Self)] = &[
-        ("f64", PrecisionTag::F64),
-        ("f32_refined", PrecisionTag::F32Refined),
+        ("f64", Precision::F64),
+        ("f32_refined", Precision::F32Refined),
     ];
 }
 
@@ -112,7 +106,8 @@ pub struct JobRequest {
     /// Caller-chosen id, unique per tenant among queued jobs.
     pub job: String,
     pub spec: MeshSpec,
-    pub precision: PrecisionTag,
+    /// Working precision of the solve, passed to the solver builder as is.
+    pub precision: Precision,
     pub backend: BackendTag,
     /// Load scale of a solve (`f → scale · f`); 1.0 = the problem's own.
     pub scale: f64,
@@ -441,7 +436,7 @@ mod tests {
         };
         assert_eq!(j.kind, JobKind::Assemble);
         assert_eq!(j.spec.subs, (2, 2, 1));
-        assert_eq!(j.precision, PrecisionTag::F64);
+        assert_eq!(j.precision, Precision::F64);
         assert!((j.scale - 1.0).abs() < 1e-15);
     }
 
@@ -473,7 +468,7 @@ mod tests {
                 subs: (2, 3, 1),
                 gluing: Gluing::Chain,
             },
-            precision: PrecisionTag::F32Refined,
+            precision: Precision::F32Refined,
             backend: BackendTag::Cpu,
             scale: 2.25,
             weight: Some(0.5),
@@ -504,13 +499,10 @@ mod tests {
             Gluing::Redundant | Gluing::Chain => g,
         };
         check_names(&[gluing(Gluing::Redundant), gluing(Gluing::Chain)]);
-        let precision = |p: PrecisionTag| match p {
-            PrecisionTag::F64 | PrecisionTag::F32Refined => p,
+        let precision = |p: Precision| match p {
+            Precision::F64 | Precision::F32Refined => p,
         };
-        check_names(&[
-            precision(PrecisionTag::F64),
-            precision(PrecisionTag::F32Refined),
-        ]);
+        check_names(&[precision(Precision::F64), precision(Precision::F32Refined)]);
         let backend = |b: BackendTag| match b {
             BackendTag::Cluster | BackendTag::Cpu => b,
         };

@@ -327,7 +327,8 @@ pub fn estimate_job_seconds(spec: &MeshSpec) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{BackendTag, JobKind, PrecisionTag};
+    use crate::protocol::{BackendTag, JobKind};
+    use sc_core::Precision;
     use sc_fem::Gluing;
 
     fn job(tenant: &str, id: &str, timeout_s: Option<f64>, weight: Option<f64>) -> JobRequest {
@@ -341,7 +342,7 @@ mod tests {
                 subs: (2, 2, 1),
                 gluing: Gluing::Redundant,
             },
-            precision: PrecisionTag::F64,
+            precision: Precision::F64,
             backend: BackendTag::Cluster,
             scale: 1.0,
             weight,

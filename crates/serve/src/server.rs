@@ -24,7 +24,7 @@ use sc_gpu::{DevicePool, DeviceSpec};
 use crate::cache::{content_key, prepare, PreparedCache};
 use crate::json::{write_json_f64, write_json_str};
 use crate::protocol::{
-    parse_request, BackendTag, JobKind, JobRequest, MeshSpec, PrecisionTag, Request, WireName,
+    parse_request, BackendTag, JobKind, JobRequest, MeshSpec, Request, WireName,
 };
 use crate::scheduler::{estimate_job_seconds, QueuedJob, Scheduler, TenantStats};
 
@@ -105,7 +105,7 @@ pub struct Service {
     /// backend is in it because `cpu` jobs bill host wall seconds and
     /// `cluster` jobs simulated device seconds. The job count beside each
     /// mean is an `f64`, exact below 2⁵³ jobs.
-    realized: HashMap<(u64, PrecisionTag, JobKind, BackendTag), (f64, f64)>,
+    realized: HashMap<(u64, Precision, JobKind, BackendTag), (f64, f64)>,
 }
 
 impl Service {
@@ -311,7 +311,7 @@ impl Service {
 
         let mut builder = FetiSolverBuilder::new()
             .backend(backend)
-            .precision(precision_of(req.precision))
+            .precision(req.precision)
             .formulation(FormulationChoice::Explicit)
             .assembly(ScConfig::Auto)
             .factors(Arc::clone(&prep.factors));
@@ -396,16 +396,6 @@ impl Service {
         }
         s.push_str("]}");
         s
-    }
-}
-
-fn precision_of(tag: PrecisionTag) -> Precision {
-    match tag {
-        PrecisionTag::F64 => Precision::F64,
-        PrecisionTag::F32Refined => Precision::F32Refined {
-            refine_tol: 1e-9,
-            max_refine: 4,
-        },
     }
 }
 

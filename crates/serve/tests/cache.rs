@@ -18,11 +18,17 @@
 //!    the 4-tenant mixed workload, drained cold then resubmitted, hits on
 //!    every warm job; cut short by a device-second budget, the warm drain
 //!    splits device-seconds across equal-weight tenants within 1.5×.
+//!
+//! A served solve is also bitwise the library's solve of the same spec:
+//! the service passes the job's precision through and configures
+//! refinement nowhere itself.
 
 use proptest::prelude::*;
+use sc_core::{Backend, Precision, ScConfig};
 use sc_fem::Gluing;
+use sc_feti::{FetiSolverBuilder, FormulationChoice};
 use sc_serve::{
-    encode_request, BackendTag, JobKind, JobOutcome, JobRequest, MeshSpec, PrecisionTag, Request,
+    encode_request, prepare, BackendTag, JobKind, JobOutcome, JobRequest, MeshSpec, Request,
     ServeHandle, ServeOptions, TenantStats,
 };
 
@@ -142,6 +148,35 @@ fn warm_solve_is_bitwise_identical_to_cold_across_backends_and_precisions() {
         let rel = (diff / norm).sqrt();
         assert!(rel <= 1e-9, "{dim}D c{cells}: ‖u − u₆₄‖/‖u₆₄‖ = {rel:e}");
     }
+}
+
+#[test]
+fn served_f32_refined_solve_is_bitwise_the_library_solve() {
+    let mut svc = ServeHandle::new(ServeOptions::default());
+    let served = run_one(
+        &mut svc,
+        &submit(2, 5, "t", "r", "f32_refined", "cpu"),
+        "t",
+        "r",
+    );
+    let prep = prepare(&MeshSpec {
+        dim: 2,
+        cells: 5,
+        subs: (2, 2, 1),
+        gluing: Gluing::Redundant,
+    });
+    let sol = FetiSolverBuilder::new()
+        .backend(Backend::cpu())
+        .precision(Precision::F32Refined)
+        .formulation(FormulationChoice::Explicit)
+        .assembly(ScConfig::Auto)
+        .factors(prep.factors)
+        .build(&prep.problem)
+        .solve();
+    assert!(sol.refinement.is_some(), "the library solve is refined");
+    assert_eq!(served.lambda, Some(sol.lambda), "λ bitwise");
+    assert_eq!(served.u_locals, Some(sol.u_locals), "u bitwise");
+    assert_eq!(served.iterations, Some(sol.stats.iterations));
 }
 
 #[test]
@@ -279,7 +314,7 @@ fn submit_mix(svc: &mut ServeHandle, phase: &str) {
                     subs: t.subs,
                     gluing: Gluing::Redundant,
                 },
-                precision: PrecisionTag::F64,
+                precision: Precision::F64,
                 backend: BackendTag::Cluster,
                 scale: 1.0,
                 weight: None, // equal weights: the fairness bound's precondition

@@ -11,10 +11,11 @@
 //!    identity on every representable [`Request`].
 
 use proptest::prelude::*;
+use sc_core::Precision;
 use sc_fem::Gluing;
 use sc_serve::{
     encode_request, parse_json_line, parse_request, BackendTag, JobKind, JobRequest, MeshSpec,
-    PrecisionTag, ProtoError, Request,
+    ProtoError, Request,
 };
 
 fn check_structured(err: &ProtoError, line_no: usize) -> Result<(), TestCaseError> {
@@ -64,13 +65,18 @@ fn arb_request() -> impl Strategy<Value = Request> {
     (
         (0usize..6, 0usize..4, 0usize..3),
         (1usize..64, 1usize..5, 1usize..5, 1usize..5),
-        (0usize..3, 0usize..2, 0usize..2, 0usize..2),
+        (
+            0usize..3,
+            0usize..2,
+            (0usize..2).prop_map(|i| [Precision::F64, Precision::F32Refined][i]),
+            0usize..2,
+        ),
         (-4.0f64..4.0, 0.001f64..8.0, 0.0f64..60.0, 0usize..4),
     )
         .prop_map(|(ids, mesh, tags, nums)| {
             let (op_pick, tenant_pick, job_pick) = ids;
             let (cells, sx, sy, sz) = mesh;
-            let (kind_pick, gluing_pick, prec_pick, backend_pick) = tags;
+            let (kind_pick, gluing_pick, precision, backend_pick) = tags;
             let (scale, weight, timeout, opt_pick) = nums;
             match op_pick {
                 0 => Request::Stats,
@@ -106,11 +112,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
                                 Gluing::Chain
                             },
                         },
-                        precision: if prec_pick == 0 {
-                            PrecisionTag::F64
-                        } else {
-                            PrecisionTag::F32Refined
-                        },
+                        precision,
                         backend: if backend_pick == 0 {
                             BackendTag::Cluster
                         } else {

@@ -62,14 +62,13 @@ fn prelude_surface_is_complete() {
         Backend::cluster(DevicePool::uniform(DeviceSpec::a100(), 1, 1)),
     ];
     // mixed-precision surface: the Precision knob on the solver builder
-    // (its one setter) and the solver, the F32Refined payload shape, and
-    // the refinement stats
+    // (its one setter) and the solver, its two plain values, and the
+    // refinement stats
     fn _precision_types(_: &Precision, _: &RefinementStats) {}
-    let refined = Precision::F32Refined {
-        refine_tol: 1e-10,
-        max_refine: 8,
+    let _ = |p: Precision| match p {
+        Precision::F64 | Precision::F32Refined => p,
     };
-    assert!(refined.is_f32());
+    assert_eq!(Precision::f32_refined(), Precision::F32Refined);
     assert_eq!(Precision::default(), Precision::F64);
     let _: fn(FetiSolverBuilder, Precision) -> FetiSolverBuilder = FetiSolverBuilder::precision;
     let _: fn(&FetiSolver<'_>) -> Precision = |s| s.precision();

@@ -56,11 +56,11 @@ fn seeded_bt_strategy(n: usize, max_seeds: usize, m: usize) -> impl Strategy<Val
     })
 }
 
-/// Solve `problem` at `Precision::f32_refined()` (implicit or explicit
+/// Solve `problem` at `Precision::F32Refined` (implicit or explicit
 /// operators) and require the primal solution to match the direct f64
 /// solve at the f64-level tolerance the pipeline tests use.
 fn refined_solve_matches_direct(problem: &HeatProblem, explicit: bool) -> bool {
-    let mut builder = FetiSolverBuilder::new().precision(Precision::f32_refined());
+    let mut builder = FetiSolverBuilder::new().precision(Precision::F32Refined);
     if explicit {
         builder = builder
             .formulation(FormulationChoice::Explicit)
