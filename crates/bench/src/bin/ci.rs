@@ -1,9 +1,11 @@
 //! Local CI parity: run the exact build/test/clippy/fmt/doc sequence the
 //! GitHub workflow runs, in one command, so contributors reproduce CI
-//! without guessing which flags the workflow passes. The workflow's
-//! `build`/`test`, `analyze`, `benchmark`, `examples` and `paper` steps call
-//! this same bin, which is what keeps the two from drifting: the commands
-//! and the portable-kernel package list live only here.
+//! without guessing which flags the workflow passes. Every workflow step
+//! past the toolchain set-up calls this same bin, one stage each (`fmt`,
+//! `clippy`, `analyze`, `build`, `test`, `doc`, `examples`, `benchmark`,
+//! `paper`), which is what keeps the two from drifting: the commands, their
+//! flags (`-D warnings`, `RUSTDOCFLAGS`) and the portable-kernel package
+//! list live only here.
 //!
 //! Usage:
 //!   cargo run -p sc_bench --bin ci                    # everything

@@ -185,7 +185,7 @@ impl BatchWorkload {
     pub fn mixed_fit_pool(&self, cfg: &ScConfig) -> (Arc<DevicePool>, usize) {
         let mut temps: Vec<usize> = (self.factors.iter())
             .map(|(l, bt)| {
-                sc_core::temp_footprint::<f64>(l.ncols(), bt.ncols(), &cfg.resolve(true, l, bt))
+                sc_core::temp_footprint(l.ncols(), bt.ncols(), &cfg.resolve(true, l, bt))
             })
             .collect();
         temps.sort_unstable();

@@ -18,8 +18,8 @@
 
 use crate::exec::Exec;
 use crate::plan::{AssemblyPlan, FactorStorage, SyrkVariant, TrsmVariant};
-use sc_dense::{MatOf, Scalar};
-use sc_sparse::CscOf;
+use sc_dense::Mat;
+use sc_sparse::Csc;
 
 /// Fully resolved assembler parameters: one entry per knob the paper tunes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,7 +97,7 @@ pub enum ScConfig {
 /// of its full triangle, `nnz(L) > 0.15 · n(n+1)/2`, is taken for 3D (tested
 /// exactly, in integers): the threshold separates the two regimes on the
 /// workspace's heat-transfer ladders.
-fn three_d_like<S: Scalar>(l: &CscOf<S>) -> bool {
+fn three_d_like(l: &Csc) -> bool {
     let n = l.ncols();
     40 * l.nnz() > 3 * n * (n + 1)
 }
@@ -122,7 +122,7 @@ impl ScConfig {
     /// Resolve to concrete parameters for one subdomain. `gpu` is the
     /// executing platform ([`ScConfig::Fixed`] ignores it; callers inside
     /// the pipeline pass [`Exec::is_gpu`]).
-    pub fn resolve<S: Scalar>(&self, gpu: bool, l: &CscOf<S>, bt: &CscOf<S>) -> ScParams {
+    pub fn resolve(&self, gpu: bool, l: &Csc, bt: &Csc) -> ScParams {
         match self {
             ScConfig::Fixed(params) => *params,
             ScConfig::Auto => {
@@ -170,26 +170,18 @@ impl From<ScParams> for ScConfig {
 /// ([`AssemblyPlan::assemble`]), expanded. When the backend does not compute
 /// (cost-only kernels), no numerics run and the result is the untouched
 /// `m × m` zero square.
-pub fn assemble_sc<S: Scalar, E: Exec>(
-    exec: &mut E,
-    l: &CscOf<S>,
-    bt: &CscOf<S>,
-    cfg: &ScConfig,
-) -> MatOf<S> {
+pub fn assemble_sc<E: Exec>(exec: &mut E, l: &Csc, bt: &Csc, cfg: &ScConfig) -> Mat {
     let plan = AssemblyPlan::new(l, bt, &cfg.resolve(exec.is_gpu(), l, bt));
-    if exec.submit(|| plan.launches::<S>()) {
+    if exec.submit(|| plan.launches()) {
         plan.assemble(l, bt).to_dense()
     } else {
-        MatOf::zeros(bt.ncols(), bt.ncols())
+        Mat::zeros(bt.ncols(), bt.ncols())
     }
 }
 
 /// Dense reference: `F̃ = B̃ K_reg⁻¹ B̃ᵀ` computed with dense kernels from the
 /// full matrix (not the factor). Test oracle.
-pub fn assemble_sc_reference(
-    k_reg: &sc_sparse::Csc,
-    bt_unpermuted: &sc_sparse::Csc,
-) -> sc_dense::Mat {
+pub fn assemble_sc_reference(k_reg: &Csc, bt_unpermuted: &Csc) -> Mat {
     let n = k_reg.ncols();
     assert_eq!(bt_unpermuted.nrows(), n);
     let mut l = k_reg.to_dense();
@@ -197,7 +189,7 @@ pub fn assemble_sc_reference(
     let mut y = bt_unpermuted.to_dense();
     sc_dense::trsm_lower_left(l.as_ref(), y.as_mut());
     let m = bt_unpermuted.ncols();
-    let mut f = sc_dense::Mat::zeros(m, m);
+    let mut f = Mat::zeros(m, m);
     sc_dense::syrk_t(1.0, y.as_ref(), 0.0, f.as_mut());
     f.symmetrize_from_lower();
     f
@@ -209,11 +201,10 @@ mod tests {
     use crate::exec::{CpuExec, GpuExec, RecordingExec};
     use crate::plan::AssemblyShape;
     use crate::tune::BlockParam;
-    use sc_dense::Mat;
     use sc_factor::{CholOptions, Engine, SparseCholesky};
     use sc_gpu::{Device, DeviceSpec, GpuKernels, KernelCost};
     use sc_order::Ordering;
-    use sc_sparse::{Coo, Csc};
+    use sc_sparse::Coo;
 
     /// SPD matrix: 2D Laplacian + shift.
     fn spd_matrix(nx: usize) -> Csc {
@@ -332,20 +323,15 @@ mod tests {
         }
     }
 
-    /// Every swept configuration against `fref`, at `f64` within 1e-12 and
-    /// at `f32` within 1e-5 of `fref`'s largest entry.
+    /// Every swept configuration against `fref`, within 1e-12 of `fref`'s
+    /// largest entry.
     fn check_every_variant(l: &Csc, bt_perm: &Csc, fref: &Mat) {
         let scale = fref.data().iter().fold(0.0, |s: f64, v| s.max(v.abs()));
         assert!(scale > 0.0);
-        let (l32, bt32) = (l.cast::<f32>(), bt_perm.cast::<f32>());
         for params in swept_params() {
-            let cfg = ScConfig::Fixed(params);
-            let f = assemble_sc(&mut CpuExec, l, bt_perm, &cfg);
+            let f = assemble_sc(&mut CpuExec, l, bt_perm, &ScConfig::Fixed(params));
             let d = sc_dense::max_abs_diff(f.as_ref(), fref.as_ref());
-            assert!(d <= 1e-12 * scale, "f64 {params:?}: {d} of {scale}");
-            let f32 = assemble_sc(&mut CpuExec, &l32, &bt32, &cfg).cast::<f64>();
-            let d32 = sc_dense::max_abs_diff(f32.as_ref(), fref.as_ref());
-            assert!(d32 <= 1e-5 * scale, "f32 {params:?}: {d32} of {scale}");
+            assert!(d <= 1e-12 * scale, "{params:?}: {d} of {scale}");
         }
     }
 
@@ -515,10 +501,10 @@ mod tests {
     /// The plan prices itself: on a restricting, a full-closure, an empty
     /// (`m = 0`) and a 1-DOF subdomain, under every swept configuration and
     /// the original one in both storages, [`AssemblyPlan::launches`] is
-    /// exactly what `RecordingExec` records for `assemble_sc`, at `f64` and
-    /// at `f32`. One [`AssemblyShape`] per subdomain, cut under each of
-    /// those configurations at either precision, launches and assembles
-    /// exactly what [`AssemblyPlan::new`] does.
+    /// exactly what `RecordingExec` records for `assemble_sc`. One
+    /// [`AssemblyShape`] per subdomain, cut under each of those
+    /// configurations, launches and assembles exactly what
+    /// [`AssemblyPlan::new`] does.
     #[test]
     fn the_plan_prices_exactly_what_the_assembly_launches() {
         let (l_edge, bt_edge, _) = edge_gluing(12);
@@ -546,32 +532,16 @@ mod tests {
         let mut params = swept_params();
         params.extend([FactorStorage::Sparse, FactorStorage::Dense].map(ScParams::original));
         for (l, bt) in &subdomains {
-            let (l32, bt32) = (l.cast::<f32>(), bt.cast::<f32>());
             let shape = AssemblyShape::of(l, bt);
             for p in &params {
                 let plan = AssemblyPlan::new(l, bt, p);
                 let cut = AssemblyPlan::cut(&shape, l, p);
-                assert_eq!(cut.launches::<f64>(), plan.launches::<f64>(), "{p:?}");
+                assert_eq!(cut.launches(), plan.launches(), "{p:?}");
                 assert_eq!(cut.assemble(l, bt), plan.assemble(l, bt), "{p:?}");
-                let (plan32, cut32) = (
-                    AssemblyPlan::new(&l32, &bt32, p),
-                    AssemblyPlan::cut(&shape, &l32, p),
-                );
-                assert_eq!(
-                    cut32.launches::<f32>(),
-                    plan32.launches::<f32>(),
-                    "f32 {p:?}"
-                );
-                let f32 = plan32.assemble(&l32, &bt32);
-                assert_eq!(cut32.assemble(&l32, &bt32), f32, "f32 {p:?}");
                 let mut rec = RecordingExec::new();
                 assemble_sc(&mut rec, l, bt, &ScConfig::Fixed(*p));
                 let want = rec.into_costs();
-                assert_eq!(plan.launches::<f64>(), want, "{p:?} n={}", l.ncols());
-                let mut rec = RecordingExec::new();
-                assemble_sc(&mut rec, &l32, &bt32, &ScConfig::Fixed(*p));
-                let want = rec.into_costs();
-                assert_eq!(plan.launches::<f32>(), want, "f32 {p:?} n={}", l.ncols());
+                assert_eq!(plan.launches(), want, "{p:?} n={}", l.ncols());
             }
         }
     }
@@ -597,8 +567,7 @@ mod tests {
     /// The same variant sweep at a size where every dense kernel takes its
     /// blocked route (576 dofs, 160 multipliers, blocks of 140–200): the
     /// oracle is built from the `*_scalar` kernels alone, so it shares no
-    /// arithmetic with what it checks. `f32` runs the same sweep at a
-    /// tolerance scaled to its epsilon (it reaches ~2e-7 here).
+    /// arithmetic with what it checks.
     #[test]
     fn blocked_route_variants_match_a_scalar_reference() {
         let k = spd_matrix(24);
@@ -610,7 +579,6 @@ mod tests {
         let chol = SparseCholesky::factorize(&k, CholOptions::default()).unwrap();
         let l = chol.factor_csc();
         let bt_perm = bt.permute_rows(chol.perm());
-        let (l32, bt32) = (l.cast::<f32>(), bt_perm.cast::<f32>());
 
         let mut ld = k.to_dense();
         sc_dense::partial_cholesky_scalar(ld.as_mut(), n).unwrap();
@@ -645,7 +613,7 @@ mod tests {
                 });
                 let f = assemble_sc(&mut CpuExec, &l, &bt_perm, &cfg);
                 let d = sc_dense::max_abs_diff(f.as_ref(), fref.as_ref());
-                assert!(d < 1e-9, "f64 {trsm:?} {syrk:?}: {d}");
+                assert!(d < 1e-9, "{trsm:?} {syrk:?}: {d}");
                 for i in 0..m {
                     for j in 0..i {
                         assert_eq!(f[(i, j)], f[(j, i)], "asymmetric at ({i},{j})");
@@ -656,11 +624,6 @@ mod tests {
                     sc_dense::cholesky_in_place(chol_f.as_mut()).is_ok(),
                     "SC must be SPD ({trsm:?} {syrk:?})"
                 );
-
-                let f32 = assemble_sc(&mut CpuExec, &l32, &bt32, &cfg).cast::<f64>();
-                let d32 = sc_dense::max_abs_diff(f32.as_ref(), fref.as_ref());
-                assert!(d32 > 0.0, "f32 assembly must actually run in f32");
-                assert!(d32 < 1e-5, "f32 {trsm:?} {syrk:?}: {d32}");
             }
         }
     }
@@ -669,7 +632,7 @@ mod tests {
     /// split `S 2000`) where the input split's SYRK blocks are narrower
     /// than 128 but wide enough for the packed nest, and the diagonal
     /// blocks' sparse solves run more than one group of eight right-hand
-    /// sides: against the dense oracle at `f64` and `f32`.
+    /// sides: against the dense oracle.
     #[test]
     fn table1_gpu_2d_row_with_narrow_syrk_blocks_matches_the_oracle() {
         let k = spd_matrix(32);
@@ -687,12 +650,7 @@ mod tests {
 
         let f = assemble_sc(&mut CpuExec, &l, &bt_perm, &cfg);
         let d = sc_dense::max_abs_diff(f.as_ref(), fref.as_ref());
-        assert!(d < 1e-12 * scale, "f64: {d} of {scale}");
-
-        let (l32, bt32) = (l.cast::<f32>(), bt_perm.cast::<f32>());
-        let f32 = assemble_sc(&mut CpuExec, &l32, &bt32, &cfg).cast::<f64>();
-        let d32 = sc_dense::max_abs_diff(f32.as_ref(), fref.as_ref());
-        assert!(d32 > 0.0 && d32 < 1e-5 * scale, "f32: {d32} of {scale}");
+        assert!(d < 1e-12 * scale, "{d} of {scale}");
     }
 
     #[test]

@@ -200,7 +200,7 @@ fn record_batch<E: BatchEntry>(src: &[E], cfg: &ScConfig) -> Vec<Recorded> {
             let (params, plan, f, host_seconds) = assemble_one(&src[i], cfg, true);
             let (l, bt) = (src[i].factor(), src[i].gluing());
             let upload = |nnz| (KernelCost::csc_transfer_of::<f64>(nnz), SlotAccess::write());
-            let launches = plan.launches::<f64>().into_iter();
+            let launches = plan.launches().into_iter();
             let kernels = [upload(l.nnz()), upload(bt.nnz())]
                 .into_iter()
                 .chain(launches.map(|c| (c, SlotAccess::read_write())))
@@ -209,7 +209,7 @@ fn record_batch<E: BatchEntry>(src: &[E], cfg: &ScConfig) -> Vec<Recorded> {
             Recorded {
                 f,
                 kernels,
-                temp_bytes: temp_footprint::<f64>(l.ncols(), bt.ncols(), &params),
+                temp_bytes: temp_footprint(l.ncols(), bt.ncols(), &params),
                 host_seconds,
             }
         })
@@ -570,7 +570,7 @@ mod tests {
                 _ => None,
             });
             let plan = AssemblyPlan::new(l, bt, &cfg.resolve(true, l, bt));
-            let launches = plan.launches::<f64>().len();
+            let launches = plan.launches().len();
             let mut want = vec![(false, true); 2];
             want.extend(vec![(true, true); launches]);
             want.push((true, false));
@@ -921,9 +921,8 @@ mod tests {
         let pool =
             DevicePool::heterogeneous(&[DeviceSpec::a100(), DeviceSpec::tiny_test_device()], 2);
         let tiny_arena = pool.device(1).arena_capacity();
-        let footprint = |l: &Csc, bt: &Csc| {
-            temp_footprint::<f64>(l.ncols(), bt.ncols(), &cfg.resolve(true, l, bt))
-        };
+        let footprint =
+            |l: &Csc, bt: &Csc| temp_footprint(l.ncols(), bt.ncols(), &cfg.resolve(true, l, bt));
         let oversized = (data.iter())
             .filter(|(l, bt)| footprint(l, bt) > tiny_arena)
             .count();

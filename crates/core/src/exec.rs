@@ -1,14 +1,12 @@
 //! Execution backend abstraction: the same splitting algorithms run on the
-//! CPU and on the simulated GPU, in either working precision.
+//! CPU and on the simulated GPU.
 //!
 //! An assembly is one launch list, [`AssemblyPlan::launches`]: the
 //! [`KernelCost`]s of its `sc-dense` / `sc-sparse` host routines, in launch
 //! order, written once in the plan next to the numerics they price. A
 //! backend is only a sink for that list ([`Exec::submit`]): it decides what
 //! happens to the costs and whether the plan's numeric phase runs, so
-//! "bitwise identical across targets" holds by construction. A launch's
-//! cost already carries its working precision, so one backend serves `f64`
-//! and `f32` assemblies alike.
+//! "bitwise identical across targets" holds by construction.
 //!
 //! [`AssemblyPlan::launches`]: crate::AssemblyPlan::launches
 
@@ -69,8 +67,7 @@ impl Exec for GpuExec<'_> {
 
 /// Recording backend: the host numerics run (the one kernel body, so
 /// results are bitwise those of [`CpuExec`]) while every list is appended
-/// instead of submitted — kernel for kernel the costs [`GpuExec`] submits,
-/// priced at the working precision's element width.
+/// instead of submitted — kernel for kernel the costs [`GpuExec`] submits.
 #[derive(Default)]
 pub struct RecordingExec {
     costs: Vec<KernelCost>,
@@ -106,13 +103,13 @@ mod tests {
     use super::*;
     use crate::{assemble_sc, AssemblyPlan, BlockParam, FactorStorage, ScConfig, ScParams};
     use crate::{SyrkVariant, TrsmVariant};
-    use sc_dense::{MatOf, Scalar};
+    use sc_dense::Mat;
     use sc_gpu::{Device, DeviceSpec};
-    use sc_sparse::{Coo, CscOf};
+    use sc_sparse::{Coo, Csc};
 
     /// A 12 × 12 banded factor and a 5-column gluing block whose closure
     /// leaves out one row: every diagonal block of 4 has a panel below it.
-    fn fixture() -> (CscOf<f64>, CscOf<f64>) {
+    fn fixture() -> (Csc, Csc) {
         let n = 12;
         let mut lc = Coo::new(n, n);
         for j in 0..n {
@@ -136,12 +133,12 @@ mod tests {
     /// order 3, width 5, 4 entries, no panel. SYRK blocks of 5 rows reach
     /// widths 3, 5, 5 (the last one 1 row). The expansion moves the 5
     /// entries of `B̃ᵀ`, the packing the 5 × 5 `F̃`.
-    fn hand_priced<S: Scalar>(storage: FactorStorage, prune: bool) -> Vec<KernelCost> {
-        let g = KernelCost::gather_of::<S>;
+    fn hand_priced(storage: FactorStorage, prune: bool) -> Vec<KernelCost> {
+        let g = KernelCost::gather_of::<f64>;
         let dense = storage == FactorStorage::Dense;
         let solve = |diag_nnz, order, width| match storage {
-            FactorStorage::Sparse => KernelCost::trsm_sparse_of::<S>(diag_nnz, width),
-            FactorStorage::Dense => KernelCost::trsm_dense_of::<S>(order, width),
+            FactorStorage::Sparse => KernelCost::trsm_sparse_of::<f64>(diag_nnz, width),
+            FactorStorage::Dense => KernelCost::trsm_dense_of::<f64>(order, width),
         };
         // (diagonal entries, order, width, rows below)
         let blocks = [(6, 4, 3, 7), (6, 4, 4, 3), (4, 3, 5, 0)];
@@ -153,16 +150,16 @@ mod tests {
                 continue;
             }
             if prune {
-                let gemm = KernelCost::gemm_of::<S>(2, width, order);
+                let gemm = KernelCost::gemm_of::<f64>(2, width, order);
                 costs.extend([g(2 + 2), gemm, g(2 * width)]);
             } else if dense {
-                let gemm = KernelCost::gemm_of::<S>(below, width, order);
+                let gemm = KernelCost::gemm_of::<f64>(below, width, order);
                 costs.extend([g(order * width), g(2), gemm]);
             } else {
-                costs.extend([g(order * width), KernelCost::spmm_of::<S>(2, width)]);
+                costs.extend([g(order * width), KernelCost::spmm_of::<f64>(2, width)]);
             }
         }
-        let syrk = [(3, 5), (5, 5), (5, 1)].map(|(n, k)| KernelCost::syrk_of::<S>(n, k));
+        let syrk = [(3, 5), (5, 5), (5, 1)].map(|(n, k)| KernelCost::syrk_of::<f64>(n, k));
         costs.extend(syrk);
         costs.push(g(25));
         costs
@@ -172,9 +169,9 @@ mod tests {
     /// all six kernels. Each plan runs once per backend; every backend takes
     /// exactly the hand-priced launches, and the device spends each one's
     /// modelled time.
-    fn one_plan_serves_every_backend<S: Scalar>() {
+    #[test]
+    fn six_kernels_four_backends() {
         let (l, bt) = fixture();
-        let (l, bt) = (l.cast::<S>(), bt.cast::<S>());
         let mut labels = std::collections::BTreeSet::new();
         for factor_storage in [FactorStorage::Sparse, FactorStorage::Dense] {
             for prune in [false, true] {
@@ -187,7 +184,7 @@ mod tests {
                     factor_storage,
                     stepped_permutation: true,
                 };
-                let at = format!("{params:?} at {}", S::NAME);
+                let at = format!("{params:?}");
                 let cfg = ScConfig::Fixed(params);
                 let cpu = assemble_sc(&mut CpuExec, &l, &bt, &cfg);
                 let dev = logging_device();
@@ -197,19 +194,19 @@ mod tests {
                 let recorded = assemble_sc(&mut rec, &l, &bt, &cfg);
                 assert_eq!(cpu, gpu, "{at}: GpuExec");
                 assert_eq!(cpu, recorded, "{at}: RecordingExec");
-                assert!(cpu.data().iter().any(|v| v.to_f64().abs() > 0.0), "{at}");
+                assert!(cpu.data().iter().any(|v| v.abs() > 0.0), "{at}");
 
                 let dev_cost_only = logging_device();
                 let cost_only = GpuKernels::new_cost_only(dev_cost_only.stream(0));
                 let untouched = assemble_sc(&mut GpuExec::new(&cost_only), &l, &bt, &cfg);
-                assert_eq!(untouched, MatOf::zeros(5, 5), "{at}: cost-only wrote");
+                assert_eq!(untouched, Mat::zeros(5, 5), "{at}: cost-only wrote");
 
-                let want = hand_priced::<S>(factor_storage, prune);
+                let want = hand_priced(factor_storage, prune);
                 let costs = rec.into_costs();
                 labels.extend(costs.iter().map(|c| c.label));
                 assert_eq!(costs, want, "{at}: recorded costs");
                 let plan = AssemblyPlan::new(&l, &bt, &params);
-                assert_eq!(plan.launches::<S>(), want, "{at}: the plan's price");
+                assert_eq!(plan.launches(), want, "{at}: the plan's price");
                 for d in [&dev, &dev_cost_only] {
                     assert_eq!(d.launches(), want.len(), "{at}");
                     // one stream: each launch ends its modelled time after
@@ -239,12 +236,6 @@ mod tests {
         let dev = Device::new(DeviceSpec::a100(), 1);
         dev.enable_span_log();
         dev
-    }
-
-    #[test]
-    fn six_kernels_two_precisions_four_backends() {
-        one_plan_serves_every_backend::<f64>();
-        one_plan_serves_every_backend::<f32>();
     }
 
     #[test]

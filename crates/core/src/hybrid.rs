@@ -279,7 +279,6 @@ mod tests {
         };
         let a = ApplyEstimate {
             index,
-            n_lambda: 10,
             explicit: vec![KernelCost::compute(expl_apply_flops, 0.0)],
             implicit: vec![KernelCost::compute(impl_apply_flops, 0.0)],
         };

@@ -55,7 +55,7 @@ pub use session::{
     ScheduledSpan, SubdomainTiming,
 };
 pub use source::BatchEntry;
-pub use stepped::{SteppedRhs, SteppedRhsOf};
+pub use stepped::SteppedRhs;
 
 pub use tune::BlockParam;
 

@@ -5,11 +5,10 @@
 //! (outside which `L⁻¹B̃ᵀ` is 0), and the stepped permutation of `B̃ᵀ`'s
 //! columns with its pivots in closure rows. It takes no parameter, so it is
 //! built once per subdomain, beside the factor (the FETI bundles keep
-//! theirs), and serves every precision. [`AssemblyPlan::cut`] turns it into
-//! an [`AssemblyPlan`] for one resolved [`ScParams`]: the closure's column
-//! offsets into `L` and its row renumbering, and from the pivots each TRSM
-//! block's width, split offsets and live rows and the SYRK cuts, and so the
-//! launch list.
+//! theirs). [`AssemblyPlan::cut`] turns it into an [`AssemblyPlan`] for one
+//! resolved [`ScParams`]: the closure's column offsets into `L` and its row
+//! renumbering, and from the pivots each TRSM block's width, split offsets
+//! and live rows and the SYRK cuts, and so the launch list.
 //! [`AssemblyPlan::launches`] prices that list without allocating anything:
 //! it is what every backend consumes ([`Exec::submit`]), and the numeric
 //! phase runs only when the backend computes.
@@ -32,16 +31,17 @@
 //! of the closure's factor `L_c` is a contiguous slice of `L`. It drops `Y`
 //! after the SYRK and writes the packed lower triangle of `F̃` in the
 //! original multiplier order straight from the SYRK output. Neither the
-//! shape nor the plan holds a value or a row index of `L`, so one of each
-//! serves every precision of a factor with its pattern.
+//! shape nor the plan holds a value or a row index of `L`. The assembly is
+//! `f64` throughout; the refined solve demotes the assembled triangle for
+//! its inner applies afterwards.
 
 use crate::assemble::ScParams;
 use crate::exec::Exec;
-use crate::stepped::{stepped_order, SteppedRhsOf};
+use crate::stepped::{stepped_order, SteppedRhs};
 use crate::tune::{resolve_block, BlockParam};
-use sc_dense::{MatOf, Scalar, SymPackedOf, Trans};
+use sc_dense::{Mat, SymPackedOf, Trans};
 use sc_gpu::KernelCost;
-use sc_sparse::{pattern, CscOf, CscView, Perm, RowClosure};
+use sc_sparse::{pattern, Csc, CscView, Perm, RowClosure};
 
 /// Storage format for the triangular factor inside TRSM kernels
 /// ("factor storage" in the paper's §3.1).
@@ -153,17 +153,17 @@ impl SyrkPlan {
         }
     }
 
-    fn launches<S: Scalar>(&self) -> impl Iterator<Item = KernelCost> + '_ {
+    fn launches(&self) -> impl Iterator<Item = KernelCost> + '_ {
         let cuts = self.cuts.iter();
-        cuts.map(|&(r0, r1, width)| KernelCost::syrk_of::<S>(width, r1 - r0))
+        cuts.map(|&(r0, r1, width)| KernelCost::syrk_of::<f64>(width, r1 - r0))
     }
 
     /// Each cut: `F̃[..w, ..w] (+)= Y[r0..r1, ..w]ᵀ Y[r0..r1, ..w]`.
-    fn run<S: Scalar>(&self, y: &MatOf<S>, f: &mut MatOf<S>) {
-        let beta = if self.accumulates { S::ONE } else { S::ZERO };
+    fn run(&self, y: &Mat, f: &mut Mat) {
+        let beta = if self.accumulates { 1.0 } else { 0.0 };
         for &(r0, r1, width) in &self.cuts {
             let a = y.as_ref().sub(r0, 0, r1 - r0, width);
-            sc_dense::syrk_t(S::ONE, a, beta, f.as_mut().into_sub(0, 0, width, width));
+            sc_dense::syrk_t(1.0, a, beta, f.as_mut().into_sub(0, 0, width, width));
         }
     }
 }
@@ -187,7 +187,7 @@ pub struct AssemblyShape {
 impl AssemblyShape {
     /// The shape of `l` (CSC, diagonal first, fill-reducing order) and `bt`
     /// (rows already in `l`'s order). Reads no values.
-    pub fn of<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>) -> Self {
+    pub fn of(l: &Csc, bt: &Csc) -> Self {
         assert_eq!(bt.nrows(), l.ncols(), "B̃ᵀ rows must live in factor space");
         let closure = RowClosure::of(l, bt.row_idx());
         let raw = pattern::pivots_or_end(bt);
@@ -242,7 +242,7 @@ impl AssemblyPlan {
     /// Plan the assembly of `F̃ = (L⁻¹B̃ᵀ)ᵀ(L⁻¹B̃ᵀ)` from the patterns of
     /// `l` and `bt` under `params`: the [`cut`](Self::cut) of their fresh
     /// [`AssemblyShape`].
-    pub fn new<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>, params: &ScParams) -> Self {
+    pub fn new(l: &Csc, bt: &Csc, params: &ScParams) -> Self {
         Self::cut(&AssemblyShape::of(l, bt), l, params)
     }
 
@@ -253,7 +253,7 @@ impl AssemblyPlan {
     /// closure. Without it the pivots may be unsorted; the splitting
     /// kernels need sorted ones, so such a plan falls back to the plain
     /// variants (what the original algorithm does anyway).
-    pub fn cut<S: Scalar>(shape: &AssemblyShape, l: &CscOf<S>, params: &ScParams) -> Self {
+    pub fn cut(shape: &AssemblyShape, l: &Csc, params: &ScParams) -> Self {
         let (s, n, m, col_ptr) = (shape, l.ncols(), shape.raw.len(), l.col_ptr());
         assert_eq!((n, l.nnz()), (s.closure.n(), s.nnz_l), "another pattern");
         let (closure, order, pivots) = if params.stepped_permutation {
@@ -308,7 +308,7 @@ impl AssemblyPlan {
 
     /// The TRSM blocks and their launches; the plain solve is one block
     /// over the whole closure.
-    fn push_trsm<S: Scalar>(&mut self, l: &CscOf<S>, pivots: &[usize], variant: TrsmVariant) {
+    fn push_trsm(&mut self, l: &Csc, pivots: &[usize], variant: TrsmVariant) {
         let rows = self.closure_order();
         let (block, prune) = match variant {
             TrsmVariant::Plain => (None, false),
@@ -367,55 +367,58 @@ impl AssemblyPlan {
         cols.map(|c| to[c] - from[c]).sum()
     }
 
-    /// The launch list at working precision `S`, in launch order: the
-    /// expansion of the stepped `B̃ᵀ` into the dense `Y`, the TRSM, the
-    /// SYRK, and the packing of the triangle in the original multiplier
-    /// order. What a backend takes for [`AssemblyPlan::assemble`], priced
-    /// without allocating anything.
-    pub fn launches<S: Scalar>(&self) -> Vec<KernelCost> {
-        let expand = KernelCost::gather_of::<S>(self.nnz_bt);
-        let pack = KernelCost::gather_of::<S>(self.m * self.m);
-        let kernels = self.trsm_launches::<S>().chain(self.syrk.launches::<S>());
+    /// The launch list, in launch order: the expansion of the stepped `B̃ᵀ`
+    /// into the dense `Y`, the TRSM, the SYRK, and the packing of the
+    /// triangle in the original multiplier order. What a backend takes for
+    /// [`AssemblyPlan::assemble`], priced without allocating anything.
+    pub fn launches(&self) -> Vec<KernelCost> {
+        let expand = KernelCost::gather_of::<f64>(self.nnz_bt);
+        let pack = KernelCost::gather_of::<f64>(self.m * self.m);
+        let kernels = self.trsm_launches().chain(self.syrk.launches());
         [expand].into_iter().chain(kernels).chain([pack]).collect()
     }
 
-    fn trsm_launches<S: Scalar>(&self) -> impl Iterator<Item = KernelCost> + '_ {
-        self.trsm.iter().map(|&op| self.cost::<S>(op))
+    fn trsm_launches(&self) -> impl Iterator<Item = KernelCost> + '_ {
+        self.trsm.iter().map(|&op| self.cost(op))
     }
 
-    fn cost<S: Scalar>(&self, op: Op) -> KernelCost {
+    fn cost(&self, op: Op) -> KernelCost {
         let blk = |b: usize| &self.blocks[b];
         let order = |b: usize| blk(b).r1 - blk(b).r0;
         let sparse = self.storage == FactorStorage::Sparse;
         match op {
-            Op::Densify { b, below } => KernelCost::gather_of::<S>(self.nnz(b, below)),
+            Op::Densify { b, below } => KernelCost::gather_of::<f64>(self.nnz(b, below)),
             Op::Solve(b) if sparse => {
-                KernelCost::trsm_sparse_of::<S>(self.nnz(b, false), blk(b).width)
+                KernelCost::trsm_sparse_of::<f64>(self.nnz(b, false), blk(b).width)
             }
-            Op::Solve(b) => KernelCost::trsm_dense_of::<S>(order(b), blk(b).width),
-            Op::CopyTop(b) => KernelCost::gather_of::<S>(order(b) * blk(b).width),
-            Op::Update(b) if sparse => KernelCost::spmm_of::<S>(self.nnz(b, true), blk(b).width),
+            Op::Solve(b) => KernelCost::trsm_dense_of::<f64>(order(b), blk(b).width),
+            Op::CopyTop(b) => KernelCost::gather_of::<f64>(order(b) * blk(b).width),
+            Op::Update(b) if sparse => KernelCost::spmm_of::<f64>(self.nnz(b, true), blk(b).width),
             Op::Update(b) => {
                 let below = self.closure_order() - blk(b).r1;
-                KernelCost::gemm_of::<S>(below, blk(b).width, order(b))
+                KernelCost::gemm_of::<f64>(below, blk(b).width, order(b))
             }
-            Op::GatherLive(b) => KernelCost::gather_of::<S>(self.nnz(b, true) + blk(b).live.len()),
-            Op::GemmLive(b) => KernelCost::gemm_of::<S>(blk(b).live.len(), blk(b).width, order(b)),
-            Op::ScatterLive(b) => KernelCost::gather_of::<S>(blk(b).live.len() * blk(b).width),
+            Op::GatherLive(b) => {
+                KernelCost::gather_of::<f64>(self.nnz(b, true) + blk(b).live.len())
+            }
+            Op::GemmLive(b) => {
+                KernelCost::gemm_of::<f64>(blk(b).live.len(), blk(b).width, order(b))
+            }
+            Op::ScatterLive(b) => KernelCost::gather_of::<f64>(blk(b).live.len() * blk(b).width),
         }
     }
 
     /// The numeric phase: `F̃`'s lower triangle, packed, in the original
     /// multiplier order. `l` and `bt` must have the patterns the plan was
     /// built from; their values are read in place.
-    pub fn assemble<S: Scalar>(&self, l: &CscOf<S>, bt: &CscOf<S>) -> SymPackedOf<S> {
+    pub fn assemble(&self, l: &Csc, bt: &Csc) -> SymPackedOf<f64> {
         let shapes = (l.ncols(), l.nnz(), bt.ncols(), bt.nnz());
         assert_eq!(
             shapes,
             (self.n, self.nnz_l, self.m, self.nnz_bt),
             "another pattern"
         );
-        let mut y = MatOf::zeros(self.closure_order(), self.m);
+        let mut y = Mat::zeros(self.closure_order(), self.m);
         for s in 0..self.m {
             let (rows, vals) = bt.col(self.order.old_of_new(s));
             for (&i, &v) in rows.iter().zip(vals) {
@@ -423,7 +426,7 @@ impl AssemblyPlan {
             }
         }
         self.solve(l, &mut y);
-        let mut f = MatOf::zeros(self.m, self.m);
+        let mut f = Mat::zeros(self.m, self.m);
         self.syrk.run(&y, &mut f);
         drop(y);
         // the "final phase" permutation: original entry (i, j) is stepped
@@ -434,12 +437,11 @@ impl AssemblyPlan {
 
     /// The TRSM launches' numerics: `y` (closure order × `m`, stepped)
     /// becomes `L_c⁻¹ y`.
-    fn solve<S: Scalar>(&self, l: &CscOf<S>, y: &mut MatOf<S>) {
+    fn solve(&self, l: &Csc, y: &mut Mat) {
         let rows = self.closure_order();
         // a densified block or gathered live panel; copied rows of `Y` or the
         // live panel's product
-        let (mut dense, mut top) = (MatOf::zeros(0, 0), MatOf::zeros(0, 0));
-        let (minus, one, zero) = (-S::ONE, S::ONE, S::ZERO);
+        let (mut dense, mut top) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
         for &op in &self.trsm {
             match op {
                 Op::Densify { b, below } => dense = self.view(l, b, below).to_dense(),
@@ -463,10 +465,10 @@ impl AssemblyPlan {
                     let (a, t) = (dense.as_ref(), top.as_ref());
                     match self.storage {
                         FactorStorage::Sparse => {
-                            self.view(l, b, true).spmm(minus, t, one, &mut ybot)
+                            self.view(l, b, true).spmm(-1.0, t, 1.0, &mut ybot)
                         }
                         FactorStorage::Dense => {
-                            sc_dense::gemm(minus, a, Trans::No, t, Trans::No, one, ybot)
+                            sc_dense::gemm(-1.0, a, Trans::No, t, Trans::No, 1.0, ybot)
                         }
                     }
                 }
@@ -477,7 +479,7 @@ impl AssemblyPlan {
                         at[i] = k;
                     }
                     let below = self.view(l, b, true);
-                    dense = MatOf::zeros(blk.live.len(), blk.r1 - blk.r0);
+                    dense = Mat::zeros(blk.live.len(), blk.r1 - blk.r0);
                     for c in 0..blk.r1 - blk.r0 {
                         let col = dense.col_mut(c);
                         below.col(c).for_each(|(i, v)| col[at[i]] = v);
@@ -485,10 +487,10 @@ impl AssemblyPlan {
                 }
                 Op::GemmLive(b) => {
                     let blk = &self.blocks[b];
-                    top = MatOf::zeros(blk.live.len(), blk.width);
+                    top = Mat::zeros(blk.live.len(), blk.width);
                     let ytop = y.as_ref().sub(blk.r0, 0, blk.r1 - blk.r0, blk.width);
                     let a = dense.as_ref();
-                    sc_dense::gemm(one, a, Trans::No, ytop, Trans::No, zero, top.as_mut());
+                    sc_dense::gemm(1.0, a, Trans::No, ytop, Trans::No, 0.0, top.as_mut());
                 }
                 Op::ScatterLive(b) => {
                     let blk = &self.blocks[b];
@@ -504,7 +506,7 @@ impl AssemblyPlan {
     }
 
     /// Block `b`'s diagonal block (`below`: its panel) of `l`, in place.
-    fn view<'a, S: Scalar>(&'a self, l: &'a CscOf<S>, b: usize, below: bool) -> CscView<'a, S> {
+    fn view<'a>(&'a self, l: &'a Csc, b: usize, below: bool) -> CscView<'a, f64> {
         let TrsmBlock { r0, r1, .. } = self.blocks[b];
         let (nrows, base, starts, ends) = if below {
             (self.closure_order() - r1, r1, &self.split, &self.end)
@@ -521,13 +523,13 @@ impl AssemblyPlan {
 /// restricted to a closure: the TRSM launches of an [`AssemblyPlan`] on all
 /// of `l`, submitted to `exec` as one list; `y` is left untouched when the
 /// backend does not compute.
-pub fn run_trsm<S: Scalar, E: Exec>(
+pub fn run_trsm<E: Exec>(
     exec: &mut E,
-    l: &CscOf<S>,
-    stepped: &SteppedRhsOf<S>,
+    l: &Csc,
+    stepped: &SteppedRhs,
     storage: FactorStorage,
     variant: TrsmVariant,
-    y: &mut MatOf<S>,
+    y: &mut Mat,
 ) {
     assert_eq!(y.nrows(), l.ncols(), "Y row mismatch");
     assert_eq!(y.ncols(), stepped.ncols(), "Y column mismatch");
@@ -536,7 +538,7 @@ pub fn run_trsm<S: Scalar, E: Exec>(
         ..ScParams::original(storage)
     };
     let plan = AssemblyPlan::new(l, &stepped.bt, &params);
-    if exec.submit(|| plan.trsm_launches::<S>().collect()) {
+    if exec.submit(|| plan.trsm_launches().collect()) {
         plan.solve(l, y);
     }
 }
@@ -545,19 +547,19 @@ pub fn run_trsm<S: Scalar, E: Exec>(
 /// of an [`AssemblyPlan`] over the stepped pivots, submitted to `exec` as
 /// one list. `f` must be `m × m`; when the backend computes its lower
 /// triangle is overwritten (the upper left untouched), otherwise nothing.
-pub fn run_syrk<S: Scalar, E: Exec>(
+pub fn run_syrk<E: Exec>(
     exec: &mut E,
-    y: &MatOf<S>,
-    stepped: &SteppedRhsOf<S>,
+    y: &Mat,
+    stepped: &SteppedRhs,
     variant: SyrkVariant,
-    f: &mut MatOf<S>,
+    f: &mut Mat,
 ) {
     let m = y.ncols();
     assert_eq!((f.nrows(), f.ncols(), stepped.ncols()), (m, m, m));
     let plan = SyrkPlan::new(&stepped.pivots, y.nrows(), m, variant);
-    if exec.submit(|| plan.launches::<S>().collect()) {
+    if exec.submit(|| plan.launches().collect()) {
         if plan.accumulates {
-            f.fill(S::ZERO);
+            f.fill(0.0);
         }
         plan.run(y, f);
     }
@@ -567,9 +569,7 @@ pub fn run_syrk<S: Scalar, E: Exec>(
 mod trsm_tests {
     use super::*;
     use crate::exec::CpuExec;
-    use crate::stepped::SteppedRhs;
-    use sc_dense::Mat;
-    use sc_sparse::{Coo, Csc, Perm};
+    use sc_sparse::Coo;
 
     /// Random-ish sparse SPD lower factor with controlled density.
     fn sparse_factor(n: usize, seed: u64) -> Csc {
@@ -710,9 +710,7 @@ mod trsm_tests {
 mod syrk_tests {
     use super::*;
     use crate::exec::CpuExec;
-    use crate::stepped::SteppedRhs;
-    use sc_dense::Mat;
-    use sc_sparse::{Coo, Perm};
+    use sc_sparse::Coo;
 
     fn stepped_y(n: usize, m: usize, seed: u64) -> (SteppedRhs, Mat) {
         let mut state = seed | 1;

@@ -34,9 +34,8 @@
 use crate::assemble::ScParams;
 use crate::plan::{FactorStorage, TrsmVariant};
 use crate::stepped::stepped_order;
-use sc_dense::Scalar;
 use sc_gpu::{DeviceSpec, KernelCost};
-use sc_sparse::{pattern, CscOf};
+use sc_sparse::{pattern, Csc};
 
 /// Stream-assignment policy for a batched GPU assembly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -134,7 +133,8 @@ pub struct CostEstimate {
     /// Estimated SYRK FLOPs, an upper bound on the full `n`: with sorted pivots, column
     /// `j` pairs with the `j + 1` columns left of it over rows `pⱼ..n`: `Σⱼ 2 (j+1) (n − pⱼ)`.
     pub syrk_flops: f64,
-    /// H2D bytes for the factor and gluing block.
+    /// H2D bytes for the factor and gluing block
+    /// ([`KernelCost::csc_transfer_of`] of their stored entries).
     pub transfer_bytes: f64,
     /// Peak temporary-arena footprint ([`temp_footprint`]).
     pub temp_bytes: usize,
@@ -143,20 +143,14 @@ pub struct CostEstimate {
     pub seconds: f64,
 }
 
-/// Price one subdomain under the given device spec and resolved parameters,
-/// in working precision `S` — every value-byte term scales with
-/// [`Scalar::BYTES`] (index traffic stays 8 bytes per entry), so `f32`
-/// halves the arena footprint and the value share of the H2D transfer.
-pub fn estimate_cost<S: Scalar>(
+/// Price one subdomain under the given device spec and resolved parameters.
+pub fn estimate_cost(
     spec: &DeviceSpec,
-    l: &CscOf<S>,
-    bt: &CscOf<S>,
+    l: &Csc,
+    bt: &Csc,
     params: &ScParams,
     index: usize,
 ) -> CostEstimate {
-    /// Bytes of one stored index in the transfer model (row ids travel as
-    /// 8-byte words regardless of value precision).
-    const INDEX_BYTES: usize = 8;
     let n = l.ncols();
     // sorted pivots: the stepped pattern the kernels will actually see
     let (_, pivots) = stepped_order(&pattern::pivots_or_end(bt));
@@ -168,14 +162,13 @@ pub fn estimate_cost<S: Scalar>(
         trsm_flops += below * below;
         syrk_flops += 2.0 * exact(j + 1) * below;
     }
-    let transfer_bytes = exact(INDEX_BYTES + S::BYTES) * exact(l.nnz() + bt.nnz());
 
     let mut est = CostEstimate {
         index,
         trsm_flops,
         syrk_flops,
-        transfer_bytes,
-        temp_bytes: temp_footprint::<S>(n, bt.ncols(), params),
+        transfer_bytes: KernelCost::csc_transfer_of::<f64>(l.nnz() + bt.nnz()).bytes,
+        temp_bytes: temp_footprint(n, bt.ncols(), params),
         seconds: 0.0,
     };
     est.seconds = est.seconds_on(spec);
@@ -183,15 +176,15 @@ pub fn estimate_cost<S: Scalar>(
 }
 
 /// Peak temporary-arena footprint, in bytes, of assembling one subdomain
-/// with an `n`-column factor and `m` multipliers under `params`, in working
-/// precision `S` — an upper bound on the full `n`, and the
-/// [`CostEstimate::temp_bytes`] of [`estimate_cost`]. The dense
-/// RHS/solution `Y` always lives in the arena; densifying TRSM variants
-/// additionally materialize factor blocks, and the pruning path gathers a
-/// dense sub-diagonal panel plus a compacted GEMM output regardless of
-/// factor storage. Every term is [`Scalar::BYTES`] times a pattern count.
-pub fn temp_footprint<S: Scalar>(n: usize, m: usize, params: &ScParams) -> usize {
-    let eb = S::BYTES;
+/// with an `n`-column factor and `m` multipliers under `params` — an upper
+/// bound on the full `n`, and the [`CostEstimate::temp_bytes`] of
+/// [`estimate_cost`]. The dense RHS/solution `Y` always lives in the arena;
+/// densifying TRSM variants additionally materialize factor blocks, and the
+/// pruning path gathers a dense sub-diagonal panel plus a compacted GEMM
+/// output regardless of factor storage. Every term is 8 bytes (one `f64`)
+/// times a pattern count.
+pub fn temp_footprint(n: usize, m: usize, params: &ScParams) -> usize {
+    let eb = std::mem::size_of::<f64>();
     let factor_bytes = match (params.factor_storage, params.trsm) {
         (storage, TrsmVariant::FactorSplit { block, prune }) => {
             let bs = block.block_size(n).min(n);
@@ -230,15 +223,18 @@ impl CostEstimate {
 /// is the input of the hybrid explicit-vs-implicit decision:
 ///
 /// - **explicit** apply is one SYMV with the packed lower triangle of the
-///   assembled `m × m` `F̃ᵢ` (paper Eq. 12);
+///   operator assembled on the gluing block passed (paper Eq. 12). Every
+///   library caller passes `P̂ᵢᵀ`, one column per distinct glued dof, so
+///   this is the SYMV with the packed `Gᵢ` of order `nb`;
 /// - **implicit** apply is the Eq. 11 pipeline: scatter `B̃ᵀ p̃` (SpMV),
-///   two sparse triangular solves with `L`, gather `B̃ (·)` (SpMV).
+///   two sparse triangular solves with `L`, gather `B̃ (·)` (SpMV). The
+///   solves are charged all of `nnz(L)`, an upper bound: `sc_feti`'s sweeps
+///   run over `SubdomainFactors::boundary_runs` only (re-pricing them is
+///   ROADMAP item 6).
 #[derive(Clone, Debug)]
 pub struct ApplyEstimate {
     /// Position of the subdomain in the input batch.
     pub index: usize,
-    /// Local multiplier count (order of `F̃ᵢ`).
-    pub n_lambda: usize,
     /// Kernel sequence of one explicit application.
     pub explicit: Vec<KernelCost>,
     /// Kernel sequence of one implicit application.
@@ -246,19 +242,18 @@ pub struct ApplyEstimate {
 }
 
 /// Price one subdomain's per-iteration apply cost in both formulations from
-/// its factor and gluing block (shapes only — no kernel runs), in working
-/// precision `S` — the kernel costs price value traffic at [`Scalar::BYTES`].
-pub fn estimate_apply<S: Scalar>(l: &CscOf<S>, bt: &CscOf<S>, index: usize) -> ApplyEstimate {
-    let m = bt.ncols();
+/// its factor and gluing block (shapes only — no kernel runs): the explicit
+/// SYMV has the order of `bt`'s columns, the implicit solves charge all of
+/// `nnz(l)`.
+pub fn estimate_apply(l: &Csc, bt: &Csc, index: usize) -> ApplyEstimate {
     ApplyEstimate {
         index,
-        n_lambda: m,
-        explicit: vec![KernelCost::symv_of::<S>(m)],
+        explicit: vec![KernelCost::symv_of::<f64>(bt.ncols())],
         implicit: vec![
-            KernelCost::spmm_of::<S>(bt.nnz(), 1), // t = B̃ᵀ p̃ (scatter)
-            KernelCost::trsm_sparse_of::<S>(l.nnz(), 1), // L y = t
-            KernelCost::trsm_sparse_of::<S>(l.nnz(), 1), // Lᵀ z = y
-            KernelCost::spmm_of::<S>(bt.nnz(), 1), // q̃ = B̃ z (gather)
+            KernelCost::spmm_of::<f64>(bt.nnz(), 1), // t = B̃ᵀ p̃ (scatter)
+            KernelCost::trsm_sparse_of::<f64>(l.nnz(), 1), // L y = t
+            KernelCost::trsm_sparse_of::<f64>(l.nnz(), 1), // Lᵀ z = y
+            KernelCost::spmm_of::<f64>(bt.nnz(), 1), // q̃ = B̃ z (gather)
         ],
     }
 }
@@ -602,19 +597,17 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn f32_estimate_halves_value_byte_terms() {
+    fn estimate_pins_the_footprint_and_transfer_bytes() {
         use crate::assemble::ScParams;
         use crate::plan::SyrkVariant;
         use crate::plan::{FactorStorage, TrsmVariant};
         use crate::tune::BlockParam;
         let l = diag_factor(64);
         let bt = bt_with_pivots(64, &[0, 5, 10, 40]);
-        let (y64, m) = (8 * 64 * 4, 4);
+        let (y_bytes, m) = (8 * 64 * 4, 4);
         // the plain dense solve densifies all of `L`; the pruned factor split
         // on sparse storage gathers dense panels and a compacted GEMM output:
-        // the arena holds matrix values only, so the exact halving (which
-        // `sc_serve`'s dispatch check relies on) is precision arithmetic, not
-        // layout luck
+        // the arena holds matrix values only, 8 bytes each
         let cases = [
             (TrsmVariant::Plain, FactorStorage::Dense, 8 * 64 * 64),
             (
@@ -633,41 +626,25 @@ pub(crate) mod tests {
                 factor_storage,
                 stepped_permutation: true,
             };
-            let spec = DeviceSpec::a100();
-            let e64 = estimate_cost::<f64>(&spec, &l, &bt, &params, 0);
-            let e32 = estimate_cost::<f32>(&spec, &l.cast::<f32>(), &bt.cast::<f32>(), &params, 0);
-            assert_eq!(e64.temp_bytes, y64 + factor_bytes, "{params:?}");
-            // H2D: index traffic stays 8 bytes per entry, values drop 8 → 4
+            let e = estimate_cost(&DeviceSpec::a100(), &l, &bt, &params, 0);
+            assert_eq!(e.temp_bytes, y_bytes + factor_bytes, "{params:?}");
+            // H2D: an 8-byte index and an 8-byte value per stored entry
             let nnz = (l.nnz() + bt.nnz()) as f64;
-            assert_eq!(e64.transfer_bytes, 16.0 * nnz);
-            assert_eq!(e32.transfer_bytes, 12.0 * nnz);
-            // arena footprint halves exactly
-            assert_eq!(e32.temp_bytes * 2, e64.temp_bytes, "{params:?}");
-            // FLOP terms are precision-independent
-            assert_eq!(e32.trsm_flops, e64.trsm_flops);
-            assert_eq!(e32.syrk_flops, e64.syrk_flops);
+            assert_eq!(e.transfer_bytes, 16.0 * nnz);
         }
     }
 
     #[test]
-    fn f32_apply_estimate_halves_symv_bytes() {
+    fn apply_estimate_pins_the_packed_symv_bytes() {
         let l = diag_factor(32);
         let bt = bt_with_pivots(32, &[0, 8, 16]);
-        let a64 = estimate_apply::<f64>(&l, &bt, 0);
-        let a32 = estimate_apply::<f32>(&l.cast::<f32>(), &bt.cast::<f32>(), 0);
-        let bytes = |ks: &[sc_gpu::KernelCost]| ks.iter().map(|k| k.bytes).sum::<f64>();
-        let flops = |ks: &[sc_gpu::KernelCost]| ks.iter().map(|k| k.flops).sum::<f64>();
+        let a = estimate_apply(&l, &bt, 0);
+        let bytes: f64 = a.explicit.iter().map(|k| k.bytes).sum();
         assert_eq!(
-            bytes(&a32.explicit) * 2.0,
-            bytes(&a64.explicit),
-            "explicit SYMV traffic is pure values"
-        );
-        assert_eq!(
-            bytes(&a64.explicit),
+            bytes,
             8.0 * 3.0 * 4.0 / 2.0,
             "the packed triangle of the 3 × 3 operator, each entry once"
         );
-        assert_eq!(flops(&a32.explicit), flops(&a64.explicit));
     }
 
     #[test]
@@ -947,7 +924,7 @@ pub(crate) mod tests {
         assert!(big.implicit_seconds_on(&spec) > small.implicit_seconds_on(&spec));
         assert!(
             (big.explicit_seconds_on(&spec) - small.explicit_seconds_on(&spec)).abs() < 1e-12,
-            "explicit apply depends only on n_lambda"
+            "explicit apply depends only on the gluing block's columns"
         );
         // four launches per implicit apply vs one for explicit
         assert_eq!(big.implicit.len(), 4);

@@ -10,21 +10,19 @@
 //! `stepped_order` is that sort, the only one: the
 //! [`AssemblyShape`](crate::AssemblyShape) keeps its result from the pattern
 //! alone, [`estimate_cost`](crate::estimate_cost) reads its pivots, and
-//! [`SteppedRhsOf`] is the materialized form the kernel-level entry points
+//! [`SteppedRhs`] is the materialized form the kernel-level entry points
 //! ([`run_trsm_variant`](crate::run_trsm_variant),
 //! [`run_syrk_variant`](crate::run_syrk_variant)) take.
 
-use sc_dense::{MatOf, Scalar};
-use sc_sparse::{pattern, CscOf, Perm};
+use sc_dense::Mat;
+use sc_sparse::{pattern, Csc, Perm};
 
 /// `B̃ᵀ` in stepped form: the column-permuted matrix, its pivots, and the
-/// permutation needed to map the assembled Schur complement back. Generic
-/// over the working precision `S`; [`SteppedRhs`] aliases the `f64`
-/// instantiation.
+/// permutation needed to map the assembled Schur complement back.
 #[derive(Clone, Debug)]
-pub struct SteppedRhsOf<S: Scalar = f64> {
+pub struct SteppedRhs {
     /// Column-permuted `B̃ᵀ` (rows untouched).
-    pub bt: CscOf<S>,
+    pub bt: Csc,
     /// Column pivots (first non-zero row per column), non-decreasing; empty
     /// columns carry the sentinel `nrows` and sort to the right.
     pub pivots: Vec<usize>,
@@ -32,17 +30,14 @@ pub struct SteppedRhsOf<S: Scalar = f64> {
     pub col_perm: Perm,
 }
 
-/// `f64` stepped form (the historical type).
-pub type SteppedRhs = SteppedRhsOf<f64>;
-
-impl<S: Scalar> SteppedRhsOf<S> {
+impl SteppedRhs {
     /// Build the stepped form of `bt` (`n × m`, rows already in the factor's
     /// permuted space).
-    pub fn new(bt: &CscOf<S>) -> Self {
+    pub fn new(bt: &Csc) -> Self {
         let (col_perm, pivots) = stepped_order(&pattern::pivots_or_end(bt));
         let stepped = bt.permute_cols(&col_perm);
         debug_assert!(pattern::is_stepped(&stepped));
-        SteppedRhsOf {
+        SteppedRhs {
             bt: stepped,
             pivots,
             col_perm,
@@ -60,7 +55,7 @@ impl<S: Scalar> SteppedRhsOf<S> {
     }
 
     /// Dense expansion of the stepped matrix (the TRSM right-hand side).
-    pub fn to_dense(&self) -> MatOf<S> {
+    pub fn to_dense(&self) -> Mat {
         self.bt.to_dense()
     }
 
@@ -85,7 +80,7 @@ pub(crate) fn stepped_order(raw: &[usize]) -> (Perm, Vec<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_sparse::{Coo, Csc};
+    use sc_sparse::Coo;
 
     fn unsorted_bt() -> Csc {
         // 6×4, pivots: col0 -> 4, col1 -> 0, col2 -> 2, col3 -> 0

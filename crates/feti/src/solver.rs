@@ -1014,7 +1014,7 @@ mod tests {
             .iter()
             .map(|f| {
                 let (l, pt) = (f.factor(), f.gluing());
-                temp_footprint::<f64>(l.ncols(), pt.ncols(), &cfg.resolve(true, l, pt))
+                temp_footprint(l.ncols(), pt.ncols(), &cfg.resolve(true, l, pt))
             })
             .collect()
     }

@@ -410,8 +410,7 @@ fn arena_fit(pool: &DevicePool, factors: &[SubdomainFactors]) -> Result<(), Stri
     let over: Vec<usize> = (0..factors.len())
         .filter(|&i| {
             let (l, pt) = (factors[i].factor(), factors[i].gluing());
-            let need =
-                temp_footprint::<f64>(l.ncols(), pt.ncols(), &ScConfig::Auto.resolve(true, l, pt));
+            let need = temp_footprint(l.ncols(), pt.ncols(), &ScConfig::Auto.resolve(true, l, pt));
             !slots.iter().any(|s| s.admits(need))
         })
         .collect();

@@ -55,7 +55,6 @@ fn estimates_of(subs: &[SynthSub]) -> (Vec<CostEstimate>, Vec<ApplyEstimate>) {
                 },
                 ApplyEstimate {
                     index: i,
-                    n_lambda: 8,
                     explicit: vec![KernelCost::compute(s.expl_apply_gflops * 1e9, 0.0)],
                     implicit: vec![KernelCost::compute(s.impl_apply_gflops * 1e9, 0.0)],
                 },
@@ -211,7 +210,7 @@ fn hybrid_solver_end_to_end_invariants() {
         .map(|f| {
             let (l, pt) = (f.factor(), f.gluing());
             let params = cfg.resolve(true, l, pt);
-            temp_footprint::<f64>(l.ncols(), pt.ncols(), &params)
+            temp_footprint(l.ncols(), pt.ncols(), &params)
         })
         .collect();
     let (lo, hi) = (*temps.iter().min().unwrap(), *temps.iter().max().unwrap());

@@ -1,9 +1,9 @@
 //! Property-based tests (proptest) on the core invariants: stepped-shape
 //! permutation, TRSM/SYRK splitting correctness on arbitrary patterns,
 //! permutation algebra, sparse Cholesky reconstruction, the temp pool,
-//! and the mixed-precision refinement loop (f32-assembled solves must
-//! reach f64-level accuracy on randomized 2D/3D decompositions, and the
-//! default f64 path must not move a bit).
+//! and the mixed-precision refinement loop (solves whose inner applies run
+//! in f32 must reach f64-level accuracy on randomized 2D/3D decompositions,
+//! and the default f64 path must not move a bit).
 
 use proptest::prelude::*;
 use schur_dd::prelude::*;

@@ -253,7 +253,7 @@ fn every_device_target_replays_the_lanes_of_the_one_plan() {
     let footprints: Vec<(usize, usize)> = (items.iter().enumerate())
         .map(|(i, (l, bt))| {
             let params = cfg.resolve(true, l, bt);
-            (i, temp_footprint::<f64>(l.ncols(), bt.ncols(), &params))
+            (i, temp_footprint(l.ncols(), bt.ncols(), &params))
         })
         .collect();
 

@@ -182,15 +182,13 @@ impl Exec for ListSink {
 }
 
 /// The backend contract: each `assemble_sc` call hands the sink exactly one
-/// list, the plan's launches at the working precision; a sink that answers
-/// `false` gets the untouched `m × m` zero square, and `run_trsm_variant`
-/// leaves its `y` untouched.
+/// list, the plan's launches; a sink that answers `false` gets the untouched
+/// `m × m` zero square, and `run_trsm_variant` leaves its `y` untouched.
 #[test]
 fn a_foreign_backend_takes_one_launch_list_per_call() {
     let fx = fixture(3, 4);
     let l = fx.factors.chol.factor_csc();
     let bt = &fx.factors.bt_perm;
-    let (l32, bt32) = (l.cast::<f32>(), bt.cast::<f32>());
     let m = bt.ncols();
     for cfg in [
         ScConfig::Auto,
@@ -204,9 +202,9 @@ fn a_foreign_backend_takes_one_launch_list_per_call() {
         let mut sink = ListSink::new(true);
         let f = assemble_sc(&mut sink, &l, bt, &cfg);
         assert_eq!(f, assemble_sc(&mut CpuExec, &l, bt, &host), "{cfg:?}");
-        let f32 = assemble_sc(&mut sink, &l32, &bt32, &cfg);
-        assert_eq!(f32, assemble_sc(&mut CpuExec, &l32, &bt32, &host));
-        let want = [plan.launches::<f64>(), plan.launches::<f32>()];
+        let f2 = assemble_sc(&mut sink, &l, bt, &cfg);
+        assert_eq!(f2, f, "{cfg:?}");
+        let want = [plan.launches(), plan.launches()];
         assert_eq!(sink.lists, want, "{cfg:?}");
 
         let mut cost_only = ListSink::new(false);
