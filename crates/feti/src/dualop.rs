@@ -272,18 +272,100 @@ pub fn apply_implicit_with<S: Scalar>(
     LocalOp::Implicit.apply(factors, Some(l), p, out, scratch);
 }
 
-/// The work vectors of one local application `Cᵢ Gᵢ Cᵢᵀ` at precision `S`:
-/// contents are overwritten by every application, capacities persist.
+/// The work vectors of one local application `Cᵢ Gᵢ Cᵢᵀ` at precision `S`
+/// (or of the lumped preconditioner's `Cᵢ K_bb,i Cᵢᵀ`): contents are
+/// overwritten by every application, capacities persist.
 #[derive(Default)]
 pub struct LocalScratch<S> {
     /// `p_b = Cᵢᵀ p̃` on the distinct glued dofs.
-    pb: Vec<S>,
-    /// `y = Gᵢ p_b`.
-    y: Vec<S>,
-    /// Eq. 11's dof-space vector (also the lumped `B̃ᵀ w̃`).
-    pub(crate) t: Vec<S>,
-    /// Eq. 11's supernode tail (also the lumped `K B̃ᵀ w̃`).
-    pub(crate) w: Vec<S>,
+    pub(crate) pb: Vec<S>,
+    /// `y = Gᵢ p_b` (or `K_bb,i p_b`).
+    pub(crate) y: Vec<S>,
+    /// Eq. 11's dof-space vector.
+    t: Vec<S>,
+    /// Eq. 11's supernode tail.
+    w: Vec<S>,
+}
+
+/// `out = Cᵢ A Cᵢᵀ p` through the bundle's one gluing split, `ct` = `Cᵢᵀ`:
+/// gather `p_b = Cᵢᵀ p̃` into `pb`, let `a` write `y = A p_b` (both of
+/// order `nb`), scatter `out = Cᵢ y`. Every local operation on the glued
+/// dofs runs through it: both operator slots ([`LocalOp::apply`], `A = Gᵢ`)
+/// and the lumped preconditioner (`A = K_bb,i`).
+pub(crate) fn through_split<S: Scalar>(
+    ct: &Csc,
+    p: &[S],
+    out: &mut [S],
+    pb: &mut Vec<S>,
+    y: &mut Vec<S>,
+    a: impl FnOnce(&[S], &mut [S]),
+) {
+    let map = BoundaryMap::of(ct);
+    pb.clear();
+    pb.resize(map.n_rows(), S::ZERO);
+    map.scatter(p, pb);
+    y.resize(map.n_rows(), S::ZERO);
+    a(pb, y);
+    map.gather(y, out);
+}
+
+/// `Kᵢ`'s block `K_bb` on the distinct glued dofs (`nb × nb`), rows and
+/// columns numbered by `Cᵢᵀ`'s rows (the glued dofs in factor order). Row
+/// `b` holds the entries `Kᵢ[r, j]` of glued dof `r` against every glued
+/// `j`, in `Kᵢ`'s own column order: not a [`Csc`], whose rows are sorted.
+pub(crate) struct GluedBlock {
+    /// Row `b`'s entries are `at[offsets[b]..offsets[b + 1]]`.
+    offsets: Vec<usize>,
+    /// (glued column, value) of each stored entry.
+    at: Vec<(usize, f64)>,
+}
+
+impl GluedBlock {
+    /// The block of `k` (in the subdomain's own dof order) on the glued dofs
+    /// of bundle `f`.
+    pub(crate) fn of(k: &Csc, f: &SubdomainFactors) -> Self {
+        // glued index of each dof, `None` off the gluing
+        let mut glued = vec![None; k.ncols()];
+        for (b, &r) in f.pt_perm.row_idx().iter().enumerate() {
+            glued[f.chol.perm().old_of_new(r)] = Some(b);
+        }
+        // the entries among glued dofs in `k`'s column order; a stable sort
+        // by row keeps each row's entries in that order
+        let mut entries = Vec::new();
+        for (j, c) in (glued.iter().enumerate()).filter_map(|(j, c)| c.map(|c| (j, c))) {
+            let (rows, vals) = k.col(j);
+            for (&r, &v) in rows.iter().zip(vals) {
+                if let Some(b) = glued[r] {
+                    entries.push((b, c, v));
+                }
+            }
+        }
+        entries.sort_by_key(|&(b, _, _)| b);
+        let mut offsets = vec![0; f.ct.nrows() + 1];
+        for &(b, _, _) in &entries {
+            offsets[b + 1] += 1;
+        }
+        for b in 0..f.ct.nrows() {
+            offsets[b + 1] += offsets[b];
+        }
+        let at = entries.into_iter().map(|(_, c, v)| (c, v)).collect();
+        GluedBlock { offsets, at }
+    }
+
+    /// `y = K_bb p_b`, one dot per glued dof in stored order: bitwise the
+    /// rows of `Kᵢ x` on the glued dofs for `x` = `p_b` placed on them and
+    /// zero elsewhere, since [`Csc::spmv`] skips zero entries of `x` and
+    /// sums the rest in column order.
+    pub(crate) fn apply(&self, pb: &[f64], y: &mut [f64]) {
+        for (b, yb) in y.iter_mut().enumerate() {
+            let row = &self.at[self.offsets[b]..self.offsets[b + 1]];
+            let mut s = 0.0;
+            for &(c, v) in row {
+                s += v * pb[c];
+            }
+            *yb = s;
+        }
+    }
 }
 
 /// One subdomain's ready-to-apply local dual operator at working precision
@@ -322,19 +404,14 @@ impl<S: Scalar> LocalOp<S> {
         scratch: &mut LocalScratch<S>,
     ) {
         let LocalScratch { pb, y, t, w } = scratch;
-        let map = BoundaryMap::of(&f.ct);
-        pb.clear();
-        pb.resize(map.n_rows(), S::ZERO);
-        map.scatter(p, pb);
-        y.resize(map.n_rows(), S::ZERO);
-        match self {
+        through_split(&f.ct, p, out, pb, y, |pb, y| match self {
             LocalOp::Dense { g, .. } => sc_dense::symv(g.as_ref(), pb, y),
             LocalOp::Implicit => {
                 let l = l.expect("an implicit slot comes with its factor");
                 let glued = f.pt_perm.row_idx();
                 t.clear();
                 t.resize(l.nrows(), S::ZERO);
-                for (&r, &v) in glued.iter().zip(pb.iter()) {
+                for (&r, &v) in glued.iter().zip(pb) {
                     t[r] = v;
                 }
                 supernodal_lower_solve(l, &f.boundary_runs, t, w);
@@ -343,8 +420,7 @@ impl<S: Scalar> LocalOp<S> {
                     *yi = t[r];
                 }
             }
-        }
-        map.gather(y, out);
+        });
     }
 
     /// Bytes of operator storage the slot owns (none for an implicit one);

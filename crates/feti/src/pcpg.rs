@@ -62,13 +62,18 @@ pub struct PcpgResultOf<S = f64> {
     pub lambda: Vec<S>,
     /// Convergence statistics (always reported in `f64`).
     pub stats: PcpgStats,
+    /// The unprojected `Fλ` of [`lambda`](Self::lambda), from the true
+    /// residual every exit computes: primal recovery reads it instead of
+    /// applying `F` again. `None` only when the projected right-hand side is
+    /// zero and `λ₀` is returned without an application.
+    pub f_lambda: Option<Vec<S>>,
 }
 
 /// Result of an `f64` PCPG run.
 pub type PcpgResult = PcpgResultOf<f64>;
 
 /// Run PCPG with a preconditioner `M⁻¹` (e.g. the lumped preconditioner
-/// `Σ B̃ᵢ K_i B̃ᵢᵀ`; pass `|w| w.to_vec()` for none) at working precision `S`.
+/// `Σ Cᵢ K_bb,i Cᵢᵀ`; pass `|w| w.to_vec()` for none) at working precision `S`.
 ///
 /// - `d` — dual right-hand side;
 /// - `lambda0` — initial iterate satisfying the equality constraint
@@ -108,8 +113,7 @@ pub fn pcpg_preconditioned_of<S: Scalar>(
         let pd = project(d);
         dot(&pd, &pd).sqrt()
     };
-    // sc-analyze: allow(float-eq)
-    if norm0.to_f64() == 0.0 {
+    if norm0.to_f64() <= 0.0 {
         return PcpgResultOf {
             lambda,
             stats: PcpgStats {
@@ -119,25 +123,27 @@ pub fn pcpg_preconditioned_of<S: Scalar>(
                 converged: true,
                 breakdown: None,
             },
+            f_lambda: None,
         };
     }
 
     // the true projected residual P(d − Fλ) — the single definition behind
     // the initial residual, the convergence confirmation, and the final
-    // reported statistic
+    // reported statistic — with the unprojected Fλ it was computed from
     fn true_residual<S: Scalar>(
         d: &[S],
         lambda: &[S],
         apply_f: &mut impl FnMut(&[S]) -> Vec<S>,
         project: &mut impl FnMut(&[S]) -> Vec<S>,
-    ) -> Vec<S> {
+    ) -> (Vec<S>, Vec<S>) {
         let flam = apply_f(lambda);
         let r: Vec<S> = d.iter().zip(&flam).map(|(&di, &fi)| di - fi).collect();
-        project(&r)
+        (project(&r), flam)
     }
 
-    // w = P (d - F λ0), z = P M⁻¹ w, p = z
-    let mut w = true_residual(d, &lambda, &mut apply_f, &mut project);
+    // w = P (d - F λ0), z = P M⁻¹ w, p = z; `flam` is always the Fλ of the
+    // last true residual, and λ moves only while `w` is an estimate
+    let (mut w, mut flam) = true_residual(d, &lambda, &mut apply_f, &mut project);
     // whether `w` currently equals the freshly computed P(d − Fλ) (the
     // recursive update below makes it an estimate that can drift)
     let mut w_is_true = true;
@@ -154,7 +160,7 @@ pub fn pcpg_preconditioned_of<S: Scalar>(
             }
             // the recursive residual claims convergence: confirm against
             // the freshly recomputed true projected residual
-            w = true_residual(d, &lambda, &mut apply_f, &mut project);
+            (w, flam) = true_residual(d, &lambda, &mut apply_f, &mut project);
             w_is_true = true;
             if (dot(&w, &w).sqrt() / norm0).to_f64() <= tol {
                 break;
@@ -200,7 +206,7 @@ pub fn pcpg_preconditioned_of<S: Scalar>(
     // honest exit report: whatever stopped the loop, the returned residual
     // is the true P(d − Fλ) of the final iterate
     if !w_is_true {
-        w = true_residual(d, &lambda, &mut apply_f, &mut project);
+        (w, flam) = true_residual(d, &lambda, &mut apply_f, &mut project);
     }
     let rel_residual = (dot(&w, &w).sqrt() / norm0).to_f64();
     PcpgResultOf {
@@ -212,6 +218,7 @@ pub fn pcpg_preconditioned_of<S: Scalar>(
             converged: rel_residual <= tol,
             breakdown,
         },
+        f_lambda: Some(flam),
     }
 }
 

@@ -14,8 +14,8 @@
 //! full-`f64` PCPG instead of returning a bad λ.
 
 use crate::dualop::{DualPass, LocalOp, SubdomainFactors};
-use crate::pcpg::{pcpg_preconditioned_of, PcpgStats};
-use crate::solver::{FetiSolver, Preconditioner};
+use crate::pcpg::{pcpg_preconditioned_of, PcpgResult, PcpgStats};
+use crate::solver::{FetiSolver, Precond};
 use rayon::prelude::*;
 use sc_dense::Scalar;
 use sc_fem::HeatProblem;
@@ -121,20 +121,23 @@ impl FetiSolver<'_> {
     /// stops at the options' `tol`; when the residual stalls or
     /// `max_outer` corrections fall short of it (the solver passes
     /// [`MAX_OUTER`]), the solve falls back to the full-`f64` PCPG from the
-    /// best iterate.
+    /// best iterate. `precond` is the `f64` preconditioner, which the inner
+    /// solves round-trip through. The result's `Fλ` is the `f64` apply that
+    /// confirmed convergence, or the fallback's.
     pub(crate) fn solve_refined(
         &self,
         d: &[f64],
         lambda0: Vec<f64>,
         max_outer: usize,
-    ) -> (Vec<f64>, PcpgStats, Option<RefinementStats>) {
+        precond: Option<Precond<'_>>,
+    ) -> (PcpgResult, Option<RefinementStats>) {
         let opts = self.options();
         let norm0 = {
             let pd = self.project(d);
             sc_dense::dot(&pd, &pd).sqrt()
         };
         // the converged exit: the inner iterations stand in for PCPG's
-        let refined = |lambda, outer, inner, applications, rel| {
+        let refined = |lambda, f_lambda, outer, inner, applications, rel| {
             let stats = PcpgStats {
                 iterations: inner,
                 operator_applications: applications,
@@ -147,10 +150,15 @@ impl FetiSolver<'_> {
                 inner_iterations: inner,
                 fell_back: false,
             };
-            (lambda, stats, Some(refinement))
+            let res = PcpgResult {
+                lambda,
+                stats,
+                f_lambda,
+            };
+            (res, Some(refinement))
         };
         if norm0 <= 0.0 {
-            return refined(lambda0, 0, 0, 0, 0.0);
+            return refined(lambda0, None, 0, 0, 0, 0.0);
         }
 
         let mut lambda = lambda0;
@@ -158,10 +166,11 @@ impl FetiSolver<'_> {
         let mut inner_total = 0usize;
         let mut applications = 0usize;
         let mut rel;
+        let mut flam;
         let mut prev_rel = f64::INFINITY;
         loop {
             // f64 truth: r = P(d − Fλ) through the full-precision operator
-            let flam = self.apply_f(&lambda);
+            flam = self.apply_f(&lambda);
             applications += 1;
             let resid: Vec<f64> = d.iter().zip(&flam).map(|(di, fi)| di - fi).collect();
             let r = self.project(&resid);
@@ -186,9 +195,9 @@ impl FetiSolver<'_> {
                 vec![0.0f32; d.len()],
                 |p| self.apply_f32(p),
                 |x| demote(&self.project(&promote(x))),
-                |w| match opts.preconditioner {
-                    Preconditioner::None => w.to_vec(),
-                    Preconditioner::Lumped => demote(&self.apply_lumped(&promote(w))),
+                |w| match precond {
+                    None => w.to_vec(),
+                    Some(m) => demote(&m(&promote(w))),
                 },
                 INNER_TOL,
                 opts.max_iter,
@@ -206,18 +215,18 @@ impl FetiSolver<'_> {
         }
 
         if rel <= opts.tol {
-            refined(lambda, outer, inner_total, applications, rel)
+            refined(lambda, Some(flam), outer, inner_total, applications, rel)
         } else {
             // refinement failed to reach the target: fall back to the
             // historical full-f64 PCPG from the best iterate (Gᵀλ = e still
             // holds, so it is a legal warm start)
-            let res = self.pcpg_f64(d, lambda);
+            let res = self.pcpg_f64(d, lambda, precond);
             let refinement = RefinementStats {
                 outer_iterations: outer,
                 inner_iterations: inner_total,
                 fell_back: true,
             };
-            (res.lambda, res.stats, Some(refinement))
+            (res, Some(refinement))
         }
     }
 }

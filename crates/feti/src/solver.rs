@@ -9,15 +9,20 @@
 //! [`FetiSolver::solve`] and [`FetiSolver::solve_rhs`] then amortize it
 //! across any number of right-hand sides.
 
-use crate::dualop::{assemble_auto, AssembledOperators, DualPass, LocalOp, SubdomainFactors};
+use crate::dualop::{
+    assemble_auto, through_split, AssembledOperators, DualPass, GluedBlock, LocalOp, LocalScratch,
+    SubdomainFactors,
+};
 use crate::pcpg::PcpgStats;
 use crate::refine::{Demoted, RefinementStats, MAX_OUTER};
+use rayon::prelude::*;
 use sc_core::{AssemblyReport, AssemblySession, Backend, HybridPlanOptions, Precision, ScConfig};
 use sc_dense::Mat;
 use sc_factor::Engine;
 use sc_fem::HeatProblem;
 use sc_order::Ordering;
 use sc_sparse::{Coo, Csc};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Which dual-operator formulation the solver realizes (orthogonal to the
@@ -41,11 +46,14 @@ pub enum FormulationChoice {
 /// Dual preconditioner selection for PCPG.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Preconditioner {
-    /// No preconditioning (identity).
+    /// No preconditioning (identity): every PCPG iteration costs one
+    /// application of `F` and no more, but takes more iterations.
     None,
-    /// The lumped preconditioner `M⁻¹ = Σᵢ B̃ᵢ Kᵢ B̃ᵢᵀ` — three sparse
-    /// products per subdomain per iteration, the cheap standard choice in
-    /// FETI practice.
+    /// The lumped preconditioner `M⁻¹ = Σᵢ B̃ᵢ Kᵢ B̃ᵢᵀ`, the standard FETI
+    /// choice (Rixen & Farhat, IJNME 1999) and the default. It is applied on
+    /// the distinct glued dofs as `Σᵢ Cᵢ K_bb,i Cᵢᵀ` ([`FetiSolver::apply_lumped`]):
+    /// one sparse product of order `nb` per subdomain per iteration, through
+    /// the operator's own gluing split.
     Lumped,
 }
 
@@ -53,13 +61,17 @@ pub enum Preconditioner {
 /// ([`FetiSolverBuilder::options`]); [`FetiSolver::solve`] takes no
 /// arguments.
 ///
+/// The default is the supernodal engine, nested dissection, the lumped
+/// preconditioner, `tol` 1e-9 and 1000 iterations.
+///
 /// ```
 /// use sc_feti::{FetiOptions, Preconditioner};
 /// let opts = FetiOptions::default()
-///     .with_preconditioner(Preconditioner::Lumped)
+///     .with_preconditioner(Preconditioner::None)
 ///     .with_tol(1e-10)
 ///     .with_max_iter(500);
 /// assert_eq!(opts.max_iter, 500);
+/// assert_eq!(FetiOptions::default().preconditioner, Preconditioner::Lumped);
 /// ```
 #[derive(Clone)]
 pub struct FetiOptions {
@@ -67,7 +79,7 @@ pub struct FetiOptions {
     pub engine: Engine,
     /// Fill-reducing ordering.
     pub ordering: Ordering,
-    /// Dual preconditioner.
+    /// Dual preconditioner (default [`Preconditioner::Lumped`]).
     pub preconditioner: Preconditioner,
     /// PCPG relative tolerance.
     pub tol: f64,
@@ -80,7 +92,7 @@ impl Default for FetiOptions {
         FetiOptions {
             engine: Engine::Supernodal,
             ordering: Ordering::NestedDissection,
-            preconditioner: Preconditioner::None,
+            preconditioner: Preconditioner::Lumped,
             tol: 1e-9,
             max_iter: 1000,
         }
@@ -118,6 +130,10 @@ impl FetiOptions {
         self
     }
 }
+
+/// A preconditioner `M⁻¹` handed to the solve paths (`None` there: the
+/// identity).
+pub(crate) type Precond<'a> = &'a (dyn Fn(&[f64]) -> Vec<f64> + 'a);
 
 /// Solution of a FETI solve.
 pub struct FetiSolution {
@@ -336,6 +352,8 @@ pub struct FetiSolver<'p> {
     g: Csc,
     /// Dense Cholesky factor of `GᵀG`.
     gtg: Mat,
+    /// `K_bb,i` of each subdomain, the lumped preconditioner's local block.
+    k_bb: Vec<GluedBlock>,
     /// Kernel column of each subdomain (floating ones only).
     kernel_col: Vec<Option<usize>>,
     /// Dual right-hand side `d = B K⁺ f` of the problem's own loads.
@@ -352,8 +370,9 @@ impl<'p> FetiSolver<'p> {
     /// The construction tail every producer of operator slots shares — the
     /// builder's three formulations and the sparse-RHS rows of
     /// [`approaches`](crate::approaches): kernel numbering, `G = B R`, the
-    /// coarse factor of `GᵀG`, the demoted slots of a refined `precision`,
-    /// and the right-hand sides of the problem's own loads.
+    /// coarse factor of `GᵀG`, the lumped preconditioner's `K_bb,i`, the
+    /// demoted slots of a refined `precision`, and the right-hand sides of
+    /// the problem's own loads.
     pub(crate) fn from_ops(
         problem: &'p HeatProblem,
         opts: FetiOptions,
@@ -401,6 +420,10 @@ impl<'p> FetiSolver<'p> {
             l
         };
 
+        let k_bb = (problem.subdomains.par_iter().zip(factors.as_slice()))
+            .map(|(sd, f)| GluedBlock::of(&sd.k, f))
+            .collect();
+
         // demote the slots once for the mixed-precision inner solves
         let demoted =
             (precision == Precision::F32Refined).then(|| Demoted::of(&ops, &factors, problem));
@@ -415,6 +438,7 @@ impl<'p> FetiSolver<'p> {
             demoted,
             g,
             gtg,
+            k_bb,
             kernel_col,
             d: Vec::new(),
             e: Vec::new(),
@@ -506,17 +530,21 @@ impl<'p> FetiSolver<'p> {
         out
     }
 
-    /// Apply the lumped preconditioner `M⁻¹ w = Σᵢ B̃ᵢ Kᵢ B̃ᵢᵀ w̃ᵢ`.
+    /// Apply the lumped preconditioner `M⁻¹ w = Σᵢ B̃ᵢ Kᵢ B̃ᵢᵀ w̃ᵢ` on the
+    /// distinct glued dofs, as `Σᵢ Cᵢ K_bb,i Cᵢᵀ w̃ᵢ`: the local operator's
+    /// gather → product of order `nb` → scatter through the bundle's split,
+    /// with `Kᵢ`'s glued block in place of `Gᵢ`. `B̃ᵢᵀ w̃ᵢ` is zero off the
+    /// glued dofs and only its glued rows are read, so the result is bitwise
+    /// the product with all of `Kᵢ`.
     pub fn apply_lumped(&self, w: &[f64]) -> Vec<f64> {
         let mut z = vec![0.0; self.problem.n_lambda];
         self.pass
-            .run(self.problem, Some(w), Some(&mut z), |_, sd, ws, zl| {
-                let (t, kt) = (&mut ws.local.t, &mut ws.local.w);
-                t.resize(sd.n_dofs(), 0.0);
-                kt.resize(sd.n_dofs(), 0.0);
-                sd.bt.spmv(1.0, &ws.pl, 0.0, t); // B̃ᵀ w̃
-                sd.k.spmv(1.0, t, 0.0, kt); // K B̃ᵀ w̃
-                sd.bt.spmv_t(1.0, kt, 0.0, zl); // B̃ K B̃ᵀ w̃
+            .run(self.problem, Some(w), Some(&mut z), |i, _, ws, zl| {
+                let LocalScratch { pb, y, .. } = &mut ws.local;
+                let k_bb = &self.k_bb[i];
+                through_split(&self.factors[i].ct, &ws.pl, zl, pb, y, |pb, y| {
+                    k_bb.apply(pb, y)
+                });
             });
         z
     }
@@ -560,18 +588,36 @@ impl<'p> FetiSolver<'p> {
     }
 
     fn solve_inner(&self, d: &[f64], e: &[f64], f_locals: Option<&[Vec<f64>]>) -> FetiSolution {
-        let lambda0 = self.lambda0(e);
-        let (lambda, stats, refinement) = if self.demoted.is_some() {
-            self.solve_refined(d, lambda0, MAX_OUTER)
-        } else {
-            let res = self.pcpg_f64(d, lambda0);
-            (res.lambda, res.stats, None)
+        let lumped = |w: &[f64]| self.apply_lumped(w);
+        let precond: Option<Precond<'_>> = match self.opts.preconditioner {
+            Preconditioner::None => None,
+            Preconditioner::Lumped => Some(&lumped),
         };
-        let u_locals = self.recover_primal_with(&lambda, d, f_locals);
+        self.solve_with(d, e, f_locals, precond)
+    }
+
+    /// [`solve_inner`](Self::solve_inner) with the preconditioner `M⁻¹`
+    /// given (`None`: the identity): PCPG at the working precision, then
+    /// primal recovery from the `Fλ` the solve returns.
+    pub(crate) fn solve_with(
+        &self,
+        d: &[f64],
+        e: &[f64],
+        f_locals: Option<&[Vec<f64>]>,
+        precond: Option<Precond<'_>>,
+    ) -> FetiSolution {
+        let lambda0 = self.lambda0(e);
+        let (res, refinement) = if self.demoted.is_some() {
+            self.solve_refined(d, lambda0, MAX_OUTER, precond)
+        } else {
+            (self.pcpg_f64(d, lambda0, precond), None)
+        };
+        let f_lambda = res.f_lambda.as_deref();
+        let u_locals = self.recover_primal_with(&res.lambda, d, f_locals, f_lambda);
         FetiSolution {
             u_locals,
-            lambda,
-            stats,
+            lambda: res.lambda,
+            stats: res.stats,
             refinement,
         }
     }
@@ -588,20 +634,21 @@ impl<'p> FetiSolver<'p> {
     }
 
     /// The full-`f64` PCPG solve (the historical path; also the
-    /// mixed-precision fallback).
-    pub(crate) fn pcpg_f64(&self, d: &[f64], lambda0: Vec<f64>) -> crate::pcpg::PcpgResult {
-        let opts = &self.opts;
+    /// mixed-precision fallback) under the preconditioner `precond`.
+    pub(crate) fn pcpg_f64(
+        &self,
+        d: &[f64],
+        lambda0: Vec<f64>,
+        precond: Option<Precond<'_>>,
+    ) -> crate::pcpg::PcpgResult {
         crate::pcpg::pcpg_preconditioned_of(
             d,
             lambda0,
             |p| self.apply_f(p),
             |x| self.project(x),
-            |w| match opts.preconditioner {
-                Preconditioner::None => w.to_vec(),
-                Preconditioner::Lumped => self.apply_lumped(w),
-            },
-            opts.tol,
-            opts.max_iter,
+            |w| precond.map_or_else(|| w.to_vec(), |m| m(w)),
+            self.opts.tol,
+            self.opts.max_iter,
         )
     }
 
@@ -623,21 +670,26 @@ impl<'p> FetiSolver<'p> {
     }
 
     /// Primal recovery for the problem's own loads: `α = (GᵀG)⁻¹Gᵀ(Fλ − d)`,
-    /// `uᵢ = K⁺(fᵢ − B̃ᵢᵀ λ̃ᵢ) + Rᵢ αᵢ` (Eq. 5).
+    /// `uᵢ = K⁺(fᵢ − B̃ᵢᵀ λ̃ᵢ) + Rᵢ αᵢ` (Eq. 5). It applies `F` to `λ` once;
+    /// a solve's own recovery reuses the `Fλ` its PCPG computed last.
     pub fn recover_primal(&self, lambda: &[f64]) -> Vec<Vec<f64>> {
-        self.recover_primal_with(lambda, &self.d, None)
+        self.recover_primal_with(lambda, &self.d, None, None)
     }
 
+    /// Recovery for the loads `f_locals` (`None`: the problem's own) from
+    /// `f_lambda`, the `Fλ` of `lambda` when the caller has it (`None`:
+    /// apply `F` here).
     fn recover_primal_with(
         &self,
         lambda: &[f64],
         d: &[f64],
         f_locals: Option<&[Vec<f64>]>,
+        f_lambda: Option<&[f64]>,
     ) -> Vec<Vec<f64>> {
         let alphas: Vec<f64> = if self.n_kernels() == 0 {
             Vec::new()
         } else {
-            let flam = self.apply_f(lambda);
+            let flam = f_lambda.map_or_else(|| Cow::Owned(self.apply_f(lambda)), Cow::Borrowed);
             let resid: Vec<f64> = flam.iter().zip(d).map(|(a, b)| a - b).collect();
             let mut gtr = vec![0.0; self.g.ncols()];
             self.g.spmv_t(1.0, &resid, 0.0, &mut gtr);
@@ -1487,11 +1539,11 @@ mod tests {
     #[test]
     fn lumped_preconditioner_converges_and_matches() {
         let p = HeatProblem::build_2d(5, (3, 2), Gluing::Redundant);
-        let s1 = FetiSolverBuilder::new().build(&p).solve();
-        let s2 = FetiSolverBuilder::new()
-            .options(FetiOptions::default().with_preconditioner(Preconditioner::Lumped))
+        let s1 = FetiSolverBuilder::new()
+            .options(FetiOptions::default().with_preconditioner(Preconditioner::None))
             .build(&p)
             .solve();
+        let s2 = FetiSolverBuilder::new().build(&p).solve();
         assert!(s1.stats.converged && s2.stats.converged);
         // same solution
         let u1 = p.gather_global(&s1.u_locals);
@@ -1500,13 +1552,146 @@ mod tests {
         for i in 0..u1.len() {
             assert!((u1[i] - u2[i]).abs() < 1e-6 * scale);
         }
-        // the lumped preconditioner should not need more iterations
-        assert!(
-            s2.stats.iterations <= s1.stats.iterations + 2,
-            "lumped {} vs plain {}",
-            s2.stats.iterations,
-            s1.stats.iterations
+        // the default (lumped) preconditioner takes fewer iterations
+        assert_eq!(
+            (s1.stats.iterations, s2.stats.iterations),
+            (PLAIN_ITERS, LUMPED_ITERS),
+            "plain, lumped"
         );
+    }
+
+    /// PCPG iterations of `lumped_preconditioner_converges_and_matches`'s
+    /// 2D c5 3×2 mesh, without and with the lumped preconditioner.
+    const PLAIN_ITERS: usize = 22;
+    const LUMPED_ITERS: usize = 18;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The lumped preconditioner on all of `Kᵢ`, as `apply_lumped` computed
+    /// it before it ran on `K_bb`: the oracle of its glued-dof form.
+    fn lumped_on_full_k(solver: &FetiSolver<'_>, w: &[f64]) -> Vec<f64> {
+        let mut z = vec![0.0; solver.problem.n_lambda];
+        solver
+            .pass
+            .run(solver.problem, Some(w), Some(&mut z), |_, sd, ws, zl| {
+                let (mut t, mut kt) = (vec![0.0; sd.n_dofs()], vec![0.0; sd.n_dofs()]);
+                sd.bt.spmv(1.0, &ws.pl, 0.0, &mut t); // B̃ᵀ w̃
+                sd.k.spmv(1.0, &t, 0.0, &mut kt); // K B̃ᵀ w̃
+                sd.bt.spmv_t(1.0, &kt, 0.0, zl); // B̃ K B̃ᵀ w̃
+            });
+        z
+    }
+
+    /// Meshes of the lumped oracle checks: 2D and 3D, redundant and chain
+    /// gluing, a 3×3×3 decomposition whose interior subdomain is glued on
+    /// every face, and one subdomain with no multipliers.
+    fn lumped_meshes() -> Vec<HeatProblem> {
+        vec![
+            HeatProblem::build_2d(6, (3, 3), Gluing::Redundant),
+            HeatProblem::build_2d(7, (3, 2), Gluing::Chain),
+            HeatProblem::build_3d(4, (2, 2, 2), Gluing::Redundant),
+            HeatProblem::build_3d(3, (2, 2, 1), Gluing::Chain),
+            HeatProblem::build_3d(2, (3, 3, 3), Gluing::Redundant),
+            HeatProblem::build_2d(4, (1, 1), Gluing::Redundant),
+        ]
+    }
+
+    /// Uniform values in `[-1, 1)` from a fixed-seed linear congruential
+    /// generator.
+    fn random_vector(n: usize, seed: u64) -> Vec<f64> {
+        let mut x = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lumped_on_the_glued_dofs_is_bitwise_the_full_k_product() {
+        for p in lumped_meshes() {
+            let solver = FetiSolverBuilder::new().build(&p);
+            let at = format!(
+                "{} subdomains, {} multipliers",
+                p.subdomains.len(),
+                p.n_lambda
+            );
+            let mut vectors = probe_vectors(p.n_lambda);
+            vectors.extend((0..3).map(|seed| random_vector(p.n_lambda, seed)));
+            for w in vectors {
+                let (got, want) = (solver.apply_lumped(&w), lumped_on_full_k(&solver, &w));
+                assert_eq!(bits(&got), bits(&want), "{at}");
+            }
+        }
+    }
+
+    /// Whole solves under the default (lumped) preconditioner are bitwise
+    /// the solves that precondition with the full-`Kᵢ` oracle, for both
+    /// formulations and both working precisions.
+    #[test]
+    fn lumped_solves_are_bitwise_the_full_k_oracle_solves() {
+        let meshes = [
+            HeatProblem::build_2d(6, (3, 3), Gluing::Redundant),
+            HeatProblem::build_2d(7, (3, 2), Gluing::Chain),
+            HeatProblem::build_3d(2, (3, 3, 3), Gluing::Redundant),
+        ];
+        for p in &meshes {
+            for kind in ["implicit", "explicit"] {
+                for precision in [Precision::F64, Precision::F32Refined] {
+                    let solver = fresh_solver(p, kind, precision);
+                    let at = format!("{kind} {precision:?}, {} subdomains", p.subdomains.len());
+                    let oracle = |w: &[f64]| lumped_on_full_k(&solver, w);
+                    let want = solver.solve_with(&solver.d, &solver.e, None, Some(&oracle));
+                    let got = solver.solve();
+                    assert!(got.stats.converged, "{at}");
+                    assert_eq!(bits(&got.lambda), bits(&want.lambda), "{at}: λ");
+                    assert_eq!(
+                        bits(&got.u_locals.concat()),
+                        bits(&want.u_locals.concat()),
+                        "{at}: u"
+                    );
+                    let count = |s: &PcpgStats| (s.iterations, s.operator_applications);
+                    assert_eq!(count(&got.stats), count(&want.stats), "{at}: iterations");
+                }
+            }
+        }
+    }
+
+    /// A solve's recovery reuses PCPG's last `Fλ`: on a one-stream device
+    /// the solve advances the clock by exactly `operator_applications`
+    /// rounds of the slots' SYMVs (replayed on a twin device), and its `u`
+    /// is bitwise the `u` of `recover_primal`, which applies `F` itself.
+    #[test]
+    fn a_solve_charges_one_round_per_operator_application() {
+        let p = HeatProblem::build_2d(6, (2, 2), Gluing::Redundant);
+        for preconditioner in [Preconditioner::None, Preconditioner::Lumped] {
+            let device = Device::new(DeviceSpec::a100(), 1);
+            let solver = FetiSolverBuilder::new()
+                .options(FetiOptions::default().with_preconditioner(preconditioner))
+                .backend(Backend::gpu(Arc::clone(&device)))
+                .formulation(FormulationChoice::Explicit)
+                .build(&p);
+            assert!(solver.n_kernels() > 0, "recovery solves for α");
+            device.reset();
+            let sol = solver.solve();
+            let twin = Device::new(DeviceSpec::a100(), 1);
+            for _ in 0..sol.stats.operator_applications {
+                for f in solver.factors() {
+                    let symv = KernelCost::symv_of::<f64>(f.pt_perm.ncols());
+                    twin.stream(0).submit(&symv);
+                }
+            }
+            let at = format!("{preconditioner:?}");
+            assert_eq!(device.stream_time(0), twin.stream_time(0), "{at}");
+            assert!(device.stream_time(0) > 0.0, "{at}: slots on the device");
+            let u = solver.recover_primal(&sol.lambda);
+            assert_eq!(bits(&sol.u_locals.concat()), bits(&u.concat()), "{at}");
+        }
     }
 
     #[test]
@@ -1658,8 +1843,8 @@ mod tests {
         let solver = FetiSolverBuilder::new()
             .precision(Precision::F32Refined)
             .build(&p);
-        let (lambda, stats, refinement) =
-            solver.solve_refined(&solver.d, solver.lambda0(&solver.e), 1);
+        let (res, refinement) = solver.solve_refined(&solver.d, solver.lambda0(&solver.e), 1, None);
+        let (lambda, stats) = (res.lambda, res.stats);
         let refinement = refinement.expect("refined path reports stats");
         assert!(refinement.fell_back, "budget exhaustion must fall back");
         assert_eq!(refinement.outer_iterations, 1);
